@@ -3,12 +3,13 @@
 //! compression/augmentation stages themselves. Each configuration reports
 //! held-out weighted F1, construction cost, and graph size.
 
-use bac_bench::{build_split, f4, flag_value, prepared_graph_set, print_rows, ExpScale};
+use bac_bench::{build_split, f4, prepared_graph_set, print_rows, ExpScale};
 use baclassifier::config::ConstructionConfig;
 use baclassifier::construction::construct_dataset_graphs;
 use baclassifier::features::NODE_FEAT_DIM;
 use baclassifier::models::Gfn;
 use baclassifier::train::{evaluate_graph_model, train_graph_model, TrainParams};
+use baserve::cli::flag_parsed;
 use btcsim::Dataset;
 
 struct Outcome {
@@ -55,9 +56,7 @@ fn run_config(
 fn main() {
     let scale = ExpScale::from_args();
     let args: Vec<String> = std::env::args().collect();
-    let epochs: usize = flag_value(&args, "--epochs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12);
+    let epochs: usize = flag_parsed(&args, "--epochs", 12);
     println!("# Ablations (GFN, {epochs} epochs per configuration)");
     let (train, test) = build_split(&scale);
     println!("train {} / test {}", train.len(), test.len());

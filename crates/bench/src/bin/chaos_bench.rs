@@ -17,8 +17,9 @@
 //!    nearest-centroid fallback; the figure is how much capacity survives
 //!    when the model path is down.
 
-use bac_bench::flag_value;
 use baclassifier::{BaClassifier, BacConfig};
+use baserve::cli::{flag_parsed, flag_value};
+use baserve::metrics::Histogram;
 use baserve::{
     Engine, EngineConfig, EngineHooks, Fallback, FaultPlan, FeatureFallback, ScriptedFaultPlan,
     ServeError, Ticket,
@@ -32,21 +33,11 @@ use std::time::{Duration, Instant};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = flag_value(&args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let min_txs: usize = flag_value(&args, "--min-txs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let requests: usize = flag_value(&args, "--requests")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2000);
-    let zipf_s: f64 = flag_value(&args, "--zipf")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.1);
-    let panics: usize = flag_value(&args, "--panics")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
+    let seed: u64 = flag_parsed(&args, "--seed", 42);
+    let min_txs: usize = flag_parsed(&args, "--min-txs", 3);
+    let requests: usize = flag_parsed(&args, "--requests", 2000);
+    let zipf_s: f64 = flag_parsed(&args, "--zipf", 1.1);
+    let panics: usize = flag_parsed(&args, "--panics", 5);
     let out = flag_value(&args, "--out").unwrap_or_else(|| "results/chaos_bench.json".into());
 
     eprintln!("[chaos_bench] fitting a fast model (seed {seed})…");
@@ -78,14 +69,14 @@ fn main() {
     let sampler = ZipfSampler::new(dataset.len(), zipf_s);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc4a0);
     let steady = *panic_batches.last().unwrap() as usize + 25;
-    let mut recovery_us: Vec<u64> = Vec::with_capacity(panics);
+    let mut recovery_us = Histogram::default();
     let mut failed_at: Option<Instant> = None;
     for _ in 0..steady {
         let idx = sampler.sample(&mut rng);
         match engine.classify(dataset.records[idx].clone()) {
             Ok(_) => {
                 if let Some(t0) = failed_at.take() {
-                    recovery_us.push(t0.elapsed().as_micros() as u64);
+                    recovery_us.record(t0.elapsed().as_micros() as u64);
                 }
             }
             Err(ServeError::WorkerFailed) => failed_at = Some(Instant::now()),
@@ -94,11 +85,14 @@ fn main() {
     }
     engine.shutdown();
     assert_eq!(plan.injected() as usize, panics, "script must fully fire");
-    assert_eq!(recovery_us.len(), panics, "each panic must be recovered");
-    recovery_us.sort_unstable();
-    let mean_us = recovery_us.iter().sum::<u64>() as f64 / recovery_us.len() as f64;
-    let p50_us = recovery_us[(recovery_us.len() - 1) / 2];
-    let max_us = *recovery_us.last().unwrap();
+    assert_eq!(
+        recovery_us.count(),
+        panics as u64,
+        "each panic must be recovered"
+    );
+    let mean_us = recovery_us.mean();
+    let p50_us = recovery_us.quantile(0.50);
+    let max_us = recovery_us.quantile(1.0);
     eprintln!(
         "[chaos_bench] recovery over {panics} panics: mean {mean_us:.0}µs, \
          p50 {p50_us}µs, max {max_us}µs"

@@ -28,8 +28,9 @@
 //! diverges from the reference — it is an acceptance gate first and a
 //! stopwatch second. `--smoke` shrinks the chain for CI.
 
-use bac_bench::{flag_value, write_results_atomic};
+use bac_bench::write_results_atomic;
 use baclassifier::{BaClassifier, BacConfig, ModelArtifact};
+use baserve::cli::{flag_parsed, flag_value, has_flag};
 use baserve::{FaultPlan, ScriptedFaultPlan};
 use bashard::{
     shard_snapshot_path, ShardReport, ShardedFollower, SpawnMode, StreamHooks, SupervisionConfig,
@@ -275,13 +276,9 @@ fn sharded_respawn_phase(artifact: &Arc<ModelArtifact>, blocks: &[Block]) -> Str
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed: u64 = flag_value(&args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let blocks: u64 = flag_value(&args, "--blocks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 60 } else { 240 });
+    let smoke = has_flag(&args, "--smoke");
+    let seed: u64 = flag_parsed(&args, "--seed", 42);
+    let blocks: u64 = flag_parsed(&args, "--blocks", if smoke { 60 } else { 240 });
     let out =
         flag_value(&args, "--out").unwrap_or_else(|| "results/chaos_stream_bench.json".into());
 

@@ -2,14 +2,13 @@
 //! chart). Prints the per-window active-address series of the simulated
 //! chain plus cumulative distinct addresses, as an ASCII sparkline table.
 
-use bac_bench::{build_full_dataset, flag_value, print_rows, ExpScale};
+use bac_bench::{build_full_dataset, print_rows, ExpScale};
+use baserve::cli::flag_parsed;
 
 fn main() {
     let scale = ExpScale::from_args();
     let args: Vec<String> = std::env::args().collect();
-    let window: usize = flag_value(&args, "--window")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25);
+    let window: usize = flag_parsed(&args, "--window", 25);
     println!("# Fig. 1 — active addresses over time (window = {window} blocks)");
     let (sim, _) = build_full_dataset(&scale);
 

@@ -2,18 +2,17 @@
 //! GFN / DiffPool / GCN per training epoch (left panel) and per unit of
 //! training wall-clock (right panel).
 
-use bac_bench::{build_split, f4, flag_value, prepared_graph_set, print_rows, ExpScale};
+use bac_bench::{build_split, f4, prepared_graph_set, print_rows, ExpScale};
 use baclassifier::config::ConstructionConfig;
 use baclassifier::features::NODE_FEAT_DIM;
 use baclassifier::models::{DiffPool, Gcn, Gfn, GraphModel};
 use baclassifier::train::{train_graph_model, TrainLog, TrainParams};
+use baserve::cli::flag_parsed;
 
 fn main() {
     let scale = ExpScale::from_args();
     let args: Vec<String> = std::env::args().collect();
-    let epochs: usize = flag_value(&args, "--epochs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
+    let epochs: usize = flag_parsed(&args, "--epochs", 20);
     println!("# Fig. 5 — GNN training curves over {epochs} epochs");
 
     let cfg = ConstructionConfig::default();

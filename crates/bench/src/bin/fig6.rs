@@ -1,20 +1,17 @@
 //! Fig. 6 — address-classification overhead: held-out weighted F1 of the
 //! six classification heads per training epoch and per unit of wall-clock.
 
-use bac_bench::{build_split, embedded_split, f4, flag_value, print_rows, ExpScale};
+use bac_bench::{build_split, embedded_split, f4, print_rows, ExpScale};
 use baclassifier::classify::all_heads;
 use baclassifier::config::ConstructionConfig;
 use baclassifier::train::{train_sequence_head, TrainLog, TrainParams};
+use baserve::cli::flag_parsed;
 
 fn main() {
     let scale = ExpScale::from_args();
     let args: Vec<String> = std::env::args().collect();
-    let epochs: usize = flag_value(&args, "--epochs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25);
-    let gnn_epochs: usize = flag_value(&args, "--gnn-epochs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12);
+    let epochs: usize = flag_parsed(&args, "--epochs", 25);
+    let gnn_epochs: usize = flag_parsed(&args, "--gnn-epochs", 12);
     println!("# Fig. 6 — classification-head training curves over {epochs} epochs");
 
     let cfg = ConstructionConfig::default();

@@ -29,7 +29,7 @@
 //!    for the GCN workload; the zero-clone backward must stay below one
 //!    allocation per node (always asserted, even under `--smoke`).
 
-use bac_bench::{flag_value, has_flag};
+use baserve::cli::{flag_parsed, flag_value, has_flag};
 use graphalgo::{normalized_adjacency, Graph};
 use numnet::layers::lstm::LstmCell;
 use numnet::{backward_alloc_count, reset_backward_alloc_count, Matrix, Param, SparseAdj, Tape};
@@ -278,10 +278,8 @@ struct LstmBatchedResult {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = has_flag("--smoke");
-    let min_speedup: f64 = flag_value(&args, "--min-speedup")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
+    let smoke = has_flag(&args, "--smoke");
+    let min_speedup: f64 = flag_parsed(&args, "--min-speedup", 2.0);
     let out = flag_value(&args, "--out").unwrap_or_else(|| "results/kernel_bench.json".into());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let gated = !smoke && cores >= 2;

@@ -30,9 +30,11 @@
 //! `cargo build --release` then `./target/release/net_bench --smoke` is
 //! the whole recipe.
 
-use bac_bench::{flag_value, write_results_atomic};
+use bac_bench::write_results_atomic;
 use baclassifier::{BaClassifier, BacConfig, ModelArtifact, ShardMap};
 use banet::RemoteShardConfig;
+use baserve::cli::{flag_parsed, flag_value, has_flag};
+use baserve::metrics::Histogram;
 use baserve::session::dataset_by_id;
 use baserve::{Fallback, FeatureFallback, ServeError};
 use bashard::{remote_router, wait_fleet_up, ShardRouter};
@@ -61,15 +63,6 @@ fn untrained_artifact() -> Arc<ModelArtifact> {
         config: cfg,
         weights,
     })
-}
-
-fn percentile_us(samples: &mut [u64], q: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let rank = ((samples.len() as f64 * q).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
 }
 
 /// A free loopback port: bind ephemeral, read the assignment, release.
@@ -130,21 +123,21 @@ fn burst(
     zipf_s: f64,
     traffic_seed: u64,
     window: usize,
-) -> (Vec<u64>, usize, usize) {
+) -> (Histogram, usize, usize) {
     let sampler = ZipfSampler::new(records.len(), zipf_s);
     let mut rng = StdRng::seed_from_u64(traffic_seed);
     let mut in_flight = std::collections::VecDeque::new();
-    let mut latencies = Vec::with_capacity(n);
+    let mut latencies = Histogram::default();
     let mut settled = 0usize;
     let mut shed = 0usize;
     let settle_one = |(ticket, at): (baserve::Ticket, Instant),
-                      latencies: &mut Vec<u64>,
+                      latencies: &mut Histogram,
                       settled: &mut usize,
                       shed: &mut usize| {
         match ticket.wait() {
             Ok(_) => {
                 *settled += 1;
-                latencies.push(at.elapsed().as_micros() as u64);
+                latencies.record(at.elapsed().as_micros() as u64);
             }
             Err(_) => *shed += 1,
         }
@@ -193,22 +186,12 @@ fn wait_full_fidelity(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed: u64 = flag_value(&args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let shards: u32 = flag_value(&args, "--shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let requests: usize = flag_value(&args, "--requests")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 400 } else { 5000 });
-    let zipf_s: f64 = flag_value(&args, "--zipf")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.1);
-    let min_txs: usize = flag_value(&args, "--min-txs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let smoke = has_flag(&args, "--smoke");
+    let seed: u64 = flag_parsed(&args, "--seed", 42);
+    let shards: u32 = flag_parsed(&args, "--shards", 2);
+    let requests: usize = flag_parsed(&args, "--requests", if smoke { 400 } else { 5000 });
+    let zipf_s: f64 = flag_parsed(&args, "--zipf", 1.1);
+    let min_txs: usize = flag_parsed(&args, "--min-txs", 3);
     let out = flag_value(&args, "--out").unwrap_or_else(|| "results/net_bench.json".into());
 
     let basharded: PathBuf = std::env::current_exe()
@@ -301,13 +284,13 @@ fn main() {
 
     // --- phase 2: zipf burst ---------------------------------------------
     let t_burst = Instant::now();
-    let (mut latencies, settled, shed) = burst(&router, &records, requests, zipf_s, 1, 64);
+    let (latencies, settled, shed) = burst(&router, &records, requests, zipf_s, 1, 64);
     let burst_s = t_burst.elapsed().as_secs_f64();
     let rps = settled as f64 / burst_s.max(1e-9);
     let (p50, p95, p99) = (
-        percentile_us(&mut latencies, 0.50),
-        percentile_us(&mut latencies, 0.95),
-        percentile_us(&mut latencies, 0.99),
+        latencies.quantile(0.50),
+        latencies.quantile(0.95),
+        latencies.quantile(0.99),
     );
     eprintln!(
         "[net_bench] burst: {settled} served ({shed} shed) in {burst_s:.2}s = {rps:.0} rps, \

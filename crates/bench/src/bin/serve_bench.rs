@@ -12,8 +12,9 @@
 //! runs). The throughput phase pushes a zipf-distributed burst through the
 //! batching window.
 
-use bac_bench::flag_value;
 use baclassifier::{BaClassifier, BacConfig};
+use baserve::cli::{flag_parsed, flag_value};
+use baserve::metrics::Histogram;
 use baserve::{Engine, EngineConfig, Ticket};
 use btcsim::dist::ZipfSampler;
 use btcsim::{Dataset, SimConfig, Simulator};
@@ -22,44 +23,22 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 
-struct LatencyStats {
-    mean_us: f64,
-    p50_us: u64,
-    p95_us: u64,
-}
-
-fn latency_stats(mut samples_us: Vec<u64>) -> LatencyStats {
-    assert!(!samples_us.is_empty());
-    samples_us.sort_unstable();
-    let pct = |q: f64| samples_us[((samples_us.len() - 1) as f64 * q).round() as usize];
-    LatencyStats {
-        mean_us: samples_us.iter().sum::<u64>() as f64 / samples_us.len() as f64,
-        p50_us: pct(0.50),
-        p95_us: pct(0.95),
-    }
-}
-
-fn json_phase(name: &str, queries: usize, s: &LatencyStats) -> String {
+fn json_phase(name: &str, h: &Histogram) -> String {
     format!(
-        "\"{name}\":{{\"queries\":{queries},\"mean_us\":{:.1},\"p50_us\":{},\"p95_us\":{}}}",
-        s.mean_us, s.p50_us, s.p95_us
+        "\"{name}\":{{\"queries\":{},\"mean_us\":{:.1},\"p50_us\":{},\"p95_us\":{}}}",
+        h.count(),
+        h.mean(),
+        h.quantile(0.50),
+        h.quantile(0.95)
     )
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = flag_value(&args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let min_txs: usize = flag_value(&args, "--min-txs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let requests: usize = flag_value(&args, "--requests")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2000);
-    let zipf_s: f64 = flag_value(&args, "--zipf")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.1);
+    let seed: u64 = flag_parsed(&args, "--seed", 42);
+    let min_txs: usize = flag_parsed(&args, "--min-txs", 3);
+    let requests: usize = flag_parsed(&args, "--requests", 2000);
+    let zipf_s: f64 = flag_parsed(&args, "--zipf", 1.1);
     let out = flag_value(&args, "--out").unwrap_or_else(|| "results/serve_bench.json".into());
 
     eprintln!("[serve_bench] fitting a fast model (seed {seed})…");
@@ -78,28 +57,25 @@ fn main() {
     // warm pass replays the identical key set against a populated cache.
     let engine =
         Engine::new(Arc::clone(&artifact), config.clone()).expect("artifact matches its own model");
-    let mut cold_us = Vec::with_capacity(dataset.len());
+    let mut cold = Histogram::default();
     for record in &dataset.records {
         let t = Instant::now();
         let r = engine.classify(record.clone()).expect("classify succeeds");
-        cold_us.push(t.elapsed().as_micros() as u64);
+        cold.record(t.elapsed().as_micros() as u64);
         assert!(!r.cache_hit, "first touch of an address must miss");
     }
-    let mut warm_us = Vec::with_capacity(dataset.len());
+    let mut warm = Histogram::default();
     for record in &dataset.records {
         let t = Instant::now();
         let r = engine.classify(record.clone()).expect("classify succeeds");
-        warm_us.push(t.elapsed().as_micros() as u64);
+        warm.record(t.elapsed().as_micros() as u64);
         assert!(r.cache_hit, "second touch of an address must hit");
     }
-    let cold = latency_stats(cold_us);
-    let warm = latency_stats(warm_us);
     engine.shutdown();
+    let (cold_p50, warm_p50) = (cold.quantile(0.50), warm.quantile(0.50));
     eprintln!(
-        "[serve_bench] cold p50 {}µs vs warm p50 {}µs ({:.1}x)",
-        cold.p50_us,
-        warm.p50_us,
-        cold.p50_us as f64 / warm.p50_us.max(1) as f64
+        "[serve_bench] cold p50 {cold_p50}µs vs warm p50 {warm_p50}µs ({:.1}x)",
+        cold_p50 as f64 / warm_p50.max(1) as f64
     );
 
     // Phase 3: batched zipf burst through a fresh engine.
@@ -133,8 +109,8 @@ fn main() {
          hit rate {:.1}%, mean batch {:.1}",
         elapsed.as_secs_f64(),
         qps,
-        snapshot.cache_hit_rate * 100.0,
-        snapshot.mean_batch_size
+        snapshot.cache_hit_rate() * 100.0,
+        snapshot.batch_sizes.mean()
     );
 
     let json = format!(
@@ -143,8 +119,8 @@ fn main() {
          \"elapsed_s\":{:.3},\"qps\":{:.1},\"metrics\":{}}}}}",
         dataset.len(),
         config.workers,
-        json_phase("cold", dataset.len(), &cold),
-        json_phase("warm", dataset.len(), &warm),
+        json_phase("cold", &cold),
+        json_phase("warm", &warm),
         elapsed.as_secs_f64(),
         qps,
         snapshot.to_json()

@@ -25,8 +25,8 @@
 //! 100k distinct addresses so the identity claim is exercised at serving
 //! scale, not toy scale. `--smoke` shrinks everything for CI.
 
-use bac_bench::flag_value;
 use baclassifier::{BaClassifier, BacConfig, ModelArtifact};
+use baserve::cli::{flag_parsed, flag_value, has_flag};
 use baserve::{Engine, EngineConfig, Ticket};
 use bashard::{MergedReport, ShardReport, ShardRouter, ShardedFollower};
 use bstream::{BlockFeed, Follower, FollowerConfig};
@@ -107,31 +107,17 @@ fn per_shard_json(reports: &[ShardReport]) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed: u64 = flag_value(&args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let blocks: u64 = flag_value(&args, "--blocks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 60 } else { 2200 });
-    let users: usize = flag_value(&args, "--users")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 40 } else { 400 });
+    let smoke = has_flag(&args, "--smoke");
+    let seed: u64 = flag_parsed(&args, "--seed", 42);
+    let blocks: u64 = flag_parsed(&args, "--blocks", if smoke { 60 } else { 2200 });
+    let users: usize = flag_parsed(&args, "--users", if smoke { 40 } else { 400 });
     let p2p: f64 = flag_value(&args, "--p2p")
         .and_then(|v| v.parse().ok())
         .unwrap_or(if smoke { 8.0 } else { 30.0 });
-    let growth: f64 = flag_value(&args, "--growth")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 0.0 } else { 2.0 });
-    let min_txs: usize = flag_value(&args, "--min-txs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let requests: usize = flag_value(&args, "--requests")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 300 } else { 2000 });
-    let zipf_s: f64 = flag_value(&args, "--zipf")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.1);
+    let growth: f64 = flag_parsed(&args, "--growth", if smoke { 0.0 } else { 2.0 });
+    let min_txs: usize = flag_parsed(&args, "--min-txs", 3);
+    let requests: usize = flag_parsed(&args, "--requests", if smoke { 300 } else { 2000 });
+    let zipf_s: f64 = flag_parsed(&args, "--zipf", 1.1);
     let shard_counts: Vec<u32> = flag_value(&args, "--shards")
         .unwrap_or_else(|| "1,2,4".into())
         .split(',')
@@ -284,7 +270,7 @@ fn main() {
         eprintln!(
             "[shard_bench]   {shards}-shard: {requests} requests in {elapsed:.2}s \
              = {qps:.0} req/s, hit rate {:.1}%, identity OK",
-            merged.cache_hit_rate * 100.0
+            merged.cache_hit_rate() * 100.0
         );
         serve_curves.push(format!(
             "{{\"shards\":{shards},\"identity_checked\":{identity_sample},\

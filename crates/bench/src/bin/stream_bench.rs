@@ -35,9 +35,9 @@
 //! label *values* are meaningless here, but every code path (embed, head,
 //! cache maintenance) runs exactly as it would with a trained model.
 
-use bac_bench::{flag_value, has_flag};
 use baclassifier::construction::{construct_address_graphs, graphs_identical, IncrementalGraphs};
 use baclassifier::{BaClassifier, BacConfig, ModelArtifact};
+use baserve::cli::{flag_parsed, flag_value, has_flag};
 use bstream::{BlockFeed, Follower, FollowerConfig};
 use btcsim::{AddressRecord, BlockCursor, Dataset, SimConfig, Simulator};
 use std::time::{Duration, Instant};
@@ -59,31 +59,15 @@ fn untrained_artifact() -> ModelArtifact {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = flag_value(&args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let blocks: u64 = flag_value(&args, "--blocks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
-    let users: usize = flag_value(&args, "--users")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
-    let capacity: usize = flag_value(&args, "--capacity")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let reclass_every: u64 = flag_value(&args, "--reclass-every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let min_txs: usize = flag_value(&args, "--min-txs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let reclass_threads: usize = flag_value(&args, "--reclass-threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let reclass_batch: usize = flag_value(&args, "--reclass-batch")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(128);
-    let smoke = has_flag("--smoke");
+    let seed: u64 = flag_parsed(&args, "--seed", 42);
+    let blocks: u64 = flag_parsed(&args, "--blocks", 1000);
+    let users: usize = flag_parsed(&args, "--users", 40);
+    let capacity: usize = flag_parsed(&args, "--capacity", 16);
+    let reclass_every: u64 = flag_parsed(&args, "--reclass-every", 5);
+    let min_txs: usize = flag_parsed(&args, "--min-txs", 3);
+    let reclass_threads: usize = flag_parsed(&args, "--reclass-threads", 0);
+    let reclass_batch: usize = flag_parsed(&args, "--reclass-batch", 128);
+    let smoke = has_flag(&args, "--smoke");
     let out = flag_value(&args, "--out").unwrap_or_else(|| "results/stream_bench.json".into());
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -6,7 +6,7 @@
 //! `--no-compress`, `--epochs N`; `--per-class` prints per-class metrics
 //! under the weighted-average table.
 
-use bac_bench::{build_split, f4, flag_value, has_flag, prepared_graph_set, print_rows, ExpScale};
+use bac_bench::{build_split, f4, prepared_graph_set, print_rows, ExpScale};
 use baclassifier::config::ConstructionConfig;
 use baclassifier::features::NODE_FEAT_DIM;
 use baclassifier::models::{DiffPool, Gcn, Gfn, GraphModel};
@@ -15,28 +15,25 @@ use baselines::{
     flat_dataset, AnnClassifier, BernoulliNb, Classifier, DecisionTree, GaussianNb, Gbdt, Knn,
     LinearSvm, LogisticRegression, Scaler, XgBoost,
 };
+use baserve::cli::{flag_parsed, flag_value, has_flag};
 
 fn main() {
     let scale = ExpScale::from_args();
     let args: Vec<String> = std::env::args().collect();
-    let gfn_k: usize = flag_value(&args, "--gfn-k")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let epochs: usize = flag_value(&args, "--epochs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(15);
+    let gfn_k: usize = flag_parsed(&args, "--gfn-k", 2);
+    let epochs: usize = flag_parsed(&args, "--epochs", 15);
     let mut cfg = ConstructionConfig::default();
     if let Some(s) = flag_value(&args, "--slice-size").and_then(|v| v.parse().ok()) {
         cfg.slice_size = s;
     }
-    cfg.augment = !has_flag("--no-augment");
-    cfg.compress = !has_flag("--no-compress");
+    cfg.augment = !has_flag(&args, "--no-augment");
+    cfg.compress = !has_flag(&args, "--no-compress");
     println!(
         "# Table II — graph representation models (k={gfn_k}, slice={}, augment={}, compress={}, epochs={epochs})",
         cfg.slice_size, cfg.augment, cfg.compress
     );
 
-    let per_class = has_flag("--per-class");
+    let per_class = has_flag(&args, "--per-class");
     let (train, test) = build_split(&scale);
     println!("train {} / test {} addresses", train.len(), test.len());
 

@@ -3,21 +3,18 @@
 //! slice-embedding sequences, with per-class precision/recall/F1 and the
 //! weighted average.
 
-use bac_bench::{build_split, embedded_split, f4, flag_value, print_rows, ExpScale};
+use bac_bench::{build_split, embedded_split, f4, print_rows, ExpScale};
 use baclassifier::classify::all_heads;
 use baclassifier::config::ConstructionConfig;
 use baclassifier::train::{evaluate_sequence_head, train_sequence_head, TrainParams};
+use baserve::cli::flag_parsed;
 use btcsim::Label;
 
 fn main() {
     let scale = ExpScale::from_args();
     let args: Vec<String> = std::env::args().collect();
-    let epochs: usize = flag_value(&args, "--epochs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25);
-    let gnn_epochs: usize = flag_value(&args, "--gnn-epochs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12);
+    let epochs: usize = flag_parsed(&args, "--epochs", 25);
+    let gnn_epochs: usize = flag_parsed(&args, "--gnn-epochs", 12);
     println!("# Table III — address classification heads (head epochs={epochs}, gnn epochs={gnn_epochs})");
 
     let cfg = ConstructionConfig::default();

@@ -2,11 +2,12 @@
 //! (multi-resolution clustering), Lee et al. with Random Forest, and Lee et
 //! al. with ANN, with per-class precision/recall/F1.
 
-use bac_bench::{build_split, f4, flag_value, print_rows, ExpScale};
+use bac_bench::{build_split, f4, print_rows, ExpScale};
 use baclassifier::metrics::ConfusionMatrix;
 use baclassifier::models::NUM_CLASSES;
 use baclassifier::{BaClassifier, BacConfig};
 use baselines::{BitScope, LeeClassifier};
+use baserve::cli::flag_parsed;
 use btcsim::{AddressRecord, Label};
 
 fn report_rows(rows: &mut Vec<Vec<String>>, name: &str, y_true: &[usize], y_pred: &[usize]) {
@@ -44,12 +45,8 @@ fn main() {
 
     // BAClassifier (full pipeline).
     let mut cfg = BacConfig::default();
-    cfg.model.gnn_epochs = flag_value(&args, "--gnn-epochs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12);
-    cfg.model.head_epochs = flag_value(&args, "--head-epochs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25);
+    cfg.model.gnn_epochs = flag_parsed(&args, "--gnn-epochs", 12);
+    cfg.model.head_epochs = flag_parsed(&args, "--head-epochs", 25);
     cfg.model.max_slices = scale.max_slices_per_address;
     eprintln!("[table4] fitting BAClassifier…");
     let mut bac = BaClassifier::new(cfg);

@@ -3,9 +3,10 @@
 //!
 //! Ablation flags: `--psi F`, `--sigma N`, `--slice-size N`.
 
-use bac_bench::{build_split, f4, flag_value, print_rows, ExpScale};
+use bac_bench::{build_split, f4, print_rows, ExpScale};
 use baclassifier::config::ConstructionConfig;
 use baclassifier::construction::construct_dataset_graphs;
+use baserve::cli::flag_value;
 
 fn main() {
     let scale = ExpScale::from_args();

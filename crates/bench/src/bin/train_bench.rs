@@ -21,8 +21,9 @@
 //! `--smoke` shrinks the workload to CI scale (a few seconds) and checks
 //! only byte-identity.
 
-use bac_bench::{flag_value, has_flag, ExpScale};
+use bac_bench::ExpScale;
 use baclassifier::{BaClassifier, BacConfig};
+use baserve::cli::{flag_parsed, flag_value, has_flag};
 use btcsim::{Dataset, SimConfig, Simulator};
 use std::time::Instant;
 
@@ -46,16 +47,10 @@ fn weight_bytes(clf: &BaClassifier, tag: &str) -> Vec<u8> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = has_flag("--smoke");
-    let seed: u64 = flag_value(&args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let threads: usize = flag_value(&args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let min_speedup: f64 = flag_value(&args, "--min-speedup")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
+    let smoke = has_flag(&args, "--smoke");
+    let seed: u64 = flag_parsed(&args, "--seed", 42);
+    let threads: usize = flag_parsed(&args, "--threads", 4);
+    let min_speedup: f64 = flag_parsed(&args, "--min-speedup", 2.0);
     let out = flag_value(&args, "--out").unwrap_or_else(|| "results/train_bench.json".into());
     assert!(threads >= 2, "--threads must be >= 2 to compare against 1");
 

@@ -8,6 +8,7 @@ use baclassifier::config::ConstructionConfig;
 use baclassifier::construction::construct_dataset_graphs;
 use baclassifier::features::graph_tensors;
 use baclassifier::models::{GraphModel, PreparedGraph};
+use baserve::cli::flag_value;
 use btcsim::actors::retail::RetailConfig;
 use btcsim::{AddressRecord, Dataset, SimConfig, Simulator};
 
@@ -82,49 +83,17 @@ impl ExpScale {
     }
 }
 
-/// Write a bench result file atomically: temp file in the destination
-/// directory, write + fsync, then rename over the target — the same
-/// pattern as `ModelArtifact::save`, so a crash or full disk mid-write
-/// can never leave a truncated `results/*.json` behind. A trailing
-/// newline is appended. Panics on failure (bench binaries treat an
-/// unwritable result file as fatal), cleaning up the temp file first.
+/// Write a bench result file atomically (`baclassifier::write_atomic`), so
+/// a crash or full disk mid-write can never leave a truncated
+/// `results/*.json` behind. A trailing newline is appended. Panics on
+/// failure: bench binaries treat an unwritable result file as fatal.
 pub fn write_results_atomic(out: &str, json: &str) {
-    use std::io::Write as _;
     let path = std::path::Path::new(out);
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create results dir");
     }
-    let file_name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .expect("result path has a file name");
-    let tmp = path.with_file_name(format!(".{}.tmp.{}", file_name, std::process::id()));
-    let write = || -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.write_all(b"\n")?;
-        f.flush()?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)
-    };
-    if let Err(e) = write() {
-        std::fs::remove_file(&tmp).ok();
-        panic!("write results to {out}: {e}");
-    }
-}
-
-/// Fetch `--flag value` from argv.
-pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// True if `--flag` is present in argv.
-pub fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
+    baclassifier::write_atomic(path, format!("{json}\n").as_bytes())
+        .unwrap_or_else(|e| panic!("write results to {out}: {e}"));
 }
 
 /// Run the simulator and extract the full labeled dataset.
@@ -270,16 +239,5 @@ mod tests {
         assert!(train.len() > 50, "train {}", train.len());
         assert!(test.len() > 10, "test {}", test.len());
         assert!(train.class_counts().iter().all(|&c| c > 0));
-    }
-
-    #[test]
-    fn flag_parsing() {
-        let args: Vec<String> = ["prog", "--scale", "small", "--seed", "9"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(flag_value(&args, "--scale").as_deref(), Some("small"));
-        assert_eq!(flag_value(&args, "--seed").as_deref(), Some("9"));
-        assert_eq!(flag_value(&args, "--missing"), None);
     }
 }

@@ -18,10 +18,11 @@
 //! [`numnet::io`], relying on its `params()` order-stability guarantee.
 
 use crate::config::{BacConfig, ConstructionConfig, ModelConfig};
+use crate::durable::write_atomic;
 use crate::pipeline::BaClassifier;
 use numnet::{read_matrices, write_matrices, LoadError, Matrix};
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"BART";
@@ -205,9 +206,8 @@ fn decode_manifest(bytes: &[u8]) -> Result<BacConfig, ArtifactError> {
 }
 
 impl ModelArtifact {
-    /// Serialize to a single artifact file, atomically: the bytes go to a
-    /// temp file in the destination directory, are fsynced, and only then
-    /// renamed over `path`. A crash mid-save leaves either the old artifact
+    /// Serialize to a single artifact file, atomically (see
+    /// [`write_atomic`]). A crash mid-save leaves either the old artifact
     /// or none — never a torn `BART` file masquerading as a model (and any
     /// torn temp file that does survive fails the checksum on load anyway).
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
@@ -217,30 +217,13 @@ impl ModelArtifact {
         payload.extend_from_slice(&manifest);
         write_matrices(&mut payload, &self.weights)?;
 
-        // Same directory as the destination so the rename cannot cross a
-        // filesystem boundary (cross-device renames are not atomic).
-        let file_name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "artifact.bart".into());
-        let tmp = path.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
-        let write = (|| -> Result<(), ArtifactError> {
-            let file = File::create(&tmp)?;
-            let mut w = BufWriter::new(file);
-            w.write_all(MAGIC)?;
-            w.write_all(&FORMAT_VERSION.to_le_bytes())?;
-            w.write_all(&fnv1a64(&payload).to_le_bytes())?;
-            w.write_all(&(payload.len() as u64).to_le_bytes())?;
-            w.write_all(&payload)?;
-            w.flush()?;
-            w.get_ref().sync_all()?;
-            std::fs::rename(&tmp, path)?;
-            Ok(())
-        })();
-        if write.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        write
+        let mut bytes = Vec::with_capacity(24 + payload.len());
+        bytes.extend_from_slice(MAGIC);
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        Ok(write_atomic(path, &bytes)?)
     }
 
     /// Read and integrity-check an artifact file.
@@ -317,8 +300,7 @@ impl BaClassifier {
     /// (shape-checked, all-or-nothing), and the result marked fitted.
     pub fn from_artifact(artifact: &ModelArtifact) -> Result<Self, ArtifactError> {
         let mut clf = BaClassifier::new(artifact.config.clone());
-        let weights = clf.migrate_legacy_lstm_weights(artifact.weights.clone());
-        numnet::assign_params(&clf.all_params(), weights)?;
+        numnet::assign_params(&clf.all_params(), artifact.weights.clone())?;
         clf.mark_fitted();
         Ok(clf)
     }

@@ -33,6 +33,7 @@ pub mod artifact;
 pub mod classify;
 pub mod config;
 pub mod construction;
+pub mod durable;
 pub mod features;
 pub mod metrics;
 pub mod models;
@@ -44,6 +45,7 @@ pub mod train;
 
 pub use artifact::{ArtifactError, ModelArtifact};
 pub use config::{BacConfig, ConstructionConfig, ModelConfig};
+pub use durable::write_atomic;
 pub use metrics::{ClassMetrics, ClassificationReport, ConfusionMatrix};
 pub use pipeline::{BaClassifier, FitReport, PredictError};
 pub use shard::{ShardAssignment, ShardMap, SHARD_HASH_VERSION};

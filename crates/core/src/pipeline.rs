@@ -403,26 +403,6 @@ impl BaClassifier {
         p
     }
 
-    /// Upgrade a weight list written by a pre-fused-LSTM build. The LSTM
-    /// cell used to expose eight per-gate matrices
-    /// `[w_f, b_f, w_i, b_i, w_c, b_c, w_o, b_o]` directly after the GFN
-    /// parameters; it now exposes one fused `[W | b]` pair. Old files are
-    /// detected by the six-parameter surplus and spliced in place; anything
-    /// else passes through untouched for the usual positional shape check.
-    pub(crate) fn migrate_legacy_lstm_weights(
-        &self,
-        mut values: Vec<numnet::Matrix>,
-    ) -> Vec<numnet::Matrix> {
-        let off = self.gfn.params().len();
-        if values.len() != self.all_params().len() + 6 || values.len() < off + 8 {
-            return values;
-        }
-        if let Some((w, b)) = numnet::layers::fuse_legacy_gate_params(&values[off..off + 8]) {
-            values.splice(off..off + 8, [w, b]);
-        }
-        values
-    }
-
     /// Persist the trained weights to a file. The configuration is *not*
     /// stored — construct the receiving classifier with the same
     /// [`BacConfig`] before calling [`BaClassifier::load_weights`].
@@ -432,12 +412,10 @@ impl BaClassifier {
 
     /// Load weights saved by [`BaClassifier::save_weights`] into a
     /// classifier built with the same configuration, marking it fitted.
-    /// Files from builds predating the fused LSTM cell (eight per-gate
-    /// matrices instead of `[W | b]`) are migrated transparently.
     pub fn load_weights(&mut self, path: &std::path::Path) -> Result<(), numnet::LoadError> {
         let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
         let values = numnet::read_matrices(&mut r)?;
-        numnet::assign_params(&self.all_params(), self.migrate_legacy_lstm_weights(values))?;
+        numnet::assign_params(&self.all_params(), values)?;
         self.fitted = true;
         Ok(())
     }
@@ -578,53 +556,47 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    /// Re-encode a fused-layout weight list in the pre-fusion eight-matrix
-    /// LSTM layout `[w_f, b_f, w_i, b_i, w_c, b_c, w_o, b_o]`.
-    fn to_legacy_layout(clf: &BaClassifier, values: &[Matrix]) -> Vec<Matrix> {
+    /// A weights list in the per-gate LSTM layout (eight matrices where the
+    /// fused cell has `[W | b]`) is refused by the positional count check,
+    /// from a weights file and from an artifact alike — not migrated.
+    #[test]
+    fn eight_matrix_lstm_weights_fail_the_count_check() {
+        let clf = BaClassifier::new(BacConfig::fast());
+        let values: Vec<Matrix> = clf.all_params().iter().map(|p| p.value().clone()).collect();
         let off = clf.gfn.params().len();
         let h = clf.cfg.model.lstm_hidden;
-        let mut legacy: Vec<Matrix> = values[..off].to_vec();
+        let mut per_gate: Vec<Matrix> = values[..off].to_vec();
         for g in 0..4 {
-            legacy.push(values[off].slice_cols(g * h, (g + 1) * h));
-            legacy.push(values[off + 1].slice_cols(g * h, (g + 1) * h));
+            per_gate.push(values[off].slice_cols(g * h, (g + 1) * h));
+            per_gate.push(values[off + 1].slice_cols(g * h, (g + 1) * h));
         }
-        legacy.extend_from_slice(&values[off + 2..]);
-        legacy
-    }
+        per_gate.extend_from_slice(&values[off + 2..]);
+        let want = (values.len() + 6, values.len());
 
-    #[test]
-    fn legacy_eight_matrix_lstm_weights_migrate_on_load() {
-        let (train, test) = small_split();
-        let mut clf = BaClassifier::new(BacConfig::fast());
-        clf.fit(&train);
-        let values: Vec<Matrix> = clf.all_params().iter().map(|p| p.value().clone()).collect();
-        let legacy = to_legacy_layout(&clf, &values);
-        assert_eq!(legacy.len(), values.len() + 6);
-
-        // Weights-file path.
         let mut buf = Vec::new();
-        numnet::write_matrices(&mut buf, &legacy).unwrap();
-        let path = std::env::temp_dir().join(format!("bac_legacy_{}", std::process::id()));
+        numnet::write_matrices(&mut buf, &per_gate).unwrap();
+        let path = std::env::temp_dir().join(format!("bac_per_gate_{}", std::process::id()));
         std::fs::write(&path, &buf).unwrap();
         let mut restored = BaClassifier::new(BacConfig::fast());
-        restored.load_weights(&path).unwrap();
-        for (a, b) in clf.all_params().iter().zip(restored.all_params()) {
-            assert_eq!(*a.value(), *b.value());
+        match restored.load_weights(&path) {
+            Err(numnet::LoadError::ParamCountMismatch { file, model }) => {
+                assert_eq!((file, model), want)
+            }
+            other => panic!("expected ParamCountMismatch, got {other:?}"),
         }
-        for r in test.records.iter().take(10) {
-            assert_eq!(clf.predict(r).unwrap(), restored.predict(r).unwrap());
-        }
+        assert!(!restored.is_fitted());
         std::fs::remove_file(path).ok();
 
-        // Artifact path.
         let art = crate::artifact::ModelArtifact {
             config: BacConfig::fast(),
-            weights: legacy,
+            weights: per_gate,
         };
-        let from_art = BaClassifier::from_artifact(&art).unwrap();
-        for (a, b) in clf.all_params().iter().zip(from_art.all_params()) {
-            assert_eq!(*a.value(), *b.value());
-        }
+        assert!(matches!(
+            BaClassifier::from_artifact(&art),
+            Err(crate::artifact::ArtifactError::Weights(
+                numnet::LoadError::ParamCountMismatch { .. }
+            ))
+        ));
     }
 
     #[test]

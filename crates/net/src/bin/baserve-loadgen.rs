@@ -29,6 +29,7 @@
 use baclassifier::{BaClassifier, ModelArtifact};
 use banet::{HealthSink, RemoteShard, RemoteShardConfig};
 use baserve::cli::{engine_config_from_args, flag_parsed, flag_value, has_flag};
+use baserve::metrics::Histogram;
 use baserve::{splitmix64, Engine, ServeError, ShardLane, Ticket};
 use btcsim::dist::ZipfSampler;
 use btcsim::{Dataset, Label, SimConfig, Simulator};
@@ -37,17 +38,6 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Exact nearest-rank percentile over the collected samples (sorts in
-/// place); 0 when no request was served.
-fn percentile_us(samples: &mut [u64], q: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let rank = ((samples.len() as f64 * q).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -141,12 +131,12 @@ fn main() {
                   mismatches: &mut usize,
                   served: &mut usize,
                   failed: &mut usize,
-                  latencies_us: &mut Vec<u64>| {
+                  latencies_us: &mut Histogram| {
         for (idx, ticket, submitted_at) in batch {
             match ticket.wait() {
                 Ok(response) => {
                     *served += 1;
-                    latencies_us.push(submitted_at.elapsed().as_micros() as u64);
+                    latencies_us.record(submitted_at.elapsed().as_micros() as u64);
                     if let Some(direct) = &direct {
                         let want = *expected.entry(idx).or_insert_with(|| {
                             direct
@@ -172,7 +162,7 @@ fn main() {
         }
     };
 
-    let mut latencies_us: Vec<u64> = Vec::with_capacity(requests);
+    let mut latencies_us = Histogram::default();
     let start = Instant::now();
     for i in 0..requests {
         if qps > 0.0 {
@@ -242,19 +232,19 @@ fn main() {
     );
     println!(
         "cache hit rate {:.1}% | mean batch {:.2} (max {}) | engine p50/p95/p99 latency {}/{}/{} µs",
-        snapshot.cache_hit_rate * 100.0,
-        snapshot.mean_batch_size,
-        snapshot.max_batch_size,
-        snapshot.p50_latency_us,
-        snapshot.p95_latency_us,
-        snapshot.p99_latency_us,
+        snapshot.cache_hit_rate() * 100.0,
+        snapshot.batch_sizes.mean(),
+        snapshot.batch_sizes.quantile(1.0),
+        snapshot.latency_us.quantile(0.50),
+        snapshot.latency_us.quantile(0.95),
+        snapshot.latency_us.quantile(0.99),
     );
     println!(
-        "client  p50/p95/p99 latency {}/{}/{} µs (submit → response, exact over {} samples)",
-        percentile_us(&mut latencies_us, 0.50),
-        percentile_us(&mut latencies_us, 0.95),
-        percentile_us(&mut latencies_us, 0.99),
-        latencies_us.len(),
+        "client  p50/p95/p99 latency {}/{}/{} µs (submit → response, over {} samples)",
+        latencies_us.quantile(0.50),
+        latencies_us.quantile(0.95),
+        latencies_us.quantile(0.99),
+        latencies_us.count(),
     );
     println!("metrics {}", snapshot.to_json());
     if check {

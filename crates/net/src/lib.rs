@@ -37,4 +37,4 @@ pub mod server;
 
 pub use client::{HealthSink, RemoteShard, RemoteShardConfig};
 pub use frame::{FrameError, FrameReader, Hello, Message, ReplyOutcome, Role, MAX_FRAME_LEN};
-pub use server::{listen_reuse, EngineBackend, NetBackend, NetServer, NetServerConfig, WireError};
+pub use server::{listen_reuse, NetBackend, NetServer, NetServerConfig, WireError};

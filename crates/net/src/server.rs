@@ -31,9 +31,7 @@ use crate::frame::{
 use baclassifier::PredictError;
 use baserve::metrics::MetricsSnapshot;
 use baserve::shutdown;
-use baserve::{Engine, Response, ServeError, Ticket};
-use btcsim::{Address, AddressRecord};
-use std::collections::HashMap;
+use baserve::{Response, ServeError, Ticket};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
@@ -138,53 +136,6 @@ pub trait NetBackend: Send + Sync {
 
     /// Completed-request count — the progress beat carried on `Pong`.
     fn processed(&self) -> u64;
-}
-
-/// The standard backend: an engine plus the id→record dataset it answers
-/// for. Unknown ids are rejected without touching the engine.
-pub struct EngineBackend {
-    engine: Engine,
-    by_id: HashMap<u64, AddressRecord>,
-}
-
-impl EngineBackend {
-    pub fn new(engine: Engine, by_id: HashMap<u64, AddressRecord>) -> Self {
-        EngineBackend { engine, by_id }
-    }
-
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Consume the backend and shut its engine down.
-    pub fn shutdown(self) {
-        self.engine.shutdown();
-    }
-}
-
-impl NetBackend for EngineBackend {
-    fn submit(&self, id: u64) -> Result<Ticket, WireError> {
-        let record = self
-            .by_id
-            .get(&id)
-            .ok_or_else(|| WireError::Reject(format!("no such address {id}")))?;
-        self.engine.submit(record.clone()).map_err(WireError::Serve)
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.engine.metrics()
-    }
-
-    fn invalidate(&self, id: u64) -> u64 {
-        self.engine.invalidate_address(Address(id))
-    }
-
-    fn processed(&self) -> u64 {
-        // The beat must only advance when work actually finishes, so the
-        // health board can spot a wedged worker that still accepts.
-        let snap = self.engine.metrics();
-        snap.completed + snap.degraded
-    }
 }
 
 /// Knobs for a [`NetServer`].

@@ -10,8 +10,7 @@ use rand::rngs::StdRng;
 /// whose column blocks `[forget | input | cell | output]` are applied to the
 /// concatenation `[h_{t-1}, x_t]` in one matmul per step, plus a fused
 /// `1 × 4·hidden` bias. Numerically (bitwise) identical to four separate
-/// per-gate matmuls; see `fuse_legacy_gate_params` for loading artifacts
-/// saved in the old four-matrix layout.
+/// per-gate matmuls.
 pub struct LstmCell {
     w: Param,
     b: Param,
@@ -23,28 +22,6 @@ pub struct LstmCell {
 pub struct LstmState<'t> {
     pub h: Var<'t>,
     pub c: Var<'t>,
-}
-
-/// Fuse a legacy per-gate parameter layout `[w_f, b_f, w_i, b_i, w_c, b_c,
-/// w_o, b_o]` (each weight `d × h`, each bias `1 × h`) into the fused
-/// `(d × 4h)` weight and `(1 × 4h)` bias used by [`LstmCell`]. Returns
-/// `None` if the slice does not look like the legacy layout.
-pub fn fuse_legacy_gate_params(mats: &[Matrix]) -> Option<(Matrix, Matrix)> {
-    if mats.len() != 8 {
-        return None;
-    }
-    let (d, h) = mats[0].shape();
-    if h == 0 {
-        return None;
-    }
-    for g in 0..4 {
-        if mats[2 * g].shape() != (d, h) || mats[2 * g + 1].shape() != (1, h) {
-            return None;
-        }
-    }
-    let w = Matrix::concat_cols(&[&mats[0], &mats[2], &mats[4], &mats[6]]);
-    let b = Matrix::concat_cols(&[&mats[1], &mats[3], &mats[5], &mats[7]]);
-    Some((w, b))
 }
 
 impl LstmCell {
@@ -452,30 +429,6 @@ mod tests {
         let g = lstm.params()[0].grad().clone();
         assert!(g.all_finite());
         assert!(g.frobenius_norm() > 0.0, "no gradient reached the weights");
-    }
-
-    #[test]
-    fn fuse_legacy_gate_params_roundtrip() {
-        let (d, h) = (5, 3);
-        let mats: Vec<Matrix> = (0..4)
-            .flat_map(|g| {
-                let w = Matrix::from_fn(d, h, |r, c| (g * 100 + r * h + c) as f32);
-                let b = Matrix::from_fn(1, h, |_, c| (g * 10 + c) as f32);
-                [w, b]
-            })
-            .collect();
-        let (w, b) = fuse_legacy_gate_params(&mats).expect("legacy layout");
-        assert_eq!(w.shape(), (d, 4 * h));
-        assert_eq!(b.shape(), (1, 4 * h));
-        for g in 0..4 {
-            assert!(bits_eq(&w.slice_cols(g * h, (g + 1) * h), &mats[2 * g]));
-            assert!(bits_eq(&b.slice_cols(g * h, (g + 1) * h), &mats[2 * g + 1]));
-        }
-        // Wrong count or shape is rejected.
-        assert!(fuse_legacy_gate_params(&mats[..7]).is_none());
-        let mut bad = mats.clone();
-        bad[2] = Matrix::zeros(d + 1, h);
-        assert!(fuse_legacy_gate_params(&bad).is_none());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod layers {
 
     pub use attention::AttentionPool;
     pub use linear::Linear;
-    pub use lstm::{fuse_legacy_gate_params, BiLstm, Lstm, LstmCell, LstmState};
+    pub use lstm::{BiLstm, Lstm, LstmCell, LstmState};
     pub use mlp::{Activation, Mlp};
 }
 

@@ -1,109 +1,212 @@
-//! Lock-free service metrics: monotonically increasing atomic counters and
-//! power-of-two latency/batch-size histograms, snapshotted on demand into a
-//! plain [`MetricsSnapshot`] that renders itself as JSON.
+//! The workspace's one metrics core, and the serving metrics built on it.
+//!
+//! * [`Histogram`] — a mergeable log-linear histogram of `u64` samples
+//!   (latencies in µs, batch sizes): values below 64 are counted exactly,
+//!   larger ones in power-of-two octaves of 32 linear sub-buckets, so every
+//!   reported quantile is within 1/32 of the exact nearest-rank sample.
+//!   [`AtomicHistogram`] is its wait-free recorder.
+//! * [`counters!`](crate::counters) — declares a metrics struct's `u64`
+//!   counters once; the snapshot struct, its atomic twin, the merge and the
+//!   JSON all iterate that one list, so a new counter is a one-line change.
+//! * [`JsonObject`] — the single-line JSON writer every `to_json` uses.
+//!
+//! Serve, stream, the remote-shard lanes, the router roll-up, the load
+//! generator and the bench bins all take their quantiles from
+//! [`Histogram::quantile`]; there is no other percentile routine.
 //!
 //! All recording paths are wait-free (`fetch_add` with relaxed ordering);
 //! snapshots are taken with relaxed loads too, so a snapshot racing ongoing
 //! traffic is approximate at the margin of a few in-flight requests — fine
 //! for service telemetry.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+mod histogram;
+mod json;
 
-/// Latency histogram over power-of-two microsecond buckets: bucket `i`
-/// holds samples in `[2^i, 2^(i+1))` µs, with the last bucket open-ended.
-const LATENCY_BUCKETS: usize = 32;
+pub use histogram::{AtomicHistogram, Histogram};
+pub use json::JsonObject;
+use std::sync::atomic::Ordering::Relaxed;
 
-/// Batch sizes 1..=MAX_TRACKED_BATCH tracked exactly, larger batches clamp.
-const MAX_TRACKED_BATCH: usize = 64;
-
-#[derive(Default)]
-pub struct Metrics {
-    pub submitted: AtomicU64,
-    pub rejected: AtomicU64,
-    pub completed: AtomicU64,
-    pub failed: AtomicU64,
-    /// Requests completed as `DeadlineExceeded`.
-    pub timed_out: AtomicU64,
-    /// Requests answered by the degraded fallback path (breaker open or no
-    /// live workers).
-    pub degraded: AtomicU64,
-    /// Worker batch-loop panics caught by the supervisor.
-    pub worker_panics: AtomicU64,
-    /// Replica respawns after a caught panic (≤ `worker_panics`).
-    pub worker_restarts: AtomicU64,
-    /// Workers retired permanently after exhausting their restart budget.
-    pub workers_retired: AtomicU64,
-    /// Circuit-breaker transitions into the Open state.
-    pub breaker_trips: AtomicU64,
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    /// Requests answered from work already done for an identical request in
-    /// the same batch (intra-batch dedup; not an LRU hit).
-    pub batch_dedup_hits: AtomicU64,
-    /// Explicit `invalidate_address` calls (generation bumps that supersede
-    /// any cached embeddings for the address).
-    pub invalidations: AtomicU64,
-    pub batches: AtomicU64,
-    /// Embedding-sequence rows classified through the batched head path
-    /// (one count per live job in each processed micro-batch). Together
-    /// with `batches` this gives the effective batch width the model saw.
-    pub embed_batch_rows_total: AtomicU64,
-    /// Cumulative wall time (µs) workers spent inside the batched model
-    /// forward pass, summed per batch — the "model time" half of the
-    /// latency split.
-    pub model_time_us_total: AtomicU64,
-    /// Cumulative time (µs) jobs waited between admission and the start of
-    /// the batch that served them — the "queue wait" half of the split.
-    pub queue_wait_us_total: AtomicU64,
-    /// Gauge: transport connections currently established (0/1 for a
-    /// single remote lane; summed across a fleet by `merge`). Engines
-    /// serve in-process and leave this 0.
-    pub connections_open: AtomicU64,
-    /// Connections re-established after a previous one was lost (the
-    /// first connect of a lane's life is not a reconnect).
-    pub reconnects_total: AtomicU64,
-    latency_us: LatencyHistogram,
-    batch_sizes: BatchHistogram,
+/// `num / den`, or 0.0 when `den` is zero: every derived mean and rate goes
+/// through this, so an empty metric reports 0 — never NaN, which is not JSON.
+pub fn ratio(num: f64, den: f64) -> f64 {
+    if den == 0.0 {
+        0.0
+    } else {
+        num / den
+    }
 }
 
-struct LatencyHistogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-    sum_us: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_us: AtomicU64::new(0),
-            count: AtomicU64::new(0),
+/// Declare a metrics struct whose `u64` counters are listed exactly once.
+///
+/// ```text
+/// counters! {
+///     #[derive(Clone, Debug, Default)]
+///     pub struct Snapshot {
+///         counters {
+///             /// Doc comments are kept.
+///             completed,
+///             failed,
+///         }
+///         pub latency_us: Histogram,   // any other fields, as written
+///     }
+///     // Optional atomic twin: the same counters as `pub AtomicU64`s.
+///     pub struct Live: atomic {
+///         latency_us: AtomicHistogram,
+///     }
+/// }
+/// ```
+///
+/// The plain struct gets `counters()` (name/value pairs in declaration
+/// order — what `JsonObject::counters` writes), `counters_mut()` and
+/// `add_counters(&other)`; the atomic twin derives `Default` and gets
+/// `load_counters(&mut plain)`. Adding a counter is one line in the list.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            counters { $( $(#[$cmeta:meta])* $counter:ident ),* $(,)? }
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty ),* $(,)?
         }
-    }
-}
-
-impl LatencyHistogram {
-    fn record(&self, us: u64) {
-        let idx = (63 - us.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Relaxed);
-        self.sum_us.fetch_add(us, Relaxed);
-        self.count.fetch_add(1, Relaxed);
-    }
-
-    fn snapshot(&self) -> Vec<u64> {
-        self.buckets.iter().map(|b| b.load(Relaxed)).collect()
-    }
-}
-
-struct BatchHistogram {
-    buckets: [AtomicU64; MAX_TRACKED_BATCH],
-}
-
-impl Default for BatchHistogram {
-    fn default() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$cmeta])* pub $counter: u64, )*
+            $( $(#[$fmeta])* $fvis $field: $fty, )*
         }
+
+        impl $name {
+            /// `(name, value)` of every declared counter, in declaration order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$( (stringify!($counter), self.$counter) ),*].into_iter()
+            }
+
+            /// Every declared counter, mutably, in declaration order.
+            pub fn counters_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+                [$( &mut self.$counter ),*].into_iter()
+            }
+
+            /// Add every counter of `other` into `self`.
+            pub fn add_counters(&mut self, other: &Self) {
+                for (mine, (_, theirs)) in self.counters_mut().zip(other.counters()) {
+                    *mine += theirs;
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            counters { $( $(#[$cmeta:meta])* $counter:ident ),* $(,)? }
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty ),* $(,)?
+        }
+        $(#[$ameta:meta])*
+        pub struct $aname:ident : atomic {
+            $( $(#[$afmeta:meta])* $afvis:vis $afield:ident : $afty:ty ),* $(,)?
+        }
+    ) => {
+        $crate::counters! {
+            $(#[$meta])*
+            pub struct $name {
+                counters { $( $(#[$cmeta])* $counter ),* }
+                $( $(#[$fmeta])* $fvis $field : $fty ),*
+            }
+        }
+
+        $(#[$ameta])*
+        #[derive(Default)]
+        pub struct $aname {
+            $( $(#[$cmeta])* pub $counter: ::std::sync::atomic::AtomicU64, )*
+            $( $(#[$afmeta])* $afvis $afield: $afty, )*
+        }
+
+        impl $aname {
+            /// Relaxed-load every counter into its field of `into`.
+            pub fn load_counters(&self, into: &mut $name) {
+                $(
+                    into.$counter =
+                        self.$counter.load(::std::sync::atomic::Ordering::Relaxed);
+                )*
+            }
+        }
+    };
+}
+
+counters! {
+    /// A point-in-time copy of every service metric. Derived statistics
+    /// (hit rate, means, quantiles) are computed on demand from the
+    /// counters and histograms, so a merged snapshot can never carry a
+    /// stale one.
+    #[derive(Clone, Debug, Default)]
+    pub struct MetricsSnapshot {
+        counters {
+            submitted,
+            rejected,
+            completed,
+            failed,
+            /// Requests completed as `DeadlineExceeded`.
+            timed_out,
+            /// Requests answered by the degraded fallback path (breaker
+            /// open or no live workers).
+            degraded,
+            /// Worker batch-loop panics caught by the supervisor.
+            worker_panics,
+            /// Replica respawns after a caught panic (≤ `worker_panics`).
+            worker_restarts,
+            /// Workers retired permanently after exhausting their restart
+            /// budget.
+            workers_retired,
+            /// Circuit-breaker transitions into the Open state.
+            breaker_trips,
+            cache_hits,
+            cache_misses,
+            /// Requests answered from work already done for an identical
+            /// request in the same batch (intra-batch dedup; not an LRU hit).
+            batch_dedup_hits,
+            /// Explicit `invalidate_address` calls (generation bumps that
+            /// supersede any cached embeddings for the address).
+            invalidations,
+            /// Micro-batches processed.
+            batches,
+            /// Embedding-sequence rows classified through the batched head
+            /// path (one count per live job in each processed micro-batch).
+            /// Together with `batches` this gives the effective batch width
+            /// the model saw.
+            embed_batch_rows_total,
+            /// Cumulative wall time (µs) workers spent inside the batched
+            /// model forward pass, summed per batch — the "model time" half
+            /// of the latency split.
+            model_time_us_total,
+            /// Cumulative time (µs) jobs waited between admission and the
+            /// start of the batch that served them — the "queue wait" half
+            /// of the split.
+            queue_wait_us_total,
+            /// Gauge: transport connections currently established (0/1 for
+            /// a single remote lane; summed across a fleet by `merge`).
+            /// Engines serve in-process and leave this 0.
+            connections_open,
+            /// Connections re-established after a previous one was lost
+            /// (the first connect of a lane's life is not a reconnect).
+            reconnects_total,
+            /// Gauge: requests admitted but not yet answered — an engine's
+            /// queued jobs, or a remote lane's in-flight requests. The
+            /// queue is not owned by [`Metrics`]: its holder overwrites this
+            /// field after snapshotting. Per-shard snapshots expose the
+            /// per-shard admission budget in use; `merge` sums them.
+            queue_depth,
+        }
+        /// Per-request service latency (µs).
+        pub latency_us: Histogram,
+        /// Micro-batch sizes (exact: batches are far smaller than 64).
+        pub batch_sizes: Histogram,
+    }
+
+    /// Lock-free service metrics: monotonically increasing atomic counters
+    /// plus latency and batch-size recorders, snapshotted on demand into a
+    /// [`MetricsSnapshot`].
+    pub struct Metrics: atomic {
+        latency_us: AtomicHistogram,
+        batch_sizes: AtomicHistogram,
     }
 }
 
@@ -114,143 +217,18 @@ impl Metrics {
 
     pub fn record_batch_size(&self, size: usize) {
         self.batches.fetch_add(1, Relaxed);
-        let idx = size.clamp(1, MAX_TRACKED_BATCH) - 1;
-        self.batch_sizes.buckets[idx].fetch_add(1, Relaxed);
+        self.batch_sizes.record(size as u64);
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let latency = self.latency_us.snapshot();
-        let lat_count = self.latency_us.count.load(Relaxed);
-        let lat_sum = self.latency_us.sum_us.load(Relaxed);
-        let batch_counts: Vec<u64> = self
-            .batch_sizes
-            .buckets
-            .iter()
-            .map(|b| b.load(Relaxed))
-            .collect();
-
-        let hits = self.cache_hits.load(Relaxed);
-        let misses = self.cache_misses.load(Relaxed);
-        let batches = self.batches.load(Relaxed);
-        let batched_requests: u64 = batch_counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (i as u64 + 1) * c)
-            .sum();
-
-        MetricsSnapshot {
-            submitted: self.submitted.load(Relaxed),
-            rejected: self.rejected.load(Relaxed),
-            completed: self.completed.load(Relaxed),
-            failed: self.failed.load(Relaxed),
-            timed_out: self.timed_out.load(Relaxed),
-            degraded: self.degraded.load(Relaxed),
-            worker_panics: self.worker_panics.load(Relaxed),
-            worker_restarts: self.worker_restarts.load(Relaxed),
-            workers_retired: self.workers_retired.load(Relaxed),
-            breaker_trips: self.breaker_trips.load(Relaxed),
-            cache_hits: hits,
-            cache_misses: misses,
-            batch_dedup_hits: self.batch_dedup_hits.load(Relaxed),
-            invalidations: self.invalidations.load(Relaxed),
-            embed_batch_rows_total: self.embed_batch_rows_total.load(Relaxed),
-            model_time_us_total: self.model_time_us_total.load(Relaxed),
-            queue_wait_us_total: self.queue_wait_us_total.load(Relaxed),
-            connections_open: self.connections_open.load(Relaxed),
-            reconnects_total: self.reconnects_total.load(Relaxed),
-            // The queue is not owned by `Metrics`; holders of one (an
-            // engine's bounded queue, a remote lane's in-flight map)
-            // overwrite this gauge after snapshotting.
-            queue_depth: 0,
-            cache_hit_rate: if hits + misses == 0 {
-                0.0
-            } else {
-                hits as f64 / (hits + misses) as f64
-            },
-            batches,
-            mean_batch_size: if batches == 0 {
-                0.0
-            } else {
-                batched_requests as f64 / batches as f64
-            },
-            max_batch_size: batch_counts
-                .iter()
-                .rposition(|&c| c > 0)
-                .map(|i| i + 1)
-                .unwrap_or(0),
-            batch_size_counts: batch_counts,
-            mean_latency_us: if lat_count == 0 {
-                0.0
-            } else {
-                lat_sum as f64 / lat_count as f64
-            },
-            p50_latency_us: quantile_upper_bound(&latency, lat_count, 0.50),
-            p95_latency_us: quantile_upper_bound(&latency, lat_count, 0.95),
-            p99_latency_us: quantile_upper_bound(&latency, lat_count, 0.99),
-            latency_bucket_counts: latency,
-        }
+        let mut snap = MetricsSnapshot {
+            latency_us: self.latency_us.snapshot(),
+            batch_sizes: self.batch_sizes.snapshot(),
+            ..MetricsSnapshot::default()
+        };
+        self.load_counters(&mut snap);
+        snap
     }
-}
-
-/// Upper bound (µs) of the histogram bucket containing quantile `q`.
-fn quantile_upper_bound(buckets: &[u64], total: u64, q: f64) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-    let mut seen = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return 1u64 << (i + 1);
-        }
-    }
-    1u64 << buckets.len()
-}
-
-/// A point-in-time copy of every service metric.
-#[derive(Clone, Debug)]
-pub struct MetricsSnapshot {
-    pub submitted: u64,
-    pub rejected: u64,
-    pub completed: u64,
-    pub failed: u64,
-    pub timed_out: u64,
-    pub degraded: u64,
-    pub worker_panics: u64,
-    pub worker_restarts: u64,
-    pub workers_retired: u64,
-    pub breaker_trips: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub batch_dedup_hits: u64,
-    pub invalidations: u64,
-    /// Embedding-sequence rows classified through the batched head path.
-    pub embed_batch_rows_total: u64,
-    /// Cumulative model-forward time (µs) across processed batches.
-    pub model_time_us_total: u64,
-    /// Cumulative admission→batch-start wait (µs) across served jobs.
-    pub queue_wait_us_total: u64,
-    /// Gauge: transport connections currently open (see [`Metrics`]).
-    pub connections_open: u64,
-    pub reconnects_total: u64,
-    /// Gauge: requests admitted but not yet answered — an engine's queued
-    /// jobs, or a remote lane's in-flight requests. Per-shard snapshots
-    /// expose the per-shard admission budget in use; `merge` sums them.
-    pub queue_depth: u64,
-    pub cache_hit_rate: f64,
-    pub batches: u64,
-    pub mean_batch_size: f64,
-    pub max_batch_size: usize,
-    /// `batch_size_counts[i]` = number of batches of size `i + 1`.
-    pub batch_size_counts: Vec<u64>,
-    pub mean_latency_us: f64,
-    pub p50_latency_us: u64,
-    pub p95_latency_us: u64,
-    pub p99_latency_us: u64,
-    /// Power-of-two buckets; `latency_bucket_counts[i]` counts samples in
-    /// `[2^i, 2^(i+1))` µs.
-    pub latency_bucket_counts: Vec<u64>,
 }
 
 impl MetricsSnapshot {
@@ -261,174 +239,59 @@ impl MetricsSnapshot {
         self.completed + self.failed + self.timed_out + self.degraded + self.rejected
     }
 
+    /// LRU hits over lookups; 0.0 before the first lookup.
+    pub fn cache_hit_rate(&self) -> f64 {
+        let lookups = self.cache_hits + self.cache_misses;
+        ratio(self.cache_hits as f64, lookups as f64)
+    }
+
     /// Roll per-shard snapshots up into one fleet-wide snapshot: counters
-    /// and histograms sum element-wise, derived statistics (hit rate, means,
-    /// quantiles) are recomputed from the merged histograms rather than
-    /// averaged — a quantile of per-shard quantiles would be wrong whenever
-    /// shards see different traffic. An empty slice merges to all-zero.
+    /// (gauges included — the fleet's open connections and total in-flight
+    /// depth, not an average) and histograms sum element-wise, so the
+    /// merged histograms are bucket-for-bucket what one engine serving all
+    /// the traffic would have recorded, and every quantile or mean read
+    /// from the result is over the whole fleet's samples — never a quantile
+    /// of per-shard quantiles. An empty slice merges to all-zero.
     pub fn merge(shards: &[MetricsSnapshot]) -> MetricsSnapshot {
-        let width = |f: fn(&MetricsSnapshot) -> usize| shards.iter().map(f).max().unwrap_or(0);
-        let mut latency = vec![0u64; width(|s| s.latency_bucket_counts.len())];
-        let mut batch_counts = vec![0u64; width(|s| s.batch_size_counts.len())];
-        let sum_u64 = |f: fn(&MetricsSnapshot) -> u64| shards.iter().map(f).sum::<u64>();
-        let submitted = sum_u64(|s| s.submitted);
-        let completed = sum_u64(|s| s.completed);
-        let batches = sum_u64(|s| s.batches);
-        let cache_hits = sum_u64(|s| s.cache_hits);
-        let cache_misses = sum_u64(|s| s.cache_misses);
-        // Weighted mean: per-shard means are over different sample counts.
-        let mut lat_count = 0u64;
-        let mut lat_sum = 0.0f64;
+        let mut merged = MetricsSnapshot::default();
         for s in shards {
-            for (i, &c) in s.latency_bucket_counts.iter().enumerate() {
-                latency[i] += c;
-            }
-            for (i, &c) in s.batch_size_counts.iter().enumerate() {
-                batch_counts[i] += c;
-            }
-            let n = s.latency_bucket_counts.iter().sum::<u64>();
-            lat_count += n;
-            lat_sum += s.mean_latency_us * n as f64;
+            merged.add_counters(s);
+            merged.latency_us.merge(&s.latency_us);
+            merged.batch_sizes.merge(&s.batch_sizes);
         }
-        let batched_requests: u64 = batch_counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (i as u64 + 1) * c)
-            .sum();
-        MetricsSnapshot {
-            submitted,
-            rejected: sum_u64(|s| s.rejected),
-            completed,
-            failed: sum_u64(|s| s.failed),
-            timed_out: sum_u64(|s| s.timed_out),
-            degraded: sum_u64(|s| s.degraded),
-            worker_panics: sum_u64(|s| s.worker_panics),
-            worker_restarts: sum_u64(|s| s.worker_restarts),
-            workers_retired: sum_u64(|s| s.workers_retired),
-            breaker_trips: sum_u64(|s| s.breaker_trips),
-            cache_hits,
-            cache_misses,
-            batch_dedup_hits: sum_u64(|s| s.batch_dedup_hits),
-            invalidations: sum_u64(|s| s.invalidations),
-            embed_batch_rows_total: sum_u64(|s| s.embed_batch_rows_total),
-            model_time_us_total: sum_u64(|s| s.model_time_us_total),
-            queue_wait_us_total: sum_u64(|s| s.queue_wait_us_total),
-            // Gauges sum across shards: the fleet's open connections and
-            // total in-flight depth, not an average.
-            connections_open: sum_u64(|s| s.connections_open),
-            reconnects_total: sum_u64(|s| s.reconnects_total),
-            queue_depth: sum_u64(|s| s.queue_depth),
-            cache_hit_rate: if cache_hits + cache_misses == 0 {
-                0.0
-            } else {
-                cache_hits as f64 / (cache_hits + cache_misses) as f64
-            },
-            batches,
-            mean_batch_size: if batches == 0 {
-                0.0
-            } else {
-                batched_requests as f64 / batches as f64
-            },
-            max_batch_size: batch_counts
-                .iter()
-                .rposition(|&c| c > 0)
-                .map(|i| i + 1)
-                .unwrap_or(0),
-            batch_size_counts: batch_counts,
-            mean_latency_us: if lat_count == 0 {
-                0.0
-            } else {
-                lat_sum / lat_count as f64
-            },
-            p50_latency_us: quantile_upper_bound(&latency, lat_count, 0.50),
-            p95_latency_us: quantile_upper_bound(&latency, lat_count, 0.95),
-            p99_latency_us: quantile_upper_bound(&latency, lat_count, 0.99),
-            latency_bucket_counts: latency,
-        }
+        merged
     }
 
-    /// Render as a single-line JSON object (hand-rolled; the build has no
-    /// serde backend). Histogram vectors are emitted sparsely as
-    /// `{"<size>": count, ...}` objects.
+    /// Render as a single-line JSON object: every counter, the derived
+    /// statistics, then the two histograms' non-empty buckets.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        push_kv_u64(&mut s, "submitted", self.submitted);
-        push_kv_u64(&mut s, "rejected", self.rejected);
-        push_kv_u64(&mut s, "completed", self.completed);
-        push_kv_u64(&mut s, "failed", self.failed);
-        push_kv_u64(&mut s, "timed_out", self.timed_out);
-        push_kv_u64(&mut s, "degraded", self.degraded);
-        push_kv_u64(&mut s, "worker_panics", self.worker_panics);
-        push_kv_u64(&mut s, "worker_restarts", self.worker_restarts);
-        push_kv_u64(&mut s, "workers_retired", self.workers_retired);
-        push_kv_u64(&mut s, "breaker_trips", self.breaker_trips);
-        push_kv_u64(&mut s, "cache_hits", self.cache_hits);
-        push_kv_u64(&mut s, "cache_misses", self.cache_misses);
-        push_kv_u64(&mut s, "batch_dedup_hits", self.batch_dedup_hits);
-        push_kv_u64(&mut s, "invalidations", self.invalidations);
-        push_kv_u64(
-            &mut s,
-            "embed_batch_rows_total",
-            self.embed_batch_rows_total,
-        );
-        push_kv_u64(&mut s, "model_time_us_total", self.model_time_us_total);
-        push_kv_u64(&mut s, "queue_wait_us_total", self.queue_wait_us_total);
-        push_kv_u64(&mut s, "connections_open", self.connections_open);
-        push_kv_u64(&mut s, "reconnects_total", self.reconnects_total);
-        push_kv_u64(&mut s, "queue_depth", self.queue_depth);
-        push_kv_f64(&mut s, "cache_hit_rate", self.cache_hit_rate);
-        push_kv_u64(&mut s, "batches", self.batches);
-        push_kv_f64(&mut s, "mean_batch_size", self.mean_batch_size);
-        push_kv_u64(&mut s, "max_batch_size", self.max_batch_size as u64);
-        push_kv_f64(&mut s, "mean_latency_us", self.mean_latency_us);
-        push_kv_u64(&mut s, "p50_latency_us", self.p50_latency_us);
-        push_kv_u64(&mut s, "p95_latency_us", self.p95_latency_us);
-        push_kv_u64(&mut s, "p99_latency_us", self.p99_latency_us);
-        s.push_str("\"batch_size_counts\":{");
-        let mut first = true;
-        for (i, &c) in self.batch_size_counts.iter().enumerate() {
-            if c > 0 {
-                if !first {
-                    s.push(',');
-                }
-                s.push_str(&format!("\"{}\":{}", i + 1, c));
-                first = false;
-            }
-        }
-        s.push_str("},");
-        s.push_str("\"latency_us_buckets\":{");
-        let mut first = true;
-        for (i, &c) in self.latency_bucket_counts.iter().enumerate() {
-            if c > 0 {
-                if !first {
-                    s.push(',');
-                }
-                s.push_str(&format!("\"le_{}\":{}", 1u64 << (i + 1), c));
-                first = false;
-            }
-        }
-        s.push_str("}}");
-        s
+        let mut o = JsonObject::new();
+        o.counters(self.counters())
+            .f64("cache_hit_rate", self.cache_hit_rate(), 6)
+            .f64("mean_batch_size", self.batch_sizes.mean(), 6)
+            .u64("max_batch_size", self.batch_sizes.quantile(1.0))
+            .f64("mean_latency_us", self.latency_us.mean(), 6)
+            .u64("p50_latency_us", self.latency_us.quantile(0.50))
+            .u64("p95_latency_us", self.latency_us.quantile(0.95))
+            .u64("p99_latency_us", self.latency_us.quantile(0.99))
+            .buckets("batch_size_counts", &self.batch_sizes)
+            .buckets("latency_us_buckets", &self.latency_us);
+        o.finish()
     }
-}
-
-fn push_kv_u64(s: &mut String, k: &str, v: u64) {
-    s.push_str(&format!("\"{k}\":{v},"));
-}
-
-fn push_kv_f64(s: &mut String, k: &str, v: f64) {
-    s.push_str(&format!("\"{k}\":{v:.6},"));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `|got − exact| ≤ exact / 32`, the histogram's error bound.
+    fn within_bound(got: u64, exact: u64) -> bool {
+        got.abs_diff(exact) * 32 <= exact
+    }
+
     #[test]
     fn quantiles_from_known_distribution() {
         let m = Metrics::default();
-        // 90 fast samples (~4µs bucket) and 10 slow (~1024µs bucket).
         for _ in 0..90 {
             m.record_latency_us(5);
         }
@@ -436,24 +299,30 @@ mod tests {
             m.record_latency_us(1500);
         }
         let snap = m.snapshot();
-        assert_eq!(snap.p50_latency_us, 8); // bucket [4,8)
-        assert_eq!(snap.p95_latency_us, 2048); // bucket [1024,2048)
-        assert_eq!(snap.p99_latency_us, 2048);
-        assert!((snap.mean_latency_us - (90.0 * 5.0 + 10.0 * 1500.0) / 100.0).abs() < 1e-9);
+        assert_eq!(snap.latency_us.quantile(0.50), 5);
+        let (p95, p99) = (
+            snap.latency_us.quantile(0.95),
+            snap.latency_us.quantile(0.99),
+        );
+        assert!(within_bound(p95, 1500), "p95 {p95}");
+        assert_eq!(p99, p95);
+        assert!((snap.latency_us.mean() - (90.0 * 5.0 + 10.0 * 1500.0) / 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn batch_stats() {
         let m = Metrics::default();
-        m.record_batch_size(1);
-        m.record_batch_size(4);
-        m.record_batch_size(4);
-        m.record_batch_size(7);
+        for size in [1, 4, 4, 7] {
+            m.record_batch_size(size);
+        }
         let snap = m.snapshot();
         assert_eq!(snap.batches, 4);
-        assert_eq!(snap.max_batch_size, 7);
-        assert!((snap.mean_batch_size - 4.0).abs() < 1e-9);
-        assert_eq!(snap.batch_size_counts[3], 2);
+        assert_eq!(snap.batch_sizes.count(), 4);
+        assert_eq!(snap.batch_sizes.quantile(1.0), 7);
+        assert!((snap.batch_sizes.mean() - 4.0).abs() < 1e-9);
+        assert!(snap
+            .to_json()
+            .contains("\"batch_size_counts\":{\"1\":1,\"4\":2,\"7\":1}"));
     }
 
     #[test]
@@ -461,15 +330,19 @@ mod tests {
         let m = Metrics::default();
         m.cache_hits.fetch_add(3, Relaxed);
         m.cache_misses.fetch_add(1, Relaxed);
-        assert!((m.snapshot().cache_hit_rate - 0.75).abs() < 1e-12);
+        assert!((m.snapshot().cache_hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
-    fn empty_metrics_snapshot_is_all_zero() {
-        let snap = Metrics::default().snapshot();
-        assert_eq!(snap.p99_latency_us, 0);
-        assert_eq!(snap.mean_batch_size, 0.0);
-        assert_eq!(snap.cache_hit_rate, 0.0);
+    fn empty_metrics_are_all_zero_never_nan() {
+        for snap in [Metrics::default().snapshot(), MetricsSnapshot::merge(&[])] {
+            assert_eq!(snap.submitted, 0);
+            assert_eq!(snap.latency_us.quantile(0.99), 0);
+            assert_eq!(snap.latency_us.mean(), 0.0);
+            assert_eq!(snap.batch_sizes.mean(), 0.0);
+            assert_eq!(snap.cache_hit_rate(), 0.0);
+            assert!(!snap.to_json().contains("NaN"));
+        }
     }
 
     #[test]
@@ -483,18 +356,11 @@ mod tests {
         m.rejected.fetch_add(1, Relaxed);
         let snap = m.snapshot();
         assert_eq!(snap.terminal_total(), snap.submitted);
-        let json = snap.to_json();
-        assert!(json.contains("\"timed_out\":1"));
-        assert!(json.contains("\"degraded\":2"));
-        assert!(json.contains("\"worker_panics\":0"));
-        assert!(json.contains("\"breaker_trips\":0"));
     }
 
     #[test]
     fn merged_snapshot_recomputes_derived_stats() {
         let a = Metrics::default();
-        a.submitted.fetch_add(90, Relaxed);
-        a.completed.fetch_add(90, Relaxed);
         a.cache_hits.fetch_add(9, Relaxed);
         a.cache_misses.fetch_add(1, Relaxed);
         for _ in 0..90 {
@@ -502,8 +368,6 @@ mod tests {
         }
         a.record_batch_size(2);
         let b = Metrics::default();
-        b.submitted.fetch_add(10, Relaxed);
-        b.completed.fetch_add(10, Relaxed);
         b.cache_misses.fetch_add(10, Relaxed);
         for _ in 0..10 {
             b.record_latency_us(1500);
@@ -511,97 +375,74 @@ mod tests {
         b.record_batch_size(6);
 
         let merged = MetricsSnapshot::merge(&[a.snapshot(), b.snapshot()]);
-        assert_eq!(merged.submitted, 100);
-        assert_eq!(merged.terminal_total(), 100);
         // Quantiles come from the merged histogram, not shard averages:
         // p95 of 90 fast + 10 slow lands in the slow bucket even though
         // shard A's own p95 is fast.
-        assert_eq!(merged.p50_latency_us, 8);
-        assert_eq!(merged.p95_latency_us, 2048);
-        assert!((merged.cache_hit_rate - 9.0 / 20.0).abs() < 1e-12);
-        assert!((merged.mean_latency_us - (90.0 * 5.0 + 10.0 * 1500.0) / 100.0).abs() < 1e-6);
-        assert_eq!(merged.max_batch_size, 6);
-        assert!((merged.mean_batch_size - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gauges_merge_by_summing_and_render_in_json() {
-        let a = Metrics::default();
-        a.connections_open.store(1, Relaxed);
-        a.reconnects_total.fetch_add(3, Relaxed);
-        let b = Metrics::default();
-        b.connections_open.store(1, Relaxed);
-        let mut sa = a.snapshot();
-        sa.queue_depth = 5; // lane overwrites the gauge post-snapshot
-        let mut sb = b.snapshot();
-        sb.queue_depth = 2;
-
-        let merged = MetricsSnapshot::merge(&[sa, sb]);
-        assert_eq!(merged.connections_open, 2);
-        assert_eq!(merged.reconnects_total, 3);
-        assert_eq!(merged.queue_depth, 7);
-        let json = merged.to_json();
-        assert!(json.contains("\"connections_open\":2"), "json: {json}");
-        assert!(json.contains("\"reconnects_total\":3"), "json: {json}");
-        assert!(json.contains("\"queue_depth\":7"), "json: {json}");
-
-        // Fresh metrics leave every gauge zero.
-        let empty = Metrics::default().snapshot();
+        assert_eq!(merged.latency_us.quantile(0.50), 5);
+        assert!(within_bound(merged.latency_us.quantile(0.95), 1500));
+        assert!((merged.cache_hit_rate() - 9.0 / 20.0).abs() < 1e-12);
+        // The mean is exact: sums are carried, not rebuilt from means.
         assert_eq!(
-            (
-                empty.connections_open,
-                empty.reconnects_total,
-                empty.queue_depth
-            ),
-            (0, 0, 0)
+            merged.latency_us.mean(),
+            (90.0 * 5.0 + 10.0 * 1500.0) / 100.0
         );
+        assert_eq!(merged.batch_sizes.quantile(1.0), 6);
+        assert!((merged.batch_sizes.mean() - 4.0).abs() < 1e-9);
+
+        // And it is the histogram one engine would have recorded.
+        let one = Metrics::default();
+        for _ in 0..90 {
+            one.record_latency_us(5);
+        }
+        for _ in 0..10 {
+            one.record_latency_us(1500);
+        }
+        assert_eq!(merged.latency_us, one.snapshot().latency_us);
     }
 
+    /// Walks the declared counter list: every counter (gauges included)
+    /// round-trips atomic → snapshot, renders under its own name, and sums
+    /// under `merge` — so a counter added to the list cannot be forgotten
+    /// in any of the three.
     #[test]
-    fn batched_model_time_split_merges_and_renders() {
-        let a = Metrics::default();
-        a.embed_batch_rows_total.fetch_add(12, Relaxed);
-        a.model_time_us_total.fetch_add(900, Relaxed);
-        a.queue_wait_us_total.fetch_add(300, Relaxed);
-        let b = Metrics::default();
-        b.embed_batch_rows_total.fetch_add(8, Relaxed);
-        b.model_time_us_total.fetch_add(100, Relaxed);
-        b.queue_wait_us_total.fetch_add(50, Relaxed);
-
-        let merged = MetricsSnapshot::merge(&[a.snapshot(), b.snapshot()]);
-        assert_eq!(merged.embed_batch_rows_total, 20);
-        assert_eq!(merged.model_time_us_total, 1000);
-        assert_eq!(merged.queue_wait_us_total, 350);
+    fn every_declared_counter_snapshots_renders_and_merges() {
+        let mut a = MetricsSnapshot::default();
+        let mut b = MetricsSnapshot::default();
+        for (i, (x, y)) in a.counters_mut().zip(b.counters_mut()).enumerate() {
+            *x = i as u64 + 1;
+            *y = 1000 * (i as u64 + 1);
+        }
+        let merged = MetricsSnapshot::merge(&[a.clone(), b]);
         let json = merged.to_json();
-        assert!(
-            json.contains("\"embed_batch_rows_total\":20"),
-            "json: {json}"
-        );
-        assert!(
-            json.contains("\"model_time_us_total\":1000"),
-            "json: {json}"
-        );
-        assert!(json.contains("\"queue_wait_us_total\":350"), "json: {json}");
-    }
+        for (i, (name, v)) in merged.counters().enumerate() {
+            assert_eq!(v, 1001 * (i as u64 + 1), "{name} must sum under merge");
+            assert!(
+                json.contains(&format!("\"{name}\":{v}")),
+                "{name} in {json}"
+            );
+        }
 
-    #[test]
-    fn merge_of_nothing_is_zero() {
-        let merged = MetricsSnapshot::merge(&[]);
-        assert_eq!(merged.submitted, 0);
-        assert_eq!(merged.p99_latency_us, 0);
-        assert_eq!(merged.cache_hit_rate, 0.0);
+        let live = Metrics::default();
+        live.submitted.store(3, Relaxed);
+        live.queue_depth.store(9, Relaxed);
+        let snap = live.snapshot();
+        assert_eq!(snap.counters().next(), Some(("submitted", 3)));
+        assert_eq!(snap.counters().last(), Some(("queue_depth", 9)));
     }
 
     #[test]
     fn json_is_well_formed_and_sparse() {
         let m = Metrics::default();
         m.submitted.fetch_add(5, Relaxed);
-        m.record_latency_us(100);
+        for us in [40, 100, 120, 5000] {
+            m.record_latency_us(us);
+        }
         m.record_batch_size(3);
         let json = m.snapshot().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"submitted\":5"));
+        assert!(json.starts_with("{\"submitted\":5,") && json.ends_with("}}"));
         assert!(json.contains("\"batch_size_counts\":{\"3\":1}"));
+        assert!(json.contains("\"latency_us_buckets\":{\"40\":1,\"64\":2,\"4096\":1}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(!json.contains(",,") && !json.contains("{,") && !json.contains(",}"));
     }
 }

@@ -16,8 +16,9 @@
 //! asserts the identity.
 //!
 //! Safety rails, in the same spirit as `Follower::restore`:
-//! * checksum trailers are verified before any parse (legacy files
-//!   without a trailer are accepted, like restore);
+//! * checksum trailers are verified before any parse, by the same
+//!   `bstream::snapshot::verify_trailer` restore uses (a file without one
+//!   is refused);
 //! * every input must carry the expected `shard i N` line with this
 //!   build's `SHARD_HASH_VERSION` (a single unsharded input stands in for
 //!   the 1-shard layout);
@@ -25,14 +26,14 @@
 //! * every address must live in the file its old layout assigns it to —
 //!   a mis-assembled input set fails loudly instead of producing a
 //!   plausible-looking but misrouted output;
-//! * outputs are written atomically (`.tmp` + fsync + rename).
+//! * outputs are written atomically (`baclassifier::write_atomic`).
 
 use crate::stream::shard_snapshot_path;
-use baclassifier::{ShardMap, SHARD_HASH_VERSION};
-use bstream::crc32;
+use baclassifier::{write_atomic, ShardMap, SHARD_HASH_VERSION};
+use bstream::snapshot::{push_trailer, verify_trailer};
+use bstream::SnapshotError;
 use btcsim::Address;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Why a rebalance run was refused.
@@ -88,8 +89,7 @@ struct Section {
 /// One parsed input file: header facts plus its sections in file order.
 struct ParsedShard {
     height: u64,
-    /// `(index, count)` from the shard line; `None` for a legacy
-    /// unsharded file.
+    /// `(index, count)` from the shard line; `None` for an unsharded file.
     shard: Option<(u32, u32)>,
     sections: Vec<Section>,
 }
@@ -103,25 +103,12 @@ fn malformed(path: &Path, what: impl std::fmt::Display) -> RebalanceError {
 fn parse_snapshot(path: &Path) -> Result<ParsedShard, RebalanceError> {
     let text = std::fs::read_to_string(path)?;
 
-    // Checksum trailer first, exactly as `Follower::restore` does; files
-    // predating the trailer parse without an integrity check.
-    let body = match text.lines().next_back() {
-        Some(last) if last.starts_with("checksum ") => {
-            let covered = &text[..text.len() - last.len() - 1];
-            let stored = last["checksum ".len()..].trim();
-            let stored_val = u32::from_str_radix(stored, 16)
-                .map_err(|_| malformed(path, format!("unparseable checksum {stored:?}")))?;
-            let computed = crc32(covered.as_bytes());
-            if stored_val != computed {
-                return Err(RebalanceError::Checksum(format!(
-                    "{}: stored {stored_val:08x}, computed {computed:08x}",
-                    path.display()
-                )));
-            }
-            covered
-        }
-        _ => text.as_str(),
-    };
+    // Checksum trailer first, exactly as `Follower::restore` does.
+    let body = verify_trailer(path, &text).map_err(|e| match e {
+        SnapshotError::Checksum(m) => RebalanceError::Checksum(m),
+        SnapshotError::Malformed(m) => RebalanceError::Malformed(m),
+        other => RebalanceError::Malformed(other.to_string()),
+    })?;
 
     let mut lines = body.lines();
     if lines.next() != Some("BSTREAM v1") {
@@ -266,7 +253,7 @@ pub fn rebalance_snapshots(
                     )));
                 }
             }
-            None if old_count == 1 => {} // legacy unsharded input
+            None if old_count == 1 => {} // unsharded input
             None => {
                 return Err(RebalanceError::Layout(format!(
                     "{}: unsharded file in a {old_count}-shard input set",
@@ -343,21 +330,10 @@ pub fn rebalance_snapshots(
         for section in bucket {
             out.push_str(&section.text);
         }
-        let _ = writeln!(out, "checksum {:08x}", crc32(out.as_bytes()));
+        push_trailer(&mut out);
 
         let path = shard_snapshot_path(output_base, j as u32, new_count);
-        let mut tmp_name = path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = PathBuf::from(tmp_name);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(out.as_bytes())?;
-            f.sync_all()?;
-        }
-        if let Err(e) = std::fs::rename(&tmp, &path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(e.into());
-        }
+        write_atomic(&path, out.as_bytes())?;
         outputs.push(path);
     }
 
@@ -388,7 +364,7 @@ mod tests {
                 let _ = writeln!(out, "T {t} {t} 1 1 {addr}:100 {addr}:50");
             }
         }
-        let _ = writeln!(out, "checksum {:08x}", crc32(out.as_bytes()));
+        push_trailer(&mut out);
         std::fs::write(path, out).unwrap();
     }
 
@@ -489,7 +465,7 @@ mod tests {
         out.push_str("BSTREAM v1\nheight 9\n");
         let _ = writeln!(out, "shard 1 2 {SHARD_HASH_VERSION}");
         out.push_str("addresses 0\n");
-        let _ = writeln!(out, "checksum {:08x}", crc32(out.as_bytes()));
+        push_trailer(&mut out);
         std::fs::write(&path1, out).unwrap();
         let err = rebalance_snapshots(&base, 2, &dir.join("out.bstream"), 4).unwrap_err();
         assert!(matches!(err, RebalanceError::Layout(_)), "got {err}");

@@ -120,7 +120,7 @@ fn main() {
         }
     };
 
-    bstream::install_sigint_handler();
+    baserve::shutdown::install_sigint_handler();
     let start_height = follower.next_height();
     let feed = BlockFeed::follow_sim(sim_cfg, start_height, capacity);
     eprintln!(
@@ -135,7 +135,7 @@ fn main() {
     let mut silent_for = Duration::ZERO;
     let mut stalled = false;
     loop {
-        if bstream::shutdown_requested() {
+        if baserve::shutdown::shutdown_requested() {
             eprintln!("[bstream-follow] SIGINT: flushing journal and snapshotting…");
             break;
         }

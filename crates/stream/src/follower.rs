@@ -486,13 +486,7 @@ impl Follower {
             }
         }
         self.metrics
-            .record_reclass_batch(batch.len() as u64, total_slices);
-        // Per-address latency samples are the amortized share of the batch
-        // — the number that matters for follow throughput.
-        let per = t0.elapsed() / batch.len() as u32;
-        for _ in 0..batch.len() {
-            self.metrics.record_reclass(per);
-        }
+            .record_reclass_batch(batch.len() as u64, total_slices, t0.elapsed());
         batch.len()
     }
 

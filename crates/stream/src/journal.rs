@@ -395,7 +395,7 @@ impl BlockJournal {
     }
 
     /// Drop every frame whose block height is below `height`, rewriting
-    /// the journal atomically (temp + fsync + rename) and reopening the
+    /// the journal atomically (`baclassifier::write_atomic`) and reopening the
     /// handle. Called after a snapshot: frames at or above the snapshot
     /// height must survive so a fallback to an *older* snapshot generation
     /// still finds its replay tail — pass the minimum height across all
@@ -408,24 +408,14 @@ impl BlockJournal {
         if dropped == 0 && scan.torn.is_none() {
             return Ok(0);
         }
-        let mut tmp_name = self.path.as_os_str().to_os_string();
-        tmp_name.push(".compact.tmp");
-        let tmp = PathBuf::from(tmp_name);
-        {
-            let mut out = File::create(&tmp)?;
-            out.write_all(JOURNAL_MAGIC)?;
-            for block in &kept {
-                let payload = encode_block(block);
-                out.write_all(&(payload.len() as u32).to_le_bytes())?;
-                out.write_all(&crc32(&payload).to_le_bytes())?;
-                out.write_all(&payload)?;
-            }
-            out.sync_all()?;
+        let mut bytes = JOURNAL_MAGIC.to_vec();
+        for block in &kept {
+            let payload = encode_block(block);
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
         }
-        if let Err(e) = std::fs::rename(&tmp, &self.path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(e);
-        }
+        baclassifier::write_atomic(&self.path, &bytes)?;
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         file.seek(SeekFrom::End(0))?;
         self.file = file;

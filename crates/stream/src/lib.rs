@@ -52,13 +52,11 @@ pub mod follower;
 pub mod journal;
 pub mod metrics;
 pub mod recovery;
-pub mod shutdown;
 pub mod snapshot;
 
 pub use feed::{BlockFeed, FeedSender, FeedStalled, Watermark};
 pub use follower::{Follower, FollowerConfig};
 pub use journal::{crc32, scan_journal, BlockJournal, JournalScan, TornFrame};
-pub use metrics::{BoundedSamples, StreamMetrics, SAMPLE_CAP};
+pub use metrics::StreamMetrics;
 pub use recovery::{generation_path, quarantine_path, Recovery};
-pub use shutdown::{install_sigint_handler, request_shutdown, shutdown_requested};
 pub use snapshot::{snapshot_height, SnapshotError};

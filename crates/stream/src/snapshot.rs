@@ -17,16 +17,16 @@
 //! persisted — incremental graphs, aggregates, and embeddings are
 //! deterministic functions of the history and are rebuilt on restore, so
 //! the format survives changes to any derived representation. Snapshots
-//! are written atomically (temp file + fsync + rename): a crash mid-write
-//! leaves the previous snapshot intact.
+//! are written atomically (`baclassifier::write_atomic`): a crash
+//! mid-write leaves the previous snapshot intact.
 //!
 //! The trailing `checksum` line is a CRC32 (same polynomial as the block
-//! journal) over every byte before it. Restore verifies it before trusting
-//! a single parsed value, so a bit-flip anywhere in the file is a
-//! [`SnapshotError::Checksum`] naming the path — not a silently divergent
-//! label table. Files written before the trailer existed (no `checksum`
-//! line) still restore; they simply forgo the integrity check. Every parse
-//! error names the file and the 1-based line it occurred on.
+//! journal) over every byte before it. [`verify_trailer`] checks it before
+//! a single parsed value is trusted, so a bit-flip anywhere in the file is
+//! a [`SnapshotError::Checksum`] naming the path — not a silently divergent
+//! label table — and so is a file with no trailer at all (a truncation at
+//! a line boundary would otherwise parse clean). Every parse error names
+//! the file and the 1-based line it occurred on.
 //!
 //! The optional `shard` line makes a snapshot self-describing about its
 //! place in a sharded deployment: restore adopts the recorded assignment
@@ -37,10 +37,11 @@
 
 use crate::follower::{Follower, FollowerConfig};
 use crate::journal::crc32;
-use baclassifier::{ArtifactError, ModelArtifact, ShardAssignment, SHARD_HASH_VERSION};
+use baclassifier::{
+    write_atomic, ArtifactError, ModelArtifact, ShardAssignment, SHARD_HASH_VERSION,
+};
 use btcsim::{Address, Amount, Label, TxView, Txid};
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::Path;
 
 /// Why a snapshot could not be written or read back.
@@ -150,6 +151,48 @@ fn parse_entry(tok: &str) -> Result<(Address, Amount), String> {
     ))
 }
 
+/// Append the `checksum` trailer covering every byte already in `out`.
+pub fn push_trailer(out: &mut String) {
+    let _ = writeln!(out, "checksum {:08x}", crc32(out.as_bytes()));
+}
+
+/// Verify a snapshot's `checksum` trailer and return the text it covers
+/// (everything before the trailer line). The one trailer check, shared by
+/// [`Follower::restore`] and the offline rebalancer. Fails closed: the
+/// last line must be exactly `checksum <8 hex digits>\n` — a missing
+/// trailer (empty or truncated file) or a mismatch is
+/// [`SnapshotError::Checksum`], an unparseable one (stray `\r`, wrong
+/// length) is [`SnapshotError::Malformed`]; no input panics.
+pub fn verify_trailer<'a>(path: &Path, text: &'a str) -> Result<&'a str, SnapshotError> {
+    let start = text.trim_end_matches('\n').rfind('\n').map_or(0, |i| i + 1);
+    let (covered, trailer) = text.split_at(start);
+    let Some(stored) = trailer.strip_prefix("checksum ") else {
+        return Err(SnapshotError::Checksum(format!(
+            "{}: no checksum trailer — file is truncated or not a snapshot",
+            path.display()
+        )));
+    };
+    let stored_val = stored
+        .strip_suffix('\n')
+        .filter(|hex| hex.len() == 8 && hex.bytes().all(|b| b.is_ascii_hexdigit()))
+        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+        .ok_or_else(|| {
+            malformed(format!(
+                "{}: unparseable checksum trailer {stored:?}",
+                path.display()
+            ))
+        })?;
+    let computed = crc32(covered.as_bytes());
+    if stored_val != computed {
+        return Err(SnapshotError::Checksum(format!(
+            "{}: stored {stored_val:08x}, computed {computed:08x} — \
+             file is corrupt or was edited",
+            path.display()
+        )));
+    }
+    Ok(covered)
+}
+
 /// Read just the `height` header of a snapshot — the resume height its
 /// restore would start at — without parsing the body. Used to compute the
 /// journal-compaction floor across retained snapshot generations.
@@ -219,30 +262,13 @@ impl Follower {
                 out.push('\n');
             }
         }
-        let _ = writeln!(out, "checksum {:08x}", crc32(out.as_bytes()));
+        push_trailer(&mut out);
 
         // Rotate older generations aside before the rename replaces the
         // base file, so a corrupt write discovered later still has a
         // predecessor to fall back to.
         crate::recovery::rotate_generations(path, self.cfg.snapshot_generations)?;
-
-        // Append `.tmp` to the whole file name rather than replacing the
-        // last extension: per-shard snapshots (`base.bsnap.0of4`,
-        // `base.bsnap.1of4`, …) are written concurrently by one process,
-        // and `with_extension` would collapse them all onto one temp file
-        // that the workers truncate and rename out from under each other.
-        let mut tmp_name = path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp_name);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(out.as_bytes())?;
-            f.sync_all()?;
-        }
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            std::fs::remove_file(&tmp).ok();
-            return Err(e.into());
-        }
+        write_atomic(path, out.as_bytes())?;
         self.metrics.snapshots_written += 1;
         Ok(())
     }
@@ -258,31 +284,7 @@ impl Follower {
     ) -> Result<Self, SnapshotError> {
         let text = std::fs::read_to_string(path)?;
 
-        // Verify the checksum trailer (if present) before trusting any
-        // parsed value. The trailer covers every byte before its own line.
-        let body = match text.lines().next_back() {
-            Some(last) if last.starts_with("checksum ") => {
-                let covered = &text[..text.len() - last.len() - 1];
-                let stored = last["checksum ".len()..].trim();
-                let computed = crc32(covered.as_bytes());
-                let stored_val = u32::from_str_radix(stored, 16).map_err(|_| {
-                    malformed(format!(
-                        "{}: unparseable checksum trailer {stored:?}",
-                        path.display()
-                    ))
-                })?;
-                if stored_val != computed {
-                    return Err(SnapshotError::Checksum(format!(
-                        "{}: stored {stored_val:08x}, computed {computed:08x} — \
-                         file is corrupt or was edited",
-                        path.display()
-                    )));
-                }
-                covered
-            }
-            // Pre-checksum files: parse the whole text, no integrity check.
-            _ => text.as_str(),
-        };
+        let body = verify_trailer(path, &text)?;
 
         let mut lines = SnapshotLines::new(path, body);
         let header = lines.next_line("BSTREAM header")?;
@@ -418,6 +420,14 @@ mod tests {
     use crate::follower::tests::{test_artifact, test_sim};
     use btcsim::BlockCursor;
 
+    /// `body` plus a valid checksum trailer — a well-formed file as far as
+    /// integrity goes, so a test reaches the parser it means to exercise.
+    fn sealed(body: &str) -> String {
+        let mut out = body.to_string();
+        push_trailer(&mut out);
+        out
+    }
+
     fn temp_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
             "bstream_snapshot_{tag}_{}_{:?}",
@@ -485,7 +495,7 @@ mod tests {
     #[test]
     fn corrupt_snapshots_are_rejected() {
         let path = temp_path("corrupt");
-        std::fs::write(&path, "BSTREAM v999\nheight 0\naddresses 0\n").unwrap();
+        std::fs::write(&path, sealed("BSTREAM v999\nheight 0\naddresses 0\n")).unwrap();
         let artifact = test_artifact();
         let err = Follower::restore(&artifact, FollowerConfig::default(), &path)
             .err()
@@ -501,7 +511,11 @@ mod tests {
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
 
-        std::fs::write(&path, "BSTREAM v1\nheight 5\naddresses 1\nA 3 - 1\n").unwrap();
+        std::fs::write(
+            &path,
+            sealed("BSTREAM v1\nheight 5\naddresses 1\nA 3 - 1\n"),
+        )
+        .unwrap();
         let err = Follower::restore(&artifact, FollowerConfig::default(), &path)
             .err()
             .expect("restore must fail");
@@ -550,15 +564,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_snapshot_without_checksum_still_restores() {
+    fn snapshot_without_checksum_trailer_is_rejected() {
         let artifact = test_artifact();
         let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
         for block in BlockCursor::new(test_sim(57, 12)) {
             follower.step(&block);
         }
-        let path = temp_path("legacy");
+        let path = temp_path("no_trailer");
         follower.snapshot_to(&path).unwrap();
-        // Strip the trailer: what a pre-checksum build would have written.
+        // Strip the trailer: exactly what a truncation at the last line
+        // boundary leaves behind — every remaining line still parses.
         let text = std::fs::read_to_string(&path).unwrap();
         let stripped: String = text
             .lines()
@@ -566,8 +581,13 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         std::fs::write(&path, stripped).unwrap();
-        let restored = Follower::restore(&artifact, FollowerConfig::default(), &path).unwrap();
-        assert_eq!(restored.labels(), follower.labels());
+        match Follower::restore(&artifact, FollowerConfig::default(), &path).err() {
+            Some(SnapshotError::Checksum(m)) => {
+                assert!(m.contains("no checksum trailer"), "message: {m}");
+                assert!(m.contains(path.display().to_string().as_str()));
+            }
+            other => panic!("expected Checksum, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -588,9 +608,8 @@ mod tests {
             .filter(|l| !l.starts_with("checksum "))
             .map(|l| format!("{l}\n"))
             .collect();
-        let with_garbage = format!("{body}this is not a snapshot line\n");
-        let trailer = format!("checksum {:08x}\n", crc32(with_garbage.as_bytes()));
-        std::fs::write(&path, format!("{with_garbage}{trailer}")).unwrap();
+        let with_garbage = sealed(&format!("{body}this is not a snapshot line\n"));
+        std::fs::write(&path, with_garbage).unwrap();
 
         match Follower::restore(&artifact, FollowerConfig::default(), &path).err() {
             Some(SnapshotError::Malformed(m)) => {
@@ -668,7 +687,11 @@ mod tests {
     #[test]
     fn unknown_shard_hash_version_is_refused() {
         let path = temp_path("hashver");
-        std::fs::write(&path, "BSTREAM v1\nheight 3\nshard 0 2 99\naddresses 0\n").unwrap();
+        std::fs::write(
+            &path,
+            sealed("BSTREAM v1\nheight 3\nshard 0 2 99\naddresses 0\n"),
+        )
+        .unwrap();
         let artifact = test_artifact();
         match Follower::restore(&artifact, FollowerConfig::default(), &path).err() {
             Some(SnapshotError::UnsupportedVersion(v)) => assert!(v.contains("shard hash v99")),
@@ -711,9 +734,13 @@ mod tests {
         let path = temp_path("atomic");
         follower.snapshot_to(&path).unwrap();
         // No temp residue next to the final file.
-        let mut tmp_name = path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        assert!(!std::path::PathBuf::from(tmp_name).exists());
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let residue: Vec<String> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.contains(&name) && n.contains(".tmp."))
+            .collect();
+        assert!(residue.is_empty(), "temp files left behind: {residue:?}");
         assert!(path.exists());
         std::fs::remove_file(&path).ok();
     }

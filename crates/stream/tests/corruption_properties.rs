@@ -9,7 +9,7 @@
 //! and journal truncation never leak between cases.
 
 use baclassifier::{BaClassifier, BacConfig, ModelArtifact};
-use bstream::{scan_journal, Follower, FollowerConfig};
+use bstream::{scan_journal, Follower, FollowerConfig, SnapshotError};
 use btcsim::{Block, BlockCursor, SimConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -135,6 +135,40 @@ fn recovery_survives(snapshot: Vec<u8>, journal: Vec<u8>) {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Degenerate trailers: a file that is nothing but an unterminated
+/// `checksum` line (this used to underflow a slice index and panic, which
+/// inside a supervised shard worker burned the whole respawn budget), an
+/// empty file, and a `\r\n`-terminated trailer. Each must come back from
+/// `restore` as a typed integrity error, and recovery must quarantine it
+/// and carry on.
+#[test]
+fn degenerate_checksum_trailers_are_typed_errors_not_panics() {
+    let p = pristine();
+    let text = String::from_utf8(p.snapshot.clone()).unwrap();
+    let crlf = format!("{}\r\n", text.strip_suffix('\n').unwrap());
+    for (what, bytes) in [
+        (
+            "only an unterminated trailer",
+            b"checksum deadbeef".to_vec(),
+        ),
+        ("empty file", Vec::new()),
+        ("CRLF-terminated trailer", crlf.into_bytes()),
+    ] {
+        let dir = case_dir();
+        let path = dir.join("state.bsnap");
+        std::fs::write(&path, &bytes).unwrap();
+        match Follower::restore(&p.artifact, FollowerConfig::default(), &path) {
+            Err(SnapshotError::Checksum(m) | SnapshotError::Malformed(m)) => {
+                assert!(m.contains("state.bsnap"), "{what}: path in error: {m}")
+            }
+            Err(other) => panic!("{what}: expected Checksum or Malformed, got {other:?}"),
+            Ok(_) => panic!("{what}: restore must fail closed"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        recovery_survives(bytes, p.journal.clone());
+    }
 }
 
 proptest! {
