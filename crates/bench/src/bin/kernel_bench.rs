@@ -392,10 +392,11 @@ fn main() {
         .iter()
         .map(|&b| {
             let seqs = ragged_seqs(b, d, max_len);
+            let borrowed: Vec<&[Matrix]> = seqs.iter().map(Vec::as_slice).collect();
             let serial = lstm_serial_last(&cell, &seqs);
             let batched = {
                 let tape = Tape::new();
-                cell.forward_last_batch(&tape, &seqs).value()
+                cell.forward_last_batch(&tape, &borrowed).value()
             };
             for (i, s) in serial.iter().enumerate() {
                 assert!(
@@ -412,7 +413,7 @@ fn main() {
             let batched_s = time_median(reps, || {
                 let tape = Tape::new();
                 std::hint::black_box(
-                    cell.forward_last_batch(&tape, std::hint::black_box(&seqs))
+                    cell.forward_last_batch(&tape, std::hint::black_box(&borrowed))
                         .value(),
                 );
             });

@@ -35,7 +35,6 @@ use baclassifier::{BaClassifier, BacConfig, ModelArtifact, ShardMap};
 use banet::RemoteShardConfig;
 use baserve::cli::{flag_parsed, flag_value, has_flag};
 use baserve::metrics::Histogram;
-use baserve::session::dataset_by_id;
 use baserve::{Fallback, FeatureFallback, ServeError};
 use bashard::{remote_router, wait_fleet_up, ShardRouter};
 use btcsim::dist::ZipfSampler;
@@ -209,8 +208,7 @@ fn main() {
     let artifact_path = std::env::temp_dir().join(format!("net_bench_{}.bart", std::process::id()));
     artifact.save(&artifact_path).expect("save artifact");
 
-    let by_id = dataset_by_id(seed, min_txs);
-    let mut records: Vec<AddressRecord> = by_id.values().cloned().collect();
+    let mut records: Vec<AddressRecord> = baserve::cli::rebuild_records(seed, min_txs);
     records.sort_by_key(|r| r.address.0);
     assert!(
         !records.is_empty(),

@@ -28,7 +28,7 @@ pub trait SequenceHead {
     ///
     /// # Panics
     /// Panics on an empty batch or any empty sequence.
-    fn logits_batch<'t>(&self, tape: &'t Tape, seqs: &[Vec<Matrix>]) -> Var<'t> {
+    fn logits_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
         assert!(!seqs.is_empty(), "empty sequence batch");
         let parts: Vec<Var<'t>> = seqs.iter().map(|s| self.logits(tape, s)).collect();
         Var::concat_rows(&parts)
@@ -52,7 +52,7 @@ impl<H: SequenceHead + ?Sized> SequenceHead for &H {
     fn logits<'t>(&self, tape: &'t Tape, seq: &[Matrix]) -> Var<'t> {
         (**self).logits(tape, seq)
     }
-    fn logits_batch<'t>(&self, tape: &'t Tape, seqs: &[Vec<Matrix>]) -> Var<'t> {
+    fn logits_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
         (**self).logits_batch(tape, seqs)
     }
     fn params(&self) -> Vec<Param> {
@@ -67,7 +67,7 @@ impl<H: SequenceHead + ?Sized> SequenceHead for Box<H> {
     fn logits<'t>(&self, tape: &'t Tape, seq: &[Matrix]) -> Var<'t> {
         (**self).logits(tape, seq)
     }
-    fn logits_batch<'t>(&self, tape: &'t Tape, seqs: &[Vec<Matrix>]) -> Var<'t> {
+    fn logits_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
         (**self).logits_batch(tape, seqs)
     }
     fn params(&self) -> Vec<Param> {
@@ -116,7 +116,7 @@ impl SequenceHead for LstmMlp {
     /// whole batch (`Lstm::forward_last_batch`), then the MLP over all B
     /// final hidden rows at once. Every layer is row-independent, so row `i`
     /// stays bitwise identical to the per-sequence `logits` path.
-    fn logits_batch<'t>(&self, tape: &'t Tape, seqs: &[Vec<Matrix>]) -> Var<'t> {
+    fn logits_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
         assert!(!seqs.is_empty(), "empty sequence batch");
         let h = self.lstm.forward_last_batch(tape, seqs);
         self.mlp.forward(tape, h)
@@ -361,9 +361,10 @@ mod tests {
                     .collect()
             })
             .collect();
+        let borrowed: Vec<&[Matrix]> = seqs.iter().map(Vec::as_slice).collect();
         for head in all_heads(6, 8, 11) {
             let tape = Tape::new();
-            let batch = head.logits_batch(&tape, &seqs).value();
+            let batch = head.logits_batch(&tape, &borrowed).value();
             assert_eq!(batch.shape(), (seqs.len(), NUM_CLASSES), "{}", head.name());
             for (i, seq) in seqs.iter().enumerate() {
                 let tape1 = Tape::new();

@@ -170,6 +170,21 @@ impl IncrementalGraphs {
         self.derived.truncate(self.raw.len());
         &self.derived
     }
+
+    /// The derived graphs as of the last [`IncrementalGraphs::graphs`]
+    /// call, through a shared borrow — so a caller can hold the slices of
+    /// many addresses at once.
+    ///
+    /// # Panics
+    /// Panics if transactions were applied since that call.
+    pub fn derived_graphs(&self) -> &[AddressGraph] {
+        assert_eq!(
+            (self.derived_clean, self.derived.len()),
+            (self.raw.len(), self.raw.len()),
+            "derived_graphs() before graphs() re-derived the applied history"
+        );
+        &self.derived
+    }
 }
 
 /// Run stages 2–4 on one raw slice, honoring the config's ablation flags.

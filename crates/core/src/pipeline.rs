@@ -273,13 +273,19 @@ impl BaClassifier {
     /// equals mapping [`BaClassifier::embed_graph`] over `gs` bit for bit,
     /// at any thread count. This is the batched re-embed stage streaming
     /// reclassification fans its dirty slices through.
-    pub fn embed_graphs(
-        &self,
-        graphs: &[crate::construction::AddressGraph],
-        threads: usize,
-    ) -> Vec<Matrix> {
+    ///
+    /// Graphs may be owned or borrowed (`&[AddressGraph]` or
+    /// `&[&AddressGraph]`): a caller gathering slices from many owners
+    /// passes references and clones nothing.
+    pub fn embed_graphs<G>(&self, graphs: &[G], threads: usize) -> Vec<Matrix>
+    where
+        G: std::borrow::Borrow<crate::construction::AddressGraph> + Sync,
+    {
         if threads <= 1 || graphs.len() < 2 {
-            return graphs.iter().map(|g| self.embed_graph(g)).collect();
+            return graphs
+                .iter()
+                .map(|g| self.embed_graph(g.borrow()))
+                .collect();
         }
         let trained = param_values(&self.gfn.params());
         let model_cfg = &self.cfg.model;
@@ -292,7 +298,7 @@ impl BaClassifier {
                 gfn
             },
             |gfn, g| {
-                let prep = gfn.prepare(&graph_tensors(g));
+                let prep = gfn.prepare(&graph_tensors(g.borrow()));
                 let tape = Tape::new();
                 gfn.embed(&tape, &prep).value()
             },
@@ -355,24 +361,26 @@ impl BaClassifier {
     /// mapping [`BaClassifier::classify_embeddings_scored`] over `seqs` bit
     /// for bit, at any thread count and any batch split. Errors if unfitted
     /// or any sequence is empty (batch callers gate on history length
-    /// first).
-    pub fn classify_embeddings_batch(
+    /// first). Sequences may be owned (`Vec<Matrix>`) or borrowed
+    /// (`&[Matrix]`); the head only ever reads them.
+    pub fn classify_embeddings_batch<S: AsRef<[Matrix]>>(
         &self,
-        seqs: &[Vec<Matrix>],
+        seqs: &[S],
         threads: usize,
     ) -> Result<Vec<(Label, f32)>, PredictError> {
         if !self.fitted {
             return Err(PredictError::NotFitted);
         }
-        if seqs.iter().any(Vec::is_empty) {
+        let seqs: Vec<&[Matrix]> = seqs.iter().map(AsRef::as_ref).collect();
+        if seqs.iter().any(|s| s.is_empty()) {
             return Err(PredictError::EmptyHistory);
         }
         let raw: Vec<(usize, f32)> = if threads <= 1 || seqs.len() < 2 {
-            scored_logits_batch(&self.head, seqs)
+            scored_logits_batch(&self.head, &seqs)
         } else {
             let trained = param_values(&self.head.params());
             let model_cfg = &self.cfg.model;
-            let chunks: Vec<&[Vec<Matrix>]> = seqs.chunks(seqs.len().div_ceil(threads)).collect();
+            let chunks: Vec<&[&[Matrix]]> = seqs.chunks(seqs.len().div_ceil(threads)).collect();
             let per_chunk = parallel_map(
                 threads,
                 &chunks,
@@ -463,7 +471,7 @@ fn scored_logits(head: &impl SequenceHead, seq: &[Matrix]) -> (usize, f32) {
 /// whole chunk; because every logit row of the batched pass is bitwise
 /// identical to [`SequenceHead::logits`] on that sequence alone, each entry
 /// equals [`scored_logits`] on the same sequence bit for bit.
-fn scored_logits_batch(head: &impl SequenceHead, seqs: &[Vec<Matrix>]) -> Vec<(usize, f32)> {
+fn scored_logits_batch(head: &impl SequenceHead, seqs: &[&[Matrix]]) -> Vec<(usize, f32)> {
     if seqs.is_empty() {
         return Vec::new();
     }
@@ -694,7 +702,8 @@ mod tests {
                 assert_eq!(a.as_slice(), b.as_slice(), "threads={threads}");
             }
         }
-        assert!(clf.embed_graphs(&[], 4).is_empty());
+        let none: [&crate::construction::AddressGraph; 0] = [];
+        assert!(clf.embed_graphs(&none, 4).is_empty());
     }
 
     #[test]
@@ -748,7 +757,7 @@ mod tests {
             Err(PredictError::NotFitted)
         );
         assert_eq!(
-            clf.classify_embeddings_batch(&[], 2),
+            clf.classify_embeddings_batch(&[] as &[Vec<Matrix>], 2),
             Err(PredictError::NotFitted)
         );
     }

@@ -26,27 +26,20 @@
 //! the same `ShardLane` surface; the client percentiles then include real
 //! network round-trips.
 
-use baclassifier::{BaClassifier, ModelArtifact};
+use baclassifier::BaClassifier;
 use banet::{HealthSink, RemoteShard, RemoteShardConfig};
-use baserve::cli::{engine_config_from_args, flag_parsed, flag_value, has_flag};
+use baserve::cli::{engine_config_from_args, flag_parsed, flag_value, has_flag, ServingInputs};
 use baserve::metrics::Histogram;
 use baserve::{splitmix64, Engine, ServeError, ShardLane, Ticket};
 use btcsim::dist::ZipfSampler;
-use btcsim::{Dataset, Label, SimConfig, Simulator};
+use btcsim::Label;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let Some(artifact_path) = flag_value(&args, "--artifact") else {
-        eprintln!("usage: baserve-loadgen --artifact model.bart [--requests N] [--qps N] …");
-        std::process::exit(2);
-    };
-    let seed = flag_parsed(&args, "--seed", 42u64);
-    let min_txs = flag_parsed(&args, "--min-txs", 3usize);
     let requests = flag_parsed(&args, "--requests", 2000usize);
     let qps = flag_parsed(&args, "--qps", 0.0f64);
     let zipf_s = flag_parsed(&args, "--zipf", 1.1f64);
@@ -57,22 +50,15 @@ fn main() {
     let config = engine_config_from_args(&args);
     let window = flag_parsed(&args, "--window", config.queue_depth.min(64)).max(1);
 
-    let artifact = match ModelArtifact::load(artifact_path.as_ref()) {
-        Ok(a) => Arc::new(a),
-        Err(e) => {
-            eprintln!("error: could not load artifact {artifact_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let sim = Simulator::run_to_completion(SimConfig::tiny(seed));
-    let dataset = Dataset::from_simulator(&sim, min_txs);
-    assert!(
-        !dataset.is_empty(),
-        "dataset rebuilt from seed {seed} is empty"
+    let ServingInputs { artifact, records } = ServingInputs::load(
+        "loadgen",
+        "baserve-loadgen --artifact model.bart [--requests N] [--qps N] …",
+        &args,
     );
+    assert!(!records.is_empty(), "rebuilt dataset is empty");
     eprintln!(
         "[loadgen] {} addresses, {} requests, zipf s={zipf_s}, target qps={}",
-        dataset.len(),
+        records.len(),
         requests,
         if qps > 0.0 {
             qps.to_string()
@@ -108,7 +94,7 @@ fn main() {
             Box::new(Engine::new(artifact, config).expect("engine starts from a valid artifact"))
         }
     };
-    let sampler = ZipfSampler::new(dataset.len(), zipf_s);
+    let sampler = ZipfSampler::new(records.len(), zipf_s);
     let mut rng = StdRng::seed_from_u64(traffic_seed);
 
     // Direct-replica labels, memoized per address (computed lazily so
@@ -140,14 +126,14 @@ fn main() {
                     if let Some(direct) = &direct {
                         let want = *expected.entry(idx).or_insert_with(|| {
                             direct
-                                .predict(&dataset.records[idx])
+                                .predict(&records[idx])
                                 .expect("records have transactions")
                         });
                         if response.label != want {
                             *mismatches += 1;
                             eprintln!(
                                 "[loadgen] MISMATCH address {}: served {} direct {}",
-                                dataset.records[idx].address.0,
+                                records[idx].address.0,
                                 response.label.name(),
                                 want.name()
                             );
@@ -178,7 +164,7 @@ fn main() {
         // backoff with deterministic jitter before counting as rejected.
         let mut attempt = 0u32;
         let outcome = loop {
-            match lane.submit(dataset.records[idx].clone()) {
+            match lane.submit(records[idx].clone()) {
                 Err(e @ (ServeError::QueueFull | ServeError::BreakerOpen))
                     if attempt < retry_max =>
                 {

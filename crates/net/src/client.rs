@@ -744,6 +744,10 @@ impl ShardLane for RemoteShard {
         snap
     }
 
+    fn processed(&self) -> u64 {
+        self.metrics.processed()
+    }
+
     fn live_workers(&self) -> usize {
         usize::from(self.is_connected())
     }

@@ -1,7 +1,7 @@
 //! The BANET server: a TCP front over a serving backend.
 //!
-//! [`NetServer`] owns a `TcpListener` and a [`NetBackend`] (an engine plus
-//! its address dataset, or a shard worker validating ownership) and serves
+//! [`NetServer`] owns a `TcpListener` and a [`NetBackend`] (a shard worker
+//! validating ownership, or a whole router) and serves
 //! the BANET v1 protocol: handshake, classify, metrics, health probes,
 //! cache invalidation, and remote shutdown.
 //!
@@ -29,7 +29,6 @@ use crate::frame::{
     write_magic, write_message, FrameError, FrameReader, Hello, Message, ReplyOutcome, Role,
 };
 use baclassifier::PredictError;
-use baserve::metrics::MetricsSnapshot;
 use baserve::shutdown;
 use baserve::{Response, ServeError, Ticket};
 use std::io::Write;
@@ -37,6 +36,10 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// The backend trait lives in `baserve` (the stdin line session serves it
+/// too); this is its path for TCP-side callers.
+pub use baserve::lane::{NetBackend, WireError};
 
 /// Bind a listener with `SO_REUSEADDR`, so a respawned worker can reclaim
 /// a port whose previous generation's connections are still in TIME_WAIT
@@ -110,32 +113,6 @@ fn listen_reuse_v4(addr: std::net::SocketAddrV4) -> std::io::Result<TcpListener>
         }
         Ok(TcpListener::from_raw_fd(fd))
     }
-}
-
-/// Why a request could not be admitted to the backend.
-pub enum WireError {
-    /// Engine-level failure; travels as the matching reply status.
-    Serve(ServeError),
-    /// Refused before any engine saw it (unknown address, shard ownership
-    /// violation); travels as `Reject(reason)`.
-    Reject(String),
-}
-
-/// What a [`NetServer`] serves: one shard's (or one engine's) worth of
-/// classification capacity.
-pub trait NetBackend: Send + Sync {
-    /// Admit the request for simulator address `id`. Must fail fast.
-    fn submit(&self, id: u64) -> Result<Ticket, WireError>;
-
-    /// Point-in-time metrics; the server overrides `connections_open`
-    /// with its live connection count before rendering.
-    fn metrics(&self) -> MetricsSnapshot;
-
-    /// Invalidate cached state for `id`; returns the new cache generation.
-    fn invalidate(&self, id: u64) -> u64;
-
-    /// Completed-request count — the progress beat carried on `Pong`.
-    fn processed(&self) -> u64;
 }
 
 /// Knobs for a [`NetServer`].

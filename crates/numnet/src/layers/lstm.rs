@@ -101,11 +101,11 @@ impl LstmCell {
     /// # Panics
     /// Panics if the batch is empty, any sequence is empty, or any step is
     /// not a `1 × input` row.
-    pub fn forward_last_batch<'t>(&self, tape: &'t Tape, seqs: &[Vec<Matrix>]) -> Var<'t> {
+    pub fn forward_last_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
         assert!(!seqs.is_empty(), "forward_last_batch: empty batch");
         for (i, s) in seqs.iter().enumerate() {
             assert!(!s.is_empty(), "forward_last_batch: empty sequence {i}");
-            for m in s {
+            for m in *s {
                 assert_eq!(
                     m.shape(),
                     (1, self.input_dim),
@@ -183,11 +183,11 @@ impl Lstm {
         state.h
     }
 
-    /// Batched [`Lstm::forward_last`] over `B` ragged sequences of owned
+    /// Batched [`Lstm::forward_last`] over `B` ragged sequences of borrowed
     /// `1 × input` rows, returning a `B × hidden` value whose row `i` is
     /// bitwise identical to `forward_last` on `seqs[i]` alone (see
     /// [`LstmCell::forward_last_batch`]).
-    pub fn forward_last_batch<'t>(&self, tape: &'t Tape, seqs: &[Vec<Matrix>]) -> Var<'t> {
+    pub fn forward_last_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
         self.cell.forward_last_batch(tape, seqs)
     }
 
@@ -407,8 +407,9 @@ mod tests {
             })
             .collect();
 
+        let borrowed: Vec<&[Matrix]> = seqs.iter().map(Vec::as_slice).collect();
         let tape = Tape::new();
-        let batched = lstm.forward_last_batch(&tape, &seqs);
+        let batched = lstm.forward_last_batch(&tape, &borrowed);
         assert_eq!(batched.shape(), (seqs.len(), 5));
         let bv = batched.value();
         for (i, seq) in seqs.iter().enumerate() {

@@ -1,5 +1,5 @@
 //! Train a BAClassifier on a simulated dataset and save it as a `.bart`
-//! model artifact for `baserved` / `baserve-loadgen` to serve.
+//! model artifact for `basharded` / `baserve-loadgen` to serve.
 //!
 //! ```text
 //! baserve-fit --out model.bart [--seed 42] [--min-txs 3] [--full] [--threads N]

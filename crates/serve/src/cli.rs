@@ -1,7 +1,13 @@
-//! Minimal flag parsing shared by the `baserve` binaries. Flags are
-//! `--name value` pairs plus bare `--name` booleans; no external crates.
+//! Minimal flag parsing shared by the serving binaries, and the startup
+//! preamble they all run ([`ServingInputs`]). Flags are `--name value` pairs
+//! plus bare `--name` booleans; no external crates.
 
+use crate::{EngineHooks, Fallback, FeatureFallback};
+use baclassifier::ModelArtifact;
+use btcsim::AddressRecord;
+use std::collections::HashMap;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// The value following `--name`, if present.
 pub fn flag_value(args: &[String], name: &str) -> Option<String> {
@@ -29,7 +35,74 @@ pub fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// The engine knobs shared by `baserved` and `baserve-loadgen`:
+/// The standard serving dataset: the simulated address universe rebuilt
+/// from its seed, in dataset order — a server and a client built from the
+/// same `seed`/`min_txs` agree on every record byte.
+pub fn rebuild_records(seed: u64, min_txs: usize) -> Vec<AddressRecord> {
+    let sim = btcsim::Simulator::run_to_completion(btcsim::SimConfig::tiny(seed));
+    btcsim::Dataset::from_simulator(&sim, min_txs).records
+}
+
+/// What a serving binary loads before it can answer `classify <id>`: the
+/// `--artifact` model and the dataset rebuilt from `--seed` / `--min-txs`.
+pub struct ServingInputs {
+    pub artifact: Arc<ModelArtifact>,
+    pub records: Vec<AddressRecord>,
+}
+
+impl ServingInputs {
+    /// Load from the command line, logging progress as `[name] …`. Exits 2
+    /// (printing `usage`) without `--artifact`, 1 when it does not load.
+    pub fn load(name: &str, usage: &str, args: &[String]) -> ServingInputs {
+        let Some(path) = flag_value(args, "--artifact") else {
+            eprintln!("usage: {usage}");
+            std::process::exit(2);
+        };
+        let artifact = match ModelArtifact::load(path.as_ref()) {
+            Ok(a) => Arc::new(a),
+            Err(e) => {
+                eprintln!("error: could not load artifact {path}: {e}");
+                std::process::exit(1);
+            }
+        };
+        eprintln!(
+            "[{name}] loaded {path} ({} weight tensors)",
+            artifact.weights.len()
+        );
+        let seed = flag_parsed(args, "--seed", 42u64);
+        let records = rebuild_records(seed, flag_parsed(args, "--min-txs", 3usize));
+        eprintln!(
+            "[{name}] dataset rebuilt from seed {seed}: {} addresses",
+            records.len()
+        );
+        ServingInputs { artifact, records }
+    }
+
+    /// Engine hooks carrying the degraded-mode fallback fitted on the
+    /// rebuilt dataset; the defaults under `--no-fallback` or when there is
+    /// nothing to fit on.
+    pub fn hooks(&self, name: &str, args: &[String]) -> EngineHooks {
+        if has_flag(args, "--no-fallback") || self.records.is_empty() {
+            return EngineHooks::default();
+        }
+        let fallback = FeatureFallback::fit(&self.records);
+        eprintln!(
+            "[{name}] degraded-mode fallback ready ({})",
+            fallback.name()
+        );
+        EngineHooks {
+            fallback: Some(Arc::new(fallback)),
+            ..EngineHooks::default()
+        }
+    }
+
+    /// The records indexed by address id, as the backends look them up.
+    pub fn into_by_id(self) -> HashMap<u64, AddressRecord> {
+        self.records.into_iter().map(|r| (r.address.0, r)).collect()
+    }
+}
+
+/// The engine knobs shared by `basharded` and `baserve-loadgen`:
 /// `--workers`, `--max-batch`, `--max-wait-ms`, `--queue-depth`, `--cache`,
 /// plus the resilience knobs `--deadline-ms` (0 = none),
 /// `--breaker-threshold` (0 = disabled), `--breaker-cooldown-ms`,

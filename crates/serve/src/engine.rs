@@ -484,6 +484,12 @@ impl Engine {
         snap
     }
 
+    /// Requests answered so far (`completed + degraded`) without taking a
+    /// full snapshot — the progress beat health probes read.
+    pub fn processed(&self) -> u64 {
+        self.shared.metrics.processed()
+    }
+
     /// Current circuit-breaker state.
     pub fn breaker_state(&self) -> BreakerState {
         self.shared.breaker.state()
@@ -611,6 +617,38 @@ fn backoff_sleep(shared: &Shared, cfg: &EngineConfig, worker: usize, restarts: u
     }
 }
 
+/// Account one replica failure (a build that failed or a batch that
+/// panicked) and decide the worker's fate. Trip accounting comes first, so a
+/// caller that sees a `WorkerFailed` reply observes the breaker already
+/// aware of the failure; then every job still in `unanswered` is failed
+/// explicitly. Returns `true` when the worker should rebuild its replica
+/// (after the backoff), `false` when it retired or shutdown was requested.
+fn replica_failed(
+    shared: &Shared,
+    cfg: &EngineConfig,
+    worker: usize,
+    restarts: &mut u32,
+    unanswered: &mut [Option<Job>],
+) -> bool {
+    shared.metrics.worker_panics.fetch_add(1, Relaxed);
+    shared.breaker_failure();
+    for job in unanswered.iter_mut().filter_map(Option::take) {
+        shared.metrics.failed.fetch_add(1, Relaxed);
+        let _ = job.reply.send(Err(ServeError::WorkerFailed));
+    }
+    *restarts += 1;
+    if *restarts > cfg.max_worker_restarts {
+        retire(shared);
+        return false;
+    }
+    shared.metrics.worker_restarts.fetch_add(1, Relaxed);
+    if !backoff_sleep(shared, cfg, worker, *restarts) {
+        shared.live_workers.fetch_sub(1, Relaxed);
+        return false;
+    }
+    true
+}
+
 /// One worker thread: build a replica, serve batches under `catch_unwind`,
 /// respawn the replica on panic (bounded, backed-off), retire when the
 /// restart budget is spent.
@@ -626,19 +664,10 @@ fn worker_loop(shared: &Arc<Shared>, artifact: &ModelArtifact, cfg: &EngineConfi
             // The artifact was validated at startup, so a failing build is
             // treated exactly like a batch panic: count, back off, retry.
             Ok(Err(_)) | Err(_) => {
-                shared.metrics.worker_panics.fetch_add(1, Relaxed);
-                shared.breaker_failure();
-                restarts += 1;
-                if restarts > cfg.max_worker_restarts {
-                    retire(shared);
-                    return;
+                if replica_failed(shared, cfg, worker, &mut restarts, &mut []) {
+                    continue 'replica;
                 }
-                shared.metrics.worker_restarts.fetch_add(1, Relaxed);
-                if !backoff_sleep(shared, cfg, worker, restarts) {
-                    shared.live_workers.fetch_sub(1, Relaxed);
-                    return;
-                }
-                continue 'replica;
+                return;
             }
         };
         loop {
@@ -663,28 +692,12 @@ fn worker_loop(shared: &Arc<Shared>, artifact: &ModelArtifact, cfg: &EngineConfi
                     restarts = 0;
                 }
                 Err(_) => {
-                    // Trip accounting first, so a caller that sees a
-                    // WorkerFailed reply observes the breaker already aware
-                    // of the failure.
-                    shared.metrics.worker_panics.fetch_add(1, Relaxed);
-                    shared.breaker_failure();
-                    for job in slots.iter_mut().filter_map(Option::take) {
-                        shared.metrics.failed.fetch_add(1, Relaxed);
-                        let _ = job.reply.send(Err(ServeError::WorkerFailed));
+                    if replica_failed(shared, cfg, worker, &mut restarts, &mut slots) {
+                        // Rebuild the replica: its internal state may be
+                        // arbitrarily corrupt after the unwind.
+                        continue 'replica;
                     }
-                    restarts += 1;
-                    if restarts > cfg.max_worker_restarts {
-                        retire(shared);
-                        return;
-                    }
-                    shared.metrics.worker_restarts.fetch_add(1, Relaxed);
-                    if !backoff_sleep(shared, cfg, worker, restarts) {
-                        shared.live_workers.fetch_sub(1, Relaxed);
-                        return;
-                    }
-                    // Rebuild the replica: its internal state may be
-                    // arbitrarily corrupt after the unwind.
-                    continue 'replica;
+                    return;
                 }
             }
         }
@@ -770,7 +783,7 @@ fn process_batch(
     // ragged-batch forward pass. Every logit row is bitwise identical to
     // the per-job `classify_embeddings` formulation, so responses are
     // unchanged; only the arithmetic is batched.
-    let seqs: Vec<Vec<Matrix>> = live.iter().map(|(_, seq, _)| seq.to_vec()).collect();
+    let seqs: Vec<&[Matrix]> = live.iter().map(|(_, seq, _)| seq.as_slice()).collect();
     let model_started = Instant::now();
     let classified = replica.classify_embeddings_batch(&seqs, 1);
     let model_us = model_started.elapsed().as_micros() as u64;

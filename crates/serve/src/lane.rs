@@ -1,4 +1,7 @@
-//! The shard-lane abstraction: one slot in a shard fan-out.
+//! The two serving traits: [`ShardLane`], one slot in a shard fan-out
+//! (record-addressed), and [`NetBackend`], the workspace's one
+//! id-addressed request surface — what both daemon fronts (the stdin line
+//! session in [`crate::session`] and `banet`'s TCP server) serve.
 //!
 //! A *lane* is whatever answers classification requests for the addresses
 //! one shard owns. The in-process lane is an [`Engine`]; `banet` adds a
@@ -8,9 +11,10 @@
 //! both all share the same placement, degraded-routing, and in-order
 //! batch-merge code path — the byte-identity argument never changes.
 //!
-//! The trait lives here (not in `bashard`) because it only names `baserve`
-//! types, and putting it below both `bashard` and `banet` lets the remote
-//! lane implement it without a dependency cycle.
+//! Both traits live here (not in `bashard` or `banet`) because they only
+//! name `baserve` types: below both crates, the remote lane can implement
+//! `ShardLane` and the line session can take a `NetBackend` without a
+//! dependency cycle. `banet::server` re-exports `NetBackend`/`WireError`.
 
 use crate::engine::{Engine, ServeError, Ticket};
 use crate::metrics::MetricsSnapshot;
@@ -38,6 +42,10 @@ pub trait ShardLane: Send + Sync {
 
     /// Point-in-time service metrics for this lane.
     fn metrics(&self) -> MetricsSnapshot;
+
+    /// Requests answered so far (`completed + degraded`), read straight
+    /// from the two counters — cheap enough for every health probe.
+    fn processed(&self) -> u64;
 
     /// Live serving capacity: worker replicas for an engine, 1/0 for a
     /// connected/disconnected remote lane.
@@ -69,6 +77,10 @@ impl ShardLane for Engine {
         Engine::metrics(self)
     }
 
+    fn processed(&self) -> u64 {
+        Engine::processed(self)
+    }
+
     fn live_workers(&self) -> usize {
         Engine::live_workers(self)
     }
@@ -76,4 +88,39 @@ impl ShardLane for Engine {
     fn shutdown_lane(self: Box<Self>) {
         (*self).shutdown();
     }
+}
+
+/// Why a request could not be admitted to a [`NetBackend`].
+pub enum WireError {
+    /// Engine-level failure; travels as the matching BANET reply status or
+    /// an `err <ServeError>` line.
+    Serve(ServeError),
+    /// Refused before any engine saw it (unknown address, shard ownership
+    /// violation); travels as `Reject(reason)` or `err <reason>`.
+    Reject(String),
+}
+
+/// What a daemon front serves: classification by simulator address id over
+/// one engine, one shard's engine, or a whole router.
+pub trait NetBackend: Send + Sync {
+    /// Admit the request for simulator address `id`. Must fail fast.
+    fn submit(&self, id: u64) -> Result<Ticket, WireError>;
+
+    /// Point-in-time metrics (the fleet roll-up for a router); the TCP
+    /// server overrides `connections_open` with its live connection count
+    /// before rendering.
+    fn metrics(&self) -> MetricsSnapshot;
+
+    /// The per-shard snapshots behind [`NetBackend::metrics`], in shard
+    /// order — the line session's `metrics shard=i` lines. Empty for a
+    /// backend that is a single engine.
+    fn per_shard_metrics(&self) -> Vec<MetricsSnapshot> {
+        Vec::new()
+    }
+
+    /// Invalidate cached state for `id`; returns the new cache generation.
+    fn invalidate(&self, id: u64) -> u64;
+
+    /// Answered-request count — the progress beat carried on `Pong`.
+    fn processed(&self) -> u64;
 }

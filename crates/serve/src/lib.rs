@@ -5,7 +5,7 @@
 //! getting the model out of the training process and answering
 //! classification queries with bounded memory and observable behavior.
 //!
-//! The subsystem has four pieces:
+//! The subsystem's pieces:
 //!
 //! * **Model artifacts** (in `baclassifier::artifact`): a single-file
 //!   `BART` bundle of configuration + weights with a versioned manifest and
@@ -27,11 +27,15 @@
 //!   deterministic [`FaultPlan`] hook lets the chaos harness inject panics,
 //!   delays, and corruption through the production code paths.
 //!
-//! Two binaries ship with the crate: `baserved` (loads an artifact and
-//! serves the [`protocol`] line protocol) and `baserve-loadgen` (replays
-//! zipf-distributed query traffic against an engine and reports
-//! throughput/latency); `baserve-fit` produces a demo artifact. A worked
-//! example lives in the repository README under *Serving*.
+//! * **[`lane`], [`session`]**: the request surface. [`NetBackend`] is the
+//!   one id-addressed service trait; [`run_line_session`] answers the
+//!   [`protocol`] line protocol over it (`banet`'s TCP server is the other
+//!   front), and `bashard`'s `basharded` is the one daemon that serves it.
+//!
+//! `baserve-fit` (this crate) produces a demo artifact; `basharded`
+//! (`bashard`) serves one and `baserve-loadgen` (`banet`) replays
+//! zipf-distributed query traffic against an engine or a running daemon.
+//! A worked example lives in the repository README under *Serving*.
 //!
 //! ```no_run
 //! use baserve::{Engine, EngineConfig};
@@ -66,9 +70,9 @@ pub use fault::{
     corrupt_bytes, garble_line, splitmix64, truncate_line, FaultAction, FaultPlan, FaultSpec,
     NoFaults, ScriptedFaultPlan,
 };
-pub use lane::ShardLane;
+pub use lane::{NetBackend, ShardLane, WireError};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use protocol::{
     format_error, format_response, parse_request, parse_request_bytes, ProtocolError, Request,
 };
-pub use session::{run_line_session, LineService};
+pub use session::run_line_session;

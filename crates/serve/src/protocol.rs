@@ -1,4 +1,4 @@
-//! The line protocol spoken by `baserved`.
+//! The line protocol spoken by `basharded` (`crate::session` is its front).
 //!
 //! Requests, one per line (blank lines and `#` comments are ignored):
 //!

@@ -1,38 +1,23 @@
-//! The line-protocol session loop shared by the serving daemons.
+//! The line-protocol front: [`crate::protocol`] answered by any
+//! [`NetBackend`].
 //!
-//! `baserved` and `basharded` used to carry near-identical copies of the
-//! same machinery: a dedicated reader thread feeding raw request lines
-//! over a bounded channel (so the serve loop can poll the SIGINT flag —
-//! a blocking stdin read would pin the process, because libc `signal`
-//! restarts interrupted reads), a FIFO window of in-flight tickets drained
-//! oldest-first so responses print in request order, and a final drain +
-//! `metrics` dump on EOF, `quit`, or Ctrl-C. This module is that
-//! machinery, once: the bins implement [`LineService`] (how to submit one
-//! request, what the final metrics lines are) and call
-//! [`run_line_session`]. The `banet` TCP accept loop polls the same
-//! [`crate::shutdown`] flag for its own graceful drain.
+//! A dedicated reader thread feeds raw request lines over a bounded
+//! channel (so the serve loop can poll the SIGINT flag — a blocking stdin
+//! read would pin the process, because libc `signal` restarts interrupted
+//! reads), a FIFO window of in-flight tickets is drained oldest-first so
+//! responses print in request order, and a final drain + `metrics` dump
+//! happens on EOF, `quit`, or Ctrl-C. The `banet` TCP server is the other
+//! front over the same trait; it polls the same [`crate::shutdown`] flag
+//! for its own graceful drain.
 
-use crate::cli::has_flag;
 use crate::engine::Ticket;
+use crate::lane::{NetBackend, WireError};
 use crate::protocol::{format_error, format_response, parse_request_bytes, Request};
 use crate::shutdown;
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 use std::sync::mpsc;
 use std::time::Duration;
-
-/// How a daemon answers the line protocol: everything that differs between
-/// `baserved` (one engine) and `basharded` (a shard router).
-pub trait LineService {
-    /// Submit the request for address `id`. `Err` is a complete response
-    /// line (e.g. `err no such address 7`) for requests that never reach
-    /// an engine queue.
-    fn submit(&self, id: u64) -> Result<Ticket, String>;
-
-    /// The `metrics` response, one or more complete lines (per-shard
-    /// breakdowns first, fleet roll-up last).
-    fn metrics_lines(&self) -> Vec<String>;
-}
 
 /// One response slot, kept FIFO so output order matches request order even
 /// though workers may finish requests out of order.
@@ -51,64 +36,63 @@ fn resolve(slot: Slot) -> String {
 /// Spawn the request-reader thread: raw bytes, one line per send, so a
 /// client sending invalid UTF-8 gets an `err` response for that request
 /// instead of killing the session. Returns the receiving end; the sender
-/// drops (and the channel disconnects) on EOF or read error.
-fn spawn_reader(input: Option<String>) -> mpsc::Receiver<Vec<u8>> {
+/// drops (and the channel disconnects) on EOF or read error. The thread is
+/// detached on purpose: a blocked stdin read cannot be interrupted, and
+/// the session must still be able to finish on SIGINT.
+fn spawn_reader(mut input: impl BufRead + Send + 'static) -> mpsc::Receiver<Vec<u8>> {
     let (line_tx, line_rx) = mpsc::sync_channel::<Vec<u8>>(64);
-    std::thread::spawn(move || {
-        // Built on this thread: `StdinLock` is not `Send`.
-        let mut reader: Box<dyn BufRead> = match input {
-            Some(path) => match std::fs::File::open(&path) {
-                Ok(f) => Box::new(std::io::BufReader::new(f)),
-                Err(e) => {
-                    eprintln!("error: could not open {path}: {e}");
-                    return;
-                }
-            },
-            None => Box::new(std::io::stdin().lock()),
-        };
+    std::thread::spawn(move || loop {
         let mut raw = Vec::new();
-        loop {
-            raw.clear();
-            match reader.read_until(b'\n', &mut raw) {
-                Ok(0) => break,
-                Ok(_) => {
-                    if line_tx.send(raw.clone()).is_err() {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: reading request stream: {e}");
+        match input.read_until(b'\n', &mut raw) {
+            Ok(0) => break,
+            Ok(_) => {
+                if line_tx.send(raw).is_err() {
                     break;
                 }
+            }
+            Err(e) => {
+                eprintln!("error: reading request stream: {e}");
+                break;
             }
         }
     });
     line_rx
 }
 
-/// Serve the line protocol until EOF, `quit`, or SIGINT, then drain every
-/// in-flight ticket and print the final metrics lines.
+/// The `metrics` response: per-shard lines (when asked for and the backend
+/// has shards) followed by the roll-up.
+fn write_metrics(
+    out: &mut impl Write,
+    backend: &dyn NetBackend,
+    per_shard: bool,
+) -> std::io::Result<()> {
+    if per_shard {
+        for (i, snap) in backend.per_shard_metrics().iter().enumerate() {
+            writeln!(out, "metrics shard={i} {}", snap.to_json())?;
+        }
+    }
+    writeln!(out, "metrics {}", backend.metrics().to_json())
+}
+
+/// Serve the line protocol from `input` to `out` until EOF, `quit`, or
+/// SIGINT (the caller installs the handler), then drain every in-flight
+/// ticket and print the final metrics lines.
 ///
-/// `name` tags the daemon's own stderr chatter (`[baserved] …`).
-/// `input` is a request file, or `None` for stdin — an unopenable file is
-/// a fail-fast error before any thread starts. Up to `window` requests
-/// ride in flight so the engines can batch.
+/// `name` tags the session's own stderr chatter (`[basharded] …`). Up to
+/// `window` requests ride in flight so the engines can batch.
+/// `per_shard_metrics` adds the backend's `metrics shard=i` lines before
+/// each roll-up.
 pub fn run_line_session(
     name: &str,
-    service: &dyn LineService,
-    input: Option<String>,
+    backend: &dyn NetBackend,
+    input: impl BufRead + Send + 'static,
+    out: impl Write,
     window: usize,
+    per_shard_metrics: bool,
 ) -> std::io::Result<()> {
-    if let Some(path) = &input {
-        // Fail fast on an unopenable input before any thread starts.
-        std::fs::File::open(path)?;
-    }
     let window = window.max(1);
-    shutdown::install_sigint_handler();
     let line_rx = spawn_reader(input);
-
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
+    let mut out = std::io::BufWriter::new(out);
     let mut pending: VecDeque<Slot> = VecDeque::new();
     'serve: loop {
         if shutdown::shutdown_requested() {
@@ -136,9 +120,10 @@ pub fn run_line_session(
         };
         match request {
             Request::Classify(id) => {
-                let slot = match service.submit(id) {
+                let slot = match backend.submit(id) {
                     Ok(ticket) => Slot::Pending(ticket),
-                    Err(line) => Slot::Done(line),
+                    Err(WireError::Serve(e)) => Slot::Done(format_error(&e.to_string())),
+                    Err(WireError::Reject(reason)) => Slot::Done(format_error(&reason)),
                 };
                 pending.push_back(slot);
                 if pending.len() >= window {
@@ -151,9 +136,7 @@ pub fn run_line_session(
                 for slot in pending.drain(..) {
                     writeln!(out, "{}", resolve(slot))?;
                 }
-                for line in service.metrics_lines() {
-                    writeln!(out, "{line}")?;
-                }
+                write_metrics(&mut out, backend, per_shard_metrics)?;
                 out.flush()?;
             }
             Request::Quit => break 'serve,
@@ -162,43 +145,6 @@ pub fn run_line_session(
     for slot in pending.drain(..) {
         writeln!(out, "{}", resolve(slot))?;
     }
-    for line in service.metrics_lines() {
-        writeln!(out, "{line}")?;
-    }
+    write_metrics(&mut out, backend, per_shard_metrics)?;
     out.flush()
-}
-
-/// The standard daemon dataset: rebuild the simulated address universe
-/// from its seed and index records by address id — both `baserved` and
-/// `basharded` (and the `banet` worker mode) answer `classify <id>`
-/// against exactly this map, so a server and a client built from the same
-/// seed agree on every record byte.
-pub fn dataset_by_id(
-    seed: u64,
-    min_txs: usize,
-) -> std::collections::HashMap<u64, btcsim::AddressRecord> {
-    let sim = btcsim::Simulator::run_to_completion(btcsim::SimConfig::tiny(seed));
-    let dataset = btcsim::Dataset::from_simulator(&sim, min_txs);
-    dataset
-        .records
-        .into_iter()
-        .map(|r| (r.address.0, r))
-        .collect()
-}
-
-/// Shared `--per-shard-metrics`-style rendering: per-shard lines (when
-/// asked for) followed by the fleet roll-up.
-pub fn metrics_lines_for(
-    args: &[String],
-    per_shard: &[crate::MetricsSnapshot],
-    rollup: &crate::MetricsSnapshot,
-) -> Vec<String> {
-    let mut lines = Vec::new();
-    if has_flag(args, "--per-shard-metrics") {
-        for (i, snap) in per_shard.iter().enumerate() {
-            lines.push(format!("metrics shard={i} {}", snap.to_json()));
-        }
-    }
-    lines.push(format!("metrics {}", rollup.to_json()));
-    lines
 }

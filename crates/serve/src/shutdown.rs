@@ -1,6 +1,6 @@
 //! Cooperative SIGINT shutdown for the serving and streaming daemons.
 //!
-//! The bins (`baserved`, `basharded`, `bstream-follow`) poll
+//! The bins (`basharded`, `bstream-follow`) poll
 //! [`shutdown_requested`] between units of work and, when it trips, drain
 //! in-flight responses (and, for streaming, flush the journal and write a
 //! final snapshot) before exiting — a Ctrl-C is a clean checkpoint, not a

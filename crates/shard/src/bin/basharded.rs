@@ -1,74 +1,48 @@
-//! The sharded serving daemon: `baserved`'s line protocol answered by a
-//! [`ShardRouter`] — over in-process engines, remote TCP workers, or as a
-//! worker process itself.
+//! The serving daemon: one [`NetBackend`] — a single shard's engine, or a
+//! [`ShardRouter`] over in-process engines or remote TCP workers — behind
+//! one front: the stdin line protocol, or a BANET listener.
 //!
 //! ```text
-//! # classic: N in-process shard engines, line protocol on stdin
+//! # N in-process shard engines, line protocol on stdin (or --input FILE);
+//! # --shards 1 is the unsharded daemon
 //! basharded --artifact model.bart [--shards N] [--seed 42] [--min-txs 3]
 //!           [--input FILE] [--window N] [--per-shard-metrics]
-//!           [engine knobs]
-//!
+//!           [--no-fallback] [engine knobs]
 //! # shard worker process: serve shard I of N over TCP
 //! basharded --artifact model.bart --worker I --shards N --listen HOST:PORT
-//!
-//! # TCP frontend: serve the whole (in-process) router over BANET
+//! # TCP frontend: serve the whole router over BANET
 //! basharded --artifact model.bart --shards N --listen HOST:PORT
-//!
-//! # remote frontend: line protocol routed over TCP shard workers
+//! # remote frontend: route over TCP shard workers (either front)
 //! basharded --artifact model.bart --connect HOST:P0,HOST:P1[,…]
 //! ```
 //!
-//! The engine knobs describe the **total** resource budget; each of the
-//! `--shards N` engines gets its `EngineConfig::for_shard` slice, so
-//! `basharded --shards 4` costs what `baserved` does with the same flags.
-//! Requests fan out to the shard owning the queried address; responses
-//! print in request order (the FIFO window is drained oldest-first, same
-//! as `baserved`).
+//! The engine knobs (`baserve::cli::engine_config_from_args`) are the
+//! **total** budget; each of the `--shards N` engines gets its
+//! `EngineConfig::for_shard` slice. Requests fan out to the shard owning
+//! the address; line-protocol responses print **in request order** (up to
+//! `--window` requests ride in flight, drained FIFO), a bad request line
+//! gets `err <reason>` and the session keeps serving, and a final
+//! `metrics <json>` line is printed at EOF, `quit`, or SIGINT. Unless
+//! `--no-fallback` is given, a nearest-centroid fallback fitted on the
+//! rebuilt dataset answers (tagged `degraded`) while a circuit breaker is
+//! open or a remote worker is down.
 //!
-//! Worker mode prints `listening <addr>` on stdout once bound (a parent
-//! spawning a fleet parses that line), retries a busy port for ~2 s (so a
-//! respawned worker can reclaim its old address), and exits on SIGINT or a
-//! remote `Shutdown` frame. In `--connect` mode a dead worker's addresses
-//! are answered degraded through the fallback until the connection and the
-//! health board recover — same behavior as in-process degraded routing.
+//! A `--listen` front prints `listening <addr>` on stdout once bound (a
+//! parent spawning a fleet parses that line), retries a busy port for ~2 s
+//! (so a respawned worker can reclaim its old address), and exits on SIGINT
+//! or a remote `Shutdown` frame.
 
-use baclassifier::{ModelArtifact, ShardAssignment};
-use banet::{NetServer, NetServerConfig, RemoteShardConfig};
-use baserve::cli::{engine_config_from_args, flag_parsed, flag_value, has_flag};
-use baserve::session::{dataset_by_id, metrics_lines_for, run_line_session};
-use baserve::{format_error, Engine, EngineHooks, Fallback, FeatureFallback, LineService, Ticket};
+use baclassifier::ShardAssignment;
+use banet::{NetServer, NetServerConfig, RemoteShardConfig, Role};
+use baserve::cli::{engine_config_from_args, flag_parsed, flag_value, has_flag, ServingInputs};
+use baserve::{run_line_session, Engine, NetBackend};
 use bashard::{RouterBackend, ShardRouter, WorkerBackend};
-use btcsim::AddressRecord;
-use std::collections::HashMap;
+use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-struct RouterService<'a> {
-    router: &'a ShardRouter,
-    by_id: &'a HashMap<u64, AddressRecord>,
-    args: &'a [String],
-}
-
-impl LineService for RouterService<'_> {
-    fn submit(&self, id: u64) -> Result<Ticket, String> {
-        match self.by_id.get(&id) {
-            Some(record) => self
-                .router
-                .submit(record.clone())
-                .map_err(|e| format_error(&e.to_string())),
-            None => Err(format_error(&format!("no such address {id}"))),
-        }
-    }
-
-    fn metrics_lines(&self) -> Vec<String> {
-        metrics_lines_for(
-            self.args,
-            &self.router.per_shard_metrics(),
-            &self.router.metrics(),
-        )
-    }
-}
+const NAME: &str = "basharded";
 
 /// Bind `addr` with `SO_REUSEADDR` (so a respawned worker reclaims a port
 /// still in TIME_WAIT), retrying `AddrInUse` for ~2 s in case the previous
@@ -96,217 +70,118 @@ fn bind_with_retry(addr: &str) -> std::io::Result<TcpListener> {
     }
 }
 
-fn load_artifact(args: &[String]) -> (Arc<ModelArtifact>, String) {
-    let Some(artifact_path) = flag_value(args, "--artifact") else {
-        eprintln!(
-            "usage: basharded --artifact model.bart [--shards N] [--input FILE] \
-             [--worker I --listen ADDR] [--connect ADDRS] …"
-        );
-        std::process::exit(2);
-    };
-    match ModelArtifact::load(artifact_path.as_ref()) {
-        Ok(a) => (Arc::new(a), artifact_path),
-        Err(e) => {
-            eprintln!("error: could not load artifact {artifact_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn hooks_for(args: &[String], by_id: &HashMap<u64, AddressRecord>) -> EngineHooks {
-    if has_flag(args, "--no-fallback") || by_id.is_empty() {
-        EngineHooks::default()
-    } else {
-        let records: Vec<AddressRecord> = by_id.values().cloned().collect();
-        let fallback = FeatureFallback::fit(&records);
-        eprintln!(
-            "[basharded] degraded-mode fallback ready ({})",
-            fallback.name()
-        );
-        EngineHooks {
-            fallback: Some(Arc::new(fallback) as Arc<dyn Fallback>),
-            ..EngineHooks::default()
-        }
-    }
+/// Print `what: e` and exit with `code` (2 = bad invocation, 1 = runtime).
+fn die(code: i32, what: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {what}: {e}");
+    std::process::exit(code)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let shards = flag_parsed(&args, "--shards", 2u32).max(1);
-    let seed = flag_parsed(&args, "--seed", 42u64);
-    let min_txs = flag_parsed(&args, "--min-txs", 3usize);
     let config = engine_config_from_args(&args);
     let window = flag_parsed(&args, "--window", config.queue_depth.min(64)).max(1);
-
-    let (artifact, artifact_path) = load_artifact(&args);
-    eprintln!(
-        "[basharded] loaded {artifact_path} ({} weight tensors)",
-        artifact.weights.len()
-    );
-    let by_id = dataset_by_id(seed, min_txs);
-    eprintln!(
-        "[basharded] dataset rebuilt from seed {seed}: {} addresses",
-        by_id.len()
-    );
-
-    let worker = flag_parsed(&args, "--worker", u32::MAX);
+    let worker = has_flag(&args, "--worker").then(|| flag_parsed(&args, "--worker", 0u32));
     let listen = flag_value(&args, "--listen");
     let connect = flag_value(&args, "--connect");
+    match worker {
+        Some(_) if listen.is_none() => die(2, "--worker", "requires --listen HOST:PORT"),
+        Some(w) if w >= shards => die(2, "--worker", "must be below --shards"),
+        _ => {}
+    }
 
-    // --- worker mode: one shard engine behind a TCP listener -------------
-    if worker != u32::MAX {
-        let Some(listen) = listen else {
-            eprintln!("error: --worker requires --listen HOST:PORT");
-            std::process::exit(2);
-        };
-        if worker >= shards {
-            eprintln!("error: --worker {worker} out of range for --shards {shards}");
-            std::process::exit(2);
-        }
-        let hooks = hooks_for(&args, &by_id);
-        let per_shard = config.for_shard(shards as usize);
-        let engine = match Engine::with_hooks(artifact, per_shard, hooks) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("error: artifact does not match the model architecture: {e}");
-                std::process::exit(1);
-            }
-        };
+    let inputs = ServingInputs::load(
+        NAME,
+        "basharded --artifact model.bart [--shards N] [--input FILE] \
+         [--worker I --listen ADDR] [--connect ADDRS] …",
+        &args,
+    );
+    let hooks = inputs.hooks(NAME, &args);
+    let artifact = Arc::clone(&inputs.artifact);
+    let by_id = inputs.into_by_id();
+
+    // --- the backend: one shard's engine, or a router over N lanes --------
+    const MISMATCH: &str = "artifact does not match the model architecture";
+    let backend: Arc<dyn NetBackend> = if let Some(index) = worker {
+        let engine = Engine::with_hooks(artifact, config.for_shard(shards as usize), hooks)
+            .unwrap_or_else(|e| die(1, MISMATCH, e));
         let assignment = ShardAssignment {
-            index: worker,
+            index,
             count: shards,
         };
-        let backend = Arc::new(WorkerBackend::new(engine, by_id, assignment));
-        let listener = match bind_with_retry(&listen) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("error: could not bind {listen}: {e}");
-                std::process::exit(1);
+        Arc::new(WorkerBackend::new(engine, by_id, assignment))
+    } else {
+        let router = if let Some(connect) = connect {
+            let addrs: Vec<String> = connect
+                .split(',')
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .collect();
+            if addrs.is_empty() {
+                die(2, "--connect", "needs at least one HOST:PORT");
             }
-        };
-        let bound = listener
-            .local_addr()
-            .expect("bound listener has an address");
-        baserve::shutdown::install_sigint_handler();
-        let server = NetServer::spawn(
-            listener,
-            backend,
-            NetServerConfig::for_shard(worker, shards),
-        )
-        .expect("server spawns on a bound listener");
-        // A parent spawning the fleet parses this line for the bound port.
-        println!("listening {bound}");
-        use std::io::Write as _;
-        std::io::stdout().flush().expect("stdout");
-        eprintln!("[basharded] worker {worker}/{shards} serving on {bound}");
-        server.run_to_stop();
-        eprintln!("[basharded] worker {worker}/{shards} stopped");
-        return;
-    }
-
-    // --- remote frontend: line protocol over TCP workers -----------------
-    if let Some(connect) = connect {
-        let addrs: Vec<String> = connect
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        if addrs.is_empty() {
-            eprintln!("error: --connect needs at least one HOST:PORT");
-            std::process::exit(2);
-        }
-        let hooks = hooks_for(&args, &by_id);
-        let (router, _health) = bashard::remote_router(
-            &addrs,
-            RemoteShardConfig {
+            eprintln!("[{NAME}] routing over remote workers {}", addrs.join(", "));
+            let lane_config = RemoteShardConfig {
                 max_in_flight: config.queue_depth.max(window),
                 ..RemoteShardConfig::default()
-            },
-            hooks.fallback,
-        );
-        eprintln!(
-            "[basharded] routing over {} remote workers: {}",
-            addrs.len(),
-            addrs.join(", ")
-        );
-        let service = RouterService {
-            router: &router,
-            by_id: &by_id,
-            args: &args,
+            };
+            bashard::remote_router(&addrs, lane_config, hooks.fallback).0
+        } else {
+            eprintln!(
+                "[{NAME}] {shards} in-process shards sharing {} workers, queue {}, cache {}; \
+                 batch ≤{} / {}ms",
+                config.workers,
+                config.queue_depth,
+                config.cache_capacity,
+                config.max_batch,
+                config.max_wait.as_millis(),
+            );
+            ShardRouter::with_hooks(artifact, config, hooks, shards)
+                .unwrap_or_else(|e| die(1, MISMATCH, e))
         };
-        if let Err(e) =
-            run_line_session("basharded", &service, flag_value(&args, "--input"), window)
-        {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "[basharded] {} degraded-routed, {} connected lanes at exit",
-            router.degraded_routed(),
-            router.live_workers()
-        );
-        router.shutdown();
-        return;
-    }
-
-    // --- in-process router (classic), optionally behind a TCP listener ---
-    let hooks = hooks_for(&args, &by_id);
-    let router = match ShardRouter::with_hooks(artifact, config.clone(), hooks, shards) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: artifact does not match the model architecture: {e}");
-            std::process::exit(1);
-        }
+        Arc::new(RouterBackend::new(router, by_id))
     };
-    let per_shard = config.for_shard(shards as usize);
-    eprintln!(
-        "[basharded] serving {shards} shards: {} workers, queue {}, cache {} per shard \
-         (total budget {}/{}/{}), batch ≤{} / {}ms",
-        per_shard.workers,
-        per_shard.queue_depth,
-        per_shard.cache_capacity,
-        config.workers,
-        config.queue_depth,
-        config.cache_capacity,
-        config.max_batch,
-        config.max_wait.as_millis(),
-    );
 
+    // --- the front: a BANET listener, or the stdin line session -----------
+    baserve::shutdown::install_sigint_handler();
     if let Some(listen) = listen {
-        let backend = Arc::new(RouterBackend::new(router, by_id));
-        let listener = match bind_with_retry(&listen) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("error: could not bind {listen}: {e}");
-                std::process::exit(1);
+        let listener = bind_with_retry(&listen)
+            .unwrap_or_else(|e| die(1, &format!("could not bind {listen}"), e));
+        let server_config = match worker {
+            Some(index) => NetServerConfig::for_shard(index, shards),
+            // A frontend answers for every address: shard 0 of 1.
+            None => {
+                let mut config = NetServerConfig::unsharded();
+                config.hello.role = Role::Frontend;
+                config
             }
         };
-        let bound = listener
-            .local_addr()
-            .expect("bound listener has an address");
-        baserve::shutdown::install_sigint_handler();
-        let mut server_config = NetServerConfig::unsharded();
-        server_config.hello.role = banet::Role::Frontend;
-        let server = NetServer::spawn(listener, backend, server_config)
+        let server = NetServer::spawn(listener, Arc::clone(&backend), server_config)
             .expect("server spawns on a bound listener");
-        println!("listening {bound}");
-        use std::io::Write as _;
+        // A parent spawning the fleet parses this line for the bound port.
+        println!("listening {}", server.local_addr());
         std::io::stdout().flush().expect("stdout");
-        eprintln!("[basharded] frontend serving BANET on {bound}");
+        eprintln!("[{NAME}] serving BANET on {}", server.local_addr());
         server.run_to_stop();
-        eprintln!("[basharded] frontend stopped");
-        return;
+    } else {
+        let input: Box<dyn BufRead + Send> = match flag_value(&args, "--input") {
+            Some(path) => match std::fs::File::open(&path) {
+                Ok(f) => Box::new(std::io::BufReader::new(f)),
+                Err(e) => die(1, &format!("could not open {path}"), e),
+            },
+            None => Box::new(std::io::BufReader::new(std::io::stdin())),
+        };
+        let per_shard = has_flag(&args, "--per-shard-metrics");
+        let stdout = std::io::stdout().lock();
+        if let Err(e) = run_line_session(NAME, &*backend, input, stdout, window, per_shard) {
+            die(1, "writing responses", e);
+        }
     }
-
-    let service = RouterService {
-        router: &router,
-        by_id: &by_id,
-        args: &args,
-    };
-    if let Err(e) = run_line_session("basharded", &service, flag_value(&args, "--input"), window) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("[basharded] {} live workers at exit", router.live_workers());
-    router.shutdown();
+    let served = backend.metrics();
+    eprintln!(
+        "[{NAME}] stopped: {} completed, {} degraded, {} failed",
+        served.completed, served.degraded, served.failed
+    );
+    // Dropping the last handle shuts the engines (or remote lanes) down
+    // gracefully: admitted work finishes, worker threads are joined.
 }

@@ -8,6 +8,9 @@
 //!   one engine plus the frozen [`ShardMap`], rejecting any address the
 //!   worker does not own. A frontend that somehow misroutes gets a loud
 //!   `Reject`, not a silently-wrong answer from a foreign shard's engine.
+//! * [`RouterBackend`] — the `NetBackend` over a whole [`ShardRouter`],
+//!   whatever its lanes are. Every daemon front (stdin line session, BANET
+//!   listener) serves one of these two.
 //! * [`remote_router`] — build a [`ShardRouter`] whose lanes are
 //!   [`RemoteShard`] connections to `addrs[i]` (worker `i` of N), with each
 //!   lane's [`HealthSink`] wired to a shared [`ShardHealth`] board. The
@@ -22,14 +25,21 @@
 use crate::router::ShardRouter;
 use crate::stream::ShardHealth;
 use baclassifier::{ShardAssignment, ShardMap};
-use banet::server::{NetBackend, WireError};
 use banet::{HealthSink, RemoteShard, RemoteShardConfig};
 use baserve::metrics::MetricsSnapshot;
-use baserve::{Engine, Fallback, ShardLane, Ticket};
+use baserve::{Engine, Fallback, NetBackend, ShardLane, Ticket, WireError};
 use btcsim::{Address, AddressRecord};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// A known address's record, or the `Reject` every backend answers an
+/// unknown id with.
+fn lookup(by_id: &HashMap<u64, AddressRecord>, id: u64) -> Result<&AddressRecord, WireError> {
+    by_id
+        .get(&id)
+        .ok_or_else(|| WireError::Reject(format!("no such address {id}")))
+}
 
 /// The backend a shard worker process serves over BANET: an engine that
 /// answers **only** for the addresses its shard owns.
@@ -59,10 +69,6 @@ impl WorkerBackend {
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
-
-    pub fn shutdown(self) {
-        self.engine.shutdown();
-    }
 }
 
 impl NetBackend for WorkerBackend {
@@ -74,10 +80,7 @@ impl NetBackend for WorkerBackend {
                 self.shard
             )));
         }
-        let record = self
-            .by_id
-            .get(&id)
-            .ok_or_else(|| WireError::Reject(format!("no such address {id}")))?;
+        let record = lookup(&self.by_id, id)?;
         self.engine.submit(record.clone()).map_err(WireError::Serve)
     }
 
@@ -90,14 +93,13 @@ impl NetBackend for WorkerBackend {
     }
 
     fn processed(&self) -> u64 {
-        let snap = self.engine.metrics();
-        snap.completed + snap.degraded
+        self.engine.processed()
     }
 }
 
-/// The backend a *frontend* server exposes: the whole router behind one
-/// listening socket, so `basharded --listen` serves BANET clients (e.g.
-/// `baserve-loadgen --connect`) over in-process — or remote — lanes.
+/// The backend a *frontend* exposes: the whole router — over in-process
+/// or remote lanes — behind the stdin line session, or behind one
+/// listening socket for BANET clients (e.g. `baserve-loadgen --connect`).
 pub struct RouterBackend {
     router: ShardRouter,
     by_id: HashMap<u64, AddressRecord>,
@@ -107,22 +109,11 @@ impl RouterBackend {
     pub fn new(router: ShardRouter, by_id: HashMap<u64, AddressRecord>) -> Self {
         RouterBackend { router, by_id }
     }
-
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    pub fn shutdown(self) {
-        self.router.shutdown();
-    }
 }
 
 impl NetBackend for RouterBackend {
     fn submit(&self, id: u64) -> Result<Ticket, WireError> {
-        let record = self
-            .by_id
-            .get(&id)
-            .ok_or_else(|| WireError::Reject(format!("no such address {id}")))?;
+        let record = lookup(&self.by_id, id)?;
         self.router.submit(record.clone()).map_err(WireError::Serve)
     }
 
@@ -130,13 +121,16 @@ impl NetBackend for RouterBackend {
         self.router.metrics()
     }
 
+    fn per_shard_metrics(&self) -> Vec<MetricsSnapshot> {
+        self.router.per_shard_metrics()
+    }
+
     fn invalidate(&self, id: u64) -> u64 {
         self.router.invalidate_address(Address(id))
     }
 
     fn processed(&self) -> u64 {
-        let snap = self.router.metrics();
-        snap.completed + snap.degraded
+        self.router.processed()
     }
 }
 

@@ -219,6 +219,12 @@ impl ShardRouter {
         self.lanes.iter().map(|l| l.metrics()).collect()
     }
 
+    /// Requests answered across every shard, read from the lanes' counters
+    /// without snapshotting their histograms.
+    pub fn processed(&self) -> u64 {
+        self.lanes.iter().map(|l| l.processed()).sum()
+    }
+
     /// Live workers across every shard.
     pub fn live_workers(&self) -> usize {
         self.lanes.iter().map(|l| l.live_workers()).sum()

@@ -447,30 +447,39 @@ impl Follower {
         // Gather. Multiple flips of an address since the last tick appear
         // here once: the dirty bit is level-triggered, and the stale range
         // `embeds_clean..` covers every slice any of those flips touched.
-        let mut graphs: Vec<AddressGraph> = Vec::new();
+        // Re-derivation needs `&mut`, so it runs first; the gather itself
+        // then borrows every member's stale graphs at once, cloning none.
         let mut stale_counts: Vec<usize> = Vec::with_capacity(batch.len());
         for &(_, addr) in batch {
             let state = self.states.get_mut(&addr).expect("dirty address tracked");
             state.dirty = false;
-            let all = state.inc.graphs();
-            let stale = &all[state.embeds_clean..];
-            stale_counts.push(stale.len());
-            graphs.extend_from_slice(stale);
+            stale_counts.push(state.inc.graphs().len() - state.embeds_clean);
         }
+        let graphs: Vec<&AddressGraph> = batch
+            .iter()
+            .flat_map(|(_, addr)| {
+                let state = &self.states[addr];
+                &state.inc.derived_graphs()[state.embeds_clean..]
+            })
+            .collect();
         let total_slices = graphs.len() as u64;
 
         // Embed the whole batch across the replica workers, then scatter
-        // the results back in gather order and cut the classify sequences.
+        // the results back in gather order.
         let mut embedded = self.clf.embed_graphs(&graphs, threads).into_iter();
-        let mut seqs: Vec<Vec<Matrix>> = Vec::with_capacity(batch.len());
         for (&(_, addr), &n) in batch.iter().zip(&stale_counts) {
             let state = self.states.get_mut(&addr).expect("dirty address tracked");
             state.embeds.truncate(state.embeds_clean);
             state.embeds.extend(embedded.by_ref().take(n));
             state.embeds_clean = state.embeds.len();
-            let seq_start = state.embeds.len().saturating_sub(max_slices);
-            seqs.push(state.embeds[seq_start..].to_vec());
         }
+        let seqs: Vec<&[Matrix]> = batch
+            .iter()
+            .map(|(_, addr)| {
+                let embeds = &self.states[addr].embeds;
+                &embeds[embeds.len().saturating_sub(max_slices)..]
+            })
+            .collect();
 
         // Classify through the head replicas and install labels + margins.
         let labeled = self
