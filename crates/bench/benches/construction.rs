@@ -6,8 +6,10 @@ use baclassifier::construction::{
     augment_with_centralities, compress_multi_tx, compress_single_tx, construct_address_graphs,
     extract_original_graphs, MultiCompressParams,
 };
-use btcsim::{Dataset, SimConfig, Simulator};
+use btcsim::{Address, AddressRecord, Amount, Dataset, Label, SimConfig, Simulator, TxView, Txid};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn bench_dataset() -> Dataset {
@@ -24,10 +26,57 @@ fn busiest(ds: &Dataset) -> btcsim::AddressRecord {
         .clone()
 }
 
+/// A mining-pool payee's slice: 32 payouts, each paying the focus and ~130
+/// of a pool of 400 other payees — the densest co-membership a chain has,
+/// and the input on which Stage 3 is all-pairs over ~400 candidates.
+fn payout_cohort() -> AddressRecord {
+    let mut rng = StdRng::seed_from_u64(400);
+    let txs = (0..32u64)
+        .map(|t| {
+            let mut outputs = vec![(Address(0), Amount::from_sats(2_500_000))];
+            for _ in 0..rng.gen_range(120..=140) {
+                let payee = Address(rng.gen_range(1..=400u64));
+                outputs.push((
+                    payee,
+                    Amount::from_sats(rng.gen_range(50_000..5_000_000u64)),
+                ));
+            }
+            TxView {
+                txid: Txid(t),
+                timestamp: t * 600,
+                inputs: vec![(Address(1_000), Amount::from_sats(700_000_000))],
+                outputs,
+            }
+        })
+        .collect();
+    AddressRecord {
+        address: Address(0),
+        label: Label::Mining,
+        txs,
+    }
+}
+
 fn bench_stages(c: &mut Criterion) {
     let ds = bench_dataset();
     let record = busiest(&ds);
     let mut group = c.benchmark_group("construction_stages");
+
+    let cohort = extract_original_graphs(&payout_cohort(), 100);
+    group.bench_function("stage2_single_compress/payout_cohort", |b| {
+        b.iter(|| {
+            for g in &cohort {
+                black_box(compress_single_tx(g));
+            }
+        })
+    });
+    let cohort: Vec<_> = cohort.iter().map(compress_single_tx).collect();
+    group.bench_function("stage3_multi_compress/payout_cohort", |b| {
+        b.iter(|| {
+            for g in &cohort {
+                black_box(compress_multi_tx(g, MultiCompressParams::default()));
+            }
+        })
+    });
 
     group.bench_function("stage1_extract", |b| {
         b.iter(|| extract_original_graphs(black_box(&record), 100))

@@ -7,91 +7,159 @@
 
 use crate::construction::address_graph::{AddressGraph, Edge, Node, NodeKind, Side};
 use crate::construction::sfe::sfe;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Distinct transaction nodes each address-like node touches.
-fn tx_sets(g: &AddressGraph) -> HashMap<usize, BTreeSet<usize>> {
-    let mut sets: HashMap<usize, BTreeSet<usize>> = HashMap::new();
-    for e in &g.edges {
-        sets.entry(e.addr_node).or_default().insert(e.tx_node);
-    }
-    sets
+/// "No transaction" / "no group" / "not a candidate" in the `u32` index
+/// vectors below; `tx_sets` asserts every real index is smaller.
+const NONE: u32 = u32::MAX;
+
+/// What one pass over the edges learns about a node's transactions.
+#[derive(Clone, Copy)]
+struct Incidence {
+    /// Ordinal of the transaction of the node's first edge (`NONE`: no edges).
+    first_tx: u32,
+    /// Whether that first edge is on the input side.
+    first_is_input: bool,
+    /// Whether a later edge reaches a different transaction.
+    multi_tx: bool,
 }
 
-/// Merge the given groups of address nodes into hyper nodes of `hyper_kind`,
-/// rebuilding indices and collapsing the merged nodes' parallel edges.
+struct TxSets {
+    /// Transaction nodes numbered `0..num_txs` in node order, `NONE` for
+    /// address-like nodes. Ordinals order transactions as node indices do.
+    ordinal: Vec<u32>,
+    num_txs: usize,
+    incidence: Vec<Incidence>,
+}
+
+/// Number the transaction nodes and classify every node as touching no, one
+/// or several distinct transactions.
+fn tx_sets(g: &AddressGraph) -> TxSets {
+    assert!(
+        g.nodes.len() < NONE as usize,
+        "slice graph too large for u32 node indices"
+    );
+    let mut num_txs = 0;
+    let ordinal: Vec<u32> = g
+        .nodes
+        .iter()
+        .map(|n| {
+            if n.kind == NodeKind::Transaction {
+                num_txs += 1;
+                num_txs as u32 - 1
+            } else {
+                NONE
+            }
+        })
+        .collect();
+    let mut incidence = vec![
+        Incidence {
+            first_tx: NONE,
+            first_is_input: false,
+            multi_tx: false,
+        };
+        g.nodes.len()
+    ];
+    for e in &g.edges {
+        let tx = ordinal[e.tx_node];
+        let inc = &mut incidence[e.addr_node];
+        if inc.first_tx == NONE {
+            inc.first_tx = tx;
+            inc.first_is_input = e.side == Side::Input;
+        } else if inc.first_tx != tx {
+            inc.multi_tx = true;
+        }
+    }
+    TxSets {
+        ordinal,
+        num_txs,
+        incidence,
+    }
+}
+
+/// Merge the address nodes with `group_of[node] != NONE` into one hyper node
+/// of `hyper_kind` per group (`0..num_groups`), rebuilding indices and
+/// collapsing the merged nodes' parallel edges.
 fn rebuild_with_merges(
     g: &AddressGraph,
-    groups: &[Vec<usize>],
+    group_of: &[u32],
+    num_groups: usize,
     hyper_kind: NodeKind,
 ) -> AddressGraph {
-    let mut group_of: HashMap<usize, usize> = HashMap::new();
-    for (gi, group) in groups.iter().enumerate() {
-        for &n in group {
-            debug_assert!(
-                g.nodes[n].is_address_like() && n != 0,
-                "cannot merge focus/tx nodes"
-            );
-            let prev = group_of.insert(n, gi);
-            debug_assert!(prev.is_none(), "node in two merge groups");
-        }
+    if num_groups == 0 {
+        return g.clone();
     }
 
-    // Kept nodes keep their relative order; hyper nodes are appended.
-    let mut new_index: Vec<Option<usize>> = vec![None; g.nodes.len()];
+    // Kept nodes keep their relative order; hyper nodes are appended in
+    // group order, represented by their lowest-indexed member's address.
+    let mut new_index = vec![NONE; g.nodes.len()];
     let mut nodes: Vec<Node> = Vec::with_capacity(g.nodes.len());
+    let mut first_member = vec![NONE; num_groups];
+    let mut merged_count = vec![0usize; num_groups];
     for (i, n) in g.nodes.iter().enumerate() {
-        if !group_of.contains_key(&i) {
-            new_index[i] = Some(nodes.len());
-            nodes.push(n.clone());
+        match group_of[i] {
+            NONE => {
+                new_index[i] = nodes.len() as u32;
+                nodes.push(n.clone());
+            }
+            gi => {
+                debug_assert!(n.is_address_like() && i != 0, "cannot merge focus/tx nodes");
+                let gi = gi as usize;
+                if first_member[gi] == NONE {
+                    first_member[gi] = i as u32;
+                }
+                merged_count[gi] += n.merged_count;
+            }
         }
     }
-    let mut hyper_index = Vec::with_capacity(groups.len());
-    for group in groups {
-        let mut hyper = Node::new(hyper_kind, g.nodes[group[0]].address);
-        hyper.merged_count = group.iter().map(|&n| g.nodes[n].merged_count).sum();
-        hyper_index.push(nodes.len());
+    let first_hyper = nodes.len();
+    for (&first, &count) in first_member.iter().zip(&merged_count) {
+        let mut hyper = Node::new(hyper_kind, g.nodes[first as usize].address);
+        hyper.merged_count = count;
         nodes.push(hyper);
     }
 
-    // Remap edges; collapse parallel (hyper, tx, side) edges by summing.
+    // Remap edges. A merged node's edge goes to `collapsed` under the key
+    // (group, tx, side) packed so that integer order is the order collapsed
+    // edges are emitted in: group, then transaction, then output before
+    // input. Hyper values are the merged edges' values in edge order (paper
+    // Eq. 2 / Eq. 7: SFE over the merged addresses' transfer values).
     let mut edges: Vec<Edge> = Vec::with_capacity(g.edges.len());
-    let mut hyper_edges: BTreeMap<(usize, usize, bool), f64> = BTreeMap::new();
-    let mut hyper_values: Vec<Vec<f64>> = vec![Vec::new(); groups.len()];
+    let mut collapsed: Vec<(u64, f64)> = Vec::new();
     for e in &g.edges {
-        let tx = new_index[e.tx_node].expect("tx nodes are never merged");
-        match group_of.get(&e.addr_node) {
-            None => {
-                let a = new_index[e.addr_node].expect("kept node");
-                edges.push(Edge {
-                    addr_node: a,
-                    tx_node: tx,
-                    value: e.value,
-                    side: e.side,
-                });
-            }
-            Some(&gi) => {
-                let key = (hyper_index[gi], tx, e.side == Side::Input);
-                *hyper_edges.entry(key).or_insert(0.0) += e.value;
-                hyper_values[gi].push(e.value);
+        let tx = new_index[e.tx_node];
+        debug_assert_ne!(tx, NONE, "tx nodes are never merged");
+        match group_of[e.addr_node] {
+            NONE => edges.push(Edge {
+                addr_node: new_index[e.addr_node] as usize,
+                tx_node: tx as usize,
+                value: e.value,
+                side: e.side,
+            }),
+            gi => {
+                let is_input = u64::from(e.side == Side::Input);
+                collapsed.push((u64::from(gi) << 33 | u64::from(tx) << 1 | is_input, e.value));
+                nodes[first_hyper + gi as usize].values.push(e.value);
             }
         }
     }
-    for ((addr_node, tx_node, is_input), value) in hyper_edges {
+    // The sort is stable, so each key's values are summed in edge order and
+    // every sum is the f64 that order produces.
+    collapsed.sort_by_key(|&(key, _)| key);
+    for parallel in collapsed.chunk_by(|a, b| a.0 == b.0) {
+        let key = parallel[0].0;
         edges.push(Edge {
-            addr_node,
-            tx_node,
-            value,
-            side: if is_input { Side::Input } else { Side::Output },
+            addr_node: first_hyper + (key >> 33) as usize,
+            tx_node: (key >> 1) as u32 as usize,
+            value: parallel.iter().fold(0.0, |sum, &(_, v)| sum + v),
+            side: if key & 1 == 1 {
+                Side::Input
+            } else {
+                Side::Output
+            },
         });
     }
-
-    // Refresh values/SFE on hyper nodes (paper Eq. 2 / Eq. 7: SFE over the
-    // merged addresses' transfer values).
-    for (gi, vals) in hyper_values.into_iter().enumerate() {
-        let idx = hyper_index[gi];
-        nodes[idx].sfe = sfe(&vals);
-        nodes[idx].values = vals;
+    for hyper in &mut nodes[first_hyper..] {
+        hyper.sfe = sfe(&hyper.values);
     }
 
     let out = AddressGraph {
@@ -115,26 +183,37 @@ fn rebuild_with_merges(
 /// compress).
 pub fn compress_single_tx(g: &AddressGraph) -> AddressGraph {
     let sets = tx_sets(g);
-    // Side of each single-tx node = side of its first edge (a node with edges
-    // on both sides of one tx joins the input-side group).
-    let mut side_of: HashMap<usize, Side> = HashMap::new();
-    for e in &g.edges {
-        side_of.entry(e.addr_node).or_insert(e.side);
+    // One slot per (transaction, side), in the order hyper nodes are
+    // appended: by transaction, output side first. A node's side is the side
+    // of its first edge (a node with edges on both sides of one tx joins
+    // whichever came first — the input side, as extraction emits inputs
+    // first).
+    let slot_of = |i: usize| {
+        let inc = sets.incidence[i];
+        let single =
+            i != 0 && g.nodes[i].kind == NodeKind::Address && inc.first_tx != NONE && !inc.multi_tx;
+        single.then(|| 2 * inc.first_tx as usize + usize::from(inc.first_is_input))
+    };
+    let mut members = vec![0u32; 2 * sets.num_txs];
+    for slot in (0..g.nodes.len()).filter_map(slot_of) {
+        members[slot] += 1;
     }
-    let mut groups: BTreeMap<(usize, bool), Vec<usize>> = BTreeMap::new();
-    for (i, n) in g.nodes.iter().enumerate() {
-        if i == 0 || n.kind != NodeKind::Address {
-            continue;
-        }
-        let Some(txs) = sets.get(&i) else { continue };
-        if txs.len() == 1 {
-            let tx = *txs.iter().next().expect("non-empty");
-            let side = side_of.get(&i).copied().unwrap_or(Side::Output);
-            groups.entry((tx, side == Side::Input)).or_default().push(i);
-        }
-    }
-    let merge_groups: Vec<Vec<usize>> = groups.into_values().filter(|g| g.len() >= 2).collect();
-    rebuild_with_merges(g, &merge_groups, NodeKind::SingleHyper)
+    let mut num_groups = 0;
+    let group_of_slot: Vec<u32> = members
+        .iter()
+        .map(|&m| {
+            if m >= 2 {
+                num_groups += 1;
+                num_groups as u32 - 1
+            } else {
+                NONE
+            }
+        })
+        .collect();
+    let group_of: Vec<u32> = (0..g.nodes.len())
+        .map(|i| slot_of(i).map_or(NONE, |slot| group_of_slot[slot]))
+        .collect();
+    rebuild_with_merges(g, &group_of, num_groups, NodeKind::SingleHyper)
 }
 
 /// Parameters of Stage 3 (paper Eq. 5–6).
@@ -154,94 +233,137 @@ impl Default for MultiCompressParams {
     }
 }
 
+/// The smallest co-occurrence count `s ≥ 1` with `s / d > psi`, evaluated in
+/// the same f64 arithmetic as m_ij = s_ij / s_jj; `d + 1` (which no s_ij
+/// reaches, s_ij ≤ s_jj) when there is none. Correctly rounded division is
+/// monotone in `s`, so `s_ij ≥ threshold(s_jj, Ψ)` decides exactly what
+/// `s_ij / s_jj > Ψ` does — ties, Ψ ≤ 0, Ψ ≥ 1 and NaN included.
+fn threshold(d: u32, psi: f64) -> u32 {
+    let (mut lo, mut hi) = (1, d + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if f64::from(mid) / f64::from(d) > psi {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// Columns `from..` of row `i` of S = AAᵀ (Eq. 3): `out[j - from]` becomes
+/// s_ij, the number of transactions candidates `i` and `j` share. `a` holds
+/// the bit matrix A as ⌈T/64⌉ planes of `n` words — plane w is word w of
+/// every candidate's bit row — so whatever T is, the inner loop streams one
+/// plane at unit stride and vectorises.
+fn similarity_row(a: &[u64], n: usize, i: usize, from: usize, out: &mut [u32]) {
+    out.fill(0);
+    for plane in a.chunks_exact(n) {
+        let row_i = plane[i];
+        for (s_ij, &row_j) in out.iter_mut().zip(&plane[from..]) {
+            *s_ij += (row_i & row_j).count_ones();
+        }
+    }
+}
+
 /// Stage 3 — multi-transaction address compression.
 ///
 /// Over the counterparty addresses appearing in ≥ 2 transactions of the
 /// slice, computes the co-occurrence matrix S = AAᵀ, column-normalises
 /// M = SD⁻¹ (D = diag(S)), thresholds Q = ReLU(M − Ψ), and greedily merges
 /// each high-similarity neighbourhood into a multi-transaction hyper node
-/// (paper Fig. 4, Eq. 3–7). S is computed sparsely per shared transaction —
-/// this is the dominant construction cost the paper reports (Table V,
-/// Stage 3 ≈ 62%).
+/// (paper Fig. 4, Eq. 3–7).
+///
+/// A is a flat bit matrix: ⌈T/64⌉ words per candidate, bit t set when the
+/// candidate has an edge to the slice's t-th transaction. Then
+/// s_ij = popcount(row_i & row_j) in exact integers, s_jj = popcount(row_j),
+/// and m_ij > Ψ is the integer test s_ij ≥ [`threshold`]`(s_jj, Ψ)`. S, M
+/// and Q are never stored: one pass over the upper triangle counts |q_i|,
+/// which fixes the seed order, and only the rows that seed a group are
+/// computed again to collect their members. Time O(n²·⌈T/64⌉), memory
+/// O(n·⌈T/64⌉) for n candidates.
 pub fn compress_multi_tx(g: &AddressGraph, params: MultiCompressParams) -> AddressGraph {
     let sets = tx_sets(g);
     // Candidate nodes: plain multi-transaction counterparties.
-    let multi: Vec<usize> = g
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|&(i, n)| {
-            i != 0 && n.kind == NodeKind::Address && sets.get(&i).is_some_and(|s| s.len() >= 2)
-        })
-        .map(|(i, _)| i)
+    let multi: Vec<usize> = (1..g.nodes.len())
+        .filter(|&i| g.nodes[i].kind == NodeKind::Address && sets.incidence[i].multi_tx)
         .collect();
     if multi.len() < 2 {
         return g.clone();
     }
-    let pos: HashMap<usize, usize> = multi.iter().enumerate().map(|(p, &n)| (n, p)).collect();
-
-    // Sparse S = AAᵀ: accumulate co-occurrence via each transaction's
-    // adjacent multi-address list.
-    let mut per_tx: HashMap<usize, Vec<usize>> = HashMap::new();
-    for &n in &multi {
-        for &tx in &sets[&n] {
-            per_tx.entry(tx).or_default().push(pos[&n]);
-        }
-    }
     let n = multi.len();
-    let mut s: Vec<HashMap<usize, f64>> = vec![HashMap::new(); n];
-    for members in per_tx.values() {
-        for (a_i, &a) in members.iter().enumerate() {
-            for &b in &members[a_i + 1..] {
-                *s[a].entry(b).or_insert(0.0) += 1.0;
-                *s[b].entry(a).or_insert(0.0) += 1.0;
-            }
+
+    let mut position = vec![NONE; g.nodes.len()];
+    for (p, &node) in multi.iter().enumerate() {
+        position[node] = p as u32;
+    }
+    let mut a = vec![0u64; sets.num_txs.div_ceil(64) * n];
+    for e in &g.edges {
+        let p = position[e.addr_node];
+        if p != NONE {
+            let tx = sets.ordinal[e.tx_node] as usize;
+            a[tx / 64 * n + p as usize] |= 1 << (tx % 64);
         }
     }
-    let diag: Vec<f64> = multi.iter().map(|&node| sets[&node].len() as f64).collect();
 
-    // q_i = { j : m_ij > Ψ }, with M = S·D⁻¹ (m_ij = s_ij / s_jj). The
-    // paper's worked example divides by the *other* node's degree, matching
-    // this column normalisation.
-    let neighbourhoods: Vec<Vec<usize>> = (0..n)
-        .map(|i| {
-            let mut q: Vec<usize> = s[i]
-                .iter()
-                .filter(|&(&j, &sij)| sij / diag[j] > params.psi)
-                .map(|(&j, _)| j)
-                .collect();
-            q.sort_unstable();
-            q
-        })
-        .collect();
+    // j ∈ q_i ⇔ s_ij ≥ thr[j]: M = S·D⁻¹ divides by the *other* node's
+    // degree (m_ij = s_ij / s_jj), as the paper's worked example does.
+    let mut s_jj = vec![0u32; n];
+    for plane in a.chunks_exact(n) {
+        for (d, row_j) in s_jj.iter_mut().zip(plane) {
+            *d += row_j.count_ones();
+        }
+    }
+    let thr: Vec<u32> = s_jj.iter().map(|&d| threshold(d, params.psi)).collect();
+    let mut s_i = vec![0u32; n];
+    let mut q_len = vec![0u32; n];
+    for i in 0..n {
+        let above = i + 1;
+        similarity_row(&a, n, i, above, &mut s_i[above..]);
+        let mut q_i = 0;
+        for ((&s_ij, &thr_j), q_j) in s_i[above..]
+            .iter()
+            .zip(&thr[above..])
+            .zip(&mut q_len[above..])
+        {
+            q_i += u32::from(s_ij >= thr_j);
+            *q_j += u32::from(s_ij >= thr[i]);
+        }
+        q_len[i] += q_i;
+    }
 
     // Greedy merge: highest-degree-of-similarity seeds first (deterministic
-    // tie-break on index).
+    // tie-break on index). A seed absorbs the members of q_i no earlier seed
+    // took; one whose neighbours were all taken keeps its identity but is
+    // spent — it neither seeds again nor joins a later group.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(neighbourhoods[i].len()), i));
-    let mut merged = vec![false; n];
-    let mut merge_groups: Vec<Vec<usize>> = Vec::new();
-    for &i in &order {
-        if merged[i] || neighbourhoods[i].len() <= params.sigma {
+    order.sort_unstable_by_key(|&i| (std::cmp::Reverse(q_len[i]), i));
+    let mut taken = vec![false; n];
+    let mut group_of = vec![NONE; g.nodes.len()];
+    let mut num_groups = 0;
+    for i in order {
+        if q_len[i] as usize <= params.sigma {
+            break;
+        }
+        if taken[i] {
             continue;
         }
-        let mut group = vec![multi[i]];
-        merged[i] = true;
-        for &j in &neighbourhoods[i] {
-            if !merged[j] {
-                merged[j] = true;
-                group.push(multi[j]);
+        taken[i] = true;
+        similarity_row(&a, n, i, 0, &mut s_i);
+        let mut absorbed = false;
+        for j in 0..n {
+            if !taken[j] && s_i[j] >= thr[j] {
+                taken[j] = true;
+                group_of[multi[j]] = num_groups as u32;
+                absorbed = true;
             }
         }
-        if group.len() >= 2 {
-            group.sort_unstable();
-            merge_groups.push(group);
+        if absorbed {
+            group_of[multi[i]] = num_groups as u32;
+            num_groups += 1;
         }
-        // A seed whose neighbours were all taken stays merged-alone: it keeps
-        // its identity (group of one is dropped below).
     }
-    let merge_groups: Vec<Vec<usize>> = merge_groups.into_iter().filter(|g| g.len() >= 2).collect();
-    rebuild_with_merges(g, &merge_groups, NodeKind::MultiHyper)
+    rebuild_with_merges(g, &group_of, num_groups, NodeKind::MultiHyper)
 }
 
 #[cfg(test)]

@@ -114,7 +114,9 @@ impl IncrementalGraphs {
 
         let tx_node = g.nodes.len();
         g.nodes.push(Node::new(NodeKind::Transaction, None));
-        // Nodes whose `values` grow this tx; SFE is recomputed only for them.
+        // Nodes whose `values` grow this tx; SFE is recomputed only for them,
+        // once each (deduplicated below — a payout repeats few addresses but
+        // has hundreds of outputs, so no per-edge membership scan).
         let mut touched = vec![tx_node];
         for (side, entries) in [(Side::Input, &tx.inputs), (Side::Output, &tx.outputs)] {
             for &(addr, amount) in entries {
@@ -134,11 +136,11 @@ impl IncrementalGraphs {
                 // edge creation preserves the exact value order.
                 g.nodes[a].values.push(v);
                 g.nodes[tx_node].values.push(v);
-                if !touched.contains(&a) {
-                    touched.push(a);
-                }
+                touched.push(a);
             }
         }
+        touched.sort_unstable();
+        touched.dedup();
         for &n in &touched {
             g.nodes[n].sfe = sfe(&g.nodes[n].values);
         }

@@ -1,12 +1,18 @@
 //! Property-based tests of graph construction and compression on randomly
 //! generated transaction histories: structural invariants, mass
-//! conservation, and monotone shrinkage must hold for *any* input.
+//! conservation, and monotone shrinkage must hold for *any* input — and the
+//! production Stage 2–3 kernels must be byte-identical to a deliberately
+//! naive dense reference of Eq. 3–7 that lives only in this file.
 
 use baclassifier::construction::{
-    compress_multi_tx, compress_single_tx, extract_original_graphs, MultiCompressParams, NodeKind,
+    compress_multi_tx, compress_single_tx, extract_original_graphs, graphs_identical, sfe,
+    AddressGraph, Edge, MultiCompressParams, Node, NodeKind, Side,
 };
-use btcsim::{Address, AddressRecord, Amount, Label, TxView, Txid};
+use btcsim::{Address, AddressRecord, Amount, Dataset, Label, SimConfig, Simulator, TxView, Txid};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// Strategy: a random transaction history for focus address 0.
 /// Counterparties are drawn from a small id pool so that both single- and
@@ -128,4 +134,414 @@ proptest! {
             prop_assert!(w[0].start_timestamp <= w[1].start_timestamp);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: a dense, allocation-happy reference of Stages 2–3 written straight
+// from the paper's equations. It shares no code with `compress.rs`; the
+// production kernels must reproduce it byte for byte.
+// ---------------------------------------------------------------------------
+
+/// Sorted distinct transaction nodes each node has an edge to.
+fn oracle_tx_sets(g: &AddressGraph) -> Vec<Vec<usize>> {
+    let mut sets = vec![Vec::new(); g.nodes.len()];
+    for e in &g.edges {
+        if !sets[e.addr_node].contains(&e.tx_node) {
+            sets[e.addr_node].push(e.tx_node);
+        }
+    }
+    sets.iter_mut().for_each(|s| s.sort_unstable());
+    sets
+}
+
+/// Merge each group (ascending node indices) into one hyper node appended
+/// after the kept nodes; parallel `(hyper, tx, side)` edges collapse to
+/// their sum, emitted in key order with the output side first.
+fn oracle_merge(g: &AddressGraph, groups: &[Vec<usize>], kind: NodeKind) -> AddressGraph {
+    let group_of = |n: usize| groups.iter().position(|grp| grp.contains(&n));
+    let mut new_index = vec![usize::MAX; g.nodes.len()];
+    let mut nodes: Vec<Node> = Vec::new();
+    for (i, n) in g.nodes.iter().enumerate() {
+        if group_of(i).is_none() {
+            new_index[i] = nodes.len();
+            nodes.push(n.clone());
+        }
+    }
+    let first_hyper = nodes.len();
+    for group in groups {
+        let mut hyper = Node::new(kind, g.nodes[group[0]].address);
+        hyper.merged_count = group.iter().map(|&n| g.nodes[n].merged_count).sum();
+        nodes.push(hyper);
+    }
+    let mut edges = Vec::new();
+    let mut collapsed: BTreeMap<(usize, usize, bool), f64> = BTreeMap::new();
+    for e in &g.edges {
+        let tx = new_index[e.tx_node];
+        match group_of(e.addr_node) {
+            None => edges.push(Edge {
+                addr_node: new_index[e.addr_node],
+                tx_node: tx,
+                ..*e
+            }),
+            Some(gi) => {
+                *collapsed
+                    .entry((first_hyper + gi, tx, e.side == Side::Input))
+                    .or_insert(0.0) += e.value;
+                nodes[first_hyper + gi].values.push(e.value);
+            }
+        }
+    }
+    for ((addr_node, tx_node, is_input), value) in collapsed {
+        edges.push(Edge {
+            addr_node,
+            tx_node,
+            value,
+            side: if is_input { Side::Input } else { Side::Output },
+        });
+    }
+    for hyper in &mut nodes[first_hyper..] {
+        hyper.sfe = sfe(&hyper.values);
+    }
+    AddressGraph {
+        nodes,
+        edges,
+        ..g.clone()
+    }
+}
+
+/// Stage 2 (Fig. 3): per transaction and side, the plain counterparties seen
+/// in that transaction only become one hyper node; a node's side is the side
+/// of its first edge.
+fn oracle_single(g: &AddressGraph) -> AddressGraph {
+    let sets = oracle_tx_sets(g);
+    let mut groups: BTreeMap<(usize, bool), Vec<usize>> = BTreeMap::new();
+    for (i, n) in g.nodes.iter().enumerate() {
+        if i != 0 && n.kind == NodeKind::Address && sets[i].len() == 1 {
+            let first = g.edges.iter().find(|e| e.addr_node == i).expect("has a tx");
+            groups
+                .entry((sets[i][0], first.side == Side::Input))
+                .or_default()
+                .push(i);
+        }
+    }
+    let groups: Vec<Vec<usize>> = groups.into_values().filter(|g| g.len() >= 2).collect();
+    oracle_merge(g, &groups, NodeKind::SingleHyper)
+}
+
+/// Stage 3 (Fig. 4, Eq. 3–7) with dense matrices: A is candidates ×
+/// transactions, S = AAᵀ, M = SD⁻¹ (m_ij = s_ij / s_jj), q_i = the
+/// co-occurring j ≠ i with m_ij > Ψ; seeds in order of (|q_i| descending,
+/// i ascending) with |q_i| > σ absorb their still-free neighbours.
+fn oracle_multi(g: &AddressGraph, p: MultiCompressParams) -> AddressGraph {
+    let sets = oracle_tx_sets(g);
+    let multi: Vec<usize> = (1..g.nodes.len())
+        .filter(|&i| g.nodes[i].kind == NodeKind::Address && sets[i].len() >= 2)
+        .collect();
+    let n = multi.len();
+    let txs: Vec<usize> = (0..g.nodes.len())
+        .filter(|&i| g.nodes[i].kind == NodeKind::Transaction)
+        .collect();
+    let a: Vec<Vec<f64>> = multi
+        .iter()
+        .map(|&node| {
+            txs.iter()
+                .map(|tx| f64::from(u8::from(sets[node].contains(tx))))
+                .collect()
+        })
+        .collect();
+    let s: Vec<Vec<f64>> = (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|j| a[i].iter().zip(&a[j]).map(|(x, y)| x * y).sum())
+                .collect()
+        })
+        .collect();
+    let q: Vec<Vec<usize>> = (0..n)
+        .map(|i| {
+            (0..n)
+                .filter(|&j| j != i && s[i][j] > 0.0 && s[i][j] / s[j][j] > p.psi)
+                .collect()
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(q[i].len()), i));
+    let mut taken = vec![false; n];
+    let mut groups = Vec::new();
+    for i in order {
+        if taken[i] || q[i].len() <= p.sigma {
+            continue;
+        }
+        taken[i] = true;
+        let mut group = vec![multi[i]];
+        for &j in &q[i] {
+            if !taken[j] {
+                taken[j] = true;
+                group.push(multi[j]);
+            }
+        }
+        if group.len() >= 2 {
+            group.sort_unstable();
+            groups.push(group);
+        }
+    }
+    oracle_merge(g, &groups, NodeKind::MultiHyper)
+}
+
+const PSIS: [f64; 7] = [-0.5, 0.0, 0.3, 0.5, 0.9, 1.0, 1.5];
+
+/// Stage 2, then Stage 3 at every listed (Ψ, σ), production vs oracle.
+fn assert_matches_oracle(
+    g: &AddressGraph,
+    settings: impl IntoIterator<Item = (f64, usize)>,
+) -> Result<(), TestCaseError> {
+    let s2 = compress_single_tx(g);
+    prop_assert_eq!(
+        graphs_identical(std::slice::from_ref(&s2), &[oracle_single(g)]),
+        Ok(())
+    );
+    for (psi, sigma) in settings {
+        let p = MultiCompressParams { psi, sigma };
+        // On the raw graph too: the same candidates under another node
+        // numbering and edge order, with no hyper edges among them.
+        for input in [g, &s2] {
+            prop_assert_eq!(
+                graphs_identical(&[compress_multi_tx(input, p)], &[oracle_multi(input, p)]),
+                Ok(()),
+                "psi {} sigma {}",
+                psi,
+                sigma
+            );
+        }
+    }
+    Ok(())
+}
+
+fn all_settings() -> impl Iterator<Item = (f64, usize)> {
+    PSIS.into_iter()
+        .flat_map(|psi| (0..=3).map(move |sigma| (psi, sigma)))
+}
+
+fn record_of(txs: Vec<TxView>) -> AddressRecord {
+    AddressRecord {
+        address: Address(0),
+        label: Label::Mining,
+        txs,
+    }
+}
+
+/// Mining-pool payouts: every transaction pays `lo..=hi` payees drawn from a
+/// pool of `pool` addresses, so co-membership is dense and overlapping.
+fn payout_history(seed: u64, num_txs: usize, pool: u64, lo: usize, hi: usize) -> AddressRecord {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let txs = (0..num_txs)
+        .map(|t| {
+            let payees = rng.gen_range(lo..=hi);
+            let outputs = (0..payees)
+                .map(|_| {
+                    let payee = Address(rng.gen_range(1..=pool));
+                    (payee, Amount::from_sats(rng.gen_range(1_000..5_000_000u64)))
+                })
+                .collect();
+            TxView {
+                txid: Txid(t as u64),
+                timestamp: t as u64 * 600,
+                inputs: vec![(Address(0), Amount::from_sats(900_000_000))],
+                outputs,
+            }
+        })
+        .collect();
+    record_of(txs)
+}
+
+/// A slice of exactly `num_txs` transactions over a small pool, so tx-sets
+/// straddle the 64-transaction word boundaries; one counterparty in five
+/// sits on both sides of its transaction.
+fn boundary_history(seed: u64, num_txs: usize) -> AddressRecord {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let txs = (0..num_txs)
+        .map(|t| {
+            let mut inputs = vec![(Address(0), Amount::from_sats(700_000))];
+            let mut outputs = Vec::new();
+            for _ in 0..rng.gen_range(1..=5usize) {
+                let entry = (
+                    Address(rng.gen_range(1..=24u64)),
+                    Amount::from_sats(rng.gen_range(1..900_000u64)),
+                );
+                match rng.gen_range(0..5u32) {
+                    0 => {
+                        inputs.push(entry);
+                        outputs.push(entry);
+                    }
+                    1 | 2 => inputs.push(entry),
+                    _ => outputs.push(entry),
+                }
+            }
+            // A one-shot address per side keeps Stage 2 busy in every tx.
+            outputs.push((Address(1_000 + t as u64), Amount::from_sats(5_000)));
+            outputs.push((Address(2_000 + t as u64), Amount::from_sats(6_000)));
+            TxView {
+                txid: Txid(t as u64),
+                timestamp: t as u64 * 600,
+                inputs,
+                outputs,
+            }
+        })
+        .collect();
+    record_of(txs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn kernels_match_oracle_on_thin_histories(record in history_strategy(), slice in 1usize..31) {
+        for g in extract_original_graphs(&record, slice) {
+            assert_matches_oracle(&g, all_settings())?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn kernels_match_oracle_on_payout_cohorts(
+        seed in any::<u64>(),
+        num_txs in 2usize..=40,
+        psi in 0usize..PSIS.len(),
+        sigma in 0usize..=3,
+    ) {
+        let record = payout_history(seed, num_txs, 400, 50, 300);
+        for g in extract_original_graphs(&record, 100) {
+            assert_matches_oracle(&g, [(0.5, 1), (PSIS[psi], sigma)])?;
+        }
+    }
+
+    #[test]
+    fn kernels_match_oracle_across_word_boundaries(seed in any::<u64>()) {
+        for num_txs in [63usize, 64, 65, 100, 128, 130] {
+            let record = boundary_history(seed ^ num_txs as u64, num_txs);
+            let graphs = extract_original_graphs(&record, num_txs);
+            prop_assert_eq!(graphs.len(), 1);
+            assert_matches_oracle(&graphs[0], all_settings())?;
+        }
+    }
+}
+
+#[test]
+fn exact_tie_is_not_above_the_threshold() {
+    // 1 and 2 share only tx 1 of their two txs each: m = 1/2, which is not
+    // > Ψ = 0.5 but is > 0.49.
+    let pay = |t: u64, to: &[u64]| TxView {
+        txid: Txid(t),
+        timestamp: t * 600,
+        inputs: vec![(Address(0), Amount::from_sats(90_000))],
+        outputs: to
+            .iter()
+            .map(|&a| (Address(a), Amount::from_sats(10_000)))
+            .collect(),
+    };
+    let record = record_of(vec![pay(0, &[1]), pay(1, &[1, 2]), pay(2, &[2])]);
+    let g = extract_original_graphs(&record, 100).remove(0);
+    let at = |psi| compress_multi_tx(&g, MultiCompressParams { psi, sigma: 0 });
+    assert_eq!(at(0.5).count_kind(NodeKind::MultiHyper), 0);
+    assert_eq!(at(0.49).count_kind(NodeKind::MultiHyper), 1);
+    assert_matches_oracle(&g, all_settings()).unwrap();
+}
+
+#[test]
+fn node_on_both_sides_of_its_only_tx_joins_the_input_group() {
+    // 7 funds and is paid by the one tx (first edge: input); 8 only funds.
+    let record = record_of(vec![TxView {
+        txid: Txid(0),
+        timestamp: 0,
+        inputs: [0, 7, 8]
+            .map(|a| (Address(a), Amount::from_sats(50_000)))
+            .to_vec(),
+        outputs: [7, 9, 10]
+            .map(|a| (Address(a), Amount::from_sats(40_000)))
+            .to_vec(),
+    }]);
+    let g = extract_original_graphs(&record, 100).remove(0);
+    let s2 = compress_single_tx(&g);
+    let merged: Vec<usize> = s2
+        .nodes
+        .iter()
+        .filter(|n| n.kind == NodeKind::SingleHyper)
+        .map(|n| n.merged_count)
+        .collect();
+    assert_eq!(
+        merged,
+        [2, 2],
+        "{{9,10}} on the output side, then {{7,8}} on the input side"
+    );
+    assert_matches_oracle(&g, all_settings()).unwrap();
+}
+
+/// FNV-1a over every field of every Stage 2 and Stage 3 graph of a fixed
+/// simulated chain. The constant was recorded at the commit before the
+/// bit-matrix kernels replaced the hash-map implementation.
+#[test]
+fn golden_digest_of_stages_2_and_3_is_unchanged() {
+    struct Fnv(u64);
+    impl Fnv {
+        fn u64(&mut self, v: u64) {
+            for b in v.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        fn graph(&mut self, g: &AddressGraph) {
+            for v in [
+                g.focus.0,
+                g.slice_index as u64,
+                g.start_timestamp,
+                g.num_txs as u64,
+            ] {
+                self.u64(v);
+            }
+            self.u64(g.nodes.len() as u64);
+            for n in &g.nodes {
+                self.u64(n.kind as u64);
+                self.u64(n.address.map_or(u64::MAX, |a| a.0));
+                self.u64(n.merged_count as u64);
+                self.u64(n.values.len() as u64);
+                let floats = n.values.iter().chain(&n.sfe.0).chain(&n.centrality);
+                floats.for_each(|v| self.u64(v.to_bits()));
+            }
+            self.u64(g.edges.len() as u64);
+            for e in &g.edges {
+                for v in [e.addr_node as u64, e.tx_node as u64, e.value.to_bits()] {
+                    self.u64(v);
+                }
+                self.u64(u64::from(e.side == Side::Input));
+            }
+        }
+    }
+
+    let sim = Simulator::run_to_completion(SimConfig::tiny(2023));
+    let dataset = Dataset::from_simulator(&sim, 2);
+    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut merged = 0;
+    for record in &dataset.records {
+        for slice_size in [16, 100] {
+            for g in extract_original_graphs(record, slice_size) {
+                let s2 = compress_single_tx(&g);
+                let s3 = compress_multi_tx(&s2, MultiCompressParams::default());
+                merged +=
+                    s3.count_kind(NodeKind::SingleHyper) + s3.count_kind(NodeKind::MultiHyper);
+                fnv.graph(&s2);
+                fnv.graph(&s3);
+            }
+        }
+    }
+    assert!(
+        merged > 100,
+        "the chain must exercise both stages ({merged} hyper nodes)"
+    );
+    assert_eq!(
+        fnv.0,
+        0x2190_db3c_e82d_c41d,
+        "{} records",
+        dataset.records.len()
+    );
 }
