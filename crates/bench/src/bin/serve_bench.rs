@@ -9,8 +9,10 @@
 //! The cold phase queries every address once through an empty cache (each
 //! query pays graph construction + GFN embedding); the warm phase repeats
 //! the same queries against the now-populated cache (only the LSTM head
-//! runs). The throughput phase pushes a zipf-distributed burst through the
-//! batching window.
+//! runs). The throughput phase pushes a zipf-distributed burst through a
+//! fresh engine, 64 requests in flight. The engine has no batching window:
+//! a free worker takes what is queued, so warm latency is the head plus a
+//! thread hand-off and the batch sizes reported are the ones the load formed.
 
 use baclassifier::{BaClassifier, BacConfig};
 use baserve::cli::{flag_parsed, flag_value};

@@ -103,10 +103,10 @@ impl ServingInputs {
 }
 
 /// The engine knobs shared by `basharded` and `baserve-loadgen`:
-/// `--workers`, `--max-batch`, `--max-wait-ms`, `--queue-depth`, `--cache`,
-/// plus the resilience knobs `--deadline-ms` (0 = none),
-/// `--breaker-threshold` (0 = disabled), `--breaker-cooldown-ms`,
-/// `--max-restarts`, and `--restart-backoff-ms`.
+/// `--workers`, `--max-batch`, `--queue-depth`, `--cache`, plus the
+/// resilience knobs `--deadline-ms` (0 = none), `--breaker-threshold`
+/// (0 = disabled), `--breaker-cooldown-ms`, `--max-restarts`, and
+/// `--restart-backoff-ms`.
 pub fn engine_config_from_args(args: &[String]) -> crate::EngineConfig {
     use std::time::Duration;
     let default = crate::EngineConfig::default();
@@ -118,11 +118,6 @@ pub fn engine_config_from_args(args: &[String]) -> crate::EngineConfig {
     crate::EngineConfig {
         workers: flag_parsed(args, "--workers", default.workers),
         max_batch: flag_parsed(args, "--max-batch", default.max_batch),
-        max_wait: Duration::from_millis(flag_parsed(
-            args,
-            "--max-wait-ms",
-            default.max_wait.as_millis() as u64,
-        )),
         queue_depth: flag_parsed(args, "--queue-depth", default.queue_depth),
         cache_capacity: flag_parsed(args, "--cache", default.cache_capacity),
         default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),

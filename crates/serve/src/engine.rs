@@ -3,8 +3,17 @@
 //! Requests enter a bounded MPSC queue ([`Engine::submit`] rejects with
 //! [`ServeError::QueueFull`] once `queue_depth` jobs are waiting — explicit
 //! backpressure, never unbounded growth). A pool of worker threads drains the
-//! queue; each worker pops one job, then keeps filling its batch until either
-//! `max_batch` jobs are in hand or `max_wait` has elapsed since the first pop.
+//! queue, and batching is **work-conserving**: a free worker blocks only
+//! while the queue is empty, then takes whatever is queued at that moment, up
+//! to `max_batch`, and runs it. There is no batching window and no timer. A
+//! batch is exactly what accumulated while the workers were busy, so batches
+//! grow with load by themselves and a lone request on an idle engine is
+//! served as a batch of one, at once. Which requests share a batch cannot
+//! change an answer (below: every row of the batched head is bitwise the
+//! single-sequence result), so the policy is free to follow arrival timing.
+//! With several workers the first to wake may take the whole backlog and the
+//! others find the queue empty again; a backlog deeper than `max_batch` is
+//! what spreads across workers.
 //!
 //! `numnet` parameters are `Rc<RefCell<…>>` and cannot cross threads, so the
 //! engine follows a **replica-per-worker** design: every worker thread builds
@@ -78,10 +87,8 @@ pub struct EngineConfig {
     /// Worker threads (model replicas). `0` is allowed and leaves the queue
     /// permanently un-drained — useful only for testing backpressure.
     pub workers: usize,
-    /// Largest batch a worker will assemble before processing.
+    /// Most queued requests a worker takes into one batch.
     pub max_batch: usize,
-    /// How long a worker waits for the batch to fill after its first pop.
-    pub max_wait: Duration,
     /// Bound on queued (admitted, not yet processed) requests.
     pub queue_depth: usize,
     /// Entries in the shared embedding LRU; `0` disables caching.
@@ -110,7 +117,6 @@ impl Default for EngineConfig {
         Self {
             workers: cores.min(4),
             max_batch: 16,
-            max_wait: Duration::from_millis(2),
             queue_depth: 256,
             cache_capacity: 1024,
             default_deadline: None,
@@ -225,6 +231,16 @@ impl Ticket {
         self.rx.recv().unwrap_or(Err(ServeError::WorkerFailed))
     }
 
+    /// [`Ticket::wait`] for at most `timeout`. `Err` hands the ticket back,
+    /// still good to wait on, when no reply has arrived yet.
+    pub fn wait_timeout(self, timeout: Duration) -> Result<Result<Response, ServeError>, Ticket> {
+        match self.rx.recv_timeout(timeout) {
+            Ok(reply) => Ok(reply),
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(self),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Ok(Err(ServeError::WorkerFailed)),
+        }
+    }
+
     /// A ticket that is already resolved. Routing layers above the engine
     /// (e.g. a shard router answering for a downed shard from its
     /// fallback) use this to return the same `Ticket` surface for
@@ -270,6 +286,37 @@ struct Job {
     deadline: Option<Instant>,
 }
 
+/// A job of the current batch that goes through the head: its slot, its
+/// embedding sequence, and whether the embedding stage was skipped for it.
+struct Live {
+    slot: usize,
+    seq: Arc<Vec<Matrix>>,
+    hit: bool,
+}
+
+impl AsRef<[Matrix]> for Live {
+    fn as_ref(&self) -> &[Matrix] {
+        &self.seq
+    }
+}
+
+/// What a worker needs per batch, owned by the worker and emptied after
+/// every batch so that a batch of one pays for no allocation of its own.
+#[derive(Default)]
+struct BatchScratch {
+    /// Jobs live in `Option` slots so the unwind path can tell the answered
+    /// from the unanswered: `process_batch` takes a job out of its slot
+    /// only at the moment it replies.
+    slots: Vec<Option<Job>>,
+    /// `keys[i]` is the cache key of `slots[i]`.
+    keys: Vec<CacheKey>,
+    /// Embeddings computed (or fetched) earlier in this same batch;
+    /// identical requests reuse them without touching the shared cache
+    /// again.
+    this_batch: HashMap<CacheKey, Arc<Vec<Matrix>>>,
+    live: Vec<Live>,
+}
+
 #[derive(Default)]
 struct QueueState {
     jobs: VecDeque<Job>,
@@ -299,12 +346,17 @@ impl Shared {
         }
     }
 
-    fn cache_key(&self, record: &AddressRecord) -> CacheKey {
-        let generation = recover(self.generations.lock())
-            .get(&record.address.0)
-            .copied()
-            .unwrap_or(0);
-        (record.address.0, record.txs.len() as u64, generation)
+    /// Append the cache key of every job in `slots` to `keys`, reading the
+    /// generations under one lock: a single instant is a valid
+    /// linearisation of per-job reads, and an invalidation that returned
+    /// before a request was submitted is still always seen by it.
+    fn cache_keys(&self, slots: &[Option<Job>], keys: &mut Vec<CacheKey>) {
+        let generations = recover(self.generations.lock());
+        keys.extend(slots.iter().map(|slot| {
+            let record = &slot.as_ref().expect("unprocessed slot holds a job").record;
+            let generation = generations.get(&record.address.0).copied().unwrap_or(0);
+            (record.address.0, record.txs.len() as u64, generation)
+        }));
     }
 }
 
@@ -531,50 +583,20 @@ impl Drop for Engine {
     }
 }
 
-/// Pop one batch (blocking), filling up to `max_batch`/`max_wait`.
-/// `None` means shutdown was requested and the queue is drained.
-fn collect_batch(shared: &Shared, cfg: &EngineConfig) -> Option<Vec<Job>> {
-    let max_batch = cfg.max_batch.max(1);
-    let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
+/// Block until the queue is non-empty, then move what is queued right now —
+/// at most `max_batch` jobs — into `slots`. `false` means shutdown was
+/// requested and the queue is drained.
+fn collect_batch(shared: &Shared, max_batch: usize, slots: &mut Vec<Option<Job>>) -> bool {
     let mut q = recover(shared.queue.lock());
-    // Block for the first job of the batch.
-    loop {
-        if let Some(job) = q.jobs.pop_front() {
-            batch.push(job);
-            break;
-        }
+    while q.jobs.is_empty() {
         if q.shutdown {
-            return None;
+            return false;
         }
         q = recover(shared.cond.wait(q));
     }
-    // Fill until max_batch or the max_wait deadline.
-    let deadline = Instant::now() + cfg.max_wait;
-    while batch.len() < max_batch {
-        if let Some(job) = q.jobs.pop_front() {
-            batch.push(job);
-            continue;
-        }
-        if q.shutdown {
-            break;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let (guard, timeout) = recover(shared.cond.wait_timeout(q, deadline - now));
-        q = guard;
-        if timeout.timed_out() {
-            while batch.len() < max_batch {
-                match q.jobs.pop_front() {
-                    Some(job) => batch.push(job),
-                    None => break,
-                }
-            }
-            break;
-        }
-    }
-    Some(batch)
+    let take = q.jobs.len().min(max_batch.max(1));
+    slots.extend(q.jobs.drain(..take).map(Some));
+    true
 }
 
 /// Retire a worker that exhausted its restart budget. If it was the last
@@ -670,20 +692,18 @@ fn worker_loop(shared: &Arc<Shared>, artifact: &ModelArtifact, cfg: &EngineConfi
                 return;
             }
         };
+        // Rebuilt with the replica: after an unwind it may hold half a batch.
+        let mut scratch = BatchScratch::default();
         loop {
-            let Some(batch) = collect_batch(shared, cfg) else {
+            if !collect_batch(shared, cfg.max_batch, &mut scratch.slots) {
                 // Graceful shutdown; queued work is already drained.
                 shared.live_workers.fetch_sub(1, Relaxed);
                 return;
-            };
+            }
             batch_seq += 1;
             let fault = shared.hooks.fault_plan.before_batch(worker, batch_seq);
-            // Jobs live in `Option` slots so the unwind path can tell the
-            // answered from the unanswered: `process_batch` takes a job out
-            // of its slot only at the moment it replies.
-            let mut slots: Vec<Option<Job>> = batch.into_iter().map(Some).collect();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                process_batch(shared, &replica, &mut slots, fault)
+                process_batch(shared, &replica, &mut scratch, fault)
             }));
             match outcome {
                 Ok(()) => {
@@ -692,7 +712,7 @@ fn worker_loop(shared: &Arc<Shared>, artifact: &ModelArtifact, cfg: &EngineConfi
                     restarts = 0;
                 }
                 Err(_) => {
-                    if replica_failed(shared, cfg, worker, &mut restarts, &mut slots) {
+                    if replica_failed(shared, cfg, worker, &mut restarts, &mut scratch.slots) {
                         // Rebuild the replica: its internal state may be
                         // arbitrarily corrupt after the unwind.
                         continue 'replica;
@@ -707,9 +727,15 @@ fn worker_loop(shared: &Arc<Shared>, artifact: &ModelArtifact, cfg: &EngineConfi
 fn process_batch(
     shared: &Shared,
     replica: &BaClassifier,
-    slots: &mut [Option<Job>],
+    scratch: &mut BatchScratch,
     fault: Option<FaultAction>,
 ) {
+    let BatchScratch {
+        slots,
+        keys,
+        this_batch,
+        live,
+    } = scratch;
     shared.metrics.record_batch_size(slots.len());
     match fault {
         // Injected slowness: the whole batch stalls, so deadline-carrying
@@ -728,11 +754,7 @@ fn process_batch(
     // embedding sequence (intra-batch dedup, shared LRU, or a fresh GFN
     // embed). Jobs whose history is empty have no sequence to batch and are
     // answered individually here.
-    //
-    // Embeddings computed (or fetched) earlier in this same batch; identical
-    // requests reuse them without touching the shared cache again.
-    let mut this_batch: HashMap<CacheKey, Arc<Vec<Matrix>>> = HashMap::new();
-    let mut live: Vec<(usize, Arc<Vec<Matrix>>, bool)> = Vec::with_capacity(slots.len());
+    shared.cache_keys(slots, keys);
     for (i, slot) in slots.iter_mut().enumerate() {
         let job_ref = slot.as_ref().expect("unprocessed slot holds a job");
         if let Some(deadline) = job_ref.deadline {
@@ -743,7 +765,7 @@ fn process_batch(
                 continue;
             }
         }
-        let key = shared.cache_key(&job_ref.record);
+        let key = keys[i];
         let (seq, hit) = if let Some(seq) = this_batch.get(&key) {
             shared.metrics.batch_dedup_hits.fetch_add(1, Relaxed);
             (Arc::clone(seq), true)
@@ -774,18 +796,32 @@ fn process_batch(
                 .send(Err(ServeError::Predict(PredictError::EmptyHistory)));
             continue;
         }
-        live.push((i, seq, hit));
+        live.push(Live { slot: i, seq, hit });
     }
-    if live.is_empty() {
-        return;
+    if !live.is_empty() {
+        classify_live(shared, replica, slots, live);
     }
-    // Pass 2 — classify the whole micro-batch through the head in one
-    // ragged-batch forward pass. Every logit row is bitwise identical to
-    // the per-job `classify_embeddings` formulation, so responses are
-    // unchanged; only the arithmetic is batched.
-    let seqs: Vec<&[Matrix]> = live.iter().map(|(_, seq, _)| seq.as_slice()).collect();
+    // Every job has been answered and has left its slot. Emptied now, not
+    // at the next batch, so an idle worker pins no embedding the LRU has
+    // already let go of.
+    slots.clear();
+    keys.clear();
+    this_batch.clear();
+    live.clear();
+}
+
+/// Pass 2 — classify the whole micro-batch through the head in one
+/// ragged-batch forward pass and reply to each live job. Every logit row is
+/// bitwise identical to the per-job `classify_embeddings` formulation, so
+/// responses do not depend on which requests shared the batch.
+fn classify_live(
+    shared: &Shared,
+    replica: &BaClassifier,
+    slots: &mut [Option<Job>],
+    live: &[Live],
+) {
     let model_started = Instant::now();
-    let classified = replica.classify_embeddings_batch(&seqs, 1);
+    let classified = replica.classify_embeddings_batch(live, 1);
     let model_us = model_started.elapsed().as_micros() as u64;
     shared
         .metrics
@@ -797,8 +833,8 @@ fn process_batch(
         .fetch_add(live.len() as u64, Relaxed);
     let queue_wait_us: u64 = live
         .iter()
-        .map(|&(i, _, _)| {
-            let job = slots[i].as_ref().expect("live slot holds a job");
+        .map(|l| {
+            let job = slots[l.slot].as_ref().expect("live slot holds a job");
             model_started
                 .saturating_duration_since(job.enqueued)
                 .as_micros() as u64
@@ -809,12 +845,12 @@ fn process_batch(
         .queue_wait_us_total
         .fetch_add(queue_wait_us, Relaxed);
     // Scatter: one reply per live job, same accounting as the per-job path.
-    for (row, (i, _, hit)) in live.into_iter().enumerate() {
-        let job_ref = slots[i].as_ref().expect("live slot holds a job");
+    for (row, l) in live.iter().enumerate() {
+        let job_ref = slots[l.slot].as_ref().expect("live slot holds a job");
         let result = match &classified {
             Ok(labels) => Ok(Response {
                 label: labels[row].0,
-                cache_hit: hit,
+                cache_hit: l.hit,
                 degraded: false,
                 latency: job_ref.enqueued.elapsed(),
             }),
@@ -837,7 +873,7 @@ fn process_batch(
         }
         // The job leaves its slot only now that a reply exists for it; a
         // dropped Ticket is not an engine error, so ignore send failure.
-        let job = slots[i].take().expect("live slot checked above");
+        let job = slots[l.slot].take().expect("live slot checked above");
         let _ = job.reply.send(result);
     }
 }
@@ -946,36 +982,133 @@ mod tests {
         }
     }
 
+    /// One worker whose first batch stalls for `stall`, so a test can queue
+    /// a known backlog behind it: the batching policy stated without a clock.
+    fn engine_with_stalled_first_batch(max_batch: usize, stall: Duration) -> Engine {
+        let plan = ScriptedFaultPlan::new(vec![crate::fault::FaultSpec {
+            worker: 0,
+            batch: 1,
+            action: FaultAction::Delay(stall),
+        }]);
+        Engine::with_hooks(
+            test_artifact(),
+            EngineConfig {
+                workers: 1,
+                max_batch,
+                ..EngineConfig::default()
+            },
+            EngineHooks {
+                fault_plan: Arc::new(plan),
+                fallback: None,
+            },
+        )
+        .unwrap()
+    }
+
+    /// Submit `first`, wait until the worker has taken it (and is stalled
+    /// in batch 1), submit `rest` behind it, and wait for every reply.
+    fn serve_backlog_behind_first(engine: &Engine, first: &AddressRecord, rest: &[AddressRecord]) {
+        let head = engine.submit(first.clone()).unwrap();
+        while engine.queue_len() != 0 {
+            thread::yield_now();
+        }
+        let tickets: Vec<Ticket> = rest
+            .iter()
+            .map(|r| engine.submit(r.clone()).unwrap())
+            .collect();
+        head.wait().unwrap();
+        for t in tickets {
+            t.wait().unwrap();
+        }
+    }
+
+    /// What queued while the only worker was busy is one batch: the worker
+    /// neither lingers for more nor serves the backlog one by one.
+    #[test]
+    fn backlog_behind_a_busy_worker_forms_one_batch() {
+        let engine = engine_with_stalled_first_batch(16, Duration::from_millis(100));
+        let records = test_records(9);
+        serve_backlog_behind_first(&engine, &records[0], &records[1..]);
+        let snap = engine.metrics();
+        assert_eq!(snap.completed, 9);
+        assert_eq!(snap.batches, 2, "the backlog of 8 must be one batch");
+        assert_eq!(snap.batch_sizes.quantile(1.0), 8);
+        assert_accounted(&snap);
+    }
+
+    /// A backlog deeper than `max_batch` is cut at `max_batch`.
     #[test]
     fn batches_exceed_one_under_burst() {
+        let engine = engine_with_stalled_first_batch(8, Duration::from_millis(50));
+        let records = test_records(12);
+        let burst: Vec<AddressRecord> = records.iter().cycle().skip(1).take(23).cloned().collect();
+        serve_backlog_behind_first(&engine, &records[0], &burst);
+        let snap = engine.metrics();
+        assert_eq!(snap.completed, 24);
+        // 1, then the 23 queued behind it as 8 + 8 + 7.
+        assert_eq!(snap.batches, 4);
+        assert_eq!(snap.batch_sizes.quantile(1.0), 8);
+        assert_accounted(&snap);
+    }
+
+    /// An idle engine answers a lone request as a batch of one, at once. The
+    /// fastest of 20 is steady on any host; a batching window of any length
+    /// would be a floor under all of them.
+    #[test]
+    fn a_lone_warm_request_is_not_held() {
+        let engine = Engine::new(test_artifact(), EngineConfig::default()).unwrap();
+        let record = test_records(1).remove(0);
+        assert!(!engine.classify(record.clone()).unwrap().cache_hit);
+        let cold = engine.metrics();
+        let fastest = (0..20)
+            .map(|_| {
+                let sent = Instant::now();
+                let resp = engine.classify(record.clone()).unwrap();
+                assert!(resp.cache_hit);
+                sent.elapsed()
+            })
+            .min()
+            .expect("20 requests");
+        let snap = engine.metrics();
+        assert_eq!(snap.batches - cold.batches, 20);
+        assert!(
+            fastest < Duration::from_millis(1),
+            "fastest warm request took {fastest:?}"
+        );
+        assert_accounted(&snap);
+    }
+
+    /// Four workers racing for one burst: whichever worker takes whichever
+    /// share, every request is answered once, with the model's label.
+    #[test]
+    fn burst_over_four_workers_is_accounted_and_identical() {
         let artifact = test_artifact();
+        let direct = BaClassifier::from_artifact(&artifact).unwrap();
         let engine = Engine::new(
             artifact,
             EngineConfig {
-                workers: 1,
-                max_batch: 8,
-                max_wait: Duration::from_millis(50),
+                workers: 4,
                 ..EngineConfig::default()
             },
         )
         .unwrap();
-        let records = test_records(12);
-        let tickets: Vec<Ticket> = records
-            .iter()
-            .cycle()
-            .take(24)
-            .map(|r| engine.submit(r.clone()).unwrap())
+        let records = test_records(16);
+        let expect: Vec<Label> = records.iter().map(|r| direct.predict(r).unwrap()).collect();
+        for r in &records {
+            engine.classify(r.clone()).unwrap();
+        }
+        let tickets: Vec<Ticket> = (0..64)
+            .map(|i| engine.submit(records[i % 16].clone()).unwrap())
             .collect();
-        for t in tickets {
-            t.wait().unwrap();
+        for (i, t) in tickets.into_iter().enumerate() {
+            let resp = t.wait().unwrap();
+            assert!(resp.cache_hit);
+            assert_eq!(resp.label, expect[i % 16], "request {i}");
         }
         let snap = engine.metrics();
-        assert_eq!(snap.completed, 24);
-        assert!(
-            snap.batch_sizes.quantile(1.0) > 1,
-            "expected batching under burst, got max batch {}",
-            snap.batch_sizes.quantile(1.0)
-        );
+        assert_eq!(snap.submitted, 80);
+        assert_eq!(snap.completed, 80);
+        assert_accounted(&snap);
     }
 
     #[test]

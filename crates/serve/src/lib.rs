@@ -12,8 +12,9 @@
 //!   checksum, so a serving process can reconstruct the exact trained model.
 //! * **[`engine`]**: a micro-batching engine — a bounded request queue with
 //!   explicit backpressure ([`ServeError::QueueFull`]) feeding a pool of
-//!   worker threads, each a full model replica, draining up to
-//!   `max_batch`/`max_wait` requests per tick.
+//!   worker threads, each a full model replica. A free worker takes
+//!   whatever is queued at that moment, up to `max_batch`: batches grow
+//!   with load and an idle engine never holds a request for a timer.
 //! * **[`cache`]**: an O(1) LRU over per-address embedding sequences; hits
 //!   skip graph construction and the GFN forward pass and re-run only the
 //!   cheap LSTM+MLP head, staying byte-identical to the unstaged path.

@@ -6,9 +6,16 @@
 //! read would pin the process, because libc `signal` restarts interrupted
 //! reads), a FIFO window of in-flight tickets is drained oldest-first so
 //! responses print in request order, and a final drain + `metrics` dump
-//! happens on EOF, `quit`, or Ctrl-C. The `banet` TCP server is the other
-//! front over the same trait; it polls the same [`crate::shutdown`] flag
-//! for its own graceful drain.
+//! happens on EOF, `quit`, or Ctrl-C.
+//!
+//! Replies are held back only while there is a request to read instead: a
+//! piped file keeps up to `window` requests in flight, and whenever no
+//! request line is waiting — an operator typing, a client that wants its
+//! answer before it asks again — every owed reply is written and flushed as
+//! soon as it settles. The bytes and their order are the same either way.
+//!
+//! The `banet` TCP server is the other front over the same trait; it polls
+//! the same [`crate::shutdown`] flag for its own graceful drain.
 
 use crate::engine::Ticket;
 use crate::lane::{NetBackend, WireError};
@@ -32,6 +39,10 @@ fn resolve(slot: Slot) -> String {
         Slot::Pending(t) => format_response(&t.wait()),
     }
 }
+
+/// How long the serve loop blocks on anything before it looks at the
+/// SIGINT flag (and at the request channel) again.
+const TICK: Duration = Duration::from_millis(100);
 
 /// Spawn the request-reader thread: raw bytes, one line per send, so a
 /// client sending invalid UTF-8 gets an `err` response for that request
@@ -79,7 +90,9 @@ fn write_metrics(
 /// ticket and print the final metrics lines.
 ///
 /// `name` tags the session's own stderr chatter (`[basharded] …`). Up to
-/// `window` requests ride in flight so the engines can batch.
+/// `window` requests ride in flight so the engines can batch; whenever no
+/// request is waiting to be read, owed replies are written and flushed as
+/// they settle.
 /// `per_shard_metrics` adds the backend's `metrics shard=i` lines before
 /// each roll-up.
 pub fn run_line_session(
@@ -102,10 +115,35 @@ pub fn run_line_session(
             );
             break;
         }
-        let mut raw = match line_rx.recv_timeout(Duration::from_millis(100)) {
+        let mut raw = match line_rx.try_recv() {
             Ok(raw) => raw,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break, // EOF
+            Err(mpsc::TryRecvError::Disconnected) => break, // EOF
+            // No request is waiting, so whoever sent the earlier ones may
+            // be waiting for us: settle the oldest owed reply. The wait is
+            // bounded — a reply may depend on a request not yet sent — and
+            // nothing already written sits in the buffer through it.
+            Err(mpsc::TryRecvError::Empty) => match pending.pop_front() {
+                Some(Slot::Done(line)) => {
+                    writeln!(out, "{line}")?;
+                    continue;
+                }
+                Some(Slot::Pending(ticket)) => {
+                    out.flush()?;
+                    match ticket.wait_timeout(TICK) {
+                        Ok(reply) => writeln!(out, "{}", format_response(&reply))?,
+                        Err(ticket) => pending.push_front(Slot::Pending(ticket)),
+                    }
+                    continue;
+                }
+                None => {
+                    out.flush()?;
+                    match line_rx.recv_timeout(TICK) {
+                        Ok(raw) => raw,
+                        Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                        Err(mpsc::RecvTimeoutError::Disconnected) => break, // EOF
+                    }
+                }
+            },
         };
         while matches!(raw.last(), Some(b'\n') | Some(b'\r')) {
             raw.pop();

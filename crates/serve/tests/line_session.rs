@@ -1,19 +1,20 @@
 //! The stdin front (`baserve::session`) over a scripted backend: reply
 //! order across the window, `err` lines for bad requests, `metrics`
-//! draining first, EOF and `quit` ending alike. Its own test binary because
-//! the session polls the process-wide SIGINT flag, which the library's unit
-//! tests trip. The real backends are driven in `tests/tests/line_session.rs`.
+//! draining first, EOF and `quit` ending alike, owed replies flushed while
+//! the input idles. Its own test binary because the session polls the
+//! process-wide SIGINT flag, which the library's unit tests trip. The real
+//! backends are driven in `tests/tests/line_session.rs`.
 
 use baserve::protocol::MAX_LINE_BYTES;
 use baserve::{
     run_line_session, MetricsSnapshot, NetBackend, Response, ServeError, Ticket, WireError,
 };
 use btcsim::Label;
-use std::io::Cursor;
+use std::io::{BufReader, Cursor, Write};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc::SyncSender;
+use std::sync::mpsc::{channel, Sender, SyncSender};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 type Reply = SyncSender<Result<Response, ServeError>>;
 
@@ -155,4 +156,60 @@ fn metrics_drains_pending_first_and_quit_ends_like_eof() {
     assert!(lines[7].starts_with("metrics shard=0 {\"submitted\":4,"));
     assert!(lines[9].starts_with("metrics {\"submitted\":4,"));
     assert_eq!(lines.len(), 10);
+}
+
+/// The session's `out`, one message per write that reaches it — which,
+/// behind the session's `BufWriter`, means one per flush.
+struct FlushedTo(Sender<Vec<u8>>);
+
+impl Write for FlushedTo {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0
+            .send(buf.to_vec())
+            .expect("the test outlives the session");
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn owed_replies_are_flushed_while_the_input_stays_open() {
+    let (input, mut requests) = std::io::pipe().unwrap();
+    let (flushed_tx, flushed) = channel();
+    let session = std::thread::spawn(move || {
+        run_line_session(
+            "test",
+            &PairwiseBackend::default(),
+            BufReader::new(input),
+            FlushedTo(flushed_tx),
+            64,
+            false,
+        )
+    });
+    requests.write_all(b"classify 1\nclassify 2\n").unwrap();
+    // No EOF, no `metrics`, no full window: the two replies are owed to a
+    // client that sends nothing more until it has read them.
+    let want = format!("{}\n{}\n", ok_line(1), ok_line(2));
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let mut got = Vec::new();
+    while got.len() < want.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match flushed.recv_timeout(left) {
+            Ok(bytes) => got.extend(bytes),
+            Err(_) => panic!(
+                "after 1 s with the input open, out holds only {:?}",
+                String::from_utf8_lossy(&got)
+            ),
+        }
+    }
+    assert_eq!(String::from_utf8(got).unwrap(), want);
+    drop(requests); // EOF
+    session.join().unwrap().unwrap();
+    let rest: Vec<u8> = flushed.try_iter().flatten().collect();
+    assert!(String::from_utf8(rest)
+        .unwrap()
+        .starts_with("metrics {\"submitted\":2,"));
 }

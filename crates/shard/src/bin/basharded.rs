@@ -20,9 +20,11 @@
 //! **total** budget; each of the `--shards N` engines gets its
 //! `EngineConfig::for_shard` slice. Requests fan out to the shard owning
 //! the address; line-protocol responses print **in request order** (up to
-//! `--window` requests ride in flight, drained FIFO), a bad request line
-//! gets `err <reason>` and the session keeps serving, and a final
-//! `metrics <json>` line is printed at EOF, `quit`, or SIGINT. Unless
+//! `--window` requests ride in flight, drained FIFO; when no request line is
+//! waiting, each owed reply is written and flushed as soon as it settles, so
+//! an interactive client sees its answer without sending more), a bad
+//! request line gets `err <reason>` and the session keeps serving, and a
+//! final `metrics <json>` line is printed at EOF, `quit`, or SIGINT. Unless
 //! `--no-fallback` is given, a nearest-centroid fallback fitted on the
 //! rebuilt dataset answers (tagged `degraded`) while a circuit breaker is
 //! open or a remote worker is down.
@@ -129,12 +131,8 @@ fn main() {
         } else {
             eprintln!(
                 "[{NAME}] {shards} in-process shards sharing {} workers, queue {}, cache {}; \
-                 batch ≤{} / {}ms",
-                config.workers,
-                config.queue_depth,
-                config.cache_capacity,
-                config.max_batch,
-                config.max_wait.as_millis(),
+                 batch ≤{}",
+                config.workers, config.queue_depth, config.cache_capacity, config.max_batch,
             );
             ShardRouter::with_hooks(artifact, config, hooks, shards)
                 .unwrap_or_else(|e| die(1, MISMATCH, e))
