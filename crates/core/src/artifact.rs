@@ -206,6 +206,15 @@ fn decode_manifest(bytes: &[u8]) -> Result<BacConfig, ArtifactError> {
 }
 
 impl ModelArtifact {
+    /// The freshly initialised weights of `BaClassifier::new(config)`, never
+    /// fitted: labels are meaningless but every code path runs and every
+    /// byte is determined by `config.model.seed` — what tests use where
+    /// identity matters and accuracy does not.
+    pub fn untrained(config: BacConfig) -> Self {
+        let weights = BaClassifier::new(config.clone()).weights();
+        Self { config, weights }
+    }
+
     /// Serialize to a single artifact file, atomically (see
     /// [`write_atomic`]). A crash mid-save leaves either the old artifact
     /// or none — never a torn `BART` file masquerading as a model (and any
@@ -279,19 +288,22 @@ impl ModelArtifact {
 }
 
 impl BaClassifier {
+    /// Every weight matrix, in `params()` order.
+    fn weights(&self) -> Vec<Matrix> {
+        self.all_params()
+            .iter()
+            .map(|p| p.value().clone())
+            .collect()
+    }
+
     /// Snapshot this fitted classifier as an in-memory artifact.
     pub fn to_artifact(&self) -> Result<ModelArtifact, ArtifactError> {
         if !self.is_fitted() {
             return Err(ArtifactError::NotFitted);
         }
-        let weights = self
-            .all_params()
-            .iter()
-            .map(|p| p.value().clone())
-            .collect();
         Ok(ModelArtifact {
             config: self.config().clone(),
-            weights,
+            weights: self.weights(),
         })
     }
 
@@ -325,17 +337,6 @@ mod tests {
         std::env::temp_dir().join(format!("bac_artifact_{name}_{}", std::process::id()))
     }
 
-    /// An artifact with untrained (but valid) weights — enough for format
-    /// tests without paying for a fit.
-    fn fresh_artifact(cfg: BacConfig) -> ModelArtifact {
-        let clf = BaClassifier::new(cfg.clone());
-        let weights = clf.all_params().iter().map(|p| p.value().clone()).collect();
-        ModelArtifact {
-            config: cfg,
-            weights,
-        }
-    }
-
     #[test]
     fn manifest_roundtrips_every_field() {
         let mut cfg = BacConfig::default();
@@ -367,7 +368,7 @@ mod tests {
 
     #[test]
     fn artifact_file_roundtrips() {
-        let artifact = fresh_artifact(BacConfig::fast());
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let path = tmp("roundtrip");
         artifact.save(&path).unwrap();
         let back = ModelArtifact::load(&path).unwrap();
@@ -381,7 +382,7 @@ mod tests {
 
     #[test]
     fn two_replicas_from_one_artifact_predict_identically() {
-        let artifact = fresh_artifact(BacConfig::fast());
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let a = BaClassifier::from_artifact(&artifact).unwrap();
         let b = BaClassifier::from_artifact(&artifact).unwrap();
         assert!(a.is_fitted() && b.is_fitted());
@@ -392,9 +393,36 @@ mod tests {
         }
     }
 
+    /// `untrained` must be the artifact the retired helper built: fresh
+    /// weights written by `save_weights` and read back from the file.
+    #[test]
+    fn untrained_artifact_predicts_like_fresh_weights_saved_and_loaded() {
+        let cfg = BacConfig::fast();
+        let served = BaClassifier::from_artifact(&ModelArtifact::untrained(cfg.clone())).unwrap();
+        let path = tmp("untrained");
+        BaClassifier::new(cfg.clone()).save_weights(&path).unwrap();
+        let mut loaded = BaClassifier::new(cfg);
+        loaded.load_weights(&path).unwrap();
+        std::fs::remove_file(path).ok();
+
+        let sim = Simulator::run_to_completion(SimConfig::tiny(5));
+        let ds = Dataset::from_simulator(&sim, 3);
+        let bits = |seq: &[Matrix]| -> Vec<Vec<u32>> {
+            let row = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+            seq.iter().map(row).collect()
+        };
+        for r in ds.records.iter().take(8) {
+            let (a, b) = (served.embed_record(r), loaded.embed_record(r));
+            assert_eq!(bits(&a), bits(&b), "embeddings of {:?}", r.address);
+            let (la, ma) = served.classify_embeddings_scored(&a).unwrap();
+            let (lb, mb) = loaded.classify_embeddings_scored(&b).unwrap();
+            assert_eq!((la, ma.to_bits()), (lb, mb.to_bits()));
+        }
+    }
+
     #[test]
     fn corrupted_payload_fails_checksum() {
-        let artifact = fresh_artifact(BacConfig::fast());
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let path = tmp("corrupt");
         artifact.save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -410,7 +438,7 @@ mod tests {
 
     #[test]
     fn wrong_magic_and_version_are_distinct_errors() {
-        let artifact = fresh_artifact(BacConfig::fast());
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let path = tmp("magic");
         artifact.save(&path).unwrap();
         let good = std::fs::read(&path).unwrap();
@@ -435,7 +463,7 @@ mod tests {
 
     #[test]
     fn truncated_artifact_is_clean_error() {
-        let artifact = fresh_artifact(BacConfig::fast());
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let path = tmp("truncated");
         artifact.save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
@@ -446,7 +474,7 @@ mod tests {
 
     #[test]
     fn save_is_atomic_and_leaves_no_temp_file() {
-        let artifact = fresh_artifact(BacConfig::fast());
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let path = tmp("atomic");
         artifact.save(&path).unwrap();
         // Overwriting an existing artifact also goes through the temp file.
@@ -472,7 +500,7 @@ mod tests {
     /// checksum — a crash mid-save can never produce a loadable artifact.
     #[test]
     fn truncated_artifact_is_rejected_by_checksum() {
-        let artifact = fresh_artifact(BacConfig::fast());
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let path = tmp("torn");
         artifact.save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
@@ -496,7 +524,7 @@ mod tests {
 
     #[test]
     fn mismatched_weights_rejected_on_instantiation() {
-        let mut artifact = fresh_artifact(BacConfig::fast());
+        let mut artifact = ModelArtifact::untrained(BacConfig::fast());
         artifact.weights.pop();
         assert!(matches!(
             BaClassifier::from_artifact(&artifact),

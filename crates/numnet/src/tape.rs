@@ -11,8 +11,8 @@
 //! into the last input of every fan-out instead of cloned. Subtrees with no
 //! parameter underneath are skipped entirely. The number of gradient matrices
 //! that still get allocated is tracked per thread (see
-//! [`backward_alloc_count`]) so `kernel_bench` can assert the pass stays
-//! allocation-lean.
+//! [`backward_alloc_count`]) so `backward_allocations_are_bounded_by_node_count`
+//! can assert the pass stays allocation-lean.
 
 use crate::matrix::Matrix;
 use graphalgo::CsrMatrix;

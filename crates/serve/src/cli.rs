@@ -9,12 +9,30 @@ use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::Arc;
 
-/// The value following `--name`, if present.
+/// The value following `--name`: `Ok(None)` when the flag is absent, `Err`
+/// (the message [`flag_value`] exits with) when it is the last token or the
+/// next token is another `--flag`.
+fn try_flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
+        _ => Err(format!("{name} needs a value")),
+    }
+}
+
+/// The value following `--name`, if the flag is present. A flag given
+/// without its value is a hard error (exit 2), like an unparsable one in
+/// [`flag_parsed`]: `--worker` as the last token must not run worker 0.
 pub fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    match try_flag_value(args, name) {
+        Ok(v) => v.map(String::from),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Parse the value following `--name`, falling back to `default` when the
@@ -152,6 +170,22 @@ mod tests {
         assert_eq!(flag_parsed(&args, "--requests", 1000usize), 1000);
         assert!(has_flag(&args, "--check"));
         assert!(!has_flag(&args, "--json"));
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_an_error_not_the_default() {
+        let needs = |name: &str| Err(format!("{name} needs a value"));
+        let last = argv("prog --shards 2 --worker");
+        assert_eq!(try_flag_value(&last, "--worker"), needs("--worker"));
+        let followed = argv("prog --seed --shards 2");
+        assert_eq!(try_flag_value(&followed, "--seed"), needs("--seed"));
+        assert_eq!(try_flag_value(&followed, "--shards"), Ok(Some("2")));
+        assert_eq!(try_flag_value(&followed, "--listen"), Ok(None));
+        // One dash is a value (a negative number), two are the next flag.
+        assert_eq!(
+            try_flag_value(&argv("prog --psi -0.5"), "--psi"),
+            Ok(Some("-0.5"))
+        );
     }
 
     #[test]

@@ -886,26 +886,6 @@ mod tests {
     use baclassifier::BacConfig;
     use btcsim::{Dataset, SimConfig, Simulator};
 
-    /// A deterministic fitted-state artifact without paying for `fit()`:
-    /// freshly initialized weights are exported through the NNIO stream that
-    /// `save_weights` writes, then wrapped in a `ModelArtifact` by hand.
-    fn test_artifact() -> Arc<ModelArtifact> {
-        let cfg = BacConfig::fast();
-        let clf = BaClassifier::new(cfg.clone());
-        let path = std::env::temp_dir().join(format!(
-            "baserve_engine_test_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        clf.save_weights(&path).unwrap();
-        let weights = numnet::read_matrices(&mut std::fs::File::open(&path).unwrap()).unwrap();
-        std::fs::remove_file(&path).ok();
-        Arc::new(ModelArtifact {
-            config: cfg,
-            weights,
-        })
-    }
-
     fn test_records(n: usize) -> Vec<AddressRecord> {
         let sim = Simulator::run_to_completion(SimConfig::tiny(9));
         let ds = Dataset::from_simulator(&sim, 3);
@@ -924,7 +904,7 @@ mod tests {
 
     #[test]
     fn engine_matches_direct_model() {
-        let artifact = test_artifact();
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
         let direct = BaClassifier::from_artifact(&artifact).unwrap();
         let engine = Engine::new(
             Arc::clone(&artifact),
@@ -952,7 +932,7 @@ mod tests {
 
     #[test]
     fn queue_full_is_rejected_not_queued() {
-        let artifact = test_artifact();
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
         // Zero workers: nothing drains, so the bound is exact.
         let engine = Engine::new(
             artifact,
@@ -991,7 +971,7 @@ mod tests {
             action: FaultAction::Delay(stall),
         }]);
         Engine::with_hooks(
-            test_artifact(),
+            Arc::new(ModelArtifact::untrained(BacConfig::fast())),
             EngineConfig {
                 workers: 1,
                 max_batch,
@@ -1056,7 +1036,8 @@ mod tests {
     /// would be a floor under all of them.
     #[test]
     fn a_lone_warm_request_is_not_held() {
-        let engine = Engine::new(test_artifact(), EngineConfig::default()).unwrap();
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+        let engine = Engine::new(artifact, EngineConfig::default()).unwrap();
         let record = test_records(1).remove(0);
         assert!(!engine.classify(record.clone()).unwrap().cache_hit);
         let cold = engine.metrics();
@@ -1082,7 +1063,7 @@ mod tests {
     /// share, every request is answered once, with the model's label.
     #[test]
     fn burst_over_four_workers_is_accounted_and_identical() {
-        let artifact = test_artifact();
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
         let direct = BaClassifier::from_artifact(&artifact).unwrap();
         let engine = Engine::new(
             artifact,
@@ -1113,7 +1094,7 @@ mod tests {
 
     #[test]
     fn repeat_queries_hit_the_cache() {
-        let artifact = test_artifact();
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
         let engine = Engine::new(artifact, EngineConfig::default()).unwrap();
         let record = test_records(1).remove(0);
         let cold = engine.classify(record.clone()).unwrap();
@@ -1134,7 +1115,7 @@ mod tests {
     #[test]
     fn grown_history_never_serves_stale_embedding() {
         use btcsim::{Amount, TxView, Txid};
-        let artifact = test_artifact();
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
         let direct = BaClassifier::from_artifact(&artifact).unwrap();
         let engine = Engine::new(Arc::clone(&artifact), EngineConfig::default()).unwrap();
 
@@ -1164,7 +1145,7 @@ mod tests {
     /// `(id, len)` key cannot catch).
     #[test]
     fn invalidate_address_supersedes_cached_embeddings() {
-        let artifact = test_artifact();
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
         let engine = Engine::new(artifact, EngineConfig::default()).unwrap();
         let record = test_records(1).remove(0);
 
@@ -1189,7 +1170,7 @@ mod tests {
 
     #[test]
     fn invalidation_is_per_address() {
-        let artifact = test_artifact();
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
         let engine = Engine::new(artifact, EngineConfig::default()).unwrap();
         let records = test_records(2);
         for r in &records {
@@ -1203,7 +1184,7 @@ mod tests {
 
     #[test]
     fn zero_cache_capacity_still_serves() {
-        let artifact = test_artifact();
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
         let engine = Engine::new(
             artifact,
             EngineConfig {
@@ -1221,15 +1202,14 @@ mod tests {
 
     #[test]
     fn mismatched_artifact_is_rejected_at_startup() {
-        let artifact = test_artifact();
-        let mut bad = (*artifact).clone();
+        let mut bad = ModelArtifact::untrained(BacConfig::fast());
         bad.weights.pop();
         assert!(Engine::new(Arc::new(bad), EngineConfig::default()).is_err());
     }
 
     #[test]
     fn drop_is_a_graceful_shutdown() {
-        let artifact = test_artifact();
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
         let engine = Engine::new(artifact, EngineConfig::default()).unwrap();
         let tickets: Vec<Ticket> = test_records(6)
             .into_iter()
@@ -1247,7 +1227,7 @@ mod tests {
     /// as WorkerFailed, respawn, and keep serving with consistent metrics.
     #[test]
     fn worker_panic_is_supervised_and_recovered() {
-        let artifact = test_artifact();
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
         let plan = Arc::new(ScriptedFaultPlan::panics(0, &[1]));
         let engine = Engine::with_hooks(
             artifact,
@@ -1299,7 +1279,7 @@ mod tests {
                 .collect(),
         ));
         let engine = Engine::with_hooks(
-            test_artifact(),
+            Arc::new(ModelArtifact::untrained(BacConfig::fast())),
             EngineConfig {
                 workers: 1,
                 breaker_threshold: 0,
@@ -1340,7 +1320,7 @@ mod tests {
         let fb = Arc::new(FeatureFallback::fit(&records));
         let plan = Arc::new(ScriptedFaultPlan::panics(0, &[1]));
         let engine = Engine::with_hooks(
-            test_artifact(),
+            Arc::new(ModelArtifact::untrained(BacConfig::fast())),
             EngineConfig {
                 workers: 1,
                 breaker_threshold: 1,
@@ -1387,7 +1367,7 @@ mod tests {
         let fb = Arc::new(FeatureFallback::fit(&records));
         let plan = Arc::new(ScriptedFaultPlan::panics(0, &[1]));
         let engine = Engine::with_hooks(
-            test_artifact(),
+            Arc::new(ModelArtifact::untrained(BacConfig::fast())),
             EngineConfig {
                 workers: 1,
                 max_worker_restarts: 0, // first panic retires the worker

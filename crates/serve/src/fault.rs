@@ -8,7 +8,7 @@
 //! that runs in production is the code the chaos harness exercises.
 //!
 //! [`ScriptedFaultPlan`] is the deterministic implementation used by the
-//! chaos acceptance tests and `chaos_bench`: a finite script of
+//! chaos acceptance tests (`tests/tests/chaos_serving.rs`): a finite script of
 //! `(worker, batch)`-addressed [`FaultAction`]s, so a given seed/script
 //! reproduces the identical failure sequence on every run.
 //!

@@ -12,8 +12,8 @@
 //! into the shard the frozen hash assigns it under the new count. The
 //! outputs are byte-identical to what a fresh `--to`-shard follower run
 //! over the same blocks would have checkpointed, so a fleet can restart
-//! at the new width with no replay and no drift (`shard_bench` and the
-//! `net` acceptance test assert exactly that).
+//! at the new width with no replay and no drift (the `net` acceptance
+//! test asserts exactly that for 2 → 4).
 //!
 //! Any corruption, layout mismatch, or hash-version skew aborts before a
 //! single output byte is written; outputs land atomically (tmp + fsync +

@@ -34,8 +34,9 @@
 //!   snapshot for independent restart.
 //!
 //! The `basharded` binary serves the `baserve::protocol` line protocol
-//! over a router; `shard_bench` (bench crate) asserts the N-vs-1
-//! byte-identity end to end and records per-shard scaling curves.
+//! over a router; `tests/tests/sharding.rs` asserts the N-vs-1
+//! byte-identity end to end, and `bacbench` reports `shard.route_ns_per_req`,
+//! `shard.lane_skew` and `shard.batch_fill`.
 
 pub mod rebalance;
 pub mod remote;

@@ -624,23 +624,6 @@ pub(crate) mod tests {
     use baclassifier::BacConfig;
     use btcsim::{BlockCursor, Dataset, SimConfig, Simulator};
 
-    pub(crate) fn test_artifact() -> ModelArtifact {
-        let cfg = BacConfig::fast();
-        let clf = BaClassifier::new(cfg.clone());
-        let path = std::env::temp_dir().join(format!(
-            "bstream_test_artifact_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        clf.save_weights(&path).unwrap();
-        let weights = numnet::read_matrices(&mut std::fs::File::open(&path).unwrap()).unwrap();
-        std::fs::remove_file(&path).ok();
-        ModelArtifact {
-            config: cfg,
-            weights,
-        }
-    }
-
     pub(crate) fn test_sim(seed: u64, blocks: u64) -> SimConfig {
         SimConfig {
             blocks,
@@ -651,7 +634,7 @@ pub(crate) mod tests {
     #[test]
     fn follower_labels_match_batch_pipeline_at_tip() {
         let cfg = test_sim(11, 30);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
         for block in BlockCursor::new(cfg.clone()) {
             follower.step(&block);
@@ -676,7 +659,7 @@ pub(crate) mod tests {
     #[test]
     fn histories_match_batch_dataset_exactly() {
         let cfg = test_sim(13, 25);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
         for block in BlockCursor::new(cfg.clone()) {
             follower.ingest_block(&block);
@@ -700,7 +683,7 @@ pub(crate) mod tests {
     #[test]
     fn min_txs_gates_classification_not_tracking() {
         let cfg = test_sim(17, 20);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let follower_cfg = FollowerConfig {
             min_txs: 10_000, // nothing qualifies
             ..FollowerConfig::default()
@@ -719,7 +702,7 @@ pub(crate) mod tests {
         let sim = Simulator::run_to_completion(cfg.clone());
         let ds = Dataset::from_simulator(&sim, 3);
         let target = ds.records[0].address;
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let follower_cfg = FollowerConfig {
             tracked: Some(BTreeSet::from([target])),
             ..FollowerConfig::default()
@@ -737,7 +720,7 @@ pub(crate) mod tests {
     fn already_seen_blocks_are_skipped() {
         let cfg = test_sim(23, 10);
         let blocks: Vec<Block> = BlockCursor::new(cfg).collect();
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
         for b in &blocks {
             follower.ingest_block(b);
@@ -757,7 +740,7 @@ pub(crate) mod tests {
         // per-slice cache must stay byte-identical to the batch
         // `embed_record` pipeline.
         let cfg = test_sim(31, 25);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
         for block in BlockCursor::new(cfg.clone()) {
             follower.step(&block);
@@ -798,7 +781,7 @@ pub(crate) mod tests {
         let ds = Dataset::from_simulator(&sim, 3);
         let record = ds.records[0].clone();
         let engine = Engine::new(
-            Arc::new(test_artifact()),
+            Arc::new(ModelArtifact::untrained(BacConfig::fast())),
             EngineConfig {
                 workers: 1,
                 ..EngineConfig::default()
@@ -826,7 +809,7 @@ pub(crate) mod tests {
         // work and a later cadence (or a restore with a lowered threshold)
         // never picked it up.
         let cfg = test_sim(41, 20);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let follower_cfg = FollowerConfig {
             min_txs: 10_000, // nothing qualifies
             reclass_every: 0,
@@ -870,7 +853,7 @@ pub(crate) mod tests {
     #[test]
     fn coalesced_flips_and_batch_metrics_are_counted() {
         let cfg = test_sim(43, 30);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let follower_cfg = FollowerConfig {
             reclass_every: 0, // manual ticks
             ..FollowerConfig::default()
@@ -900,7 +883,7 @@ pub(crate) mod tests {
     #[test]
     fn batch_size_split_does_not_change_labels_or_embeddings() {
         let cfg = test_sim(47, 25);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let mut one_batch = Follower::new(
             &artifact,
             FollowerConfig {
@@ -940,7 +923,7 @@ pub(crate) mod tests {
     #[test]
     fn reclassify_only_touches_dirty_addresses() {
         let cfg = test_sim(29, 20);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let follower_cfg = FollowerConfig {
             reclass_every: 0, // manual control
             ..FollowerConfig::default()

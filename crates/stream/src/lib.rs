@@ -42,10 +42,10 @@
 //!    byte-identical to the per-address serial path at any thread count.
 //!
 //! The `bstream-follow` binary wires these together against a live
-//! simulation; `stream_bench` (in the bench crate) measures throughput,
-//! reclassification latency, and the incremental-vs-reconstruction
-//! speedup, and `chaos_stream_bench` measures recovery time, replay
-//! throughput, and blocks lost (required: zero).
+//! simulation; `bacbench`'s `follow_reclass` and `follow_ingest` workloads
+//! measure throughput, reclassification cost and the `stream.*` journal,
+//! snapshot and restore metrics, and `tests/tests/crash_recovery.rs`
+//! requires zero blocks lost.
 
 pub mod feed;
 pub mod follower;

@@ -25,7 +25,7 @@
 //! `ingest_block` path as live ingestion, then one reclassification pass
 //! brings the label table current. Recovery is therefore byte-identical
 //! to an uninterrupted run — the property `tests/crash_recovery.rs` and
-//! `chaos_stream_bench` assert.
+//! this module's tests assert.
 
 use crate::follower::{Follower, FollowerConfig};
 use crate::journal::{scan_journal, BlockJournal, JournalScan};
@@ -202,7 +202,8 @@ impl Follower {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::follower::tests::{test_artifact, test_sim};
+    use crate::follower::tests::test_sim;
+    use baclassifier::BacConfig;
     use btcsim::{Block, BlockCursor};
 
     fn temp_base(tag: &str) -> PathBuf {
@@ -267,7 +268,7 @@ mod tests {
     fn snapshot_generations_rotate() {
         let base = temp_base("rotate");
         cleanup(&base);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let blocks: Vec<Block> = BlockCursor::new(test_sim(73, 12)).collect();
         let cfg = FollowerConfig {
             snapshot_path: Some(base.clone()),
@@ -303,7 +304,7 @@ mod tests {
     fn crash_midway_recovers_byte_identically_via_journal() {
         let base = temp_base("crash");
         cleanup(&base);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let blocks: Vec<Block> = BlockCursor::new(test_sim(79, 24)).collect();
         let reference = reference_tip(&artifact, &blocks);
         let cfg = recovery_cfg(&base);
@@ -341,7 +342,7 @@ mod tests {
     fn corrupt_latest_generation_falls_back_and_quarantines() {
         let base = temp_base("fallback");
         cleanup(&base);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let blocks: Vec<Block> = BlockCursor::new(test_sim(83, 20)).collect();
         let reference = reference_tip(&artifact, &blocks);
         let cfg = recovery_cfg(&base);
@@ -377,7 +378,7 @@ mod tests {
     fn recovery_from_journal_alone_rebuilds_everything() {
         let base = temp_base("journalonly");
         cleanup(&base);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let blocks: Vec<Block> = BlockCursor::new(test_sim(89, 15)).collect();
         let reference = reference_tip(&artifact, &blocks);
         let cfg = recovery_cfg(&base);
@@ -400,7 +401,7 @@ mod tests {
     fn journal_gap_is_a_hard_error() {
         let base = temp_base("gap");
         cleanup(&base);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let blocks: Vec<Block> = BlockCursor::new(test_sim(97, 10)).collect();
         let cfg = recovery_cfg(&base);
         {
@@ -435,7 +436,7 @@ mod tests {
     fn torn_journal_tail_is_truncated_and_reported() {
         let base = temp_base("torntail");
         cleanup(&base);
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let blocks: Vec<Block> = BlockCursor::new(test_sim(101, 10)).collect();
         let cfg = recovery_cfg(&base);
         {

@@ -417,7 +417,8 @@ impl Follower {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::follower::tests::{test_artifact, test_sim};
+    use crate::follower::tests::test_sim;
+    use baclassifier::BacConfig;
     use btcsim::BlockCursor;
 
     /// `body` plus a valid checksum trailer — a well-formed file as far as
@@ -438,7 +439,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_preserves_state() {
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
         for block in BlockCursor::new(test_sim(31, 20)) {
             follower.step(&block);
@@ -464,7 +465,7 @@ mod tests {
     fn restored_follower_continues_like_a_continuous_run() {
         let sim = test_sim(37, 24);
         let blocks: Vec<btcsim::Block> = BlockCursor::new(sim).collect();
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
 
         let mut continuous = Follower::new(&artifact, FollowerConfig::default()).unwrap();
         for b in &blocks {
@@ -496,7 +497,7 @@ mod tests {
     fn corrupt_snapshots_are_rejected() {
         let path = temp_path("corrupt");
         std::fs::write(&path, sealed("BSTREAM v999\nheight 0\naddresses 0\n")).unwrap();
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let err = Follower::restore(&artifact, FollowerConfig::default(), &path)
             .err()
             .expect("restore must fail");
@@ -530,7 +531,7 @@ mod tests {
 
     #[test]
     fn bitflip_fails_the_checksum_naming_the_path() {
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
         for block in BlockCursor::new(test_sim(53, 15)) {
             follower.step(&block);
@@ -565,7 +566,7 @@ mod tests {
 
     #[test]
     fn snapshot_without_checksum_trailer_is_rejected() {
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
         for block in BlockCursor::new(test_sim(57, 12)) {
             follower.step(&block);
@@ -593,7 +594,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_rejected_naming_path_and_line() {
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
         for block in BlockCursor::new(test_sim(59, 10)) {
             follower.step(&block);
@@ -627,7 +628,7 @@ mod tests {
 
     #[test]
     fn snapshot_height_reads_just_the_header() {
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
         for block in BlockCursor::new(test_sim(61, 9)) {
             follower.step(&block);
@@ -645,7 +646,7 @@ mod tests {
 
     #[test]
     fn sharded_snapshot_records_and_enforces_layout() {
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let shard = ShardAssignment { index: 1, count: 2 };
         let cfg = FollowerConfig {
             shard: Some(shard),
@@ -692,7 +693,7 @@ mod tests {
             sealed("BSTREAM v1\nheight 3\nshard 0 2 99\naddresses 0\n"),
         )
         .unwrap();
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         match Follower::restore(&artifact, FollowerConfig::default(), &path).err() {
             Some(SnapshotError::UnsupportedVersion(v)) => assert!(v.contains("shard hash v99")),
             other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -702,7 +703,7 @@ mod tests {
 
     #[test]
     fn unsharded_snapshot_restores_under_trivial_layout_only() {
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
         for block in BlockCursor::new(test_sim(47, 10)) {
             follower.step(&block);
@@ -726,7 +727,7 @@ mod tests {
 
     #[test]
     fn snapshot_write_is_atomic() {
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
         for block in BlockCursor::new(test_sim(41, 10)) {
             follower.step(&block);
@@ -768,7 +769,7 @@ mod tests {
                 let path = shard_path(i);
                 let barrier = std::sync::Arc::clone(&barrier);
                 std::thread::spawn(move || {
-                    let artifact = test_artifact();
+                    let artifact = ModelArtifact::untrained(BacConfig::fast());
                     let cfg = FollowerConfig {
                         shard: Some(ShardAssignment { index: i, count: 2 }),
                         ..FollowerConfig::default()
@@ -788,7 +789,7 @@ mod tests {
             handle.join().expect("snapshot thread survives");
         }
         // Each file restores to its own shard's assignment and state.
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         for i in 0..2u32 {
             let restored =
                 Follower::restore(&artifact, FollowerConfig::default(), &shard_path(i)).unwrap();

@@ -8,32 +8,13 @@
 //! run; each case mutates its own private copies, so quarantine renames
 //! and journal truncation never leak between cases.
 
-use baclassifier::{BaClassifier, BacConfig, ModelArtifact};
+use baclassifier::{BacConfig, ModelArtifact};
 use bstream::{scan_journal, Follower, FollowerConfig, SnapshotError};
 use btcsim::{Block, BlockCursor, SimConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Freshly initialized weights exported through the NNIO stream — a valid
-/// fitted-state artifact without paying for `fit()`.
-fn test_artifact() -> ModelArtifact {
-    let cfg = BacConfig::fast();
-    let clf = BaClassifier::new(cfg.clone());
-    let path = std::env::temp_dir().join(format!(
-        "corruption_artifact_{}_{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    clf.save_weights(&path).unwrap();
-    let weights = numnet::read_matrices(&mut std::fs::File::open(&path).unwrap()).unwrap();
-    std::fs::remove_file(&path).ok();
-    ModelArtifact {
-        config: cfg,
-        weights,
-    }
-}
 
 struct Pristine {
     artifact: ModelArtifact,
@@ -46,7 +27,7 @@ struct Pristine {
 fn pristine() -> &'static Pristine {
     static PRISTINE: OnceLock<Pristine> = OnceLock::new();
     PRISTINE.get_or_init(|| {
-        let artifact = test_artifact();
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let dir = std::env::temp_dir();
         let snap = dir.join(format!("corruption_pristine_{}.bsnap", std::process::id()));
         let journal = dir.join(format!("corruption_pristine_{}.bjrnl", std::process::id()));

@@ -16,7 +16,7 @@
 //! 4. **Corrupted artifacts never load** — bit-flipped or truncated `.bart`
 //!    bytes are rejected by the checksum, not half-loaded.
 
-use baclassifier::{ArtifactError, BaClassifier, BacConfig, ModelArtifact};
+use baclassifier::{ArtifactError, BacConfig, ModelArtifact};
 use baserve::{
     corrupt_bytes, format_response, garble_line, parse_request_bytes, truncate_line, Engine,
     EngineConfig, EngineHooks, Fallback, FaultAction, FaultSpec, FeatureFallback,
@@ -25,25 +25,6 @@ use baserve::{
 use btcsim::{AddressRecord, Dataset, SimConfig, Simulator};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Freshly initialized weights exported through the NNIO stream — a valid
-/// fitted-state artifact without paying for `fit()`.
-fn test_artifact() -> Arc<ModelArtifact> {
-    let cfg = BacConfig::fast();
-    let clf = BaClassifier::new(cfg.clone());
-    let path = std::env::temp_dir().join(format!(
-        "chaos_serving_artifact_{}_{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    clf.save_weights(&path).unwrap();
-    let weights = numnet::read_matrices(&mut std::fs::File::open(&path).unwrap()).unwrap();
-    std::fs::remove_file(&path).ok();
-    Arc::new(ModelArtifact {
-        config: cfg,
-        weights,
-    })
-}
 
 fn test_records(n: usize) -> Vec<AddressRecord> {
     let sim = Simulator::run_to_completion(SimConfig::tiny(9));
@@ -79,7 +60,7 @@ fn scripted_fault_storm_leaves_no_request_unaccounted() {
         },
     ]));
     let engine = Engine::with_hooks(
-        test_artifact(),
+        Arc::new(ModelArtifact::untrained(BacConfig::fast())),
         EngineConfig {
             workers: 1,
             breaker_threshold: 0, // breaker off: isolate supervision itself
@@ -143,7 +124,7 @@ fn degraded_answers_match_the_fallback_byte_for_byte() {
     let fallback = Arc::new(FeatureFallback::fit(&records));
     let plan = Arc::new(ScriptedFaultPlan::panics(0, &[1]));
     let engine = Engine::with_hooks(
-        test_artifact(),
+        Arc::new(ModelArtifact::untrained(BacConfig::fast())),
         EngineConfig {
             workers: 1,
             breaker_threshold: 1,
@@ -189,7 +170,7 @@ fn degraded_answers_match_the_fallback_byte_for_byte() {
 /// file keeps loading.
 #[test]
 fn corrupted_and_truncated_artifacts_never_load() {
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let dir = std::env::temp_dir();
     let good = dir.join(format!("chaos_good_{}.bart", std::process::id()));
     artifact.save(&good).unwrap();
@@ -224,7 +205,8 @@ fn corrupted_and_truncated_artifacts_never_load() {
 #[test]
 fn garbled_protocol_traffic_never_kills_the_session() {
     let records = test_records(4);
-    let engine = Engine::new(test_artifact(), EngineConfig::default()).unwrap();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let engine = Engine::new(artifact, EngineConfig::default()).unwrap();
 
     let mut state = 0xc0ffee_u64;
     let mut responses = 0usize;

@@ -20,7 +20,7 @@
 //!    `degraded` response (or a clean error without a fallback) instead
 //!    of hanging.
 
-use baclassifier::{BaClassifier, BacConfig, ModelArtifact};
+use baclassifier::{BacConfig, ModelArtifact};
 use baserve::{
     EngineConfig, EngineHooks, Fallback, FaultAction, FaultSpec, FeatureFallback,
     ScriptedFaultPlan, ServeError,
@@ -34,25 +34,6 @@ use btcsim::{Block, BlockCursor, Dataset, SimConfig, Simulator};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Freshly initialized weights exported through the NNIO stream — a valid
-/// fitted-state artifact without paying for `fit()`.
-fn test_artifact() -> Arc<ModelArtifact> {
-    let cfg = BacConfig::fast();
-    let clf = BaClassifier::new(cfg.clone());
-    let path = std::env::temp_dir().join(format!(
-        "crash_recovery_artifact_{}_{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    clf.save_weights(&path).unwrap();
-    let weights = numnet::read_matrices(&mut std::fs::File::open(&path).unwrap()).unwrap();
-    std::fs::remove_file(&path).ok();
-    Arc::new(ModelArtifact {
-        config: cfg,
-        weights,
-    })
-}
 
 fn sim_blocks(seed: u64, blocks: u64) -> Vec<Block> {
     BlockCursor::new(SimConfig {
@@ -151,7 +132,7 @@ impl Scratch {
 #[test]
 fn killed_shard_worker_respawns_and_loses_nothing() {
     let blocks = sim_blocks(311, 34);
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let reference = unsharded_tip(&artifact, &blocks);
     assert!(reference.num_tracked() > 20, "sim too small");
 
@@ -194,7 +175,7 @@ fn killed_shard_worker_respawns_and_loses_nothing() {
 #[test]
 fn wedged_shard_worker_is_fenced_and_replaced() {
     let blocks = sim_blocks(313, 40);
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let reference = unsharded_tip(&artifact, &blocks);
 
     let shards = 2u32;
@@ -238,7 +219,7 @@ fn wedged_shard_worker_is_fenced_and_replaced() {
 #[test]
 fn dropped_fleet_recovers_byte_identically_at_counts_1_and_4() {
     let blocks = sim_blocks(317, 36);
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let reference = unsharded_tip(&artifact, &blocks);
     let split = blocks.len() * 3 / 5;
 
@@ -272,7 +253,7 @@ fn dropped_fleet_recovers_byte_identically_at_counts_1_and_4() {
 #[test]
 fn corrupt_latest_snapshot_falls_back_a_generation_and_replays() {
     let blocks = sim_blocks(331, 36);
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let reference = unsharded_tip(&artifact, &blocks);
     let split = blocks.len() * 3 / 5;
 
@@ -320,7 +301,7 @@ fn degraded_routing_answers_downed_shards_without_hanging() {
     let sim = Simulator::run_to_completion(SimConfig::tiny(347));
     let dataset = Dataset::from_simulator(&sim, 3);
     assert!(dataset.len() >= 10, "sim too small");
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let shards = 2u32;
 
     let fallback = Arc::new(FeatureFallback::fit(&dataset.records));

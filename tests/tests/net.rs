@@ -20,7 +20,7 @@
 //!    count never connects; misconfiguration is a refused handshake, not
 //!    a silently-misrouted fleet.
 
-use baclassifier::{BaClassifier, BacConfig, ModelArtifact, ShardAssignment, ShardMap};
+use baclassifier::{BacConfig, ModelArtifact, ShardAssignment, ShardMap};
 use banet::{listen_reuse, HealthSink, NetServer, NetServerConfig, RemoteShard, RemoteShardConfig};
 use baserve::{Engine, EngineConfig, Fallback, FeatureFallback, ServeError};
 use bashard::{
@@ -33,25 +33,6 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Freshly initialized weights exported through the NNIO stream — a valid
-/// fitted-state artifact without paying for `fit()`.
-fn test_artifact() -> Arc<ModelArtifact> {
-    let cfg = BacConfig::fast();
-    let clf = BaClassifier::new(cfg.clone());
-    let path = std::env::temp_dir().join(format!(
-        "net_artifact_{}_{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    clf.save_weights(&path).unwrap();
-    let weights = numnet::read_matrices(&mut std::fs::File::open(&path).unwrap()).unwrap();
-    std::fs::remove_file(&path).ok();
-    Arc::new(ModelArtifact {
-        config: cfg,
-        weights,
-    })
-}
 
 fn dataset(seed: u64) -> (Vec<AddressRecord>, HashMap<u64, AddressRecord>) {
     let sim = Simulator::run_to_completion(SimConfig::tiny(seed));
@@ -104,7 +85,7 @@ fn fast_config() -> RemoteShardConfig {
 
 #[test]
 fn remote_fleet_matches_in_process_router_and_single_engine() {
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let (records, by_id) = dataset(227);
 
     // Unsharded reference labels.
@@ -160,7 +141,7 @@ fn remote_fleet_matches_in_process_router_and_single_engine() {
 
 #[test]
 fn killed_worker_degrades_then_recovers_on_the_same_port() {
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let (records, by_id) = dataset(229);
     let shards = 2u32;
     let map = ShardMap::new(shards);
@@ -270,7 +251,7 @@ fn killed_worker_degrades_then_recovers_on_the_same_port() {
 
 #[test]
 fn rebalance_2_to_4_is_byte_identical_to_a_fresh_4_shard_run() {
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let blocks: Vec<Block> = BlockCursor::new(SimConfig {
         blocks: 36,
         ..SimConfig::tiny(233)
@@ -317,7 +298,7 @@ fn rebalance_2_to_4_is_byte_identical_to_a_fresh_4_shard_run() {
 
 #[test]
 fn layout_handshake_refuses_a_misconfigured_client() {
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let (records, by_id) = dataset(239);
     let (server, addr) = spawn_worker(&artifact, &by_id, 0, 2, None);
     let addr = addr.to_string();

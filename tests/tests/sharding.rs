@@ -16,31 +16,12 @@
 //!    with the same label as a single engine over the same artifact, with
 //!    responses merged back in request order.
 
-use baclassifier::{BaClassifier, BacConfig, ModelArtifact, ShardMap};
+use baclassifier::{BacConfig, ModelArtifact, ShardMap};
 use baserve::{Engine, EngineConfig};
 use bashard::{shard_snapshot_path, ShardReport, ShardRouter, ShardedFollower};
 use bstream::{BlockFeed, Follower, FollowerConfig};
 use btcsim::{Block, BlockCursor, Dataset, SimConfig, Simulator};
 use std::sync::Arc;
-
-/// Freshly initialized weights exported through the NNIO stream — a valid
-/// fitted-state artifact without paying for `fit()`.
-fn test_artifact() -> Arc<ModelArtifact> {
-    let cfg = BacConfig::fast();
-    let clf = BaClassifier::new(cfg.clone());
-    let path = std::env::temp_dir().join(format!(
-        "sharding_artifact_{}_{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    clf.save_weights(&path).unwrap();
-    let weights = numnet::read_matrices(&mut std::fs::File::open(&path).unwrap()).unwrap();
-    std::fs::remove_file(&path).ok();
-    Arc::new(ModelArtifact {
-        config: cfg,
-        weights,
-    })
-}
 
 fn sim_cfg(seed: u64, blocks: u64) -> SimConfig {
     SimConfig {
@@ -110,7 +91,7 @@ fn assert_merged_matches(
 fn sharded_followers_union_to_the_unsharded_state() {
     let cfg = sim_cfg(211, 40);
     let blocks: Vec<Block> = BlockCursor::new(cfg).collect();
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let reference = unsharded_tip(&artifact, &blocks);
     assert!(reference.num_tracked() > 20, "sim too small");
 
@@ -136,7 +117,7 @@ fn sharded_followers_union_to_the_unsharded_state() {
 fn sharded_snapshot_restart_resume_is_byte_identical() {
     let cfg = sim_cfg(223, 36);
     let blocks: Vec<Block> = BlockCursor::new(cfg).collect();
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let reference = unsharded_tip(&artifact, &blocks);
     let split = blocks.len() / 2;
 
@@ -186,7 +167,7 @@ fn router_classifications_match_a_single_engine_in_request_order() {
     let sim = Simulator::run_to_completion(cfg);
     let dataset = Dataset::from_simulator(&sim, 3);
     assert!(dataset.len() >= 10, "sim too small: {}", dataset.len());
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
 
     let single = Engine::new(Arc::clone(&artifact), EngineConfig::default()).unwrap();
     let want: Vec<_> = dataset

@@ -25,25 +25,6 @@ use bstream::{BlockFeed, Follower, FollowerConfig};
 use btcsim::{Block, BlockCursor, Dataset, SimConfig, Simulator};
 use std::sync::Arc;
 
-/// Freshly initialized weights exported through the NNIO stream — a valid
-/// fitted-state artifact without paying for `fit()`.
-fn test_artifact() -> Arc<ModelArtifact> {
-    let cfg = BacConfig::fast();
-    let clf = BaClassifier::new(cfg.clone());
-    let path = std::env::temp_dir().join(format!(
-        "streaming_artifact_{}_{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    clf.save_weights(&path).unwrap();
-    let weights = numnet::read_matrices(&mut std::fs::File::open(&path).unwrap()).unwrap();
-    std::fs::remove_file(&path).ok();
-    Arc::new(ModelArtifact {
-        config: cfg,
-        weights,
-    })
-}
-
 fn sim_cfg(seed: u64, blocks: u64) -> SimConfig {
     SimConfig {
         blocks,
@@ -54,7 +35,7 @@ fn sim_cfg(seed: u64, blocks: u64) -> SimConfig {
 #[test]
 fn streaming_labels_converge_to_batch_pipeline_at_tip() {
     let cfg = sim_cfg(101, 40);
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
 
     let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
     let feed = BlockFeed::follow_sim(cfg.clone(), 0, 8);
@@ -89,7 +70,7 @@ fn streaming_labels_converge_to_batch_pipeline_at_tip() {
 #[test]
 fn snapshot_restart_resume_reaches_the_continuous_state() {
     let cfg = sim_cfg(103, 36);
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let blocks: Vec<Block> = BlockCursor::new(cfg).collect();
     let split = 18;
 
@@ -140,7 +121,7 @@ fn snapshot_restart_resume_reaches_the_continuous_state() {
 #[test]
 fn batched_reclassification_matches_serial_at_any_thread_count() {
     let cfg = sim_cfg(113, 30);
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let blocks: Vec<Block> = BlockCursor::new(cfg).collect();
 
     let mut serial = Follower::new(
@@ -191,7 +172,7 @@ fn batched_reclassification_matches_serial_at_any_thread_count() {
 #[test]
 fn cadence_tick_coalesces_repeated_flips_into_one_reembed() {
     let cfg = sim_cfg(127, 30);
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     // Disable the automatic cadence so every tick is explicit.
     let mut follower = Follower::new(
         &artifact,
@@ -238,7 +219,7 @@ fn cadence_tick_coalesces_repeated_flips_into_one_reembed() {
 #[test]
 fn follower_growth_invalidates_serving_cache() {
     let cfg = sim_cfg(107, 30);
-    let artifact = test_artifact();
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let engine = Arc::new(Engine::new(Arc::clone(&artifact), EngineConfig::default()).unwrap());
 
     // Stream the first half of the chain, then extract a dataset from a
