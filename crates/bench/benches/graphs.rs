@@ -1,21 +1,31 @@
-//! Criterion microbenchmarks of the graph-algorithm substrate: SFE,
-//! centralities, normalised adjacency, and the UTXO simulator itself.
+//! Criterion microbenchmarks of the graph-algorithm substrate: SFE, the
+//! four Stage 4 measures and normalised adjacency one by one, and the UTXO
+//! simulator itself.
 
 use baclassifier::construction::sfe::sfe;
 use btcsim::{SimConfig, Simulator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graphalgo::{all_centralities, normalized_adjacency, propagate_features, Graph};
+use graphalgo::{propagate_features, Topology};
 use std::hint::black_box;
 
-/// A random-ish sparse graph of `n` nodes with ~3n edges.
-fn sparse_graph(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for i in 0..n {
-        g.add_edge(i, (i * 7 + 1) % n, 1.0);
-        g.add_edge(i, (i * 13 + 5) % n, 1.0);
-        g.add_edge(i, (i / 2 + 3) % n, 1.0);
+/// A bipartite star of stars on `n` nodes, the shape of a compressed slice:
+/// node 0 (the focus) funds every transaction, one node in five is a
+/// transaction, every other node is paid by one transaction and every
+/// seventh of them by the next one as well — so most nodes have degree 1.
+fn star_of_stars(n: usize) -> Vec<(usize, usize)> {
+    let txs = n / 5;
+    let mut edges: Vec<(usize, usize)> = (1..=txs).map(|tx| (0, tx)).collect();
+    for (i, addr) in (txs + 1..n).enumerate() {
+        edges.push((addr, 1 + i % txs));
+        if i % 7 == 0 {
+            edges.push((addr, 1 + (i + 1) % txs));
+        }
     }
-    g
+    edges
+}
+
+fn topology(n: usize, edges: &[(usize, usize)]) -> Topology {
+    Topology::from_edges(n, edges.iter().copied())
 }
 
 fn bench_sfe(c: &mut Criterion) {
@@ -31,20 +41,40 @@ fn bench_sfe(c: &mut Criterion) {
     group.finish();
 }
 
+/// Stage 4 split into its measures, and Ã, at a thin, a typical dense and
+/// a payout-cohort slice size.
 fn bench_centralities(c: &mut Criterion) {
     let mut group = c.benchmark_group("centralities");
-    for n in [50usize, 150, 400] {
-        let g = sparse_graph(n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
-            b.iter(|| black_box(all_centralities(g)))
+    for n in [25usize, 120, 450] {
+        let edges = star_of_stars(n);
+        let t = topology(n, &edges);
+        let (mut first, mut second) = (vec![0.0; n], vec![0.0; n]);
+        group.bench_with_input(
+            BenchmarkId::new("csr_build_and_degree", n),
+            &edges,
+            |b, e| {
+                b.iter(|| {
+                    let t = topology(n, e);
+                    (0..n).for_each(|v| first[v] = t.degree(v) as f64);
+                    black_box(&mut first);
+                })
+            },
+        );
+        group.bench_with_input(BenchmarkId::new("closeness_betweenness", n), &t, |b, t| {
+            b.iter(|| t.closeness_betweenness(black_box(&mut first), black_box(&mut second)))
+        });
+        group.bench_with_input(BenchmarkId::new("pagerank", n), &t, |b, t| {
+            b.iter(|| t.pagerank(black_box(&mut first), 0.85, 1e-9, 100))
+        });
+        group.bench_with_input(BenchmarkId::new("normalized_adjacency", n), &t, |b, t| {
+            b.iter(|| black_box(t.normalized_adjacency()))
         });
     }
     group.finish();
 }
 
 fn bench_propagation(c: &mut Criterion) {
-    let g = sparse_graph(200);
-    let adj = normalized_adjacency(&g);
+    let adj = topology(200, &star_of_stars(200)).normalized_adjacency();
     let x: Vec<f32> = (0..200 * 24).map(|i| (i as f32 * 0.01).sin()).collect();
     c.bench_function("propagate_k3_200x24", |b| {
         b.iter(|| black_box(propagate_features(&adj, &x, 24, 3)))

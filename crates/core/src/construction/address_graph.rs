@@ -111,11 +111,19 @@ impl AddressGraph {
         self.nodes.iter().filter(|n| n.kind == kind).count()
     }
 
-    /// Convert to a `graphalgo` topology (edge weights = BTC values).
+    /// The flat adjacency Stage 4 and tensor assembly run on. Neighbour
+    /// lists follow edge order; transferred values play no part in it.
+    pub fn topology(&self) -> graphalgo::Topology {
+        let edges = self.edges.iter().map(|e| (e.addr_node, e.tx_node));
+        graphalgo::Topology::from_edges(self.nodes.len(), edges)
+    }
+
+    /// The same topology as a `graphalgo` edge-list builder, for callers
+    /// that hold on to the builder form.
     pub fn to_graph(&self) -> graphalgo::Graph {
         let mut g = graphalgo::Graph::new(self.nodes.len());
         for e in &self.edges {
-            g.add_edge(e.addr_node, e.tx_node, e.value);
+            g.add_edge(e.addr_node, e.tx_node);
         }
         g
     }
@@ -221,7 +229,8 @@ mod tests {
         let g = tiny_graph().to_graph();
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.degree(1), 2);
+        assert_eq!(g.topology().degree(1), 2);
+        assert_eq!(tiny_graph().topology().neighbors(1), [0, 2]);
     }
 
     #[test]

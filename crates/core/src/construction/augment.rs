@@ -3,15 +3,13 @@
 //! Eq. 8–11) to every node of the compressed graph.
 
 use crate::construction::address_graph::AddressGraph;
-use graphalgo::all_centralities;
 
 /// Compute and attach `[degree, closeness, betweenness, pagerank]` to every
 /// node of the graph, in place.
 pub fn augment_with_centralities(g: &mut AddressGraph) {
-    let topo = g.to_graph();
-    let c = all_centralities(&topo);
+    let c = g.topology().centralities();
     for (i, node) in g.nodes.iter_mut().enumerate() {
-        node.centrality = [c.degree[i], c.closeness[i], c.betweenness[i], c.pagerank[i]];
+        node.centrality = c.of_node(i);
     }
 }
 

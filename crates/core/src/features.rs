@@ -9,9 +9,9 @@
 //! * 4 centralities (degree, closeness, betweenness, PageRank), also
 //!   `log1p`-compressed.
 
-use crate::construction::address_graph::{AddressGraph, NodeKind};
+use crate::construction::address_graph::{AddressGraph, Node, NodeKind};
 use crate::construction::sfe::SFE_DIM;
-use graphalgo::{normalized_adjacency, CsrMatrix};
+use graphalgo::CsrMatrix;
 use numnet::Matrix;
 
 /// Total node feature width.
@@ -59,8 +59,13 @@ impl GraphTensors {
 
 /// Feature vector of one node.
 pub fn node_features(g: &AddressGraph, i: usize) -> [f32; NODE_FEAT_DIM] {
-    let n = &g.nodes[i];
     let mut f = [0.0f32; NODE_FEAT_DIM];
+    write_node_features(&g.nodes[i], &mut f);
+    f
+}
+
+/// Fill one zeroed `NODE_FEAT_DIM`-wide row with a node's features.
+fn write_node_features(n: &Node, f: &mut [f32]) {
     let kind_slot = match n.kind {
         NodeKind::Focus => 0,
         NodeKind::Transaction => 1,
@@ -75,24 +80,21 @@ pub fn node_features(g: &AddressGraph, i: usize) -> [f32; NODE_FEAT_DIM] {
     for (j, &c) in n.centrality.iter().enumerate() {
         f[5 + SFE_DIM + j] = signed_log1p(c);
     }
-    f
 }
 
 /// Build the dense tensors for one constructed graph.
 pub fn graph_tensors(g: &AddressGraph) -> GraphTensors {
     let n = g.num_nodes();
     let mut x = Matrix::zeros(n, NODE_FEAT_DIM);
-    for i in 0..n {
-        x.row_mut(i).copy_from_slice(&node_features(g, i));
+    for (i, node) in g.nodes.iter().enumerate() {
+        write_node_features(node, x.row_mut(i));
     }
-    let topo = g.to_graph();
-    let degrees: Vec<f32> = (0..n).map(|i| topo.degree(i) as f32).collect();
-    let adj = normalized_adjacency(&topo);
+    let topo = g.topology();
     GraphTensors {
         x,
-        adj,
+        adj: topo.normalized_adjacency(),
         adj_dense: std::sync::OnceLock::new(),
-        degrees,
+        degrees: (0..n).map(|i| topo.degree(i) as f32).collect(),
     }
 }
 

@@ -2,17 +2,19 @@
 //! generated transaction histories: structural invariants, mass
 //! conservation, and monotone shrinkage must hold for *any* input — and the
 //! production Stage 2–3 kernels must be byte-identical to a deliberately
-//! naive dense reference of Eq. 3–7 that lives only in this file.
+//! naive dense reference of Eq. 3–7 that lives only in this file, as Stage 4
+//! and tensor assembly must be to a naive reference of Eq. 8–12.
 
 use baclassifier::construction::{
-    compress_multi_tx, compress_single_tx, extract_original_graphs, graphs_identical, sfe,
-    AddressGraph, Edge, MultiCompressParams, Node, NodeKind, Side,
+    augment_with_centralities, compress_multi_tx, compress_single_tx, extract_original_graphs,
+    graphs_identical, sfe, AddressGraph, Edge, MultiCompressParams, Node, NodeKind, Side,
 };
+use baclassifier::features::graph_tensors;
 use btcsim::{Address, AddressRecord, Amount, Dataset, Label, SimConfig, Simulator, TxView, Txid};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Strategy: a random transaction history for focus address 0.
 /// Counterparties are drawn from a small id pool so that both single- and
@@ -399,6 +401,15 @@ proptest! {
             assert_matches_oracle(&g, all_settings())?;
         }
     }
+
+    #[test]
+    fn stage_4_matches_oracle_on_thin_histories(record in history_strategy(), slice in 1usize..31) {
+        for g in extract_original_graphs(&record, slice) {
+            assert_stage_4_matches_oracle(&g)?;
+            let s2 = compress_single_tx(&g);
+            assert_stage_4_matches_oracle(&compress_multi_tx(&s2, MultiCompressParams::default()))?;
+        }
+    }
 }
 
 proptest! {
@@ -414,6 +425,18 @@ proptest! {
         let record = payout_history(seed, num_txs, 400, 50, 300);
         for g in extract_original_graphs(&record, 100) {
             assert_matches_oracle(&g, [(0.5, 1), (PSIS[psi], sigma)])?;
+        }
+    }
+
+    #[test]
+    fn stage_4_matches_oracle_on_payout_cohorts(seed in any::<u64>(), num_txs in 1usize..=6) {
+        // Hundreds of payees per transaction: raw slices of ~400 nodes whose
+        // majority has degree 1, and what Stages 2–3 leave of them.
+        let record = payout_history(seed, num_txs, 400, 150, 300);
+        for g in extract_original_graphs(&record, 100) {
+            assert_stage_4_matches_oracle(&g)?;
+            let s2 = compress_single_tx(&g);
+            assert_stage_4_matches_oracle(&compress_multi_tx(&s2, MultiCompressParams::default()))?;
         }
     }
 
@@ -478,70 +501,296 @@ fn node_on_both_sides_of_its_only_tx_joins_the_input_group() {
     assert_matches_oracle(&g, all_settings()).unwrap();
 }
 
-/// FNV-1a over every field of every Stage 2 and Stage 3 graph of a fixed
-/// simulated chain. The constant was recorded at the commit before the
-/// bit-matrix kernels replaced the hash-map implementation.
-#[test]
-fn golden_digest_of_stages_2_and_3_is_unchanged() {
-    struct Fnv(u64);
-    impl Fnv {
-        fn u64(&mut self, v: u64) {
-            for b in v.to_le_bytes() {
-                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+// ---------------------------------------------------------------------------
+// Oracle of Stage 4 and tensor assembly: one traversal per measure over
+// nested adjacency lists and a dense Ã, in the operation order of the code
+// the CSR kernels replaced. It shares no code with `graphalgo`.
+// ---------------------------------------------------------------------------
+
+/// Neighbour lists in edge order, each edge listed at both endpoints.
+fn oracle_adjacency(g: &AddressGraph) -> Vec<Vec<usize>> {
+    let mut adj = vec![Vec::new(); g.nodes.len()];
+    for e in &g.edges {
+        adj[e.addr_node].push(e.tx_node);
+        adj[e.tx_node].push(e.addr_node);
+    }
+    adj
+}
+
+/// Eq. 9 with the reachable-fraction correction, by one BFS per node.
+fn oracle_closeness(adj: &[Vec<usize>]) -> Vec<f64> {
+    let n = adj.len();
+    (0..n)
+        .map(|s| {
+            let mut dist = vec![usize::MAX; n];
+            let mut queue = VecDeque::from([s]);
+            dist[s] = 0;
+            while let Some(u) = queue.pop_front() {
+                for &v in &adj[u] {
+                    if dist[v] == usize::MAX {
+                        dist[v] = dist[u] + 1;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            let reached = dist.iter().filter(|&&d| d != usize::MAX && d > 0);
+            let (reachable, total) = (reached.clone().count(), reached.sum::<usize>());
+            if total == 0 {
+                return 0.0;
+            }
+            (reachable as f64 / (n - 1) as f64) * (reachable as f64 / total as f64)
+        })
+        .collect()
+}
+
+/// Eq. 10 by Brandes' algorithm with explicit predecessor lists.
+fn oracle_betweenness(adj: &[Vec<usize>]) -> Vec<f64> {
+    let n = adj.len();
+    let mut bc = vec![0.0f64; n];
+    for s in 0..n {
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut sigma = vec![0.0f64; n];
+        let mut dist = vec![usize::MAX; n];
+        let mut delta = vec![0.0f64; n];
+        let mut stack = Vec::new();
+        let mut queue = VecDeque::from([s]);
+        sigma[s] = 1.0;
+        dist[s] = 0;
+        while let Some(v) = queue.pop_front() {
+            stack.push(v);
+            for &w in &adj[v] {
+                if dist[w] == usize::MAX {
+                    dist[w] = dist[v] + 1;
+                    queue.push_back(w);
+                }
+                if dist[w] == dist[v] + 1 {
+                    sigma[w] += sigma[v];
+                    preds[w].push(v);
+                }
             }
         }
-        fn graph(&mut self, g: &AddressGraph) {
-            for v in [
-                g.focus.0,
-                g.slice_index as u64,
-                g.start_timestamp,
-                g.num_txs as u64,
-            ] {
-                self.u64(v);
+        while let Some(w) = stack.pop() {
+            for &v in &preds[w] {
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
             }
-            self.u64(g.nodes.len() as u64);
-            for n in &g.nodes {
-                self.u64(n.kind as u64);
-                self.u64(n.address.map_or(u64::MAX, |a| a.0));
-                self.u64(n.merged_count as u64);
-                self.u64(n.values.len() as u64);
-                let floats = n.values.iter().chain(&n.sfe.0).chain(&n.centrality);
-                floats.for_each(|v| self.u64(v.to_bits()));
-            }
-            self.u64(g.edges.len() as u64);
-            for e in &g.edges {
-                for v in [e.addr_node as u64, e.tx_node as u64, e.value.to_bits()] {
-                    self.u64(v);
-                }
-                self.u64(u64::from(e.side == Side::Input));
+            if w != s {
+                bc[w] += delta[w];
             }
         }
     }
+    bc.iter().map(|x| x / 2.0).collect()
+}
 
-    let sim = Simulator::run_to_completion(SimConfig::tiny(2023));
-    let dataset = Dataset::from_simulator(&sim, 2);
-    let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
-    let mut merged = 0;
-    for record in &dataset.records {
-        for slice_size in [16, 100] {
-            for g in extract_original_graphs(record, slice_size) {
-                let s2 = compress_single_tx(&g);
-                let s3 = compress_multi_tx(&s2, MultiCompressParams::default());
-                merged +=
-                    s3.count_kind(NodeKind::SingleHyper) + s3.count_kind(NodeKind::MultiHyper);
-                fnv.graph(&s2);
-                fnv.graph(&s3);
+/// Eq. 11: damping 0.85, L1 tolerance 1e-9, at most 100 iterations.
+fn oracle_pagerank(adj: &[Vec<usize>]) -> Vec<f64> {
+    let n = adj.len();
+    let uniform = 1.0 / n as f64;
+    let mut rank = vec![uniform; n];
+    for _ in 0..100 {
+        let mut next = vec![0.0f64; n];
+        let mut dangling = 0.0;
+        for u in 0..n {
+            if adj[u].is_empty() {
+                dangling += rank[u];
+            }
+            for &v in &adj[u] {
+                next[v] += rank[u] / adj[u].len() as f64;
             }
         }
+        let base = (1.0 - 0.85) * uniform + 0.85 * dangling * uniform;
+        let mut diff = 0.0;
+        for v in 0..n {
+            let r = base + 0.85 * next[v];
+            diff += (r - rank[v]).abs();
+            rank[v] = r;
+        }
+        if diff < 1e-9 {
+            break;
+        }
+    }
+    rank
+}
+
+/// Eq. 12 as a dense matrix: Ã = D̃^-1/2 (A + I) D̃^-1/2.
+fn oracle_normalized_adjacency(adj: &[Vec<usize>]) -> Vec<Vec<f32>> {
+    let n = adj.len();
+    let mut a = vec![vec![0.0f32; n]; n];
+    for u in 0..n {
+        a[u][u] += 1.0;
+        adj[u].iter().for_each(|&v| a[u][v] += 1.0);
+    }
+    let inv_sqrt: Vec<f32> = a
+        .iter()
+        .map(|row| 1.0 / row.iter().sum::<f32>().sqrt())
+        .collect();
+    (0..n)
+        .map(|u| {
+            (0..n)
+                .map(|v| inv_sqrt[u] * a[u][v] * inv_sqrt[v])
+                .collect()
+        })
+        .collect()
+}
+
+/// `augment_with_centralities` and `graph_tensors` against the oracle, bit
+/// for bit: four measures per node, degrees, every entry of Ã.
+fn assert_stage_4_matches_oracle(g: &AddressGraph) -> Result<(), TestCaseError> {
+    let adj = oracle_adjacency(g);
+    let want: [Vec<f64>; 4] = [
+        adj.iter().map(|nbrs| nbrs.len() as f64).collect(),
+        oracle_closeness(&adj),
+        oracle_betweenness(&adj),
+        oracle_pagerank(&adj),
+    ];
+    let mut augmented = g.clone();
+    augment_with_centralities(&mut augmented);
+    for (i, node) in augmented.nodes.iter().enumerate() {
+        let measures = ["degree", "closeness", "betweenness", "pagerank"];
+        for (k, measure) in measures.iter().enumerate() {
+            prop_assert_eq!(
+                node.centrality[k].to_bits(),
+                want[k][i].to_bits(),
+                "{} of node {} of {}",
+                measure,
+                i,
+                g.nodes.len()
+            );
+        }
+    }
+    let t = graph_tensors(&augmented);
+    let degrees: Vec<f32> = adj.iter().map(|nbrs| nbrs.len() as f32).collect();
+    prop_assert_eq!(&t.degrees, &degrees);
+    prop_assert_eq!(t.adj.n(), adj.len());
+    for (r, dense_row) in oracle_normalized_adjacency(&adj).iter().enumerate() {
+        let want: Vec<(usize, u32)> = dense_row
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| **v != 0.0)
+            .map(|(c, v)| (c, v.to_bits()))
+            .collect();
+        let got: Vec<(usize, u32)> = t.adj.row(r).map(|(c, v)| (c, v.to_bits())).collect();
+        prop_assert_eq!(got, want, "row {} of Ã", r);
+    }
+    Ok(())
+}
+
+/// FNV-1a, the hash both golden digests below fold their bits into.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn graph(&mut self, g: &AddressGraph) {
+        for v in [
+            g.focus.0,
+            g.slice_index as u64,
+            g.start_timestamp,
+            g.num_txs as u64,
+        ] {
+            self.u64(v);
+        }
+        self.u64(g.nodes.len() as u64);
+        for n in &g.nodes {
+            self.u64(n.kind as u64);
+            self.u64(n.address.map_or(u64::MAX, |a| a.0));
+            self.u64(n.merged_count as u64);
+            self.u64(n.values.len() as u64);
+            let floats = n.values.iter().chain(&n.sfe.0).chain(&n.centrality);
+            floats.for_each(|v| self.u64(v.to_bits()));
+        }
+        self.u64(g.edges.len() as u64);
+        for e in &g.edges {
+            for v in [e.addr_node as u64, e.tx_node as u64, e.value.to_bits()] {
+                self.u64(v);
+            }
+            self.u64(u64::from(e.side == Side::Input));
+        }
+    }
+
+    /// Stage 4 and tensor assembly of one graph: every node's centralities,
+    /// then `x`, `degrees` and every `(col, value)` of every row of Ã.
+    fn stage4_and_tensors(&mut self, g: &mut AddressGraph) {
+        augment_with_centralities(g);
+        for n in &g.nodes {
+            n.centrality.iter().for_each(|c| self.u64(c.to_bits()));
+        }
+        let t = graph_tensors(g);
+        let floats = t.x.as_slice().iter().chain(&t.degrees);
+        floats.for_each(|v| self.u64(u64::from(v.to_bits())));
+        self.u64(t.adj.n() as u64);
+        for r in 0..t.adj.n() {
+            self.u64(t.adj.row(r).count() as u64);
+            for (c, v) in t.adj.row(r) {
+                self.u64(c as u64);
+                self.u64(u64::from(v.to_bits()));
+            }
+        }
+    }
+}
+
+/// Every Stage 1 slice graph of the fixed simulated chain both digests
+/// walk, at slice sizes 16 and 100, with the record count.
+fn golden_chain_slices() -> (Vec<AddressGraph>, usize) {
+    let sim = Simulator::run_to_completion(SimConfig::tiny(2023));
+    let dataset = Dataset::from_simulator(&sim, 2);
+    let mut graphs = Vec::new();
+    for record in &dataset.records {
+        for slice_size in [16, 100] {
+            graphs.extend(extract_original_graphs(record, slice_size));
+        }
+    }
+    (graphs, dataset.records.len())
+}
+
+/// Digest of every field of every Stage 2 and Stage 3 graph. The constant
+/// was recorded at the commit before the bit-matrix kernels replaced the
+/// hash-map implementation.
+#[test]
+fn golden_digest_of_stages_2_and_3_is_unchanged() {
+    let (graphs, records) = golden_chain_slices();
+    let mut fnv = Fnv::new();
+    let mut merged = 0;
+    for g in &graphs {
+        let s2 = compress_single_tx(g);
+        let s3 = compress_multi_tx(&s2, MultiCompressParams::default());
+        merged += s3.count_kind(NodeKind::SingleHyper) + s3.count_kind(NodeKind::MultiHyper);
+        fnv.graph(&s2);
+        fnv.graph(&s3);
     }
     assert!(
         merged > 100,
         "the chain must exercise both stages ({merged} hyper nodes)"
     );
-    assert_eq!(
-        fnv.0,
-        0x2190_db3c_e82d_c41d,
-        "{} records",
-        dataset.records.len()
+    assert_eq!(fnv.0, 0x2190_db3c_e82d_c41d, "{records} records");
+}
+
+/// Digest of Stage 4 and `graph_tensors` on every raw and every compressed
+/// slice of the same chain. The constant was recorded at the commit before
+/// the CSR topology and the fused Brandes sweep replaced the per-measure
+/// traversals over nested adjacency lists.
+#[test]
+fn golden_digest_of_stage_4_and_tensors_is_unchanged() {
+    let (graphs, records) = golden_chain_slices();
+    let mut fnv = Fnv::new();
+    let mut nodes = 0;
+    for mut raw in graphs {
+        let s2 = compress_single_tx(&raw);
+        let mut s3 = compress_multi_tx(&s2, MultiCompressParams::default());
+        nodes += raw.num_nodes() + s3.num_nodes();
+        fnv.stage4_and_tensors(&mut raw);
+        fnv.stage4_and_tensors(&mut s3);
+    }
+    assert!(
+        nodes > 10_000,
+        "the chain must be non-trivial ({nodes} nodes)"
     );
+    assert_eq!(fnv.0, 0x4c9b_7970_340b_f801, "{records} records");
 }

@@ -2,181 +2,200 @@
 //! (paper §III-A3, Eq. 8–11): degree, closeness, betweenness, PageRank.
 
 use crate::graph::Graph;
+use crate::topology::Topology;
 
-/// Degree centrality `C_D(v) = degree(v)` (Eq. 8).
-pub fn degree_centrality(g: &Graph) -> Vec<f64> {
-    (0..g.num_nodes()).map(|v| g.degree(v) as f64).collect()
+const UNSEEN: u32 = u32::MAX;
+
+/// Per-node state of one source's sweep; every field of a reached node is
+/// put back to `CLEAR` before the next source starts.
+#[derive(Clone, Copy)]
+struct Visit {
+    /// Hops from the source, `UNSEEN` until reached.
+    dist: u32,
+    /// Number of shortest paths from the source.
+    sigma: f64,
+    /// Brandes' dependency of the source on this node.
+    delta: f64,
 }
 
-/// Closeness centrality (Eq. 9): `(|V|-1) / Σ_t d(v,t)`, computed over the
-/// nodes reachable from `v` (Wasserman–Faust corrected for disconnected
-/// graphs: scaled by the reachable fraction). Isolated nodes get 0.
-pub fn closeness_centrality(g: &Graph) -> Vec<f64> {
-    let n = g.num_nodes();
-    let mut out = vec![0.0; n];
-    if n <= 1 {
-        return out;
-    }
-    for v in 0..n {
-        let dist = g.bfs_distances(v);
-        let mut total = 0usize;
-        let mut reachable = 0usize;
-        for (t, &d) in dist.iter().enumerate() {
-            if t != v && d != usize::MAX {
-                total += d;
-                reachable += 1;
-            }
-        }
-        if total > 0 {
-            // (reachable / (n-1)) * (reachable / total): the standard
-            // correction so components of different sizes are comparable.
-            out[v] = (reachable as f64 / (n - 1) as f64) * (reachable as f64 / total as f64);
-        }
-    }
-    out
-}
+const CLEAR: Visit = Visit {
+    dist: UNSEEN,
+    sigma: 0.0,
+    delta: 0.0,
+};
 
-/// Betweenness centrality via Brandes' algorithm (Eq. 10), unweighted,
-/// for undirected graphs; each pair is counted once (the result is halved).
-pub fn betweenness_centrality(g: &Graph) -> Vec<f64> {
-    let n = g.num_nodes();
-    let mut bc = vec![0.0f64; n];
-    let mut stack: Vec<usize> = Vec::with_capacity(n);
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut sigma = vec![0.0f64; n];
-    let mut dist = vec![-1i64; n];
-    let mut delta = vec![0.0f64; n];
-    let mut queue = std::collections::VecDeque::new();
+impl Topology {
+    /// Closeness (Eq. 9) and betweenness (Eq. 10) of every node, written to
+    /// the two `num_nodes`-long outputs, from one breadth-first sweep per
+    /// source.
+    ///
+    /// Closeness is `(|V|-1) / Σ_t d(v,t)` over the nodes reachable from `v`
+    /// (Wasserman–Faust corrected for disconnected graphs: scaled by the
+    /// reachable fraction); isolated nodes get 0. Betweenness is Brandes'
+    /// algorithm, unweighted, each pair counted once (the result is halved).
+    /// The distances Brandes' forward pass computes are exactly closeness's
+    /// input, so the two share it.
+    pub fn closeness_betweenness(&self, closeness: &mut [f64], betweenness: &mut [f64]) {
+        let n = self.num_nodes();
+        assert!(
+            closeness.len() == n && betweenness.len() == n,
+            "one output slot per node"
+        );
+        closeness.fill(0.0);
+        betweenness.fill(0.0);
+        // One workspace for all n sources. `order` is the BFS queue on the
+        // way out and the stack on the way back.
+        let mut order = vec![0u32; n];
+        let mut visit = vec![CLEAR; n];
 
-    for s in 0..n {
-        stack.clear();
-        for p in preds.iter_mut() {
-            p.clear();
-        }
-        sigma.iter_mut().for_each(|x| *x = 0.0);
-        dist.iter_mut().for_each(|x| *x = -1);
-        delta.iter_mut().for_each(|x| *x = 0.0);
-        sigma[s] = 1.0;
-        dist[s] = 0;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            stack.push(v);
-            for &(w, _) in g.neighbors(v) {
-                if dist[w] < 0 {
-                    dist[w] = dist[v] + 1;
-                    queue.push_back(w);
-                }
-                if dist[w] == dist[v] + 1 {
-                    sigma[w] += sigma[v];
-                    preds[w].push(v);
-                }
-            }
-        }
-        while let Some(w) = stack.pop() {
-            for &v in &preds[w] {
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
-            }
-            if w != s {
-                bc[w] += delta[w];
-            }
-        }
-    }
-    // Undirected: every pair (s, t) was counted twice.
-    bc.iter_mut().for_each(|x| *x /= 2.0);
-    bc
-}
-
-/// PageRank (Eq. 11) with damping factor `alpha`, run to `tol` convergence or
-/// `max_iter`. Dangling mass is redistributed uniformly.
-pub fn pagerank(g: &Graph, alpha: f64, tol: f64, max_iter: usize) -> Vec<f64> {
-    let n = g.num_nodes();
-    if n == 0 {
-        return Vec::new();
-    }
-    let uniform = 1.0 / n as f64;
-    let mut rank = vec![uniform; n];
-    let mut next = vec![0.0f64; n];
-    for _ in 0..max_iter {
-        let mut dangling = 0.0;
-        next.iter_mut().for_each(|x| *x = 0.0);
-        for u in 0..n {
-            let deg = g.degree(u);
-            if deg == 0 {
-                dangling += rank[u];
-            } else {
-                let share = rank[u] / deg as f64;
-                for &(v, _) in g.neighbors(u) {
-                    next[v] += share;
+        for s in 0..n {
+            visit[s].dist = 0;
+            visit[s].sigma = 1.0;
+            order[0] = s as u32;
+            let (mut head, mut reached, mut total) = (0, 1, 0usize);
+            while head < reached {
+                let v = order[head] as usize;
+                head += 1;
+                let next_dist = visit[v].dist + 1;
+                let sigma_v = visit[v].sigma;
+                for &w in self.neighbors(v) {
+                    let state = &mut visit[w as usize];
+                    if state.dist == UNSEEN {
+                        state.dist = next_dist;
+                        total += next_dist as usize;
+                        order[reached] = w;
+                        reached += 1;
+                    }
+                    if state.dist == next_dist {
+                        state.sigma += sigma_v;
+                    }
                 }
             }
+            if total > 0 {
+                // (reachable / (n-1)) * (reachable / total): the standard
+                // correction so components of different sizes are comparable.
+                let reachable = (reached - 1) as f64;
+                closeness[s] = (reachable / (n - 1) as f64) * (reachable / total as f64);
+            }
+            // Farthest first; `order[0]` is the source, which has no
+            // predecessors and takes no share of its own paths. A node's
+            // predecessors are its neighbours one hop nearer the source: no
+            // list of them is kept, since each `delta` still receives its
+            // terms in the order the nodes behind it come off the stack.
+            for &w in order[1..reached].iter().rev() {
+                let w = w as usize;
+                let Visit { dist, sigma, delta } = visit[w];
+                for &v in self.neighbors(w) {
+                    let v = &mut visit[v as usize];
+                    if v.dist == dist - 1 {
+                        v.delta += v.sigma / sigma * (1.0 + delta);
+                    }
+                }
+                betweenness[w] += delta;
+                visit[w] = CLEAR;
+            }
+            visit[s] = CLEAR;
         }
-        let base = (1.0 - alpha) * uniform + alpha * dangling * uniform;
-        let mut diff = 0.0;
-        for v in 0..n {
-            let r = base + alpha * next[v];
-            diff += (r - rank[v]).abs();
-            rank[v] = r;
-        }
-        if diff < tol {
-            break;
-        }
+        // Undirected: every pair (s, t) was counted twice.
+        betweenness.iter_mut().for_each(|x| *x /= 2.0);
     }
-    rank
-}
 
-/// Eigenvector centrality via power iteration (unit-norm, non-negative).
-/// Returns zeros for an empty/edgeless graph.
-pub fn eigenvector_centrality(g: &Graph, tol: f64, max_iter: usize) -> Vec<f64> {
-    let n = g.num_nodes();
-    if n == 0 || g.num_edges() == 0 {
-        return vec![0.0; n];
-    }
-    let mut x = vec![1.0 / (n as f64).sqrt(); n];
-    let mut next = vec![0.0f64; n];
-    for _ in 0..max_iter {
-        // Shifted iteration (A + I)x: same eigenvectors as A, but avoids the
-        // sign oscillation of pure power iteration on bipartite graphs.
-        next.copy_from_slice(&x);
-        for u in 0..n {
-            for &(v, _) in g.neighbors(u) {
-                next[v] += x[u];
+    /// PageRank (Eq. 11) of every node, written to the `num_nodes`-long
+    /// `rank`, with damping factor `alpha`, run to `tol` convergence or
+    /// `max_iter`. Dangling mass is redistributed uniformly.
+    pub fn pagerank(&self, rank: &mut [f64], alpha: f64, tol: f64, max_iter: usize) {
+        let n = self.num_nodes();
+        assert_eq!(rank.len(), n, "one output slot per node");
+        if n == 0 {
+            return;
+        }
+        let uniform = 1.0 / n as f64;
+        rank.fill(uniform);
+        let mut next = vec![0.0f64; n];
+        for _ in 0..max_iter {
+            let mut dangling = 0.0;
+            next.fill(0.0);
+            for u in 0..n {
+                let deg = self.degree(u);
+                if deg == 0 {
+                    dangling += rank[u];
+                } else {
+                    let share = rank[u] / deg as f64;
+                    for &v in self.neighbors(u) {
+                        next[v as usize] += share;
+                    }
+                }
+            }
+            let base = (1.0 - alpha) * uniform + alpha * dangling * uniform;
+            let mut diff = 0.0;
+            for v in 0..n {
+                let r = base + alpha * next[v];
+                diff += (r - rank[v]).abs();
+                rank[v] = r;
+            }
+            if diff < tol {
+                break;
             }
         }
-        let norm = next.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if norm == 0.0 {
-            return vec![0.0; n];
-        }
-        let mut diff = 0.0;
-        for (xi, ni) in x.iter_mut().zip(next.iter()) {
-            let scaled = ni / norm;
-            diff += (scaled - *xi).abs();
-            *xi = scaled;
-        }
-        if diff < tol {
-            break;
-        }
     }
-    x
+
+    /// The full centrality bundle the augmentation stage attaches to every
+    /// node. PageRank's damping, tolerance and iteration cap are part of the
+    /// trained model's input.
+    pub fn centralities(&self) -> Centralities {
+        let n = self.num_nodes();
+        let mut values = vec![0.0f64; 4 * n];
+        let (degree, rest) = values.split_at_mut(n);
+        let (closeness, rest) = rest.split_at_mut(n);
+        let (betweenness, pagerank) = rest.split_at_mut(n);
+        // Eq. 8: C_D(v) = degree(v).
+        for (v, d) in degree.iter_mut().enumerate() {
+            *d = self.degree(v) as f64;
+        }
+        self.closeness_betweenness(closeness, betweenness);
+        self.pagerank(pagerank, 0.85, 1e-9, 100);
+        Centralities { values }
+    }
 }
 
-/// All four centralities in one struct, in node order.
+/// All four centralities of every node, one measure after the other in one
+/// buffer, each in node order.
 #[derive(Clone, Debug)]
 pub struct Centralities {
-    pub degree: Vec<f64>,
-    pub closeness: Vec<f64>,
-    pub betweenness: Vec<f64>,
-    pub pagerank: Vec<f64>,
+    values: Vec<f64>,
 }
 
-/// Compute the full centrality bundle the augmentation stage attaches to
-/// every node.
-pub fn all_centralities(g: &Graph) -> Centralities {
-    Centralities {
-        degree: degree_centrality(g),
-        closeness: closeness_centrality(g),
-        betweenness: betweenness_centrality(g),
-        pagerank: pagerank(g, 0.85, 1e-9, 100),
+impl Centralities {
+    fn measure(&self, k: usize) -> &[f64] {
+        let n = self.values.len() / 4;
+        &self.values[k * n..(k + 1) * n]
     }
+
+    pub fn degree(&self) -> &[f64] {
+        self.measure(0)
+    }
+
+    pub fn closeness(&self) -> &[f64] {
+        self.measure(1)
+    }
+
+    pub fn betweenness(&self) -> &[f64] {
+        self.measure(2)
+    }
+
+    pub fn pagerank(&self) -> &[f64] {
+        self.measure(3)
+    }
+
+    /// `[degree, closeness, betweenness, pagerank]` of node `v`.
+    pub fn of_node(&self, v: usize) -> [f64; 4] {
+        [0, 1, 2, 3].map(|k| self.measure(k)[v])
+    }
+}
+
+/// [`Topology::centralities`] of a graph still in builder form.
+pub fn all_centralities(g: &Graph) -> Centralities {
+    g.topology().centralities()
 }
 
 #[cfg(test)]
@@ -184,32 +203,36 @@ mod tests {
     use super::*;
 
     /// 0-1-2-3-4 path.
-    fn path5() -> Graph {
-        let mut g = Graph::new(5);
-        for i in 0..4 {
-            g.add_edge(i, i + 1, 1.0);
-        }
-        g
+    fn path5() -> Topology {
+        Topology::from_edges(5, (0..4).map(|i| (i, i + 1)))
     }
 
     /// Star with center 0 and leaves 1..=4.
-    fn star5() -> Graph {
-        let mut g = Graph::new(5);
-        for i in 1..5 {
-            g.add_edge(0, i, 1.0);
-        }
-        g
+    fn star5() -> Topology {
+        Topology::from_edges(5, (1..5).map(|i| (0, i)))
+    }
+
+    fn closeness_betweenness(t: &Topology) -> (Vec<f64>, Vec<f64>) {
+        let c = t.centralities();
+        (c.closeness().to_vec(), c.betweenness().to_vec())
+    }
+
+    fn pagerank(t: &Topology, tol: f64, max_iter: usize) -> Vec<f64> {
+        let mut rank = vec![0.0; t.num_nodes()];
+        t.pagerank(&mut rank, 0.85, tol, max_iter);
+        rank
     }
 
     #[test]
     fn degree_of_star_center() {
-        let d = degree_centrality(&star5());
-        assert_eq!(d, vec![4.0, 1.0, 1.0, 1.0, 1.0]);
+        let c = star5().centralities();
+        assert_eq!(c.degree(), [4.0, 1.0, 1.0, 1.0, 1.0]);
+        assert_eq!(c.of_node(0)[0], 4.0);
     }
 
     #[test]
     fn closeness_star_center_is_max() {
-        let c = closeness_centrality(&star5());
+        let (c, _) = closeness_betweenness(&star5());
         assert!(c[0] > c[1]);
         // center: distance 1 to all 4 others -> closeness 1.0
         assert!((c[0] - 1.0).abs() < 1e-12);
@@ -219,15 +242,15 @@ mod tests {
 
     #[test]
     fn closeness_of_isolated_node_is_zero() {
-        let g = Graph::new(3);
-        assert_eq!(closeness_centrality(&g), vec![0.0, 0.0, 0.0]);
+        let (c, _) = closeness_betweenness(&Topology::from_edges(3, [].into_iter()));
+        assert_eq!(c, vec![0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn betweenness_path_matches_formula() {
         // For a path of 5 nodes, middle node lies on all shortest paths
         // between {0,1} x {3,4} plus (1,3)... Known values: [0, 3, 4, 3, 0].
-        let b = betweenness_centrality(&path5());
+        let (_, b) = closeness_betweenness(&path5());
         let expect = [0.0, 3.0, 4.0, 3.0, 0.0];
         for (i, e) in expect.iter().enumerate() {
             assert!((b[i] - e).abs() < 1e-9, "node {i}: {} vs {e}", b[i]);
@@ -237,7 +260,7 @@ mod tests {
     #[test]
     fn betweenness_star_center() {
         // Star K_{1,4}: center on all C(4,2)=6 pairs.
-        let b = betweenness_centrality(&star5());
+        let (_, b) = closeness_betweenness(&star5());
         assert!((b[0] - 6.0).abs() < 1e-9);
         for leaf in 1..5 {
             assert!(b[leaf].abs() < 1e-12);
@@ -246,7 +269,7 @@ mod tests {
 
     #[test]
     fn pagerank_sums_to_one_and_ranks_center_highest() {
-        let pr = pagerank(&star5(), 0.85, 1e-12, 200);
+        let pr = pagerank(&star5(), 1e-12, 200);
         let sum: f64 = pr.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "sum {sum}");
         assert!(pr[0] > pr[1]);
@@ -258,39 +281,20 @@ mod tests {
 
     #[test]
     fn pagerank_handles_all_isolated() {
-        let pr = pagerank(&Graph::new(4), 0.85, 1e-12, 50);
+        let pr = pagerank(&Topology::from_edges(4, [].into_iter()), 1e-12, 50);
         for r in pr {
             assert!((r - 0.25).abs() < 1e-9);
         }
     }
 
     #[test]
-    fn eigenvector_peaks_at_star_center() {
-        let e = eigenvector_centrality(&star5(), 1e-12, 500);
-        assert!(e[0] > e[1]);
-        for leaf in 2..5 {
-            assert!((e[leaf] - e[1]).abs() < 1e-9, "leaves symmetric");
-        }
-        // Unit norm.
-        let norm: f64 = e.iter().map(|v| v * v).sum();
-        assert!((norm - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn eigenvector_of_edgeless_graph_is_zero() {
-        assert_eq!(
-            eigenvector_centrality(&Graph::new(4), 1e-9, 100),
-            vec![0.0; 4]
-        );
-    }
-
-    #[test]
     fn all_centralities_lengths() {
-        let g = path5();
+        let mut g = Graph::new(5);
+        (0..4).for_each(|i| g.add_edge(i, i + 1));
         let c = all_centralities(&g);
-        assert_eq!(c.degree.len(), 5);
-        assert_eq!(c.closeness.len(), 5);
-        assert_eq!(c.betweenness.len(), 5);
-        assert_eq!(c.pagerank.len(), 5);
+        assert_eq!(c.degree().len(), 5);
+        assert_eq!(c.closeness().len(), 5);
+        assert_eq!(c.betweenness().len(), 5);
+        assert_eq!(c.pagerank().len(), 5);
     }
 }

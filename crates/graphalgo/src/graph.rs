@@ -1,80 +1,83 @@
-//! Undirected weighted graph on dense node indices `0..n`.
-//!
-//! This is the structural substrate for address-transaction graphs: nodes are
-//! addresses/transactions/hyper-nodes, edges carry transferred amounts. The
-//! representation is an adjacency list with parallel weight storage; edges are
-//! stored once per endpoint.
+//! Edge-list builder for an undirected multigraph on dense node indices
+//! `0..n`. Algorithms do not read it: they read the [`Topology`] it flattens
+//! to.
 
-/// An undirected graph with `f64` edge weights over nodes `0..num_nodes`.
+use crate::topology::Topology;
+
+/// An undirected multigraph under construction: a node count and the edges
+/// in insertion order.
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
-    adj: Vec<Vec<(usize, f64)>>,
-    num_edges: usize,
+    num_nodes: usize,
+    edges: Vec<(u32, u32)>,
 }
 
 impl Graph {
     /// Graph with `n` isolated nodes.
+    ///
+    /// # Panics
+    /// Panics if `n` does not fit `u32`.
     pub fn new(n: usize) -> Self {
+        assert!(u32::try_from(n).is_ok(), "node count does not fit u32");
         Self {
-            adj: vec![Vec::new(); n],
-            num_edges: 0,
+            num_nodes: n,
+            edges: Vec::new(),
         }
     }
 
     pub fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.num_nodes
     }
 
     pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Append an isolated node, returning its index.
-    pub fn add_node(&mut self) -> usize {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
+        self.edges.len()
     }
 
     /// Add an undirected edge. Parallel edges are allowed (multi-graph).
     ///
     /// # Panics
     /// Panics if either endpoint is out of range.
-    pub fn add_edge(&mut self, u: usize, v: usize, weight: f64) {
+    pub fn add_edge(&mut self, u: usize, v: usize) {
         assert!(
-            u < self.adj.len() && v < self.adj.len(),
+            u < self.num_nodes && v < self.num_nodes,
             "edge endpoint out of range"
         );
-        self.adj[u].push((v, weight));
-        if u != v {
-            self.adj[v].push((u, weight));
+        self.edges.push((u as u32, v as u32));
+    }
+
+    /// Flatten to the CSR adjacency the algorithms run on; neighbour lists
+    /// are in edge insertion order and a self-loop lists its node once.
+    pub fn topology(&self) -> Topology {
+        let edges = self.edges.iter().map(|&(u, v)| (u as usize, v as usize));
+        Topology::from_edges(self.num_nodes, edges)
+    }
+}
+
+/// What the test oracle traverses; no algorithm reads these.
+#[cfg(test)]
+impl Graph {
+    /// Nested adjacency lists, built the way `add_edge` used to keep them.
+    pub(crate) fn adjacency(&self) -> Vec<Vec<usize>> {
+        let mut adj = vec![Vec::new(); self.num_nodes];
+        for &(u, v) in &self.edges {
+            adj[u as usize].push(v as usize);
+            if u != v {
+                adj[v as usize].push(u as usize);
+            }
         }
-        self.num_edges += 1;
-    }
-
-    /// Neighbors of `u` with weights (each undirected edge appears once here).
-    pub fn neighbors(&self, u: usize) -> &[(usize, f64)] {
-        &self.adj[u]
-    }
-
-    /// Degree (number of incident edge endpoints; self-loops count once).
-    pub fn degree(&self, u: usize) -> usize {
-        self.adj[u].len()
-    }
-
-    /// Sum of incident edge weights.
-    pub fn weighted_degree(&self, u: usize) -> f64 {
-        self.adj[u].iter().map(|&(_, w)| w).sum()
+        adj
     }
 
     /// Breadth-first distances (in hops) from `source`; `usize::MAX` marks
     /// unreachable nodes.
-    pub fn bfs_distances(&self, source: usize) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; self.num_nodes()];
+    pub(crate) fn bfs_distances(&self, source: usize) -> Vec<usize> {
+        let adj = self.adjacency();
+        let mut dist = vec![usize::MAX; self.num_nodes];
         let mut queue = std::collections::VecDeque::new();
         dist[source] = 0;
         queue.push_back(source);
         while let Some(u) = queue.pop_front() {
-            for &(v, _) in &self.adj[u] {
+            for &v in &adj[u] {
                 if dist[v] == usize::MAX {
                     dist[v] = dist[u] + 1;
                     queue.push_back(v);
@@ -82,39 +85,6 @@ impl Graph {
             }
         }
         dist
-    }
-
-    /// Connected components; returns `(component_id_per_node, count)`.
-    pub fn connected_components(&self) -> (Vec<usize>, usize) {
-        let n = self.num_nodes();
-        let mut comp = vec![usize::MAX; n];
-        let mut next = 0;
-        let mut stack = Vec::new();
-        for start in 0..n {
-            if comp[start] != usize::MAX {
-                continue;
-            }
-            comp[start] = next;
-            stack.push(start);
-            while let Some(u) = stack.pop() {
-                for &(v, _) in &self.adj[u] {
-                    if comp[v] == usize::MAX {
-                        comp[v] = next;
-                        stack.push(v);
-                    }
-                }
-            }
-            next += 1;
-        }
-        (comp, next)
-    }
-
-    /// Iterate unique undirected edges `(u, v, w)` with `u <= v`.
-    pub fn edges(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.adj.iter().enumerate().flat_map(|(u, nbrs)| {
-            nbrs.iter()
-                .filter_map(move |&(v, w)| if u <= v { Some((u, v, w)) } else { None })
-        })
     }
 }
 
@@ -125,7 +95,7 @@ mod tests {
     fn path_graph(n: usize) -> Graph {
         let mut g = Graph::new(n);
         for i in 0..n.saturating_sub(1) {
-            g.add_edge(i, i + 1, 1.0);
+            g.add_edge(i, i + 1);
         }
         g
     }
@@ -133,19 +103,18 @@ mod tests {
     #[test]
     fn construction_and_degree() {
         let mut g = Graph::new(3);
-        g.add_edge(0, 1, 2.0);
-        g.add_edge(1, 2, 3.0);
+        g.add_edge(0, 1);
+        g.add_edge(1, 2);
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.degree(1), 2);
-        assert_eq!(g.weighted_degree(1), 5.0);
+        assert_eq!(g.topology().degree(1), 2);
     }
 
     #[test]
     fn self_loop_counted_once_in_adjacency() {
         let mut g = Graph::new(1);
-        g.add_edge(0, 0, 1.0);
-        assert_eq!(g.degree(0), 1);
+        g.add_edge(0, 0);
+        assert_eq!(g.topology().degree(0), 1);
         assert_eq!(g.num_edges(), 1);
     }
 
@@ -159,36 +128,16 @@ mod tests {
     #[test]
     fn bfs_unreachable() {
         let mut g = Graph::new(4);
-        g.add_edge(0, 1, 1.0);
+        g.add_edge(0, 1);
         let d = g.bfs_distances(0);
         assert_eq!(d[2], usize::MAX);
         assert_eq!(d[3], usize::MAX);
     }
 
     #[test]
-    fn components_count() {
-        let mut g = Graph::new(6);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(3, 4, 1.0);
-        let (comp, count) = g.connected_components();
-        assert_eq!(count, 3); // {0,1,2}, {3,4}, {5}
-        assert_eq!(comp[0], comp[2]);
-        assert_ne!(comp[0], comp[3]);
-        assert_ne!(comp[3], comp[5]);
-    }
-
-    #[test]
-    fn edges_iterates_each_once() {
-        let g = path_graph(4);
-        let edges: Vec<_> = g.edges().collect();
-        assert_eq!(edges.len(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn bad_edge_panics() {
         let mut g = Graph::new(2);
-        g.add_edge(0, 5, 1.0);
+        g.add_edge(0, 5);
     }
 }

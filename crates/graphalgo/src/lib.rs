@@ -2,10 +2,12 @@
 //!
 //! Substrate for BAClassifier's address-transaction graphs:
 //!
-//! * [`Graph`] — undirected weighted multigraph with BFS / components;
-//! * [`centrality`] — degree, closeness, betweenness (Brandes), PageRank,
-//!   exactly the four measures of the paper's graph structure augmentation
-//!   (§III-A3, Eq. 8–11);
+//! * [`Topology`] — the flat CSR adjacency of an undirected multigraph that
+//!   every algorithm here reads, built from an edge list in one counting
+//!   pass; [`Graph`] is the edge-list builder that flattens to it;
+//! * [`centrality`] — degree, closeness and betweenness (one fused Brandes
+//!   sweep), PageRank: exactly the four measures of the paper's graph
+//!   structure augmentation (§III-A3, Eq. 8–11);
 //! * [`sparse`] — CSR matrices, the normalised adjacency
 //!   Ã = D̃^{-1/2}(A+I)D̃^{-1/2} (Eq. 12) and the feature-propagation stack
 //!   `[X, ÃX, …, ÃᵏX]` (Eq. 13) that feeds GFN.
@@ -17,10 +19,12 @@
 
 pub mod centrality;
 pub mod graph;
-pub mod paths;
+#[cfg(test)]
+mod oracle;
 pub mod sparse;
+pub mod topology;
 
-pub use centrality::{all_centralities, eigenvector_centrality, Centralities};
+pub use centrality::{all_centralities, Centralities};
 pub use graph::Graph;
-pub use paths::{dijkstra, shortest_path};
 pub use sparse::{normalized_adjacency, propagate_features, CsrMatrix};
+pub use topology::Topology;

@@ -2,6 +2,7 @@
 //! Ã = D̃^{-1/2}(A+I)D̃^{-1/2} used by GFN/GCN feature propagation (Eq. 12).
 
 use crate::graph::Graph;
+use crate::topology::Topology;
 
 /// A square CSR matrix of `f32` (sufficient for propagation operators).
 #[derive(Clone, Debug)]
@@ -34,6 +35,44 @@ impl CsrMatrix {
         }
         for r in 0..n {
             row_ptr[r + 1] += row_ptr[r];
+        }
+        Self {
+            n,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// Adopt ready-made CSR arrays: row `r` is
+    /// `col_idx[row_ptr[r]..row_ptr[r + 1]]` with the matching `values`.
+    ///
+    /// # Panics
+    /// Panics unless `row_ptr` has `n + 1` monotone entries from 0 to the
+    /// entry count, and every row's columns are `< n` and strictly ascending.
+    pub fn from_sorted_rows(
+        n: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f32>,
+    ) -> Self {
+        assert_eq!(row_ptr.len(), n + 1, "row_ptr must have n + 1 entries");
+        assert_eq!(col_idx.len(), values.len(), "one value per column index");
+        assert!(
+            row_ptr[0] == 0 && row_ptr[n] == col_idx.len(),
+            "row_ptr must span every entry"
+        );
+        assert!(
+            row_ptr.windows(2).all(|w| w[0] <= w[1]),
+            "row_ptr must be monotone"
+        );
+        for r in 0..n {
+            let row = &col_idx[row_ptr[r]..row_ptr[r + 1]];
+            assert!(
+                row.windows(2).all(|w| w[0] < w[1]),
+                "columns must ascend strictly within a row"
+            );
+            assert!(row.last().is_none_or(|&c| c < n), "column out of range");
         }
         Self {
             n,
@@ -169,36 +208,50 @@ impl CsrMatrix {
     }
 }
 
-/// Symmetric-normalised adjacency with self-loops:
-/// Ã = D̃^{-1/2}(A + I)D̃^{-1/2} where D̃ is the degree matrix of A + I (Eq. 12).
-///
-/// Edge multiplicities contribute to A (a multigraph collapses to summed
-/// weights of 1 per parallel edge).
+impl Topology {
+    /// Symmetric-normalised adjacency with self-loops:
+    /// Ã = D̃^{-1/2}(A + I)D̃^{-1/2} where D̃ is the degree matrix of A + I
+    /// (Eq. 12).
+    ///
+    /// Edge multiplicities contribute to A (a multigraph collapses to summed
+    /// weights of 1 per parallel edge).
+    pub fn normalized_adjacency(&self) -> CsrMatrix {
+        let n = self.num_nodes();
+        // D̃ is degree + 1: an exact small integer in `f32`.
+        let inv_sqrt: Vec<f32> = (0..n)
+            .map(|u| 1.0 / ((self.degree(u) + 1) as f32).sqrt())
+            .collect();
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx: Vec<usize> = Vec::with_capacity(self.num_endpoints() + n);
+        let mut values = Vec::with_capacity(self.num_endpoints() + n);
+        row_ptr.push(0);
+        for u in 0..n {
+            // Row u of A + I: its neighbours and itself, sorted at the tail
+            // of `col_idx`, then run-length counted back into the same tail.
+            let start = col_idx.len();
+            col_idx.extend(self.neighbors(u).iter().map(|&v| v as usize));
+            col_idx.push(u);
+            col_idx[start..].sort_unstable();
+            let mut kept = start;
+            let mut read = start;
+            while read < col_idx.len() {
+                let v = col_idx[read];
+                let run = col_idx[read..].iter().take_while(|&&c| c == v).count();
+                col_idx[kept] = v;
+                values.push(inv_sqrt[u] * run as f32 * inv_sqrt[v]);
+                kept += 1;
+                read += run;
+            }
+            col_idx.truncate(kept);
+            row_ptr.push(kept);
+        }
+        CsrMatrix::from_sorted_rows(n, row_ptr, col_idx, values)
+    }
+}
+
+/// [`Topology::normalized_adjacency`] of a graph still in builder form.
 pub fn normalized_adjacency(g: &Graph) -> CsrMatrix {
-    let n = g.num_nodes();
-    // A + I with unit weights per edge occurrence.
-    let mut weights: Vec<std::collections::BTreeMap<usize, f32>> = vec![Default::default(); n];
-    for u in 0..n {
-        *weights[u].entry(u).or_insert(0.0) += 1.0; // self-loop
-        for &(v, _) in g.neighbors(u) {
-            *weights[u].entry(v).or_insert(0.0) += 1.0;
-        }
-    }
-    let deg: Vec<f32> = weights
-        .iter()
-        .map(|row| row.values().sum::<f32>())
-        .collect();
-    let inv_sqrt: Vec<f32> = deg
-        .iter()
-        .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-        .collect();
-    let mut triplets = Vec::new();
-    for (u, row) in weights.iter().enumerate() {
-        for (&v, &w) in row {
-            triplets.push((u, v, inv_sqrt[u] * w * inv_sqrt[v]));
-        }
-    }
-    CsrMatrix::from_triplets(n, triplets)
+    g.topology().normalized_adjacency()
 }
 
 /// Compute the propagated feature stack `[X, ÃX, Ã²X, …, ÃᵏX]` (Eq. 13),
@@ -240,6 +293,56 @@ mod tests {
         assert_eq!(m.row(0).count(), 0);
         assert_eq!(m.row(1).count(), 0);
         assert_eq!(m.row(3).count(), 1);
+    }
+
+    #[test]
+    fn from_sorted_rows_adopts_valid_arrays() {
+        let m = CsrMatrix::from_sorted_rows(3, vec![0, 2, 2, 3], vec![0, 2, 1], vec![1., 2., 3.]);
+        assert_eq!(m.row(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, 2.0)]);
+        assert_eq!(m.row(1).count(), 0);
+        assert_eq!(m.row(2).collect::<Vec<_>>(), vec![(1, 3.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "n + 1 entries")]
+    fn from_sorted_rows_refuses_a_short_row_ptr() {
+        CsrMatrix::from_sorted_rows(2, vec![0, 1], vec![0], vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per column")]
+    fn from_sorted_rows_refuses_mismatched_values() {
+        CsrMatrix::from_sorted_rows(1, vec![0, 1], vec![0], vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "span every entry")]
+    fn from_sorted_rows_refuses_a_row_ptr_that_stops_short() {
+        CsrMatrix::from_sorted_rows(2, vec![0, 1, 1], vec![0, 1], vec![1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "monotone")]
+    fn from_sorted_rows_refuses_a_decreasing_row_ptr() {
+        CsrMatrix::from_sorted_rows(2, vec![0, 2, 1], vec![0], vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend strictly")]
+    fn from_sorted_rows_refuses_a_repeated_column() {
+        CsrMatrix::from_sorted_rows(2, vec![0, 2, 2], vec![1, 1], vec![1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend strictly")]
+    fn from_sorted_rows_refuses_descending_columns() {
+        CsrMatrix::from_sorted_rows(2, vec![0, 2, 2], vec![1, 0], vec![1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column out of range")]
+    fn from_sorted_rows_refuses_a_column_past_n() {
+        CsrMatrix::from_sorted_rows(2, vec![0, 1, 1], vec![2], vec![1.0]);
     }
 
     #[test]
@@ -289,10 +392,10 @@ mod tests {
     fn normalized_adjacency_rows_are_stochastic_on_regular_graph() {
         // On a d-regular graph every row of Ã sums to 1.
         let mut g = Graph::new(4); // 4-cycle: 2-regular
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(2, 3, 1.0);
-        g.add_edge(3, 0, 1.0);
+        g.add_edge(0, 1);
+        g.add_edge(1, 2);
+        g.add_edge(2, 3);
+        g.add_edge(3, 0);
         let a = normalized_adjacency(&g);
         for r in 0..4 {
             let sum: f32 = a.row(r).map(|(_, v)| v).sum();
@@ -303,8 +406,8 @@ mod tests {
     #[test]
     fn normalized_adjacency_is_symmetric() {
         let mut g = Graph::new(3);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
+        g.add_edge(0, 1);
+        g.add_edge(1, 2);
         let a = normalized_adjacency(&g);
         let mut dense = [0.0f32; 9];
         for r in 0..3 {
@@ -330,7 +433,7 @@ mod tests {
     #[test]
     fn propagate_depth_counts() {
         let mut g = Graph::new(3);
-        g.add_edge(0, 1, 1.0);
+        g.add_edge(0, 1);
         let a = normalized_adjacency(&g);
         let x = vec![1.0, 0.0, 0.0];
         let stack = propagate_features(&a, &x, 1, 3);
@@ -344,10 +447,10 @@ mod tests {
     fn propagation_preserves_constant_vector_on_regular_graph() {
         // Ã of a regular graph has row sums 1, so constant vectors are fixed.
         let mut g = Graph::new(4);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(2, 3, 1.0);
-        g.add_edge(3, 0, 1.0);
+        g.add_edge(0, 1);
+        g.add_edge(1, 2);
+        g.add_edge(2, 3);
+        g.add_edge(3, 0);
         let a = normalized_adjacency(&g);
         let x = vec![5.0f32; 4];
         let out = a.matmul_dense(&x, 1);
