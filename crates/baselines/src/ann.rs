@@ -56,7 +56,8 @@ impl Classifier for AnnClassifier {
         dims.extend(&self.hidden);
         dims.push(NUM_CLASSES);
         let mlp = Mlp::new(&dims, Activation::Relu, &mut rng);
-        let mut opt = Adam::new(mlp.params(), self.learning_rate);
+        let params = mlp.params();
+        let mut opt = Adam::new(params.clone(), self.learning_rate);
         let mut order: Vec<usize> = (0..x.len()).collect();
         for _ in 0..self.epochs {
             order.shuffle(&mut rng);
@@ -65,8 +66,7 @@ impl Classifier for AnnClassifier {
                 let targets: Vec<usize> = batch.iter().map(|&i| y[i]).collect();
                 let tape = Tape::new();
                 let logits = mlp.forward(&tape, tape.constant(to_matrix(&rows)));
-                logits.softmax_cross_entropy(&targets).backward();
-                opt.step();
+                opt.step(&logits.softmax_cross_entropy(&targets).backward(&params));
             }
         }
         self.model = Some(mlp);

@@ -35,16 +35,14 @@ fn bench_gnn_forward_backward(c: &mut Criterion) {
     let mut group = c.benchmark_group("gnn_step");
     for model in &models {
         let prep = model.prepare(&tensors);
+        let params = model.params();
         group.bench_function(format!("{}_fwd_bwd", model.name()), |b| {
             b.iter(|| {
                 let tape = Tape::new();
                 let loss = model
                     .logits(&tape, black_box(&prep))
                     .softmax_cross_entropy(&[1]);
-                loss.backward();
-                for p in model.params() {
-                    p.zero_grad();
-                }
+                black_box(loss.backward(&params))
             })
         });
         group.bench_function(format!("{}_prepare", model.name()), |b| {
@@ -61,16 +59,14 @@ fn bench_heads(c: &mut Criterion) {
     let mut group = c.benchmark_group("head_step");
     for head in all_heads(32, 32, 0) {
         let head: Box<dyn SequenceHead> = head;
+        let params = head.params();
         group.bench_function(format!("{}_fwd_bwd", head.name()), |b| {
             b.iter(|| {
                 let tape = Tape::new();
                 let loss = head
                     .logits(&tape, black_box(&seq))
                     .softmax_cross_entropy(&[2]);
-                loss.backward();
-                for p in head.params() {
-                    p.zero_grad();
-                }
+                black_box(loss.backward(&params))
             })
         });
     }

@@ -44,6 +44,7 @@ fn run_config(
             batch_size: 8,
             seed: scale.seed,
         },
+        1,
     );
     let report = evaluate_graph_model(&gfn, &test_set);
     Outcome {

@@ -47,6 +47,7 @@ fn main() {
                 batch_size: 8,
                 seed: scale.seed,
             },
+            1,
         ));
     }
 

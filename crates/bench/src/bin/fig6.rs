@@ -32,6 +32,7 @@ fn main() {
                 batch_size: 8,
                 seed: scale.seed,
             },
+            1,
         ));
     }
 

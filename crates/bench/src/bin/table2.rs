@@ -88,6 +88,7 @@ fn main() {
                 batch_size: 8,
                 seed: scale.seed,
             },
+            1,
         );
         let report = evaluate_graph_model(model.as_ref(), &test_set);
         eprintln!("[table2] {} done in {:?}", model.name(), log.total_time());

@@ -39,6 +39,7 @@ fn main() {
                 batch_size: 8,
                 seed: scale.seed,
             },
+            1,
         );
         let report = evaluate_sequence_head(head.as_ref(), &split.test);
         eprintln!(

@@ -162,6 +162,7 @@ pub fn embedded_split(
             batch_size: 8,
             seed: scale.seed,
         },
+        1,
     );
 
     let embed = |records: &[AddressRecord]| -> Vec<(Vec<numnet::Matrix>, usize)> {

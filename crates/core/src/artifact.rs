@@ -86,9 +86,8 @@ impl From<LoadError> for ArtifactError {
 }
 
 /// An in-memory model bundle: architecture config plus all weight matrices
-/// in `params()` order. Plain data (`Send + Sync`), so a serving layer can
-/// share one artifact across worker threads and instantiate per-thread
-/// [`BaClassifier`] replicas from it.
+/// in `params()` order. Plain data: a serving layer builds one
+/// [`BaClassifier`] from it and shares that across its worker threads.
 #[derive(Clone, Debug)]
 pub struct ModelArtifact {
     pub config: BacConfig,

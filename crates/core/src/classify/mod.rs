@@ -9,8 +9,9 @@ use numnet::{Matrix, Param, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A sequence classifier over `1 x d` embedding rows.
-pub trait SequenceHead {
+/// A sequence classifier over `1 x d` embedding rows. `Sync`: every thread
+/// of a training or classification call reads the one head.
+pub trait SequenceHead: Sync {
     fn name(&self) -> &'static str;
 
     /// Class logits (`1 x NUM_CLASSES`) for one embedding sequence.
@@ -40,38 +41,6 @@ pub trait SequenceHead {
     fn predict(&self, seq: &[Matrix]) -> usize {
         let tape = Tape::new();
         self.logits(&tape, seq).value().row_argmax(0)
-    }
-}
-
-// Delegation impls so training code can be generic over how the head is
-// held: the serial path borrows the primary, replica pools own boxed copies.
-impl<H: SequenceHead + ?Sized> SequenceHead for &H {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn logits<'t>(&self, tape: &'t Tape, seq: &[Matrix]) -> Var<'t> {
-        (**self).logits(tape, seq)
-    }
-    fn logits_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
-        (**self).logits_batch(tape, seqs)
-    }
-    fn params(&self) -> Vec<Param> {
-        (**self).params()
-    }
-}
-
-impl<H: SequenceHead + ?Sized> SequenceHead for Box<H> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn logits<'t>(&self, tape: &'t Tape, seq: &[Matrix]) -> Var<'t> {
-        (**self).logits(tape, seq)
-    }
-    fn logits_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
-        (**self).logits_batch(tape, seqs)
-    }
-    fn params(&self) -> Vec<Param> {
-        (**self).params()
     }
 }
 
@@ -404,13 +373,13 @@ mod tests {
         let class0 = seq(3, 4);
         let class1: Vec<Matrix> = seq(3, 4).iter().map(|m| m.scale(-2.0)).collect();
         for head in all_heads(4, 8, 4) {
-            let mut opt = Adam::new(head.params(), 0.03);
+            let params = head.params();
+            let mut opt = Adam::new(params.clone(), 0.03);
             for _ in 0..150 {
                 let tape = Tape::new();
                 let l0 = head.logits(&tape, &class0).softmax_cross_entropy(&[0]);
                 let l1 = head.logits(&tape, &class1).softmax_cross_entropy(&[1]);
-                l0.add(l1).scale(0.5).backward();
-                opt.step();
+                opt.step(&l0.add(l1).scale(0.5).backward(&params));
             }
             assert_eq!(head.predict(&class0), 0, "{}", head.name());
             assert_eq!(head.predict(&class1), 1, "{}", head.name());

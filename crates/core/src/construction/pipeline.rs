@@ -6,6 +6,7 @@ use crate::construction::address_graph::AddressGraph;
 use crate::construction::augment::augment_with_centralities;
 use crate::construction::compress::{compress_multi_tx, compress_single_tx, MultiCompressParams};
 use crate::construction::extract::extract_original_graphs;
+use crate::parallel::parallel_map;
 use btcsim::AddressRecord;
 use std::time::{Duration, Instant};
 
@@ -98,44 +99,11 @@ pub fn construct_dataset_graphs(
     cfg: &ConstructionConfig,
     threads: usize,
 ) -> (Vec<Vec<AddressGraph>>, StageTimings) {
-    let threads = threads.max(1);
-    if threads == 1 || records.len() < 2 {
-        let mut all = Vec::with_capacity(records.len());
-        let mut total = StageTimings::default();
-        for r in records {
-            let (g, t) = construct_address_graphs(r, cfg);
-            total.accumulate(&t);
-            all.push(g);
-        }
-        return (all, total);
-    }
-    let chunk = records.len().div_ceil(threads);
-    let results: Vec<(Vec<Vec<AddressGraph>>, StageTimings)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = records
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    let mut part = Vec::with_capacity(slice.len());
-                    let mut t = StageTimings::default();
-                    for r in slice {
-                        let (g, gt) = construct_address_graphs(r, cfg);
-                        t.accumulate(&gt);
-                        part.push(g);
-                    }
-                    (part, t)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("construction worker panicked"))
-            .collect()
-    });
     let mut all = Vec::with_capacity(records.len());
     let mut total = StageTimings::default();
-    for (part, t) in results {
-        all.extend(part);
+    for (graphs, t) in parallel_map(threads, records, |r| construct_address_graphs(r, cfg)) {
         total.accumulate(&t);
+        all.push(graphs);
     }
     (all, total)
 }

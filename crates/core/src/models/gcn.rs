@@ -110,20 +110,19 @@ mod tests {
         use numnet::optim::{Adam, Optimizer};
         let gcn = Gcn::new(NODE_FEAT_DIM, 16, 8, 1);
         let prep = gcn.prepare(&tensors());
-        let mut opt = Adam::new(gcn.params(), 0.05);
+        let params = gcn.params();
+        let mut opt = Adam::new(params.clone(), 0.05);
         let first = {
             let tape = Tape::new();
             let loss = gcn.logits(&tape, &prep).softmax_cross_entropy(&[0]);
             let v = loss.value()[(0, 0)];
-            loss.backward();
-            opt.step();
+            opt.step(&loss.backward(&params));
             v
         };
         for _ in 0..20 {
             let tape = Tape::new();
             let loss = gcn.logits(&tape, &prep).softmax_cross_entropy(&[0]);
-            loss.backward();
-            opt.step();
+            opt.step(&loss.backward(&params));
         }
         let tape = Tape::new();
         let last = gcn.logits(&tape, &prep).softmax_cross_entropy(&[0]).value()[(0, 0)];

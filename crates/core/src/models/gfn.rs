@@ -203,11 +203,10 @@ mod tests {
         let prep = gfn.prepare(&tensors());
         let tape = Tape::new();
         let loss = gfn.logits(&tape, &prep).softmax_cross_entropy(&[2]);
-        loss.backward();
-        let touched = gfn
-            .params()
+        let touched = loss
+            .backward(&gfn.params())
             .iter()
-            .filter(|p| p.grad().as_slice().iter().any(|&g| g != 0.0))
+            .filter(|g| g.as_slice().iter().any(|&g| g != 0.0))
             .count();
         // All weight matrices get gradient (biases of dead ReLU rows may not).
         assert!(touched >= 4, "only {touched} params touched");

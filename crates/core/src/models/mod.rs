@@ -53,8 +53,9 @@ impl PreparedGraph {
     }
 }
 
-/// A graph-level model: prepare → embed → classify.
-pub trait GraphModel {
+/// A graph-level model: prepare → embed → classify. `Sync`: every thread
+/// of a training or embedding call reads the one model.
+pub trait GraphModel: Sync {
     fn name(&self) -> &'static str;
 
     /// Gradient-free preprocessing (cacheable per graph).
@@ -77,49 +78,5 @@ pub trait GraphModel {
         let tape = Tape::new();
         let logits = self.logits(&tape, prep);
         logits.value().row_argmax(0)
-    }
-}
-
-// Delegation impls so training code can be generic over how the model is
-// held: the serial path borrows the primary, replica pools own boxed copies.
-impl<M: GraphModel + ?Sized> GraphModel for &M {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn prepare(&self, g: &GraphTensors) -> PreparedGraph {
-        (**self).prepare(g)
-    }
-    fn embed<'t>(&self, tape: &'t Tape, prep: &PreparedGraph) -> Var<'t> {
-        (**self).embed(tape, prep)
-    }
-    fn logits<'t>(&self, tape: &'t Tape, prep: &PreparedGraph) -> Var<'t> {
-        (**self).logits(tape, prep)
-    }
-    fn params(&self) -> Vec<Param> {
-        (**self).params()
-    }
-    fn embed_dim(&self) -> usize {
-        (**self).embed_dim()
-    }
-}
-
-impl<M: GraphModel + ?Sized> GraphModel for Box<M> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn prepare(&self, g: &GraphTensors) -> PreparedGraph {
-        (**self).prepare(g)
-    }
-    fn embed<'t>(&self, tape: &'t Tape, prep: &PreparedGraph) -> Var<'t> {
-        (**self).embed(tape, prep)
-    }
-    fn logits<'t>(&self, tape: &'t Tape, prep: &PreparedGraph) -> Var<'t> {
-        (**self).logits(tape, prep)
-    }
-    fn params(&self) -> Vec<Param> {
-        (**self).params()
-    }
-    fn embed_dim(&self) -> usize {
-        (**self).embed_dim()
     }
 }

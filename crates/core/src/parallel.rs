@@ -1,79 +1,40 @@
-//! Deterministic data-parallel execution: replica pools for training and
-//! order-preserving parallel maps for embedding/preparation.
+//! Deterministic data-parallel execution on one shared model: an
+//! order-preserving parallel map for embedding/preparation/construction and
+//! a gradient pool for training.
 //!
 //! The paper flags GNN training as the dominant cost of the pipeline
-//! (Table V, Fig. 5), and the training loops were single-threaded. The
-//! standard remedy — synchronous data-parallel minibatch SGD — is usually
+//! (Table V, Fig. 5). Synchronous data-parallel minibatch SGD is usually
 //! non-deterministic because gradient reduction order depends on thread
-//! scheduling. This module makes it deterministic:
+//! scheduling; here it is not:
 //!
-//! 1. **Replicas.** Each worker thread owns a full model replica (`numnet`
-//!    parameters are `Rc<RefCell<…>>` and cannot cross threads, mirroring
-//!    the replica-per-worker design in `crates/serve`). Replicas are built
-//!    on their own thread by a `Sync` factory and receive the primary's
-//!    weights before the first example.
+//! 1. **One model.** `numnet` parameters are `Send + Sync` values and a
+//!    backward pass returns its gradients instead of writing them anywhere,
+//!    so every worker reads the *same* parameters the optimiser steps.
 //! 2. **Per-example gradients.** A minibatch's examples are fanned out
-//!    across replicas; each example's forward/backward runs on whichever
-//!    replica it landed on. Because every replica holds byte-identical
-//!    weights, an example's gradient is byte-identical no matter which
-//!    thread computes it.
-//! 3. **Fixed reduction.** The driver thread collects per-example gradients
-//!    and sums them in example-index order — the same order the serial path
-//!    uses — so the reduced batch gradient is byte-identical for any thread
-//!    count.
-//! 4. **One step, one broadcast.** The driver applies a single Adam step to
-//!    the primary parameters, then re-broadcasts the updated weights to all
-//!    replicas before the next batch.
+//!    across workers; an example's gradient is a function of the weights and
+//!    the example alone, so it is the same bits on whichever thread runs it.
+//! 3. **Fixed reduction.** The driver sums per-example gradients in
+//!    example-index order — whatever the thread count, one included.
+//! 4. **One writer between batches.** The driver steps the optimiser only
+//!    after every result of a batch is in and before the next batch is
+//!    handed out, so no read ever overlaps a write.
 //!
 //! The result: `threads = N` training produces byte-identical weights to
-//! `threads = 1` while spending the per-example forward/backward cost — the
-//! bulk of the work — across cores.
+//! `threads = 1`.
 
 use numnet::{Matrix, Param};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
 
-/// Snapshot the current values of `params`, in order.
-pub fn param_values(params: &[Param]) -> Vec<Matrix> {
-    params.iter().map(|p| p.value().clone()).collect()
-}
-
-/// Install `values` into `params` positionally (a weight broadcast).
+/// Install `values` into `params` positionally (loading trained weights into
+/// a freshly built model).
 ///
 /// # Panics
-/// Panics on count or shape mismatch — replicas must share the primary's
-/// architecture.
+/// Panics on count or shape mismatch.
 pub fn install_values(params: &[Param], values: &[Matrix]) {
-    assert_eq!(
-        params.len(),
-        values.len(),
-        "replica parameter count mismatch"
-    );
+    assert_eq!(params.len(), values.len(), "parameter count mismatch");
     for (p, v) in params.iter().zip(values) {
         p.set_value(v.clone());
     }
-}
-
-/// Read out and zero each parameter's accumulated gradient, in order.
-pub fn take_grads(params: &[Param]) -> Vec<Matrix> {
-    params
-        .iter()
-        .map(|p| {
-            let g = p.grad().clone();
-            p.zero_grad();
-            g
-        })
-        .collect()
-}
-
-/// A per-thread model replica driven by a [`GradExecutor`].
-pub trait GradReplica {
-    /// Run forward/backward for example `idx`, returning its loss and
-    /// per-parameter gradients (parameter order must match the primary's).
-    fn example_grad(&mut self, idx: usize) -> (f32, Vec<Matrix>);
-
-    /// Install broadcast weight values.
-    fn install(&mut self, weights: &[Matrix]);
 }
 
 /// Per-example losses and the index-order-reduced gradient sum of one
@@ -104,74 +65,36 @@ fn reduce_in_order(per_example: impl Iterator<Item = (f32, Vec<Matrix>)>) -> Bat
     }
 }
 
-/// Executes minibatch gradient computation — serially or across a replica
-/// pool — with identical results either way.
-pub trait GradExecutor {
-    /// Compute per-example losses and the index-ordered gradient sum for
-    /// one minibatch of example indices.
-    fn batch_grads(&mut self, indices: &[usize]) -> BatchGrads;
+/// `(result slot, example index)` pairs for one worker.
+type Job = Vec<(usize, usize)>;
 
-    /// Whether replicas hold weight copies that must be re-synced after an
-    /// optimiser step. `false` when the single replica shares the primary's
-    /// parameter buffers.
-    fn needs_broadcast(&self) -> bool;
-
-    /// Push updated primary weights to every replica.
-    fn broadcast(&mut self, weights: Vec<Matrix>);
-}
-
-/// The serial executor: one replica on the driver thread. When the replica
-/// shares the primary's parameter buffers, optimiser steps are visible
-/// immediately and no broadcast is needed.
-pub struct SerialExecutor<R: GradReplica> {
-    replica: R,
-}
-
-impl<R: GradReplica> SerialExecutor<R> {
-    pub fn new(replica: R) -> Self {
-        Self { replica }
-    }
-}
-
-impl<R: GradReplica> GradExecutor for SerialExecutor<R> {
-    fn batch_grads(&mut self, indices: &[usize]) -> BatchGrads {
-        reduce_in_order(indices.iter().map(|&i| self.replica.example_grad(i)))
-    }
-
-    fn needs_broadcast(&self) -> bool {
-        false
-    }
-
-    fn broadcast(&mut self, weights: Vec<Matrix>) {
-        self.replica.install(&weights);
-    }
-}
-
-enum Job {
-    /// `(result slot, example index)` pairs for this worker.
-    Batch(Vec<(usize, usize)>),
-    /// New weight values to install before any later job.
-    Sync(Arc<Vec<Matrix>>),
-}
-
-struct PoolExecutor {
+/// Turns minibatches of example indices into [`BatchGrads`]; built by
+/// [`with_grad_pool`].
+pub struct GradPool<'a> {
+    example_grad: &'a (dyn Fn(usize) -> (f32, Vec<Matrix>) + Sync),
+    /// Empty when the driver computes inline.
     job_txs: Vec<Sender<Job>>,
     results: Receiver<(usize, f32, Vec<Matrix>)>,
 }
 
-impl GradExecutor for PoolExecutor {
-    fn batch_grads(&mut self, indices: &[usize]) -> BatchGrads {
-        let workers = self.job_txs.len();
-        let chunk = indices.len().div_ceil(workers).max(1);
+impl GradPool<'_> {
+    /// Per-example losses and the index-ordered gradient sum for one
+    /// minibatch. Returns only once every example of the batch is done, so
+    /// the caller may step the optimiser before the next call.
+    pub fn batch_grads(&mut self, indices: &[usize]) -> BatchGrads {
+        if self.job_txs.is_empty() {
+            return reduce_in_order(indices.iter().map(|&i| (self.example_grad)(i)));
+        }
+        let chunk = indices.len().div_ceil(self.job_txs.len()).max(1);
         for (worker, part) in indices.chunks(chunk).enumerate() {
             let base = worker * chunk;
-            let items: Vec<(usize, usize)> = part
+            let items = part
                 .iter()
                 .enumerate()
                 .map(|(off, &idx)| (base + off, idx))
                 .collect();
             self.job_txs[worker]
-                .send(Job::Batch(items))
+                .send(items)
                 .expect("training worker exited early");
         }
         let mut slots: Vec<Option<(f32, Vec<Matrix>)>> = Vec::new();
@@ -183,111 +106,74 @@ impl GradExecutor for PoolExecutor {
                 .expect("training worker panicked mid-batch");
             slots[slot] = Some((loss, grads));
         }
-        // Every slot filled: reduce in example-index order, matching serial.
         reduce_in_order(slots.into_iter().map(|s| s.expect("slot filled")))
-    }
-
-    fn needs_broadcast(&self) -> bool {
-        true
-    }
-
-    fn broadcast(&mut self, weights: Vec<Matrix>) {
-        let shared = Arc::new(weights);
-        for tx in &self.job_txs {
-            tx.send(Job::Sync(Arc::clone(&shared)))
-                .expect("training worker exited early");
-        }
     }
 }
 
-/// Run `drive` against a pool of `threads` replicas. `make_replica` is
-/// called once on each worker thread; every replica gets `init_weights`
-/// installed before its first example. Channel order guarantees a
-/// [`GradExecutor::broadcast`] is applied before any batch submitted after
-/// it.
-///
-/// # Panics
-/// Panics if `threads < 2` (use [`SerialExecutor`]) or if a worker panics.
-pub fn with_pool<R, T>(
+/// Run `drive` against a pool that computes `example_grad(idx)` — one
+/// example's loss and per-parameter gradients — on `threads` workers that
+/// live for the whole call (`threads <= 1`: inline on the driver, through
+/// the same reduction). Workers are persistent because batches are small:
+/// measured, a fresh `thread::scope` per 8-example batch made a 4-thread fit
+/// 0.30–0.42 s against this pool's 0.23–0.31 s, slower in 6 runs of 6.
+pub fn with_grad_pool<T>(
     threads: usize,
-    make_replica: impl Fn() -> R + Sync,
-    init_weights: Vec<Matrix>,
-    drive: impl FnOnce(&mut dyn GradExecutor) -> T,
-) -> T
-where
-    R: GradReplica,
-{
-    assert!(threads >= 2, "pool needs at least two workers");
-    let init = Arc::new(init_weights);
+    example_grad: impl Fn(usize) -> (f32, Vec<Matrix>) + Sync,
+    drive: impl FnOnce(&mut GradPool<'_>) -> T,
+) -> T {
+    let example_grad = &example_grad;
     std::thread::scope(|scope| {
-        let (res_tx, res_rx) = channel();
-        let mut job_txs = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (tx, rx) = channel::<Job>();
-            job_txs.push(tx);
-            let res_tx: Sender<(usize, f32, Vec<Matrix>)> = res_tx.clone();
-            let make = &make_replica;
-            let init = Arc::clone(&init);
-            scope.spawn(move || {
-                let mut replica = make();
-                replica.install(&init);
-                while let Ok(job) = rx.recv() {
-                    match job {
-                        Job::Sync(weights) => replica.install(&weights),
-                        Job::Batch(items) => {
-                            for (slot, idx) in items {
-                                let (loss, grads) = replica.example_grad(idx);
-                                if res_tx.send((slot, loss, grads)).is_err() {
-                                    return;
-                                }
+        let (res_tx, results) = channel();
+        let workers = if threads > 1 { threads } else { 0 };
+        let job_txs = (0..workers)
+            .map(|_| {
+                let (tx, rx) = channel::<Job>();
+                let res_tx = res_tx.clone();
+                scope.spawn(move || {
+                    for items in rx {
+                        for (slot, idx) in items {
+                            let (loss, grads) = example_grad(idx);
+                            if res_tx.send((slot, loss, grads)).is_err() {
+                                return;
                             }
                         }
                     }
-                }
-            });
-        }
+                });
+                tx
+            })
+            .collect();
         drop(res_tx);
-        let mut exec = PoolExecutor {
+        // The pool is dropped when `drive` returns: job channels close, the
+        // workers drain and exit, the scope joins them.
+        drive(&mut GradPool {
+            example_grad,
             job_txs,
-            results: res_rx,
-        };
-        let out = drive(&mut exec);
-        drop(exec); // close job channels so workers drain and exit
-        out
+            results,
+        })
     })
 }
 
-/// Map `f` over `items` with one worker state per thread, preserving input
+/// Map `f` over `items` on up to `threads` scoped workers, preserving input
 /// order in the output. Items are split into contiguous chunks, so as long
-/// as each item's result depends only on that item (true for embedding and
-/// graph preparation — they are forward-only), the output is byte-identical
-/// for any thread count.
-pub fn parallel_map<T, R, W>(
-    threads: usize,
-    items: &[T],
-    make_worker: impl Fn() -> W + Sync,
-    f: impl Fn(&mut W, &T) -> R + Sync,
-) -> Vec<R>
+/// as each item's result depends only on that item (true for construction,
+/// preparation and embedding — all forward-only), the output is
+/// byte-identical for any thread count.
+pub fn parallel_map<T, R>(threads: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>
 where
     T: Sync,
     R: Send,
 {
     let threads = threads.clamp(1, items.len().max(1));
     if threads == 1 {
-        let mut w = make_worker();
-        return items.iter().map(|t| f(&mut w, t)).collect();
+        return items.iter().map(f).collect();
     }
     let chunk = items.len().div_ceil(threads);
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk)
             .map(|part| {
-                let make = &make_worker;
                 let f = &f;
-                scope.spawn(move || {
-                    let mut w = make();
-                    part.iter().map(|t| f(&mut w, t)).collect::<Vec<R>>()
-                })
+                scope.spawn(move || part.iter().map(f).collect::<Vec<R>>())
             })
             .collect();
         handles
@@ -300,72 +186,50 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numnet::optim::{Optimizer, Sgd};
     use numnet::Tape;
 
-    /// A replica computing the gradient of `loss(w) = idx * w` for a scalar
-    /// parameter: grad is `idx`, loss is `idx * w`.
-    struct ScalarReplica {
-        w: Param,
-    }
-
-    impl ScalarReplica {
-        fn new() -> Self {
-            Self {
-                w: Param::new(Matrix::from_vec(1, 1, vec![0.0])),
-            }
-        }
-    }
-
-    impl GradReplica for ScalarReplica {
-        fn example_grad(&mut self, idx: usize) -> (f32, Vec<Matrix>) {
-            let tape = Tape::new();
-            let loss = tape.param(&self.w).scale(idx as f32);
-            let lv = loss.value()[(0, 0)];
-            loss.backward();
-            (lv, take_grads(std::slice::from_ref(&self.w)))
-        }
-
-        fn install(&mut self, weights: &[Matrix]) {
-            install_values(std::slice::from_ref(&self.w), weights);
-        }
-    }
-
-    fn run(exec: &mut dyn GradExecutor) -> BatchGrads {
-        exec.batch_grads(&[3, 1, 4, 1, 5])
+    /// `loss(w) = idx * w` for a scalar parameter: grad is `idx`.
+    fn scalar_grad(w: &Param, idx: usize) -> (f32, Vec<Matrix>) {
+        let tape = Tape::new();
+        let loss = tape.param(w).scale(idx as f32);
+        (loss.value()[(0, 0)], loss.backward(std::slice::from_ref(w)))
     }
 
     #[test]
     fn pool_matches_serial_reduction_exactly() {
-        let mut serial = SerialExecutor::new(ScalarReplica::new());
-        serial.broadcast(vec![Matrix::from_vec(1, 1, vec![2.0])]);
-        let s = run(&mut serial);
-
-        let p = with_pool(
-            3,
-            ScalarReplica::new,
-            vec![Matrix::from_vec(1, 1, vec![2.0])],
-            |exec| run(exec),
-        );
+        let w = Param::new(Matrix::from_vec(1, 1, vec![2.0]));
+        let run = |threads| {
+            with_grad_pool(
+                threads,
+                |i| scalar_grad(&w, i),
+                |pool| pool.batch_grads(&[3, 1, 4, 1, 5]),
+            )
+        };
+        let (s, p) = (run(1), run(3));
         assert_eq!(s.losses, p.losses);
         assert_eq!(s.losses, vec![6.0, 2.0, 8.0, 2.0, 10.0]);
         assert_eq!(s.grad_sum, p.grad_sum);
         assert_eq!(s.grad_sum[0][(0, 0)], 14.0);
     }
 
+    /// The broadcast is now the shared model itself: a step taken between
+    /// two batches is seen by every worker in the second.
     #[test]
     fn broadcast_is_applied_before_later_batches() {
-        let out = with_pool(
+        let w = Param::new(Matrix::from_vec(1, 1, vec![1.0]));
+        let mut opt = Sgd::new(vec![w.clone()], 1.0);
+        let out = with_grad_pool(
             2,
-            ScalarReplica::new,
-            vec![Matrix::from_vec(1, 1, vec![1.0])],
-            |exec| {
-                let before = exec.batch_grads(&[2]);
-                exec.broadcast(vec![Matrix::from_vec(1, 1, vec![10.0])]);
-                let after = exec.batch_grads(&[2]);
-                (before.losses[0], after.losses[0])
+            |i| scalar_grad(&w, i),
+            |pool| {
+                let before = pool.batch_grads(&[2, 2]);
+                opt.step(&[Matrix::from_vec(1, 1, vec![-9.0])]); // w: 1 → 10
+                let after = pool.batch_grads(&[2, 2]);
+                (before.losses, after.losses)
             },
         );
-        assert_eq!(out, (2.0, 20.0));
+        assert_eq!(out, (vec![2.0, 2.0], vec![20.0, 20.0]));
     }
 
     #[test]
@@ -373,23 +237,14 @@ mod tests {
         let items: Vec<usize> = (0..23).collect();
         let expected: Vec<usize> = items.iter().map(|i| i * i).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let got = parallel_map(threads, &items, || (), |_, &i| i * i);
+            let got = parallel_map(threads, &items, |&i| i * i);
             assert_eq!(got, expected, "threads={threads}");
         }
     }
 
     #[test]
     fn parallel_map_handles_empty_input() {
-        let got: Vec<usize> = parallel_map(4, &[] as &[usize], || (), |_, &i| i);
+        let got: Vec<usize> = parallel_map(4, &[] as &[usize], |&i| i);
         assert!(got.is_empty());
-    }
-
-    #[test]
-    fn take_grads_zeroes_the_accumulator() {
-        let p = Param::new(Matrix::from_vec(1, 1, vec![1.0]));
-        p.accumulate_grad_public(&Matrix::from_vec(1, 1, vec![3.0]));
-        let g = take_grads(std::slice::from_ref(&p));
-        assert_eq!(g[0][(0, 0)], 3.0);
-        assert_eq!(p.grad()[(0, 0)], 0.0);
     }
 }

@@ -7,10 +7,8 @@ use crate::construction::{construct_address_graphs, construct_dataset_graphs, St
 use crate::features::{graph_tensors, NODE_FEAT_DIM};
 use crate::metrics::{ClassificationReport, ConfusionMatrix};
 use crate::models::{Gfn, GraphModel, NUM_CLASSES};
-use crate::parallel::{install_values, parallel_map, param_values};
-use crate::train::{
-    train_graph_model_parallel, train_sequence_head_parallel, TrainLog, TrainParams,
-};
+use crate::parallel::parallel_map;
+use crate::train::{train_graph_model, train_sequence_head, TrainLog, TrainParams};
 use btcsim::{AddressRecord, Dataset, Label};
 use numnet::{Matrix, Tape};
 
@@ -51,7 +49,9 @@ impl std::fmt::Display for PredictError {
 
 impl std::error::Error for PredictError {}
 
-/// The assembled classifier.
+/// The assembled classifier. `Send + Sync`: every `&self` method only reads
+/// the weights, so serving workers, reclassification threads and the
+/// fan-outs below all share one instance.
 pub struct BaClassifier {
     cfg: BacConfig,
     gfn: Gfn,
@@ -95,32 +95,14 @@ impl BaClassifier {
         self.fitted = true;
     }
 
-    /// A fresh GFN with this configuration's architecture (used as a
-    /// replica skeleton on worker threads — weights are installed
-    /// separately, so the init seed never reaches any output).
-    fn gfn_skeleton(model: &crate::config::ModelConfig) -> Gfn {
-        Gfn::new(
-            NODE_FEAT_DIM,
-            model.gfn_k,
-            model.hidden_dim,
-            model.embed_dim,
-            model.seed,
-        )
-    }
-
-    /// A fresh classification head with this configuration's architecture —
-    /// the head-side replica skeleton (weights installed separately).
-    fn head_skeleton(model: &crate::config::ModelConfig) -> LstmMlp {
-        LstmMlp::new(model.embed_dim, model.lstm_hidden, model.seed ^ 0x5a)
-    }
-
     /// Train both stages on a labeled dataset.
     ///
     /// Runs on `cfg.threads` workers (see [`crate::config::resolve_threads`]):
     /// graph construction, slice-graph preparation, GFN training, sequence
-    /// embedding, and head training are all data-parallel, and the result is
-    /// byte-identical for any thread count (deterministic index-ordered
-    /// gradient reduction — see [`crate::parallel`]).
+    /// embedding, and head training are all data-parallel over this one
+    /// model, and the result is byte-identical for any thread count
+    /// (deterministic index-ordered gradient reduction — see
+    /// [`crate::parallel`]).
     pub fn fit(&mut self, train: &Dataset) -> FitReport {
         assert!(!train.is_empty(), "cannot fit on an empty dataset");
         let threads = self.cfg.effective_threads();
@@ -135,12 +117,7 @@ impl BaClassifier {
         // so the same prepared tensors serve GFN training *and* the embedding
         // stage below — the old code prepared each graph twice per fit).
         let flat: Vec<&crate::construction::AddressGraph> = per_address.iter().flatten().collect();
-        let prepared = parallel_map(
-            threads,
-            &flat,
-            || Self::gfn_skeleton(model_cfg),
-            |gfn, g| gfn.prepare(&graph_tensors(g)),
-        );
+        let prepared = parallel_map(threads, &flat, |g| self.gfn.prepare(&graph_tensors(g)));
         let mut ranges = Vec::with_capacity(per_address.len());
         let mut cursor = 0;
         for graphs in &per_address {
@@ -156,10 +133,8 @@ impl BaClassifier {
             .zip(&per_address)
             .flat_map(|(record, graphs)| vec![record.label.index(); graphs.len()]);
         let graph_set: Vec<_> = prepared.into_iter().zip(labels).collect();
-        let gfn_factory = || -> Box<dyn GraphModel> { Box::new(Self::gfn_skeleton(model_cfg)) };
-        let gnn_log = train_graph_model_parallel(
+        let gnn_log = train_graph_model(
             &self.gfn,
-            &gfn_factory,
             &graph_set,
             &[],
             TrainParams {
@@ -178,25 +153,15 @@ impl BaClassifier {
             .iter()
             .map(|&(s, e)| (e - (e - s).min(max), e))
             .collect();
-        let trained = param_values(&self.gfn.params());
-        let sequences = parallel_map(
-            threads,
-            &capped,
-            || {
-                let gfn = Self::gfn_skeleton(model_cfg);
-                install_values(&gfn.params(), &trained);
-                gfn
-            },
-            |gfn, &(s, e)| {
-                graph_set[s..e]
-                    .iter()
-                    .map(|(prep, _)| {
-                        let tape = Tape::new();
-                        gfn.embed(&tape, prep).value()
-                    })
-                    .collect::<Vec<Matrix>>()
-            },
-        );
+        let sequences = parallel_map(threads, &capped, |&(s, e)| {
+            graph_set[s..e]
+                .iter()
+                .map(|(prep, _)| {
+                    let tape = Tape::new();
+                    self.gfn.embed(&tape, prep).value()
+                })
+                .collect::<Vec<Matrix>>()
+        });
         let seq_set: Vec<(Vec<Matrix>, usize)> = train
             .records
             .iter()
@@ -204,16 +169,8 @@ impl BaClassifier {
             .filter(|(_, seq)| !seq.is_empty())
             .map(|(record, seq)| (seq, record.label.index()))
             .collect();
-        let head_factory = || -> Box<dyn SequenceHead> {
-            Box::new(LstmMlp::new(
-                model_cfg.embed_dim,
-                model_cfg.lstm_hidden,
-                model_cfg.seed ^ 0x5a,
-            ))
-        };
-        let head_log = train_sequence_head_parallel(
+        let head_log = train_sequence_head(
             &self.head,
-            &head_factory,
             &seq_set,
             &[],
             TrainParams {
@@ -249,9 +206,9 @@ impl BaClassifier {
 
     /// The chronological embedding sequence of one address (the `rep_i` list
     /// of Eq. 22). Deliberately single-threaded: serving layers call this
-    /// per-request from their own worker replicas, and nesting a pool here
-    /// would oversubscribe cores and hurt tail latency. Batch callers fan
-    /// out across records instead.
+    /// per-request from their own workers, and nesting a pool here would
+    /// oversubscribe cores and hurt tail latency. Batch callers fan out
+    /// across records instead.
     pub fn embed_record(&self, record: &AddressRecord) -> Vec<Matrix> {
         let (graphs, _) = construct_address_graphs(record, &self.cfg.construction);
         self.embedding_sequence_from_graphs(&graphs, 1)
@@ -267,12 +224,12 @@ impl BaClassifier {
         self.gfn.embed(&tape, &prep).value()
     }
 
-    /// Embed a batch of slice graphs on `threads` replica workers,
-    /// preserving input order. Per-graph embedding is forward-only and
-    /// every replica holds byte-identical weights, so `embed_graphs(gs, n)`
-    /// equals mapping [`BaClassifier::embed_graph`] over `gs` bit for bit,
-    /// at any thread count. This is the batched re-embed stage streaming
-    /// reclassification fans its dirty slices through.
+    /// Embed a batch of slice graphs on `threads` workers, preserving input
+    /// order. Per-graph embedding is forward-only and every worker reads the
+    /// same weights, so `embed_graphs(gs, n)` equals mapping
+    /// [`BaClassifier::embed_graph`] over `gs` bit for bit, at any thread
+    /// count. This is the batched re-embed stage streaming reclassification
+    /// fans its dirty slices through.
     ///
     /// Graphs may be owned or borrowed (`&[AddressGraph]` or
     /// `&[&AddressGraph]`): a caller gathering slices from many owners
@@ -281,28 +238,7 @@ impl BaClassifier {
     where
         G: std::borrow::Borrow<crate::construction::AddressGraph> + Sync,
     {
-        if threads <= 1 || graphs.len() < 2 {
-            return graphs
-                .iter()
-                .map(|g| self.embed_graph(g.borrow()))
-                .collect();
-        }
-        let trained = param_values(&self.gfn.params());
-        let model_cfg = &self.cfg.model;
-        parallel_map(
-            threads,
-            graphs,
-            || {
-                let gfn = Self::gfn_skeleton(model_cfg);
-                install_values(&gfn.params(), &trained);
-                gfn
-            },
-            |gfn, g| {
-                let prep = gfn.prepare(&graph_tensors(g.borrow()));
-                let tape = Tape::new();
-                gfn.embed(&tape, &prep).value()
-            },
-        )
+        parallel_map(threads, graphs, |g| self.embed_graph(g.borrow()))
     }
 
     /// Predict the behavior label of one address.
@@ -357,7 +293,7 @@ impl BaClassifier {
     /// pass — one fused-gate matmul per timestep over the still-active
     /// sequences — instead of one tape per sequence. Every logit row of the
     /// batched pass is bitwise identical to the single-sequence formulation
-    /// and every replica holds byte-identical weights, so the output equals
+    /// and every worker reads the same weights, so the output equals
     /// mapping [`BaClassifier::classify_embeddings_scored`] over `seqs` bit
     /// for bit, at any thread count and any batch split. Errors if unfitted
     /// or any sequence is empty (batch callers gate on history length
@@ -375,26 +311,12 @@ impl BaClassifier {
         if seqs.iter().any(|s| s.is_empty()) {
             return Err(PredictError::EmptyHistory);
         }
-        let raw: Vec<(usize, f32)> = if threads <= 1 || seqs.len() < 2 {
-            scored_logits_batch(&self.head, &seqs)
-        } else {
-            let trained = param_values(&self.head.params());
-            let model_cfg = &self.cfg.model;
-            let chunks: Vec<&[&[Matrix]]> = seqs.chunks(seqs.len().div_ceil(threads)).collect();
-            let per_chunk = parallel_map(
-                threads,
-                &chunks,
-                || {
-                    let head = Self::head_skeleton(model_cfg);
-                    install_values(&head.params(), &trained);
-                    head
-                },
-                |head, chunk| scored_logits_batch(head, chunk),
-            );
-            per_chunk.into_iter().flatten().collect()
-        };
-        Ok(raw
+        let chunk = seqs.len().div_ceil(threads.max(1)).max(1);
+        let chunks: Vec<&[&[Matrix]]> = seqs.chunks(chunk).collect();
+        let per_chunk = parallel_map(threads, &chunks, |c| scored_logits_batch(&self.head, c));
+        Ok(per_chunk
             .into_iter()
+            .flatten()
             .map(|(idx, margin)| {
                 (
                     Label::from_index(idx).expect("head emits valid class indices"),
@@ -472,9 +394,6 @@ fn scored_logits(head: &impl SequenceHead, seq: &[Matrix]) -> (usize, f32) {
 /// identical to [`SequenceHead::logits`] on that sequence alone, each entry
 /// equals [`scored_logits`] on the same sequence bit for bit.
 fn scored_logits_batch(head: &impl SequenceHead, seqs: &[&[Matrix]]) -> Vec<(usize, f32)> {
-    if seqs.is_empty() {
-        return Vec::new();
-    }
     let tape = Tape::new();
     let logits = head.logits_batch(&tape, seqs).value();
     (0..seqs.len()).map(|r| score_row(&logits, r)).collect()
@@ -500,6 +419,24 @@ mod tests {
         let sim = Simulator::run_to_completion(SimConfig::tiny(21));
         let ds = Dataset::from_simulator(&sim, 3);
         ds.stratified_split(0.25, 77)
+    }
+
+    /// What the shared model rests on; none of these lines compiled while
+    /// parameters were thread-bound.
+    #[test]
+    fn models_are_send_and_sync() {
+        use crate::classify::{AttentionMlp, BiLstmMlp, PoolMlp};
+        use crate::models::{DiffPool, Gcn};
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<numnet::Param>();
+        assert_send_sync::<Gfn>();
+        assert_send_sync::<Gcn>();
+        assert_send_sync::<DiffPool>();
+        assert_send_sync::<LstmMlp>();
+        assert_send_sync::<BiLstmMlp>();
+        assert_send_sync::<AttentionMlp>();
+        assert_send_sync::<PoolMlp>();
+        assert_send_sync::<BaClassifier>();
     }
 
     #[test]
@@ -676,9 +613,9 @@ mod tests {
 
     #[test]
     fn fit_respects_thread_config() {
-        // threads=2 must produce a working classifier even on a 1-core box
-        // (pool path); byte-identity vs threads=1 is asserted in the
-        // integration suite and train_bench.
+        // threads=2 must produce a working classifier even on a 1-core box;
+        // byte-identity vs threads=1 is asserted in the integration suite
+        // and train_bench.
         let (train, test) = small_split();
         let mut cfg = BacConfig::fast();
         cfg.threads = 2;

@@ -1,23 +1,21 @@
 //! Training loops with the per-epoch loss / F1 / wall-clock instrumentation
-//! the paper's overhead evaluation plots (Fig. 5 and Fig. 6), with optional
-//! deterministic data-parallel gradient computation (see [`crate::parallel`]).
+//! the paper's overhead evaluation plots (Fig. 5 and Fig. 6), data-parallel
+//! over `threads` workers that all read the one model being trained (see
+//! [`crate::parallel`]).
 //!
 //! Both loops share one engine: per-example forward/backward, gradients
-//! reduced in example-index order, one Adam step on the primary parameters.
-//! Because the reduction order is fixed, the parallel variants are
-//! byte-identical to the single-threaded ones — same final weights, same
-//! per-epoch losses. Reported `train_loss` is the per-sample mean over the
-//! epoch (a ragged final batch contributes by its size, not as a full
-//! batch).
+//! reduced in example-index order, one Adam step. Because the reduction
+//! order is fixed, any thread count gives the same final weights and the
+//! same per-epoch losses, byte for byte. Reported `train_loss` is the
+//! per-sample mean over the epoch (a ragged final batch contributes by its
+//! size, not as a full batch).
 
 use crate::classify::SequenceHead;
 use crate::metrics::{ClassificationReport, ConfusionMatrix};
 use crate::models::{GraphModel, PreparedGraph, NUM_CLASSES};
-use crate::parallel::{
-    param_values, take_grads, with_pool, GradExecutor, GradReplica, SerialExecutor,
-};
+use crate::parallel::with_grad_pool;
 use numnet::optim::{Adam, Optimizer};
-use numnet::{Matrix, Param, Tape};
+use numnet::{Matrix, Param, Tape, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -78,98 +76,26 @@ impl Default for TrainParams {
     }
 }
 
-/// A factory building graph-model replicas on worker threads. Must produce
-/// the primary's architecture; weights are installed by the pool.
-pub type GraphModelFactory<'a> = dyn Fn() -> Box<dyn GraphModel> + Sync + 'a;
-
-/// A factory building sequence-head replicas on worker threads.
-pub type SequenceHeadFactory<'a> = dyn Fn() -> Box<dyn SequenceHead> + Sync + 'a;
-
-/// [`GradReplica`] over a graph model (borrowed primary or pool-owned copy).
-struct GraphReplica<'a, M: GraphModel> {
-    model: M,
-    params: Vec<Param>,
-    train: &'a [(PreparedGraph, usize)],
-}
-
-impl<'a, M: GraphModel> GraphReplica<'a, M> {
-    fn new(model: M, train: &'a [(PreparedGraph, usize)]) -> Self {
-        let params = model.params();
-        Self {
-            model,
-            params,
-            train,
-        }
-    }
-}
-
-impl<M: GraphModel> GradReplica for GraphReplica<'_, M> {
-    fn example_grad(&mut self, idx: usize) -> (f32, Vec<Matrix>) {
-        let (prep, label) = &self.train[idx];
-        let tape = Tape::new();
-        let loss = self
-            .model
-            .logits(&tape, prep)
-            .softmax_cross_entropy(&[*label]);
-        let lv = loss.value()[(0, 0)];
-        loss.backward();
-        (lv, take_grads(&self.params))
-    }
-
-    fn install(&mut self, weights: &[Matrix]) {
-        crate::parallel::install_values(&self.params, weights);
-    }
-}
-
-/// [`GradReplica`] over a sequence head.
-struct SeqReplica<'a, H: SequenceHead> {
-    head: H,
-    params: Vec<Param>,
-    train: &'a [(Vec<Matrix>, usize)],
-}
-
-impl<'a, H: SequenceHead> SeqReplica<'a, H> {
-    fn new(head: H, train: &'a [(Vec<Matrix>, usize)]) -> Self {
-        let params = head.params();
-        Self {
-            head,
-            params,
-            train,
-        }
-    }
-}
-
-impl<H: SequenceHead> GradReplica for SeqReplica<'_, H> {
-    fn example_grad(&mut self, idx: usize) -> (f32, Vec<Matrix>) {
-        let (seq, label) = &self.train[idx];
-        let tape = Tape::new();
-        let loss = self
-            .head
-            .logits(&tape, seq)
-            .softmax_cross_entropy(&[*label]);
-        let lv = loss.value()[(0, 0)];
-        loss.backward();
-        (lv, take_grads(&self.params))
-    }
-
-    fn install(&mut self, weights: &[Matrix]) {
-        crate::parallel::install_values(&self.params, weights);
-    }
+/// One example's loss and per-parameter gradients.
+fn loss_and_grads(logits: Var<'_>, label: usize, params: &[Param]) -> (f32, Vec<Matrix>) {
+    let loss = logits.softmax_cross_entropy(&[label]);
+    (loss.value()[(0, 0)], loss.backward(params))
 }
 
 /// The shared epoch/batch engine. Per batch: fixed-order reduced gradients
-/// from `exec`, scaled by `1/batch_len`, one Adam step on `primary`, then a
-/// weight broadcast when replicas live apart from the primary.
+/// of `example_grad` from the pool, scaled by `1/batch_len`, one Adam step
+/// on `weights` — taken while no worker holds an example.
 fn run_training(
     name: &str,
     n_examples: usize,
-    primary: &[Param],
-    exec: &mut dyn GradExecutor,
-    eval: &dyn Fn() -> f64,
+    weights: &[Param],
+    threads: usize,
+    example_grad: impl Fn(usize) -> (f32, Vec<Matrix>) + Sync,
+    eval: impl Fn() -> f64,
     params: TrainParams,
 ) -> TrainLog {
     assert!(n_examples > 0, "empty training set");
-    let mut opt = Adam::new(primary.to_vec(), params.learning_rate);
+    let mut opt = Adam::new(weights.to_vec(), params.learning_rate);
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mut order: Vec<usize> = (0..n_examples).collect();
     let mut log = TrainLog {
@@ -178,93 +104,63 @@ fn run_training(
     };
     let mut elapsed = Duration::ZERO;
 
-    for epoch in 0..params.epochs {
-        let start = Instant::now();
-        order.shuffle(&mut rng);
-        let mut loss_sum = 0.0f32;
-        for batch in order.chunks(params.batch_size.max(1)) {
-            let bg = exec.batch_grads(batch);
-            loss_sum += bg.losses.iter().sum::<f32>();
-            let inv = 1.0 / batch.len() as f32;
-            for (p, g) in primary.iter().zip(&bg.grad_sum) {
-                p.accumulate_grad_public(&g.scale(inv));
+    with_grad_pool(threads, example_grad, |pool| {
+        for epoch in 0..params.epochs {
+            let start = Instant::now();
+            order.shuffle(&mut rng);
+            let mut loss_sum = 0.0f32;
+            for batch in order.chunks(params.batch_size.max(1)) {
+                let mut bg = pool.batch_grads(batch);
+                loss_sum += bg.losses.iter().sum::<f32>();
+                let inv = 1.0 / batch.len() as f32;
+                for g in &mut bg.grad_sum {
+                    g.map_assign(|v| v * inv);
+                }
+                opt.step(&bg.grad_sum);
             }
-            opt.step();
-            if exec.needs_broadcast() {
-                exec.broadcast(param_values(primary));
-            }
+            elapsed += start.elapsed();
+            log.points.push(EpochPoint {
+                epoch,
+                elapsed,
+                // Per-sample mean: every example appears exactly once per
+                // epoch, so a ragged final batch is weighted by its size.
+                train_loss: loss_sum / n_examples as f32,
+                test_f1: eval(),
+            });
         }
-        elapsed += start.elapsed();
-        log.points.push(EpochPoint {
-            epoch,
-            elapsed,
-            // Per-sample mean: every example appears exactly once per epoch,
-            // so a ragged final batch is weighted by its size.
-            train_loss: loss_sum / n_examples as f32,
-            test_f1: eval(),
-        });
-    }
+    });
     log
 }
 
 /// Train a graph model on labeled prepared graphs (graph-level
-/// classification, paper Table II), measuring F1 on `test` every epoch.
+/// classification, paper Table II) on `threads` workers, measuring F1 on
+/// `test` every epoch. Byte-identical for any thread count.
 pub fn train_graph_model(
     model: &dyn GraphModel,
     train: &[(PreparedGraph, usize)],
     test: &[(PreparedGraph, usize)],
     params: TrainParams,
+    threads: usize,
 ) -> TrainLog {
-    assert!(!train.is_empty(), "empty training set");
-    let primary = model.params();
-    let mut exec = SerialExecutor::new(GraphReplica::new(model, train));
-    let eval = || {
-        if test.is_empty() {
-            0.0
-        } else {
-            evaluate_graph_model(model, test).weighted_f1
-        }
-    };
+    let weights = model.params();
     run_training(
         model.name(),
         train.len(),
-        &primary,
-        &mut exec,
-        &eval,
-        params,
-    )
-}
-
-/// Data-parallel [`train_graph_model`]: per-example gradients are computed
-/// on `threads` replicas built by `factory` and reduced in example-index
-/// order, so the result is byte-identical to the single-threaded path.
-/// Falls back to the serial loop for `threads <= 1` or trivial sets.
-pub fn train_graph_model_parallel(
-    model: &dyn GraphModel,
-    factory: &GraphModelFactory,
-    train: &[(PreparedGraph, usize)],
-    test: &[(PreparedGraph, usize)],
-    params: TrainParams,
-    threads: usize,
-) -> TrainLog {
-    if threads <= 1 || train.len() < 2 {
-        return train_graph_model(model, train, test, params);
-    }
-    assert!(!train.is_empty(), "empty training set");
-    let primary = model.params();
-    let init = param_values(&primary);
-    let eval = || {
-        if test.is_empty() {
-            0.0
-        } else {
-            evaluate_graph_model(model, test).weighted_f1
-        }
-    };
-    with_pool(
+        &weights,
         threads,
-        || GraphReplica::new(factory(), train),
-        init,
-        |exec| run_training(model.name(), train.len(), &primary, exec, &eval, params),
+        |idx| {
+            let (prep, label) = &train[idx];
+            let tape = Tape::new();
+            loss_and_grads(model.logits(&tape, prep), *label, &weights)
+        },
+        || {
+            if test.is_empty() {
+                0.0
+            } else {
+                evaluate_graph_model(model, test).weighted_f1
+            }
+        },
+        params,
     )
 }
 
@@ -279,54 +175,34 @@ pub fn evaluate_graph_model(
 }
 
 /// Train a sequence head on labeled embedding sequences (address-level
-/// classification, paper Table III), measuring F1 on `test` every epoch.
+/// classification, paper Table III) on `threads` workers, measuring F1 on
+/// `test` every epoch. Byte-identical for any thread count.
 pub fn train_sequence_head(
     head: &dyn SequenceHead,
     train: &[(Vec<Matrix>, usize)],
     test: &[(Vec<Matrix>, usize)],
     params: TrainParams,
-) -> TrainLog {
-    assert!(!train.is_empty(), "empty training set");
-    let primary = head.params();
-    let mut exec = SerialExecutor::new(SeqReplica::new(head, train));
-    let eval = || {
-        if test.is_empty() {
-            0.0
-        } else {
-            evaluate_sequence_head(head, test).weighted_f1
-        }
-    };
-    run_training(head.name(), train.len(), &primary, &mut exec, &eval, params)
-}
-
-/// Data-parallel [`train_sequence_head`]; byte-identical to the serial loop
-/// for any thread count (same fixed-order reduction as the graph loop).
-pub fn train_sequence_head_parallel(
-    head: &dyn SequenceHead,
-    factory: &SequenceHeadFactory,
-    train: &[(Vec<Matrix>, usize)],
-    test: &[(Vec<Matrix>, usize)],
-    params: TrainParams,
     threads: usize,
 ) -> TrainLog {
-    if threads <= 1 || train.len() < 2 {
-        return train_sequence_head(head, train, test, params);
-    }
-    assert!(!train.is_empty(), "empty training set");
-    let primary = head.params();
-    let init = param_values(&primary);
-    let eval = || {
-        if test.is_empty() {
-            0.0
-        } else {
-            evaluate_sequence_head(head, test).weighted_f1
-        }
-    };
-    with_pool(
+    let weights = head.params();
+    run_training(
+        head.name(),
+        train.len(),
+        &weights,
         threads,
-        || SeqReplica::new(factory(), train),
-        init,
-        |exec| run_training(head.name(), train.len(), &primary, exec, &eval, params),
+        |idx| {
+            let (seq, label) = &train[idx];
+            let tape = Tape::new();
+            loss_and_grads(head.logits(&tape, seq), *label, &weights)
+        },
+        || {
+            if test.is_empty() {
+                0.0
+            } else {
+                evaluate_sequence_head(head, test).weighted_f1
+            }
+        },
+        params,
     )
 }
 
@@ -396,6 +272,7 @@ mod tests {
                 learning_rate: 0.02,
                 ..Default::default()
             },
+            1,
         );
         assert_eq!(log.points.len(), 30);
         assert!(log.final_f1() > 0.9, "final F1 {}", log.final_f1());
@@ -420,6 +297,7 @@ mod tests {
                 learning_rate: 0.02,
                 ..Default::default()
             },
+            1,
         );
         assert!(log.final_f1() > 0.9, "final F1 {}", log.final_f1());
     }
@@ -437,6 +315,7 @@ mod tests {
                 learning_rate: 0.02,
                 ..Default::default()
             },
+            1,
         );
         let first = log.points.first().unwrap().train_loss;
         let last = log.points.last().unwrap().train_loss;
@@ -458,6 +337,7 @@ mod tests {
                     seed: 2,
                     batch_size: 4,
                 },
+                1,
             );
             log.points.iter().map(|p| p.train_loss).collect::<Vec<_>>()
         };
@@ -479,16 +359,12 @@ mod tests {
             .iter()
             .map(|(prep, label)| {
                 let tape = Tape::new();
-                let loss = gfn.logits(&tape, prep).softmax_cross_entropy(&[*label]);
-                let v = loss.value()[(0, 0)];
-                loss.backward(); // discard: grads zeroed below
-                v
+                gfn.logits(&tape, prep)
+                    .softmax_cross_entropy(&[*label])
+                    .value()[(0, 0)]
             })
             .sum::<f32>()
             / data.len() as f32;
-        for p in gfn.params() {
-            p.zero_grad();
-        }
         let log = train_graph_model(
             &gfn,
             &data,
@@ -499,6 +375,7 @@ mod tests {
                 batch_size: 2,
                 seed: 9,
             },
+            1,
         );
         let got = log.points[0].train_loss;
         assert!(
@@ -532,6 +409,7 @@ mod tests {
                 batch_size: 4,
                 seed: 3,
             },
+            1,
         );
         let got = log.points[0].train_loss;
         assert!(
@@ -540,9 +418,9 @@ mod tests {
         );
     }
 
-    /// The tentpole guarantee at the unit level: multi-replica training is
-    /// byte-identical to the serial loop — same per-epoch losses, same final
-    /// weights.
+    /// The determinism guarantee at the unit level: training on several
+    /// threads is byte-identical to training on one — same per-epoch losses,
+    /// same final weights.
     #[test]
     fn parallel_graph_training_is_byte_identical_to_serial() {
         let params = TrainParams {
@@ -553,11 +431,10 @@ mod tests {
         };
         let serial = Gfn::new(4, 0, 8, 4, 21);
         let data = synthetic_graph_set(3, &serial);
-        let serial_log = train_graph_model(&serial, &data, &[], params);
+        let serial_log = train_graph_model(&serial, &data, &[], params, 1);
 
         let pooled = Gfn::new(4, 0, 8, 4, 21);
-        let factory = || -> Box<dyn GraphModel> { Box::new(Gfn::new(4, 0, 8, 4, 99)) };
-        let pooled_log = train_graph_model_parallel(&pooled, &factory, &data, &[], params, 3);
+        let pooled_log = train_graph_model(&pooled, &data, &[], params, 3);
 
         let s_losses: Vec<f32> = serial_log.points.iter().map(|p| p.train_loss).collect();
         let p_losses: Vec<f32> = pooled_log.points.iter().map(|p| p.train_loss).collect();
@@ -577,11 +454,10 @@ mod tests {
         };
         let data = synthetic_seq_set(3);
         let serial = LstmMlp::new(4, 6, 17);
-        let serial_log = train_sequence_head(&serial, &data, &[], params);
+        let serial_log = train_sequence_head(&serial, &data, &[], params, 1);
 
         let pooled = LstmMlp::new(4, 6, 17);
-        let factory = || -> Box<dyn SequenceHead> { Box::new(LstmMlp::new(4, 6, 1234)) };
-        let pooled_log = train_sequence_head_parallel(&pooled, &factory, &data, &[], params, 4);
+        let pooled_log = train_sequence_head(&pooled, &data, &[], params, 4);
 
         let s_losses: Vec<f32> = serial_log.points.iter().map(|p| p.train_loss).collect();
         let p_losses: Vec<f32> = pooled_log.points.iter().map(|p| p.train_loss).collect();
@@ -595,6 +471,6 @@ mod tests {
     #[should_panic(expected = "empty training set")]
     fn empty_train_panics() {
         let gfn = Gfn::new(4, 0, 8, 4, 0);
-        let _ = train_graph_model(&gfn, &[], &[], TrainParams::default());
+        let _ = train_graph_model(&gfn, &[], &[], TrainParams::default(), 1);
     }
 }

@@ -358,10 +358,11 @@ mod tests {
         }
         let h_fused = st.h.value();
         let c_fused = st.c.value();
-        st.h.sum_rows()
-            .matmul(tape.constant(Matrix::col_vec(vec![1.0; h])))
-            .slice_rows(0, 1)
-            .backward();
+        let g_fused =
+            st.h.sum_rows()
+                .matmul(tape.constant(Matrix::col_vec(vec![1.0; h])))
+                .slice_rows(0, 1)
+                .backward(&fused);
 
         // Reference: same unroll with the four-matmul step.
         let tape2 = Tape::new();
@@ -374,18 +375,20 @@ mod tests {
         }
         assert!(bits_eq(&h_fused, &st2.h.value()), "h diverged");
         assert!(bits_eq(&c_fused, &st2.c.value()), "c diverged");
-        st2.h
+        let ref_params: Vec<Param> = w_ref.iter().chain(&b_ref).cloned().collect();
+        let g_ref = st2
+            .h
             .sum_rows()
             .matmul(tape2.constant(Matrix::col_vec(vec![1.0; h])))
             .slice_rows(0, 1)
-            .backward();
+            .backward(&ref_params);
 
         // Fused gradients block-match the per-gate reference gradients.
         for g in 0..4 {
-            let wg = fused[0].grad().slice_cols(g * h, (g + 1) * h);
-            assert!(bits_eq(&wg, &w_ref[g].grad()), "w grad gate {g}");
-            let bg = fused[1].grad().slice_cols(g * h, (g + 1) * h);
-            assert!(bits_eq(&bg, &b_ref[g].grad()), "b grad gate {g}");
+            let wg = g_fused[0].slice_cols(g * h, (g + 1) * h);
+            assert!(bits_eq(&wg, &g_ref[g]), "w grad gate {g}");
+            let bg = g_fused[1].slice_cols(g * h, (g + 1) * h);
+            assert!(bits_eq(&bg, &g_ref[4 + g]), "b grad gate {g}");
         }
     }
 
@@ -423,11 +426,11 @@ mod tests {
         }
 
         // Gradients flow through the batched unroll into the fused params.
-        batched
+        let g = batched
             .sum_rows()
             .matmul(tape.constant(Matrix::col_vec(vec![1.0; 5])))
-            .backward();
-        let g = lstm.params()[0].grad().clone();
+            .backward(&lstm.params()[..1])
+            .remove(0);
         assert!(g.all_finite());
         assert!(g.frobenius_norm() > 0.0, "no gradient reached the weights");
     }
@@ -443,7 +446,7 @@ mod tests {
             crate::layers::mlp::Mlp::new(&[8, 2], crate::layers::mlp::Activation::Relu, &mut rng);
         let mut params = lstm.params();
         params.extend(head.params());
-        let mut opt = Adam::new(params, 0.02);
+        let mut opt = Adam::new(params.clone(), 0.02);
 
         let make_seq = |pos: usize| -> Vec<Matrix> {
             (0..6)
@@ -469,8 +472,7 @@ mod tests {
             }
             let loss = total.scale(1.0 / losses.len() as f32);
             last = loss.value()[(0, 0)];
-            loss.backward();
-            opt.step();
+            opt.step(&loss.backward(&params));
         }
         assert!(last < 0.1, "final loss {last}");
     }

@@ -99,7 +99,8 @@ mod tests {
         // Classic nonlinear separability check: a 2-layer MLP must fit XOR.
         let mut rng = StdRng::seed_from_u64(42);
         let mlp = Mlp::new(&[2, 8, 2], Activation::Tanh, &mut rng);
-        let mut opt = Adam::new(mlp.params(), 0.05);
+        let params = mlp.params();
+        let mut opt = Adam::new(params.clone(), 0.05);
         let x = Matrix::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
         let y = vec![0usize, 1, 1, 0];
         let mut last = f32::MAX;
@@ -109,8 +110,7 @@ mod tests {
             let logits = mlp.forward(&tape, xv);
             let loss = logits.softmax_cross_entropy(&y);
             last = loss.value()[(0, 0)];
-            loss.backward();
-            opt.step();
+            opt.step(&loss.backward(&params));
         }
         assert!(last < 0.05, "final XOR loss {last}");
         // All four points classified correctly.

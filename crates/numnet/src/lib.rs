@@ -5,8 +5,8 @@
 //! crate supplies exactly the pieces the models use and nothing more:
 //!
 //! * [`Matrix`] — dense row-major `f32` matrix with matmul/transpose kernels;
-//! * [`Tape`]/[`Var`]/[`Param`] — reverse-mode autograd with shared parameter
-//!   buffers that persist across optimisation steps;
+//! * [`Tape`]/[`Var`]/[`Param`] — reverse-mode autograd over shared
+//!   `Send + Sync` parameter values; a backward pass returns its gradients;
 //! * layers — [`layers::Linear`], [`layers::Mlp`], [`layers::Lstm`],
 //!   [`layers::BiLstm`], [`layers::AttentionPool`];
 //! * optimisers — [`optim::Sgd`], [`optim::Adam`];
@@ -21,15 +21,15 @@
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let mlp = Mlp::new(&[2, 8, 2], Activation::Relu, &mut rng);
-//! let mut opt = Adam::new(mlp.params(), 0.01);
+//! let params = mlp.params();
+//! let mut opt = Adam::new(params.clone(), 0.01);
 //! let x = Matrix::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
 //! let y = [0usize, 1, 1, 0];
 //! for _ in 0..10 {
 //!     let tape = Tape::new();
 //!     let logits = mlp.forward(&tape, tape.constant(x.clone()));
 //!     let loss = logits.softmax_cross_entropy(&y);
-//!     loss.backward();
-//!     opt.step();
+//!     opt.step(&loss.backward(&params));
 //! }
 //! ```
 

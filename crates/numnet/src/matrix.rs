@@ -1064,11 +1064,6 @@ impl Matrix {
         self.data.iter().all(|v| v.is_finite())
     }
 
-    /// Set every element to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
     /// Row-wise softmax (each row sums to 1), numerically stabilised.
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();

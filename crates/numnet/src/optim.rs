@@ -1,14 +1,16 @@
-//! Optimisers operating on shared [`Param`] buffers.
+//! Optimisers: the one writer of shared [`Param`] values.
 
 use crate::matrix::Matrix;
 use crate::tape::Param;
 
-/// Common optimiser interface: apply accumulated gradients, then zero them.
+/// Common optimiser interface: apply the gradients a backward pass returned.
 pub trait Optimizer {
-    /// Apply one update step using the gradients currently accumulated in the
-    /// parameters this optimiser was constructed with, then zero those
-    /// gradients.
-    fn step(&mut self);
+    /// Apply one update step to the parameters this optimiser was
+    /// constructed with; `grads[i]` belongs to parameter `i`.
+    ///
+    /// # Panics
+    /// On a gradient count or shape mismatch, before any value is touched.
+    fn step(&mut self, grads: &[Matrix]);
 
     /// Current learning rate.
     fn learning_rate(&self) -> f32;
@@ -20,23 +22,36 @@ pub trait Optimizer {
 /// Clip the global gradient norm across all parameters to `max_norm`
 /// (standard recipe for stabilising recurrent-model training). Returns the
 /// pre-clip norm. Call between `backward()` and `step()`.
-pub fn clip_grad_norm(params: &[Param], max_norm: f32) -> f32 {
+pub fn clip_grad_norm(grads: &mut [Matrix], max_norm: f32) -> f32 {
     assert!(max_norm > 0.0, "max_norm must be positive");
-    let total: f32 = params
+    let total: f32 = grads
         .iter()
-        .map(|p| p.grad().as_slice().iter().map(|g| g * g).sum::<f32>())
+        .map(|g| g.as_slice().iter().map(|g| g * g).sum::<f32>())
         .sum();
     let norm = total.sqrt();
     if norm > max_norm {
         let scale = max_norm / norm;
-        for p in params {
-            // Scale the gradient in place via the value-update hook.
-            let scaled = p.grad().scale(scale);
-            p.zero_grad();
-            p.accumulate_grad_public(&scaled);
+        for g in grads {
+            g.map_assign(|v| v * scale);
         }
     }
     norm
+}
+
+/// All-or-nothing precondition of [`Optimizer::step`].
+fn check_grads(params: &[Param], grads: &[Matrix]) {
+    assert_eq!(
+        params.len(),
+        grads.len(),
+        "optimiser step: gradient count mismatch"
+    );
+    for (i, (p, g)) in params.iter().zip(grads).enumerate() {
+        assert_eq!(
+            p.shape(),
+            g.shape(),
+            "optimiser step: gradient {i} shape mismatch"
+        );
+    }
 }
 
 /// Step learning-rate schedule: multiply the optimiser's rate by `gamma`
@@ -101,12 +116,13 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self) {
-        for (p, v) in self.params.iter().zip(self.velocity.iter_mut()) {
+    fn step(&mut self, grads: &[Matrix]) {
+        check_grads(&self.params, grads);
+        for ((p, v), grad) in self.params.iter().zip(self.velocity.iter_mut()).zip(grads) {
             let lr = self.lr;
             let momentum = self.momentum;
             let wd = self.weight_decay;
-            p.update(|value, grad| {
+            p.update(|value| {
                 for i in 0..value.len() {
                     let g = grad.as_slice()[i] + wd * value.as_slice()[i];
                     let vel = momentum * v.as_slice()[i] + g;
@@ -114,7 +130,6 @@ impl Optimizer for Sgd {
                     value.as_mut_slice()[i] -= lr * vel;
                 }
             });
-            p.zero_grad();
         }
     }
 
@@ -175,19 +190,21 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self) {
+    fn step(&mut self, grads: &[Matrix]) {
+        check_grads(&self.params, grads);
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for ((p, m), v) in self
+        for (((p, m), v), grad) in self
             .params
             .iter()
             .zip(self.m.iter_mut())
             .zip(self.v.iter_mut())
+            .zip(grads)
         {
             let (lr, b1, b2, eps, wd) =
                 (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
-            p.update(|value, grad| {
+            p.update(|value| {
                 for i in 0..value.len() {
                     let g = grad.as_slice()[i] + wd * value.as_slice()[i];
                     let mi = b1 * m.as_slice()[i] + (1.0 - b1) * g;
@@ -199,7 +216,6 @@ impl Optimizer for Adam {
                     value.as_mut_slice()[i] -= lr * m_hat / (v_hat.sqrt() + eps);
                 }
             });
-            p.zero_grad();
         }
     }
 
@@ -225,8 +241,7 @@ mod tests {
             let target = tape.constant(Matrix::from_vec(1, 1, vec![3.0]));
             let diff = wv.sub(target);
             let loss = diff.mul_elem(diff);
-            loss.backward();
-            opt.step();
+            opt.step(&loss.backward(std::slice::from_ref(w)));
         }
         w.value()[(0, 0)]
     }
@@ -259,8 +274,8 @@ mod tests {
         let w = Param::new(Matrix::from_vec(1, 1, vec![5.0]));
         let mut opt = Sgd::with_momentum(vec![w.clone()], 0.1, 0.0, 0.5);
         for _ in 0..10 {
-            // no backward: grads stay zero, only decay applies
-            opt.step();
+            // zero data gradient: only decay applies
+            opt.step(&[Matrix::zeros(1, 1)]);
         }
         assert!(w.value()[(0, 0)] < 5.0);
         assert!(w.value()[(0, 0)] > 0.0);
@@ -268,30 +283,29 @@ mod tests {
 
     #[test]
     fn clip_grad_norm_bounds_global_norm() {
-        let a = Param::new(Matrix::from_vec(1, 2, vec![0.0, 0.0]));
-        let b = Param::new(Matrix::from_vec(1, 1, vec![0.0]));
-        a.accumulate_grad_public(&Matrix::from_vec(1, 2, vec![3.0, 4.0])); // norm 5
-        b.accumulate_grad_public(&Matrix::from_vec(1, 1, vec![12.0])); // total 13
-        let pre = clip_grad_norm(&[a.clone(), b.clone()], 1.0);
+        let mut grads = [
+            Matrix::from_vec(1, 2, vec![3.0, 4.0]), // norm 5
+            Matrix::from_vec(1, 1, vec![12.0]),     // total 13
+        ];
+        let pre = clip_grad_norm(&mut grads, 1.0);
         assert!((pre - 13.0).abs() < 1e-5);
-        let post: f32 = [a.grad().as_slice().to_vec(), b.grad().as_slice().to_vec()]
-            .concat()
+        let post: f32 = grads
             .iter()
+            .flat_map(|g| g.as_slice())
             .map(|g| g * g)
             .sum::<f32>()
             .sqrt();
         assert!((post - 1.0).abs() < 1e-5, "post-clip norm {post}");
         // Direction preserved: components keep their ratios.
-        assert!((a.grad()[(0, 0)] / a.grad()[(0, 1)] - 0.75).abs() < 1e-5);
+        assert!((grads[0][(0, 0)] / grads[0][(0, 1)] - 0.75).abs() < 1e-5);
     }
 
     #[test]
     fn clip_is_noop_below_threshold() {
-        let a = Param::new(Matrix::from_vec(1, 1, vec![0.0]));
-        a.accumulate_grad_public(&Matrix::from_vec(1, 1, vec![0.5]));
-        let pre = clip_grad_norm(std::slice::from_ref(&a), 10.0);
+        let mut grads = [Matrix::from_vec(1, 1, vec![0.5])];
+        let pre = clip_grad_norm(&mut grads, 10.0);
         assert!((pre - 0.5).abs() < 1e-6);
-        assert_eq!(a.grad()[(0, 0)], 0.5);
+        assert_eq!(grads[0][(0, 0)], 0.5);
     }
 
     #[test]
@@ -307,14 +321,34 @@ mod tests {
         assert!((opt.learning_rate() - 0.025).abs() < 1e-9);
     }
 
+    /// Both refusals come before any value is written: the first parameter's
+    /// gradient is fine, the fault is further along.
     #[test]
-    fn step_zeroes_gradients() {
-        let w = Param::new(Matrix::from_vec(1, 1, vec![1.0]));
-        let mut opt = Sgd::new(vec![w.clone()], 0.1);
-        let tape = Tape::new();
-        tape.param(&w).scale(2.0).backward();
-        assert_ne!(w.grad()[(0, 0)], 0.0);
-        opt.step();
-        assert_eq!(w.grad()[(0, 0)], 0.0);
+    fn step_refuses_wrong_gradients_before_touching_a_value() {
+        let a = Param::new(Matrix::from_vec(1, 1, vec![1.0]));
+        let b = Param::new(Matrix::from_vec(1, 2, vec![2.0, 3.0]));
+        let good = Matrix::from_vec(1, 1, vec![5.0]);
+        for (bad, want) in [
+            (vec![good.clone()], "gradient count mismatch"),
+            (
+                vec![good.clone(), Matrix::zeros(2, 1)],
+                "gradient 1 shape mismatch",
+            ),
+        ] {
+            for adam in [false, true] {
+                let params = vec![a.clone(), b.clone()];
+                let mut opt: Box<dyn Optimizer> = if adam {
+                    Box::new(Adam::new(params, 0.1))
+                } else {
+                    Box::new(Sgd::new(params, 0.1))
+                };
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| opt.step(&bad)))
+                    .expect_err("step must refuse");
+                let msg = err.downcast_ref::<String>().expect("panic message");
+                assert!(msg.contains(want), "{msg}");
+                assert_eq!(a.value()[(0, 0)], 1.0, "a was written before the refusal");
+                assert_eq!(b.value().as_slice(), &[2.0, 3.0]);
+            }
+        }
     }
 }

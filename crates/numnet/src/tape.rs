@@ -1,10 +1,11 @@
 //! Reverse-mode automatic differentiation over [`Matrix`] values.
 //!
 //! A [`Tape`] records the forward computation as a flat list of nodes; calling
-//! [`Var::backward`] walks the list in reverse and accumulates gradients.
-//! Trainable parameters are [`Param`]s: shared value/grad buffers that outlive
-//! the tape, so a fresh tape can be built every optimisation step while the
-//! optimiser keeps updating the same storage.
+//! [`Var::backward`] walks the list in reverse and returns the gradients of
+//! the parameters it is given. Trainable parameters are [`Param`]s: shared
+//! *values* that outlive the tape and cross threads, so any number of tapes
+//! on any number of threads read the same model while the one optimiser
+//! updates it between batches. A pass writes nothing into a parameter.
 //!
 //! The backward pass is zero-clone: each node's gradient is taken by move,
 //! mutated in place where the op allows it (activations, scales), and moved
@@ -16,9 +17,8 @@
 
 use crate::matrix::Matrix;
 use graphalgo::CsrMatrix;
-use std::cell::{Cell, Ref, RefCell};
-use std::rc::Rc;
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 thread_local! {
     static BACKWARD_ALLOCS: Cell<usize> = const { Cell::new(0) };
@@ -99,69 +99,48 @@ impl SparseAdj {
     }
 }
 
-/// A trainable parameter: a value matrix and a gradient accumulator that
-/// persist across tapes.
+/// A trainable parameter: a value matrix shared by every holder of a clone,
+/// `Send + Sync`. It has no gradient slot — [`Var::backward`] returns the
+/// gradients and [`crate::optim::Optimizer::step`] takes them.
+///
+/// A poisoned lock is **not** recovered: only a writer can poison it, a
+/// writer is an optimiser step (or a weight load), and one that panicked
+/// midway leaves a half-written matrix no reader should trust. A panicking
+/// reader poisons nothing.
 #[derive(Clone)]
 pub struct Param {
-    inner: Rc<ParamInner>,
+    value: Arc<RwLock<Matrix>>,
 }
 
-struct ParamInner {
-    value: RefCell<Matrix>,
-    grad: RefCell<Matrix>,
-}
+const POISONED: &str =
+    "parameter lock poisoned: a writer panicked mid-update and left a half-written matrix";
 
 impl Param {
-    /// Wrap an initial value as a parameter with a zeroed gradient.
     pub fn new(value: Matrix) -> Self {
-        let grad = Matrix::zeros(value.rows(), value.cols());
         Self {
-            inner: Rc::new(ParamInner {
-                value: RefCell::new(value),
-                grad: RefCell::new(grad),
-            }),
+            value: Arc::new(RwLock::new(value)),
         }
     }
 
-    pub fn value(&self) -> Ref<'_, Matrix> {
-        self.inner.value.borrow()
+    /// Read access to the value. Drop the guard before anything that could
+    /// lock this parameter again.
+    pub fn value(&self) -> RwLockReadGuard<'_, Matrix> {
+        self.value.read().expect(POISONED)
     }
 
-    pub fn grad(&self) -> Ref<'_, Matrix> {
-        self.inner.grad.borrow()
-    }
-
-    /// Apply `f(value, grad)` — used by optimisers to update in place.
-    pub fn update(&self, f: impl FnOnce(&mut Matrix, &Matrix)) {
-        let grad = self.inner.grad.borrow();
-        let mut value = self.inner.value.borrow_mut();
-        f(&mut value, &grad);
-    }
-
-    /// Reset the gradient accumulator to zero.
-    pub fn zero_grad(&self) {
-        self.inner.grad.borrow_mut().fill_zero();
+    /// Apply `f(value)` under the write lock — how optimisers step in place.
+    pub fn update(&self, f: impl FnOnce(&mut Matrix)) {
+        f(&mut self.value.write().expect(POISONED));
     }
 
     /// Shape of the parameter value.
     pub fn shape(&self) -> (usize, usize) {
-        self.inner.value.borrow().shape()
+        self.value().shape()
     }
 
     /// Number of scalar elements.
     pub fn num_elements(&self) -> usize {
-        self.inner.value.borrow().len()
-    }
-
-    fn accumulate_grad(&self, g: &Matrix) {
-        self.inner.grad.borrow_mut().add_assign(g);
-    }
-
-    /// Add directly into the gradient buffer. Intended for optimiser-side
-    /// utilities (e.g. gradient clipping), not model code.
-    pub fn accumulate_grad_public(&self, g: &Matrix) {
-        assert_eq!(self.shape(), g.shape(), "gradient shape mismatch");
-        self.accumulate_grad(g);
+        self.value().len()
     }
 
     /// Replace the value (e.g. when loading a saved model).
@@ -171,14 +150,19 @@ impl Param {
             value.shape(),
             "Param::set_value shape mismatch"
         );
-        *self.inner.value.borrow_mut() = value;
+        self.update(|v| *v = value);
+    }
+
+    fn same(&self, other: &Param) -> bool {
+        Arc::ptr_eq(&self.value, &other.value)
     }
 }
 
 enum Op {
     /// Constant input; no gradient flows out.
     Leaf,
-    /// Parameter input; gradients accumulate into the shared buffer.
+    /// Parameter input; its gradient lands in the slot `backward` returns
+    /// for it.
     ParamLeaf(Param),
     MatMul(usize, usize),
     Add(usize, usize),
@@ -216,7 +200,7 @@ enum Op {
     },
     /// Fused LSTM gate block: `σ/σ/tanh/σ` column blocks of `x·W + b`,
     /// where W is `(d × 4h)` with column blocks `[forget|input|cell|output]`.
-    /// Parameter gradients accumulate directly into the fused buffers.
+    /// `W` and `b` get their gradients as whole fused matrices.
     LstmGates {
         x: usize,
         w: Param,
@@ -287,7 +271,7 @@ impl Tape {
         self.push(Op::Leaf, value)
     }
 
-    /// Record a parameter; its gradient accumulates into `p`.
+    /// Record a parameter (a copy of its current value).
     pub fn param(&self, p: &Param) -> Var<'_> {
         let value = p.value().clone();
         self.push(Op::ParamLeaf(p.clone()), value)
@@ -312,7 +296,7 @@ impl<'t> Var<'t> {
     /// Gradient currently stored on the node; zeros if absent. The
     /// zero-clone `backward()` consumes interior gradients as it walks the
     /// tape, so after a backward pass this reads zeros for most nodes —
-    /// parameter gradients are read from [`Param::grad`] instead.
+    /// parameter gradients are what [`Var::backward`] returns.
     pub fn grad(&self) -> Matrix {
         let nodes = self.tape.nodes.borrow();
         let node = &nodes[self.idx];
@@ -518,9 +502,15 @@ impl<'t> Var<'t> {
     /// columns, in both the forward and the backward pass.
     pub fn lstm_gates(self, w: &Param, b: &Param, hidden: usize) -> Var<'t> {
         let x = self.value();
-        let (d4, h4) = (w.shape().1, 4 * hidden);
-        assert_eq!(d4, h4, "lstm_gates: W must have 4·hidden columns");
-        let mut v = x.matmul(&w.value()).add_row_broadcast(&b.value());
+        let mut v = {
+            let w = w.value();
+            assert_eq!(
+                w.cols(),
+                4 * hidden,
+                "lstm_gates: W must have 4·hidden columns"
+            );
+            x.matmul(&w).add_row_broadcast(&b.value())
+        };
         let (c_lo, c_hi) = (2 * hidden, 3 * hidden);
         for r in 0..v.rows() {
             for (c, pre) in v.row_mut(r).iter_mut().enumerate() {
@@ -587,15 +577,33 @@ impl<'t> Var<'t> {
         )
     }
 
-    /// Run the backward pass seeded with dL/dself = 1 (self must be 1x1).
+    /// Run the backward pass seeded with dL/dself = 1 (self must be 1x1) and
+    /// return dL/dp for each of `params`, positionally.
+    ///
+    /// Every slot starts as zeros and receives its contributions in
+    /// reverse-tape order, so a parameter used twice gets the sum and one the
+    /// loss never reaches gets zeros. A parameter on the tape but absent
+    /// from `params` receives nothing.
     ///
     /// Gradients are moved, not cloned: a node's gradient is taken out of
     /// the node, reused in place where the op's derivative allows it, and
     /// moved into the last gradient-requiring input of each fan-out.
     /// Subtrees that contain no parameter are skipped entirely, so interior
     /// gradients are consumed — afterwards [`Var::grad`] reads zeros for
-    /// non-leaf nodes; parameter gradients live in their [`Param`] buffers.
-    pub fn backward(self) {
+    /// non-leaf nodes.
+    pub fn backward(self, params: &[Param]) -> Vec<Matrix> {
+        let mut out: Vec<Matrix> = params
+            .iter()
+            .map(|p| {
+                let (r, c) = p.shape();
+                counted(Matrix::zeros(r, c))
+            })
+            .collect();
+        let mut deliver = |p: &Param, g: &Matrix| {
+            if let Some(slot) = params.iter().position(|q| q.same(p)) {
+                out[slot].add_assign(g);
+            }
+        };
         let mut nodes = self.tape.nodes.borrow_mut();
         {
             let node = &mut nodes[self.idx];
@@ -618,7 +626,7 @@ impl<'t> Var<'t> {
             };
             match &node.op {
                 Op::Leaf => {}
-                Op::ParamLeaf(p) => p.accumulate_grad(&grad),
+                Op::ParamLeaf(p) => deliver(p, &grad),
                 Op::MatMul(a, b) => {
                     if needs[*a] {
                         let ga = counted(grad.matmul_a_bt(&lower[*b].value));
@@ -840,8 +848,8 @@ impl<'t> Var<'t> {
                         }
                     }
                     let x_val = &lower[*x].value;
-                    w.accumulate_grad(&counted(x_val.matmul_at_b(&grad)));
-                    b.accumulate_grad(&counted(grad.sum_rows()));
+                    deliver(w, &counted(x_val.matmul_at_b(&grad)));
+                    deliver(b, &counted(grad.sum_rows()));
                     if needs[*x] {
                         // Per-gate contributions added in reverse gate order
                         // (o, c̃, i, f) to reproduce the accumulation order
@@ -926,6 +934,7 @@ impl<'t> Var<'t> {
                 }
             }
         }
+        out
     }
 }
 
@@ -978,6 +987,11 @@ fn accumulate(nodes: &mut [Node], idx: usize, g: Matrix) {
 mod tests {
     use super::*;
 
+    /// dL/dp for the one parameter `p`.
+    fn grad_of(loss: Var, p: &Param) -> Matrix {
+        loss.backward(std::slice::from_ref(p)).remove(0)
+    }
+
     /// Numerical gradient check: perturb each element of `p`, compare the
     /// finite-difference slope of `loss_fn` with the autograd gradient.
     fn grad_check(p: &Param, loss_fn: &dyn Fn(&Tape) -> f32, analytic: &Matrix, tol: f32) {
@@ -986,11 +1000,11 @@ mod tests {
         for r in 0..rows {
             for c in 0..cols {
                 let orig = p.value()[(r, c)];
-                p.update(|v, _| v[(r, c)] = orig + eps);
+                p.update(|v| v[(r, c)] = orig + eps);
                 let up = loss_fn(&Tape::new());
-                p.update(|v, _| v[(r, c)] = orig - eps);
+                p.update(|v| v[(r, c)] = orig - eps);
                 let down = loss_fn(&Tape::new());
-                p.update(|v, _| v[(r, c)] = orig);
+                p.update(|v| v[(r, c)] = orig);
                 let numeric = (up - down) / (2.0 * eps);
                 let a = analytic[(r, c)];
                 assert!(
@@ -1020,8 +1034,7 @@ mod tests {
         let loss = y
             .sum_rows()
             .matmul(tape.constant(Matrix::col_vec(vec![1.0, 1.0])));
-        loss.backward();
-        let g = w.grad().clone();
+        let g = grad_of(loss, &w);
         grad_check(&w, &loss_fn, &g, 1e-2);
     }
 
@@ -1045,8 +1058,7 @@ mod tests {
         let xv = tape.constant(x.clone());
         let wv = tape.param(&w);
         let loss = xv.matmul(wv).softmax_cross_entropy(&targets);
-        loss.backward();
-        let g = w.grad().clone();
+        let g = grad_of(loss, &w);
         grad_check(&w, &loss_fn, &g, 2e-2);
     }
 
@@ -1073,8 +1085,7 @@ mod tests {
             .tanh()
             .sum_rows()
             .matmul(tape.constant(Matrix::col_vec(vec![1.0, 1.0])));
-        loss.backward();
-        let g = w.grad().clone();
+        let g = grad_of(loss, &w);
         grad_check(&w, &loss_fn, &g, 1e-2);
     }
 
@@ -1087,9 +1098,8 @@ mod tests {
         let cat = Var::concat_cols(&[av, bv]); // 2x3
         let sliced = cat.slice_rows(0, 1); // 1x3
         let loss = sliced.matmul(tape.constant(Matrix::col_vec(vec![1.0, 2.0, 3.0])));
-        loss.backward();
         // Only first row of `a` receives gradient: [1, 2].
-        let g = a.grad().clone();
+        let g = grad_of(loss, &a);
         assert_eq!(g.as_slice(), &[1.0, 2.0, 0.0, 0.0]);
     }
 
@@ -1101,8 +1111,7 @@ mod tests {
         let loss = av
             .max_rows()
             .matmul(tape.constant(Matrix::col_vec(vec![1.0, 1.0])));
-        loss.backward();
-        let g = a.grad().clone();
+        let g = grad_of(loss, &a);
         assert_eq!(g.as_slice(), &[0.0, 1.0, 1.0, 0.0, 0.0, 0.0]);
     }
 
@@ -1113,21 +1122,61 @@ mod tests {
         let tape = Tape::new();
         let wv = tape.param(&w);
         let y = wv.add(wv);
-        y.backward();
-        assert_eq!(w.grad()[(0, 0)], 2.0);
+        assert_eq!(grad_of(y, &w)[(0, 0)], 2.0);
     }
 
     #[test]
-    fn param_grads_accumulate_until_zeroed() {
-        let w = Param::new(Matrix::from_vec(1, 1, vec![1.0]));
-        for _ in 0..3 {
-            let tape = Tape::new();
-            let wv = tape.param(&w);
-            wv.scale(2.0).backward();
+    fn backward_returns_zeros_for_unreached_and_skips_unlisted_params() {
+        let used = Param::new(Matrix::from_vec(1, 1, vec![1.0]));
+        let unreached = Param::new(Matrix::from_vec(2, 3, vec![1.0; 6]));
+        let tape = Tape::new();
+        let loss = tape.param(&used).scale(2.0);
+        // `used` is on the tape but not asked for; `unreached` is asked for
+        // but not on the tape.
+        let g = loss.backward(std::slice::from_ref(&unreached));
+        assert_eq!(g, vec![Matrix::zeros(2, 3)]);
+        // A pass wrote nothing anywhere: asking again, for both, still works.
+        let tape = Tape::new();
+        let loss = tape.param(&used).scale(2.0);
+        let g = loss.backward(&[unreached, used]);
+        assert_eq!(g[0], Matrix::zeros(2, 3));
+        assert_eq!(g[1][(0, 0)], 2.0);
+    }
+
+    #[test]
+    fn poisoned_parameter_is_not_recovered() {
+        let p = Param::new(Matrix::zeros(1, 1));
+        let q = p.clone();
+        let writer = std::thread::spawn(move || q.update(|_| panic!("step died midway")));
+        assert!(writer.join().is_err());
+        for read in [true, false] {
+            let p = p.clone();
+            let err = std::thread::spawn(move || {
+                if read {
+                    drop(p.value());
+                } else {
+                    p.update(|_| {});
+                }
+            })
+            .join()
+            .expect_err("a poisoned parameter must refuse access");
+            let msg = err.downcast_ref::<String>().expect("panic message");
+            assert!(msg.contains("half-written matrix"), "{msg}");
         }
-        assert_eq!(w.grad()[(0, 0)], 6.0);
-        w.zero_grad();
-        assert_eq!(w.grad()[(0, 0)], 0.0);
+    }
+
+    #[test]
+    fn panicking_reader_poisons_nothing() {
+        let p = Param::new(Matrix::from_vec(1, 1, vec![7.0]));
+        let q = p.clone();
+        let reader = std::thread::spawn(move || {
+            let _guard = q.value();
+            panic!("reader died holding the guard");
+        });
+        assert!(reader.join().is_err());
+        assert_eq!(p.value()[(0, 0)], 7.0);
+        p.update(|v| v[(0, 0)] = 8.0);
+        assert_eq!(p.value()[(0, 0)], 8.0);
     }
 
     #[test]
@@ -1137,8 +1186,7 @@ mod tests {
         let tape = Tape::new();
         let wv = tape.param(&w);
         let fused = wv.softmax_cross_entropy(&[2]);
-        fused.backward();
-        let g_fused = w.grad().clone();
+        let g_fused = grad_of(fused, &w);
 
         let w2 = Param::new(Matrix::from_vec(1, 3, vec![0.2, -0.1, 0.4]));
         let tape2 = Tape::new();
@@ -1149,8 +1197,7 @@ mod tests {
         let u = p2.value()[(0, 0)];
         // seed backward manually with -1/u through a scale
         let loss2 = p2.scale(-1.0 / u); // value = -1; gradient wrt p2 = -1/u
-        loss2.backward();
-        let g_manual = w2.grad().clone();
+        let g_manual = grad_of(loss2, &w2);
         for c in 0..3 {
             assert!(
                 (g_fused[(0, c)] - g_manual[(0, c)]).abs() < 1e-4,
@@ -1166,7 +1213,7 @@ mod tests {
     fn backward_from_non_scalar_panics() {
         let tape = Tape::new();
         let v = tape.constant(Matrix::zeros(2, 2));
-        v.backward();
+        v.backward(&[]);
     }
 
     /// A small CSR operand and its dense twin for equivalence tests.
@@ -1206,21 +1253,23 @@ mod tests {
         let tape1 = Tape::new();
         let h1 = tape1.constant(x.clone()).mul_elem(tape1.param(&w1));
         let y1 = h1.spmm(&adj);
-        y1.sum_rows()
-            .matmul(tape1.constant(Matrix::col_vec(vec![1.0; 3])))
-            .backward();
+        let loss1 = y1
+            .sum_rows()
+            .matmul(tape1.constant(Matrix::col_vec(vec![1.0; 3])));
+        let g1 = grad_of(loss1, &w1);
 
         // Dense path: same graph with A as a dense constant matmul.
         let w2 = Param::new(w_init);
         let tape2 = Tape::new();
         let h2 = tape2.constant(x).mul_elem(tape2.param(&w2));
         let y2 = tape2.constant(dense).matmul(h2);
-        y2.sum_rows()
-            .matmul(tape2.constant(Matrix::col_vec(vec![1.0; 3])))
-            .backward();
+        let loss2 = y2
+            .sum_rows()
+            .matmul(tape2.constant(Matrix::col_vec(vec![1.0; 3])));
+        let g2 = grad_of(loss2, &w2);
 
         assert!(bits_eq(&y1.value(), &y2.value()), "forward diverged");
-        assert!(bits_eq(&w1.grad(), &w2.grad()), "backward diverged");
+        assert!(bits_eq(&g1, &g2), "backward diverged");
     }
 
     #[test]
@@ -1231,19 +1280,21 @@ mod tests {
         let w1 = Param::new(w_init.clone());
         let tape1 = Tape::new();
         let y1 = tape1.param(&w1).matmul_sp(&adj);
-        y1.sum_rows()
-            .matmul(tape1.constant(Matrix::col_vec(vec![1.0; 4])))
-            .backward();
+        let loss1 = y1
+            .sum_rows()
+            .matmul(tape1.constant(Matrix::col_vec(vec![1.0; 4])));
+        let g1 = grad_of(loss1, &w1);
 
         let w2 = Param::new(w_init);
         let tape2 = Tape::new();
         let y2 = tape2.param(&w2).matmul(tape2.constant(dense));
-        y2.sum_rows()
-            .matmul(tape2.constant(Matrix::col_vec(vec![1.0; 4])))
-            .backward();
+        let loss2 = y2
+            .sum_rows()
+            .matmul(tape2.constant(Matrix::col_vec(vec![1.0; 4])));
+        let g2 = grad_of(loss2, &w2);
 
         assert!(bits_eq(&y1.value(), &y2.value()), "forward diverged");
-        assert!(bits_eq(&w1.grad(), &w2.grad()), "backward diverged");
+        assert!(bits_eq(&g1, &g2), "backward diverged");
     }
 
     #[test]
@@ -1262,12 +1313,12 @@ mod tests {
         };
         let tape = Tape::new();
         let wv = tape.param(&w);
-        wv.spmm(&adj)
+        let loss = wv
+            .spmm(&adj)
             .tanh()
             .sum_rows()
-            .matmul(tape.constant(Matrix::col_vec(vec![1.0; 2])))
-            .backward();
-        let g = w.grad().clone();
+            .matmul(tape.constant(Matrix::col_vec(vec![1.0; 2])));
+        let g = grad_of(loss, &w);
         grad_check(&w, &loss_fn, &g, 1e-2);
     }
 
@@ -1277,10 +1328,10 @@ mod tests {
         let tape = Tape::new();
         let av = tape.param(&a);
         let mid = av.slice_cols(1, 2); // middle column
-        mid.sum_rows()
-            .matmul(tape.constant(Matrix::col_vec(vec![1.0])))
-            .backward();
-        assert_eq!(a.grad().as_slice(), &[0., 1., 0., 0., 1., 0.]);
+        let loss = mid
+            .sum_rows()
+            .matmul(tape.constant(Matrix::col_vec(vec![1.0])));
+        assert_eq!(grad_of(loss, &a).as_slice(), &[0., 1., 0., 0., 1., 0.]);
     }
 
     #[test]
@@ -1292,11 +1343,10 @@ mod tests {
         let left = av.slice_cols(0, 2).scale(2.0);
         let right = av.slice_cols(2, 4).scale(3.0);
         let joined = Var::concat_cols(&[left, right]);
-        joined
+        let loss = joined
             .sum_rows()
-            .matmul(tape.constant(Matrix::col_vec(vec![1.0; 4])))
-            .backward();
-        assert_eq!(a.grad().as_slice(), &[2., 2., 3., 3.]);
+            .matmul(tape.constant(Matrix::col_vec(vec![1.0; 4])));
+        assert_eq!(grad_of(loss, &a).as_slice(), &[2., 2., 3., 3.]);
     }
 
     #[test]
@@ -1328,9 +1378,7 @@ mod tests {
                 .matmul(w)
                 .sum_rows()
                 .add(bot.matmul(w).sum_rows().scale(2.0));
-            loss.backward();
-            let g = p.grad().clone();
-            g
+            grad_of(loss, &p)
         };
         assert!(bits_eq(&run(true), &run(false)), "gradients diverged");
 
@@ -1360,12 +1408,13 @@ mod tests {
             let srcs = [tape.param(&a), tape.param(&b)];
             let parts: Vec<(Var, usize)> = picks.iter().map(|&(s, r)| (srcs[s], r)).collect();
             let out = Var::stack_rows(&parts);
-            out.mul_elem(tape.constant(rowscale.clone()))
+            let mut g = out
+                .mul_elem(tape.constant(rowscale.clone()))
                 .matmul(tape.constant(weights.clone()))
                 .sum_rows()
-                .backward();
-            let (ga, gb) = (a.grad().clone(), b.grad().clone());
-            (out.value(), ga, gb)
+                .backward(&[a, b]);
+            let gb = g.pop().expect("b grad");
+            (out.value(), g.remove(0), gb)
         };
         let dense = {
             let a = Param::new(a_init.clone());
@@ -1377,12 +1426,13 @@ mod tests {
                 .map(|&(s, r)| srcs[s].slice_rows(r, r + 1))
                 .collect();
             let out = Var::concat_rows(&parts);
-            out.mul_elem(tape.constant(rowscale.clone()))
+            let mut g = out
+                .mul_elem(tape.constant(rowscale.clone()))
                 .matmul(tape.constant(weights.clone()))
                 .sum_rows()
-                .backward();
-            let (ga, gb) = (a.grad().clone(), b.grad().clone());
-            (out.value(), ga, gb)
+                .backward(&[a, b]);
+            let gb = g.pop().expect("b grad");
+            (out.value(), g.remove(0), gb)
         };
         assert!(bits_eq(&stacked.0, &dense.0), "forward diverged");
         assert!(bits_eq(&stacked.1, &dense.1), "a grad diverged");
@@ -1402,10 +1452,10 @@ mod tests {
         let tape = Tape::new();
         let xv = tape.constant(x.clone());
         let gates = xv.lstm_gates(&w, &b, h);
-        gates
+        let fused = gates
             .sum_rows()
             .matmul(tape.constant(Matrix::col_vec(vec![1.0; 4 * h])))
-            .backward();
+            .backward(&[w, b]);
 
         // Reference: four separate matmul → add_row → activation chains over
         // the corresponding weight column blocks.
@@ -1424,17 +1474,18 @@ mod tests {
             ref_b.push(bp);
         }
         let joined = Var::concat_cols(&ref_parts);
-        joined
+        let loss2 = joined
             .sum_rows()
-            .matmul(tape2.constant(Matrix::col_vec(vec![1.0; 4 * h])))
-            .backward();
+            .matmul(tape2.constant(Matrix::col_vec(vec![1.0; 4 * h])));
+        ref_w.extend(ref_b);
+        let reference = loss2.backward(&ref_w);
 
         assert!(bits_eq(&gates.value(), &joined.value()), "forward diverged");
         for gate in 0..4 {
-            let wg = w.grad().slice_cols(gate * h, (gate + 1) * h);
-            assert!(bits_eq(&wg, &ref_w[gate].grad()), "w grad gate {gate}");
-            let bg = b.grad().slice_cols(gate * h, (gate + 1) * h);
-            assert!(bits_eq(&bg, &ref_b[gate].grad()), "b grad gate {gate}");
+            let wg = fused[0].slice_cols(gate * h, (gate + 1) * h);
+            assert!(bits_eq(&wg, &reference[gate]), "w grad gate {gate}");
+            let bg = fused[1].slice_cols(gate * h, (gate + 1) * h);
+            assert!(bits_eq(&bg, &reference[4 + gate]), "b grad gate {gate}");
         }
     }
 
@@ -1452,10 +1503,10 @@ mod tests {
         let xp = Param::new(x_init.clone());
         let tape = Tape::new();
         let gates = tape.param(&xp).lstm_gates(&w, &b, h);
-        gates
+        let loss = gates
             .sum_rows()
-            .matmul(tape.constant(Matrix::col_vec(vec![1.0; 4 * h])))
-            .backward();
+            .matmul(tape.constant(Matrix::col_vec(vec![1.0; 4 * h])));
+        let g = grad_of(loss, &xp);
 
         let w2: Vec<Param> = (0..4)
             .map(|g| Param::new(w_init.slice_cols(g * h, (g + 1) * h)))
@@ -1476,12 +1527,11 @@ mod tests {
                 }
             })
             .collect();
-        Var::concat_cols(&parts)
+        let loss2 = Var::concat_cols(&parts)
             .sum_rows()
-            .matmul(tape2.constant(Matrix::col_vec(vec![1.0; 4 * h])))
-            .backward();
+            .matmul(tape2.constant(Matrix::col_vec(vec![1.0; 4 * h])));
 
-        assert!(bits_eq(&xp.grad(), &xp2.grad()), "input grad diverged");
+        assert!(bits_eq(&g, &grad_of(loss2, &xp2)), "input grad diverged");
     }
 
     #[test]
@@ -1496,7 +1546,7 @@ mod tests {
             .sum_rows()
             .matmul(tape.constant(Matrix::col_vec(vec![1.0; 8])));
         reset_backward_alloc_count();
-        loss.backward();
+        loss.backward(std::slice::from_ref(&w));
         let allocs = backward_alloc_count();
         let nodes = tape.len();
         // The old pass cloned every node's grad at least once on top of the

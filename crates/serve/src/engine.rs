@@ -15,11 +15,11 @@
 //! others find the queue empty again; a backlog deeper than `max_batch` is
 //! what spreads across workers.
 //!
-//! `numnet` parameters are `Rc<RefCell<…>>` and cannot cross threads, so the
-//! engine follows a **replica-per-worker** design: every worker thread builds
-//! its own [`BaClassifier`] from the shared [`ModelArtifact`] (whose plain
-//! weight matrices *are* `Send + Sync`). All replicas are byte-identical, so
-//! any worker may serve any request.
+//! The engine holds **one** [`BaClassifier`], built from the
+//! [`ModelArtifact`] at construction (which is also what validates the
+//! artifact) and read by every worker through an `Arc`: inference only reads
+//! the weights, so any worker may serve any request and none can disturb
+//! another.
 //!
 //! The expensive stage — slice-graph construction plus GFN embedding — is
 //! memoized in a shared LRU keyed by `(address id, history length,
@@ -42,8 +42,9 @@
 //!
 //! * **Supervision** — each worker's batch loop runs under `catch_unwind`.
 //!   A panic mid-batch completes the batch's unanswered tickets as
-//!   [`ServeError::WorkerFailed`], then the worker rebuilds its replica
-//!   after an exponential backoff with deterministic jitter. A worker that
+//!   [`ServeError::WorkerFailed`], then the worker restarts with a fresh
+//!   batch scratch (the model is read-only and needs no rebuild) after an
+//!   exponential backoff with deterministic jitter. A worker that
 //!   exhausts `max_worker_restarts` retires; when the *last* worker
 //!   retires, queued jobs are failed explicitly and the circuit breaker is
 //!   forced open so new work degrades instead of hanging.
@@ -84,7 +85,7 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 /// Tuning knobs for the serving engine.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Worker threads (model replicas). `0` is allowed and leaves the queue
+    /// Worker threads, all reading one model. `0` is allowed and leaves the queue
     /// permanently un-drained — useful only for testing backpressure.
     pub workers: usize,
     /// Most queued requests a worker takes into one batch.
@@ -101,10 +102,10 @@ pub struct EngineConfig {
     pub breaker_threshold: u32,
     /// How long a tripped breaker stays open before half-opening a probe.
     pub breaker_cooldown: Duration,
-    /// Replica respawns a worker is allowed after caught panics before it
-    /// retires permanently.
+    /// Restarts a worker is allowed after caught panics before it retires
+    /// permanently.
     pub max_worker_restarts: u32,
-    /// Base of the exponential respawn backoff (doubled per consecutive
+    /// Base of the exponential restart backoff (doubled per consecutive
     /// restart, plus deterministic jitter).
     pub restart_backoff: Duration,
 }
@@ -370,8 +371,9 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Validate the artifact (by building one replica eagerly) and spawn the
-    /// worker pool with default hooks (no fault injection, no fallback).
+    /// Validate the artifact (by building the classifier every worker will
+    /// read) and spawn the worker pool with default hooks (no fault
+    /// injection, no fallback).
     pub fn new(artifact: Arc<ModelArtifact>, config: EngineConfig) -> Result<Self, ArtifactError> {
         Self::with_hooks(artifact, config, EngineHooks::default())
     }
@@ -384,7 +386,7 @@ impl Engine {
         hooks: EngineHooks,
     ) -> Result<Self, ArtifactError> {
         // Surface shape/config mismatches here, not inside a worker thread.
-        BaClassifier::from_artifact(&artifact)?;
+        let clf = Arc::new(BaClassifier::from_artifact(&artifact)?);
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState::default()),
             cond: Condvar::new(),
@@ -398,11 +400,11 @@ impl Engine {
         let workers = (0..config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let artifact = Arc::clone(&artifact);
+                let clf = Arc::clone(&clf);
                 let cfg = config.clone();
                 thread::Builder::new()
                     .name(format!("baserve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &artifact, &cfg, i))
+                    .spawn(move || worker_loop(&shared, &clf, &cfg, i))
                     .expect("spawn serving worker")
             })
             .collect();
@@ -547,7 +549,7 @@ impl Engine {
         self.shared.breaker.state()
     }
 
-    /// Worker replicas still running (not retired, not shut down).
+    /// Workers still running (not retired, not shut down).
     pub fn live_workers(&self) -> usize {
         self.shared.live_workers.load(Relaxed)
     }
@@ -639,13 +641,13 @@ fn backoff_sleep(shared: &Shared, cfg: &EngineConfig, worker: usize, restarts: u
     }
 }
 
-/// Account one replica failure (a build that failed or a batch that
-/// panicked) and decide the worker's fate. Trip accounting comes first, so a
-/// caller that sees a `WorkerFailed` reply observes the breaker already
-/// aware of the failure; then every job still in `unanswered` is failed
-/// explicitly. Returns `true` when the worker should rebuild its replica
-/// (after the backoff), `false` when it retired or shutdown was requested.
-fn replica_failed(
+/// Account one batch panic and decide the worker's fate. Trip accounting
+/// comes first, so a caller that sees a `WorkerFailed` reply observes the
+/// breaker already aware of the failure; then every job still in
+/// `unanswered` is failed explicitly. Returns `true` when the worker should
+/// restart (after the backoff), `false` when it retired or shutdown was
+/// requested.
+fn batch_panicked(
     shared: &Shared,
     cfg: &EngineConfig,
     worker: usize,
@@ -671,54 +673,37 @@ fn replica_failed(
     true
 }
 
-/// One worker thread: build a replica, serve batches under `catch_unwind`,
-/// respawn the replica on panic (bounded, backed-off), retire when the
-/// restart budget is spent.
-fn worker_loop(shared: &Arc<Shared>, artifact: &ModelArtifact, cfg: &EngineConfig, worker: usize) {
+/// One worker thread: serve batches under `catch_unwind`, restart on panic
+/// (bounded, backed-off), retire when the restart budget is spent. A restart
+/// replaces the batch scratch, which may hold half a batch after an unwind;
+/// the classifier is shared and read-only, so there is nothing of it to
+/// rebuild.
+fn worker_loop(shared: &Shared, clf: &BaClassifier, cfg: &EngineConfig, worker: usize) {
     let mut restarts: u32 = 0;
-    // Per-worker batch counter, monotonic across respawns, so fault plans
+    // Per-worker batch counter, monotonic across restarts, so fault plans
     // can address "worker W, batch K" deterministically.
     let mut batch_seq: u64 = 0;
-    'replica: loop {
-        let built = catch_unwind(AssertUnwindSafe(|| BaClassifier::from_artifact(artifact)));
-        let replica = match built {
-            Ok(Ok(r)) => r,
-            // The artifact was validated at startup, so a failing build is
-            // treated exactly like a batch panic: count, back off, retry.
-            Ok(Err(_)) | Err(_) => {
-                if replica_failed(shared, cfg, worker, &mut restarts, &mut []) {
-                    continue 'replica;
-                }
-                return;
-            }
-        };
-        // Rebuilt with the replica: after an unwind it may hold half a batch.
-        let mut scratch = BatchScratch::default();
-        loop {
-            if !collect_batch(shared, cfg.max_batch, &mut scratch.slots) {
-                // Graceful shutdown; queued work is already drained.
-                shared.live_workers.fetch_sub(1, Relaxed);
-                return;
-            }
-            batch_seq += 1;
-            let fault = shared.hooks.fault_plan.before_batch(worker, batch_seq);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                process_batch(shared, &replica, &mut scratch, fault)
-            }));
-            match outcome {
-                Ok(()) => {
-                    // Per-job successes already fed the breaker inside
-                    // `process_batch`; here only the restart streak resets.
-                    restarts = 0;
-                }
-                Err(_) => {
-                    if replica_failed(shared, cfg, worker, &mut restarts, &mut scratch.slots) {
-                        // Rebuild the replica: its internal state may be
-                        // arbitrarily corrupt after the unwind.
-                        continue 'replica;
-                    }
+    let mut scratch = BatchScratch::default();
+    loop {
+        if !collect_batch(shared, cfg.max_batch, &mut scratch.slots) {
+            // Graceful shutdown; queued work is already drained.
+            shared.live_workers.fetch_sub(1, Relaxed);
+            return;
+        }
+        batch_seq += 1;
+        let fault = shared.hooks.fault_plan.before_batch(worker, batch_seq);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            process_batch(shared, clf, &mut scratch, fault)
+        }));
+        match outcome {
+            // Per-job successes already fed the breaker inside
+            // `process_batch`; here only the restart streak resets.
+            Ok(()) => restarts = 0,
+            Err(_) => {
+                if !batch_panicked(shared, cfg, worker, &mut restarts, &mut scratch.slots) {
                     return;
                 }
+                scratch = BatchScratch::default();
             }
         }
     }
@@ -726,7 +711,7 @@ fn worker_loop(shared: &Arc<Shared>, artifact: &ModelArtifact, cfg: &EngineConfi
 
 fn process_batch(
     shared: &Shared,
-    replica: &BaClassifier,
+    clf: &BaClassifier,
     scratch: &mut BatchScratch,
     fault: Option<FaultAction>,
 ) {
@@ -781,7 +766,7 @@ fn process_batch(
                 }
                 None => {
                     shared.metrics.cache_misses.fetch_add(1, Relaxed);
-                    let seq = Arc::new(replica.embed_record(&job_ref.record));
+                    let seq = Arc::new(clf.embed_record(&job_ref.record));
                     recover(shared.cache.lock()).insert(key, Arc::clone(&seq));
                     this_batch.insert(key, Arc::clone(&seq));
                     (seq, false)
@@ -799,7 +784,7 @@ fn process_batch(
         live.push(Live { slot: i, seq, hit });
     }
     if !live.is_empty() {
-        classify_live(shared, replica, slots, live);
+        classify_live(shared, clf, slots, live);
     }
     // Every job has been answered and has left its slot. Emptied now, not
     // at the next batch, so an idle worker pins no embedding the LRU has
@@ -814,14 +799,9 @@ fn process_batch(
 /// ragged-batch forward pass and reply to each live job. Every logit row is
 /// bitwise identical to the per-job `classify_embeddings` formulation, so
 /// responses do not depend on which requests shared the batch.
-fn classify_live(
-    shared: &Shared,
-    replica: &BaClassifier,
-    slots: &mut [Option<Job>],
-    live: &[Live],
-) {
+fn classify_live(shared: &Shared, clf: &BaClassifier, slots: &mut [Option<Job>], live: &[Live]) {
     let model_started = Instant::now();
-    let classified = replica.classify_embeddings_batch(live, 1);
+    let classified = clf.classify_embeddings_batch(live, 1);
     let model_us = model_started.elapsed().as_micros() as u64;
     shared
         .metrics

@@ -1,7 +1,7 @@
 //! Degraded-mode fallback classification.
 //!
-//! When the circuit breaker is open (or every worker replica has been
-//! retired) the engine stops enqueueing work and answers from a
+//! When the circuit breaker is open (or every worker has been retired)
+//! the engine stops enqueueing work and answers from a
 //! [`Fallback`] instead: a cheap, deterministic, feature-based classifier
 //! that trades accuracy for availability. Responses served this way carry
 //! `degraded: true`, so callers can distinguish "the GNN said Exchange"

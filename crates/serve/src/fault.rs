@@ -25,7 +25,7 @@ use std::time::Duration;
 pub enum FaultAction {
     /// Panic (while holding the shared cache lock, so lock-poisoning
     /// recovery is exercised too). The supervisor must complete the
-    /// batch's tickets as `WorkerFailed` and respawn the replica.
+    /// batch's tickets as `WorkerFailed` and restart the worker.
     Panic,
     /// Sleep this long before serving the batch — long enough, and every
     /// deadline-carrying request in the batch must resolve as
@@ -36,8 +36,8 @@ pub enum FaultAction {
 /// Hook consulted by each worker before every batch it processes.
 ///
 /// `worker` is the worker's index in the pool; `batch` counts that worker's
-/// batches starting at 1 (a respawned replica continues the count, so "panic
-/// replica 0 on its 3rd batch" stays addressable across restarts).
+/// batches starting at 1 (a restarted worker continues the count, so "panic
+/// worker 0 on its 3rd batch" stays addressable across restarts).
 pub trait FaultPlan: Send + Sync {
     fn before_batch(&self, worker: usize, batch: u64) -> Option<FaultAction>;
 }

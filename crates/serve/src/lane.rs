@@ -47,7 +47,7 @@ pub trait ShardLane: Send + Sync {
     /// from the two counters — cheap enough for every health probe.
     fn processed(&self) -> u64;
 
-    /// Live serving capacity: worker replicas for an engine, 1/0 for a
+    /// Live serving capacity: running workers for an engine, 1/0 for a
     /// connected/disconnected remote lane.
     fn live_workers(&self) -> usize;
 

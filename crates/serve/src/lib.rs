@@ -12,7 +12,7 @@
 //!   checksum, so a serving process can reconstruct the exact trained model.
 //! * **[`engine`]**: a micro-batching engine — a bounded request queue with
 //!   explicit backpressure ([`ServeError::QueueFull`]) feeding a pool of
-//!   worker threads, each a full model replica. A free worker takes
+//!   worker threads that all read one shared model. A free worker takes
 //!   whatever is queued at that moment, up to `max_batch`: batches grow
 //!   with load and an idle engine never holds a request for a timer.
 //! * **[`cache`]**: an O(1) LRU over per-address embedding sequences; hits
@@ -21,8 +21,8 @@
 //! * **[`metrics`]**: wait-free counters and latency/batch-size histograms,
 //!   snapshotted into a [`MetricsSnapshot`] that renders as JSON.
 //! * **[`breaker`], [`fallback`], [`fault`]**: the resilience layer. Worker
-//!   batch loops run supervised (`catch_unwind` + bounded, jittered replica
-//!   respawns); per-request deadlines resolve as `DeadlineExceeded`; a
+//!   batch loops run supervised (`catch_unwind` + bounded, jittered worker
+//!   restarts); per-request deadlines resolve as `DeadlineExceeded`; a
 //!   circuit breaker sheds traffic to a cheap feature-based [`Fallback`]
 //!   (responses tagged `degraded`) and half-opens after a cooldown; and a
 //!   deterministic [`FaultPlan`] hook lets the chaos harness inject panics,

@@ -151,7 +151,7 @@ counters! {
             degraded,
             /// Worker batch-loop panics caught by the supervisor.
             worker_panics,
-            /// Replica respawns after a caught panic (≤ `worker_panics`).
+            /// Worker restarts after a caught panic (≤ `worker_panics`).
             worker_restarts,
             /// Workers retired permanently after exhausting their restart
             /// budget.

@@ -28,10 +28,10 @@
 //! * [`ShardRouter`]: N independent serve [`baserve::Engine`]s splitting
 //!   one resource budget; requests route to the owning shard and batch
 //!   responses merge back in request order.
-//! * [`ShardedFollower`]: N follower threads (replica-per-worker, as in
-//!   the serve engine) consuming one broadcast [`bstream::BlockFeed`],
-//!   each filtering to its owned addresses and checkpointing to its own
-//!   snapshot for independent restart.
+//! * [`ShardedFollower`]: N shared-nothing follower threads consuming one
+//!   broadcast [`bstream::BlockFeed`], each filtering to its owned
+//!   addresses and checkpointing to its own snapshot for independent
+//!   restart.
 //!
 //! The `basharded` binary serves the `baserve::protocol` line protocol
 //! over a router; `tests/tests/sharding.rs` asserts the N-vs-1

@@ -1,10 +1,11 @@
 //! The streaming-side shard fan-out: one chain, N shared-nothing
 //! followers, supervised.
 //!
-//! `numnet` model parameters are `Rc<RefCell<…>>` and cannot cross
-//! threads, so — exactly like the serve engine's replica-per-worker
-//! design — each shard runs on its own thread with its own [`Follower`]
-//! built from the shared [`ModelArtifact`]. Every block is broadcast to
+//! A follower is mutable, shard-local state (histories, graphs, embedding
+//! caches, labels), so each shard runs on its own thread with its own
+//! [`Follower`] built from the shared [`ModelArtifact`] — shared-nothing by
+//! design, not because a model cannot cross threads (it can:
+//! `BaClassifier` is `Send + Sync`). Every block is broadcast to
 //! every shard over a bounded channel (backpressure, never unbounded
 //! buffering); each follower's [`FollowerConfig::shard`] filter makes it
 //! apply only the addresses it owns, so the union of the shards' state is

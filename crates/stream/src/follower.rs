@@ -68,8 +68,9 @@ pub struct FollowerConfig {
     pub snapshot_generations: usize,
     /// Worker threads for the batched reclassification stage (0 = auto,
     /// all cores; overridable via `BAC_THREADS`). Labels and embeddings
-    /// are byte-identical at any thread count — the stage runs on the
-    /// deterministic replica machinery of `baclassifier::parallel`.
+    /// are byte-identical at any thread count — the stage is an
+    /// order-preserving `baclassifier::parallel::parallel_map` over the
+    /// follower's one classifier.
     pub reclass_threads: usize,
     /// Maximum addresses per reclassification micro-batch (0 = one batch
     /// for the whole dirty set). Smaller batches bound peak memory for the
@@ -382,18 +383,18 @@ impl Follower {
     /// Re-derive, re-embed, and reclassify every dirty address with at
     /// least `min_txs` transactions. Returns how many were reclassified.
     ///
-    /// The dirty set is processed as micro-batches on the deterministic
-    /// replica machinery of `baclassifier::parallel`: every flip of an
+    /// The dirty set is processed as micro-batches: every flip of an
     /// address since the last tick coalesces into one unit of work, the
     /// stale slice graphs of a whole batch are embedded together across
-    /// `reclass_threads` replica workers, and the capped embedding
-    /// sequences go through `classify_embeddings_batch` — each head
-    /// replica runs its chunk as one ragged-batch LSTM forward pass
-    /// (one fused-gate matmul per timestep over the still-active
-    /// sequences). Labels and embeddings are byte-identical to the
-    /// per-address serial path at any thread count. Addresses are queued boundary-first: the smaller an
-    /// address's last label margin, the earlier it re-embeds (unclassified
-    /// addresses come first of all).
+    /// `reclass_threads` workers sharing this follower's classifier, and
+    /// the capped embedding sequences go through
+    /// `classify_embeddings_batch` — each worker runs its chunk as one
+    /// ragged-batch LSTM forward pass (one fused-gate matmul per timestep
+    /// over the still-active sequences). Labels and embeddings are
+    /// byte-identical to the per-address serial path at any thread count.
+    /// Addresses are queued boundary-first: the smaller an address's last
+    /// label margin, the earlier it re-embeds (unclassified addresses come
+    /// first of all).
     ///
     /// Addresses still under the `min_txs` threshold keep their dirty bit
     /// — they are deferred, not dropped, so a later cadence (or a restore
@@ -431,8 +432,8 @@ impl Follower {
     }
 
     /// One micro-batch of the batched reclassification stage: gather every
-    /// member's stale slice graphs, embed them together on the replica
-    /// pool, scatter the embeddings back, then classify the capped
+    /// member's stale slice graphs, embed them together across the
+    /// workers, scatter the embeddings back, then classify the capped
     /// sequences together the same way.
     fn reclassify_batch(
         &mut self,
@@ -464,7 +465,7 @@ impl Follower {
             .collect();
         let total_slices = graphs.len() as u64;
 
-        // Embed the whole batch across the replica workers, then scatter
+        // Embed the whole batch across the workers, then scatter
         // the results back in gather order.
         let mut embedded = self.clf.embed_graphs(&graphs, threads).into_iter();
         for (&(_, addr), &n) in batch.iter().zip(&stale_counts) {
@@ -481,7 +482,7 @@ impl Follower {
             })
             .collect();
 
-        // Classify through the head replicas and install labels + margins.
+        // Classify through the batched head and install labels + margins.
         let labeled = self
             .clf
             .classify_embeddings_batch(&seqs, threads)
@@ -629,6 +630,14 @@ pub(crate) mod tests {
             blocks,
             ..SimConfig::tiny(seed)
         }
+    }
+
+    /// A follower can be built on one thread and run on another; this did
+    /// not compile while its classifier's parameters were thread-bound.
+    #[test]
+    fn follower_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Follower>();
     }
 
     #[test]

@@ -38,8 +38,9 @@
 //!    tick coalesces every flip of an address into one unit of work,
 //!    orders the queue boundary-nearest-first by last label margin, and
 //!    fans the batch's stale slice graphs (and then the capped embedding
-//!    sequences) across `reclass_threads` deterministic replica workers —
-//!    byte-identical to the per-address serial path at any thread count.
+//!    sequences) across `reclass_threads` workers that all read the
+//!    follower's one model — byte-identical to the per-address serial path
+//!    at any thread count.
 //!
 //! The `bstream-follow` binary wires these together against a live
 //! simulation; `bacbench`'s `follow_reclass` and `follow_ingest` workloads

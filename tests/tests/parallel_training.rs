@@ -1,10 +1,11 @@
 //! Acceptance tests for the two determinism contracts:
 //!
 //! 1. Deterministic data-parallel training — `fit()` with `threads = 1` and
-//!    `threads = 4` must produce byte-identical weights and identical
-//!    predictions on a held-out split. Per-example gradients are reduced in
-//!    example-index order on the driver (see `baclassifier::parallel`), so
-//!    no float is ever summed in a schedule-dependent order.
+//!    `threads = 4` must produce byte-identical weights (pinned to a golden
+//!    digest) and identical predictions on a held-out split. Per-example
+//!    gradients are reduced in example-index order on the driver (see
+//!    `baclassifier::parallel`), so no float is ever summed in a
+//!    schedule-dependent order.
 //!
 //! 2. Kernel-path identity — the fast kernels (sparse adjacency spmm on the
 //!    tape, cached Ã·X, fused LSTM gates) must be bitwise indistinguishable
@@ -56,8 +57,20 @@ fn fit_is_byte_identical_across_thread_counts() {
     let serial = fit_with_threads(1, &train);
     let pooled = fit_with_threads(4, &train);
 
+    let serial_bytes = weight_bytes(&serial, "t1");
+    // FNV-1a over the saved weights, recorded at the commit before `Param`
+    // lost its gradient slot and `backward` started returning gradients.
+    let digest = serial_bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
     assert_eq!(
-        weight_bytes(&serial, "t1"),
+        digest,
+        0x0702_9ab3_6a5e_7b4f,
+        "{} weight bytes",
+        serial_bytes.len()
+    );
+    assert_eq!(
+        serial_bytes,
         weight_bytes(&pooled, "t4"),
         "threads=4 fit must produce byte-identical weights to threads=1"
     );
@@ -122,11 +135,7 @@ fn gcn_spmm_path_matches_dense_adjacency_tape_path_bitwise() {
     let tape = Tape::new();
     let e_new = gcn.embed(&tape, &prep);
     let e_new_val = e_new.value();
-    e_new.softmax_cross_entropy(&[1]).backward();
-    let grads_new: Vec<Matrix> = p.iter().map(|q| q.grad().clone()).collect();
-    for q in &p {
-        q.zero_grad();
-    }
+    let grads_new = e_new.softmax_cross_entropy(&[1]).backward(&p);
 
     // Reference: the pre-swap dense formulation, written out literally.
     let tape2 = Tape::new();
@@ -144,9 +153,9 @@ fn gcn_spmm_path_matches_dense_adjacency_tape_path_bitwise() {
         .relu();
     let e_ref = h2.sum_rows();
     assert_bits_eq(&e_new_val, &e_ref.value(), "GCN embedding");
-    e_ref.softmax_cross_entropy(&[1]).backward();
-    for (i, (g_new, q)) in grads_new.iter().zip(&p).enumerate() {
-        assert_bits_eq(g_new, &q.grad(), &format!("GCN grad of param {i}"));
+    let grads_ref = e_ref.softmax_cross_entropy(&[1]).backward(&p);
+    for (i, (g_new, g_ref)) in grads_new.iter().zip(&grads_ref).enumerate() {
+        assert_bits_eq(g_new, g_ref, &format!("GCN grad of param {i}"));
     }
 }
 
@@ -163,11 +172,7 @@ fn diffpool_sparse_pooling_matches_dense_adjacency_tape_path_bitwise() {
     let tape = Tape::new();
     let e_new = dp.embed(&tape, &prep);
     let e_new_val = e_new.value();
-    e_new.softmax_cross_entropy(&[2]).backward();
-    let grads_new: Vec<Matrix> = p.iter().map(|q| q.grad().clone()).collect();
-    for q in &p {
-        q.zero_grad();
-    }
+    let grads_new = e_new.softmax_cross_entropy(&[2]).backward(&p);
 
     let tape2 = Tape::new();
     let xv = tape2.constant(x.clone());
@@ -191,8 +196,8 @@ fn diffpool_sparse_pooling_matches_dense_adjacency_tape_path_bitwise() {
         .relu();
     let e_ref = h.sum_rows();
     assert_bits_eq(&e_new_val, &e_ref.value(), "DiffPool embedding");
-    e_ref.softmax_cross_entropy(&[2]).backward();
-    for (i, (g_new, q)) in grads_new.iter().zip(&p).enumerate() {
-        assert_bits_eq(g_new, &q.grad(), &format!("DiffPool grad of param {i}"));
+    let grads_ref = e_ref.softmax_cross_entropy(&[2]).backward(&p);
+    for (i, (g_new, g_ref)) in grads_new.iter().zip(&grads_ref).enumerate() {
+        assert_bits_eq(g_new, g_ref, &format!("DiffPool grad of param {i}"));
     }
 }

@@ -3,18 +3,20 @@
 //! every batch split.
 //!
 //! Two layers are pinned. `BaClassifier::embed_graphs` must reproduce
-//! per-graph `embed_graph` bit for bit (replica workers, forward-only GFN),
+//! per-graph `embed_graph` bit for bit (workers sharing one forward-only GFN),
 //! and `classify_embeddings_batch` — which runs the LSTM head as one
 //! fused-gate matmul per timestep over the still-active sequences — must
 //! reproduce per-sequence `classify_embeddings_scored` bit for bit,
 //! including on ragged length mixes (1, 2, 17, 500) and regardless of how
 //! the batch is chunked. These are the guarantees the serve engine and the
 //! streaming reclassifier lean on when they route micro-batches through the
-//! batched head.
+//! batched head. A third test runs all of it from four threads at once over
+//! one shared `&BaClassifier` — the property the serve engine's workers and
+//! the follower's reclassification threads now rest on.
 
 use baclassifier::construction::construct_address_graphs;
 use baclassifier::{BaClassifier, BacConfig};
-use btcsim::{Dataset, SimConfig, Simulator};
+use btcsim::{Dataset, Label, SimConfig, Simulator};
 use numnet::Matrix;
 
 fn fitted_classifier(seed: u64) -> (BaClassifier, Dataset) {
@@ -109,6 +111,59 @@ fn classify_batch_is_byte_identical_across_threads_and_chunkings() {
                     "margin differs at seq {i} (threads={threads}, batch={batch_size}): {gm} vs {rm}"
                 );
             }
+        }
+    }
+}
+
+/// One model, no copies: four threads share one `&BaClassifier` and run
+/// every inference entry point at once — each itself fanning out over three
+/// more threads — and every label, margin and embedding is the bits the
+/// single-threaded run produced. Does not compile unless
+/// `BaClassifier: Sync`.
+#[test]
+fn one_classifier_shared_by_four_threads_matches_the_single_threaded_run() {
+    let (clf, test) = fitted_classifier(44);
+    let records = &test.records[..32];
+    let graphs: Vec<_> = records
+        .iter()
+        .take(8)
+        .flat_map(|r| construct_address_graphs(r, &clf.config().construction).0)
+        .collect();
+    let seqs: Vec<Vec<Matrix>> = records.iter().map(|r| clf.embed_record(r)).collect();
+
+    type Run = (Vec<Label>, Vec<Matrix>, Vec<(Label, u32)>);
+    let run = |clf: &BaClassifier, threads: usize| -> Run {
+        let labels = records.iter().map(|r| clf.predict(r).unwrap()).collect();
+        let embeds = clf.embed_graphs(&graphs, threads);
+        let scored = clf
+            .classify_embeddings_batch(&seqs, threads)
+            .unwrap()
+            .into_iter()
+            .map(|(l, m)| (l, m.to_bits()))
+            .collect();
+        (labels, embeds, scored)
+    };
+
+    let reference = run(&clf, 1);
+    // The barrier releases all four at once, so the runs overlap.
+    let start = std::sync::Barrier::new(4);
+    let concurrent: Vec<Run> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    run(&clf, 3)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (t, got) in concurrent.iter().enumerate() {
+        assert_eq!(got.0, reference.0, "thread {t}: predict labels");
+        assert_eq!(got.2, reference.2, "thread {t}: batch labels / margin bits");
+        assert_eq!(got.1.len(), reference.1.len());
+        for (i, (g, r)) in got.1.iter().zip(&reference.1).enumerate() {
+            assert_matrices_bitwise(g, r, &format!("thread {t}: embed_graphs[{i}]"));
         }
     }
 }
