@@ -68,25 +68,33 @@ pub struct ServingInputs {
     pub records: Vec<AddressRecord>,
 }
 
+/// The first step of every daemon mode: load the `--artifact` model,
+/// logging as `[name] …`. Exits 2 (printing `usage`) without `--artifact`,
+/// 1 when it does not load.
+pub fn load_artifact(name: &str, usage: &str, args: &[String]) -> Arc<ModelArtifact> {
+    let Some(path) = flag_value(args, "--artifact") else {
+        eprintln!("usage: {usage}");
+        std::process::exit(2);
+    };
+    let artifact = match ModelArtifact::load(path.as_ref()) {
+        Ok(a) => Arc::new(a),
+        Err(e) => {
+            eprintln!("error: could not load artifact {path}: {e}");
+            std::process::exit(1);
+        }
+    };
+    eprintln!(
+        "[{name}] loaded {path} ({} weight tensors)",
+        artifact.weights.len()
+    );
+    artifact
+}
+
 impl ServingInputs {
-    /// Load from the command line, logging progress as `[name] …`. Exits 2
-    /// (printing `usage`) without `--artifact`, 1 when it does not load.
+    /// [`load_artifact`], then the dataset rebuilt from `--seed` /
+    /// `--min-txs`.
     pub fn load(name: &str, usage: &str, args: &[String]) -> ServingInputs {
-        let Some(path) = flag_value(args, "--artifact") else {
-            eprintln!("usage: {usage}");
-            std::process::exit(2);
-        };
-        let artifact = match ModelArtifact::load(path.as_ref()) {
-            Ok(a) => Arc::new(a),
-            Err(e) => {
-                eprintln!("error: could not load artifact {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        eprintln!(
-            "[{name}] loaded {path} ({} weight tensors)",
-            artifact.weights.len()
-        );
+        let artifact = load_artifact(name, usage, args);
         let seed = flag_parsed(args, "--seed", 42u64);
         let records = rebuild_records(seed, flag_parsed(args, "--min-txs", 3usize));
         eprintln!(

@@ -1,11 +1,10 @@
-//! Cooperative SIGINT shutdown for the serving and streaming daemons.
+//! Cooperative SIGINT shutdown for the daemon, serving or following.
 //!
-//! The bins (`basharded`, `bstream-follow`) poll
-//! [`shutdown_requested`] between units of work and, when it trips, drain
-//! in-flight responses (and, for streaming, flush the journal and write a
-//! final snapshot) before exiting — a Ctrl-C is a clean checkpoint, not a
-//! crash. The `banet` accept loop polls the same flag to stop accepting
-//! and drain open connections.
+//! `basharded` polls [`shutdown_requested`] between units of work and, when
+//! it trips, drains in-flight responses (or, with `--follow`, flushes the
+//! journal and writes a final snapshot) before exiting — a Ctrl-C is a
+//! clean checkpoint, not a crash. The `banet` accept loop polls the same
+//! flag to stop accepting and drain open connections.
 //!
 //! The handler is registered through the raw C `signal` symbol that is
 //! already in every linked libc, keeping the workspace free of external
@@ -13,8 +12,8 @@
 //! async-signal-safe by construction. EOF-driven shutdowns reuse the same
 //! flag via [`request_shutdown`].
 //!
-//! This module lives in `baserve` (the lowest crate with a daemon) and is
-//! re-exported by `bstream` for compatibility with its original home.
+//! This module lives in `baserve`, the lowest crate with a front that
+//! polls the flag.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;

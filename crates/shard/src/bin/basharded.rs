@@ -1,6 +1,7 @@
-//! The serving daemon: one [`NetBackend`] — a single shard's engine, or a
+//! The daemon. Serving: one [`NetBackend`] — a single shard's engine, or a
 //! [`ShardRouter`] over in-process engines or remote TCP workers — behind
-//! one front: the stdin line protocol, or a BANET listener.
+//! one front: the stdin line protocol, or a BANET listener. Following
+//! (`--follow`): a supervised [`ShardedFollower`] fleet over a live chain.
 //!
 //! ```text
 //! # N in-process shard engines, line protocol on stdin (or --input FILE);
@@ -14,6 +15,14 @@
 //! basharded --artifact model.bart --shards N --listen HOST:PORT
 //! # remote frontend: route over TCP shard workers (either front)
 //! basharded --artifact model.bart --connect HOST:P0,HOST:P1[,…]
+//! # chain follower: N supervised shard followers over a simulated chain;
+//! # --shards 1 is the unsharded follower
+//! basharded --follow --artifact model.bart [--shards N] [--seed 42]
+//!           [--blocks 200] [--users 40] [--capacity 16] [--min-txs 3]
+//!           [--reclass-every 1] [--reclass-threads 0] [--reclass-batch 128]
+//!           [--snapshot base.bsnap] [--snapshot-every 50] [--generations 2]
+//!           [--journal follower.bjrnl] [--journal-sync-every 1]
+//!           [--stall-timeout-ms 10000] [--progress-every 25]
 //! ```
 //!
 //! The engine knobs (`baserve::cli::engine_config_from_args`) are the
@@ -33,18 +42,33 @@
 //! parent spawning a fleet parses that line), retries a busy port for ~2 s
 //! (so a respawned worker can reclaim its old address), and exits on SIGINT
 //! or a remote `Shutdown` frame.
+//!
+//! `--follow` starts through recovery whatever is on disk: each shard
+//! restores the newest valid generation of its own snapshot
+//! (`base.{i}of{N}`, corrupt ones quarantined) and replays the tail of the
+//! shared write-ahead journal, so killing the process at any point loses no
+//! blocks; what the driver does while it runs is `bashard::stream`'s module
+//! doc. SIGINT, a drained feed, a producer silent for `--stall-timeout-ms`
+//! (exit 3) and a failed journal write (exit 1) all end the same way: final
+//! reclassification and snapshot on every shard, journal flushed, one line
+//! of metrics JSON on stdout.
 
 use baclassifier::ShardAssignment;
 use banet::{NetServer, NetServerConfig, RemoteShardConfig, Role};
 use baserve::cli::{engine_config_from_args, flag_parsed, flag_value, has_flag, ServingInputs};
 use baserve::{run_line_session, Engine, NetBackend};
-use bashard::{RouterBackend, ShardRouter, WorkerBackend};
+use bashard::{FeedEnd, RouterBackend, ShardReport, ShardRouter, ShardedFollower, WorkerBackend};
+use bstream::{BlockFeed, FollowerConfig};
+use btcsim::{Label, SimConfig};
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const NAME: &str = "basharded";
+const USAGE: &str = "basharded --artifact model.bart [--shards N] [--input FILE] \
+                     [--worker I --listen ADDR] [--connect ADDRS] [--follow] …";
 
 /// Bind `addr` with `SO_REUSEADDR` (so a respawned worker reclaims a port
 /// still in TIME_WAIT), retrying `AddrInUse` for ~2 s in case the previous
@@ -78,9 +102,80 @@ fn die(code: i32, what: &str, e: impl std::fmt::Display) -> ! {
     std::process::exit(code)
 }
 
+/// `--follow`: drive `shards` supervised followers over the simulated chain
+/// until it drains, stalls, fails or SIGINT arrives; returns the exit code.
+fn follow(args: &[String], shards: u32) -> i32 {
+    let artifact = baserve::cli::load_artifact(NAME, USAGE, args);
+    let blocks = flag_parsed(args, "--blocks", 200u64);
+    let capacity = flag_parsed(args, "--capacity", 16usize);
+    let mut sim = SimConfig {
+        blocks,
+        ..SimConfig::tiny(flag_parsed(args, "--seed", 42u64))
+    };
+    sim.retail.num_users = flag_parsed(args, "--users", 40usize);
+    let default = FollowerConfig::default();
+    let cfg = FollowerConfig {
+        min_txs: flag_parsed(args, "--min-txs", default.min_txs),
+        reclass_every: flag_parsed(args, "--reclass-every", default.reclass_every),
+        reclass_threads: flag_parsed(args, "--reclass-threads", default.reclass_threads),
+        reclass_batch: flag_parsed(args, "--reclass-batch", default.reclass_batch),
+        snapshot_path: flag_value(args, "--snapshot").map(PathBuf::from),
+        snapshot_every: flag_parsed(args, "--snapshot-every", default.snapshot_every),
+        snapshot_generations: flag_parsed(args, "--generations", default.snapshot_generations),
+        journal_path: flag_value(args, "--journal").map(PathBuf::from),
+        journal_sync_every: flag_parsed(args, "--journal-sync-every", default.journal_sync_every),
+        ..default
+    };
+    // Recovery covers every startup shape: nothing on disk, snapshots only,
+    // a journal tail after a crash, a corrupt generation to fall back from.
+    let fleet = ShardedFollower::recover(artifact, cfg, shards)
+        .unwrap_or_else(|e| die(1, "recovery failed", e));
+    baserve::shutdown::install_sigint_handler();
+    let start = fleet.next_height();
+    let feed = BlockFeed::follow_sim(sim, start, capacity);
+    eprintln!(
+        "[{NAME}] following {} blocks from height {start} on {shards} shards \
+         (capacity {capacity})",
+        blocks + 1
+    );
+    let t = Instant::now();
+    let stall_timeout = Duration::from_millis(flag_parsed(args, "--stall-timeout-ms", 10_000u64));
+    let progress_every = flag_parsed(args, "--progress-every", 25u64);
+    let followed = fleet
+        .follow(&feed, stall_timeout, progress_every)
+        .unwrap_or_else(|e| die(1, "final flush failed", e));
+    match &followed.end {
+        FeedEnd::Drained => {}
+        FeedEnd::Interrupted => eprintln!("[{NAME}] SIGINT: journal flushed, fleet snapshotted"),
+        FeedEnd::Stalled(stall) => eprintln!("error: {stall}"),
+        FeedEnd::Failed(e) => eprintln!("error: {e}"),
+    }
+    let code = followed.end.exit_code();
+    let merged = ShardReport::merge(followed.reports);
+    let mut histogram = [0usize; 4];
+    for label in merged.labels.values() {
+        histogram[label.index()] += 1;
+    }
+    eprintln!(
+        "[{NAME}] done at height {} in {:.1}s: {}",
+        merged.next_height,
+        t.elapsed().as_secs_f64(),
+        Label::ALL
+            .iter()
+            .map(|l| format!("{} {}", l.name(), histogram[l.index()]))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    println!("{}", followed.metrics.to_json());
+    code
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let shards = flag_parsed(&args, "--shards", 2u32).max(1);
+    if has_flag(&args, "--follow") {
+        std::process::exit(follow(&args, shards));
+    }
     let config = engine_config_from_args(&args);
     let window = flag_parsed(&args, "--window", config.queue_depth.min(64)).max(1);
     let worker = has_flag(&args, "--worker").then(|| flag_parsed(&args, "--worker", 0u32));
@@ -92,12 +187,7 @@ fn main() {
         _ => {}
     }
 
-    let inputs = ServingInputs::load(
-        NAME,
-        "basharded --artifact model.bart [--shards N] [--input FILE] \
-         [--worker I --listen ADDR] [--connect ADDRS] …",
-        &args,
-    );
+    let inputs = ServingInputs::load(NAME, USAGE, &args);
     let hooks = inputs.hooks(NAME, &args);
     let artifact = Arc::clone(&inputs.artifact);
     let by_id = inputs.into_by_id();

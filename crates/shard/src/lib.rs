@@ -31,10 +31,12 @@
 //! * [`ShardedFollower`]: N shared-nothing follower threads consuming one
 //!   broadcast [`bstream::BlockFeed`], each filtering to its owned
 //!   addresses and checkpointing to its own snapshot for independent
-//!   restart.
+//!   restart; the driver owns the write-ahead journal, the snapshot
+//!   cadence, supervision and the one follow loop.
 //!
 //! The `basharded` binary serves the `baserve::protocol` line protocol
-//! over a router; `tests/tests/sharding.rs` asserts the N-vs-1
+//! over a router, or with `--follow` runs the follower fleet;
+//! `tests/tests/sharding.rs` asserts the N-vs-1
 //! byte-identity end to end, and `bacbench` reports `shard.route_ns_per_req`,
 //! `shard.lane_skew` and `shard.batch_fill`.
 
@@ -48,6 +50,6 @@ pub use rebalance::{rebalance_snapshots, RebalanceError, RebalanceReport};
 pub use remote::{health_sink_for, remote_router, wait_fleet_up, RouterBackend, WorkerBackend};
 pub use router::ShardRouter;
 pub use stream::{
-    shard_snapshot_path, MergedReport, ShardHealth, ShardReport, ShardStreamError, ShardedFollower,
-    SpawnMode, StreamHooks, SupervisionConfig,
+    shard_snapshot_path, FeedEnd, Followed, MergedReport, ShardHealth, ShardReport,
+    ShardStreamError, ShardedFollower, SpawnMode, StreamHooks, SupervisionConfig,
 };

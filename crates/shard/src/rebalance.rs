@@ -19,9 +19,9 @@
 //! * checksum trailers are verified before any parse, by the same
 //!   `bstream::snapshot::verify_trailer` restore uses (a file without one
 //!   is refused);
-//! * every input must carry the expected `shard i N` line with this
-//!   build's `SHARD_HASH_VERSION` (a single unsharded input stands in for
-//!   the 1-shard layout);
+//! * headers are read by the same `bstream::SnapshotHeader::parse` restore
+//!   uses, and every input must carry the expected `shard i N` line (a
+//!   single unsharded input stands in for the 1-shard layout);
 //! * all inputs must agree on `height`;
 //! * every address must live in the file its old layout assigns it to —
 //!   a mis-assembled input set fails loudly instead of producing a
@@ -29,11 +29,10 @@
 //! * outputs are written atomically (`baclassifier::write_atomic`).
 
 use crate::stream::shard_snapshot_path;
-use baclassifier::{write_atomic, ShardMap, SHARD_HASH_VERSION};
+use baclassifier::{write_atomic, ShardAssignment, ShardMap};
 use bstream::snapshot::{push_trailer, verify_trailer};
-use bstream::SnapshotError;
+use bstream::{SnapshotError, SnapshotHeader, SnapshotLines};
 use btcsim::Address;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Why a rebalance run was refused.
@@ -68,6 +67,19 @@ impl From<std::io::Error> for RebalanceError {
     }
 }
 
+/// A format or partition-hash version this build does not implement is a
+/// layout the rebalancer cannot re-split; the rest map one to one.
+impl From<SnapshotError> for RebalanceError {
+    fn from(e: SnapshotError) -> Self {
+        match e {
+            SnapshotError::Io(e) => RebalanceError::Io(e),
+            SnapshotError::Checksum(m) => RebalanceError::Checksum(m),
+            SnapshotError::Malformed(m) => RebalanceError::Malformed(m),
+            other => RebalanceError::Layout(other.to_string()),
+        }
+    }
+}
+
 /// What a rebalance run did.
 #[derive(Debug)]
 pub struct RebalanceReport {
@@ -94,103 +106,38 @@ struct ParsedShard {
     sections: Vec<Section>,
 }
 
-fn malformed(path: &Path, what: impl std::fmt::Display) -> RebalanceError {
-    RebalanceError::Malformed(format!("{}: {what}", path.display()))
-}
-
 /// Parse one snapshot file, verifying its checksum and keeping each
 /// address section as verbatim bytes.
 fn parse_snapshot(path: &Path) -> Result<ParsedShard, RebalanceError> {
     let text = std::fs::read_to_string(path)?;
-
     // Checksum trailer first, exactly as `Follower::restore` does.
-    let body = verify_trailer(path, &text).map_err(|e| match e {
-        SnapshotError::Checksum(m) => RebalanceError::Checksum(m),
-        SnapshotError::Malformed(m) => RebalanceError::Malformed(m),
-        other => RebalanceError::Malformed(other.to_string()),
-    })?;
+    let body = verify_trailer(path, &text)?;
+    let mut lines = SnapshotLines::new(path, body);
+    let header = SnapshotHeader::parse(&mut lines)?;
 
-    let mut lines = body.lines();
-    if lines.next() != Some("BSTREAM v1") {
-        return Err(malformed(path, "missing BSTREAM v1 header"));
-    }
-    let height_line = lines
-        .next()
-        .ok_or_else(|| malformed(path, "missing height line"))?;
-    let height = height_line
-        .strip_prefix("height ")
-        .and_then(|h| h.trim().parse::<u64>().ok())
-        .ok_or_else(|| malformed(path, format!("bad height line {height_line:?}")))?;
-
-    let mut rest = lines.peekable();
-    let shard = match rest.peek() {
-        Some(l) if l.starts_with("shard ") => {
-            let line = rest.next().expect("peeked");
-            let mut toks = line.split_whitespace().skip(1);
-            let index: u32 = toks
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| malformed(path, format!("bad shard line {line:?}")))?;
-            let count: u32 = toks
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| malformed(path, format!("bad shard line {line:?}")))?;
-            let ver: u32 = toks
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| malformed(path, format!("bad shard line {line:?}")))?;
-            if ver != SHARD_HASH_VERSION {
-                return Err(RebalanceError::Layout(format!(
-                    "{}: shard hash v{ver}, this build implements v{SHARD_HASH_VERSION}",
-                    path.display()
-                )));
-            }
-            if count == 0 || index >= count {
-                return Err(RebalanceError::Layout(format!(
-                    "{}: bad shard assignment {index}/{count}",
-                    path.display()
-                )));
-            }
-            Some((index, count))
-        }
-        _ => None,
-    };
-
-    let addr_line = rest
-        .next()
-        .ok_or_else(|| malformed(path, "missing addresses line"))?;
-    let num_addresses = addr_line
-        .strip_prefix("addresses ")
-        .and_then(|n| n.trim().parse::<usize>().ok())
-        .ok_or_else(|| malformed(path, format!("bad addresses line {addr_line:?}")))?;
-
-    let mut sections = Vec::with_capacity(num_addresses.min(1 << 20));
-    for _ in 0..num_addresses {
-        let a_line = rest
-            .next()
-            .ok_or_else(|| malformed(path, "truncated: expected A line"))?;
+    let mut sections = Vec::with_capacity(header.addresses.min(1 << 20));
+    for _ in 0..header.addresses {
+        let a_line = lines.next_line("A line")?;
         let mut toks = a_line.split_whitespace();
         if toks.next() != Some("A") {
-            return Err(malformed(path, format!("expected A line, got {a_line:?}")));
+            return Err(lines.bad(format!("expected A line, got {a_line:?}")).into());
         }
         let addr = toks
             .next()
             .and_then(|t| t.parse::<u64>().ok())
             .map(Address)
-            .ok_or_else(|| malformed(path, format!("bad address in {a_line:?}")))?;
+            .ok_or_else(|| lines.bad(format!("bad address in {a_line:?}")))?;
         let num_txs = toks
             .nth(1) // skip the label field
             .and_then(|t| t.parse::<usize>().ok())
-            .ok_or_else(|| malformed(path, format!("bad tx count in {a_line:?}")))?;
+            .ok_or_else(|| lines.bad(format!("bad tx count in {a_line:?}")))?;
         let mut section = String::with_capacity(a_line.len() + 1);
         section.push_str(a_line);
         section.push('\n');
         for _ in 0..num_txs {
-            let t_line = rest
-                .next()
-                .ok_or_else(|| malformed(path, "truncated: expected T line"))?;
+            let t_line = lines.next_line("T line")?;
             if !t_line.starts_with("T ") {
-                return Err(malformed(path, format!("expected T line, got {t_line:?}")));
+                return Err(lines.bad(format!("expected T line, got {t_line:?}")).into());
             }
             section.push_str(t_line);
             section.push('\n');
@@ -200,15 +147,14 @@ fn parse_snapshot(path: &Path) -> Result<ParsedShard, RebalanceError> {
             text: section,
         });
     }
-    if let Some(extra) = rest.next() {
-        return Err(malformed(
-            path,
-            format!("trailing content after last section: {extra:?}"),
-        ));
+    if let Ok(extra) = lines.next_line("end of file") {
+        return Err(lines
+            .bad(format!("trailing content after last section: {extra:?}"))
+            .into());
     }
     Ok(ParsedShard {
-        height,
-        shard,
+        height: header.height,
+        shard: header.shard.map(|s| (s.index, s.count)),
         sections,
     })
 }
@@ -294,10 +240,11 @@ pub fn rebalance_snapshots(
                 )));
             }
             if prev.is_some_and(|p| p >= section.addr) {
-                return Err(malformed(
-                    path.as_path(),
-                    format!("addresses out of order near {}", section.addr.0),
-                ));
+                return Err(RebalanceError::Malformed(format!(
+                    "{}: addresses out of order near {}",
+                    path.display(),
+                    section.addr.0
+                )));
             }
             prev = Some(section.addr);
         }
@@ -323,10 +270,15 @@ pub fn rebalance_snapshots(
     let mut outputs = Vec::with_capacity(new_count as usize);
     for (j, bucket) in buckets.iter().enumerate() {
         let mut out = String::new();
-        out.push_str("BSTREAM v1\n");
-        let _ = writeln!(out, "height {height}");
-        let _ = writeln!(out, "shard {j} {new_count} {SHARD_HASH_VERSION}");
-        let _ = writeln!(out, "addresses {}", bucket.len());
+        SnapshotHeader {
+            height,
+            shard: Some(ShardAssignment {
+                index: j as u32,
+                count: new_count,
+            }),
+            addresses: bucket.len(),
+        }
+        .write(&mut out);
         for section in bucket {
             out.push_str(&section.text);
         }
@@ -349,6 +301,8 @@ pub fn rebalance_snapshots(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use baclassifier::SHARD_HASH_VERSION;
+    use std::fmt::Write as _;
 
     fn write_snapshot(path: &Path, shard: Option<(u32, u32)>, addrs: &[(u64, usize)]) {
         let mut out = String::new();

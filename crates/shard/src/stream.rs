@@ -16,15 +16,31 @@
 //! restart and catch up independently: restoring shard 2 of 4 touches
 //! nothing owned by the other three.
 //!
+//! ## Who owns what
+//!
+//! A [`Follower`] is state: histories, graphs, embeddings, labels, and how
+//! to write and read one snapshot of them. Everything that touches the
+//! disk on a schedule, or decides when to stop, lives once, here in the
+//! **driver**, for every shard count (`--shards 1` is the unsharded
+//! follower): the write-ahead [`BlockJournal`] (append before broadcast,
+//! the fsync cadence), the snapshot cadence
+//! ([`FollowerConfig::snapshot_every`]) and the compaction that follows
+//! each snapshot, the `journal_*` counters and lag, supervision, and the
+//! one loop ([`ShardedFollower::follow`]) that owns SIGINT, the stall
+//! timeout and the final flush.
+//!
+//! A journal append or fsync that fails stops ingestion *before* the block
+//! reaches any follower ([`ShardStreamError::Journal`]); the shards still
+//! finish, so what was journaled is also snapshotted. A compaction that
+//! fails is counted in `journal_errors`, reported, and never fatal.
+//!
 //! ## Supervision
 //!
-//! When [`FollowerConfig::journal_path`] is set, the **driver** owns a
-//! write-ahead [`BlockJournal`]: every block is journaled before it is
-//! broadcast. That journal is what makes worker supervision lossless —
-//! a shard thread that panics (worker loops run under `catch_unwind`) or
-//! wedges (its queue is full *and* its heartbeat is older than
+//! The journal is what makes worker supervision lossless — a shard thread
+//! that panics (worker loops run under `catch_unwind`) or wedges (its
+//! queue is full *and* its heartbeat is older than
 //! [`SupervisionConfig::wedge_timeout`]) is fenced off and respawned via
-//! [`Follower::recover_with`]: newest valid per-shard snapshot generation,
+//! [`Follower::recover`]: newest valid per-shard snapshot generation,
 //! plus replay of the shared journal tail. Blocks that were sitting in
 //! the dead worker's queue (up to the queue depth) are in the journal, so
 //! the replacement catches up to the exact same state and redelivered
@@ -43,7 +59,7 @@
 
 use baclassifier::{ModelArtifact, ShardAssignment, ShardMap};
 use baserve::{FaultAction, FaultPlan, NoFaults};
-use bstream::{BlockFeed, BlockJournal, Follower, FollowerConfig, StreamMetrics};
+use bstream::{BlockFeed, BlockJournal, FeedStalled, Follower, FollowerConfig, StreamMetrics};
 use btcsim::{Address, Block, Label};
 use numnet::Matrix;
 use std::collections::BTreeMap;
@@ -116,7 +132,6 @@ impl ShardReport {
         let mut history_lens = BTreeMap::new();
         let mut num_tracked = 0;
         let mut next_height = 0;
-        let mut metrics = Vec::new();
         for report in reports {
             for (addr, label) in report.labels {
                 assert!(
@@ -138,7 +153,6 @@ impl ShardReport {
             }
             num_tracked += report.num_tracked;
             next_height = next_height.max(report.next_height);
-            metrics.push((report.shard, report.metrics));
         }
         MergedReport {
             labels,
@@ -146,7 +160,6 @@ impl ShardReport {
             history_lens,
             num_tracked,
             next_height,
-            per_shard_metrics: metrics,
         }
     }
 }
@@ -158,7 +171,42 @@ pub struct MergedReport {
     pub history_lens: BTreeMap<Address, usize>,
     pub num_tracked: usize,
     pub next_height: u64,
-    pub per_shard_metrics: Vec<(ShardAssignment, StreamMetrics)>,
+}
+
+/// Why [`ShardedFollower::follow`] stopped taking blocks.
+#[derive(Debug)]
+pub enum FeedEnd {
+    /// The producer finished and every block was broadcast.
+    Drained,
+    /// SIGINT (`baserve::shutdown`): a clean checkpoint, not a crash.
+    Interrupted,
+    /// The producer went silent for the stall timeout with the feed open.
+    Stalled(FeedStalled),
+    /// The journal or a shard failed; ingestion stopped before the failing
+    /// block reached any follower.
+    Failed(ShardStreamError),
+}
+
+impl FeedEnd {
+    /// The daemon's exit code: 0 drained or interrupted, 1 journal or
+    /// worker error, 3 stalled (2 is a bad invocation).
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            FeedEnd::Drained | FeedEnd::Interrupted => 0,
+            FeedEnd::Failed(_) => 1,
+            FeedEnd::Stalled(_) => 3,
+        }
+    }
+}
+
+/// What [`ShardedFollower::follow`] hands back after its final flush.
+pub struct Followed {
+    pub end: FeedEnd,
+    /// One report per shard, in shard order.
+    pub reports: Vec<ShardReport>,
+    /// Every shard's metrics merged with the driver's journal counters and
+    /// lag — the blob the daemon prints.
+    pub metrics: StreamMetrics,
 }
 
 /// Per-shard liveness published by the streaming fleet and read by the
@@ -321,7 +369,7 @@ pub enum SpawnMode {
 }
 
 enum Cmd {
-    /// Apply one block (follower-side periodic duties included).
+    /// Apply one block (the follower's reclassification cadence included).
     Step(Arc<Block>),
     /// Run a reclassification pass now; reply with how many reclassified.
     Reclassify(Sender<usize>),
@@ -346,7 +394,7 @@ struct ShardWorker {
 pub struct ShardedFollower {
     artifact: Arc<ModelArtifact>,
     /// The template config; per-worker copies get `shard`/`snapshot_path`
-    /// rewritten and never own the journal.
+    /// rewritten. The driver reads its journal and snapshot-cadence fields.
     template: FollowerConfig,
     map: ShardMap,
     workers: Vec<ShardWorker>,
@@ -359,6 +407,11 @@ pub struct ShardedFollower {
     /// First height not yet journaled — replayed blocks below it are not
     /// appended twice.
     next_journal_height: u64,
+    /// First height no shard has been sent yet: where a feed should start,
+    /// and the only blocks the snapshot cadence counts.
+    next_height: u64,
+    /// The driver's own counters (`journal_*`) and lag samples.
+    metrics: StreamMetrics,
     /// Per-shard respawn counts, bounded by `supervision.max_restarts`.
     restarts: Vec<u32>,
     /// Handles of abandoned (wedged) workers; joined at finish if done.
@@ -382,14 +435,7 @@ impl ShardedFollower {
         cfg: FollowerConfig,
         count: u32,
     ) -> Result<Self, ShardStreamError> {
-        Self::with_hooks(
-            artifact,
-            cfg,
-            count,
-            StreamHooks::default(),
-            SupervisionConfig::default(),
-            SpawnMode::Fresh,
-        )
+        Self::with_defaults(artifact, cfg, count, SpawnMode::Fresh)
     }
 
     /// As [`ShardedFollower::new`], but every worker restores from its
@@ -401,14 +447,7 @@ impl ShardedFollower {
         cfg: FollowerConfig,
         count: u32,
     ) -> Result<Self, ShardStreamError> {
-        Self::with_hooks(
-            artifact,
-            cfg,
-            count,
-            StreamHooks::default(),
-            SupervisionConfig::default(),
-            SpawnMode::Restore,
-        )
+        Self::with_defaults(artifact, cfg, count, SpawnMode::Restore)
     }
 
     /// Crash recovery: each worker restores its newest valid snapshot
@@ -420,14 +459,18 @@ impl ShardedFollower {
         cfg: FollowerConfig,
         count: u32,
     ) -> Result<Self, ShardStreamError> {
-        Self::with_hooks(
-            artifact,
-            cfg,
-            count,
-            StreamHooks::default(),
-            SupervisionConfig::default(),
-            SpawnMode::Recover,
-        )
+        Self::with_defaults(artifact, cfg, count, SpawnMode::Recover)
+    }
+
+    /// No fault injection, default supervision.
+    fn with_defaults(
+        artifact: Arc<ModelArtifact>,
+        cfg: FollowerConfig,
+        count: u32,
+        mode: SpawnMode,
+    ) -> Result<Self, ShardStreamError> {
+        let (hooks, supervision) = (StreamHooks::default(), SupervisionConfig::default());
+        Self::with_hooks(artifact, cfg, count, hooks, supervision, mode)
     }
 
     /// The fully general constructor: explicit hooks (fault injection),
@@ -454,6 +497,14 @@ impl ShardedFollower {
             (Some(path), _) => {
                 let (journal, scan) = BlockJournal::open_or_create(path, cfg.journal_sync_every)
                     .map_err(|e| ShardStreamError::Journal(e.to_string()))?;
+                if let Some(torn) = &scan.torn {
+                    eprintln!(
+                        "bashard: journal {}: torn tail cut at byte {}: {}",
+                        path.display(),
+                        torn.offset,
+                        torn.reason
+                    );
+                }
                 let next = scan.blocks.last().map_or(0, |b| b.height + 1);
                 (Some(journal), next)
             }
@@ -461,13 +512,12 @@ impl ShardedFollower {
         };
 
         let mut workers = Vec::with_capacity(count as usize);
-        let mut ready: Vec<Receiver<Result<(), String>>> = Vec::with_capacity(count as usize);
+        let mut ready: Vec<Receiver<Result<u64, String>>> = Vec::with_capacity(count as usize);
         for assignment in map.assignments() {
             let (worker, init_rx) = spawn_worker(
                 Arc::clone(&artifact),
                 &cfg,
                 assignment,
-                count,
                 mode,
                 Arc::clone(&health),
                 Arc::clone(&hooks.fault_plan),
@@ -477,17 +527,10 @@ impl ShardedFollower {
         }
         // Surface build/restore failures synchronously, before any block is
         // dispatched: a layout that cannot fully start must not run at all.
+        let mut next_height = u64::MAX;
         for (index, rx) in ready.into_iter().enumerate() {
-            match rx.recv() {
-                Ok(Ok(())) => health.mark_up(index as u32),
-                Ok(Err(reason)) => {
-                    return Err(ShardStreamError::Worker {
-                        shard: index as u32,
-                        reason,
-                    })
-                }
-                Err(_) => return Err(ShardStreamError::WorkerGone(index as u32)),
-            }
+            next_height = next_height.min(await_start(rx, index as u32)?);
+            health.mark_up(index as u32);
         }
         Ok(Self {
             artifact,
@@ -499,17 +542,11 @@ impl ShardedFollower {
             supervision,
             journal,
             next_journal_height,
+            next_height,
+            metrics: StreamMetrics::default(),
             restarts: vec![0; count as usize],
             graveyard: Vec::new(),
         })
-    }
-
-    pub fn shard_count(&self) -> u32 {
-        self.map.count()
-    }
-
-    pub fn map(&self) -> ShardMap {
-        self.map
     }
 
     /// The fleet's live health board — clone the `Arc` into a
@@ -519,17 +556,29 @@ impl ShardedFollower {
         Arc::clone(&self.health)
     }
 
-    /// Broadcast one block to every shard, journaling it first when a
-    /// journal is configured. Bounded queues backpressure the caller when
+    /// The first height no shard has been sent yet (the slowest shard's
+    /// resume height right after a restore or recovery): open the feed here.
+    pub fn next_height(&self) -> u64 {
+        self.next_height
+    }
+
+    /// Broadcast one block to every shard, journaling it first — a failed
+    /// append or fsync returns [`ShardStreamError::Journal`] before any
+    /// shard sees the block. Bounded queues backpressure the caller when
     /// any shard falls `CMD_QUEUE_DEPTH` blocks behind; dead or wedged
-    /// shards are respawned in-line.
+    /// shards are respawned in-line. Every `snapshot_every` new blocks the
+    /// fleet checkpoints and the journal is compacted.
     pub fn step(&mut self, block: Block) -> Result<(), ShardStreamError> {
+        let height = block.height;
         if let Some(journal) = self.journal.as_mut() {
-            if block.height >= self.next_journal_height {
-                journal
-                    .append(&block)
-                    .map_err(|e| ShardStreamError::Journal(format!("append failed: {e}")))?;
-                self.next_journal_height = block.height + 1;
+            if height >= self.next_journal_height {
+                let (bytes, synced) = journal.append(&block).map_err(|e| {
+                    ShardStreamError::Journal(format!("append of block {height} failed: {e}"))
+                })?;
+                self.metrics.journal_frames += 1;
+                self.metrics.journal_bytes += bytes;
+                self.metrics.journal_fsyncs += u64::from(synced);
+                self.next_journal_height = height + 1;
             }
         }
         let block = Arc::new(block);
@@ -537,20 +586,76 @@ impl ShardedFollower {
             let b = Arc::clone(&block);
             self.deliver(i, &move || Cmd::Step(Arc::clone(&b)))?;
         }
+        // An overlapping prefix replayed into a restored fleet is skipped by
+        // every shard; it must not trigger snapshots either.
+        if height < self.next_height {
+            return Ok(());
+        }
+        self.next_height = height + 1;
+        let every = self.template.snapshot_every;
+        let due = every > 0 && self.next_height.is_multiple_of(every);
+        if due && self.template.snapshot_path.is_some() {
+            // A periodic snapshot that cannot be written is not fatal: the
+            // journal still holds everything since the last one that was.
+            if let Some((shard, reason)) = self.checkpoint()? {
+                eprintln!("bashard: shard {shard}: periodic snapshot failed: {reason}");
+            }
+        }
         Ok(())
     }
 
-    /// Drain a feed to completion, broadcasting every block. The watermark
-    /// records a block as processed once every shard has accepted it into
-    /// its bounded queue — at most `CMD_QUEUE_DEPTH` blocks ahead of the
-    /// slowest shard's actual progress.
-    pub fn run(&mut self, feed: &BlockFeed) -> Result<(), ShardStreamError> {
-        while let Some(block) = feed.recv() {
-            let height = block.height;
-            self.step(block)?;
-            feed.watermark().record_processed(height);
+    /// The one follower loop: drains `feed` until one of the [`FeedEnd`]s,
+    /// then — on every one of those paths — finishes the fleet as
+    /// [`ShardedFollower::finish`] does. Prints a progress line every
+    /// `progress_every` blocks (0 = never). `Err` only when that final
+    /// flush itself fails.
+    ///
+    /// The watermark records a block as processed once every shard has
+    /// accepted it into its bounded queue — at most `CMD_QUEUE_DEPTH`
+    /// blocks ahead of the slowest shard's actual progress.
+    pub fn follow(
+        mut self,
+        feed: &BlockFeed,
+        stall_timeout: Duration,
+        progress_every: u64,
+    ) -> Result<Followed, ShardStreamError> {
+        // Wait in short slices so SIGINT is honoured promptly.
+        let poll = stall_timeout.clamp(Duration::from_millis(1), Duration::from_millis(250));
+        let end = loop {
+            if baserve::shutdown::shutdown_requested() {
+                break FeedEnd::Interrupted;
+            }
+            match feed.recv_stalled(poll) {
+                Ok(Some(block)) => {
+                    let height = block.height;
+                    if let Err(e) = self.step(block) {
+                        break FeedEnd::Failed(e);
+                    }
+                    feed.watermark().record_processed(height);
+                    let lag = feed.watermark().lag();
+                    self.metrics.record_lag(lag);
+                    if progress_every > 0 && (height + 1).is_multiple_of(progress_every) {
+                        eprintln!(
+                            "bashard: height {height:>6}  lag {lag:>3}  respawns {}",
+                            self.health.total_respawns()
+                        );
+                    }
+                }
+                Ok(None) => break FeedEnd::Drained,
+                Err(stall) if stall.stalled_for >= stall_timeout => break FeedEnd::Stalled(stall),
+                Err(_) => {}
+            }
+        };
+        let reports = self.finish_shards()?;
+        let mut metrics = self.metrics;
+        for report in &reports {
+            metrics.merge(&report.metrics);
         }
-        Ok(())
+        Ok(Followed {
+            end,
+            reports,
+            metrics,
+        })
     }
 
     /// Run a reclassification pass on every shard; returns the total number
@@ -571,29 +676,44 @@ impl ShardedFollower {
     /// generations could still need. All shards snapshot concurrently; the
     /// first failure is returned.
     pub fn snapshot(&mut self) -> Result<(), ShardStreamError> {
-        let replies = self.broadcast(Cmd::Snapshot)?;
-        for (i, rx) in replies.into_iter().enumerate() {
-            let shard = i as u32;
-            self.collect_or_retry(i, rx, Cmd::Snapshot)?
-                .map_err(|reason| ShardStreamError::Worker { shard, reason })?;
+        match self.checkpoint()? {
+            None => Ok(()),
+            Some((shard, reason)) => Err(ShardStreamError::Worker { shard, reason }),
         }
-        self.compact_journal();
-        Ok(())
+    }
+
+    /// [`ShardedFollower::snapshot`], telling a snapshot that could not be
+    /// written (`Some`: the first such shard and why; the journal is left
+    /// uncompacted) from a fleet that could not be reached (`Err`).
+    fn checkpoint(&mut self) -> Result<Option<(u32, String)>, ShardStreamError> {
+        let replies = self.broadcast(Cmd::Snapshot)?;
+        let mut failed = None;
+        for (i, rx) in replies.into_iter().enumerate() {
+            if let Err(reason) = self.collect_or_retry(i, rx, Cmd::Snapshot)? {
+                failed.get_or_insert((i as u32, reason));
+            }
+        }
+        if failed.is_none() {
+            self.compact_journal();
+        }
+        Ok(failed)
     }
 
     /// Finish every shard: final reclassification (and snapshot, when
-    /// configured), then collect the per-shard reports and join the
-    /// threads. Reports come back in shard order. A shard that dies while
-    /// finishing is respawned from snapshot + journal and finished again —
-    /// the report it returns covers every journaled block.
+    /// configured), then collect the per-shard reports, flush and compact
+    /// the journal and join the threads. Reports come back in shard order.
+    /// A shard that dies while finishing is respawned from snapshot +
+    /// journal and finished again — the report it returns covers every
+    /// journaled block.
     pub fn finish(mut self) -> Result<Vec<ShardReport>, ShardStreamError> {
+        self.finish_shards()
+    }
+
+    fn finish_shards(&mut self) -> Result<Vec<ShardReport>, ShardStreamError> {
         let replies = self.broadcast(Cmd::Finish)?;
         let mut reports = Vec::with_capacity(replies.len());
         for (i, rx) in replies.into_iter().enumerate() {
             reports.push(self.collect_or_retry(i, rx, Cmd::Finish)?);
-        }
-        if let Some(journal) = self.journal.as_mut() {
-            journal.sync().ok();
         }
         for worker in self.workers.drain(..) {
             drop(worker.tx);
@@ -606,6 +726,13 @@ impl ShardedFollower {
                 handle.join().ok();
             }
         }
+        if let Some(journal) = self.journal.as_mut() {
+            journal
+                .sync()
+                .map_err(|e| ShardStreamError::Journal(format!("final sync failed: {e}")))?;
+            self.metrics.journal_fsyncs += 1;
+        }
+        self.compact_journal();
         Ok(reports)
     }
 
@@ -697,6 +824,7 @@ impl ShardedFollower {
             journal
                 .sync()
                 .map_err(|e| ShardStreamError::Journal(e.to_string()))?;
+            self.metrics.journal_fsyncs += 1;
         }
         let backoff = self
             .supervision
@@ -717,16 +845,11 @@ impl ShardedFollower {
             Arc::clone(&self.artifact),
             &self.template,
             assignment,
-            self.map.count(),
             SpawnMode::Recover,
             Arc::clone(&self.health),
             Arc::clone(&self.hooks.fault_plan),
         );
-        match init_rx.recv() {
-            Ok(Ok(())) => {}
-            Ok(Err(reason)) => return Err(ShardStreamError::Worker { shard, reason }),
-            Err(_) => return Err(ShardStreamError::WorkerGone(shard)),
-        }
+        await_start(init_rx, shard)?;
         self.health.mark_up(shard);
         let old = std::mem::replace(&mut self.workers[i], worker);
         old.fence.store(true, Ordering::Release);
@@ -738,27 +861,28 @@ impl ShardedFollower {
     /// is the minimum height over all shards' retained generation files,
     /// because a shard falling back to its oldest generation replays from
     /// there. Skipped entirely if any shard has no snapshot yet or a
-    /// generation header is unreadable.
+    /// generation header is unreadable. A compaction that fails is counted
+    /// and reported, never fatal: the journal only stays longer.
     fn compact_journal(&mut self) {
-        let Some(base) = self.template.snapshot_path.clone() else {
+        let (Some(base), Some(journal)) = (&self.template.snapshot_path, self.journal.as_mut())
+        else {
             return;
         };
-        if self.journal.is_none() {
-            return;
-        }
         let generations = self.template.snapshot_generations.max(1);
         let count = self.map.count();
         let mut floor = u64::MAX;
         for index in 0..count {
-            let shard_base = shard_snapshot_path(&base, index, count);
-            let mut shard_floor: Option<u64> = None;
+            let shard_base = shard_snapshot_path(base, index, count);
+            let mut shard_floor = None;
             for k in 0..generations {
                 let path = bstream::generation_path(&shard_base, k);
                 if !path.exists() {
                     continue;
                 }
                 match bstream::snapshot_height(&path) {
-                    Ok(height) => shard_floor = Some(shard_floor.map_or(height, |f| f.min(height))),
+                    Ok(height) => {
+                        shard_floor = Some(shard_floor.map_or(height, |f: u64| f.min(height)))
+                    }
                     Err(_) => return,
                 }
             }
@@ -767,31 +891,40 @@ impl ShardedFollower {
                 None => return,
             }
         }
-        if floor == u64::MAX {
-            return;
-        }
-        if let Some(journal) = self.journal.as_mut() {
-            journal.compact_below(floor).ok();
+        if let Err(e) = journal.compact_below(floor) {
+            self.metrics.journal_errors += 1;
+            eprintln!("bashard: journal compaction below height {floor} failed: {e}");
         }
     }
 }
 
+/// A spawned worker's build outcome: the height its follower resumes at.
+fn await_start(rx: Receiver<Result<u64, String>>, shard: u32) -> Result<u64, ShardStreamError> {
+    match rx.recv() {
+        Ok(Ok(height)) => Ok(height),
+        Ok(Err(reason)) => Err(ShardStreamError::Worker { shard, reason }),
+        Err(_) => Err(ShardStreamError::WorkerGone(shard)),
+    }
+}
+
 /// Spawn one shard worker thread. The follower is built *on* the worker
-/// thread (numnet params are not `Send`; the artifact's plain weight
-/// matrices are) and the build outcome is reported over the returned init
-/// channel. The worker loop runs under `catch_unwind`: a panic (organic
-/// or injected) marks the shard down and drops the command queue, which
-/// the driver observes as `Disconnected` and answers with a respawn.
+/// thread (a restore replays every stored history, so N shards restore in
+/// parallel) and the build outcome — the height it resumes at — is reported
+/// over the returned init channel. The worker loop runs under
+/// `catch_unwind`: a panic (organic or injected) marks the shard down and
+/// drops the command queue, which the driver observes as `Disconnected`
+/// and answers with a respawn.
 fn spawn_worker(
     artifact: Arc<ModelArtifact>,
     template: &FollowerConfig,
     assignment: ShardAssignment,
-    count: u32,
     mode: SpawnMode,
     health: Arc<ShardHealth>,
     plan: Arc<dyn FaultPlan>,
-) -> (ShardWorker, Receiver<Result<(), String>>) {
-    let index = assignment.index;
+) -> (ShardWorker, Receiver<Result<u64, String>>) {
+    let ShardAssignment { index, count } = assignment;
+    // The worker's copy keeps `journal_path`: recovery reads the driver's
+    // journal, and nothing on the worker ever writes it.
     let mut shard_cfg = template.clone();
     shard_cfg.shard = Some(assignment);
     shard_cfg.snapshot_path = template
@@ -805,10 +938,6 @@ fn spawn_worker(
     // is byte-identical at any thread count.
     let reclass_total = baclassifier::config::resolve_threads(template.reclass_threads);
     shard_cfg.reclass_threads = (reclass_total / count.max(1) as usize).max(1);
-    // The driver owns the write-ahead journal; workers only *read* it
-    // during recovery and never append.
-    let driver_journal = template.journal_path.clone();
-    shard_cfg.journal_path = None;
 
     let (tx, rx) = mpsc::sync_channel::<Cmd>(CMD_QUEUE_DEPTH);
     let (init_tx, init_rx) = mpsc::channel();
@@ -826,29 +955,20 @@ fn spawn_worker(
                     .and_then(|p| {
                         Follower::restore(&artifact, shard_cfg, &p).map_err(|e| e.to_string())
                     }),
-                SpawnMode::Recover => {
-                    let mut cfg = shard_cfg;
-                    // Point recovery at the shared journal read-only
-                    // (attach_journal = false): replay it, don't own it.
-                    cfg.journal_path = driver_journal;
-                    Follower::recover_with(&artifact, cfg, false)
-                        .map(|recovery| {
-                            for (path, reason) in &recovery.quarantined {
-                                eprintln!(
-                                    "bashard: shard {index} quarantined snapshot {}: {reason}",
-                                    path.display()
-                                );
-                            }
-                            recovery.follower
-                        })
-                        .map_err(|e| e.to_string())
-                }
+                SpawnMode::Recover => Follower::recover(&artifact, shard_cfg)
+                    .map(|recovery| recovery.follower)
+                    .map_err(|e| e.to_string()),
             };
-            let Some(mut follower) = built_or_report(built, &init_tx) else {
-                return;
+            let mut follower = match built {
+                Ok(follower) => follower,
+                Err(reason) => {
+                    init_tx.send(Err(reason)).ok();
+                    return;
+                }
             };
             health.mark_up(index);
             health.beat(index, follower.next_height());
+            init_tx.send(Ok(follower.next_height())).ok();
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 worker_loop(
                     &mut follower,
@@ -941,24 +1061,6 @@ fn worker_loop(
                 reply.send(report).ok();
                 return;
             }
-        }
-    }
-}
-
-/// Report a follower build result over the init channel, unwrapping the
-/// success for the worker loop.
-fn built_or_report(
-    built: Result<Follower, String>,
-    init_tx: &Sender<Result<(), String>>,
-) -> Option<Follower> {
-    match built {
-        Ok(f) => {
-            init_tx.send(Ok(())).ok();
-            Some(f)
-        }
-        Err(reason) => {
-            init_tx.send(Err(reason)).ok();
-            None
         }
     }
 }

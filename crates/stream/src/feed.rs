@@ -184,8 +184,8 @@ impl BlockFeed {
     }
 
     /// A feed whose producer is external code holding the returned
-    /// [`FeedSender`] — the shape `bstream-follow` and tests use to model
-    /// an upstream that can die or wedge.
+    /// [`FeedSender`] — the shape tests use to model an upstream that can
+    /// die or wedge.
     pub fn manual(capacity: usize) -> (FeedSender, Self) {
         let watermark = Arc::new(Watermark::new());
         let (tx, rx) = mpsc::sync_channel(capacity.max(1));
@@ -212,26 +212,21 @@ impl BlockFeed {
         self.rx.as_ref().and_then(|rx| rx.recv().ok())
     }
 
-    /// Next block with a timeout (for consumers that interleave other work).
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Block, RecvTimeoutError> {
-        match &self.rx {
-            Some(rx) => rx.recv_timeout(timeout),
-            None => Err(RecvTimeoutError::Disconnected),
-        }
-    }
-
-    /// Next block, waiting at most `stall_timeout`: `Ok(Some(_))` on a
-    /// block, `Ok(None)` when the producer finished cleanly (channel
-    /// closed), and [`FeedStalled`] when the channel is still open but
-    /// nothing arrived — a dead or wedged upstream surfaces as an error
-    /// instead of blocking `recv` forever.
-    pub fn recv_stalled(&self, stall_timeout: Duration) -> Result<Option<Block>, FeedStalled> {
-        match self.recv_timeout(stall_timeout) {
+    /// Next block, waiting at most `wait`: `Ok(Some(_))` on a block,
+    /// `Ok(None)` when the producer finished cleanly (channel closed), and
+    /// [`FeedStalled`] when the channel is still open but nothing arrived
+    /// — a dead or wedged upstream surfaces as an error instead of
+    /// blocking `recv` forever. A consumer that has other things to poll
+    /// waits in short slices and gives up once `stalled_for` (how long the
+    /// producer watermark has been silent) passes its own limit.
+    pub fn recv_stalled(&self, wait: Duration) -> Result<Option<Block>, FeedStalled> {
+        let Some(rx) = &self.rx else { return Ok(None) };
+        match rx.recv_timeout(wait) {
             Ok(block) => Ok(Some(block)),
             Err(RecvTimeoutError::Disconnected) => Ok(None),
             Err(RecvTimeoutError::Timeout) => Err(FeedStalled {
                 produced: self.watermark.produced(),
-                stalled_for: self.watermark.produced_age().max(stall_timeout),
+                stalled_for: self.watermark.produced_age().max(wait),
             }),
         }
     }

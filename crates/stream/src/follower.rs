@@ -17,8 +17,6 @@
 //! the model's `max_slices` most recent entries, as in
 //! `BaClassifier::embed_record`) is handed to `classify_embeddings`.
 
-use crate::feed::BlockFeed;
-use crate::journal::BlockJournal;
 use crate::metrics::StreamMetrics;
 use baclassifier::config::resolve_threads;
 use baclassifier::construction::{AddressGraph, FocusAggregates, IncrementalGraphs};
@@ -31,7 +29,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Follower policy knobs.
+/// Follower policy knobs, plus the durability settings of its driver
+/// (`bashard::ShardedFollower`): a [`Follower`] is pure state and never
+/// opens a journal for writing or decides when to snapshot.
 #[derive(Clone, Debug)]
 pub struct FollowerConfig {
     /// Addresses with fewer transactions than this are tracked but not
@@ -40,9 +40,9 @@ pub struct FollowerConfig {
     /// Reclassify dirty addresses every this many blocks (0 disables the
     /// periodic pass; a final pass still runs when a feed drains).
     pub reclass_every: u64,
-    /// Write a snapshot every this many blocks (0 disables).
+    /// The driver snapshots every this many blocks (0 disables).
     pub snapshot_every: u64,
-    /// Where periodic snapshots go; required when `snapshot_every > 0`.
+    /// Where snapshots go; required when `snapshot_every > 0`.
     pub snapshot_path: Option<PathBuf>,
     /// Restrict tracking to this address set (`None` tracks every address
     /// seen on chain).
@@ -54,13 +54,14 @@ pub struct FollowerConfig {
     /// follower can never silently adopt state from a different layout.
     pub shard: Option<ShardAssignment>,
     /// Where the write-ahead block journal lives (`None` disables
-    /// journaling). With a journal, every block is appended — checksummed
-    /// — before it is applied, so [`Follower::recover`] can replay
-    /// everything since the last snapshot after a crash.
+    /// journaling). With a journal, the driver appends every block —
+    /// checksummed — before any follower applies it, so
+    /// [`Follower::recover`] can replay everything since the last snapshot
+    /// after a crash.
     pub journal_path: Option<PathBuf>,
-    /// fsync the journal every this many appended frames: `1` makes every
-    /// block durable before it is applied (crash loses nothing), `N`
-    /// batches fsyncs, `0` leaves syncing to the OS.
+    /// The driver fsyncs the journal every this many appended frames: `1`
+    /// makes every block durable before it is applied (crash loses
+    /// nothing), `N` batches fsyncs, `0` leaves syncing to the OS.
     pub journal_sync_every: u64,
     /// How many snapshot generations to retain (`base`, `base.g1`, …).
     /// Older generations are fallbacks when the newest snapshot is
@@ -168,8 +169,6 @@ pub struct Follower {
     /// Height the next ingested block must have.
     pub(crate) next_height: u64,
     pub(crate) metrics: StreamMetrics,
-    /// Write-ahead journal; blocks are appended here before being applied.
-    pub(crate) journal: Option<BlockJournal>,
 }
 
 impl Follower {
@@ -183,7 +182,6 @@ impl Follower {
             labels: BTreeMap::new(),
             next_height: 0,
             metrics: StreamMetrics::default(),
-            journal: None,
         })
     }
 
@@ -192,31 +190,6 @@ impl Follower {
     /// embedding computed from a shorter history.
     pub fn attach_engine(&mut self, engine: Arc<Engine>) {
         self.engine = Some(engine);
-    }
-
-    /// Attach an open write-ahead journal: [`Follower::step`] appends each
-    /// new block before applying it. [`Follower::recover`] does this
-    /// automatically when the config names a `journal_path`.
-    pub fn attach_journal(&mut self, journal: BlockJournal) {
-        self.journal = Some(journal);
-    }
-
-    pub fn has_journal(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Force everything appended to the journal so far to stable storage.
-    pub fn sync_journal(&mut self) -> std::io::Result<()> {
-        match &mut self.journal {
-            Some(j) => {
-                let r = j.sync();
-                if r.is_ok() {
-                    self.metrics.journal_fsyncs += 1;
-                }
-                r
-            }
-            None => Ok(()),
-        }
     }
 
     /// Mark every tracked address dirty so the next
@@ -234,10 +207,6 @@ impl Follower {
         &self.cfg
     }
 
-    pub fn classifier(&self) -> &BaClassifier {
-        &self.clf
-    }
-
     /// Height the next block is expected at (= blocks ingested so far).
     pub fn next_height(&self) -> u64 {
         self.next_height
@@ -250,12 +219,6 @@ impl Follower {
 
     pub fn metrics(&self) -> &StreamMetrics {
         &self.metrics
-    }
-
-    /// Mutable metrics access for drivers that record their own samples
-    /// (e.g. lag, when running the recv loop by hand instead of [`Follower::run`]).
-    pub fn metrics_mut(&mut self) -> &mut StreamMetrics {
-        &mut self.metrics
     }
 
     /// Number of addresses with tracked state.
@@ -500,109 +463,13 @@ impl Follower {
         batch.len()
     }
 
-    /// Append a new block to the write-ahead journal (if attached).
-    /// Already-seen heights are not re-journaled, so overlapping replays
-    /// don't duplicate frames. Failures are counted and reported but do
-    /// not stop ingestion — durability degrades, availability doesn't.
-    fn journal_block(&mut self, block: &Block) {
-        let Some(journal) = &mut self.journal else {
-            return;
-        };
-        if block.height < self.next_height {
-            return;
-        }
-        match journal.append(block) {
-            Ok((bytes, synced)) => {
-                self.metrics.journal_frames += 1;
-                self.metrics.journal_bytes += bytes;
-                if synced {
-                    self.metrics.journal_fsyncs += 1;
-                }
-            }
-            Err(e) => {
-                self.metrics.journal_errors += 1;
-                eprintln!(
-                    "bstream: journal append for block {} failed: {e}",
-                    block.height
-                );
-            }
-        }
-    }
-
-    /// Drop journal frames below the minimum resume height across every
-    /// retained snapshot generation — frames an eventual fallback to the
-    /// *oldest* generation would still need must survive compaction.
-    fn compact_journal(&mut self) {
-        if self.journal.is_none() {
-            return;
-        }
-        let Some(base) = self.cfg.snapshot_path.clone() else {
-            return;
-        };
-        let mut floor = None;
-        for k in 0..self.cfg.snapshot_generations.max(1) {
-            let path = crate::recovery::generation_path(&base, k);
-            if !path.exists() {
-                continue;
-            }
-            match crate::snapshot::snapshot_height(&path) {
-                Ok(h) => floor = Some(floor.map_or(h, |f: u64| f.min(h))),
-                // An unreadable generation: skip compaction entirely — we
-                // cannot know which frames it would need.
-                Err(_) => return,
-            }
-        }
-        let Some(floor) = floor else { return };
-        let journal = self.journal.as_mut().expect("checked above");
-        if let Err(e) = journal.compact_below(floor) {
-            self.metrics.journal_errors += 1;
-            eprintln!("bstream: journal compaction failed: {e}");
-        }
-    }
-
-    /// Ingest one block and run the periodic reclassification/snapshot
-    /// duties its height triggers. With a journal attached, the block is
-    /// made durable *before* it is applied — the write-ahead contract that
-    /// lets [`Follower::recover`] rebuild this exact state after a crash.
+    /// Ingest one block and run the reclassification its height triggers.
+    /// Nothing here touches disk: whoever drives the follower makes the
+    /// block durable first and decides when to [`Follower::snapshot_to`].
     pub fn step(&mut self, block: &Block) {
-        self.journal_block(block);
         self.ingest_block(block);
-        let blocks_done = self.next_height;
-        if self.cfg.reclass_every > 0 && blocks_done.is_multiple_of(self.cfg.reclass_every) {
+        if self.cfg.reclass_every > 0 && self.next_height.is_multiple_of(self.cfg.reclass_every) {
             self.reclassify_dirty();
-        }
-        if self.cfg.snapshot_every > 0 && blocks_done.is_multiple_of(self.cfg.snapshot_every) {
-            if let Some(path) = self.cfg.snapshot_path.clone() {
-                match self.snapshot_to(&path) {
-                    Ok(()) => self.compact_journal(),
-                    Err(e) => {
-                        eprintln!("bstream: snapshot to {} failed: {e}", path.display())
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drain a feed to completion: step every block, track lag against the
-    /// producer watermark, then run a final reclassification (and snapshot,
-    /// if configured) so the label table is current at the tip.
-    pub fn run(&mut self, feed: &BlockFeed) {
-        while let Some(block) = feed.recv() {
-            self.step(&block);
-            feed.watermark().record_processed(block.height);
-            self.metrics.record_lag(feed.watermark().lag());
-        }
-        self.reclassify_dirty();
-        if let Some(path) = self.cfg.snapshot_path.clone() {
-            match self.snapshot_to(&path) {
-                Ok(()) => self.compact_journal(),
-                Err(e) => {
-                    eprintln!("bstream: final snapshot to {} failed: {e}", path.display())
-                }
-            }
-        }
-        if let Err(e) = self.sync_journal() {
-            eprintln!("bstream: final journal sync failed: {e}");
         }
     }
 }

@@ -363,10 +363,6 @@ impl BlockJournal {
         ))
     }
 
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Append one block as a checksummed frame. Returns the frame size in
     /// bytes and whether this append fsynced (per the cadence). Writes are
     /// unbuffered: once `append` returns, the frame is visible to any

@@ -29,11 +29,12 @@
 //!    labels atomically (rotating older generations aside);
 //!    [`Follower::restore`] rebuilds all derived state and resumes from
 //!    the checkpoint height.
-//! 4. **Crash safety.** With a journal configured, every block is
-//!    appended to a checksummed write-ahead journal *before* it is
-//!    applied; [`Follower::recover`] restores the newest valid snapshot
-//!    generation (quarantining corrupt ones) and replays the journal
-//!    tail, yielding state byte-identical to an uninterrupted run.
+//! 4. **Crash safety.** A [`Follower`] is pure state; the driver
+//!    (`bashard::ShardedFollower`) appends every block to a checksummed
+//!    write-ahead [`BlockJournal`] *before* any follower applies it, and
+//!    [`Follower::recover`] restores the newest valid snapshot generation
+//!    (quarantining corrupt ones) and replays the journal tail, yielding
+//!    state byte-identical to an uninterrupted run.
 //! 5. **Timely labels.** Reclassification is micro-batched: each cadence
 //!    tick coalesces every flip of an address into one unit of work,
 //!    orders the queue boundary-nearest-first by last label margin, and
@@ -42,11 +43,11 @@
 //!    follower's one model — byte-identical to the per-address serial path
 //!    at any thread count.
 //!
-//! The `bstream-follow` binary wires these together against a live
-//! simulation; `bacbench`'s `follow_reclass` and `follow_ingest` workloads
-//! measure throughput, reclassification cost and the `stream.*` journal,
-//! snapshot and restore metrics, and `tests/tests/crash_recovery.rs`
-//! requires zero blocks lost.
+//! `basharded --follow` (`bashard::ShardedFollower::follow`) drives these
+//! against a live simulation, at any shard count; `bacbench`'s
+//! `follow_reclass` and `follow_ingest` workloads measure throughput,
+//! reclassification cost and the `stream.*` journal, snapshot and restore
+//! metrics, and `tests/tests/crash_recovery.rs` requires zero blocks lost.
 
 pub mod feed;
 pub mod follower;
@@ -60,4 +61,4 @@ pub use follower::{Follower, FollowerConfig};
 pub use journal::{crc32, scan_journal, BlockJournal, JournalScan, TornFrame};
 pub use metrics::StreamMetrics;
 pub use recovery::{generation_path, quarantine_path, Recovery};
-pub use snapshot::{snapshot_height, SnapshotError};
+pub use snapshot::{snapshot_height, SnapshotError, SnapshotHeader, SnapshotLines};

@@ -1,6 +1,8 @@
-//! Follower-side streaming metrics: ingest/reclassification counters, stage
-//! timing, per-address reclassification latency, and lag. Single-threaded
-//! by design — the follower owns its metrics and exposes them by reference.
+//! Streaming metrics: ingest/reclassification counters, stage timing and
+//! per-address reclassification latency, kept by each follower, and the
+//! journal counters and lag, kept by the driver. Single-threaded by design
+//! — each owner exposes its own by reference and the driver
+//! [`StreamMetrics::merge`]s them into the one blob it prints.
 //!
 //! Built on the workspace's one metrics core (`baserve::metrics`): the
 //! counter list is declared once with `counters!`, reclassification latency
@@ -59,9 +61,10 @@ baserve::counters! {
             journal_fsyncs,
             /// Blocks replayed from the journal tail during recovery.
             journal_replayed,
-            /// Journal appends or compactions that failed (state still
-            /// applied; durability of those blocks is degraded until the
-            /// next snapshot).
+            /// Journal compactions that failed: reported and counted, never
+            /// fatal — the journal only stays longer than it needs to be.
+            /// (A failed append or fsync is not counted here: it stops
+            /// ingestion before the block reaches any follower.)
             journal_errors,
         }
         /// Wall time spent applying blocks to incremental state.
@@ -88,6 +91,16 @@ impl StreamMetrics {
         self.reclass_us.record_n(per_addr_us as u64, addrs);
     }
 
+    /// Fold another owner's metrics into this one: counters and stage times
+    /// add, the latency histograms sum bucket for bucket. Lag samples are
+    /// not merged — only the driver records them.
+    pub fn merge(&mut self, other: &StreamMetrics) {
+        self.add_counters(other);
+        self.ingest_time += other.ingest_time;
+        self.reclass_time += other.reclass_time;
+        self.reclass_us.merge(&other.reclass_us);
+    }
+
     /// Blocks behind the producer's tip after processing a block.
     pub fn record_lag(&mut self, lag: u64) {
         if self.lag.len() == LAG_WINDOW {
@@ -108,8 +121,8 @@ impl StreamMetrics {
     }
 
     /// Mean lag (blocks behind tip) over the retained window; 0.0 when no
-    /// lag was ever recorded (a `step()`-driven follower never records lag,
-    /// and the JSON must stay parseable — never NaN).
+    /// lag was ever recorded (a follower never records lag itself, and the
+    /// JSON must stay parseable — never NaN).
     pub fn mean_lag(&self) -> f64 {
         mean(self.lag.iter())
     }

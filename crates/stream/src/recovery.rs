@@ -20,15 +20,17 @@
 //! the restored height and the journal's first frame is a hard error, not
 //! a silent hole in the state).
 //!
-//! Replay never consults fault-injection hooks and never re-journals:
-//! blocks come *from* the journal and are applied with the same
-//! `ingest_block` path as live ingestion, then one reclassification pass
-//! brings the label table current. Recovery is therefore byte-identical
+//! Recovery only *reads* the journal, up to its last whole frame — opening
+//! it for appends (and truncating and reporting a torn tail) is the
+//! driver's job, done before any follower scans it. Replay never consults fault-injection hooks: blocks come
+//! *from* the journal and are applied with the same `ingest_block` path as
+//! live ingestion, then one reclassification pass brings the label table
+//! current. Recovery is therefore byte-identical
 //! to an uninterrupted run — the property `tests/crash_recovery.rs` and
 //! this module's tests assert.
 
 use crate::follower::{Follower, FollowerConfig};
-use crate::journal::{scan_journal, BlockJournal, JournalScan};
+use crate::journal::scan_journal;
 use crate::snapshot::SnapshotError;
 use baclassifier::ModelArtifact;
 use std::path::{Path, PathBuf};
@@ -81,32 +83,16 @@ pub struct Recovery {
     /// Blocks replayed from the journal tail (heights the restored
     /// snapshot did not already cover).
     pub replayed_blocks: u64,
-    /// Offset and reason of a torn journal tail, if one was truncated.
-    pub journal_torn: Option<String>,
 }
 
 impl Follower {
     /// Recover follower state from disk: restore the newest valid
-    /// snapshot generation (quarantining corrupt ones), replay the
-    /// journal tail, reclassify, and leave the journal attached for
-    /// continued ingestion. Equivalent to
-    /// [`Follower::recover_with`]`(artifact, cfg, true)`.
+    /// snapshot generation (quarantining corrupt ones), replay the tail of
+    /// the journal at `cfg.journal_path` — read, never written — and
+    /// reclassify.
     pub fn recover(
         artifact: &ModelArtifact,
         cfg: FollowerConfig,
-    ) -> Result<Recovery, SnapshotError> {
-        Self::recover_with(artifact, cfg, true)
-    }
-
-    /// [`Follower::recover`] with control over journal ownership. With
-    /// `attach_journal` the journal is opened read-write (truncating any
-    /// torn tail) and attached to the follower for continued appends.
-    /// Without it the journal is only *read* for replay — the mode shard
-    /// workers use when the sharding driver owns the journal file.
-    pub fn recover_with(
-        artifact: &ModelArtifact,
-        cfg: FollowerConfig,
-        attach_journal: bool,
     ) -> Result<Recovery, SnapshotError> {
         let generations = cfg.snapshot_generations.max(1);
         let mut quarantined: Vec<(PathBuf, String)> = Vec::new();
@@ -141,60 +127,36 @@ impl Follower {
                 None,
             ),
         };
-        follower.metrics_mut().snapshots_quarantined += quarantined.len() as u64;
+        follower.metrics.snapshots_quarantined += quarantined.len() as u64;
 
         // Replay the journal tail over the restored state.
         let mut replayed_blocks = 0u64;
-        let mut journal_torn = None;
-        let mut journal = None;
-        if let Some(jpath) = cfg.journal_path.clone() {
-            let scan: Option<JournalScan> = if attach_journal {
-                let (j, scan) = BlockJournal::open_or_create(&jpath, cfg.journal_sync_every)?;
-                journal = Some(j);
-                Some(scan)
-            } else if jpath.exists() {
-                Some(scan_journal(&jpath)?)
-            } else {
-                None
-            };
-            if let Some(scan) = scan {
-                if let Some(torn) = &scan.torn {
-                    journal_torn = Some(format!(
-                        "{}: torn frame at byte {}: {} (truncated to last whole frame)",
+        if let Some(jpath) = cfg.journal_path.as_deref().filter(|p| p.exists()) {
+            let scan = scan_journal(jpath)?;
+            for block in &scan.blocks {
+                if block.height < follower.next_height() {
+                    continue;
+                }
+                if block.height > follower.next_height() {
+                    return Err(SnapshotError::Malformed(format!(
+                        "{}: journal gap: restored state resumes at height {} but the \
+                         journal's next frame is height {} — blocks are missing",
                         jpath.display(),
-                        torn.offset,
-                        torn.reason
-                    ));
+                        follower.next_height(),
+                        block.height
+                    )));
                 }
-                for block in &scan.blocks {
-                    if block.height < follower.next_height() {
-                        continue;
-                    }
-                    if block.height > follower.next_height() {
-                        return Err(SnapshotError::Malformed(format!(
-                            "{}: journal gap: restored state resumes at height {} but the \
-                             journal's next frame is height {} — blocks are missing",
-                            jpath.display(),
-                            follower.next_height(),
-                            block.height
-                        )));
-                    }
-                    follower.ingest_block(block);
-                    replayed_blocks += 1;
-                }
-                follower.metrics_mut().journal_replayed += replayed_blocks;
+                follower.ingest_block(block);
+                replayed_blocks += 1;
             }
+            follower.metrics.journal_replayed += replayed_blocks;
         }
         follower.reclassify_dirty();
-        if let Some(j) = journal {
-            follower.attach_journal(j);
-        }
         Ok(Recovery {
             follower,
             restored_generation,
             quarantined,
             replayed_blocks,
-            journal_torn,
         })
     }
 }
@@ -203,6 +165,7 @@ impl Follower {
 mod tests {
     use super::*;
     use crate::follower::tests::test_sim;
+    use crate::journal::BlockJournal;
     use baclassifier::BacConfig;
     use btcsim::{Block, BlockCursor};
 
@@ -233,6 +196,28 @@ mod tests {
             journal_path: Some(PathBuf::from(journal)),
             snapshot_generations: 2,
             ..FollowerConfig::default()
+        }
+    }
+
+    /// The run that is about to crash, driven the way the driver drives a
+    /// follower: a fresh journal, each block appended before it is applied,
+    /// a snapshot after each height in `snapshot_after`, and no final one.
+    fn crashed_run(
+        artifact: &ModelArtifact,
+        cfg: &FollowerConfig,
+        blocks: &[Block],
+        snapshot_after: &[u64],
+    ) {
+        let mut journal = BlockJournal::create(cfg.journal_path.as_ref().unwrap(), 1).unwrap();
+        let mut follower = Follower::new(artifact, cfg.clone()).unwrap();
+        for b in blocks {
+            journal.append(b).unwrap();
+            follower.step(b);
+            if snapshot_after.contains(&b.height) {
+                follower
+                    .snapshot_to(cfg.snapshot_path.as_ref().unwrap())
+                    .unwrap();
+            }
         }
     }
 
@@ -311,16 +296,9 @@ mod tests {
 
         // Run half the chain with a snapshot early on, then "crash" (drop
         // without a final snapshot — the journal holds the tail).
-        {
-            let mut rec = Follower::recover(&artifact, cfg.clone()).unwrap().follower;
-            for b in &blocks[..16] {
-                rec.step(b);
-                if b.height == 7 {
-                    rec.snapshot_to(&base).unwrap();
-                }
-            }
-            assert!(rec.metrics().journal_frames >= 16);
-        }
+        crashed_run(&artifact, &cfg, &blocks[..16], &[7]);
+        let journaled = scan_journal(cfg.journal_path.as_ref().unwrap()).unwrap();
+        assert_eq!(journaled.blocks.len(), 16);
 
         // Recover: snapshot at height 8, journal replay for the rest.
         let recovery = Follower::recover(&artifact, cfg).unwrap();
@@ -347,15 +325,7 @@ mod tests {
         let reference = reference_tip(&artifact, &blocks);
         let cfg = recovery_cfg(&base);
 
-        {
-            let mut rec = Follower::recover(&artifact, cfg.clone()).unwrap().follower;
-            for b in &blocks {
-                rec.step(b);
-                if b.height == 5 || b.height == 12 {
-                    rec.snapshot_to(&base).unwrap();
-                }
-            }
-        }
+        crashed_run(&artifact, &cfg, &blocks, &[5, 12]);
         // Corrupt the newest snapshot (generation 0).
         let mut bytes = std::fs::read(&base).unwrap();
         let mid = bytes.len() / 2;
@@ -382,13 +352,7 @@ mod tests {
         let blocks: Vec<Block> = BlockCursor::new(test_sim(89, 15)).collect();
         let reference = reference_tip(&artifact, &blocks);
         let cfg = recovery_cfg(&base);
-        {
-            let mut rec = Follower::recover(&artifact, cfg.clone()).unwrap().follower;
-            for b in &blocks {
-                rec.step(b);
-            }
-            // No snapshot was ever written.
-        }
+        crashed_run(&artifact, &cfg, &blocks, &[]); // no snapshot ever written
         let recovery = Follower::recover(&artifact, cfg).unwrap();
         assert_eq!(recovery.restored_generation, None);
         assert_eq!(recovery.replayed_blocks, blocks.len() as u64);
@@ -404,20 +368,11 @@ mod tests {
         let artifact = ModelArtifact::untrained(BacConfig::fast());
         let blocks: Vec<Block> = BlockCursor::new(test_sim(97, 10)).collect();
         let cfg = recovery_cfg(&base);
-        {
-            let mut rec = Follower::recover(&artifact, cfg.clone()).unwrap().follower;
-            for b in &blocks {
-                rec.step(b);
-                if b.height == 6 {
-                    rec.snapshot_to(&base).unwrap();
-                }
-            }
-            // Compact the journal past the snapshot, then delete the
-            // snapshot: the journal now starts at height 7 with no state
-            // below it.
-        }
+        crashed_run(&artifact, &cfg, &blocks, &[6]);
+        // Compact the journal past the snapshot, then delete the snapshot:
+        // the journal now starts at height 7 with no state below it.
         let jpath = cfg.journal_path.clone().unwrap();
-        let (mut j, _) = crate::journal::BlockJournal::open_or_create(&jpath, 1).unwrap();
+        let (mut j, _) = BlockJournal::open_or_create(&jpath, 1).unwrap();
         j.compact_below(7).unwrap();
         drop(j);
         for k in 0..2 {
@@ -439,17 +394,15 @@ mod tests {
         let artifact = ModelArtifact::untrained(BacConfig::fast());
         let blocks: Vec<Block> = BlockCursor::new(test_sim(101, 10)).collect();
         let cfg = recovery_cfg(&base);
-        {
-            let mut rec = Follower::recover(&artifact, cfg.clone()).unwrap().follower;
-            for b in &blocks {
-                rec.step(b);
-            }
-        }
+        crashed_run(&artifact, &cfg, &blocks, &[]);
         let jpath = cfg.journal_path.clone().unwrap();
         let bytes = std::fs::read(&jpath).unwrap();
         std::fs::write(&jpath, &bytes[..bytes.len() - 3]).unwrap();
+        // The driver opens the journal before any follower reads it: that
+        // is where the torn tail is cut off and reported.
+        let (_, scan) = BlockJournal::open_or_create(&jpath, 1).unwrap();
+        assert!(scan.torn.is_some());
         let recovery = Follower::recover(&artifact, cfg).unwrap();
-        assert!(recovery.journal_torn.is_some());
         assert_eq!(recovery.replayed_blocks, blocks.len() as u64 - 1);
         assert_eq!(recovery.follower.next_height(), blocks.len() as u64 - 1);
         cleanup(&base);

@@ -80,29 +80,33 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
+/// First line of every snapshot; the format version is part of it.
+const MAGIC: &str = "BSTREAM v1";
+
 fn malformed(msg: impl Into<String>) -> SnapshotError {
     SnapshotError::Malformed(msg.into())
 }
 
 /// Line-by-line reader that knows which file and line it is on, so every
 /// error can say exactly where parsing stopped.
-struct SnapshotLines<'a> {
+pub struct SnapshotLines<'a> {
     path: &'a Path,
-    lines: std::iter::Peekable<std::str::Lines<'a>>,
+    lines: std::str::Lines<'a>,
     /// 1-based number of the last line handed out.
     line_no: usize,
 }
 
 impl<'a> SnapshotLines<'a> {
-    fn new(path: &'a Path, text: &'a str) -> Self {
+    pub fn new(path: &'a Path, text: &'a str) -> Self {
         Self {
             path,
-            lines: text.lines().peekable(),
+            lines: text.lines(),
             line_no: 0,
         }
     }
 
-    fn next_line(&mut self, what: &str) -> Result<&'a str, SnapshotError> {
+    /// The next line, or a `Malformed` error saying `what` is missing.
+    pub fn next_line(&mut self, what: &str) -> Result<&'a str, SnapshotError> {
         match self.lines.next() {
             Some(line) => {
                 self.line_no += 1;
@@ -116,16 +120,98 @@ impl<'a> SnapshotLines<'a> {
         }
     }
 
-    fn peek(&mut self) -> Option<&&'a str> {
-        self.lines.peek()
-    }
-
-    fn bad(&self, msg: impl std::fmt::Display) -> SnapshotError {
+    /// A `Malformed` error about the line handed out last.
+    pub fn bad(&self, msg: impl std::fmt::Display) -> SnapshotError {
         malformed(format!(
             "{} line {}: {msg}",
             self.path.display(),
             self.line_no
         ))
+    }
+}
+
+/// The lines every BSTREAM file starts with: magic, `height`, the optional
+/// `shard` line, `addresses`. The one reader and writer of them — restore,
+/// [`snapshot_height`], the snapshot writer and the offline rebalancer all
+/// go through here, so a header one accepts the others accept.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SnapshotHeader {
+    /// The height the restored follower resumes at.
+    pub height: u64,
+    /// `None` when the file has no `shard` line: the trivial 1-shard layout.
+    pub shard: Option<ShardAssignment>,
+    /// How many `A` sections follow.
+    pub addresses: usize,
+}
+
+impl SnapshotHeader {
+    pub fn write(&self, out: &mut String) {
+        out.push_str(MAGIC);
+        out.push('\n');
+        let _ = writeln!(out, "height {}", self.height);
+        if let Some(shard) = &self.shard {
+            let _ = writeln!(
+                out,
+                "shard {} {} {}",
+                shard.index, shard.count, SHARD_HASH_VERSION
+            );
+        }
+        let _ = writeln!(out, "addresses {}", self.addresses);
+    }
+
+    /// Parse the header off the front of `lines`, leaving them at the first
+    /// `A` line. A magic line or partition-hash version this build does not
+    /// implement is [`SnapshotError::UnsupportedVersion`]; anything else
+    /// wrong (a `shard` line with `index >= count` included) is
+    /// [`SnapshotError::Malformed`].
+    pub fn parse(lines: &mut SnapshotLines<'_>) -> Result<Self, SnapshotError> {
+        let magic = lines.next_line("BSTREAM header")?;
+        if magic != MAGIC {
+            return Err(SnapshotError::UnsupportedVersion(format!(
+                "{}: {magic}",
+                lines.path.display()
+            )));
+        }
+        let mut toks = lines.next_line("height line")?.split_whitespace();
+        if toks.next() != Some("height") {
+            return Err(lines.bad("expected height line"));
+        }
+        let height = parse_u64(toks.next(), "height").map_err(|m| lines.bad(m))?;
+
+        let mut toks = lines.next_line("addresses line")?.split_whitespace();
+        let mut key = toks.next();
+        let mut shard = None;
+        if key == Some("shard") {
+            let mut field = |what: &str| {
+                let tok = toks.next().ok_or_else(|| format!("missing {what}"))?;
+                tok.parse::<u32>().map_err(|_| format!("bad {what}"))
+            };
+            let index = field("shard index").map_err(|m| lines.bad(m))?;
+            let count = field("shard count").map_err(|m| lines.bad(m))?;
+            let hash_version = field("shard hash version").map_err(|m| lines.bad(m))?;
+            if hash_version != SHARD_HASH_VERSION {
+                return Err(SnapshotError::UnsupportedVersion(format!(
+                    "{}: shard hash v{hash_version} (this build implements \
+                     v{SHARD_HASH_VERSION})",
+                    lines.path.display()
+                )));
+            }
+            if index >= count {
+                return Err(lines.bad(format!("bad shard assignment {index}/{count}")));
+            }
+            shard = Some(ShardAssignment { index, count });
+            toks = lines.next_line("addresses line")?.split_whitespace();
+            key = toks.next();
+        }
+        if key != Some("addresses") {
+            return Err(lines.bad("expected addresses line"));
+        }
+        let addresses = parse_u64(toks.next(), "address count").map_err(|m| lines.bad(m))?;
+        Ok(Self {
+            height,
+            shard,
+            addresses: addresses as usize,
+        })
     }
 }
 
@@ -193,32 +279,18 @@ pub fn verify_trailer<'a>(path: &Path, text: &'a str) -> Result<&'a str, Snapsho
     Ok(covered)
 }
 
-/// Read just the `height` header of a snapshot — the resume height its
-/// restore would start at — without parsing the body. Used to compute the
-/// journal-compaction floor across retained snapshot generations.
+/// Read just the header of a snapshot for its `height` — the height a
+/// restore would resume at — without reading or verifying the body. Used to
+/// compute the journal-compaction floor across retained generations.
 pub fn snapshot_height(path: &Path) -> Result<u64, SnapshotError> {
-    let file = std::fs::File::open(path)?;
-    let mut reader = std::io::BufReader::new(file);
-    let mut header = String::new();
-    std::io::BufRead::read_line(&mut reader, &mut header)?;
-    if header.trim_end() != "BSTREAM v1" {
-        return Err(SnapshotError::UnsupportedVersion(format!(
-            "{}: {}",
-            path.display(),
-            header.trim_end()
-        )));
+    use std::io::BufRead;
+    let mut reader = std::io::BufReader::new(std::fs::File::open(path)?);
+    let mut head = String::new();
+    // Magic, height, the optional shard line, addresses.
+    for _ in 0..4 {
+        reader.read_line(&mut head)?;
     }
-    let mut line = String::new();
-    std::io::BufRead::read_line(&mut reader, &mut line)?;
-    let mut toks = line.split_whitespace();
-    if toks.next() != Some("height") {
-        return Err(malformed(format!(
-            "{} line 2: expected height line",
-            path.display()
-        )));
-    }
-    parse_u64(toks.next(), "height")
-        .map_err(|m| malformed(format!("{} line 2: {m}", path.display())))
+    Ok(SnapshotHeader::parse(&mut SnapshotLines::new(path, &head))?.height)
 }
 
 impl Follower {
@@ -232,16 +304,12 @@ impl Follower {
         self.reclassify_dirty();
 
         let mut out = String::new();
-        out.push_str("BSTREAM v1\n");
-        let _ = writeln!(out, "height {}", self.next_height);
-        if let Some(shard) = &self.cfg.shard {
-            let _ = writeln!(
-                out,
-                "shard {} {} {}",
-                shard.index, shard.count, SHARD_HASH_VERSION
-            );
+        SnapshotHeader {
+            height: self.next_height,
+            shard: self.cfg.shard,
+            addresses: self.states.len(),
         }
-        let _ = writeln!(out, "addresses {}", self.states.len());
+        .write(&mut out);
         for (addr, state) in &self.states {
             let label = self
                 .labels
@@ -287,42 +355,8 @@ impl Follower {
         let body = verify_trailer(path, &text)?;
 
         let mut lines = SnapshotLines::new(path, body);
-        let header = lines.next_line("BSTREAM header")?;
-        if header != "BSTREAM v1" {
-            return Err(SnapshotError::UnsupportedVersion(format!(
-                "{}: {}",
-                path.display(),
-                header
-            )));
-        }
-        let next_height = {
-            let mut toks = lines.next_line("height line")?.split_whitespace();
-            if toks.next() != Some("height") {
-                return Err(lines.bad("expected height line"));
-            }
-            parse_u64(toks.next(), "height").map_err(|m| lines.bad(m))?
-        };
-        // Optional shard line; absence means the trivial 1-shard layout.
-        let file_shard = if lines.peek().is_some_and(|l| l.starts_with("shard ")) {
-            let mut toks = lines.next_line("shard line")?.split_whitespace();
-            toks.next(); // "shard"
-            let index = parse_u64(toks.next(), "shard index").map_err(|m| lines.bad(m))? as u32;
-            let count = parse_u64(toks.next(), "shard count").map_err(|m| lines.bad(m))? as u32;
-            let hash_version =
-                parse_u64(toks.next(), "shard hash version").map_err(|m| lines.bad(m))? as u32;
-            if hash_version != SHARD_HASH_VERSION {
-                return Err(SnapshotError::UnsupportedVersion(format!(
-                    "shard hash v{hash_version} (this build implements v{SHARD_HASH_VERSION})"
-                )));
-            }
-            if count == 0 || index >= count {
-                return Err(lines.bad(format!("bad shard assignment {index}/{count}")));
-            }
-            Some(ShardAssignment { index, count })
-        } else {
-            None
-        };
-        match (&cfg.shard, file_shard) {
+        let header = SnapshotHeader::parse(&mut lines)?;
+        match (&cfg.shard, header.shard) {
             // The snapshot knows its own layout: adopt it.
             (None, Some(shard)) => cfg.shard = Some(shard),
             (Some(want), file) => {
@@ -336,18 +370,11 @@ impl Follower {
             }
             (None, None) => {}
         }
-        let num_addresses = {
-            let mut toks = lines.next_line("addresses line")?.split_whitespace();
-            if toks.next() != Some("addresses") {
-                return Err(lines.bad("expected addresses line"));
-            }
-            parse_u64(toks.next(), "address count").map_err(|m| lines.bad(m))? as usize
-        };
 
         let mut follower = Follower::new(artifact, cfg).map_err(SnapshotError::Artifact)?;
-        follower.next_height = next_height;
+        follower.next_height = header.height;
 
-        for _ in 0..num_addresses {
+        for _ in 0..header.addresses {
             let mut toks = lines.next_line("A line")?.split_whitespace();
             if toks.next() != Some("A") {
                 return Err(lines.bad("expected A line"));

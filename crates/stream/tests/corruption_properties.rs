@@ -9,7 +9,7 @@
 //! and journal truncation never leak between cases.
 
 use baclassifier::{BacConfig, ModelArtifact};
-use bstream::{scan_journal, Follower, FollowerConfig, SnapshotError};
+use bstream::{scan_journal, BlockJournal, Follower, FollowerConfig, SnapshotError};
 use btcsim::{Block, BlockCursor, SimConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -32,24 +32,28 @@ fn pristine() -> &'static Pristine {
         let snap = dir.join(format!("corruption_pristine_{}.bsnap", std::process::id()));
         let journal = dir.join(format!("corruption_pristine_{}.bjrnl", std::process::id()));
         let cfg = FollowerConfig {
-            snapshot_path: Some(snap.clone()),
-            journal_path: Some(journal.clone()),
-            snapshot_every: 9,
             snapshot_generations: 1,
             ..FollowerConfig::default()
         };
-        // recover() on a clean slate = fresh follower with the journal
-        // attached for write-ahead appends.
-        let mut follower = Follower::recover(&artifact, cfg).unwrap().follower;
+        // Driven the way the driver drives a follower: each block appended
+        // to the journal before it is applied, one snapshot after 9 blocks
+        // with the journal compacted behind it, then a crash.
+        let mut writer = BlockJournal::create(&journal, 1).unwrap();
+        let mut follower = Follower::new(&artifact, cfg).unwrap();
         let blocks: Vec<Block> = BlockCursor::new(SimConfig {
             blocks: 14,
             ..SimConfig::tiny(83)
         })
         .collect();
         for b in &blocks {
+            writer.append(b).unwrap();
             follower.step(b);
+            if follower.next_height() == 9 {
+                follower.snapshot_to(&snap).unwrap();
+                writer.compact_below(9).unwrap();
+            }
         }
-        drop(follower);
+        drop((follower, writer));
         let snapshot_bytes = std::fs::read(&snap).unwrap();
         let journal_bytes = std::fs::read(&journal).unwrap();
         std::fs::remove_file(&snap).ok();

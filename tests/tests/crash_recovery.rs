@@ -3,7 +3,7 @@
 //! the floor — must lose **zero** blocks and recover to state
 //! byte-identical to an uninterrupted run.
 //!
-//! Four properties:
+//! Seven properties:
 //!
 //! 1. **Worker kill** — a scripted panic takes a shard down mid-ingest at
 //!    shard counts 1 and 4; the supervisor respawns it from snapshot +
@@ -19,6 +19,12 @@
 //!    `ShardRouter` answers its addresses immediately with an explicit
 //!    `degraded` response (or a clean error without a fallback) instead
 //!    of hanging.
+//! 5. **Compaction** — every periodic snapshot compacts the shared journal
+//!    to the oldest retained generation over all shards, and a recovery
+//!    forced onto that oldest generation still replays to the same tip.
+//! 6. **Compaction failure** is counted and reported, never fatal.
+//! 7. **Stall** — a producer that goes silent with the feed open ends the
+//!    follow loop as a stall (exit code 3) after the final flush.
 
 use baclassifier::{BacConfig, ModelArtifact};
 use baserve::{
@@ -26,14 +32,18 @@ use baserve::{
     ScriptedFaultPlan, ServeError,
 };
 use bashard::{
-    shard_snapshot_path, ShardHealth, ShardReport, ShardRouter, ShardedFollower, SpawnMode,
-    StreamHooks, SupervisionConfig,
+    shard_snapshot_path, FeedEnd, ShardHealth, ShardReport, ShardRouter, ShardStreamError,
+    ShardedFollower, SpawnMode, StreamHooks, SupervisionConfig,
 };
-use bstream::{quarantine_path, Follower, FollowerConfig};
+use bstream::{quarantine_path, scan_journal, BlockFeed, Follower, FollowerConfig};
 use btcsim::{Block, BlockCursor, Dataset, SimConfig, Simulator};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Stall timeout for `ShardedFollower::follow` over a pre-recorded feed,
+/// which closes long before it.
+const STALL: Duration = Duration::from_secs(30);
 
 fn sim_blocks(seed: u64, blocks: u64) -> Vec<Block> {
     BlockCursor::new(SimConfig {
@@ -294,6 +304,141 @@ fn corrupt_latest_snapshot_falls_back_a_generation_and_replays() {
     let reports = recovered.finish().unwrap();
     assert_recovered_matches(reports, &reference, "generation fallback");
     s.cleanup(shards);
+}
+
+#[test]
+fn periodic_snapshots_compact_the_journal_to_the_oldest_retained_generation() {
+    let blocks = sim_blocks(337, 29); // heights 0..=29
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let reference = unsharded_tip(&artifact, &blocks);
+
+    for shards in [1u32, 4] {
+        let s = scratch(&format!("compact{shards}"));
+        s.cleanup(shards);
+        let cfg = s.cfg(5);
+        assert_eq!(cfg.snapshot_generations, 2);
+        {
+            let mut fleet =
+                ShardedFollower::new(Arc::clone(&artifact), cfg.clone(), shards).unwrap();
+            for b in &blocks {
+                fleet.step(b.clone()).unwrap();
+            }
+            // The 30th block's checkpoint has been awaited; crash here.
+        }
+
+        // Generations at 30 and 25 on every shard: the journal starts at 25.
+        let mut floor = u64::MAX;
+        for i in 0..shards {
+            let shard_base = shard_snapshot_path(&s.base, i, shards);
+            for k in 0..2 {
+                let generation = bstream::generation_path(&shard_base, k);
+                floor = floor.min(bstream::snapshot_height(&generation).unwrap());
+            }
+        }
+        assert_eq!(floor, 25);
+        let journal = scan_journal(&s.journal).unwrap();
+        let heights: Vec<u64> = journal.blocks.iter().map(|b| b.height).collect();
+        assert_eq!(
+            heights,
+            (floor..30).collect::<Vec<u64>>(),
+            "{shards} shards: journal must hold exactly the frames the oldest generation needs"
+        );
+
+        // Tear every shard's newest generation: recovery has to start from
+        // the oldest one, which needs every frame that survived compaction.
+        for i in 0..shards {
+            let newest = shard_snapshot_path(&s.base, i, shards);
+            let mut bytes = std::fs::read(&newest).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x40;
+            std::fs::write(&newest, bytes).unwrap();
+        }
+        let recovered = ShardedFollower::recover(Arc::clone(&artifact), cfg, shards).unwrap();
+        for i in 0..shards {
+            assert!(quarantine_path(&shard_snapshot_path(&s.base, i, shards)).exists());
+        }
+        let reports = recovered.finish().unwrap();
+        for report in &reports {
+            assert_eq!(
+                report.metrics.journal_replayed, 5,
+                "replay from 25 to the tip"
+            );
+        }
+        assert_recovered_matches(
+            reports,
+            &reference,
+            &format!("{shards}-shard oldest generation"),
+        );
+        s.cleanup(shards);
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn failed_compaction_is_counted_and_never_fatal() {
+    let blocks = sim_blocks(349, 19); // heights 0..=19
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let reference = unsharded_tip(&artifact, &blocks);
+
+    let shards = 2u32;
+    let s = scratch("compactfail");
+    s.cleanup(shards);
+    // The journal lives in a directory of its own, removed once the driver
+    // has it open: appends keep landing in the unlinked file, and every
+    // compaction — a rewrite next to a path that is gone — fails.
+    let dir = s.journal.with_extension("dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = FollowerConfig {
+        journal_path: Some(dir.join("follower.bjrnl")),
+        ..s.cfg(5)
+    };
+    let fleet = ShardedFollower::new(Arc::clone(&artifact), cfg, shards).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let followed = fleet
+        .follow(&BlockFeed::from_blocks(blocks), STALL, 0)
+        .unwrap();
+    assert!(
+        matches!(followed.end, FeedEnd::Drained),
+        "{:?}",
+        followed.end
+    );
+    assert_eq!(followed.metrics.journal_frames, 20);
+    // Four periodic checkpoints and the final flush each tried to compact.
+    assert_eq!(followed.metrics.journal_errors, 5);
+    assert_recovered_matches(followed.reports, &reference, "failed compaction");
+    s.cleanup(shards);
+}
+
+#[test]
+fn silent_producer_ends_the_loop_as_a_stall_after_the_final_flush() {
+    let blocks = sim_blocks(353, 5);
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let fleet = ShardedFollower::new(Arc::clone(&artifact), FollowerConfig::default(), 2).unwrap();
+    let (sender, feed) = BlockFeed::manual(4);
+    sender.send(blocks[0].clone()).unwrap();
+    sender.send(blocks[1].clone()).unwrap();
+    // The sender stays alive — the feed is open — but says nothing more.
+    let stall_timeout = Duration::from_millis(60);
+    let followed = fleet.follow(&feed, stall_timeout, 0).unwrap();
+    match &followed.end {
+        FeedEnd::Stalled(stall) => {
+            assert_eq!(stall.produced, 2);
+            assert!(stall.stalled_for >= stall_timeout);
+        }
+        other => panic!("expected a stall, got {other:?}"),
+    }
+    assert_eq!(followed.end.exit_code(), 3);
+    let merged = ShardReport::merge(followed.reports);
+    assert_eq!(merged.next_height, 2, "both delivered blocks were applied");
+    drop(sender);
+
+    assert_eq!(FeedEnd::Drained.exit_code(), 0);
+    assert_eq!(FeedEnd::Interrupted.exit_code(), 0);
+    assert_eq!(
+        FeedEnd::Failed(ShardStreamError::WorkerGone(0)).exit_code(),
+        1
+    );
 }
 
 #[test]

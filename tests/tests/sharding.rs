@@ -22,6 +22,11 @@ use bashard::{shard_snapshot_path, ShardReport, ShardRouter, ShardedFollower};
 use bstream::{BlockFeed, Follower, FollowerConfig};
 use btcsim::{Block, BlockCursor, Dataset, SimConfig, Simulator};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Stall timeout for `ShardedFollower::follow`; a pre-recorded feed closes
+/// long before it.
+const STALL: Duration = Duration::from_secs(30);
 
 fn sim_cfg(seed: u64, blocks: u64) -> SimConfig {
     SimConfig {
@@ -96,11 +101,10 @@ fn sharded_followers_union_to_the_unsharded_state() {
     assert!(reference.num_tracked() > 20, "sim too small");
 
     for shards in [1u32, 2, 4] {
-        let mut sharded =
+        let sharded =
             ShardedFollower::new(Arc::clone(&artifact), FollowerConfig::default(), shards).unwrap();
         let feed = BlockFeed::from_blocks(blocks.clone());
-        sharded.run(&feed).unwrap();
-        let reports = sharded.finish().unwrap();
+        let reports = sharded.follow(&feed, STALL, 0).unwrap().reports;
         assert_eq!(reports.len(), shards as usize);
         // Every shard tracks only addresses it owns.
         let map = ShardMap::new(shards);

@@ -32,6 +32,16 @@ fn sim_cfg(seed: u64, blocks: u64) -> SimConfig {
     }
 }
 
+/// Step every block of `feed`, then bring the label table current at the
+/// tip — all a follower with no disk under it needs from a driver.
+fn drain(follower: &mut Follower, feed: &BlockFeed) {
+    while let Some(block) = feed.recv() {
+        follower.step(&block);
+        feed.watermark().record_processed(block.height);
+    }
+    follower.reclassify_dirty();
+}
+
 #[test]
 fn streaming_labels_converge_to_batch_pipeline_at_tip() {
     let cfg = sim_cfg(101, 40);
@@ -39,8 +49,8 @@ fn streaming_labels_converge_to_batch_pipeline_at_tip() {
 
     let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
     let feed = BlockFeed::follow_sim(cfg.clone(), 0, 8);
-    follower.run(&feed);
-    assert_eq!(feed.watermark().lag(), 0, "run() drains to the tip");
+    drain(&mut follower, &feed);
+    assert_eq!(feed.watermark().lag(), 0, "the feed is drained to the tip");
     assert_eq!(follower.next_height(), cfg.blocks + 1);
 
     // The batch side: same chain, same weights, from-scratch construction.
@@ -97,7 +107,7 @@ fn snapshot_restart_resume_reaches_the_continuous_state() {
     assert_eq!(resumed.next_height(), split as u64);
     // Resume over a feed that replays the tail of the chain.
     let feed = BlockFeed::from_blocks(blocks[split..].to_vec());
-    resumed.run(&feed);
+    drain(&mut resumed, &feed);
 
     assert_eq!(resumed.labels(), continuous.labels());
     assert_eq!(resumed.next_height(), continuous.next_height());
