@@ -61,7 +61,11 @@ fn bench_stages(c: &mut Criterion) {
     let record = busiest(&ds);
     let mut group = c.benchmark_group("construction_stages");
 
-    let cohort = extract_original_graphs(&payout_cohort(), 100);
+    let payouts = payout_cohort();
+    group.bench_function("stage1_extract/payout_cohort", |b| {
+        b.iter(|| extract_original_graphs(black_box(&payouts), 100))
+    });
+    let cohort = extract_original_graphs(&payouts, 100);
     group.bench_function("stage2_single_compress/payout_cohort", |b| {
         b.iter(|| {
             for g in &cohort {

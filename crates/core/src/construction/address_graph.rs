@@ -28,19 +28,18 @@ pub enum NodeKind {
     MultiHyper,
 }
 
-/// A node with its aggregated transfer values and (later) SFE + centrality
-/// features.
-#[derive(Clone, Debug)]
+/// A node with its SFE and (later) centrality features. The transfer values
+/// SFE summarises live on the edges and nowhere else.
+#[derive(Clone, Copy, Debug)]
 pub struct Node {
     pub kind: NodeKind,
     /// Representative original address (`None` for transaction nodes).
     pub address: Option<Address>,
     /// How many original address nodes this node stands for.
     pub merged_count: usize,
-    /// Transfer values (BTC) of every adjacent original edge — the SFE input.
-    pub values: Vec<f64>,
-    /// Statistical features (filled by compression stages; plain nodes get
-    /// SFE of their own edge values).
+    /// Statistical features of the transfer values of every adjacent
+    /// original edge (seeded by Stage 1; hyper nodes get the SFE of the edges
+    /// they merge).
     pub sfe: SfeFeatures,
     /// `[degree, closeness, betweenness, pagerank]`, filled by Stage 4.
     pub centrality: [f64; 4],
@@ -52,7 +51,6 @@ impl Node {
             kind,
             address,
             merged_count: usize::from(kind != NodeKind::Transaction),
-            values: Vec::new(),
             sfe: SfeFeatures::default(),
             centrality: [0.0; 4],
         }
@@ -168,13 +166,11 @@ mod tests {
     use super::*;
 
     fn tiny_graph() -> AddressGraph {
-        let mut nodes = vec![
+        let nodes = vec![
             Node::new(NodeKind::Focus, Some(Address(0))),
             Node::new(NodeKind::Transaction, None),
             Node::new(NodeKind::Address, Some(Address(1))),
         ];
-        nodes[0].values = vec![1.0];
-        nodes[2].values = vec![1.0];
         AddressGraph {
             focus: Address(0),
             slice_index: 0,

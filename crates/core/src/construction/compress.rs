@@ -6,7 +6,7 @@
 //! S = AAᵀ, M = SD⁻¹, Q = ReLU(M − Ψ·I) (Eq. 3–7).
 
 use crate::construction::address_graph::{AddressGraph, Edge, Node, NodeKind, Side};
-use crate::construction::sfe::sfe;
+use crate::construction::sfe::seed_sfe;
 
 /// "No transaction" / "no group" / "not a candidate" in the `u32` index
 /// vectors below; `tx_sets` asserts every real index is smaller.
@@ -99,7 +99,7 @@ fn rebuild_with_merges(
         match group_of[i] {
             NONE => {
                 new_index[i] = nodes.len() as u32;
-                nodes.push(n.clone());
+                nodes.push(*n);
             }
             gi => {
                 debug_assert!(n.is_address_like() && i != 0, "cannot merge focus/tx nodes");
@@ -121,8 +121,7 @@ fn rebuild_with_merges(
     // Remap edges. A merged node's edge goes to `collapsed` under the key
     // (group, tx, side) packed so that integer order is the order collapsed
     // edges are emitted in: group, then transaction, then output before
-    // input. Hyper values are the merged edges' values in edge order (paper
-    // Eq. 2 / Eq. 7: SFE over the merged addresses' transfer values).
+    // input.
     let mut edges: Vec<Edge> = Vec::with_capacity(g.edges.len());
     let mut collapsed: Vec<(u64, f64)> = Vec::new();
     for e in &g.edges {
@@ -138,7 +137,6 @@ fn rebuild_with_merges(
             gi => {
                 let is_input = u64::from(e.side == Side::Input);
                 collapsed.push((u64::from(gi) << 33 | u64::from(tx) << 1 | is_input, e.value));
-                nodes[first_hyper + gi as usize].values.push(e.value);
             }
         }
     }
@@ -158,9 +156,10 @@ fn rebuild_with_merges(
             },
         });
     }
-    for hyper in &mut nodes[first_hyper..] {
-        hyper.sfe = sfe(&hyper.values);
-    }
+    // Paper Eq. 2 / Eq. 7: a hyper node's SFE is over the transfer values of
+    // the addresses merged into it — the values of the edges just collapsed.
+    let merged = collapsed.iter().map(|&(key, v)| ((key >> 33) as usize, v));
+    seed_sfe(&mut nodes[first_hyper..], merged);
 
     let out = AddressGraph {
         focus: g.focus,

@@ -3,7 +3,7 @@
 //! 100) and build one heterogeneous address/transaction graph per slice.
 
 use crate::construction::address_graph::{AddressGraph, Edge, Node, NodeKind, Side};
-use crate::construction::sfe::sfe;
+use crate::construction::sfe::seed_sfe;
 use btcsim::{Address, AddressRecord, TxView};
 use std::collections::HashMap;
 
@@ -14,66 +14,72 @@ use std::collections::HashMap;
 /// transactions will be retained"). Node 0 is always the focus address.
 pub fn extract_original_graphs(record: &AddressRecord, slice_size: usize) -> Vec<AddressGraph> {
     assert!(slice_size > 0, "slice_size must be positive");
-    record
-        .txs
-        .chunks(slice_size)
-        .enumerate()
-        .map(|(slice_index, chunk)| build_slice_graph(record.address, slice_index, chunk))
-        .collect()
+    let (mut slices, mut addr_node) = (Vec::new(), HashMap::new());
+    for tx in &record.txs {
+        push_tx(&mut slices, &mut addr_node, record.address, slice_size, tx);
+    }
+    slices.iter_mut().for_each(seed_slice);
+    slices
 }
 
-fn build_slice_graph(focus: Address, slice_index: usize, txs: &[TxView]) -> AddressGraph {
-    let mut nodes = vec![Node::new(NodeKind::Focus, Some(focus))];
-    let mut edges = Vec::new();
-    let mut addr_node: HashMap<Address, usize> = HashMap::new();
-    addr_node.insert(focus, 0);
-
-    for tx in txs {
-        let tx_node = nodes.len();
-        nodes.push(Node::new(NodeKind::Transaction, None));
-        for (side, entries) in [(Side::Input, &tx.inputs), (Side::Output, &tx.outputs)] {
-            for &(addr, amount) in entries {
-                let a = *addr_node.entry(addr).or_insert_with(|| {
-                    nodes.push(Node::new(NodeKind::Address, Some(addr)));
-                    nodes.len() - 1
-                });
-                edges.push(Edge {
-                    addr_node: a,
-                    tx_node,
-                    value: amount.btc(),
-                    side,
-                });
-            }
+/// Stage 1's one step, batch or incremental. Opens a slice when there is
+/// none or the last holds `slice_size` transactions (`addr_node` restarts as
+/// its address → node map), then appends the transaction's node, a node for
+/// every address the slice sees for the first time (inputs before outputs)
+/// and an edge per entry. Features wait for [`seed_slice`].
+pub(crate) fn push_tx(
+    slices: &mut Vec<AddressGraph>,
+    addr_node: &mut HashMap<Address, usize>,
+    focus: Address,
+    slice_size: usize,
+    tx: &TxView,
+) {
+    if slices.last().is_none_or(|g| g.num_txs == slice_size) {
+        addr_node.clear();
+        addr_node.insert(focus, 0);
+        slices.push(AddressGraph {
+            focus,
+            slice_index: slices.len(),
+            start_timestamp: tx.timestamp,
+            num_txs: 0,
+            nodes: vec![Node::new(NodeKind::Focus, Some(focus))],
+            edges: Vec::new(),
+        });
+    }
+    let g = slices.last_mut().expect("opened above");
+    let tx_node = g.nodes.len();
+    g.nodes.push(Node::new(NodeKind::Transaction, None));
+    for (side, entries) in [(Side::Input, &tx.inputs), (Side::Output, &tx.outputs)] {
+        for &(addr, amount) in entries {
+            let a = *addr_node.entry(addr).or_insert_with(|| {
+                g.nodes.push(Node::new(NodeKind::Address, Some(addr)));
+                g.nodes.len() - 1
+            });
+            g.edges.push(Edge {
+                addr_node: a,
+                tx_node,
+                value: amount.btc(),
+                side,
+            });
         }
     }
-
-    // Record adjacent edge values per node and seed SFE features so even the
-    // uncompressed graph has well-defined node features.
-    for e in &edges {
-        let v = e.value;
-        nodes[e.addr_node].values.push(v);
-        nodes[e.tx_node].values.push(v);
-    }
-    for n in nodes.iter_mut() {
-        n.sfe = sfe(&n.values);
-    }
-
-    let g = AddressGraph {
-        focus,
-        slice_index,
-        start_timestamp: txs.first().map_or(0, |t| t.timestamp),
-        num_txs: txs.len(),
-        nodes,
-        edges,
-    };
+    g.num_txs += 1;
     debug_assert_eq!(g.check_invariants(), Ok(()));
-    g
+}
+
+/// Seed every node's SFE from the slice's edge list, an edge's value counting
+/// at both its endpoints, so the uncompressed graph has node features too.
+pub(crate) fn seed_slice(g: &mut AddressGraph) {
+    let ends = |e: &Edge| [(e.addr_node, e.value), (e.tx_node, e.value)];
+    seed_sfe(&mut g.nodes, g.edges.iter().flat_map(ends));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construction::sfe::{sfe, SfeFeatures};
     use btcsim::{Amount, Label, Txid};
+    use proptest::{collection, prelude::*};
 
     fn view(ts: u64, inputs: &[(u64, f64)], outputs: &[(u64, f64)]) -> TxView {
         TxView {
@@ -139,7 +145,8 @@ mod tests {
             .unwrap();
         let nine_edges = g.edges.iter().filter(|e| e.addr_node == nine).count();
         assert_eq!(nine_edges, 2);
-        assert_eq!(g.nodes[nine].values, vec![2.0, 3.0]);
+        assert_eq!(g.nodes[nine].sfe.sum(), 5.0);
+        assert_eq!(g.nodes[nine].sfe.count(), 2.0);
     }
 
     #[test]
@@ -190,6 +197,35 @@ mod tests {
             .collect();
         for g in extract_original_graphs(&record(0, txs), 10) {
             assert_eq!(g.check_invariants(), Ok(()));
+        }
+    }
+
+    proptest! {
+        // Seeding against the naive reading of "SFE of the values incident
+        // to the node". A pool of five addresses makes parallel edges and an
+        // address on both sides of one transaction common; one node is added
+        // with no edge, and every node starts with stale features, as on a
+        // slice that grew since it was seeded.
+        #[test]
+        fn seeding_matches_sfe_of_each_nodes_incident_values(
+            ins in collection::vec(collection::vec((0u64..5, 0u32..50), 0..4), 4),
+            outs in collection::vec(collection::vec((0u64..5, 0u32..50), 1..4), 4),
+        ) {
+            let btc = |side: &[(u64, u32)]| -> Vec<(u64, f64)> {
+                side.iter().map(|&(a, v)| (a, f64::from(v) / 8.0)).collect()
+            };
+            let views = ins.iter().zip(&outs).map(|(i, o)| view(0, &btc(i), &btc(o))).collect();
+            let mut g = extract_original_graphs(&record(0, views), 9).remove(0);
+            g.nodes.push(Node::new(NodeKind::Address, Some(Address(9))));
+            g.nodes.iter_mut().for_each(|n| n.sfe = SfeFeatures([7.0; 15]));
+            seed_slice(&mut g);
+            for (i, node) in g.nodes.iter().enumerate() {
+                let ends = |e: &Edge| [(e.addr_node, e.value), (e.tx_node, e.value)];
+                let at_node = g.edges.iter().flat_map(ends).filter(|&(n, _)| n == i);
+                let incident: Vec<f64> = at_node.map(|(_, v)| v).collect();
+                let want = sfe(&incident).0.map(f64::to_bits);
+                prop_assert_eq!(node.sfe.0.map(f64::to_bits), want, "node {}", i);
+            }
         }
     }
 }

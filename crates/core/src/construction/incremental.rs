@@ -6,10 +6,9 @@
 //! per update. This module maintains the same graphs incrementally:
 //!
 //! * [`IncrementalGraphs::apply_tx`] appends one transaction to the raw
-//!   (uncompressed) slice graphs in exactly the order the batch extractor
-//!   would have — tx node first, then address nodes in first-appearance
-//!   order (inputs before outputs), then edges, then per-edge value pushes —
-//!   and recomputes SFE features only for the touched nodes. The result is
+//!   (uncompressed) slice graphs with the very step the batch extractor folds
+//!   over a history (`extract::push_tx`), and a slice's SFE features are
+//!   seeded from its edge list when the slice is next observed. The result is
 //!   asserted **byte-identical** to [`extract_original_graphs`] (see
 //!   [`graphs_identical`] and `crates/core/tests/incremental_properties.rs`).
 //! * Compression and augmentation are pure per-slice functions, so derived
@@ -23,10 +22,9 @@
 //! [`construct_address_graphs`]: crate::construction::construct_address_graphs
 
 use crate::config::ConstructionConfig;
-use crate::construction::address_graph::{AddressGraph, Edge, Node, NodeKind, Side};
-use crate::construction::augment::augment_with_centralities;
-use crate::construction::compress::{compress_multi_tx, compress_single_tx, MultiCompressParams};
-use crate::construction::sfe::sfe;
+use crate::construction::address_graph::AddressGraph;
+use crate::construction::extract::{push_tx, seed_slice};
+use crate::construction::pipeline::{derive_slice, StageTimings};
 use btcsim::{Address, TxView};
 use std::collections::HashMap;
 
@@ -44,6 +42,8 @@ pub struct IncrementalGraphs {
     num_txs: usize,
     /// Raw (uncompressed) slice graphs; only the last one can still grow.
     raw: Vec<AddressGraph>,
+    /// Leading `raw` entries whose SFE features match their edge list.
+    seeded_clean: usize,
     /// Address → node index for the *current* (last) slice.
     addr_node: HashMap<Address, usize>,
     /// Compressed + augmented graphs, lazily derived from `raw`.
@@ -60,6 +60,7 @@ impl IncrementalGraphs {
             cfg,
             num_txs: 0,
             raw: Vec::new(),
+            seeded_clean: 0,
             addr_node: HashMap::new(),
             derived: Vec::new(),
             derived_clean: 0,
@@ -93,65 +94,27 @@ impl IncrementalGraphs {
         self.raw.len()
     }
 
-    /// Append one transaction, mirroring the batch extractor's construction
-    /// order exactly so raw graphs stay byte-identical to
-    /// [`extract_original_graphs`](crate::construction::extract_original_graphs).
+    /// Append one transaction: the batch extractor's own step, so raw graphs
+    /// stay byte-identical to
+    /// [`extract_original_graphs`](crate::construction::extract_original_graphs)
+    /// once seeded. The slice it lands in is no longer seeded nor derived.
     pub fn apply_tx(&mut self, tx: &TxView) {
-        if self.num_txs.is_multiple_of(self.cfg.slice_size) {
-            // Start a new slice: previous slice (if any) is now frozen.
-            self.raw.push(AddressGraph {
-                focus: self.focus,
-                slice_index: self.raw.len(),
-                start_timestamp: tx.timestamp,
-                num_txs: 0,
-                nodes: vec![Node::new(NodeKind::Focus, Some(self.focus))],
-                edges: Vec::new(),
-            });
-            self.addr_node.clear();
-            self.addr_node.insert(self.focus, 0);
-        }
-        let g = self.raw.last_mut().expect("slice pushed above");
-
-        let tx_node = g.nodes.len();
-        g.nodes.push(Node::new(NodeKind::Transaction, None));
-        // Nodes whose `values` grow this tx; SFE is recomputed only for them,
-        // once each (deduplicated below — a payout repeats few addresses but
-        // has hundreds of outputs, so no per-edge membership scan).
-        let mut touched = vec![tx_node];
-        for (side, entries) in [(Side::Input, &tx.inputs), (Side::Output, &tx.outputs)] {
-            for &(addr, amount) in entries {
-                let a = *self.addr_node.entry(addr).or_insert_with(|| {
-                    g.nodes.push(Node::new(NodeKind::Address, Some(addr)));
-                    g.nodes.len() - 1
-                });
-                let v = amount.btc();
-                g.edges.push(Edge {
-                    addr_node: a,
-                    tx_node,
-                    value: v,
-                    side,
-                });
-                // The batch extractor pushes values per edge, addr endpoint
-                // first — edges are appended chronologically, so pushing at
-                // edge creation preserves the exact value order.
-                g.nodes[a].values.push(v);
-                g.nodes[tx_node].values.push(v);
-                touched.push(a);
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        for &n in &touched {
-            g.nodes[n].sfe = sfe(&g.nodes[n].values);
-        }
-        g.num_txs += 1;
-        debug_assert_eq!(g.check_invariants(), Ok(()));
+        let (focus, slice_size) = (self.focus, self.cfg.slice_size);
+        push_tx(&mut self.raw, &mut self.addr_node, focus, slice_size, tx);
         self.num_txs += 1;
-        self.derived_clean = self.derived_clean.min(self.raw.len() - 1);
+        let open = self.raw.len() - 1;
+        self.seeded_clean = self.seeded_clean.min(open);
+        self.derived_clean = self.derived_clean.min(open);
     }
 
-    /// The raw (uncompressed) slice graphs — stage-1 output.
-    pub fn raw_graphs(&self) -> &[AddressGraph] {
+    /// The raw (uncompressed) slice graphs — stage-1 output. Seeds the SFE
+    /// features of the slices that grew since they were last observed, so a
+    /// frozen slice is seeded once.
+    pub fn raw_graphs(&mut self) -> &[AddressGraph] {
+        for g in &mut self.raw[self.seeded_clean..] {
+            seed_slice(g);
+        }
+        self.seeded_clean = self.raw.len();
         &self.raw
     }
 
@@ -160,16 +123,13 @@ impl IncrementalGraphs {
     /// history. Frozen slices are served from cache; only slices dirtied
     /// since the last call are re-derived.
     pub fn graphs(&mut self) -> &[AddressGraph] {
-        for i in self.derived_clean..self.raw.len() {
-            let d = derive_slice(&self.cfg, &self.raw[i]);
-            if i < self.derived.len() {
-                self.derived[i] = d;
-            } else {
-                self.derived.push(d);
-            }
+        self.raw_graphs();
+        self.derived.truncate(self.derived_clean);
+        for raw in &self.raw[self.derived_clean..] {
+            let derived = derive_slice(&self.cfg, raw, &mut StageTimings::default());
+            self.derived.push(derived);
         }
         self.derived_clean = self.raw.len();
-        self.derived.truncate(self.raw.len());
         &self.derived
     }
 
@@ -189,26 +149,6 @@ impl IncrementalGraphs {
     }
 }
 
-/// Run stages 2–4 on one raw slice, honoring the config's ablation flags.
-fn derive_slice(cfg: &ConstructionConfig, raw: &AddressGraph) -> AddressGraph {
-    let mut g = if cfg.compress {
-        let single = compress_single_tx(raw);
-        compress_multi_tx(
-            &single,
-            MultiCompressParams {
-                psi: cfg.psi,
-                sigma: cfg.sigma,
-            },
-        )
-    } else {
-        raw.clone()
-    };
-    if cfg.augment {
-        augment_with_centralities(&mut g);
-    }
-    g
-}
-
 /// Bitwise equality over graph lists — `Ok(())` or a description of the
 /// first mismatch. Floats are compared via `to_bits`, so this is strict
 /// byte-identity, not approximate equality.
@@ -216,6 +156,7 @@ pub fn graphs_identical(a: &[AddressGraph], b: &[AddressGraph]) -> Result<(), St
     if a.len() != b.len() {
         return Err(format!("graph count {} vs {}", a.len(), b.len()));
     }
+    let differ = |x: &[f64], y: &[f64]| x.iter().zip(y).any(|(x, y)| x.to_bits() != y.to_bits());
     for (gi, (ga, gb)) in a.iter().zip(b).enumerate() {
         let ctx = |what: &str| format!("graph {gi}: {what}");
         if ga.focus != gb.focus {
@@ -252,30 +193,10 @@ pub fn graphs_identical(a: &[AddressGraph], b: &[AddressGraph]) -> Result<(), St
             {
                 return Err(ctx(&format!("node {ni} identity differs")));
             }
-            if na.values.len() != nb.values.len()
-                || na
-                    .values
-                    .iter()
-                    .zip(&nb.values)
-                    .any(|(x, y)| x.to_bits() != y.to_bits())
-            {
-                return Err(ctx(&format!("node {ni} values differ")));
-            }
-            if na
-                .sfe
-                .0
-                .iter()
-                .zip(&nb.sfe.0)
-                .any(|(x, y)| x.to_bits() != y.to_bits())
-            {
+            if differ(&na.sfe.0, &nb.sfe.0) {
                 return Err(ctx(&format!("node {ni} sfe differs")));
             }
-            if na
-                .centrality
-                .iter()
-                .zip(&nb.centrality)
-                .any(|(x, y)| x.to_bits() != y.to_bits())
-            {
+            if differ(&na.centrality, &nb.centrality) {
                 return Err(ctx(&format!("node {ni} centrality differs")));
             }
         }
@@ -462,7 +383,9 @@ mod tests {
 
     #[test]
     fn equivalence_holds_at_every_prefix() {
-        // Interleaving graphs() calls with apply_tx must not disturb state.
+        // Interleaving reads with apply_tx must not disturb state. With four
+        // transactions a slice, each slice is seeded while open, grows, and
+        // is seeded for the last time at the read after it froze.
         let txs = synthetic_history(14);
         let cfg = ConstructionConfig {
             slice_size: 4,
@@ -471,10 +394,23 @@ mod tests {
         let mut inc = IncrementalGraphs::new(Address(0), cfg.clone());
         for (i, tx) in txs.iter().enumerate() {
             inc.apply_tx(tx);
+            assert_eq!(
+                inc.seeded_clean,
+                i / 4,
+                "only the slice the transaction landed in awaits seeding"
+            );
+            // A clone taken before anything observed the transaction seeds
+            // and derives for itself.
+            let mut unobserved = inc.clone();
             let rec = record(0, txs[..=i].to_vec());
+            let raw_batch = crate::construction::extract::extract_original_graphs(&rec, 4);
+            graphs_identical(inc.raw_graphs(), &raw_batch)
+                .unwrap_or_else(|e| panic!("raw prefix {}: {e}", i + 1));
             let (batch, _) = construct_address_graphs(&rec, &cfg);
             graphs_identical(inc.graphs(), &batch)
                 .unwrap_or_else(|e| panic!("prefix {}: {e}", i + 1));
+            graphs_identical(unobserved.graphs(), &batch)
+                .unwrap_or_else(|e| panic!("clone at prefix {}: {e}", i + 1));
         }
     }
 

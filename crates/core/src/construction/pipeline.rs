@@ -57,37 +57,43 @@ pub fn construct_address_graphs(
     cfg: &ConstructionConfig,
 ) -> (Vec<AddressGraph>, StageTimings) {
     let mut t = StageTimings::default();
-
     let start = Instant::now();
-    let mut graphs = extract_original_graphs(record, cfg.slice_size);
+    let raw = extract_original_graphs(record, cfg.slice_size);
     t.extract = start.elapsed();
+    let graphs = raw.iter().map(|g| derive_slice(cfg, g, &mut t)).collect();
+    (graphs, t)
+}
 
-    if cfg.compress {
+/// Stages 2–4 on one raw slice, honouring the config's ablation flags; each
+/// stage's wall clock is added to `t`. Both the batch pipeline and
+/// [`IncrementalGraphs`](crate::construction::IncrementalGraphs) derive a
+/// slice through here.
+pub(crate) fn derive_slice(
+    cfg: &ConstructionConfig,
+    raw: &AddressGraph,
+    t: &mut StageTimings,
+) -> AddressGraph {
+    let mut g = if cfg.compress {
         let start = Instant::now();
-        graphs = graphs.iter().map(compress_single_tx).collect();
-        t.single_compress = start.elapsed();
-
-        let start = Instant::now();
+        let single = compress_single_tx(raw);
+        let between = Instant::now();
         let params = MultiCompressParams {
             psi: cfg.psi,
             sigma: cfg.sigma,
         };
-        graphs = graphs
-            .iter()
-            .map(|g| compress_multi_tx(g, params))
-            .collect();
-        t.multi_compress = start.elapsed();
-    }
-
+        let multi = compress_multi_tx(&single, params);
+        t.single_compress += between - start;
+        t.multi_compress += between.elapsed();
+        multi
+    } else {
+        raw.clone()
+    };
     if cfg.augment {
         let start = Instant::now();
-        for g in graphs.iter_mut() {
-            augment_with_centralities(g);
-        }
-        t.augment = start.elapsed();
+        augment_with_centralities(&mut g);
+        t.augment += start.elapsed();
     }
-
-    (graphs, t)
+    g
 }
 
 /// Construct graphs for a whole dataset split, in parallel across addresses

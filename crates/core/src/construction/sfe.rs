@@ -2,6 +2,8 @@
 //! 15-statistic summary of the transferred amounts of the addresses merged
 //! into a hyper node.
 
+use crate::construction::address_graph::Node;
+
 /// Number of statistics SFE produces.
 pub const SFE_DIM: usize = 15;
 
@@ -74,11 +76,9 @@ impl SfeFeatures {
     }
 }
 
-/// Linear-interpolated percentile (`p` in [0, 100]) of a sorted slice.
+/// Linear-interpolated percentile (`p` in [0, 100]) of a sorted, non-empty
+/// slice.
 fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
     if sorted.len() == 1 {
         return sorted[0];
     }
@@ -93,20 +93,27 @@ fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 /// zeros (the paper merges only non-empty groups; zero-features keep empty
 /// edge cases well-defined).
 pub fn sfe(values: &[f64]) -> SfeFeatures {
-    let n = values.len();
+    sfe_in_place(&mut values.to_vec())
+}
+
+/// [`sfe`] of a buffer the caller gives up to be sorted. Every statistic is
+/// taken over the sorted values, so arrival order is immaterial; amounts are
+/// non-negative and finite, so equal values are the same bits and the
+/// unstable sort is invisible too.
+fn sfe_in_place(sorted: &mut [f64]) -> SfeFeatures {
+    let n = sorted.len();
     if n == 0 {
         return SfeFeatures::default();
     }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN values"));
+    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("non-NaN values"));
     let min = sorted[0];
     let max = sorted[n - 1];
     let sum: f64 = sorted.iter().sum();
     let mean = sum / n as f64;
     let range = max - min;
     let mid_range = (max + min) / 2.0;
-    let p75 = percentile_sorted(&sorted, 75.0);
-    let median = percentile_sorted(&sorted, 50.0);
+    let p75 = percentile_sorted(sorted, 75.0);
+    let median = percentile_sorted(sorted, 50.0);
     let variance = sorted.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
     let std_dev = variance.sqrt();
     let mad = sorted.iter().map(|v| (v - mean).abs()).sum::<f64>() / n as f64;
@@ -134,6 +141,34 @@ pub fn sfe(values: &[f64]) -> SfeFeatures {
         max, min, sum, mean, n as f64, range, mid_range, p75, variance, std_dev, mad, coef_var,
         kurtosis, skewness, tilt,
     ])
+}
+
+/// Seed the SFE of every node in `nodes` from the transfer values incident
+/// to it, one `(index into nodes, value)` per edge endpoint — the one place
+/// features come from, in Stage 1 (every edge, both endpoints) and for the
+/// hyper nodes of Stages 2–3 (the edges a group merges). A counting pass
+/// groups the values by node into one buffer and each range is sorted where
+/// it lies; a node nothing is incident to gets the zeros of `sfe(&[])`.
+pub(crate) fn seed_sfe(nodes: &mut [Node], incident: impl Iterator<Item = (usize, f64)> + Clone) {
+    let mut ends = vec![0usize; nodes.len() + 1];
+    for (node, _) in incident.clone() {
+        ends[node + 1] += 1;
+    }
+    for i in 0..nodes.len() {
+        ends[i + 1] += ends[i];
+    }
+    // `ends[i]` is where node i's range starts; filling advances it to where
+    // the range ends, which is where node i + 1's starts.
+    let mut values = vec![0.0; ends[nodes.len()]];
+    for (node, value) in incident {
+        values[ends[node]] = value;
+        ends[node] += 1;
+    }
+    let mut start = 0;
+    for (node, &end) in nodes.iter_mut().zip(&ends) {
+        node.sfe = sfe_in_place(&mut values[start..end]);
+        start = end;
+    }
 }
 
 #[cfg(test)]

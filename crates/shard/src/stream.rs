@@ -360,9 +360,6 @@ impl Default for SupervisionConfig {
 pub enum SpawnMode {
     /// Fresh followers at height 0; an existing journal file is truncated.
     Fresh,
-    /// Strict restore from each shard's snapshot — any failure is an
-    /// error (legacy restart path, no journal replay).
-    Restore,
     /// Crash recovery: newest valid snapshot generation per shard
     /// (corrupt ones quarantined), then replay of the shared journal tail.
     Recover,
@@ -436,18 +433,6 @@ impl ShardedFollower {
         count: u32,
     ) -> Result<Self, ShardStreamError> {
         Self::with_defaults(artifact, cfg, count, SpawnMode::Fresh)
-    }
-
-    /// As [`ShardedFollower::new`], but every worker restores from its
-    /// per-shard snapshot instead of starting empty; any restore failure
-    /// is an error (use [`ShardedFollower::recover`] for fallback
-    /// semantics).
-    pub fn restore(
-        artifact: Arc<ModelArtifact>,
-        cfg: FollowerConfig,
-        count: u32,
-    ) -> Result<Self, ShardStreamError> {
-        Self::with_defaults(artifact, cfg, count, SpawnMode::Restore)
     }
 
     /// Crash recovery: each worker restores its newest valid snapshot
@@ -948,13 +933,6 @@ fn spawn_worker(
         .spawn(move || {
             let built = match mode {
                 SpawnMode::Fresh => Follower::new(&artifact, shard_cfg).map_err(|e| e.to_string()),
-                SpawnMode::Restore => shard_cfg
-                    .snapshot_path
-                    .clone()
-                    .ok_or_else(|| "restore requires a snapshot path".to_string())
-                    .and_then(|p| {
-                        Follower::restore(&artifact, shard_cfg, &p).map_err(|e| e.to_string())
-                    }),
                 SpawnMode::Recover => Follower::recover(&artifact, shard_cfg)
                     .map(|recovery| recovery.follower)
                     .map_err(|e| e.to_string()),

@@ -276,6 +276,7 @@ impl Follower {
         );
         let start = Instant::now();
         let construction = self.clf.config().construction.clone();
+        let mut seen = HashSet::new();
         for tx in &block.txs {
             let view = TxView {
                 txid: tx.txid,
@@ -286,7 +287,7 @@ impl Follower {
             // Same dedup rule as Chain::append's address index: each address
             // joins the tx history once, on first appearance, inputs before
             // outputs — histories stay byte-identical to Dataset::from_chain.
-            let mut seen = HashSet::new();
+            seen.clear();
             for addr in tx
                 .inputs
                 .iter()

@@ -153,7 +153,7 @@ fn sharded_snapshot_restart_resume_is_byte_identical() {
         // Fresh workers restore from their own files and resume over the
         // whole chain — the overlapping prefix must be skipped.
         let mut resumed =
-            ShardedFollower::restore(Arc::clone(&artifact), follower_cfg, shards).unwrap();
+            ShardedFollower::recover(Arc::clone(&artifact), follower_cfg, shards).unwrap();
         for b in &blocks {
             resumed.step(b.clone()).unwrap();
         }
