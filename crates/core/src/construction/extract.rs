@@ -24,7 +24,8 @@ pub fn extract_original_graphs(record: &AddressRecord, slice_size: usize) -> Vec
 
 /// Stage 1's one step, batch or incremental. Opens a slice when there is
 /// none or the last holds `slice_size` transactions (`addr_node` restarts as
-/// its address → node map), then appends the transaction's node, a node for
+/// its address → node map; it is numbered after the last, so `slices` may be
+/// a suffix of the history's), then appends the transaction's node, a node for
 /// every address the slice sees for the first time (inputs before outputs)
 /// and an edge per entry. Features wait for [`seed_slice`].
 pub(crate) fn push_tx(
@@ -39,7 +40,7 @@ pub(crate) fn push_tx(
         addr_node.insert(focus, 0);
         slices.push(AddressGraph {
             focus,
-            slice_index: slices.len(),
+            slice_index: slices.last().map_or(0, |g| g.slice_index + 1),
             start_timestamp: tx.timestamp,
             num_txs: 0,
             nodes: vec![Node::new(NodeKind::Focus, Some(focus))],

@@ -11,11 +11,11 @@
 //!   seeded from its edge list when the slice is next observed. The result is
 //!   asserted **byte-identical** to [`extract_original_graphs`] (see
 //!   [`graphs_identical`] and `crates/core/tests/incremental_properties.rs`).
-//! * Compression and augmentation are pure per-slice functions, so derived
-//!   (compressed + augmented) graphs for *frozen* slices — every slice but
-//!   the last — are computed once and cached. Only the growing final slice
-//!   is re-derived, bounding per-tx work by the slice size instead of the
-//!   history length.
+//! * Compression and augmentation are pure per-slice functions, so nothing
+//!   derived is kept: [`IncrementalGraphs::graphs`] derives the retained
+//!   slices and hands them over. A caller that keeps what it read from a
+//!   frozen slice (the follower: its embedding) drops the raw graph with
+//!   [`IncrementalGraphs::forget_frozen`].
 //! * [`FocusAggregates`] keeps O(1)-updatable scalar feature aggregates
 //!   (flows, event counts, activity span) for cheap gating and telemetry.
 //!
@@ -40,16 +40,13 @@ pub struct IncrementalGraphs {
     focus: Address,
     cfg: ConstructionConfig,
     num_txs: usize,
-    /// Raw (uncompressed) slice graphs; only the last one can still grow.
+    /// Raw (uncompressed) graphs of the retained slices — a suffix of the
+    /// history's slices; only the last one can still grow.
     raw: Vec<AddressGraph>,
     /// Leading `raw` entries whose SFE features match their edge list.
     seeded_clean: usize,
     /// Address → node index for the *current* (last) slice.
     addr_node: HashMap<Address, usize>,
-    /// Compressed + augmented graphs, lazily derived from `raw`.
-    derived: Vec<AddressGraph>,
-    /// Leading `derived` entries known to match their raw slice.
-    derived_clean: usize,
 }
 
 impl IncrementalGraphs {
@@ -62,13 +59,15 @@ impl IncrementalGraphs {
             raw: Vec::new(),
             seeded_clean: 0,
             addr_node: HashMap::new(),
-            derived: Vec::new(),
-            derived_clean: 0,
         }
     }
 
     /// Build incremental state by replaying an existing history.
-    pub fn from_history(focus: Address, txs: &[TxView], cfg: ConstructionConfig) -> Self {
+    pub fn from_history<'a>(
+        focus: Address,
+        txs: impl IntoIterator<Item = &'a TxView>,
+        cfg: ConstructionConfig,
+    ) -> Self {
         let mut inc = Self::new(focus, cfg);
         for tx in txs {
             inc.apply_tx(tx);
@@ -76,40 +75,31 @@ impl IncrementalGraphs {
         inc
     }
 
-    pub fn focus(&self) -> Address {
-        self.focus
-    }
-
-    pub fn config(&self) -> &ConstructionConfig {
-        &self.cfg
-    }
-
     /// Transactions applied so far.
     pub fn num_txs(&self) -> usize {
         self.num_txs
     }
 
-    /// Slices so far (the last may be partial).
+    /// Slices so far (the last may be partial), forgotten ones included.
     pub fn num_slices(&self) -> usize {
-        self.raw.len()
+        self.num_txs.div_ceil(self.cfg.slice_size)
     }
 
     /// Append one transaction: the batch extractor's own step, so raw graphs
     /// stay byte-identical to
     /// [`extract_original_graphs`](crate::construction::extract_original_graphs)
-    /// once seeded. The slice it lands in is no longer seeded nor derived.
+    /// once seeded. The slice it lands in is no longer seeded.
     pub fn apply_tx(&mut self, tx: &TxView) {
         let (focus, slice_size) = (self.focus, self.cfg.slice_size);
         push_tx(&mut self.raw, &mut self.addr_node, focus, slice_size, tx);
         self.num_txs += 1;
         let open = self.raw.len() - 1;
         self.seeded_clean = self.seeded_clean.min(open);
-        self.derived_clean = self.derived_clean.min(open);
     }
 
-    /// The raw (uncompressed) slice graphs — stage-1 output. Seeds the SFE
-    /// features of the slices that grew since they were last observed, so a
-    /// frozen slice is seeded once.
+    /// The retained raw (uncompressed) slice graphs — stage-1 output. Seeds
+    /// the SFE features of the slices that grew since they were last
+    /// observed, so a frozen slice is seeded once.
     pub fn raw_graphs(&mut self) -> &[AddressGraph] {
         for g in &mut self.raw[self.seeded_clean..] {
             seed_slice(g);
@@ -118,34 +108,23 @@ impl IncrementalGraphs {
         &self.raw
     }
 
-    /// The derived (compressed + augmented, per config) slice graphs —
-    /// equal to `construct_address_graphs(record, cfg).0` over the applied
-    /// history. Frozen slices are served from cache; only slices dirtied
-    /// since the last call are re-derived.
-    pub fn graphs(&mut self) -> &[AddressGraph] {
+    /// The derived (compressed + augmented, per config) graphs of the
+    /// retained slices — equal to `construct_address_graphs(record, cfg).0`
+    /// over the applied history, from the first retained `slice_index` on.
+    /// Derived on every call: a slice is wanted again exactly when a
+    /// transaction landed in it, which would have invalidated a kept copy.
+    pub fn graphs(&mut self) -> Vec<AddressGraph> {
         self.raw_graphs();
-        self.derived.truncate(self.derived_clean);
-        for raw in &self.raw[self.derived_clean..] {
-            let derived = derive_slice(&self.cfg, raw, &mut StageTimings::default());
-            self.derived.push(derived);
-        }
-        self.derived_clean = self.raw.len();
-        &self.derived
+        let derive = |raw| derive_slice(&self.cfg, raw, &mut StageTimings::default());
+        self.raw.iter().map(derive).collect()
     }
 
-    /// The derived graphs as of the last [`IncrementalGraphs::graphs`]
-    /// call, through a shared borrow — so a caller can hold the slices of
-    /// many addresses at once.
-    ///
-    /// # Panics
-    /// Panics if transactions were applied since that call.
-    pub fn derived_graphs(&self) -> &[AddressGraph] {
-        assert_eq!(
-            (self.derived_clean, self.derived.len()),
-            (self.raw.len(), self.raw.len()),
-            "derived_graphs() before graphs() re-derived the applied history"
-        );
-        &self.derived
+    /// Drop the raw graph of every retained slice but the open (last) one:
+    /// a later transaction lands in it or opens the one numbered after it.
+    pub fn forget_frozen(&mut self) {
+        let frozen = self.raw.len().saturating_sub(1);
+        self.raw.drain(..frozen);
+        self.seeded_clean = self.seeded_clean.saturating_sub(frozen);
     }
 }
 
@@ -256,7 +235,7 @@ impl FocusAggregates {
         }
     }
 
-    pub fn from_history(focus: Address, txs: &[TxView]) -> Self {
+    pub fn from_history<'a>(focus: Address, txs: impl IntoIterator<Item = &'a TxView>) -> Self {
         let mut agg = Self::default();
         for tx in txs {
             agg.apply_tx(focus, tx);
@@ -329,7 +308,7 @@ mod tests {
         }
         let raw_batch = crate::construction::extract::extract_original_graphs(&rec, cfg.slice_size);
         graphs_identical(inc.raw_graphs(), &raw_batch).expect("raw graphs identical");
-        graphs_identical(inc.graphs(), &batch).expect("derived graphs identical");
+        graphs_identical(&inc.graphs(), &batch).expect("derived graphs identical");
     }
 
     #[test]
@@ -376,7 +355,7 @@ mod tests {
             for tx in &rec.txs {
                 inc.apply_tx(tx);
             }
-            graphs_identical(inc.graphs(), &batch)
+            graphs_identical(&inc.graphs(), &batch)
                 .unwrap_or_else(|e| panic!("address {:?}: {e}", rec.address));
         }
     }
@@ -407,9 +386,9 @@ mod tests {
             graphs_identical(inc.raw_graphs(), &raw_batch)
                 .unwrap_or_else(|e| panic!("raw prefix {}: {e}", i + 1));
             let (batch, _) = construct_address_graphs(&rec, &cfg);
-            graphs_identical(inc.graphs(), &batch)
+            graphs_identical(&inc.graphs(), &batch)
                 .unwrap_or_else(|e| panic!("prefix {}: {e}", i + 1));
-            graphs_identical(unobserved.graphs(), &batch)
+            graphs_identical(&unobserved.graphs(), &batch)
                 .unwrap_or_else(|e| panic!("clone at prefix {}: {e}", i + 1));
         }
     }
@@ -433,7 +412,7 @@ mod tests {
             step.apply_tx(tx);
         }
         let mut whole = IncrementalGraphs::from_history(Address(0), &txs, cfg);
-        graphs_identical(whole.graphs(), step.graphs()).unwrap();
+        graphs_identical(&whole.graphs(), &step.graphs()).unwrap();
     }
 
     #[test]
@@ -445,12 +424,12 @@ mod tests {
         };
         let mut a = IncrementalGraphs::from_history(Address(0), &txs, cfg.clone());
         let mut b = IncrementalGraphs::from_history(Address(0), &txs[..5], cfg);
-        let err = graphs_identical(a.graphs(), b.graphs());
+        let err = graphs_identical(&a.graphs(), &b.graphs());
         assert!(err.is_err());
         let mut c = a.clone();
-        let ga = a.graphs().to_vec();
+        let ga = a.graphs();
         let gc = c.graphs();
-        assert_eq!(graphs_identical(&ga, gc), Ok(()));
+        assert_eq!(graphs_identical(&ga, &gc), Ok(()));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! `threads = 1`.
 
 use numnet::{Matrix, Param};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Install `values` into `params` positionally (loading trained weights into
@@ -74,13 +75,15 @@ pub struct GradPool<'a> {
     example_grad: &'a (dyn Fn(usize) -> (f32, Vec<Matrix>) + Sync),
     /// Empty when the driver computes inline.
     job_txs: Vec<Sender<Job>>,
-    results: Receiver<(usize, f32, Vec<Matrix>)>,
+    /// `(slot, loss, gradients)`, or the panic that ended a worker.
+    results: Receiver<std::thread::Result<(usize, f32, Vec<Matrix>)>>,
 }
 
 impl GradPool<'_> {
     /// Per-example losses and the index-ordered gradient sum for one
     /// minibatch. Returns only once every example of the batch is done, so
-    /// the caller may step the optimiser before the next call.
+    /// the caller may step the optimiser before the next call. A panic in
+    /// `example_grad` on a worker resumes here, on the driver.
     pub fn batch_grads(&mut self, indices: &[usize]) -> BatchGrads {
         if self.job_txs.is_empty() {
             return reduce_in_order(indices.iter().map(|&i| (self.example_grad)(i)));
@@ -100,11 +103,10 @@ impl GradPool<'_> {
         let mut slots: Vec<Option<(f32, Vec<Matrix>)>> = Vec::new();
         slots.resize_with(indices.len(), || None);
         for _ in 0..indices.len() {
-            let (slot, loss, grads) = self
-                .results
-                .recv()
-                .expect("training worker panicked mid-batch");
-            slots[slot] = Some((loss, grads));
+            match self.results.recv().expect("workers outlive the pool") {
+                Ok((slot, loss, grads)) => slots[slot] = Some((loss, grads)),
+                Err(payload) => resume_unwind(payload),
+            }
         }
         reduce_in_order(slots.into_iter().map(|s| s.expect("slot filled")))
     }
@@ -132,8 +134,13 @@ pub fn with_grad_pool<T>(
                 scope.spawn(move || {
                     for items in rx {
                         for (slot, idx) in items {
-                            let (loss, grads) = example_grad(idx);
-                            if res_tx.send((slot, loss, grads)).is_err() {
+                            // Idle workers keep `res_tx` open, so a panic
+                            // that only unwound this thread would leave the
+                            // driver in `recv` forever: send it the payload.
+                            let result = catch_unwind(AssertUnwindSafe(|| example_grad(idx)))
+                                .map(|(loss, grads)| (slot, loss, grads));
+                            let ended = result.is_err();
+                            if res_tx.send(result).is_err() || ended {
                                 return;
                             }
                         }
@@ -230,6 +237,37 @@ mod tests {
             },
         );
         assert_eq!(out, (vec![2.0, 2.0], vec![20.0, 20.0]));
+    }
+
+    /// Example 5 of 8 panics on one of 4 workers while the other three idle
+    /// on their job channels. Run on a helper thread and awaited with a
+    /// timeout, so a driver left blocked in `recv` fails this test instead
+    /// of hanging the suite.
+    #[test]
+    fn worker_panic_resumes_on_the_driver_instead_of_hanging() {
+        let (done_tx, done_rx) = channel();
+        std::thread::spawn(move || {
+            let w = Param::new(Matrix::from_vec(1, 1, vec![2.0]));
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                with_grad_pool(
+                    4,
+                    |i| {
+                        assert_ne!(i, 5, "example 5 is poisoned");
+                        scalar_grad(&w, i)
+                    },
+                    |pool| pool.batch_grads(&[0, 1, 2, 3, 4, 5, 6, 7]).losses,
+                )
+            }));
+            let _ = done_tx.send(outcome.map_err(|p| p.downcast_ref::<String>().cloned()));
+        });
+        let outcome = done_rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("batch_grads hung after a worker panicked");
+        let message = outcome.expect_err("the worker's panic must reach the driver");
+        assert!(
+            message.is_some_and(|m| m.contains("example 5 is poisoned")),
+            "the driver resumes the worker's own payload"
+        );
     }
 
     #[test]

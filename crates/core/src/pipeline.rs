@@ -230,15 +230,12 @@ impl BaClassifier {
     /// [`BaClassifier::embed_graph`] over `gs` bit for bit, at any thread
     /// count. This is the batched re-embed stage streaming reclassification
     /// fans its dirty slices through.
-    ///
-    /// Graphs may be owned or borrowed (`&[AddressGraph]` or
-    /// `&[&AddressGraph]`): a caller gathering slices from many owners
-    /// passes references and clones nothing.
-    pub fn embed_graphs<G>(&self, graphs: &[G], threads: usize) -> Vec<Matrix>
-    where
-        G: std::borrow::Borrow<crate::construction::AddressGraph> + Sync,
-    {
-        parallel_map(threads, graphs, |g| self.embed_graph(g.borrow()))
+    pub fn embed_graphs(
+        &self,
+        graphs: &[crate::construction::AddressGraph],
+        threads: usize,
+    ) -> Vec<Matrix> {
+        parallel_map(threads, graphs, |g| self.embed_graph(g))
     }
 
     /// Predict the behavior label of one address.
@@ -639,8 +636,7 @@ mod tests {
                 assert_eq!(a.as_slice(), b.as_slice(), "threads={threads}");
             }
         }
-        let none: [&crate::construction::AddressGraph; 0] = [];
-        assert!(clf.embed_graphs(&none, 4).is_empty());
+        assert!(clf.embed_graphs(&[], 4).is_empty());
     }
 
     #[test]

@@ -92,7 +92,7 @@ proptest! {
             inc.apply_tx(tx);
         }
         let (batch, _) = construct_address_graphs(&record, &cfg);
-        prop_assert_eq!(graphs_identical(inc.graphs(), &batch), Ok(()));
+        prop_assert_eq!(graphs_identical(&inc.graphs(), &batch), Ok(()));
     }
 
     #[test]
@@ -114,11 +114,49 @@ proptest! {
                     txs: record.txs[..=i].to_vec(),
                 };
                 let (batch, _) = construct_address_graphs(&prefix, &cfg);
-                prop_assert_eq!(graphs_identical(inc.graphs(), &batch), Ok(()));
+                prop_assert_eq!(graphs_identical(&inc.graphs(), &batch), Ok(()));
             }
         }
         let (full, _) = construct_address_graphs(&record, &cfg);
-        prop_assert_eq!(graphs_identical(inc.graphs(), &full), Ok(()));
+        prop_assert_eq!(graphs_identical(&inc.graphs(), &full), Ok(()));
+    }
+
+    #[test]
+    fn forgetting_frozen_slices_keeps_the_suffix_identical(
+        record in history_strategy(),
+        slice in 1usize..9,
+        forget_at in proptest::collection::vec(any::<bool>(), 40),
+        read_at in proptest::collection::vec(any::<bool>(), 40),
+    ) {
+        // The follower forgets an address's frozen slices after every tick.
+        // What is retained must stay the batch path's slices from the first
+        // retained index on — whether or not the open slice had been seeded
+        // when its predecessors went — and the counts still cover everything.
+        let cfg = ConstructionConfig { slice_size: slice, ..Default::default() };
+        let mut inc = IncrementalGraphs::new(record.address, cfg.clone());
+        let mut first = 0;
+        for (i, tx) in record.txs.iter().enumerate() {
+            inc.apply_tx(tx);
+            if forget_at[i] {
+                inc.forget_frozen();
+                first = i / slice;
+            }
+            prop_assert_eq!(inc.num_txs(), i + 1);
+            prop_assert_eq!(inc.num_slices(), (i + 1).div_ceil(slice));
+            if !read_at[i] && i + 1 < record.txs.len() {
+                continue;
+            }
+            let prefix = AddressRecord {
+                address: record.address,
+                label: record.label,
+                txs: record.txs[..=i].to_vec(),
+            };
+            let raw_batch = extract_original_graphs(&prefix, slice);
+            prop_assert_eq!(inc.raw_graphs()[0].slice_index, first);
+            prop_assert_eq!(graphs_identical(inc.raw_graphs(), &raw_batch[first..]), Ok(()));
+            let (batch, _) = construct_address_graphs(&prefix, &cfg);
+            prop_assert_eq!(graphs_identical(&inc.graphs(), &batch[first..]), Ok(()));
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The chain follower: per-address incremental state and live
 //! reclassification.
 //!
-//! The follower consumes blocks in height order and maintains, for every
-//! tracked address, an append-only transaction history plus the incremental
-//! derived state from [`baclassifier::construction::incremental`] — slice
-//! graphs, feature aggregates, and a cache of per-slice GFN embeddings.
-//! Applying a block only touches the addresses that transacted in it; no
-//! state is ever rebuilt from scratch. Dirty addresses are pushed through
+//! The follower consumes blocks in height order and keeps each fact about a
+//! tracked address once (`AddressState`): its append-only history, running
+//! feature aggregates, one GFN embedding per slice and — once classified —
+//! the raw graph of its open slice, maintained by
+//! [`baclassifier::construction::incremental`]. Applying a block only touches
+//! the addresses that transacted in it. Dirty addresses are pushed through
 //! the classifier head on a configurable cadence, producing a continuously
 //! updated label table.
 //!
@@ -114,15 +114,19 @@ impl FollowerConfig {
 }
 
 /// Everything the follower keeps for one address.
+#[derive(Default)]
 pub(crate) struct AddressState {
-    /// Append-only transaction history, in chain order.
-    pub(crate) history: Vec<TxView>,
-    /// Incrementally maintained slice graphs.
-    pub(crate) inc: IncrementalGraphs,
+    /// Append-only transaction history, in chain order; a transaction is
+    /// one allocation however many tracked addresses it touches.
+    pub(crate) history: Vec<Arc<TxView>>,
+    /// Raw slice graphs not yet embedded, the open slice last. `None` until
+    /// the address is first reclassified (then built from `history`), so an
+    /// address under `min_txs` or just restored has none.
+    pub(crate) inc: Option<IncrementalGraphs>,
     /// Running scalar aggregates (cheap monitoring signal).
     pub(crate) agg: FocusAggregates,
-    /// Per-slice embeddings; entries `< embeds_clean` match the current
-    /// derived graphs, the rest are stale and re-embedded on demand.
+    /// Per-slice embeddings; entries `< embeds_clean` match the history,
+    /// the rest are stale or missing and re-embedded on demand.
     pub(crate) embeds: Vec<Matrix>,
     pub(crate) embeds_clean: usize,
     /// Set when the history grew since the last classification.
@@ -135,26 +139,15 @@ pub(crate) struct AddressState {
 }
 
 impl AddressState {
-    fn new(focus: Address, cfg: baclassifier::ConstructionConfig) -> Self {
-        Self {
-            history: Vec::new(),
-            inc: IncrementalGraphs::new(focus, cfg),
-            agg: FocusAggregates::default(),
-            embeds: Vec::new(),
-            embeds_clean: 0,
-            dirty: false,
-            margin: None,
+    pub(crate) fn apply(&mut self, focus: Address, view: &Arc<TxView>, slice_size: usize) {
+        self.history.push(Arc::clone(view));
+        if let Some(inc) = &mut self.inc {
+            inc.apply_tx(view);
         }
-    }
-
-    pub(crate) fn apply(&mut self, focus: Address, view: &TxView) {
-        self.history.push(view.clone());
-        self.inc.apply_tx(view);
         self.agg.apply_tx(focus, view);
         // The newest slice mutated; any embedding cached for it is stale.
-        self.embeds_clean = self
-            .embeds_clean
-            .min(self.inc.num_slices().saturating_sub(1));
+        let open = (self.history.len() - 1) / slice_size;
+        self.embeds_clean = self.embeds_clean.min(open);
         self.dirty = true;
     }
 }
@@ -193,10 +186,10 @@ impl Follower {
     }
 
     /// Mark every tracked address dirty so the next
-    /// [`Follower::reclassify_dirty`] re-embeds and re-labels all of them.
+    /// [`Follower::reclassify_dirty`] re-labels all of them, embedding only
+    /// slices with no current embedding (all after a restore, none at the tip).
     /// Recovery identity checks use this to materialize the full embedding
-    /// table (restore rebuilds embeddings lazily) before comparing against
-    /// an uninterrupted run byte for byte.
+    /// table before comparing against an uninterrupted run byte for byte.
     pub fn mark_all_dirty(&mut self) {
         for state in self.states.values_mut() {
             state.dirty = true;
@@ -275,15 +268,11 @@ impl Follower {
             "blocks must arrive in height order"
         );
         let start = Instant::now();
-        let construction = self.clf.config().construction.clone();
+        let slice_size = self.clf.config().construction.slice_size;
         let mut seen = HashSet::new();
         for tx in &block.txs {
-            let view = TxView {
-                txid: tx.txid,
-                timestamp: tx.timestamp,
-                inputs: tx.inputs.iter().map(|i| (i.address, i.value)).collect(),
-                outputs: tx.outputs.iter().map(|o| (o.address, o.value)).collect(),
-            };
+            // Made on the first tracked address the transaction touches.
+            let mut view: Option<Arc<TxView>> = None;
             // Same dedup rule as Chain::append's address index: each address
             // joins the tx history once, on first appearance, inputs before
             // outputs — histories stay byte-identical to Dataset::from_chain.
@@ -300,16 +289,21 @@ impl Follower {
                 if !self.cfg.tracks(addr) {
                     continue;
                 }
-                let state = self
-                    .states
-                    .entry(addr)
-                    .or_insert_with(|| AddressState::new(addr, construction.clone()));
+                let state = self.states.entry(addr).or_default();
                 if state.dirty {
                     // Already awaiting reclassification: this flip coalesces
                     // into the one re-embed the next cadence tick performs.
                     self.metrics.coalesced_flips += 1;
                 }
-                state.apply(addr, &view);
+                let view = view.get_or_insert_with(|| {
+                    Arc::new(TxView {
+                        txid: tx.txid,
+                        timestamp: tx.timestamp,
+                        inputs: tx.inputs.iter().map(|i| (i.address, i.value)).collect(),
+                        outputs: tx.outputs.iter().map(|o| (o.address, o.value)).collect(),
+                    })
+                });
+                state.apply(addr, view, slice_size);
                 self.metrics.tx_applications += 1;
                 if let Some(engine) = &self.engine {
                     engine.invalidate_address(addr);
@@ -321,27 +315,6 @@ impl Follower {
         self.next_height = block.height + 1;
         self.metrics.blocks_ingested += 1;
         self.metrics.ingest_time += start.elapsed();
-    }
-
-    /// Install a restored address: replay its history through the
-    /// incremental path, leaving it clean (snapshots are taken at
-    /// fully-classified points).
-    pub(crate) fn restore_address(
-        &mut self,
-        addr: Address,
-        history: Vec<TxView>,
-        label: Option<Label>,
-    ) {
-        let mut state = AddressState::new(addr, self.clf.config().construction.clone());
-        for view in &history {
-            state.inc.apply_tx(view);
-            state.agg.apply_tx(addr, view);
-        }
-        state.history = history;
-        self.states.insert(addr, state);
-        if let Some(label) = label {
-            self.labels.insert(addr, label);
-        }
     }
 
     /// Re-derive, re-embed, and reclassify every dirty address with at
@@ -412,21 +385,29 @@ impl Follower {
         // Gather. Multiple flips of an address since the last tick appear
         // here once: the dirty bit is level-triggered, and the stale range
         // `embeds_clean..` covers every slice any of those flips touched.
-        // Re-derivation needs `&mut`, so it runs first; the gather itself
-        // then borrows every member's stale graphs at once, cloning none.
+        // The derived graphs live until the embed below and no longer.
+        let construction = &self.clf.config().construction;
         let mut stale_counts: Vec<usize> = Vec::with_capacity(batch.len());
+        let mut graphs: Vec<AddressGraph> = Vec::new();
         for &(_, addr) in batch {
             let state = self.states.get_mut(&addr).expect("dirty address tracked");
             state.dirty = false;
-            stale_counts.push(state.inc.graphs().len() - state.embeds_clean);
+            let num_slices = state.history.len().div_ceil(construction.slice_size);
+            let stale = num_slices - state.embeds_clean;
+            stale_counts.push(stale);
+            if stale == 0 {
+                continue;
+            }
+            let inc = state.inc.get_or_insert_with(|| {
+                let history = state.history.iter().map(Arc::as_ref);
+                IncrementalGraphs::from_history(addr, history, construction.clone())
+            });
+            // What `inc` retains starts at or before the first stale slice.
+            let derived = inc.graphs();
+            let current = derived.len() - stale;
+            graphs.extend(derived.into_iter().skip(current));
+            inc.forget_frozen();
         }
-        let graphs: Vec<&AddressGraph> = batch
-            .iter()
-            .flat_map(|(_, addr)| {
-                let state = &self.states[addr];
-                &state.inc.derived_graphs()[state.embeds_clean..]
-            })
-            .collect();
         let total_slices = graphs.len() as u64;
 
         // Embed the whole batch across the workers, then scatter
@@ -492,12 +473,22 @@ pub(crate) mod tests {
     use super::*;
     use baclassifier::BacConfig;
     use btcsim::{BlockCursor, Dataset, SimConfig, Simulator};
+    use std::collections::HashMap;
 
     pub(crate) fn test_sim(seed: u64, blocks: u64) -> SimConfig {
         SimConfig {
             blocks,
             ..SimConfig::tiny(seed)
         }
+    }
+
+    /// `(distinct Arc<TxView> allocations, distinct txids)` over every
+    /// history: equal when each transaction is held once.
+    pub(crate) fn distinct_txs(follower: &Follower) -> (usize, usize) {
+        let views = || follower.states.values().flat_map(|s| &s.history);
+        let ptrs: HashSet<_> = views().map(Arc::as_ptr).collect();
+        let txids: HashSet<_> = views().map(|v| v.txid).collect();
+        (ptrs.len(), txids.len())
     }
 
     /// A follower can be built on one thread and run on another; this did
@@ -545,8 +536,8 @@ pub(crate) mod tests {
         let ds = Dataset::from_simulator(&sim, 1);
         for record in &ds.records {
             let state = follower.states.get(&record.address).unwrap();
-            assert_eq!(
-                state.history, record.txs,
+            assert!(
+                state.history.iter().map(Arc::as_ref).eq(&record.txs),
                 "history for {:?}",
                 record.address
             );
@@ -709,6 +700,127 @@ pub(crate) mod tests {
         let reclassified = follower.reclassify_dirty();
         assert_eq!(reclassified, follower.num_tracked());
         assert!(follower.states.values().all(|s| !s.dirty));
+    }
+
+    #[test]
+    fn restore_with_a_lower_threshold_picks_up_deferred_addresses() {
+        // The same hand-over across a snapshot: nothing qualifies when it is
+        // written, so no address has a label, and a restore under a lower
+        // `min_txs` must find every one of them still dirty.
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
+        let with_min_txs = |min_txs| FollowerConfig {
+            min_txs,
+            reclass_every: 0,
+            ..FollowerConfig::default()
+        };
+        let mut deferred = Follower::new(&artifact, with_min_txs(10_000)).unwrap();
+        let mut uninterrupted = Follower::new(&artifact, with_min_txs(1)).unwrap();
+        for block in BlockCursor::new(test_sim(41, 20)) {
+            deferred.ingest_block(&block);
+            uninterrupted.ingest_block(&block);
+        }
+        let path = std::env::temp_dir().join(format!("bstream_lowered_{}", std::process::id()));
+        deferred.snapshot_to(&path).unwrap();
+        assert!(deferred.labels().is_empty());
+        let mut restored = Follower::restore(&artifact, with_min_txs(1), &path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(restored.num_tracked() > 0);
+        assert_eq!(restored.reclassify_dirty(), restored.num_tracked());
+        uninterrupted.reclassify_dirty();
+        assert_eq!(restored.labels(), uninterrupted.labels());
+        assert!(restored.states.values().all(|s| !s.dirty));
+    }
+
+    #[test]
+    fn state_holds_each_fact_once() {
+        use baclassifier::construction::{Edge, Node};
+        use std::mem::size_of;
+
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
+        let follower_cfg = FollowerConfig {
+            reclass_every: 5,
+            ..FollowerConfig::default()
+        };
+        let mut follower = Follower::new(&artifact, follower_cfg).unwrap();
+        for block in BlockCursor::new(test_sim(42, 60)) {
+            follower.step(&block);
+        }
+        follower.reclassify_dirty();
+        let min_txs = follower.cfg.min_txs;
+        let construction = follower.clf.config().construction.clone();
+
+        let graph_bytes = |gs: &[AddressGraph]| -> usize {
+            let of = |g: &AddressGraph| {
+                size_of::<AddressGraph>()
+                    + g.nodes.len() * size_of::<Node>()
+                    + g.edges.len() * size_of::<Edge>()
+            };
+            gs.iter().map(of).sum()
+        };
+        let view_bytes = |v: &TxView| {
+            size_of::<TxView>()
+                + (v.inputs.len() + v.outputs.len()) * size_of::<(Address, btcsim::Amount)>()
+        };
+
+        // Histories + graphs as held now, and as the parent layout held the
+        // same facts: a `TxView` per application, every slice's raw graph
+        // for every address, every slice's derived graph once classified.
+        let (mut now, mut parent) = (0, 0);
+        let (mut classified, mut applications) = (0, 0);
+        for (&addr, state) in &mut follower.states {
+            applications += state.history.len();
+            now += state.history.len() * size_of::<Arc<TxView>>();
+            parent += state.history.iter().map(|v| view_bytes(v)).sum::<usize>();
+            let history = state.history.iter().map(Arc::as_ref);
+            let mut whole = IncrementalGraphs::from_history(addr, history, construction.clone());
+            parent += graph_bytes(whole.raw_graphs());
+            if state.history.len() < min_txs {
+                assert!(state.inc.is_none(), "{addr:?} is not classified yet");
+                continue;
+            }
+            parent += graph_bytes(&whole.graphs());
+            classified += 1;
+            let retained = state.inc.as_mut().expect("classified").raw_graphs();
+            assert_eq!(retained.len(), 1, "{addr:?} retains its open slice only");
+            assert_eq!(retained[0].slice_index + 1, whole.num_slices());
+            assert_eq!(state.embeds.len(), whole.num_slices());
+            now += graph_bytes(retained);
+        }
+        assert!(classified > 0 && classified < follower.num_tracked());
+
+        let (ptrs, txids) = distinct_txs(&follower);
+        assert_eq!(ptrs, txids, "one Arc<TxView> per transaction");
+        assert!(
+            txids < applications,
+            "some transaction touches two addresses"
+        );
+        let shared: HashMap<_, _> = follower
+            .states
+            .values()
+            .flat_map(|s| &s.history)
+            .map(|v| (Arc::as_ptr(v), view_bytes(v) + 2 * size_of::<usize>()))
+            .collect();
+        now += shared.values().sum::<usize>();
+
+        let tracked = follower.num_tracked();
+        println!(
+            "histories + graphs per tracked address: {} B now, {} B in the parent layout \
+             ({tracked} tracked, {classified} classified, {applications} applications of \
+             {txids} transactions)",
+            now / tracked,
+            parent / tracked
+        );
+        assert!(now * 2 <= parent, "{now} B now vs {parent} B at the parent");
+
+        // Every embedding is current: relabelling all of them embeds nothing.
+        let (labels, slices) = (
+            follower.labels.clone(),
+            follower.metrics.reclass_batch_slices,
+        );
+        follower.mark_all_dirty();
+        assert_eq!(follower.reclassify_dirty(), classified);
+        assert_eq!(follower.metrics.reclass_batch_slices, slices);
+        assert_eq!(follower.labels, labels);
     }
 
     #[test]

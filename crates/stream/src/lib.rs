@@ -8,8 +8,8 @@
 //! ```text
 //!  BlockCursor ──▶ BlockFeed (bounded channel) ──▶ Follower
 //!  (producer          │  Watermark: produced /        │ per-address
-//!   thread)           │  processed, lag, stage        │ IncrementalGraphs
-//!                     ▼  timestamps                   ▼ + embed cache
+//!   thread)           │  processed, lag, stage        │ history, open-slice
+//!                     ▼  timestamps                   ▼ graph, embeddings
 //!                backpressure                  reclassify_dirty()
 //!                                                     │
 //!                            Engine::invalidate_address◀┘──▶ label table
@@ -27,8 +27,8 @@
 //!    the [`feed::Watermark`] quantifies blocks-behind-tip at any moment.
 //! 3. **Durability.** [`Follower::snapshot_to`] checkpoints histories and
 //!    labels atomically (rotating older generations aside);
-//!    [`Follower::restore`] rebuilds all derived state and resumes from
-//!    the checkpoint height.
+//!    [`Follower::restore`] reads them back and resumes from the checkpoint
+//!    height; the next reclassification rebuilds what derives from them.
 //! 4. **Crash safety.** A [`Follower`] is pure state; the driver
 //!    (`bashard::ShardedFollower`) appends every block to a checksummed
 //!    write-ahead [`BlockJournal`] *before* any follower applies it, and

@@ -14,9 +14,10 @@
 //!
 //! Each `A` line is followed by its `num-txs` `T` lines, inputs listed
 //! before outputs. Only transaction histories and the label table are
-//! persisted — incremental graphs, aggregates, and embeddings are
-//! deterministic functions of the history and are rebuilt on restore, so
-//! the format survives changes to any derived representation. Snapshots
+//! persisted — aggregates, graphs and embeddings are deterministic
+//! functions of the history, so the format survives changes to any derived
+//! representation. A transaction is written once per tracked address it
+//! touches and interned back into one `Arc` on restore. Snapshots
 //! are written atomically (`baclassifier::write_atomic`): a crash
 //! mid-write leaves the previous snapshot intact.
 //!
@@ -35,14 +36,17 @@
 //! hash this build doesn't implement. A file with no `shard` line is the
 //! trivial 1-shard layout, so pre-sharding snapshots restore unchanged.
 
-use crate::follower::{Follower, FollowerConfig};
+use crate::follower::{AddressState, Follower, FollowerConfig};
 use crate::journal::crc32;
+use baclassifier::construction::FocusAggregates;
 use baclassifier::{
     write_atomic, ArtifactError, ModelArtifact, ShardAssignment, SHARD_HASH_VERSION,
 };
 use btcsim::{Address, Amount, Label, TxView, Txid};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Why a snapshot could not be written or read back.
 #[derive(Debug)]
@@ -341,8 +345,8 @@ impl Follower {
         Ok(())
     }
 
-    /// Rebuild a follower from a snapshot, replaying every stored history
-    /// through the incremental path. The restored follower resumes at the
+    /// Rebuild a follower from a snapshot: histories, aggregates and
+    /// labels; no graph is built. The restored follower resumes at the
     /// snapshot's height: feed it the chain from there (or an overlapping
     /// prefix — already-seen blocks are skipped).
     pub fn restore(
@@ -373,6 +377,9 @@ impl Follower {
 
         let mut follower = Follower::new(artifact, cfg).map_err(SnapshotError::Artifact)?;
         follower.next_height = header.height;
+        // Equal `T` lines are one transaction; one that differs from the
+        // first seen under its txid keeps its own copy.
+        let mut interned: HashMap<Txid, Arc<TxView>> = HashMap::new();
 
         for _ in 0..header.addresses {
             let mut toks = lines.next_line("A line")?.split_whitespace();
@@ -421,14 +428,31 @@ impl Follower {
                 if toks.next().is_some() {
                     return Err(lines.bad("trailing tokens on T line"));
                 }
-                history.push(TxView {
+                let view = TxView {
                     txid,
                     timestamp,
                     inputs,
                     outputs,
+                };
+                history.push(match interned.entry(txid) {
+                    Entry::Occupied(first) if **first.get() == view => Arc::clone(first.get()),
+                    Entry::Occupied(_) => Arc::new(view),
+                    Entry::Vacant(slot) => Arc::clone(slot.insert(Arc::new(view))),
                 });
             }
-            follower.restore_address(addr, history, label);
+            // Graphs and embeddings wait for the first reclassification.
+            // Snapshots are taken at fully-classified points, so an address
+            // without a label was deferred under `min_txs`: it stays dirty.
+            let state = AddressState {
+                agg: FocusAggregates::from_history(addr, history.iter().map(Arc::as_ref)),
+                history,
+                dirty: label.is_none(),
+                ..AddressState::default()
+            };
+            follower.states.insert(addr, state);
+            if let Some(label) = label {
+                follower.labels.insert(addr, label);
+            }
         }
         if lines.next_line("end of file").is_ok() {
             return Err(malformed(format!(
@@ -444,7 +468,7 @@ impl Follower {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::follower::tests::test_sim;
+    use crate::follower::tests::{distinct_txs, test_sim};
     use baclassifier::BacConfig;
     use btcsim::BlockCursor;
 
@@ -484,8 +508,35 @@ mod tests {
             let r = restored.states.get(addr).expect("address restored");
             assert_eq!(r.history, state.history);
             assert_eq!(r.agg, state.agg);
-            assert!(!r.dirty);
+            // Labelled addresses come back clean; one deferred under
+            // `min_txs` keeps the dirty bit the uninterrupted run holds.
+            assert_eq!(r.dirty, state.dirty);
+            assert_eq!(r.dirty, !restored.labels().contains_key(addr));
         }
+    }
+
+    #[test]
+    fn restore_shares_transactions_builds_no_graph_and_re_embeds_identically() {
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
+        let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
+        for block in BlockCursor::new(test_sim(42, 60)) {
+            follower.step(&block);
+        }
+        let path = temp_path("shared");
+        follower.snapshot_to(&path).unwrap();
+        let mut restored = Follower::restore(&artifact, FollowerConfig::default(), &path).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        let (ptrs, txids) = distinct_txs(&restored);
+        assert_eq!(ptrs, txids, "one Arc<TxView> per transaction again");
+        assert_eq!((ptrs, txids), distinct_txs(&follower));
+        assert!(restored.states.values().all(|s| s.inc.is_none()));
+        assert!(restored.states.values().all(|s| s.embeds.is_empty()));
+
+        restored.mark_all_dirty();
+        restored.reclassify_dirty();
+        assert_eq!(restored.labels(), follower.labels());
+        assert_eq!(restored.export_embeddings(), follower.export_embeddings());
     }
 
     #[test]
