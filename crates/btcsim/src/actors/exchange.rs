@@ -81,11 +81,6 @@ impl ExchangeActor {
         self.cfg.id
     }
 
-    /// Total funds under management.
-    pub fn assets(&self) -> Amount {
-        self.deposit_wallet.balance() + self.hot.balance() + self.cold.balance()
-    }
-
     fn refill_deposit_pool(&mut self, shared: &mut Shared) {
         let pool = &mut shared.dir.exchange_deposits[self.cfg.id];
         while pool.len() < self.cfg.deposit_pool_target {

@@ -87,10 +87,6 @@ impl GamblingActor {
             .collect()
     }
 
-    pub fn house_balance(&self) -> Amount {
-        self.house.balance()
-    }
-
     fn settle_payouts(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         let pending = std::mem::take(&mut self.pending_payouts);
         for (gi, amount) in pending {

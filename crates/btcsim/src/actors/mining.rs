@@ -67,10 +67,6 @@ impl MiningPoolActor {
         self.pool_reward_addr
     }
 
-    pub fn pool_balance(&self) -> Amount {
-        self.pool.balance()
-    }
-
     fn payout_round(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         let balance = self.pool.balance();
         if balance < Amount::from_btc(1.0) {

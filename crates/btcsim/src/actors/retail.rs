@@ -88,10 +88,6 @@ impl RetailActor {
             .collect()
     }
 
-    pub fn total_balance(&self) -> Amount {
-        self.users.iter().map(|w| w.balance()).sum()
-    }
-
     fn pay(
         &mut self,
         user: usize,

@@ -18,7 +18,7 @@
 //! [`numnet::io`], relying on its `params()` order-stability guarantee.
 
 use crate::config::{BacConfig, ConstructionConfig, ModelConfig};
-use crate::durable::write_atomic;
+use crate::durable::{put_u32, put_u64, write_atomic, Cursor};
 use crate::pipeline::BaClassifier;
 use numnet::{read_matrices, write_matrices, LoadError, Matrix};
 use std::fs::File;
@@ -103,14 +103,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn encode_manifest(cfg: &BacConfig) -> Vec<u8> {
     let mut m = Vec::with_capacity(96);
     put_u32(&mut m, MANIFEST_VERSION);
@@ -133,52 +125,32 @@ fn encode_manifest(cfg: &BacConfig) -> Vec<u8> {
     m
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], ArtifactError> {
-        let end = self.pos.checked_add(N).ok_or(ArtifactError::BadManifest)?;
-        if end > self.bytes.len() {
-            return Err(ArtifactError::BadManifest);
-        }
-        let mut buf = [0u8; N];
-        buf.copy_from_slice(&self.bytes[self.pos..end]);
-        self.pos = end;
-        Ok(buf)
-    }
-
-    fn u32(&mut self) -> Result<u32, ArtifactError> {
-        Ok(u32::from_le_bytes(self.take()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, ArtifactError> {
-        Ok(u64::from_le_bytes(self.take()?))
-    }
-
-    fn byte_flag(&mut self) -> Result<bool, ArtifactError> {
-        let [b] = self.take::<1>()?;
-        match b {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(ArtifactError::BadManifest),
-        }
+/// A manifest flag byte: exactly 0 or 1.
+fn byte_flag(c: &mut Cursor) -> Option<bool> {
+    match c.u8()? {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
     }
 }
 
+/// A wrong version, a short or over-long body and a flag byte that is
+/// neither 0 nor 1 are all [`ArtifactError::BadManifest`].
 fn decode_manifest(bytes: &[u8]) -> Result<BacConfig, ArtifactError> {
-    let mut c = Cursor { bytes, pos: 0 };
+    parse_manifest(bytes).ok_or(ArtifactError::BadManifest)
+}
+
+fn parse_manifest(bytes: &[u8]) -> Option<BacConfig> {
+    let mut c = Cursor::new(bytes);
     if c.u32()? != MANIFEST_VERSION {
-        return Err(ArtifactError::BadManifest);
+        return None;
     }
     let construction = ConstructionConfig {
         slice_size: c.u64()? as usize,
-        compress: c.byte_flag()?,
+        compress: byte_flag(&mut c)?,
         psi: f64::from_bits(c.u64()?),
         sigma: c.u64()? as usize,
-        augment: c.byte_flag()?,
+        augment: byte_flag(&mut c)?,
     };
     let model = ModelConfig {
         gfn_k: c.u64()? as usize,
@@ -191,10 +163,10 @@ fn decode_manifest(bytes: &[u8]) -> Result<BacConfig, ArtifactError> {
         seed: c.u64()?,
         max_slices: c.u64()? as usize,
     };
-    if c.pos != bytes.len() {
-        return Err(ArtifactError::BadManifest);
+    if c.remaining() != 0 {
+        return None;
     }
-    Ok(BacConfig {
+    Some(BacConfig {
         construction,
         model,
         // `threads` is a runtime knob, deliberately not persisted: a model
@@ -269,18 +241,13 @@ impl ModelArtifact {
             return Err(ArtifactError::ChecksumMismatch { stored, computed });
         }
 
-        let mut c = Cursor {
-            bytes: &payload,
-            pos: 0,
-        };
-        let manifest_len = c.u32()? as usize;
-        let manifest_end = c
-            .pos
-            .checked_add(manifest_len)
-            .filter(|&e| e <= payload.len())
+        let mut c = Cursor::new(&payload);
+        let manifest = c
+            .u32()
+            .and_then(|len| c.take(len as usize))
             .ok_or(ArtifactError::BadManifest)?;
-        let config = decode_manifest(&payload[c.pos..manifest_end])?;
-        let mut weights_stream = &payload[manifest_end..];
+        let config = decode_manifest(manifest)?;
+        let mut weights_stream = &payload[c.pos()..];
         let weights = read_matrices(&mut weights_stream)?;
         Ok(Self { config, weights })
     }

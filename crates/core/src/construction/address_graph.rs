@@ -98,12 +98,6 @@ impl AddressGraph {
         self.edges.len()
     }
 
-    /// Index of the focus node (always present, by construction node 0).
-    pub fn focus_node(&self) -> usize {
-        debug_assert_eq!(self.nodes[0].kind, NodeKind::Focus);
-        0
-    }
-
     /// Count nodes of a given kind.
     pub fn count_kind(&self, kind: NodeKind) -> usize {
         self.nodes.iter().filter(|n| n.kind == kind).count()

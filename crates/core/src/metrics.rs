@@ -23,10 +23,6 @@ impl ConfusionMatrix {
         Self { k, m }
     }
 
-    pub fn num_classes(&self) -> usize {
-        self.k
-    }
-
     /// Count of samples with true class `t` predicted as `p`.
     pub fn count(&self, t: usize, p: usize) -> usize {
         self.m[t * self.k + p]

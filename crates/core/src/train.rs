@@ -45,11 +45,6 @@ impl TrainLog {
         self.points.last().map_or(0.0, |p| p.test_f1)
     }
 
-    /// Best held-out weighted F1 across epochs.
-    pub fn best_f1(&self) -> f64 {
-        self.points.iter().map(|p| p.test_f1).fold(0.0, f64::max)
-    }
-
     /// Total training time.
     pub fn total_time(&self) -> Duration {
         self.points.last().map_or(Duration::ZERO, |p| p.elapsed)

@@ -34,7 +34,7 @@ use crate::frame::{write_magic, write_message, FrameReader, Hello, Message, Repl
 use baclassifier::{PredictError, ShardAssignment, SHARD_HASH_VERSION};
 use baserve::metrics::{Metrics, MetricsSnapshot};
 use baserve::{Response, ServeError, ShardLane, Ticket};
-use btcsim::{Address, AddressRecord, Label};
+use btcsim::{AddressRecord, Label};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -66,7 +66,7 @@ impl HealthSink {
 #[derive(Clone)]
 pub struct RemoteShardConfig {
     pub connect_timeout: Duration,
-    /// Default per-request deadline when the caller supplies none.
+    /// Per-request deadline, enforced on this side of the wire.
     pub request_timeout: Duration,
     /// Initial reconnect backoff; doubles per failure up to `backoff_max`.
     pub backoff: Duration,
@@ -101,14 +101,8 @@ impl Default for RemoteShardConfig {
     }
 }
 
-enum PendingReply {
-    Classify(mpsc::SyncSender<Result<Response, ServeError>>),
-    Metrics(mpsc::SyncSender<String>),
-    Invalidate(mpsc::SyncSender<u64>),
-}
-
 struct PendingEntry {
-    reply: PendingReply,
+    reply: mpsc::SyncSender<Result<Response, ServeError>>,
     deadline: Instant,
 }
 
@@ -296,48 +290,6 @@ impl RemoteShard {
         );
     }
 
-    /// Fetch the server-side metrics JSON (`None` when disconnected or
-    /// timed out).
-    pub fn remote_metrics_json(&self) -> Option<String> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        let deadline = Instant::now() + self.config.request_timeout;
-        {
-            let mut guard = lock(&self.inner);
-            let req_id = guard.next_req_id;
-            guard.next_req_id += 1;
-            guard.pending.insert(
-                req_id,
-                PendingEntry {
-                    reply: PendingReply::Metrics(tx),
-                    deadline,
-                },
-            );
-            if send_on_conn(&mut guard, req_id, &Message::MetricsReq { req_id }).is_err() {
-                return None;
-            }
-        }
-        rx.recv_timeout(self.config.request_timeout).ok()
-    }
-
-    /// Ask the remote server to stop (drains and exits its accept loop).
-    pub fn send_shutdown(&self) -> bool {
-        let mut guard = lock(&self.inner);
-        let Some(conn) = &guard.conn else {
-            return false;
-        };
-        let generation = conn.generation;
-        let mut w = &conn.write;
-        let sent = write_message(&mut w, &Message::Shutdown)
-            .and_then(|_| w.flush())
-            .is_ok();
-        if sent {
-            // The server closes the connection as it stops; reflect that
-            // promptly rather than waiting for the reader to notice.
-            disconnect_locked(&mut guard, generation, &self.metrics, &self.health);
-        }
-        sent
-    }
-
     /// Stop the lane: close the connection, settle all pending requests
     /// `WorkerFailed`, join the prober.
     pub fn shutdown(mut self) {
@@ -517,33 +469,27 @@ fn dial(
 
 /// Settle one pending entry with its result, updating client metrics.
 fn settle(entry: PendingEntry, result: Result<Response, ServeError>, metrics: &Metrics) {
-    match entry.reply {
-        PendingReply::Classify(tx) => {
-            match &result {
-                Ok(r) => {
-                    metrics.completed.fetch_add(1, Relaxed);
-                    if r.degraded {
-                        metrics.degraded.fetch_add(1, Relaxed);
-                    }
-                    if r.cache_hit {
-                        metrics.cache_hits.fetch_add(1, Relaxed);
-                    } else {
-                        metrics.cache_misses.fetch_add(1, Relaxed);
-                    }
-                    metrics.record_latency_us(r.latency.as_micros() as u64);
-                }
-                Err(ServeError::DeadlineExceeded) => {
-                    metrics.timed_out.fetch_add(1, Relaxed);
-                }
-                Err(_) => {
-                    metrics.failed.fetch_add(1, Relaxed);
-                }
+    match &result {
+        Ok(r) => {
+            metrics.completed.fetch_add(1, Relaxed);
+            if r.degraded {
+                metrics.degraded.fetch_add(1, Relaxed);
             }
-            let _ = tx.send(result);
+            if r.cache_hit {
+                metrics.cache_hits.fetch_add(1, Relaxed);
+            } else {
+                metrics.cache_misses.fetch_add(1, Relaxed);
+            }
+            metrics.record_latency_us(r.latency.as_micros() as u64);
         }
-        // Dropping the sender settles the caller's recv with an error.
-        PendingReply::Metrics(_) | PendingReply::Invalidate(_) => {}
+        Err(ServeError::DeadlineExceeded) => {
+            metrics.timed_out.fetch_add(1, Relaxed);
+        }
+        Err(_) => {
+            metrics.failed.fetch_add(1, Relaxed);
+        }
     }
+    let _ = entry.reply.send(result);
 }
 
 /// Tear down the connection for `generation` (no-op if a newer connection
@@ -607,23 +553,6 @@ fn spawn_reader(
                             settle(entry, result_of(outcome), &metrics);
                         }
                     }
-                    Message::MetricsReply { req_id, json } => {
-                        if let Some(entry) = guard.pending.remove(&req_id) {
-                            if let PendingReply::Metrics(tx) = entry.reply {
-                                let _ = tx.send(json);
-                            }
-                        }
-                    }
-                    Message::InvalidateReply {
-                        req_id,
-                        generation: cache_gen,
-                    } => {
-                        if let Some(entry) = guard.pending.remove(&req_id) {
-                            if let PendingReply::Invalidate(tx) = entry.reply {
-                                let _ = tx.send(cache_gen);
-                            }
-                        }
-                    }
                     Message::Pong { processed, .. } => {
                         drop(guard);
                         (health.beat)(processed);
@@ -671,15 +600,6 @@ fn spawn_reader(
 
 impl ShardLane for RemoteShard {
     fn submit(&self, record: AddressRecord) -> Result<Ticket, ServeError> {
-        self.submit_with_deadline(record, None)
-    }
-
-    fn submit_with_deadline(
-        &self,
-        record: AddressRecord,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
-        let timeout = deadline.unwrap_or(self.config.request_timeout);
         let mut guard = lock(&self.inner);
         self.metrics.submitted.fetch_add(1, Relaxed);
         if guard.conn.is_none() {
@@ -696,8 +616,8 @@ impl ShardLane for RemoteShard {
         guard.pending.insert(
             req_id,
             PendingEntry {
-                reply: PendingReply::Classify(tx),
-                deadline: Instant::now() + timeout,
+                reply: tx,
+                deadline: Instant::now() + self.config.request_timeout,
             },
         );
         let msg = Message::Classify {
@@ -711,30 +631,6 @@ impl ShardLane for RemoteShard {
                 Err(e)
             }
         }
-    }
-
-    fn invalidate_address(&self, addr: Address) -> u64 {
-        let (tx, rx) = mpsc::sync_channel(1);
-        {
-            let mut guard = lock(&self.inner);
-            let req_id = guard.next_req_id;
-            guard.next_req_id += 1;
-            guard.pending.insert(
-                req_id,
-                PendingEntry {
-                    reply: PendingReply::Invalidate(tx),
-                    deadline: Instant::now() + self.config.request_timeout,
-                },
-            );
-            let msg = Message::Invalidate {
-                req_id,
-                address: addr.0,
-            };
-            if send_on_conn(&mut guard, req_id, &msg).is_err() {
-                return 0;
-            }
-        }
-        rx.recv_timeout(self.config.request_timeout).unwrap_or(0)
     }
 
     fn metrics(&self) -> MetricsSnapshot {

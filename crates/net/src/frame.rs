@@ -9,7 +9,12 @@
 //! malicious length prefix is rejected before any allocation.
 //!
 //! The payload is `[u8 message-type][little-endian body]`; see [`Message`]
-//! for the catalogue. Two properties the fleet depends on:
+//! for the catalogue — the five messages a fleet sends. Types 4, 5, 8, 9
+//! and 10 once carried remote metrics, shutdown and cache invalidation;
+//! nothing ever sent them, and they now decode as
+//! `Malformed("unknown message type")` like any other unknown byte, which
+//! costs the sender its connection and nothing else. Two properties the
+//! fleet depends on:
 //!
 //! * **Self-describing errors, never panics.** Every decode failure is a
 //!   typed [`FrameError`]; the property tests in
@@ -22,27 +27,31 @@
 //!   poisoned and refuses further reads — a stream that failed a CRC has
 //!   no trustworthy frame boundary left.
 
+use baclassifier::durable::{put_u32, put_u64, Cursor};
 use std::io::{ErrorKind, Read, Write};
 
 /// Stream preamble, sent once per direction before the first frame.
 pub const MAGIC: &[u8; 8] = b"BANET v1";
 
-/// Upper bound on a frame payload. Requests and replies are tiny; metrics
-/// JSON is the largest legitimate payload and sits well under 1 MiB.
-pub const MAX_FRAME_LEN: u32 = 1 << 20;
+/// Upper bound on a frame payload. Every message is a few dozen bytes but
+/// a `Reply` carrying a [`ReplyOutcome::Reject`] reason, which is cut to
+/// fit at encode — so no legitimate frame exceeds the cap, and a server
+/// buffers at most this much per connection (× `max_connections` = 4 MiB
+/// for a default worker).
+pub const MAX_FRAME_LEN: u32 = 64 << 10;
 
-/// Message-type discriminants (first payload byte).
+/// Longest `Reject` reason that fits a frame: the cap less the `Reply`
+/// payload around it (type, `req_id`, status, string length).
+const MAX_REASON_LEN: usize = MAX_FRAME_LEN as usize - (1 + 8 + 1 + 4);
+
+/// Message-type discriminants (first payload byte). 4, 5 and 8–10 are
+/// retired and must not be reused under `BANET v1`.
 mod msg_type {
     pub const HELLO: u8 = 1;
     pub const CLASSIFY: u8 = 2;
     pub const REPLY: u8 = 3;
-    pub const METRICS_REQ: u8 = 4;
-    pub const METRICS_REPLY: u8 = 5;
     pub const PING: u8 = 6;
     pub const PONG: u8 = 7;
-    pub const SHUTDOWN: u8 = 8;
-    pub const INVALIDATE: u8 = 9;
-    pub const INVALIDATE_REPLY: u8 = 10;
 }
 
 /// Who is on the other end of a connection.
@@ -110,7 +119,8 @@ pub enum ReplyOutcome {
     DeadlineExceeded,
     BreakerOpen,
     /// Request refused before reaching an engine: unknown address, shard
-    /// ownership violation. Carries a human-readable reason.
+    /// ownership violation. Carries a human-readable reason, cut at encode
+    /// to what a frame holds.
     Reject(String),
 }
 
@@ -135,22 +145,11 @@ pub enum Message {
     Classify { req_id: u64, address: u64 },
     /// Outcome of a `Classify`.
     Reply { req_id: u64, outcome: ReplyOutcome },
-    /// Request the server's metrics snapshot.
-    MetricsReq { req_id: u64 },
-    /// Metrics snapshot as the single-line JSON `MetricsSnapshot::to_json`
-    /// renders.
-    MetricsReply { req_id: u64, json: String },
     /// Liveness probe.
     Ping { nonce: u64 },
     /// Probe answer; `processed` is the server's completed-request count,
     /// which feeds the health board's progress beat.
     Pong { nonce: u64, processed: u64 },
-    /// Ask the server to stop accepting and drain.
-    Shutdown,
-    /// Supersede cached embeddings for an address.
-    Invalidate { req_id: u64, address: u64 },
-    /// Invalidation acknowledged at this cache generation.
-    InvalidateReply { req_id: u64, generation: u64 },
 }
 
 /// Why a frame (or stream) could not be decoded.
@@ -214,74 +213,29 @@ impl FrameError {
 // Payload encode/decode (pure, byte-level — the proptest target)
 // ---------------------------------------------------------------------------
 
-fn push_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// A read past the payload's end, as this format reports it.
+fn short<T>(read: Option<T>) -> Result<T, FrameError> {
+    read.ok_or(FrameError::Malformed("payload body too short"))
 }
 
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// `s` cut to at most `max` bytes, on a char boundary.
+fn truncated(s: &str, max: usize) -> &str {
+    let mut end = s.len().min(max);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or(FrameError::Malformed("payload body too short"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(raw))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(FrameError::Malformed("payload body too short"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn string(&mut self) -> Result<String, FrameError> {
-        let len = self.u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| FrameError::Malformed("string not utf-8"))
-    }
-
-    fn finish(self) -> Result<(), FrameError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(FrameError::Malformed("trailing bytes after payload body"))
-        }
-    }
-}
-
-fn push_string(buf: &mut Vec<u8>, s: &str) {
-    push_u32(buf, s.len() as u32);
+fn put_string(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
+}
+
+fn read_string(c: &mut Cursor) -> Result<String, FrameError> {
+    let len = short(c.u32())? as usize;
+    let raw = short(c.take(len))?;
+    String::from_utf8(raw.to_vec()).map_err(|_| FrameError::Malformed("string not utf-8"))
 }
 
 impl Message {
@@ -292,18 +246,18 @@ impl Message {
             Message::Hello(h) => {
                 buf.push(msg_type::HELLO);
                 buf.push(h.role.to_byte());
-                push_u32(&mut buf, h.shard_index);
-                push_u32(&mut buf, h.shard_count);
-                push_u32(&mut buf, h.hash_version);
+                put_u32(&mut buf, h.shard_index);
+                put_u32(&mut buf, h.shard_count);
+                put_u32(&mut buf, h.hash_version);
             }
             Message::Classify { req_id, address } => {
                 buf.push(msg_type::CLASSIFY);
-                push_u64(&mut buf, *req_id);
-                push_u64(&mut buf, *address);
+                put_u64(&mut buf, *req_id);
+                put_u64(&mut buf, *address);
             }
             Message::Reply { req_id, outcome } => {
                 buf.push(msg_type::REPLY);
-                push_u64(&mut buf, *req_id);
+                put_u64(&mut buf, *req_id);
                 match outcome {
                     ReplyOutcome::Ok {
                         label_index,
@@ -321,7 +275,7 @@ impl Message {
                             flags |= 2;
                         }
                         buf.push(flags);
-                        push_u64(&mut buf, *latency_us);
+                        put_u64(&mut buf, *latency_us);
                     }
                     ReplyOutcome::QueueFull => buf.push(status::QUEUE_FULL),
                     ReplyOutcome::ShuttingDown => buf.push(status::SHUTTING_DOWN),
@@ -332,38 +286,18 @@ impl Message {
                     ReplyOutcome::BreakerOpen => buf.push(status::BREAKER_OPEN),
                     ReplyOutcome::Reject(reason) => {
                         buf.push(status::REJECT);
-                        push_string(&mut buf, reason);
+                        put_string(&mut buf, truncated(reason, MAX_REASON_LEN));
                     }
                 }
             }
-            Message::MetricsReq { req_id } => {
-                buf.push(msg_type::METRICS_REQ);
-                push_u64(&mut buf, *req_id);
-            }
-            Message::MetricsReply { req_id, json } => {
-                buf.push(msg_type::METRICS_REPLY);
-                push_u64(&mut buf, *req_id);
-                push_string(&mut buf, json);
-            }
             Message::Ping { nonce } => {
                 buf.push(msg_type::PING);
-                push_u64(&mut buf, *nonce);
+                put_u64(&mut buf, *nonce);
             }
             Message::Pong { nonce, processed } => {
                 buf.push(msg_type::PONG);
-                push_u64(&mut buf, *nonce);
-                push_u64(&mut buf, *processed);
-            }
-            Message::Shutdown => buf.push(msg_type::SHUTDOWN),
-            Message::Invalidate { req_id, address } => {
-                buf.push(msg_type::INVALIDATE);
-                push_u64(&mut buf, *req_id);
-                push_u64(&mut buf, *address);
-            }
-            Message::InvalidateReply { req_id, generation } => {
-                buf.push(msg_type::INVALIDATE_REPLY);
-                push_u64(&mut buf, *req_id);
-                push_u64(&mut buf, *generation);
+                put_u64(&mut buf, *nonce);
+                put_u64(&mut buf, *processed);
             }
         }
         buf
@@ -373,23 +307,23 @@ impl Message {
     /// failure is a [`FrameError::Malformed`], never a panic.
     pub fn decode(payload: &[u8]) -> Result<Message, FrameError> {
         let mut c = Cursor::new(payload);
-        let msg = match c.u8()? {
+        let msg = match short(c.u8())? {
             msg_type::HELLO => Message::Hello(Hello {
-                role: Role::from_byte(c.u8()?)?,
-                shard_index: c.u32()?,
-                shard_count: c.u32()?,
-                hash_version: c.u32()?,
+                role: Role::from_byte(short(c.u8())?)?,
+                shard_index: short(c.u32())?,
+                shard_count: short(c.u32())?,
+                hash_version: short(c.u32())?,
             }),
             msg_type::CLASSIFY => Message::Classify {
-                req_id: c.u64()?,
-                address: c.u64()?,
+                req_id: short(c.u64())?,
+                address: short(c.u64())?,
             },
             msg_type::REPLY => {
-                let req_id = c.u64()?;
-                let outcome = match c.u8()? {
+                let req_id = short(c.u64())?;
+                let outcome = match short(c.u8())? {
                     status::OK => {
-                        let label_index = c.u8()?;
-                        let flags = c.u8()?;
+                        let label_index = short(c.u8())?;
+                        let flags = short(c.u8())?;
                         if flags & !3 != 0 {
                             return Err(FrameError::Malformed("unknown reply flags"));
                         }
@@ -397,7 +331,7 @@ impl Message {
                             label_index,
                             cache_hit: flags & 1 != 0,
                             degraded: flags & 2 != 0,
-                            latency_us: c.u64()?,
+                            latency_us: short(c.u64())?,
                         }
                     }
                     status::QUEUE_FULL => ReplyOutcome::QueueFull,
@@ -407,33 +341,23 @@ impl Message {
                     status::WORKER_FAILED => ReplyOutcome::WorkerFailed,
                     status::DEADLINE_EXCEEDED => ReplyOutcome::DeadlineExceeded,
                     status::BREAKER_OPEN => ReplyOutcome::BreakerOpen,
-                    status::REJECT => ReplyOutcome::Reject(c.string()?),
+                    status::REJECT => ReplyOutcome::Reject(read_string(&mut c)?),
                     _ => return Err(FrameError::Malformed("unknown reply status")),
                 };
                 Message::Reply { req_id, outcome }
             }
-            msg_type::METRICS_REQ => Message::MetricsReq { req_id: c.u64()? },
-            msg_type::METRICS_REPLY => Message::MetricsReply {
-                req_id: c.u64()?,
-                json: c.string()?,
+            msg_type::PING => Message::Ping {
+                nonce: short(c.u64())?,
             },
-            msg_type::PING => Message::Ping { nonce: c.u64()? },
             msg_type::PONG => Message::Pong {
-                nonce: c.u64()?,
-                processed: c.u64()?,
-            },
-            msg_type::SHUTDOWN => Message::Shutdown,
-            msg_type::INVALIDATE => Message::Invalidate {
-                req_id: c.u64()?,
-                address: c.u64()?,
-            },
-            msg_type::INVALIDATE_REPLY => Message::InvalidateReply {
-                req_id: c.u64()?,
-                generation: c.u64()?,
+                nonce: short(c.u64())?,
+                processed: short(c.u64())?,
             },
             _ => return Err(FrameError::Malformed("unknown message type")),
         };
-        c.finish()?;
+        if c.remaining() != 0 {
+            return Err(FrameError::Malformed("trailing bytes after payload body"));
+        }
         Ok(msg)
     }
 }
@@ -443,8 +367,8 @@ impl Message {
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
     let payload = msg.encode();
     let mut frame = Vec::with_capacity(8 + payload.len());
-    push_u32(&mut frame, payload.len() as u32);
-    push_u32(&mut frame, bstream::crc32(&payload));
+    put_u32(&mut frame, payload.len() as u32);
+    put_u32(&mut frame, bstream::crc32(&payload));
     frame.extend_from_slice(&payload);
     frame
 }
@@ -597,10 +521,6 @@ impl<R: Read> FrameReader<R> {
     pub fn mid_frame(&self) -> bool {
         self.filled > 0
     }
-
-    pub fn get_ref(&self) -> &R {
-        &self.inner
-    }
 }
 
 #[cfg(test)]
@@ -649,25 +569,145 @@ mod tests {
         ] {
             roundtrip(Message::Reply { req_id: 7, outcome });
         }
-        roundtrip(Message::MetricsReq { req_id: 9 });
-        roundtrip(Message::MetricsReply {
-            req_id: 9,
-            json: "{\"submitted\":4}".to_string(),
-        });
         roundtrip(Message::Ping { nonce: 77 });
         roundtrip(Message::Pong {
             nonce: 77,
             processed: 123,
         });
-        roundtrip(Message::Shutdown);
-        roundtrip(Message::Invalidate {
-            req_id: 5,
-            address: 11,
-        });
-        roundtrip(Message::InvalidateReply {
-            req_id: 5,
-            generation: 2,
-        });
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Recorded from the build before the catalogue was cut to five: a
+    /// discriminant, a status byte or a field order that moves fails here,
+    /// and a router built then still talks to a worker built now.
+    #[test]
+    fn golden_wire_bytes() {
+        let reply = |req_id, outcome| Message::Reply { req_id, outcome };
+        let ok = |label_index, cache_hit, degraded, latency_us| ReplyOutcome::Ok {
+            label_index,
+            cache_hit,
+            degraded,
+            latency_us,
+        };
+        let golden = [
+            (
+                Message::Hello(Hello {
+                    role: Role::Worker,
+                    shard_index: 3,
+                    shard_count: 8,
+                    hash_version: 1,
+                }),
+                "0e00000014efe58d0101030000000800000001000000",
+            ),
+            (
+                Message::Classify {
+                    req_id: 0x0102_0304_0506_0708,
+                    address: 0xdead_beef,
+                },
+                "11000000b250bb20020807060504030201efbeadde00000000",
+            ),
+            (
+                reply(42, ok(2, true, false, 1234)),
+                "140000002b2a1458032a00000000000000000201d204000000000000",
+            ),
+            (
+                reply(42, ok(3, false, true, 5)),
+                "14000000c626cc76032a000000000000000003020500000000000000",
+            ),
+            (
+                reply(7, ReplyOutcome::QueueFull),
+                "0a0000002a8edb1b03070000000000000001",
+            ),
+            (
+                reply(7, ReplyOutcome::ShuttingDown),
+                "0a00000090dfd28203070000000000000002",
+            ),
+            (
+                reply(7, ReplyOutcome::NotFitted),
+                "0a00000006efd5f503070000000000000003",
+            ),
+            (
+                reply(7, ReplyOutcome::EmptyHistory),
+                "0a000000a57ab16b03070000000000000004",
+            ),
+            (
+                reply(7, ReplyOutcome::WorkerFailed),
+                "0a000000334ab61c03070000000000000005",
+            ),
+            (
+                reply(7, ReplyOutcome::DeadlineExceeded),
+                "0a000000891bbf8503070000000000000006",
+            ),
+            (
+                reply(7, ReplyOutcome::BreakerOpen),
+                "0a0000001f2bb8f203070000000000000007",
+            ),
+            (
+                reply(7, ReplyOutcome::Reject("no such address 7".to_string())),
+                "1f0000001f3cfe1103070000000000000008110000006e6f207375636820616464726573732037",
+            ),
+            (
+                Message::Ping { nonce: 99 },
+                "090000007cca77cb066300000000000000",
+            ),
+            (
+                Message::Pong {
+                    nonce: 99,
+                    processed: 42,
+                },
+                "110000001dca42910763000000000000002a00000000000000",
+            ),
+        ];
+        for (msg, want) in golden {
+            assert_eq!(hex(&encode_frame(&msg)), want, "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn retired_message_types_are_unknown() {
+        // Bodies as the retired MetricsReq, MetricsReply, Shutdown,
+        // Invalidate and InvalidateReply carried them.
+        let retired: [(u8, &[u8]); 5] = [
+            (4, &[3, 0, 0, 0, 0, 0, 0, 0]),
+            (5, &[3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, b'{', b'}']),
+            (8, &[]),
+            (9, &[4, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 0, 0, 0, 0]),
+            (10, &[4, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0]),
+        ];
+        for (ty, body) in retired {
+            let mut payload = vec![ty];
+            payload.extend_from_slice(body);
+            assert!(
+                matches!(
+                    Message::decode(&payload),
+                    Err(FrameError::Malformed("unknown message type"))
+                ),
+                "type {ty}"
+            );
+        }
+    }
+
+    #[test]
+    fn reject_reason_is_cut_to_what_a_frame_holds() {
+        let reject = |reason: String| Message::Reply {
+            req_id: 1,
+            outcome: ReplyOutcome::Reject(reason),
+        };
+        // The longest reason that fits travels whole, in a payload of
+        // exactly the cap.
+        let fits = reject("x".repeat(MAX_REASON_LEN));
+        let frame = encode_frame(&fits);
+        assert_eq!(frame.len(), 8 + MAX_FRAME_LEN as usize);
+        assert_eq!(decode_frame(&frame).unwrap().unwrap().0, fits);
+        // One byte more — a three-byte char straddling the limit — is cut
+        // back to the char boundary below it, never mid-char, never past
+        // the cap.
+        let over = reject("x".repeat(MAX_REASON_LEN - 1) + "€ and then some");
+        let (decoded, _) = decode_frame(&encode_frame(&over)).unwrap().unwrap();
+        assert_eq!(decoded, reject("x".repeat(MAX_REASON_LEN - 1)));
     }
 
     #[test]
@@ -681,15 +721,15 @@ mod tests {
     #[test]
     fn oversized_length_rejected_before_allocation() {
         let mut frame = Vec::new();
-        push_u32(&mut frame, MAX_FRAME_LEN + 1);
-        push_u32(&mut frame, 0);
+        put_u32(&mut frame, MAX_FRAME_LEN + 1);
+        put_u32(&mut frame, 0);
         frame.extend_from_slice(&[0u8; 16]);
         assert!(matches!(decode_frame(&frame), Err(FrameError::TooLarge(_))));
     }
 
     #[test]
     fn incomplete_frame_asks_for_more() {
-        let frame = encode_frame(&Message::Shutdown);
+        let frame = encode_frame(&Message::Ping { nonce: 8 });
         for cut in 0..frame.len() {
             assert!(decode_frame(&frame[..cut]).unwrap().is_none(), "cut {cut}");
         }
@@ -724,7 +764,7 @@ mod tests {
         let mut stream = Vec::new();
         stream.extend_from_slice(MAGIC);
         stream.extend_from_slice(&encode_frame(&Message::Ping { nonce: 7 }));
-        stream.extend_from_slice(&encode_frame(&Message::Shutdown));
+        stream.extend_from_slice(&encode_frame(&Message::Ping { nonce: 8 }));
         let mut reader = FrameReader::new(Trickle {
             bytes: stream,
             pos: 0,
@@ -733,7 +773,10 @@ mod tests {
             reader.read_message().unwrap(),
             Some(Message::Ping { nonce: 7 })
         );
-        assert_eq!(reader.read_message().unwrap(), Some(Message::Shutdown));
+        assert_eq!(
+            reader.read_message().unwrap(),
+            Some(Message::Ping { nonce: 8 })
+        );
         assert_eq!(reader.read_message().unwrap(), None);
     }
 
@@ -807,7 +850,7 @@ mod tests {
     fn bad_magic_rejected() {
         let mut stream = Vec::new();
         stream.extend_from_slice(b"BJRNL v1"); // right length, wrong protocol
-        stream.extend_from_slice(&encode_frame(&Message::Shutdown));
+        stream.extend_from_slice(&encode_frame(&Message::Ping { nonce: 8 }));
         let mut reader = FrameReader::new(&stream[..]);
         assert!(matches!(reader.read_message(), Err(FrameError::BadMagic)));
     }

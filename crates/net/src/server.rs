@@ -2,16 +2,15 @@
 //!
 //! [`NetServer`] owns a `TcpListener` and a [`NetBackend`] (a shard worker
 //! validating ownership, or a whole router) and serves
-//! the BANET v1 protocol: handshake, classify, metrics, health probes,
-//! cache invalidation, and remote shutdown.
+//! the BANET v1 protocol: handshake, classify, health probes.
 //!
 //! Structure per connection: the accept thread (nonblocking listener,
 //! 10 ms poll so the stop flag and the process SIGINT flag are honored)
 //! spawns one *reader* thread per connection, which handshakes and then
 //! decodes request frames; classify tickets are handed to a per-connection
 //! *writer* thread that waits on them in submission order, so slow
-//! inference never blocks frame decoding and control traffic (pings,
-//! metrics) answers immediately through a shared write-half mutex.
+//! inference never blocks frame decoding and pings answer immediately
+//! through a shared write-half mutex.
 //!
 //! Bounds and deadlines:
 //! * at most `max_connections` concurrent connections — excess accepts
@@ -22,8 +21,9 @@
 //! * writes carry `write_timeout` so one dead client cannot wedge a
 //!   writer thread forever.
 //!
-//! A `Shutdown` frame stops this server only (its local flag), never the
-//! whole process — in-process test fleets must not contaminate each other.
+//! Nothing a peer sends stops the server: it stops on [`NetServer::stop`]
+//! or the process's SIGINT. A malformed or unknown frame costs the peer its
+//! own connection.
 
 use crate::frame::{
     write_magic, write_message, FrameError, FrameReader, Hello, Message, ReplyOutcome, Role,
@@ -224,8 +224,8 @@ impl NetServer {
         self.local_addr
     }
 
-    /// Whether this server has been asked to stop (locally, remotely via a
-    /// `Shutdown` frame, or by process SIGINT).
+    /// Whether this server has been asked to stop (locally or by process
+    /// SIGINT).
     pub fn stop_requested(&self) -> bool {
         self.stop.load(Relaxed) || shutdown::shutdown_requested()
     }
@@ -238,8 +238,7 @@ impl NetServer {
         }
     }
 
-    /// Block until the server stops on its own (remote `Shutdown` frame or
-    /// SIGINT), polling every 50 ms; then join.
+    /// Block until SIGINT, polling every 50 ms; then join.
     pub fn run_to_stop(mut self) {
         while !self.stop_requested() {
             std::thread::sleep(Duration::from_millis(50));
@@ -274,7 +273,7 @@ fn accept_loop(
                 let stop = Arc::clone(&stop);
                 let open = Arc::clone(&open);
                 conns.push(std::thread::spawn(move || {
-                    let _ = serve_connection(stream, backend, &config, &stop, &open);
+                    let _ = serve_connection(stream, backend, &config, &stop);
                     open.fetch_sub(1, Relaxed);
                 }));
                 // Reap finished connection threads so the vec stays small.
@@ -298,7 +297,6 @@ fn serve_connection(
     backend: Arc<dyn NetBackend>,
     config: &NetServerConfig,
     stop: &AtomicBool,
-    open: &AtomicUsize,
 ) -> Result<(), FrameError> {
     stream.set_read_timeout(Some(config.read_tick))?;
     stream.set_write_timeout(Some(config.write_timeout))?;
@@ -393,17 +391,6 @@ fn serve_connection(
                     }
                 }
             },
-            Message::MetricsReq { req_id } => {
-                let mut snap = backend.metrics();
-                snap.connections_open = open.load(Relaxed) as u64;
-                let reply = Message::MetricsReply {
-                    req_id,
-                    json: snap.to_json(),
-                };
-                if shared.send(&reply).is_err() {
-                    break Ok(());
-                }
-            }
             Message::Ping { nonce } => {
                 let pong = Message::Pong {
                     nonce,
@@ -413,30 +400,12 @@ fn serve_connection(
                     break Ok(());
                 }
             }
-            Message::Invalidate { req_id, address } => {
-                let reply = Message::InvalidateReply {
-                    req_id,
-                    generation: backend.invalidate(address),
-                };
-                if shared.send(&reply).is_err() {
-                    break Ok(());
-                }
-            }
-            Message::Shutdown => {
-                // Stops *this server*, never the whole process: in-process
-                // test fleets share the process-wide SIGINT flag.
-                stop.store(true, Relaxed);
-                break Ok(());
-            }
             Message::Hello(_) => {
                 break Err(FrameError::Malformed("unexpected mid-stream hello"));
             }
             // Server-bound streams never carry replies; a peer that sends
             // one is confused.
-            Message::Reply { .. }
-            | Message::MetricsReply { .. }
-            | Message::Pong { .. }
-            | Message::InvalidateReply { .. } => {
+            Message::Reply { .. } | Message::Pong { .. } => {
                 break Err(FrameError::Malformed("reply frame on server stream"));
             }
         }

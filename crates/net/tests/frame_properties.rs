@@ -45,25 +45,11 @@ fn pristine() -> &'static Vec<u8> {
                 req_id: 2,
                 outcome: ReplyOutcome::Reject("shard 1 does not own address 7".into()),
             },
-            Message::MetricsReq { req_id: 3 },
-            Message::MetricsReply {
-                req_id: 3,
-                json: "{\"completed\":4}".into(),
-            },
             Message::Ping { nonce: 99 },
             Message::Pong {
                 nonce: 99,
                 processed: 42,
             },
-            Message::Invalidate {
-                req_id: 4,
-                address: 17,
-            },
-            Message::InvalidateReply {
-                req_id: 4,
-                generation: 5,
-            },
-            Message::Shutdown,
         ];
         for m in &messages {
             write_message(&mut buf, m).unwrap();

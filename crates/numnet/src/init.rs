@@ -10,12 +10,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-a..=a))
 }
 
-/// He/Kaiming uniform initialisation for ReLU networks: U(-a, a), a = sqrt(6/fan_in).
-pub fn he_uniform(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
-    let a = (6.0 / rows as f32).sqrt();
-    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-a..=a))
-}
-
 /// Uniform in a fixed range.
 pub fn uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut StdRng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(lo..=hi))

@@ -258,16 +258,6 @@ impl<'a> MatrixViewMut<'a> {
         (self.rows, self.cols)
     }
 
-    /// Re-borrow as a read-only view.
-    pub fn as_view(&self) -> MatrixView<'_> {
-        MatrixView {
-            data: self.data,
-            rows: self.rows,
-            cols: self.cols,
-            row_stride: self.row_stride,
-        }
-    }
-
     /// Borrow one row as a slice.
     pub fn row(&self, r: usize) -> &[f32] {
         debug_assert!(r < self.rows, "row index out of bounds");
@@ -744,16 +734,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             row_stride: self.cols,
-        }
-    }
-
-    /// Borrow the whole matrix as a contiguous mutable view.
-    pub fn view_mut(&mut self) -> MatrixViewMut<'_> {
-        MatrixViewMut {
-            rows: self.rows,
-            cols: self.cols,
-            row_stride: self.cols,
-            data: &mut self.data,
         }
     }
 

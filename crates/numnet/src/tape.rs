@@ -138,11 +138,6 @@ impl Param {
         self.value().shape()
     }
 
-    /// Number of scalar elements.
-    pub fn num_elements(&self) -> usize {
-        self.value().len()
-    }
-
     /// Replace the value (e.g. when loading a saved model).
     pub fn set_value(&self, value: Matrix) {
         assert_eq!(

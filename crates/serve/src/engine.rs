@@ -25,8 +25,8 @@
 //! memoized in a shared LRU keyed by `(address id, history length,
 //! generation)`: a history is append-only, so id + length uniquely identify
 //! the embedding input, and [`Engine::invalidate_address`] bumps the
-//! generation to supersede cached entries when an upstream (e.g. a streaming
-//! chain follower) changes an address's history out from under the cache.
+//! generation to supersede cached entries when an upstream changes an
+//! address's history out from under the cache.
 //! Cache hits skip straight to the cheap LSTM+MLP head. The head runs once
 //! per micro-batch ([`BaClassifier::classify_embeddings_batch`]): the whole
 //! batch goes down as one ragged-batch LSTM forward pass, which the core
@@ -510,9 +510,8 @@ impl Engine {
     /// The `(id, history_len)` key already guarantees that a *grown* history
     /// can never hit an entry cached for a shorter one. This API closes the
     /// remaining hole — a history that changed at the same length (a
-    /// corrected record, a re-orged source) — and is the hook a streaming
-    /// ingester calls when an address's history advances, so concurrent
-    /// query traffic stops accumulating entries for superseded lengths.
+    /// corrected record, a re-orged source). Only a caller holding the
+    /// engine can reach it: no lane, backend or wire message carries it.
     pub fn invalidate_address(&self, address: btcsim::Address) -> u64 {
         let generation = {
             let mut gens = recover(self.shared.generations.lock());

@@ -18,27 +18,16 @@
 
 use crate::engine::{Engine, ServeError, Ticket};
 use crate::metrics::MetricsSnapshot;
-use btcsim::{Address, AddressRecord};
-use std::time::Duration;
+use btcsim::AddressRecord;
 
 /// One shard's serving surface: submit, observe, shut down.
 pub trait ShardLane: Send + Sync {
-    /// Enqueue one request under the lane's default deadline. Must fail
+    /// Enqueue one request under the lane's own deadline (the engine's
+    /// `default_deadline`, a remote lane's `request_timeout`). Must fail
     /// fast (e.g. [`ServeError::QueueFull`]) instead of queueing
     /// unboundedly — per-lane admission is what keeps one slow shard from
     /// stalling the fleet.
     fn submit(&self, record: AddressRecord) -> Result<Ticket, ServeError>;
-
-    /// [`ShardLane::submit`] with an explicit per-request deadline.
-    fn submit_with_deadline(
-        &self,
-        record: AddressRecord,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError>;
-
-    /// Supersede any cached embeddings for `addr`; returns the new cache
-    /// generation (0 when the lane could not perform the invalidation).
-    fn invalidate_address(&self, addr: Address) -> u64;
 
     /// Point-in-time service metrics for this lane.
     fn metrics(&self) -> MetricsSnapshot;
@@ -59,18 +48,6 @@ pub trait ShardLane: Send + Sync {
 impl ShardLane for Engine {
     fn submit(&self, record: AddressRecord) -> Result<Ticket, ServeError> {
         Engine::submit(self, record)
-    }
-
-    fn submit_with_deadline(
-        &self,
-        record: AddressRecord,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
-        Engine::submit_with_deadline(self, record, deadline)
-    }
-
-    fn invalidate_address(&self, addr: Address) -> u64 {
-        Engine::invalidate_address(self, addr)
     }
 
     fn metrics(&self) -> MetricsSnapshot {
@@ -106,9 +83,7 @@ pub trait NetBackend: Send + Sync {
     /// Admit the request for simulator address `id`. Must fail fast.
     fn submit(&self, id: u64) -> Result<Ticket, WireError>;
 
-    /// Point-in-time metrics (the fleet roll-up for a router); the TCP
-    /// server overrides `connections_open` with its live connection count
-    /// before rendering.
+    /// Point-in-time metrics (the fleet roll-up for a router).
     fn metrics(&self) -> MetricsSnapshot;
 
     /// The per-shard snapshots behind [`NetBackend::metrics`], in shard
@@ -117,9 +92,6 @@ pub trait NetBackend: Send + Sync {
     fn per_shard_metrics(&self) -> Vec<MetricsSnapshot> {
         Vec::new()
     }
-
-    /// Invalidate cached state for `id`; returns the new cache generation.
-    fn invalidate(&self, id: u64) -> u64;
 
     /// Answered-request count — the progress beat carried on `Pong`.
     fn processed(&self) -> u64;

@@ -69,10 +69,6 @@ impl NetBackend for PairwiseBackend {
         vec![self.metrics(), MetricsSnapshot::default()]
     }
 
-    fn invalidate(&self, _id: u64) -> u64 {
-        0
-    }
-
     fn processed(&self) -> u64 {
         0
     }

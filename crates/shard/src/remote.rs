@@ -88,10 +88,6 @@ impl NetBackend for WorkerBackend {
         self.engine.metrics()
     }
 
-    fn invalidate(&self, id: u64) -> u64 {
-        self.engine.invalidate_address(Address(id))
-    }
-
     fn processed(&self) -> u64 {
         self.engine.processed()
     }
@@ -123,10 +119,6 @@ impl NetBackend for RouterBackend {
 
     fn per_shard_metrics(&self) -> Vec<MetricsSnapshot> {
         self.router.per_shard_metrics()
-    }
-
-    fn invalidate(&self, id: u64) -> u64 {
-        self.router.invalidate_address(Address(id))
     }
 
     fn processed(&self) -> u64 {

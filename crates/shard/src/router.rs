@@ -35,7 +35,7 @@ use baserve::{
 use btcsim::{Address, AddressRecord};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// N shared-nothing shard lanes behind one routing surface.
 pub struct ShardRouter {
@@ -170,19 +170,6 @@ impl ShardRouter {
         self.lane_for(record.address).submit(record)
     }
 
-    /// Submit with an explicit deadline to the owning shard.
-    pub fn submit_with_deadline(
-        &self,
-        record: AddressRecord,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
-        if let Some(answered) = self.route_degraded(&record) {
-            return answered;
-        }
-        self.lane_for(record.address)
-            .submit_with_deadline(record, deadline)
-    }
-
     /// Submit and wait — the one-call path.
     pub fn classify(&self, record: AddressRecord) -> Result<Response, ServeError> {
         self.submit(record)?.wait()
@@ -199,12 +186,6 @@ impl ShardRouter {
             .into_iter()
             .map(|t| t.and_then(|ticket| ticket.wait()))
             .collect()
-    }
-
-    /// Bump the owning shard's cache generation for `addr`. Returns the new
-    /// generation.
-    pub fn invalidate_address(&self, addr: Address) -> u64 {
-        self.lane_for(addr).invalidate_address(addr)
     }
 
     /// Fleet-wide metrics: per-shard snapshots rolled up with

@@ -19,7 +19,7 @@ const BLOCKS: u64 = 60;
 
 /// Every key the standalone follower binary printed in its final JSON at
 /// the commit that deleted it (`StreamMetrics::to_json`).
-const KEYS: [&str; 25] = [
+const KEYS: [&str; 24] = [
     "blocks_ingested",
     "txs_ingested",
     "tx_applications",
@@ -30,7 +30,6 @@ const KEYS: [&str; 25] = [
     "reclass_batch_addrs",
     "reclass_batch_slices",
     "priority_depth",
-    "invalidations",
     "snapshots_written",
     "snapshots_quarantined",
     "journal_frames",

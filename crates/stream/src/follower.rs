@@ -21,7 +21,6 @@ use crate::metrics::StreamMetrics;
 use baclassifier::config::resolve_threads;
 use baclassifier::construction::{AddressGraph, FocusAggregates, IncrementalGraphs};
 use baclassifier::{ArtifactError, BaClassifier, ModelArtifact, ShardAssignment};
-use baserve::Engine;
 use btcsim::{Address, Block, Label, TxView};
 use numnet::Matrix;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -156,7 +155,6 @@ impl AddressState {
 pub struct Follower {
     pub(crate) cfg: FollowerConfig,
     pub(crate) clf: BaClassifier,
-    engine: Option<Arc<Engine>>,
     pub(crate) states: BTreeMap<Address, AddressState>,
     pub(crate) labels: BTreeMap<Address, Label>,
     /// Height the next ingested block must have.
@@ -170,19 +168,11 @@ impl Follower {
         Ok(Self {
             cfg,
             clf: BaClassifier::from_artifact(artifact)?,
-            engine: None,
             states: BTreeMap::new(),
             labels: BTreeMap::new(),
             next_height: 0,
             metrics: StreamMetrics::default(),
         })
-    }
-
-    /// Attach a serving engine: every per-address state change issues a
-    /// cache invalidation so concurrent query traffic can never observe an
-    /// embedding computed from a shorter history.
-    pub fn attach_engine(&mut self, engine: Arc<Engine>) {
-        self.engine = Some(engine);
     }
 
     /// Mark every tracked address dirty so the next
@@ -305,10 +295,6 @@ impl Follower {
                 });
                 state.apply(addr, view, slice_size);
                 self.metrics.tx_applications += 1;
-                if let Some(engine) = &self.engine {
-                    engine.invalidate_address(addr);
-                    self.metrics.invalidations += 1;
-                }
             }
             self.metrics.txs_ingested += 1;
         }

@@ -26,6 +26,7 @@
 //! either, so recovered state is still a consistent prefix), `0` leaves
 //! syncing to the OS.
 
+use baclassifier::durable::{put_u32, put_u64, Cursor};
 use btcsim::{Address, Amount, Block, OutPoint, Transaction, TxIn, TxOut, Txid};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -81,14 +82,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Block codec: fixed-width LE binary, field-for-field with `btcsim` types.
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Serialize a block to the journal payload encoding.
 pub fn encode_block(block: &Block) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + block.txs.len() * 64);
@@ -114,52 +107,24 @@ pub fn encode_block(block: &Block) -> Vec<u8> {
     out
 }
 
-/// Bounds-checked little-endian cursor over a payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| format!("payload truncated at byte {}", self.pos))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-}
-
 /// Decode a journal payload back into a block. Every count is validated
 /// against the remaining payload before allocation, so a corrupt (but
 /// CRC-colliding) payload cannot request absurd memory.
 pub fn decode_block(payload: &[u8]) -> Result<Block, String> {
     let mut cur = Cursor::new(payload);
+    // A read past the end leaves the cursor where the payload ran out.
+    read_block(&mut cur).unwrap_or_else(|| Err(format!("payload truncated at byte {}", cur.pos())))
+}
+
+/// `None` is a read past the payload's end; a count the payload cannot
+/// hold and trailing bytes carry their own message.
+fn read_block(cur: &mut Cursor) -> Option<Result<Block, String>> {
     let height = cur.u64()?;
     let timestamp = cur.u64()?;
     let ntx = cur.u32()? as usize;
     // Each tx needs at least its 24-byte fixed header.
     if ntx > cur.remaining() / 24 {
-        return Err(format!("tx count {ntx} exceeds payload"));
+        return Some(Err(format!("tx count {ntx} exceeds payload")));
     }
     let mut txs = Vec::with_capacity(ntx);
     for _ in 0..ntx {
@@ -168,7 +133,7 @@ pub fn decode_block(payload: &[u8]) -> Result<Block, String> {
         let nin = cur.u32()? as usize;
         let nout = cur.u32()? as usize;
         if nin > cur.remaining() / 28 {
-            return Err(format!("input count {nin} exceeds payload"));
+            return Some(Err(format!("input count {nin} exceeds payload")));
         }
         let mut inputs = Vec::with_capacity(nin);
         for _ in 0..nin {
@@ -182,7 +147,7 @@ pub fn decode_block(payload: &[u8]) -> Result<Block, String> {
             });
         }
         if nout > cur.remaining() / 16 {
-            return Err(format!("output count {nout} exceeds payload"));
+            return Some(Err(format!("output count {nout} exceeds payload")));
         }
         let mut outputs = Vec::with_capacity(nout);
         for _ in 0..nout {
@@ -199,13 +164,16 @@ pub fn decode_block(payload: &[u8]) -> Result<Block, String> {
         });
     }
     if cur.remaining() != 0 {
-        return Err(format!("{} trailing bytes after last tx", cur.remaining()));
+        return Some(Err(format!(
+            "{} trailing bytes after last tx",
+            cur.remaining()
+        )));
     }
-    Ok(Block {
+    Some(Ok(Block {
         height,
         timestamp,
         txs,
-    })
+    }))
 }
 
 // ---------------------------------------------------------------------------

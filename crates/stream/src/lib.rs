@@ -10,9 +10,7 @@
 //!  (producer          │  Watermark: produced /        │ per-address
 //!   thread)           │  processed, lag, stage        │ history, open-slice
 //!                     ▼  timestamps                   ▼ graph, embeddings
-//!                backpressure                  reclassify_dirty()
-//!                                                     │
-//!                            Engine::invalidate_address◀┘──▶ label table
+//!                backpressure                  reclassify_dirty() ──▶ label table
 //! ```
 //!
 //! These properties make live labels trustworthy:

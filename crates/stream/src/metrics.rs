@@ -47,8 +47,6 @@ baserve::counters! {
             /// Gauge: eligible dirty addresses queued at the start of the
             /// most recent reclassification tick (priority-queue depth).
             priority_depth,
-            /// Serve-engine cache invalidations issued.
-            invalidations,
             /// Snapshots written successfully.
             snapshots_written,
             /// Corrupt snapshots renamed aside during recovery.

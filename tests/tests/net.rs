@@ -3,7 +3,7 @@
 //! same labels in the same order — and must degrade (never hang) when a
 //! worker dies, then converge back once it returns.
 //!
-//! Four properties:
+//! Five properties:
 //!
 //! 1. **Remote identity** — a `ShardRouter` whose lanes are `RemoteShard`
 //!    connections to N worker servers answers every classification with
@@ -19,9 +19,18 @@
 //! 4. **Layout handshake** — a client expecting the wrong shard index or
 //!    count never connects; misconfiguration is a refused handshake, not
 //!    a silently-misrouted fleet.
+//! 5. **No wire kill switch** — a peer that completes the handshake and
+//!    sends a retired message type (remote metrics, shutdown, cache
+//!    invalidation) loses its own connection; the server keeps serving and
+//!    its engine's cache is untouched.
 
-use baclassifier::{BacConfig, ModelArtifact, ShardAssignment, ShardMap};
-use banet::{listen_reuse, HealthSink, NetServer, NetServerConfig, RemoteShard, RemoteShardConfig};
+use baclassifier::{BacConfig, ModelArtifact, ShardAssignment, ShardMap, SHARD_HASH_VERSION};
+use banet::frame::{write_magic, write_message};
+use banet::server::NetBackend;
+use banet::{
+    listen_reuse, FrameReader, HealthSink, Hello, Message, NetServer, NetServerConfig, RemoteShard,
+    RemoteShardConfig, ReplyOutcome, Role,
+};
 use baserve::{Engine, EngineConfig, Fallback, FeatureFallback, ServeError};
 use bashard::{
     rebalance_snapshots, remote_router, shard_snapshot_path, wait_fleet_up, ShardRouter,
@@ -30,7 +39,8 @@ use bashard::{
 use bstream::FollowerConfig;
 use btcsim::{AddressRecord, Block, BlockCursor, Dataset, SimConfig, Simulator};
 use std::collections::HashMap;
-use std::net::SocketAddr;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -346,5 +356,107 @@ fn layout_handshake_refuses_a_misconfigured_client() {
         .unwrap();
     assert!(!response.degraded);
     lane.shutdown();
+    server.stop();
+}
+
+/// A hand-rolled BANET client past the handshake: the write half and a
+/// reader that has consumed the server's `Hello`.
+fn raw_client(addr: SocketAddr) -> (TcpStream, FrameReader<TcpStream>) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    write_magic(&mut stream).unwrap();
+    let hello = Message::Hello(Hello {
+        role: Role::Frontend,
+        shard_index: 0,
+        shard_count: 1,
+        hash_version: SHARD_HASH_VERSION,
+    });
+    write_message(&mut stream, &hello).unwrap();
+    let mut reader = FrameReader::new(stream.try_clone().unwrap());
+    assert!(matches!(reader.read_message(), Ok(Some(Message::Hello(_)))));
+    (stream, reader)
+}
+
+/// Classify `id` on a fresh connection: `(label_index, cache_hit)`.
+fn raw_classify(addr: SocketAddr, id: u64) -> (u8, bool) {
+    let (mut stream, mut reader) = raw_client(addr);
+    let request = Message::Classify {
+        req_id: 1,
+        address: id,
+    };
+    write_message(&mut stream, &request).unwrap();
+    match reader.read_message() {
+        Ok(Some(Message::Reply {
+            req_id: 1,
+            outcome:
+                ReplyOutcome::Ok {
+                    label_index,
+                    cache_hit,
+                    ..
+                },
+        })) => (label_index, cache_hit),
+        other => panic!("classify {id} answered {other:?}"),
+    }
+}
+
+#[test]
+fn retired_message_types_cut_the_connection_and_nothing_else() {
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let (records, by_id) = dataset(241);
+    let id = records[0].address.0;
+    let engine = Engine::new(Arc::clone(&artifact), EngineConfig::default()).unwrap();
+    let backend = Arc::new(WorkerBackend::new(
+        engine,
+        by_id,
+        ShardAssignment { index: 0, count: 1 },
+    ));
+    let listener = listen_reuse("127.0.0.1:0".parse().unwrap()).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = NetServer::spawn(
+        listener,
+        Arc::clone(&backend) as Arc<dyn NetBackend>,
+        NetServerConfig::unsharded(),
+    )
+    .unwrap();
+
+    let (label, hit) = raw_classify(addr, id);
+    assert!(!hit);
+    assert_eq!(raw_classify(addr, id), (label, true));
+
+    // Each retired type as the parent encoded it — MetricsReq,
+    // MetricsReply, Shutdown, Invalidate (of the cached address),
+    // InvalidateReply — well-formed and CRC-valid, on its own connection.
+    let u64s = |a: u64, b: u64| [a.to_le_bytes(), b.to_le_bytes()].concat();
+    let retired: [(u8, Vec<u8>); 5] = [
+        (4, 3u64.to_le_bytes().to_vec()),
+        (
+            5,
+            [&3u64.to_le_bytes()[..], &2u32.to_le_bytes(), b"{}"].concat(),
+        ),
+        (8, Vec::new()),
+        (9, u64s(4, id)),
+        (10, u64s(4, 5)),
+    ];
+    for (ty, body) in retired {
+        let (mut stream, mut reader) = raw_client(addr);
+        let payload = [&[ty][..], &body].concat();
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&bstream::crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        stream.write_all(&frame).unwrap();
+        // The server's answer is to hang up: EOF or a reset, never a frame.
+        match reader.read_message() {
+            Ok(None) => {}
+            Err(e) if !e.is_timeout() => {}
+            other => panic!("type {ty}: connection still open, read {other:?}"),
+        }
+        assert!(!server.stop_requested(), "type {ty} stopped the server");
+    }
+
+    // Same label, still from the cache under the same generation.
+    assert_eq!(backend.engine().metrics().invalidations, 0);
+    assert_eq!(raw_classify(addr, id), (label, true));
     server.stop();
 }

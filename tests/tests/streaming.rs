@@ -10,17 +10,13 @@
 //! 2. **Durability** — snapshot mid-stream, restore in a fresh process
 //!    image, resume over the remaining blocks: the restored follower ends
 //!    byte-equal (labels, histories, heights) to one that never stopped.
-//! 3. **Cache coherence** — with a serving engine attached, a history that
-//!    grows through the follower bumps the address's cache generation, so
-//!    the engine re-embeds instead of serving the pre-growth entry.
-//! 4. **Batched determinism** — the micro-batched reclassification stage
+//! 3. **Batched determinism** — the micro-batched reclassification stage
 //!    produces labels and cached embeddings byte-identical to the serial
 //!    per-address path at any `reclass_threads`, and one cadence tick
 //!    re-embeds an address once no matter how many times it flipped dirty
 //!    since the last tick.
 
 use baclassifier::{BaClassifier, BacConfig, ModelArtifact};
-use baserve::{Engine, EngineConfig};
 use bstream::{BlockFeed, Follower, FollowerConfig};
 use btcsim::{Block, BlockCursor, Dataset, SimConfig, Simulator};
 use std::sync::Arc;
@@ -224,60 +220,4 @@ fn cadence_tick_coalesces_repeated_flips_into_one_reembed() {
     // A second tick with nothing new is a no-op.
     assert_eq!(follower.reclassify_dirty(), 0);
     assert_eq!(follower.metrics().reclassifications, tracked);
-}
-
-#[test]
-fn follower_growth_invalidates_serving_cache() {
-    let cfg = sim_cfg(107, 30);
-    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
-    let engine = Arc::new(Engine::new(Arc::clone(&artifact), EngineConfig::default()).unwrap());
-
-    // Stream the first half of the chain, then extract a dataset from a
-    // second cursor stopped at the same height (same seed, same chain).
-    let blocks: Vec<Block> = BlockCursor::new(cfg.clone()).collect();
-    let (head, pending) = blocks.split_at(15);
-    let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
-    follower.attach_engine(Arc::clone(&engine));
-    for block in head {
-        follower.step(block);
-    }
-    let mut mid = BlockCursor::new(cfg);
-    for _ in 0..15 {
-        mid.next_block();
-    }
-    let labels = mid.labels();
-    let ds_mid = Dataset::from_chain(mid.simulator().chain(), &labels, 3);
-    // Pick an address that keeps transacting in the pending tail.
-    let record = ds_mid
-        .records
-        .iter()
-        .find(|r| {
-            pending.iter().any(|b| {
-                b.txs.iter().any(|tx| {
-                    tx.inputs.iter().any(|i| i.address == r.address)
-                        || tx.outputs.iter().any(|o| o.address == r.address)
-                })
-            })
-        })
-        .expect("some mid-chain address transacts again")
-        .clone();
-
-    let cold = engine.classify(record.clone()).unwrap();
-    assert!(!cold.cache_hit);
-    assert!(engine.classify(record.clone()).unwrap().cache_hit);
-
-    // Stream the rest of the chain; the follower invalidates as it applies.
-    for b in pending {
-        follower.step(b);
-    }
-    assert!(follower.metrics().invalidations > 0);
-    let snap = engine.metrics();
-    assert!(snap.invalidations > 0, "engine saw no invalidations");
-
-    // The old (pre-growth) record can no longer be served from cache.
-    let after = engine.classify(record).unwrap();
-    assert!(
-        !after.cache_hit,
-        "stale embedding served after the follower grew the history"
-    );
 }
