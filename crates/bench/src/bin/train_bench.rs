@@ -10,7 +10,7 @@
 //! workload and reports both wall-clocks. Two assertions:
 //!
 //! 1. **Byte-identity** (always): the two fits must produce byte-identical
-//!    saved weights and identical held-out predictions. This is the
+//!    artifacts and identical held-out predictions. This is the
 //!    deterministic-reduction guarantee of `baclassifier::parallel`.
 //! 2. **Speedup** (full mode, hosts with at least `--threads` cores only):
 //!    the parallel fit must be at least `--min-speedup` times faster.
@@ -38,10 +38,12 @@ fn fit_once(cfg: BacConfig, train: &Dataset) -> (BaClassifier, f64) {
     (clf, secs)
 }
 
-fn weight_bytes(clf: &BaClassifier, tag: &str) -> Vec<u8> {
+/// `save_artifact` bytes. `threads` is not persisted, so equal bytes mean
+/// equal models.
+fn artifact_bytes(clf: &BaClassifier, tag: &str) -> Vec<u8> {
     let path = std::env::temp_dir().join(format!("train_bench_{tag}_{}", std::process::id()));
-    clf.save_weights(&path).expect("save weights");
-    let bytes = std::fs::read(&path).expect("read weights back");
+    clf.save_artifact(&path).expect("save artifact");
+    let bytes = std::fs::read(&path).expect("read artifact back");
     std::fs::remove_file(&path).ok();
     bytes
 }
@@ -84,7 +86,7 @@ fn main() {
     cfg.threads = threads;
     let (pooled, parallel_s) = fit_once(cfg, &train);
 
-    let identical = weight_bytes(&serial, "serial") == weight_bytes(&pooled, "pooled");
+    let identical = artifact_bytes(&serial, "serial") == artifact_bytes(&pooled, "pooled");
     assert!(
         identical,
         "threads={threads} fit must be byte-identical to threads=1"

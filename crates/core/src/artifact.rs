@@ -11,8 +11,8 @@
 //!
 //! The manifest is a versioned fixed-order binary encoding of [`BacConfig`]
 //! — the full architecture description — so loading needs no out-of-band
-//! configuration, unlike the bare weights files of
-//! [`BaClassifier::save_weights`]. The checksum covers the whole payload;
+//! configuration. This is the workspace's one on-disk model format; there
+//! is no bare weights file beside it. The checksum covers the whole payload;
 //! a flipped bit anywhere in config or weights is detected before any model
 //! is constructed. Weights reuse the positional `NNIO` framing from
 //! [`numnet::io`], relying on its `params()` order-stability guarantee.
@@ -359,16 +359,16 @@ mod tests {
         }
     }
 
-    /// `untrained` must be the artifact the retired helper built: fresh
-    /// weights written by `save_weights` and read back from the file.
+    /// `untrained` must be the retired helper's artifact: the fresh weights
+    /// of `BaClassifier::new`, bit for bit, through a file and back.
     #[test]
     fn untrained_artifact_predicts_like_fresh_weights_saved_and_loaded() {
         let cfg = BacConfig::fast();
-        let served = BaClassifier::from_artifact(&ModelArtifact::untrained(cfg.clone())).unwrap();
+        let mut served = BaClassifier::new(cfg.clone());
+        served.mark_fitted();
         let path = tmp("untrained");
-        BaClassifier::new(cfg.clone()).save_weights(&path).unwrap();
-        let mut loaded = BaClassifier::new(cfg);
-        loaded.load_weights(&path).unwrap();
+        ModelArtifact::untrained(cfg).save(&path).unwrap();
+        let loaded = BaClassifier::load_artifact(&path).unwrap();
         std::fs::remove_file(path).ok();
 
         let sim = Simulator::run_to_completion(SimConfig::tiny(5));

@@ -89,8 +89,7 @@ impl BaClassifier {
         self.fitted
     }
 
-    /// Mark as fitted after weights were installed out-of-band (artifact or
-    /// weights-file loading).
+    /// Mark as fitted after an artifact's weights were installed.
     pub(crate) fn mark_fitted(&mut self) {
         self.fitted = true;
     }
@@ -330,23 +329,6 @@ impl BaClassifier {
         p
     }
 
-    /// Persist the trained weights to a file. The configuration is *not*
-    /// stored — construct the receiving classifier with the same
-    /// [`BacConfig`] before calling [`BaClassifier::load_weights`].
-    pub fn save_weights(&self, path: &std::path::Path) -> std::io::Result<()> {
-        numnet::save_params(path, &self.all_params())
-    }
-
-    /// Load weights saved by [`BaClassifier::save_weights`] into a
-    /// classifier built with the same configuration, marking it fitted.
-    pub fn load_weights(&mut self, path: &std::path::Path) -> Result<(), numnet::LoadError> {
-        let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
-        let values = numnet::read_matrices(&mut r)?;
-        numnet::assign_params(&self.all_params(), values)?;
-        self.fitted = true;
-        Ok(())
-    }
-
     /// Evaluate on a labeled dataset, returning the paper's per-class +
     /// weighted-average report (Table IV layout).
     ///
@@ -486,11 +468,9 @@ mod tests {
         let mut clf = BaClassifier::new(BacConfig::fast());
         clf.fit(&train);
         let path = std::env::temp_dir().join(format!("bac_weights_{}", std::process::id()));
-        clf.save_weights(&path).unwrap();
+        clf.save_artifact(&path).unwrap();
 
-        let mut restored = BaClassifier::new(BacConfig::fast());
-        assert!(!restored.is_fitted());
-        restored.load_weights(&path).unwrap();
+        let restored = BaClassifier::load_artifact(&path).unwrap();
         assert!(restored.is_fitted());
         for r in test.records.iter().take(15) {
             assert_eq!(clf.predict(r).unwrap(), restored.predict(r).unwrap());
@@ -499,8 +479,8 @@ mod tests {
     }
 
     /// A weights list in the per-gate LSTM layout (eight matrices where the
-    /// fused cell has `[W | b]`) is refused by the positional count check,
-    /// from a weights file and from an artifact alike — not migrated.
+    /// fused cell has `[W | b]`) is refused by the positional count check
+    /// of an artifact — not migrated.
     #[test]
     fn eight_matrix_lstm_weights_fail_the_count_check() {
         let clf = BaClassifier::new(BacConfig::fast());
@@ -515,30 +495,17 @@ mod tests {
         per_gate.extend_from_slice(&values[off + 2..]);
         let want = (values.len() + 6, values.len());
 
-        let mut buf = Vec::new();
-        numnet::write_matrices(&mut buf, &per_gate).unwrap();
-        let path = std::env::temp_dir().join(format!("bac_per_gate_{}", std::process::id()));
-        std::fs::write(&path, &buf).unwrap();
-        let mut restored = BaClassifier::new(BacConfig::fast());
-        match restored.load_weights(&path) {
-            Err(numnet::LoadError::ParamCountMismatch { file, model }) => {
-                assert_eq!((file, model), want)
-            }
-            other => panic!("expected ParamCountMismatch, got {other:?}"),
-        }
-        assert!(!restored.is_fitted());
-        std::fs::remove_file(path).ok();
-
         let art = crate::artifact::ModelArtifact {
             config: BacConfig::fast(),
             weights: per_gate,
         };
-        assert!(matches!(
-            BaClassifier::from_artifact(&art),
+        match BaClassifier::from_artifact(&art) {
             Err(crate::artifact::ArtifactError::Weights(
-                numnet::LoadError::ParamCountMismatch { .. }
-            ))
-        ));
+                numnet::LoadError::ParamCountMismatch { file, model },
+            )) => assert_eq!((file, model), want),
+            Err(other) => panic!("expected ParamCountMismatch, got {other:?}"),
+            Ok(_) => panic!("an eight-matrix LSTM loaded"),
+        }
     }
 
     #[test]
@@ -546,15 +513,14 @@ mod tests {
         let (train, _) = small_split();
         let mut clf = BaClassifier::new(BacConfig::fast());
         clf.fit(&train);
-        let path = std::env::temp_dir().join(format!("bac_weights_bad_{}", std::process::id()));
-        clf.save_weights(&path).unwrap();
-
-        let mut wrong_cfg = BacConfig::fast();
-        wrong_cfg.model.embed_dim *= 2;
-        let mut wrong = BaClassifier::new(wrong_cfg);
-        assert!(wrong.load_weights(&path).is_err());
-        assert!(!wrong.is_fitted());
-        std::fs::remove_file(path).ok();
+        let mut wrong = clf.to_artifact().unwrap();
+        wrong.config.model.embed_dim *= 2;
+        assert!(matches!(
+            BaClassifier::from_artifact(&wrong),
+            Err(crate::artifact::ArtifactError::Weights(
+                numnet::LoadError::ShapeMismatch { .. }
+            ))
+        ));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! network round-trips.
 
 use baclassifier::BaClassifier;
-use banet::{HealthSink, RemoteShard, RemoteShardConfig};
+use banet::{RemoteShard, RemoteShardConfig};
 use baserve::cli::{engine_config_from_args, flag_parsed, flag_value, has_flag, ServingInputs};
 use baserve::metrics::Histogram;
 use baserve::{splitmix64, Engine, ServeError, ShardLane, Ticket};
@@ -81,7 +81,6 @@ fn main() {
                     max_in_flight: config.queue_depth.max(window),
                     ..RemoteShardConfig::default()
                 },
-                HealthSink::noop(),
             );
             if !remote.wait_connected(Duration::from_secs(5)) {
                 eprintln!("error: could not connect to {addr} within 5s");

@@ -19,10 +19,10 @@
 //! * **Client-side deadlines.** Every pending request carries a deadline;
 //!   the reader thread sweeps expired entries on its poll tick and settles
 //!   them `DeadlineExceeded`, so a wedged worker never hangs a caller.
-//! * **Health feedback.** Connection state and `Pong` progress beats flow
-//!   into a [`HealthSink`] — `bashard` wires this to its `ShardHealth`
-//!   board, so degraded routing sees remote workers exactly like
-//!   in-process engines.
+//! * **Liveness is the lane's own.** The `connections_open` gauge (1 while
+//!   connected) is what [`ShardLane::live_workers`] reads, so the router's
+//!   degraded routing asks a remote lane exactly what it asks an engine. A
+//!   `Pong` only refreshes `last_heard`.
 //!
 //! The handshake validates layout: the server's `Hello` must carry our
 //! `SHARD_HASH_VERSION`, and when `expect` names a shard assignment the
@@ -41,26 +41,6 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Where a remote lane reports its connection state and progress. The
-/// callbacks must be cheap and non-blocking (atomic stores).
-#[derive(Clone)]
-pub struct HealthSink {
-    /// Called with `true` on (re)connect, `false` on disconnect.
-    pub mark: Arc<dyn Fn(bool) + Send + Sync>,
-    /// Called with the worker's processed-request count on every pong.
-    pub beat: Arc<dyn Fn(u64) + Send + Sync>,
-}
-
-impl HealthSink {
-    /// A sink that ignores everything (tests, loadgen).
-    pub fn noop() -> HealthSink {
-        HealthSink {
-            mark: Arc::new(|_| {}),
-            beat: Arc::new(|_| {}),
-        }
-    }
-}
 
 /// Knobs for a [`RemoteShard`].
 #[derive(Clone)]
@@ -130,7 +110,6 @@ struct Inner {
 pub struct RemoteShard {
     addr: String,
     config: RemoteShardConfig,
-    health: HealthSink,
     metrics: Arc<Metrics>,
     inner: Arc<Mutex<Inner>>,
     stop: Arc<AtomicBool>,
@@ -178,7 +157,7 @@ impl RemoteShard {
     /// the prober keeps retrying under backoff. Use
     /// [`RemoteShard::wait_connected`] when startup must block on the
     /// fleet being up.
-    pub fn connect(addr: &str, config: RemoteShardConfig, health: HealthSink) -> RemoteShard {
+    pub fn connect(addr: &str, config: RemoteShardConfig) -> RemoteShard {
         let now = Instant::now();
         let inner = Arc::new(Mutex::new(Inner {
             conn: None,
@@ -193,7 +172,6 @@ impl RemoteShard {
         let mut shard = RemoteShard {
             addr: addr.to_string(),
             config,
-            health,
             metrics: Arc::new(Metrics::default()),
             inner,
             stop: Arc::new(AtomicBool::new(false)),
@@ -204,13 +182,15 @@ impl RemoteShard {
         shard
     }
 
-    pub fn addr(&self) -> &str {
-        &self.addr
+    /// This lane's counters: the `Arc` its prober and reader write. Its
+    /// `connections_open` gauge reads 1 exactly while connected.
+    pub fn counters(&self) -> Arc<Metrics> {
+        Arc::clone(&self.metrics)
     }
 
     /// Whether the lane currently holds a live connection.
     pub fn is_connected(&self) -> bool {
-        lock(&self.inner).conn.is_some()
+        self.metrics.connections_open.load(Relaxed) > 0
     }
 
     /// Block (polling) until connected or `timeout` elapses.
@@ -228,7 +208,6 @@ impl RemoteShard {
     fn spawn_prober(&self) -> std::thread::JoinHandle<()> {
         let inner = Arc::clone(&self.inner);
         let metrics = Arc::clone(&self.metrics);
-        let health = self.health.clone();
         let stop = Arc::clone(&self.stop);
         let config = self.config.clone();
         let addr = self.addr.clone();
@@ -239,7 +218,7 @@ impl RemoteShard {
                 if stop.load(Relaxed) {
                     break;
                 }
-                try_connect_impl(&addr, &config, &inner, &metrics, &health, &stop);
+                try_connect_impl(&addr, &config, &inner, &metrics, &stop);
                 let mut guard = lock(&inner);
                 // Second deadline sweep (the reader sweeps on its poll
                 // tick, but a stream saturated with replies may never
@@ -262,7 +241,7 @@ impl RemoteShard {
                         // Half-open connection: the peer stopped talking
                         // but TCP never noticed. Tear it down; backoff
                         // reconnect takes over.
-                        disconnect_locked(&mut guard, generation, &metrics, &health);
+                        disconnect_locked(&mut guard, generation, &metrics);
                         continue;
                     }
                     nonce += 1;
@@ -272,7 +251,7 @@ impl RemoteShard {
                         .and_then(|_| w.flush())
                         .is_err()
                     {
-                        disconnect_locked(&mut guard, generation, &metrics, &health);
+                        disconnect_locked(&mut guard, generation, &metrics);
                     }
                 }
             }
@@ -285,7 +264,6 @@ impl RemoteShard {
             &self.config,
             &self.inner,
             &self.metrics,
-            &self.health,
             &self.stop,
         );
     }
@@ -301,9 +279,7 @@ impl RemoteShard {
         {
             let mut guard = lock(&self.inner);
             let generation = guard.conn.as_ref().map(|c| c.generation).unwrap_or(0);
-            disconnect_locked(&mut guard, generation, &self.metrics, &self.health);
-            // Shutdown is not a failure; leave the board as the last real
-            // transition put it.
+            disconnect_locked(&mut guard, generation, &self.metrics);
         }
         if let Some(h) = self.prober.take() {
             let _ = h.join();
@@ -346,7 +322,6 @@ fn try_connect_impl(
     config: &RemoteShardConfig,
     inner: &Arc<Mutex<Inner>>,
     metrics: &Arc<Metrics>,
-    health: &HealthSink,
     stop: &Arc<AtomicBool>,
 ) {
     {
@@ -382,8 +357,7 @@ fn try_connect_impl(
             guard.ever_connected = true;
             metrics.connections_open.store(1, Relaxed);
             drop(guard);
-            (health.mark)(true);
-            spawn_reader(reader, generation, inner, metrics, health, stop, config);
+            spawn_reader(reader, generation, inner, metrics, stop);
         }
         Err(_) => {
             let mut guard = lock(inner);
@@ -494,12 +468,7 @@ fn settle(entry: PendingEntry, result: Result<Response, ServeError>, metrics: &M
 
 /// Tear down the connection for `generation` (no-op if a newer connection
 /// owns the state), settling every pending request as `WorkerFailed`.
-fn disconnect_locked(
-    guard: &mut MutexGuard<'_, Inner>,
-    generation: u64,
-    metrics: &Metrics,
-    health: &HealthSink,
-) {
+fn disconnect_locked(guard: &mut MutexGuard<'_, Inner>, generation: u64, metrics: &Metrics) {
     let current = guard.conn.as_ref().map(|c| c.generation);
     if current != Some(generation) {
         return;
@@ -512,7 +481,6 @@ fn disconnect_locked(
     for (_, entry) in pending {
         settle(entry, Err(ServeError::WorkerFailed), metrics);
     }
-    (health.mark)(false);
 }
 
 fn spawn_reader(
@@ -520,15 +488,11 @@ fn spawn_reader(
     generation: u64,
     inner: &Arc<Mutex<Inner>>,
     metrics: &Arc<Metrics>,
-    health: &HealthSink,
     stop: &Arc<AtomicBool>,
-    config: &RemoteShardConfig,
 ) {
     let inner = Arc::clone(inner);
     let metrics = Arc::clone(metrics);
-    let health = health.clone();
     let stop = Arc::clone(stop);
-    let _ = config;
     std::thread::spawn(move || loop {
         if stop.load(Relaxed) {
             return;
@@ -553,21 +517,19 @@ fn spawn_reader(
                             settle(entry, result_of(outcome), &metrics);
                         }
                     }
-                    Message::Pong { processed, .. } => {
-                        drop(guard);
-                        (health.beat)(processed);
-                    }
+                    // `last_heard` above is all a pong is for.
+                    Message::Pong { .. } => {}
                     // A server never sends requests; anything else is a
                     // protocol violation — tear the connection down.
                     _ => {
-                        disconnect_locked(&mut guard, generation, &metrics, &health);
+                        disconnect_locked(&mut guard, generation, &metrics);
                         return;
                     }
                 }
             }
             Ok(None) => {
                 let mut guard = lock(&inner);
-                disconnect_locked(&mut guard, generation, &metrics, &health);
+                disconnect_locked(&mut guard, generation, &metrics);
                 return;
             }
             Err(e) if e.is_timeout() => {
@@ -591,7 +553,7 @@ fn spawn_reader(
             }
             Err(_) => {
                 let mut guard = lock(&inner);
-                disconnect_locked(&mut guard, generation, &metrics, &health);
+                disconnect_locked(&mut guard, generation, &metrics);
                 return;
             }
         }
@@ -638,10 +600,6 @@ impl ShardLane for RemoteShard {
         let guard = lock(&self.inner);
         snap.queue_depth = guard.pending.len() as u64;
         snap
-    }
-
-    fn processed(&self) -> u64 {
-        self.metrics.processed()
     }
 
     fn live_workers(&self) -> usize {

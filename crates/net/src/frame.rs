@@ -147,8 +147,9 @@ pub enum Message {
     Reply { req_id: u64, outcome: ReplyOutcome },
     /// Liveness probe.
     Ping { nonce: u64 },
-    /// Probe answer; `processed` is the server's completed-request count,
-    /// which feeds the health board's progress beat.
+    /// Probe answer. A server sends `processed: 0` and a client reads
+    /// nothing from it: the field is kept until the next format bump only
+    /// so that BANET v1 bytes do not move.
     Pong { nonce: u64, processed: u64 },
 }
 

@@ -3,8 +3,8 @@
 //! `bashard` scales the serving engine across shards inside one process;
 //! `banet` cuts the process boundary: shard workers become independent
 //! processes reached over TCP, speaking a length-prefixed, CRC-framed
-//! protocol (**BANET v1**) that carries the same requests, responses, and
-//! metrics the in-process stack uses.
+//! protocol (**BANET v1**) that carries the same requests and responses the
+//! in-process stack uses.
 //!
 //! Three pieces:
 //!
@@ -15,13 +15,14 @@
 //!   survives short reads and poll-tick timeouts without desyncing.
 //! * [`server`] — [`server::NetServer`]: a bounded, deadline-enforcing TCP
 //!   front over a [`server::NetBackend`] (an engine + dataset, or a shard
-//!   worker). Honors the process SIGINT flag and remote `Shutdown` frames;
-//!   sheds connections beyond `max_connections`; cuts peers that stall
-//!   mid-frame.
+//!   worker). Stops on `stop()` or the process SIGINT flag only — nothing
+//!   a peer sends stops it; sheds connections beyond `max_connections`;
+//!   cuts peers that stall mid-frame.
 //! * [`client`] — [`client::RemoteShard`]: a `baserve::ShardLane` backed by
 //!   one multiplexed connection to a worker process, with fail-fast
 //!   submits, client-side deadlines, exponential-backoff reconnect, and
-//!   health probes feeding `bashard`'s shard health board. Because it is a
+//!   ping probes; its `live_workers()` is 1 while connected, which is all
+//!   the router asks before routing to it. Because it is a
 //!   `ShardLane`, `bashard::ShardRouter` fans batches across remote
 //!   workers with the exact same placement and merge order as in-process
 //!   engines — responses stay byte-identical.
@@ -35,6 +36,6 @@ pub mod client;
 pub mod frame;
 pub mod server;
 
-pub use client::{HealthSink, RemoteShard, RemoteShardConfig};
+pub use client::{RemoteShard, RemoteShardConfig};
 pub use frame::{FrameError, FrameReader, Hello, Message, ReplyOutcome, Role, MAX_FRAME_LEN};
 pub use server::{listen_reuse, NetBackend, NetServer, NetServerConfig, WireError};

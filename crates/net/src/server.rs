@@ -2,7 +2,7 @@
 //!
 //! [`NetServer`] owns a `TcpListener` and a [`NetBackend`] (a shard worker
 //! validating ownership, or a whole router) and serves
-//! the BANET v1 protocol: handshake, classify, health probes.
+//! the BANET v1 protocol: handshake, classify, ping.
 //!
 //! Structure per connection: the accept thread (nonblocking listener,
 //! 10 ms poll so the stop flag and the process SIGINT flag are honored)
@@ -171,12 +171,6 @@ pub fn outcome_of(result: &Result<Response, ServeError>) -> ReplyOutcome {
     }
 }
 
-/// One unit handed from a connection's reader to its writer thread.
-enum WriteJob {
-    /// Wait on the ticket, then reply for `req_id`.
-    Settle(u64, Ticket),
-}
-
 struct ConnShared {
     /// Write half, shared between the writer thread (classify replies) and
     /// the reader thread (immediate control replies).
@@ -334,12 +328,13 @@ fn serve_connection(
         return Err(FrameError::Malformed("shard hash version mismatch"));
     }
 
-    // Writer thread: settles classify tickets in submission order.
-    let (job_tx, job_rx) = mpsc::channel::<WriteJob>();
+    // Writer thread: waits on each classify ticket in submission order,
+    // then replies for its `req_id`.
+    let (job_tx, job_rx) = mpsc::channel::<(u64, Ticket)>();
     let writer = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || {
-            while let Ok(WriteJob::Settle(req_id, ticket)) = job_rx.recv() {
+            while let Ok((req_id, ticket)) = job_rx.recv() {
                 let outcome = outcome_of(&ticket.wait());
                 if shared.send(&Message::Reply { req_id, outcome }).is_err() {
                     // Peer is gone; keep draining so tickets still resolve.
@@ -374,7 +369,7 @@ fn serve_connection(
         match msg {
             Message::Classify { req_id, address } => match backend.submit(address) {
                 Ok(ticket) => {
-                    if job_tx.send(WriteJob::Settle(req_id, ticket)).is_err() {
+                    if job_tx.send((req_id, ticket)).is_err() {
                         break Ok(());
                     }
                 }
@@ -392,9 +387,10 @@ fn serve_connection(
                 }
             },
             Message::Ping { nonce } => {
+                // Nothing reads `processed` (see `Message::Pong`).
                 let pong = Message::Pong {
                     nonce,
-                    processed: backend.processed(),
+                    processed: 0,
                 };
                 if shared.send(&pong).is_err() {
                     break Ok(());

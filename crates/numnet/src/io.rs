@@ -1,5 +1,6 @@
-//! Parameter persistence: save/load all weights of a model to a compact
-//! binary file, so a trained classifier survives process restarts.
+//! The positional `NNIO` weights stream — the weights section of
+//! `baclassifier`'s BART artifact, the workspace's one on-disk model
+//! format.
 //!
 //! Format (little-endian): magic `NNIO`, version u32, param count u32, then
 //! per parameter: rows u32, cols u32, `rows*cols` f32 values. Parameters are
@@ -13,34 +14,28 @@
 //! sub-layers are listed). That order is part of the persistence contract:
 //! two instances of the same architecture — regardless of seed or process —
 //! always expose positionally-matching parameter lists, which is what makes
-//! the positional `NNIO` stream (and the artifact format layered on it by
-//! `baclassifier::artifact`) loadable into a freshly constructed model.
-//!
-//! The stream-level helpers [`write_matrices`] / [`read_matrices`] expose
-//! the same framing over any `Write`/`Read`, so higher layers can embed a
-//! weights blob inside a larger bundle file.
+//! the positional `NNIO` stream loadable into a freshly constructed model
+//! ([`assign_params`]).
 
 use crate::matrix::Matrix;
 use crate::tape::Param;
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"NNIO";
 const VERSION: u32 = 1;
 
-/// Errors from loading a weights file.
+/// Errors from reading a weights stream or installing it.
 #[derive(Debug)]
 pub enum LoadError {
     Io(io::Error),
-    /// Not a weights file / unsupported version.
+    /// Not a weights stream / unsupported version.
     BadHeader,
-    /// File has a different number of parameters than the model.
+    /// The stream has a different number of parameters than the model.
     ParamCountMismatch {
         file: usize,
         model: usize,
     },
-    /// Parameter `index` has a different shape in the file.
+    /// Parameter `index` has a different shape in the stream.
     ShapeMismatch {
         index: usize,
         file: (usize, usize),
@@ -97,7 +92,7 @@ fn read_u32(r: &mut impl Read) -> io::Result<u32> {
 
 /// Read a full `NNIO` matrix stream from any reader. No architecture is
 /// needed; callers validate count/shapes against their model if they have
-/// one (see [`load_params`]).
+/// one (see [`assign_params`]).
 pub fn read_matrices<R: Read>(r: &mut R) -> Result<Vec<Matrix>, LoadError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -144,22 +139,6 @@ pub fn assign_params(params: &[Param], values: Vec<Matrix>) -> Result<(), LoadEr
     Ok(())
 }
 
-/// Write all parameter values to `path`.
-pub fn save_params(path: &Path, params: &[Param]) -> io::Result<()> {
-    let values: Vec<Matrix> = params.iter().map(|p| p.value().clone()).collect();
-    let mut w = BufWriter::new(File::create(path)?);
-    write_matrices(&mut w, &values)?;
-    w.flush()
-}
-
-/// Load parameter values from `path` into an existing model's parameters.
-/// Shapes and count must match exactly.
-pub fn load_params(path: &Path, params: &[Param]) -> Result<(), LoadError> {
-    let mut r = BufReader::new(File::open(path)?);
-    let values = read_matrices(&mut r)?;
-    assign_params(params, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,127 +146,112 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("numnet_io_{name}_{}", std::process::id()))
+    /// Every parameter value as one `NNIO` stream.
+    fn save_params(params: &[Param]) -> Vec<u8> {
+        let values: Vec<Matrix> = params.iter().map(|p| p.value().clone()).collect();
+        let mut bytes = Vec::new();
+        write_matrices(&mut bytes, &values).unwrap();
+        bytes
+    }
+
+    fn load_params(mut bytes: &[u8], params: &[Param]) -> Result<(), LoadError> {
+        assign_params(params, read_matrices(&mut bytes)?)
     }
 
     #[test]
     fn roundtrip_preserves_all_weights() {
         let mut rng = StdRng::seed_from_u64(1);
         let a = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
-        let path = tmp("roundtrip");
-        save_params(&path, &a.params()).unwrap();
+        let bytes = save_params(&a.params());
 
         let mut rng2 = StdRng::seed_from_u64(999);
         let b = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng2);
-        load_params(&path, &b.params()).unwrap();
+        load_params(&bytes, &b.params()).unwrap();
         for (pa, pb) in a.params().iter().zip(b.params().iter()) {
             assert_eq!(*pa.value(), *pb.value());
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn shape_mismatch_is_detected_and_nondestructive() {
         let mut rng = StdRng::seed_from_u64(1);
         let a = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
-        let path = tmp("mismatch");
-        save_params(&path, &a.params()).unwrap();
+        let bytes = save_params(&a.params());
 
         let b = Mlp::new(&[4, 6, 3], Activation::Relu, &mut rng);
         let before: Vec<_> = b.params().iter().map(|p| p.value().clone()).collect();
-        let err = load_params(&path, &b.params()).unwrap_err();
+        let err = load_params(&bytes, &b.params()).unwrap_err();
         assert!(matches!(err, LoadError::ShapeMismatch { .. }), "{err}");
         // No partial mutation.
         for (p, orig) in b.params().iter().zip(&before) {
             assert_eq!(*p.value(), *orig);
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn param_count_mismatch_is_detected() {
         let mut rng = StdRng::seed_from_u64(1);
         let a = Mlp::new(&[4, 3], Activation::Relu, &mut rng);
-        let path = tmp("count");
-        save_params(&path, &a.params()).unwrap();
+        let bytes = save_params(&a.params());
         let b = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
-        let err = load_params(&path, &b.params()).unwrap_err();
+        let err = load_params(&bytes, &b.params()).unwrap_err();
         assert!(matches!(err, LoadError::ParamCountMismatch { .. }));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn garbage_file_rejected() {
-        let path = tmp("garbage");
-        std::fs::write(&path, b"definitely not weights").unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let m = Mlp::new(&[2, 2], Activation::Relu, &mut rng);
         assert!(matches!(
-            load_params(&path, &m.params()),
+            load_params(b"definitely not weights", &m.params()),
             Err(LoadError::BadHeader)
         ));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn wrong_magic_is_bad_header() {
         let mut rng = StdRng::seed_from_u64(1);
         let m = Mlp::new(&[2, 2], Activation::Relu, &mut rng);
-        let path = tmp("wrong_magic");
-        save_params(&path, &m.params()).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = save_params(&m.params());
         bytes[..4].copy_from_slice(b"XNIO");
-        std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            load_params(&path, &m.params()),
+            load_params(&bytes, &m.params()),
             Err(LoadError::BadHeader)
         ));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn wrong_version_is_bad_header() {
         let mut rng = StdRng::seed_from_u64(1);
         let m = Mlp::new(&[2, 2], Activation::Relu, &mut rng);
-        let path = tmp("wrong_version");
-        save_params(&path, &m.params()).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = save_params(&m.params());
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            load_params(&path, &m.params()),
+            load_params(&bytes, &m.params()),
             Err(LoadError::BadHeader)
         ));
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn truncated_file_is_io_error_and_nondestructive() {
         let mut rng = StdRng::seed_from_u64(1);
         let m = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
-        let path = tmp("truncated");
-        save_params(&path, &m.params()).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
+        let bytes = save_params(&m.params());
         // Cut the stream mid-way through a parameter's float data.
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let bytes = &bytes[..bytes.len() / 2];
         let before: Vec<_> = m.params().iter().map(|p| p.value().clone()).collect();
-        let err = load_params(&path, &m.params()).unwrap_err();
+        let err = load_params(bytes, &m.params()).unwrap_err();
         assert!(matches!(err, LoadError::Io(_)), "{err}");
         for (p, orig) in m.params().iter().zip(&before) {
             assert_eq!(*p.value(), *orig, "truncated load must not mutate");
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn truncated_header_is_error_not_panic() {
-        let path = tmp("truncated_header");
-        std::fs::write(&path, b"NN").unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let m = Mlp::new(&[2, 2], Activation::Relu, &mut rng);
-        assert!(load_params(&path, &m.params()).is_err());
-        std::fs::remove_file(path).ok();
+        assert!(load_params(b"NN", &m.params()).is_err());
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod layers {
     pub use mlp::{Activation, Mlp};
 }
 
-pub use io::{assign_params, load_params, read_matrices, save_params, write_matrices, LoadError};
+pub use io::{assign_params, read_matrices, write_matrices, LoadError};
 pub use matrix::{
     matmul_a_bt_views, matmul_at_b_views, matmul_views, Matrix, MatrixView, MatrixViewMut,
 };

@@ -537,12 +537,6 @@ impl Engine {
         snap
     }
 
-    /// Requests answered so far (`completed + degraded`) without taking a
-    /// full snapshot — the progress beat health probes read.
-    pub fn processed(&self) -> u64 {
-        self.shared.metrics.processed()
-    }
-
     /// Current circuit-breaker state.
     pub fn breaker_state(&self) -> BreakerState {
         self.shared.breaker.state()

@@ -32,12 +32,9 @@ pub trait ShardLane: Send + Sync {
     /// Point-in-time service metrics for this lane.
     fn metrics(&self) -> MetricsSnapshot;
 
-    /// Requests answered so far (`completed + degraded`), read straight
-    /// from the two counters — cheap enough for every health probe.
-    fn processed(&self) -> u64;
-
     /// Live serving capacity: running workers for an engine, 1/0 for a
-    /// connected/disconnected remote lane.
+    /// connected/disconnected remote lane. One relaxed load: the router
+    /// asks it on every submit, and 0 means the lane is down.
     fn live_workers(&self) -> usize;
 
     /// Stop the lane, joining its threads. Consumes the lane; routers call
@@ -52,10 +49,6 @@ impl ShardLane for Engine {
 
     fn metrics(&self) -> MetricsSnapshot {
         Engine::metrics(self)
-    }
-
-    fn processed(&self) -> u64 {
-        Engine::processed(self)
     }
 
     fn live_workers(&self) -> usize {
@@ -92,7 +85,4 @@ pub trait NetBackend: Send + Sync {
     fn per_shard_metrics(&self) -> Vec<MetricsSnapshot> {
         Vec::new()
     }
-
-    /// Answered-request count — the progress beat carried on `Pong`.
-    fn processed(&self) -> u64;
 }

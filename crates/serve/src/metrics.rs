@@ -220,12 +220,6 @@ impl Metrics {
         self.batch_sizes.record(size as u64);
     }
 
-    /// Requests answered so far, model path or fallback: two relaxed loads,
-    /// where [`Metrics::snapshot`] copies both histograms.
-    pub fn processed(&self) -> u64 {
-        self.completed.load(Relaxed) + self.degraded.load(Relaxed)
-    }
-
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot {
             latency_us: self.latency_us.snapshot(),

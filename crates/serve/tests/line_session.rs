@@ -68,10 +68,6 @@ impl NetBackend for PairwiseBackend {
     fn per_shard_metrics(&self) -> Vec<MetricsSnapshot> {
         vec![self.metrics(), MetricsSnapshot::default()]
     }
-
-    fn processed(&self) -> u64 {
-        0
-    }
 }
 
 fn session(input: &[u8], window: usize, per_shard: bool) -> Vec<String> {

@@ -41,7 +41,7 @@
 //! A `--listen` front prints `listening <addr>` on stdout once bound (a
 //! parent spawning a fleet parses that line), retries a busy port for ~2 s
 //! (so a respawned worker can reclaim its old address), and exits on SIGINT
-//! or a remote `Shutdown` frame.
+//! only: nothing a peer sends stops it.
 //!
 //! `--follow` starts through recovery whatever is on disk: each shard
 //! restores the newest valid generation of its own snapshot

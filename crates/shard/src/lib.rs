@@ -47,7 +47,7 @@ pub mod stream;
 
 pub use baclassifier::{ShardAssignment, ShardMap, SHARD_HASH_VERSION};
 pub use rebalance::{rebalance_snapshots, RebalanceError, RebalanceReport};
-pub use remote::{health_sink_for, remote_router, wait_fleet_up, RouterBackend, WorkerBackend};
+pub use remote::{remote_router, wait_fleet_up, RouterBackend, WorkerBackend};
 pub use router::ShardRouter;
 pub use stream::{
     shard_snapshot_path, FeedEnd, Followed, MergedReport, ShardHealth, ShardReport,

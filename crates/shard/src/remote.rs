@@ -1,5 +1,5 @@
 //! Remote shard fleets: glue between `banet`'s transport and this crate's
-//! routing and health machinery.
+//! routing.
 //!
 //! `banet` deliberately knows nothing about `bashard` (the dependency runs
 //! the other way), so the pieces that need both live here:
@@ -12,24 +12,20 @@
 //!   whatever its lanes are. Every daemon front (stdin line session, BANET
 //!   listener) serves one of these two.
 //! * [`remote_router`] — build a [`ShardRouter`] whose lanes are
-//!   [`RemoteShard`] connections to `addrs[i]` (worker `i` of N), with each
-//!   lane's [`HealthSink`] wired to a shared [`ShardHealth`] board. The
-//!   router's degraded routing then treats a dead TCP worker exactly like
-//!   a dead in-process follower: requests for its addresses settle
-//!   degraded through the fallback instead of hanging.
-//!
-//! The worker's `Pong` carries its processed-request count; the sink feeds
-//! it to [`ShardHealth::beat`] as the progress figure, so staleness
-//! detection ("up but wedged") works for remote workers too.
+//!   [`RemoteShard`] connections to `addrs[i]` (worker `i` of N). The
+//!   router asks each lane whether it is up (`live_workers`, 1 while
+//!   connected), so a dead TCP worker is treated exactly like an engine
+//!   whose workers all retired: requests for its addresses settle degraded
+//!   through the fallback instead of hanging.
 
 use crate::router::ShardRouter;
-use crate::stream::ShardHealth;
 use baclassifier::{ShardAssignment, ShardMap};
-use banet::{HealthSink, RemoteShard, RemoteShardConfig};
-use baserve::metrics::MetricsSnapshot;
+use banet::{RemoteShard, RemoteShardConfig};
+use baserve::metrics::{Metrics, MetricsSnapshot};
 use baserve::{Engine, Fallback, NetBackend, ShardLane, Ticket, WireError};
 use btcsim::{Address, AddressRecord};
 use std::collections::HashMap;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -87,10 +83,6 @@ impl NetBackend for WorkerBackend {
     fn metrics(&self) -> MetricsSnapshot {
         self.engine.metrics()
     }
-
-    fn processed(&self) -> u64 {
-        self.engine.processed()
-    }
 }
 
 /// The backend a *frontend* exposes: the whole router — over in-process
@@ -120,30 +112,6 @@ impl NetBackend for RouterBackend {
     fn per_shard_metrics(&self) -> Vec<MetricsSnapshot> {
         self.router.per_shard_metrics()
     }
-
-    fn processed(&self) -> u64 {
-        self.router.processed()
-    }
-}
-
-/// A [`HealthSink`] that drives slot `shard` of a [`ShardHealth`] board.
-pub fn health_sink_for(health: Arc<ShardHealth>, shard: u32) -> HealthSink {
-    let mark_board = Arc::clone(&health);
-    HealthSink {
-        mark: Arc::new(move |up| {
-            if up {
-                mark_board.mark_up(shard);
-            } else {
-                mark_board.mark_down(shard);
-            }
-        }),
-        beat: Arc::new(move |processed| {
-            // The worker's processed count is this lane's progress figure;
-            // the board's staleness check treats it like a follower's
-            // next-height watermark.
-            health.beat(shard, processed);
-        }),
-    }
 }
 
 /// Build a router over remote workers: lane `i` connects to `addrs[i]`,
@@ -151,24 +119,22 @@ pub fn health_sink_for(health: Arc<ShardHealth>, shard: u32) -> HealthSink {
 /// by the layout handshake — a swapped pair of addresses refuses to
 /// connect rather than misroute).
 ///
-/// Returns the router (health board already attached) and the board
-/// itself, which starts all-down; lanes mark their slots up as their
-/// connections establish. `ShardRouter::shutdown` closes every
-/// connection.
+/// Returns the router and, in shard order, each lane's own counters (the
+/// `Arc` its prober and reader write): a read-only view whose
+/// `connections_open` is 1 exactly while that lane is connected. Lanes
+/// start disconnected; `ShardRouter::shutdown` closes every connection.
 pub fn remote_router(
     addrs: &[String],
     base: RemoteShardConfig,
     fallback: Option<Arc<dyn Fallback>>,
-) -> (ShardRouter, Arc<ShardHealth>) {
+) -> (ShardRouter, Vec<Arc<Metrics>>) {
     assert!(
         !addrs.is_empty(),
         "a remote fleet needs at least one worker"
     );
     let count = addrs.len() as u32;
-    // Board slots start down; each lane marks its slot up when its
-    // handshake lands.
-    let health = Arc::new(ShardHealth::new(count));
-    let lanes: Vec<Box<dyn ShardLane>> = addrs
+    let mut counters = Vec::with_capacity(addrs.len());
+    let lanes = addrs
         .iter()
         .enumerate()
         .map(|(i, addr)| {
@@ -179,22 +145,21 @@ pub fn remote_router(
                 }),
                 ..base.clone()
             };
-            let sink = health_sink_for(Arc::clone(&health), i as u32);
-            Box::new(RemoteShard::connect(addr, config, sink)) as Box<dyn ShardLane>
+            let lane = RemoteShard::connect(addr, config);
+            counters.push(lane.counters());
+            Box::new(lane) as Box<dyn ShardLane>
         })
         .collect();
-    let mut router = ShardRouter::from_lanes(lanes, fallback);
-    router.attach_health(Arc::clone(&health));
-    (router, health)
+    (ShardRouter::from_lanes(lanes, fallback), counters)
 }
 
-/// Block until every shard slot on `health` is up, or `timeout` elapses.
-/// Returns whether the whole fleet converged.
-pub fn wait_fleet_up(health: &ShardHealth, timeout: Duration) -> bool {
+/// Block until every lane in `lanes` (as [`remote_router`] returns them) is
+/// connected, or `timeout` elapses. Returns whether the whole fleet
+/// converged.
+pub fn wait_fleet_up(lanes: &[Arc<Metrics>], timeout: Duration) -> bool {
     let start = std::time::Instant::now();
     loop {
-        let all_up = (0..health.count()).all(|i| health.is_up(i));
-        if all_up {
+        if lanes.iter().all(|m| m.connections_open.load(Relaxed) > 0) {
             return true;
         }
         if start.elapsed() >= timeout {

@@ -18,22 +18,23 @@
 //!
 //! ## Degraded routing
 //!
-//! A router can be wired to a streaming fleet's [`ShardHealth`] board
-//! (see [`ShardRouter::attach_health`]). While a shard's follower is down
-//! — panicked and mid-respawn, or gone for good — requests for its
-//! addresses do **not** hang on a queue nobody drains: they settle
+//! Before routing, the router asks the owning lane whether it is up:
+//! [`ShardLane::live_workers`] is 0 for an engine whose every worker
+//! retired and for a remote lane with no connection. A downed lane's
+//! requests do **not** hang on a queue nobody drains: they settle
 //! immediately with an explicitly `degraded` response from the shared
 //! fallback classifier, or with [`ServeError::WorkerFailed`] when no
-//! fallback is installed. Healthy shards are untouched.
+//! fallback is installed, and are counted in the router's own metrics.
+//! Healthy shards are untouched.
 
-use crate::stream::ShardHealth;
 use baclassifier::{ArtifactError, ModelArtifact, ShardMap};
+use baserve::metrics::Metrics;
 use baserve::{
     Engine, EngineConfig, EngineHooks, Fallback, MetricsSnapshot, Response, ServeError, ShardLane,
     Ticket,
 };
-use btcsim::{Address, AddressRecord};
-use std::sync::atomic::{AtomicU64, Ordering};
+use btcsim::AddressRecord;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,12 +45,9 @@ pub struct ShardRouter {
     /// The same fallback the engines use for breaker-open degradation,
     /// kept by the router to answer for *downed* shards.
     fallback: Option<Arc<dyn Fallback>>,
-    /// Liveness board published by the streaming fleet; `None` routes
-    /// everything normally.
-    health: Option<Arc<ShardHealth>>,
-    /// Requests answered degraded (or failed) because the owning shard
-    /// was down.
-    degraded_routed: AtomicU64,
+    /// The requests the router answered itself because the owning lane
+    /// was down: `submitted`, then `degraded` or `failed`.
+    answered: Metrics,
 }
 
 impl ShardRouter {
@@ -73,7 +71,6 @@ impl ShardRouter {
         hooks: EngineHooks,
         shards: u32,
     ) -> Result<Self, ArtifactError> {
-        let map = ShardMap::new(shards);
         let per_shard = config.for_shard(shards as usize);
         let fallback = hooks.fallback.clone();
         let lanes = (0..shards)
@@ -82,41 +79,22 @@ impl ShardRouter {
                     .map(|e| Box::new(e) as Box<dyn ShardLane>)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            map,
-            lanes,
-            fallback,
-            health: None,
-            degraded_routed: AtomicU64::new(0),
-        })
+        Ok(Self::from_lanes(lanes, fallback))
     }
 
     /// Build a router over pre-built lanes — in-process engines, `banet`
     /// remote shards, or a mix. Lane `i` must answer for shard `i` of
     /// `lanes.len()` under the frozen partition hash (remote lanes enforce
     /// this in their layout handshake). `fallback` answers for downed
-    /// lanes when a health board is attached.
+    /// lanes.
     pub fn from_lanes(lanes: Vec<Box<dyn ShardLane>>, fallback: Option<Arc<dyn Fallback>>) -> Self {
         assert!(!lanes.is_empty(), "a router needs at least one lane");
         Self {
             map: ShardMap::new(lanes.len() as u32),
             lanes,
             fallback,
-            health: None,
-            degraded_routed: AtomicU64::new(0),
+            answered: Metrics::default(),
         }
-    }
-
-    /// Wire this router to a streaming fleet's health board (shard counts
-    /// must match): requests owned by a downed shard settle degraded
-    /// instead of hanging.
-    pub fn attach_health(&mut self, health: Arc<ShardHealth>) {
-        assert_eq!(
-            health.count(),
-            self.map.count(),
-            "health board shard count must match the router layout"
-        );
-        self.health = Some(health);
     }
 
     pub fn shard_count(&self) -> u32 {
@@ -127,47 +105,34 @@ impl ShardRouter {
         self.map
     }
 
-    /// Requests answered via degraded routing (owning shard down) so far.
+    /// Requests the router answered itself (owning lane down) so far.
     pub fn degraded_routed(&self) -> u64 {
-        self.degraded_routed.load(Ordering::Relaxed)
-    }
-
-    /// The lane owning `addr`.
-    fn lane_for(&self, addr: Address) -> &dyn ShardLane {
-        self.lanes[self.map.shard_of(addr) as usize].as_ref()
-    }
-
-    /// When the shard owning `record` is marked down, answer right now:
-    /// a pre-settled degraded ticket from the fallback, or
-    /// [`ServeError::WorkerFailed`] without one.
-    fn route_degraded(&self, record: &AddressRecord) -> Option<Result<Ticket, ServeError>> {
-        let health = self.health.as_ref()?;
-        if health.is_up(self.map.shard_of(record.address)) {
-            return None;
-        }
-        self.degraded_routed.fetch_add(1, Ordering::Relaxed);
-        Some(match &self.fallback {
-            Some(fallback) => {
-                let started = Instant::now();
-                let label = fallback.classify(record);
-                Ok(Ticket::settled(Ok(Response {
-                    label,
-                    cache_hit: false,
-                    degraded: true,
-                    latency: started.elapsed(),
-                })))
-            }
-            None => Err(ServeError::WorkerFailed),
-        })
+        self.answered.submitted.load(Relaxed)
     }
 
     /// Submit to the owning shard; the ticket settles like any engine
-    /// ticket. A downed shard's requests settle degraded immediately.
+    /// ticket. A downed lane's requests are answered here, right now: a
+    /// pre-settled degraded ticket from the fallback, or
+    /// [`ServeError::WorkerFailed`] without one.
     pub fn submit(&self, record: AddressRecord) -> Result<Ticket, ServeError> {
-        if let Some(answered) = self.route_degraded(&record) {
-            return answered;
+        let lane = &self.lanes[self.map.shard_of(record.address) as usize];
+        if lane.live_workers() > 0 {
+            return lane.submit(record);
         }
-        self.lane_for(record.address).submit(record)
+        self.answered.submitted.fetch_add(1, Relaxed);
+        let Some(fallback) = &self.fallback else {
+            self.answered.failed.fetch_add(1, Relaxed);
+            return Err(ServeError::WorkerFailed);
+        };
+        let started = Instant::now();
+        let label = fallback.classify(&record);
+        self.answered.degraded.fetch_add(1, Relaxed);
+        Ok(Ticket::settled(Ok(Response {
+            label,
+            cache_hit: false,
+            degraded: true,
+            latency: started.elapsed(),
+        })))
     }
 
     /// Submit and wait — the one-call path.
@@ -188,27 +153,18 @@ impl ShardRouter {
             .collect()
     }
 
-    /// Fleet-wide metrics: per-shard snapshots rolled up with
-    /// [`MetricsSnapshot::merge`] (counters summed, quantiles recomputed
-    /// from merged histograms).
+    /// Fleet-wide metrics: per-shard snapshots and the requests the router
+    /// answered itself, rolled up with [`MetricsSnapshot::merge`] (counters
+    /// summed, quantiles recomputed from merged histograms).
     pub fn metrics(&self) -> MetricsSnapshot {
-        MetricsSnapshot::merge(&self.per_shard_metrics())
+        let mut all = self.per_shard_metrics();
+        all.push(self.answered.snapshot());
+        MetricsSnapshot::merge(&all)
     }
 
-    /// One snapshot per shard, in shard order.
+    /// One snapshot per lane, in shard order.
     pub fn per_shard_metrics(&self) -> Vec<MetricsSnapshot> {
         self.lanes.iter().map(|l| l.metrics()).collect()
-    }
-
-    /// Requests answered across every shard, read from the lanes' counters
-    /// without snapshotting their histograms.
-    pub fn processed(&self) -> u64 {
-        self.lanes.iter().map(|l| l.processed()).sum()
-    }
-
-    /// Live workers across every shard.
-    pub fn live_workers(&self) -> usize {
-        self.lanes.iter().map(|l| l.live_workers()).sum()
     }
 
     /// Stop every shard lane, joining their workers.

@@ -37,7 +37,7 @@
 //! ## Supervision
 //!
 //! The journal is what makes worker supervision lossless — a shard thread
-//! that panics (worker loops run under `catch_unwind`) or wedges (its
+//! that panics (its command queue drops with it) or wedges (its
 //! queue is full *and* its heartbeat is older than
 //! [`SupervisionConfig::wedge_timeout`]) is fenced off and respawned via
 //! [`Follower::recover`]: newest valid per-shard snapshot generation,
@@ -47,9 +47,8 @@
 //! blocks are skipped by height — blocks lost: zero. Respawns are
 //! bounded by [`SupervisionConfig::max_restarts`] with exponential
 //! backoff; past the bound the fleet reports [`ShardStreamError`] instead
-//! of flapping forever. [`ShardHealth`] publishes per-shard liveness so
-//! the serve-side router can answer a downed shard's addresses in
-//! degraded mode instead of hanging.
+//! of flapping forever. [`ShardHealth`] holds each shard's heartbeat age
+//! and respawn count.
 //!
 //! Fault injection reuses the serve engine's [`FaultPlan`] machinery (via
 //! [`StreamHooks`]): before applying a **new** block at height `h`, shard
@@ -209,70 +208,39 @@ pub struct Followed {
     pub metrics: StreamMetrics,
 }
 
-/// Per-shard liveness published by the streaming fleet and read by the
-/// serve router for degraded routing. All atomics: writers are the shard
-/// worker threads (heartbeats) and the supervising driver (up/down
-/// transitions, respawn counts); readers are anyone holding the `Arc`.
+/// What the driver reads about its shard workers: the age of each one's
+/// last heartbeat (wedge detection) and how often it was respawned. All
+/// atomics: writers are the shard worker threads (heartbeats) and the
+/// driver (respawn counts); readers are anyone holding the `Arc`.
 pub struct ShardHealth {
     epoch: Instant,
     slots: Vec<HealthSlot>,
 }
 
 struct HealthSlot {
-    up: AtomicBool,
     /// Microseconds since `epoch` of the last heartbeat.
     beat_us: AtomicU64,
-    /// The shard follower's `next_height` at the last heartbeat.
-    processed: AtomicU64,
     respawns: AtomicU64,
 }
 
 impl ShardHealth {
-    /// A health board for `count` shards, all initially down (workers mark
-    /// themselves up once their follower is built).
+    /// A board for `count` shards, no heartbeat or respawn yet.
     pub fn new(count: u32) -> Self {
         let epoch = Instant::now();
         let slots = (0..count)
             .map(|_| HealthSlot {
-                up: AtomicBool::new(false),
                 beat_us: AtomicU64::new(0),
-                processed: AtomicU64::new(0),
                 respawns: AtomicU64::new(0),
             })
             .collect();
         Self { epoch, slots }
     }
 
-    pub fn count(&self) -> u32 {
-        self.slots.len() as u32
-    }
-
-    /// Whether `shard`'s worker is believed alive. Out-of-range shards are
-    /// reported down.
-    pub fn is_up(&self, shard: u32) -> bool {
-        self.slots
-            .get(shard as usize)
-            .is_some_and(|s| s.up.load(Ordering::Acquire))
-    }
-
-    pub fn mark_up(&self, shard: u32) {
-        if let Some(slot) = self.slots.get(shard as usize) {
-            slot.up.store(true, Ordering::Release);
-        }
-    }
-
-    pub fn mark_down(&self, shard: u32) {
-        if let Some(slot) = self.slots.get(shard as usize) {
-            slot.up.store(false, Ordering::Release);
-        }
-    }
-
-    /// Heartbeat from a worker: stamps now and the follower's height.
-    pub fn beat(&self, shard: u32, next_height: u64) {
+    /// Heartbeat from a worker: stamps now.
+    pub fn beat(&self, shard: u32) {
         if let Some(slot) = self.slots.get(shard as usize) {
             let us = self.epoch.elapsed().as_micros() as u64;
             slot.beat_us.store(us, Ordering::Release);
-            slot.processed.store(next_height, Ordering::Release);
         }
     }
 
@@ -284,13 +252,6 @@ impl ShardHealth {
         };
         let beat = Duration::from_micros(slot.beat_us.load(Ordering::Acquire));
         self.epoch.elapsed().saturating_sub(beat)
-    }
-
-    /// The shard follower's `next_height` at its last heartbeat.
-    pub fn processed(&self, shard: u32) -> u64 {
-        self.slots
-            .get(shard as usize)
-            .map_or(0, |s| s.processed.load(Ordering::Acquire))
     }
 
     pub fn respawns(&self, shard: u32) -> u64 {
@@ -515,7 +476,6 @@ impl ShardedFollower {
         let mut next_height = u64::MAX;
         for (index, rx) in ready.into_iter().enumerate() {
             next_height = next_height.min(await_start(rx, index as u32)?);
-            health.mark_up(index as u32);
         }
         Ok(Self {
             artifact,
@@ -534,9 +494,7 @@ impl ShardedFollower {
         })
     }
 
-    /// The fleet's live health board — clone the `Arc` into a
-    /// [`crate::ShardRouter`] for degraded routing, or poll it for
-    /// respawn counts.
+    /// The fleet's heartbeat and respawn board.
     pub fn health(&self) -> Arc<ShardHealth> {
         Arc::clone(&self.health)
     }
@@ -791,7 +749,6 @@ impl ShardedFollower {
     /// `max_restarts` with exponential backoff.
     fn respawn(&mut self, i: usize, reason: &str) -> Result<(), ShardStreamError> {
         let shard = i as u32;
-        self.health.mark_down(shard);
         if self.template.journal_path.is_none() {
             return Err(ShardStreamError::Worker {
                 shard,
@@ -835,7 +792,6 @@ impl ShardedFollower {
             Arc::clone(&self.hooks.fault_plan),
         );
         await_start(init_rx, shard)?;
-        self.health.mark_up(shard);
         let old = std::mem::replace(&mut self.workers[i], worker);
         old.fence.store(true, Ordering::Release);
         self.graveyard.push(old.handle);
@@ -895,10 +851,9 @@ fn await_start(rx: Receiver<Result<u64, String>>, shard: u32) -> Result<u64, Sha
 /// Spawn one shard worker thread. The follower is built *on* the worker
 /// thread (a restore replays every stored history, so N shards restore in
 /// parallel) and the build outcome — the height it resumes at — is reported
-/// over the returned init channel. The worker loop runs under
-/// `catch_unwind`: a panic (organic or injected) marks the shard down and
-/// drops the command queue, which the driver observes as `Disconnected`
-/// and answers with a respawn.
+/// over the returned init channel. A panic (organic or injected) unwinds
+/// the thread and drops the command queue, which the driver observes as
+/// `Disconnected` and answers with a respawn.
 fn spawn_worker(
     artifact: Arc<ModelArtifact>,
     template: &FollowerConfig,
@@ -944,23 +899,16 @@ fn spawn_worker(
                     return;
                 }
             };
-            health.mark_up(index);
-            health.beat(index, follower.next_height());
+            health.beat(index);
             init_tx.send(Ok(follower.next_height())).ok();
-            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                worker_loop(
-                    &mut follower,
-                    &rx,
-                    index,
-                    &thread_fence,
-                    &health,
-                    plan.as_ref(),
-                );
-            }))
-            .is_err();
-            if panicked {
-                health.mark_down(index);
-            }
+            worker_loop(
+                &mut follower,
+                &rx,
+                index,
+                &thread_fence,
+                &health,
+                plan.as_ref(),
+            );
         })
         .expect("spawn shard worker");
     (ShardWorker { tx, handle, fence }, init_rx)
@@ -1002,11 +950,11 @@ fn worker_loop(
                     }
                 }
                 follower.step(&block);
-                health.beat(index, follower.next_height());
+                health.beat(index);
             }
             Cmd::Reclassify(reply) => {
                 let n = follower.reclassify_dirty();
-                health.beat(index, follower.next_height());
+                health.beat(index);
                 reply.send(n).ok();
             }
             Cmd::Snapshot(reply) => {
@@ -1014,7 +962,7 @@ fn worker_loop(
                     Some(path) => follower.snapshot_to(&path).map_err(|e| e.to_string()),
                     None => Err("no snapshot path configured".to_string()),
                 };
-                health.beat(index, follower.next_height());
+                health.beat(index);
                 reply.send(result).ok();
             }
             Cmd::Finish(reply) => {
@@ -1050,13 +998,7 @@ mod tests {
     #[test]
     fn health_board_tracks_liveness_and_beats() {
         let health = ShardHealth::new(2);
-        assert!(!health.is_up(0));
-        assert!(!health.is_up(1));
-        assert!(!health.is_up(7), "out-of-range shards read as down");
-        health.mark_up(0);
-        assert!(health.is_up(0));
-        health.beat(0, 42);
-        assert_eq!(health.processed(0), 42);
+        health.beat(0);
         assert!(health.beat_age(0) < Duration::from_secs(1));
         assert_eq!(health.beat_age(9), Duration::MAX);
         health.record_respawn(0);
@@ -1064,7 +1006,5 @@ mod tests {
         health.record_respawn(1);
         assert_eq!(health.respawns(0), 2);
         assert_eq!(health.total_respawns(), 3);
-        health.mark_down(0);
-        assert!(!health.is_up(0));
     }
 }

@@ -15,6 +15,7 @@ use btcsim::AddressRecord;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -111,8 +112,8 @@ fn killed_worker_process_degrades_then_recovers_on_the_same_port() {
         probe_interval: Duration::from_millis(25),
         ..RemoteShardConfig::default()
     };
-    let (router, health) = remote_router(&addrs, config, Some(fallback));
-    assert!(wait_fleet_up(&health, PATIENCE), "fleet never converged");
+    let (router, lanes) = remote_router(&addrs, config, Some(fallback));
+    assert!(wait_fleet_up(&lanes, PATIENCE), "fleet never converged");
 
     // Identity across the process boundary.
     let direct = BaClassifier::from_artifact(&artifact).expect("artifact loads in-process");
@@ -156,6 +157,11 @@ fn killed_worker_process_degrades_then_recovers_on_the_same_port() {
     }
     assert!(degraded > 0, "fallback never engaged during the outage");
     assert!(router.degraded_routed() > 0);
+    assert_eq!(
+        lanes[0].connections_open.load(Relaxed),
+        0,
+        "the victim's lane still reads connected"
+    );
     let response = settle(&router, &survivor).expect("survivor answers");
     assert!(!response.degraded, "surviving shard answered degraded");
 
@@ -163,7 +169,7 @@ fn killed_worker_process_degrades_then_recovers_on_the_same_port() {
     // victim's address is served by the model again.
     assert_eq!(fleet.spawn(0, &addrs[0]), addrs[0], "respawn moved ports");
     assert!(
-        wait_fleet_up(&health, PATIENCE),
+        wait_fleet_up(&lanes, PATIENCE),
         "fleet never re-converged after the respawn"
     );
     let respawned = Instant::now();

@@ -1,5 +1,5 @@
-//! Production-deployment workflow: train once, persist the weights, load
-//! them in a fresh process, classify a batch, then apply neighborhood label
+//! Production-deployment workflow: train once, persist the model artifact,
+//! load it in a fresh process, classify a batch, then apply neighborhood label
 //! refinement (the paper's §V future-work idea: "nodes of the same type
 //! often cluster together").
 //!
@@ -23,13 +23,12 @@ fn main() {
     let (train, test) = Dataset::from_simulator(&sim, 2).stratified_split(0.25, 4);
     let mut trainer = BaClassifier::new(BacConfig::fast());
     trainer.fit(&train);
-    let weights = std::env::temp_dir().join("baclassifier_demo.weights");
-    trainer.save_weights(&weights).expect("save weights");
-    println!("saved trained weights to {}", weights.display());
+    let artifact = std::env::temp_dir().join("baclassifier_demo.bart");
+    trainer.save_artifact(&artifact).expect("save artifact");
+    println!("saved the trained model to {}", artifact.display());
 
     // --- Serving side (fresh process in real life) ---
-    let mut server = BaClassifier::new(BacConfig::fast());
-    server.load_weights(&weights).expect("load weights");
+    let server = BaClassifier::load_artifact(&artifact).expect("load artifact");
     println!(
         "restored classifier from disk; classifying {} addresses…",
         test.len()
@@ -69,5 +68,5 @@ fn main() {
             "slightly hurt"
         }
     );
-    std::fs::remove_file(weights).ok();
+    std::fs::remove_file(artifact).ok();
 }

@@ -15,10 +15,10 @@
 //!    generation corrupted: recovery quarantines it, restores the
 //!    previous generation, and replays a longer journal tail to the same
 //!    final state.
-//! 4. **Degraded routing** — while a shard is down, a health-wired
+//! 4. **Degraded routing** — while a lane reports no live workers, the
 //!    `ShardRouter` answers its addresses immediately with an explicit
 //!    `degraded` response (or a clean error without a fallback) instead
-//!    of hanging.
+//!    of hanging, and counts each such answer in `router.metrics()`.
 //! 5. **Compaction** — every periodic snapshot compacts the shared journal
 //!    to the oldest retained generation over all shards, and a recovery
 //!    forced onto that oldest generation still replays to the same tip.
@@ -28,16 +28,17 @@
 
 use baclassifier::{BacConfig, ModelArtifact};
 use baserve::{
-    EngineConfig, EngineHooks, Fallback, FaultAction, FaultSpec, FeatureFallback,
-    ScriptedFaultPlan, ServeError,
+    Engine, EngineConfig, Fallback, FaultAction, FaultSpec, FeatureFallback, MetricsSnapshot,
+    ScriptedFaultPlan, ServeError, ShardLane, Ticket,
 };
 use bashard::{
-    shard_snapshot_path, FeedEnd, ShardHealth, ShardReport, ShardRouter, ShardStreamError,
-    ShardedFollower, SpawnMode, StreamHooks, SupervisionConfig,
+    shard_snapshot_path, FeedEnd, ShardReport, ShardRouter, ShardStreamError, ShardedFollower,
+    SpawnMode, StreamHooks, SupervisionConfig,
 };
 use bstream::{quarantine_path, scan_journal, BlockFeed, Follower, FollowerConfig};
-use btcsim::{Block, BlockCursor, Dataset, SimConfig, Simulator};
+use btcsim::{AddressRecord, Block, BlockCursor, Dataset, SimConfig, Simulator};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -441,30 +442,67 @@ fn silent_producer_ends_the_loop_as_a_stall_after_the_final_flush() {
     );
 }
 
+/// An engine lane whose liveness the test switches: while `up` is false it
+/// reports no live workers, which is all the router asks.
+struct SwitchedLane {
+    engine: Engine,
+    up: Arc<AtomicBool>,
+}
+
+impl ShardLane for SwitchedLane {
+    fn submit(&self, record: AddressRecord) -> Result<Ticket, ServeError> {
+        self.engine.submit(record)
+    }
+
+    fn metrics(&self) -> MetricsSnapshot {
+        self.engine.metrics()
+    }
+
+    fn live_workers(&self) -> usize {
+        if self.up.load(Relaxed) {
+            self.engine.live_workers()
+        } else {
+            0
+        }
+    }
+
+    fn shutdown_lane(self: Box<Self>) {
+        self.engine.shutdown();
+    }
+}
+
+/// A router over `switches.len()` switched engine lanes.
+fn switched_router(
+    artifact: &Arc<ModelArtifact>,
+    switches: &[Arc<AtomicBool>],
+    fallback: Option<Arc<dyn Fallback>>,
+) -> ShardRouter {
+    let config = EngineConfig::default().for_shard(switches.len());
+    let lanes = switches
+        .iter()
+        .map(|up| {
+            let engine = Engine::new(Arc::clone(artifact), config.clone()).unwrap();
+            let up = Arc::clone(up);
+            Box::new(SwitchedLane { engine, up }) as Box<dyn ShardLane>
+        })
+        .collect();
+    ShardRouter::from_lanes(lanes, fallback)
+}
+
 #[test]
 fn degraded_routing_answers_downed_shards_without_hanging() {
     let sim = Simulator::run_to_completion(SimConfig::tiny(347));
     let dataset = Dataset::from_simulator(&sim, 3);
     assert!(dataset.len() >= 10, "sim too small");
     let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
-    let shards = 2u32;
+    let up: Vec<_> = (0..2).map(|_| Arc::new(AtomicBool::new(true))).collect();
 
     let fallback = Arc::new(FeatureFallback::fit(&dataset.records));
-    let hooks = EngineHooks {
-        fallback: Some(Arc::clone(&fallback) as Arc<dyn Fallback>),
-        ..EngineHooks::default()
-    };
-    let mut router = ShardRouter::with_hooks(
-        Arc::clone(&artifact),
-        EngineConfig::default(),
-        hooks,
-        shards,
-    )
-    .unwrap();
-    let health = Arc::new(ShardHealth::new(shards));
-    health.mark_up(0);
-    health.mark_up(1);
-    router.attach_health(Arc::clone(&health));
+    let router = switched_router(
+        &artifact,
+        &up,
+        Some(Arc::clone(&fallback) as Arc<dyn Fallback>),
+    );
     let map = router.map();
 
     // Healthy fleet: nothing routes degraded.
@@ -476,7 +514,7 @@ fn degraded_routing_answers_downed_shards_without_hanging() {
 
     // Shard 1 goes down: its addresses answer instantly, explicitly
     // degraded, with the fallback's label; shard 0 is untouched.
-    health.mark_down(1);
+    up[1].store(false, Relaxed);
     let mut hit_down = 0;
     for record in &dataset.records {
         let response = router.classify(record.clone()).unwrap();
@@ -492,17 +530,15 @@ fn degraded_routing_answers_downed_shards_without_hanging() {
     assert_eq!(router.degraded_routed(), hit_down);
 
     // Back up: routing returns to normal.
-    health.mark_up(1);
+    up[1].store(true, Relaxed);
     for record in dataset.records.iter().take(8) {
         assert!(!router.classify(record.clone()).unwrap().degraded);
     }
     router.shutdown();
 
     // Without a fallback, a downed shard fails fast instead of hanging.
-    let mut bare =
-        ShardRouter::new(Arc::clone(&artifact), EngineConfig::default(), shards).unwrap();
-    bare.attach_health(Arc::clone(&health));
-    health.mark_down(0);
+    let bare = switched_router(&artifact, &up, None);
+    up[0].store(false, Relaxed);
     let on_down = dataset
         .records
         .iter()
@@ -512,6 +548,46 @@ fn degraded_routing_answers_downed_shards_without_hanging() {
         Err(ServeError::WorkerFailed) => {}
         other => panic!("expected WorkerFailed for downed shard, got {other:?}"),
     }
-    health.mark_up(0);
     bare.shutdown();
+}
+
+/// Requests the router answers itself reach its metrics like a lane's:
+/// `submitted` and `degraded` with a fallback, `submitted` and `failed`
+/// without one.
+#[test]
+fn router_answered_requests_are_counted_in_router_metrics() {
+    let sim = Simulator::run_to_completion(SimConfig::tiny(347));
+    let dataset = Dataset::from_simulator(&sim, 3);
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let fallback: Arc<dyn Fallback> = Arc::new(FeatureFallback::fit(&dataset.records));
+    for fallback in [Some(fallback), None] {
+        let with_fallback = fallback.is_some();
+        let up: Vec<_> = (0..2).map(|_| Arc::new(AtomicBool::new(true))).collect();
+        let router = switched_router(&artifact, &up, fallback);
+        let on_down: Vec<_> = dataset
+            .records
+            .iter()
+            .filter(|r| router.map().shard_of(r.address) == 1)
+            .cloned()
+            .collect();
+        assert!(!on_down.is_empty(), "sim produced no addresses on shard 1");
+        let before = router.metrics();
+        up[1].store(false, Relaxed);
+        for record in &on_down {
+            let answered = router.classify(record.clone());
+            assert_eq!(answered.is_ok(), with_fallback, "{answered:?}");
+        }
+        let after = router.metrics();
+        let n = on_down.len() as u64;
+        assert_eq!(after.submitted, before.submitted + n);
+        let (degraded, failed) = if with_fallback { (n, 0) } else { (0, n) };
+        assert_eq!(after.degraded, before.degraded + degraded);
+        assert_eq!(after.failed, before.failed + failed);
+        assert_eq!(
+            after.terminal_total(),
+            after.submitted,
+            "a request went missing"
+        );
+        router.shutdown();
+    }
 }

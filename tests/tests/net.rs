@@ -28,7 +28,7 @@ use baclassifier::{BacConfig, ModelArtifact, ShardAssignment, ShardMap, SHARD_HA
 use banet::frame::{write_magic, write_message};
 use banet::server::NetBackend;
 use banet::{
-    listen_reuse, FrameReader, HealthSink, Hello, Message, NetServer, NetServerConfig, RemoteShard,
+    listen_reuse, FrameReader, Hello, Message, NetServer, NetServerConfig, RemoteShard,
     RemoteShardConfig, ReplyOutcome, Role,
 };
 use baserve::{Engine, EngineConfig, Fallback, FeatureFallback, ServeError};
@@ -41,6 +41,7 @@ use btcsim::{AddressRecord, Block, BlockCursor, Dataset, SimConfig, Simulator};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -123,9 +124,9 @@ fn remote_fleet_matches_in_process_router_and_single_engine() {
             .map(|i| spawn_worker(&artifact, &by_id, i, shards, None))
             .collect();
         let addrs: Vec<String> = fleet.iter().map(|(_, a)| a.to_string()).collect();
-        let (router, health) = remote_router(&addrs, fast_config(), None);
+        let (router, lanes) = remote_router(&addrs, fast_config(), None);
         assert!(
-            wait_fleet_up(&health, Duration::from_secs(5)),
+            wait_fleet_up(&lanes, Duration::from_secs(5)),
             "fleet never converged"
         );
 
@@ -168,9 +169,9 @@ fn killed_worker_degrades_then_recovers_on_the_same_port() {
         .collect();
     let addrs: Vec<String> = fleet.iter().map(|(_, a)| a.to_string()).collect();
     let victim_addr: SocketAddr = addrs[victim_shard as usize].parse().unwrap();
-    let (router, health) = remote_router(&addrs, fast_config(), Some(fallback));
+    let (router, lanes) = remote_router(&addrs, fast_config(), Some(fallback));
     assert!(
-        wait_fleet_up(&health, Duration::from_secs(5)),
+        wait_fleet_up(&lanes, Duration::from_secs(5)),
         "fleet never converged"
     );
 
@@ -183,9 +184,9 @@ fn killed_worker_degrades_then_recovers_on_the_same_port() {
     assert!(!healthy.degraded);
 
     // Kill the worker mid-traffic. Every subsequent request must settle in
-    // bounded time — degraded through the fallback once the health board
-    // notices, a clean error in the brief window before it does, but
-    // never a hang.
+    // bounded time — degraded through the fallback once the lane notices
+    // it lost its connection, a clean error in the brief window before it
+    // does, but never a hang.
     let mut fleet = fleet;
     let (victim_server, _) = fleet.remove(victim_shard as usize);
     victim_server.stop();
@@ -213,7 +214,11 @@ fn killed_worker_degrades_then_recovers_on_the_same_port() {
         router.degraded_routed() > 0,
         "degraded routing never engaged"
     );
-    assert!(!health.is_up(victim_shard), "health board missed the kill");
+    assert_eq!(
+        lanes[victim_shard as usize].connections_open.load(Relaxed),
+        0,
+        "the victim's lane missed the kill"
+    );
 
     // The other shard keeps answering at full fidelity throughout.
     let other = records
@@ -228,7 +233,7 @@ fn killed_worker_degrades_then_recovers_on_the_same_port() {
     let (revived, bound) = spawn_worker(&artifact, &by_id, victim_shard, shards, Some(victim_addr));
     assert_eq!(bound, victim_addr, "respawn moved ports");
     assert!(
-        wait_fleet_up(&health, Duration::from_secs(10)),
+        wait_fleet_up(&lanes, Duration::from_secs(10)),
         "fleet never re-converged after respawn"
     );
 
@@ -324,7 +329,6 @@ fn layout_handshake_refuses_a_misconfigured_client() {
                 expect: Some(expect),
                 ..fast_config()
             },
-            HealthSink::noop(),
         );
         assert!(
             !lane.wait_connected(Duration::from_millis(500)),
@@ -342,7 +346,6 @@ fn layout_handshake_refuses_a_misconfigured_client() {
             expect: Some(ShardAssignment { index: 0, count: 2 }),
             ..fast_config()
         },
-        HealthSink::noop(),
     );
     assert!(lane.wait_connected(Duration::from_secs(5)));
     let map = ShardMap::new(2);

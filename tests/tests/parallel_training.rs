@@ -31,15 +31,15 @@ fn fit_with_threads(threads: usize, train: &Dataset) -> BaClassifier {
     clf
 }
 
-/// Saved-weights bytes of a fitted classifier (the NNIO stream covers every
-/// trainable parameter, so byte-equal files mean byte-equal models).
-fn weight_bytes(clf: &BaClassifier, tag: &str) -> Vec<u8> {
+/// `save_artifact` bytes of a fitted classifier. `threads` is not
+/// persisted, so byte-equal files mean byte-equal models.
+fn artifact_bytes(clf: &BaClassifier, tag: &str) -> Vec<u8> {
     let path = std::env::temp_dir().join(format!(
         "parallel_training_{tag}_{}_{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
-    clf.save_weights(&path).unwrap();
+    clf.save_artifact(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
     bytes
@@ -57,22 +57,26 @@ fn fit_is_byte_identical_across_thread_counts() {
     let serial = fit_with_threads(1, &train);
     let pooled = fit_with_threads(4, &train);
 
-    let serial_bytes = weight_bytes(&serial, "t1");
-    // FNV-1a over the saved weights, recorded at the commit before `Param`
-    // lost its gradient slot and `backward` started returning gradients.
-    let digest = serial_bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+    let serial_bytes = artifact_bytes(&serial, "t1");
+    // FNV-1a over the NNIO weights stream — the artifact's tail after its
+    // 24-byte header, `u32` manifest length and manifest — recorded at the
+    // commit before `Param` lost its gradient slot and `backward` started
+    // returning gradients.
+    let manifest_len = u32::from_le_bytes(serial_bytes[24..28].try_into().unwrap()) as usize;
+    let weights = &serial_bytes[28 + manifest_len..];
+    let digest = weights.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
     assert_eq!(
         digest,
         0x0702_9ab3_6a5e_7b4f,
         "{} weight bytes",
-        serial_bytes.len()
+        weights.len()
     );
     assert_eq!(
         serial_bytes,
-        weight_bytes(&pooled, "t4"),
-        "threads=4 fit must produce byte-identical weights to threads=1"
+        artifact_bytes(&pooled, "t4"),
+        "threads=4 fit must produce a byte-identical artifact to threads=1"
     );
     assert!(!test.is_empty());
     for r in &test.records {
