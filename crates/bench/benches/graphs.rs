@@ -5,7 +5,7 @@
 use baclassifier::construction::sfe::sfe;
 use btcsim::{SimConfig, Simulator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graphalgo::{propagate_features, Topology};
+use graphalgo::{propagate_in_place, Topology};
 use std::hint::black_box;
 
 /// A bipartite star of stars on `n` nodes, the shape of a compressed slice:
@@ -75,9 +75,10 @@ fn bench_centralities(c: &mut Criterion) {
 
 fn bench_propagation(c: &mut Criterion) {
     let adj = topology(200, &star_of_stars(200)).normalized_adjacency();
-    let x: Vec<f32> = (0..200 * 24).map(|i| (i as f32 * 0.01).sin()).collect();
+    // GFN's layout: X at column 1 of 1 + 24 × 4 columns a row.
+    let mut rows: Vec<f32> = (0..200 * 97).map(|i| (i as f32 * 0.01).sin()).collect();
     c.bench_function("propagate_k3_200x24", |b| {
-        b.iter(|| black_box(propagate_features(&adj, &x, 24, 3)))
+        b.iter(|| propagate_in_place(&adj, black_box(&mut rows), 97, 24, 3))
     });
 }
 

@@ -147,7 +147,7 @@ pub fn embedded_split(
     gnn_epochs: usize,
 ) -> EmbeddedSplit {
     use baclassifier::features::NODE_FEAT_DIM;
-    use baclassifier::models::{Gfn, GraphModel};
+    use baclassifier::models::Gfn;
     use baclassifier::train::{train_graph_model, TrainParams};
 
     let gfn = Gfn::new(NODE_FEAT_DIM, 2, 64, 32, scale.seed);
@@ -173,16 +173,8 @@ pub fn embedded_split(
             .zip(&graphs)
             .filter(|(_, gs)| !gs.is_empty())
             .map(|(r, gs)| {
-                let seq: Vec<numnet::Matrix> = gs
-                    .iter()
-                    .take(scale.max_slices_per_address.max(1))
-                    .map(|g| {
-                        let prep = gfn.prepare(&graph_tensors(g));
-                        let tape = numnet::Tape::new();
-                        gfn.embed(&tape, &prep).value()
-                    })
-                    .collect();
-                (seq, r.label.index())
+                let first = &gs[..gs.len().min(scale.max_slices_per_address.max(1))];
+                (gfn.embed_graphs(first, 1), r.label.index())
             })
             .collect()
     };

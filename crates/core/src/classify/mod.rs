@@ -68,6 +68,15 @@ impl LstmMlp {
             mlp: Mlp::new(&[hidden, hidden, NUM_CLASSES], Activation::Relu, &mut rng),
         }
     }
+
+    /// Tape-free [`SequenceHead::logits_batch`]: the ragged LSTM evaluator,
+    /// then one MLP pass over the final states; row `i` is the tape's
+    /// `logits(seqs[i])`, bit for bit, reading the embeddings in place.
+    pub fn eval_logits(&self, seqs: &[&[Matrix]]) -> Matrix {
+        let h = self.lstm.eval_last_batch(seqs);
+        let mut bufs = Default::default();
+        std::mem::take(self.mlp.eval(&h.view(), &mut bufs))
+    }
 }
 
 impl SequenceHead for LstmMlp {

@@ -106,8 +106,15 @@ impl AddressGraph {
     /// The flat adjacency Stage 4 and tensor assembly run on. Neighbour
     /// lists follow edge order; transferred values play no part in it.
     pub fn topology(&self) -> graphalgo::Topology {
+        let mut t = graphalgo::Topology::default();
+        self.topology_into(&mut t);
+        t
+    }
+
+    /// [`AddressGraph::topology`] into a reused buffer.
+    pub fn topology_into(&self, t: &mut graphalgo::Topology) {
         let edges = self.edges.iter().map(|e| (e.addr_node, e.tx_node));
-        graphalgo::Topology::from_edges(self.nodes.len(), edges)
+        t.refill(self.nodes.len(), edges);
     }
 
     /// The same topology as a `graphalgo` edge-list builder, for callers

@@ -28,11 +28,8 @@ pub fn signed_log1p(x: f64) -> f32 {
 pub struct GraphTensors {
     /// `n x NODE_FEAT_DIM` node features.
     pub x: Matrix,
-    /// Normalised adjacency Ã (Eq. 12), sparse.
+    /// Normalised adjacency Ã (Eq. 12), sparse: every model path runs on it.
     pub adj: CsrMatrix,
-    /// Ã as a dense matrix, materialised on first use. The model paths run
-    /// on the CSR form, so most graphs never pay the O(n²) densification.
-    adj_dense: std::sync::OnceLock<Matrix>,
     /// Raw node degrees (the `d` column GFN prepends, Eq. 13).
     pub degrees: Vec<f32>,
 }
@@ -40,20 +37,6 @@ pub struct GraphTensors {
 impl GraphTensors {
     pub fn num_nodes(&self) -> usize {
         self.x.rows()
-    }
-
-    /// Ã densified, built lazily and cached.
-    pub fn adj_dense(&self) -> &Matrix {
-        self.adj_dense.get_or_init(|| {
-            let n = self.adj.n();
-            let mut dense = Matrix::zeros(n, n);
-            for r in 0..n {
-                for (c, v) in self.adj.row(r) {
-                    dense[(r, c)] = v;
-                }
-            }
-            dense
-        })
     }
 }
 
@@ -65,7 +48,7 @@ pub fn node_features(g: &AddressGraph, i: usize) -> [f32; NODE_FEAT_DIM] {
 }
 
 /// Fill one zeroed `NODE_FEAT_DIM`-wide row with a node's features.
-fn write_node_features(n: &Node, f: &mut [f32]) {
+pub(crate) fn write_node_features(n: &Node, f: &mut [f32]) {
     let kind_slot = match n.kind {
         NodeKind::Focus => 0,
         NodeKind::Transaction => 1,
@@ -93,7 +76,6 @@ pub fn graph_tensors(g: &AddressGraph) -> GraphTensors {
     GraphTensors {
         x,
         adj: topo.normalized_adjacency(),
-        adj_dense: std::sync::OnceLock::new(),
         degrees: (0..n).map(|i| topo.degree(i) as f32).collect(),
     }
 }
@@ -165,14 +147,12 @@ mod tests {
         let t = graph_tensors(&g);
         let n = g.num_nodes();
         assert_eq!(t.x.shape(), (n, NODE_FEAT_DIM));
-        assert_eq!(t.adj_dense().shape(), (n, n));
         assert_eq!(t.degrees.len(), n);
         assert_eq!(t.adj.n(), n);
-        // Dense and sparse adjacency agree.
+        // Every node keeps its self-loop, and every entry is finite.
         for r in 0..n {
-            for (c, v) in t.adj.row(r) {
-                assert!((t.adj_dense()[(r, c)] - v).abs() < 1e-7);
-            }
+            assert!(t.adj.row(r).any(|(c, _)| c == r));
+            assert!(t.adj.row(r).all(|(_, v)| v.is_finite() && v > 0.0));
         }
     }
 

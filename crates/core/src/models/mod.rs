@@ -7,7 +7,7 @@ pub mod gfn;
 
 pub use diffpool::DiffPool;
 pub use gcn::Gcn;
-pub use gfn::{Gfn, Readout};
+pub use gfn::{Gfn, Readout, BLOCK_ROWS};
 
 use crate::features::GraphTensors;
 use numnet::{Matrix, Param, SparseAdj, Tape, Var};
@@ -45,11 +45,15 @@ impl PreparedGraph {
         }
     }
 
-    pub fn num_nodes(&self) -> usize {
+    /// One row per node: GFN's augmented features, or the raw features.
+    pub fn x(&self) -> &Matrix {
         match self {
-            PreparedGraph::Features(x) => x.rows(),
-            PreparedGraph::WithAdjacency { x, .. } => x.rows(),
+            PreparedGraph::Features(x) | PreparedGraph::WithAdjacency { x, .. } => x,
         }
+    }
+
+    pub fn num_nodes(&self) -> usize {
+        self.x().rows()
     }
 }
 

@@ -10,7 +10,7 @@ use crate::models::{Gfn, GraphModel, NUM_CLASSES};
 use crate::parallel::parallel_map;
 use crate::train::{train_graph_model, train_sequence_head, TrainLog, TrainParams};
 use btcsim::{AddressRecord, Dataset, Label};
-use numnet::{Matrix, Tape};
+use numnet::Matrix;
 
 /// What `fit` did: construction cost and both training curves.
 #[derive(Debug)]
@@ -112,20 +112,10 @@ impl BaClassifier {
             construct_dataset_graphs(&train.records, &self.cfg.construction, threads);
         let num_graphs = per_address.iter().map(Vec::len).sum();
 
-        // Prepare every slice graph exactly once (preparation is weight-free,
-        // so the same prepared tensors serve GFN training *and* the embedding
-        // stage below — the old code prepared each graph twice per fit).
+        // Stage B: graph-level GFN training on every slice graph, prepared
+        // once — each inherits its address's label (paper §IV-C1).
         let flat: Vec<&crate::construction::AddressGraph> = per_address.iter().flatten().collect();
         let prepared = parallel_map(threads, &flat, |g| self.gfn.prepare(&graph_tensors(g)));
-        let mut ranges = Vec::with_capacity(per_address.len());
-        let mut cursor = 0;
-        for graphs in &per_address {
-            ranges.push((cursor, cursor + graphs.len()));
-            cursor += graphs.len();
-        }
-
-        // Stage B: graph-level GFN training — every slice graph inherits its
-        // address's label (paper §IV-C1).
         let labels = train
             .records
             .iter()
@@ -145,21 +135,11 @@ impl BaClassifier {
             threads,
         );
 
-        // Stage C: embed each address's slice sequence (reusing the prepared
-        // graphs) and train the head on the chronological sequences.
-        let max = model_cfg.max_slices.max(1);
-        let capped: Vec<(usize, usize)> = ranges
-            .iter()
-            .map(|&(s, e)| (e - (e - s).min(max), e))
-            .collect();
-        let sequences = parallel_map(threads, &capped, |&(s, e)| {
-            graph_set[s..e]
-                .iter()
-                .map(|(prep, _)| {
-                    let tape = Tape::new();
-                    self.gfn.embed(&tape, prep).value()
-                })
-                .collect::<Vec<Matrix>>()
+        // Stage C: embed each address's capped slice sequence as
+        // `embed_record` does, through the forward evaluator, and train the
+        // head on the chronological sequences.
+        let sequences = parallel_map(threads, &per_address, |graphs| {
+            self.embedding_sequence_from_graphs(graphs, 1)
         });
         let seq_set: Vec<(Vec<Matrix>, usize)> = train
             .records
@@ -214,27 +194,23 @@ impl BaClassifier {
     }
 
     /// Embed one slice graph — the per-slice stage of [`BaClassifier::embed_record`].
-    /// Streaming layers that maintain graphs incrementally call this for
-    /// dirty slices only, then feed the cached sequence (capped to
-    /// `max_slices` most recent entries) to [`BaClassifier::classify_embeddings`].
     pub fn embed_graph(&self, graph: &crate::construction::AddressGraph) -> Matrix {
-        let prep = self.gfn.prepare(&graph_tensors(graph));
-        let tape = Tape::new();
-        self.gfn.embed(&tape, &prep).value()
+        let mut one = self.embed_graphs(std::slice::from_ref(graph), 1);
+        one.pop().expect("one graph in, one embedding out")
     }
 
     /// Embed a batch of slice graphs on `threads` workers, preserving input
-    /// order. Per-graph embedding is forward-only and every worker reads the
-    /// same weights, so `embed_graphs(gs, n)` equals mapping
-    /// [`BaClassifier::embed_graph`] over `gs` bit for bit, at any thread
-    /// count. This is the batched re-embed stage streaming reclassification
-    /// fans its dirty slices through.
+    /// order, through the GFN forward evaluator ([`Gfn::embed_graphs`]:
+    /// block-diagonal, no tape). Every embedding is the bits of
+    /// [`BaClassifier::embed_graph`] and of the tape, at any thread count.
+    /// This is the batched re-embed stage streaming reclassification fans
+    /// its dirty slices through.
     pub fn embed_graphs(
         &self,
         graphs: &[crate::construction::AddressGraph],
         threads: usize,
     ) -> Vec<Matrix> {
-        parallel_map(threads, graphs, |g| self.embed_graph(g))
+        self.gfn.embed_graphs(graphs, threads)
     }
 
     /// Predict the behavior label of one address.
@@ -253,48 +229,29 @@ impl BaClassifier {
     /// The cheap final stage: run only the LSTM+MLP head over an embedding
     /// sequence previously produced by [`BaClassifier::embed_record`].
     pub fn classify_embeddings(&self, seq: &[Matrix]) -> Result<Label, PredictError> {
-        if !self.fitted {
-            return Err(PredictError::NotFitted);
-        }
-        if seq.is_empty() {
-            return Err(PredictError::EmptyHistory);
-        }
-        let idx = self.head.predict(seq);
-        Ok(Label::from_index(idx).expect("head emits valid class indices"))
+        self.classify_embeddings_scored(seq).map(|(label, _)| label)
     }
 
     /// As [`BaClassifier::classify_embeddings`], but also return the label
     /// margin: the winning logit minus the runner-up logit, ≥ 0. A small
     /// margin means the address sat near a label boundary — streaming
     /// reclassification uses it to re-embed boundary-adjacent addresses
-    /// first. The label is the same bits `classify_embeddings` returns
-    /// (identical forward pass, identical argmax).
+    /// first. A batch of one through
+    /// [`BaClassifier::classify_embeddings_batch`].
     pub fn classify_embeddings_scored(&self, seq: &[Matrix]) -> Result<(Label, f32), PredictError> {
-        if !self.fitted {
-            return Err(PredictError::NotFitted);
-        }
-        if seq.is_empty() {
-            return Err(PredictError::EmptyHistory);
-        }
-        let (idx, margin) = scored_logits(&self.head, seq);
-        Ok((
-            Label::from_index(idx).expect("head emits valid class indices"),
-            margin,
-        ))
+        Ok(self.classify_embeddings_batch(&[seq], 1)?.remove(0))
     }
 
-    /// Classify a batch of embedding sequences through the batched sequence
-    /// head ([`SequenceHead::logits_batch`]), preserving input order. Each
+    /// Classify a batch of embedding sequences through the head's forward
+    /// evaluator ([`LstmMlp::eval_logits`]), preserving input order. Each
     /// worker runs its whole contiguous chunk as one ragged-batch forward
     /// pass — one fused-gate matmul per timestep over the still-active
-    /// sequences — instead of one tape per sequence. Every logit row of the
-    /// batched pass is bitwise identical to the single-sequence formulation
-    /// and every worker reads the same weights, so the output equals
-    /// mapping [`BaClassifier::classify_embeddings_scored`] over `seqs` bit
-    /// for bit, at any thread count and any batch split. Errors if unfitted
-    /// or any sequence is empty (batch callers gate on history length
-    /// first). Sequences may be owned (`Vec<Matrix>`) or borrowed
-    /// (`&[Matrix]`); the head only ever reads them.
+    /// sequences, no tape. Every logit row is bitwise the tape's
+    /// single-sequence [`SequenceHead::logits`] and every worker reads the
+    /// same weights, so the output is the same bits at any thread count
+    /// and any batch split. Errors if unfitted or any sequence is empty
+    /// (batch callers gate on history length first). Sequences may be owned
+    /// (`Vec<Matrix>`) or borrowed (`&[Matrix]`); the head only reads them.
     pub fn classify_embeddings_batch<S: AsRef<[Matrix]>>(
         &self,
         seqs: &[S],
@@ -309,7 +266,12 @@ impl BaClassifier {
         }
         let chunk = seqs.len().div_ceil(threads.max(1)).max(1);
         let chunks: Vec<&[&[Matrix]]> = seqs.chunks(chunk).collect();
-        let per_chunk = parallel_map(threads, &chunks, |c| scored_logits_batch(&self.head, c));
+        let per_chunk = parallel_map(threads, &chunks, |c| {
+            let logits = self.head.eval_logits(c);
+            (0..c.len())
+                .map(|r| score_row(&logits, r))
+                .collect::<Vec<_>>()
+        });
         Ok(per_chunk
             .into_iter()
             .flatten()
@@ -357,27 +319,8 @@ impl BaClassifier {
     }
 }
 
-/// One head forward pass → (argmax class, margin). The argmax is the exact
-/// computation [`SequenceHead::predict`] performs (same logits, same
-/// `row_argmax`), so scored classification can never disagree with the
-/// unscored path on the label.
-fn scored_logits(head: &impl SequenceHead, seq: &[Matrix]) -> (usize, f32) {
-    let tape = Tape::new();
-    let logits = head.logits(&tape, seq).value();
-    score_row(&logits, 0)
-}
-
-/// One batched head forward pass → per-sequence (argmax class, margin).
-/// A single tape and a single [`SequenceHead::logits_batch`] call cover the
-/// whole chunk; because every logit row of the batched pass is bitwise
-/// identical to [`SequenceHead::logits`] on that sequence alone, each entry
-/// equals [`scored_logits`] on the same sequence bit for bit.
-fn scored_logits_batch(head: &impl SequenceHead, seqs: &[&[Matrix]]) -> Vec<(usize, f32)> {
-    let tape = Tape::new();
-    let logits = head.logits_batch(&tape, seqs).value();
-    (0..seqs.len()).map(|r| score_row(&logits, r)).collect()
-}
-
+/// Logit row `r` → (argmax class, winner minus runner-up); the argmax is
+/// [`SequenceHead::predict`]'s `row_argmax`.
 fn score_row(logits: &Matrix, r: usize) -> (usize, f32) {
     let idx = logits.row_argmax(r);
     let mut runner_up = f32::NEG_INFINITY;

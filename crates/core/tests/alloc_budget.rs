@@ -1,15 +1,21 @@
-//! Allocation budget of construction: Stage 4 and tensor assembly make a small
-//! constant number of allocator calls whatever the slice's node count, and
-//! Stages 1–3 make none per node or per edge — what they do make is the
-//! doubling of a handful of growing buffers. Counts, not timings, so they
-//! mean the same on one busy core.
+//! Allocation budget of construction and inference: Stage 4 and tensor
+//! assembly make a small constant number of allocator calls whatever the
+//! slice's node count, and Stages 1–3 make none per node or per edge — what
+//! they do make is the doubling of a handful of growing buffers. The forward
+//! evaluator allocates one matrix per embedded slice and a fixed set of
+//! scratch buffers per call, and the batched head's calls do not grow with
+//! the batch. Counts, not timings, so they mean the same on one busy core.
 
+use baclassifier::classify::{LstmMlp, SequenceHead};
 use baclassifier::construction::{
     augment_with_centralities, compress_multi_tx, compress_single_tx, extract_original_graphs,
     AddressGraph, MultiCompressParams,
 };
-use baclassifier::features::graph_tensors;
+use baclassifier::features::{graph_tensors, NODE_FEAT_DIM};
+use baclassifier::models::{Gfn, GraphModel};
+use baclassifier::{BaClassifier, BacConfig, ModelArtifact};
 use btcsim::{Address, AddressRecord, Amount, Label, TxView, Txid};
+use numnet::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -134,5 +140,63 @@ fn stages_1_to_3_allocate_per_buffer_not_per_node_or_edge() {
             "stage {}: {calls} allocator calls",
             stage % 3 + 1
         );
+    }
+}
+
+/// `BacConfig::fast()`'s initial weights, loaded as an artifact so the
+/// classifier counts as fitted.
+fn loaded_classifier() -> BaClassifier {
+    let config = BacConfig::fast();
+    let m = &config.model;
+    let gfn = Gfn::new(NODE_FEAT_DIM, m.gfn_k, m.hidden_dim, m.embed_dim, m.seed);
+    let head = LstmMlp::new(m.embed_dim, m.lstm_hidden, m.seed ^ 0x5a);
+    let params = gfn.params().into_iter().chain(head.params());
+    let weights = params.map(|p| p.value().clone()).collect();
+    BaClassifier::from_artifact(&ModelArtifact { config, weights }).expect("shapes match")
+}
+
+#[test]
+fn embedding_a_slice_beyond_the_first_costs_its_embedding_alone() {
+    let clf = loaded_classifier();
+    // 6-node slices share one block; 450-node slices are a block each.
+    for payees in [4, 448] {
+        let slices: Vec<AddressGraph> = (0..16)
+            .map(|_| {
+                let mut g = payout_slice(payees);
+                augment_with_centralities(&mut g);
+                g
+            })
+            .collect();
+        let (one, _) = calls_during(|| clf.embed_graphs(&slices[..1], 1));
+        let (all, embeds) = calls_during(|| clf.embed_graphs(&slices, 1));
+        assert_eq!(embeds.len(), 16);
+        // The tape made ~25 calls a slice for the forward pass alone.
+        assert!(
+            all <= one + 15,
+            "{} nodes: {one} calls for 1 slice, {all} for 16",
+            slices[0].num_nodes()
+        );
+    }
+}
+
+#[test]
+fn batched_head_calls_per_sequence_do_not_grow_with_the_batch() {
+    let clf = loaded_classifier();
+    let dim = clf.config().model.embed_dim;
+    let seqs: Vec<Vec<Matrix>> = (0..64)
+        .map(|i| {
+            let len = 1 + i % 16;
+            let row =
+                |t: usize| Matrix::from_fn(1, dim, |_, c| ((i * 31 + t * 7 + c) as f32).sin());
+            (0..len).map(row).collect()
+        })
+        .collect();
+    let mut last = f64::INFINITY;
+    for batch in [1, 4, 16, 64] {
+        let (calls, out) = calls_during(|| clf.classify_embeddings_batch(&seqs[..batch], 1));
+        assert_eq!(out.expect("fitted, non-empty").len(), batch);
+        let per_seq = calls as f64 / batch as f64;
+        assert!(per_seq <= last, "batch {batch}: {per_seq} calls a sequence");
+        last = per_seq;
     }
 }

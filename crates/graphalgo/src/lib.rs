@@ -26,5 +26,5 @@ pub mod topology;
 
 pub use centrality::{all_centralities, Centralities};
 pub use graph::Graph;
-pub use sparse::{normalized_adjacency, propagate_features, CsrMatrix};
+pub use sparse::{normalized_adjacency, propagate_in_place, CsrMatrix};
 pub use topology::Topology;

@@ -3,9 +3,10 @@
 
 use crate::graph::Graph;
 use crate::topology::Topology;
+use std::cmp::Ordering;
 
 /// A square CSR matrix of `f32` (sufficient for propagation operators).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CsrMatrix {
     n: usize,
     row_ptr: Vec<usize>,
@@ -216,18 +217,30 @@ impl Topology {
     /// Edge multiplicities contribute to A (a multigraph collapses to summed
     /// weights of 1 per parallel edge).
     pub fn normalized_adjacency(&self) -> CsrMatrix {
+        let mut adj = CsrMatrix::default();
+        self.normalized_adjacency_into(&mut adj);
+        adj
+    }
+
+    /// [`Topology::normalized_adjacency`] into `adj`'s buffers, which make no
+    /// allocator call once they have held an operator as large.
+    pub fn normalized_adjacency_into(&self, adj: &mut CsrMatrix) {
         let n = self.num_nodes();
         // D̃ is degree + 1: an exact small integer in `f32`.
-        let inv_sqrt: Vec<f32> = (0..n)
-            .map(|u| 1.0 / ((self.degree(u) + 1) as f32).sqrt())
-            .collect();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx: Vec<usize> = Vec::with_capacity(self.num_endpoints() + n);
-        let mut values = Vec::with_capacity(self.num_endpoints() + n);
+        let inv_sqrt = |u: usize| 1.0 / ((self.degree(u) + 1) as f32).sqrt();
+        adj.n = n;
+        let (row_ptr, col_idx, values) = (&mut adj.row_ptr, &mut adj.col_idx, &mut adj.values);
+        row_ptr.clear();
+        col_idx.clear();
+        values.clear();
+        row_ptr.reserve(n + 1);
+        col_idx.reserve(self.num_endpoints() + n);
+        values.reserve(self.num_endpoints() + n);
         row_ptr.push(0);
         for u in 0..n {
             // Row u of A + I: its neighbours and itself, sorted at the tail
             // of `col_idx`, then run-length counted back into the same tail.
+            let inv_u = inv_sqrt(u);
             let start = col_idx.len();
             col_idx.extend(self.neighbors(u).iter().map(|&v| v as usize));
             col_idx.push(u);
@@ -238,14 +251,13 @@ impl Topology {
                 let v = col_idx[read];
                 let run = col_idx[read..].iter().take_while(|&&c| c == v).count();
                 col_idx[kept] = v;
-                values.push(inv_sqrt[u] * run as f32 * inv_sqrt[v]);
+                values.push(inv_u * run as f32 * inv_sqrt(v));
                 kept += 1;
                 read += run;
             }
             col_idx.truncate(kept);
             row_ptr.push(kept);
         }
-        CsrMatrix::from_sorted_rows(n, row_ptr, col_idx, values)
     }
 }
 
@@ -254,17 +266,38 @@ pub fn normalized_adjacency(g: &Graph) -> CsrMatrix {
     g.topology().normalized_adjacency()
 }
 
-/// Compute the propagated feature stack `[X, ÃX, Ã²X, …, ÃᵏX]` (Eq. 13),
-/// returned as `k+1` row-major `n x d` buffers.
-pub fn propagate_features(adj: &CsrMatrix, x: &[f32], d: usize, k: usize) -> Vec<Vec<f32>> {
-    let mut out = Vec::with_capacity(k + 1);
-    out.push(x.to_vec());
-    let mut cur = x.to_vec();
-    for _ in 0..k {
-        cur = adj.matmul_dense(&cur, d);
-        out.push(cur.clone());
+/// The propagated feature stack `[X, ÃX, Ã²X, …, ÃᵏX]` (Eq. 13) in place:
+/// `rows` holds `adj.n()` rows of `stride` floats ending in `k + 1` blocks of
+/// `d` columns, X in the first. Each `ÃˢX` element sums its CSR row in order,
+/// as [`CsrMatrix::matmul_dense`] does: the same bits, no buffer per power.
+pub fn propagate_in_place(adj: &CsrMatrix, rows: &mut [f32], stride: usize, d: usize, k: usize) {
+    assert!(
+        adj.n * stride <= rows.len(),
+        "propagate_in_place: short rows"
+    );
+    let first = stride - (k + 1) * d;
+    for s in 1..=k {
+        let (src, dst) = (first + (s - 1) * d, first + s * d);
+        for r in 0..adj.n {
+            // Row r's block is written while rows before it, after it and
+            // its own lower blocks are read: split the buffer around it.
+            let (before, rest) = rows.split_at_mut(r * stride);
+            let (row, after) = rest.split_at_mut(stride);
+            let (lower, upper) = row.split_at_mut(dst);
+            let out = &mut upper[..d];
+            out.fill(0.0);
+            for (c, v) in adj.row(r) {
+                let x = match c.cmp(&r) {
+                    Ordering::Less => &before[c * stride + src..][..d],
+                    Ordering::Equal => &lower[src..src + d],
+                    Ordering::Greater => &after[(c - r - 1) * stride + src..][..d],
+                };
+                for (o, &xv) in out.iter_mut().zip(x) {
+                    *o += v * xv;
+                }
+            }
+        }
     }
-    out
 }
 
 #[cfg(test)]
@@ -435,12 +468,25 @@ mod tests {
         let mut g = Graph::new(3);
         g.add_edge(0, 1);
         let a = normalized_adjacency(&g);
-        let x = vec![1.0, 0.0, 0.0];
-        let stack = propagate_features(&a, &x, 1, 3);
-        assert_eq!(stack.len(), 4);
-        assert_eq!(stack[0], x);
-        // propagation spreads mass but preserves finiteness
-        assert!(stack[3].iter().all(|v| v.is_finite()));
+        // Three rows of [pad, x (2 wide), ÃX, Ã²X, Ã³X].
+        let x = [1.0f32, -0.5, 0.0, 2.0, 0.25, 0.0];
+        let mut rows = vec![7.0f32; 3 * 9];
+        for r in 0..3 {
+            rows[r * 9 + 1..r * 9 + 3].copy_from_slice(&x[r * 2..r * 2 + 2]);
+        }
+        propagate_in_place(&a, &mut rows, 9, 2, 3);
+        let mut power = x.to_vec();
+        for s in 1..=3 {
+            power = a.matmul_dense(&power, 2);
+            for r in 0..3 {
+                let got = &rows[r * 9 + 1 + s * 2..r * 9 + 3 + s * 2];
+                let mut same = got.iter().zip(&power[r * 2..r * 2 + 2]);
+                assert!(same.all(|(g, w)| g.to_bits() == w.to_bits()));
+            }
+        }
+        // X and the column before the stack are untouched.
+        assert_eq!(&rows[1..3], &x[..2]);
+        assert!((0..3).all(|r| rows[r * 9] == 7.0));
     }
 
     #[test]

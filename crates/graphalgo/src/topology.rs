@@ -5,7 +5,7 @@
 /// allocation: `data[u]..data[u + 1]` is the range of `data` itself that
 /// holds the neighbours of `u`, in edge insertion order. A parallel edge
 /// repeats its neighbour; a self-loop lists its node once.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Topology {
     num_nodes: usize,
     /// `num_nodes + 1` range bounds, one unused slot, then every neighbour
@@ -24,6 +24,17 @@ impl Topology {
     where
         I: ExactSizeIterator<Item = (usize, usize)> + Clone,
     {
+        let mut t = Self::default();
+        t.refill(n, edges);
+        t
+    }
+
+    /// [`Topology::from_edges`] into this topology's buffer, which makes no
+    /// allocator call once it has held a graph as large.
+    pub fn refill<I>(&mut self, n: usize, edges: I)
+    where
+        I: ExactSizeIterator<Item = (usize, usize)> + Clone,
+    {
         let len = (edges.len().checked_mul(2))
             .and_then(|endpoints| endpoints.checked_add(n)?.checked_add(2))
             .filter(|&len| u32::try_from(len).is_ok())
@@ -32,7 +43,9 @@ impl Topology {
         // Degrees are counted two slots up, so that after the prefix sum
         // `data[u + 1]` is where `u`'s range starts; filling advances it to
         // where the range ends, which is where `u + 1`'s starts.
-        let mut data = vec![0u32; len];
+        let data = &mut self.data;
+        data.clear();
+        data.resize(len, 0);
         for (u, v) in edges.clone() {
             assert!(u < n && v < n, "edge endpoint out of range");
             data[u + 2] += 1;
@@ -56,8 +69,9 @@ impl Topology {
             }
         }
         // Self-loops fill one slot of the two reserved for them.
-        data.truncate(data[n] as usize);
-        Self { num_nodes: n, data }
+        let used = data[n] as usize;
+        data.truncate(used);
+        self.num_nodes = n;
     }
 
     pub fn num_nodes(&self) -> usize {

@@ -1,7 +1,7 @@
 //! Fully-connected layer.
 
 use crate::init;
-use crate::matrix::Matrix;
+use crate::matrix::{matmul_into, Matrix, MatrixView};
 use crate::tape::{Param, Tape, Var};
 use rand::rngs::StdRng;
 
@@ -37,6 +37,13 @@ impl Linear {
         let w = tape.param(&self.weight);
         let b = tape.param(&self.bias);
         x.matmul(w).add_row(b)
+    }
+
+    /// Tape-free [`Linear::forward`] into `out`, the bias added in place;
+    /// the same bits, reading the parameters where they live.
+    pub fn eval(&self, x: &MatrixView<'_>, out: &mut Matrix) {
+        matmul_into(x, &self.weight.value().view(), out);
+        out.add_row_assign(&self.bias.value());
     }
 
     /// Trainable parameters.

@@ -2,7 +2,7 @@
 //! gate equations of the paper's §III-C (Eq. 16–21).
 
 use crate::init;
-use crate::matrix::Matrix;
+use crate::matrix::{matmul_into, Matrix};
 use crate::tape::{Param, Tape, Var};
 use rand::rngs::StdRng;
 
@@ -85,8 +85,8 @@ impl LstmCell {
     /// prefix instead of one per sequence per timestep.
     ///
     /// Sequences are sorted longest-first so that at step `t` the sequences
-    /// with `len > t` occupy rows `[0, Bt)` and the shared state shrinks via
-    /// zero-copy [`Var::rows_view`]. Final hidden rows are scattered back to
+    /// with `len > t` occupy rows `[0, Bt)` and the shared state shrinks to
+    /// its leading rows. Final hidden rows are scattered back to
     /// the original order with [`Var::stack_rows`], so row `i` of the result
     /// belongs to `seqs[i]`.
     ///
@@ -102,19 +102,7 @@ impl LstmCell {
     /// Panics if the batch is empty, any sequence is empty, or any step is
     /// not a `1 × input` row.
     pub fn forward_last_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
-        assert!(!seqs.is_empty(), "forward_last_batch: empty batch");
-        for (i, s) in seqs.iter().enumerate() {
-            assert!(!s.is_empty(), "forward_last_batch: empty sequence {i}");
-            for m in *s {
-                assert_eq!(
-                    m.shape(),
-                    (1, self.input_dim),
-                    "forward_last_batch: sequence {i} step shape"
-                );
-            }
-        }
-        let mut order: Vec<usize> = (0..seqs.len()).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(seqs[i].len()), i));
+        let order = self.longest_first(seqs);
         let max_len = seqs[order[0]].len();
         let mut finals: Vec<Option<(Var<'t>, usize)>> = vec![None; seqs.len()];
         let mut state = self.zero_state(tape, seqs.len());
@@ -123,8 +111,8 @@ impl LstmCell {
             let bt = order.iter().take_while(|&&i| seqs[i].len() > t).count();
             if bt < active {
                 state = LstmState {
-                    h: state.h.rows_view(0, bt),
-                    c: state.c.rows_view(0, bt),
+                    h: state.h.slice_rows(0, bt),
+                    c: state.c.slice_rows(0, bt),
                 };
                 active = bt;
             }
@@ -146,8 +134,73 @@ impl LstmCell {
         Var::stack_rows(&parts)
     }
 
+    /// Tape-free twin of [`LstmCell::forward_last_batch`]: the same schedule
+    /// and bits, the state updated in place. Row `j` of one `[h | x]` buffer
+    /// holds active sequence `j`'s state beside its next input, so a step is
+    /// one matmul and no concat. Panics as the tape version does.
+    pub fn eval_last_batch(&self, seqs: &[&[Matrix]]) -> Matrix {
+        let order = self.longest_first(seqs);
+        let h = self.hidden_dim;
+        let mut hx = Matrix::zeros(seqs.len(), h + self.input_dim);
+        let mut c = Matrix::zeros(seqs.len(), h);
+        let mut gates = Matrix::default();
+        let mut finals = Matrix::zeros(seqs.len(), h);
+        let (w, b) = (self.w.value(), self.b.value());
+        for t in 0..seqs[order[0]].len() {
+            let bt = order.iter().take_while(|&&i| seqs[i].len() > t).count();
+            for (j, &i) in order[..bt].iter().enumerate() {
+                hx.row_mut(j)[h..].copy_from_slice(seqs[i][t].row(0));
+            }
+            matmul_into(&hx.rows_view(0, bt), &w.view(), &mut gates);
+            gates.add_row_assign(&b);
+            activate_gates(&mut gates, h);
+            for (j, &i) in order[..bt].iter().enumerate() {
+                let (g, hj, cj) = (gates.row(j), &mut hx.row_mut(j)[..h], c.row_mut(j));
+                for u in 0..h {
+                    // c = f ⊙ c + i ⊙ c̃, h = o ⊙ tanh(c): the tape's ops.
+                    cj[u] = g[u] * cj[u] + g[h + u] * g[2 * h + u];
+                    hj[u] = g[3 * h + u] * cj[u].tanh();
+                }
+                if seqs[i].len() == t + 1 {
+                    finals.row_mut(i).copy_from_slice(hj);
+                }
+            }
+        }
+        finals
+    }
+
+    /// Batch indices by `(length desc, index)`, once the batch is checked.
+    fn longest_first(&self, seqs: &[&[Matrix]]) -> Vec<usize> {
+        assert!(!seqs.is_empty(), "forward_last_batch: empty batch");
+        for (i, s) in seqs.iter().enumerate() {
+            assert!(!s.is_empty(), "forward_last_batch: empty sequence {i}");
+            for m in *s {
+                assert_eq!(
+                    m.shape(),
+                    (1, self.input_dim),
+                    "forward_last_batch: sequence {i} step shape"
+                );
+            }
+        }
+        let mut order: Vec<usize> = (0..seqs.len()).collect();
+        order.sort_by_key(|&i| (std::cmp::Reverse(seqs[i].len()), i));
+        order
+    }
+
     pub fn params(&self) -> Vec<Param> {
         vec![self.w.clone(), self.b.clone()]
+    }
+}
+
+/// The fused gate activations, in place on `x·W + b`: σ on the forget,
+/// input and output blocks, tanh on the cell block.
+pub(crate) fn activate_gates(v: &mut Matrix, hidden: usize) {
+    let sigmoid = |x: f32| 1.0 / (1.0 + (-x).exp());
+    for r in 0..v.rows() {
+        for (c, pre) in v.row_mut(r).iter_mut().enumerate() {
+            let cell = c >= 2 * hidden && c < 3 * hidden;
+            *pre = if cell { pre.tanh() } else { sigmoid(*pre) };
+        }
     }
 }
 
@@ -189,6 +242,11 @@ impl Lstm {
     /// [`LstmCell::forward_last_batch`]).
     pub fn forward_last_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
         self.cell.forward_last_batch(tape, seqs)
+    }
+
+    /// [`LstmCell::eval_last_batch`].
+    pub fn eval_last_batch(&self, seqs: &[&[Matrix]]) -> Matrix {
+        self.cell.eval_last_batch(seqs)
     }
 
     /// Run over the sequence returning every hidden state.
@@ -433,6 +491,30 @@ mod tests {
             .remove(0);
         assert!(g.all_finite());
         assert!(g.frobenius_norm() > 0.0, "no gradient reached the weights");
+    }
+
+    #[test]
+    fn eval_last_batch_matches_the_tape_bitwise() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let lstm = Lstm::new(3, 5, &mut rng);
+        for lens in [&[1usize][..], &[2, 5, 1, 5, 3], &[17, 1, 2]] {
+            let seqs: Vec<Vec<Matrix>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| {
+                    (0..len)
+                        .map(|t| Matrix::from_fn(1, 3, |_, c| ((i * 7 + t * 3 + c) as f32).cos()))
+                        .collect()
+                })
+                .collect();
+            let borrowed: Vec<&[Matrix]> = seqs.iter().map(Vec::as_slice).collect();
+            let tape = Tape::new();
+            let taped = lstm.forward_last_batch(&tape, &borrowed).value();
+            assert!(
+                bits_eq(&lstm.eval_last_batch(&borrowed), &taped),
+                "{lens:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Multi-layer perceptron with configurable hidden activation.
 
 use crate::layers::linear::Linear;
+use crate::matrix::{Matrix, MatrixView};
 use crate::tape::{Param, Tape, Var};
 use rand::rngs::StdRng;
 
@@ -18,6 +19,15 @@ impl Activation {
             Activation::Relu => x.relu(),
             Activation::Tanh => x.tanh(),
             Activation::Sigmoid => x.sigmoid(),
+        }
+    }
+
+    /// In place, element by element, the expression the tape op evaluates.
+    fn apply_in_place(self, m: &mut Matrix) {
+        match self {
+            Activation::Relu => m.map_assign(|x| x.max(0.0)),
+            Activation::Tanh => m.map_assign(f32::tanh),
+            Activation::Sigmoid => m.map_assign(|x| 1.0 / (1.0 + (-x).exp())),
         }
     }
 }
@@ -64,6 +74,21 @@ impl Mlp {
         h
     }
 
+    /// Tape-free [`Mlp::forward`]: each layer writes one of `bufs` from the
+    /// other, activations in place; returns the buffer holding the output.
+    /// Row `r` of the result is the tape's row `r`, bit for bit, for any
+    /// number of rows.
+    pub fn eval<'b>(&self, x: &MatrixView<'_>, bufs: &'b mut [Matrix; 2]) -> &'b mut Matrix {
+        let [mut out, mut spare] = bufs.each_mut();
+        self.layers[0].eval(x, out);
+        for layer in &self.layers[1..] {
+            self.activation.apply_in_place(out);
+            layer.eval(&out.view(), spare);
+            std::mem::swap(&mut out, &mut spare);
+        }
+        out
+    }
+
     pub fn params(&self) -> Vec<Param> {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
@@ -85,6 +110,27 @@ mod tests {
         let tape = Tape::new();
         let x = tape.constant(Matrix::zeros(7, 5));
         assert_eq!(mlp.forward(&tape, x).shape(), (7, 3));
+    }
+
+    #[test]
+    fn eval_matches_the_tape_bitwise_for_every_activation() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for act in [Activation::Relu, Activation::Tanh, Activation::Sigmoid] {
+            let mlp = Mlp::new(&[5, 8, 7, 3], act, &mut rng);
+            let mut bufs = Default::default();
+            for rows in [1, 4, 40] {
+                let x = Matrix::from_fn(rows, 5, |r, c| ((r * 5 + c) as f32 * 0.7).sin());
+                let tape = Tape::new();
+                let taped = mlp.forward(&tape, tape.constant(x.clone())).value();
+                let eval = mlp.eval(&x.view(), &mut bufs);
+                assert_eq!(eval.shape(), taped.shape());
+                assert!(eval
+                    .as_slice()
+                    .iter()
+                    .zip(taped.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! * [`Tape`]/[`Var`]/[`Param`] — reverse-mode autograd over shared
 //!   `Send + Sync` parameter values; a backward pass returns its gradients;
 //! * layers — [`layers::Linear`], [`layers::Mlp`], [`layers::Lstm`],
-//!   [`layers::BiLstm`], [`layers::AttentionPool`];
+//!   [`layers::BiLstm`], [`layers::AttentionPool`]; `Linear`, `Mlp` and
+//!   `LstmCell` also have a forward evaluator (`eval*`): no tape, results
+//!   written into reused matrices, the tape's bits (training is the tape's
+//!   only job);
 //! * optimisers — [`optim::Sgd`], [`optim::Adam`];
 //! * initialisers — [`init`].
 //!
@@ -54,6 +57,6 @@ pub mod layers {
 
 pub use io::{assign_params, read_matrices, write_matrices, LoadError};
 pub use matrix::{
-    matmul_a_bt_views, matmul_at_b_views, matmul_views, Matrix, MatrixView, MatrixViewMut,
+    matmul_a_bt_views, matmul_at_b_views, matmul_into, matmul_views, Matrix, MatrixView,
 };
 pub use tape::{backward_alloc_count, reset_backward_alloc_count, Param, SparseAdj, Tape, Var};

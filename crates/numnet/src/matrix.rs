@@ -2,7 +2,7 @@
 //!
 //! The owned [`Matrix`] is deliberately minimal — row-major, no BLAS — but
 //! the three matmul kernels (`matmul`, `matmul_at_b`, `matmul_a_bt`) also
-//! accept borrowed stride-aware views ([`MatrixView`]/[`MatrixViewMut`]), so
+//! accept borrowed stride-aware views ([`MatrixView`]), so
 //! a row block or a column block of a larger buffer multiplies without being
 //! copied out first. The kernels are cache-blocked and written so the
 //! autovectorizer can keep the inner loop branch-free, but they preserve the
@@ -79,12 +79,9 @@ fn fold_chunk(out_row: &mut [f32], a_chunk: &[f32], bpack: &[f32; K_CHUNK * J_TI
     let mut acc = [0.0f32; J_TILE];
     acc[..w].copy_from_slice(out_row);
     if w == J_TILE {
-        for (kc, &av) in a_chunk.iter().enumerate() {
-            let b: &[f32; J_TILE] = bpack[kc * J_TILE..(kc + 1) * J_TILE].try_into().unwrap();
-            for u in 0..J_TILE {
-                acc[u] += av * b[u];
-            }
-        }
+        fold_fixed::<J_TILE>(&mut acc, a_chunk, bpack);
+    } else if w == J_TILE / 2 {
+        fold_fixed::<{ J_TILE / 2 }>(&mut acc, a_chunk, bpack);
     } else {
         for (kc, &av) in a_chunk.iter().enumerate() {
             let b = &bpack[kc * w..kc * w + w];
@@ -94,6 +91,18 @@ fn fold_chunk(out_row: &mut [f32], a_chunk: &[f32], bpack: &[f32; K_CHUNK * J_TI
         }
     }
     out_row.copy_from_slice(&acc[..w]);
+}
+
+/// [`fold_chunk`]'s loop at a strip width known to the compiler, which then
+/// keeps the accumulator in registers.
+#[inline(always)]
+fn fold_fixed<const W: usize>(acc: &mut [f32; J_TILE], a_chunk: &[f32], bpack: &[f32]) {
+    for (kc, &av) in a_chunk.iter().enumerate() {
+        let b: &[f32; W] = bpack[kc * W..(kc + 1) * W].try_into().unwrap();
+        for u in 0..W {
+            acc[u] += av * b[u];
+        }
+    }
 }
 
 /// A borrowed, stride-aware, read-only window into row-major `f32` storage.
@@ -221,92 +230,6 @@ impl fmt::Debug for MatrixView<'_> {
     }
 }
 
-/// The mutable counterpart of [`MatrixView`]: a stride-aware window used to
-/// scatter results back into a larger buffer in place (e.g. the row-block
-/// gradient accumulation of the `rows_view`/`stack_rows` tape ops).
-pub struct MatrixViewMut<'a> {
-    data: &'a mut [f32],
-    rows: usize,
-    cols: usize,
-    row_stride: usize,
-}
-
-impl<'a> MatrixViewMut<'a> {
-    /// Build a mutable view over raw row-major storage; same invariants as
-    /// [`MatrixView::from_parts`].
-    pub fn from_parts(data: &'a mut [f32], rows: usize, cols: usize, row_stride: usize) -> Self {
-        // Re-use the read-only validation.
-        let _ = MatrixView::from_parts(data, rows, cols, row_stride);
-        Self {
-            data,
-            rows,
-            cols,
-            row_stride,
-        }
-    }
-
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// Borrow one row as a slice.
-    pub fn row(&self, r: usize) -> &[f32] {
-        debug_assert!(r < self.rows, "row index out of bounds");
-        if self.cols == 0 {
-            return &[];
-        }
-        let off = r * self.row_stride;
-        &self.data[off..off + self.cols]
-    }
-
-    /// Borrow one row mutably.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        debug_assert!(r < self.rows, "row index out of bounds");
-        if self.cols == 0 {
-            return &mut [];
-        }
-        let off = r * self.row_stride;
-        &mut self.data[off..off + self.cols]
-    }
-
-    /// Overwrite the window with `src` (same shape).
-    pub fn copy_from(&mut self, src: &MatrixView<'_>) {
-        assert_eq!(self.shape(), src.shape(), "copy_from shape mismatch");
-        for r in 0..self.rows {
-            self.row_mut(r).copy_from_slice(src.row(r));
-        }
-    }
-
-    /// In-place `self += src` (same shape).
-    pub fn add_assign_view(&mut self, src: &MatrixView<'_>) {
-        assert_eq!(self.shape(), src.shape(), "add_assign_view shape mismatch");
-        for r in 0..self.rows {
-            for (o, &v) in self.row_mut(r).iter_mut().zip(src.row(r)) {
-                *o += v;
-            }
-        }
-    }
-}
-
-impl fmt::Debug for MatrixViewMut<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "MatrixViewMut {}x{} (stride {})",
-            self.rows, self.cols, self.row_stride
-        )
-    }
-}
-
 /// Matrix product `a * b` over borrowed stride-aware views.
 ///
 /// Small outputs (`rows·cols ≤ SMALL_MM_OUT`) take a pack-free i-k-j fast
@@ -323,62 +246,74 @@ impl fmt::Debug for MatrixViewMut<'_> {
 /// # Panics
 /// Panics on inner-dimension mismatch.
 pub fn matmul_views(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
+    let mut out = Matrix::default();
+    matmul_into(a, b, &mut out);
+    out
+}
+
+/// [`matmul_views`] written into `out`, which is reshaped to the product and
+/// reuses its allocation — the forward evaluator's matmul. Same bits.
+///
+/// # Panics
+/// Panics on inner-dimension mismatch.
+pub fn matmul_into(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut Matrix) {
     assert_eq!(
         a.cols, b.rows,
         "matmul: {}x{} * {}x{}",
         a.rows, a.cols, b.rows, b.cols
     );
+    out.reset(a.rows, b.cols);
+    let out = &mut out.data;
     if a.rows * b.cols <= SMALL_MM_OUT {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the avx2 requirement is checked at runtime above.
-            return unsafe { matmul_views_small_avx2(a, b) };
+            return unsafe { matmul_views_small_avx2(a, b, out) };
         }
-        return matmul_views_small_impl(a, b);
+        return matmul_views_small_impl(a, b, out);
     }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the avx2 requirement is checked at runtime above.
-        return unsafe { matmul_views_avx2(a, b) };
+        return unsafe { matmul_views_avx2(a, b, out) };
     }
-    matmul_views_impl(a, b)
+    matmul_views_impl(a, b, out)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_views_avx2(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
-    matmul_views_impl(a, b)
+unsafe fn matmul_views_avx2(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
+    matmul_views_impl(a, b, out)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_views_small_avx2(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
-    matmul_views_small_impl(a, b)
+unsafe fn matmul_views_small_avx2(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
+    matmul_views_small_impl(a, b, out)
 }
 
-/// Pack-free i-k-j product for small outputs: the output row is re-loaded and
-/// re-stored per k-term instead of being held across a chunk, which changes
-/// nothing about f32 rounding (same ascending-k separate additions).
+/// Pack-free i-k-j product for small outputs into zeroed `out`: the output
+/// row is re-loaded and re-stored per k-term instead of being held across a
+/// chunk, which changes nothing about f32 rounding (same ascending-k
+/// separate additions).
 #[inline(always)]
-fn matmul_views_small_impl(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
+fn matmul_views_small_impl(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
     let n = b.cols;
-    let mut out = Matrix::zeros(a.rows, n);
     for i in 0..a.rows {
         let a_row = a.row(i);
-        let out_row = &mut out.data[i * n..(i + 1) * n];
+        let out_row = &mut out[i * n..(i + 1) * n];
         for (k, &av) in a_row.iter().enumerate() {
             for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
                 *o += av * bv;
             }
         }
     }
-    out
 }
 
+/// The blocked product into zeroed `out`.
 #[inline(always)]
-fn matmul_views_impl(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
+fn matmul_views_impl(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
     let (kk, n) = (a.cols, b.cols);
-    let mut out = Matrix::zeros(a.rows, n);
     let mut bpack = [0.0f32; K_CHUNK * J_TILE];
     for jt in (0..n).step_by(J_TILE) {
         let w = J_TILE.min(n - jt);
@@ -387,12 +322,11 @@ fn matmul_views_impl(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
             pack_tile(&mut bpack, b, jt, w, kb, ke);
             for i in 0..a.rows {
                 let a_row = a.row(i);
-                let out_row = &mut out.data[i * n + jt..i * n + jt + w];
+                let out_row = &mut out[i * n + jt..i * n + jt + w];
                 fold_chunk(out_row, &a_row[kb..ke], &bpack, w);
             }
         }
     }
-    out
 }
 
 /// `aᵀ * b` over views, without materialising the transpose.
@@ -585,7 +519,7 @@ fn matmul_a_bt_views_small_impl(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matri
 }
 
 /// A dense row-major matrix of `f32`.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -617,6 +551,14 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
+    }
+
+    /// Become a `rows × cols` matrix of zeros, keeping the allocation: no
+    /// allocator call once the buffer has held as many elements.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        (self.rows, self.cols) = (rows, cols);
     }
 
     /// All-ones matrix of the given shape.
@@ -748,20 +690,6 @@ impl Matrix {
             rows: end - start,
             cols: self.cols,
             row_stride: self.cols,
-        }
-    }
-
-    /// Zero-copy mutable view of rows `[start, end)`.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds.
-    pub fn rows_view_mut(&mut self, start: usize, end: usize) -> MatrixViewMut<'_> {
-        assert!(start <= end && end <= self.rows, "rows_view out of range");
-        MatrixViewMut {
-            rows: end - start,
-            cols: self.cols,
-            row_stride: self.cols,
-            data: &mut self.data[start * self.cols..end * self.cols],
         }
     }
 
@@ -911,15 +839,20 @@ impl Matrix {
 
     /// Broadcast-add a 1xC row to every row of an RxC matrix.
     pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
+        let mut out = self.clone();
+        out.add_row_assign(row);
+        out
+    }
+
+    /// In-place [`Matrix::add_row_broadcast`].
+    pub fn add_row_assign(&mut self, row: &Matrix) {
         assert_eq!(row.rows, 1, "add_row_broadcast: rhs must be a row vector");
         assert_eq!(row.cols, self.cols, "add_row_broadcast: width mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(row.data.iter()) {
+        for r in 0..self.rows {
+            for (o, &b) in self.row_mut(r).iter_mut().zip(row.data.iter()) {
                 *o += b;
             }
         }
-        out
     }
 
     /// Sum of every element.
@@ -1325,6 +1258,7 @@ mod tests {
             (7, 4, 128),
             (40, 130, 130),
             (33, 260, 129),
+            (40, 73, 96),
         ] {
             let a = pooled(m, k, &pool);
             let b = pooled(k, n, &pool);
@@ -1344,8 +1278,12 @@ mod tests {
         for &(m, k, n) in &[(1, 128, 256), (8, 128, 256), (3, 300, 70), (5, 5, 256)] {
             let a = pooled(m, k, &pool);
             let b = pooled(k, n, &pool);
-            let small = matmul_views_small_impl(&a.view(), &b.view());
-            let tiled = matmul_views_impl(&a.view(), &b.view());
+            let run = |kernel: fn(&MatrixView<'_>, &MatrixView<'_>, &mut [f32])| {
+                let mut out = Matrix::zeros(m, n);
+                kernel(&a.view(), &b.view(), &mut out.data);
+                out
+            };
+            let (small, tiled) = (run(matmul_views_small_impl), run(matmul_views_impl));
             assert!(bitwise_eq(&small, &tiled), "{m}x{k}x{n} small vs tiled");
             assert!(bitwise_eq(&a.matmul(&b), &tiled), "{m}x{k}x{n} dispatch");
         }
@@ -1389,22 +1327,6 @@ mod tests {
         assert!(matmul_views(&a.view(), &cv)[(0, 0)].is_nan());
         let at = Matrix::from_vec(2, 1, vec![0.0, 0.0]);
         assert!(matmul_at_b_views(&at.view(), &cv)[(0, 0)].is_nan());
-    }
-
-    #[test]
-    fn mut_view_scatters_into_row_block() {
-        let mut m = Matrix::zeros(4, 3);
-        let src = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32 + 1.0);
-        m.rows_view_mut(1, 3).add_assign_view(&src.view());
-        m.rows_view_mut(1, 3).add_assign_view(&src.view());
-        assert_eq!(m.row(0), &[0., 0., 0.]);
-        assert_eq!(m.row(1), &[2., 4., 6.]);
-        assert_eq!(m.row(2), &[8., 10., 12.]);
-        assert_eq!(m.row(3), &[0., 0., 0.]);
-        let mut dst = Matrix::ones(4, 3);
-        dst.rows_view_mut(0, 2).copy_from(&src.view());
-        assert_eq!(dst.row(0), src.row(0));
-        assert_eq!(dst.row(2), &[1., 1., 1.]);
     }
 
     #[test]

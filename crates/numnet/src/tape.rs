@@ -174,10 +174,6 @@ enum Op {
     ConcatRows(Vec<usize>),
     SliceRows(usize, usize, usize),
     SliceCols(usize, usize, usize),
-    /// Row block `[start, end)` with an in-place scatter backward: the
-    /// gradient adds straight into the parent's row block through a
-    /// `MatrixViewMut` instead of materialising a parent-sized scratch.
-    RowsView(usize, usize, usize),
     /// One row gathered from each listed `(node, row)` pair; backward adds
     /// each output row's gradient back into its source row (repeated
     /// sources accumulate in reverse part order, matching the reverse-tape
@@ -401,19 +397,6 @@ impl<'t> Var<'t> {
         self.tape.push(Op::SliceCols(self.idx, start, end), v)
     }
 
-    /// Row block `[start, end)`, like [`Var::slice_rows`] but built through
-    /// a borrowed [`crate::MatrixView`] (no intermediate parent clone) and
-    /// with an in-place scatter backward: when the parent already holds a
-    /// gradient the block adds straight into it through a mutable row view.
-    /// Values and gradients are bitwise identical to `slice_rows`.
-    pub fn rows_view(self, start: usize, end: usize) -> Var<'t> {
-        let v = {
-            let nodes = self.tape.nodes.borrow();
-            nodes[self.idx].value.rows_view(start, end).to_matrix()
-        };
-        self.tape.push(Op::RowsView(self.idx, start, end), v)
-    }
-
     /// Gather one row from each `(var, row)` pair into a
     /// `parts.len() × C` value. The backward pass scatters each output
     /// row's gradient back into its source row, accumulating when the same
@@ -506,16 +489,7 @@ impl<'t> Var<'t> {
             );
             x.matmul(&w).add_row_broadcast(&b.value())
         };
-        let (c_lo, c_hi) = (2 * hidden, 3 * hidden);
-        for r in 0..v.rows() {
-            for (c, pre) in v.row_mut(r).iter_mut().enumerate() {
-                *pre = if c >= c_lo && c < c_hi {
-                    pre.tanh()
-                } else {
-                    1.0 / (1.0 + (-*pre).exp())
-                };
-            }
-        }
+        crate::layers::lstm::activate_gates(&mut v, hidden);
         self.tape.push(
             Op::LstmGates {
                 x: self.idx,
@@ -757,27 +731,6 @@ impl<'t> Var<'t> {
                         }
                     }
                 }
-                Op::RowsView(a, start, end) => {
-                    if needs[*a] {
-                        // Same in-place policy as SliceCols, but on a row
-                        // block: add into the parent's grad rows when it has
-                        // one, otherwise install a fresh zero-padded scatter.
-                        let parent = &mut lower[*a];
-                        match &mut parent.grad {
-                            Some(existing) => existing
-                                .rows_view_mut(*start, *end)
-                                .add_assign_view(&grad.view()),
-                            slot @ None => {
-                                let mut g = counted(Matrix::zeros(
-                                    parent.value.rows(),
-                                    parent.value.cols(),
-                                ));
-                                g.rows_view_mut(*start, *end).copy_from(&grad.view());
-                                *slot = Some(g);
-                            }
-                        }
-                    }
-                }
                 Op::StackRows(parts) => {
                     // Reverse part order: the dense concat-of-slices
                     // formulation records one slice node per part and the
@@ -956,7 +909,6 @@ fn requires_grad(nodes: &[Node], upto: usize) -> Vec<bool> {
             | Op::Transpose(a)
             | Op::SliceRows(a, _, _)
             | Op::SliceCols(a, _, _)
-            | Op::RowsView(a, _, _)
             | Op::Spmm { x: a, .. }
             | Op::SpmmRight { x: a, .. }
             | Op::SumRows(a)
@@ -1342,44 +1294,6 @@ mod tests {
             .sum_rows()
             .matmul(tape.constant(Matrix::col_vec(vec![1.0; 4])));
         assert_eq!(grad_of(loss, &a).as_slice(), &[2., 2., 3., 3.]);
-    }
-
-    #[test]
-    fn rows_view_matches_slice_rows_bitwise() {
-        // Forward value and gradient must be bitwise identical to the
-        // existing SliceRows op, through both backward paths (fresh scatter
-        // and in-place add into an existing parent gradient).
-        let init = Matrix::from_fn(4, 3, |r, c| ((r * 3 + c) as f32 * 0.37).sin());
-        let weights = Matrix::from_fn(3, 1, |r, _| (r as f32 * 0.21).cos());
-
-        let run = |view: bool| -> Matrix {
-            let p = Param::new(init.clone());
-            let tape = Tape::new();
-            let pv = tape.param(&p);
-            // Two overlapping blocks so the second scatter finds a gradient
-            // already installed on the parent (the in-place path).
-            let top = if view {
-                pv.rows_view(0, 3)
-            } else {
-                pv.slice_rows(0, 3)
-            };
-            let bot = if view {
-                pv.rows_view(2, 4)
-            } else {
-                pv.slice_rows(2, 4)
-            };
-            let w = tape.constant(weights.clone());
-            let loss = top
-                .matmul(w)
-                .sum_rows()
-                .add(bot.matmul(w).sum_rows().scale(2.0));
-            grad_of(loss, &p)
-        };
-        assert!(bits_eq(&run(true), &run(false)), "gradients diverged");
-
-        let tape = Tape::new();
-        let v = tape.constant(init.clone());
-        assert!(bits_eq(&v.rows_view(1, 3).value(), &init.slice_rows(1, 3)));
     }
 
     #[test]
