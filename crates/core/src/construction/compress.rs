@@ -255,6 +255,7 @@ fn threshold(d: u32, psi: f64) -> u32 {
 /// the bit matrix A as ⌈T/64⌉ planes of `n` words — plane w is word w of
 /// every candidate's bit row — so whatever T is, the inner loop streams one
 /// plane at unit stride and vectorises.
+#[inline(always)]
 fn similarity_row(a: &[u64], n: usize, i: usize, from: usize, out: &mut [u32]) {
     out.fill(0);
     for plane in a.chunks_exact(n) {
@@ -262,6 +263,63 @@ fn similarity_row(a: &[u64], n: usize, i: usize, from: usize, out: &mut [u32]) {
         for (s_ij, &row_j) in out.iter_mut().zip(&plane[from..]) {
             *s_ij += (row_i & row_j).count_ones();
         }
+    }
+}
+
+/// Which of Stage 3's two popcount passes [`similarity`] runs; `s_i` is the
+/// row buffer of both.
+enum Pass<'p> {
+    /// The count pass: each s_ij of the upper triangle once, adding j ∈ q_i
+    /// (s_ij ≥ `thr[j]`) to `q_len[i]` and i ∈ q_j to `q_len[j]`.
+    Count {
+        thr: &'p [u32],
+        q_len: &'p mut [u32],
+    },
+    /// Row `i` of S, every column — a seed collecting its members.
+    Seed(usize),
+}
+
+/// Stage 3's popcount work, one body compiled twice: for baseline x86-64,
+/// which has no `popcnt` instruction, and under `avx2,popcnt`, picked at run
+/// time (the `numnet::matrix` pattern). The arithmetic is integer, so both
+/// give the same counts.
+fn similarity(a: &[u64], n: usize, s_i: &mut [u32], pass: Pass<'_>) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
+    {
+        // SAFETY: both features are checked at runtime above.
+        return unsafe { similarity_avx2(a, n, s_i, pass) };
+    }
+    similarity_impl(a, n, s_i, pass)
+}
+
+/// # Safety
+/// The CPU must support `avx2` and `popcnt`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn similarity_avx2(a: &[u64], n: usize, s_i: &mut [u32], pass: Pass<'_>) {
+    similarity_impl(a, n, s_i, pass)
+}
+
+#[inline(always)]
+fn similarity_impl(a: &[u64], n: usize, s_i: &mut [u32], pass: Pass<'_>) {
+    let (thr, q_len) = match pass {
+        Pass::Seed(i) => return similarity_row(a, n, i, 0, s_i),
+        Pass::Count { thr, q_len } => (thr, q_len),
+    };
+    for i in 0..n {
+        let above = i + 1;
+        similarity_row(a, n, i, above, &mut s_i[above..]);
+        let mut q_i = 0;
+        for ((&s_ij, &thr_j), q_j) in s_i[above..]
+            .iter()
+            .zip(&thr[above..])
+            .zip(&mut q_len[above..])
+        {
+            q_i += u32::from(s_ij >= thr_j);
+            *q_j += u32::from(s_ij >= thr[i]);
+        }
+        q_len[i] += q_i;
     }
 }
 
@@ -316,20 +374,11 @@ pub fn compress_multi_tx(g: &AddressGraph, params: MultiCompressParams) -> Addre
     let thr: Vec<u32> = s_jj.iter().map(|&d| threshold(d, params.psi)).collect();
     let mut s_i = vec![0u32; n];
     let mut q_len = vec![0u32; n];
-    for i in 0..n {
-        let above = i + 1;
-        similarity_row(&a, n, i, above, &mut s_i[above..]);
-        let mut q_i = 0;
-        for ((&s_ij, &thr_j), q_j) in s_i[above..]
-            .iter()
-            .zip(&thr[above..])
-            .zip(&mut q_len[above..])
-        {
-            q_i += u32::from(s_ij >= thr_j);
-            *q_j += u32::from(s_ij >= thr[i]);
-        }
-        q_len[i] += q_i;
-    }
+    let count = Pass::Count {
+        thr: &thr,
+        q_len: &mut q_len,
+    };
+    similarity(&a, n, &mut s_i, count);
 
     // Greedy merge: highest-degree-of-similarity seeds first (deterministic
     // tie-break on index). A seed absorbs the members of q_i no earlier seed
@@ -348,7 +397,7 @@ pub fn compress_multi_tx(g: &AddressGraph, params: MultiCompressParams) -> Addre
             continue;
         }
         taken[i] = true;
-        similarity_row(&a, n, i, 0, &mut s_i);
+        similarity(&a, n, &mut s_i, Pass::Seed(i));
         let mut absorbed = false;
         for j in 0..n {
             if !taken[j] && s_i[j] >= thr[j] {
@@ -370,6 +419,7 @@ mod tests {
     use super::*;
     use crate::construction::extract::extract_original_graphs;
     use btcsim::{Address, AddressRecord, Amount, Label, TxView, Txid};
+    use proptest::prelude::*;
 
     fn view(ts: u64, inputs: &[(u64, f64)], outputs: &[(u64, f64)]) -> TxView {
         TxView {
@@ -551,6 +601,49 @@ mod tests {
         );
         // focus + 3 txs + 1 multi-hyper (cohort) + up to 3 singles kept
         assert_eq!(c3.count_kind(NodeKind::MultiHyper), 1);
+    }
+
+    /// A random bit matrix of `n` candidates over `t` transactions, `(n, a)`:
+    /// one to three planes, no bit at or past `t`.
+    fn bit_matrix() -> impl Strategy<Value = (usize, Vec<u64>)> {
+        let words = proptest::collection::vec(any::<u64>(), 3 * 300);
+        (1usize..=192, 2usize..=300, words).prop_map(|(t, n, mut a)| {
+            a.truncate(t.div_ceil(64) * n);
+            for (w, word) in a.iter_mut().enumerate() {
+                let used = t - w / n * 64;
+                if used < 64 {
+                    *word &= (1 << used) - 1;
+                }
+            }
+            (n, a)
+        })
+    }
+
+    proptest! {
+        // The runtime-dispatched body (AVX2 + popcnt where the CPU has them)
+        // and the portable one give the same |q_i| and seed rows, for n on
+        // and off the vector width.
+        #[test]
+        fn dispatched_similarity_is_portable_similarity(
+            matrix in bit_matrix(),
+            psi in 0.0f64..1.0,
+        ) {
+            let (n, a) = matrix;
+            let thr: Vec<u32> = (0..n)
+                .map(|j| threshold(a.iter().skip(j).step_by(n).map(|w| w.count_ones()).sum(), psi))
+                .collect();
+            let (mut got, mut want) = (vec![0; n], vec![0; n]);
+            let mut s_i = vec![0; n];
+            similarity(&a, n, &mut s_i, Pass::Count { thr: &thr, q_len: &mut got });
+            similarity_impl(&a, n, &mut s_i, Pass::Count { thr: &thr, q_len: &mut want });
+            prop_assert_eq!(got, want);
+            let mut portable = vec![0; n];
+            for i in 0..n {
+                similarity(&a, n, &mut s_i, Pass::Seed(i));
+                similarity_impl(&a, n, &mut portable, Pass::Seed(i));
+                prop_assert_eq!(&s_i, &portable, "seed row {}", i);
+            }
+        }
     }
 
     #[test]

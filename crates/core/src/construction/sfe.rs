@@ -91,48 +91,49 @@ fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 
 /// Compute the SFE statistics of a value list. An empty input yields all
 /// zeros (the paper merges only non-empty groups; zero-features keep empty
-/// edge cases well-defined).
+/// edge cases well-defined). Any finite values, signed ones included; a NaN
+/// panics.
 pub fn sfe(values: &[f64]) -> SfeFeatures {
-    sfe_in_place(&mut values.to_vec())
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("non-NaN values"));
+    stats_of_sorted(&sorted)
 }
 
-/// [`sfe`] of a buffer the caller gives up to be sorted. Every statistic is
-/// taken over the sorted values, so arrival order is immaterial; amounts are
-/// non-negative and finite, so equal values are the same bits and the
-/// unstable sort is invisible too.
-fn sfe_in_place(sorted: &mut [f64]) -> SfeFeatures {
+/// The statistics of values sorted ascending, in three passes: sum; squared
+/// and absolute deviations; z⁴ and z³. Each accumulator adds its own terms in
+/// sorted order from `-0.0`, as `Iterator::sum` does, so sharing a pass with
+/// another chain changes none of its bits.
+fn stats_of_sorted(sorted: &[f64]) -> SfeFeatures {
     let n = sorted.len();
     if n == 0 {
         return SfeFeatures::default();
     }
-    sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("non-NaN values"));
     let min = sorted[0];
     let max = sorted[n - 1];
-    let sum: f64 = sorted.iter().sum();
+    let sum = sorted.iter().fold(-0.0, |sum, v| sum + v);
     let mean = sum / n as f64;
     let range = max - min;
     let mid_range = (max + min) / 2.0;
     let p75 = percentile_sorted(sorted, 75.0);
     let median = percentile_sorted(sorted, 50.0);
-    let variance = sorted.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
+    let (squares, deviations) = sorted.iter().fold((-0.0, -0.0), |(sq, dev), v| {
+        let d = v - mean;
+        (sq + d.powi(2), dev + d.abs())
+    });
+    let variance = squares / n as f64;
     let std_dev = variance.sqrt();
-    let mad = sorted.iter().map(|v| (v - mean).abs()).sum::<f64>() / n as f64;
+    let mad = deviations / n as f64;
     let coef_var = if mean.abs() > 1e-12 {
         std_dev / mean
     } else {
         0.0
     };
     let (kurtosis, skewness, tilt) = if std_dev > 1e-12 {
-        let m4 = sorted
-            .iter()
-            .map(|v| ((v - mean) / std_dev).powi(4))
-            .sum::<f64>()
-            / n as f64;
-        let m3 = sorted
-            .iter()
-            .map(|v| ((v - mean) / std_dev).powi(3))
-            .sum::<f64>()
-            / n as f64;
+        let (m4, m3) = sorted.iter().fold((-0.0, -0.0), |(m4, m3), v| {
+            let z = (v - mean) / std_dev;
+            (m4 + z.powi(4), m3 + z.powi(3))
+        });
+        let (m4, m3) = (m4 / n as f64, m3 / n as f64);
         (m4 - 3.0, m3, 3.0 * (mean - median) / std_dev)
     } else {
         (0.0, 0.0, 0.0)
@@ -149,6 +150,12 @@ fn sfe_in_place(sorted: &mut [f64]) -> SfeFeatures {
 /// hyper nodes of Stages 2–3 (the edges a group merges). A counting pass
 /// groups the values by node into one buffer and each range is sorted where
 /// it lies; a node nothing is incident to gets the zeros of `sfe(&[])`.
+///
+/// Transfer values are finite and non-negative (`check_invariants`) and
+/// never `-0.0` — whole satoshis, or sums of them from `0.0` — and on those
+/// `to_bits` orders every pair as `partial_cmp` does. So the integer-keyed
+/// sort makes the moves [`sfe`]'s comparator sort makes, and every statistic
+/// is [`sfe`]'s to the bit.
 pub(crate) fn seed_sfe(nodes: &mut [Node], incident: impl Iterator<Item = (usize, f64)> + Clone) {
     let mut ends = vec![0usize; nodes.len() + 1];
     for (node, _) in incident.clone() {
@@ -164,9 +171,12 @@ pub(crate) fn seed_sfe(nodes: &mut [Node], incident: impl Iterator<Item = (usize
         values[ends[node]] = value;
         ends[node] += 1;
     }
+    debug_assert!(values.iter().all(|v| v.is_finite() && v.is_sign_positive()));
     let mut start = 0;
     for (node, &end) in nodes.iter_mut().zip(&ends) {
-        node.sfe = sfe_in_place(&mut values[start..end]);
+        let range = &mut values[start..end];
+        range.sort_unstable_by_key(|v| v.to_bits());
+        node.sfe = stats_of_sorted(range);
         start = end;
     }
 }
@@ -174,7 +184,97 @@ pub(crate) fn seed_sfe(nodes: &mut [Node], incident: impl Iterator<Item = (usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construction::address_graph::NodeKind;
     use proptest::prelude::*;
+
+    /// SFE as it was before the passes were fused and `seed_sfe` sorted by
+    /// bit pattern: a comparator sort, then one `Iterator::sum` per sum.
+    fn five_pass_sfe(values: &[f64]) -> SfeFeatures {
+        let n = values.len();
+        if n == 0 {
+            return SfeFeatures::default();
+        }
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("non-NaN values"));
+        let (min, max) = (sorted[0], sorted[n - 1]);
+        let sum: f64 = sorted.iter().sum();
+        let mean = sum / n as f64;
+        let p75 = percentile_sorted(&sorted, 75.0);
+        let median = percentile_sorted(&sorted, 50.0);
+        let variance = sorted.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
+        let std_dev = variance.sqrt();
+        let mad = sorted.iter().map(|v| (v - mean).abs()).sum::<f64>() / n as f64;
+        let coef_var = if mean.abs() > 1e-12 {
+            std_dev / mean
+        } else {
+            0.0
+        };
+        let (kurtosis, skewness, tilt) = if std_dev > 1e-12 {
+            let m4 = sorted
+                .iter()
+                .map(|v| ((v - mean) / std_dev).powi(4))
+                .sum::<f64>()
+                / n as f64;
+            let m3 = sorted
+                .iter()
+                .map(|v| ((v - mean) / std_dev).powi(3))
+                .sum::<f64>()
+                / n as f64;
+            (m4 - 3.0, m3, 3.0 * (mean - median) / std_dev)
+        } else {
+            (0.0, 0.0, 0.0)
+        };
+        SfeFeatures([
+            max,
+            min,
+            sum,
+            mean,
+            n as f64,
+            max - min,
+            (max + min) / 2.0,
+            p75,
+            variance,
+            std_dev,
+            mad,
+            coef_var,
+            kurtosis,
+            skewness,
+            tilt,
+        ])
+    }
+
+    fn bits(f: SfeFeatures) -> [u64; SFE_DIM] {
+        f.0.map(f64::to_bits)
+    }
+
+    /// Transfer values as construction sees them: zeros, a small pool of
+    /// repeated amounts, whole satoshis up to the coin supply, wide reals.
+    fn amount() -> impl Strategy<Value = f64> {
+        let parts = (0u8..4, 0u32..6, 0u64..2_100_000_000_000_000, 0.0f64..1e9);
+        parts.prop_map(|(kind, k, sats, real)| match kind {
+            0 => 0.0,
+            1 => f64::from(k) * 0.125,
+            2 => sats as f64 / 1e8,
+            _ => real,
+        })
+    }
+
+    /// Signed values, with repeats and both zeros, for the public [`sfe`].
+    fn signed() -> impl Strategy<Value = f64> {
+        (0u8..4, -4i32..4, -1e9f64..1e9).prop_map(|(kind, k, real)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from(k) * 0.5,
+            _ => real,
+        })
+    }
+
+    /// At most 1, 16, 256 or 5,000 of `values`, so short ranges and a lone
+    /// value are as common as long ones.
+    fn truncated<T>(mut values: Vec<T>, scale: usize) -> Vec<T> {
+        values.truncate([1, 16, 256, 5000][scale]);
+        values
+    }
 
     #[test]
     fn empty_is_all_zero() {
@@ -237,7 +337,44 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    #[test]
+    fn public_sfe_sorts_a_negative_value_first() {
+        let values = [1.0, -10.0, 1.0, 1.0];
+        assert_eq!(sfe(&values).min(), -10.0);
+        assert_eq!(bits(sfe(&values)), bits(five_pass_sfe(&values)));
+    }
+
     proptest! {
+        // One to four nodes share the incident values, so a node gets
+        // anywhere from none or a single value to all 5,000.
+        #[test]
+        fn prop_seed_sfe_is_five_pass_sfe_bit_for_bit(
+            nodes in 1usize..5,
+            scale in 0usize..4,
+            incident in proptest::collection::vec((0usize..4, amount()), 1..=5000),
+        ) {
+            let mut seeded = vec![Node::new(NodeKind::Address, None); nodes];
+            let incident: Vec<(usize, f64)> = truncated(incident, scale)
+                .into_iter()
+                .map(|(node, v)| (node % nodes, v))
+                .collect();
+            seed_sfe(&mut seeded, incident.iter().copied());
+            for (i, node) in seeded.iter().enumerate() {
+                let at_i = incident.iter().filter(|&&(n, _)| n == i).map(|&(_, v)| v);
+                let want = five_pass_sfe(&at_i.collect::<Vec<_>>());
+                prop_assert_eq!(bits(node.sfe), bits(want), "node {}", i);
+            }
+        }
+
+        #[test]
+        fn prop_sfe_of_signed_values_is_five_pass_sfe_bit_for_bit(
+            scale in 0usize..4,
+            values in proptest::collection::vec(signed(), 1..=5000),
+        ) {
+            let values = truncated(values, scale);
+            prop_assert_eq!(bits(sfe(&values)), bits(five_pass_sfe(&values)));
+        }
+
         #[test]
         fn prop_all_finite_and_bounds_hold(
             values in proptest::collection::vec(0.0f64..1e6, 1..64)
