@@ -38,8 +38,8 @@ pub struct Node {
     /// How many original address nodes this node stands for.
     pub merged_count: usize,
     /// Statistical features of the transfer values of every adjacent
-    /// original edge (seeded by Stage 1; hyper nodes get the SFE of the edges
-    /// they merge).
+    /// original edge (seeded from the raw slice's edges; hyper nodes get the
+    /// SFE of the edges they merge).
     pub sfe: SfeFeatures,
     /// `[degree, closeness, betweenness, pagerank]`, filled by Stage 4.
     pub centrality: [f64; 4],

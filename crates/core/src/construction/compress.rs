@@ -21,6 +21,8 @@ struct Incidence {
     first_is_input: bool,
     /// Whether a later edge reaches a different transaction.
     multi_tx: bool,
+    /// The node's edges, counted so the rebuild sizes `collapsed` exactly.
+    degree: u32,
 }
 
 struct TxSets {
@@ -56,12 +58,14 @@ fn tx_sets(g: &AddressGraph) -> TxSets {
             first_tx: NONE,
             first_is_input: false,
             multi_tx: false,
+            degree: 0,
         };
         g.nodes.len()
     ];
     for e in &g.edges {
         let tx = ordinal[e.tx_node];
         let inc = &mut incidence[e.addr_node];
+        inc.degree += 1;
         if inc.first_tx == NONE {
             inc.first_tx = tx;
             inc.first_is_input = e.side == Side::Input;
@@ -76,101 +80,175 @@ fn tx_sets(g: &AddressGraph) -> TxSets {
     }
 }
 
-/// Merge the address nodes with `group_of[node] != NONE` into one hyper node
-/// of `hyper_kind` per group (`0..num_groups`), rebuilding indices and
-/// collapsing the merged nodes' parallel edges.
-fn rebuild_with_merges(
-    g: &AddressGraph,
-    group_of: &[u32],
-    num_groups: usize,
-    hyper_kind: NodeKind,
-) -> AddressGraph {
-    if num_groups == 0 {
-        return g.clone();
-    }
+/// Which hyper node each node of a slice joins. Stages 2 and 3 both plan on
+/// the slice as it comes: Stage 2 groups only one-transaction `Address`
+/// nodes, Stage 3 only multi-transaction ones, and Stage 2 leaves those
+/// nodes' edges and transaction ordinals as they are. So one slice carries
+/// both plans and is rebuilt once. Groups `0..single` are Stage 2's, the
+/// rest up to `groups` Stage 3's.
+pub(crate) struct Merges<'g> {
+    g: &'g AddressGraph,
+    sets: TxSets,
+    /// The group a node joins, `NONE` for a node that is kept.
+    group_of: Vec<u32>,
+    single: usize,
+    groups: usize,
+}
 
-    // Kept nodes keep their relative order; hyper nodes are appended in
-    // group order, represented by their lowest-indexed member's address.
-    let mut new_index = vec![NONE; g.nodes.len()];
-    let mut nodes: Vec<Node> = Vec::with_capacity(g.nodes.len());
-    let mut first_member = vec![NONE; num_groups];
-    let mut merged_count = vec![0usize; num_groups];
-    for (i, n) in g.nodes.iter().enumerate() {
-        match group_of[i] {
-            NONE => {
-                new_index[i] = nodes.len() as u32;
-                nodes.push(*n);
-            }
-            gi => {
-                debug_assert!(n.is_address_like() && i != 0, "cannot merge focus/tx nodes");
-                let gi = gi as usize;
-                if first_member[gi] == NONE {
-                    first_member[gi] = i as u32;
-                }
-                merged_count[gi] += n.merged_count;
-            }
+impl<'g> Merges<'g> {
+    /// No node merged yet.
+    pub(crate) fn new(g: &'g AddressGraph) -> Self {
+        Self {
+            g,
+            sets: tx_sets(g),
+            group_of: vec![NONE; g.nodes.len()],
+            single: 0,
+            groups: 0,
         }
     }
-    let first_hyper = nodes.len();
-    for (&first, &count) in first_member.iter().zip(&merged_count) {
-        let mut hyper = Node::new(hyper_kind, g.nodes[first as usize].address);
-        hyper.merged_count = count;
-        nodes.push(hyper);
-    }
 
-    // Remap edges. A merged node's edge goes to `collapsed` under the key
-    // (group, tx, side) packed so that integer order is the order collapsed
-    // edges are emitted in: group, then transaction, then output before
-    // input.
-    let mut edges: Vec<Edge> = Vec::with_capacity(g.edges.len());
-    let mut collapsed: Vec<(u64, f64)> = Vec::new();
-    for e in &g.edges {
-        let tx = new_index[e.tx_node];
-        debug_assert_ne!(tx, NONE, "tx nodes are never merged");
-        match group_of[e.addr_node] {
-            NONE => edges.push(Edge {
-                addr_node: new_index[e.addr_node] as usize,
-                tx_node: tx as usize,
-                value: e.value,
-                side: e.side,
-            }),
-            gi => {
-                let is_input = u64::from(e.side == Side::Input);
-                collapsed.push((u64::from(gi) << 33 | u64::from(tx) << 1 | is_input, e.value));
-            }
+    /// Stage 2's groups ([`compress_single_tx`]), numbered before Stage 3's.
+    pub(crate) fn plan_single(&mut self) {
+        debug_assert_eq!(self.groups, 0, "Stage 2 plans first");
+        let (g, sets) = (self.g, &self.sets);
+        // One slot per (transaction, side), in the order hyper nodes are
+        // appended: by transaction, output side first. A node's side is the
+        // side of its first edge (a node with edges on both sides of one tx
+        // joins whichever came first — the input side, as extraction emits
+        // inputs first).
+        let slot_of = |i: usize| {
+            let inc = sets.incidence[i];
+            let single = i != 0
+                && g.nodes[i].kind == NodeKind::Address
+                && inc.first_tx != NONE
+                && !inc.multi_tx;
+            single.then(|| 2 * inc.first_tx as usize + usize::from(inc.first_is_input))
+        };
+        let mut slots = vec![0u32; 2 * sets.num_txs];
+        for slot in (0..g.nodes.len()).filter_map(slot_of) {
+            slots[slot] += 1;
         }
-    }
-    // The sort is stable, so each key's values are summed in edge order and
-    // every sum is the f64 that order produces.
-    collapsed.sort_by_key(|&(key, _)| key);
-    for parallel in collapsed.chunk_by(|a, b| a.0 == b.0) {
-        let key = parallel[0].0;
-        edges.push(Edge {
-            addr_node: first_hyper + (key >> 33) as usize,
-            tx_node: (key >> 1) as u32 as usize,
-            value: parallel.iter().fold(0.0, |sum, &(_, v)| sum + v),
-            side: if key & 1 == 1 {
-                Side::Input
+        // A slot of two or more members is a group; the count becomes its number.
+        for members in &mut slots {
+            *members = if *members >= 2 {
+                self.groups += 1;
+                self.groups as u32 - 1
             } else {
-                Side::Output
-            },
-        });
+                NONE
+            };
+        }
+        for (i, group) in self.group_of.iter_mut().enumerate() {
+            if let Some(slot) = slot_of(i) {
+                *group = slots[slot];
+            }
+        }
+        self.single = self.groups;
     }
-    // Paper Eq. 2 / Eq. 7: a hyper node's SFE is over the transfer values of
-    // the addresses merged into it — the values of the edges just collapsed.
-    let merged = collapsed.iter().map(|&(key, v)| ((key >> 33) as usize, v));
-    seed_sfe(&mut nodes[first_hyper..], merged);
 
-    let out = AddressGraph {
-        focus: g.focus,
-        slice_index: g.slice_index,
-        start_timestamp: g.start_timestamp,
-        num_txs: g.num_txs,
-        nodes,
-        edges,
-    };
-    debug_assert_eq!(out.check_invariants(), Ok(()));
-    out
+    /// The slice these merges make, and where each of its nodes went. Kept
+    /// nodes keep their order and are followed by one hyper node per group,
+    /// represented by its lowest-indexed member's address; kept edges keep
+    /// theirs and are followed by each group's parallel edges collapsed into
+    /// one per (transaction, side). Seeds nothing: kept nodes carry their
+    /// features over and hyper nodes have none.
+    pub(crate) fn rebuild(self) -> (AddressGraph, Vec<u32>) {
+        let (g, mut to, groups) = (self.g, self.group_of, self.groups);
+        let kept = to.iter().filter(|&&group| group == NONE).count();
+        // Every slot is written below: a kept node's by its copy, a hyper
+        // node's (merged_count 0 until then) by its first member.
+        let mut nodes = vec![Node::new(NodeKind::Transaction, None); kept + groups];
+        let (mut next, mut merged_edges) = (0, 0);
+        for (i, (n, to)) in g.nodes.iter().zip(&mut to).enumerate() {
+            let at = if *to == NONE {
+                nodes[next] = *n;
+                next += 1;
+                next - 1
+            } else {
+                debug_assert!(n.is_address_like() && i != 0, "cannot merge focus/tx nodes");
+                merged_edges += self.sets.incidence[i].degree as usize;
+                let gi = *to as usize;
+                let hyper = &mut nodes[kept + gi];
+                if hyper.merged_count == 0 {
+                    let kind = if gi < self.single {
+                        NodeKind::SingleHyper
+                    } else {
+                        NodeKind::MultiHyper
+                    };
+                    *hyper = Node::new(kind, n.address);
+                    hyper.merged_count = 0;
+                }
+                hyper.merged_count += n.merged_count;
+                kept + gi
+            };
+            *to = at as u32;
+        }
+
+        // A merged node's edge goes to `collapsed` under the key (hyper node,
+        // tx, side) packed so that integer order is the order collapsed edges
+        // are emitted in: hyper node, then transaction, then output before
+        // input.
+        let mut edges: Vec<Edge> = Vec::with_capacity(g.edges.len());
+        let mut collapsed: Vec<(u64, f64)> = Vec::with_capacity(merged_edges);
+        for e in &g.edges {
+            let (addr_node, tx_node) = (to[e.addr_node] as usize, to[e.tx_node] as usize);
+            debug_assert!(tx_node < kept, "tx nodes are never merged");
+            if addr_node < kept {
+                edges.push(Edge {
+                    addr_node,
+                    tx_node,
+                    ..*e
+                });
+            } else {
+                let is_input = u64::from(e.side == Side::Input);
+                let key = (addr_node as u64) << 33 | (tx_node as u64) << 1 | is_input;
+                collapsed.push((key, e.value));
+            }
+        }
+        // The sort is stable, so each key's values are summed in edge order and
+        // every sum is the f64 that order produces.
+        collapsed.sort_by_key(|&(key, _)| key);
+        for parallel in collapsed.chunk_by(|a, b| a.0 == b.0) {
+            let key = parallel[0].0;
+            edges.push(Edge {
+                addr_node: (key >> 33) as usize,
+                tx_node: (key >> 1) as u32 as usize,
+                value: parallel.iter().fold(0.0, |sum, &(_, v)| sum + v),
+                side: if key & 1 == 1 {
+                    Side::Input
+                } else {
+                    Side::Output
+                },
+            });
+        }
+
+        let out = AddressGraph {
+            focus: g.focus,
+            slice_index: g.slice_index,
+            start_timestamp: g.start_timestamp,
+            num_txs: g.num_txs,
+            nodes,
+            edges,
+        };
+        debug_assert_eq!(out.check_invariants(), Ok(()));
+        (out, to)
+    }
+
+    /// One public stage's output: the rebuilt slice, each hyper node seeded
+    /// with the SFE of the transfer values of the addresses merged into it
+    /// (paper Eq. 2 / Eq. 7) — the values on the slice's edges at its
+    /// members. Kept nodes keep the features they came with.
+    fn stage_output(self) -> AddressGraph {
+        let (g, groups) = (self.g, self.groups);
+        if groups == 0 {
+            return g.clone();
+        }
+        let (mut out, to) = self.rebuild();
+        let first_hyper = out.nodes.len() - groups;
+        let hyper = |e: &Edge| (to[e.addr_node] as usize).checked_sub(first_hyper);
+        let merged = g.edges.iter().filter_map(|e| Some((hyper(e)?, e.value)));
+        seed_sfe(&mut out.nodes[first_hyper..], merged);
+        out
+    }
 }
 
 /// Stage 2 — single-transaction address compression.
@@ -181,38 +259,9 @@ fn rebuild_with_merges(
 /// address is never merged. Groups of one are left unmerged (nothing to
 /// compress).
 pub fn compress_single_tx(g: &AddressGraph) -> AddressGraph {
-    let sets = tx_sets(g);
-    // One slot per (transaction, side), in the order hyper nodes are
-    // appended: by transaction, output side first. A node's side is the side
-    // of its first edge (a node with edges on both sides of one tx joins
-    // whichever came first — the input side, as extraction emits inputs
-    // first).
-    let slot_of = |i: usize| {
-        let inc = sets.incidence[i];
-        let single =
-            i != 0 && g.nodes[i].kind == NodeKind::Address && inc.first_tx != NONE && !inc.multi_tx;
-        single.then(|| 2 * inc.first_tx as usize + usize::from(inc.first_is_input))
-    };
-    let mut members = vec![0u32; 2 * sets.num_txs];
-    for slot in (0..g.nodes.len()).filter_map(slot_of) {
-        members[slot] += 1;
-    }
-    let mut num_groups = 0;
-    let group_of_slot: Vec<u32> = members
-        .iter()
-        .map(|&m| {
-            if m >= 2 {
-                num_groups += 1;
-                num_groups as u32 - 1
-            } else {
-                NONE
-            }
-        })
-        .collect();
-    let group_of: Vec<u32> = (0..g.nodes.len())
-        .map(|i| slot_of(i).map_or(NONE, |slot| group_of_slot[slot]))
-        .collect();
-    rebuild_with_merges(g, &group_of, num_groups, NodeKind::SingleHyper)
+    let mut merges = Merges::new(g);
+    merges.plan_single();
+    merges.stage_output()
 }
 
 /// Parameters of Stage 3 (paper Eq. 5–6).
@@ -340,78 +389,84 @@ fn similarity_impl(a: &[u64], n: usize, s_i: &mut [u32], pass: Pass<'_>) {
 /// computed again to collect their members. Time O(n²·⌈T/64⌉), memory
 /// O(n·⌈T/64⌉) for n candidates.
 pub fn compress_multi_tx(g: &AddressGraph, params: MultiCompressParams) -> AddressGraph {
-    let sets = tx_sets(g);
-    // Candidate nodes: plain multi-transaction counterparties.
-    let multi: Vec<usize> = (1..g.nodes.len())
-        .filter(|&i| g.nodes[i].kind == NodeKind::Address && sets.incidence[i].multi_tx)
-        .collect();
-    if multi.len() < 2 {
-        return g.clone();
-    }
-    let n = multi.len();
+    let mut merges = Merges::new(g);
+    merges.plan_multi(params);
+    merges.stage_output()
+}
 
-    let mut position = vec![NONE; g.nodes.len()];
-    for (p, &node) in multi.iter().enumerate() {
-        position[node] = p as u32;
-    }
-    let mut a = vec![0u64; sets.num_txs.div_ceil(64) * n];
-    for e in &g.edges {
-        let p = position[e.addr_node];
-        if p != NONE {
-            let tx = sets.ordinal[e.tx_node] as usize;
-            a[tx / 64 * n + p as usize] |= 1 << (tx % 64);
+impl Merges<'_> {
+    /// Stage 3's groups ([`compress_multi_tx`]).
+    pub(crate) fn plan_multi(&mut self, params: MultiCompressParams) {
+        let (g, sets) = (self.g, &self.sets);
+        // Candidate nodes: plain multi-transaction counterparties.
+        let multi: Vec<usize> = (1..g.nodes.len())
+            .filter(|&i| g.nodes[i].kind == NodeKind::Address && sets.incidence[i].multi_tx)
+            .collect();
+        if multi.len() < 2 {
+            return;
         }
-    }
+        let n = multi.len();
 
-    // j ∈ q_i ⇔ s_ij ≥ thr[j]: M = S·D⁻¹ divides by the *other* node's
-    // degree (m_ij = s_ij / s_jj), as the paper's worked example does.
-    let mut s_jj = vec![0u32; n];
-    for plane in a.chunks_exact(n) {
-        for (d, row_j) in s_jj.iter_mut().zip(plane) {
-            *d += row_j.count_ones();
+        let mut position = vec![NONE; g.nodes.len()];
+        for (p, &node) in multi.iter().enumerate() {
+            position[node] = p as u32;
         }
-    }
-    let thr: Vec<u32> = s_jj.iter().map(|&d| threshold(d, params.psi)).collect();
-    let mut s_i = vec![0u32; n];
-    let mut q_len = vec![0u32; n];
-    let count = Pass::Count {
-        thr: &thr,
-        q_len: &mut q_len,
-    };
-    similarity(&a, n, &mut s_i, count);
-
-    // Greedy merge: highest-degree-of-similarity seeds first (deterministic
-    // tie-break on index). A seed absorbs the members of q_i no earlier seed
-    // took; one whose neighbours were all taken keeps its identity but is
-    // spent — it neither seeds again nor joins a later group.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by_key(|&i| (std::cmp::Reverse(q_len[i]), i));
-    let mut taken = vec![false; n];
-    let mut group_of = vec![NONE; g.nodes.len()];
-    let mut num_groups = 0;
-    for i in order {
-        if q_len[i] as usize <= params.sigma {
-            break;
-        }
-        if taken[i] {
-            continue;
-        }
-        taken[i] = true;
-        similarity(&a, n, &mut s_i, Pass::Seed(i));
-        let mut absorbed = false;
-        for j in 0..n {
-            if !taken[j] && s_i[j] >= thr[j] {
-                taken[j] = true;
-                group_of[multi[j]] = num_groups as u32;
-                absorbed = true;
+        let mut a = vec![0u64; sets.num_txs.div_ceil(64) * n];
+        for e in &g.edges {
+            let p = position[e.addr_node];
+            if p != NONE {
+                let tx = sets.ordinal[e.tx_node] as usize;
+                a[tx / 64 * n + p as usize] |= 1 << (tx % 64);
             }
         }
-        if absorbed {
-            group_of[multi[i]] = num_groups as u32;
-            num_groups += 1;
+
+        // j ∈ q_i ⇔ s_ij ≥ thr[j]: M = S·D⁻¹ divides by the *other* node's
+        // degree (m_ij = s_ij / s_jj), as the paper's worked example does.
+        let mut s_jj = vec![0u32; n];
+        for plane in a.chunks_exact(n) {
+            for (d, row_j) in s_jj.iter_mut().zip(plane) {
+                *d += row_j.count_ones();
+            }
+        }
+        let thr: Vec<u32> = s_jj.iter().map(|&d| threshold(d, params.psi)).collect();
+        let mut s_i = vec![0u32; n];
+        let mut q_len = vec![0u32; n];
+        let count = Pass::Count {
+            thr: &thr,
+            q_len: &mut q_len,
+        };
+        similarity(&a, n, &mut s_i, count);
+
+        // Greedy merge: highest-degree-of-similarity seeds first (deterministic
+        // tie-break on index). A seed absorbs the members of q_i no earlier seed
+        // took; one whose neighbours were all taken keeps its identity but is
+        // spent — it neither seeds again nor joins a later group.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by_key(|&i| (std::cmp::Reverse(q_len[i]), i));
+        let mut taken = vec![false; n];
+        for i in order {
+            if q_len[i] as usize <= params.sigma {
+                break;
+            }
+            if taken[i] {
+                continue;
+            }
+            taken[i] = true;
+            similarity(&a, n, &mut s_i, Pass::Seed(i));
+            let mut absorbed = false;
+            for j in 0..n {
+                if !taken[j] && s_i[j] >= thr[j] {
+                    taken[j] = true;
+                    self.group_of[multi[j]] = self.groups as u32;
+                    absorbed = true;
+                }
+            }
+            if absorbed {
+                self.group_of[multi[i]] = self.groups as u32;
+                self.groups += 1;
+            }
         }
     }
-    rebuild_with_merges(g, &group_of, num_groups, NodeKind::MultiHyper)
 }
 
 #[cfg(test)]

@@ -13,12 +13,20 @@ use std::collections::HashMap;
 /// partial slice is retained (paper: "the final graph with less than 100
 /// transactions will be retained"). Node 0 is always the focus address.
 pub fn extract_original_graphs(record: &AddressRecord, slice_size: usize) -> Vec<AddressGraph> {
+    let mut slices = raw_slices(record, slice_size);
+    slices.iter_mut().for_each(seed_slice);
+    slices
+}
+
+/// Stage 1 with the transfer values on the edges only: the fold of
+/// [`push_tx`] over the history, nothing seeded — what the derivation of
+/// Stages 2–4 starts from, as it seeds the nodes that survive it.
+pub(crate) fn raw_slices(record: &AddressRecord, slice_size: usize) -> Vec<AddressGraph> {
     assert!(slice_size > 0, "slice_size must be positive");
     let (mut slices, mut addr_node) = (Vec::new(), HashMap::new());
     for tx in &record.txs {
         push_tx(&mut slices, &mut addr_node, record.address, slice_size, tx);
     }
-    slices.iter_mut().for_each(seed_slice);
     slices
 }
 
@@ -27,7 +35,8 @@ pub fn extract_original_graphs(record: &AddressRecord, slice_size: usize) -> Vec
 /// its address → node map; it is numbered after the last, so `slices` may be
 /// a suffix of the history's), then appends the transaction's node, a node for
 /// every address the slice sees for the first time (inputs before outputs)
-/// and an edge per entry. Features wait for [`seed_slice`].
+/// and an edge per entry. Features wait for [`seed_slice`] or
+/// [`seed_through`].
 pub(crate) fn push_tx(
     slices: &mut Vec<AddressGraph>,
     addr_node: &mut HashMap<Address, usize>,
@@ -71,8 +80,14 @@ pub(crate) fn push_tx(
 /// Seed every node's SFE from the slice's edge list, an edge's value counting
 /// at both its endpoints, so the uncompressed graph has node features too.
 pub(crate) fn seed_slice(g: &mut AddressGraph) {
-    let ends = |e: &Edge| [(e.addr_node, e.value), (e.tx_node, e.value)];
-    seed_sfe(&mut g.nodes, g.edges.iter().flat_map(ends));
+    seed_through(&mut g.nodes, &g.edges, |i| i);
+}
+
+/// Seed every one of `nodes` from the edges of a slice they were rebuilt
+/// from: an edge's value counts at the nodes `to` takes its two endpoints to.
+pub(crate) fn seed_through(nodes: &mut [Node], edges: &[Edge], to: impl Fn(usize) -> usize + Copy) {
+    let ends = move |e: &Edge| [(to(e.addr_node), e.value), (to(e.tx_node), e.value)];
+    seed_sfe(nodes, edges.iter().flat_map(ends));
 }
 
 #[cfg(test)]

@@ -7,15 +7,15 @@
 //!
 //! * [`IncrementalGraphs::apply_tx`] appends one transaction to the raw
 //!   (uncompressed) slice graphs with the very step the batch extractor folds
-//!   over a history (`extract::push_tx`), and a slice's SFE features are
-//!   seeded from its edge list when the slice is next observed. The result is
-//!   asserted **byte-identical** to [`extract_original_graphs`] (see
+//!   over a history (`extract::push_tx`). Their values stay on the edges:
+//!   [`IncrementalGraphs::raw_graphs`] seeds what it returns, and is asserted
+//!   **byte-identical** to [`extract_original_graphs`] (see
 //!   [`graphs_identical`] and `crates/core/tests/incremental_properties.rs`).
 //! * Compression and augmentation are pure per-slice functions, so nothing
 //!   derived is kept: [`IncrementalGraphs::graphs`] derives the retained
-//!   slices and hands them over. A caller that keeps what it read from a
-//!   frozen slice (the follower: its embedding) drops the raw graph with
-//!   [`IncrementalGraphs::forget_frozen`].
+//!   slices, seeding only the nodes that survive, and hands them over. A
+//!   caller that keeps what it read from a frozen slice (the follower: its
+//!   embedding) drops the raw graph with [`IncrementalGraphs::forget_frozen`].
 //! * [`FocusAggregates`] keeps O(1)-updatable scalar feature aggregates
 //!   (flows, event counts, activity span) for cheap gating and telemetry.
 //!
@@ -41,10 +41,10 @@ pub struct IncrementalGraphs {
     cfg: ConstructionConfig,
     num_txs: usize,
     /// Raw (uncompressed) graphs of the retained slices — a suffix of the
-    /// history's slices; only the last one can still grow.
+    /// history's slices; only the last one can still grow. Their node
+    /// features are whatever the last `raw_graphs` left; nothing derives
+    /// from them.
     raw: Vec<AddressGraph>,
-    /// Leading `raw` entries whose SFE features match their edge list.
-    seeded_clean: usize,
     /// Address → node index for the *current* (last) slice.
     addr_node: HashMap<Address, usize>,
 }
@@ -57,7 +57,6 @@ impl IncrementalGraphs {
             cfg,
             num_txs: 0,
             raw: Vec::new(),
-            seeded_clean: 0,
             addr_node: HashMap::new(),
         }
     }
@@ -88,23 +87,17 @@ impl IncrementalGraphs {
     /// Append one transaction: the batch extractor's own step, so raw graphs
     /// stay byte-identical to
     /// [`extract_original_graphs`](crate::construction::extract_original_graphs)
-    /// once seeded. The slice it lands in is no longer seeded.
+    /// once seeded.
     pub fn apply_tx(&mut self, tx: &TxView) {
         let (focus, slice_size) = (self.focus, self.cfg.slice_size);
         push_tx(&mut self.raw, &mut self.addr_node, focus, slice_size, tx);
         self.num_txs += 1;
-        let open = self.raw.len() - 1;
-        self.seeded_clean = self.seeded_clean.min(open);
     }
 
-    /// The retained raw (uncompressed) slice graphs — stage-1 output. Seeds
-    /// the SFE features of the slices that grew since they were last
-    /// observed, so a frozen slice is seeded once.
+    /// The retained raw (uncompressed) slice graphs — stage-1 output, every
+    /// slice seeded on every call.
     pub fn raw_graphs(&mut self) -> &[AddressGraph] {
-        for g in &mut self.raw[self.seeded_clean..] {
-            seed_slice(g);
-        }
-        self.seeded_clean = self.raw.len();
+        self.raw.iter_mut().for_each(seed_slice);
         &self.raw
     }
 
@@ -113,8 +106,7 @@ impl IncrementalGraphs {
     /// over the applied history, from the first retained `slice_index` on.
     /// Derived on every call: a slice is wanted again exactly when a
     /// transaction landed in it, which would have invalidated a kept copy.
-    pub fn graphs(&mut self) -> Vec<AddressGraph> {
-        self.raw_graphs();
+    pub fn graphs(&self) -> Vec<AddressGraph> {
         let derive = |raw| derive_slice(&self.cfg, raw, &mut StageTimings::default());
         self.raw.iter().map(derive).collect()
     }
@@ -124,7 +116,6 @@ impl IncrementalGraphs {
     pub fn forget_frozen(&mut self) {
         let frozen = self.raw.len().saturating_sub(1);
         self.raw.drain(..frozen);
-        self.seeded_clean = self.seeded_clean.saturating_sub(frozen);
     }
 }
 
@@ -363,8 +354,8 @@ mod tests {
     #[test]
     fn equivalence_holds_at_every_prefix() {
         // Interleaving reads with apply_tx must not disturb state. With four
-        // transactions a slice, each slice is seeded while open, grows, and
-        // is seeded for the last time at the read after it froze.
+        // transactions a slice, each slice is read while open, grows, and is
+        // read again after it froze.
         let txs = synthetic_history(14);
         let cfg = ConstructionConfig {
             slice_size: 4,
@@ -373,14 +364,9 @@ mod tests {
         let mut inc = IncrementalGraphs::new(Address(0), cfg.clone());
         for (i, tx) in txs.iter().enumerate() {
             inc.apply_tx(tx);
-            assert_eq!(
-                inc.seeded_clean,
-                i / 4,
-                "only the slice the transaction landed in awaits seeding"
-            );
-            // A clone taken before anything observed the transaction seeds
-            // and derives for itself.
-            let mut unobserved = inc.clone();
+            // A clone taken before anything observed the transaction derives
+            // for itself.
+            let unobserved = inc.clone();
             let rec = record(0, txs[..=i].to_vec());
             let raw_batch = crate::construction::extract::extract_original_graphs(&rec, 4);
             graphs_identical(inc.raw_graphs(), &raw_batch)
@@ -395,7 +381,7 @@ mod tests {
 
     #[test]
     fn empty_state_has_no_graphs() {
-        let mut inc = IncrementalGraphs::new(Address(0), ConstructionConfig::default());
+        let inc = IncrementalGraphs::new(Address(0), ConstructionConfig::default());
         assert_eq!(inc.num_slices(), 0);
         assert!(inc.graphs().is_empty());
     }
@@ -411,7 +397,7 @@ mod tests {
         for tx in &txs {
             step.apply_tx(tx);
         }
-        let mut whole = IncrementalGraphs::from_history(Address(0), &txs, cfg);
+        let whole = IncrementalGraphs::from_history(Address(0), &txs, cfg);
         graphs_identical(&whole.graphs(), &step.graphs()).unwrap();
     }
 
@@ -422,11 +408,11 @@ mod tests {
             slice_size: 3,
             ..Default::default()
         };
-        let mut a = IncrementalGraphs::from_history(Address(0), &txs, cfg.clone());
-        let mut b = IncrementalGraphs::from_history(Address(0), &txs[..5], cfg);
+        let a = IncrementalGraphs::from_history(Address(0), &txs, cfg.clone());
+        let b = IncrementalGraphs::from_history(Address(0), &txs[..5], cfg);
         let err = graphs_identical(&a.graphs(), &b.graphs());
         assert!(err.is_err());
-        let mut c = a.clone();
+        let c = a.clone();
         let ga = a.graphs();
         let gc = c.graphs();
         assert_eq!(graphs_identical(&ga, &gc), Ok(()));

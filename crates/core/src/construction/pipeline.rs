@@ -4,8 +4,8 @@
 use crate::config::ConstructionConfig;
 use crate::construction::address_graph::AddressGraph;
 use crate::construction::augment::augment_with_centralities;
-use crate::construction::compress::{compress_multi_tx, compress_single_tx, MultiCompressParams};
-use crate::construction::extract::extract_original_graphs;
+use crate::construction::compress::{Merges, MultiCompressParams};
+use crate::construction::extract::{raw_slices, seed_slice, seed_through};
 use crate::parallel::parallel_map;
 use btcsim::AddressRecord;
 use std::time::{Duration, Instant};
@@ -58,7 +58,7 @@ pub fn construct_address_graphs(
 ) -> (Vec<AddressGraph>, StageTimings) {
     let mut t = StageTimings::default();
     let start = Instant::now();
-    let raw = extract_original_graphs(record, cfg.slice_size);
+    let raw = raw_slices(record, cfg.slice_size);
     t.extract = start.elapsed();
     let graphs = raw.iter().map(|g| derive_slice(cfg, g, &mut t)).collect();
     (graphs, t)
@@ -67,26 +67,36 @@ pub fn construct_address_graphs(
 /// Stages 2–4 on one raw slice, honouring the config's ablation flags; each
 /// stage's wall clock is added to `t`. Both the batch pipeline and
 /// [`IncrementalGraphs`](crate::construction::IncrementalGraphs) derive a
-/// slice through here.
+/// slice through here. Both stages plan on `raw`, one rebuild writes the
+/// compressed slice, and one SFE pass seeds every node that survives from
+/// `raw`'s edges — `raw`'s own features are never read. That pass counts
+/// towards Stage 1, which seeds on the public chain.
 pub(crate) fn derive_slice(
     cfg: &ConstructionConfig,
     raw: &AddressGraph,
     t: &mut StageTimings,
 ) -> AddressGraph {
+    let start = Instant::now();
     let mut g = if cfg.compress {
-        let start = Instant::now();
-        let single = compress_single_tx(raw);
+        let mut merges = Merges::new(raw);
+        merges.plan_single();
         let between = Instant::now();
-        let params = MultiCompressParams {
+        merges.plan_multi(MultiCompressParams {
             psi: cfg.psi,
             sigma: cfg.sigma,
-        };
-        let multi = compress_multi_tx(&single, params);
+        });
+        let (mut g, to) = merges.rebuild();
+        let rebuilt = Instant::now();
+        seed_through(&mut g.nodes, &raw.edges, |i| to[i] as usize);
         t.single_compress += between - start;
-        t.multi_compress += between.elapsed();
-        multi
+        t.multi_compress += rebuilt - between;
+        t.extract += rebuilt.elapsed();
+        g
     } else {
-        raw.clone()
+        let mut g = raw.clone();
+        seed_slice(&mut g);
+        t.extract += start.elapsed();
+        g
     };
     if cfg.augment {
         let start = Instant::now();

@@ -146,8 +146,9 @@ fn stats_of_sorted(sorted: &[f64]) -> SfeFeatures {
 
 /// Seed the SFE of every node in `nodes` from the transfer values incident
 /// to it, one `(index into nodes, value)` per edge endpoint — the one place
-/// features come from, in Stage 1 (every edge, both endpoints) and for the
-/// hyper nodes of Stages 2–3 (the edges a group merges). A counting pass
+/// features come from: every edge at both endpoints for a raw slice and for
+/// the nodes a derivation keeps, the edges a group merges for the hyper nodes
+/// of the public Stages 2–3. A counting pass
 /// groups the values by node into one buffer and each range is sorted where
 /// it lies; a node nothing is incident to gets the zeros of `sfe(&[])`.
 ///

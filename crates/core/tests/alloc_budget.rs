@@ -8,12 +8,12 @@
 
 use baclassifier::classify::{LstmMlp, SequenceHead};
 use baclassifier::construction::{
-    augment_with_centralities, compress_multi_tx, compress_single_tx, extract_original_graphs,
-    AddressGraph, MultiCompressParams,
+    augment_with_centralities, compress_multi_tx, compress_single_tx, construct_address_graphs,
+    extract_original_graphs, AddressGraph, MultiCompressParams,
 };
 use baclassifier::features::{graph_tensors, NODE_FEAT_DIM};
 use baclassifier::models::{Gfn, GraphModel};
-use baclassifier::{BaClassifier, BacConfig, ModelArtifact};
+use baclassifier::{BaClassifier, BacConfig, ConstructionConfig, ModelArtifact};
 use btcsim::{Address, AddressRecord, Amount, Label, TxView, Txid};
 use numnet::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -131,15 +131,34 @@ fn stages_1_to_3_allocate_per_buffer_not_per_node_or_edge() {
     let (payout, payout_nodes) = stage_calls(&payout_record(1, 448));
     let (cohort, cohort_nodes) = stage_calls(&payout_record(8, 451));
     assert_eq!((payout_nodes, cohort_nodes), (450, 460));
-    // Measured in a release build: 29 / 21 / 4 and 32 / 7 / 38 (a debug build
-    // adds the invariant checks' scratch); 934 / 30 / 7 and 1,458 / 467 / 58
-    // while every node owned a list of its values.
+    // Measured in a release build: 29 / 10 / 5 and 32 / 6 / 25 (a debug build
+    // adds the invariant checks' scratch); 29 / 21 / 4 and 32 / 7 / 38 while
+    // each stage kept its own rebuild, 934 / 30 / 7 and 1,458 / 467 / 58 while
+    // every node owned a list of its values.
     for (stage, calls) in payout.iter().chain(&cohort).enumerate() {
         assert!(
             *calls <= 64,
             "stage {}: {calls} allocator calls",
             stage % 3 + 1
         );
+    }
+}
+
+#[test]
+fn one_derivation_allocates_less_than_the_public_chain() {
+    // Stages 1–3 as `construct_address_graphs` runs them: both plans on the
+    // raw slice, one rebuild, one seed pass. Release: 38 and 57 calls against
+    // the chain's 44 and 63.
+    let cfg = ConstructionConfig {
+        augment: false,
+        ..Default::default()
+    };
+    for record in [payout_record(1, 448), payout_record(8, 451)] {
+        let (stages, _) = stage_calls(&record);
+        let (derived, graphs) = calls_during(|| construct_address_graphs(&record, &cfg));
+        assert_eq!(graphs.0.len(), 1);
+        let chain: u64 = stages.iter().sum();
+        assert!(derived < chain, "{derived} calls, public chain {chain}");
     }
 }
 

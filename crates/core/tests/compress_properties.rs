@@ -6,10 +6,12 @@
 //! and tensor assembly must be to a naive reference of Eq. 8–12.
 
 use baclassifier::construction::{
-    augment_with_centralities, compress_multi_tx, compress_single_tx, extract_original_graphs,
-    graphs_identical, sfe, AddressGraph, Edge, MultiCompressParams, Node, NodeKind, Side,
+    augment_with_centralities, compress_multi_tx, compress_single_tx, construct_address_graphs,
+    extract_original_graphs, graphs_identical, sfe, AddressGraph, Edge, MultiCompressParams, Node,
+    NodeKind, Side,
 };
 use baclassifier::features::graph_tensors;
+use baclassifier::ConstructionConfig;
 use btcsim::{Address, AddressRecord, Amount, Dataset, Label, SimConfig, Simulator, TxView, Txid};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -762,18 +764,23 @@ impl Fnv {
     }
 }
 
-/// Every Stage 1 slice graph of the fixed simulated chain both digests
-/// walk, at slice sizes 16 and 100, with the record count.
-fn golden_chain_slices() -> (Vec<AddressGraph>, usize) {
+/// The address records of the fixed simulated chain the digests walk.
+fn golden_chain() -> Vec<AddressRecord> {
     let sim = Simulator::run_to_completion(SimConfig::tiny(2023));
-    let dataset = Dataset::from_simulator(&sim, 2);
+    Dataset::from_simulator(&sim, 2).records
+}
+
+/// Every Stage 1 slice graph of the golden chain, at slice sizes 16 and 100,
+/// with the record count.
+fn golden_chain_slices() -> (Vec<AddressGraph>, usize) {
+    let records = golden_chain();
     let mut graphs = Vec::new();
-    for record in &dataset.records {
+    for record in &records {
         for slice_size in [16, 100] {
             graphs.extend(extract_original_graphs(record, slice_size));
         }
     }
-    (graphs, dataset.records.len())
+    (graphs, records.len())
 }
 
 /// Digest of every field of every Stage 2 and Stage 3 graph. The constant
@@ -821,4 +828,70 @@ fn golden_digest_of_stage_4_and_tensors_is_unchanged() {
         "the chain must be non-trivial ({nodes} nodes)"
     );
     assert_eq!(fnv.0, 0x4c9b_7970_340b_f801, "{records} records");
+}
+
+/// `txs` transactions, each funded by the focus and paying the same `payees`
+/// addresses (the payout cohorts of `alloc_budget.rs`).
+fn payout_record(txs: u64, payees: u64) -> AddressRecord {
+    let payout = |t| TxView {
+        txid: Txid(t),
+        timestamp: t * 600,
+        inputs: vec![(Address(0), Amount::from_sats(900_000_000))],
+        outputs: (1..=payees)
+            .map(|a| (Address(a), Amount::from_sats(1_000 + a + t)))
+            .collect(),
+    };
+    record_of((0..txs).map(payout).collect())
+}
+
+/// The public stage chain, ablations included: what every derivation must
+/// give.
+fn public_chain(record: &AddressRecord, cfg: &ConstructionConfig) -> Vec<AddressGraph> {
+    let params = MultiCompressParams {
+        psi: cfg.psi,
+        sigma: cfg.sigma,
+    };
+    let derive = |raw: AddressGraph| {
+        let mut g = match cfg.compress {
+            true => compress_multi_tx(&compress_single_tx(&raw), params),
+            false => raw,
+        };
+        if cfg.augment {
+            augment_with_centralities(&mut g);
+        }
+        g
+    };
+    let raw = extract_original_graphs(record, cfg.slice_size);
+    raw.into_iter().map(derive).collect()
+}
+
+/// `construct_address_graphs` plans both compressions on the raw slice,
+/// rebuilds it once and seeds only the nodes that survive; it must give the
+/// public chain's bytes — and, with compression off, still seed every node.
+#[test]
+fn derivation_is_the_public_stage_chain() {
+    let cohorts = [payout_record(1, 448), payout_record(8, 451)];
+    let records: Vec<AddressRecord> = golden_chain().into_iter().chain(cohorts).collect();
+    let mut slices = 0;
+    for (compress, augment) in [(false, false), (false, true), (true, false), (true, true)] {
+        for slice_size in [4, 16, 100] {
+            let cfg = ConstructionConfig {
+                slice_size,
+                compress,
+                augment,
+                ..Default::default()
+            };
+            for record in &records {
+                let (derived, _) = construct_address_graphs(record, &cfg);
+                assert_eq!(
+                    graphs_identical(&derived, &public_chain(record, &cfg)),
+                    Ok(()),
+                    "{:?}, slice size {slice_size}, compress {compress}, augment {augment}",
+                    record.address
+                );
+                slices += derived.len();
+            }
+        }
+    }
+    assert!(slices > 10_000, "{slices} slices");
 }

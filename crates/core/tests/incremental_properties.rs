@@ -6,7 +6,8 @@
 
 use baclassifier::construction::pipeline::construct_address_graphs;
 use baclassifier::construction::{
-    extract_original_graphs, graphs_identical, FocusAggregates, IncrementalGraphs,
+    augment_with_centralities, compress_multi_tx, compress_single_tx, extract_original_graphs,
+    graphs_identical, AddressGraph, FocusAggregates, IncrementalGraphs, MultiCompressParams,
 };
 use baclassifier::ConstructionConfig;
 use btcsim::{Address, AddressRecord, Amount, Label, TxView, Txid};
@@ -51,6 +52,26 @@ fn history_strategy() -> impl Strategy<Value = AddressRecord> {
             txs: views,
         }
     })
+}
+
+/// The public stage chain over `record`, ablations included.
+fn public_chain(record: &AddressRecord, cfg: &ConstructionConfig) -> Vec<AddressGraph> {
+    let params = MultiCompressParams {
+        psi: cfg.psi,
+        sigma: cfg.sigma,
+    };
+    let derive = |raw: AddressGraph| {
+        let mut g = match cfg.compress {
+            true => compress_multi_tx(&compress_single_tx(&raw), params),
+            false => raw,
+        };
+        if cfg.augment {
+            augment_with_centralities(&mut g);
+        }
+        g
+    };
+    let raw = extract_original_graphs(record, cfg.slice_size);
+    raw.into_iter().map(derive).collect()
 }
 
 proptest! {
@@ -156,6 +177,32 @@ proptest! {
             prop_assert_eq!(graphs_identical(inc.raw_graphs(), &raw_batch[first..]), Ok(()));
             let (batch, _) = construct_address_graphs(&prefix, &cfg);
             prop_assert_eq!(graphs_identical(&inc.graphs(), &batch[first..]), Ok(()));
+        }
+    }
+
+    #[test]
+    fn derived_state_is_the_public_stage_chain_at_every_prefix(
+        record in history_strategy(),
+        slice in 1usize..13,
+        compress in any::<bool>(),
+        augment in any::<bool>(),
+        read_raw_at in proptest::collection::vec(any::<bool>(), 40),
+    ) {
+        // `graphs()` derives from the raw slices' edges only, whether or not
+        // a `raw_graphs()` read seeded their nodes since the last transaction.
+        let cfg = ConstructionConfig { slice_size: slice, compress, augment, ..Default::default() };
+        let mut inc = IncrementalGraphs::new(record.address, cfg.clone());
+        for (i, tx) in record.txs.iter().enumerate() {
+            inc.apply_tx(tx);
+            if read_raw_at[i] {
+                inc.raw_graphs();
+            }
+            let prefix = AddressRecord {
+                address: record.address,
+                label: record.label,
+                txs: record.txs[..=i].to_vec(),
+            };
+            prop_assert_eq!(graphs_identical(&inc.graphs(), &public_chain(&prefix, &cfg)), Ok(()));
         }
     }
 
