@@ -1,13 +1,15 @@
 //! Crash-safe file replacement, shared by every durable artifact in the
 //! workspace (model artifacts, follower snapshots, rebalanced snapshots,
-//! compacted journals, bench result files), and the little-endian field
-//! codec of its three binary formats (`BART` manifests, `BJRNL` blocks,
-//! `BANET` payloads).
+//! compacted journals, bench result files), the little-endian field codec
+//! of its binary formats (`BART` manifests, `BJRNL` blocks, `BSTREAM`
+//! records, `BANET` payloads), and the one frame codec the last three
+//! share: `[len u32 LE][crc32(payload) u32 LE][payload]`.
 
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::OnceLock;
 
 /// Replace `path` with `bytes` atomically: write a temp file in the same
 /// directory (a rename across filesystems is not atomic), fsync it, rename
@@ -104,6 +106,93 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// CRC32 (IEEE, reflected, poly 0xEDB88320) of `bytes`: every frame's
+/// checksum.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut table = [0u32; 256];
+        for (i, entry) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 == 1 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *entry = c;
+        }
+        table
+    });
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// Bytes a frame puts before its payload: length and CRC, both u32 LE.
+pub const FRAME_HEADER: usize = 8;
+
+/// Append one frame carrying `payload`. `max_len` is the limit the
+/// format's reader enforces: a longer payload is refused with
+/// `InvalidInput` before a byte is appended, so no writer produces a frame
+/// its own reader would take for corruption.
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8], max_len: u32) -> io::Result<()> {
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= max_len)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("frame payload of {} bytes exceeds {max_len}", payload.len()),
+            )
+        })?;
+    out.reserve(FRAME_HEADER + payload.len());
+    put_u32(out, len);
+    put_u32(out, crc32(payload));
+    out.extend_from_slice(payload);
+    Ok(())
+}
+
+/// What [`next_frame`] found at the front of a buffer.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Frame<'a> {
+    /// A whole frame whose CRC matches, and the offset just past it.
+    Whole { payload: &'a [u8], end: usize },
+    /// A valid prefix of a frame: a stream reads more, a file is torn here.
+    Incomplete,
+    /// The length field exceeds the reader's limit.
+    TooLarge(u32),
+    /// The payload does not match its stored CRC.
+    CrcMismatch { stored: u32, computed: u32 },
+}
+
+/// Decode the frame at the start of `bytes`. A length over `max_len` is
+/// refused before the payload is looked for, so an absurd length field
+/// costs nothing; no input panics.
+pub fn next_frame(bytes: &[u8], max_len: u32) -> Frame<'_> {
+    let mut c = Cursor::new(bytes);
+    let (Some(len), Some(stored)) = (c.u32(), c.u32()) else {
+        return Frame::Incomplete;
+    };
+    if len > max_len {
+        return Frame::TooLarge(len);
+    }
+    let Some(payload) = c.take(len as usize) else {
+        return Frame::Incomplete;
+    };
+    let computed = crc32(payload);
+    if computed != stored {
+        return Frame::CrcMismatch { stored, computed };
+    }
+    Frame::Whole {
+        payload,
+        end: c.pos(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,5 +226,52 @@ mod tests {
         assert_eq!(c.pos(), 5);
         assert_eq!(c.u64(), Some(u64::MAX - 1));
         assert_eq!((c.u8(), c.remaining()), (None, 0));
+    }
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // Standard IEEE CRC32 check values.
+        assert_eq!(crc32(b""), 0x0000_0000);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    #[test]
+    fn frames_round_trip_and_refuse_what_their_reader_would() {
+        let mut out = vec![0xAA];
+        put_frame(&mut out, b"abcd", 4).unwrap();
+        put_frame(&mut out, b"", 4).unwrap();
+        assert_eq!(out.len(), 1 + 2 * FRAME_HEADER + 4);
+        // The writer holds the reader's limit: five bytes under a limit of
+        // four is refused and nothing is appended.
+        let err = put_frame(&mut out, b"abcde", 4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(out.len(), 1 + 2 * FRAME_HEADER + 4);
+
+        let bytes = &out[1..];
+        let Frame::Whole { payload, end } = next_frame(bytes, 4) else {
+            panic!("first frame");
+        };
+        assert_eq!((payload, end), (&b"abcd"[..], FRAME_HEADER + 4));
+        assert_eq!(
+            next_frame(&bytes[end..], 4),
+            Frame::Whole {
+                payload: b"",
+                end: FRAME_HEADER
+            }
+        );
+        // Every proper prefix asks for more; a lower limit refuses the
+        // length before looking for the payload; a flipped bit is a CRC
+        // mismatch.
+        for cut in 0..end {
+            assert_eq!(next_frame(&bytes[..cut], 4), Frame::Incomplete, "{cut}");
+        }
+        assert_eq!(next_frame(&bytes[..FRAME_HEADER], 3), Frame::TooLarge(4));
+        let mut flipped = bytes.to_vec();
+        flipped[end - 1] ^= 1;
+        assert!(matches!(next_frame(&flipped, 4), Frame::CrcMismatch { .. }));
     }
 }

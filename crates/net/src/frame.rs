@@ -1,9 +1,10 @@
-//! The BANET v1 wire format: length-prefixed, CRC-framed messages.
+//! The BANET v2 wire format: length-prefixed, CRC-framed messages.
 //!
-//! The framing mirrors the `bstream` journal (`BJRNL v1`): a magic string
-//! once per direction at stream start, then frames of
-//! `[u32 LE payload-len][u32 LE crc32(payload)][payload]`. The CRC is the
-//! same IEEE polynomial the journal uses ([`bstream::crc32`]), so a frame
+//! A magic string once per direction at stream start, then the frames of
+//! every binary record format in the workspace,
+//! `[u32 LE payload-len][u32 LE CRC32 of payload][payload]`, written and read
+//! by the one codec `baclassifier::durable::{put_frame, next_frame}` that
+//! also frames `BJRNL` blocks and `BSTREAM` snapshot records — so a frame
 //! that survives the checksum is exactly as trustworthy as a journal
 //! record. Payloads are capped at [`MAX_FRAME_LEN`] — a corrupt or
 //! malicious length prefix is rejected before any allocation.
@@ -27,11 +28,11 @@
 //!   poisoned and refuses further reads — a stream that failed a CRC has
 //!   no trustworthy frame boundary left.
 
-use baclassifier::durable::{put_u32, put_u64, Cursor};
+use baclassifier::durable::{next_frame, put_frame, put_u32, put_u64, Cursor, Frame};
 use std::io::{ErrorKind, Read, Write};
 
 /// Stream preamble, sent once per direction before the first frame.
-pub const MAGIC: &[u8; 8] = b"BANET v1";
+pub const MAGIC: &[u8; 8] = b"BANET v2";
 
 /// Upper bound on a frame payload. Every message is a few dozen bytes but
 /// a `Reply` carrying a [`ReplyOutcome::Reject`] reason, which is cut to
@@ -45,7 +46,7 @@ pub const MAX_FRAME_LEN: u32 = 64 << 10;
 const MAX_REASON_LEN: usize = MAX_FRAME_LEN as usize - (1 + 8 + 1 + 4);
 
 /// Message-type discriminants (first payload byte). 4, 5 and 8–10 are
-/// retired and must not be reused under `BANET v1`.
+/// retired and must not be reused.
 mod msg_type {
     pub const HELLO: u8 = 1;
     pub const CLASSIFY: u8 = 2;
@@ -147,10 +148,8 @@ pub enum Message {
     Reply { req_id: u64, outcome: ReplyOutcome },
     /// Liveness probe.
     Ping { nonce: u64 },
-    /// Probe answer. A server sends `processed: 0` and a client reads
-    /// nothing from it: the field is kept until the next format bump only
-    /// so that BANET v1 bytes do not move.
-    Pong { nonce: u64, processed: u64 },
+    /// Probe answer.
+    Pong { nonce: u64 },
 }
 
 /// Why a frame (or stream) could not be decoded.
@@ -158,7 +157,7 @@ pub enum Message {
 pub enum FrameError {
     /// Underlying transport failure.
     Io(std::io::Error),
-    /// Stream preamble was not `BANET v1`.
+    /// Stream preamble was not [`MAGIC`].
     BadMagic,
     /// Length prefix exceeds [`MAX_FRAME_LEN`].
     TooLarge(u32),
@@ -174,7 +173,7 @@ impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FrameError::Io(e) => write!(f, "i/o error: {e}"),
-            FrameError::BadMagic => write!(f, "bad stream magic (want BANET v1)"),
+            FrameError::BadMagic => write!(f, "bad stream magic (want BANET v2)"),
             FrameError::TooLarge(n) => {
                 write!(f, "frame length {n} exceeds cap {MAX_FRAME_LEN}")
             }
@@ -295,10 +294,9 @@ impl Message {
                 buf.push(msg_type::PING);
                 put_u64(&mut buf, *nonce);
             }
-            Message::Pong { nonce, processed } => {
+            Message::Pong { nonce } => {
                 buf.push(msg_type::PONG);
                 put_u64(&mut buf, *nonce);
-                put_u64(&mut buf, *processed);
             }
         }
         buf
@@ -352,7 +350,6 @@ impl Message {
             },
             msg_type::PONG => Message::Pong {
                 nonce: short(c.u64())?,
-                processed: short(c.u64())?,
             },
             _ => return Err(FrameError::Malformed("unknown message type")),
         };
@@ -366,11 +363,9 @@ impl Message {
 /// Serialise a message into a complete frame (header + payload), ready for
 /// a single `write_all`.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
-    let payload = msg.encode();
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, bstream::crc32(&payload));
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::new();
+    put_frame(&mut frame, &msg.encode(), MAX_FRAME_LEN)
+        .expect("every message fits a frame: a Reject reason is cut to fit at encode");
     frame
 }
 
@@ -380,28 +375,15 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
 /// incomplete frame (read more), `Ok(Some((msg, consumed)))` on success,
 /// and `Err` for any unrecoverable corruption.
 pub fn decode_frame(bytes: &[u8]) -> Result<Option<(Message, usize)>, FrameError> {
-    if bytes.len() < 8 {
-        return Ok(None);
+    match next_frame(bytes, MAX_FRAME_LEN) {
+        Frame::Whole { payload, end } => Ok(Some((Message::decode(payload)?, end))),
+        Frame::Incomplete => Ok(None),
+        Frame::TooLarge(len) => Err(FrameError::TooLarge(len)),
+        Frame::CrcMismatch { stored, computed } => Err(FrameError::Crc {
+            expected: stored,
+            actual: computed,
+        }),
     }
-    let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::TooLarge(len));
-    }
-    let stored_crc = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    let total = 8 + len as usize;
-    if bytes.len() < total {
-        return Ok(None);
-    }
-    let payload = &bytes[8..total];
-    let actual = bstream::crc32(payload);
-    if actual != stored_crc {
-        return Err(FrameError::Crc {
-            expected: stored_crc,
-            actual,
-        });
-    }
-    let msg = Message::decode(payload)?;
-    Ok(Some((msg, total)))
 }
 
 // ---------------------------------------------------------------------------
@@ -571,19 +553,16 @@ mod tests {
             roundtrip(Message::Reply { req_id: 7, outcome });
         }
         roundtrip(Message::Ping { nonce: 77 });
-        roundtrip(Message::Pong {
-            nonce: 77,
-            processed: 123,
-        });
+        roundtrip(Message::Pong { nonce: 77 });
     }
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// Recorded from the build before the catalogue was cut to five: a
-    /// discriminant, a status byte or a field order that moves fails here,
-    /// and a router built then still talks to a worker built now.
+    /// Recorded from the build before the catalogue was cut to five, the
+    /// `Pong` entry again when v2 dropped its `processed` field: a
+    /// discriminant, a status byte or a field order that moves fails here.
     #[test]
     fn golden_wire_bytes() {
         let reply = |req_id, outcome| Message::Reply { req_id, outcome };
@@ -655,11 +634,8 @@ mod tests {
                 "090000007cca77cb066300000000000000",
             ),
             (
-                Message::Pong {
-                    nonce: 99,
-                    processed: 42,
-                },
-                "110000001dca42910763000000000000002a00000000000000",
+                Message::Pong { nonce: 99 },
+                "090000003fde0cdc076300000000000000",
             ),
         ];
         for (msg, want) in golden {

@@ -3,16 +3,17 @@
 //! `bashard` scales the serving engine across shards inside one process;
 //! `banet` cuts the process boundary: shard workers become independent
 //! processes reached over TCP, speaking a length-prefixed, CRC-framed
-//! protocol (**BANET v1**) that carries the same requests and responses the
+//! protocol (**BANET v2**) that carries the same requests and responses the
 //! in-process stack uses.
 //!
 //! Three pieces:
 //!
-//! * [`frame`] — the wire format: `BANET v1` magic per direction, then
-//!   `[len][crc32][payload]` frames (the `bstream` journal's framing
-//!   discipline applied to a socket). Corruption of any kind decodes to a
-//!   typed error, never a panic, and the incremental [`frame::FrameReader`]
-//!   survives short reads and poll-tick timeouts without desyncing.
+//! * [`frame`] — the wire format: `BANET v2` magic per direction, then
+//!   `[len][crc32][payload]` frames (the journal's and snapshot's frame
+//!   codec, `baclassifier::durable`, applied to a socket). Corruption of
+//!   any kind decodes to a typed error, never a panic, and the incremental
+//!   [`frame::FrameReader`] survives short reads and poll-tick timeouts
+//!   without desyncing.
 //! * [`server`] — [`server::NetServer`]: a bounded, deadline-enforcing TCP
 //!   front over a [`server::NetBackend`] (an engine + dataset, or a shard
 //!   worker). Stops on `stop()` or the process SIGINT flag only — nothing

@@ -2,7 +2,7 @@
 //!
 //! [`NetServer`] owns a `TcpListener` and a [`NetBackend`] (a shard worker
 //! validating ownership, or a whole router) and serves
-//! the BANET v1 protocol: handshake, classify, ping.
+//! the BANET v2 protocol: handshake, classify, ping.
 //!
 //! Structure per connection: the accept thread (nonblocking listener,
 //! 10 ms poll so the stop flag and the process SIGINT flag are honored)
@@ -387,12 +387,7 @@ fn serve_connection(
                 }
             },
             Message::Ping { nonce } => {
-                // Nothing reads `processed` (see `Message::Pong`).
-                let pong = Message::Pong {
-                    nonce,
-                    processed: 0,
-                };
-                if shared.send(&pong).is_err() {
+                if shared.send(&Message::Pong { nonce }).is_err() {
                     break Ok(());
                 }
             }

@@ -9,6 +9,7 @@
 //! own private copy and feeds it through [`FrameReader`] over an in-memory
 //! reader, exactly as the TCP path does.
 
+use baclassifier::durable::put_frame;
 use banet::frame::{decode_frame, write_magic, write_message};
 use banet::{FrameError, FrameReader, Hello, Message, ReplyOutcome, Role, MAX_FRAME_LEN};
 use proptest::prelude::*;
@@ -46,10 +47,7 @@ fn pristine() -> &'static Vec<u8> {
                 outcome: ReplyOutcome::Reject("shard 1 does not own address 7".into()),
             },
             Message::Ping { nonce: 99 },
-            Message::Pong {
-                nonce: 99,
-                processed: 42,
-            },
+            Message::Pong { nonce: 99 },
         ];
         for m in &messages {
             write_message(&mut buf, m).unwrap();
@@ -178,9 +176,7 @@ proptest! {
         let mut payload = Message::Ping { nonce: 7 }.encode();
         payload.extend_from_slice(&junk);
         let mut framed = Vec::new();
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&bstream::crc32(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
+        put_frame(&mut framed, &payload, MAX_FRAME_LEN).unwrap();
         match decode_frame(&framed) {
             Err(FrameError::Malformed(_)) => {}
             other => prop_assert!(false, "expected Malformed, got {:?}", other.map(|_| ())),

@@ -6,9 +6,9 @@
 //! ```
 //!
 //! Reads `base.bstream.{i}of{from}` (for `--from 1`, a bare unsharded
-//! `base.bstream` is accepted too), verifies every checksum and the frozen
-//! partition-hash ownership of every address, then writes
-//! `rebased.bstream.{j}of{to}` — each address's section copied verbatim
+//! `base.bstream` is accepted too), verifies every record's CRC and the
+//! frozen partition-hash ownership of every address, then writes
+//! `rebased.bstream.{j}of{to}` — each address record copied verbatim
 //! into the shard the frozen hash assigns it under the new count. The
 //! outputs are byte-identical to what a fresh `--to`-shard follower run
 //! over the same blocks would have checkpointed, so a fleet can restart

@@ -5,9 +5,9 @@
 //! through recovery, the exit codes and the one line of metrics JSON are on
 //! the path, and the crash is a SIGKILL of the whole process.
 
-use baclassifier::{BacConfig, ModelArtifact};
+use baclassifier::{BacConfig, ModelArtifact, ShardAssignment};
 use bashard::shard_snapshot_path;
-use bstream::{scan_journal, Follower, FollowerConfig};
+use bstream::{read_snapshot, scan_journal, Follower, FollowerConfig};
 use btcsim::{Address, Label};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read};
@@ -320,9 +320,13 @@ fn one_and_four_shards_end_in_the_same_label_table() {
     let mut one = Scratch::new("one");
     let output = follow(&mut one, 1);
     assert_eq!(output.status.code(), Some(0), "{}", stderr_of(&output));
-    let text = std::fs::read_to_string(shard_snapshot_path(&one.snapshot_base(), 0, 1))
+    let snapshot = read_snapshot(&shard_snapshot_path(&one.snapshot_base(), 0, 1))
         .expect("a 1-shard fleet snapshots to base.0of1");
-    assert!(text.lines().any(|l| l == "shard 0 1 1"), "no shard line");
+    assert_eq!(
+        snapshot.shard,
+        Some(ShardAssignment { index: 0, count: 1 }),
+        "a 1-shard fleet records its layout"
+    );
 
     let mut four = Scratch::new("four");
     let output = follow(&mut four, 4);

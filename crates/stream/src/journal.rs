@@ -4,11 +4,11 @@
 //! follower state, so a crash at any point loses nothing: restart restores
 //! the latest valid snapshot and replays the journal tail (heights below
 //! the snapshot are skipped by `ingest_block`'s resume rule). The journal
-//! is an append-only file of checksummed, length-prefixed frames:
+//! is an append-only file of `baclassifier::durable` frames:
 //!
 //! ```text
 //! [8-byte magic "BJRNL v1"]
-//! frame := [u32 LE payload-len][u32 LE crc32(payload)][payload]
+//! frame := [u32 LE payload-len][u32 LE CRC32 of payload][payload]
 //! payload := LE binary block codec (see `encode_block`)
 //! ```
 //!
@@ -26,7 +26,7 @@
 //! either, so recovered state is still a consistent prefix), `0` leaves
 //! syncing to the OS.
 
-use baclassifier::durable::{put_u32, put_u64, Cursor};
+use baclassifier::durable::{next_frame, put_frame, put_u32, put_u64, Cursor, Frame};
 use btcsim::{Address, Amount, Block, OutPoint, Transaction, TxIn, TxOut, Txid};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -36,47 +36,10 @@ use std::path::{Path, PathBuf};
 /// clean `UnsupportedVersion`-style error, not a CRC storm.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"BJRNL v1";
 
-/// Frame header: payload length + CRC32 of the payload, both u32 LE.
-const FRAME_HEADER: usize = 8;
-
-/// Upper bound on a single frame payload (64 MiB). A length field larger
-/// than this is treated as corruption rather than an allocation request.
+/// Upper bound on a single frame payload (64 MiB), for the reader and the
+/// writer alike: a longer length field is corruption rather than an
+/// allocation request, and a longer block is refused before it is written.
 const MAX_FRAME_LEN: u32 = 64 << 20;
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE, reflected, poly 0xEDB88320) — table-based, no dependencies.
-// ---------------------------------------------------------------------------
-
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 == 1 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        table
-    })
-}
-
-/// CRC32 (IEEE) of `bytes`. Shared by the journal frames and the snapshot
-/// checksum trailer.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 // ---------------------------------------------------------------------------
 // Block codec: fixed-width LE binary, field-for-field with `btcsim` types.
@@ -223,49 +186,27 @@ pub fn scan_journal(path: &Path) -> std::io::Result<JournalScan> {
     };
     let mut pos = JOURNAL_MAGIC.len();
     while pos < bytes.len() {
-        let torn = |reason: String| TornFrame {
+        let reason = match next_frame(&bytes[pos..], MAX_FRAME_LEN) {
+            Frame::Whole { payload, end } => match decode_block(payload) {
+                Ok(block) => {
+                    scan.blocks.push(block);
+                    pos += end;
+                    scan.valid_len = pos as u64;
+                    continue;
+                }
+                Err(reason) => format!("undecodable payload: {reason}"),
+            },
+            Frame::Incomplete => format!("truncated frame ({} bytes left)", bytes.len() - pos),
+            Frame::TooLarge(len) => format!("frame length {len} exceeds {MAX_FRAME_LEN}"),
+            Frame::CrcMismatch { stored, computed } => {
+                format!("crc mismatch (stored {stored:08x}, computed {computed:08x})")
+            }
+        };
+        scan.torn = Some(TornFrame {
             offset: pos as u64,
             reason,
-        };
-        if bytes.len() - pos < FRAME_HEADER {
-            scan.torn = Some(torn(format!(
-                "truncated frame header ({} of {FRAME_HEADER} bytes)",
-                bytes.len() - pos
-            )));
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let want_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            scan.torn = Some(torn(format!("frame length {len} exceeds {MAX_FRAME_LEN}")));
-            break;
-        }
-        let body_start = pos + FRAME_HEADER;
-        let body_end = body_start + len as usize;
-        if body_end > bytes.len() {
-            scan.torn = Some(torn(format!(
-                "frame body truncated ({} of {len} bytes)",
-                bytes.len() - body_start
-            )));
-            break;
-        }
-        let payload = &bytes[body_start..body_end];
-        let got_crc = crc32(payload);
-        if got_crc != want_crc {
-            scan.torn = Some(torn(format!(
-                "crc mismatch (stored {want_crc:08x}, computed {got_crc:08x})"
-            )));
-            break;
-        }
-        match decode_block(payload) {
-            Ok(block) => scan.blocks.push(block),
-            Err(reason) => {
-                scan.torn = Some(torn(format!("undecodable payload: {reason}")));
-                break;
-            }
-        }
-        pos = body_end;
-        scan.valid_len = pos as u64;
+        });
+        break;
     }
     Ok(scan)
 }
@@ -335,13 +276,13 @@ impl BlockJournal {
     /// bytes and whether this append fsynced (per the cadence). Writes are
     /// unbuffered: once `append` returns, the frame is visible to any
     /// other handle on the file (needed by shard workers recovering from
-    /// the driver's journal), even if not yet durable.
+    /// the driver's journal), even if not yet durable. A block over the
+    /// scan's frame limit is refused (`InvalidInput`) before any byte is
+    /// written: appended, it would read back as a torn tail, and the next
+    /// open would truncate it and every block after it.
     pub fn append(&mut self, block: &Block) -> std::io::Result<(u64, bool)> {
-        let payload = encode_block(block);
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::new();
+        put_frame(&mut frame, &encode_block(block), MAX_FRAME_LEN)?;
         self.file.write_all(&frame)?;
         self.appended_since_sync += 1;
         let synced = self.sync_every > 0 && self.appended_since_sync >= self.sync_every;
@@ -374,10 +315,7 @@ impl BlockJournal {
         }
         let mut bytes = JOURNAL_MAGIC.to_vec();
         for block in &kept {
-            let payload = encode_block(block);
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-            bytes.extend_from_slice(&payload);
+            put_frame(&mut bytes, &encode_block(block), MAX_FRAME_LEN)?;
         }
         baclassifier::write_atomic(&self.path, &bytes)?;
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
@@ -410,17 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC32 check values.
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
-
-    #[test]
     fn block_codec_roundtrips() {
         for block in sim_blocks(51, 12) {
             let payload = encode_block(&block);
@@ -436,7 +363,7 @@ mod tests {
         let mut journal = BlockJournal::create(&path, 1).unwrap();
         for b in &blocks {
             let (bytes, synced) = journal.append(b).unwrap();
-            assert!(bytes > FRAME_HEADER as u64);
+            assert!(bytes > baclassifier::durable::FRAME_HEADER as u64);
             assert!(synced, "sync_every=1 must sync each frame");
         }
         drop(journal);

@@ -23,8 +23,8 @@
 //! 2. **Bounded lag.** The feed's channel is bounded, so a slow follower
 //!    applies backpressure to the producer instead of buffering the chain;
 //!    the [`feed::Watermark`] quantifies blocks-behind-tip at any moment.
-//! 3. **Durability.** [`Follower::snapshot_to`] checkpoints histories and
-//!    labels atomically (rotating older generations aside);
+//! 3. **Durability.** [`Follower::snapshot_to`] checkpoints histories,
+//!    labels and margins atomically (rotating older generations aside);
 //!    [`Follower::restore`] reads them back and resumes from the checkpoint
 //!    height; the next reclassification rebuilds what derives from them.
 //! 4. **Crash safety.** A [`Follower`] is pure state; the driver
@@ -56,7 +56,7 @@ pub mod snapshot;
 
 pub use feed::{BlockFeed, FeedSender, FeedStalled, Watermark};
 pub use follower::{Follower, FollowerConfig};
-pub use journal::{crc32, scan_journal, BlockJournal, JournalScan, TornFrame};
+pub use journal::{scan_journal, BlockJournal, JournalScan, TornFrame};
 pub use metrics::StreamMetrics;
 pub use recovery::{generation_path, quarantine_path, Recovery};
-pub use snapshot::{snapshot_height, SnapshotError, SnapshotHeader, SnapshotLines};
+pub use snapshot::{read_snapshot, snapshot_height, write_snapshot, Snapshot, SnapshotError};

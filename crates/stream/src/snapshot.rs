@@ -1,50 +1,41 @@
 //! Snapshot/restore of follower state.
 //!
-//! Format (`BSTREAM v1`, line-oriented text, one file per snapshot):
+//! Format (`BSTREAM v2`): the 8-byte magic `BSTRM v2`, then the journal's
+//! CRC-framed records (`baclassifier::durable`), fields little-endian:
 //!
 //! ```text
-//! BSTREAM v1
-//! height <next_height>
-//! shard <index> <count> <hash-version>     (only for sharded followers)
-//! addresses <n>
-//! A <addr> <label-index|-> <num-txs>
-//! T <txid> <timestamp> <n-in> <n-out> <addr>:<sats> ...
-//! checksum <crc32-hex>                     (over every preceding byte)
+//! header  := height u64 · shard index u32 · shard count u32 (0: unsharded)
+//!            · hash-version u32 · addresses u64
+//! address := address u64 · label u8 (255: none) · margin u8 (0: none,
+//!            1: f32 bits u32) · tx-count u32 · per transaction: txid u64
+//!            · timestamp u64 · n-in u32 · n-out u32 · (address u64 ·
+//!            sats u64) per input, then per output
 //! ```
 //!
-//! Each `A` line is followed by its `num-txs` `T` lines, inputs listed
-//! before outputs. Only transaction histories and the label table are
-//! persisted — aggregates, graphs and embeddings are deterministic
-//! functions of the history, so the format survives changes to any derived
-//! representation. A transaction is written once per tracked address it
-//! touches and interned back into one `Arc` on restore. Snapshots
-//! are written atomically (`baclassifier::write_atomic`): a crash
-//! mid-write leaves the previous snapshot intact.
+//! Address records follow in `BTreeMap` order, each leading with its
+//! address so the offline rebalancer routes them verbatim. Aggregates,
+//! graphs and embeddings are functions of the history and are not stored;
+//! a transaction is interned back into one `Arc` on restore. Files are
+//! written atomically (`baclassifier::write_atomic`).
 //!
-//! The trailing `checksum` line is a CRC32 (same polynomial as the block
-//! journal) over every byte before it. [`verify_trailer`] checks it before
-//! a single parsed value is trusted, so a bit-flip anywhere in the file is
-//! a [`SnapshotError::Checksum`] naming the path — not a silently divergent
-//! label table — and so is a file with no trailer at all (a truncation at
-//! a line boundary would otherwise parse clean). Every parse error names
-//! the file and the 1-based line it occurred on.
-//!
-//! The optional `shard` line makes a snapshot self-describing about its
-//! place in a sharded deployment: restore adopts the recorded assignment
-//! when the config doesn't name one, rejects the file when the config
-//! names a different one, and refuses files written under a partition
-//! hash this build doesn't implement. A file with no `shard` line is the
-//! trivial 1-shard layout, so pre-sharding snapshots restore unchanged.
+//! Unlike the journal, a snapshot fails closed: a journal's valid prefix is
+//! a shorter chain that replay extends, a snapshot's is a follower missing
+//! addresses that nothing brings back. A torn or CRC-failing frame, a
+//! missing or extra record, or one that does not decode is a typed
+//! [`SnapshotError`] naming the path, and recovery quarantines the file.
+//! Restore adopts the recorded layout when the config names none and
+//! refuses another one or an unknown partition-hash version.
 
 use crate::follower::{AddressState, Follower, FollowerConfig};
-use crate::journal::crc32;
 use baclassifier::construction::FocusAggregates;
+use baclassifier::durable::{next_frame, put_frame, put_u32, put_u64, Cursor, Frame, FRAME_HEADER};
 use baclassifier::{
     write_atomic, ArtifactError, ModelArtifact, ShardAssignment, SHARD_HASH_VERSION,
 };
 use btcsim::{Address, Amount, Label, TxView, Txid};
 use std::collections::hash_map::{Entry, HashMap};
-use std::fmt::Write as _;
+use std::io::Read;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -56,7 +47,7 @@ pub enum SnapshotError {
     Malformed(String),
     /// The file is a snapshot of a version this build cannot read.
     UnsupportedVersion(String),
-    /// The file's checksum trailer does not match its contents.
+    /// A record's payload does not match its stored CRC.
     Checksum(String),
     /// The model artifact could not be loaded during restore.
     Artifact(ArtifactError),
@@ -67,9 +58,7 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot io: {e}"),
             SnapshotError::Malformed(m) => write!(f, "malformed snapshot: {m}"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version: {v}")
-            }
+            SnapshotError::UnsupportedVersion(v) => write!(f, "unsupported snapshot: {v}"),
             SnapshotError::Checksum(m) => write!(f, "snapshot checksum mismatch: {m}"),
             SnapshotError::Artifact(e) => write!(f, "artifact: {e}"),
         }
@@ -84,269 +73,255 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// First line of every snapshot; the format version is part of it.
-const MAGIC: &str = "BSTREAM v1";
+/// The file's first 8 bytes; the format version is part of them.
+const MAGIC: &[u8; 8] = b"BSTRM v2";
 
-fn malformed(msg: impl Into<String>) -> SnapshotError {
-    SnapshotError::Malformed(msg.into())
+/// The header record's payload: height, index, count, hash version, count.
+const HEADER_LEN: usize = 8 + 4 + 4 + 4 + 8;
+
+/// Files are read whole, so a length is checked against the bytes there.
+const MAX_RECORD_LEN: u32 = u32::MAX;
+
+/// The label byte of an address that has none (deferred under `min_txs`).
+const NO_LABEL: u8 = u8::MAX;
+
+fn malformed(path: &Path, msg: std::fmt::Arguments) -> SnapshotError {
+    SnapshotError::Malformed(format!("{}: {msg}", path.display()))
 }
 
-/// Line-by-line reader that knows which file and line it is on, so every
-/// error can say exactly where parsing stopped.
-pub struct SnapshotLines<'a> {
-    path: &'a Path,
-    lines: std::str::Lines<'a>,
-    /// 1-based number of the last line handed out.
-    line_no: usize,
-}
-
-impl<'a> SnapshotLines<'a> {
-    pub fn new(path: &'a Path, text: &'a str) -> Self {
-        Self {
-            path,
-            lines: text.lines(),
-            line_no: 0,
-        }
-    }
-
-    /// The next line, or a `Malformed` error saying `what` is missing.
-    pub fn next_line(&mut self, what: &str) -> Result<&'a str, SnapshotError> {
-        match self.lines.next() {
-            Some(line) => {
-                self.line_no += 1;
-                Ok(line)
-            }
-            None => Err(malformed(format!(
-                "{}: unexpected end of file at line {}: missing {what}",
-                self.path.display(),
-                self.line_no + 1
-            ))),
-        }
-    }
-
-    /// A `Malformed` error about the line handed out last.
-    pub fn bad(&self, msg: impl std::fmt::Display) -> SnapshotError {
-        malformed(format!(
-            "{} line {}: {msg}",
-            self.path.display(),
-            self.line_no
-        ))
-    }
-}
-
-/// The lines every BSTREAM file starts with: magic, `height`, the optional
-/// `shard` line, `addresses`. The one reader and writer of them — restore,
-/// [`snapshot_height`], the snapshot writer and the offline rebalancer all
-/// go through here, so a header one accepts the others accept.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SnapshotHeader {
-    /// The height the restored follower resumes at.
+/// A snapshot read whole with every frame's CRC checked.
+pub struct Snapshot {
+    /// The height a restored follower resumes at.
     pub height: u64,
-    /// `None` when the file has no `shard` line: the trivial 1-shard layout.
+    /// `None` for an unsharded file: the trivial 1-shard layout.
     pub shard: Option<ShardAssignment>,
-    /// How many `A` sections follow.
-    pub addresses: usize,
+    bytes: Vec<u8>,
+    /// Each address record's address and payload, in file order.
+    records: Vec<(Address, Range<usize>)>,
 }
 
-impl SnapshotHeader {
-    pub fn write(&self, out: &mut String) {
-        out.push_str(MAGIC);
-        out.push('\n');
-        let _ = writeln!(out, "height {}", self.height);
-        if let Some(shard) = &self.shard {
-            let _ = writeln!(
-                out,
-                "shard {} {} {}",
-                shard.index, shard.count, SHARD_HASH_VERSION
-            );
-        }
-        let _ = writeln!(out, "addresses {}", self.addresses);
-    }
-
-    /// Parse the header off the front of `lines`, leaving them at the first
-    /// `A` line. A magic line or partition-hash version this build does not
-    /// implement is [`SnapshotError::UnsupportedVersion`]; anything else
-    /// wrong (a `shard` line with `index >= count` included) is
-    /// [`SnapshotError::Malformed`].
-    pub fn parse(lines: &mut SnapshotLines<'_>) -> Result<Self, SnapshotError> {
-        let magic = lines.next_line("BSTREAM header")?;
-        if magic != MAGIC {
-            return Err(SnapshotError::UnsupportedVersion(format!(
-                "{}: {magic}",
-                lines.path.display()
-            )));
-        }
-        let mut toks = lines.next_line("height line")?.split_whitespace();
-        if toks.next() != Some("height") {
-            return Err(lines.bad("expected height line"));
-        }
-        let height = parse_u64(toks.next(), "height").map_err(|m| lines.bad(m))?;
-
-        let mut toks = lines.next_line("addresses line")?.split_whitespace();
-        let mut key = toks.next();
-        let mut shard = None;
-        if key == Some("shard") {
-            let mut field = |what: &str| {
-                let tok = toks.next().ok_or_else(|| format!("missing {what}"))?;
-                tok.parse::<u32>().map_err(|_| format!("bad {what}"))
-            };
-            let index = field("shard index").map_err(|m| lines.bad(m))?;
-            let count = field("shard count").map_err(|m| lines.bad(m))?;
-            let hash_version = field("shard hash version").map_err(|m| lines.bad(m))?;
-            if hash_version != SHARD_HASH_VERSION {
-                return Err(SnapshotError::UnsupportedVersion(format!(
-                    "{}: shard hash v{hash_version} (this build implements \
-                     v{SHARD_HASH_VERSION})",
-                    lines.path.display()
-                )));
-            }
-            if index >= count {
-                return Err(lines.bad(format!("bad shard assignment {index}/{count}")));
-            }
-            shard = Some(ShardAssignment { index, count });
-            toks = lines.next_line("addresses line")?.split_whitespace();
-            key = toks.next();
-        }
-        if key != Some("addresses") {
-            return Err(lines.bad("expected addresses line"));
-        }
-        let addresses = parse_u64(toks.next(), "address count").map_err(|m| lines.bad(m))?;
-        Ok(Self {
-            height,
-            shard,
-            addresses: addresses as usize,
-        })
+impl Snapshot {
+    /// Each address record: its address and its whole payload.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = (Address, &[u8])> {
+        let bytes = &self.bytes;
+        self.records.iter().map(|(a, r)| (*a, &bytes[r.clone()]))
     }
 }
 
-fn parse_u64(tok: Option<&str>, what: &str) -> Result<u64, String> {
-    tok.ok_or_else(|| format!("missing {what}"))?
-        .parse()
-        .map_err(|_| format!("bad {what}"))
-}
-
-fn write_entries(line: &mut String, entries: &[(Address, Amount)]) {
-    for (addr, value) in entries {
-        let _ = write!(line, " {}:{}", addr.0, value.sats());
+/// Write a snapshot of `records` (address record payloads, in `BTreeMap`
+/// order) atomically to `path`. The one writer: [`Follower::snapshot_to`]
+/// and the offline rebalancer.
+pub fn write_snapshot<R: AsRef<[u8]>>(
+    path: &Path,
+    height: u64,
+    shard: Option<ShardAssignment>,
+    records: impl ExactSizeIterator<Item = R>,
+) -> Result<(), SnapshotError> {
+    let layout = shard.map_or([0; 3], |s| [s.index, s.count, SHARD_HASH_VERSION]);
+    let mut header = height.to_le_bytes().to_vec();
+    header.extend(layout.iter().flat_map(|field| field.to_le_bytes()));
+    put_u64(&mut header, records.len() as u64);
+    let mut out = MAGIC.to_vec();
+    put_frame(&mut out, &header, MAX_RECORD_LEN)?;
+    for record in records {
+        put_frame(&mut out, record.as_ref(), MAX_RECORD_LEN)?;
     }
+    Ok(write_atomic(path, &out)?)
 }
 
-fn parse_entry(tok: &str) -> Result<(Address, Amount), String> {
-    let (addr, sats) = tok
-        .split_once(':')
-        .ok_or_else(|| format!("bad entry {tok:?}"))?;
-    Ok((
-        Address(parse_u64(Some(addr), "entry address")?),
-        Amount::from_sats(parse_u64(Some(sats), "entry sats")?),
-    ))
-}
-
-/// Append the `checksum` trailer covering every byte already in `out`.
-pub fn push_trailer(out: &mut String) {
-    let _ = writeln!(out, "checksum {:08x}", crc32(out.as_bytes()));
-}
-
-/// Verify a snapshot's `checksum` trailer and return the text it covers
-/// (everything before the trailer line). The one trailer check, shared by
-/// [`Follower::restore`] and the offline rebalancer. Fails closed: the
-/// last line must be exactly `checksum <8 hex digits>\n` — a missing
-/// trailer (empty or truncated file) or a mismatch is
-/// [`SnapshotError::Checksum`], an unparseable one (stray `\r`, wrong
-/// length) is [`SnapshotError::Malformed`]; no input panics.
-pub fn verify_trailer<'a>(path: &Path, text: &'a str) -> Result<&'a str, SnapshotError> {
-    let start = text.trim_end_matches('\n').rfind('\n').map_or(0, |i| i + 1);
-    let (covered, trailer) = text.split_at(start);
-    let Some(stored) = trailer.strip_prefix("checksum ") else {
-        return Err(SnapshotError::Checksum(format!(
-            "{}: no checksum trailer — file is truncated or not a snapshot",
+/// The payload of the frame at `pos` and the offset after it.
+fn frame_at<'a>(
+    path: &Path,
+    bytes: &'a [u8],
+    pos: usize,
+    what: std::fmt::Arguments,
+) -> Result<(&'a [u8], usize), SnapshotError> {
+    match next_frame(&bytes[pos..], MAX_RECORD_LEN) {
+        Frame::Whole { payload, end } => Ok((payload, pos + end)),
+        Frame::Incomplete | Frame::TooLarge(_) => Err(malformed(
+            path,
+            format_args!("{what} at byte {pos}: missing or torn"),
+        )),
+        Frame::CrcMismatch { stored, computed } => Err(SnapshotError::Checksum(format!(
+            "{}: {what} at byte {pos}: stored {stored:08x}, computed {computed:08x}",
             path.display()
-        )));
+        ))),
+    }
+}
+
+/// The magic and header at the front of `bytes`: a snapshot with no records
+/// yet, how many it declares, and the offset after the header.
+fn read_header(path: &Path, bytes: &[u8]) -> Result<(Snapshot, usize, usize), SnapshotError> {
+    let unsupported = |what: String| {
+        let path = path.display();
+        SnapshotError::UnsupportedVersion(format!("{path}: {what}"))
     };
-    let stored_val = stored
-        .strip_suffix('\n')
-        .filter(|hex| hex.len() == 8 && hex.bytes().all(|b| b.is_ascii_hexdigit()))
-        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-        .ok_or_else(|| {
-            malformed(format!(
-                "{}: unparseable checksum trailer {stored:?}",
-                path.display()
-            ))
-        })?;
-    let computed = crc32(covered.as_bytes());
-    if stored_val != computed {
-        return Err(SnapshotError::Checksum(format!(
-            "{}: stored {stored_val:08x}, computed {computed:08x} — \
-             file is corrupt or was edited",
-            path.display()
-        )));
+    let magic = bytes.get(..MAGIC.len()).unwrap_or(bytes);
+    if magic != MAGIC {
+        let magic = String::from_utf8_lossy(magic);
+        let msg = format!("magic {magic:?}, this build reads BSTRM v2");
+        return Err(unsupported(msg));
     }
-    Ok(covered)
+    let (payload, end) = frame_at(path, bytes, MAGIC.len(), format_args!("header record"))?;
+    let mut c = Cursor::new(payload);
+    let fields = (c.u64(), c.u32(), c.u32(), c.u32(), c.u64(), c.remaining());
+    let (Some(height), Some(index), Some(count), Some(hash), Some(addresses), 0) = fields else {
+        let msg = format_args!("header record of {} bytes", payload.len());
+        return Err(malformed(path, msg));
+    };
+    if count > 0 && hash != SHARD_HASH_VERSION {
+        let msg = format!("shard hash v{hash} (this build implements v{SHARD_HASH_VERSION})");
+        return Err(unsupported(msg));
+    }
+    if index >= count.max(1) {
+        return Err(malformed(path, format_args!("bad shard {index}/{count}")));
+    }
+    let shard = (count > 0).then_some(ShardAssignment { index, count });
+    let (bytes, records) = (Vec::new(), Vec::new());
+    let snapshot = Snapshot {
+        height,
+        shard,
+        bytes,
+        records,
+    };
+    Ok((snapshot, addresses as usize, end))
 }
 
-/// Read just the header of a snapshot for its `height` — the height a
-/// restore would resume at — without reading or verifying the body. Used to
-/// compute the journal-compaction floor across retained generations.
-pub fn snapshot_height(path: &Path) -> Result<u64, SnapshotError> {
-    use std::io::BufRead;
-    let mut reader = std::io::BufReader::new(std::fs::File::open(path)?);
-    let mut head = String::new();
-    // Magic, height, the optional shard line, addresses.
-    for _ in 0..4 {
-        reader.read_line(&mut head)?;
+/// Read `path` whole: the header, exactly the address records it declares
+/// (each CRC-checked and at least an address long), then the end of the
+/// file. The one reader: restore and the offline rebalancer.
+pub fn read_snapshot(path: &Path) -> Result<Snapshot, SnapshotError> {
+    let bytes = std::fs::read(path)?;
+    let (mut snapshot, addresses, mut pos) = read_header(path, &bytes)?;
+    snapshot.records.reserve(addresses.min(bytes.len() / 16));
+    for i in 0..addresses {
+        let what = format_args!("address record {i} of {addresses}");
+        let (payload, end) = frame_at(path, &bytes, pos, what)?;
+        let Some(addr) = Cursor::new(payload).u64() else {
+            let msg = format_args!("address record {i}: no address");
+            return Err(malformed(path, msg));
+        };
+        let range = end - payload.len()..end;
+        snapshot.records.push((Address(addr), range));
+        pos = end;
     }
-    Ok(SnapshotHeader::parse(&mut SnapshotLines::new(path, &head))?.height)
+    if pos != bytes.len() {
+        let extra = bytes.len() - pos;
+        let msg = format_args!("{extra} bytes after the last address record");
+        return Err(malformed(path, msg));
+    }
+    snapshot.bytes = bytes;
+    Ok(snapshot)
+}
+
+/// The height a restore of `path` would resume at, from its magic and
+/// header record alone, CRC checked: the journal-compaction floor.
+pub fn snapshot_height(path: &Path) -> Result<u64, SnapshotError> {
+    let mut head = Vec::new();
+    let len = MAGIC.len() + FRAME_HEADER + HEADER_LEN;
+    let file = std::fs::File::open(path)?;
+    file.take(len as u64).read_to_end(&mut head)?;
+    Ok(read_header(path, &head)?.0.height)
+}
+
+fn encode_address(addr: Address, label: Option<Label>, state: &AddressState) -> Vec<u8> {
+    let mut out = addr.0.to_le_bytes().to_vec();
+    out.push(label.map_or(NO_LABEL, |l| l.index() as u8));
+    out.push(state.margin.is_some().into());
+    if let Some(margin) = state.margin {
+        put_u32(&mut out, margin.to_bits());
+    }
+    put_u32(&mut out, state.history.len() as u32);
+    for tx in &state.history {
+        put_u64(&mut out, tx.txid.0);
+        put_u64(&mut out, tx.timestamp);
+        put_u32(&mut out, tx.inputs.len() as u32);
+        put_u32(&mut out, tx.outputs.len() as u32);
+        for (addr, value) in tx.inputs.iter().chain(&tx.outputs) {
+            put_u64(&mut out, addr.0);
+            put_u64(&mut out, value.sats());
+        }
+    }
+    out
+}
+
+/// A read past the record's end, as this format reports it.
+fn short<T>(read: Option<T>) -> Result<T, String> {
+    read.ok_or_else(|| "record ends early".to_string())
+}
+
+type AddressRecord = (Option<Label>, Option<f32>, Vec<Arc<TxView>>);
+
+/// An address record's label, margin and history. Equal transactions are
+/// one `Arc`; one that differs from the first seen under its txid keeps
+/// its own copy.
+fn read_address(
+    payload: &[u8],
+    interned: &mut HashMap<Txid, Arc<TxView>>,
+) -> Result<AddressRecord, String> {
+    let mut c = Cursor::new(payload);
+    short(c.u64())?; // the address, read by `read_snapshot`
+    let label = match short(c.u8())? {
+        NO_LABEL => None,
+        i => Some(Label::from_index(i.into()).ok_or(format!("bad label index {i}"))?),
+    };
+    let margin = match short(c.u8())? {
+        0 => None,
+        1 => Some(f32::from_bits(short(c.u32())?)),
+        tag => return Err(format!("bad margin tag {tag}")),
+    };
+    let num_txs = short(c.u32())? as usize;
+    // Each transaction needs at least its 24-byte fixed part.
+    if num_txs > c.remaining() / 24 {
+        return Err(format!("tx count {num_txs} exceeds the record"));
+    }
+    let mut history = Vec::with_capacity(num_txs);
+    for _ in 0..num_txs {
+        let (txid, timestamp) = (Txid(short(c.u64())?), short(c.u64())?);
+        let (n_in, n_out) = (short(c.u32())? as usize, short(c.u32())? as usize);
+        if n_in + n_out > c.remaining() / 16 {
+            return Err(format!("{} entries exceed the record", n_in + n_out));
+        }
+        let mut entry = |_| Ok((Address(short(c.u64())?), Amount::from_sats(short(c.u64())?)));
+        let inputs = (0..n_in).map(&mut entry).collect::<Result<_, String>>()?;
+        let outputs = (0..n_out).map(&mut entry).collect::<Result<_, String>>()?;
+        let view = TxView {
+            txid,
+            timestamp,
+            inputs,
+            outputs,
+        };
+        history.push(match interned.entry(txid) {
+            Entry::Occupied(first) if **first.get() == view => Arc::clone(first.get()),
+            Entry::Occupied(_) => Arc::new(view),
+            Entry::Vacant(slot) => Arc::clone(slot.insert(Arc::new(view))),
+        });
+    }
+    match c.remaining() {
+        0 => Ok((label, margin, history)),
+        trailing => Err(format!("{trailing} trailing bytes")),
+    }
 }
 
 impl Follower {
-    /// Write a snapshot to `path`, atomically, with a checksum trailer.
-    ///
-    /// Runs a reclassification pass first so the snapshot captures a
-    /// fully-classified point: a restored follower starts with no dirty
-    /// state, so an address dirty at checkpoint time but untouched
-    /// afterwards would otherwise never get its pending label.
+    /// Write a snapshot to `path` atomically, older generations rotated
+    /// aside first. A reclassification pass runs first so the snapshot is a
+    /// fully-classified point: a restored follower starts clean, so an
+    /// address dirty now but untouched afterwards would never get its label.
     pub fn snapshot_to(&mut self, path: &Path) -> Result<(), SnapshotError> {
         self.reclassify_dirty();
-
-        let mut out = String::new();
-        SnapshotHeader {
-            height: self.next_height,
-            shard: self.cfg.shard,
-            addresses: self.states.len(),
-        }
-        .write(&mut out);
-        for (addr, state) in &self.states {
-            let label = self
-                .labels
-                .get(addr)
-                .map_or_else(|| "-".to_string(), |l| l.index().to_string());
-            let _ = writeln!(out, "A {} {} {}", addr.0, label, state.history.len());
-            for tx in &state.history {
-                let mut line = format!(
-                    "T {} {} {} {}",
-                    tx.txid.0,
-                    tx.timestamp,
-                    tx.inputs.len(),
-                    tx.outputs.len()
-                );
-                write_entries(&mut line, &tx.inputs);
-                write_entries(&mut line, &tx.outputs);
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        push_trailer(&mut out);
-
-        // Rotate older generations aside before the rename replaces the
-        // base file, so a corrupt write discovered later still has a
-        // predecessor to fall back to.
+        let records = self
+            .states
+            .iter()
+            .map(|(addr, state)| encode_address(*addr, self.labels.get(addr).copied(), state));
         crate::recovery::rotate_generations(path, self.cfg.snapshot_generations)?;
-        write_atomic(path, out.as_bytes())?;
+        write_snapshot(path, self.next_height, self.cfg.shard, records)?;
         self.metrics.snapshots_written += 1;
         Ok(())
     }
 
-    /// Rebuild a follower from a snapshot: histories, aggregates and
-    /// labels; no graph is built. The restored follower resumes at the
+    /// Rebuild a follower from a snapshot: histories, aggregates, labels
+    /// and margins; no graph is built. The restored follower resumes at the
     /// snapshot's height: feed it the chain from there (or an overlapping
     /// prefix — already-seen blocks are skipped).
     pub fn restore(
@@ -354,92 +329,24 @@ impl Follower {
         mut cfg: FollowerConfig,
         path: &Path,
     ) -> Result<Self, SnapshotError> {
-        let text = std::fs::read_to_string(path)?;
-
-        let body = verify_trailer(path, &text)?;
-
-        let mut lines = SnapshotLines::new(path, body);
-        let header = SnapshotHeader::parse(&mut lines)?;
-        match (&cfg.shard, header.shard) {
-            // The snapshot knows its own layout: adopt it.
-            (None, Some(shard)) => cfg.shard = Some(shard),
-            (Some(want), file) => {
-                let have = file.unwrap_or_else(ShardAssignment::unsharded);
-                if have != *want {
-                    return Err(malformed(format!(
-                        "shard layout mismatch: snapshot is shard {}/{}, config wants {}/{}",
-                        have.index, have.count, want.index, want.count
-                    )));
-                }
+        let snapshot = read_snapshot(path)?;
+        // A snapshot knows its own layout: a config that names none adopts
+        // it, one that names another is refused.
+        if let Some(want) = cfg.shard {
+            let have = snapshot.shard.unwrap_or_else(ShardAssignment::unsharded);
+            if have != want {
+                let msg = format_args!("shard layout mismatch: snapshot {have:?}, config {want:?}");
+                return Err(malformed(path, msg));
             }
-            (None, None) => {}
         }
+        cfg.shard = cfg.shard.or(snapshot.shard);
 
         let mut follower = Follower::new(artifact, cfg).map_err(SnapshotError::Artifact)?;
-        follower.next_height = header.height;
-        // Equal `T` lines are one transaction; one that differs from the
-        // first seen under its txid keeps its own copy.
+        follower.next_height = snapshot.height;
         let mut interned: HashMap<Txid, Arc<TxView>> = HashMap::new();
-
-        for _ in 0..header.addresses {
-            let mut toks = lines.next_line("A line")?.split_whitespace();
-            if toks.next() != Some("A") {
-                return Err(lines.bad("expected A line"));
-            }
-            let addr = Address(parse_u64(toks.next(), "address").map_err(|m| lines.bad(m))?);
-            let label = match toks.next() {
-                Some("-") => None,
-                tok => {
-                    let idx = parse_u64(tok, "label index").map_err(|m| lines.bad(m))? as usize;
-                    Some(
-                        Label::from_index(idx)
-                            .ok_or_else(|| lines.bad(format!("bad label index {idx}")))?,
-                    )
-                }
-            };
-            let num_txs = parse_u64(toks.next(), "tx count").map_err(|m| lines.bad(m))? as usize;
-
-            let mut history = Vec::with_capacity(num_txs.min(1 << 20));
-            for _ in 0..num_txs {
-                let mut toks = lines.next_line("T line")?.split_whitespace();
-                if toks.next() != Some("T") {
-                    return Err(lines.bad("expected T line"));
-                }
-                let txid = Txid(parse_u64(toks.next(), "txid").map_err(|m| lines.bad(m))?);
-                let timestamp = parse_u64(toks.next(), "timestamp").map_err(|m| lines.bad(m))?;
-                let n_in =
-                    parse_u64(toks.next(), "input count").map_err(|m| lines.bad(m))? as usize;
-                let n_out =
-                    parse_u64(toks.next(), "output count").map_err(|m| lines.bad(m))? as usize;
-                let mut inputs = Vec::with_capacity(n_in.min(1 << 16));
-                for _ in 0..n_in {
-                    inputs.push(
-                        parse_entry(toks.next().ok_or_else(|| lines.bad("missing input"))?)
-                            .map_err(|m| lines.bad(m))?,
-                    );
-                }
-                let mut outputs = Vec::with_capacity(n_out.min(1 << 16));
-                for _ in 0..n_out {
-                    outputs.push(
-                        parse_entry(toks.next().ok_or_else(|| lines.bad("missing output"))?)
-                            .map_err(|m| lines.bad(m))?,
-                    );
-                }
-                if toks.next().is_some() {
-                    return Err(lines.bad("trailing tokens on T line"));
-                }
-                let view = TxView {
-                    txid,
-                    timestamp,
-                    inputs,
-                    outputs,
-                };
-                history.push(match interned.entry(txid) {
-                    Entry::Occupied(first) if **first.get() == view => Arc::clone(first.get()),
-                    Entry::Occupied(_) => Arc::new(view),
-                    Entry::Vacant(slot) => Arc::clone(slot.insert(Arc::new(view))),
-                });
-            }
+        for (i, (addr, payload)) in snapshot.records().enumerate() {
+            let (label, margin, history) = read_address(payload, &mut interned)
+                .map_err(|m| malformed(path, format_args!("address record {i}: {m}")))?;
             // Graphs and embeddings wait for the first reclassification.
             // Snapshots are taken at fully-classified points, so an address
             // without a label was deferred under `min_txs`: it stays dirty.
@@ -447,19 +354,13 @@ impl Follower {
                 agg: FocusAggregates::from_history(addr, history.iter().map(Arc::as_ref)),
                 history,
                 dirty: label.is_none(),
+                margin,
                 ..AddressState::default()
             };
             follower.states.insert(addr, state);
             if let Some(label) = label {
                 follower.labels.insert(addr, label);
             }
-        }
-        if lines.next_line("end of file").is_ok() {
-            return Err(malformed(format!(
-                "{} line {}: trailing garbage after the last address",
-                path.display(),
-                lines.line_no
-            )));
         }
         Ok(follower)
     }
@@ -472,14 +373,6 @@ mod tests {
     use baclassifier::BacConfig;
     use btcsim::BlockCursor;
 
-    /// `body` plus a valid checksum trailer — a well-formed file as far as
-    /// integrity goes, so a test reaches the parser it means to exercise.
-    fn sealed(body: &str) -> String {
-        let mut out = body.to_string();
-        push_trailer(&mut out);
-        out
-    }
-
     fn temp_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
             "bstream_snapshot_{tag}_{}_{:?}",
@@ -488,26 +381,74 @@ mod tests {
         ))
     }
 
-    #[test]
-    fn snapshot_roundtrip_preserves_state() {
+    /// A follower over `blocks` blocks of seed `seed`, snapshotted to a
+    /// fresh path: the follower, the path and the file's bytes.
+    fn snapshotted(seed: u64, blocks: u64, tag: &str) -> (Follower, std::path::PathBuf, Vec<u8>) {
         let artifact = ModelArtifact::untrained(BacConfig::fast());
         let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
-        for block in BlockCursor::new(test_sim(31, 20)) {
+        for block in BlockCursor::new(test_sim(seed, blocks)) {
             follower.step(&block);
         }
-        let path = temp_path("roundtrip");
+        let path = temp_path(tag);
         follower.snapshot_to(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        (follower, path, bytes)
+    }
 
+    /// Magic, then a frame per payload: a file whose records say what the
+    /// test wants them to, each with a valid CRC.
+    fn framed(payloads: &[&[u8]]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        for payload in payloads {
+            put_frame(&mut out, payload, MAX_RECORD_LEN).unwrap();
+        }
+        out
+    }
+
+    /// A header record's payload: height, `[index, count, hash version]`,
+    /// address count.
+    fn header(height: u64, layout: [u32; 3], addresses: u64) -> Vec<u8> {
+        let mut out = height.to_le_bytes().to_vec();
+        layout.iter().for_each(|field| put_u32(&mut out, *field));
+        put_u64(&mut out, addresses);
+        out
+    }
+
+    fn restore_err(path: &Path) -> SnapshotError {
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
+        Follower::restore(&artifact, FollowerConfig::default(), path)
+            .err()
+            .expect("restore must fail")
+    }
+
+    /// Every frame boundary of a snapshot: after the magic, after each
+    /// record.
+    fn frame_ends(bytes: &[u8]) -> Vec<usize> {
+        let mut ends = vec![MAGIC.len()];
+        while let Frame::Whole { end, .. } = next_frame(&bytes[*ends.last().unwrap()..], u32::MAX) {
+            ends.push(ends.last().unwrap() + end);
+        }
+        ends
+    }
+
+    #[test]
+    fn snapshot_roundtrip_preserves_state() {
+        let (follower, path, _) = snapshotted(31, 20, "roundtrip");
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
         let restored = Follower::restore(&artifact, FollowerConfig::default(), &path).unwrap();
         std::fs::remove_file(&path).ok();
 
         assert_eq!(restored.next_height(), follower.next_height());
         assert_eq!(restored.num_tracked(), follower.num_tracked());
         assert_eq!(restored.labels(), follower.labels());
+        assert!(follower.states.values().any(|s| s.margin.is_some()));
         for (addr, state) in &follower.states {
             let r = restored.states.get(addr).expect("address restored");
             assert_eq!(r.history, state.history);
             assert_eq!(r.agg, state.agg);
+            // The margin comes back bit for bit, so a restarted follower
+            // queues dirty addresses in the uninterrupted run's order.
+            assert_eq!(r.margin.map(f32::to_bits), state.margin.map(f32::to_bits));
             // Labelled addresses come back clean; one deferred under
             // `min_txs` keeps the dirty bit the uninterrupted run holds.
             assert_eq!(r.dirty, state.dirty);
@@ -517,13 +458,8 @@ mod tests {
 
     #[test]
     fn restore_shares_transactions_builds_no_graph_and_re_embeds_identically() {
+        let (follower, path, _) = snapshotted(42, 60, "shared");
         let artifact = ModelArtifact::untrained(BacConfig::fast());
-        let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
-        for block in BlockCursor::new(test_sim(42, 60)) {
-            follower.step(&block);
-        }
-        let path = temp_path("shared");
-        follower.snapshot_to(&path).unwrap();
         let mut restored = Follower::restore(&artifact, FollowerConfig::default(), &path).unwrap();
         std::fs::remove_file(&path).ok();
 
@@ -574,68 +510,46 @@ mod tests {
     #[test]
     fn corrupt_snapshots_are_rejected() {
         let path = temp_path("corrupt");
-        std::fs::write(&path, sealed("BSTREAM v999\nheight 0\naddresses 0\n")).unwrap();
-        let artifact = ModelArtifact::untrained(BacConfig::fast());
-        let err = Follower::restore(&artifact, FollowerConfig::default(), &path)
-            .err()
-            .expect("restore must fail");
-        match err {
+        let header = |addresses| header(5, [0; 3], addresses);
+        let mut future = framed(&[&header(0)]);
+        future[..8].copy_from_slice(b"BSTRM v9");
+        std::fs::write(&path, future).unwrap();
+        match restore_err(&path) {
             SnapshotError::UnsupportedVersion(v) => {
-                assert!(v.contains("BSTREAM v999"), "version in error: {v}");
-                assert!(
-                    v.contains(path.display().to_string().as_str()),
-                    "path in error: {v}"
-                );
+                assert!(v.contains("BSTRM v9"), "version in error: {v}");
+                assert!(v.contains(path.to_str().unwrap()), "path in error: {v}");
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
 
-        std::fs::write(
-            &path,
-            sealed("BSTREAM v1\nheight 5\naddresses 1\nA 3 - 1\n"),
-        )
-        .unwrap();
-        let err = Follower::restore(&artifact, FollowerConfig::default(), &path)
-            .err()
-            .expect("restore must fail");
-        match err {
-            SnapshotError::Malformed(m) => {
-                assert!(m.contains(path.display().to_string().as_str()));
+        // A header that declares a record the file does not hold, and a
+        // record too short to carry its address.
+        for file in [framed(&[&header(1)]), framed(&[&header(1), &[3, 0, 0]])] {
+            std::fs::write(&path, file).unwrap();
+            match restore_err(&path) {
+                SnapshotError::Malformed(m) => {
+                    assert!(m.contains(path.to_str().unwrap()), "{m}");
+                    assert!(m.contains("address record 0"), "{m}");
+                }
+                other => panic!("expected Malformed, got {other:?}"),
             }
-            other => panic!("expected Malformed, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn bitflip_fails_the_checksum_naming_the_path() {
-        let artifact = ModelArtifact::untrained(BacConfig::fast());
-        let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
-        for block in BlockCursor::new(test_sim(53, 15)) {
-            follower.step(&block);
-        }
-        let path = temp_path("bitflip");
-        follower.snapshot_to(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.lines().next_back().unwrap().starts_with("checksum "));
-        // Corrupt one digit deep inside the body (swap a '3' for a '4'
-        // somewhere after the header so the file still "parses").
-        let mid = text.len() / 2;
-        let pos = text[mid..]
-            .char_indices()
-            .find(|(_, c)| c.is_ascii_digit())
-            .map(|(i, _)| mid + i)
-            .expect("snapshot body contains digits");
-        let mut corrupted = text.into_bytes();
-        corrupted[pos] = if corrupted[pos] == b'3' { b'4' } else { b'3' };
+        let (_, path, _) = snapshotted(53, 15, "bitflip");
+        let snapshot = read_snapshot(&path).unwrap();
+        // One bit in the middle of the middle record's payload.
+        let (_, range) = &snapshot.records[snapshot.records.len() / 2];
+        let mut corrupted = snapshot.bytes.clone();
+        corrupted[(range.start + range.end) / 2] ^= 0x08;
         std::fs::write(&path, &corrupted).unwrap();
 
-        match Follower::restore(&artifact, FollowerConfig::default(), &path).err() {
-            Some(SnapshotError::Checksum(m)) => {
-                assert!(
-                    m.contains(path.display().to_string().as_str()),
-                    "path in error: {m}"
-                );
+        match restore_err(&path) {
+            SnapshotError::Checksum(m) => {
+                assert!(m.contains(path.to_str().unwrap()), "path in error: {m}");
             }
             other => panic!("expected Checksum, got {other:?}"),
         }
@@ -643,61 +557,82 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_without_checksum_trailer_is_rejected() {
-        let artifact = ModelArtifact::untrained(BacConfig::fast());
-        let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
-        for block in BlockCursor::new(test_sim(57, 12)) {
-            follower.step(&block);
-        }
-        let path = temp_path("no_trailer");
-        follower.snapshot_to(&path).unwrap();
-        // Strip the trailer: exactly what a truncation at the last line
-        // boundary leaves behind — every remaining line still parses.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let stripped: String = text
-            .lines()
-            .filter(|l| !l.starts_with("checksum "))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        std::fs::write(&path, stripped).unwrap();
-        match Follower::restore(&artifact, FollowerConfig::default(), &path).err() {
-            Some(SnapshotError::Checksum(m)) => {
-                assert!(m.contains("no checksum trailer"), "message: {m}");
-                assert!(m.contains(path.display().to_string().as_str()));
+    fn snapshot_cut_at_any_frame_boundary_is_rejected() {
+        let (_, path, bytes) = snapshotted(57, 12, "cut");
+        let ends = frame_ends(&bytes);
+        assert_eq!(
+            ends.last(),
+            Some(&bytes.len()),
+            "the writer frames every byte"
+        );
+        // Every boundary but the last leaves whole, CRC-valid frames behind:
+        // the magic alone, the header alone, the header and some records.
+        for &cut in &ends[..ends.len() - 1] {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            match restore_err(&path) {
+                SnapshotError::Malformed(m) => {
+                    assert!(m.contains("missing"), "cut {cut}: {m}");
+                    assert!(m.contains(path.to_str().unwrap()), "cut {cut}: {m}");
+                }
+                other => panic!("cut {cut}: expected Malformed, got {other:?}"),
             }
-            other => panic!("expected Checksum, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn trailing_garbage_is_rejected_naming_path_and_line() {
+    fn snapshot_cut_at_any_byte_never_restores() {
+        // Small: every cut re-reads the file up to the tear.
         let artifact = ModelArtifact::untrained(BacConfig::fast());
-        let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
-        for block in BlockCursor::new(test_sim(59, 10)) {
-            follower.step(&block);
+        let blocks: Vec<btcsim::Block> = BlockCursor::new(test_sim(63, 6)).collect();
+        let outputs = blocks
+            .iter()
+            .flat_map(|b| &b.txs)
+            .flat_map(|tx| &tx.outputs);
+        let cfg = FollowerConfig {
+            tracked: Some(outputs.map(|o| o.address).take(6).collect()),
+            ..FollowerConfig::default()
+        };
+        let mut follower = Follower::new(&artifact, cfg).unwrap();
+        for block in &blocks {
+            follower.step(block);
         }
-        let path = temp_path("garbage");
+        let path = temp_path("every_byte");
         follower.snapshot_to(&path).unwrap();
-        // Splice junk between the body and the checksum line, recomputing
-        // the trailer so only the garbage check can catch it.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let body: String = text
-            .lines()
-            .filter(|l| !l.starts_with("checksum "))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let with_garbage = sealed(&format!("{body}this is not a snapshot line\n"));
-        std::fs::write(&path, with_garbage).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let records = read_snapshot(&path).unwrap().records.len();
+        assert!(
+            records >= 3 && bytes.len() < 16 << 10,
+            "{records} records in {} bytes",
+            bytes.len()
+        );
+        let header_end = frame_ends(&bytes)[1];
+        for cut in 0..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let restored = Follower::restore(&artifact, FollowerConfig::default(), &path);
+            assert!(restored.is_err(), "cut {cut} of {} restored", bytes.len());
+            // `snapshot_height` reads the header alone: it answers once the
+            // header is whole and refuses any cut inside it.
+            assert_eq!(
+                snapshot_height(&path).is_ok(),
+                cut >= header_end,
+                "cut {cut}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
 
-        match Follower::restore(&artifact, FollowerConfig::default(), &path).err() {
-            Some(SnapshotError::Malformed(m)) => {
-                assert!(m.contains("trailing garbage"), "message: {m}");
-                assert!(
-                    m.contains(path.display().to_string().as_str()),
-                    "path in error: {m}"
-                );
-                assert!(m.contains("line "), "line number in error: {m}");
+    #[test]
+    fn trailing_garbage_is_rejected_naming_the_path() {
+        let (_, path, mut bytes) = snapshotted(59, 10, "garbage");
+        // A well-formed, CRC-valid frame after the last declared record.
+        put_frame(&mut bytes, &7u64.to_le_bytes(), MAX_RECORD_LEN).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+
+        match restore_err(&path) {
+            SnapshotError::Malformed(m) => {
+                assert!(m.contains("after the last"), "message: {m}");
+                assert!(m.contains(path.to_str().unwrap()), "path in error: {m}");
             }
             other => panic!("expected Malformed, got {other:?}"),
         }
@@ -706,14 +641,20 @@ mod tests {
 
     #[test]
     fn snapshot_height_reads_just_the_header() {
-        let artifact = ModelArtifact::untrained(BacConfig::fast());
-        let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
-        for block in BlockCursor::new(test_sim(61, 9)) {
-            follower.step(&block);
-        }
-        let path = temp_path("height");
-        follower.snapshot_to(&path).unwrap();
+        let (follower, path, bytes) = snapshotted(61, 9, "height");
         assert_eq!(snapshot_height(&path).unwrap(), follower.next_height());
+        // Only the header is read: a torn record after it is not seen.
+        let header_end = frame_ends(&bytes)[1];
+        std::fs::write(&path, &bytes[..header_end + 3]).unwrap();
+        assert_eq!(snapshot_height(&path).unwrap(), follower.next_height());
+        // ...but the header's own CRC is checked.
+        let mut flipped = bytes.clone();
+        flipped[MAGIC.len() + FRAME_HEADER] ^= 0x01;
+        std::fs::write(&path, &flipped).unwrap();
+        assert!(matches!(
+            snapshot_height(&path),
+            Err(SnapshotError::Checksum(_))
+        ));
         std::fs::write(&path, "not a snapshot\n").unwrap();
         assert!(matches!(
             snapshot_height(&path),
@@ -736,9 +677,9 @@ mod tests {
         }
         let path = temp_path("sharded");
         follower.snapshot_to(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            text.lines().any(|l| l == "shard 1 2 1"),
+        assert_eq!(
+            read_snapshot(&path).unwrap().shard,
+            Some(shard),
             "snapshot must persist its shard assignment"
         );
 
@@ -766,14 +707,9 @@ mod tests {
     #[test]
     fn unknown_shard_hash_version_is_refused() {
         let path = temp_path("hashver");
-        std::fs::write(
-            &path,
-            sealed("BSTREAM v1\nheight 3\nshard 0 2 99\naddresses 0\n"),
-        )
-        .unwrap();
-        let artifact = ModelArtifact::untrained(BacConfig::fast());
-        match Follower::restore(&artifact, FollowerConfig::default(), &path).err() {
-            Some(SnapshotError::UnsupportedVersion(v)) => assert!(v.contains("shard hash v99")),
+        std::fs::write(&path, framed(&[&header(3, [0, 2, 99], 0)])).unwrap();
+        match restore_err(&path) {
+            SnapshotError::UnsupportedVersion(v) => assert!(v.contains("shard hash v99")),
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
@@ -781,14 +717,10 @@ mod tests {
 
     #[test]
     fn unsharded_snapshot_restores_under_trivial_layout_only() {
+        let (_, path, _) = snapshotted(47, 10, "trivial");
+        assert_eq!(read_snapshot(&path).unwrap().shard, None);
         let artifact = ModelArtifact::untrained(BacConfig::fast());
-        let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
-        for block in BlockCursor::new(test_sim(47, 10)) {
-            follower.step(&block);
-        }
-        let path = temp_path("trivial");
-        follower.snapshot_to(&path).unwrap();
-        // Explicit 1-shard config matches a file with no shard line...
+        // Explicit 1-shard config matches an unsharded file...
         let trivial = FollowerConfig {
             shard: Some(ShardAssignment::unsharded()),
             ..FollowerConfig::default()
@@ -805,13 +737,7 @@ mod tests {
 
     #[test]
     fn snapshot_write_is_atomic() {
-        let artifact = ModelArtifact::untrained(BacConfig::fast());
-        let mut follower = Follower::new(&artifact, FollowerConfig::default()).unwrap();
-        for block in BlockCursor::new(test_sim(41, 10)) {
-            follower.step(&block);
-        }
-        let path = temp_path("atomic");
-        follower.snapshot_to(&path).unwrap();
+        let (_, path, _) = snapshotted(41, 10, "atomic");
         // No temp residue next to the final file.
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let residue: Vec<String> = std::fs::read_dir(path.parent().unwrap())

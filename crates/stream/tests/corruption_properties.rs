@@ -8,8 +8,11 @@
 //! run; each case mutates its own private copies, so quarantine renames
 //! and journal truncation never leak between cases.
 
+use baclassifier::durable::{next_frame, put_frame, Frame};
 use baclassifier::{BacConfig, ModelArtifact};
-use bstream::{scan_journal, BlockJournal, Follower, FollowerConfig, SnapshotError};
+use bstream::{
+    quarantine_path, scan_journal, BlockJournal, Follower, FollowerConfig, SnapshotError,
+};
 use btcsim::{Block, BlockCursor, SimConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -122,35 +125,59 @@ fn recovery_survives(snapshot: Vec<u8>, journal: Vec<u8>) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Degenerate trailers: a file that is nothing but an unterminated
-/// `checksum` line (this used to underflow a slice index and panic, which
-/// inside a supervised shard worker burned the whole respawn budget), an
-/// empty file, and a `\r\n`-terminated trailer. Each must come back from
-/// `restore` as a typed integrity error, and recovery must quarantine it
-/// and carry on.
+/// Degenerate snapshots: an empty file, the magic alone, a v1 text file,
+/// a header that declares more records than follow, and a well-formed
+/// frame after the last record. Each must come back from `restore` as a
+/// typed error naming the file, and recovery must quarantine it and carry
+/// on — never a panic (which inside a supervised shard worker burns the
+/// whole respawn budget), never a partial restore.
 #[test]
-fn degenerate_checksum_trailers_are_typed_errors_not_panics() {
+fn degenerate_snapshots_are_typed_errors_not_panics() {
     let p = pristine();
-    let text = String::from_utf8(p.snapshot.clone()).unwrap();
-    let crlf = format!("{}\r\n", text.strip_suffix('\n').unwrap());
+    // Every frame boundary of the pristine snapshot, magic first.
+    let mut ends = vec![8];
+    while let Frame::Whole { end, .. } = next_frame(&p.snapshot[*ends.last().unwrap()..], u32::MAX)
+    {
+        ends.push(ends.last().unwrap() + end);
+    }
+    assert_eq!(ends.last(), Some(&p.snapshot.len()));
+    assert!(ends.len() > 3, "the pristine snapshot holds records");
+    let mut extra_frame = p.snapshot.clone();
+    put_frame(&mut extra_frame, &7u64.to_le_bytes(), u32::MAX).unwrap();
     for (what, bytes) in [
-        (
-            "only an unterminated trailer",
-            b"checksum deadbeef".to_vec(),
-        ),
         ("empty file", Vec::new()),
-        ("CRLF-terminated trailer", crlf.into_bytes()),
+        ("the magic alone", p.snapshot[..8].to_vec()),
+        (
+            "a v1 text file",
+            b"BSTREAM v1\nheight 0\naddresses 0\n".to_vec(),
+        ),
+        (
+            "a header that declares more records than follow",
+            p.snapshot[..ends[ends.len() - 2]].to_vec(),
+        ),
+        ("an extra frame after the last record", extra_frame),
     ] {
         let dir = case_dir();
         let path = dir.join("state.bsnap");
         std::fs::write(&path, &bytes).unwrap();
         match Follower::restore(&p.artifact, FollowerConfig::default(), &path) {
-            Err(SnapshotError::Checksum(m) | SnapshotError::Malformed(m)) => {
-                assert!(m.contains("state.bsnap"), "{what}: path in error: {m}")
-            }
-            Err(other) => panic!("{what}: expected Checksum or Malformed, got {other:?}"),
+            Err(
+                SnapshotError::Malformed(m)
+                | SnapshotError::UnsupportedVersion(m)
+                | SnapshotError::Checksum(m),
+            ) => assert!(m.contains("state.bsnap"), "{what}: path in error: {m}"),
+            Err(other) => panic!("{what}: expected a typed format error, got {other:?}"),
             Ok(_) => panic!("{what}: restore must fail closed"),
         }
+        let cfg = FollowerConfig {
+            snapshot_path: Some(path.clone()),
+            snapshot_generations: 1,
+            ..FollowerConfig::default()
+        };
+        let recovery = Follower::recover(&p.artifact, cfg).unwrap();
+        assert_eq!(recovery.quarantined.len(), 1, "{what}");
+        assert!(quarantine_path(&path).exists() && !path.exists(), "{what}");
+        assert_eq!(recovery.restored_generation, None, "{what}");
         std::fs::remove_dir_all(&dir).ok();
         recovery_survives(bytes, p.journal.clone());
     }
@@ -159,8 +186,8 @@ fn degenerate_checksum_trailers_are_typed_errors_not_panics() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // A single flipped bit anywhere in either artifact: the checksum (or
-    // parser) must catch it and recovery must degrade gracefully.
+    // A single flipped bit anywhere in either artifact: a frame's CRC (or
+    // the parser) must catch it and recovery must degrade gracefully.
     #[test]
     fn bit_flips_never_panic_recovery(
         snap_bit in any::<u64>(),

@@ -15,21 +15,24 @@
 //!    and the fleet converges back to full-fidelity answers.
 //! 3. **Offline rebalance** — `rebalance_snapshots` re-splitting a
 //!    2-shard checkpoint set to 4 shards produces files byte-identical to
-//!    what a fresh 4-shard follower run would have written.
+//!    what a fresh 4-shard follower run would have written, and 2 → 4 → 2
+//!    gives back the original files.
 //! 4. **Layout handshake** — a client expecting the wrong shard index or
 //!    count never connects; misconfiguration is a refused handshake, not
-//!    a silently-misrouted fleet.
+//!    a silently-misrouted fleet. A peer speaking BANET v1 is refused at
+//!    the magic.
 //! 5. **No wire kill switch** — a peer that completes the handshake and
 //!    sends a retired message type (remote metrics, shutdown, cache
 //!    invalidation) loses its own connection; the server keeps serving and
 //!    its engine's cache is untouched.
 
+use baclassifier::durable::put_frame;
 use baclassifier::{BacConfig, ModelArtifact, ShardAssignment, ShardMap, SHARD_HASH_VERSION};
-use banet::frame::{write_magic, write_message};
+use banet::frame::{encode_frame, write_magic, write_message};
 use banet::server::NetBackend;
 use banet::{
-    listen_reuse, FrameReader, Hello, Message, NetServer, NetServerConfig, RemoteShard,
-    RemoteShardConfig, ReplyOutcome, Role,
+    listen_reuse, FrameError, FrameReader, Hello, Message, NetServer, NetServerConfig, RemoteShard,
+    RemoteShardConfig, ReplyOutcome, Role, MAX_FRAME_LEN,
 };
 use baserve::{Engine, EngineConfig, Fallback, FeatureFallback, ServeError};
 use bashard::{
@@ -311,6 +314,43 @@ fn rebalance_2_to_4_is_byte_identical_to_a_fresh_4_shard_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The re-split is a pure routing of verbatim records, so it composes:
+/// 2 → 4 → 2 gives back the original 2-shard files, byte for byte.
+#[test]
+fn rebalance_2_to_4_to_2_gives_back_the_original_files() {
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let dir = std::env::temp_dir().join(format!("net_rebalance_back_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let two = dir.join("two.bsnap");
+    let cfg = FollowerConfig {
+        snapshot_path: Some(two.clone()),
+        ..FollowerConfig::default()
+    };
+    let mut fleet = ShardedFollower::new(Arc::clone(&artifact), cfg, 2).unwrap();
+    for b in BlockCursor::new(SimConfig {
+        blocks: 36,
+        ..SimConfig::tiny(233)
+    }) {
+        fleet.step(b).unwrap();
+    }
+    fleet.snapshot().unwrap();
+    fleet.finish().unwrap();
+
+    let four = dir.join("four.bsnap");
+    let back = dir.join("back.bsnap");
+    rebalance_snapshots(&two, 2, &four, 4).unwrap();
+    let report = rebalance_snapshots(&four, 4, &back, 2).unwrap();
+    assert!(report.addresses > 0);
+    for j in 0..2u32 {
+        assert_eq!(
+            std::fs::read(shard_snapshot_path(&back, j, 2)).unwrap(),
+            std::fs::read(shard_snapshot_path(&two, j, 2)).unwrap(),
+            "shard {j} of 2 → 4 → 2 differs from the original"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn layout_handshake_refuses_a_misconfigured_client() {
     let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
@@ -445,9 +485,8 @@ fn retired_message_types_cut_the_connection_and_nothing_else() {
     for (ty, body) in retired {
         let (mut stream, mut reader) = raw_client(addr);
         let payload = [&[ty][..], &body].concat();
-        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&bstream::crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::new();
+        put_frame(&mut frame, &payload, MAX_FRAME_LEN).unwrap();
         stream.write_all(&frame).unwrap();
         // The server's answer is to hang up: EOF or a reset, never a frame.
         match reader.read_message() {
@@ -460,6 +499,47 @@ fn retired_message_types_cut_the_connection_and_nothing_else() {
 
     // Same label, still from the cache under the same generation.
     assert_eq!(backend.engine().metrics().invalidations, 0);
+    assert_eq!(raw_classify(addr, id), (label, true));
+    server.stop();
+}
+
+/// A peer that opens with the v1 magic is refused at the magic — the
+/// reader's `BadMagic` — and loses only its own connection: the server
+/// keeps serving v2 clients.
+#[test]
+fn a_banet_v1_peer_is_refused_and_the_server_keeps_serving() {
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let (records, by_id) = dataset(243);
+    let id = records[0].address.0;
+    let (server, addr) = spawn_worker(&artifact, &by_id, 0, 1, None);
+    let (label, _) = raw_classify(addr, id);
+
+    let hello = Message::Hello(Hello {
+        role: Role::Frontend,
+        shard_index: 0,
+        shard_count: 1,
+        hash_version: SHARD_HASH_VERSION,
+    });
+    let opening = [&b"BANET v1"[..], &encode_frame(&hello)].concat();
+    assert!(matches!(
+        FrameReader::new(&opening[..]).read_message(),
+        Err(FrameError::BadMagic)
+    ));
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(&opening).unwrap();
+    // The server's own magic and Hello go out first; then it hangs up.
+    let mut reader = FrameReader::new(stream.try_clone().unwrap());
+    assert!(matches!(reader.read_message(), Ok(Some(Message::Hello(_)))));
+    match reader.read_message() {
+        Ok(None) => {}
+        Err(e) if !e.is_timeout() => {}
+        other => panic!("v1 peer still connected, read {other:?}"),
+    }
+    assert!(!server.stop_requested());
     assert_eq!(raw_classify(addr, id), (label, true));
     server.stop();
 }
