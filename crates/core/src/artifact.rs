@@ -1,32 +1,35 @@
 //! Single-file model artifact: everything needed to serve a fitted
 //! [`BaClassifier`] from a fresh process.
 //!
-//! Layout (little-endian):
+//! Format (`BART v2`): a [`durable`](crate::durable) record file — an
+//! 8-byte magic, then CRC frames — fields little-endian:
 //!
 //! ```text
-//! magic "BART" | format version u32 | fnv1a-64 checksum u64
-//!   | payload_len u64 | payload
-//! payload = manifest_len u32 | manifest | NNIO weights stream
+//! magic  := "BART" · format version 2 u32
+//! header := weight frames u32 · manifest
+//! weight := rows u32 · cols u32 · rows × cols f32, row-major
 //! ```
 //!
 //! The manifest is a versioned fixed-order binary encoding of [`BacConfig`]
 //! — the full architecture description — so loading needs no out-of-band
-//! configuration. This is the workspace's one on-disk model format; there
-//! is no bare weights file beside it. The checksum covers the whole payload;
-//! a flipped bit anywhere in config or weights is detected before any model
-//! is constructed. Weights reuse the positional `NNIO` framing from
-//! [`numnet::io`], relying on its `params()` order-stability guarantee.
+//! configuration. One weight frame follows per parameter, in `params()`
+//! order, the positional contract of [`numnet::assign_params`]. This is the
+//! workspace's one on-disk model format; there is no bare weights file
+//! beside it. Every frame is CRC-checked and the file must hold exactly the
+//! frames its header declares, so a flipped bit, a cut or an appended frame
+//! is a typed error before any model is constructed. A file of another
+//! version (v1: one FNV-checked payload) is refused, not migrated.
 
 use crate::config::{BacConfig, ConstructionConfig, ModelConfig};
-use crate::durable::{put_u32, put_u64, write_atomic, Cursor};
+use crate::durable::{put_u32, put_u64, write_records, Cursor, RecordFault, RecordReader};
 use crate::pipeline::BaClassifier;
-use numnet::{read_matrices, write_matrices, LoadError, Matrix};
-use std::fs::File;
-use std::io::{self, BufReader, Read};
+use numnet::{LoadError, Matrix};
+use std::io;
 use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"BART";
-const FORMAT_VERSION: u32 = 1;
+/// "BART", then the format version as a `u32`: the v1 layout's first 8
+/// bytes, so an older file names its version.
+const MAGIC: &[u8; 8] = b"BART\x02\0\0\0";
 const MANIFEST_VERSION: u32 = 1;
 
 /// Errors from saving/loading/instantiating a model artifact.
@@ -37,14 +40,14 @@ pub enum ArtifactError {
     BadMagic,
     /// Artifact format newer/older than this build understands.
     UnsupportedVersion(u32),
-    /// Payload bytes do not match the stored checksum.
-    ChecksumMismatch {
-        stored: u64,
-        computed: u64,
-    },
+    /// A frame fails its CRC, is missing or torn (the file was cut), or
+    /// bytes follow the last one the header declares.
+    Frames(RecordFault),
     /// Manifest could not be decoded (wrong length or version).
     BadManifest,
-    /// Weights blob invalid or inconsistent with the manifest architecture.
+    /// Weight frame `i` holds other than its `rows × cols` floats.
+    BadMatrix(usize),
+    /// Weights inconsistent with the manifest architecture.
     Weights(LoadError),
     /// `to_artifact`/`save_artifact` on a classifier that was never fitted.
     NotFitted,
@@ -58,11 +61,11 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::UnsupportedVersion(v) => {
                 write!(f, "unsupported artifact version {v}")
             }
-            ArtifactError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "artifact corrupted: checksum {computed:#018x} != stored {stored:#018x}"
-            ),
+            ArtifactError::Frames(fault) => write!(f, "artifact corrupted: {fault}"),
             ArtifactError::BadManifest => write!(f, "artifact manifest is malformed"),
+            ArtifactError::BadMatrix(i) => {
+                write!(f, "artifact weight {i}: size is not rows × cols")
+            }
             ArtifactError::Weights(e) => write!(f, "artifact weights: {e}"),
             ArtifactError::NotFitted => {
                 write!(f, "cannot export an artifact from an unfitted classifier")
@@ -85,6 +88,18 @@ impl From<LoadError> for ArtifactError {
     }
 }
 
+impl From<RecordFault> for ArtifactError {
+    fn from(fault: RecordFault) -> Self {
+        match fault {
+            RecordFault::Magic(m) if m.len() == MAGIC.len() && m.starts_with(b"BART") => {
+                ArtifactError::UnsupportedVersion(u32::from_le_bytes([m[4], m[5], m[6], m[7]]))
+            }
+            RecordFault::Magic(_) => ArtifactError::BadMagic,
+            fault => ArtifactError::Frames(fault),
+        }
+    }
+}
+
 /// An in-memory model bundle: architecture config plus all weight matrices
 /// in `params()` order. Plain data: a serving layer builds one
 /// [`BaClassifier`] from it and shares that across its worker threads.
@@ -92,15 +107,6 @@ impl From<LoadError> for ArtifactError {
 pub struct ModelArtifact {
     pub config: BacConfig,
     pub weights: Vec<Matrix>,
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn encode_manifest(cfg: &BacConfig) -> Vec<u8> {
@@ -135,12 +141,8 @@ fn byte_flag(c: &mut Cursor) -> Option<bool> {
 }
 
 /// A wrong version, a short or over-long body and a flag byte that is
-/// neither 0 nor 1 are all [`ArtifactError::BadManifest`].
-fn decode_manifest(bytes: &[u8]) -> Result<BacConfig, ArtifactError> {
-    parse_manifest(bytes).ok_or(ArtifactError::BadManifest)
-}
-
-fn parse_manifest(bytes: &[u8]) -> Option<BacConfig> {
+/// neither 0 nor 1 are all `None`: [`ArtifactError::BadManifest`].
+fn decode_manifest(bytes: &[u8]) -> Option<BacConfig> {
     let mut c = Cursor::new(bytes);
     if c.u32()? != MANIFEST_VERSION {
         return None;
@@ -187,70 +189,53 @@ impl ModelArtifact {
     }
 
     /// Serialize to a single artifact file, atomically (see
-    /// [`write_atomic`]). A crash mid-save leaves either the old artifact
-    /// or none — never a torn `BART` file masquerading as a model (and any
-    /// torn temp file that does survive fails the checksum on load anyway).
+    /// [`crate::write_atomic`]). A crash mid-save leaves either the old
+    /// artifact or none — never a torn `BART` file masquerading as a model
+    /// (and any torn temp file that does survive fails to load anyway).
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        let manifest = encode_manifest(&self.config);
-        let mut payload = Vec::new();
-        put_u32(&mut payload, manifest.len() as u32);
-        payload.extend_from_slice(&manifest);
-        write_matrices(&mut payload, &self.weights)?;
-
-        let mut bytes = Vec::with_capacity(24 + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        Ok(write_atomic(path, &bytes)?)
+        let mut header = (self.weights.len() as u32).to_le_bytes().to_vec();
+        header.extend(encode_manifest(&self.config));
+        let frames = self.weights.iter().map(|m| {
+            let mut out = Vec::with_capacity(8 + 4 * m.as_slice().len());
+            put_u32(&mut out, m.rows() as u32);
+            put_u32(&mut out, m.cols() as u32);
+            out.extend(m.as_slice().iter().flat_map(|v| v.to_le_bytes()));
+            out
+        });
+        Ok(write_records(path, MAGIC, &header, frames)?)
     }
 
     /// Read and integrity-check an artifact file.
     pub fn load(path: &Path) -> Result<Self, ArtifactError> {
-        let mut r = BufReader::new(File::open(path)?);
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(ArtifactError::BadMagic);
-        }
-        let mut u32buf = [0u8; 4];
-        r.read_exact(&mut u32buf)?;
-        let version = u32::from_le_bytes(u32buf);
-        if version != FORMAT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion(version));
-        }
-        let mut u64buf = [0u8; 8];
-        r.read_exact(&mut u64buf)?;
-        let stored = u64::from_le_bytes(u64buf);
-        r.read_exact(&mut u64buf)?;
-        let payload_len = u64::from_le_bytes(u64buf) as usize;
-        let mut payload = Vec::new();
-        r.read_to_end(&mut payload)?;
-        if payload.len() != payload_len {
-            return Err(ArtifactError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!(
-                    "payload is {} bytes, header says {payload_len}",
-                    payload.len()
-                ),
-            )));
-        }
-        let computed = fnv1a64(&payload);
-        if computed != stored {
-            return Err(ArtifactError::ChecksumMismatch { stored, computed });
-        }
+        Self::decode(&std::fs::read(path)?)
+    }
 
-        let mut c = Cursor::new(&payload);
-        let manifest = c
-            .u32()
-            .and_then(|len| c.take(len as usize))
+    fn decode(bytes: &[u8]) -> Result<Self, ArtifactError> {
+        let (mut reader, header) = RecordReader::open(bytes, MAGIC)?;
+        let (count, manifest) = header
+            .split_first_chunk()
             .ok_or(ArtifactError::BadManifest)?;
-        let config = decode_manifest(manifest)?;
-        let mut weights_stream = &payload[c.pos()..];
-        let weights = read_matrices(&mut weights_stream)?;
+        let config = decode_manifest(manifest).ok_or(ArtifactError::BadManifest)?;
+        let mut weights = Vec::new();
+        for i in 0..u32::from_le_bytes(*count) as usize {
+            weights.push(decode_matrix(reader.record()?).ok_or(ArtifactError::BadMatrix(i))?);
+        }
+        reader.finish()?;
         Ok(Self { config, weights })
     }
+}
+
+/// A weight frame: rows, cols, then exactly `rows × cols` floats. The
+/// length is checked, in checked arithmetic, before anything is allocated.
+fn decode_matrix(payload: &[u8]) -> Option<Matrix> {
+    let mut c = Cursor::new(payload);
+    let (rows, cols) = (c.u32()? as usize, c.u32()? as usize);
+    if rows.checked_mul(cols)?.checked_mul(4)? != c.remaining() {
+        return None;
+    }
+    let floats = payload[c.pos()..].chunks_exact(4);
+    let data = floats.map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+    Some(Matrix::from_vec(rows, cols, data.collect()))
 }
 
 impl BaClassifier {
@@ -297,10 +282,35 @@ impl BaClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::{next_frame, put_frame, Frame, FRAME_HEADER};
     use btcsim::{Dataset, SimConfig, Simulator};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("bac_artifact_{name}_{}", std::process::id()))
+    }
+
+    /// The file of an untrained `BacConfig::fast()` artifact.
+    fn saved_fast(name: &str) -> Vec<u8> {
+        let path = tmp(name);
+        ModelArtifact::untrained(BacConfig::fast())
+            .save(&path)
+            .unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(path).ok();
+        bytes
+    }
+
+    fn decode(bytes: &[u8]) -> Result<ModelArtifact, ArtifactError> {
+        ModelArtifact::decode(bytes)
+    }
+
+    /// Every frame boundary: after the magic, then after each frame.
+    fn frame_ends(bytes: &[u8]) -> Vec<usize> {
+        let mut ends = vec![MAGIC.len()];
+        while let Frame::Whole { end, .. } = next_frame(&bytes[*ends.last().unwrap()..], u32::MAX) {
+            ends.push(ends.last().unwrap() + end);
+        }
+        ends
     }
 
     #[test]
@@ -320,16 +330,17 @@ mod tests {
     fn truncated_manifest_is_rejected() {
         let cfg = BacConfig::default();
         let m = encode_manifest(&cfg);
-        assert!(matches!(
-            decode_manifest(&m[..m.len() - 3]),
-            Err(ArtifactError::BadManifest)
-        ));
+        assert!(decode_manifest(&m[..m.len() - 3]).is_none());
         let mut extended = m.clone();
         extended.push(0);
-        assert!(matches!(
-            decode_manifest(&extended),
-            Err(ArtifactError::BadManifest)
-        ));
+        assert!(decode_manifest(&extended).is_none());
+        // In a file: a header frame with no room for its weight count, and
+        // one whose manifest is cut short.
+        for header in [&[0u8; 3][..], &[&[0; 4][..], &m[..m.len() - 3]].concat()] {
+            let mut file = MAGIC.to_vec();
+            put_frame(&mut file, header, u32::MAX).unwrap();
+            assert!(matches!(decode(&file), Err(ArtifactError::BadManifest)));
+        }
     }
 
     #[test]
@@ -397,45 +408,100 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             ModelArtifact::load(&path),
-            Err(ArtifactError::ChecksumMismatch { .. })
+            Err(ArtifactError::Frames(RecordFault::Crc(_)))
         ));
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn wrong_magic_and_version_are_distinct_errors() {
-        let artifact = ModelArtifact::untrained(BacConfig::fast());
-        let path = tmp("magic");
-        artifact.save(&path).unwrap();
-        let good = std::fs::read(&path).unwrap();
-
+        let good = saved_fast("magic");
         let mut bad_magic = good.clone();
         bad_magic[..4].copy_from_slice(b"NOPE");
-        std::fs::write(&path, &bad_magic).unwrap();
+        assert!(matches!(decode(&bad_magic), Err(ArtifactError::BadMagic)));
         assert!(matches!(
-            ModelArtifact::load(&path),
+            decode(b"definitely not weights"),
             Err(ArtifactError::BadMagic)
         ));
 
         let mut bad_version = good.clone();
         bad_version[4..8].copy_from_slice(&7u32.to_le_bytes());
-        std::fs::write(&path, &bad_version).unwrap();
         assert!(matches!(
-            ModelArtifact::load(&path),
+            decode(&bad_version),
             Err(ArtifactError::UnsupportedVersion(7))
+        ));
+        // A v1 file: "BART", version 1, then its FNV checksum, length and
+        // payload. It is refused by version, never parsed.
+        let mut v1 = b"BART".to_vec();
+        v1.extend(1u32.to_le_bytes());
+        v1.extend(&good[8..]);
+        assert!(matches!(
+            decode(&v1),
+            Err(ArtifactError::UnsupportedVersion(1))
+        ));
+    }
+
+    #[test]
+    fn garbage_file_rejected() {
+        let path = tmp("garbage");
+        std::fs::write(&path, b"definitely not weights").unwrap();
+        assert!(matches!(
+            BaClassifier::load_artifact(&path),
+            Err(ArtifactError::BadMagic)
         ));
         std::fs::remove_file(path).ok();
     }
 
     #[test]
-    fn truncated_artifact_is_clean_error() {
-        let artifact = ModelArtifact::untrained(BacConfig::fast());
-        let path = tmp("truncated");
-        artifact.save(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
-        assert!(ModelArtifact::load(&path).is_err());
+    fn wrong_magic_is_bad_magic() {
+        let mut bytes = saved_fast("xmagic");
+        bytes[..4].copy_from_slice(b"XART");
+        assert!(matches!(decode(&bytes), Err(ArtifactError::BadMagic)));
+    }
+
+    #[test]
+    fn wrong_version_is_unsupported_version() {
+        let mut bytes = saved_fast("version");
+        bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
+        assert!(matches!(
+            decode(&bytes),
+            Err(ArtifactError::UnsupportedVersion(99))
+        ));
+    }
+
+    /// A file cut mid-way through a weight matrix's floats is a torn frame,
+    /// reported at that frame's start, and no classifier is built from it.
+    #[test]
+    fn truncated_file_is_torn_frame_error() {
+        let bytes = saved_fast("cut");
+        let first_weight = frame_ends(&bytes)[1];
+        let path = tmp("cut_file");
+        std::fs::write(&path, &bytes[..first_weight + FRAME_HEADER + 10]).unwrap();
+        assert!(matches!(
+            BaClassifier::load_artifact(&path),
+            Err(ArtifactError::Frames(RecordFault::Torn(at))) if at == first_weight
+        ));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn truncated_header_is_error_not_panic() {
+        let bytes = saved_fast("header");
+        // Inside the magic, then inside the header frame.
+        assert!(matches!(decode(b"BA"), Err(ArtifactError::BadMagic)));
+        assert!(matches!(
+            decode(&bytes[..MAGIC.len() + FRAME_HEADER + 3]),
+            Err(ArtifactError::Frames(RecordFault::Torn(at))) if at == MAGIC.len()
+        ));
+    }
+
+    #[test]
+    fn truncated_artifact_is_clean_error() {
+        let bytes = saved_fast("truncated");
+        assert!(matches!(
+            decode(&bytes[..bytes.len() / 3]),
+            Err(ArtifactError::Frames(RecordFault::Torn(_)))
+        ));
     }
 
     #[test]
@@ -462,24 +528,110 @@ mod tests {
     }
 
     /// A torn write (simulated by truncating the saved bytes and patching
-    /// the header length so the payload "fits") must be caught by the
+    /// the last frame's length so the payload "fits") must be caught by the
     /// checksum — a crash mid-save can never produce a loadable artifact.
     #[test]
     fn truncated_artifact_is_rejected_by_checksum() {
-        let artifact = ModelArtifact::untrained(BacConfig::fast());
-        let path = tmp("torn");
-        artifact.save(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let header = 4 + 4 + 8 + 8; // magic, version, checksum, payload_len
-        let torn_payload = (bytes.len() - header) / 2;
-        let mut torn = bytes[..header + torn_payload].to_vec();
-        torn[16..24].copy_from_slice(&(torn_payload as u64).to_le_bytes());
-        std::fs::write(&path, &torn).unwrap();
+        let bytes = saved_fast("torn");
+        let ends = frame_ends(&bytes);
+        let last = ends[ends.len() - 2];
+        let torn_len = (bytes.len() - last - FRAME_HEADER) / 2;
+        let mut torn = bytes[..last + FRAME_HEADER + torn_len].to_vec();
+        torn[last..last + 4].copy_from_slice(&(torn_len as u32).to_le_bytes());
         assert!(matches!(
-            ModelArtifact::load(&path),
-            Err(ArtifactError::ChecksumMismatch { .. })
+            decode(&torn),
+            Err(ArtifactError::Frames(RecordFault::Crc(_)))
         ));
-        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn every_byte_prefix_is_a_typed_error() {
+        let bytes = saved_fast("prefix");
+        for cut in 0..bytes.len() {
+            match decode(&bytes[..cut]) {
+                Err(ArtifactError::BadMagic) => assert!(cut < MAGIC.len(), "cut {cut}"),
+                Err(ArtifactError::Frames(RecordFault::Missing(at))) => assert_eq!(at, cut),
+                Err(ArtifactError::Frames(RecordFault::Torn(at))) => assert!(at < cut),
+                other => panic!("cut {cut} of {}: {other:?}", bytes.len()),
+            }
+        }
+    }
+
+    #[test]
+    fn every_frame_boundary_cut_is_a_count_error() {
+        let bytes = saved_fast("boundary");
+        let ends = frame_ends(&bytes);
+        // The magic, the header and one frame per weight matrix.
+        let weights = ModelArtifact::untrained(BacConfig::fast()).weights.len();
+        assert_eq!((ends.len(), ends.last()), (weights + 2, Some(&bytes.len())));
+        for &cut in &ends[..ends.len() - 1] {
+            assert!(
+                matches!(
+                    decode(&bytes[..cut]),
+                    Err(ArtifactError::Frames(RecordFault::Missing(at))) if at == cut
+                ),
+                "cut {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bit_flip_in_any_frame_fails_its_checksum() {
+        let bytes = saved_fast("flip");
+        for pair in frame_ends(&bytes).windows(2) {
+            let mut flipped = bytes.clone();
+            flipped[(pair[0] + FRAME_HEADER + pair[1]) / 2] ^= 0x10;
+            assert!(
+                matches!(
+                    decode(&flipped),
+                    Err(ArtifactError::Frames(RecordFault::Crc(_)))
+                ),
+                "frame at {}",
+                pair[0]
+            );
+        }
+    }
+
+    #[test]
+    fn a_frame_after_the_declared_weights_is_refused() {
+        let mut bytes = saved_fast("extra");
+        let end = bytes.len();
+        put_frame(&mut bytes, &[0; 8], u32::MAX).unwrap();
+        assert!(matches!(
+            decode(&bytes),
+            Err(ArtifactError::Frames(RecordFault::Trailing(at))) if at == end
+        ));
+    }
+
+    /// One weight frame of `rows`, `cols` and `floats` values, under a
+    /// header that declares it alone.
+    fn one_matrix_file(rows: u32, cols: u32, floats: usize) -> Vec<u8> {
+        let mut header = 1u32.to_le_bytes().to_vec();
+        header.extend(encode_manifest(&BacConfig::fast()));
+        let mut matrix = rows.to_le_bytes().to_vec();
+        matrix.extend(cols.to_le_bytes());
+        matrix.extend(vec![0; 4 * floats]);
+        let mut out = MAGIC.to_vec();
+        put_frame(&mut out, &header, u32::MAX).unwrap();
+        put_frame(&mut out, &matrix, u32::MAX).unwrap();
+        out
+    }
+
+    #[test]
+    fn matrix_dimensions_must_match_the_frame_length() {
+        let back = decode(&one_matrix_file(2, 3, 6)).unwrap();
+        assert_eq!(back.weights, vec![Matrix::zeros(2, 3)]);
+        // Sized from the frame, not from the dimensions: u32::MAX² floats
+        // overflow the byte count and are refused with nothing allocated.
+        for (rows, cols, floats) in [(2, 3, 5), (2, 3, 7), (u32::MAX, u32::MAX, 1), (0, 5, 1)] {
+            assert!(
+                matches!(
+                    decode(&one_matrix_file(rows, cols, floats)),
+                    Err(ArtifactError::BadMatrix(0))
+                ),
+                "{rows} x {cols} with {floats} floats"
+            );
+        }
     }
 
     #[test]

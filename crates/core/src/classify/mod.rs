@@ -20,21 +20,6 @@ pub trait SequenceHead: Sync {
     /// Panics on an empty sequence (an address always has ≥ 1 slice).
     fn logits<'t>(&self, tape: &'t Tape, seq: &[Matrix]) -> Var<'t>;
 
-    /// Class logits (`B x NUM_CLASSES`) for a batch of embedding sequences:
-    /// row `i` must be bitwise identical to `logits(tape, &seqs[i])`.
-    ///
-    /// The default implementation just stacks per-sequence calls; heads with
-    /// a genuinely batched formulation (the LSTM's per-timestep fused-gate
-    /// matmul over the still-active prefix) override it.
-    ///
-    /// # Panics
-    /// Panics on an empty batch or any empty sequence.
-    fn logits_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
-        assert!(!seqs.is_empty(), "empty sequence batch");
-        let parts: Vec<Var<'t>> = seqs.iter().map(|s| self.logits(tape, s)).collect();
-        Var::concat_rows(&parts)
-    }
-
     fn params(&self) -> Vec<Param>;
 
     /// Predicted class of one sequence.
@@ -49,7 +34,8 @@ fn seq_vars<'t>(tape: &'t Tape, seq: &[Matrix]) -> Vec<Var<'t>> {
     seq.iter().map(|m| tape.constant(m.clone())).collect()
 }
 
-fn stack_rows<'t>(tape: &'t Tape, seq: &[Matrix]) -> Var<'t> {
+/// The sequence as one `len x d` matrix on the tape.
+fn seq_matrix<'t>(tape: &'t Tape, seq: &[Matrix]) -> Var<'t> {
     let vars = seq_vars(tape, seq);
     Var::concat_rows(&vars)
 }
@@ -69,9 +55,9 @@ impl LstmMlp {
         }
     }
 
-    /// Tape-free [`SequenceHead::logits_batch`]: the ragged LSTM evaluator,
-    /// then one MLP pass over the final states; row `i` is the tape's
-    /// `logits(seqs[i])`, bit for bit, reading the embeddings in place.
+    /// Tape-free logits of a batch: the ragged LSTM evaluator, then one MLP
+    /// pass over the final states; row `i` is the tape's `logits(seqs[i])`,
+    /// bit for bit, reading the embeddings in place.
     pub fn eval_logits(&self, seqs: &[&[Matrix]]) -> Matrix {
         let h = self.lstm.eval_last_batch(seqs);
         let mut bufs = Default::default();
@@ -87,16 +73,6 @@ impl SequenceHead for LstmMlp {
     fn logits<'t>(&self, tape: &'t Tape, seq: &[Matrix]) -> Var<'t> {
         let vars = seq_vars(tape, seq);
         let h = self.lstm.forward_last(tape, &vars);
-        self.mlp.forward(tape, h)
-    }
-
-    /// Genuinely batched: one fused-gate matmul per *timestep* across the
-    /// whole batch (`Lstm::forward_last_batch`), then the MLP over all B
-    /// final hidden rows at once. Every layer is row-independent, so row `i`
-    /// stays bitwise identical to the per-sequence `logits` path.
-    fn logits_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
-        assert!(!seqs.is_empty(), "empty sequence batch");
-        let h = self.lstm.forward_last_batch(tape, seqs);
         self.mlp.forward(tape, h)
     }
 
@@ -171,7 +147,7 @@ impl SequenceHead for AttentionMlp {
     }
 
     fn logits<'t>(&self, tape: &'t Tape, seq: &[Matrix]) -> Var<'t> {
-        let stacked = stack_rows(tape, seq);
+        let stacked = seq_matrix(tape, seq);
         let pooled = self.pool.forward(tape, stacked);
         self.mlp.forward(tape, pooled)
     }
@@ -227,7 +203,7 @@ impl SequenceHead for PoolMlp {
     }
 
     fn logits<'t>(&self, tape: &'t Tape, seq: &[Matrix]) -> Var<'t> {
-        let stacked = stack_rows(tape, seq);
+        let stacked = seq_matrix(tape, seq);
         let pooled = match self.pooling {
             Pooling::Sum => stacked.sum_rows(),
             Pooling::Avg => stacked.mean_rows(),
@@ -321,43 +297,6 @@ mod tests {
             .map(|c| (a[(0, c)] - b[(0, c)]).abs())
             .sum();
         assert!(diff > 1e-6, "LSTM output should depend on order");
-    }
-
-    #[test]
-    fn logits_batch_rows_match_per_sequence_logits_bitwise() {
-        // Every head — the batched LSTM override and the stacking default —
-        // must produce batch rows bitwise identical to its single-sequence
-        // path, across ragged lengths.
-        let seqs: Vec<Vec<Matrix>> = [4usize, 1, 7, 2, 7]
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| {
-                (0..len)
-                    .map(|t| {
-                        Matrix::from_fn(1, 6, |_, c| ((i * 13 + t * 7 + c) as f32 * 0.23).sin())
-                    })
-                    .collect()
-            })
-            .collect();
-        let borrowed: Vec<&[Matrix]> = seqs.iter().map(Vec::as_slice).collect();
-        for head in all_heads(6, 8, 11) {
-            let tape = Tape::new();
-            let batch = head.logits_batch(&tape, &borrowed).value();
-            assert_eq!(batch.shape(), (seqs.len(), NUM_CLASSES), "{}", head.name());
-            for (i, seq) in seqs.iter().enumerate() {
-                let tape1 = Tape::new();
-                let single = head.logits(&tape1, seq).value();
-                let row = batch.slice_rows(i, i + 1);
-                assert!(
-                    row.as_slice()
-                        .iter()
-                        .zip(single.as_slice())
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{} row {i} diverged from single-sequence logits",
-                    head.name()
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Crash-safe file replacement, shared by every durable artifact in the
 //! workspace (model artifacts, follower snapshots, rebalanced snapshots,
 //! compacted journals, bench result files), the little-endian field codec
-//! of its binary formats (`BART` manifests, `BJRNL` blocks, `BSTREAM`
-//! records, `BANET` payloads), and the one frame codec the last three
-//! share: `[len u32 LE][crc32(payload) u32 LE][payload]`.
+//! of its binary formats (`BART` records, `BJRNL` blocks, `BSTREAM`
+//! records, `BANET` payloads), the one frame codec all four share —
+//! `[len u32 LE][crc32(payload) u32 LE][payload]` — and the one record
+//! file that every file read whole uses (`BART`, `BSTREAM`): an 8-byte
+//! magic, then whole frames up to the end of the file.
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -193,6 +195,106 @@ pub fn next_frame(bytes: &[u8], max_len: u32) -> Frame<'_> {
     }
 }
 
+/// Bytes of a record file's magic, the format version part of them.
+pub const MAGIC_LEN: usize = 8;
+
+/// Write a record file atomically: `magic`, a frame holding `header`, then
+/// one frame per record. Files are read whole, so a frame may be as long as
+/// a `u32` counts.
+pub fn write_records<R: AsRef<[u8]>>(
+    path: &Path,
+    magic: &[u8; MAGIC_LEN],
+    header: &[u8],
+    records: impl IntoIterator<Item = R>,
+) -> io::Result<()> {
+    let mut out = magic.to_vec();
+    put_frame(&mut out, header, u32::MAX)?;
+    for record in records {
+        put_frame(&mut out, record.as_ref(), u32::MAX)?;
+    }
+    write_atomic(path, &out)
+}
+
+/// Why a record file was refused, and at which offset of it.
+#[derive(Debug, PartialEq, Eq)]
+pub enum RecordFault {
+    /// The file does not open with the magic: its first bytes (up to 8).
+    Magic(Vec<u8>),
+    /// The file ends here, where another record was due.
+    Missing(usize),
+    /// The frame here runs past the end of the file.
+    Torn(usize),
+    /// The frame here does not match its stored CRC.
+    Crc(usize),
+    /// Bytes follow the last record, from here.
+    Trailing(usize),
+}
+
+impl std::fmt::Display for RecordFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (what, at) = match self {
+            RecordFault::Magic(m) => return write!(f, "magic {:?}", String::from_utf8_lossy(m)),
+            RecordFault::Missing(at) => ("missing", at),
+            RecordFault::Torn(at) => ("torn", at),
+            RecordFault::Crc(at) => ("CRC mismatch", at),
+            RecordFault::Trailing(at) => ("bytes after the last record", at),
+        };
+        write!(f, "{what} at byte {at}")
+    }
+}
+
+/// The one reader of a record file held whole in memory: the format asks
+/// for its records one at a time, as many as its header declares, then
+/// [`finish`](Self::finish)es. No input panics, and no length field is
+/// trusted before the bytes it counts are there.
+pub struct RecordReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> RecordReader<'a> {
+    /// Check the magic and read the header record.
+    pub fn open(bytes: &'a [u8], magic: &[u8; MAGIC_LEN]) -> Result<(Self, &'a [u8]), RecordFault> {
+        if !bytes.starts_with(magic) {
+            let found = bytes.iter().take(MAGIC_LEN).copied().collect();
+            return Err(RecordFault::Magic(found));
+        }
+        let mut reader = RecordReader {
+            bytes,
+            pos: MAGIC_LEN,
+        };
+        let header = reader.record()?;
+        Ok((reader, header))
+    }
+
+    /// The next record's payload, CRC checked.
+    pub fn record(&mut self) -> Result<&'a [u8], RecordFault> {
+        let at = self.pos;
+        match next_frame(&self.bytes[at..], u32::MAX) {
+            Frame::Whole { payload, end } => {
+                self.pos += end;
+                Ok(payload)
+            }
+            Frame::CrcMismatch { .. } => Err(RecordFault::Crc(at)),
+            _ if at == self.bytes.len() => Err(RecordFault::Missing(at)),
+            _ => Err(RecordFault::Torn(at)),
+        }
+    }
+
+    /// Bytes read so far: the offset just past the last record.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The end of the file: nothing may follow the last record.
+    pub fn finish(self) -> Result<(), RecordFault> {
+        match self.pos < self.bytes.len() {
+            true => Err(RecordFault::Trailing(self.pos)),
+            false => Ok(()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,5 +375,47 @@ mod tests {
         let mut flipped = bytes.to_vec();
         flipped[end - 1] ^= 1;
         assert!(matches!(next_frame(&flipped, 4), Frame::CrcMismatch { .. }));
+    }
+
+    #[test]
+    fn a_record_file_reads_back_and_names_each_fault() {
+        const MAGIC: &[u8; MAGIC_LEN] = b"TEST v1\n";
+        let path = std::env::temp_dir().join(format!("bac_records_{}", std::process::id()));
+        write_records(&path, MAGIC, b"head", [&b"one"[..], b""]).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let second = MAGIC_LEN + FRAME_HEADER + 4 + FRAME_HEADER + 3;
+        assert_eq!(bytes.len(), second + FRAME_HEADER);
+
+        let (mut r, header) = RecordReader::open(&bytes, MAGIC).unwrap();
+        assert_eq!(
+            (header, r.record(), r.record()),
+            (&b"head"[..], Ok(&b"one"[..]), Ok(&b""[..]))
+        );
+        assert_eq!(r.pos(), bytes.len());
+        assert_eq!(r.record(), Err(RecordFault::Missing(bytes.len())));
+        assert_eq!(r.finish(), Ok(()));
+
+        let open = |b: &[u8]| RecordReader::open(b, MAGIC).map(|(_, header)| header.to_vec());
+        assert_eq!(open(b"TEST"), Err(RecordFault::Magic(b"TEST".to_vec())));
+        assert_eq!(
+            open(b"TEST v2\nrest"),
+            Err(RecordFault::Magic(b"TEST v2\n".to_vec()))
+        );
+        assert_eq!(
+            open(&bytes[..MAGIC_LEN]),
+            Err(RecordFault::Missing(MAGIC_LEN))
+        );
+        assert_eq!(
+            open(&bytes[..MAGIC_LEN + 3]),
+            Err(RecordFault::Torn(MAGIC_LEN))
+        );
+        let mut flipped = bytes.clone();
+        flipped[MAGIC_LEN + FRAME_HEADER] ^= 1;
+        assert_eq!(open(&flipped), Err(RecordFault::Crc(MAGIC_LEN)));
+
+        let (mut r, _) = RecordReader::open(&bytes, MAGIC).unwrap();
+        r.record().unwrap();
+        assert_eq!(r.finish(), Err(RecordFault::Trailing(second)));
     }
 }

@@ -223,18 +223,7 @@ impl RemoteShard {
                 // Second deadline sweep (the reader sweeps on its poll
                 // tick, but a stream saturated with replies may never
                 // tick) — a wedged individual request still expires.
-                let now = Instant::now();
-                let expired: Vec<u64> = guard
-                    .pending
-                    .iter()
-                    .filter(|(_, e)| e.deadline <= now)
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in expired {
-                    if let Some(entry) = guard.pending.remove(&id) {
-                        settle(entry, Err(ServeError::DeadlineExceeded), &metrics);
-                    }
-                }
+                expire_deadlines(&mut guard, &metrics);
                 if let Some(conn) = &guard.conn {
                     let generation = conn.generation;
                     if guard.last_heard.elapsed() > config.stale_after {
@@ -466,6 +455,23 @@ fn settle(entry: PendingEntry, result: Result<Response, ServeError>, metrics: &M
     let _ = entry.reply.send(result);
 }
 
+/// Settle every pending request whose deadline has passed as
+/// `DeadlineExceeded`.
+fn expire_deadlines(inner: &mut Inner, metrics: &Metrics) {
+    let now = Instant::now();
+    let expired: Vec<u64> = inner
+        .pending
+        .iter()
+        .filter(|(_, e)| e.deadline <= now)
+        .map(|(id, _)| *id)
+        .collect();
+    for id in expired {
+        if let Some(entry) = inner.pending.remove(&id) {
+            settle(entry, Err(ServeError::DeadlineExceeded), metrics);
+        }
+    }
+}
+
 /// Tear down the connection for `generation` (no-op if a newer connection
 /// owns the state), settling every pending request as `WorkerFailed`.
 fn disconnect_locked(guard: &mut MutexGuard<'_, Inner>, generation: u64, metrics: &Metrics) {
@@ -538,18 +544,7 @@ fn spawn_reader(
                 if guard.conn.as_ref().map(|c| c.generation) != Some(generation) {
                     return;
                 }
-                let now = Instant::now();
-                let expired: Vec<u64> = guard
-                    .pending
-                    .iter()
-                    .filter(|(_, e)| e.deadline <= now)
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in expired {
-                    if let Some(entry) = guard.pending.remove(&id) {
-                        settle(entry, Err(ServeError::DeadlineExceeded), &metrics);
-                    }
-                }
+                expire_deadlines(&mut guard, &metrics);
             }
             Err(_) => {
                 let mut guard = lock(&inner);

@@ -4,9 +4,9 @@
 //! every binary record format in the workspace,
 //! `[u32 LE payload-len][u32 LE CRC32 of payload][payload]`, written and read
 //! by the one codec `baclassifier::durable::{put_frame, next_frame}` that
-//! also frames `BJRNL` blocks and `BSTREAM` snapshot records — so a frame
-//! that survives the checksum is exactly as trustworthy as a journal
-//! record. Payloads are capped at [`MAX_FRAME_LEN`] — a corrupt or
+//! also frames `BJRNL` blocks, `BSTREAM` snapshots and `BART` artifacts — so
+//! a frame that survives the checksum is exactly as trustworthy as a
+//! journal record. Payloads are capped at [`MAX_FRAME_LEN`] — a corrupt or
 //! malicious length prefix is rejected before any allocation.
 //!
 //! The payload is `[u8 message-type][little-endian body]`; see [`Message`]

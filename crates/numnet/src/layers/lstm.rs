@@ -80,64 +80,27 @@ impl LstmCell {
         LstmState { h, c }
     }
 
-    /// Batched final hidden states over `B` ragged sequences of `1 × input`
-    /// rows: one fused-gate matmul per *timestep* over the still-active
-    /// prefix instead of one per sequence per timestep.
+    /// Final hidden states over `B` ragged sequences of `1 × input` rows,
+    /// without a tape: one fused-gate matmul per *timestep* over the
+    /// still-active prefix instead of one per sequence per timestep, the
+    /// state updated in place. Row `i` of the result belongs to `seqs[i]`.
     ///
     /// Sequences are sorted longest-first so that at step `t` the sequences
-    /// with `len > t` occupy rows `[0, Bt)` and the shared state shrinks to
-    /// its leading rows. Final hidden rows are scattered back to
-    /// the original order with [`Var::stack_rows`], so row `i` of the result
-    /// belongs to `seqs[i]`.
+    /// with `len > t` occupy rows `[0, Bt)`. Row `j` of one `[h | x]` buffer
+    /// holds active sequence `j`'s state beside its next input, so a step is
+    /// one matmul and no concat.
     ///
     /// **Bitwise identity:** every op in the step — the gate matmul, bias
     /// broadcast, activations, and the elementwise state update — computes
     /// each output row from its own input row with the same ascending-k
     /// summation order regardless of how many rows share the call, so row
-    /// `i` is bitwise identical to unrolling `seqs[i]` alone with
-    /// [`LstmCell::step`] at batch 1 (asserted by tests here and replayed at
-    /// every layer above; DESIGN.md §13).
+    /// `i` is bitwise identical to unrolling `seqs[i]` alone on the tape
+    /// with [`LstmCell::step`] at batch 1 (asserted by tests here and
+    /// replayed at every layer above; DESIGN.md §13).
     ///
     /// # Panics
     /// Panics if the batch is empty, any sequence is empty, or any step is
     /// not a `1 × input` row.
-    pub fn forward_last_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
-        let order = self.longest_first(seqs);
-        let max_len = seqs[order[0]].len();
-        let mut finals: Vec<Option<(Var<'t>, usize)>> = vec![None; seqs.len()];
-        let mut state = self.zero_state(tape, seqs.len());
-        let mut active = seqs.len();
-        for t in 0..max_len {
-            let bt = order.iter().take_while(|&&i| seqs[i].len() > t).count();
-            if bt < active {
-                state = LstmState {
-                    h: state.h.slice_rows(0, bt),
-                    c: state.c.slice_rows(0, bt),
-                };
-                active = bt;
-            }
-            let mut x = Matrix::zeros(bt, self.input_dim);
-            for (j, &i) in order[..bt].iter().enumerate() {
-                x.row_mut(j).copy_from_slice(seqs[i][t].row(0));
-            }
-            state = self.step(tape, tape.constant(x), &state);
-            for (j, &i) in order[..bt].iter().enumerate() {
-                if seqs[i].len() == t + 1 {
-                    finals[i] = Some((state.h, j));
-                }
-            }
-        }
-        let parts: Vec<(Var<'t>, usize)> = finals
-            .into_iter()
-            .map(|f| f.expect("every sequence records a final row"))
-            .collect();
-        Var::stack_rows(&parts)
-    }
-
-    /// Tape-free twin of [`LstmCell::forward_last_batch`]: the same schedule
-    /// and bits, the state updated in place. Row `j` of one `[h | x]` buffer
-    /// holds active sequence `j`'s state beside its next input, so a step is
-    /// one matmul and no concat. Panics as the tape version does.
     pub fn eval_last_batch(&self, seqs: &[&[Matrix]]) -> Matrix {
         let order = self.longest_first(seqs);
         let h = self.hidden_dim;
@@ -171,14 +134,14 @@ impl LstmCell {
 
     /// Batch indices by `(length desc, index)`, once the batch is checked.
     fn longest_first(&self, seqs: &[&[Matrix]]) -> Vec<usize> {
-        assert!(!seqs.is_empty(), "forward_last_batch: empty batch");
+        assert!(!seqs.is_empty(), "eval_last_batch: empty batch");
         for (i, s) in seqs.iter().enumerate() {
-            assert!(!s.is_empty(), "forward_last_batch: empty sequence {i}");
+            assert!(!s.is_empty(), "eval_last_batch: empty sequence {i}");
             for m in *s {
                 assert_eq!(
                     m.shape(),
                     (1, self.input_dim),
-                    "forward_last_batch: sequence {i} step shape"
+                    "eval_last_batch: sequence {i} step shape"
                 );
             }
         }
@@ -234,14 +197,6 @@ impl Lstm {
             state = self.cell.step(tape, x, &state);
         }
         state.h
-    }
-
-    /// Batched [`Lstm::forward_last`] over `B` ragged sequences of borrowed
-    /// `1 × input` rows, returning a `B × hidden` value whose row `i` is
-    /// bitwise identical to `forward_last` on `seqs[i]` alone (see
-    /// [`LstmCell::forward_last_batch`]).
-    pub fn forward_last_batch<'t>(&self, tape: &'t Tape, seqs: &[&[Matrix]]) -> Var<'t> {
-        self.cell.forward_last_batch(tape, seqs)
     }
 
     /// [`LstmCell::eval_last_batch`].
@@ -419,7 +374,6 @@ mod tests {
         let g_fused =
             st.h.sum_rows()
                 .matmul(tape.constant(Matrix::col_vec(vec![1.0; h])))
-                .slice_rows(0, 1)
                 .backward(&fused);
 
         // Reference: same unroll with the four-matmul step.
@@ -438,7 +392,6 @@ mod tests {
             .h
             .sum_rows()
             .matmul(tape2.constant(Matrix::col_vec(vec![1.0; h])))
-            .slice_rows(0, 1)
             .backward(&ref_params);
 
         // Fused gradients block-match the per-gate reference gradients.
@@ -448,49 +401,6 @@ mod tests {
             let bg = g_fused[1].slice_cols(g * h, (g + 1) * h);
             assert!(bits_eq(&bg, &g_ref[4 + g]), "b grad gate {g}");
         }
-    }
-
-    #[test]
-    fn forward_last_batch_matches_per_sequence_bitwise() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let lstm = Lstm::new(3, 5, &mut rng);
-        // Ragged lengths, deliberately unsorted, with ties.
-        let lens = [2usize, 5, 1, 5, 3];
-        let seqs: Vec<Vec<Matrix>> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| {
-                (0..len)
-                    .map(|t| {
-                        Matrix::from_fn(1, 3, |_, c| ((i * 17 + t * 5 + c) as f32 * 0.13).sin())
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let borrowed: Vec<&[Matrix]> = seqs.iter().map(Vec::as_slice).collect();
-        let tape = Tape::new();
-        let batched = lstm.forward_last_batch(&tape, &borrowed);
-        assert_eq!(batched.shape(), (seqs.len(), 5));
-        let bv = batched.value();
-        for (i, seq) in seqs.iter().enumerate() {
-            let tape1 = Tape::new();
-            let vars: Vec<_> = seq.iter().map(|m| tape1.constant(m.clone())).collect();
-            let single = lstm.forward_last(&tape1, &vars).value();
-            assert!(
-                bits_eq(&bv.slice_rows(i, i + 1), &single),
-                "row {i} diverged from its single-sequence unroll"
-            );
-        }
-
-        // Gradients flow through the batched unroll into the fused params.
-        let g = batched
-            .sum_rows()
-            .matmul(tape.constant(Matrix::col_vec(vec![1.0; 5])))
-            .backward(&lstm.params()[..1])
-            .remove(0);
-        assert!(g.all_finite());
-        assert!(g.frobenius_norm() > 0.0, "no gradient reached the weights");
     }
 
     #[test]
@@ -508,12 +418,18 @@ mod tests {
                 })
                 .collect();
             let borrowed: Vec<&[Matrix]> = seqs.iter().map(Vec::as_slice).collect();
-            let tape = Tape::new();
-            let taped = lstm.forward_last_batch(&tape, &borrowed).value();
-            assert!(
-                bits_eq(&lstm.eval_last_batch(&borrowed), &taped),
-                "{lens:?}"
-            );
+            let eval = lstm.eval_last_batch(&borrowed);
+            assert_eq!(eval.shape(), (seqs.len(), 5));
+            // Each row is its sequence unrolled alone on the training tape.
+            for (i, seq) in seqs.iter().enumerate() {
+                let tape = Tape::new();
+                let vars: Vec<_> = seq.iter().map(|m| tape.constant(m.clone())).collect();
+                let taped = lstm.forward_last(&tape, &vars).value();
+                assert!(
+                    bits_eq(&eval.slice_rows(i, i + 1), &taped),
+                    "{lens:?} row {i}"
+                );
+            }
         }
     }
 

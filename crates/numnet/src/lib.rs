@@ -55,7 +55,7 @@ pub mod layers {
     pub use mlp::{Activation, Mlp};
 }
 
-pub use io::{assign_params, read_matrices, write_matrices, LoadError};
+pub use io::{assign_params, LoadError};
 pub use matrix::{
     matmul_a_bt_views, matmul_at_b_views, matmul_into, matmul_views, Matrix, MatrixView,
 };

@@ -955,11 +955,6 @@ impl Matrix {
         Matrix::from_fn(self.rows, end - start, |r, c| self[(r, start + c)])
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|&v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Index of the maximum element in a single row.
     pub fn row_argmax(&self, r: usize) -> usize {
         let row = self.row(r);

@@ -172,13 +172,7 @@ enum Op {
     Transpose(usize),
     ConcatCols(Vec<usize>),
     ConcatRows(Vec<usize>),
-    SliceRows(usize, usize, usize),
     SliceCols(usize, usize, usize),
-    /// One row gathered from each listed `(node, row)` pair; backward adds
-    /// each output row's gradient back into its source row (repeated
-    /// sources accumulate in reverse part order, matching the reverse-tape
-    /// walk of the dense concat-of-slices formulation).
-    StackRows(Vec<(usize, usize)>),
     /// Sparse·dense product `A · x` with a CSR operand.
     Spmm {
         x: usize,
@@ -385,44 +379,10 @@ impl<'t> Var<'t> {
         self.tape.push(Op::SoftmaxRows(self.idx), v)
     }
 
-    /// Copy of rows `[start, end)`.
-    pub fn slice_rows(self, start: usize, end: usize) -> Var<'t> {
-        let v = self.value().slice_rows(start, end);
-        self.tape.push(Op::SliceRows(self.idx, start, end), v)
-    }
-
     /// Copy of columns `[start, end)`.
     pub fn slice_cols(self, start: usize, end: usize) -> Var<'t> {
         let v = self.value().slice_cols(start, end);
         self.tape.push(Op::SliceCols(self.idx, start, end), v)
-    }
-
-    /// Gather one row from each `(var, row)` pair into a
-    /// `parts.len() × C` value. The backward pass scatters each output
-    /// row's gradient back into its source row, accumulating when the same
-    /// source row appears more than once. Row `p` of the result is bitwise
-    /// identical to `parts[p].0.value().row(parts[p].1)`, and its gradient
-    /// path matches the dense `concat_rows`-of-`slice_rows` formulation.
-    pub fn stack_rows(parts: &[(Var<'t>, usize)]) -> Var<'t> {
-        assert!(!parts.is_empty(), "stack_rows: empty input");
-        let tape = parts[0].0.tape;
-        let v = {
-            let nodes = tape.nodes.borrow();
-            let cols = nodes[parts[0].0.idx].value.cols();
-            let mut data = Vec::with_capacity(parts.len() * cols);
-            for (var, r) in parts {
-                debug_assert!(std::ptr::eq(tape, var.tape), "vars from different tapes");
-                let m = &nodes[var.idx].value;
-                assert_eq!(m.cols(), cols, "stack_rows: column mismatch");
-                assert!(*r < m.rows(), "stack_rows: row {r} out of range");
-                data.extend_from_slice(m.row(*r));
-            }
-            Matrix::from_vec(parts.len(), cols, data)
-        };
-        tape.push(
-            Op::StackRows(parts.iter().map(|(var, r)| (var.idx, *r)).collect()),
-            v,
-        )
     }
 
     /// Sparse·dense product `adj · self` where `adj` is an n×n CSR operand
@@ -700,16 +660,6 @@ impl<'t> Var<'t> {
                         off += h;
                     }
                 }
-                Op::SliceRows(a, start, end) => {
-                    if needs[*a] {
-                        let src = &lower[*a].value;
-                        let mut g = counted(Matrix::zeros(src.rows(), src.cols()));
-                        for (r, gr) in (*start..*end).enumerate() {
-                            g.row_mut(gr).copy_from_slice(grad.row(r));
-                        }
-                        accumulate(lower, *a, g);
-                    }
-                }
                 Op::SliceCols(a, start, end) => {
                     if needs[*a] {
                         // Write straight into the parent's grad buffer: add
@@ -727,29 +677,6 @@ impl<'t> Var<'t> {
                                     g.row_mut(r)[*start..*end].copy_from_slice(grad.row(r));
                                 }
                                 *slot = Some(g);
-                            }
-                        }
-                    }
-                }
-                Op::StackRows(parts) => {
-                    // Reverse part order: the dense concat-of-slices
-                    // formulation records one slice node per part and the
-                    // backward walk reaches later parts first, so a source
-                    // row picked more than once accumulates its terms last
-                    // part first. Matching that order keeps the scatter
-                    // bitwise identical to the dense reference.
-                    for (p, (src, row)) in parts.iter().enumerate().rev() {
-                        if needs[*src] {
-                            let parent = &mut lower[*src];
-                            if parent.grad.is_none() {
-                                parent.grad = Some(counted(Matrix::zeros(
-                                    parent.value.rows(),
-                                    parent.value.cols(),
-                                )));
-                            }
-                            let g = parent.grad.as_mut().expect("grad installed above");
-                            for (o, &v) in g.row_mut(*row).iter_mut().zip(grad.row(p)) {
-                                *o += v;
                             }
                         }
                     }
@@ -907,7 +834,6 @@ fn requires_grad(nodes: &[Node], upto: usize) -> Vec<bool> {
             | Op::Sigmoid(a)
             | Op::Tanh(a)
             | Op::Transpose(a)
-            | Op::SliceRows(a, _, _)
             | Op::SliceCols(a, _, _)
             | Op::Spmm { x: a, .. }
             | Op::SpmmRight { x: a, .. }
@@ -917,7 +843,6 @@ fn requires_grad(nodes: &[Node], upto: usize) -> Vec<bool> {
             | Op::SoftmaxRows(a)
             | Op::SoftmaxCrossEntropy(a, _) => needs[*a],
             Op::ConcatCols(parts) | Op::ConcatRows(parts) => parts.iter().any(|&p| needs[p]),
-            Op::StackRows(parts) => parts.iter().any(|&(p, _)| needs[p]),
         };
     }
     needs
@@ -1041,13 +966,15 @@ mod tests {
         let a = Param::new(Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
         let tape = Tape::new();
         let av = tape.param(&a);
-        let bv = tape.constant(Matrix::from_vec(2, 1, vec![10.0, 20.0]));
-        let cat = Var::concat_cols(&[av, bv]); // 2x3
-        let sliced = cat.slice_rows(0, 1); // 1x3
-        let loss = sliced.matmul(tape.constant(Matrix::col_vec(vec![1.0, 2.0, 3.0])));
-        // Only first row of `a` receives gradient: [1, 2].
+        let bv = tape.constant(Matrix::from_vec(1, 2, vec![10.0, 20.0]));
+        let cat = Var::concat_rows(&[av, bv]); // 3x2
+        let sliced = cat.slice_cols(0, 1); // 3x1
+        let loss = tape
+            .constant(Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]))
+            .matmul(sliced);
+        // Only the first column of `a` receives gradient: [1, 2].
         let g = grad_of(loss, &a);
-        assert_eq!(g.as_slice(), &[1.0, 2.0, 0.0, 0.0]);
+        assert_eq!(g.as_slice(), &[1.0, 0.0, 2.0, 0.0]);
     }
 
     #[test]
@@ -1294,58 +1221,6 @@ mod tests {
             .sum_rows()
             .matmul(tape.constant(Matrix::col_vec(vec![1.0; 4])));
         assert_eq!(grad_of(loss, &a).as_slice(), &[2., 2., 3., 3.]);
-    }
-
-    #[test]
-    fn stack_rows_backward_matches_dense_concat_backward() {
-        let a_init = Matrix::from_fn(3, 2, |r, c| ((r * 2 + c) as f32 * 0.43).sin());
-        let b_init = Matrix::from_fn(2, 2, |r, c| ((r + c) as f32 * 0.29).cos());
-        let weights = Matrix::col_vec(vec![0.7, -1.3]);
-        // Row 1 of `a` appears three times: the scatter must accumulate in
-        // the same order as the dense reference's reverse-tape walk. The
-        // per-row scale makes each repeat's gradient distinct, so a wrong
-        // accumulation order would change the rounded sum.
-        let picks: &[(usize, usize)] = &[(0, 2), (0, 1), (1, 0), (0, 1), (0, 1)];
-        let rowscale = Matrix::from_fn(picks.len(), 2, |r, c| {
-            ((r * 2 + c) as f32 * 0.71 - 1.9).exp()
-        });
-
-        let stacked = {
-            let a = Param::new(a_init.clone());
-            let b = Param::new(b_init.clone());
-            let tape = Tape::new();
-            let srcs = [tape.param(&a), tape.param(&b)];
-            let parts: Vec<(Var, usize)> = picks.iter().map(|&(s, r)| (srcs[s], r)).collect();
-            let out = Var::stack_rows(&parts);
-            let mut g = out
-                .mul_elem(tape.constant(rowscale.clone()))
-                .matmul(tape.constant(weights.clone()))
-                .sum_rows()
-                .backward(&[a, b]);
-            let gb = g.pop().expect("b grad");
-            (out.value(), g.remove(0), gb)
-        };
-        let dense = {
-            let a = Param::new(a_init.clone());
-            let b = Param::new(b_init.clone());
-            let tape = Tape::new();
-            let srcs = [tape.param(&a), tape.param(&b)];
-            let parts: Vec<Var> = picks
-                .iter()
-                .map(|&(s, r)| srcs[s].slice_rows(r, r + 1))
-                .collect();
-            let out = Var::concat_rows(&parts);
-            let mut g = out
-                .mul_elem(tape.constant(rowscale.clone()))
-                .matmul(tape.constant(weights.clone()))
-                .sum_rows()
-                .backward(&[a, b]);
-            let gb = g.pop().expect("b grad");
-            (out.value(), g.remove(0), gb)
-        };
-        assert!(bits_eq(&stacked.0, &dense.0), "forward diverged");
-        assert!(bits_eq(&stacked.1, &dense.1), "a grad diverged");
-        assert!(bits_eq(&stacked.2, &dense.2), "b grad diverged");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! The module also hosts the byte-level corruption helpers shared by the
 //! harness: [`corrupt_bytes`] (artifact bit-flips that must be caught by
-//! the BART checksum) and [`garble_line`]/[`truncate_line`] (protocol-line
+//! BART's frames) and [`garble_line`]/[`truncate_line`] (protocol-line
 //! mutations that must never crash the parser).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -119,7 +119,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Flip `flips` deterministically-chosen bits in `bytes`. Used to corrupt
-/// artifact payloads: the BART checksum must reject every such mutation.
+/// artifact files: BART's frames must refuse every such mutation.
 pub fn corrupt_bytes(bytes: &mut [u8], seed: u64, flips: usize) {
     if bytes.is_empty() {
         return;

@@ -8,8 +8,8 @@
 //! The subsystem's pieces:
 //!
 //! * **Model artifacts** (in `baclassifier::artifact`): a single-file
-//!   `BART` bundle of configuration + weights with a versioned manifest and
-//!   checksum, so a serving process can reconstruct the exact trained model.
+//!   `BART` record file — a versioned manifest, then one CRC frame per
+//!   weight matrix — so a serving process rebuilds the exact trained model.
 //! * **[`engine`]**: a micro-batching engine — a bounded request queue with
 //!   explicit backpressure ([`ServeError::QueueFull`]) feeding a pool of
 //!   worker threads that all read one shared model. A free worker takes

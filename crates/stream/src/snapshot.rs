@@ -1,7 +1,8 @@
 //! Snapshot/restore of follower state.
 //!
-//! Format (`BSTREAM v2`): the 8-byte magic `BSTRM v2`, then the journal's
-//! CRC-framed records (`baclassifier::durable`), fields little-endian:
+//! Format (`BSTREAM v2`): a `baclassifier::durable` record file — the
+//! 8-byte magic `BSTRM v2`, then the journal's CRC frames — fields
+//! little-endian:
 //!
 //! ```text
 //! header  := height u64 · shard index u32 · shard count u32 (0: unsharded)
@@ -16,7 +17,7 @@
 //! address so the offline rebalancer routes them verbatim. Aggregates,
 //! graphs and embeddings are functions of the history and are not stored;
 //! a transaction is interned back into one `Arc` on restore. Files are
-//! written atomically (`baclassifier::write_atomic`).
+//! written atomically (`durable::write_records`).
 //!
 //! Unlike the journal, a snapshot fails closed: a journal's valid prefix is
 //! a shorter chain that replay extends, a snapshot's is a follower missing
@@ -28,10 +29,10 @@
 
 use crate::follower::{AddressState, Follower, FollowerConfig};
 use baclassifier::construction::FocusAggregates;
-use baclassifier::durable::{next_frame, put_frame, put_u32, put_u64, Cursor, Frame, FRAME_HEADER};
-use baclassifier::{
-    write_atomic, ArtifactError, ModelArtifact, ShardAssignment, SHARD_HASH_VERSION,
+use baclassifier::durable::{
+    put_u32, put_u64, write_records, Cursor, RecordFault, RecordReader, FRAME_HEADER,
 };
+use baclassifier::{ArtifactError, ModelArtifact, ShardAssignment, SHARD_HASH_VERSION};
 use btcsim::{Address, Amount, Label, TxView, Txid};
 use std::collections::hash_map::{Entry, HashMap};
 use std::io::Read;
@@ -79,14 +80,23 @@ const MAGIC: &[u8; 8] = b"BSTRM v2";
 /// The header record's payload: height, index, count, hash version, count.
 const HEADER_LEN: usize = 8 + 4 + 4 + 4 + 8;
 
-/// Files are read whole, so a length is checked against the bytes there.
-const MAX_RECORD_LEN: u32 = u32::MAX;
-
 /// The label byte of an address that has none (deferred under `min_txs`).
 const NO_LABEL: u8 = u8::MAX;
 
 fn malformed(path: &Path, msg: std::fmt::Arguments) -> SnapshotError {
     SnapshotError::Malformed(format!("{}: {msg}", path.display()))
+}
+
+/// A record-file fault met reading `what`, as this format reports it.
+fn refused(path: &Path, what: std::fmt::Arguments, fault: RecordFault) -> SnapshotError {
+    let path = path.display();
+    match fault {
+        RecordFault::Magic(_) => {
+            SnapshotError::UnsupportedVersion(format!("{path}: {fault}, this build reads BSTRM v2"))
+        }
+        RecordFault::Crc(_) => SnapshotError::Checksum(format!("{path}: {what}: {fault}")),
+        _ => SnapshotError::Malformed(format!("{path}: {what}: {fault}")),
+    }
 }
 
 /// A snapshot read whole with every frame's CRC checked.
@@ -121,48 +131,17 @@ pub fn write_snapshot<R: AsRef<[u8]>>(
     let mut header = height.to_le_bytes().to_vec();
     header.extend(layout.iter().flat_map(|field| field.to_le_bytes()));
     put_u64(&mut header, records.len() as u64);
-    let mut out = MAGIC.to_vec();
-    put_frame(&mut out, &header, MAX_RECORD_LEN)?;
-    for record in records {
-        put_frame(&mut out, record.as_ref(), MAX_RECORD_LEN)?;
-    }
-    Ok(write_atomic(path, &out)?)
-}
-
-/// The payload of the frame at `pos` and the offset after it.
-fn frame_at<'a>(
-    path: &Path,
-    bytes: &'a [u8],
-    pos: usize,
-    what: std::fmt::Arguments,
-) -> Result<(&'a [u8], usize), SnapshotError> {
-    match next_frame(&bytes[pos..], MAX_RECORD_LEN) {
-        Frame::Whole { payload, end } => Ok((payload, pos + end)),
-        Frame::Incomplete | Frame::TooLarge(_) => Err(malformed(
-            path,
-            format_args!("{what} at byte {pos}: missing or torn"),
-        )),
-        Frame::CrcMismatch { stored, computed } => Err(SnapshotError::Checksum(format!(
-            "{}: {what} at byte {pos}: stored {stored:08x}, computed {computed:08x}",
-            path.display()
-        ))),
-    }
+    Ok(write_records(path, MAGIC, &header, records)?)
 }
 
 /// The magic and header at the front of `bytes`: a snapshot with no records
-/// yet, how many it declares, and the offset after the header.
-fn read_header(path: &Path, bytes: &[u8]) -> Result<(Snapshot, usize, usize), SnapshotError> {
-    let unsupported = |what: String| {
-        let path = path.display();
-        SnapshotError::UnsupportedVersion(format!("{path}: {what}"))
-    };
-    let magic = bytes.get(..MAGIC.len()).unwrap_or(bytes);
-    if magic != MAGIC {
-        let magic = String::from_utf8_lossy(magic);
-        let msg = format!("magic {magic:?}, this build reads BSTRM v2");
-        return Err(unsupported(msg));
-    }
-    let (payload, end) = frame_at(path, bytes, MAGIC.len(), format_args!("header record"))?;
+/// yet, how many it declares, and the reader positioned after the header.
+fn read_header<'a>(
+    path: &Path,
+    bytes: &'a [u8],
+) -> Result<(Snapshot, usize, RecordReader<'a>), SnapshotError> {
+    let (reader, payload) = RecordReader::open(bytes, MAGIC)
+        .map_err(|fault| refused(path, format_args!("header record"), fault))?;
     let mut c = Cursor::new(payload);
     let fields = (c.u64(), c.u32(), c.u32(), c.u32(), c.u64(), c.remaining());
     let (Some(height), Some(index), Some(count), Some(hash), Some(addresses), 0) = fields else {
@@ -170,21 +149,21 @@ fn read_header(path: &Path, bytes: &[u8]) -> Result<(Snapshot, usize, usize), Sn
         return Err(malformed(path, msg));
     };
     if count > 0 && hash != SHARD_HASH_VERSION {
-        let msg = format!("shard hash v{hash} (this build implements v{SHARD_HASH_VERSION})");
-        return Err(unsupported(msg));
+        let path = path.display();
+        let msg = format!("{path}: shard hash v{hash}, this build reads v{SHARD_HASH_VERSION}");
+        return Err(SnapshotError::UnsupportedVersion(msg));
     }
     if index >= count.max(1) {
         return Err(malformed(path, format_args!("bad shard {index}/{count}")));
     }
     let shard = (count > 0).then_some(ShardAssignment { index, count });
-    let (bytes, records) = (Vec::new(), Vec::new());
     let snapshot = Snapshot {
         height,
         shard,
-        bytes,
-        records,
+        bytes: Vec::new(),
+        records: Vec::new(),
     };
-    Ok((snapshot, addresses as usize, end))
+    Ok((snapshot, addresses as usize, reader))
 }
 
 /// Read `path` whole: the header, exactly the address records it declares
@@ -192,24 +171,21 @@ fn read_header(path: &Path, bytes: &[u8]) -> Result<(Snapshot, usize, usize), Sn
 /// file. The one reader: restore and the offline rebalancer.
 pub fn read_snapshot(path: &Path) -> Result<Snapshot, SnapshotError> {
     let bytes = std::fs::read(path)?;
-    let (mut snapshot, addresses, mut pos) = read_header(path, &bytes)?;
+    let (mut snapshot, addresses, mut reader) = read_header(path, &bytes)?;
     snapshot.records.reserve(addresses.min(bytes.len() / 16));
     for i in 0..addresses {
         let what = format_args!("address record {i} of {addresses}");
-        let (payload, end) = frame_at(path, &bytes, pos, what)?;
+        let payload = reader.record().map_err(|f| refused(path, what, f))?;
         let Some(addr) = Cursor::new(payload).u64() else {
             let msg = format_args!("address record {i}: no address");
             return Err(malformed(path, msg));
         };
+        let end = reader.pos();
         let range = end - payload.len()..end;
         snapshot.records.push((Address(addr), range));
-        pos = end;
     }
-    if pos != bytes.len() {
-        let extra = bytes.len() - pos;
-        let msg = format_args!("{extra} bytes after the last address record");
-        return Err(malformed(path, msg));
-    }
+    let what = format_args!("{addresses} address records");
+    reader.finish().map_err(|f| refused(path, what, f))?;
     snapshot.bytes = bytes;
     Ok(snapshot)
 }
@@ -370,6 +346,7 @@ impl Follower {
 mod tests {
     use super::*;
     use crate::follower::tests::{distinct_txs, test_sim};
+    use baclassifier::durable::{next_frame, put_frame, Frame};
     use baclassifier::BacConfig;
     use btcsim::BlockCursor;
 
@@ -400,7 +377,7 @@ mod tests {
     fn framed(payloads: &[&[u8]]) -> Vec<u8> {
         let mut out = MAGIC.to_vec();
         for payload in payloads {
-            put_frame(&mut out, payload, MAX_RECORD_LEN).unwrap();
+            put_frame(&mut out, payload, u32::MAX).unwrap();
         }
         out
     }
@@ -626,7 +603,7 @@ mod tests {
     fn trailing_garbage_is_rejected_naming_the_path() {
         let (_, path, mut bytes) = snapshotted(59, 10, "garbage");
         // A well-formed, CRC-valid frame after the last declared record.
-        put_frame(&mut bytes, &7u64.to_le_bytes(), MAX_RECORD_LEN).unwrap();
+        put_frame(&mut bytes, &7u64.to_le_bytes(), u32::MAX).unwrap();
         std::fs::write(&path, &bytes).unwrap();
 
         match restore_err(&path) {

@@ -1,7 +1,7 @@
 //! No-op `Serialize`/`Deserialize` derives. The workspace only annotates
 //! types with these derives — no code path actually serializes through
-//! serde (persistence is hand-rolled binary, see `numnet::io` and
-//! `baclassifier::artifact`) — so emitting no impls is sufficient and keeps
+//! serde (persistence is hand-rolled binary record files, see
+//! `baclassifier::durable`) — so emitting no impls is sufficient and keeps
 //! the build offline-capable.
 
 use proc_macro::TokenStream;

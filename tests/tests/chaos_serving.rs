@@ -16,6 +16,7 @@
 //! 4. **Corrupted artifacts never load** — bit-flipped or truncated `.bart`
 //!    bytes are rejected by the checksum, not half-loaded.
 
+use baclassifier::durable::MAGIC_LEN;
 use baclassifier::{ArtifactError, BacConfig, ModelArtifact};
 use baserve::{
     corrupt_bytes, format_response, garble_line, parse_request_bytes, truncate_line, Engine,
@@ -165,9 +166,10 @@ fn degraded_answers_match_the_fallback_byte_for_byte() {
     engine.shutdown();
 }
 
-/// Property 4: artifact corruption — bit flips in the payload and torn
-/// (truncated) writes — is caught at load time by the checksum; the intact
-/// file keeps loading.
+/// Property 4: artifact corruption — bit flips anywhere after the magic
+/// and torn (truncated) writes — is a typed error at load time: a frame's
+/// checksum or a frame that is not where the header says; the intact file
+/// keeps loading.
 #[test]
 fn corrupted_and_truncated_artifacts_never_load() {
     let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
@@ -177,23 +179,23 @@ fn corrupted_and_truncated_artifacts_never_load() {
     let bytes = std::fs::read(&good).unwrap();
     assert!(ModelArtifact::load(&good).is_ok());
 
-    // Header is magic(4) + version(4) + checksum(8) + payload_len(8).
-    const HEADER: usize = 24;
     let bad = dir.join(format!("chaos_bad_{}.bart", std::process::id()));
     for seed in 0..16u64 {
         let mut torn = bytes.clone();
-        corrupt_bytes(&mut torn[HEADER..], seed, 4);
+        corrupt_bytes(&mut torn[MAGIC_LEN..], seed, 4);
         std::fs::write(&bad, &torn).unwrap();
         match ModelArtifact::load(&bad) {
-            Err(ArtifactError::ChecksumMismatch { .. }) => {}
-            other => panic!("seed {seed}: corrupt payload must fail checksum, got {other:?}"),
+            Err(ArtifactError::Frames(_)) => {}
+            other => panic!("seed {seed}: corrupt frames must be refused, got {other:?}"),
         }
     }
-    // A torn write: half the payload missing. (Truncation is detected
-    // before the checksum; either way it must not load.)
-    let torn = &bytes[..HEADER + (bytes.len() - HEADER) / 2];
+    // A torn write: half the frames missing.
+    let torn = &bytes[..MAGIC_LEN + (bytes.len() - MAGIC_LEN) / 2];
     std::fs::write(&bad, torn).unwrap();
-    assert!(ModelArtifact::load(&bad).is_err());
+    assert!(matches!(
+        ModelArtifact::load(&bad),
+        Err(ArtifactError::Frames(_))
+    ));
 
     std::fs::remove_file(&good).ok();
     std::fs::remove_file(&bad).ok();

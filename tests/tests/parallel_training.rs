@@ -17,7 +17,7 @@ use baclassifier::construction::augment::augment_with_centralities;
 use baclassifier::construction::extract::extract_original_graphs;
 use baclassifier::features::{graph_tensors, GraphTensors, NODE_FEAT_DIM};
 use baclassifier::models::{DiffPool, Gcn, GraphModel, PreparedGraph};
-use baclassifier::{BaClassifier, BacConfig};
+use baclassifier::{BaClassifier, BacConfig, ModelArtifact};
 use btcsim::{Address, AddressRecord, Amount, Dataset, Label, SimConfig, Simulator, TxView, Txid};
 use numnet::{Matrix, Tape};
 
@@ -31,9 +31,10 @@ fn fit_with_threads(threads: usize, train: &Dataset) -> BaClassifier {
     clf
 }
 
-/// `save_artifact` bytes of a fitted classifier. `threads` is not
-/// persisted, so byte-equal files mean byte-equal models.
-fn artifact_bytes(clf: &BaClassifier, tag: &str) -> Vec<u8> {
+/// `save_artifact` bytes of a fitted classifier and the weights loaded back
+/// from them. `threads` is not persisted, so byte-equal files mean
+/// byte-equal models.
+fn artifact_bytes(clf: &BaClassifier, tag: &str) -> (Vec<u8>, Vec<Matrix>) {
     let path = std::env::temp_dir().join(format!(
         "parallel_training_{tag}_{}_{:?}",
         std::process::id(),
@@ -41,8 +42,24 @@ fn artifact_bytes(clf: &BaClassifier, tag: &str) -> Vec<u8> {
     ));
     clf.save_artifact(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
+    let weights = ModelArtifact::load(&path).unwrap().weights;
     std::fs::remove_file(&path).ok();
-    bytes
+    (bytes, weights)
+}
+
+/// The weights as the byte stream the golden digest was recorded over:
+/// "NNIO", version 1, the count, then each matrix's rows, cols and f32 LE
+/// values.
+fn nnio_stream(weights: &[Matrix]) -> Vec<u8> {
+    let mut out = b"NNIO".to_vec();
+    out.extend(1u32.to_le_bytes());
+    out.extend((weights.len() as u32).to_le_bytes());
+    for m in weights {
+        out.extend((m.rows() as u32).to_le_bytes());
+        out.extend((m.cols() as u32).to_le_bytes());
+        out.extend(m.as_slice().iter().flat_map(|v| v.to_le_bytes()));
+    }
+    out
 }
 
 #[test]
@@ -57,13 +74,11 @@ fn fit_is_byte_identical_across_thread_counts() {
     let serial = fit_with_threads(1, &train);
     let pooled = fit_with_threads(4, &train);
 
-    let serial_bytes = artifact_bytes(&serial, "t1");
-    // FNV-1a over the NNIO weights stream — the artifact's tail after its
-    // 24-byte header, `u32` manifest length and manifest — recorded at the
-    // commit before `Param` lost its gradient slot and `backward` started
-    // returning gradients.
-    let manifest_len = u32::from_le_bytes(serial_bytes[24..28].try_into().unwrap()) as usize;
-    let weights = &serial_bytes[28 + manifest_len..];
+    let (serial_bytes, serial_weights) = artifact_bytes(&serial, "t1");
+    // FNV-1a over the weights as the v1 artifact stored them, re-encoded
+    // from the loaded ones — recorded at the commit before `Param` lost its
+    // gradient slot and `backward` started returning gradients.
+    let weights = nnio_stream(&serial_weights);
     let digest = weights.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
@@ -75,7 +90,7 @@ fn fit_is_byte_identical_across_thread_counts() {
     );
     assert_eq!(
         serial_bytes,
-        artifact_bytes(&pooled, "t4"),
+        artifact_bytes(&pooled, "t4").0,
         "threads=4 fit must produce a byte-identical artifact to threads=1"
     );
     assert!(!test.is_empty());
