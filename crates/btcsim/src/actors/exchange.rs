@@ -5,10 +5,9 @@
 use super::{Actor, Shared, StepCtx, DEFAULT_FEE};
 use crate::address::{Address, Label};
 use crate::amount::Amount;
-use crate::tx::{Transaction, TxOut};
-use crate::wallet::{ChangePolicy, Wallet};
+use crate::tx::TxOut;
+use crate::wallet::{ChangePolicy, WalletId};
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Tunables for one exchange.
 #[derive(Clone, Debug)]
@@ -48,54 +47,48 @@ impl Default for ExchangeConfig {
 /// (operational), cold wallet (reserve).
 pub struct ExchangeActor {
     cfg: ExchangeConfig,
-    deposit_wallet: Wallet,
-    hot: Wallet,
-    cold: Wallet,
+    deposit_wallet: WalletId,
+    hot: WalletId,
+    cold: WalletId,
     hot_main: Address,
     cold_main: Address,
-    /// Deposit addresses ever issued (all labeled Exchange).
-    issued: Vec<Address>,
 }
 
 impl ExchangeActor {
     pub fn new(cfg: ExchangeConfig, shared: &mut Shared) -> Self {
-        let mut hot = Wallet::new(ChangePolicy::FreshAddress);
-        let mut cold = Wallet::new(ChangePolicy::ReuseInput);
-        let hot_main = hot.new_address(&mut shared.alloc);
-        let cold_main = cold.new_address(&mut shared.alloc);
+        let label = Some(Label::Exchange);
+        let hot = shared.wallets.create(ChangePolicy::FreshAddress, label);
+        let cold = shared.wallets.create(ChangePolicy::ReuseInput, label);
+        let deposit_wallet = shared.wallets.create(ChangePolicy::FreshAddress, label);
+        let hot_main = shared.wallets[hot].new_address(&mut shared.alloc);
+        let cold_main = shared.wallets[cold].new_address(&mut shared.alloc);
         if shared.dir.exchange_deposits.len() <= cfg.id {
             shared.dir.exchange_deposits.resize(cfg.id + 1, Vec::new());
         }
         Self {
             cfg,
-            deposit_wallet: Wallet::new(ChangePolicy::FreshAddress),
+            deposit_wallet,
             hot,
             cold,
             hot_main,
             cold_main,
-            issued: Vec::new(),
         }
-    }
-
-    pub fn id(&self) -> usize {
-        self.cfg.id
     }
 
     fn refill_deposit_pool(&mut self, shared: &mut Shared) {
         let pool = &mut shared.dir.exchange_deposits[self.cfg.id];
         while pool.len() < self.cfg.deposit_pool_target {
-            let a = self.deposit_wallet.new_address(&mut shared.alloc);
-            self.issued.push(a);
-            pool.push(a);
+            pool.push(shared.wallets[self.deposit_wallet].new_address(&mut shared.alloc));
         }
     }
 
-    fn sweep_deposits(&mut self, ctx: &mut StepCtx<'_>) {
+    fn sweep_deposits(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         // Consolidate confirmed deposits into the hot wallet: the classic
         // many-inputs-one-output exchange pattern.
-        while self.deposit_wallet.num_utxos() >= 2 {
+        let deposits = &mut shared.wallets[self.deposit_wallet];
+        while deposits.num_utxos() >= 2 {
             let nonce = ctx.next_nonce();
-            let Some(tx) = self.deposit_wallet.consolidate(
+            let Some(tx) = deposits.consolidate(
                 self.hot_main,
                 self.cfg.sweep_batch,
                 DEFAULT_FEE,
@@ -122,7 +115,7 @@ impl ExchangeActor {
                 .map(|&(address, value)| TxOut { address, value })
                 .collect();
             let nonce = ctx.next_nonce();
-            match self.hot.create_payment(
+            match shared.wallets[self.hot].create_payment(
                 outs,
                 DEFAULT_FEE,
                 &mut shared.alloc,
@@ -143,12 +136,13 @@ impl ExchangeActor {
     }
 
     fn rebalance(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
-        if self.hot.balance() > self.cfg.hot_ceiling {
-            let excess =
-                self.hot.balance() - self.cfg.hot_floor.mul_f64(4.0).min(self.hot.balance());
+        let hot = shared.wallets[self.hot].balance();
+        let cold = shared.wallets[self.cold].balance();
+        if hot > self.cfg.hot_ceiling {
+            let excess = hot - self.cfg.hot_floor.mul_f64(4.0).min(hot);
             if excess > DEFAULT_FEE {
                 let nonce = ctx.next_nonce();
-                if let Some(tx) = self.hot.create_payment(
+                if let Some(tx) = shared.wallets[self.hot].create_payment(
                     vec![TxOut {
                         address: self.cold_main,
                         value: excess - DEFAULT_FEE,
@@ -161,12 +155,10 @@ impl ExchangeActor {
                     ctx.submit(tx);
                 }
             }
-        } else if self.hot.balance() < self.cfg.hot_floor
-            && self.cold.balance() > self.cfg.hot_floor.mul_f64(2.0)
-        {
-            let refill = self.cold.balance().div_n(4);
+        } else if hot < self.cfg.hot_floor && cold > self.cfg.hot_floor.mul_f64(2.0) {
+            let refill = cold.div_n(4);
             let nonce = ctx.next_nonce();
-            if let Some(tx) = self.cold.create_payment(
+            if let Some(tx) = shared.wallets[self.cold].create_payment(
                 vec![TxOut {
                     address: self.hot_main,
                     value: refill,
@@ -183,33 +175,15 @@ impl ExchangeActor {
 }
 
 impl Actor for ExchangeActor {
-    fn kind(&self) -> &'static str {
-        "exchange"
-    }
-
     fn step(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         self.refill_deposit_pool(shared);
         self.process_withdrawals(ctx, shared);
         if ctx.height % self.cfg.sweep_interval == self.cfg.id as u64 % self.cfg.sweep_interval {
-            self.sweep_deposits(ctx);
+            self.sweep_deposits(ctx, shared);
         }
         // Occasional rebalance check with jitter so exchanges don't sync up.
         if ctx.rng.gen_bool(0.2) {
             self.rebalance(ctx, shared);
-        }
-    }
-
-    fn on_confirmed(&mut self, tx: &Transaction) {
-        self.deposit_wallet.observe(tx);
-        self.hot.observe(tx);
-        self.cold.observe(tx);
-    }
-
-    fn collect_labels(&self, out: &mut BTreeMap<Address, Label>) {
-        for w in [&self.deposit_wallet, &self.hot, &self.cold] {
-            for a in w.addresses() {
-                out.insert(a, Label::Exchange);
-            }
         }
     }
 }
@@ -217,6 +191,7 @@ impl Actor for ExchangeActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::Transaction;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -254,18 +229,18 @@ mod tests {
                 0,
                 900 + i,
             );
-            ex.on_confirmed(&tx);
+            shared.confirm(&tx);
         }
-        assert_eq!(ex.deposit_wallet.num_utxos(), 3);
+        assert_eq!(shared.wallets[ex.deposit_wallet].num_utxos(), 3);
         // Sweep happens on the block where height % interval == id.
         let txs = run_step(&mut ex, &mut shared, 6);
         assert_eq!(txs.len(), 1, "one consolidation tx");
         assert!(txs[0].inputs.len() == 3);
         assert_eq!(txs[0].outputs[0].address, ex.hot_main);
         for tx in &txs {
-            ex.on_confirmed(tx);
+            shared.confirm(tx);
         }
-        assert!(ex.hot.balance() > Amount::from_btc(2.9));
+        assert!(shared.wallets[ex.hot].balance() > Amount::from_btc(2.9));
     }
 
     #[test]
@@ -282,7 +257,7 @@ mod tests {
             0,
             1,
         );
-        ex.on_confirmed(&fund);
+        shared.confirm(&fund);
         for i in 0..20u64 {
             shared
                 .mail
@@ -298,7 +273,7 @@ mod tests {
         assert_eq!(shared.mail.withdrawals.len(), 4);
         // After confirmation the re-queued batch is served.
         for tx in &txs {
-            ex.on_confirmed(tx);
+            shared.confirm(tx);
         }
         let txs2 = run_step(&mut ex, &mut shared, 2);
         let payouts2: Vec<_> = txs2.iter().filter(|t| !t.inputs.is_empty()).collect();
@@ -312,8 +287,7 @@ mod tests {
         let mut shared = Shared::default();
         let mut ex = ExchangeActor::new(ExchangeConfig::default(), &mut shared);
         run_step(&mut ex, &mut shared, 0);
-        let mut labels = BTreeMap::new();
-        ex.collect_labels(&mut labels);
+        let labels = shared.labels();
         assert!(labels.len() >= 26); // 24 deposits + hot + cold
         assert!(labels.values().all(|&l| l == Label::Exchange));
     }

@@ -6,10 +6,9 @@ use super::{Actor, Shared, StepCtx, DEFAULT_FEE};
 use crate::address::{Address, Label};
 use crate::amount::Amount;
 use crate::dist;
-use crate::tx::{Transaction, TxOut};
-use crate::wallet::{ChangePolicy, Wallet};
+use crate::tx::TxOut;
+use crate::wallet::{ChangePolicy, WalletId, Wallets};
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Tunables for one gambling site.
 #[derive(Clone, Debug)]
@@ -41,17 +40,18 @@ impl Default for GamblingConfig {
 /// A gambling site (house wallet) and its gamblers.
 pub struct GamblingActor {
     cfg: GamblingConfig,
-    house: Wallet,
+    house: WalletId,
     house_addr: Address,
-    gamblers: Vec<Wallet>,
+    gamblers: Vec<WalletId>,
     /// Wins owed: (gambler wallet index, payout) settled next step.
     pending_payouts: Vec<(usize, Amount)>,
 }
 
 impl GamblingActor {
     pub fn new(cfg: GamblingConfig, shared: &mut Shared) -> Self {
-        let mut house = Wallet::new(ChangePolicy::ReuseInput);
-        let house_addr = house.new_address(&mut shared.alloc);
+        let label = Some(Label::Gambling);
+        let house = shared.wallets.create(ChangePolicy::ReuseInput, label);
+        let house_addr = shared.wallets[house].new_address(&mut shared.alloc);
         if shared.dir.house_addresses.len() <= cfg.id {
             shared
                 .dir
@@ -61,8 +61,8 @@ impl GamblingActor {
         shared.dir.house_addresses[cfg.id] = house_addr;
         let gamblers = (0..cfg.num_gamblers)
             .map(|_| {
-                let mut w = Wallet::new(ChangePolicy::FreshAddress);
-                w.new_address(&mut shared.alloc);
+                let w = shared.wallets.create(ChangePolicy::FreshAddress, label);
+                shared.wallets[w].new_address(&mut shared.alloc);
                 w
             })
             .collect();
@@ -80,21 +80,21 @@ impl GamblingActor {
     }
 
     /// Primary receiving address of each gambler (for external funding).
-    pub fn gambler_addresses(&self) -> Vec<Address> {
+    pub fn gambler_addresses(&self, wallets: &Wallets) -> Vec<Address> {
         self.gamblers
             .iter()
-            .filter_map(|w| w.addresses().next())
+            .filter_map(|&w| wallets[w].addresses().next())
             .collect()
     }
 
     fn settle_payouts(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         let pending = std::mem::take(&mut self.pending_payouts);
         for (gi, amount) in pending {
-            let Some(dest) = self.gamblers[gi].addresses().next() else {
+            let Some(dest) = shared.wallets[self.gamblers[gi]].addresses().next() else {
                 continue;
             };
             let nonce = ctx.next_nonce();
-            if let Some(tx) = self.house.create_payment(
+            if let Some(tx) = shared.wallets[self.house].create_payment(
                 vec![TxOut {
                     address: dest,
                     value: amount,
@@ -120,7 +120,7 @@ impl GamblingActor {
             }
             let house_addr = self.house_addr;
             let nonce = ctx.next_nonce();
-            let Some(tx) = self.gamblers[gi].create_payment(
+            let Some(tx) = shared.wallets[self.gamblers[gi]].create_payment(
                 vec![TxOut {
                     address: house_addr,
                     value: bet,
@@ -141,37 +141,16 @@ impl GamblingActor {
 }
 
 impl Actor for GamblingActor {
-    fn kind(&self) -> &'static str {
-        "gambling"
-    }
-
     fn step(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         self.settle_payouts(ctx, shared);
         self.place_bets(ctx, shared);
-    }
-
-    fn on_confirmed(&mut self, tx: &Transaction) {
-        self.house.observe(tx);
-        for g in &mut self.gamblers {
-            g.observe(tx);
-        }
-    }
-
-    fn collect_labels(&self, out: &mut BTreeMap<Address, Label>) {
-        for a in self.house.addresses() {
-            out.insert(a, Label::Gambling);
-        }
-        for g in &self.gamblers {
-            for a in g.addresses() {
-                out.insert(a, Label::Gambling);
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::Transaction;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -184,8 +163,12 @@ mod tests {
         out
     }
 
-    fn fund_gamblers(actor: &mut GamblingActor, btc: f64) {
-        for (i, addr) in actor.gambler_addresses().into_iter().enumerate() {
+    fn fund_gamblers(actor: &GamblingActor, shared: &mut Shared, btc: f64) {
+        for (i, addr) in actor
+            .gambler_addresses(&shared.wallets)
+            .into_iter()
+            .enumerate()
+        {
             let tx = Transaction::new(
                 vec![],
                 vec![TxOut {
@@ -195,7 +178,7 @@ mod tests {
                 0,
                 500_000 + i as u64,
             );
-            actor.on_confirmed(&tx);
+            shared.confirm(&tx);
         }
     }
 
@@ -203,7 +186,7 @@ mod tests {
     fn funded_gamblers_place_bets() {
         let mut shared = Shared::default();
         let mut g = GamblingActor::new(GamblingConfig::default(), &mut shared);
-        fund_gamblers(&mut g, 2.0);
+        fund_gamblers(&g, &mut shared, 2.0);
         let mut total_bets = 0;
         for h in 1..10 {
             let txs = step_at(&mut g, &mut shared, h);
@@ -212,7 +195,7 @@ mod tests {
                 .filter(|t| t.outputs.iter().any(|o| o.address == g.house_address()))
                 .count();
             for tx in &txs {
-                g.on_confirmed(tx);
+                shared.confirm(tx);
             }
         }
         assert!(total_bets > 10, "expected steady betting, saw {total_bets}");
@@ -235,7 +218,7 @@ mod tests {
             ..Default::default()
         };
         let mut g = GamblingActor::new(cfg, &mut shared);
-        fund_gamblers(&mut g, 2.0);
+        fund_gamblers(&g, &mut shared, 2.0);
         // House needs float to pay winners.
         let float = Transaction::new(
             vec![],
@@ -246,10 +229,10 @@ mod tests {
             0,
             999_999,
         );
-        g.on_confirmed(&float);
+        shared.confirm(&float);
         let bets = step_at(&mut g, &mut shared, 1);
         for tx in &bets {
-            g.on_confirmed(tx);
+            shared.confirm(tx);
         }
         assert!(!g.pending_payouts.is_empty());
         let payouts = step_at(&mut g, &mut shared, 2);
@@ -270,9 +253,8 @@ mod tests {
     #[test]
     fn labels_cover_house_and_gamblers() {
         let mut shared = Shared::default();
-        let g = GamblingActor::new(GamblingConfig::default(), &mut shared);
-        let mut labels = BTreeMap::new();
-        g.collect_labels(&mut labels);
+        GamblingActor::new(GamblingConfig::default(), &mut shared);
+        let labels = shared.labels();
         assert_eq!(labels.len(), 41);
         assert!(labels.values().all(|&l| l == Label::Gambling));
     }

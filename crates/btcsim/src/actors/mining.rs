@@ -6,10 +6,9 @@
 use super::{Actor, Shared, StepCtx, DEFAULT_FEE};
 use crate::address::{Address, Label};
 use crate::amount::Amount;
-use crate::tx::{Transaction, TxOut};
-use crate::wallet::{ChangePolicy, Wallet};
+use crate::tx::TxOut;
+use crate::wallet::{ChangePolicy, WalletId};
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Tunables for one mining pool.
 #[derive(Clone, Debug)]
@@ -39,19 +38,23 @@ impl Default for MiningConfig {
 /// A mining pool plus the miners it pays.
 pub struct MiningPoolActor {
     cfg: MiningConfig,
-    pool: Wallet,
+    pool: WalletId,
     pool_reward_addr: Address,
-    miners: Wallet,
+    miners: WalletId,
     miner_addrs: Vec<Address>,
 }
 
 impl MiningPoolActor {
     pub fn new(cfg: MiningConfig, shared: &mut Shared) -> Self {
-        let mut pool = Wallet::new(ChangePolicy::ReuseInput);
-        let pool_reward_addr = pool.new_address(&mut shared.alloc);
-        let mut miners = Wallet::new(ChangePolicy::ReuseInput);
+        let pool = shared
+            .wallets
+            .create(ChangePolicy::ReuseInput, Some(Label::Mining));
+        let pool_reward_addr = shared.wallets[pool].new_address(&mut shared.alloc);
+        let miners = shared
+            .wallets
+            .create(ChangePolicy::ReuseInput, Some(Label::Mining));
         let miner_addrs: Vec<Address> = (0..cfg.num_miners)
-            .map(|_| miners.new_address(&mut shared.alloc))
+            .map(|_| shared.wallets[miners].new_address(&mut shared.alloc))
             .collect();
         Self {
             cfg,
@@ -68,7 +71,7 @@ impl MiningPoolActor {
     }
 
     fn payout_round(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
-        let balance = self.pool.balance();
+        let balance = shared.wallets[self.pool].balance();
         if balance < Amount::from_btc(1.0) {
             return;
         }
@@ -102,17 +105,20 @@ impl MiningPoolActor {
             return;
         }
         let nonce = ctx.next_nonce();
-        if let Some(tx) =
-            self.pool
-                .create_payment(outs, DEFAULT_FEE, &mut shared.alloc, ctx.timestamp, nonce)
-        {
+        if let Some(tx) = shared.wallets[self.pool].create_payment(
+            outs,
+            DEFAULT_FEE,
+            &mut shared.alloc,
+            ctx.timestamp,
+            nonce,
+        ) {
             ctx.submit(tx);
         }
     }
 
     fn miner_deposits(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         // Some miners cash out to an exchange deposit address.
-        if self.miners.balance() < Amount::from_btc(0.5) {
+        if shared.wallets[self.miners].balance() < Amount::from_btc(0.5) {
             return;
         }
         let rounds = (self.cfg.num_miners as f64 * self.cfg.miner_deposit_prob).ceil() as usize;
@@ -123,13 +129,14 @@ impl MiningPoolActor {
             let Some((_, dep)) = shared.dir.take_exchange_deposit(ctx.rng) else {
                 break;
             };
-            let amount = self.miners.balance().div_n(20).max(Amount::from_btc(0.05));
-            let amount = amount.min(self.miners.balance().saturating_sub(DEFAULT_FEE));
+            let miners = &mut shared.wallets[self.miners];
+            let amount = miners.balance().div_n(20).max(Amount::from_btc(0.05));
+            let amount = amount.min(miners.balance().saturating_sub(DEFAULT_FEE));
             if amount.is_zero() {
                 break;
             }
             let nonce = ctx.next_nonce();
-            if let Some(tx) = self.miners.create_payment(
+            if let Some(tx) = miners.create_payment(
                 vec![TxOut {
                     address: dep,
                     value: amount,
@@ -146,32 +153,18 @@ impl MiningPoolActor {
 }
 
 impl Actor for MiningPoolActor {
-    fn kind(&self) -> &'static str {
-        "mining-pool"
-    }
-
     fn step(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         if ctx.height > 0 && ctx.height.is_multiple_of(self.cfg.payout_interval) {
             self.payout_round(ctx, shared);
         }
         self.miner_deposits(ctx, shared);
     }
-
-    fn on_confirmed(&mut self, tx: &Transaction) {
-        self.pool.observe(tx);
-        self.miners.observe(tx);
-    }
-
-    fn collect_labels(&self, out: &mut BTreeMap<Address, Label>) {
-        for a in self.pool.addresses().chain(self.miners.addresses()) {
-            out.insert(a, Label::Mining);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::Transaction;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -184,7 +177,7 @@ mod tests {
         out
     }
 
-    fn fund_pool(actor: &mut MiningPoolActor, btc: f64, nonce: u64) {
+    fn fund_pool(actor: &MiningPoolActor, shared: &mut Shared, btc: f64, nonce: u64) {
         let tx = Transaction::new(
             vec![],
             vec![TxOut {
@@ -194,14 +187,14 @@ mod tests {
             0,
             nonce,
         );
-        actor.on_confirmed(&tx);
+        shared.confirm(&tx);
     }
 
     #[test]
     fn payout_fans_out_to_many_miners() {
         let mut shared = Shared::default();
         let mut pool = MiningPoolActor::new(MiningConfig::default(), &mut shared);
-        fund_pool(&mut pool, 50.0, 1);
+        fund_pool(&pool, &mut shared, 50.0, 1);
         let txs = step_at(&mut pool, &mut shared, 12);
         assert_eq!(txs.len(), 1);
         // ~70% of 120 miners paid in a single fan-out transaction.
@@ -216,7 +209,7 @@ mod tests {
     fn no_payout_off_schedule() {
         let mut shared = Shared::default();
         let mut pool = MiningPoolActor::new(MiningConfig::default(), &mut shared);
-        fund_pool(&mut pool, 50.0, 1);
+        fund_pool(&pool, &mut shared, 50.0, 1);
         let txs = step_at(&mut pool, &mut shared, 13);
         assert!(
             txs.iter().all(|t| t.outputs.len() < 10),
@@ -228,7 +221,7 @@ mod tests {
     fn no_payout_when_poor() {
         let mut shared = Shared::default();
         let mut pool = MiningPoolActor::new(MiningConfig::default(), &mut shared);
-        fund_pool(&mut pool, 0.1, 1);
+        fund_pool(&pool, &mut shared, 0.1, 1);
         assert!(step_at(&mut pool, &mut shared, 12).is_empty());
     }
 
@@ -237,11 +230,11 @@ mod tests {
         let mut shared = Shared::default();
         shared.dir.exchange_deposits = vec![(0..50).map(|i| Address(10_000 + i)).collect()];
         let mut pool = MiningPoolActor::new(MiningConfig::default(), &mut shared);
-        fund_pool(&mut pool, 50.0, 1);
+        fund_pool(&pool, &mut shared, 50.0, 1);
         // Run a payout so miners have funds, confirm it, then another step.
         let txs = step_at(&mut pool, &mut shared, 12);
         for tx in &txs {
-            pool.on_confirmed(tx);
+            shared.confirm(tx);
         }
         let txs2 = step_at(&mut pool, &mut shared, 13);
         let deposits: Vec<_> = txs2
@@ -258,9 +251,8 @@ mod tests {
     #[test]
     fn labels_are_mining() {
         let mut shared = Shared::default();
-        let pool = MiningPoolActor::new(MiningConfig::default(), &mut shared);
-        let mut labels = BTreeMap::new();
-        pool.collect_labels(&mut labels);
+        MiningPoolActor::new(MiningConfig::default(), &mut shared);
+        let labels = shared.labels();
         assert_eq!(labels.len(), 121); // pool reward + 120 miners
         assert!(labels.values().all(|&l| l == Label::Mining));
     }

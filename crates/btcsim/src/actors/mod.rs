@@ -1,15 +1,18 @@
 //! Behavior-driven actors: each models one of the paper's four address
 //! behavior categories (Table I) plus unlabeled retail background traffic.
 //!
-//! Actors step once per block. Cross-actor flows (a miner depositing to an
-//! exchange, a gambler hitting a mixer) go through the shared [`Directory`]
-//! (published receiving addresses) and [`Mailbox`] (queued requests served by
-//! the owning actor on its next step), so actors never borrow each other.
+//! Actors step once per block. Their wallets live in [`Shared::wallets`],
+//! and a confirmed transaction reaches only the wallets that own one of
+//! its addresses ([`Shared::confirm`]). Cross-actor flows (a miner
+//! depositing to an exchange, a gambler hitting a mixer) go through the
+//! shared [`Directory`] (published receiving addresses) and [`Mailbox`]
+//! (queued requests served by the owning actor on its next step), so
+//! actors never borrow each other.
 
 use crate::address::{Address, Label};
 use crate::amount::Amount;
 use crate::tx::Transaction;
-use crate::wallet::AddressAlloc;
+use crate::wallet::{AddressAlloc, WalletId, Wallets};
 use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 
@@ -72,8 +75,36 @@ impl Directory {
 #[derive(Debug, Default)]
 pub struct Shared {
     pub alloc: AddressAlloc,
+    pub wallets: Wallets,
     pub mail: Mailbox,
     pub dir: Directory,
+}
+
+impl Shared {
+    /// Hand a confirmed transaction to each distinct wallet that owns one of
+    /// its input or output addresses. A wallet holds an outpoint only if it
+    /// owns the address the outpoint pays, so no other wallet's view changes.
+    pub fn confirm(&mut self, tx: &Transaction) {
+        let mut owners: Vec<WalletId> = Vec::new();
+        for a in tx.input_addresses().chain(tx.output_addresses()) {
+            if let Some(w) = self.alloc.owner(a) {
+                if !owners.contains(&w) {
+                    owners.push(w);
+                }
+            }
+        }
+        for w in owners {
+            self.wallets[w].observe(tx);
+        }
+    }
+
+    /// Ground-truth labels of every labeled wallet's addresses.
+    pub fn labels(&self) -> BTreeMap<Address, Label> {
+        self.alloc
+            .owners()
+            .filter_map(|(a, w)| Some((a, self.wallets[w].label()?)))
+            .collect()
+    }
 }
 
 /// Per-block step context: time, entropy, and the transaction sink.
@@ -122,17 +153,8 @@ impl<'a> StepCtx<'a> {
 
 /// A block-stepped behavior agent.
 pub trait Actor {
-    /// Human-readable kind, for diagnostics.
-    fn kind(&self) -> &'static str;
-
     /// Emit this block's transactions.
     fn step(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared);
-
-    /// Observe a confirmed transaction (update wallet UTXO views).
-    fn on_confirmed(&mut self, tx: &Transaction);
-
-    /// Contribute ground-truth labels for the addresses this actor controls.
-    fn collect_labels(&self, out: &mut BTreeMap<Address, Label>);
 }
 
 /// Standard flat fee the simulator's wallets pay.

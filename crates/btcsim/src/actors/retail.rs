@@ -3,13 +3,12 @@
 //! addresses form the anonymous crowd the labeled actors transact with.
 
 use super::{Actor, Shared, StepCtx, DEFAULT_FEE};
-use crate::address::{Address, Label};
+use crate::address::Address;
 use crate::amount::Amount;
 use crate::dist;
-use crate::tx::{Transaction, TxOut};
-use crate::wallet::{ChangePolicy, Wallet};
+use crate::tx::TxOut;
+use crate::wallet::{ChangePolicy, WalletId, Wallets};
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Tunables for the retail population.
 #[derive(Clone, Debug)]
@@ -48,7 +47,7 @@ impl Default for RetailConfig {
 /// The anonymous user crowd.
 pub struct RetailActor {
     cfg: RetailConfig,
-    users: Vec<Wallet>,
+    users: Vec<WalletId>,
     /// Size of the founding population (rate baseline).
     initial_users: usize,
     /// Zipf popularity: a few heavy users make most payments, like reality.
@@ -57,13 +56,7 @@ pub struct RetailActor {
 
 impl RetailActor {
     pub fn new(cfg: RetailConfig, shared: &mut Shared) -> Self {
-        let users: Vec<Wallet> = (0..cfg.num_users)
-            .map(|_| {
-                let mut w = Wallet::new(ChangePolicy::FreshAddress);
-                w.new_address(&mut shared.alloc);
-                w
-            })
-            .collect();
+        let users: Vec<WalletId> = (0..cfg.num_users).map(|_| new_user(shared).0).collect();
         let popularity = dist::ZipfSampler::new(cfg.num_users, 0.8);
         let initial_users = cfg.num_users;
         Self {
@@ -81,10 +74,10 @@ impl RetailActor {
     }
 
     /// Primary funding address of every user (for the genesis premine).
-    pub fn funding_addresses(&self) -> Vec<Address> {
+    pub fn funding_addresses(&self, wallets: &Wallets) -> Vec<Address> {
         self.users
             .iter()
-            .filter_map(|w| w.addresses().next())
+            .filter_map(|&w| wallets[w].addresses().next())
             .collect()
     }
 
@@ -100,7 +93,7 @@ impl RetailActor {
             return false;
         }
         let nonce = ctx.next_nonce();
-        match self.users[user].create_payment(
+        match shared.wallets[self.users[user]].create_payment(
             vec![TxOut {
                 address: dest,
                 value: amount,
@@ -127,8 +120,7 @@ impl RetailActor {
     fn growth_round(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         let n = dist::poisson(ctx.rng, self.cfg.growth_per_block) as usize;
         for _ in 0..n {
-            let mut w = Wallet::new(ChangePolicy::FreshAddress);
-            let addr = w.new_address(&mut shared.alloc);
+            let (w, addr) = new_user(shared);
             self.users.push(w);
             let sponsor = self.popularity.sample(ctx.rng);
             let amount = Amount::from_btc(self.cfg.median_payment_btc * 5.0);
@@ -154,10 +146,7 @@ impl RetailActor {
             if from == to {
                 continue;
             }
-            let dest = {
-                let to_wallet = &mut self.users[to];
-                to_wallet.new_address(&mut shared.alloc)
-            };
+            let dest = shared.wallets[self.users[to]].new_address(&mut shared.alloc);
             let amount = self.sample_amount(ctx);
             self.pay(from, dest, amount, ctx, shared);
         }
@@ -175,7 +164,7 @@ impl RetailActor {
                 && ctx.rng.gen_bool(self.cfg.withdrawal_prob)
             {
                 // Later withdraw roughly what was deposited to a fresh address.
-                let back = self.users[user].new_address(&mut shared.alloc);
+                let back = shared.wallets[self.users[user]].new_address(&mut shared.alloc);
                 let w_amount = amount.mul_f64(0.6 + 0.35 * ctx.rng.gen::<f64>());
                 shared.mail.withdrawals.push((ex, back, w_amount));
             }
@@ -196,39 +185,32 @@ impl RetailActor {
             }
             let amount = self.sample_amount(ctx).mul_f64(3.0); // mixes skew larger
             if self.pay(user, intake, amount, ctx, shared) {
-                let dest = self.users[user].new_address(&mut shared.alloc);
+                let dest = shared.wallets[self.users[user]].new_address(&mut shared.alloc);
                 shared.mail.mix_jobs.push((mixer, dest, amount));
             }
         }
     }
 }
 
-impl Actor for RetailActor {
-    fn kind(&self) -> &'static str {
-        "retail"
-    }
+/// A new unlabeled user wallet with its first (funding) address.
+fn new_user(shared: &mut Shared) -> (WalletId, Address) {
+    let w = shared.wallets.create(ChangePolicy::FreshAddress, None);
+    (w, shared.wallets[w].new_address(&mut shared.alloc))
+}
 
+impl Actor for RetailActor {
     fn step(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         self.growth_round(ctx, shared);
         self.p2p_round(ctx, shared);
         self.exchange_round(ctx, shared);
         self.mixer_round(ctx, shared);
     }
-
-    fn on_confirmed(&mut self, tx: &Transaction) {
-        for w in &mut self.users {
-            w.observe(tx);
-        }
-    }
-
-    fn collect_labels(&self, _out: &mut BTreeMap<Address, Label>) {
-        // Retail addresses are the unlabeled background population.
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::Transaction;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -241,8 +223,12 @@ mod tests {
         out
     }
 
-    fn fund_all(actor: &mut RetailActor, btc: f64) {
-        for (i, addr) in actor.funding_addresses().into_iter().enumerate() {
+    fn fund_all(actor: &RetailActor, shared: &mut Shared, btc: f64) {
+        for (i, addr) in actor
+            .funding_addresses(&shared.wallets)
+            .into_iter()
+            .enumerate()
+        {
             let tx = Transaction::new(
                 vec![],
                 vec![TxOut {
@@ -252,7 +238,7 @@ mod tests {
                 0,
                 800_000 + i as u64,
             );
-            actor.on_confirmed(&tx);
+            shared.confirm(&tx);
         }
     }
 
@@ -260,13 +246,13 @@ mod tests {
     fn p2p_traffic_flows_between_users() {
         let mut shared = Shared::default();
         let mut retail = RetailActor::new(RetailConfig::default(), &mut shared);
-        fund_all(&mut retail, 5.0);
+        fund_all(&retail, &mut shared, 5.0);
         let mut count = 0;
         for h in 1..6 {
             let txs = step_at(&mut retail, &mut shared, h);
             count += txs.len();
             for tx in &txs {
-                retail.on_confirmed(tx);
+                shared.confirm(tx);
             }
         }
         assert!(count > 15, "expected steady p2p volume, saw {count}");
@@ -277,12 +263,12 @@ mod tests {
         let mut shared = Shared::default();
         shared.dir.exchange_deposits = vec![(0..100).map(|i| Address(1_000_000 + i)).collect()];
         let mut retail = RetailActor::new(RetailConfig::default(), &mut shared);
-        fund_all(&mut retail, 5.0);
+        fund_all(&retail, &mut shared, 5.0);
         let before = shared.dir.exchange_deposits[0].len();
         for h in 1..8 {
             let txs = step_at(&mut retail, &mut shared, h);
             for tx in &txs {
-                retail.on_confirmed(tx);
+                shared.confirm(tx);
             }
         }
         assert!(shared.dir.exchange_deposits[0].len() < before);
@@ -300,7 +286,7 @@ mod tests {
             },
             &mut shared,
         );
-        fund_all(&mut retail, 20.0);
+        fund_all(&retail, &mut shared, 20.0);
         let mut mix_payments = 0;
         for h in 1..6 {
             let txs = step_at(&mut retail, &mut shared, h);
@@ -309,7 +295,7 @@ mod tests {
                 .filter(|t| t.outputs.iter().any(|o| o.address == Address(5_000_000)))
                 .count();
             for tx in &txs {
-                retail.on_confirmed(tx);
+                shared.confirm(tx);
             }
         }
         assert!(mix_payments > 0);
@@ -327,9 +313,7 @@ mod tests {
     #[test]
     fn retail_contributes_no_labels() {
         let mut shared = Shared::default();
-        let retail = RetailActor::new(RetailConfig::default(), &mut shared);
-        let mut labels = BTreeMap::new();
-        retail.collect_labels(&mut labels);
-        assert!(labels.is_empty());
+        RetailActor::new(RetailConfig::default(), &mut shared);
+        assert!(shared.labels().is_empty());
     }
 }

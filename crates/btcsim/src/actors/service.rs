@@ -7,10 +7,9 @@
 use super::{Actor, Shared, StepCtx, DEFAULT_FEE};
 use crate::address::{Address, Label};
 use crate::amount::Amount;
-use crate::tx::{Transaction, TxOut};
-use crate::wallet::{ChangePolicy, Wallet};
+use crate::tx::TxOut;
+use crate::wallet::{ChangePolicy, WalletId};
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Tunables for one mixing service.
 #[derive(Clone, Debug)]
@@ -52,7 +51,7 @@ struct PeelJob {
 /// A coin-mixing service.
 pub struct ServiceActor {
     cfg: ServiceConfig,
-    wallet: Wallet,
+    wallet: WalletId,
     intake: Address,
     profit_addr: Address,
     jobs: Vec<PeelJob>,
@@ -60,9 +59,11 @@ pub struct ServiceActor {
 
 impl ServiceActor {
     pub fn new(cfg: ServiceConfig, shared: &mut Shared) -> Self {
-        let mut wallet = Wallet::new(ChangePolicy::FreshAddress);
-        let intake = wallet.new_address(&mut shared.alloc);
-        let profit_addr = wallet.new_address(&mut shared.alloc);
+        let wallet = shared
+            .wallets
+            .create(ChangePolicy::FreshAddress, Some(Label::Service));
+        let intake = shared.wallets[wallet].new_address(&mut shared.alloc);
+        let profit_addr = shared.wallets[wallet].new_address(&mut shared.alloc);
         if shared.dir.mixer_intakes.len() <= cfg.id {
             shared
                 .dir
@@ -81,10 +82,6 @@ impl ServiceActor {
 
     pub fn intake_address(&self) -> Address {
         self.intake
-    }
-
-    pub fn balance(&self) -> Amount {
-        self.wallet.balance()
     }
 
     pub fn active_jobs(&self) -> usize {
@@ -115,7 +112,7 @@ impl ServiceActor {
         let mut i = 0;
         while i < self.jobs.len() && processed < self.cfg.jobs_per_block {
             let job = &mut self.jobs[i];
-            if self.wallet.balance() < job.slice + DEFAULT_FEE {
+            if shared.wallets[self.wallet].balance() < job.slice + DEFAULT_FEE {
                 i += 1;
                 continue;
             }
@@ -133,7 +130,7 @@ impl ServiceActor {
             let nonce = ctx.next_nonce();
             // FreshAddress change policy makes every hop leave the remainder
             // on a brand-new service address: the peel chain.
-            let tx = self.wallet.create_payment(
+            let tx = shared.wallets[self.wallet].create_payment(
                 vec![TxOut {
                     address: dest,
                     value: pay,
@@ -165,44 +162,30 @@ impl ServiceActor {
 
     fn skim_profit(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         // Occasionally consolidate accumulated fees.
-        if ctx.rng.gen_bool(0.05) && self.wallet.num_utxos() > 8 {
+        let wallet = &mut shared.wallets[self.wallet];
+        if ctx.rng.gen_bool(0.05) && wallet.num_utxos() > 8 {
             let nonce = ctx.next_nonce();
             if let Some(tx) =
-                self.wallet
-                    .consolidate(self.profit_addr, 8, DEFAULT_FEE, ctx.timestamp, nonce)
+                wallet.consolidate(self.profit_addr, 8, DEFAULT_FEE, ctx.timestamp, nonce)
             {
                 ctx.submit(tx);
             }
         }
-        let _ = shared;
     }
 }
 
 impl Actor for ServiceActor {
-    fn kind(&self) -> &'static str {
-        "service-mixer"
-    }
-
     fn step(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         self.accept_jobs(shared);
         self.run_peel_hops(ctx, shared);
         self.skim_profit(ctx, shared);
-    }
-
-    fn on_confirmed(&mut self, tx: &Transaction) {
-        self.wallet.observe(tx);
-    }
-
-    fn collect_labels(&self, out: &mut BTreeMap<Address, Label>) {
-        for a in self.wallet.addresses() {
-            out.insert(a, Label::Service);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::Transaction;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -215,7 +198,7 @@ mod tests {
         out
     }
 
-    fn fund_intake(actor: &mut ServiceActor, btc: f64, nonce: u64) {
+    fn fund_intake(actor: &ServiceActor, shared: &mut Shared, btc: f64, nonce: u64) {
         let tx = Transaction::new(
             vec![],
             vec![TxOut {
@@ -225,14 +208,14 @@ mod tests {
             0,
             nonce,
         );
-        actor.on_confirmed(&tx);
+        shared.confirm(&tx);
     }
 
     #[test]
     fn mix_job_runs_full_peel_chain() {
         let mut shared = Shared::default();
         let mut mixer = ServiceActor::new(ServiceConfig::default(), &mut shared);
-        fund_intake(&mut mixer, 10.0, 1);
+        fund_intake(&mixer, &mut shared, 10.0, 1);
         let dest = Address(777_777);
         shared.mail.mix_jobs.push((0, dest, Amount::from_btc(10.0)));
 
@@ -240,7 +223,7 @@ mod tests {
         for h in 1..12 {
             let txs = step_at(&mut mixer, &mut shared, h);
             for tx in &txs {
-                mixer.on_confirmed(tx);
+                shared.confirm(tx);
                 for o in &tx.outputs {
                     if o.address == dest {
                         payouts.push(o.value);
@@ -263,20 +246,20 @@ mod tests {
     fn peel_chain_creates_fresh_service_addresses() {
         let mut shared = Shared::default();
         let mut mixer = ServiceActor::new(ServiceConfig::default(), &mut shared);
-        fund_intake(&mut mixer, 10.0, 1);
+        fund_intake(&mixer, &mut shared, 10.0, 1);
         shared
             .mail
             .mix_jobs
             .push((0, Address(777), Amount::from_btc(10.0)));
-        let before = mixer.wallet.num_addresses();
+        let before = shared.wallets[mixer.wallet].num_addresses();
         for h in 1..12 {
             let txs = step_at(&mut mixer, &mut shared, h);
             for tx in &txs {
-                mixer.on_confirmed(tx);
+                shared.confirm(tx);
             }
         }
         // Each hop with change mints a fresh address.
-        assert!(mixer.wallet.num_addresses() >= before + 4);
+        assert!(shared.wallets[mixer.wallet].num_addresses() >= before + 4);
     }
 
     #[test]
@@ -311,9 +294,8 @@ mod tests {
     #[test]
     fn labels_are_service() {
         let mut shared = Shared::default();
-        let mixer = ServiceActor::new(ServiceConfig::default(), &mut shared);
-        let mut labels = BTreeMap::new();
-        mixer.collect_labels(&mut labels);
+        ServiceActor::new(ServiceConfig::default(), &mut shared);
+        let labels = shared.labels();
         assert!(labels.values().all(|&l| l == Label::Service));
         assert!(labels.len() >= 2);
     }

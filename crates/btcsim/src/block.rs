@@ -1,7 +1,7 @@
 //! Blocks and the linear chain.
 
 use crate::tx::{Transaction, Txid};
-use crate::utxo::{UtxoError, UtxoSet};
+use crate::utxo::{UndoLog, UtxoError, UtxoSet};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -98,13 +98,15 @@ impl Chain {
                 got: block.timestamp,
             });
         }
-        // Validate against a scratch copy first so a bad mid-block tx cannot
-        // leave the set half-applied.
-        let mut scratch = self.utxo.clone();
+        // Apply in place; a bad mid-block tx rolls back the ones before it,
+        // so a failed block leaves the set as it was.
+        let mut undo = UndoLog::default();
         for tx in &block.txs {
-            scratch.apply(tx).map_err(|e| ChainError::Tx(tx.txid, e))?;
+            if let Err(e) = self.utxo.apply_logged(tx, &mut undo) {
+                self.utxo.rollback(&mut undo);
+                return Err(ChainError::Tx(tx.txid, e));
+            }
         }
-        self.utxo = scratch;
         let h = block.height;
         for (i, tx) in block.txs.iter().enumerate() {
             self.tx_index.insert(tx.txid, (h, i));
@@ -142,6 +144,7 @@ mod tests {
     use crate::address::Address;
     use crate::amount::Amount;
     use crate::tx::{OutPoint, TxIn, TxOut};
+    use crate::utxo::UtxoEntry;
 
     fn coinbase(addr: u64, sats: u64, ts: u64, nonce: u64) -> Transaction {
         Transaction::new(
@@ -207,44 +210,72 @@ mod tests {
         assert!(matches!(res, Err(ChainError::TimestampRegression { .. })));
     }
 
-    #[test]
-    fn bad_tx_rolls_back_whole_block() {
+    /// Every UTXO entry in outpoint order, the entry count and the total.
+    fn utxo_snapshot(chain: &Chain) -> (Vec<(OutPoint, UtxoEntry)>, usize, Amount) {
+        let mut entries: Vec<(OutPoint, UtxoEntry)> =
+            chain.utxo().iter().map(|(&op, &e)| (op, e)).collect();
+        entries.sort_by_key(|&(op, _)| op);
+        (entries, chain.utxo().len(), chain.utxo().total_value())
+    }
+
+    /// A transaction spending output `vout` of `prev` whole, minus `fee`, to
+    /// `to`.
+    fn spend(prev: &Transaction, vout: u32, to: u64, fee: u64, nonce: u64) -> Transaction {
+        let o = prev.outputs[vout as usize];
+        Transaction::new(
+            vec![TxIn {
+                prevout: OutPoint {
+                    txid: prev.txid,
+                    vout,
+                },
+                address: o.address,
+                value: o.value,
+            }],
+            vec![TxOut {
+                address: Address(to),
+                value: o.value - Amount::from_sats(fee),
+            }],
+            600,
+            nonce,
+        )
+    }
+
+    /// Appends `txs` as block 1 onto a chain whose genesis holds `genesis`,
+    /// expects the append to fail, and checks that the chain, its UTXO set
+    /// included, is exactly as it was.
+    fn assert_block_rolls_back(genesis: Vec<Transaction>, txs: Vec<Transaction>) {
         let mut chain = Chain::new();
-        let cb = coinbase(1, 50, 0, 0);
-        let cb_txid = cb.txid;
         chain
             .append(Block {
                 height: 0,
                 timestamp: 0,
-                txs: vec![cb],
+                txs: genesis,
             })
             .unwrap();
-        // Second block: one valid spend then an invalid overspend.
-        let good = Transaction::new(
-            vec![TxIn {
-                prevout: OutPoint {
-                    txid: cb_txid,
-                    vout: 0,
-                },
-                address: Address(1),
-                value: Amount::from_sats(50),
-            }],
-            vec![TxOut {
-                address: Address(2),
-                value: Amount::from_sats(49),
-            }],
-            600,
-            1,
+        let before = utxo_snapshot(&chain);
+        let (num_txs, num_addrs) = (chain.num_transactions(), chain.num_addresses());
+        let res = chain.append(Block {
+            height: 1,
+            timestamp: 600,
+            txs,
+        });
+        assert!(matches!(res, Err(ChainError::Tx(..))), "{res:?}");
+        assert_eq!(chain.height(), 1);
+        assert_eq!(utxo_snapshot(&chain), before);
+        assert_eq!(
+            (chain.num_transactions(), chain.num_addresses()),
+            (num_txs, num_addrs)
         );
+    }
+
+    #[test]
+    fn bad_tx_rolls_back_whole_block() {
+        let cb = coinbase(1, 50, 0, 0);
+        let other = coinbase(7, 80, 0, 1);
+        // One valid spend, then an overspend of its output.
+        let good = spend(&cb, 0, 2, 1, 1);
         let bad = Transaction::new(
-            vec![TxIn {
-                prevout: OutPoint {
-                    txid: good.txid,
-                    vout: 0,
-                },
-                address: Address(2),
-                value: Amount::from_sats(49),
-            }],
+            spend(&good, 0, 3, 0, 2).inputs,
             vec![TxOut {
                 address: Address(3),
                 value: Amount::from_sats(99),
@@ -252,18 +283,28 @@ mod tests {
             600,
             2,
         );
-        let res = chain.append(Block {
-            height: 1,
-            timestamp: 600,
-            txs: vec![good, bad],
-        });
-        assert!(res.is_err());
-        assert_eq!(chain.height(), 1);
-        // Original UTXO untouched.
-        assert!(chain.utxo().contains(&OutPoint {
-            txid: cb_txid,
-            vout: 0
-        }));
+        assert_block_rolls_back(vec![cb, other], vec![good, bad]);
+    }
+
+    #[test]
+    fn bad_tx_rolls_back_spends_of_outputs_created_in_the_same_block() {
+        let cb = coinbase(1, 50, 0, 0);
+        let first = spend(&cb, 0, 2, 1, 1);
+        // Spends `first`'s output, created earlier in this block.
+        let second = spend(&first, 0, 3, 1, 2);
+        let missing = spend(&coinbase(9, 10, 0, 99), 0, 4, 0, 3);
+        assert_block_rolls_back(vec![cb], vec![first, second, missing]);
+    }
+
+    #[test]
+    fn bad_tx_rolls_back_an_output_that_overwrote_an_unspent_one() {
+        let cb = coinbase(1, 50, 0, 0);
+        // Same contents and nonce, hence the same txid: its output lands on
+        // the outpoint `cb` left unspent.
+        let duplicate = coinbase(1, 50, 0, 0);
+        assert_eq!(duplicate.txid, cb.txid);
+        let missing = spend(&coinbase(9, 10, 0, 99), 0, 4, 0, 3);
+        assert_block_rolls_back(vec![cb], vec![duplicate, missing]);
     }
 
     #[test]

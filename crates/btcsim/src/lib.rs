@@ -41,4 +41,4 @@ pub use dataset::{AddressRecord, Dataset, TxView};
 pub use mempool::Mempool;
 pub use sim::{SimConfig, Simulator};
 pub use tx::{OutPoint, Transaction, TxIn, TxOut, Txid};
-pub use utxo::{UtxoEntry, UtxoError, UtxoSet};
+pub use utxo::{UndoLog, UtxoEntry, UtxoError, UtxoSet};

@@ -27,6 +27,11 @@ impl Mempool {
         self.txs.is_empty()
     }
 
+    /// Pending transactions in submission order.
+    pub fn iter(&self) -> impl Iterator<Item = &Transaction> {
+        self.txs.iter()
+    }
+
     /// Submit a transaction. Duplicate txids are ignored (idempotent relay).
     pub fn submit(&mut self, tx: Transaction) {
         if self.seen.insert(tx.txid) {

@@ -193,14 +193,14 @@ impl Simulator {
         // Premine: fund retail users, gamblers, and house floats so the
         // economy starts liquid.
         let mut outputs = Vec::new();
-        for addr in self.retail.funding_addresses() {
+        for addr in self.retail.funding_addresses(&self.shared.wallets) {
             outputs.push(TxOut {
                 address: addr,
                 value: Amount::from_btc(self.cfg.user_initial_btc),
             });
         }
         for g in &self.gambling {
-            for addr in g.gambler_addresses() {
+            for addr in g.gambler_addresses(&self.shared.wallets) {
                 outputs.push(TxOut {
                     address: addr,
                     value: Amount::from_btc(self.cfg.gambler_initial_btc),
@@ -212,7 +212,7 @@ impl Simulator {
             });
         }
         let premine = Transaction::new(vec![], outputs, 0, self.next_nonce());
-        self.confirm_all(&premine);
+        self.shared.confirm(&premine);
         let block = Block {
             height: 0,
             timestamp: 0,
@@ -226,22 +226,6 @@ impl Simulator {
         let n = self.nonce;
         self.nonce += 1;
         n
-    }
-
-    fn confirm_all(&mut self, tx: &Transaction) {
-        for e in &mut self.exchanges {
-            e.on_confirmed(tx);
-        }
-        for p in &mut self.pools {
-            p.on_confirmed(tx);
-        }
-        for g in &mut self.gambling {
-            g.on_confirmed(tx);
-        }
-        for m in &mut self.mixers {
-            m.on_confirmed(tx);
-        }
-        self.retail.on_confirmed(tx);
     }
 
     fn record_activity(&mut self, block: &Block) {
@@ -315,7 +299,7 @@ impl Simulator {
         };
         let txs = self.mempool.take_block(limit);
         for tx in &txs {
-            self.confirm_all(tx);
+            self.shared.confirm(tx);
         }
         let block = Block {
             height,
@@ -374,27 +358,67 @@ impl Simulator {
 
     /// Ground-truth labels for every actor-controlled address.
     pub fn labels(&self) -> BTreeMap<Address, Label> {
-        let mut out = BTreeMap::new();
-        for e in &self.exchanges {
-            e.collect_labels(&mut out);
-        }
-        for p in &self.pools {
-            p.collect_labels(&mut out);
-        }
-        for g in &self.gambling {
-            g.collect_labels(&mut out);
-        }
-        for m in &self.mixers {
-            m.collect_labels(&mut out);
-        }
-        self.retail.collect_labels(&mut out);
-        out
+        self.shared.labels()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::OutPoint;
+    use crate::wallet::Wallet;
+    use proptest::prelude::*;
+
+    /// `w`'s UTXOs as a wallet that saw every confirmed transaction would
+    /// hold them: each spent input dropped, each nonzero output to one of
+    /// `w`'s addresses picked up, and the inputs of the transactions still
+    /// pending dropped, since their creator spent those optimistically.
+    fn broadcast_view(sim: &Simulator, w: &Wallet) -> BTreeMap<OutPoint, TxOut> {
+        let mut utxos = BTreeMap::new();
+        for tx in sim.chain().blocks().iter().flat_map(|b| &b.txs) {
+            for input in &tx.inputs {
+                utxos.remove(&input.prevout);
+            }
+            for (vout, o) in tx.outputs.iter().enumerate() {
+                if !o.value.is_zero() && w.owns(o.address) {
+                    let op = OutPoint {
+                        txid: tx.txid,
+                        vout: vout as u32,
+                    };
+                    utxos.insert(op, *o);
+                }
+            }
+        }
+        for input in sim.mempool.iter().flat_map(|tx| &tx.inputs) {
+            utxos.remove(&input.prevout);
+        }
+        utxos
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        // Handing each confirmation only to the owners of its addresses
+        // leaves every wallet where seeing every confirmation would.
+        #[test]
+        fn routed_wallets_match_a_broadcast_replay(seed in 0u64..1_000, shape in 0u8..3) {
+            let mut cfg = SimConfig::tiny(seed);
+            match shape {
+                1 => cfg.max_txs_per_block = 5,
+                2 => cfg.halving_interval = 20,
+                _ => {}
+            }
+            let sim = Simulator::run_to_completion(cfg);
+            if shape == 1 {
+                prop_assert!(sim.mempool_depth() > 0, "no backlog to replay");
+            }
+            for w in sim.shared.wallets.iter() {
+                let want = broadcast_view(&sim, w);
+                prop_assert_eq!(w.utxos().collect::<BTreeMap<_, _>>(), want.clone());
+                prop_assert_eq!(w.balance(), want.values().map(|o| o.value).sum::<Amount>());
+            }
+        }
+    }
 
     #[test]
     fn small_sim_runs_and_validates() {

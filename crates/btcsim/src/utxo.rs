@@ -40,6 +40,12 @@ pub struct UtxoEntry {
     pub value: Amount,
 }
 
+/// The prior state of each outpoint a run of [`UtxoSet::apply_logged`]
+/// calls touched, oldest first: `None` where the outpoint was absent, the
+/// entry it held where it was spent or overwritten.
+#[derive(Debug, Default)]
+pub struct UndoLog(Vec<(OutPoint, Option<UtxoEntry>)>);
+
 /// The set of unspent transaction outputs.
 #[derive(Clone, Debug, Default)]
 pub struct UtxoSet {
@@ -98,26 +104,47 @@ impl UtxoSet {
 
     /// Validate and apply: spend the inputs, insert the outputs.
     pub fn apply(&mut self, tx: &Transaction) -> Result<(), UtxoError> {
+        self.apply_logged(tx, &mut UndoLog::default())
+    }
+
+    /// [`UtxoSet::apply`], recording in `undo` the prior state of every
+    /// outpoint it touches. A transaction that fails validation changes
+    /// nothing and records nothing.
+    pub fn apply_logged(&mut self, tx: &Transaction, undo: &mut UndoLog) -> Result<(), UtxoError> {
         self.validate(tx)?;
         for input in &tx.inputs {
-            self.entries.remove(&input.prevout);
+            let spent = self.entries.remove(&input.prevout);
+            undo.0.push((input.prevout, spent));
         }
         for (vout, output) in tx.outputs.iter().enumerate() {
             if output.value.is_zero() {
                 continue; // unspendable dust marker; keep the set clean
             }
-            self.entries.insert(
-                OutPoint {
-                    txid: tx.txid,
-                    vout: vout as u32,
-                },
+            let op = OutPoint {
+                txid: tx.txid,
+                vout: vout as u32,
+            };
+            let replaced = self.entries.insert(
+                op,
                 UtxoEntry {
                     address: output.address,
                     value: output.value,
                 },
             );
+            undo.0.push((op, replaced));
         }
         Ok(())
+    }
+
+    /// Restore every outpoint `undo` recorded, newest first, leaving the set
+    /// as it was before the logged applies and the log empty.
+    pub fn rollback(&mut self, undo: &mut UndoLog) {
+        for (op, prior) in undo.0.drain(..).rev() {
+            match prior {
+                Some(e) => self.entries.insert(op, e),
+                None => self.entries.remove(&op),
+            };
+        }
     }
 
     /// Iterate all entries (unordered).

@@ -4,16 +4,30 @@
 //! it zeroes out the consumed UTXOs and sends any leftover funds to a freshly
 //! generated change address, which preserves privacy but makes address
 //! behavior hard to analyse — exactly the difficulty BAClassifier targets.
+//!
+//! Every wallet lives in one [`Wallets`] arena, and every address is minted
+//! for exactly one of them: [`AddressAlloc`] records the minting wallet of
+//! each address (the owner index), so a confirmed transaction is handed only
+//! to the wallets that own its addresses.
 
-use crate::address::Address;
+use crate::address::{Address, Label};
 use crate::amount::Amount;
 use crate::tx::{OutPoint, Transaction, TxIn, TxOut};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+use std::ops::{Index, IndexMut};
 
-/// Allocates globally-unique addresses.
+/// Position of a wallet in [`Wallets`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WalletId(u32);
+
+/// Allocates globally-unique addresses and records which wallet minted each.
+///
+/// Addresses are handed out densely from 0, so the owner index is a `Vec`
+/// indexed by `Address.0`.
 #[derive(Clone, Debug, Default)]
 pub struct AddressAlloc {
-    next: u64,
+    owners: Vec<WalletId>,
 }
 
 impl AddressAlloc {
@@ -21,17 +35,28 @@ impl AddressAlloc {
         Self::default()
     }
 
-    // Not an `Iterator`: allocation is infallible and never ends.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Address {
-        let a = Address(self.next);
-        self.next += 1;
+    /// Mint the next address for `owner`.
+    pub fn mint(&mut self, owner: WalletId) -> Address {
+        let a = Address(self.owners.len() as u64);
+        self.owners.push(owner);
         a
     }
 
-    /// Number of addresses allocated so far.
-    pub fn count(&self) -> u64 {
-        self.next
+    /// The wallet that minted `a`; `None` for an address this allocator
+    /// never handed out.
+    pub fn owner(&self, a: Address) -> Option<WalletId> {
+        usize::try_from(a.0)
+            .ok()
+            .and_then(|i| self.owners.get(i))
+            .copied()
+    }
+
+    /// Every minted address with its owner, in address order.
+    pub fn owners(&self) -> impl Iterator<Item = (Address, WalletId)> + '_ {
+        self.owners
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| (Address(i as u64), w))
     }
 }
 
@@ -46,41 +71,84 @@ pub enum ChangePolicy {
     ReuseInput,
 }
 
+/// Every wallet of the economy, indexed by [`WalletId`].
+#[derive(Debug, Default)]
+pub struct Wallets(Vec<Wallet>);
+
+impl Wallets {
+    /// Create an empty wallet whose addresses carry `label` (`None` for the
+    /// unlabeled background population).
+    pub fn create(&mut self, change_policy: ChangePolicy, label: Option<Label>) -> WalletId {
+        let id = WalletId(u32::try_from(self.0.len()).expect("wallet count fits u32"));
+        self.0.push(Wallet::new(id, change_policy, label));
+        id
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &Wallet> {
+        self.0.iter()
+    }
+}
+
+impl Index<WalletId> for Wallets {
+    type Output = Wallet;
+    fn index(&self, id: WalletId) -> &Wallet {
+        &self.0[id.0 as usize]
+    }
+}
+
+impl IndexMut<WalletId> for Wallets {
+    fn index_mut(&mut self, id: WalletId) -> &mut Wallet {
+        &mut self.0[id.0 as usize]
+    }
+}
+
 /// A simulated wallet: a set of owned addresses and their unspent outputs.
 ///
-/// UTXOs are kept in a `BTreeMap` so coin selection is deterministic.
+/// The UTXOs are kept twice, both deterministic: by outpoint (consolidation
+/// sweeps the lowest outpoints) and by value descending, then outpoint
+/// (largest-first coin selection reads a prefix), beside a running balance.
 #[derive(Clone, Debug)]
 pub struct Wallet {
-    addresses: BTreeSet<Address>,
+    id: WalletId,
+    label: Option<Label>,
+    /// Ascending: the allocator mints addresses in increasing order.
+    addresses: Vec<Address>,
     utxos: BTreeMap<OutPoint, TxOut>,
+    by_value: BTreeMap<(Reverse<Amount>, OutPoint), Address>,
+    balance: Amount,
     change_policy: ChangePolicy,
 }
 
 impl Wallet {
-    pub fn new(change_policy: ChangePolicy) -> Self {
+    fn new(id: WalletId, change_policy: ChangePolicy, label: Option<Label>) -> Self {
         Self {
-            addresses: BTreeSet::new(),
+            id,
+            label,
+            addresses: Vec::new(),
             utxos: BTreeMap::new(),
+            by_value: BTreeMap::new(),
+            balance: Amount::ZERO,
             change_policy,
         }
     }
 
+    /// Ground-truth label of every address this wallet owns.
+    pub fn label(&self) -> Option<Label> {
+        self.label
+    }
+
     /// Mint and own a new address.
     pub fn new_address(&mut self, alloc: &mut AddressAlloc) -> Address {
-        let a = alloc.next();
-        self.addresses.insert(a);
+        let a = alloc.mint(self.id);
+        self.addresses.push(a);
         a
     }
 
-    /// Adopt an externally created address.
-    pub fn adopt(&mut self, a: Address) {
-        self.addresses.insert(a);
-    }
-
     pub fn owns(&self, a: Address) -> bool {
-        self.addresses.contains(&a)
+        self.addresses.binary_search(&a).is_ok()
     }
 
+    /// Owned addresses, oldest first.
     pub fn addresses(&self) -> impl Iterator<Item = Address> + '_ {
         self.addresses.iter().copied()
     }
@@ -91,22 +159,43 @@ impl Wallet {
 
     /// Spendable balance.
     pub fn balance(&self) -> Amount {
-        self.utxos.values().map(|o| o.value).sum()
+        self.balance
     }
 
     pub fn num_utxos(&self) -> usize {
         self.utxos.len()
     }
 
+    /// Unspent outputs in outpoint order.
+    pub fn utxos(&self) -> impl Iterator<Item = (OutPoint, TxOut)> + '_ {
+        self.utxos.iter().map(|(&op, &o)| (op, o))
+    }
+
+    fn insert_utxo(&mut self, op: OutPoint, o: TxOut) {
+        if let Some(old) = self.utxos.insert(op, o) {
+            self.by_value.remove(&(Reverse(old.value), op));
+            self.balance -= old.value;
+        }
+        self.by_value.insert((Reverse(o.value), op), o.address);
+        self.balance += o.value;
+    }
+
+    fn remove_utxo(&mut self, op: &OutPoint) {
+        if let Some(old) = self.utxos.remove(op) {
+            self.by_value.remove(&(Reverse(old.value), *op));
+            self.balance -= old.value;
+        }
+    }
+
     /// Update the UTXO view from a confirmed transaction: drop spent inputs,
     /// pick up outputs paying owned addresses.
     pub fn observe(&mut self, tx: &Transaction) {
         for input in &tx.inputs {
-            self.utxos.remove(&input.prevout);
+            self.remove_utxo(&input.prevout);
         }
         for (vout, output) in tx.outputs.iter().enumerate() {
-            if !output.value.is_zero() && self.addresses.contains(&output.address) {
-                self.utxos.insert(
+            if !output.value.is_zero() && self.owns(output.address) {
+                self.insert_utxo(
                     OutPoint {
                         txid: tx.txid,
                         vout: vout as u32,
@@ -118,8 +207,9 @@ impl Wallet {
     }
 
     /// Build a payment covering `payments` plus `fee`, using largest-first
-    /// coin selection; leftover goes to a change output per the wallet's
-    /// [`ChangePolicy`]. Returns `None` when the balance is insufficient.
+    /// coin selection (value descending, then txid, then vout); leftover goes
+    /// to a change output per the wallet's [`ChangePolicy`]. Returns `None`
+    /// when the balance is insufficient.
     ///
     /// The created transaction is not yet confirmed: the caller must route it
     /// through a block and then [`Wallet::observe`] it (the simulator does
@@ -134,22 +224,19 @@ impl Wallet {
     ) -> Option<Transaction> {
         assert!(!payments.is_empty(), "payment with no outputs");
         let target = payments.iter().map(|o| o.value).sum::<Amount>() + fee;
-        if self.balance() < target {
+        if self.balance < target {
             return None;
         }
         // Largest-first selection: deterministic and keeps input counts low.
-        let mut candidates: Vec<(OutPoint, TxOut)> =
-            self.utxos.iter().map(|(&op, &o)| (op, o)).collect();
-        candidates.sort_by(|a, b| b.1.value.cmp(&a.1.value).then(a.0.txid.0.cmp(&b.0.txid.0)));
         let mut inputs = Vec::new();
         let mut gathered = Amount::ZERO;
-        for (op, o) in candidates {
+        for (&(Reverse(value), prevout), &address) in &self.by_value {
             inputs.push(TxIn {
-                prevout: op,
-                address: o.address,
-                value: o.value,
+                prevout,
+                address,
+                value,
             });
-            gathered += o.value;
+            gathered += value;
             if gathered >= target {
                 break;
             }
@@ -171,7 +258,7 @@ impl Wallet {
         // Optimistically mark inputs spent so back-to-back payments within a
         // block do not double-spend; confirmation re-observes harmlessly.
         for input in &tx.inputs {
-            self.utxos.remove(&input.prevout);
+            self.remove_utxo(&input.prevout);
         }
         Some(tx)
     }
@@ -190,25 +277,21 @@ impl Wallet {
         if self.utxos.len() < 2 {
             return None;
         }
-        let take: Vec<(OutPoint, TxOut)> = self
+        let inputs: Vec<TxIn> = self
             .utxos
             .iter()
             .take(max_inputs.max(2))
-            .map(|(&op, &o)| (op, o))
-            .collect();
-        let total: Amount = take.iter().map(|(_, o)| o.value).sum();
-        let swept = total.checked_sub(fee)?;
-        if swept.is_zero() {
-            return None;
-        }
-        let inputs: Vec<TxIn> = take
-            .iter()
-            .map(|&(op, o)| TxIn {
-                prevout: op,
+            .map(|(&prevout, o)| TxIn {
+                prevout,
                 address: o.address,
                 value: o.value,
             })
             .collect();
+        let total: Amount = inputs.iter().map(|i| i.value).sum();
+        let swept = total.checked_sub(fee)?;
+        if swept.is_zero() {
+            return None;
+        }
         let tx = Transaction::new(
             inputs,
             vec![TxOut {
@@ -219,7 +302,7 @@ impl Wallet {
             nonce,
         );
         for input in &tx.inputs {
-            self.utxos.remove(&input.prevout);
+            self.remove_utxo(&input.prevout);
         }
         Some(tx)
     }
@@ -228,6 +311,11 @@ impl Wallet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn wallet(policy: ChangePolicy) -> Wallet {
+        Wallet::new(WalletId(0), policy, None)
+    }
 
     fn fund(wallet: &mut Wallet, alloc: &mut AddressAlloc, sats: u64, nonce: u64) -> Transaction {
         let addr = wallet.new_address(alloc);
@@ -247,7 +335,7 @@ mod tests {
     #[test]
     fn observe_tracks_balance() {
         let mut alloc = AddressAlloc::new();
-        let mut w = Wallet::new(ChangePolicy::FreshAddress);
+        let mut w = wallet(ChangePolicy::FreshAddress);
         fund(&mut w, &mut alloc, 100, 0);
         fund(&mut w, &mut alloc, 50, 1);
         assert_eq!(w.balance(), Amount::from_sats(150));
@@ -257,7 +345,7 @@ mod tests {
     #[test]
     fn payment_with_fresh_change() {
         let mut alloc = AddressAlloc::new();
-        let mut w = Wallet::new(ChangePolicy::FreshAddress);
+        let mut w = wallet(ChangePolicy::FreshAddress);
         fund(&mut w, &mut alloc, 100, 0);
         let before = w.num_addresses();
         let tx = w
@@ -283,7 +371,7 @@ mod tests {
     #[test]
     fn reuse_input_change_policy() {
         let mut alloc = AddressAlloc::new();
-        let mut w = Wallet::new(ChangePolicy::ReuseInput);
+        let mut w = wallet(ChangePolicy::ReuseInput);
         let funding = fund(&mut w, &mut alloc, 100, 0);
         let src = funding.outputs[0].address;
         let tx = w
@@ -304,7 +392,7 @@ mod tests {
     #[test]
     fn insufficient_balance_returns_none() {
         let mut alloc = AddressAlloc::new();
-        let mut w = Wallet::new(ChangePolicy::FreshAddress);
+        let mut w = wallet(ChangePolicy::FreshAddress);
         fund(&mut w, &mut alloc, 10, 0);
         let res = w.create_payment(
             vec![TxOut {
@@ -324,7 +412,7 @@ mod tests {
     #[test]
     fn sequential_payments_do_not_double_spend() {
         let mut alloc = AddressAlloc::new();
-        let mut w = Wallet::new(ChangePolicy::FreshAddress);
+        let mut w = wallet(ChangePolicy::FreshAddress);
         fund(&mut w, &mut alloc, 100, 0);
         let tx1 = w
             .create_payment(
@@ -369,7 +457,7 @@ mod tests {
     #[test]
     fn exact_spend_has_no_change_output() {
         let mut alloc = AddressAlloc::new();
-        let mut w = Wallet::new(ChangePolicy::FreshAddress);
+        let mut w = wallet(ChangePolicy::FreshAddress);
         fund(&mut w, &mut alloc, 100, 0);
         let tx = w
             .create_payment(
@@ -389,7 +477,7 @@ mod tests {
     #[test]
     fn consolidate_sweeps_many_utxos() {
         let mut alloc = AddressAlloc::new();
-        let mut w = Wallet::new(ChangePolicy::FreshAddress);
+        let mut w = wallet(ChangePolicy::FreshAddress);
         for i in 0..5 {
             fund(&mut w, &mut alloc, 10, i);
         }
@@ -406,7 +494,7 @@ mod tests {
     #[test]
     fn consolidate_needs_at_least_two_utxos() {
         let mut alloc = AddressAlloc::new();
-        let mut w = Wallet::new(ChangePolicy::FreshAddress);
+        let mut w = wallet(ChangePolicy::FreshAddress);
         fund(&mut w, &mut alloc, 10, 0);
         assert!(w.consolidate(Address(1), 10, Amount::ZERO, 0, 1).is_none());
     }
@@ -414,7 +502,7 @@ mod tests {
     #[test]
     fn multi_utxo_payment_gathers_enough_inputs() {
         let mut alloc = AddressAlloc::new();
-        let mut w = Wallet::new(ChangePolicy::FreshAddress);
+        let mut w = wallet(ChangePolicy::FreshAddress);
         for i in 0..4 {
             fund(&mut w, &mut alloc, 25, i);
         }
@@ -432,5 +520,134 @@ mod tests {
             .unwrap();
         assert!(tx.inputs.len() >= 3);
         assert_eq!(tx.input_value(), tx.output_value());
+    }
+
+    /// Largest-first selection written out: every UTXO sorted by value
+    /// descending, then txid, then vout, and the shortest prefix covering
+    /// `target`; `None` if the whole set does not.
+    fn reference_selection(w: &Wallet, target: Amount) -> Option<Vec<OutPoint>> {
+        let mut all: Vec<(OutPoint, TxOut)> = w.utxos().collect();
+        all.sort_by(|a, b| {
+            b.1.value
+                .cmp(&a.1.value)
+                .then(a.0.txid.cmp(&b.0.txid))
+                .then(a.0.vout.cmp(&b.0.vout))
+        });
+        let mut gathered = Amount::ZERO;
+        let mut picked = Vec::new();
+        for (op, o) in all {
+            picked.push(op);
+            gathered += o.value;
+            if gathered >= target {
+                return Some(picked);
+            }
+        }
+        None
+    }
+
+    /// Applies `(kind, x, y)` operations: fund, pay, consolidate, or confirm
+    /// a pending transaction. After each, the running balance must equal the
+    /// sum of the UTXOs; a payment must pick exactly the reference selection.
+    fn run_ops(reuse_input: bool, ops: &[(u8, u16, u8)]) -> Result<(), TestCaseError> {
+        let mut alloc = AddressAlloc::new();
+        let mut w = wallet(if reuse_input {
+            ChangePolicy::ReuseInput
+        } else {
+            ChangePolicy::FreshAddress
+        });
+        let stranger = Address(u64::MAX);
+        let mut pending: Vec<Transaction> = Vec::new();
+        for (nonce, &(kind, x, y)) in ops.iter().enumerate() {
+            let nonce = nonce as u64;
+            match kind % 4 {
+                0 => {
+                    // Four distinct values and up to three outputs a funding
+                    // transaction, so selection ties on value, and on value
+                    // and txid.
+                    let outputs = (0..1 + y % 3)
+                        .map(|k| {
+                            let address = if w.num_addresses() == 0 || (x + u16::from(k)) % 2 == 0 {
+                                w.new_address(&mut alloc)
+                            } else {
+                                w.addresses()
+                                    .nth(usize::from(x) % w.num_addresses())
+                                    .unwrap()
+                            };
+                            // Outputs 0 and 1 carry the same value.
+                            let value = Amount::from_sats(
+                                1_000 * (1 + u64::from(x + u16::from(k) / 2) % 4),
+                            );
+                            TxOut { address, value }
+                        })
+                        .collect();
+                    w.observe(&Transaction::new(vec![], outputs, 0, nonce));
+                }
+                1 => {
+                    let amount = Amount::from_sats(1 + u64::from(x) * 3);
+                    let fee = Amount::from_sats(u64::from(y) * 7);
+                    let want = reference_selection(&w, amount + fee);
+                    let before = w.balance();
+                    let payment = TxOut {
+                        address: stranger,
+                        value: amount,
+                    };
+                    match w.create_payment(vec![payment], fee, &mut alloc, 0, nonce) {
+                        Some(tx) => {
+                            let got: Vec<OutPoint> = tx.inputs.iter().map(|i| i.prevout).collect();
+                            prop_assert_eq!(Some(got), want);
+                            prop_assert_eq!(w.balance() + tx.input_value(), before);
+                            pending.push(tx);
+                        }
+                        None => {
+                            prop_assert!(before < amount + fee);
+                            prop_assert_eq!(want, None);
+                        }
+                    }
+                }
+                2 => {
+                    let max_inputs = 2 + usize::from(x) % 5;
+                    let want: Vec<OutPoint> =
+                        w.utxos().take(max_inputs).map(|(op, _)| op).collect();
+                    let dest = if y % 2 == 0 {
+                        stranger
+                    } else {
+                        w.new_address(&mut alloc)
+                    };
+                    let fee = Amount::from_sats(u64::from(y) * 5);
+                    if let Some(tx) = w.consolidate(dest, max_inputs, fee, 0, nonce) {
+                        let got: Vec<OutPoint> = tx.inputs.iter().map(|i| i.prevout).collect();
+                        prop_assert_eq!(got, want);
+                        pending.push(tx);
+                    }
+                }
+                _ => {
+                    if !pending.is_empty() {
+                        let tx = pending.remove(usize::from(x) % pending.len());
+                        w.observe(&tx);
+                        if y % 3 == 0 {
+                            // Observing the same confirmation twice is a no-op.
+                            let utxos: Vec<_> = w.utxos().collect();
+                            w.observe(&tx);
+                            prop_assert_eq!(w.utxos().collect::<Vec<_>>(), utxos);
+                        }
+                    }
+                }
+            }
+            let sum: Amount = w.utxos().map(|(_, o)| o.value).sum();
+            prop_assert_eq!(w.balance(), sum);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn balance_and_selection_match_the_reference(
+            reuse_input in any::<bool>(),
+            ops in proptest::collection::vec((any::<u8>(), 0u16..2_000, any::<u8>()), 1..60),
+        ) {
+            run_ops(reuse_input, &ops)?;
+        }
     }
 }
