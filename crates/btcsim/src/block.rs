@@ -131,11 +131,6 @@ impl Chain {
     pub fn address_history(&self, addr: crate::address::Address) -> &[Txid] {
         self.addr_index.get(&addr).map_or(&[], |v| v.as_slice())
     }
-
-    /// Iterate `(address, txids)` over every address seen on-chain.
-    pub fn addresses(&self) -> impl Iterator<Item = (crate::address::Address, &[Txid])> {
-        self.addr_index.iter().map(|(&a, v)| (a, v.as_slice()))
-    }
 }
 
 #[cfg(test)]

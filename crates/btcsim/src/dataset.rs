@@ -151,166 +151,6 @@ impl Dataset {
     pub fn labels(&self) -> Vec<usize> {
         self.records.iter().map(|r| r.label.index()).collect()
     }
-
-    /// Export the dataset as two CSV files next to `stem`:
-    /// `<stem>.addresses.csv` (address, label, tx count, first/last
-    /// timestamps) and `<stem>.transactions.csv` (one row per address/tx
-    /// side/counterparty edge — the exact relation graph construction
-    /// consumes). Mirrors the release format of the paper's dataset.
-    pub fn write_csv(&self, stem: &std::path::Path) -> std::io::Result<()> {
-        use std::io::Write;
-        let addr_path = stem.with_extension("addresses.csv");
-        let mut w = std::io::BufWriter::new(std::fs::File::create(&addr_path)?);
-        writeln!(w, "address,label,num_txs,first_timestamp,last_timestamp")?;
-        for r in &self.records {
-            writeln!(
-                w,
-                "{},{},{},{},{}",
-                r.address.0,
-                r.label,
-                r.num_txs(),
-                r.txs.first().map_or(0, |t| t.timestamp),
-                r.txs.last().map_or(0, |t| t.timestamp),
-            )?;
-        }
-        w.flush()?;
-
-        let tx_path = stem.with_extension("transactions.csv");
-        let mut w = std::io::BufWriter::new(std::fs::File::create(&tx_path)?);
-        writeln!(w, "address,txid,timestamp,side,counterparty,value_sats")?;
-        for r in &self.records {
-            for tx in &r.txs {
-                for &(a, v) in &tx.inputs {
-                    writeln!(
-                        w,
-                        "{},{},{},in,{},{}",
-                        r.address.0,
-                        tx.txid,
-                        tx.timestamp,
-                        a.0,
-                        v.sats()
-                    )?;
-                }
-                for &(a, v) in &tx.outputs {
-                    writeln!(
-                        w,
-                        "{},{},{},out,{},{}",
-                        r.address.0,
-                        tx.txid,
-                        tx.timestamp,
-                        a.0,
-                        v.sats()
-                    )?;
-                }
-            }
-        }
-        w.flush()
-    }
-
-    /// Load a dataset exported by [`Dataset::write_csv`] (both files must be
-    /// present next to `stem`). Inverse of `write_csv`; round-trips exactly.
-    pub fn read_csv(stem: &std::path::Path) -> Result<Self, CsvError> {
-        use std::collections::BTreeMap;
-        // Pass 1: addresses + labels.
-        let addr_text = std::fs::read_to_string(stem.with_extension("addresses.csv"))?;
-        let mut labels: BTreeMap<u64, Label> = BTreeMap::new();
-        for (lineno, line) in addr_text.lines().enumerate().skip(1) {
-            let mut f = line.split(',');
-            let addr = parse_address_field(f.next(), lineno)?;
-            let label_name = f.next().ok_or(CsvError::Malformed(lineno))?;
-            let label = Label::ALL
-                .into_iter()
-                .find(|l| l.name() == label_name)
-                .ok_or(CsvError::Malformed(lineno))?;
-            labels.insert(addr, label);
-        }
-        // Pass 2: transaction edges, regrouped into TxViews per address.
-        let tx_text = std::fs::read_to_string(stem.with_extension("transactions.csv"))?;
-        // (address -> ordered txids) and (address, txid) -> TxView.
-        let mut order: BTreeMap<u64, Vec<Txid>> = BTreeMap::new();
-        let mut views: BTreeMap<(u64, Txid), TxView> = BTreeMap::new();
-        for (lineno, line) in tx_text.lines().enumerate().skip(1) {
-            let mut f = line.split(',');
-            let addr = parse_address_field(f.next(), lineno)?;
-            let txid = Txid(
-                u64::from_str_radix(f.next().ok_or(CsvError::Malformed(lineno))?, 16)
-                    .map_err(|_| CsvError::Malformed(lineno))?,
-            );
-            let timestamp: u64 = f
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or(CsvError::Malformed(lineno))?;
-            let side = f.next().ok_or(CsvError::Malformed(lineno))?;
-            let counterparty = parse_address_field(f.next(), lineno)?;
-            let sats: u64 = f
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or(CsvError::Malformed(lineno))?;
-            let view = views.entry((addr, txid)).or_insert_with(|| {
-                order.entry(addr).or_default().push(txid);
-                TxView {
-                    txid,
-                    timestamp,
-                    inputs: Vec::new(),
-                    outputs: Vec::new(),
-                }
-            });
-            let entry = (Address(counterparty), Amount::from_sats(sats));
-            match side {
-                "in" => view.inputs.push(entry),
-                "out" => view.outputs.push(entry),
-                _ => return Err(CsvError::Malformed(lineno)),
-            }
-        }
-        let records = labels
-            .into_iter()
-            .map(|(addr, label)| {
-                let txs = order
-                    .remove(&addr)
-                    .unwrap_or_default()
-                    .into_iter()
-                    .filter_map(|txid| views.remove(&(addr, txid)))
-                    .collect();
-                AddressRecord {
-                    address: Address(addr),
-                    label,
-                    txs,
-                }
-            })
-            .collect();
-        Ok(Dataset { records })
-    }
-}
-
-fn parse_address_field(field: Option<&str>, lineno: usize) -> Result<u64, CsvError> {
-    field
-        .and_then(|s| s.parse().ok())
-        .ok_or(CsvError::Malformed(lineno))
-}
-
-/// Errors from [`Dataset::read_csv`].
-#[derive(Debug)]
-pub enum CsvError {
-    Io(std::io::Error),
-    /// Unparseable row at this 0-based line number.
-    Malformed(usize),
-}
-
-impl std::fmt::Display for CsvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CsvError::Io(e) => write!(f, "io error: {e}"),
-            CsvError::Malformed(line) => write!(f, "malformed CSV at line {line}"),
-        }
-    }
-}
-
-impl std::error::Error for CsvError {}
-
-impl From<std::io::Error> for CsvError {
-    fn from(e: std::io::Error) -> Self {
-        CsvError::Io(e)
-    }
 }
 
 #[cfg(test)]
@@ -399,77 +239,6 @@ mod tests {
         // Roughly 20% test.
         let frac = test.len() as f64 / ds.len() as f64;
         assert!((frac - 0.2).abs() < 0.1, "test fraction {frac}");
-    }
-
-    #[test]
-    fn csv_export_roundtrips_row_counts() {
-        let ds = small_dataset();
-        let stem = std::env::temp_dir().join(format!("btcsim_csv_{}", std::process::id()));
-        ds.write_csv(&stem).unwrap();
-        let addr_csv = std::fs::read_to_string(stem.with_extension("addresses.csv")).unwrap();
-        // header + one line per record
-        assert_eq!(addr_csv.lines().count(), ds.len() + 1);
-        assert!(addr_csv.starts_with("address,label,"));
-        let tx_csv = std::fs::read_to_string(stem.with_extension("transactions.csv")).unwrap();
-        let expected_rows: usize = ds
-            .records
-            .iter()
-            .flat_map(|r| r.txs.iter())
-            .map(|t| t.inputs.len() + t.outputs.len())
-            .sum();
-        assert_eq!(tx_csv.lines().count(), expected_rows + 1);
-        std::fs::remove_file(stem.with_extension("addresses.csv")).ok();
-        std::fs::remove_file(stem.with_extension("transactions.csv")).ok();
-    }
-
-    #[test]
-    fn csv_roundtrip_is_lossless() {
-        let ds = small_dataset();
-        let stem = std::env::temp_dir().join(format!("btcsim_rt_{}", std::process::id()));
-        ds.write_csv(&stem).unwrap();
-        let loaded = Dataset::read_csv(&stem).unwrap();
-        assert_eq!(loaded.len(), ds.len());
-        assert_eq!(loaded.class_counts(), ds.class_counts());
-        // Records are keyed by address in both; compare a sample fully.
-        let by_addr: std::collections::BTreeMap<_, _> =
-            ds.records.iter().map(|r| (r.address, r)).collect();
-        for r in loaded.records.iter().take(40) {
-            let orig = by_addr[&r.address];
-            assert_eq!(r.label, orig.label);
-            assert_eq!(r.txs.len(), orig.txs.len());
-            for (a, b) in r.txs.iter().zip(&orig.txs) {
-                assert_eq!(a.txid, b.txid);
-                assert_eq!(a.timestamp, b.timestamp);
-                assert_eq!(a.inputs, b.inputs);
-                assert_eq!(a.outputs, b.outputs);
-            }
-        }
-        std::fs::remove_file(stem.with_extension("addresses.csv")).ok();
-        std::fs::remove_file(stem.with_extension("transactions.csv")).ok();
-    }
-
-    #[test]
-    fn read_csv_rejects_garbage() {
-        let stem = std::env::temp_dir().join(format!("btcsim_bad_{}", std::process::id()));
-        std::fs::write(
-            stem.with_extension("addresses.csv"),
-            "header
-not,a,row
-",
-        )
-        .unwrap();
-        std::fs::write(
-            stem.with_extension("transactions.csv"),
-            "header
-",
-        )
-        .unwrap();
-        assert!(matches!(
-            Dataset::read_csv(&stem),
-            Err(CsvError::Malformed(_))
-        ));
-        std::fs::remove_file(stem.with_extension("addresses.csv")).ok();
-        std::fs::remove_file(stem.with_extension("transactions.csv")).ok();
     }
 
     #[test]

@@ -42,12 +42,20 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+/// Dial timeout; also the handshake's read deadline.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// Per-request deadline, enforced on this side of the wire.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
+/// Reader poll tick (also the deadline-sweep cadence).
+const READ_TICK: Duration = Duration::from_millis(25);
+/// A connection with no frames heard for this long is declared dead.
+const STALE_AFTER: Duration = Duration::from_secs(2);
+/// Socket write timeout.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Knobs for a [`RemoteShard`].
 #[derive(Clone)]
 pub struct RemoteShardConfig {
-    pub connect_timeout: Duration,
-    /// Per-request deadline, enforced on this side of the wire.
-    pub request_timeout: Duration,
     /// Initial reconnect backoff; doubles per failure up to `backoff_max`.
     pub backoff: Duration,
     pub backoff_max: Duration,
@@ -55,28 +63,18 @@ pub struct RemoteShardConfig {
     /// fast with `QueueFull`.
     pub max_in_flight: usize,
     pub probe_interval: Duration,
-    /// Reader poll tick (also the deadline-sweep cadence).
-    pub read_tick: Duration,
-    /// A connection with no frames heard for this long is declared dead.
-    pub stale_after: Duration,
     /// When set, the peer must be the worker for exactly this assignment.
     pub expect: Option<ShardAssignment>,
-    pub write_timeout: Duration,
 }
 
 impl Default for RemoteShardConfig {
     fn default() -> Self {
         RemoteShardConfig {
-            connect_timeout: Duration::from_secs(1),
-            request_timeout: Duration::from_secs(5),
             backoff: Duration::from_millis(50),
             backoff_max: Duration::from_secs(2),
             max_in_flight: 64,
             probe_interval: Duration::from_millis(100),
-            read_tick: Duration::from_millis(25),
-            stale_after: Duration::from_secs(2),
             expect: None,
-            write_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -226,7 +224,7 @@ impl RemoteShard {
                 expire_deadlines(&mut guard, &metrics);
                 if let Some(conn) = &guard.conn {
                     let generation = conn.generation;
-                    if guard.last_heard.elapsed() > config.stale_after {
+                    if guard.last_heard.elapsed() > STALE_AFTER {
                         // Half-open connection: the peer stopped talking
                         // but TCP never noticed. Tear it down; backoff
                         // reconnect takes over.
@@ -323,7 +321,7 @@ fn try_connect_impl(
             return;
         }
         // Gate concurrent dialers out while this one is in flight.
-        guard.next_attempt = now + config.connect_timeout;
+        guard.next_attempt = now + CONNECT_TIMEOUT;
     }
     match dial(addr, config) {
         Ok((stream, reader)) => {
@@ -369,16 +367,16 @@ fn dial(
         .map_err(|e| format!("resolve {addr}: {e}"))?
         .next()
         .ok_or_else(|| format!("resolve {addr}: no addresses"))?;
-    let stream = TcpStream::connect_timeout(&sockaddr, config.connect_timeout)
+    let stream = TcpStream::connect_timeout(&sockaddr, CONNECT_TIMEOUT)
         .map_err(|e| format!("connect {addr}: {e}"))?;
     stream.set_nodelay(true).map_err(|e| e.to_string())?;
     stream
-        .set_write_timeout(Some(config.write_timeout))
+        .set_write_timeout(Some(WRITE_TIMEOUT))
         .map_err(|e| e.to_string())?;
     // Generous read deadline for the handshake; tightened to the poll tick
     // once the reader loop owns the stream.
     stream
-        .set_read_timeout(Some(config.connect_timeout))
+        .set_read_timeout(Some(CONNECT_TIMEOUT))
         .map_err(|e| e.to_string())?;
 
     let (shard_index, shard_count) = match &config.expect {
@@ -425,7 +423,7 @@ fn dial(
         }
     }
     stream
-        .set_read_timeout(Some(config.read_tick))
+        .set_read_timeout(Some(READ_TICK))
         .map_err(|e| e.to_string())?;
     Ok((stream, reader))
 }
@@ -574,7 +572,7 @@ impl ShardLane for RemoteShard {
             req_id,
             PendingEntry {
                 reply: tx,
-                deadline: Instant::now() + self.config.request_timeout,
+                deadline: Instant::now() + REQUEST_TIMEOUT,
             },
         );
         let msg = Message::Classify {

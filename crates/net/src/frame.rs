@@ -37,8 +37,8 @@ pub const MAGIC: &[u8; 8] = b"BANET v2";
 /// Upper bound on a frame payload. Every message is a few dozen bytes but
 /// a `Reply` carrying a [`ReplyOutcome::Reject`] reason, which is cut to
 /// fit at encode — so no legitimate frame exceeds the cap, and a server
-/// buffers at most this much per connection (× `max_connections` = 4 MiB
-/// for a default worker).
+/// buffers at most this much per connection (× its 64 connections =
+/// 4 MiB).
 pub const MAX_FRAME_LEN: u32 = 64 << 10;
 
 /// Longest `Reject` reason that fits a frame: the cap less the `Reply`

@@ -17,7 +17,7 @@
 //! * [`server`] — [`server::NetServer`]: a bounded, deadline-enforcing TCP
 //!   front over a [`server::NetBackend`] (an engine + dataset, or a shard
 //!   worker). Stops on `stop()` or the process SIGINT flag only — nothing
-//!   a peer sends stops it; sheds connections beyond `max_connections`;
+//!   a peer sends stops it; sheds connections beyond 64;
 //!   cuts peers that stall mid-frame.
 //! * [`client`] — [`client::RemoteShard`]: a `baserve::ShardLane` backed by
 //!   one multiplexed connection to a worker process, with fail-fast

@@ -13,12 +13,13 @@
 //! through a shared write-half mutex.
 //!
 //! Bounds and deadlines:
-//! * at most `max_connections` concurrent connections — excess accepts
-//!   are closed immediately (the kernel backlog stays bounded);
-//! * reads tick every `read_tick` so stop/SIGINT are observed; a peer
-//!   that stalls **mid-frame** longer than `stall_timeout` is cut off
-//!   (idle connections are fine — the client prober keeps live ones warm);
-//! * writes carry `write_timeout` so one dead client cannot wedge a
+//! * at most `MAX_CONNECTIONS` (64) concurrent connections — excess
+//!   accepts are closed immediately (the kernel backlog stays bounded);
+//! * reads tick every `READ_TICK` (50 ms) so stop/SIGINT are observed; a
+//!   peer that stalls **mid-frame** longer than `STALL_TIMEOUT` (5 s) is
+//!   cut off (idle connections are fine — the client prober keeps live
+//!   ones warm);
+//! * writes carry `WRITE_TIMEOUT` (5 s) so one dead client cannot wedge a
 //!   writer thread forever.
 //!
 //! Nothing a peer sends stops the server: it stops on [`NetServer::stop`]
@@ -115,18 +116,21 @@ fn listen_reuse_v4(addr: std::net::SocketAddrV4) -> std::io::Result<TcpListener>
     }
 }
 
+/// At most this many concurrent connections; excess accepts are shed.
+const MAX_CONNECTIONS: usize = 64;
+/// Read poll tick — latency bound on observing stop/SIGINT.
+const READ_TICK: Duration = Duration::from_millis(50);
+/// How long a peer may stall mid-frame before the connection is cut.
+const STALL_TIMEOUT: Duration = Duration::from_secs(5);
+/// Socket write timeout, so one dead client cannot wedge a writer thread.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Knobs for a [`NetServer`].
 #[derive(Clone)]
 pub struct NetServerConfig {
     /// The layout this server advertises (and whose `hash_version` the
     /// peer must match).
     pub hello: Hello,
-    pub max_connections: usize,
-    /// Read poll tick — latency bound on observing stop/SIGINT.
-    pub read_tick: Duration,
-    /// How long a peer may stall mid-frame before the connection is cut.
-    pub stall_timeout: Duration,
-    pub write_timeout: Duration,
 }
 
 impl NetServerConfig {
@@ -139,10 +143,6 @@ impl NetServerConfig {
                 shard_count: count,
                 hash_version: baclassifier::SHARD_HASH_VERSION,
             },
-            max_connections: 64,
-            read_tick: Duration::from_millis(50),
-            stall_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
         }
     }
 
@@ -255,7 +255,7 @@ fn accept_loop(
     while !stop.load(Relaxed) && !shutdown::shutdown_requested() {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if open.load(Relaxed) >= config.max_connections {
+                if open.load(Relaxed) >= MAX_CONNECTIONS {
                     // Bounded backlog: shed the connection instead of
                     // queueing unboundedly.
                     drop(stream);
@@ -292,8 +292,8 @@ fn serve_connection(
     config: &NetServerConfig,
     stop: &AtomicBool,
 ) -> Result<(), FrameError> {
-    stream.set_read_timeout(Some(config.read_tick))?;
-    stream.set_write_timeout(Some(config.write_timeout))?;
+    stream.set_read_timeout(Some(READ_TICK))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     stream.set_nodelay(true)?;
     let write_half = stream.try_clone()?;
     let shared = Arc::new(ConnShared {
@@ -355,7 +355,7 @@ fn serve_connection(
                 // Only a *mid-frame* stall is hostile; idle is fine.
                 if reader.mid_frame() {
                     let started = *stall_started.get_or_insert_with(Instant::now);
-                    if started.elapsed() > config.stall_timeout {
+                    if started.elapsed() > STALL_TIMEOUT {
                         break Err(FrameError::Truncated);
                     }
                 } else {

@@ -784,14 +784,6 @@ impl Matrix {
         }
     }
 
-    /// In-place `self += scale * rhs`.
-    pub fn add_scaled(&mut self, rhs: &Matrix, scale: f32) {
-        assert_eq!(self.shape(), rhs.shape(), "add_scaled shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
-            *a += scale * b;
-        }
-    }
-
     /// In-place element-wise combine: `self[i] = f(self[i], rhs[i])`.
     /// Panics on shape mismatch.
     pub fn zip_assign(&mut self, rhs: &Matrix, f: impl Fn(f32, f32) -> f32) {

@@ -23,7 +23,7 @@ use btcsim::AddressRecord;
 /// One shard's serving surface: submit, observe, shut down.
 pub trait ShardLane: Send + Sync {
     /// Enqueue one request under the lane's own deadline (the engine's
-    /// `default_deadline`, a remote lane's `request_timeout`). Must fail
+    /// `default_deadline`, a remote lane's 5 s `REQUEST_TIMEOUT`). Must fail
     /// fast (e.g. [`ServeError::QueueFull`]) instead of queueing
     /// unboundedly — per-lane admission is what keeps one slow shard from
     /// stalling the fleet.

@@ -50,6 +50,6 @@ pub use rebalance::{rebalance_snapshots, RebalanceError, RebalanceReport};
 pub use remote::{remote_router, wait_fleet_up, RouterBackend, WorkerBackend};
 pub use router::ShardRouter;
 pub use stream::{
-    shard_snapshot_path, FeedEnd, Followed, MergedReport, ShardHealth, ShardReport,
-    ShardStreamError, ShardedFollower, SpawnMode, StreamHooks, SupervisionConfig,
+    shard_snapshot_path, FeedEnd, Followed, MergedReport, ShardReport, ShardStreamError,
+    ShardedFollower, SpawnMode, SupervisionConfig,
 };

@@ -45,16 +45,17 @@
 //! the dead worker's queue (up to the queue depth) are in the journal, so
 //! the replacement catches up to the exact same state and redelivered
 //! blocks are skipped by height — blocks lost: zero. Respawns are
-//! bounded by [`SupervisionConfig::max_restarts`] with exponential
-//! backoff; past the bound the fleet reports [`ShardStreamError`] instead
-//! of flapping forever. [`ShardHealth`] holds each shard's heartbeat age
-//! and respawn count.
+//! bounded by `MAX_RESTARTS` (5) per shard with exponential backoff; past
+//! the bound the fleet reports [`ShardStreamError`] instead of flapping
+//! forever. Each worker owns its heartbeat stamp, and the driver counts
+//! each respawn once, in its [`StreamMetrics`] `respawns` counter.
 //!
-//! Fault injection reuses the serve engine's [`FaultPlan`] machinery (via
-//! [`StreamHooks`]): before applying a **new** block at height `h`, shard
-//! `i` consults `before_batch(i, h + 1)`. Replayed or redelivered blocks
-//! never consult the plan, so a scripted fault fires exactly once even
-//! though the faulting block is delivered again after the respawn.
+//! Fault injection reuses the serve engine's [`FaultPlan`] machinery
+//! ([`ShardedFollower::with_hooks`]): before applying a **new** block at
+//! height `h`, shard `i` consults `before_batch(i, h + 1)`. Replayed or
+//! redelivered blocks never consult the plan, so a scripted fault fires
+//! exactly once even though the faulting block is delivered again after
+//! the respawn.
 
 use baclassifier::{ModelArtifact, ShardAssignment, ShardMap};
 use baserve::{FaultAction, FaultPlan, NoFaults};
@@ -75,7 +76,7 @@ pub enum ShardStreamError {
     /// A shard worker failed to build, restore, or recover its follower.
     Worker { shard: u32, reason: String },
     /// A shard worker is gone for good: it died (or wedged) more than
-    /// `max_restarts` times, or died with no journal to recover from.
+    /// `MAX_RESTARTS` times, or died with no journal to recover from.
     WorkerGone(u32),
     /// The driver's write-ahead journal failed; continuing would break the
     /// crash-safety contract.
@@ -208,99 +209,12 @@ pub struct Followed {
     pub metrics: StreamMetrics,
 }
 
-/// What the driver reads about its shard workers: the age of each one's
-/// last heartbeat (wedge detection) and how often it was respawned. All
-/// atomics: writers are the shard worker threads (heartbeats) and the
-/// driver (respawn counts); readers are anyone holding the `Arc`.
-pub struct ShardHealth {
-    epoch: Instant,
-    slots: Vec<HealthSlot>,
-}
-
-struct HealthSlot {
-    /// Microseconds since `epoch` of the last heartbeat.
-    beat_us: AtomicU64,
-    respawns: AtomicU64,
-}
-
-impl ShardHealth {
-    /// A board for `count` shards, no heartbeat or respawn yet.
-    pub fn new(count: u32) -> Self {
-        let epoch = Instant::now();
-        let slots = (0..count)
-            .map(|_| HealthSlot {
-                beat_us: AtomicU64::new(0),
-                respawns: AtomicU64::new(0),
-            })
-            .collect();
-        Self { epoch, slots }
-    }
-
-    /// Heartbeat from a worker: stamps now.
-    pub fn beat(&self, shard: u32) {
-        if let Some(slot) = self.slots.get(shard as usize) {
-            let us = self.epoch.elapsed().as_micros() as u64;
-            slot.beat_us.store(us, Ordering::Release);
-        }
-    }
-
-    /// Time since `shard` last heartbeat; `Duration::MAX` for unknown
-    /// shards so they always read as stale.
-    pub fn beat_age(&self, shard: u32) -> Duration {
-        let Some(slot) = self.slots.get(shard as usize) else {
-            return Duration::MAX;
-        };
-        let beat = Duration::from_micros(slot.beat_us.load(Ordering::Acquire));
-        self.epoch.elapsed().saturating_sub(beat)
-    }
-
-    pub fn respawns(&self, shard: u32) -> u64 {
-        self.slots
-            .get(shard as usize)
-            .map_or(0, |s| s.respawns.load(Ordering::Acquire))
-    }
-
-    pub fn total_respawns(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| s.respawns.load(Ordering::Acquire))
-            .sum()
-    }
-
-    fn record_respawn(&self, shard: u32) {
-        if let Some(slot) = self.slots.get(shard as usize) {
-            slot.respawns.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-}
-
-/// Streaming-side hooks: fault injection for chaos tests, reusing the
-/// serve engine's [`FaultPlan`]. For the streaming fleet, "worker" is the
-/// shard index and "batch" is `height + 1` (1-based, like the engine's
-/// batch numbering), consulted only for blocks the shard has not yet
-/// applied.
-#[derive(Clone)]
-pub struct StreamHooks {
-    pub fault_plan: Arc<dyn FaultPlan>,
-}
-
-impl Default for StreamHooks {
-    fn default() -> Self {
-        Self {
-            fault_plan: Arc::new(NoFaults),
-        }
-    }
-}
-
 /// Knobs for the driver's shard supervision.
 #[derive(Clone, Debug)]
 pub struct SupervisionConfig {
     /// A shard whose queue is full *and* whose heartbeat is older than
     /// this is declared wedged: fenced off and replaced.
     pub wedge_timeout: Duration,
-    /// Per-shard respawn budget; exceeding it surfaces
-    /// [`ShardStreamError::WorkerGone`].
-    pub max_restarts: u32,
     /// Base backoff before a respawn; doubles per consecutive restart of
     /// the same shard (capped at 64×).
     pub restart_backoff: Duration,
@@ -310,11 +224,14 @@ impl Default for SupervisionConfig {
     fn default() -> Self {
         Self {
             wedge_timeout: Duration::from_secs(2),
-            max_restarts: 5,
             restart_backoff: Duration::from_millis(10),
         }
     }
 }
+
+/// Per-shard respawn budget; exceeding it surfaces
+/// [`ShardStreamError::WorkerGone`].
+const MAX_RESTARTS: u32 = 5;
 
 /// How the fleet's followers acquire their initial state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -345,6 +262,28 @@ struct ShardWorker {
     /// worker checks it between commands (and after injected delays) and
     /// exits without touching disk once it trips.
     fence: Arc<AtomicBool>,
+    heartbeat: Arc<Heartbeat>,
+}
+
+/// A worker's liveness stamp: microseconds from its spawn to its last
+/// heartbeat. The worker stamps it after each command; the wedge check in
+/// `deliver` is its only reader.
+struct Heartbeat {
+    spawned: Instant,
+    last_us: AtomicU64,
+}
+
+impl Heartbeat {
+    fn beat(&self) {
+        let us = self.spawned.elapsed().as_micros() as u64;
+        self.last_us.store(us, Ordering::Release);
+    }
+
+    /// Time since the last heartbeat.
+    fn silence(&self) -> Duration {
+        let last = Duration::from_micros(self.last_us.load(Ordering::Acquire));
+        self.spawned.elapsed().saturating_sub(last)
+    }
 }
 
 /// N shared-nothing followers over one block feed, supervised. See the
@@ -356,8 +295,7 @@ pub struct ShardedFollower {
     template: FollowerConfig,
     map: ShardMap,
     workers: Vec<ShardWorker>,
-    health: Arc<ShardHealth>,
-    hooks: StreamHooks,
+    plan: Arc<dyn FaultPlan>,
     supervision: SupervisionConfig,
     /// The driver-owned write-ahead journal: blocks are appended here
     /// before broadcast, which is what makes respawn lossless.
@@ -368,9 +306,9 @@ pub struct ShardedFollower {
     /// First height no shard has been sent yet: where a feed should start,
     /// and the only blocks the snapshot cadence counts.
     next_height: u64,
-    /// The driver's own counters (`journal_*`) and lag samples.
+    /// The driver's own counters (`journal_*`, `respawns`) and lag samples.
     metrics: StreamMetrics,
-    /// Per-shard respawn counts, bounded by `supervision.max_restarts`.
+    /// Per-shard restart attempts, bounded by `MAX_RESTARTS`.
     restarts: Vec<u32>,
     /// Handles of abandoned (wedged) workers; joined at finish if done.
     graveyard: Vec<JoinHandle<()>>,
@@ -415,22 +353,24 @@ impl ShardedFollower {
         count: u32,
         mode: SpawnMode,
     ) -> Result<Self, ShardStreamError> {
-        let (hooks, supervision) = (StreamHooks::default(), SupervisionConfig::default());
-        Self::with_hooks(artifact, cfg, count, hooks, supervision, mode)
+        let supervision = SupervisionConfig::default();
+        Self::with_hooks(artifact, cfg, count, Arc::new(NoFaults), supervision, mode)
     }
 
-    /// The fully general constructor: explicit hooks (fault injection),
-    /// supervision knobs, and spawn mode.
+    /// The fully general constructor: an explicit fault plan, supervision
+    /// knobs, and spawn mode. For the streaming fleet the plan's "worker"
+    /// is the shard index and its "batch" is `height + 1` (1-based, like
+    /// the engine's batch numbering), consulted only for blocks the shard
+    /// has not yet applied.
     pub fn with_hooks(
         artifact: Arc<ModelArtifact>,
         cfg: FollowerConfig,
         count: u32,
-        hooks: StreamHooks,
+        plan: Arc<dyn FaultPlan>,
         supervision: SupervisionConfig,
         mode: SpawnMode,
     ) -> Result<Self, ShardStreamError> {
         let map = ShardMap::new(count);
-        let health = Arc::new(ShardHealth::new(count));
 
         // The driver opens (and, for recovery, heals) the journal before
         // any worker scans it, so workers never see a torn tail.
@@ -465,8 +405,7 @@ impl ShardedFollower {
                 &cfg,
                 assignment,
                 mode,
-                Arc::clone(&health),
-                Arc::clone(&hooks.fault_plan),
+                Arc::clone(&plan),
             );
             workers.push(worker);
             ready.push(init_rx);
@@ -482,8 +421,7 @@ impl ShardedFollower {
             template: cfg,
             map,
             workers,
-            health,
-            hooks,
+            plan,
             supervision,
             journal,
             next_journal_height,
@@ -494,9 +432,11 @@ impl ShardedFollower {
         })
     }
 
-    /// The fleet's heartbeat and respawn board.
-    pub fn health(&self) -> Arc<ShardHealth> {
-        Arc::clone(&self.health)
+    /// The driver's own counters so far: journal traffic and `respawns`.
+    /// [`ShardedFollower::follow`] hands them back merged with every
+    /// shard's.
+    pub fn metrics(&self) -> &StreamMetrics {
+        &self.metrics
     }
 
     /// The first height no shard has been sent yet (the slowest shard's
@@ -580,7 +520,7 @@ impl ShardedFollower {
                     if progress_every > 0 && (height + 1).is_multiple_of(progress_every) {
                         eprintln!(
                             "bashard: height {height:>6}  lag {lag:>3}  respawns {}",
-                            self.health.total_respawns()
+                            self.metrics.respawns
                         );
                     }
                 }
@@ -726,7 +666,7 @@ impl ShardedFollower {
                     self.respawn(i, "worker thread died")?;
                 }
                 Err(TrySendError::Full(_)) => {
-                    if self.health.beat_age(i as u32) > self.supervision.wedge_timeout {
+                    if self.workers[i].heartbeat.silence() > self.supervision.wedge_timeout {
                         self.abandon(i);
                         self.respawn(i, "worker wedged: queue full and heartbeat stale")?;
                     } else {
@@ -746,7 +686,7 @@ impl ShardedFollower {
     /// Replace shard `i`'s worker with one recovered from its snapshot
     /// generations plus the shared journal. Requires a journal (otherwise
     /// queued blocks would be lost and heights would gap); bounded by
-    /// `max_restarts` with exponential backoff.
+    /// `MAX_RESTARTS` with exponential backoff.
     fn respawn(&mut self, i: usize, reason: &str) -> Result<(), ShardStreamError> {
         let shard = i as u32;
         if self.template.journal_path.is_none() {
@@ -756,10 +696,10 @@ impl ShardedFollower {
             });
         }
         self.restarts[i] += 1;
-        if self.restarts[i] > self.supervision.max_restarts {
+        if self.restarts[i] > MAX_RESTARTS {
             return Err(ShardStreamError::WorkerGone(shard));
         }
-        self.health.record_respawn(shard);
+        self.metrics.respawns += 1;
         // Everything broadcast so far must be durable before the
         // replacement reads the journal.
         if let Some(journal) = self.journal.as_mut() {
@@ -788,8 +728,7 @@ impl ShardedFollower {
             &self.template,
             assignment,
             SpawnMode::Recover,
-            Arc::clone(&self.health),
-            Arc::clone(&self.hooks.fault_plan),
+            Arc::clone(&self.plan),
         );
         await_start(init_rx, shard)?;
         let old = std::mem::replace(&mut self.workers[i], worker);
@@ -859,7 +798,6 @@ fn spawn_worker(
     template: &FollowerConfig,
     assignment: ShardAssignment,
     mode: SpawnMode,
-    health: Arc<ShardHealth>,
     plan: Arc<dyn FaultPlan>,
 ) -> (ShardWorker, Receiver<Result<u64, String>>) {
     let ShardAssignment { index, count } = assignment;
@@ -883,6 +821,11 @@ fn spawn_worker(
     let (init_tx, init_rx) = mpsc::channel();
     let fence = Arc::new(AtomicBool::new(false));
     let thread_fence = Arc::clone(&fence);
+    let heartbeat = Arc::new(Heartbeat {
+        spawned: Instant::now(),
+        last_us: AtomicU64::new(0),
+    });
+    let thread_heartbeat = Arc::clone(&heartbeat);
     let handle = std::thread::Builder::new()
         .name(format!("bashard-{index}of{count}"))
         .spawn(move || {
@@ -899,19 +842,25 @@ fn spawn_worker(
                     return;
                 }
             };
-            health.beat(index);
+            thread_heartbeat.beat();
             init_tx.send(Ok(follower.next_height())).ok();
             worker_loop(
                 &mut follower,
                 &rx,
                 index,
                 &thread_fence,
-                &health,
+                &thread_heartbeat,
                 plan.as_ref(),
             );
         })
         .expect("spawn shard worker");
-    (ShardWorker { tx, handle, fence }, init_rx)
+    let worker = ShardWorker {
+        tx,
+        handle,
+        fence,
+        heartbeat,
+    };
+    (worker, init_rx)
 }
 
 fn worker_loop(
@@ -919,7 +868,7 @@ fn worker_loop(
     rx: &Receiver<Cmd>,
     index: u32,
     fence: &AtomicBool,
-    health: &ShardHealth,
+    heartbeat: &Heartbeat,
     plan: &dyn FaultPlan,
 ) {
     for cmd in rx.iter() {
@@ -950,11 +899,11 @@ fn worker_loop(
                     }
                 }
                 follower.step(&block);
-                health.beat(index);
+                heartbeat.beat();
             }
             Cmd::Reclassify(reply) => {
                 let n = follower.reclassify_dirty();
-                health.beat(index);
+                heartbeat.beat();
                 reply.send(n).ok();
             }
             Cmd::Snapshot(reply) => {
@@ -962,7 +911,7 @@ fn worker_loop(
                     Some(path) => follower.snapshot_to(&path).map_err(|e| e.to_string()),
                     None => Err("no snapshot path configured".to_string()),
                 };
-                health.beat(index);
+                heartbeat.beat();
                 reply.send(result).ok();
             }
             Cmd::Finish(reply) => {
@@ -988,23 +937,5 @@ fn worker_loop(
                 return;
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn health_board_tracks_liveness_and_beats() {
-        let health = ShardHealth::new(2);
-        health.beat(0);
-        assert!(health.beat_age(0) < Duration::from_secs(1));
-        assert_eq!(health.beat_age(9), Duration::MAX);
-        health.record_respawn(0);
-        health.record_respawn(0);
-        health.record_respawn(1);
-        assert_eq!(health.respawns(0), 2);
-        assert_eq!(health.total_respawns(), 3);
     }
 }

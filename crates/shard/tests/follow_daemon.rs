@@ -237,6 +237,7 @@ fn killed_daemon_resumes_to_the_uninterrupted_state() {
     }
     assert_eq!(json["journal_frames"], (BLOCKS + 1) as f64);
     assert_eq!(json["journal_errors"], 0.0);
+    assert_eq!(json["respawns"], 0.0);
     assert_eq!(json["blocks_ingested"], 2.0 * (BLOCKS + 1) as f64);
     // Six periodic snapshots and the final one, on each of two shards.
     assert_eq!(json["snapshots_written"], 14.0);

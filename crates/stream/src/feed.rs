@@ -56,15 +56,14 @@ impl FeedSender {
 /// Produced/processed progress shared between the two ends of a feed.
 ///
 /// Counts are *blocks*, not heights: a value of `n` means blocks at heights
-/// `< n` are covered. The per-stage timestamps record when each side last
-/// advanced, so an operator can tell "consumer is slow" from "producer is
-/// idle" even when the lag number alone is ambiguous.
+/// `< n` are covered. The producer's timestamp records when it last
+/// delivered, which is what tells a stalled producer
+/// ([`BlockFeed::recv_stalled`]) from a slow consumer.
 pub struct Watermark {
     epoch: Instant,
     produced: AtomicU64,
     processed: AtomicU64,
     produced_at_us: AtomicU64,
-    processed_at_us: AtomicU64,
 }
 
 impl Watermark {
@@ -74,7 +73,6 @@ impl Watermark {
             produced: AtomicU64::new(0),
             processed: AtomicU64::new(0),
             produced_at_us: AtomicU64::new(0),
-            processed_at_us: AtomicU64::new(0),
         }
     }
 
@@ -91,7 +89,6 @@ impl Watermark {
     /// The consumer finished processing the block at `height`.
     pub fn record_processed(&self, height: u64) {
         self.processed.fetch_max(height + 1, Relaxed);
-        self.processed_at_us.store(self.now_us(), Relaxed);
     }
 
     /// Blocks produced so far (tip height + 1).
@@ -114,14 +111,6 @@ impl Watermark {
         Duration::from_micros(
             self.now_us()
                 .saturating_sub(self.produced_at_us.load(Relaxed)),
-        )
-    }
-
-    /// Time since the consumer last finished a block.
-    pub fn processed_age(&self) -> Duration {
-        Duration::from_micros(
-            self.now_us()
-                .saturating_sub(self.processed_at_us.load(Relaxed)),
         )
     }
 }
@@ -359,7 +348,7 @@ mod tests {
         wm.record_produced(0);
         std::thread::sleep(Duration::from_millis(5));
         wm.record_processed(0);
-        assert!(wm.produced_age() >= wm.processed_age());
+        assert!(wm.produced_age() >= Duration::from_millis(5));
         assert_eq!(wm.lag(), 0);
     }
 }

@@ -8,8 +8,8 @@
 //! ```text
 //!  BlockCursor ──▶ BlockFeed (bounded channel) ──▶ Follower
 //!  (producer          │  Watermark: produced /        │ per-address
-//!   thread)           │  processed, lag, stage        │ history, open-slice
-//!                     ▼  timestamps                   ▼ graph, embeddings
+//!   thread)           │  processed, lag, producer     │ history, open-slice
+//!                     ▼  stamp                        ▼ graph, embeddings
 //!                backpressure                  reclassify_dirty() ──▶ label table
 //! ```
 //!

@@ -64,6 +64,9 @@ baserve::counters! {
             /// (A failed append or fsync is not counted here: it stops
             /// ingestion before the block reaches any follower.)
             journal_errors,
+            /// Shard workers the driver's supervision respawned (one the
+            /// restart budget refuses is not counted).
+            respawns,
         }
         /// Wall time spent applying blocks to incremental state.
         pub ingest_time: Duration,

@@ -7,7 +7,8 @@
 //!
 //! 1. **Worker kill** — a scripted panic takes a shard down mid-ingest at
 //!    shard counts 1 and 4; the supervisor respawns it from snapshot +
-//!    journal and the merged tip equals the unsharded reference.
+//!    journal and the merged tip equals the unsharded reference. A shard
+//!    that keeps dying is respawned five times, then reported gone.
 //! 2. **Fleet crash** — the whole `ShardedFollower` is dropped without
 //!    finishing; `ShardedFollower::recover` resumes from per-shard
 //!    snapshots plus the shared journal tail, again byte-identical.
@@ -33,7 +34,7 @@ use baserve::{
 };
 use bashard::{
     shard_snapshot_path, FeedEnd, ShardReport, ShardRouter, ShardStreamError, ShardedFollower,
-    SpawnMode, StreamHooks, SupervisionConfig,
+    SpawnMode, SupervisionConfig,
 };
 use bstream::{quarantine_path, scan_journal, BlockFeed, Follower, FollowerConfig};
 use btcsim::{AddressRecord, Block, BlockCursor, Dataset, SimConfig, Simulator};
@@ -152,14 +153,11 @@ fn killed_shard_worker_respawns_and_loses_nothing() {
         s.cleanup(shards);
         let victim = (shards - 1) as usize; // last shard takes the hit
         let plan = Arc::new(ScriptedFaultPlan::panics(victim, &[13]));
-        let hooks = StreamHooks {
-            fault_plan: Arc::clone(&plan) as Arc<dyn baserve::FaultPlan>,
-        };
-        let mut fleet = ShardedFollower::with_hooks(
+        let fleet = ShardedFollower::with_hooks(
             Arc::clone(&artifact),
             s.cfg(10),
             shards,
-            hooks,
+            Arc::clone(&plan) as Arc<dyn baserve::FaultPlan>,
             SupervisionConfig {
                 restart_backoff: Duration::from_millis(1),
                 ..SupervisionConfig::default()
@@ -167,18 +165,16 @@ fn killed_shard_worker_respawns_and_loses_nothing() {
             SpawnMode::Fresh,
         )
         .unwrap();
-        let health = fleet.health();
-        for b in &blocks {
-            fleet.step(b.clone()).unwrap();
-        }
-        let reports = fleet.finish().unwrap();
+        let followed = fleet
+            .follow(&BlockFeed::from_blocks(blocks.clone()), STALL, 0)
+            .unwrap();
         assert_eq!(plan.injected(), 1, "the scripted panic must have fired");
-        assert_eq!(
-            health.respawns(victim as u32),
-            1,
-            "exactly one respawn expected"
+        assert_eq!(followed.metrics.respawns, 1, "exactly one respawn expected");
+        assert_recovered_matches(
+            followed.reports,
+            &reference,
+            &format!("{shards}-shard kill"),
         );
-        assert_recovered_matches(reports, &reference, &format!("{shards}-shard kill"));
         s.cleanup(shards);
     }
 }
@@ -201,29 +197,72 @@ fn wedged_shard_worker_is_fenced_and_replaced() {
         batch: 9,
         action: FaultAction::Delay(Duration::from_millis(1500)),
     }]));
-    let hooks = StreamHooks {
-        fault_plan: plan as Arc<dyn baserve::FaultPlan>,
-    };
+    let fleet = ShardedFollower::with_hooks(
+        Arc::clone(&artifact),
+        s.cfg(0),
+        shards,
+        plan as Arc<dyn baserve::FaultPlan>,
+        SupervisionConfig {
+            wedge_timeout: Duration::from_millis(100),
+            restart_backoff: Duration::from_millis(1),
+        },
+        SpawnMode::Fresh,
+    )
+    .unwrap();
+    let followed = fleet
+        .follow(&BlockFeed::from_blocks(blocks), STALL, 0)
+        .unwrap();
+    assert_eq!(
+        followed.metrics.respawns, 1,
+        "the wedged shard must be replaced"
+    );
+    assert_recovered_matches(followed.reports, &reference, "wedged shard");
+    s.cleanup(shards);
+}
+
+#[test]
+fn a_shard_past_its_restart_budget_is_gone() {
+    let blocks = sim_blocks(319, 12);
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let shards = 2u32;
+    let s = scratch("budget");
+    s.cleanup(shards);
+    // Shard 0 panics at six consecutive new heights (3..=8). Each
+    // replacement replays the faulting block from the journal and then
+    // dies on the next one: five respawns, and the sixth death is refused.
+    let plan = Arc::new(ScriptedFaultPlan::panics(0, &[4, 5, 6, 7, 8, 9]));
     let mut fleet = ShardedFollower::with_hooks(
         Arc::clone(&artifact),
         s.cfg(0),
         shards,
-        hooks,
+        Arc::clone(&plan) as Arc<dyn baserve::FaultPlan>,
         SupervisionConfig {
-            wedge_timeout: Duration::from_millis(100),
             restart_backoff: Duration::from_millis(1),
             ..SupervisionConfig::default()
         },
         SpawnMode::Fresh,
     )
     .unwrap();
-    let health = fleet.health();
-    for b in &blocks {
-        fleet.step(b.clone()).unwrap();
-    }
-    let reports = fleet.finish().unwrap();
-    assert_eq!(health.respawns(1), 1, "the wedged shard must be replaced");
-    assert_recovered_matches(reports, &reference, "wedged shard");
+    // Awaiting a reclassification after every block settles each death
+    // before the next block is journaled, so every fault height is new to
+    // the worker it reaches.
+    let err = blocks
+        .iter()
+        .find_map(|b| {
+            fleet
+                .step(b.clone())
+                .and_then(|()| fleet.reclassify_dirty())
+                .err()
+        })
+        .expect("the sixth death must exhaust the budget");
+    assert!(matches!(err, ShardStreamError::WorkerGone(0)), "{err:?}");
+    assert_eq!(plan.injected(), 6, "every scripted panic fired");
+    assert_eq!(
+        fleet.metrics().respawns,
+        5,
+        "a refused respawn is not counted"
+    );
+    drop(fleet);
     s.cleanup(shards);
 }
 
