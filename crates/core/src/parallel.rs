@@ -27,14 +27,14 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Install `values` into `params` positionally (loading trained weights into
-/// a freshly built model).
+/// a freshly built model), all or nothing, as [`numnet::assign_params`] does.
 ///
 /// # Panics
-/// Panics on count or shape mismatch.
+/// Panics with the [`numnet::LoadError`] on count or shape mismatch, before
+/// any parameter is changed.
 pub fn install_values(params: &[Param], values: &[Matrix]) {
-    assert_eq!(params.len(), values.len(), "parameter count mismatch");
-    for (p, v) in params.iter().zip(values) {
-        p.set_value(v.clone());
+    if let Err(e) = numnet::assign_params(params, values.to_vec()) {
+        panic!("install_values: {e}");
     }
 }
 
@@ -284,5 +284,26 @@ mod tests {
     fn parallel_map_handles_empty_input() {
         let got: Vec<usize> = parallel_map(4, &[] as &[usize], |&i| i);
         assert!(got.is_empty());
+    }
+
+    /// A wrong-shaped value anywhere in the list panics with the
+    /// `LoadError` before any parameter is written.
+    #[test]
+    fn install_values_rejects_a_shape_mismatch_and_changes_nothing() {
+        let params = [
+            Param::new(Matrix::from_vec(1, 2, vec![1.0, 2.0])),
+            Param::new(Matrix::from_vec(2, 1, vec![3.0, 4.0])),
+        ];
+        let snapshot = || -> Vec<Matrix> { params.iter().map(|p| p.value().clone()).collect() };
+        let before = snapshot();
+        let values = [Matrix::full(1, 2, 9.0), Matrix::full(1, 2, 9.0)];
+        let err = catch_unwind(AssertUnwindSafe(|| install_values(&params, &values)))
+            .expect_err("a 1x2 value for a 2x1 parameter must panic");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            msg.contains("param 1: file shape (1, 2), model shape (2, 1)"),
+            "{msg}"
+        );
+        assert_eq!(snapshot(), before);
     }
 }

@@ -96,7 +96,7 @@ impl LstmCell {
     /// summation order regardless of how many rows share the call, so row
     /// `i` is bitwise identical to unrolling `seqs[i]` alone on the tape
     /// with [`LstmCell::step`] at batch 1 (asserted by tests here and
-    /// replayed at every layer above; DESIGN.md §13).
+    /// replayed at every layer above; DESIGN.md §15).
     ///
     /// # Panics
     /// Panics if the batch is empty, any sequence is empty, or any step is

@@ -4,7 +4,9 @@
 //! deep-learning ecosystem lacks the graph layers the paper needs, so this
 //! crate supplies exactly the pieces the models use and nothing more:
 //!
-//! * [`Matrix`] — dense row-major `f32` matrix with matmul/transpose kernels;
+//! * [`Matrix`] — dense row-major `f32` matrix; `a·b`, `aᵀ·b` and `a·bᵀ`
+//!   (also [`matmul_into`] / [`matmul_a_bt_views`] on [`MatrixView`]s) share
+//!   one blocked loop nest and one runtime AVX2 dispatch;
 //! * [`Tape`]/[`Var`]/[`Param`] — reverse-mode autograd over shared
 //!   `Send + Sync` parameter values; a backward pass returns its gradients;
 //! * layers — [`layers::Linear`], [`layers::Mlp`], [`layers::Lstm`],
@@ -56,7 +58,5 @@ pub mod layers {
 }
 
 pub use io::{assign_params, LoadError};
-pub use matrix::{
-    matmul_a_bt_views, matmul_at_b_views, matmul_into, matmul_views, Matrix, MatrixView,
-};
+pub use matrix::{matmul_a_bt_views, matmul_into, Matrix, MatrixView};
 pub use tape::{backward_alloc_count, reset_backward_alloc_count, Param, SparseAdj, Tape, Var};

@@ -1,20 +1,19 @@
 //! Dense row-major `f32` matrix with the kernels the autograd layer needs.
 //!
 //! The owned [`Matrix`] is deliberately minimal — row-major, no BLAS — but
-//! the three matmul kernels (`matmul`, `matmul_at_b`, `matmul_a_bt`) also
-//! accept borrowed stride-aware views ([`MatrixView`]), so
-//! a row block or a column block of a larger buffer multiplies without being
-//! copied out first. The kernels are cache-blocked and written so the
-//! autovectorizer can keep the inner loop branch-free, but they preserve the
-//! naive kernels' ascending-k summation order *per output element*, so
-//! results are bitwise identical to the textbook loops regardless of shape,
-//! stride, or the small-shape fast path (see DESIGN.md §10 and §13 for the
-//! derivation).
+//! its three products (`a·b`, `aᵀ·b`, `a·bᵀ`) run on borrowed stride-aware
+//! views ([`MatrixView`]), so a row block or a column block of a larger
+//! buffer multiplies without being copied out first. One cache-blocked loop
+//! nest computes all three, written so the autovectorizer can keep the inner
+//! loop branch-free, and it preserves the naive kernels' ascending-k
+//! summation order *per output element*, so results are bitwise identical to
+//! the textbook loops regardless of product, shape, stride, or the
+//! small-shape fast paths (see DESIGN.md §10 and §15 for the derivation).
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// Output-column tile width for the blocked `matmul`/`matmul_at_b` kernels.
+/// Output-column tile width for the blocked product.
 ///
 /// Each lhs row computes a `J_TILE`-wide strip of its output row with the
 /// k-loop *innermost* and the partial sums held in a fixed-size stack array
@@ -27,7 +26,7 @@ use std::ops::{Index, IndexMut};
 /// Per output element the k-terms are still added one at a time in ascending
 /// k-order, as separate rounded additions; whether the running sum lives in a
 /// register or in the output buffer does not change f32 rounding, so the
-/// tiled kernels are bitwise identical to the naive i-k-j loops.
+/// tiled product is bitwise identical to the naive i-k-j loops.
 const J_TILE: usize = 64;
 
 /// k-rows of rhs folded per tile pass: a `K_CHUNK x J_TILE` rhs tile is
@@ -37,7 +36,7 @@ const J_TILE: usize = 64;
 /// order, so per-element summation order is unchanged.
 const K_CHUNK: usize = 128;
 
-/// Output-element count at or below which `matmul` skips rhs tile packing.
+/// Output-element count at or below which `a·b` skips rhs tile packing.
 ///
 /// Packing copies a `k x J_TILE` tile per output strip; for a batch of a few
 /// lhs rows that copy dominates the folds it enables (the fused single-step
@@ -109,12 +108,13 @@ fn fold_fixed<const W: usize>(acc: &mut [f32; J_TILE], a_chunk: &[f32], bpack: &
 ///
 /// Row `r` occupies `data[r * row_stride .. r * row_stride + cols]`; when
 /// `row_stride > cols` the view is a column block of a wider buffer and the
-/// rows are non-contiguous. Views are accepted by the same blocked matmul
-/// kernels as owned [`Matrix`] values ([`matmul_views`] and friends), so a
-/// row or column block multiplies without being copied out first. The kernels
-/// only ever read whole rows through [`MatrixView::row`], which is what makes
-/// them stride-oblivious: results are bitwise identical to copying the view
-/// into a fresh `Matrix` and multiplying that.
+/// rows are non-contiguous. The products ([`matmul_into`],
+/// [`matmul_a_bt_views`]) take views, so a row or column block multiplies
+/// without being copied out first. The blocked nest reads the lhs of `aᵀ·b`
+/// with the row stride and every other operand only as whole rows through
+/// [`MatrixView::row`], which is what makes it stride-oblivious: results are
+/// bitwise identical to copying the view into a fresh `Matrix` and
+/// multiplying that.
 #[derive(Clone, Copy)]
 pub struct MatrixView<'a> {
     data: &'a [f32],
@@ -165,16 +165,6 @@ impl<'a> MatrixView<'a> {
         (self.rows, self.cols)
     }
 
-    /// Distance in floats between the starts of consecutive rows.
-    pub fn row_stride(&self) -> usize {
-        self.row_stride
-    }
-
-    /// True when rows are adjacent in memory (`row_stride == cols`).
-    pub fn is_contiguous(&self) -> bool {
-        self.row_stride == self.cols
-    }
-
     /// Borrow one row as a slice.
     pub fn row(&self, r: usize) -> &[f32] {
         debug_assert!(r < self.rows, "row index out of bounds");
@@ -183,12 +173,6 @@ impl<'a> MatrixView<'a> {
         }
         let off = r * self.row_stride;
         &self.data[off..off + self.cols]
-    }
-
-    /// Single element.
-    pub fn at(&self, r: usize, c: usize) -> f32 {
-        debug_assert!(r < self.rows && c < self.cols, "index out of bounds");
-        self.data[r * self.row_stride + c]
     }
 
     /// Copy the viewed window into an owned contiguous matrix.
@@ -203,21 +187,6 @@ impl<'a> MatrixView<'a> {
             data,
         }
     }
-
-    /// Matrix product `self * rhs` (see [`matmul_views`]).
-    pub fn matmul(&self, rhs: &MatrixView<'_>) -> Matrix {
-        matmul_views(self, rhs)
-    }
-
-    /// `selfᵀ * rhs` (see [`matmul_at_b_views`]).
-    pub fn matmul_at_b(&self, rhs: &MatrixView<'_>) -> Matrix {
-        matmul_at_b_views(self, rhs)
-    }
-
-    /// `self * rhsᵀ` (see [`matmul_a_bt_views`]).
-    pub fn matmul_a_bt(&self, rhs: &MatrixView<'_>) -> Matrix {
-        matmul_a_bt_views(self, rhs)
-    }
 }
 
 impl fmt::Debug for MatrixView<'_> {
@@ -230,74 +199,113 @@ impl fmt::Debug for MatrixView<'_> {
     }
 }
 
-/// Matrix product `a * b` over borrowed stride-aware views.
-///
-/// Small outputs (`rows·cols ≤ SMALL_MM_OUT`) take a pack-free i-k-j fast
-/// path; larger ones use the blocked kernel. Both orders sum each output
-/// element's k-terms one at a time ascending, so the result is bitwise
-/// identical either way — and identical to `Matrix::matmul` on copied-out
-/// operands. On x86-64 hosts with AVX2 the same body is re-dispatched to a
-/// copy compiled with 256-bit vectors; vector width only changes how many
-/// *output columns* are computed per instruction — each element's ascending-k
-/// addition chain is untouched, and rustc never contracts `mul` + `add` into
-/// a fused multiply-add — so the wide path is bitwise identical to the
-/// portable one (property-tested in this module).
-///
-/// # Panics
-/// Panics on inner-dimension mismatch.
-pub fn matmul_views(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
-    let mut out = Matrix::default();
-    matmul_into(a, b, &mut out);
-    out
-}
-
-/// [`matmul_views`] written into `out`, which is reshaped to the product and
-/// reuses its allocation — the forward evaluator's matmul. Same bits.
+/// `a * b` over borrowed stride-aware views, written into `out`, which is
+/// reshaped to the product and reuses its allocation — the forward
+/// evaluator's matmul. Same bits as [`Matrix::matmul`] on copied-out
+/// operands.
 ///
 /// # Panics
 /// Panics on inner-dimension mismatch.
 pub fn matmul_into(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut Matrix) {
-    assert_eq!(
-        a.cols, b.rows,
-        "matmul: {}x{} * {}x{}",
-        a.rows, a.cols, b.rows, b.cols
-    );
-    out.reset(a.rows, b.cols);
-    let out = &mut out.data;
-    if a.rows * b.cols <= SMALL_MM_OUT {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the avx2 requirement is checked at runtime above.
-            return unsafe { matmul_views_small_avx2(a, b, out) };
+    product_into(Product::Ab, a, b, out)
+}
+
+/// Which of the three dense products a kernel computes.
+#[derive(Clone, Copy, PartialEq)]
+enum Product {
+    /// `a · b`.
+    Ab,
+    /// `aᵀ · b`, without materialising the transpose.
+    AtB,
+    /// `a · bᵀ`, without materialising the transpose.
+    AbT,
+}
+
+impl Product {
+    /// `(output rows, summed k-terms, output cols)` of the product.
+    ///
+    /// # Panics
+    /// Panics when the operands' inner dimensions differ.
+    fn dims(self, a: &MatrixView<'_>, b: &MatrixView<'_>) -> (usize, usize, usize) {
+        let ((ar, ac), (br, bc)) = (a.shape(), b.shape());
+        match self {
+            Product::Ab => {
+                assert_eq!(ac, br, "matmul: {ar}x{ac} * {br}x{bc}");
+                (ar, ac, bc)
+            }
+            Product::AtB => {
+                assert_eq!(ar, br, "matmul_at_b: {ar}x{ac} ᵀ* {br}x{bc}");
+                (ac, ar, bc)
+            }
+            Product::AbT => {
+                assert_eq!(ac, bc, "matmul_a_bt: {ar}x{ac} * {br}x{bc}ᵀ");
+                (ar, ac, br)
+            }
         }
-        return matmul_views_small_impl(a, b, out);
     }
+}
+
+/// `p` of `a` and `b` into a new matrix (see [`product_into`]).
+fn product(p: Product, a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
+    let mut out = Matrix::default();
+    product_into(p, a, b, &mut out);
+    out
+}
+
+/// The one product dispatch: reshape `out` to the product, then run the
+/// body that [`product_body`] selects for the shape.
+///
+/// On x86-64 hosts with AVX2 that body runs in a copy compiled with 256-bit
+/// vectors. Vector width only changes how many *output columns* are computed
+/// per instruction — each element's ascending-k addition chain is untouched,
+/// and rustc never contracts `mul` + `add` into a fused multiply-add — so the
+/// wide path is bitwise identical to the portable one (tested in this
+/// module).
+///
+/// # Panics
+/// Panics when the operands' inner dimensions differ.
+fn product_into(p: Product, a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut Matrix) {
+    let (m, _, n) = p.dims(a, b);
+    out.reset(m, n);
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the avx2 requirement is checked at runtime above.
-        return unsafe { matmul_views_avx2(a, b, out) };
+        return unsafe { product_avx2(p, a, b, &mut out.data) };
     }
-    matmul_views_impl(a, b, out)
+    product_body(p, a, b, &mut out.data)
 }
 
+/// [`product_body`] compiled for AVX2.
+///
+/// # Safety
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_views_avx2(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
-    matmul_views_impl(a, b, out)
+unsafe fn product_avx2(p: Product, a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
+    product_body(p, a, b, out)
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_views_small_avx2(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
-    matmul_views_small_impl(a, b, out)
+/// Select the body for `p` at this shape and run it into zeroed `out`:
+/// small `a·b` (at most `SMALL_MM_OUT` outputs) skips packing, thin `a·bᵀ`
+/// (fewer than `ABT_TILED_MIN_ROWS` rows) keeps dot products, and every
+/// other product runs the blocked nest. Every body sums each output
+/// element's k-terms one at a time in ascending order, so the choice
+/// changes no bit.
+#[inline(always)]
+fn product_body(p: Product, a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
+    match p {
+        Product::Ab if a.rows * b.cols <= SMALL_MM_OUT => small_ab(a, b, out),
+        Product::AbT if a.rows < ABT_TILED_MIN_ROWS => thin_abt(a, b, out),
+        _ => blocked(p, a, b, out),
+    }
 }
 
-/// Pack-free i-k-j product for small outputs into zeroed `out`: the output
+/// Pack-free i-k-j `a·b` for small outputs into zeroed `out`: the output
 /// row is re-loaded and re-stored per k-term instead of being held across a
 /// chunk, which changes nothing about f32 rounding (same ascending-k
 /// separate additions).
 #[inline(always)]
-fn matmul_views_small_impl(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
+fn small_ab(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
     let n = b.cols;
     for i in 0..a.rows {
         let a_row = a.row(i);
@@ -310,73 +318,39 @@ fn matmul_views_small_impl(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f3
     }
 }
 
-/// The blocked product into zeroed `out`.
+/// The blocked product into zeroed `out`: for each `J_TILE`-wide output
+/// strip and each `K_CHUNK` of k, pack the rhs tile once — transposed for
+/// `a·bᵀ` — and fold every lhs k-run against it. The lhs k-run is a row
+/// slice of `a`, or for `aᵀ·b` column `i` of `a` gathered with the view's
+/// row stride into a contiguous chunk; either way each output element
+/// receives its k-terms in the naive loop's ascending order.
 #[inline(always)]
-fn matmul_views_impl(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
-    let (kk, n) = (a.cols, b.cols);
+fn blocked(p: Product, a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
+    let (m, kk, n) = p.dims(a, b);
     let mut bpack = [0.0f32; K_CHUNK * J_TILE];
+    let mut acol = [0.0f32; K_CHUNK];
     for jt in (0..n).step_by(J_TILE) {
         let w = J_TILE.min(n - jt);
         for kb in (0..kk).step_by(K_CHUNK) {
             let ke = (kb + K_CHUNK).min(kk);
-            pack_tile(&mut bpack, b, jt, w, kb, ke);
-            for i in 0..a.rows {
-                let a_row = a.row(i);
-                let out_row = &mut out[i * n + jt..i * n + jt + w];
-                fold_chunk(out_row, &a_row[kb..ke], &bpack, w);
+            if p == Product::AbT {
+                pack_tile_t(&mut bpack, b, jt, w, kb, ke);
+            } else {
+                pack_tile(&mut bpack, b, jt, w, kb, ke);
+            }
+            for i in 0..m {
+                let a_run = if p == Product::AtB {
+                    for k in kb..ke {
+                        acol[k - kb] = a.data[k * a.row_stride + i];
+                    }
+                    &acol[..ke - kb]
+                } else {
+                    &a.row(i)[kb..ke]
+                };
+                fold_chunk(&mut out[i * n + jt..i * n + jt + w], a_run, &bpack, w);
             }
         }
     }
-}
-
-/// `aᵀ * b` over views, without materialising the transpose.
-///
-/// # Panics
-/// Panics on row-count mismatch.
-pub fn matmul_at_b_views(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
-    assert_eq!(
-        a.rows, b.rows,
-        "matmul_at_b: {}x{} ᵀ* {}x{}",
-        a.rows, a.cols, b.rows, b.cols
-    );
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 requirement is checked at runtime above.
-        return unsafe { matmul_at_b_views_avx2(a, b) };
-    }
-    matmul_at_b_views_impl(a, b)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_at_b_views_avx2(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
-    matmul_at_b_views_impl(a, b)
-}
-
-#[inline(always)]
-fn matmul_at_b_views_impl(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
-    let (r, c, n) = (a.rows, a.cols, b.cols);
-    let mut out = Matrix::zeros(c, n);
-    let mut bpack = [0.0f32; K_CHUNK * J_TILE];
-    for jt in (0..n).step_by(J_TILE) {
-        let w = J_TILE.min(n - jt);
-        for kb in (0..r).step_by(K_CHUNK) {
-            let ke = (kb + K_CHUNK).min(r);
-            pack_tile(&mut bpack, b, jt, w, kb, ke);
-            for i in 0..c {
-                // The lhs column is gathered with the view's row stride into
-                // a contiguous chunk; the k-order per output element matches
-                // the naive k-outer loop.
-                let mut acol = [0.0f32; K_CHUNK];
-                for k in kb..ke {
-                    acol[k - kb] = a.data[k * a.row_stride + i];
-                }
-                let out_row = &mut out.data[i * n + jt..i * n + jt + w];
-                fold_chunk(out_row, &acol[..ke - kb], &bpack, w);
-            }
-        }
-    }
-    out
 }
 
 /// Below this many lhs rows, `a · bᵀ` keeps the scalar dot-product kernel:
@@ -384,49 +358,13 @@ fn matmul_at_b_views_impl(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
 /// only amortises when several lhs rows reuse each packed tile.
 const ABT_TILED_MIN_ROWS: usize = 4;
 
-/// `a * bᵀ` over views, without materialising the transpose.
-///
-/// With `ABT_TILED_MIN_ROWS` or more lhs rows this runs the same blocked
-/// kernel as [`matmul_views`] over a tile-transposed pack of `b`; thinner
-/// lhs keeps a scalar dot-product loop. Both paths (and the AVX2
-/// re-dispatches) accumulate every output element's k-terms one at a time in
-/// ascending order, so the result is bitwise identical regardless of which
-/// path runs.
+/// `a * bᵀ` over borrowed stride-aware views, without materialising the
+/// transpose. Same bits as [`Matrix::matmul_a_bt`] on copied-out operands.
 ///
 /// # Panics
 /// Panics on column-count mismatch.
 pub fn matmul_a_bt_views(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
-    assert_eq!(
-        a.cols, b.cols,
-        "matmul_a_bt: {}x{} * {}x{}ᵀ",
-        a.rows, a.cols, b.rows, b.cols
-    );
-    if a.rows < ABT_TILED_MIN_ROWS {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the avx2 requirement is checked at runtime above.
-            return unsafe { matmul_a_bt_views_small_avx2(a, b) };
-        }
-        return matmul_a_bt_views_small_impl(a, b);
-    }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 requirement is checked at runtime above.
-        return unsafe { matmul_a_bt_views_avx2(a, b) };
-    }
-    matmul_a_bt_views_impl(a, b)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_a_bt_views_avx2(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
-    matmul_a_bt_views_impl(a, b)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_a_bt_views_small_avx2(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
-    matmul_a_bt_views_small_impl(a, b)
+    product(Product::AbT, a, b)
 }
 
 /// Pack one `(ke-kb) x w` tile of the *virtual* rhs `bᵀ` — element
@@ -434,6 +372,7 @@ unsafe fn matmul_a_bt_views_small_avx2(a: &MatrixView<'_>, b: &MatrixView<'_>) -
 /// the layout [`fold_chunk`] consumes. Reads are contiguous along each `b`
 /// row; the scatter into the scratch is what pays for the transpose, once
 /// per tile instead of once per lhs row.
+#[inline(always)]
 fn pack_tile_t(
     bpack: &mut [f32; K_CHUNK * J_TILE],
     b: &MatrixView<'_>,
@@ -450,41 +389,16 @@ fn pack_tile_t(
     }
 }
 
-/// Blocked `a · bᵀ`: identical schedule to [`matmul_views_impl`] with the
-/// rhs tiles packed transposed, so each output element receives its k-terms
-/// in the same ascending order as the scalar dot product — bitwise
-/// identical, just vectorised across output columns.
+/// Scalar `a · bᵀ` for thin lhs into `out`: four independent dot-product
+/// accumulators per pass over the rhs rows. Each accumulator sums its
+/// k-terms sequentially in ascending order, so every output is bitwise
+/// identical to the plain dot product (and to the blocked nest).
 #[inline(always)]
-fn matmul_a_bt_views_impl(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
-    let (kk, n) = (a.cols, b.rows);
-    let mut out = Matrix::zeros(a.rows, n);
-    let mut bpack = [0.0f32; K_CHUNK * J_TILE];
-    for jt in (0..n).step_by(J_TILE) {
-        let w = J_TILE.min(n - jt);
-        for kb in (0..kk).step_by(K_CHUNK) {
-            let ke = (kb + K_CHUNK).min(kk);
-            pack_tile_t(&mut bpack, b, jt, w, kb, ke);
-            for i in 0..a.rows {
-                let a_row = a.row(i);
-                let out_row = &mut out.data[i * n + jt..i * n + jt + w];
-                fold_chunk(out_row, &a_row[kb..ke], &bpack, w);
-            }
-        }
-    }
-    out
-}
-
-/// Scalar `a · bᵀ` for thin lhs: four independent dot-product accumulators
-/// per pass over the rhs rows. Each accumulator sums its k-terms
-/// sequentially in ascending order, so every output is bitwise identical to
-/// the plain dot product (and to the tiled path above).
-#[inline(always)]
-fn matmul_a_bt_views_small_impl(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
+fn thin_abt(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
     let (c, p) = (a.cols, b.rows);
-    let mut out = Matrix::zeros(a.rows, p);
     for i in 0..a.rows {
         let a_row = a.row(i);
-        let out_row = &mut out.data[i * p..(i + 1) * p];
+        let out_row = &mut out[i * p..(i + 1) * p];
         let mut j = 0;
         while j + 4 <= p {
             let b0 = b.row(j);
@@ -515,7 +429,6 @@ fn matmul_a_bt_views_small_impl(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matri
             j += 1;
         }
     }
-    out
 }
 
 /// A dense row-major matrix of `f32`.
@@ -717,24 +630,23 @@ impl Matrix {
         }
     }
 
-    /// Matrix product `self * rhs` (delegates to [`matmul_views`], which
-    /// documents the tiled/small dispatch and the bitwise-identity
-    /// guarantee).
+    /// Matrix product `self * rhs`, bitwise the naive i-k-j loop at every
+    /// shape.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        matmul_views(&self.view(), &rhs.view())
+        product(Product::Ab, &self.view(), &rhs.view())
     }
 
     /// `selfᵀ * rhs` without materialising the transpose.
     pub fn matmul_at_b(&self, rhs: &Matrix) -> Matrix {
-        matmul_at_b_views(&self.view(), &rhs.view())
+        product(Product::AtB, &self.view(), &rhs.view())
     }
 
     /// `self * rhsᵀ` without materialising the transpose.
     pub fn matmul_a_bt(&self, rhs: &Matrix) -> Matrix {
-        matmul_a_bt_views(&self.view(), &rhs.view())
+        product(Product::AbT, &self.view(), &rhs.view())
     }
 
     /// Explicit transpose.
@@ -1257,22 +1169,74 @@ mod tests {
         }
     }
 
+    /// Every portable body, called directly whatever the shape selection
+    /// would pick, equals the public dispatched product bit for bit — on an
+    /// AVX2 host the dispatch runs only the AVX2 copies, so this is the test
+    /// that runs the portable ones. Shapes straddle `J_TILE`, `K_CHUNK`,
+    /// `SMALL_MM_OUT` and `ABT_TILED_MIN_ROWS`; each operand is also taken
+    /// as a strided `cols_view` of a wider parent.
     #[test]
     fn small_fast_path_matches_tiled_kernel_bitwise() {
-        // Both sides of the SMALL_MM_OUT dispatch, forced explicitly, must
-        // agree bit-for-bit (same ascending-k order, different scheduling).
+        type Body = fn(&MatrixView<'_>, &MatrixView<'_>, &mut [f32]);
+        fn view(p: &Matrix, c: usize, strided: bool) -> MatrixView<'_> {
+            if strided {
+                p.cols_view(3, 3 + c)
+            } else {
+                p.view()
+            }
+        }
         let pool: Vec<f32> = (0..61).map(|i| (i as f32 - 30.0) * 0.61).collect();
-        for &(m, k, n) in &[(1, 128, 256), (8, 128, 256), (3, 300, 70), (5, 5, 256)] {
-            let a = pooled(m, k, &pool);
-            let b = pooled(k, n, &pool);
-            let run = |kernel: fn(&MatrixView<'_>, &MatrixView<'_>, &mut [f32])| {
-                let mut out = Matrix::zeros(m, n);
-                kernel(&a.view(), &b.view(), &mut out.data);
-                out
-            };
-            let (small, tiled) = (run(matmul_views_small_impl), run(matmul_views_impl));
-            assert!(bitwise_eq(&small, &tiled), "{m}x{k}x{n} small vs tiled");
-            assert!(bitwise_eq(&a.matmul(&b), &tiled), "{m}x{k}x{n} dispatch");
+        let blocked_ab: Body = |a, b, out| blocked(Product::Ab, a, b, out);
+        let blocked_atb: Body = |a, b, out| blocked(Product::AtB, a, b, out);
+        let blocked_abt: Body = |a, b, out| blocked(Product::AbT, a, b, out);
+        let shapes = [
+            (1, 128, 256),
+            (8, 128, 256),
+            (3, 300, 70),
+            (5, 5, 256),
+            (4, 129, 65),
+            (3, 127, 63),
+            (16, 64, 64),
+            (17, 64, 64),
+            (2, 257, 32),
+            (33, 130, 31),
+        ];
+        for &(m, k, n) in &shapes {
+            for (strided_a, strided_b) in [(false, false), (true, false), (false, true)] {
+                // Columns [3, 3 + c) of a parent five columns wider.
+                let parent =
+                    |r: usize, c: usize, strided| pooled(r, c + 5 * strided as usize, &pool);
+                let (a, at, b, bt) = (
+                    parent(m, k, strided_a),
+                    parent(k, m, strided_a),
+                    parent(k, n, strided_b),
+                    parent(n, k, strided_b),
+                );
+                let (a, at, b, bt) = (
+                    view(&a, k, strided_a),
+                    view(&at, m, strided_a),
+                    view(&b, n, strided_b),
+                    view(&bt, k, strided_b),
+                );
+                let mut ab = Matrix::default();
+                matmul_into(&a, &b, &mut ab);
+                let atb = at.to_matrix().matmul_at_b(&b.to_matrix());
+                let abt = matmul_a_bt_views(&a, &bt);
+                for (name, body, lhs, rhs, dispatched) in [
+                    ("small a·b", small_ab as Body, &a, &b, &ab),
+                    ("blocked a·b", blocked_ab, &a, &b, &ab),
+                    ("blocked aᵀ·b", blocked_atb, &at, &b, &atb),
+                    ("blocked a·bᵀ", blocked_abt, &a, &bt, &abt),
+                    ("thin a·bᵀ", thin_abt as Body, &a, &bt, &abt),
+                ] {
+                    let mut out = Matrix::zeros(dispatched.rows(), dispatched.cols());
+                    body(lhs, rhs, &mut out.data);
+                    assert!(
+                        bitwise_eq(&out, dispatched),
+                        "{name} {m}x{k}x{n} strided ({strided_a}, {strided_b})"
+                    );
+                }
+            }
         }
     }
 
@@ -1282,25 +1246,24 @@ mod tests {
         let parent = pooled(9, 150, &pool);
         let rv = parent.rows_view(2, 7); // 5x150 contiguous
         let cv = parent.cols_view(3, 131); // 9x128, row stride 150 (ragged)
-        assert!(rv.is_contiguous() && !cv.is_contiguous());
         let b = pooled(150, 40, &pool);
         assert!(bitwise_eq(
-            &rv.matmul(&b.view()),
+            &product(Product::Ab, &rv, &b.view()),
             &rv.to_matrix().matmul(&b)
         ));
         let b2 = pooled(9, 33, &pool);
         assert!(bitwise_eq(
-            &cv.matmul_at_b(&b2.view()),
+            &product(Product::AtB, &cv, &b2.view()),
             &cv.to_matrix().matmul_at_b(&b2)
         ));
         let a2 = pooled(4, 9, &pool);
         assert!(bitwise_eq(
-            &matmul_views(&a2.view(), &cv),
+            &product(Product::Ab, &a2.view(), &cv),
             &a2.matmul(&cv.to_matrix())
         ));
         let a3 = pooled(4, 128, &pool);
         assert!(bitwise_eq(
-            &a3.view().matmul_a_bt(&cv),
+            &matmul_a_bt_views(&a3.view(), &cv),
             &a3.matmul_a_bt(&cv.to_matrix())
         ));
     }
@@ -1311,9 +1274,9 @@ mod tests {
         parent[(0, 1)] = f32::NAN;
         let cv = parent.cols_view(1, 2); // 2x1 strided column holding the NaN
         let a = Matrix::from_vec(1, 2, vec![0.0, 0.0]);
-        assert!(matmul_views(&a.view(), &cv)[(0, 0)].is_nan());
+        assert!(product(Product::Ab, &a.view(), &cv)[(0, 0)].is_nan());
         let at = Matrix::from_vec(2, 1, vec![0.0, 0.0]);
-        assert!(matmul_at_b_views(&at.view(), &cv)[(0, 0)].is_nan());
+        assert!(product(Product::AtB, &at.view(), &cv)[(0, 0)].is_nan());
     }
 
     #[test]
@@ -1405,20 +1368,23 @@ mod tests {
             let rv = parent.rows_view(r0.min(rows), rows);
             let cv = parent.cols_view(c0.min(cols), cols);
             let b = pooled(cols, n, &pool);
-            prop_assert!(bitwise_eq(&rv.matmul(&b.view()), &rv.to_matrix().matmul(&b)));
+            prop_assert!(bitwise_eq(
+                &product(Product::Ab, &rv, &b.view()),
+                &rv.to_matrix().matmul(&b)
+            ));
             let b2 = pooled(rows, n, &pool);
             prop_assert!(bitwise_eq(
-                &cv.matmul_at_b(&b2.view()),
+                &product(Product::AtB, &cv, &b2.view()),
                 &cv.to_matrix().matmul_at_b(&b2)
             ));
             let a2 = pooled(n, rows, &pool);
             prop_assert!(bitwise_eq(
-                &matmul_views(&a2.view(), &cv),
+                &product(Product::Ab, &a2.view(), &cv),
                 &a2.matmul(&cv.to_matrix())
             ));
             let a3 = pooled(n, cv.cols(), &pool);
             prop_assert!(bitwise_eq(
-                &a3.view().matmul_a_bt(&cv),
+                &matmul_a_bt_views(&a3.view(), &cv),
                 &a3.matmul_a_bt(&cv.to_matrix())
             ));
         }
