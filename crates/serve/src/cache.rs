@@ -1,6 +1,8 @@
-//! A fixed-capacity O(1) LRU cache used to memoize per-address embedding
-//! sequences. Implemented as a hash map into a slab of intrusively
-//! doubly-linked nodes — no external crates, no per-access allocation.
+//! A bounded O(1) LRU cache; the serving engine keeps its answers in one,
+//! one label per `(address id, history length, generation)`. Implemented as
+//! a hash map into a slab of intrusively doubly-linked nodes — no external
+//! crates, no per-access allocation. Both grow as entries arrive, so the
+//! capacity is a bound, never a reservation.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -24,11 +26,12 @@ pub struct LruCache<K, V> {
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// `capacity == 0` means caching disabled: every insert evicts itself.
+    /// Nothing is allocated until the first insert.
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            map: HashMap::with_capacity(capacity),
-            nodes: Vec::with_capacity(capacity),
+            map: HashMap::new(),
+            nodes: Vec::new(),
             head: None,
             tail: None,
         }
@@ -175,6 +178,19 @@ mod tests {
         assert_eq!(c.insert(1, 10), Some((1, 10)));
         assert!(c.get(&1).is_none());
         assert_eq!(c.len(), 0);
+    }
+
+    /// A capacity far beyond memory reserves nothing: the cache grows on
+    /// insert and, never full, evicts nothing.
+    #[test]
+    fn unbounded_capacity_grows_on_insert() {
+        let mut c = LruCache::new(usize::MAX);
+        for i in 0..10_000u64 {
+            assert_eq!(c.insert(i, i * 2), None);
+        }
+        assert_eq!(c.len(), 10_000);
+        assert_eq!(c.get(&0), Some(&0));
+        assert_eq!(c.get(&9_999), Some(&19_998));
     }
 
     #[test]

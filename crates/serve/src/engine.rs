@@ -21,18 +21,18 @@
 //! the weights, so any worker may serve any request and none can disturb
 //! another.
 //!
-//! The expensive stage — slice-graph construction plus GFN embedding — is
-//! memoized in a shared LRU keyed by `(address id, history length,
-//! generation)`: a history is append-only, so id + length uniquely identify
-//! the embedding input, and [`Engine::invalidate_address`] bumps the
-//! generation to supersede cached entries when an upstream changes an
-//! address's history out from under the cache.
-//! Cache hits skip straight to the cheap LSTM+MLP head. The head runs once
-//! per micro-batch ([`BaClassifier::classify_embeddings_batch`]): the whole
-//! batch goes down as one ragged-batch LSTM forward pass, which the core
-//! crate guarantees is byte-identical per sequence to the unstaged
-//! `predict` path. `model_time_us_total` / `queue_wait_us_total` split each
-//! request's latency into model time and queue wait.
+//! For a fixed model a label is a pure function of the address's history,
+//! so the shared LRU holds **answers**: `(address id, history length,
+//! generation)` → label. Histories are append-only, so id + length identify
+//! one, and [`Engine::invalidate_address`] bumps the generation when an
+//! upstream changes a history at the same length. A hit is answered in the
+//! worker's one pass over the batch and runs no model. A miss is embedded
+//! (graph construction + GFN), and the batch's *distinct* miss sequences go
+//! through the LSTM+MLP head as one ragged-batch forward pass
+//! ([`BaClassifier::classify_embeddings_batch`], byte-identical per sequence
+//! to `predict`). Only labels are cached, never an empty history or a head
+//! error. `model_time_us_total` / `queue_wait_us_total` split latency into
+//! head time and queue wait.
 //!
 //! # Fault tolerance
 //!
@@ -74,7 +74,6 @@ use std::time::{Duration, Instant};
 
 use baclassifier::{ArtifactError, BaClassifier, ModelArtifact, PredictError};
 use btcsim::{AddressRecord, Label};
-use numnet::Matrix;
 
 use crate::breaker::{Admission, BreakerState, CircuitBreaker};
 use crate::cache::LruCache;
@@ -92,7 +91,8 @@ pub struct EngineConfig {
     pub max_batch: usize,
     /// Bound on queued (admitted, not yet processed) requests.
     pub queue_depth: usize,
-    /// Entries in the shared embedding LRU; `0` disables caching.
+    /// Labels held by the shared answer LRU; `0` disables caching. The
+    /// cache grows as it fills, so a huge capacity reserves nothing.
     pub cache_capacity: usize,
     /// Deadline applied to every `submit`; `None` means requests never
     /// expire. `submit_with_deadline` overrides per request.
@@ -213,7 +213,8 @@ impl From<PredictError> for ServeError {
 #[derive(Clone, Debug)]
 pub struct Response {
     pub label: Label,
-    /// Whether the embedding stage was skipped (LRU or intra-batch reuse).
+    /// Whether the label came from work already done: the answer LRU, or an
+    /// identical request earlier in the same batch.
     pub cache_hit: bool,
     /// Answered by the degraded fallback classifier, not the model.
     pub degraded: bool,
@@ -273,7 +274,7 @@ fn recover<T>(r: LockResult<T>) -> T {
 }
 
 /// `(address id, history length, generation)`. Histories are append-only,
-/// so `(id, len)` uniquely identifies an embedding input *as long as the
+/// so `(id, len)` uniquely identifies a history *as long as the
 /// upstream source only appends*; the generation tag covers every other
 /// case. [`Engine::invalidate_address`] bumps an address's generation, which
 /// re-keys all of its future lookups — entries under older generations can
@@ -287,18 +288,15 @@ struct Job {
     deadline: Option<Instant>,
 }
 
-/// A job of the current batch that goes through the head: its slot, its
-/// embedding sequence, and whether the embedding stage was skipped for it.
-struct Live {
-    slot: usize,
-    seq: Arc<Vec<Matrix>>,
-    hit: bool,
-}
-
-impl AsRef<[Matrix]> for Live {
-    fn as_ref(&self) -> &[Matrix] {
-        &self.seq
-    }
+/// How a key already seen in the current batch is answered.
+#[derive(Clone, Copy)]
+enum Answer {
+    /// The label is known (it came from the LRU).
+    Label(Label),
+    /// Row `r` of this batch's head call will hold the label.
+    Row(usize),
+    /// The history is empty; there is nothing to classify.
+    Empty,
 }
 
 /// What a worker needs per batch, owned by the worker and emptied after
@@ -311,11 +309,8 @@ struct BatchScratch {
     slots: Vec<Option<Job>>,
     /// `keys[i]` is the cache key of `slots[i]`.
     keys: Vec<CacheKey>,
-    /// Embeddings computed (or fetched) earlier in this same batch;
-    /// identical requests reuse them without touching the shared cache
-    /// again.
-    this_batch: HashMap<CacheKey, Arc<Vec<Matrix>>>,
-    live: Vec<Live>,
+    /// The answer of every key seen so far in this batch (intra-batch dedup).
+    this_batch: HashMap<CacheKey, Answer>,
 }
 
 #[derive(Default)]
@@ -330,9 +325,9 @@ struct QueueState {
 struct Shared {
     queue: Mutex<QueueState>,
     cond: Condvar,
-    cache: Mutex<LruCache<CacheKey, Arc<Vec<Matrix>>>>,
+    cache: Mutex<LruCache<CacheKey, Label>>,
     /// Per-address cache generation; absent means generation 0. Bumped by
-    /// [`Engine::invalidate_address`] to supersede cached embeddings.
+    /// [`Engine::invalidate_address`] to supersede cached labels.
     generations: Mutex<HashMap<u64, u64>>,
     metrics: Metrics,
     breaker: CircuitBreaker,
@@ -504,7 +499,7 @@ impl Engine {
         self.submit(record)?.wait()
     }
 
-    /// Supersede every cached embedding for `address` by bumping its cache
+    /// Supersede every cached label for `address` by bumping its cache
     /// generation. Returns the new generation.
     ///
     /// The `(id, history_len)` key already guarantees that a *grown* history
@@ -712,9 +707,9 @@ fn process_batch(
         slots,
         keys,
         this_batch,
-        live,
     } = scratch;
-    shared.metrics.record_batch_size(slots.len());
+    let metrics = &shared.metrics;
+    metrics.record_batch_size(slots.len());
     match fault {
         // Injected slowness: the whole batch stalls, so deadline-carrying
         // jobs in it must resolve as DeadlineExceeded below.
@@ -728,127 +723,124 @@ fn process_batch(
         }
         None => {}
     }
-    // Pass 1 — gather: resolve deadlines and assemble each live job's
-    // embedding sequence (intra-batch dedup, shared LRU, or a fresh GFN
-    // embed). Jobs whose history is empty have no sequence to batch and are
-    // answered individually here.
+    let started = Instant::now();
+    // Pass 1: resolve deadlines, answer every job whose label is known
+    // (intra-batch dedup or the shared LRU) or whose history is empty, and
+    // embed each distinct miss as the next row of the head call. `waiting`
+    // holds `(slot, row, cache_hit)` of every job answered by a head row.
+    let (mut seqs, mut waiting) = (Vec::new(), Vec::new());
     shared.cache_keys(slots, keys);
     for (i, slot) in slots.iter_mut().enumerate() {
-        let job_ref = slot.as_ref().expect("unprocessed slot holds a job");
-        if let Some(deadline) = job_ref.deadline {
-            if Instant::now() >= deadline {
-                let job = slot.take().expect("slot checked above");
-                shared.metrics.timed_out.fetch_add(1, Relaxed);
-                let _ = job.reply.send(Err(ServeError::DeadlineExceeded));
-                continue;
-            }
-        }
-        let key = keys[i];
-        let (seq, hit) = if let Some(seq) = this_batch.get(&key) {
-            shared.metrics.batch_dedup_hits.fetch_add(1, Relaxed);
-            (Arc::clone(seq), true)
-        } else {
-            // Separate statement so the lock guard drops before the miss
-            // path re-locks to publish the freshly computed embedding.
-            let cached = recover(shared.cache.lock()).get(&key).cloned();
-            match cached {
-                Some(seq) => {
-                    shared.metrics.cache_hits.fetch_add(1, Relaxed);
-                    this_batch.insert(key, Arc::clone(&seq));
-                    (seq, true)
-                }
-                None => {
-                    shared.metrics.cache_misses.fetch_add(1, Relaxed);
-                    let seq = Arc::new(clf.embed_record(&job_ref.record));
-                    recover(shared.cache.lock()).insert(key, Arc::clone(&seq));
-                    this_batch.insert(key, Arc::clone(&seq));
-                    (seq, false)
-                }
-            }
-        };
-        if seq.is_empty() {
-            let job = slot.take().expect("slot checked above");
-            shared.metrics.failed.fetch_add(1, Relaxed);
-            let _ = job
-                .reply
-                .send(Err(ServeError::Predict(PredictError::EmptyHistory)));
+        let job = slot.as_ref().expect("unprocessed slot holds a job");
+        if job.deadline.is_some_and(|d| Instant::now() >= d) {
+            metrics.timed_out.fetch_add(1, Relaxed);
+            send(slot, Err(ServeError::DeadlineExceeded));
             continue;
         }
-        live.push(Live { slot: i, seq, hit });
+        let dedup = this_batch.get(&keys[i]).copied();
+        let answer = match dedup {
+            Some(answer) => {
+                metrics.batch_dedup_hits.fetch_add(1, Relaxed);
+                answer
+            }
+            None => {
+                // Its own statement: the guard drops before any embedding.
+                let cached = recover(shared.cache.lock()).get(&keys[i]).copied();
+                let answer = match cached {
+                    Some(label) => {
+                        metrics.cache_hits.fetch_add(1, Relaxed);
+                        Answer::Label(label)
+                    }
+                    None => {
+                        metrics.cache_misses.fetch_add(1, Relaxed);
+                        let seq = clf.embed_record(&job.record);
+                        if seq.is_empty() {
+                            Answer::Empty
+                        } else {
+                            seqs.push(seq);
+                            Answer::Row(seqs.len() - 1)
+                        }
+                    }
+                };
+                this_batch.insert(keys[i], answer);
+                answer
+            }
+        };
+        match answer {
+            Answer::Label(label) => reply_label(shared, slot, label, true, started),
+            Answer::Row(row) => waiting.push((i, row, dedup.is_some())),
+            Answer::Empty => reply_refused(shared, slot, PredictError::EmptyHistory),
+        }
     }
-    if !live.is_empty() {
-        classify_live(shared, clf, slots, live);
+    // Pass 2: the distinct misses go through the head as one ragged-batch
+    // forward pass, whose every row is bitwise the per-sequence result, so no
+    // answer depends on which requests shared the batch. Their labels are
+    // cached under one lock, and every job waiting on a row is answered.
+    if !seqs.is_empty() {
+        let model_started = Instant::now();
+        let classified = clf.classify_embeddings_batch(&seqs, 1);
+        let model_us = model_started.elapsed().as_micros() as u64;
+        metrics.model_time_us_total.fetch_add(model_us, Relaxed);
+        let rows = seqs.len() as u64;
+        metrics.embed_batch_rows_total.fetch_add(rows, Relaxed);
+        match classified {
+            Ok(labels) => {
+                // Each row's one miss (the job that is no dedup hit) has its key.
+                let mut cache = recover(shared.cache.lock());
+                for &(slot, row, _) in waiting.iter().filter(|w| !w.2) {
+                    cache.insert(keys[slot], labels[row].0);
+                }
+                drop(cache);
+                for &(slot, row, hit) in waiting.iter() {
+                    reply_label(shared, &mut slots[slot], labels[row].0, hit, started);
+                }
+            }
+            Err(e) => {
+                for &(slot, ..) in waiting.iter() {
+                    reply_refused(shared, &mut slots[slot], e);
+                }
+            }
+        }
     }
-    // Every job has been answered and has left its slot. Emptied now, not
-    // at the next batch, so an idle worker pins no embedding the LRU has
-    // already let go of.
+    // Every job has been answered and has left its slot.
     slots.clear();
     keys.clear();
     this_batch.clear();
-    live.clear();
 }
 
-/// Pass 2 — classify the whole micro-batch through the head in one
-/// ragged-batch forward pass and reply to each live job. Every logit row is
-/// bitwise identical to the per-job `classify_embeddings` formulation, so
-/// responses do not depend on which requests shared the batch.
-fn classify_live(shared: &Shared, clf: &BaClassifier, slots: &mut [Option<Job>], live: &[Live]) {
-    let model_started = Instant::now();
-    let classified = clf.classify_embeddings_batch(live, 1);
-    let model_us = model_started.elapsed().as_micros() as u64;
-    shared
-        .metrics
-        .model_time_us_total
-        .fetch_add(model_us, Relaxed);
-    shared
-        .metrics
-        .embed_batch_rows_total
-        .fetch_add(live.len() as u64, Relaxed);
-    let queue_wait_us: u64 = live
-        .iter()
-        .map(|l| {
-            let job = slots[l.slot].as_ref().expect("live slot holds a job");
-            model_started
-                .saturating_duration_since(job.enqueued)
-                .as_micros() as u64
-        })
-        .sum();
-    shared
-        .metrics
-        .queue_wait_us_total
-        .fetch_add(queue_wait_us, Relaxed);
-    // Scatter: one reply per live job, same accounting as the per-job path.
-    for (row, l) in live.iter().enumerate() {
-        let job_ref = slots[l.slot].as_ref().expect("live slot holds a job");
-        let result = match &classified {
-            Ok(labels) => Ok(Response {
-                label: labels[row].0,
-                cache_hit: l.hit,
-                degraded: false,
-                latency: job_ref.enqueued.elapsed(),
-            }),
-            Err(e) => Err(ServeError::Predict(*e)),
-        };
-        match &result {
-            Ok(r) => {
-                shared.metrics.completed.fetch_add(1, Relaxed);
-                shared
-                    .metrics
-                    .record_latency_us(r.latency.as_micros() as u64);
-                // Close/reset the breaker before the reply is observable, so
-                // a caller that sees a served probe also sees the breaker
-                // closed.
-                shared.breaker.record_success();
-            }
-            Err(_) => {
-                shared.metrics.failed.fetch_add(1, Relaxed);
-            }
-        }
-        // The job leaves its slot only now that a reply exists for it; a
-        // dropped Ticket is not an engine error, so ignore send failure.
-        let job = slots[l.slot].take().expect("live slot checked above");
-        let _ = job.reply.send(result);
-    }
+/// Answer the job in `slot` with `label`: the one success path, for hits
+/// and misses alike. Its queue wait ends at `started`, when its batch began.
+fn reply_label(shared: &Shared, slot: &mut Option<Job>, label: Label, hit: bool, started: Instant) {
+    let job = slot.as_ref().expect("unanswered slot holds a job");
+    let latency = job.enqueued.elapsed();
+    let waited_us = started.saturating_duration_since(job.enqueued).as_micros() as u64;
+    let metrics = &shared.metrics;
+    metrics.completed.fetch_add(1, Relaxed);
+    metrics.record_latency_us(latency.as_micros() as u64);
+    metrics.queue_wait_us_total.fetch_add(waited_us, Relaxed);
+    // Close/reset the breaker before the reply is observable, so a caller
+    // that sees a served probe also sees the breaker closed.
+    shared.breaker.record_success();
+    let response = Response {
+        label,
+        cache_hit: hit,
+        degraded: false,
+        latency,
+    };
+    send(slot, Ok(response));
+}
+
+/// Fail the job in `slot` because the model refused its input.
+fn reply_refused(shared: &Shared, slot: &mut Option<Job>, e: PredictError) {
+    shared.metrics.failed.fetch_add(1, Relaxed);
+    send(slot, Err(ServeError::Predict(e)));
+}
+
+/// Reply to the job in `slot`, which it leaves only now. A dropped Ticket is
+/// not an engine error, so a failed send is ignored.
+fn send(slot: &mut Option<Job>, result: Result<Response, ServeError>) {
+    let job = slot.take().expect("unanswered slot holds a job");
+    let _ = job.reply.send(result);
 }
 
 #[cfg(test)]
@@ -959,8 +951,13 @@ mod tests {
     }
 
     /// Submit `first`, wait until the worker has taken it (and is stalled
-    /// in batch 1), submit `rest` behind it, and wait for every reply.
-    fn serve_backlog_behind_first(engine: &Engine, first: &AddressRecord, rest: &[AddressRecord]) {
+    /// in batch 1), submit `rest` behind it, and wait for every reply;
+    /// returns the replies to `rest`, in order.
+    fn backlog_behind_first(
+        engine: &Engine,
+        first: &AddressRecord,
+        rest: &[AddressRecord],
+    ) -> Vec<Result<Response, ServeError>> {
         let head = engine.submit(first.clone()).unwrap();
         while engine.queue_len() != 0 {
             thread::yield_now();
@@ -970,8 +967,13 @@ mod tests {
             .map(|r| engine.submit(r.clone()).unwrap())
             .collect();
         head.wait().unwrap();
-        for t in tickets {
-            t.wait().unwrap();
+        tickets.into_iter().map(Ticket::wait).collect()
+    }
+
+    /// [`backlog_behind_first`] where every reply must be `Ok`.
+    fn serve_backlog_behind_first(engine: &Engine, first: &AddressRecord, rest: &[AddressRecord]) {
+        for reply in backlog_behind_first(engine, first, rest) {
+            reply.unwrap();
         }
     }
 
@@ -1081,8 +1083,178 @@ mod tests {
         assert!(snap.cache_hit_rate() > 0.0);
     }
 
+    /// A warm engine answers a burst of hits from the answer cache: the
+    /// head runs no row for them, and every label is `predict`'s.
+    #[test]
+    fn warm_hits_run_no_head_row() {
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+        let direct = BaClassifier::from_artifact(&artifact).unwrap();
+        let engine = Engine::new(artifact, EngineConfig::default()).unwrap();
+        let records = test_records(12);
+        for r in &records {
+            assert!(!engine.classify(r.clone()).unwrap().cache_hit);
+        }
+        let warm = engine.metrics();
+        assert_eq!(warm.embed_batch_rows_total, 12);
+        let tickets: Vec<Ticket> = (0..64)
+            .map(|i| engine.submit(records[i % 12].clone()).unwrap())
+            .collect();
+        for (i, t) in tickets.into_iter().enumerate() {
+            let resp = t.wait().unwrap();
+            assert!(resp.cache_hit, "request {i}");
+            assert_eq!(resp.label, direct.predict(&records[i % 12]).unwrap());
+        }
+        let snap = engine.metrics();
+        assert_eq!(snap.embed_batch_rows_total, 12, "a hit ran the head");
+        assert_eq!(snap.model_time_us_total, warm.model_time_us_total);
+        assert_eq!(snap.cache_misses, 12);
+        assert_eq!(snap.cache_hits + snap.batch_dedup_hits, 64);
+        assert_accounted(&snap);
+    }
+
+    /// k copies of one uncached record in one batch are one miss, one head
+    /// row and k − 1 dedup hits; every copy gets `predict`'s label.
+    #[test]
+    fn duplicate_misses_in_a_batch_share_one_head_row() {
+        const K: usize = 6;
+        let engine = engine_with_stalled_first_batch(16, Duration::from_millis(100));
+        let direct =
+            BaClassifier::from_artifact(&ModelArtifact::untrained(BacConfig::fast())).unwrap();
+        let records = test_records(5);
+        let mut rest = vec![records[1].clone(); K];
+        rest.extend(records[2..].iter().cloned());
+        let replies = backlog_behind_first(&engine, &records[0], &rest);
+        for (r, reply) in rest.iter().zip(&replies) {
+            assert_eq!(reply.as_ref().unwrap().label, direct.predict(r).unwrap());
+        }
+        let copies_hit = replies[..K]
+            .iter()
+            .filter(|r| r.as_ref().unwrap().cache_hit)
+            .count();
+        assert_eq!(copies_hit, K - 1, "exactly one copy is the miss");
+        let snap = engine.metrics();
+        assert_eq!(snap.batches, 2, "the backlog must be one batch");
+        // records[0], then one row for the copies and one per other record.
+        assert_eq!(snap.embed_batch_rows_total, 1 + 1 + 3);
+        assert_eq!(snap.cache_misses, 1 + 1 + 3);
+        assert_eq!(snap.batch_dedup_hits, K as u64 - 1);
+        assert_eq!(snap.cache_hits, 0);
+        assert_accounted(&snap);
+    }
+
+    /// An empty history is refused and never cached: asked twice in a row
+    /// it misses twice, and a duplicate inside one batch fails the same way.
+    #[test]
+    fn empty_history_is_never_cached() {
+        let empty_history = ServeError::Predict(PredictError::EmptyHistory);
+        let records = test_records(2);
+        let mut empty = records[1].clone();
+        empty.txs.clear();
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+        let engine = Engine::new(artifact, EngineConfig::default()).unwrap();
+        for _ in 0..2 {
+            assert_eq!(
+                engine.classify(empty.clone()).map(|_| ()),
+                Err(empty_history)
+            );
+        }
+        let snap = engine.metrics();
+        assert_eq!((snap.cache_misses, snap.cache_hits), (2, 0));
+        assert_eq!((snap.failed, snap.embed_batch_rows_total), (2, 0));
+
+        let engine = engine_with_stalled_first_batch(16, Duration::from_millis(100));
+        let replies = backlog_behind_first(&engine, &records[0], &[empty.clone(), empty]);
+        for reply in replies {
+            assert_eq!(reply.map(|_| ()), Err(empty_history));
+        }
+        let snap = engine.metrics();
+        assert_eq!(snap.batches, 2);
+        assert_eq!((snap.cache_misses, snap.batch_dedup_hits), (2, 1));
+        assert_eq!(snap.embed_batch_rows_total, 1);
+        assert_accounted(&snap);
+    }
+
+    /// A capacity no memory could hold is a bound, not a reservation: the
+    /// engine starts and serves.
+    #[test]
+    fn unbounded_cache_capacity_serves() {
+        let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+        let direct = BaClassifier::from_artifact(&artifact).unwrap();
+        let engine = Engine::new(
+            artifact,
+            EngineConfig {
+                cache_capacity: usize::MAX,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let record = test_records(1).remove(0);
+        let cold = engine.classify(record.clone()).unwrap();
+        let warm = engine.classify(record.clone()).unwrap();
+        assert_eq!((cold.cache_hit, warm.cache_hit), (false, true));
+        assert_eq!(warm.label, direct.predict(&record).unwrap());
+        assert_accounted(&engine.metrics());
+    }
+
+    /// Requests and `predict`'s answer to each.
+    type AnswerPool = (Vec<AddressRecord>, Vec<Result<Label, PredictError>>);
+
+    /// Six records and one empty history, with `predict`'s answer for each;
+    /// built once for every case of the proptest below.
+    fn answer_pool() -> &'static AnswerPool {
+        static POOL: std::sync::OnceLock<AnswerPool> = std::sync::OnceLock::new();
+        POOL.get_or_init(|| {
+            let mut records = test_records(6);
+            let mut empty = records[0].clone();
+            empty.txs.clear();
+            records.push(empty);
+            let direct =
+                BaClassifier::from_artifact(&ModelArtifact::untrained(BacConfig::fast())).unwrap();
+            let answers = records.iter().map(|r| direct.predict(r)).collect();
+            (records, answers)
+        })
+    }
+
+    // Any stream of repeated requests, over any worker count, batch cap and
+    // cache small enough to evict, gets `predict`'s answer for every request
+    // (the empty history its `EmptyHistory`), and every request reaches
+    // exactly one terminal outcome.
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+        #[test]
+        fn any_stream_gets_the_answers_of_predict(
+            stream in proptest::collection::vec(0usize..7, 1..40),
+            workers in 1usize..=4,
+            max_batch in 1usize..=16,
+            cache_capacity in 0usize..=8,
+        ) {
+            let (records, answers) = answer_pool();
+            let engine = Engine::new(
+                Arc::new(ModelArtifact::untrained(BacConfig::fast())),
+                EngineConfig {
+                    workers,
+                    max_batch,
+                    cache_capacity,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            let tickets: Vec<Ticket> = stream
+                .iter()
+                .map(|&i| engine.submit(records[i].clone()).unwrap())
+                .collect();
+            for (&i, t) in stream.iter().zip(tickets) {
+                let got = t.wait().map(|r| r.label);
+                proptest::prop_assert_eq!(got, answers[i].map_err(ServeError::Predict));
+            }
+            let snap = engine.metrics();
+            proptest::prop_assert_eq!(snap.submitted, stream.len() as u64);
+            proptest::prop_assert_eq!(snap.terminal_total(), snap.submitted);
+        }
+    }
+
     /// Satellite: a grown history can never be served a stale cached
-    /// embedding. The `(id, len, gen)` key guards growth structurally —
+    /// answer. The `(id, len, gen)` key guards growth structurally —
     /// the longer record misses and is re-embedded, matching the direct
     /// model on the new history exactly.
     #[test]
@@ -1098,7 +1270,7 @@ mod tests {
         assert!(engine.classify(record.clone()).unwrap().cache_hit);
 
         // The history grows: the next query must not reuse the cached
-        // embedding for the shorter history.
+        // label of the shorter history.
         let last_ts = record.txs.last().map_or(0, |t| t.timestamp);
         record.txs.push(TxView {
             txid: Txid(u64::MAX),
@@ -1113,7 +1285,7 @@ mod tests {
         assert!(engine.classify(record).unwrap().cache_hit);
     }
 
-    /// Satellite: `invalidate_address` supersedes cached embeddings even
+    /// Satellite: `invalidate_address` supersedes cached labels even
     /// when the history length does not change (the case the implicit
     /// `(id, len)` key cannot catch).
     #[test]
@@ -1150,7 +1322,7 @@ mod tests {
             engine.classify(r.clone()).unwrap();
         }
         engine.invalidate_address(records[0].address);
-        // Address 1 keeps its cached embedding; address 0 lost its own.
+        // Address 1 keeps its cached label; address 0 lost its own.
         assert!(engine.classify(records[1].clone()).unwrap().cache_hit);
         assert!(!engine.classify(records[0].clone()).unwrap().cache_hit);
     }

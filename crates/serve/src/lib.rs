@@ -15,9 +15,9 @@
 //!   worker threads that all read one shared model. A free worker takes
 //!   whatever is queued at that moment, up to `max_batch`: batches grow
 //!   with load and an idle engine never holds a request for a timer.
-//! * **[`cache`]**: an O(1) LRU over per-address embedding sequences; hits
-//!   skip graph construction and the GFN forward pass and re-run only the
-//!   cheap LSTM+MLP head, staying byte-identical to the unstaged path.
+//! * **[`cache`]**: an O(1) LRU of answers, one label per `(address id,
+//!   history length, generation)`; a hit runs no model at all, and a miss's
+//!   label is byte-identical to the unstaged `predict` path.
 //! * **[`metrics`]**: wait-free counters and latency/batch-size histograms,
 //!   snapshotted into a [`MetricsSnapshot`] that renders as JSON.
 //! * **[`breaker`], [`fallback`], [`fault`]**: the resilience layer. Worker

@@ -164,18 +164,18 @@ counters! {
             /// request in the same batch (intra-batch dedup; not an LRU hit).
             batch_dedup_hits,
             /// Explicit `invalidate_address` calls (generation bumps that
-            /// supersede any cached embeddings for the address).
+            /// supersede any cached labels for the address).
             invalidations,
             /// Micro-batches processed.
             batches,
-            /// Embedding-sequence rows classified through the batched head
-            /// path (one count per live job in each processed micro-batch).
-            /// Together with `batches` this gives the effective batch width
-            /// the model saw.
+            /// Embedding-sequence rows run through the batched head: one per
+            /// distinct cache miss in each micro-batch (hits and in-batch
+            /// duplicates run no row). Together with `batches` this gives
+            /// the effective batch width the model saw.
             embed_batch_rows_total,
             /// Cumulative wall time (µs) workers spent inside the batched
-            /// model forward pass, summed per batch — the "model time" half
-            /// of the latency split.
+            /// head forward pass, summed per batch — the "model time" half
+            /// of the latency split (zero for a batch of cache hits).
             model_time_us_total,
             /// Cumulative time (µs) jobs waited between admission and the
             /// start of the batch that served them — the "queue wait" half
