@@ -8,21 +8,25 @@
 //! fast with `QueueFull`, exactly like a full engine queue, so the router
 //! above can shed or degrade instead of stalling the fleet).
 //!
-//! Failure handling is the point of this module:
+//! Failure handling is the point of this module, and one thread does all
+//! of it: each lane's thread owns its connection for the lane's whole
+//! life. It dials, reads replies, pings, sweeps deadlines, declares a
+//! silent connection stale and tears it down. Submitters share only the
+//! write half, the pending table and the next request id with it, so no
+//! other thread can ever touch a connection.
 //!
 //! * **Fail-fast submits.** `submit` never dials. If the connection is
 //!   down it returns `WorkerFailed` immediately and the router's degraded
-//!   path takes over. Dialing is the prober thread's job.
-//! * **Bounded-backoff reconnect.** Connection attempts are gated by an
-//!   exponential backoff (`backoff` doubling to `backoff_max`), driven by
-//!   the prober every `probe_interval`.
+//!   path takes over.
+//! * **Bounded-backoff reconnect.** A lane without a connection redials
+//!   after `BACKOFF`, doubling per failed dial up to `BACKOFF_MAX`.
 //! * **Client-side deadlines.** Every pending request carries a deadline;
-//!   the reader thread sweeps expired entries on its poll tick and settles
+//!   the lane thread sweeps expired entries every `READ_TICK` and settles
 //!   them `DeadlineExceeded`, so a wedged worker never hangs a caller.
 //! * **Liveness is the lane's own.** The `connections_open` gauge (1 while
 //!   connected) is what [`ShardLane::live_workers`] reads, so the router's
 //!   degraded routing asks a remote lane exactly what it asks an engine. A
-//!   `Pong` only refreshes `last_heard`.
+//!   `Pong` only refreshes the lane's last-heard stamp.
 //!
 //! The handshake validates layout: the server's `Hello` must carry our
 //! `SHARD_HASH_VERSION`, and when `expect` names a shard assignment the
@@ -37,32 +41,34 @@ use baserve::{Response, ServeError, ShardLane, Ticket};
 use btcsim::{AddressRecord, Label};
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Dial timeout; also the handshake's read deadline.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 /// Per-request deadline, enforced on this side of the wire.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
-/// Reader poll tick (also the deadline-sweep cadence).
+/// Lane read tick (also the deadline-sweep cadence).
 const READ_TICK: Duration = Duration::from_millis(25);
 /// A connection with no frames heard for this long is declared dead.
 const STALE_AFTER: Duration = Duration::from_secs(2);
 /// Socket write timeout.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+/// First reconnect backoff; doubles per failed dial up to `BACKOFF_MAX`.
+const BACKOFF: Duration = Duration::from_millis(50);
+const BACKOFF_MAX: Duration = Duration::from_secs(2);
+/// How often a connected lane pings its worker.
+const PING_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Knobs for a [`RemoteShard`].
 #[derive(Clone)]
 pub struct RemoteShardConfig {
-    /// Initial reconnect backoff; doubles per failure up to `backoff_max`.
-    pub backoff: Duration,
-    pub backoff_max: Duration,
     /// Per-shard admission budget: in-flight requests beyond this fail
     /// fast with `QueueFull`.
     pub max_in_flight: usize,
-    pub probe_interval: Duration,
     /// When set, the peer must be the worker for exactly this assignment.
     pub expect: Option<ShardAssignment>,
 }
@@ -70,10 +76,7 @@ pub struct RemoteShardConfig {
 impl Default for RemoteShardConfig {
     fn default() -> Self {
         RemoteShardConfig {
-            backoff: Duration::from_millis(50),
-            backoff_max: Duration::from_secs(2),
             max_in_flight: 64,
-            probe_interval: Duration::from_millis(100),
             expect: None,
         }
     }
@@ -84,37 +87,41 @@ struct PendingEntry {
     deadline: Instant,
 }
 
-struct Conn {
-    write: TcpStream,
-    generation: u64,
-}
-
-struct Inner {
-    conn: Option<Conn>,
+/// What submitters share with the lane thread. A frame is written and its
+/// pending entry inserted under one lock, and settling a reply takes that
+/// lock, so a reply can never beat its entry into the table.
+struct Shared {
+    /// Write half of the live connection; `None` while disconnected.
+    write: Option<TcpStream>,
     pending: HashMap<u64, PendingEntry>,
     next_req_id: u64,
-    /// Bumped per established connection; a stale reader thread (from a
-    /// torn-down connection) compares generations and must never touch
-    /// state a newer connection owns.
-    generation: u64,
-    next_attempt: Instant,
-    backoff: Duration,
-    ever_connected: bool,
-    last_heard: Instant,
 }
 
 /// A connection to one remote shard worker, presenting the same
 /// [`ShardLane`] surface as an in-process engine.
 pub struct RemoteShard {
-    addr: String,
-    config: RemoteShardConfig,
+    max_in_flight: usize,
     metrics: Arc<Metrics>,
-    inner: Arc<Mutex<Inner>>,
+    shared: Arc<Mutex<Shared>>,
     stop: Arc<AtomicBool>,
-    prober: Option<std::thread::JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
-fn lock<'a>(m: &'a Mutex<Inner>) -> MutexGuard<'a, Inner> {
+/// Everything the lane thread owns: the read half of a fresh connection
+/// and the redial timers.
+struct Lane {
+    addr: String,
+    expect: Option<ShardAssignment>,
+    metrics: Arc<Metrics>,
+    shared: Arc<Mutex<Shared>>,
+    stop: Arc<AtomicBool>,
+    reader: Option<FrameReader<TcpStream>>,
+    backoff: Duration,
+    next_dial: Instant,
+    ever_connected: bool,
+}
+
+fn lock(m: &Mutex<Shared>) -> MutexGuard<'_, Shared> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -150,37 +157,41 @@ fn result_of(outcome: ReplyOutcome) -> Result<Response, ServeError> {
 }
 
 impl RemoteShard {
-    /// Create a lane for the worker at `addr` and dial it once eagerly.
-    /// Never fails: if the worker is down the lane starts disconnected and
-    /// the prober keeps retrying under backoff. Use
-    /// [`RemoteShard::wait_connected`] when startup must block on the
-    /// fleet being up.
+    /// Create a lane for the worker at `addr` and dial it once eagerly, so
+    /// the lane is connected on return when the worker is up. Never fails:
+    /// if the worker is down the lane starts disconnected and its thread
+    /// keeps redialling under backoff. Use [`RemoteShard::wait_connected`]
+    /// when startup must block on the fleet being up.
     pub fn connect(addr: &str, config: RemoteShardConfig) -> RemoteShard {
-        let now = Instant::now();
-        let inner = Arc::new(Mutex::new(Inner {
-            conn: None,
+        let metrics = Arc::new(Metrics::default());
+        let shared = Arc::new(Mutex::new(Shared {
+            write: None,
             pending: HashMap::new(),
             next_req_id: 0,
-            generation: 0,
-            next_attempt: now,
-            backoff: config.backoff,
-            ever_connected: false,
-            last_heard: now,
         }));
-        let mut shard = RemoteShard {
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut lane = Lane {
             addr: addr.to_string(),
-            config,
-            metrics: Arc::new(Metrics::default()),
-            inner,
-            stop: Arc::new(AtomicBool::new(false)),
-            prober: None,
+            expect: config.expect,
+            metrics: Arc::clone(&metrics),
+            shared: Arc::clone(&shared),
+            stop: Arc::clone(&stop),
+            reader: None,
+            backoff: BACKOFF,
+            next_dial: Instant::now(),
+            ever_connected: false,
         };
-        shard.try_connect();
-        shard.prober = Some(shard.spawn_prober());
-        shard
+        lane.dial();
+        RemoteShard {
+            max_in_flight: config.max_in_flight,
+            metrics,
+            shared,
+            stop,
+            thread: Some(std::thread::spawn(move || lane.run())),
+        }
     }
 
-    /// This lane's counters: the `Arc` its prober and reader write. Its
+    /// This lane's counters: the `Arc` its thread writes. Its
     /// `connections_open` gauge reads 1 exactly while connected.
     pub fn counters(&self) -> Arc<Metrics> {
         Arc::clone(&self.metrics)
@@ -203,72 +214,20 @@ impl RemoteShard {
         self.is_connected()
     }
 
-    fn spawn_prober(&self) -> std::thread::JoinHandle<()> {
-        let inner = Arc::clone(&self.inner);
-        let metrics = Arc::clone(&self.metrics);
-        let stop = Arc::clone(&self.stop);
-        let config = self.config.clone();
-        let addr = self.addr.clone();
-        std::thread::spawn(move || {
-            let mut nonce = 0u64;
-            while !stop.load(Relaxed) {
-                std::thread::sleep(config.probe_interval);
-                if stop.load(Relaxed) {
-                    break;
-                }
-                try_connect_impl(&addr, &config, &inner, &metrics, &stop);
-                let mut guard = lock(&inner);
-                // Second deadline sweep (the reader sweeps on its poll
-                // tick, but a stream saturated with replies may never
-                // tick) — a wedged individual request still expires.
-                expire_deadlines(&mut guard, &metrics);
-                if let Some(conn) = &guard.conn {
-                    let generation = conn.generation;
-                    if guard.last_heard.elapsed() > STALE_AFTER {
-                        // Half-open connection: the peer stopped talking
-                        // but TCP never noticed. Tear it down; backoff
-                        // reconnect takes over.
-                        disconnect_locked(&mut guard, generation, &metrics);
-                        continue;
-                    }
-                    nonce += 1;
-                    let ping = Message::Ping { nonce };
-                    let mut w = &conn.write;
-                    if write_message(&mut w, &ping)
-                        .and_then(|_| w.flush())
-                        .is_err()
-                    {
-                        disconnect_locked(&mut guard, generation, &metrics);
-                    }
-                }
-            }
-        })
-    }
-
-    fn try_connect(&self) {
-        try_connect_impl(
-            &self.addr,
-            &self.config,
-            &self.inner,
-            &self.metrics,
-            &self.stop,
-        );
-    }
-
     /// Stop the lane: close the connection, settle all pending requests
-    /// `WorkerFailed`, join the prober.
+    /// `WorkerFailed`, join the lane thread.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
         self.stop.store(true, Relaxed);
-        {
-            let mut guard = lock(&self.inner);
-            let generation = guard.conn.as_ref().map(|c| c.generation).unwrap_or(0);
-            disconnect_locked(&mut guard, generation, &self.metrics);
+        // Wake the lane thread's blocked read; it tears the connection
+        // down and settles what is pending on its way out.
+        if let Some(write) = &lock(&self.shared).write {
+            let _ = write.shutdown(Shutdown::Both);
         }
-        if let Some(h) = self.prober.take() {
+        if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
     }
@@ -282,76 +241,108 @@ impl Drop for RemoteShard {
     }
 }
 
-/// Write a frame on the live connection, unwinding the pending entry on
-/// any failure (so a dead socket never leaks a pending request).
-fn send_on_conn(
-    guard: &mut MutexGuard<'_, Inner>,
-    req_id: u64,
-    msg: &Message,
-) -> Result<(), ServeError> {
-    let ok = match &guard.conn {
-        Some(conn) => {
-            let mut w = &conn.write;
-            write_message(&mut w, msg).and_then(|_| w.flush()).is_ok()
+impl Lane {
+    /// The lane thread: serve the connection while there is one, redial
+    /// when the backoff allows, until the lane stops.
+    fn run(mut self) {
+        while !self.stop.load(Relaxed) {
+            match self.reader.take() {
+                Some(reader) => self.serve(reader),
+                None => {
+                    let wait = self.next_dial.saturating_duration_since(Instant::now());
+                    if wait.is_zero() {
+                        self.dial();
+                    } else {
+                        std::thread::sleep(wait.min(READ_TICK));
+                    }
+                }
+            }
         }
-        None => false,
-    };
-    if ok {
-        Ok(())
-    } else {
-        guard.pending.remove(&req_id);
-        Err(ServeError::WorkerFailed)
     }
-}
 
-fn try_connect_impl(
-    addr: &str,
-    config: &RemoteShardConfig,
-    inner: &Arc<Mutex<Inner>>,
-    metrics: &Arc<Metrics>,
-    stop: &Arc<AtomicBool>,
-) {
-    {
-        let mut guard = lock(inner);
-        if guard.conn.is_some() || stop.load(Relaxed) {
+    /// Dial once. On success publish the write half and keep the read
+    /// half; on failure double the backoff.
+    fn dial(&mut self) {
+        let Ok((write, reader)) = dial(&self.addr, self.expect) else {
+            self.next_dial = Instant::now() + self.backoff;
+            self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
+            return;
+        };
+        let mut shared = lock(&self.shared);
+        // Checked under the lock `shutdown` takes, so a lane stopped
+        // mid-dial publishes nothing it would not shut.
+        if self.stop.load(Relaxed) {
             return;
         }
-        let now = Instant::now();
-        if now < guard.next_attempt {
-            return;
+        shared.write = Some(write);
+        self.reader = Some(reader);
+        self.backoff = BACKOFF;
+        if self.ever_connected {
+            self.metrics.reconnects_total.fetch_add(1, Relaxed);
         }
-        // Gate concurrent dialers out while this one is in flight.
-        guard.next_attempt = now + CONNECT_TIMEOUT;
+        self.ever_connected = true;
+        self.metrics.connections_open.store(1, Relaxed);
     }
-    match dial(addr, config) {
-        Ok((stream, reader)) => {
-            let mut guard = lock(inner);
-            if guard.conn.is_some() || stop.load(Relaxed) {
-                return; // lost the race (can't happen under the gate) or shutting down
+
+    /// Own one live connection until it fails, goes stale or the lane
+    /// stops; then tear it down.
+    fn serve(&mut self, mut reader: FrameReader<TcpStream>) {
+        let mut last_heard = Instant::now();
+        let mut last_ping = last_heard;
+        let mut last_sweep = last_heard;
+        let mut nonce = 0u64;
+        while !self.stop.load(Relaxed) {
+            match reader.read_message() {
+                Ok(Some(Message::Reply { req_id, outcome })) => {
+                    last_heard = Instant::now();
+                    if let Some(entry) = lock(&self.shared).pending.remove(&req_id) {
+                        settle(entry, result_of(outcome), &self.metrics);
+                    }
+                }
+                // The stamp is all a pong is for.
+                Ok(Some(Message::Pong { .. })) => last_heard = Instant::now(),
+                Err(e) if e.is_timeout() => {}
+                // End of stream, a broken one, or a frame a server never
+                // sends (a protocol violation).
+                _ => break,
             }
-            guard.generation += 1;
-            let generation = guard.generation;
-            guard.conn = Some(Conn {
-                write: stream,
-                generation,
-            });
-            guard.backoff = config.backoff;
-            guard.next_attempt = Instant::now();
-            guard.last_heard = Instant::now();
-            if guard.ever_connected {
-                metrics.reconnects_total.fetch_add(1, Relaxed);
+            let now = Instant::now();
+            if now - last_heard > STALE_AFTER {
+                // Half-open connection: the peer stopped talking but TCP
+                // never noticed.
+                break;
             }
-            guard.ever_connected = true;
-            metrics.connections_open.store(1, Relaxed);
-            drop(guard);
-            spawn_reader(reader, generation, inner, metrics, stop);
+            if now - last_sweep >= READ_TICK {
+                last_sweep = now;
+                expire_deadlines(&mut lock(&self.shared).pending, &self.metrics);
+            }
+            if now - last_ping >= PING_INTERVAL {
+                last_ping = now;
+                nonce += 1;
+                let ping = Message::Ping { nonce };
+                let sent = lock(&self.shared)
+                    .write
+                    .as_ref()
+                    .is_some_and(|mut w| write_message(&mut w, &ping).is_ok());
+                if !sent {
+                    break;
+                }
+            }
         }
-        Err(_) => {
-            let mut guard = lock(inner);
-            let backoff = guard.backoff;
-            guard.next_attempt = Instant::now() + backoff;
-            guard.backoff = (backoff * 2).min(config.backoff_max);
+        self.disconnect();
+    }
+
+    /// Drop the connection and settle every pending request `WorkerFailed`.
+    /// The next dial waits out the current backoff; only failed dials
+    /// double it.
+    fn disconnect(&mut self) {
+        let mut shared = lock(&self.shared);
+        shared.write = None;
+        self.metrics.connections_open.store(0, Relaxed);
+        for (_, entry) in shared.pending.drain() {
+            settle(entry, Err(ServeError::WorkerFailed), &self.metrics);
         }
+        self.next_dial = Instant::now() + self.backoff;
     }
 }
 
@@ -360,7 +351,7 @@ fn try_connect_impl(
 /// frames the server pipelined behind its hello stay buffered in it).
 fn dial(
     addr: &str,
-    config: &RemoteShardConfig,
+    expect: Option<ShardAssignment>,
 ) -> Result<(TcpStream, FrameReader<TcpStream>), String> {
     let sockaddr = addr
         .to_socket_addrs()
@@ -373,13 +364,13 @@ fn dial(
     stream
         .set_write_timeout(Some(WRITE_TIMEOUT))
         .map_err(|e| e.to_string())?;
-    // Generous read deadline for the handshake; tightened to the poll tick
-    // once the reader loop owns the stream.
+    // Generous read deadline for the handshake; tightened to the read tick
+    // once the lane thread owns the stream.
     stream
         .set_read_timeout(Some(CONNECT_TIMEOUT))
         .map_err(|e| e.to_string())?;
 
-    let (shard_index, shard_count) = match &config.expect {
+    let (shard_index, shard_count) = match &expect {
         Some(a) => (a.index, a.count),
         None => (0, 1),
     };
@@ -411,7 +402,7 @@ fn dial(
             hello.hash_version
         ));
     }
-    if let Some(expect) = &config.expect {
+    if let Some(expect) = &expect {
         if hello.role != Role::Worker
             || hello.shard_index != expect.index
             || hello.shard_count != expect.count
@@ -455,143 +446,57 @@ fn settle(entry: PendingEntry, result: Result<Response, ServeError>, metrics: &M
 
 /// Settle every pending request whose deadline has passed as
 /// `DeadlineExceeded`.
-fn expire_deadlines(inner: &mut Inner, metrics: &Metrics) {
+fn expire_deadlines(pending: &mut HashMap<u64, PendingEntry>, metrics: &Metrics) {
     let now = Instant::now();
-    let expired: Vec<u64> = inner
-        .pending
+    let expired: Vec<u64> = pending
         .iter()
         .filter(|(_, e)| e.deadline <= now)
         .map(|(id, _)| *id)
         .collect();
     for id in expired {
-        if let Some(entry) = inner.pending.remove(&id) {
+        if let Some(entry) = pending.remove(&id) {
             settle(entry, Err(ServeError::DeadlineExceeded), metrics);
         }
     }
 }
 
-/// Tear down the connection for `generation` (no-op if a newer connection
-/// owns the state), settling every pending request as `WorkerFailed`.
-fn disconnect_locked(guard: &mut MutexGuard<'_, Inner>, generation: u64, metrics: &Metrics) {
-    let current = guard.conn.as_ref().map(|c| c.generation);
-    if current != Some(generation) {
-        return;
-    }
-    guard.conn = None;
-    let pending = std::mem::take(&mut guard.pending);
-    // Hold the current backoff; failed *dial* attempts do the doubling.
-    guard.next_attempt = Instant::now() + guard.backoff;
-    metrics.connections_open.store(0, Relaxed);
-    for (_, entry) in pending {
-        settle(entry, Err(ServeError::WorkerFailed), metrics);
-    }
-}
-
-fn spawn_reader(
-    mut reader: FrameReader<TcpStream>,
-    generation: u64,
-    inner: &Arc<Mutex<Inner>>,
-    metrics: &Arc<Metrics>,
-    stop: &Arc<AtomicBool>,
-) {
-    let inner = Arc::clone(inner);
-    let metrics = Arc::clone(metrics);
-    let stop = Arc::clone(stop);
-    std::thread::spawn(move || loop {
-        if stop.load(Relaxed) {
-            return;
-        }
-        {
-            // A torn-down generation has nothing left to do.
-            let guard = lock(&inner);
-            if guard.conn.as_ref().map(|c| c.generation) != Some(generation) {
-                return;
-            }
-        }
-        match reader.read_message() {
-            Ok(Some(msg)) => {
-                let mut guard = lock(&inner);
-                if guard.conn.as_ref().map(|c| c.generation) != Some(generation) {
-                    return;
-                }
-                guard.last_heard = Instant::now();
-                match msg {
-                    Message::Reply { req_id, outcome } => {
-                        if let Some(entry) = guard.pending.remove(&req_id) {
-                            settle(entry, result_of(outcome), &metrics);
-                        }
-                    }
-                    // `last_heard` above is all a pong is for.
-                    Message::Pong { .. } => {}
-                    // A server never sends requests; anything else is a
-                    // protocol violation — tear the connection down.
-                    _ => {
-                        disconnect_locked(&mut guard, generation, &metrics);
-                        return;
-                    }
-                }
-            }
-            Ok(None) => {
-                let mut guard = lock(&inner);
-                disconnect_locked(&mut guard, generation, &metrics);
-                return;
-            }
-            Err(e) if e.is_timeout() => {
-                // Poll tick: sweep expired deadlines.
-                let mut guard = lock(&inner);
-                if guard.conn.as_ref().map(|c| c.generation) != Some(generation) {
-                    return;
-                }
-                expire_deadlines(&mut guard, &metrics);
-            }
-            Err(_) => {
-                let mut guard = lock(&inner);
-                disconnect_locked(&mut guard, generation, &metrics);
-                return;
-            }
-        }
-    });
-}
-
 impl ShardLane for RemoteShard {
     fn submit(&self, record: AddressRecord) -> Result<Ticket, ServeError> {
-        let mut guard = lock(&self.inner);
+        let mut guard = lock(&self.shared);
+        let shared = &mut *guard;
         self.metrics.submitted.fetch_add(1, Relaxed);
-        if guard.conn.is_none() {
+        let Some(mut w) = shared.write.as_ref() else {
             self.metrics.failed.fetch_add(1, Relaxed);
             return Err(ServeError::WorkerFailed);
-        }
-        if guard.pending.len() >= self.config.max_in_flight {
+        };
+        if shared.pending.len() >= self.max_in_flight {
             self.metrics.rejected.fetch_add(1, Relaxed);
             return Err(ServeError::QueueFull);
         }
-        let req_id = guard.next_req_id;
-        guard.next_req_id += 1;
+        let req_id = shared.next_req_id;
+        shared.next_req_id += 1;
+        let msg = Message::Classify {
+            req_id,
+            address: record.address.0,
+        };
+        if write_message(&mut w, &msg).is_err() {
+            self.metrics.failed.fetch_add(1, Relaxed);
+            return Err(ServeError::WorkerFailed);
+        }
         let (tx, ticket) = Ticket::pending();
-        guard.pending.insert(
+        shared.pending.insert(
             req_id,
             PendingEntry {
                 reply: tx,
                 deadline: Instant::now() + REQUEST_TIMEOUT,
             },
         );
-        let msg = Message::Classify {
-            req_id,
-            address: record.address.0,
-        };
-        match send_on_conn(&mut guard, req_id, &msg) {
-            Ok(()) => Ok(ticket),
-            Err(e) => {
-                self.metrics.failed.fetch_add(1, Relaxed);
-                Err(e)
-            }
-        }
+        Ok(ticket)
     }
 
     fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
-        let guard = lock(&self.inner);
-        snap.queue_depth = guard.pending.len() as u64;
+        snap.queue_depth = lock(&self.shared).pending.len() as u64;
         snap
     }
 

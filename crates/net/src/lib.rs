@@ -20,9 +20,9 @@
 //!   a peer sends stops it; sheds connections beyond 64;
 //!   cuts peers that stall mid-frame.
 //! * [`client`] — [`client::RemoteShard`]: a `baserve::ShardLane` backed by
-//!   one multiplexed connection to a worker process, with fail-fast
-//!   submits, client-side deadlines, exponential-backoff reconnect, and
-//!   ping probes; its `live_workers()` is 1 while connected, which is all
+//!   one multiplexed connection to a worker process, which one lane thread
+//!   owns: fail-fast submits, client-side deadlines, exponential-backoff
+//!   reconnect and pings; its `live_workers()` is 1 while connected, which is all
 //!   the router asks before routing to it. Because it is a
 //!   `ShardLane`, `bashard::ShardRouter` fans batches across remote
 //!   workers with the exact same placement and merge order as in-process

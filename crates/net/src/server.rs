@@ -17,8 +17,8 @@
 //!   accepts are closed immediately (the kernel backlog stays bounded);
 //! * reads tick every `READ_TICK` (50 ms) so stop/SIGINT are observed; a
 //!   peer that stalls **mid-frame** longer than `STALL_TIMEOUT` (5 s) is
-//!   cut off (idle connections are fine — the client prober keeps live
-//!   ones warm);
+//!   cut off (idle connections are fine — each client lane pings its
+//!   live one);
 //! * writes carry `WRITE_TIMEOUT` (5 s) so one dead client cannot wedge a
 //!   writer thread forever.
 //!

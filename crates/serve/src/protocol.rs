@@ -50,14 +50,20 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
+/// The refusal of a line over [`MAX_LINE_BYTES`]. It names the cap, not
+/// the line's length: the session's reader stops keeping a line's bytes
+/// past the cap, so it never learns how long the line was.
+fn line_too_long() -> ProtocolError {
+    ProtocolError(format!(
+        "request line too long (max {MAX_LINE_BYTES} bytes)"
+    ))
+}
+
 /// Parse one request line. `Ok(None)` means the line carries no request
 /// (blank or comment) and should simply be skipped.
 pub fn parse_request(line: &str) -> Result<Option<Request>, ProtocolError> {
     if line.len() > MAX_LINE_BYTES {
-        return Err(ProtocolError(format!(
-            "request line too long ({} bytes, max {MAX_LINE_BYTES})",
-            line.len()
-        )));
+        return Err(line_too_long());
     }
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
@@ -104,10 +110,7 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, ProtocolError> {
 /// request is answered with `err`.
 pub fn parse_request_bytes(line: &[u8]) -> Result<Option<Request>, ProtocolError> {
     if line.len() > MAX_LINE_BYTES {
-        return Err(ProtocolError(format!(
-            "request line too long ({} bytes, max {MAX_LINE_BYTES})",
-            line.len()
-        )));
+        return Err(line_too_long());
     }
     let text = std::str::from_utf8(line)
         .map_err(|_| ProtocolError("request line is not valid UTF-8".into()))?;

@@ -19,10 +19,12 @@
 
 use crate::engine::Ticket;
 use crate::lane::{NetBackend, WireError};
-use crate::protocol::{format_error, format_response, parse_request_bytes, Request};
+use crate::protocol::{
+    format_error, format_response, parse_request_bytes, Request, MAX_LINE_BYTES,
+};
 use crate::shutdown;
 use std::collections::VecDeque;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -53,14 +55,13 @@ const TICK: Duration = Duration::from_millis(100);
 fn spawn_reader(mut input: impl BufRead + Send + 'static) -> mpsc::Receiver<Vec<u8>> {
     let (line_tx, line_rx) = mpsc::sync_channel::<Vec<u8>>(64);
     std::thread::spawn(move || loop {
-        let mut raw = Vec::new();
-        match input.read_until(b'\n', &mut raw) {
-            Ok(0) => break,
-            Ok(_) => {
+        match read_line_capped(&mut input) {
+            Ok(Some(raw)) => {
                 if line_tx.send(raw).is_err() {
                     break;
                 }
             }
+            Ok(None) => break,
             Err(e) => {
                 eprintln!("error: reading request stream: {e}");
                 break;
@@ -68,6 +69,22 @@ fn spawn_reader(mut input: impl BufRead + Send + 'static) -> mpsc::Receiver<Vec<
         }
     });
     line_rx
+}
+
+/// Read one raw line; `None` at end of input. At most `MAX_LINE_BYTES + 1`
+/// bytes of it are kept — enough for the parser to refuse it — and the
+/// rest is discarded through its newline as it is read, so no client can
+/// make the daemon buffer an unbounded line.
+fn read_line_capped(input: &mut impl BufRead) -> std::io::Result<Option<Vec<u8>>> {
+    let mut line = Vec::new();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    if input.take(cap).read_until(b'\n', &mut line)? == 0 {
+        return Ok(None);
+    }
+    if line.last() != Some(&b'\n') {
+        input.skip_until(b'\n')?;
+    }
+    Ok(Some(line))
 }
 
 /// The `metrics` response: per-shard lines (when asked for and the backend

@@ -120,9 +120,11 @@ impl NetBackend for RouterBackend {
 /// connect rather than misroute).
 ///
 /// Returns the router and, in shard order, each lane's own counters (the
-/// `Arc` its prober and reader write): a read-only view whose
-/// `connections_open` is 1 exactly while that lane is connected. Lanes
-/// start disconnected; `ShardRouter::shutdown` closes every connection.
+/// `Arc` its lane thread writes): a read-only view whose
+/// `connections_open` is 1 exactly while that lane is connected. Each lane
+/// dials once before this returns, so a worker that is already up is
+/// usually connected by then; `ShardRouter::shutdown` closes every
+/// connection.
 pub fn remote_router(
     addrs: &[String],
     base: RemoteShardConfig,

@@ -107,9 +107,6 @@ fn killed_worker_process_degrades_then_recovers_on_the_same_port() {
     let fallback: Arc<dyn Fallback> = Arc::new(FeatureFallback::fit(&records));
     let config = RemoteShardConfig {
         max_in_flight: 4096,
-        backoff: Duration::from_millis(20),
-        backoff_max: Duration::from_millis(200),
-        probe_interval: Duration::from_millis(25),
         ..RemoteShardConfig::default()
     };
     let (router, lanes) = remote_router(&addrs, config, Some(fallback));

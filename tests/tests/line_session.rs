@@ -7,13 +7,16 @@
 //! 2. Over a 1-shard `RouterBackend` — the unsharded daemon — every label
 //!    equals `BaClassifier::predict`, in request order, and the `metrics`
 //!    line carries exactly the keys `Engine::metrics().to_json()` does.
+//! 3. A 64 MiB request line is answered `err` without the reader holding
+//!    it: the reply names the cap, not the line's length, and the next
+//!    request is served.
 
 use baclassifier::{BaClassifier, BacConfig, ModelArtifact, ShardMap};
 use baserve::{run_line_session, Engine, EngineConfig, NetBackend};
 use bashard::{RouterBackend, ShardRouter, WorkerBackend};
 use btcsim::{Address, AddressRecord, Dataset, SimConfig, Simulator};
 use std::collections::HashMap;
-use std::io::Cursor;
+use std::io::{BufReader, Cursor, Read};
 use std::sync::Arc;
 
 fn fitted() -> (BaClassifier, Arc<ModelArtifact>, Vec<AddressRecord>) {
@@ -113,4 +116,27 @@ fn one_shard_router_backend_is_the_unsharded_daemon() {
         assert_eq!(keys(json), keys(&engine_json));
         assert!(json.contains(&format!("\"completed\":{},", records.len())));
     }
+}
+
+#[test]
+fn an_oversized_line_is_refused_without_being_buffered() {
+    let (_, artifact, records) = fitted();
+    let id = records[0].address.0;
+    let router = ShardRouter::new(artifact, EngineConfig::default(), 1).unwrap();
+    let backend = RouterBackend::new(router, by_id(&records));
+    let input = std::io::repeat(b'a')
+        .take(64 << 20)
+        .chain(Cursor::new(format!("\nclassify {id}\n")));
+    let mut out = Vec::new();
+    run_line_session("test", &backend, BufReader::new(input), &mut out, 16, false)
+        .expect("writing to a Vec cannot fail");
+    let out = String::from_utf8(out).expect("responses are UTF-8");
+    let lines: Vec<&str> = out.lines().collect();
+    assert!(
+        lines[0].starts_with("err request line too long"),
+        "{}",
+        lines[0]
+    );
+    assert!(!lines[0].contains("67108864"), "{}", lines[0]);
+    assert!(lines[1].starts_with("ok "), "{}", lines[1]);
 }

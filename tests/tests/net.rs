@@ -25,6 +25,12 @@
 //!    sends a retired message type (remote metrics, shutdown, cache
 //!    invalidation) loses its own connection; the server keeps serving and
 //!    its engine's cache is untouched.
+//! 6. **The lane's own guarantees** — against a hand-rolled fake worker, a
+//!    request the worker never answers settles `DeadlineExceeded` on the
+//!    client's clock while pings keep the lane up; a worker that goes
+//!    silent is declared stale and its pending request fails; and
+//!    `shutdown` returns only after the lane's thread has let go of its
+//!    counters.
 
 use baclassifier::durable::put_frame;
 use baclassifier::{BacConfig, ModelArtifact, ShardAssignment, ShardMap, SHARD_HASH_VERSION};
@@ -40,10 +46,10 @@ use bashard::{
     ShardedFollower, WorkerBackend,
 };
 use bstream::FollowerConfig;
-use btcsim::{AddressRecord, Block, BlockCursor, Dataset, SimConfig, Simulator};
+use btcsim::{Address, AddressRecord, Block, BlockCursor, Dataset, Label, SimConfig, Simulator};
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -84,15 +90,11 @@ fn spawn_worker(
     (server, bound)
 }
 
-/// A remote-lane config tuned for tests: fast probes and short backoff so
-/// kill/recover converges in test time, and room for a whole batch in
-/// flight.
+/// A remote-lane config with room for a whole batch in flight; the lane's
+/// backoff, ping and deadline timings are module constants.
 fn fast_config() -> RemoteShardConfig {
     RemoteShardConfig {
         max_in_flight: 4096,
-        backoff: Duration::from_millis(20),
-        backoff_max: Duration::from_millis(200),
-        probe_interval: Duration::from_millis(25),
         ..RemoteShardConfig::default()
     }
 }
@@ -542,4 +544,104 @@ fn a_banet_v1_peer_is_refused_and_the_server_keeps_serving() {
     assert!(!server.stop_requested());
     assert_eq!(raw_classify(addr, id), (label, true));
     server.stop();
+}
+
+/// How a [`fake_worker`] behaves once the handshake is done.
+#[derive(Clone, Copy)]
+enum Fake {
+    /// Answer every ping, never a classify.
+    PongOnly,
+    /// Say nothing more; hold the connection open.
+    Silent,
+}
+
+/// A one-connection BANET worker built from the frame helpers: it accepts
+/// one client, completes the handshake as worker 0 of 1, then behaves as
+/// `mode` says until the client goes away. The listener closes after that
+/// one accept, so a lane that tears the connection down cannot dial back.
+fn fake_worker(mode: Fake) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        drop(listener);
+        let mut reader = FrameReader::new(stream.try_clone().unwrap());
+        assert!(matches!(reader.read_message(), Ok(Some(Message::Hello(_)))));
+        write_magic(&mut stream).unwrap();
+        let hello = Message::Hello(Hello {
+            role: Role::Worker,
+            shard_index: 0,
+            shard_count: 1,
+            hash_version: SHARD_HASH_VERSION,
+        });
+        write_message(&mut stream, &hello).unwrap();
+        while let Ok(Some(msg)) = reader.read_message() {
+            if let (Fake::PongOnly, Message::Ping { nonce }) = (mode, msg) {
+                if write_message(&mut stream, &Message::Pong { nonce }).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+    addr
+}
+
+fn any_record() -> AddressRecord {
+    AddressRecord {
+        address: Address(7),
+        label: Label::Mining,
+        txs: Vec::new(),
+    }
+}
+
+/// A connected lane to a fake worker, and the time it was connected.
+fn lane_to(mode: Fake) -> (RemoteShard, Instant) {
+    let lane = RemoteShard::connect(&fake_worker(mode).to_string(), fast_config());
+    assert!(lane.wait_connected(Duration::from_secs(5)));
+    (lane, Instant::now())
+}
+
+#[test]
+fn an_unanswered_request_meets_its_deadline_and_the_lane_stays_up() {
+    let (lane, _) = lane_to(Fake::PongOnly);
+    let counters = lane.counters();
+    let start = Instant::now();
+    let ticket = baserve::ShardLane::submit(&lane, any_record()).unwrap();
+    assert!(matches!(ticket.wait(), Err(ServeError::DeadlineExceeded)));
+    let waited = start.elapsed();
+    assert!(
+        waited >= Duration::from_millis(4900) && waited < Duration::from_secs(7),
+        "deadline settled after {waited:?}, want ~5 s"
+    );
+    assert_eq!(counters.timed_out.load(Relaxed), 1);
+    assert_eq!(counters.failed.load(Relaxed), 0);
+    assert!(
+        lane.is_connected(),
+        "pongs kept coming; the lane must stay up"
+    );
+    lane.shutdown();
+}
+
+#[test]
+fn a_silent_worker_is_declared_stale_and_its_request_fails() {
+    let (lane, connected) = lane_to(Fake::Silent);
+    let counters = lane.counters();
+    let ticket = baserve::ShardLane::submit(&lane, any_record()).unwrap();
+    assert!(matches!(ticket.wait(), Err(ServeError::WorkerFailed)));
+    let waited = connected.elapsed();
+    assert!(
+        waited >= Duration::from_millis(1900) && waited < Duration::from_secs(4),
+        "stale connection torn down after {waited:?}, want ~2 s"
+    );
+    assert_eq!(counters.connections_open.load(Relaxed), 0);
+    assert_eq!(counters.failed.load(Relaxed), 1);
+    lane.shutdown();
+}
+
+#[test]
+fn shutdown_returns_after_the_lane_thread_lets_go() {
+    let (lane, _) = lane_to(Fake::PongOnly);
+    let counters = lane.counters();
+    lane.shutdown();
+    assert_eq!(Arc::strong_count(&counters), 1);
 }
