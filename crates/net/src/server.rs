@@ -16,9 +16,10 @@
 //! * at most `MAX_CONNECTIONS` (64) concurrent connections — excess
 //!   accepts are closed immediately (the kernel backlog stays bounded);
 //! * reads tick every `READ_TICK` (50 ms) so stop/SIGINT are observed; a
-//!   peer that stalls **mid-frame** longer than `STALL_TIMEOUT` (5 s) is
-//!   cut off (idle connections are fine — each client lane pings its
-//!   live one);
+//!   peer whose magic and `Hello` have not arrived `STALL_TIMEOUT` (5 s)
+//!   after accept, or that stalls **mid-frame** that long later, is cut
+//!   off (idle connections after the handshake are fine — each client
+//!   lane pings its live one);
 //! * writes carry `WRITE_TIMEOUT` (5 s) so one dead client cannot wedge a
 //!   writer thread forever.
 //!
@@ -120,7 +121,8 @@ fn listen_reuse_v4(addr: std::net::SocketAddrV4) -> std::io::Result<TcpListener>
 const MAX_CONNECTIONS: usize = 64;
 /// Read poll tick — latency bound on observing stop/SIGINT.
 const READ_TICK: Duration = Duration::from_millis(50);
-/// How long a peer may stall mid-frame before the connection is cut.
+/// How long a peer may take to handshake, or stall mid-frame, before the
+/// connection is cut.
 const STALL_TIMEOUT: Duration = Duration::from_secs(5);
 /// Socket write timeout, so one dead client cannot wedge a writer thread.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
@@ -292,6 +294,7 @@ fn serve_connection(
     config: &NetServerConfig,
     stop: &AtomicBool,
 ) -> Result<(), FrameError> {
+    let accepted = Instant::now();
     stream.set_read_timeout(Some(READ_TICK))?;
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     stream.set_nodelay(true)?;
@@ -301,7 +304,8 @@ fn serve_connection(
     });
 
     // Our half of the handshake goes out first; the peer's magic + Hello
-    // must be the first thing we read.
+    // must be the first thing we read, within `STALL_TIMEOUT` of accept —
+    // a peer that never handshakes must not hold a connection slot.
     {
         let mut w = shared.write.lock().unwrap_or_else(|p| p.into_inner());
         write_magic(&mut *w)?;
@@ -317,6 +321,9 @@ fn serve_connection(
             Err(e) if e.is_timeout() => {
                 if stop.load(Relaxed) || shutdown::shutdown_requested() {
                     return Ok(());
+                }
+                if accepted.elapsed() > STALL_TIMEOUT {
+                    return Err(FrameError::Truncated);
                 }
             }
             Err(e) => return Err(e),

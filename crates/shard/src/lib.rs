@@ -51,5 +51,5 @@ pub use remote::{remote_router, wait_fleet_up, RouterBackend, WorkerBackend};
 pub use router::ShardRouter;
 pub use stream::{
     shard_snapshot_path, FeedEnd, Followed, MergedReport, ShardReport, ShardStreamError,
-    ShardedFollower, SpawnMode, SupervisionConfig,
+    ShardedFollower,
 };

@@ -37,18 +37,19 @@
 //! ## Supervision
 //!
 //! The journal is what makes worker supervision lossless — a shard thread
-//! that panics (its command queue drops with it) or wedges (its
-//! queue is full *and* its heartbeat is older than
-//! [`SupervisionConfig::wedge_timeout`]) is fenced off and respawned via
-//! [`Follower::recover`]: newest valid per-shard snapshot generation,
-//! plus replay of the shared journal tail. Blocks that were sitting in
-//! the dead worker's queue (up to the queue depth) are in the journal, so
-//! the replacement catches up to the exact same state and redelivered
-//! blocks are skipped by height — blocks lost: zero. Respawns are
-//! bounded by `MAX_RESTARTS` (5) per shard with exponential backoff; past
-//! the bound the fleet reports [`ShardStreamError`] instead of flapping
-//! forever. Each worker owns its heartbeat stamp, and the driver counts
-//! each respawn once, in its [`StreamMetrics`] `respawns` counter.
+//! that panics (its command queue drops with it) or wedges (its queue is
+//! full *and* its heartbeat is older than `WEDGE_TIMEOUT`, 2 s) is fenced
+//! off and respawned via [`Follower::recover`], the one way any worker
+//! starts: newest valid per-shard snapshot generation, plus replay of the
+//! shared journal tail. Blocks that were sitting in the dead worker's queue
+//! (up to the queue depth) are in the journal, so the replacement catches
+//! up to the exact same state and redelivered blocks are skipped by height
+//! — blocks lost: zero. Respawns are bounded by `MAX_RESTARTS` (5)
+//! consecutive deaths per shard, with exponential backoff; a worker that
+//! applies one block the journal did not replay to it resets its shard's
+//! count. Past the bound the fleet reports [`ShardStreamError`] instead of
+//! flapping forever. Each worker owns its heartbeat stamp, and the driver
+//! counts each respawn once, in its [`StreamMetrics`] `respawns` counter.
 //!
 //! Fault injection reuses the serve engine's [`FaultPlan`] machinery
 //! ([`ShardedFollower::with_hooks`]): before applying a **new** block at
@@ -209,39 +210,17 @@ pub struct Followed {
     pub metrics: StreamMetrics,
 }
 
-/// Knobs for the driver's shard supervision.
-#[derive(Clone, Debug)]
-pub struct SupervisionConfig {
-    /// A shard whose queue is full *and* whose heartbeat is older than
-    /// this is declared wedged: fenced off and replaced.
-    pub wedge_timeout: Duration,
-    /// Base backoff before a respawn; doubles per consecutive restart of
-    /// the same shard (capped at 64×).
-    pub restart_backoff: Duration,
-}
+/// A shard whose queue is full *and* whose heartbeat is older than this
+/// is declared wedged: fenced off and replaced.
+const WEDGE_TIMEOUT: Duration = Duration::from_secs(2);
 
-impl Default for SupervisionConfig {
-    fn default() -> Self {
-        Self {
-            wedge_timeout: Duration::from_secs(2),
-            restart_backoff: Duration::from_millis(10),
-        }
-    }
-}
+/// Base backoff before a respawn; doubles per consecutive restart of the
+/// same shard (capped at 64×).
+const RESTART_BACKOFF: Duration = Duration::from_millis(10);
 
-/// Per-shard respawn budget; exceeding it surfaces
+/// Per-shard budget of consecutive respawns; exceeding it surfaces
 /// [`ShardStreamError::WorkerGone`].
 const MAX_RESTARTS: u32 = 5;
-
-/// How the fleet's followers acquire their initial state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpawnMode {
-    /// Fresh followers at height 0; an existing journal file is truncated.
-    Fresh,
-    /// Crash recovery: newest valid snapshot generation per shard
-    /// (corrupt ones quarantined), then replay of the shared journal tail.
-    Recover,
-}
 
 enum Cmd {
     /// Apply one block (the follower's reclassification cadence included).
@@ -267,10 +246,13 @@ struct ShardWorker {
 
 /// A worker's liveness stamp: microseconds from its spawn to its last
 /// heartbeat. The worker stamps it after each command; the wedge check in
-/// `deliver` is its only reader.
+/// `deliver` reads it.
 struct Heartbeat {
     spawned: Instant,
     last_us: AtomicU64,
+    /// Set once the worker applies a block the journal did not replay to
+    /// it: its shard's next death is no longer consecutive.
+    progressed: AtomicBool,
 }
 
 impl Heartbeat {
@@ -296,7 +278,6 @@ pub struct ShardedFollower {
     map: ShardMap,
     workers: Vec<ShardWorker>,
     plan: Arc<dyn FaultPlan>,
-    supervision: SupervisionConfig,
     /// The driver-owned write-ahead journal: blocks are appended here
     /// before broadcast, which is what makes respawn lossless.
     journal: Option<BlockJournal>,
@@ -308,10 +289,8 @@ pub struct ShardedFollower {
     next_height: u64,
     /// The driver's own counters (`journal_*`, `respawns`) and lag samples.
     metrics: StreamMetrics,
-    /// Per-shard restart attempts, bounded by `MAX_RESTARTS`.
+    /// Per-shard consecutive restarts, bounded by `MAX_RESTARTS`.
     restarts: Vec<u32>,
-    /// Handles of abandoned (wedged) workers; joined at finish if done.
-    graveyard: Vec<JoinHandle<()>>,
 }
 
 /// How many blocks each shard's command queue may buffer before `step`
@@ -319,68 +298,41 @@ pub struct ShardedFollower {
 const CMD_QUEUE_DEPTH: usize = 16;
 
 impl ShardedFollower {
-    /// Spawn one follower thread per shard of a fresh `count`-shard layout.
+    /// Spawn one follower thread per shard of a `count`-shard layout, each
+    /// recovered from its newest valid snapshot generation (quarantining
+    /// corrupt ones) plus the shared journal tail: the fleet resumes
+    /// byte-identical to where a crashed run got to, and on an empty
+    /// directory starts fresh at height 0.
     ///
     /// `cfg` is the template config: each worker gets a copy with
     /// `shard` set to its assignment and `snapshot_path` (when present)
     /// rewritten to its [`shard_snapshot_path`]. When `cfg.journal_path`
     /// is set the driver journals every block before broadcasting it and
     /// dead or wedged workers are respawned from snapshot + journal.
-    pub fn new(
-        artifact: Arc<ModelArtifact>,
-        cfg: FollowerConfig,
-        count: u32,
-    ) -> Result<Self, ShardStreamError> {
-        Self::with_defaults(artifact, cfg, count, SpawnMode::Fresh)
-    }
-
-    /// Crash recovery: each worker restores its newest valid snapshot
-    /// generation (quarantining corrupt ones) and replays the shared
-    /// journal tail, so the fleet resumes byte-identical to where the
-    /// crashed run got to.
     pub fn recover(
         artifact: Arc<ModelArtifact>,
         cfg: FollowerConfig,
         count: u32,
     ) -> Result<Self, ShardStreamError> {
-        Self::with_defaults(artifact, cfg, count, SpawnMode::Recover)
+        Self::with_hooks(artifact, cfg, count, Arc::new(NoFaults))
     }
 
-    /// No fault injection, default supervision.
-    fn with_defaults(
-        artifact: Arc<ModelArtifact>,
-        cfg: FollowerConfig,
-        count: u32,
-        mode: SpawnMode,
-    ) -> Result<Self, ShardStreamError> {
-        let supervision = SupervisionConfig::default();
-        Self::with_hooks(artifact, cfg, count, Arc::new(NoFaults), supervision, mode)
-    }
-
-    /// The fully general constructor: an explicit fault plan, supervision
-    /// knobs, and spawn mode. For the streaming fleet the plan's "worker"
-    /// is the shard index and its "batch" is `height + 1` (1-based, like
-    /// the engine's batch numbering), consulted only for blocks the shard
-    /// has not yet applied.
+    /// [`ShardedFollower::recover`] with a fault plan. For the streaming
+    /// fleet the plan's "worker" is the shard index and its "batch" is
+    /// `height + 1` (1-based, like the engine's batch numbering), consulted
+    /// only for blocks the shard has not yet applied.
     pub fn with_hooks(
         artifact: Arc<ModelArtifact>,
         cfg: FollowerConfig,
         count: u32,
         plan: Arc<dyn FaultPlan>,
-        supervision: SupervisionConfig,
-        mode: SpawnMode,
     ) -> Result<Self, ShardStreamError> {
         let map = ShardMap::new(count);
 
-        // The driver opens (and, for recovery, heals) the journal before
-        // any worker scans it, so workers never see a torn tail.
-        let (journal, next_journal_height) = match (&cfg.journal_path, mode) {
-            (Some(path), SpawnMode::Fresh) => {
-                let journal = BlockJournal::create(path, cfg.journal_sync_every)
-                    .map_err(|e| ShardStreamError::Journal(e.to_string()))?;
-                (Some(journal), 0)
-            }
-            (Some(path), _) => {
+        // The driver opens (and heals) the journal before any worker scans
+        // it, so workers never see a torn tail.
+        let (journal, next_journal_height) = match &cfg.journal_path {
+            Some(path) => {
                 let (journal, scan) = BlockJournal::open_or_create(path, cfg.journal_sync_every)
                     .map_err(|e| ShardStreamError::Journal(e.to_string()))?;
                 if let Some(torn) = &scan.torn {
@@ -394,19 +346,14 @@ impl ShardedFollower {
                 let next = scan.blocks.last().map_or(0, |b| b.height + 1);
                 (Some(journal), next)
             }
-            (None, _) => (None, 0),
+            None => (None, 0),
         };
 
         let mut workers = Vec::with_capacity(count as usize);
         let mut ready: Vec<Receiver<Result<u64, String>>> = Vec::with_capacity(count as usize);
         for assignment in map.assignments() {
-            let (worker, init_rx) = spawn_worker(
-                Arc::clone(&artifact),
-                &cfg,
-                assignment,
-                mode,
-                Arc::clone(&plan),
-            );
+            let (worker, init_rx) =
+                spawn_worker(Arc::clone(&artifact), &cfg, assignment, Arc::clone(&plan));
             workers.push(worker);
             ready.push(init_rx);
         }
@@ -422,13 +369,11 @@ impl ShardedFollower {
             map,
             workers,
             plan,
-            supervision,
             journal,
             next_journal_height,
             next_height,
             metrics: StreamMetrics::default(),
             restarts: vec![0; count as usize],
-            graveyard: Vec::new(),
         })
     }
 
@@ -602,13 +547,6 @@ impl ShardedFollower {
             drop(worker.tx);
             worker.handle.join().ok();
         }
-        // Wedged workers that already woke up and observed their fence are
-        // joinable; ones still sleeping are left to exit on their own.
-        for handle in self.graveyard.drain(..) {
-            if handle.is_finished() {
-                handle.join().ok();
-            }
-        }
         if let Some(journal) = self.journal.as_mut() {
             journal
                 .sync()
@@ -666,7 +604,7 @@ impl ShardedFollower {
                     self.respawn(i, "worker thread died")?;
                 }
                 Err(TrySendError::Full(_)) => {
-                    if self.workers[i].heartbeat.silence() > self.supervision.wedge_timeout {
+                    if self.workers[i].heartbeat.silence() > WEDGE_TIMEOUT {
                         self.abandon(i);
                         self.respawn(i, "worker wedged: queue full and heartbeat stale")?;
                     } else {
@@ -678,7 +616,7 @@ impl ShardedFollower {
     }
 
     /// Fence off a wedged worker so it exits (without touching disk) the
-    /// next time it wakes, and park its thread handle in the graveyard.
+    /// next time it wakes, even if the respawn that follows fails.
     fn abandon(&mut self, i: usize) {
         self.workers[i].fence.store(true, Ordering::Release);
     }
@@ -686,7 +624,7 @@ impl ShardedFollower {
     /// Replace shard `i`'s worker with one recovered from its snapshot
     /// generations plus the shared journal. Requires a journal (otherwise
     /// queued blocks would be lost and heights would gap); bounded by
-    /// `MAX_RESTARTS` with exponential backoff.
+    /// `MAX_RESTARTS` consecutive deaths with exponential backoff.
     fn respawn(&mut self, i: usize, reason: &str) -> Result<(), ShardStreamError> {
         let shard = i as u32;
         if self.template.journal_path.is_none() {
@@ -694,6 +632,9 @@ impl ShardedFollower {
                 shard,
                 reason: format!("{reason}; no journal configured, cannot respawn losslessly"),
             });
+        }
+        if self.workers[i].heartbeat.progressed.load(Ordering::Acquire) {
+            self.restarts[i] = 0;
         }
         self.restarts[i] += 1;
         if self.restarts[i] > MAX_RESTARTS {
@@ -708,13 +649,7 @@ impl ShardedFollower {
                 .map_err(|e| ShardStreamError::Journal(e.to_string()))?;
             self.metrics.journal_fsyncs += 1;
         }
-        let backoff = self
-            .supervision
-            .restart_backoff
-            .saturating_mul(1u32 << (self.restarts[i] - 1).min(6));
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
+        std::thread::sleep(RESTART_BACKOFF * (1u32 << (self.restarts[i] - 1).min(6)));
         eprintln!(
             "bashard: shard {shard} {reason}; respawning (restart {})",
             self.restarts[i]
@@ -727,13 +662,13 @@ impl ShardedFollower {
             Arc::clone(&self.artifact),
             &self.template,
             assignment,
-            SpawnMode::Recover,
             Arc::clone(&self.plan),
         );
         await_start(init_rx, shard)?;
+        // The old worker's thread is detached: a dead one has already
+        // exited, and a wedged one exits at its fence when it wakes.
         let old = std::mem::replace(&mut self.workers[i], worker);
         old.fence.store(true, Ordering::Release);
-        self.graveyard.push(old.handle);
         Ok(())
     }
 
@@ -797,7 +732,6 @@ fn spawn_worker(
     artifact: Arc<ModelArtifact>,
     template: &FollowerConfig,
     assignment: ShardAssignment,
-    mode: SpawnMode,
     plan: Arc<dyn FaultPlan>,
 ) -> (ShardWorker, Receiver<Result<u64, String>>) {
     let ShardAssignment { index, count } = assignment;
@@ -824,21 +758,16 @@ fn spawn_worker(
     let heartbeat = Arc::new(Heartbeat {
         spawned: Instant::now(),
         last_us: AtomicU64::new(0),
+        progressed: AtomicBool::new(false),
     });
     let thread_heartbeat = Arc::clone(&heartbeat);
     let handle = std::thread::Builder::new()
         .name(format!("bashard-{index}of{count}"))
         .spawn(move || {
-            let built = match mode {
-                SpawnMode::Fresh => Follower::new(&artifact, shard_cfg).map_err(|e| e.to_string()),
-                SpawnMode::Recover => Follower::recover(&artifact, shard_cfg)
-                    .map(|recovery| recovery.follower)
-                    .map_err(|e| e.to_string()),
-            };
-            let mut follower = match built {
-                Ok(follower) => follower,
-                Err(reason) => {
-                    init_tx.send(Err(reason)).ok();
+            let mut follower = match Follower::recover(&artifact, shard_cfg) {
+                Ok(recovery) => recovery.follower,
+                Err(e) => {
+                    init_tx.send(Err(e.to_string())).ok();
                     return;
                 }
             };
@@ -883,7 +812,8 @@ fn worker_loop(
                 // not yet applied: a respawned worker that recovered the
                 // faulting block from the journal must not re-fire the
                 // same scripted fault when the block is redelivered.
-                if block.height >= follower.next_height() {
+                let new = block.height >= follower.next_height();
+                if new {
                     if let Some(action) = plan.before_batch(index as usize, block.height + 1) {
                         match action {
                             FaultAction::Panic => {
@@ -899,6 +829,7 @@ fn worker_loop(
                     }
                 }
                 follower.step(&block);
+                heartbeat.progressed.fetch_or(new, Ordering::Release);
                 heartbeat.beat();
             }
             Cmd::Reclassify(reply) => {

@@ -131,9 +131,8 @@ pub(crate) struct AddressState {
     /// Set when the history grew since the last classification.
     pub(crate) dirty: bool,
     /// Label margin of the last classification (winning logit minus
-    /// runner-up) — small means near a label boundary. Drives priority
-    /// scheduling: boundary-adjacent addresses re-embed first. `None`
-    /// until first classified (highest priority of all).
+    /// runner-up) — small means near a label boundary. `None` until first
+    /// classified.
     pub(crate) margin: Option<f32>,
 }
 
@@ -315,39 +314,30 @@ impl Follower {
     /// ragged-batch LSTM forward pass (one fused-gate matmul per timestep
     /// over the still-active sequences). Labels and embeddings are
     /// byte-identical to the per-address serial path at any thread count.
-    /// Addresses are queued boundary-first: the smaller an address's last
-    /// label margin, the earlier it re-embeds (unclassified addresses come
-    /// first of all).
+    /// Addresses go in address order; every one is processed in this call,
+    /// so the order changes no output.
     ///
     /// Addresses still under the `min_txs` threshold keep their dirty bit
     /// — they are deferred, not dropped, so a later cadence (or a restore
     /// with a lowered threshold) picks them up.
     pub fn reclassify_dirty(&mut self) -> usize {
         let start = Instant::now();
-        let mut queue: Vec<(u64, Address)> = Vec::new();
-        for (addr, state) in &self.states {
-            if !state.dirty {
-                continue;
-            }
-            if state.history.len() < self.cfg.min_txs {
-                // Deferred, not dropped: the dirty bit survives the skip.
-                continue;
-            }
-            queue.push((priority_key(state.margin), *addr));
-        }
-        // Smallest key first: never-classified, then ascending margin; the
-        // address id breaks ties so the order is fully deterministic.
-        queue.sort_unstable();
-        self.metrics.priority_depth = queue.len() as u64;
+        let eligible: Vec<Address> = self
+            .states
+            .iter()
+            .filter(|(_, state)| state.dirty && state.history.len() >= self.cfg.min_txs)
+            .map(|(addr, _)| *addr)
+            .collect();
+        self.metrics.priority_depth = eligible.len() as u64;
         let threads = resolve_threads(self.cfg.reclass_threads);
         let batch_cap = if self.cfg.reclass_batch == 0 {
-            queue.len().max(1)
+            eligible.len().max(1)
         } else {
             self.cfg.reclass_batch
         };
         let max_slices = self.clf.config().model.max_slices.max(1);
         let mut reclassified = 0;
-        for chunk in queue.chunks(batch_cap) {
+        for chunk in eligible.chunks(batch_cap) {
             reclassified += self.reclassify_batch(chunk, threads, max_slices);
         }
         self.metrics.reclass_time += start.elapsed();
@@ -358,12 +348,7 @@ impl Follower {
     /// member's stale slice graphs, embed them together across the
     /// workers, scatter the embeddings back, then classify the capped
     /// sequences together the same way.
-    fn reclassify_batch(
-        &mut self,
-        batch: &[(u64, Address)],
-        threads: usize,
-        max_slices: usize,
-    ) -> usize {
+    fn reclassify_batch(&mut self, batch: &[Address], threads: usize, max_slices: usize) -> usize {
         if batch.is_empty() {
             return 0;
         }
@@ -375,7 +360,7 @@ impl Follower {
         let construction = &self.clf.config().construction;
         let mut stale_counts: Vec<usize> = Vec::with_capacity(batch.len());
         let mut graphs: Vec<AddressGraph> = Vec::new();
-        for &(_, addr) in batch {
+        for &addr in batch {
             let state = self.states.get_mut(&addr).expect("dirty address tracked");
             state.dirty = false;
             let num_slices = state.history.len().div_ceil(construction.slice_size);
@@ -399,7 +384,7 @@ impl Follower {
         // Embed the whole batch across the workers, then scatter
         // the results back in gather order.
         let mut embedded = self.clf.embed_graphs(&graphs, threads).into_iter();
-        for (&(_, addr), &n) in batch.iter().zip(&stale_counts) {
+        for (&addr, &n) in batch.iter().zip(&stale_counts) {
             let state = self.states.get_mut(&addr).expect("dirty address tracked");
             state.embeds.truncate(state.embeds_clean);
             state.embeds.extend(embedded.by_ref().take(n));
@@ -407,7 +392,7 @@ impl Follower {
         }
         let seqs: Vec<&[Matrix]> = batch
             .iter()
-            .map(|(_, addr)| {
+            .map(|addr| {
                 let embeds = &self.states[addr].embeds;
                 &embeds[embeds.len().saturating_sub(max_slices)..]
             })
@@ -418,7 +403,7 @@ impl Follower {
             .clf
             .classify_embeddings_batch(&seqs, threads)
             .expect("non-empty sequences on a fitted classifier");
-        for (&(_, addr), (label, margin)) in batch.iter().zip(labeled) {
+        for (&addr, (label, margin)) in batch.iter().zip(labeled) {
             let state = self.states.get_mut(&addr).expect("dirty address tracked");
             state.margin = Some(margin);
             let prev = self.labels.insert(addr, label);
@@ -439,18 +424,6 @@ impl Follower {
         if self.cfg.reclass_every > 0 && self.next_height.is_multiple_of(self.cfg.reclass_every) {
             self.reclassify_dirty();
         }
-    }
-}
-
-/// Priority of a dirty address in the reclassification queue: smaller is
-/// sooner. Never-classified addresses map to 0 (first of all); classified
-/// ones order by ascending last-label margin. Margins are ≥ 0 and
-/// `f32::to_bits` is monotonic over non-negative floats, so bit order
-/// equals value order without any float comparison in the sort key.
-pub(crate) fn priority_key(margin: Option<f32>) -> u64 {
-    match margin {
-        None => 0,
-        Some(m) => u64::from(m.max(0.0).to_bits()) + 1,
     }
 }
 
@@ -807,22 +780,6 @@ pub(crate) mod tests {
         assert_eq!(follower.reclassify_dirty(), classified);
         assert_eq!(follower.metrics.reclass_batch_slices, slices);
         assert_eq!(follower.labels, labels);
-    }
-
-    #[test]
-    fn priority_orders_boundary_addresses_first() {
-        assert_eq!(priority_key(None), 0, "unclassified goes first");
-        let keys: Vec<u64> = [0.0f32, 0.01, 0.5, 2.0, 100.0]
-            .iter()
-            .map(|&m| priority_key(Some(m)))
-            .collect();
-        for pair in keys.windows(2) {
-            assert!(pair[0] < pair[1], "keys must ascend with margin");
-        }
-        assert!(priority_key(Some(0.0)) > priority_key(None));
-        // A negative margin cannot occur (winner minus runner-up), but the
-        // key must stay total just in case.
-        assert_eq!(priority_key(Some(-1.0)), priority_key(Some(0.0)));
     }
 
     #[test]

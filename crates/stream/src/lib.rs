@@ -34,12 +34,11 @@
 //!    (quarantining corrupt ones) and replays the journal tail, yielding
 //!    state byte-identical to an uninterrupted run.
 //! 5. **Timely labels.** Reclassification is micro-batched: each cadence
-//!    tick coalesces every flip of an address into one unit of work,
-//!    orders the queue boundary-nearest-first by last label margin, and
-//!    fans the batch's stale slice graphs (and then the capped embedding
-//!    sequences) across `reclass_threads` workers that all read the
-//!    follower's one model — byte-identical to the per-address serial path
-//!    at any thread count.
+//!    tick coalesces every flip of an address into one unit of work, takes
+//!    the dirty addresses in address order, and fans the batch's stale
+//!    slice graphs (and then the capped embedding sequences) across
+//!    `reclass_threads` workers that all read the follower's one model —
+//!    byte-identical to the per-address serial path at any thread count.
 //!
 //! `basharded --follow` (`bashard::ShardedFollower::follow`) drives these
 //! against a live simulation, at any shard count; `bacbench`'s

@@ -44,8 +44,8 @@ baserve::counters! {
             reclass_batch_addrs,
             /// Stale slice graphs re-embedded across those micro-batches.
             reclass_batch_slices,
-            /// Gauge: eligible dirty addresses queued at the start of the
-            /// most recent reclassification tick (priority-queue depth).
+            /// Gauge: dirty addresses at or over `min_txs` at the start
+            /// of the most recent reclassification tick.
             priority_depth,
             /// Snapshots written successfully.
             snapshots_written,

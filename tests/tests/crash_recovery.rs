@@ -8,7 +8,8 @@
 //! 1. **Worker kill** — a scripted panic takes a shard down mid-ingest at
 //!    shard counts 1 and 4; the supervisor respawns it from snapshot +
 //!    journal and the merged tip equals the unsharded reference. A shard
-//!    that keeps dying is respawned five times, then reported gone.
+//!    that dies six times in a row is respawned five times, then reported
+//!    gone; one that makes progress between deaths keeps being respawned.
 //! 2. **Fleet crash** — the whole `ShardedFollower` is dropped without
 //!    finishing; `ShardedFollower::recover` resumes from per-shard
 //!    snapshots plus the shared journal tail, again byte-identical.
@@ -34,7 +35,6 @@ use baserve::{
 };
 use bashard::{
     shard_snapshot_path, FeedEnd, ShardReport, ShardRouter, ShardStreamError, ShardedFollower,
-    SpawnMode, SupervisionConfig,
 };
 use bstream::{quarantine_path, scan_journal, BlockFeed, Follower, FollowerConfig};
 use btcsim::{AddressRecord, Block, BlockCursor, Dataset, SimConfig, Simulator};
@@ -158,11 +158,6 @@ fn killed_shard_worker_respawns_and_loses_nothing() {
             s.cfg(10),
             shards,
             Arc::clone(&plan) as Arc<dyn baserve::FaultPlan>,
-            SupervisionConfig {
-                restart_backoff: Duration::from_millis(1),
-                ..SupervisionConfig::default()
-            },
-            SpawnMode::Fresh,
         )
         .unwrap();
         let followed = fleet
@@ -195,18 +190,13 @@ fn wedged_shard_worker_is_fenced_and_replaced() {
     let plan = Arc::new(ScriptedFaultPlan::new(vec![FaultSpec {
         worker: 1,
         batch: 9,
-        action: FaultAction::Delay(Duration::from_millis(1500)),
+        action: FaultAction::Delay(Duration::from_millis(3500)),
     }]));
     let fleet = ShardedFollower::with_hooks(
         Arc::clone(&artifact),
         s.cfg(0),
         shards,
         plan as Arc<dyn baserve::FaultPlan>,
-        SupervisionConfig {
-            wedge_timeout: Duration::from_millis(100),
-            restart_backoff: Duration::from_millis(1),
-        },
-        SpawnMode::Fresh,
     )
     .unwrap();
     let followed = fleet
@@ -236,11 +226,6 @@ fn a_shard_past_its_restart_budget_is_gone() {
         s.cfg(0),
         shards,
         Arc::clone(&plan) as Arc<dyn baserve::FaultPlan>,
-        SupervisionConfig {
-            restart_backoff: Duration::from_millis(1),
-            ..SupervisionConfig::default()
-        },
-        SpawnMode::Fresh,
     )
     .unwrap();
     // Awaiting a reclassification after every block settles each death
@@ -267,6 +252,36 @@ fn a_shard_past_its_restart_budget_is_gone() {
 }
 
 #[test]
+fn isolated_faults_do_not_exhaust_the_restart_budget() {
+    let blocks = sim_blocks(359, 40); // heights 0..=40
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let reference = unsharded_tip(&artifact, &blocks);
+    let shards = 2u32;
+    let s = scratch("isolated");
+    s.cleanup(shards);
+    // Shard 0 panics at heights 4, 9, …, 29: six deaths, one more than the
+    // budget, but each replacement applies four new blocks before the next
+    // one, so no two deaths are consecutive.
+    let plan = Arc::new(ScriptedFaultPlan::panics(0, &[5, 10, 15, 20, 25, 30]));
+    let mut fleet = ShardedFollower::with_hooks(
+        Arc::clone(&artifact),
+        s.cfg(0),
+        shards,
+        Arc::clone(&plan) as Arc<dyn baserve::FaultPlan>,
+    )
+    .unwrap();
+    for b in &blocks {
+        fleet.step(b.clone()).unwrap();
+        fleet.reclassify_dirty().unwrap();
+    }
+    assert_eq!(plan.injected(), 6, "every scripted panic fired");
+    assert_eq!(fleet.metrics().respawns, 6);
+    let reports = fleet.finish().unwrap();
+    assert_recovered_matches(reports, &reference, "isolated faults");
+    s.cleanup(shards);
+}
+
+#[test]
 fn dropped_fleet_recovers_byte_identically_at_counts_1_and_4() {
     let blocks = sim_blocks(317, 36);
     let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
@@ -277,7 +292,8 @@ fn dropped_fleet_recovers_byte_identically_at_counts_1_and_4() {
         let s = scratch(&format!("crash{shards}"));
         s.cleanup(shards);
         {
-            let mut fleet = ShardedFollower::new(Arc::clone(&artifact), s.cfg(7), shards).unwrap();
+            let mut fleet =
+                ShardedFollower::recover(Arc::clone(&artifact), s.cfg(7), shards).unwrap();
             for b in &blocks[..split] {
                 fleet.step(b.clone()).unwrap();
             }
@@ -311,7 +327,7 @@ fn corrupt_latest_snapshot_falls_back_a_generation_and_replays() {
     let s = scratch("fallback");
     s.cleanup(shards);
     {
-        let mut fleet = ShardedFollower::new(Arc::clone(&artifact), s.cfg(6), shards).unwrap();
+        let mut fleet = ShardedFollower::recover(Arc::clone(&artifact), s.cfg(6), shards).unwrap();
         for b in &blocks[..split] {
             fleet.step(b.clone()).unwrap();
         }
@@ -359,7 +375,7 @@ fn periodic_snapshots_compact_the_journal_to_the_oldest_retained_generation() {
         assert_eq!(cfg.snapshot_generations, 2);
         {
             let mut fleet =
-                ShardedFollower::new(Arc::clone(&artifact), cfg.clone(), shards).unwrap();
+                ShardedFollower::recover(Arc::clone(&artifact), cfg.clone(), shards).unwrap();
             for b in &blocks {
                 fleet.step(b.clone()).unwrap();
             }
@@ -432,7 +448,7 @@ fn failed_compaction_is_counted_and_never_fatal() {
         journal_path: Some(dir.join("follower.bjrnl")),
         ..s.cfg(5)
     };
-    let fleet = ShardedFollower::new(Arc::clone(&artifact), cfg, shards).unwrap();
+    let fleet = ShardedFollower::recover(Arc::clone(&artifact), cfg, shards).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 
     let followed = fleet
@@ -454,7 +470,8 @@ fn failed_compaction_is_counted_and_never_fatal() {
 fn silent_producer_ends_the_loop_as_a_stall_after_the_final_flush() {
     let blocks = sim_blocks(353, 5);
     let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
-    let fleet = ShardedFollower::new(Arc::clone(&artifact), FollowerConfig::default(), 2).unwrap();
+    let fleet =
+        ShardedFollower::recover(Arc::clone(&artifact), FollowerConfig::default(), 2).unwrap();
     let (sender, feed) = BlockFeed::manual(4);
     sender.send(blocks[0].clone()).unwrap();
     sender.send(blocks[1].clone()).unwrap();

@@ -20,7 +20,7 @@
 //! 4. **Layout handshake** — a client expecting the wrong shard index or
 //!    count never connects; misconfiguration is a refused handshake, not
 //!    a silently-misrouted fleet. A peer speaking BANET v1 is refused at
-//!    the magic.
+//!    the magic, and one that never handshakes is cut off at the deadline.
 //! 5. **No wire kill switch** — a peer that completes the handshake and
 //!    sends a retired message type (remote metrics, shutdown, cache
 //!    invalidation) loses its own connection; the server keeps serving and
@@ -287,7 +287,7 @@ fn rebalance_2_to_4_is_byte_identical_to_a_fresh_4_shard_run() {
             snapshot_path: Some(base.clone()),
             ..FollowerConfig::default()
         };
-        let mut fleet = ShardedFollower::new(Arc::clone(&artifact), cfg, shards).unwrap();
+        let mut fleet = ShardedFollower::recover(Arc::clone(&artifact), cfg, shards).unwrap();
         for b in &blocks {
             fleet.step(b.clone()).unwrap();
         }
@@ -328,7 +328,7 @@ fn rebalance_2_to_4_to_2_gives_back_the_original_files() {
         snapshot_path: Some(two.clone()),
         ..FollowerConfig::default()
     };
-    let mut fleet = ShardedFollower::new(Arc::clone(&artifact), cfg, 2).unwrap();
+    let mut fleet = ShardedFollower::recover(Arc::clone(&artifact), cfg, 2).unwrap();
     for b in BlockCursor::new(SimConfig {
         blocks: 36,
         ..SimConfig::tiny(233)
@@ -543,6 +543,37 @@ fn a_banet_v1_peer_is_refused_and_the_server_keeps_serving() {
     }
     assert!(!server.stop_requested());
     assert_eq!(raw_classify(addr, id), (label, true));
+    server.stop();
+}
+
+/// `banet::server`'s connection cap and handshake deadline.
+const SERVER_MAX_CONNECTIONS: usize = 64;
+const SERVER_STALL_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Peers that connect and never handshake are cut off once the handshake
+/// deadline passes, so a full house of them cannot lock real clients out.
+#[test]
+fn silent_peers_are_cut_at_the_handshake_deadline() {
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let (records, by_id) = dataset(247);
+    let id = records[0].address.0;
+    let (server, addr) = spawn_worker(&artifact, &by_id, 0, 1, None);
+    let silent: Vec<TcpStream> = (0..SERVER_MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
+    std::thread::sleep(SERVER_STALL_TIMEOUT + Duration::from_secs(1));
+    for (i, mut stream) in silent.into_iter().enumerate() {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        // The server's magic and Hello, then EOF — or a reset.
+        match std::io::Read::read_to_end(&mut stream, &mut Vec::new()) {
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            Err(e) => panic!("silent peer {i} still connected: {e}"),
+        }
+    }
+    raw_classify(addr, id);
     server.stop();
 }
 

@@ -102,7 +102,8 @@ fn sharded_followers_union_to_the_unsharded_state() {
 
     for shards in [1u32, 2, 4] {
         let sharded =
-            ShardedFollower::new(Arc::clone(&artifact), FollowerConfig::default(), shards).unwrap();
+            ShardedFollower::recover(Arc::clone(&artifact), FollowerConfig::default(), shards)
+                .unwrap();
         let feed = BlockFeed::from_blocks(blocks.clone());
         let reports = sharded.follow(&feed, STALL, 0).unwrap().reports;
         assert_eq!(reports.len(), shards as usize);
@@ -137,7 +138,7 @@ fn sharded_snapshot_restart_resume_is_byte_identical() {
 
         // First half, then checkpoint every shard and tear the fleet down.
         let mut first =
-            ShardedFollower::new(Arc::clone(&artifact), follower_cfg.clone(), shards).unwrap();
+            ShardedFollower::recover(Arc::clone(&artifact), follower_cfg.clone(), shards).unwrap();
         for b in &blocks[..split] {
             first.step(b.clone()).unwrap();
         }
