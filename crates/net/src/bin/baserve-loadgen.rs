@@ -81,6 +81,7 @@ fn main() {
                     max_in_flight: config.queue_depth.max(window),
                     ..RemoteShardConfig::default()
                 },
+                None,
             );
             if !remote.wait_connected(Duration::from_secs(5)) {
                 eprintln!("error: could not connect to {addr} within 5s");

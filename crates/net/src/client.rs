@@ -5,8 +5,8 @@
 //! tagged with `req_id`s and settle out of order on the wire, so a single
 //! connection carries the whole in-flight window (bounded by
 //! `max_in_flight` — the per-shard admission budget; excess submits fail
-//! fast with `QueueFull`, exactly like a full engine queue, so the router
-//! above can shed or degrade instead of stalling the fleet).
+//! fast with `QueueFull`, exactly like a full engine queue, so one slow
+//! worker cannot stall the fleet).
 //!
 //! Failure handling is the point of this module, and one thread does all
 //! of it: each lane's thread owns its connection for the lane's whole
@@ -15,18 +15,21 @@
 //! write half, the pending table and the next request id with it, so no
 //! other thread can ever touch a connection.
 //!
-//! * **Fail-fast submits.** `submit` never dials. If the connection is
-//!   down it returns `WorkerFailed` immediately and the router's degraded
-//!   path takes over.
+//! * **The lane answers for itself.** `submit` never dials. While the
+//!   connection is down it answers at once from the fallback given to
+//!   [`RemoteShard::connect`] (tagged `degraded`, counted in the lane's own
+//!   `degraded`), or with `WorkerFailed` without one — as an engine whose
+//!   workers all retired does.
 //! * **Bounded-backoff reconnect.** A lane without a connection redials
 //!   after `BACKOFF`, doubling per failed dial up to `BACKOFF_MAX`.
 //! * **Client-side deadlines.** Every pending request carries a deadline;
 //!   the lane thread sweeps expired entries every `READ_TICK` and settles
 //!   them `DeadlineExceeded`, so a wedged worker never hangs a caller.
-//! * **Liveness is the lane's own.** The `connections_open` gauge (1 while
-//!   connected) is what [`ShardLane::live_workers`] reads, so the router's
-//!   degraded routing asks a remote lane exactly what it asks an engine. A
-//!   `Pong` only refreshes the lane's last-heard stamp.
+//! * **Liveness is the lane's own.** The `connections_open` gauge is 1
+//!   while connected. A `Pong` only refreshes the lane's last-heard stamp.
+//! * **Counted once.** A reply the worker served degraded counts only in
+//!   `degraded`, as the engine counts it, so `terminal_total == submitted`
+//!   holds across the wire.
 //!
 //! The handshake validates layout: the server's `Hello` must carry our
 //! `SHARD_HASH_VERSION`, and when `expect` names a shard assignment the
@@ -36,8 +39,9 @@
 
 use crate::frame::{write_magic, write_message, FrameReader, Hello, Message, ReplyOutcome, Role};
 use baclassifier::{PredictError, ShardAssignment, SHARD_HASH_VERSION};
+use baserve::fallback::degrade;
 use baserve::metrics::{Metrics, MetricsSnapshot};
-use baserve::{Response, ServeError, ShardLane, Ticket};
+use baserve::{Fallback, Response, ServeError, ShardLane, Ticket};
 use btcsim::{AddressRecord, Label};
 use std::collections::HashMap;
 use std::io::Write;
@@ -101,6 +105,8 @@ struct Shared {
 /// [`ShardLane`] surface as an in-process engine.
 pub struct RemoteShard {
     max_in_flight: usize,
+    /// Answers while the lane is disconnected; `None` fails instead.
+    fallback: Option<Arc<dyn Fallback>>,
     metrics: Arc<Metrics>,
     shared: Arc<Mutex<Shared>>,
     stop: Arc<AtomicBool>,
@@ -160,9 +166,14 @@ impl RemoteShard {
     /// Create a lane for the worker at `addr` and dial it once eagerly, so
     /// the lane is connected on return when the worker is up. Never fails:
     /// if the worker is down the lane starts disconnected and its thread
-    /// keeps redialling under backoff. Use [`RemoteShard::wait_connected`]
-    /// when startup must block on the fleet being up.
-    pub fn connect(addr: &str, config: RemoteShardConfig) -> RemoteShard {
+    /// keeps redialling under backoff, and `fallback` answers meanwhile.
+    /// Use [`RemoteShard::wait_connected`] when startup must block on the
+    /// fleet being up.
+    pub fn connect(
+        addr: &str,
+        config: RemoteShardConfig,
+        fallback: Option<Arc<dyn Fallback>>,
+    ) -> RemoteShard {
         let metrics = Arc::new(Metrics::default());
         let shared = Arc::new(Mutex::new(Shared {
             write: None,
@@ -184,6 +195,7 @@ impl RemoteShard {
         lane.dial();
         RemoteShard {
             max_in_flight: config.max_in_flight,
+            fallback,
             metrics,
             shared,
             stop,
@@ -419,14 +431,15 @@ fn dial(
     Ok((stream, reader))
 }
 
-/// Settle one pending entry with its result, updating client metrics.
+/// Settle one pending entry with its result, updating client metrics. A
+/// degraded answer counts in `degraded` alone, as the engine counts it.
 fn settle(entry: PendingEntry, result: Result<Response, ServeError>, metrics: &Metrics) {
     match &result {
+        Ok(r) if r.degraded => {
+            metrics.degraded.fetch_add(1, Relaxed);
+        }
         Ok(r) => {
             metrics.completed.fetch_add(1, Relaxed);
-            if r.degraded {
-                metrics.degraded.fetch_add(1, Relaxed);
-            }
             if r.cache_hit {
                 metrics.cache_hits.fetch_add(1, Relaxed);
             } else {
@@ -466,8 +479,9 @@ impl ShardLane for RemoteShard {
         let shared = &mut *guard;
         self.metrics.submitted.fetch_add(1, Relaxed);
         let Some(mut w) = shared.write.as_ref() else {
-            self.metrics.failed.fetch_add(1, Relaxed);
-            return Err(ServeError::WorkerFailed);
+            drop(guard);
+            let fallback = self.fallback.as_deref();
+            return degrade(fallback, &record, ServeError::WorkerFailed, &self.metrics);
         };
         if shared.pending.len() >= self.max_in_flight {
             self.metrics.rejected.fetch_add(1, Relaxed);
@@ -498,10 +512,6 @@ impl ShardLane for RemoteShard {
         let mut snap = self.metrics.snapshot();
         snap.queue_depth = lock(&self.shared).pending.len() as u64;
         snap
-    }
-
-    fn live_workers(&self) -> usize {
-        usize::from(self.is_connected())
     }
 
     fn shutdown_lane(self: Box<Self>) {

@@ -27,12 +27,27 @@
 //!   without losing its place. After any *fatal* error the reader is
 //!   poisoned and refuses further reads — a stream that failed a CRC has
 //!   no trustworthy frame boundary left.
+//! * **Bounded frames, however the bytes arrive.** A frame (or the magic)
+//!   must complete within `STALL_TIMEOUT` of its first buffered byte, and
+//!   a read that is still short of a frame after `READ_SLICE` hands back
+//!   a timeout, so a peer trickling one byte at a time can neither hold a
+//!   connection forever nor keep its reader from seeing a stop flag.
 
 use baclassifier::durable::{next_frame, put_frame, put_u32, put_u64, Cursor, Frame};
 use std::io::{ErrorKind, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Stream preamble, sent once per direction before the first frame.
 pub const MAGIC: &[u8; 8] = b"BANET v2";
+
+/// How long a frame may take to arrive, from its first buffered byte; a
+/// frame still incomplete after that fails as [`FrameError::Truncated`].
+pub(crate) const STALL_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The longest one [`FrameReader::read_message`] call keeps reading a frame
+/// whose bytes are still arriving before it returns a timeout to its
+/// caller (the server's 50 ms read tick).
+const READ_SLICE: Duration = Duration::from_millis(50);
 
 /// Upper bound on a frame payload. Every message is a few dozen bytes but
 /// a `Reply` carrying a [`ReplyOutcome::Reject`] reason, which is cut to
@@ -406,13 +421,16 @@ pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> std::io::Result<()> 
 /// [`FrameReader::read_message`] call resumes exactly where the stream
 /// paused, so a socket with `set_read_timeout` as a poll tick never
 /// desyncs. Fatal errors (bad magic, CRC, malformed payload, EOF
-/// mid-frame) poison the reader — there is no trustworthy frame boundary
-/// after corruption.
+/// mid-frame, a frame stalled past `STALL_TIMEOUT`) poison the reader —
+/// there is no trustworthy frame boundary after corruption.
 pub struct FrameReader<R> {
     inner: R,
     buf: Vec<u8>,
     /// Bytes of `buf` holding not-yet-consumed stream data.
     filled: usize,
+    /// When the first still-buffered byte arrived: the stall clock of the
+    /// frame (or magic) in progress. `None` while the buffer is empty.
+    since: Option<Instant>,
     magic_seen: bool,
     poisoned: bool,
 }
@@ -423,6 +441,7 @@ impl<R: Read> FrameReader<R> {
             inner,
             buf: Vec::new(),
             filled: 0,
+            since: None,
             magic_seen: false,
             poisoned: false,
         }
@@ -432,6 +451,9 @@ impl<R: Read> FrameReader<R> {
     fn fill(&mut self) -> std::io::Result<usize> {
         let mut chunk = [0u8; 4096];
         let n = self.inner.read(&mut chunk)?;
+        if self.filled == 0 && n > 0 {
+            self.since = Some(Instant::now());
+        }
         self.buf.truncate(self.filled);
         self.buf.extend_from_slice(&chunk[..n]);
         self.filled += n;
@@ -441,16 +463,21 @@ impl<R: Read> FrameReader<R> {
     fn consume(&mut self, n: usize) {
         self.buf.drain(..n);
         self.filled -= n;
+        // Bytes left over belong to the next frame, whose clock starts now.
+        self.since = (self.filled > 0).then(Instant::now);
     }
 
     /// Read the next message. `Ok(None)` is a clean EOF at a frame
     /// boundary. Timeouts surface as `FrameError::Io` with
-    /// `is_timeout() == true` and do **not** poison the reader; every
-    /// other error does.
+    /// `is_timeout() == true` and do **not** poison the reader: the
+    /// stream's own read timeout, or `READ_SLICE` spent on a frame still
+    /// arriving. Every other error does, including a frame still
+    /// incomplete `STALL_TIMEOUT` after its first byte (`Truncated`).
     pub fn read_message(&mut self) -> Result<Option<Message>, FrameError> {
         if self.poisoned {
             return Err(FrameError::Malformed("reader poisoned by earlier error"));
         }
+        let called = Instant::now();
         loop {
             if !self.magic_seen {
                 if self.filled >= MAGIC.len() {
@@ -475,6 +502,13 @@ impl<R: Read> FrameReader<R> {
                     }
                 }
             }
+            if self.since.is_some_and(|t| t.elapsed() > STALL_TIMEOUT) {
+                self.poisoned = true;
+                return Err(FrameError::Truncated);
+            }
+            if called.elapsed() >= READ_SLICE {
+                return Err(FrameError::Io(ErrorKind::TimedOut.into()));
+            }
             match self.fill() {
                 Ok(0) => {
                     return if self.filled == 0 && self.magic_seen {
@@ -497,12 +531,6 @@ impl<R: Read> FrameReader<R> {
                 }
             }
         }
-    }
-
-    /// Whether any bytes are parked mid-frame (used by deadline logic: a
-    /// stalled *partial* frame is a slow peer, an empty buffer is idle).
-    pub fn mid_frame(&self) -> bool {
-        self.filled > 0
     }
 }
 

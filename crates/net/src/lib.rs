@@ -18,12 +18,13 @@
 //!   front over a [`server::NetBackend`] (an engine + dataset, or a shard
 //!   worker). Stops on `stop()` or the process SIGINT flag only — nothing
 //!   a peer sends stops it; sheds connections beyond 64;
-//!   cuts peers that stall mid-frame.
+//!   cuts peers whose frame does not complete within 5 s, however slowly
+//!   its bytes trickle in.
 //! * [`client`] — [`client::RemoteShard`]: a `baserve::ShardLane` backed by
 //!   one multiplexed connection to a worker process, which one lane thread
 //!   owns: fail-fast submits, client-side deadlines, exponential-backoff
-//!   reconnect and pings; its `live_workers()` is 1 while connected, which is all
-//!   the router asks before routing to it. Because it is a
+//!   reconnect and pings; while disconnected it answers for itself from its
+//!   fallback (or fails fast without one). Because it is a
 //!   `ShardLane`, `bashard::ShardRouter` fans batches across remote
 //!   workers with the exact same placement and merge order as in-process
 //!   engines — responses stay byte-identical.

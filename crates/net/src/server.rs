@@ -15,11 +15,12 @@
 //! Bounds and deadlines:
 //! * at most `MAX_CONNECTIONS` (64) concurrent connections — excess
 //!   accepts are closed immediately (the kernel backlog stays bounded);
-//! * reads tick every `READ_TICK` (50 ms) so stop/SIGINT are observed; a
-//!   peer whose magic and `Hello` have not arrived `STALL_TIMEOUT` (5 s)
-//!   after accept, or that stalls **mid-frame** that long later, is cut
-//!   off (idle connections after the handshake are fine — each client
-//!   lane pings its live one);
+//! * reads tick every `READ_TICK` (50 ms), and the frame reader returns at
+//!   least that often however a peer's bytes arrive, so stop/SIGINT are
+//!   observed; a peer whose magic and `Hello` have not arrived
+//!   `STALL_TIMEOUT` (5 s) after accept, or whose frame has not completed
+//!   that long after its first byte, is cut off (idle connections after
+//!   the handshake are fine — each client lane pings its live one);
 //! * writes carry `WRITE_TIMEOUT` (5 s) so one dead client cannot wedge a
 //!   writer thread forever.
 //!
@@ -29,6 +30,7 @@
 
 use crate::frame::{
     write_magic, write_message, FrameError, FrameReader, Hello, Message, ReplyOutcome, Role,
+    STALL_TIMEOUT,
 };
 use baclassifier::PredictError;
 use baserve::shutdown;
@@ -121,9 +123,6 @@ fn listen_reuse_v4(addr: std::net::SocketAddrV4) -> std::io::Result<TcpListener>
 const MAX_CONNECTIONS: usize = 64;
 /// Read poll tick — latency bound on observing stop/SIGINT.
 const READ_TICK: Duration = Duration::from_millis(50);
-/// How long a peer may take to handshake, or stall mid-frame, before the
-/// connection is cut.
-const STALL_TIMEOUT: Duration = Duration::from_secs(5);
 /// Socket write timeout, so one dead client cannot wedge a writer thread.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -350,29 +349,17 @@ fn serve_connection(
         })
     };
 
-    let mut stall_started: Option<Instant> = None;
     let result = loop {
         if stop.load(Relaxed) || shutdown::shutdown_requested() {
             break Ok(());
         }
+        // Idle is fine; the reader itself cuts a frame that stalls.
         let msg = match reader.read_message() {
             Ok(Some(m)) => m,
             Ok(None) => break Ok(()), // clean EOF
-            Err(e) if e.is_timeout() => {
-                // Only a *mid-frame* stall is hostile; idle is fine.
-                if reader.mid_frame() {
-                    let started = *stall_started.get_or_insert_with(Instant::now);
-                    if started.elapsed() > STALL_TIMEOUT {
-                        break Err(FrameError::Truncated);
-                    }
-                } else {
-                    stall_started = None;
-                }
-                continue;
-            }
+            Err(e) if e.is_timeout() => continue,
             Err(e) => break Err(e),
         };
-        stall_started = None;
         match msg {
             Message::Classify { req_id, address } => match backend.submit(address) {
                 Ok(ticket) => {

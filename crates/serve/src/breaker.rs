@@ -13,9 +13,8 @@
 //! engine sheds every request to the degraded fallback path instead of
 //! enqueueing it. After `cooldown`, the breaker **half-opens**: exactly one
 //! probe request is admitted to the real queue; a recorded success closes
-//! the breaker, another failure re-opens it for a fresh cooldown.
-//!
-//! `threshold == 0` disables the breaker entirely (it never leaves Closed).
+//! the breaker, another failure re-opens it for a fresh cooldown. The
+//! engine's threshold and cooldown are constants in `engine.rs`.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -26,16 +25,6 @@ pub enum BreakerState {
     Closed,
     Open,
     HalfOpen,
-}
-
-impl BreakerState {
-    pub fn name(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
 }
 
 /// What the breaker decided about one incoming request.
@@ -87,9 +76,6 @@ impl CircuitBreaker {
     /// Route one incoming request. May transition Open → HalfOpen when the
     /// cooldown has elapsed.
     pub fn admit(&self) -> Admission {
-        if self.threshold == 0 {
-            return Admission::Normal;
-        }
         let mut g = self.lock();
         match g.state {
             BreakerState::Closed => Admission::Normal,
@@ -115,9 +101,6 @@ impl CircuitBreaker {
 
     /// A batch completed without panicking (or a probe was served).
     pub fn record_success(&self) {
-        if self.threshold == 0 {
-            return;
-        }
         let mut g = self.lock();
         g.consecutive_failures = 0;
         g.probe_in_flight = false;
@@ -128,9 +111,6 @@ impl CircuitBreaker {
     /// `true` when this failure tripped the breaker (Closed/HalfOpen → Open)
     /// so the caller can count trips in metrics.
     pub fn record_failure(&self) -> bool {
-        if self.threshold == 0 {
-            return false;
-        }
         let mut g = self.lock();
         match g.state {
             BreakerState::Closed => {
@@ -156,9 +136,6 @@ impl CircuitBreaker {
     /// Force the breaker open (used when the last worker retires: there is
     /// no model path left to probe, so requests must shed immediately).
     pub fn force_open(&self) -> bool {
-        if self.threshold == 0 {
-            return false;
-        }
         let mut g = self.lock();
         let tripped = g.state != BreakerState::Open;
         g.state = BreakerState::Open;
@@ -220,17 +197,6 @@ mod tests {
         assert!(b.record_failure(), "probe failure re-trips");
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.admit(), Admission::Shed);
-    }
-
-    #[test]
-    fn zero_threshold_disables_the_breaker() {
-        let b = CircuitBreaker::new(0, Duration::from_millis(1));
-        for _ in 0..100 {
-            assert!(!b.record_failure());
-        }
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.admit(), Admission::Normal);
-        assert!(!b.force_open());
     }
 
     #[test]

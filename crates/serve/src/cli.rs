@@ -129,10 +129,9 @@ impl ServingInputs {
 }
 
 /// The engine knobs shared by `basharded` and `baserve-loadgen`:
-/// `--workers`, `--max-batch`, `--queue-depth`, `--cache`, plus the
-/// resilience knobs `--deadline-ms` (0 = none), `--breaker-threshold`
-/// (0 = disabled), `--breaker-cooldown-ms`, `--max-restarts`, and
-/// `--restart-backoff-ms`.
+/// `--workers`, `--max-batch`, `--queue-depth`, `--cache` and
+/// `--deadline-ms` (0 = none). The breaker and restart policy are the
+/// engine's constants.
 pub fn engine_config_from_args(args: &[String]) -> crate::EngineConfig {
     use std::time::Duration;
     let default = crate::EngineConfig::default();
@@ -147,18 +146,6 @@ pub fn engine_config_from_args(args: &[String]) -> crate::EngineConfig {
         queue_depth: flag_parsed(args, "--queue-depth", default.queue_depth),
         cache_capacity: flag_parsed(args, "--cache", default.cache_capacity),
         default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
-        breaker_threshold: flag_parsed(args, "--breaker-threshold", default.breaker_threshold),
-        breaker_cooldown: Duration::from_millis(flag_parsed(
-            args,
-            "--breaker-cooldown-ms",
-            default.breaker_cooldown.as_millis() as u64,
-        )),
-        max_worker_restarts: flag_parsed(args, "--max-restarts", default.max_worker_restarts),
-        restart_backoff: Duration::from_millis(flag_parsed(
-            args,
-            "--restart-backoff-ms",
-            default.restart_backoff.as_millis() as u64,
-        )),
     }
 }
 
@@ -198,19 +185,11 @@ mod tests {
 
     #[test]
     fn resilience_knobs_parse() {
-        let args = argv(
-            "prog --deadline-ms 25 --breaker-threshold 3 --breaker-cooldown-ms 200 \
-             --max-restarts 2 --restart-backoff-ms 5",
-        );
-        let cfg = engine_config_from_args(&args);
+        let cfg = engine_config_from_args(&argv("prog --deadline-ms 25"));
         assert_eq!(
             cfg.default_deadline,
             Some(std::time::Duration::from_millis(25))
         );
-        assert_eq!(cfg.breaker_threshold, 3);
-        assert_eq!(cfg.breaker_cooldown, std::time::Duration::from_millis(200));
-        assert_eq!(cfg.max_worker_restarts, 2);
-        assert_eq!(cfg.restart_backoff, std::time::Duration::from_millis(5));
         // Deadline 0 (and the default) mean "no deadline".
         let none = engine_config_from_args(&argv("prog --deadline-ms 0"));
         assert_eq!(none.default_deadline, None);

@@ -44,21 +44,22 @@
 //!   A panic mid-batch completes the batch's unanswered tickets as
 //!   [`ServeError::WorkerFailed`], then the worker restarts with a fresh
 //!   batch scratch (the model is read-only and needs no rebuild) after an
-//!   exponential backoff with deterministic jitter. A worker that
-//!   exhausts `max_worker_restarts` retires; when the *last* worker
-//!   retires, queued jobs are failed explicitly and the circuit breaker is
-//!   forced open so new work degrades instead of hanging.
+//!   exponential backoff (from `RESTART_BACKOFF`) with deterministic
+//!   jitter. A worker that exhausts `MAX_WORKER_RESTARTS` retires; when the
+//!   *last* worker retires, queued jobs are failed explicitly and the
+//!   circuit breaker is forced open so new work degrades instead of hanging.
 //! * **Poisoned locks are recovered**, not propagated: every queue/cache
 //!   lock acquisition goes through [`recover`], because the queue and cache
 //!   are plain data that remain valid after any panic in a worker.
-//! * **Deadlines** — [`Engine::submit_with_deadline`] carries a per-request
-//!   deadline from admission through batch execution; expired jobs complete
-//!   as [`ServeError::DeadlineExceeded`] and count in `metrics.timed_out`.
-//! * **Degradation** — a [`CircuitBreaker`] trips after N consecutive
-//!   worker failures or queue-full rejections; while open, submissions are
-//!   answered by the [`Fallback`] classifier (responses tagged
-//!   `degraded: true`) and the breaker half-opens after a cooldown to probe
-//!   the real path.
+//! * **Deadlines** — [`Engine::submit`] stamps `default_deadline` on each
+//!   job from admission through batch execution; expired jobs complete as
+//!   [`ServeError::DeadlineExceeded`] and count in `metrics.timed_out`.
+//! * **Degradation** — a [`CircuitBreaker`] trips after `BREAKER_THRESHOLD`
+//!   consecutive worker failures or queue-full rejections; while open, and
+//!   once every worker has retired, the engine answers for itself through
+//!   [`degrade`]: from the [`Fallback`] classifier (responses tagged
+//!   `degraded: true`), or with an error when none is installed. The
+//!   breaker half-opens after `BREAKER_COOLDOWN` to probe the real path.
 //! * **Fault injection** — workers consult [`EngineHooks::fault_plan`]
 //!   before every batch; the production default is [`NoFaults`]. The chaos
 //!   harness exercises all of the above through this hook — the same code
@@ -77,7 +78,7 @@ use btcsim::{AddressRecord, Label};
 
 use crate::breaker::{Admission, BreakerState, CircuitBreaker};
 use crate::cache::LruCache;
-use crate::fallback::Fallback;
+use crate::fallback::{degrade, Fallback};
 use crate::fault::{splitmix64, FaultAction, FaultPlan, NoFaults};
 use crate::metrics::{Metrics, MetricsSnapshot};
 
@@ -95,20 +96,20 @@ pub struct EngineConfig {
     /// cache grows as it fills, so a huge capacity reserves nothing.
     pub cache_capacity: usize,
     /// Deadline applied to every `submit`; `None` means requests never
-    /// expire. `submit_with_deadline` overrides per request.
+    /// expire.
     pub default_deadline: Option<Duration>,
-    /// Consecutive failures (worker panics, queue-full rejections) that trip
-    /// the circuit breaker; `0` disables the breaker.
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker stays open before half-opening a probe.
-    pub breaker_cooldown: Duration,
-    /// Restarts a worker is allowed after caught panics before it retires
-    /// permanently.
-    pub max_worker_restarts: u32,
-    /// Base of the exponential restart backoff (doubled per consecutive
-    /// restart, plus deterministic jitter).
-    pub restart_backoff: Duration,
 }
+
+/// Consecutive failures (worker panics, queue-full rejections) that trip
+/// the circuit breaker.
+const BREAKER_THRESHOLD: u32 = 8;
+/// How long a tripped breaker stays open before half-opening a probe.
+const BREAKER_COOLDOWN: Duration = Duration::from_millis(500);
+/// Restarts a worker is allowed after caught panics before it retires.
+const MAX_WORKER_RESTARTS: u32 = 4;
+/// Base of the exponential restart backoff (doubled per consecutive
+/// restart, plus deterministic jitter).
+const RESTART_BACKOFF: Duration = Duration::from_millis(10);
 
 impl Default for EngineConfig {
     fn default() -> Self {
@@ -121,10 +122,6 @@ impl Default for EngineConfig {
             queue_depth: 256,
             cache_capacity: 1024,
             default_deadline: None,
-            breaker_threshold: 8,
-            breaker_cooldown: Duration::from_millis(500),
-            max_worker_restarts: 4,
-            restart_backoff: Duration::from_millis(10),
         }
     }
 }
@@ -134,9 +131,9 @@ impl EngineConfig {
     /// config's resource budget: workers, queue depth, and cache capacity
     /// are divided (never below 1 once non-zero — a shard with zero queue
     /// slots could accept nothing), while per-request policy (batching,
-    /// deadlines, breaker, restarts) is inherited unchanged. The explicit
-    /// `workers == 0` and `cache_capacity == 0` test semantics survive
-    /// sharding: zero divides to zero.
+    /// deadlines) is inherited unchanged. The explicit `workers == 0` and
+    /// `cache_capacity == 0` test semantics survive sharding: zero divides
+    /// to zero.
     pub fn for_shard(&self, shards: usize) -> EngineConfig {
         let shards = shards.max(1);
         let split = |v: usize| if v == 0 { 0 } else { (v / shards).max(1) };
@@ -157,7 +154,7 @@ pub struct EngineHooks {
     /// Consulted by every worker before each batch (see [`FaultPlan`]).
     pub fault_plan: Arc<dyn FaultPlan>,
     /// Degraded-mode classifier used while the breaker is open or after all
-    /// workers retired. `None` means such requests are rejected instead.
+    /// workers retired. `None` means such requests fail instead.
     pub fallback: Option<Arc<dyn Fallback>>,
 }
 
@@ -243,10 +240,9 @@ impl Ticket {
         }
     }
 
-    /// A ticket that is already resolved. Routing layers above the engine
-    /// (e.g. a shard router answering for a downed shard from its
-    /// fallback) use this to return the same `Ticket` surface for
-    /// responses that never entered an engine queue.
+    /// A ticket that is already resolved: the `Ticket` surface for an
+    /// answer that never entered a queue (a lane answering for itself from
+    /// its fallback).
     pub fn settled(result: Result<Response, ServeError>) -> Ticket {
         let (tx, rx) = mpsc::sync_channel(1);
         let _ = tx.send(result);
@@ -388,7 +384,7 @@ impl Engine {
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             generations: Mutex::new(HashMap::new()),
             metrics: Metrics::default(),
-            breaker: CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown),
+            breaker: CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN),
             hooks,
             live_workers: AtomicUsize::new(config.workers),
         });
@@ -396,10 +392,10 @@ impl Engine {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let clf = Arc::clone(&clf);
-                let cfg = config.clone();
+                let max_batch = config.max_batch;
                 thread::Builder::new()
                     .name(format!("baserve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &clf, &cfg, i))
+                    .spawn(move || worker_loop(&shared, &clf, max_batch, i))
                     .expect("spawn serving worker")
             })
             .collect();
@@ -411,28 +407,17 @@ impl Engine {
         })
     }
 
-    /// Enqueue one classification request under the engine's default
-    /// deadline. Fails fast with [`ServeError::QueueFull`] instead of
-    /// queueing unboundedly; sheds to the fallback while the breaker is
-    /// open.
+    /// Enqueue one classification request under the engine's
+    /// `default_deadline`, measured from admission and enforced by the
+    /// worker that picks the job up: expired jobs complete as
+    /// [`ServeError::DeadlineExceeded`]. Fails fast with
+    /// [`ServeError::QueueFull`] instead of queueing unboundedly; answers
+    /// from the fallback while the breaker is open or no worker is left.
     pub fn submit(&self, record: AddressRecord) -> Result<Ticket, ServeError> {
-        self.submit_with_deadline(record, self.default_deadline)
-    }
-
-    /// [`Engine::submit`] with an explicit per-request deadline (`None` =
-    /// never expires). The deadline is measured from admission and enforced
-    /// by the worker that picks the job up: expired jobs complete as
-    /// [`ServeError::DeadlineExceeded`].
-    pub fn submit_with_deadline(
-        &self,
-        record: AddressRecord,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
         let now = Instant::now();
         self.shared.metrics.submitted.fetch_add(1, Relaxed);
-        match self.shared.breaker.admit() {
-            Admission::Shed => return self.degraded_or(record, now, ServeError::BreakerOpen),
-            Admission::Normal | Admission::Probe => {}
+        if self.shared.breaker.admit() == Admission::Shed {
+            return self.degrade(&record, ServeError::BreakerOpen);
         }
         let mut q = recover(self.shared.queue.lock());
         if q.shutdown {
@@ -444,7 +429,7 @@ impl Engine {
             // The probe (if this was one) cannot resolve without workers;
             // report it failed so the breaker re-opens cleanly.
             self.shared.breaker_failure();
-            return self.degraded_or(record, now, ServeError::WorkerFailed);
+            return self.degrade(&record, ServeError::WorkerFailed);
         }
         if q.jobs.len() >= self.queue_depth {
             self.shared.metrics.rejected.fetch_add(1, Relaxed);
@@ -456,42 +441,17 @@ impl Engine {
             record,
             reply: tx,
             enqueued: now,
-            deadline: deadline.map(|d| now + d),
+            deadline: self.default_deadline.map(|d| now + d),
         });
         drop(q);
         self.shared.cond.notify_all();
         Ok(Ticket { rx })
     }
 
-    /// Serve `record` from the fallback classifier (degraded), or fail with
-    /// `err` when no fallback is installed.
-    fn degraded_or(
-        &self,
-        record: AddressRecord,
-        started: Instant,
-        err: ServeError,
-    ) -> Result<Ticket, ServeError> {
-        match &self.shared.hooks.fallback {
-            Some(fb) => {
-                let label = fb.classify(&record);
-                self.shared.metrics.degraded.fetch_add(1, Relaxed);
-                let (tx, rx) = mpsc::sync_channel(1);
-                let _ = tx.send(Ok(Response {
-                    label,
-                    cache_hit: false,
-                    degraded: true,
-                    latency: started.elapsed(),
-                }));
-                Ok(Ticket { rx })
-            }
-            None => {
-                match err {
-                    ServeError::WorkerFailed => self.shared.metrics.failed.fetch_add(1, Relaxed),
-                    _ => self.shared.metrics.rejected.fetch_add(1, Relaxed),
-                };
-                Err(err)
-            }
-        }
+    /// Answer for a model path that cannot serve: see [`degrade`].
+    fn degrade(&self, record: &AddressRecord, err: ServeError) -> Result<Ticket, ServeError> {
+        let fallback = self.shared.hooks.fallback.as_deref();
+        degrade(fallback, record, err, &self.shared.metrics)
     }
 
     /// Submit and wait — the one-call convenience path.
@@ -607,11 +567,10 @@ fn retire(shared: &Shared) {
     }
 }
 
-/// Sleep `restart_backoff × 2^(restarts-1)` plus deterministic jitter,
+/// Sleep `RESTART_BACKOFF × 2^(restarts-1)` plus deterministic jitter,
 /// waking early on shutdown. Returns `false` when shutdown was requested.
-fn backoff_sleep(shared: &Shared, cfg: &EngineConfig, worker: usize, restarts: u32) -> bool {
-    let base = cfg.restart_backoff.max(Duration::from_micros(100));
-    let backoff = base.saturating_mul(1u32 << (restarts.saturating_sub(1)).min(5));
+fn backoff_sleep(shared: &Shared, worker: usize, restarts: u32) -> bool {
+    let backoff = RESTART_BACKOFF.saturating_mul(1u32 << (restarts.saturating_sub(1)).min(5));
     let mut seed = ((worker as u64) << 32) ^ u64::from(restarts);
     let jitter_us = splitmix64(&mut seed) % (backoff.as_micros() as u64 / 2 + 1);
     let deadline = Instant::now() + backoff + Duration::from_micros(jitter_us);
@@ -637,7 +596,6 @@ fn backoff_sleep(shared: &Shared, cfg: &EngineConfig, worker: usize, restarts: u
 /// requested.
 fn batch_panicked(
     shared: &Shared,
-    cfg: &EngineConfig,
     worker: usize,
     restarts: &mut u32,
     unanswered: &mut [Option<Job>],
@@ -649,12 +607,12 @@ fn batch_panicked(
         let _ = job.reply.send(Err(ServeError::WorkerFailed));
     }
     *restarts += 1;
-    if *restarts > cfg.max_worker_restarts {
+    if *restarts > MAX_WORKER_RESTARTS {
         retire(shared);
         return false;
     }
     shared.metrics.worker_restarts.fetch_add(1, Relaxed);
-    if !backoff_sleep(shared, cfg, worker, *restarts) {
+    if !backoff_sleep(shared, worker, *restarts) {
         shared.live_workers.fetch_sub(1, Relaxed);
         return false;
     }
@@ -666,14 +624,14 @@ fn batch_panicked(
 /// replaces the batch scratch, which may hold half a batch after an unwind;
 /// the classifier is shared and read-only, so there is nothing of it to
 /// rebuild.
-fn worker_loop(shared: &Shared, clf: &BaClassifier, cfg: &EngineConfig, worker: usize) {
+fn worker_loop(shared: &Shared, clf: &BaClassifier, max_batch: usize, worker: usize) {
     let mut restarts: u32 = 0;
     // Per-worker batch counter, monotonic across restarts, so fault plans
     // can address "worker W, batch K" deterministically.
     let mut batch_seq: u64 = 0;
     let mut scratch = BatchScratch::default();
     loop {
-        if !collect_batch(shared, cfg.max_batch, &mut scratch.slots) {
+        if !collect_batch(shared, max_batch, &mut scratch.slots) {
             // Graceful shutdown; queued work is already drained.
             shared.live_workers.fetch_sub(1, Relaxed);
             return;
@@ -688,7 +646,7 @@ fn worker_loop(shared: &Shared, clf: &BaClassifier, cfg: &EngineConfig, worker: 
             // `process_batch`; here only the restart streak resets.
             Ok(()) => restarts = 0,
             Err(_) => {
-                if !batch_panicked(shared, cfg, worker, &mut restarts, &mut scratch.slots) {
+                if !batch_panicked(shared, worker, &mut restarts, &mut scratch.slots) {
                     return;
                 }
                 scratch = BatchScratch::default();
@@ -1378,7 +1336,6 @@ mod tests {
             artifact,
             EngineConfig {
                 workers: 1,
-                breaker_threshold: 0, // isolate supervision from degradation
                 ..EngineConfig::default()
             },
             EngineHooks {
@@ -1427,7 +1384,7 @@ mod tests {
             Arc::new(ModelArtifact::untrained(BacConfig::fast())),
             EngineConfig {
                 workers: 1,
-                breaker_threshold: 0,
+                default_deadline: Some(Duration::from_millis(5)),
                 ..EngineConfig::default()
             },
             EngineHooks {
@@ -1436,54 +1393,59 @@ mod tests {
             },
         )
         .unwrap();
-        let records = test_records(4);
-        let tickets: Vec<Ticket> = records
-            .iter()
-            .map(|r| {
-                engine
-                    .submit_with_deadline(r.clone(), Some(Duration::from_millis(5)))
-                    .unwrap()
-            })
+        let tickets: Vec<Ticket> = test_records(4)
+            .into_iter()
+            .map(|r| engine.submit(r).unwrap())
             .collect();
         for t in tickets {
             assert_eq!(t.wait().map(|_| ()), Err(ServeError::DeadlineExceeded));
         }
-        // A deadline-free request afterwards is served normally.
-        engine.classify(records[0].clone()).unwrap();
         let snap = engine.metrics();
         assert_eq!(snap.timed_out, 4);
-        assert_eq!(snap.completed, 1);
+        assert_eq!(snap.completed, 0);
         assert_accounted(&snap);
     }
 
-    /// Tentpole: breaker trips on worker failure, sheds to the fallback
-    /// (byte-identical to calling it directly), half-opens after the
-    /// cooldown, and closes again once the probe succeeds.
+    /// `BREAKER_THRESHOLD` queue-full rejections behind a stalled
+    /// batch trip the breaker; while it is open, requests shed to the
+    /// fallback (byte-identical to calling it directly), and the stalled
+    /// job's success closes it again. The stall is shorter than the
+    /// cooldown, so no half-open probe is involved.
     #[test]
     fn breaker_degrades_then_recovers() {
         let records = test_records(6);
         let fb = Arc::new(FeatureFallback::fit(&records));
-        let plan = Arc::new(ScriptedFaultPlan::panics(0, &[1]));
+        let plan = ScriptedFaultPlan::new(vec![crate::fault::FaultSpec {
+            worker: 0,
+            batch: 1,
+            action: FaultAction::Delay(Duration::from_millis(400)),
+        }]);
         let engine = Engine::with_hooks(
             Arc::new(ModelArtifact::untrained(BacConfig::fast())),
             EngineConfig {
                 workers: 1,
-                breaker_threshold: 1,
-                breaker_cooldown: Duration::from_millis(100),
-                restart_backoff: Duration::from_millis(5),
+                queue_depth: 1,
                 ..EngineConfig::default()
             },
             EngineHooks {
-                fault_plan: plan,
+                fault_plan: Arc::new(plan),
                 fallback: Some(Arc::clone(&fb) as Arc<dyn Fallback>),
             },
         )
         .unwrap();
-        // Batch 1 panics → WorkerFailed → breaker opens.
-        assert_eq!(
-            engine.classify(records[0].clone()).map(|_| ()),
-            Err(ServeError::WorkerFailed)
-        );
+        // The worker stalls in batch 1; one more job fills the queue, and
+        // each rejection behind it is a breaker failure.
+        let stalled = engine.submit(records[0].clone()).unwrap();
+        while engine.queue_len() != 0 {
+            thread::yield_now();
+        }
+        let queued = engine.submit(records[1].clone()).unwrap();
+        for _ in 0..BREAKER_THRESHOLD {
+            assert_eq!(
+                engine.submit(records[2].clone()).map(|_| ()),
+                Err(ServeError::QueueFull)
+            );
+        }
         assert_eq!(engine.breaker_state(), BreakerState::Open);
         // While open, requests shed to the fallback, byte-for-byte.
         for r in records.iter().take(4) {
@@ -1492,14 +1454,15 @@ mod tests {
             assert!(!resp.cache_hit);
             assert_eq!(resp.label, fb.classify(r), "degraded answer ≠ fallback");
         }
-        // After the cooldown the next request is the half-open probe; the
-        // respawned replica serves it and the breaker closes.
-        thread::sleep(Duration::from_millis(120));
-        let resp = engine.classify(records[1].clone()).unwrap();
-        assert!(!resp.degraded, "probe should use the recovered model path");
+        // The stalled job is served by the model, and its success closes
+        // the breaker.
+        assert!(!stalled.wait().unwrap().degraded);
         assert_eq!(engine.breaker_state(), BreakerState::Closed);
+        assert!(!queued.wait().unwrap().degraded);
+        assert!(!engine.classify(records[3].clone()).unwrap().degraded);
         let snap = engine.metrics();
         assert_eq!(snap.breaker_trips, 1);
+        assert_eq!(snap.rejected, u64::from(BREAKER_THRESHOLD));
         assert_eq!(snap.degraded, 4);
         assert_accounted(&snap);
     }
@@ -1510,14 +1473,13 @@ mod tests {
     fn retired_pool_degrades_instead_of_hanging() {
         let records = test_records(4);
         let fb = Arc::new(FeatureFallback::fit(&records));
-        let plan = Arc::new(ScriptedFaultPlan::panics(0, &[1]));
+        // Every restart panics again until the restart budget is spent.
+        let batches: Vec<u64> = (1..=u64::from(MAX_WORKER_RESTARTS) + 1).collect();
+        let plan = Arc::new(ScriptedFaultPlan::panics(0, &batches));
         let engine = Engine::with_hooks(
             Arc::new(ModelArtifact::untrained(BacConfig::fast())),
             EngineConfig {
                 workers: 1,
-                max_worker_restarts: 0, // first panic retires the worker
-                breaker_threshold: 1,
-                breaker_cooldown: Duration::from_secs(3600),
                 ..EngineConfig::default()
             },
             EngineHooks {
@@ -1526,10 +1488,12 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(
-            engine.classify(records[0].clone()).map(|_| ()),
-            Err(ServeError::WorkerFailed)
-        );
+        for _ in &batches {
+            assert_eq!(
+                engine.classify(records[0].clone()).map(|_| ()),
+                Err(ServeError::WorkerFailed)
+            );
+        }
         // The WorkerFailed reply races the supervisor's retirement
         // bookkeeping by design (tickets complete first); wait for it.
         for _ in 0..500 {

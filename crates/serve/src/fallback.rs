@@ -1,7 +1,8 @@
 //! Degraded-mode fallback classification.
 //!
-//! When the circuit breaker is open (or every worker has been retired)
-//! the engine stops enqueueing work and answers from a
+//! A lane that cannot serve answers for itself through [`degrade`]: an
+//! engine whose circuit breaker is open (or whose every worker has been
+//! retired), or a remote lane with no connection, answers from a
 //! [`Fallback`] instead: a cheap, deterministic, feature-based classifier
 //! that trades accuracy for availability. Responses served this way carry
 //! `degraded: true`, so callers can distinguish "the GNN said Exchange"
@@ -13,8 +14,12 @@
 //! no shared state, so the degraded path cannot itself become a failure
 //! domain.
 
+use crate::engine::{Response, ServeError, Ticket};
+use crate::metrics::Metrics;
 use baselines::{flat_dataset, flat_features, Classifier, NearestCentroid, Scaler};
 use btcsim::{AddressRecord, Label};
+use std::sync::atomic::Ordering::Relaxed;
+use std::time::Instant;
 
 /// A degraded-mode classifier: must answer every record, cheaply, from any
 /// thread, without panicking.
@@ -24,6 +29,34 @@ pub trait Fallback: Send + Sync {
     fn name(&self) -> &'static str {
         "fallback"
     }
+}
+
+/// Answer `record` for a lane that cannot serve it: from `fallback` as a
+/// settled `degraded` ticket, counted in `metrics.degraded` alone, or with
+/// `err` when there is no fallback, counted as `failed` (`WorkerFailed`) or
+/// `rejected` (anything else).
+pub fn degrade(
+    fallback: Option<&dyn Fallback>,
+    record: &AddressRecord,
+    err: ServeError,
+    metrics: &Metrics,
+) -> Result<Ticket, ServeError> {
+    let Some(fallback) = fallback else {
+        match err {
+            ServeError::WorkerFailed => metrics.failed.fetch_add(1, Relaxed),
+            _ => metrics.rejected.fetch_add(1, Relaxed),
+        };
+        return Err(err);
+    };
+    let started = Instant::now();
+    let label = fallback.classify(record);
+    metrics.degraded.fetch_add(1, Relaxed);
+    Ok(Ticket::settled(Ok(Response {
+        label,
+        cache_hit: false,
+        degraded: true,
+        latency: started.elapsed(),
+    })))
 }
 
 /// Flat-feature fallback: scaler + any classical baseline classifier.

@@ -8,8 +8,10 @@
 //! remote lane (`RemoteShard`) that forwards requests to a shard worker
 //! process over TCP. `bashard::ShardRouter` routes over `Box<dyn
 //! ShardLane>`, so a fleet of engines, a fleet of sockets, or a mix of
-//! both all share the same placement, degraded-routing, and in-order
-//! batch-merge code path — the byte-identity argument never changes.
+//! both all share the same placement and in-order batch-merge code path —
+//! the byte-identity argument never changes. A lane that cannot serve
+//! answers for itself (from its fallback, or with an error); the router
+//! never asks whether a lane is up.
 //!
 //! Both traits live here (not in `bashard` or `banet`) because they only
 //! name `baserve` types: below both crates, the remote lane can implement
@@ -26,16 +28,12 @@ pub trait ShardLane: Send + Sync {
     /// `default_deadline`, a remote lane's 5 s `REQUEST_TIMEOUT`). Must fail
     /// fast (e.g. [`ServeError::QueueFull`]) instead of queueing
     /// unboundedly — per-lane admission is what keeps one slow shard from
-    /// stalling the fleet.
+    /// stalling the fleet — and must settle at once, degraded or failed,
+    /// while the lane cannot serve.
     fn submit(&self, record: AddressRecord) -> Result<Ticket, ServeError>;
 
     /// Point-in-time service metrics for this lane.
     fn metrics(&self) -> MetricsSnapshot;
-
-    /// Live serving capacity: running workers for an engine, 1/0 for a
-    /// connected/disconnected remote lane. One relaxed load: the router
-    /// asks it on every submit, and 0 means the lane is down.
-    fn live_workers(&self) -> usize;
 
     /// Stop the lane, joining its threads. Consumes the lane; routers call
     /// this once per lane at fleet shutdown.
@@ -49,10 +47,6 @@ impl ShardLane for Engine {
 
     fn metrics(&self) -> MetricsSnapshot {
         Engine::metrics(self)
-    }
-
-    fn live_workers(&self) -> usize {
-        Engine::live_workers(self)
     }
 
     fn shutdown_lane(self: Box<Self>) {

@@ -12,11 +12,10 @@
 //!   whatever its lanes are. Every daemon front (stdin line session, BANET
 //!   listener) serves one of these two.
 //! * [`remote_router`] — build a [`ShardRouter`] whose lanes are
-//!   [`RemoteShard`] connections to `addrs[i]` (worker `i` of N). The
-//!   router asks each lane whether it is up (`live_workers`, 1 while
-//!   connected), so a dead TCP worker is treated exactly like an engine
-//!   whose workers all retired: requests for its addresses settle degraded
-//!   through the fallback instead of hanging.
+//!   [`RemoteShard`] connections to `addrs[i]` (worker `i` of N), each
+//!   holding the fallback. A lane whose worker is down answers for itself,
+//!   exactly like an engine whose workers all retired: requests for its
+//!   addresses settle degraded through the fallback instead of hanging.
 
 use crate::router::ShardRouter;
 use baclassifier::{ShardAssignment, ShardMap};
@@ -117,7 +116,8 @@ impl NetBackend for RouterBackend {
 /// Build a router over remote workers: lane `i` connects to `addrs[i]`,
 /// which must be the worker serving shard `i` of `addrs.len()` (enforced
 /// by the layout handshake — a swapped pair of addresses refuses to
-/// connect rather than misroute).
+/// connect rather than misroute). Every lane answers from `fallback`
+/// while its worker is unreachable.
 ///
 /// Returns the router and, in shard order, each lane's own counters (the
 /// `Arc` its lane thread writes): a read-only view whose
@@ -147,12 +147,12 @@ pub fn remote_router(
                 }),
                 ..base.clone()
             };
-            let lane = RemoteShard::connect(addr, config);
+            let lane = RemoteShard::connect(addr, config, fallback.clone());
             counters.push(lane.counters());
             Box::new(lane) as Box<dyn ShardLane>
         })
         .collect();
-    (ShardRouter::from_lanes(lanes, fallback), counters)
+    (ShardRouter::from_lanes(lanes), counters)
 }
 
 /// Block until every lane in `lanes` (as [`remote_router`] returns them) is

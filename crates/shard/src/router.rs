@@ -3,7 +3,7 @@
 //!
 //! A *lane* ([`baserve::ShardLane`]) is whatever answers for the
 //! addresses one shard owns. The classic lane is a complete in-process
-//! [`Engine`] — its own worker pool, queue, embedding cache, and circuit
+//! [`Engine`] — its own worker pool, queue, answer cache, and circuit
 //! breaker — built over the *same* model artifact, so any shard computes
 //! byte-identical answers for the addresses it owns. `banet` adds a
 //! remote lane (`RemoteShard`) that forwards to a shard worker process
@@ -16,38 +16,23 @@
 //! to each other; a slow or tripped shard degrades only its own
 //! addresses.
 //!
-//! ## Degraded routing
-//!
-//! Before routing, the router asks the owning lane whether it is up:
-//! [`ShardLane::live_workers`] is 0 for an engine whose every worker
-//! retired and for a remote lane with no connection. A downed lane's
-//! requests do **not** hang on a queue nobody drains: they settle
-//! immediately with an explicitly `degraded` response from the shared
-//! fallback classifier, or with [`ServeError::WorkerFailed`] when no
-//! fallback is installed, and are counted in the router's own metrics.
-//! Healthy shards are untouched.
+//! A lane that cannot serve — an engine whose breaker is open or whose
+//! every worker retired, a remote lane with no connection — answers for
+//! itself at once: an explicitly `degraded` response from its fallback,
+//! or an error without one, counted in that lane's own metrics. The
+//! router never asks whether a lane is up.
 
 use baclassifier::{ArtifactError, ModelArtifact, ShardMap};
-use baserve::metrics::Metrics;
 use baserve::{
-    Engine, EngineConfig, EngineHooks, Fallback, MetricsSnapshot, Response, ServeError, ShardLane,
-    Ticket,
+    Engine, EngineConfig, EngineHooks, MetricsSnapshot, Response, ServeError, ShardLane, Ticket,
 };
 use btcsim::AddressRecord;
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// N shared-nothing shard lanes behind one routing surface.
 pub struct ShardRouter {
     map: ShardMap,
     lanes: Vec<Box<dyn ShardLane>>,
-    /// The same fallback the engines use for breaker-open degradation,
-    /// kept by the router to answer for *downed* shards.
-    fallback: Option<Arc<dyn Fallback>>,
-    /// The requests the router answered itself because the owning lane
-    /// was down: `submitted`, then `degraded` or `failed`.
-    answered: Metrics,
 }
 
 impl ShardRouter {
@@ -72,28 +57,24 @@ impl ShardRouter {
         shards: u32,
     ) -> Result<Self, ArtifactError> {
         let per_shard = config.for_shard(shards as usize);
-        let fallback = hooks.fallback.clone();
         let lanes = (0..shards)
             .map(|_| {
                 Engine::with_hooks(Arc::clone(&artifact), per_shard.clone(), hooks.clone())
                     .map(|e| Box::new(e) as Box<dyn ShardLane>)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::from_lanes(lanes, fallback))
+        Ok(Self::from_lanes(lanes))
     }
 
     /// Build a router over pre-built lanes — in-process engines, `banet`
     /// remote shards, or a mix. Lane `i` must answer for shard `i` of
     /// `lanes.len()` under the frozen partition hash (remote lanes enforce
-    /// this in their layout handshake). `fallback` answers for downed
-    /// lanes.
-    pub fn from_lanes(lanes: Vec<Box<dyn ShardLane>>, fallback: Option<Arc<dyn Fallback>>) -> Self {
+    /// this in their layout handshake).
+    pub fn from_lanes(lanes: Vec<Box<dyn ShardLane>>) -> Self {
         assert!(!lanes.is_empty(), "a router needs at least one lane");
         Self {
             map: ShardMap::new(lanes.len() as u32),
             lanes,
-            fallback,
-            answered: Metrics::default(),
         }
     }
 
@@ -105,34 +86,10 @@ impl ShardRouter {
         self.map
     }
 
-    /// Requests the router answered itself (owning lane down) so far.
-    pub fn degraded_routed(&self) -> u64 {
-        self.answered.submitted.load(Relaxed)
-    }
-
     /// Submit to the owning shard; the ticket settles like any engine
-    /// ticket. A downed lane's requests are answered here, right now: a
-    /// pre-settled degraded ticket from the fallback, or
-    /// [`ServeError::WorkerFailed`] without one.
+    /// ticket.
     pub fn submit(&self, record: AddressRecord) -> Result<Ticket, ServeError> {
-        let lane = &self.lanes[self.map.shard_of(record.address) as usize];
-        if lane.live_workers() > 0 {
-            return lane.submit(record);
-        }
-        self.answered.submitted.fetch_add(1, Relaxed);
-        let Some(fallback) = &self.fallback else {
-            self.answered.failed.fetch_add(1, Relaxed);
-            return Err(ServeError::WorkerFailed);
-        };
-        let started = Instant::now();
-        let label = fallback.classify(&record);
-        self.answered.degraded.fetch_add(1, Relaxed);
-        Ok(Ticket::settled(Ok(Response {
-            label,
-            cache_hit: false,
-            degraded: true,
-            latency: started.elapsed(),
-        })))
+        self.lanes[self.map.shard_of(record.address) as usize].submit(record)
     }
 
     /// Submit and wait — the one-call path.
@@ -153,13 +110,11 @@ impl ShardRouter {
             .collect()
     }
 
-    /// Fleet-wide metrics: per-shard snapshots and the requests the router
-    /// answered itself, rolled up with [`MetricsSnapshot::merge`] (counters
-    /// summed, quantiles recomputed from merged histograms).
+    /// Fleet-wide metrics: the per-shard snapshots rolled up with
+    /// [`MetricsSnapshot::merge`] (counters summed, quantiles recomputed
+    /// from merged histograms).
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut all = self.per_shard_metrics();
-        all.push(self.answered.snapshot());
-        MetricsSnapshot::merge(&all)
+        MetricsSnapshot::merge(&self.per_shard_metrics())
     }
 
     /// One snapshot per lane, in shard order.

@@ -3,7 +3,7 @@
 //! the floor — must lose **zero** blocks and recover to state
 //! byte-identical to an uninterrupted run.
 //!
-//! Seven properties:
+//! Six properties:
 //!
 //! 1. **Worker kill** — a scripted panic takes a shard down mid-ingest at
 //!    shard counts 1 and 4; the supervisor respawns it from snapshot +
@@ -17,29 +17,19 @@
 //!    generation corrupted: recovery quarantines it, restores the
 //!    previous generation, and replays a longer journal tail to the same
 //!    final state.
-//! 4. **Degraded routing** — while a lane reports no live workers, the
-//!    `ShardRouter` answers its addresses immediately with an explicit
-//!    `degraded` response (or a clean error without a fallback) instead
-//!    of hanging, and counts each such answer in `router.metrics()`.
-//! 5. **Compaction** — every periodic snapshot compacts the shared journal
+//! 4. **Compaction** — every periodic snapshot compacts the shared journal
 //!    to the oldest retained generation over all shards, and a recovery
 //!    forced onto that oldest generation still replays to the same tip.
-//! 6. **Compaction failure** is counted and reported, never fatal.
-//! 7. **Stall** — a producer that goes silent with the feed open ends the
+//! 5. **Compaction failure** is counted and reported, never fatal.
+//! 6. **Stall** — a producer that goes silent with the feed open ends the
 //!    follow loop as a stall (exit code 3) after the final flush.
 
 use baclassifier::{BacConfig, ModelArtifact};
-use baserve::{
-    Engine, EngineConfig, Fallback, FaultAction, FaultSpec, FeatureFallback, MetricsSnapshot,
-    ScriptedFaultPlan, ServeError, ShardLane, Ticket,
-};
-use bashard::{
-    shard_snapshot_path, FeedEnd, ShardReport, ShardRouter, ShardStreamError, ShardedFollower,
-};
+use baserve::{FaultAction, FaultSpec, ScriptedFaultPlan};
+use bashard::{shard_snapshot_path, FeedEnd, ShardReport, ShardStreamError, ShardedFollower};
 use bstream::{quarantine_path, scan_journal, BlockFeed, Follower, FollowerConfig};
-use btcsim::{AddressRecord, Block, BlockCursor, Dataset, SimConfig, Simulator};
+use btcsim::{Block, BlockCursor, SimConfig};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -496,154 +486,4 @@ fn silent_producer_ends_the_loop_as_a_stall_after_the_final_flush() {
         FeedEnd::Failed(ShardStreamError::WorkerGone(0)).exit_code(),
         1
     );
-}
-
-/// An engine lane whose liveness the test switches: while `up` is false it
-/// reports no live workers, which is all the router asks.
-struct SwitchedLane {
-    engine: Engine,
-    up: Arc<AtomicBool>,
-}
-
-impl ShardLane for SwitchedLane {
-    fn submit(&self, record: AddressRecord) -> Result<Ticket, ServeError> {
-        self.engine.submit(record)
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        self.engine.metrics()
-    }
-
-    fn live_workers(&self) -> usize {
-        if self.up.load(Relaxed) {
-            self.engine.live_workers()
-        } else {
-            0
-        }
-    }
-
-    fn shutdown_lane(self: Box<Self>) {
-        self.engine.shutdown();
-    }
-}
-
-/// A router over `switches.len()` switched engine lanes.
-fn switched_router(
-    artifact: &Arc<ModelArtifact>,
-    switches: &[Arc<AtomicBool>],
-    fallback: Option<Arc<dyn Fallback>>,
-) -> ShardRouter {
-    let config = EngineConfig::default().for_shard(switches.len());
-    let lanes = switches
-        .iter()
-        .map(|up| {
-            let engine = Engine::new(Arc::clone(artifact), config.clone()).unwrap();
-            let up = Arc::clone(up);
-            Box::new(SwitchedLane { engine, up }) as Box<dyn ShardLane>
-        })
-        .collect();
-    ShardRouter::from_lanes(lanes, fallback)
-}
-
-#[test]
-fn degraded_routing_answers_downed_shards_without_hanging() {
-    let sim = Simulator::run_to_completion(SimConfig::tiny(347));
-    let dataset = Dataset::from_simulator(&sim, 3);
-    assert!(dataset.len() >= 10, "sim too small");
-    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
-    let up: Vec<_> = (0..2).map(|_| Arc::new(AtomicBool::new(true))).collect();
-
-    let fallback = Arc::new(FeatureFallback::fit(&dataset.records));
-    let router = switched_router(
-        &artifact,
-        &up,
-        Some(Arc::clone(&fallback) as Arc<dyn Fallback>),
-    );
-    let map = router.map();
-
-    // Healthy fleet: nothing routes degraded.
-    for record in dataset.records.iter().take(8) {
-        let response = router.classify(record.clone()).unwrap();
-        assert!(!response.degraded);
-    }
-    assert_eq!(router.degraded_routed(), 0);
-
-    // Shard 1 goes down: its addresses answer instantly, explicitly
-    // degraded, with the fallback's label; shard 0 is untouched.
-    up[1].store(false, Relaxed);
-    let mut hit_down = 0;
-    for record in &dataset.records {
-        let response = router.classify(record.clone()).unwrap();
-        if map.shard_of(record.address) == 1 {
-            assert!(response.degraded, "downed shard must answer degraded");
-            assert_eq!(response.label, fallback.classify(record));
-            hit_down += 1;
-        } else {
-            assert!(!response.degraded, "healthy shard must answer normally");
-        }
-    }
-    assert!(hit_down > 0, "sim produced no addresses on shard 1");
-    assert_eq!(router.degraded_routed(), hit_down);
-
-    // Back up: routing returns to normal.
-    up[1].store(true, Relaxed);
-    for record in dataset.records.iter().take(8) {
-        assert!(!router.classify(record.clone()).unwrap().degraded);
-    }
-    router.shutdown();
-
-    // Without a fallback, a downed shard fails fast instead of hanging.
-    let bare = switched_router(&artifact, &up, None);
-    up[0].store(false, Relaxed);
-    let on_down = dataset
-        .records
-        .iter()
-        .find(|r| map.shard_of(r.address) == 0)
-        .expect("some address on shard 0");
-    match bare.classify(on_down.clone()) {
-        Err(ServeError::WorkerFailed) => {}
-        other => panic!("expected WorkerFailed for downed shard, got {other:?}"),
-    }
-    bare.shutdown();
-}
-
-/// Requests the router answers itself reach its metrics like a lane's:
-/// `submitted` and `degraded` with a fallback, `submitted` and `failed`
-/// without one.
-#[test]
-fn router_answered_requests_are_counted_in_router_metrics() {
-    let sim = Simulator::run_to_completion(SimConfig::tiny(347));
-    let dataset = Dataset::from_simulator(&sim, 3);
-    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
-    let fallback: Arc<dyn Fallback> = Arc::new(FeatureFallback::fit(&dataset.records));
-    for fallback in [Some(fallback), None] {
-        let with_fallback = fallback.is_some();
-        let up: Vec<_> = (0..2).map(|_| Arc::new(AtomicBool::new(true))).collect();
-        let router = switched_router(&artifact, &up, fallback);
-        let on_down: Vec<_> = dataset
-            .records
-            .iter()
-            .filter(|r| router.map().shard_of(r.address) == 1)
-            .cloned()
-            .collect();
-        assert!(!on_down.is_empty(), "sim produced no addresses on shard 1");
-        let before = router.metrics();
-        up[1].store(false, Relaxed);
-        for record in &on_down {
-            let answered = router.classify(record.clone());
-            assert_eq!(answered.is_ok(), with_fallback, "{answered:?}");
-        }
-        let after = router.metrics();
-        let n = on_down.len() as u64;
-        assert_eq!(after.submitted, before.submitted + n);
-        let (degraded, failed) = if with_fallback { (n, 0) } else { (0, n) };
-        assert_eq!(after.degraded, before.degraded + degraded);
-        assert_eq!(after.failed, before.failed + failed);
-        assert_eq!(
-            after.terminal_total(),
-            after.submitted,
-            "a request went missing"
-        );
-        router.shutdown();
-    }
 }

@@ -3,7 +3,7 @@
 //! same labels in the same order — and must degrade (never hang) when a
 //! worker dies, then converge back once it returns.
 //!
-//! Five properties:
+//! Eight properties:
 //!
 //! 1. **Remote identity** — a `ShardRouter` whose lanes are `RemoteShard`
 //!    connections to N worker servers answers every classification with
@@ -31,16 +31,25 @@
 //!    silent is declared stale and its pending request fails; and
 //!    `shutdown` returns only after the lane's thread has let go of its
 //!    counters.
+//! 7. **Whole-frame deadline** — a peer trickling a frame one byte at a
+//!    time is cut once it has been arriving for the stall timeout, and
+//!    cannot keep `NetServer::stop` from returning.
+//! 8. **Each lane answers for itself** — a lane whose worker is
+//!    unreachable answers from its fallback (or fails fast without one),
+//!    and a worker's degraded replies are counted once, so the fleet's
+//!    `terminal_total == submitted` holds.
 
 use baclassifier::durable::put_frame;
 use baclassifier::{BacConfig, ModelArtifact, ShardAssignment, ShardMap, SHARD_HASH_VERSION};
-use banet::frame::{encode_frame, write_magic, write_message};
+use banet::frame::{encode_frame, write_magic, write_message, MAGIC};
 use banet::server::NetBackend;
 use banet::{
     listen_reuse, FrameError, FrameReader, Hello, Message, NetServer, NetServerConfig, RemoteShard,
     RemoteShardConfig, ReplyOutcome, Role, MAX_FRAME_LEN,
 };
-use baserve::{Engine, EngineConfig, Fallback, FeatureFallback, ServeError};
+use baserve::{
+    Engine, EngineConfig, EngineHooks, Fallback, FeatureFallback, ScriptedFaultPlan, ServeError,
+};
 use bashard::{
     rebalance_snapshots, remote_router, shard_snapshot_path, wait_fleet_up, ShardRouter,
     ShardedFollower, WorkerBackend,
@@ -50,8 +59,8 @@ use btcsim::{Address, AddressRecord, Block, BlockCursor, Dataset, Label, SimConf
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn dataset(seed: u64) -> (Vec<AddressRecord>, HashMap<u64, AddressRecord>) {
@@ -216,7 +225,7 @@ fn killed_worker_degrades_then_recovers_on_the_same_port() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(
-        router.degraded_routed() > 0,
+        lanes[victim_shard as usize].degraded.load(Relaxed) > 0,
         "degraded routing never engaged"
     );
     assert_eq!(
@@ -371,6 +380,7 @@ fn layout_handshake_refuses_a_misconfigured_client() {
                 expect: Some(expect),
                 ..fast_config()
             },
+            None,
         );
         assert!(
             !lane.wait_connected(Duration::from_millis(500)),
@@ -388,6 +398,7 @@ fn layout_handshake_refuses_a_misconfigured_client() {
             expect: Some(ShardAssignment { index: 0, count: 2 }),
             ..fast_config()
         },
+        None,
     );
     assert!(lane.wait_connected(Duration::from_secs(5)));
     let map = ShardMap::new(2);
@@ -546,7 +557,7 @@ fn a_banet_v1_peer_is_refused_and_the_server_keeps_serving() {
     server.stop();
 }
 
-/// `banet::server`'s connection cap and handshake deadline.
+/// `banet`'s connection cap, and its handshake and whole-frame deadline.
 const SERVER_MAX_CONNECTIONS: usize = 64;
 const SERVER_STALL_TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -574,6 +585,154 @@ fn silent_peers_are_cut_at_the_handshake_deadline() {
         }
     }
     raw_classify(addr, id);
+    server.stop();
+}
+
+/// Connect to `addr` and send the magic and the header of a 60,000-byte
+/// frame, then one byte every 30 ms until the server hangs up or `stop` is
+/// set. Returns the stream and when its first byte went out.
+fn trickle(addr: SocketAddr, stop: &Arc<AtomicBool>) -> (TcpStream, Instant) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut opening = MAGIC.to_vec();
+    opening.extend_from_slice(&60_000u32.to_le_bytes());
+    opening.extend_from_slice(&0u32.to_le_bytes());
+    let first = Instant::now();
+    stream.write_all(&opening).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let stop = Arc::clone(stop);
+    std::thread::spawn(move || {
+        while !stop.load(Relaxed) && writer.write_all(&[0]).is_ok() {
+            std::thread::sleep(Duration::from_millis(30));
+        }
+    });
+    (stream, first)
+}
+
+/// A peer that trickles a frame one byte at a time, each byte inside the
+/// server's read tick, is cut once the frame has been arriving for the
+/// stall timeout, and cannot keep `stop` from returning.
+#[test]
+fn a_trickling_peer_is_cut_and_cannot_block_stop() {
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let (_, by_id) = dataset(251);
+    let (server, addr) = spawn_worker(&artifact, &by_id, 0, 1, None);
+    let stop = Arc::new(AtomicBool::new(false));
+
+    let (mut stream, first) = trickle(addr, &stop);
+    stream
+        .set_read_timeout(Some(SERVER_STALL_TIMEOUT + Duration::from_secs(2)))
+        .unwrap();
+    // The server's magic and Hello, then EOF — or a reset.
+    let cut = match std::io::Read::read_to_end(&mut stream, &mut Vec::new()) {
+        Ok(_) => true,
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+    };
+    let held = first.elapsed();
+    assert!(
+        cut && held <= SERVER_STALL_TIMEOUT + Duration::from_secs(1),
+        "trickling peer held its connection for {held:?} (cut: {cut})"
+    );
+
+    // A second trickler is mid-frame while the server stops.
+    let (_second, _) = trickle(addr, &stop);
+    std::thread::sleep(Duration::from_millis(300));
+    let (done, stopped) = mpsc::channel();
+    let asked = Instant::now();
+    std::thread::spawn(move || {
+        server.stop();
+        done.send(()).ok();
+    });
+    let returned = stopped.recv_timeout(Duration::from_secs(1)).is_ok();
+    let waited = asked.elapsed();
+    stop.store(true, Relaxed);
+    assert!(returned, "stop() still blocked after {waited:?}");
+}
+
+/// A lane whose worker is unreachable answers for itself, at once: from
+/// its fallback (tagged `degraded`, with the fallback's label) when it has
+/// one, `WorkerFailed` when it has none — each counted once in the
+/// router's roll-up.
+#[test]
+fn a_disconnected_lane_answers_for_itself() {
+    let (records, _) = dataset(253);
+    let fallback: Arc<dyn Fallback> = Arc::new(FeatureFallback::fit(&records));
+    let records = &records[..10];
+    // A port nothing listens on.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let dead = [listener.local_addr().unwrap().to_string()];
+    drop(listener);
+    for fallback in [Some(fallback), None] {
+        let (router, lanes) = remote_router(&dead, fast_config(), fallback.clone());
+        assert_eq!(lanes[0].connections_open.load(Relaxed), 0);
+        for record in records {
+            match (&fallback, router.classify(record.clone())) {
+                (Some(fallback), Ok(response)) => {
+                    assert!(response.degraded);
+                    assert_eq!(response.label, fallback.classify(record));
+                }
+                (None, Err(ServeError::WorkerFailed)) => {}
+                (_, other) => panic!("disconnected lane answered {other:?}"),
+            }
+        }
+        let snap = router.metrics();
+        let n = records.len() as u64;
+        let (degraded, failed) = if fallback.is_some() { (n, 0) } else { (0, n) };
+        assert_eq!(snap.submitted, n);
+        assert_eq!((snap.degraded, snap.failed), (degraded, failed));
+        assert_eq!(snap.terminal_total(), snap.submitted, "{snap:?}");
+        router.shutdown();
+    }
+}
+
+/// A worker whose engine has retired its only worker answers every request
+/// degraded from its own fallback; the remote lane counts each such reply
+/// once, in `degraded`, so the fleet's accounting still balances.
+#[test]
+fn degraded_worker_replies_are_counted_once() {
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let (records, by_id) = dataset(257);
+    let fallback: Arc<dyn Fallback> = Arc::new(FeatureFallback::fit(&records));
+    let engine = Engine::with_hooks(
+        Arc::clone(&artifact),
+        EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        },
+        EngineHooks {
+            fault_plan: Arc::new(ScriptedFaultPlan::panics(0, &[1, 2, 3, 4, 5])),
+            fallback: Some(fallback),
+        },
+    )
+    .unwrap();
+    // Five panics spend the restart budget and retire the only worker.
+    for _ in 0..5 {
+        assert!(engine.classify(records[0].clone()).is_err());
+    }
+    let retired = Instant::now() + Duration::from_secs(5);
+    while engine.live_workers() > 0 && Instant::now() < retired {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(engine.live_workers(), 0, "the worker never retired");
+    let backend = Arc::new(WorkerBackend::new(
+        engine,
+        by_id,
+        ShardAssignment { index: 0, count: 1 },
+    ));
+    let listener = listen_reuse("127.0.0.1:0".parse().unwrap()).unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = NetServer::spawn(listener, backend, NetServerConfig::unsharded()).unwrap();
+    let (router, lanes) = remote_router(&[addr], fast_config(), None);
+    assert!(wait_fleet_up(&lanes, Duration::from_secs(5)));
+
+    for response in router.classify_batch(&records) {
+        assert!(response.expect("the worker answers").degraded);
+    }
+    let snap = router.metrics();
+    assert_eq!(snap.submitted, records.len() as u64);
+    assert_eq!(snap.degraded, snap.submitted);
+    assert_eq!(snap.completed, 0, "{snap:?}");
+    assert_eq!(snap.terminal_total(), snap.submitted, "{snap:?}");
+    router.shutdown();
     server.stop();
 }
 
@@ -627,7 +786,7 @@ fn any_record() -> AddressRecord {
 
 /// A connected lane to a fake worker, and the time it was connected.
 fn lane_to(mode: Fake) -> (RemoteShard, Instant) {
-    let lane = RemoteShard::connect(&fake_worker(mode).to_string(), fast_config());
+    let lane = RemoteShard::connect(&fake_worker(mode).to_string(), fast_config(), None);
     assert!(lane.wait_connected(Duration::from_secs(5)));
     (lane, Instant::now())
 }
