@@ -108,13 +108,11 @@ impl Chain {
             }
         }
         let h = block.height;
+        let mut seen = std::collections::HashSet::new();
         for (i, tx) in block.txs.iter().enumerate() {
             self.tx_index.insert(tx.txid, (h, i));
-            let mut seen = std::collections::HashSet::new();
-            for addr in tx.input_addresses().chain(tx.output_addresses()) {
-                if seen.insert(addr) {
-                    self.addr_index.entry(addr).or_default().push(tx.txid);
-                }
+            for addr in tx.participants(&mut seen) {
+                self.addr_index.entry(addr).or_default().push(tx.txid);
             }
         }
         self.blocks.push(block);

@@ -6,7 +6,7 @@ use crate::address::{Address, Label};
 use crate::amount::Amount;
 use crate::block::Chain;
 use crate::sim::Simulator;
-use crate::tx::Txid;
+use crate::tx::{Transaction, Txid};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -21,6 +21,17 @@ pub struct TxView {
     pub timestamp: u64,
     pub inputs: Vec<(Address, Amount)>,
     pub outputs: Vec<(Address, Amount)>,
+}
+
+impl From<&Transaction> for TxView {
+    fn from(tx: &Transaction) -> Self {
+        TxView {
+            txid: tx.txid,
+            timestamp: tx.timestamp,
+            inputs: tx.inputs.iter().map(|i| (i.address, i.value)).collect(),
+            outputs: tx.outputs.iter().map(|o| (o.address, o.value)).collect(),
+        }
+    }
 }
 
 /// One labeled address with its chronological transaction history.
@@ -61,12 +72,7 @@ impl Dataset {
             let txs: Vec<TxView> = history
                 .iter()
                 .filter_map(|&txid| chain.transaction(txid))
-                .map(|tx| TxView {
-                    txid: tx.txid,
-                    timestamp: tx.timestamp,
-                    inputs: tx.inputs.iter().map(|i| (i.address, i.value)).collect(),
-                    outputs: tx.outputs.iter().map(|o| (o.address, o.value)).collect(),
-                })
+                .map(TxView::from)
                 .collect();
             records.push(AddressRecord {
                 address,

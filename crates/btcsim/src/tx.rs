@@ -3,6 +3,7 @@
 use crate::address::Address;
 use crate::amount::Amount;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::fmt;
 
 /// A transaction id (FNV-1a of the transaction contents — the simulator does
@@ -100,6 +101,21 @@ impl Transaction {
     /// Every address appearing on the output side (with multiplicity).
     pub fn output_addresses(&self) -> impl Iterator<Item = Address> + '_ {
         self.outputs.iter().map(|o| o.address)
+    }
+
+    /// Each address the transaction touches, once, on first appearance,
+    /// inputs before outputs: the one rule every per-address history
+    /// follows (`Chain`'s address index, the streaming follower). `seen` is
+    /// the caller's scratch set, cleared here, so a walk over many
+    /// transactions allocates nothing per transaction.
+    pub fn participants<'a>(
+        &'a self,
+        seen: &'a mut HashSet<Address>,
+    ) -> impl Iterator<Item = Address> + 'a {
+        seen.clear();
+        self.input_addresses()
+            .chain(self.output_addresses())
+            .filter(move |&a| seen.insert(a))
     }
 
     /// Whether `addr` participates in this transaction on either side.

@@ -36,22 +36,29 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         SEQ.fetch_add(1, Relaxed)
     ));
     let tmp = path.with_file_name(tmp_name);
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
     let write = || -> io::Result<()> {
         let mut f = File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()?;
         std::fs::rename(&tmp, path)?;
-        File::open(dir)?.sync_all()
+        sync_parent_dir(path)
     };
     let result = write();
     if result.is_err() {
         std::fs::remove_file(&tmp).ok();
     }
     result
+}
+
+/// fsync the directory holding `path`, so that a file created or renamed
+/// there keeps its directory entry, and with it its fsynced bytes, across
+/// an OS crash.
+pub fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 /// Append `v` in little-endian byte order.

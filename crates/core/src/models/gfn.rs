@@ -22,18 +22,6 @@ use rand::SeedableRng;
 /// alone): it bounds the scratch, which unbounded cost `serve_hot` 20 % RSS.
 pub const BLOCK_ROWS: usize = 256;
 
-/// Graph-level readout (Eq. 15; the paper uses SUM).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Readout {
-    /// Global sum pooling — the paper's choice.
-    #[default]
-    Sum,
-    /// Mean pooling (size-invariant ablation).
-    Mean,
-    /// Max pooling (feature-salience ablation).
-    Max,
-}
-
 /// The GFN model.
 pub struct Gfn {
     /// Node transform MLP: augmented features -> embedding space.
@@ -43,7 +31,6 @@ pub struct Gfn {
     k: usize,
     in_dim: usize,
     embed_dim: usize,
-    readout: Readout,
 }
 
 impl Gfn {
@@ -57,18 +44,7 @@ impl Gfn {
             k,
             in_dim,
             embed_dim,
-            readout: Readout::Sum,
         }
-    }
-
-    /// Override the readout function (ablation; the paper uses SUM).
-    pub fn with_readout(mut self, readout: Readout) -> Self {
-        self.readout = readout;
-        self
-    }
-
-    pub fn readout(&self) -> Readout {
-        self.readout
     }
 
     pub fn k(&self) -> usize {
@@ -156,22 +132,14 @@ impl Gfn {
         out
     }
 
-    /// Eq. 15 over node rows `[start, end)` of `h`, row by row as the tape's
-    /// `sum_rows` / `mean_rows` / `max_rows` reduce.
+    /// Eq. 15, the paper's SUM, over node rows `[start, end)` of `h`, row
+    /// by row as the tape's `sum_rows` reduces.
     fn read_out(&self, h: &Matrix, start: usize, end: usize) -> Matrix {
         let mut e = Matrix::zeros(1, h.cols());
         for r in start..end {
             for (o, &v) in e.as_mut_slice().iter_mut().zip(h.row(r)) {
-                match self.readout {
-                    Readout::Max if r == start || v > *o => *o = v,
-                    Readout::Max => {}
-                    Readout::Sum | Readout::Mean => *o += v,
-                }
+                *o += v;
             }
-        }
-        if self.readout == Readout::Mean {
-            let s = 1.0 / (end - start) as f32;
-            e.map_assign(|v| v * s);
         }
         e
     }
@@ -195,12 +163,8 @@ impl GraphModel for Gfn {
         );
         let xv = tape.constant(x.clone());
         let h = self.node_mlp.forward(tape, xv);
-        // Readout (Eq. 15); SUM is the paper's choice.
-        match self.readout {
-            Readout::Sum => h.sum_rows(),
-            Readout::Mean => h.mean_rows(),
-            Readout::Max => h.max_rows(),
-        }
+        // Readout (Eq. 15): the paper's SUM.
+        h.sum_rows()
     }
 
     fn logits<'t>(&self, tape: &'t Tape, prep: &PreparedGraph) -> Var<'t> {
@@ -296,28 +260,6 @@ mod tests {
             .count();
         // All weight matrices get gradient (biases of dead ReLU rows may not).
         assert!(touched >= 4, "only {touched} params touched");
-    }
-
-    #[test]
-    fn readout_variants_share_shapes_but_differ_in_value() {
-        let t = tensors();
-        let sum = Gfn::new(NODE_FEAT_DIM, 1, 8, 4, 3);
-        let mean = Gfn::new(NODE_FEAT_DIM, 1, 8, 4, 3).with_readout(Readout::Mean);
-        let max = Gfn::new(NODE_FEAT_DIM, 1, 8, 4, 3).with_readout(Readout::Max);
-        let prep = sum.prepare(&t);
-        let tape = Tape::new();
-        let e_sum = sum.embed(&tape, &prep).value();
-        let e_mean = mean.embed(&tape, &prep).value();
-        let e_max = max.embed(&tape, &prep).value();
-        assert_eq!(e_sum.shape(), (1, 4));
-        assert_eq!(e_mean.shape(), (1, 4));
-        assert_eq!(e_max.shape(), (1, 4));
-        // Same weights (same seed): mean = sum / n, and max differs from both.
-        let n = prep.num_nodes() as f32;
-        for c in 0..4 {
-            assert!((e_mean[(0, c)] - e_sum[(0, c)] / n).abs() < 1e-5);
-        }
-        assert_ne!(e_max, e_sum);
     }
 
     #[test]

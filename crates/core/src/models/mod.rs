@@ -7,7 +7,7 @@ pub mod gfn;
 
 pub use diffpool::DiffPool;
 pub use gcn::Gcn;
-pub use gfn::{Gfn, Readout, BLOCK_ROWS};
+pub use gfn::{Gfn, BLOCK_ROWS};
 
 use crate::features::GraphTensors;
 use numnet::{Matrix, Param, SparseAdj, Tape, Var};

@@ -11,7 +11,7 @@ use baclassifier::construction::{
     augment_with_centralities, construct_address_graphs, extract_original_graphs, AddressGraph,
 };
 use baclassifier::features::{graph_tensors, NODE_FEAT_DIM};
-use baclassifier::models::{Gfn, GraphModel, Readout, BLOCK_ROWS};
+use baclassifier::models::{Gfn, GraphModel, BLOCK_ROWS};
 use baclassifier::parallel::install_values;
 use baclassifier::{BaClassifier, BacConfig};
 use btcsim::{Address, AddressRecord, Amount, Dataset, Label, SimConfig, Simulator, TxView, Txid};
@@ -86,20 +86,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     // Any chain, any position of a wider-than-a-block slice (so blocks
-    // split at the cap around it), every readout, threads 1, 2 and 4.
+    // split at the cap around it), threads 1, 2 and 4.
     #[test]
     fn gfn_evaluator_is_the_tape_bit_for_bit(seed in 0u64..10_000, at in 0usize..200) {
         let mut graphs = chain_slices(seed);
         let thin_rows: usize = graphs.iter().map(AddressGraph::num_nodes).sum();
         prop_assert!(thin_rows > BLOCK_ROWS, "{thin_rows} rows do not fill a block");
         graphs.insert(at % graphs.len(), wide_slice());
-        for readout in [Readout::Sum, Readout::Mean, Readout::Max] {
-            let gfn = Gfn::new(NODE_FEAT_DIM, 2, 32, 16, seed).with_readout(readout);
-            let want = taped(&gfn, &graphs);
-            for threads in [1, 2, 4] {
-                let what = format!("{readout:?} threads={threads}");
-                assert_bits(&gfn.embed_graphs(&graphs, threads), &want, &what);
-            }
+        let gfn = Gfn::new(NODE_FEAT_DIM, 2, 32, 16, seed);
+        let want = taped(&gfn, &graphs);
+        for threads in [1, 2, 4] {
+            let what = format!("threads={threads}");
+            assert_bits(&gfn.embed_graphs(&graphs, threads), &want, &what);
         }
     }
 

@@ -18,10 +18,10 @@
 //! # chain follower: N supervised shard followers over a simulated chain;
 //! # --shards 1 is the unsharded follower
 //! basharded --follow --artifact model.bart [--shards N] [--seed 42]
-//!           [--blocks 200] [--users 40] [--capacity 16] [--min-txs 3]
-//!           [--reclass-every 1] [--reclass-threads 0] [--reclass-batch 128]
-//!           [--snapshot base.bsnap] [--snapshot-every 50] [--generations 2]
-//!           [--journal follower.bjrnl] [--journal-sync-every 1]
+//!           [--blocks 200] [--users 40] [--min-txs 3]
+//!           [--reclass-every 1] [--reclass-threads 0]
+//!           [--snapshot base.bsnap [--snapshot-every 50]]
+//!           [--journal follower.bjrnl]
 //!           [--stall-timeout-ms 10000] [--progress-every 25]
 //! ```
 //!
@@ -46,12 +46,13 @@
 //! `--follow` starts through recovery whatever is on disk: each shard
 //! restores the newest valid generation of its own snapshot
 //! (`base.{i}of{N}`, corrupt ones quarantined) and replays the tail of the
-//! shared write-ahead journal, so killing the process at any point loses no
-//! blocks; what the driver does while it runs is `bashard::stream`'s module
-//! doc. SIGINT, a drained feed, a producer silent for `--stall-timeout-ms`
-//! (exit 3) and a failed journal write (exit 1) all end the same way: final
-//! reclassification and snapshot on every shard, journal flushed, one line
-//! of metrics JSON on stdout.
+//! shared write-ahead journal, fsynced every block, so killing the process
+//! at any point loses no blocks; what the driver does while it runs is
+//! `bashard::stream`'s module doc. `--snapshot-every` without `--snapshot`
+//! is a bad invocation (exit 2). SIGINT, a drained feed, a producer silent
+//! for `--stall-timeout-ms` (exit 3) and a failed journal write (exit 1)
+//! all end the same way: final reclassification and snapshot on every
+//! shard, journal flushed, one line of metrics JSON on stdout.
 
 use baclassifier::ShardAssignment;
 use banet::{NetServer, NetServerConfig, RemoteShardConfig, Role};
@@ -69,6 +70,8 @@ use std::time::{Duration, Instant};
 const NAME: &str = "basharded";
 const USAGE: &str = "basharded --artifact model.bart [--shards N] [--input FILE] \
                      [--worker I --listen ADDR] [--connect ADDRS] [--follow] …";
+/// Blocks the simulated chain's producer may run ahead of the fleet.
+const FEED_CAPACITY: usize = 16;
 
 /// Bind `addr` with `SO_REUSEADDR` (so a respawned worker reclaims a port
 /// still in TIME_WAIT), retrying `AddrInUse` for ~2 s in case the previous
@@ -105,37 +108,36 @@ fn die(code: i32, what: &str, e: impl std::fmt::Display) -> ! {
 /// `--follow`: drive `shards` supervised followers over the simulated chain
 /// until it drains, stalls, fails or SIGINT arrives; returns the exit code.
 fn follow(args: &[String], shards: u32) -> i32 {
-    let artifact = baserve::cli::load_artifact(NAME, USAGE, args);
-    let blocks = flag_parsed(args, "--blocks", 200u64);
-    let capacity = flag_parsed(args, "--capacity", 16usize);
-    let mut sim = SimConfig {
-        blocks,
-        ..SimConfig::tiny(flag_parsed(args, "--seed", 42u64))
-    };
-    sim.retail.num_users = flag_parsed(args, "--users", 40usize);
     let default = FollowerConfig::default();
     let cfg = FollowerConfig {
         min_txs: flag_parsed(args, "--min-txs", default.min_txs),
         reclass_every: flag_parsed(args, "--reclass-every", default.reclass_every),
         reclass_threads: flag_parsed(args, "--reclass-threads", default.reclass_threads),
-        reclass_batch: flag_parsed(args, "--reclass-batch", default.reclass_batch),
         snapshot_path: flag_value(args, "--snapshot").map(PathBuf::from),
         snapshot_every: flag_parsed(args, "--snapshot-every", default.snapshot_every),
-        snapshot_generations: flag_parsed(args, "--generations", default.snapshot_generations),
         journal_path: flag_value(args, "--journal").map(PathBuf::from),
-        journal_sync_every: flag_parsed(args, "--journal-sync-every", default.journal_sync_every),
         ..default
     };
+    if cfg.snapshot_every > 0 && cfg.snapshot_path.is_none() {
+        die(2, "--snapshot-every", "requires --snapshot PATH");
+    }
+    let artifact = baserve::cli::load_artifact(NAME, USAGE, args);
+    let blocks = flag_parsed(args, "--blocks", 200u64);
+    let mut sim = SimConfig {
+        blocks,
+        ..SimConfig::tiny(flag_parsed(args, "--seed", 42u64))
+    };
+    sim.retail.num_users = flag_parsed(args, "--users", 40usize);
     // Recovery covers every startup shape: nothing on disk, snapshots only,
     // a journal tail after a crash, a corrupt generation to fall back from.
     let fleet = ShardedFollower::recover(artifact, cfg, shards)
         .unwrap_or_else(|e| die(1, "recovery failed", e));
     baserve::shutdown::install_sigint_handler();
     let start = fleet.next_height();
-    let feed = BlockFeed::follow_sim(sim, start, capacity);
+    let feed = BlockFeed::follow_sim(sim, start, FEED_CAPACITY);
     eprintln!(
         "[{NAME}] following {} blocks from height {start} on {shards} shards \
-         (capacity {capacity})",
+         (capacity {FEED_CAPACITY})",
         blocks + 1
     );
     let t = Instant::now();

@@ -22,8 +22,8 @@
 //! to write and read one snapshot of them. Everything that touches the
 //! disk on a schedule, or decides when to stop, lives once, here in the
 //! **driver**, for every shard count (`--shards 1` is the unsharded
-//! follower): the write-ahead [`BlockJournal`] (append before broadcast,
-//! the fsync cadence), the snapshot cadence
+//! follower): the write-ahead [`BlockJournal`] (append and fsync before
+//! broadcast), the snapshot cadence
 //! ([`FollowerConfig::snapshot_every`]) and the compaction that follows
 //! each snapshot, the `journal_*` counters and lag, supervision, and the
 //! one loop ([`ShardedFollower::follow`]) that owns SIGINT, the stall
@@ -333,7 +333,7 @@ impl ShardedFollower {
         // it, so workers never see a torn tail.
         let (journal, next_journal_height) = match &cfg.journal_path {
             Some(path) => {
-                let (journal, scan) = BlockJournal::open_or_create(path, cfg.journal_sync_every)
+                let (journal, scan) = BlockJournal::open_or_create(path)
                     .map_err(|e| ShardStreamError::Journal(e.to_string()))?;
                 if let Some(torn) = &scan.torn {
                     eprintln!(
@@ -683,13 +683,12 @@ impl ShardedFollower {
         else {
             return;
         };
-        let generations = self.template.snapshot_generations.max(1);
         let count = self.map.count();
         let mut floor = u64::MAX;
         for index in 0..count {
             let shard_base = shard_snapshot_path(base, index, count);
             let mut shard_floor = None;
-            for k in 0..generations {
+            for k in 0..bstream::SNAPSHOT_GENERATIONS {
                 let path = bstream::generation_path(&shard_base, k);
                 if !path.exists() {
                     continue;

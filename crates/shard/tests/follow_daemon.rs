@@ -314,6 +314,25 @@ fn follow_without_an_artifact_is_usage_exit_2() {
     assert!(output.stdout.is_empty());
 }
 
+/// (d) A snapshot cadence with nowhere to snapshot is a bad invocation too,
+/// not a run that never snapshots and so never compacts its journal.
+#[test]
+fn snapshot_every_without_a_snapshot_path_is_usage_exit_2() {
+    let mut scratch = Scratch::new("nosnapshot");
+    let mut args = scratch.follow_args(1);
+    let at = args.iter().position(|a| a == "--snapshot").unwrap();
+    args.drain(at..at + 2);
+    let output = scratch.run(Command::new(env!("CARGO_BIN_EXE_basharded")).args(&args));
+    let stderr = stderr_of(&output);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--snapshot-every: requires --snapshot PATH"),
+        "{stderr}"
+    );
+    assert!(output.stdout.is_empty());
+    assert!(!scratch.journal().exists(), "nothing ran");
+}
+
 /// (e) One code path for every count: `--shards 1` is the unsharded
 /// follower and ends in the same merged label table as `--shards 4`.
 #[test]

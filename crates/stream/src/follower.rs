@@ -11,10 +11,10 @@
 //! updated label table.
 //!
 //! Label equivalence with the batch pipeline is structural: histories are
-//! accumulated with exactly the dedup rule of `Chain::append`'s address
-//! index, graphs are maintained by the byte-identical `apply_tx` path, and
-//! only dirty slices are re-embedded before the cached sequence (capped to
-//! the model's `max_slices` most recent entries, as in
+//! accumulated by `Transaction::participants`, the rule `Chain::append`'s
+//! address index follows, graphs are maintained by the byte-identical
+//! `apply_tx` path, and only dirty slices are re-embedded before the cached
+//! sequence (capped to the model's `max_slices` most recent entries, as in
 //! `BaClassifier::embed_record`) is handed to `classify_embeddings`.
 
 use crate::metrics::StreamMetrics;
@@ -28,9 +28,17 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Most addresses one reclassification micro-batch gathers: it bounds the
+/// slice graphs held at once, and the split never changes any output.
+const RECLASS_BATCH: usize = 128;
+
 /// Follower policy knobs, plus the durability settings of its driver
 /// (`bashard::ShardedFollower`): a [`Follower`] is pure state and never
-/// opens a journal for writing or decides when to snapshot.
+/// opens a journal for writing or decides when to snapshot. What is not a
+/// knob is fixed: reclassification runs in micro-batches of
+/// `RECLASS_BATCH` addresses, the driver fsyncs every journal frame, and
+/// recovery keeps [`SNAPSHOT_GENERATIONS`](crate::recovery::SNAPSHOT_GENERATIONS)
+/// snapshot files.
 #[derive(Clone, Debug)]
 pub struct FollowerConfig {
     /// Addresses with fewer transactions than this are tracked but not
@@ -53,29 +61,17 @@ pub struct FollowerConfig {
     /// follower can never silently adopt state from a different layout.
     pub shard: Option<ShardAssignment>,
     /// Where the write-ahead block journal lives (`None` disables
-    /// journaling). With a journal, the driver appends every block —
-    /// checksummed — before any follower applies it, so
+    /// journaling). With a journal, the driver appends and fsyncs every
+    /// block — checksummed — before any follower applies it, so
     /// [`Follower::recover`] can replay everything since the last snapshot
     /// after a crash.
     pub journal_path: Option<PathBuf>,
-    /// The driver fsyncs the journal every this many appended frames: `1`
-    /// makes every block durable before it is applied (crash loses
-    /// nothing), `N` batches fsyncs, `0` leaves syncing to the OS.
-    pub journal_sync_every: u64,
-    /// How many snapshot generations to retain (`base`, `base.g1`, …).
-    /// Older generations are fallbacks when the newest snapshot is
-    /// corrupt; at least 1 is always kept.
-    pub snapshot_generations: usize,
     /// Worker threads for the batched reclassification stage (0 = auto,
     /// all cores; overridable via `BAC_THREADS`). Labels and embeddings
     /// are byte-identical at any thread count — the stage is an
     /// order-preserving `baclassifier::parallel::parallel_map` over the
     /// follower's one classifier.
     pub reclass_threads: usize,
-    /// Maximum addresses per reclassification micro-batch (0 = one batch
-    /// for the whole dirty set). Smaller batches bound peak memory for the
-    /// gathered slice graphs; the batch split never changes any output.
-    pub reclass_batch: usize,
 }
 
 impl Default for FollowerConfig {
@@ -88,10 +84,7 @@ impl Default for FollowerConfig {
             tracked: None,
             shard: None,
             journal_path: None,
-            journal_sync_every: 1,
-            snapshot_generations: 2,
             reclass_threads: 0,
-            reclass_batch: 128,
         }
     }
 }
@@ -262,19 +255,9 @@ impl Follower {
         for tx in &block.txs {
             // Made on the first tracked address the transaction touches.
             let mut view: Option<Arc<TxView>> = None;
-            // Same dedup rule as Chain::append's address index: each address
-            // joins the tx history once, on first appearance, inputs before
-            // outputs — histories stay byte-identical to Dataset::from_chain.
-            seen.clear();
-            for addr in tx
-                .inputs
-                .iter()
-                .map(|i| i.address)
-                .chain(tx.outputs.iter().map(|o| o.address))
-            {
-                if !seen.insert(addr) {
-                    continue;
-                }
+            // The chain's own history rule, so histories stay byte-identical
+            // to Dataset::from_chain.
+            for addr in tx.participants(&mut seen) {
                 if !self.cfg.tracks(addr) {
                     continue;
                 }
@@ -284,14 +267,7 @@ impl Follower {
                     // into the one re-embed the next cadence tick performs.
                     self.metrics.coalesced_flips += 1;
                 }
-                let view = view.get_or_insert_with(|| {
-                    Arc::new(TxView {
-                        txid: tx.txid,
-                        timestamp: tx.timestamp,
-                        inputs: tx.inputs.iter().map(|i| (i.address, i.value)).collect(),
-                        outputs: tx.outputs.iter().map(|o| (o.address, o.value)).collect(),
-                    })
-                });
+                let view = view.get_or_insert_with(|| Arc::new(TxView::from(tx)));
                 state.apply(addr, view, slice_size);
                 self.metrics.tx_applications += 1;
             }
@@ -321,6 +297,12 @@ impl Follower {
     /// — they are deferred, not dropped, so a later cadence (or a restore
     /// with a lowered threshold) picks them up.
     pub fn reclassify_dirty(&mut self) -> usize {
+        self.reclassify_in_batches(RECLASS_BATCH)
+    }
+
+    /// [`Follower::reclassify_dirty`] with at most `cap` addresses a
+    /// micro-batch.
+    fn reclassify_in_batches(&mut self, cap: usize) -> usize {
         let start = Instant::now();
         let eligible: Vec<Address> = self
             .states
@@ -330,14 +312,9 @@ impl Follower {
             .collect();
         self.metrics.priority_depth = eligible.len() as u64;
         let threads = resolve_threads(self.cfg.reclass_threads);
-        let batch_cap = if self.cfg.reclass_batch == 0 {
-            eligible.len().max(1)
-        } else {
-            self.cfg.reclass_batch
-        };
         let max_slices = self.clf.config().model.max_slices.max(1);
         let mut reclassified = 0;
-        for chunk in eligible.chunks(batch_cap) {
+        for chunk in eligible.chunks(cap) {
             reclassified += self.reclassify_batch(chunk, threads, max_slices);
         }
         self.metrics.reclass_time += start.elapsed();
@@ -349,9 +326,6 @@ impl Follower {
     /// workers, scatter the embeddings back, then classify the capped
     /// sequences together the same way.
     fn reclassify_batch(&mut self, batch: &[Address], threads: usize, max_slices: usize) -> usize {
-        if batch.is_empty() {
-            return 0;
-        }
         let t0 = Instant::now();
         // Gather. Multiple flips of an address since the last tick appear
         // here once: the dirty bit is level-triggered, and the stale range
@@ -814,42 +788,49 @@ pub(crate) mod tests {
 
     #[test]
     fn batch_size_split_does_not_change_labels_or_embeddings() {
-        let cfg = test_sim(47, 25);
+        let blocks: Vec<Block> = BlockCursor::new(test_sim(47, 25)).collect();
         let artifact = ModelArtifact::untrained(BacConfig::fast());
-        let mut one_batch = Follower::new(
-            &artifact,
-            FollowerConfig {
-                reclass_batch: 0, // whole dirty set at once
+        // Every block is a tick, each cut into micro-batches of at most `cap`.
+        let run = |cap: usize, reclass_threads: usize| {
+            let cfg = FollowerConfig {
+                reclass_every: 0,
+                reclass_threads,
                 ..FollowerConfig::default()
-            },
-        )
-        .unwrap();
-        let mut tiny_batches = Follower::new(
-            &artifact,
-            FollowerConfig {
-                reclass_batch: 3,
-                ..FollowerConfig::default()
-            },
-        )
-        .unwrap();
-        for block in BlockCursor::new(cfg) {
-            one_batch.step(&block);
-            tiny_batches.step(&block);
-        }
-        one_batch.reclassify_dirty();
-        tiny_batches.reclassify_dirty();
-        assert_eq!(one_batch.labels(), tiny_batches.labels());
-        let a = one_batch.export_embeddings();
-        let b = tiny_batches.export_embeddings();
-        assert_eq!(a.len(), b.len());
-        for (addr, embeds) in &a {
-            let other = &b[addr];
-            assert_eq!(embeds.len(), other.len());
-            for (x, y) in embeds.iter().zip(other) {
-                assert_eq!(x.as_slice(), y.as_slice(), "embeddings for {addr:?}");
+            };
+            let mut follower = Follower::new(&artifact, cfg).unwrap();
+            for block in &blocks {
+                follower.ingest_block(block);
+                follower.reclassify_in_batches(cap);
+            }
+            follower
+        };
+        let whole = run(usize::MAX, 1);
+        let want = whole.export_embeddings();
+        assert!(!whole.labels().is_empty());
+        for threads in [1, 4] {
+            for cap in [1, 3, usize::MAX] {
+                let split = run(cap, threads);
+                assert_eq!(
+                    split.labels(),
+                    whole.labels(),
+                    "cap {cap}, threads {threads}"
+                );
+                let got = split.export_embeddings();
+                assert_eq!(got.len(), want.len());
+                for (addr, embeds) in &got {
+                    let other = &want[addr];
+                    assert_eq!(embeds.len(), other.len());
+                    for (x, y) in embeds.iter().zip(other) {
+                        assert_eq!(x.as_slice(), y.as_slice(), "embeddings for {addr:?}");
+                    }
+                }
+                if cap == 1 {
+                    let m = split.metrics();
+                    assert_eq!(m.reclass_batches, m.reclass_batch_addrs);
+                    assert!(m.reclass_batches > whole.metrics().reclass_batches);
+                }
             }
         }
-        assert!(tiny_batches.metrics().reclass_batches > one_batch.metrics().reclass_batches);
     }
 
     #[test]

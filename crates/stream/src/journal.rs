@@ -20,13 +20,15 @@
 //! anywhere in the body are caught by the per-frame CRC; corrupt frames
 //! never decode into a block.
 //!
-//! Durability is tunable: `sync_every = 1` fsyncs after every frame
-//! (crash-loses-nothing), `N` batches fsyncs (crash loses at most the last
-//! `N-1` blocks *from the journal* — but those blocks were not applied yet
-//! either, so recovered state is still a consistent prefix), `0` leaves
-//! syncing to the OS.
+//! The driver's journal ([`BlockJournal::open_or_create`]) fsyncs after
+//! every frame, so a crash loses nothing. [`BlockJournal::create`] takes the
+//! cadence: `N` batches fsyncs (a crash loses at most the last `N-1` blocks
+//! *from the journal*, but those were not applied yet either, so recovered
+//! state is still a consistent prefix), `0` leaves syncing to the OS.
 
-use baclassifier::durable::{next_frame, put_frame, put_u32, put_u64, Cursor, Frame};
+use baclassifier::durable::{
+    next_frame, put_frame, put_u32, put_u64, sync_parent_dir, Cursor, Frame,
+};
 use btcsim::{Address, Amount, Block, OutPoint, Transaction, TxIn, TxOut, Txid};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -215,7 +217,7 @@ pub fn scan_journal(path: &Path) -> std::io::Result<JournalScan> {
 // The journal writer
 // ---------------------------------------------------------------------------
 
-/// Append-only block journal with a configurable fsync cadence.
+/// Append-only block journal with an fsync cadence.
 pub struct BlockJournal {
     file: File,
     path: PathBuf,
@@ -225,11 +227,13 @@ pub struct BlockJournal {
 }
 
 impl BlockJournal {
-    /// Create a fresh journal at `path`, truncating anything there.
+    /// Create a fresh journal at `path`, truncating anything there. The
+    /// file and its directory entry are durable before this returns.
     pub fn create(path: &Path, sync_every: u64) -> std::io::Result<Self> {
         let mut file = File::create(path)?;
         file.write_all(JOURNAL_MAGIC)?;
         file.sync_all()?;
+        sync_parent_dir(path)?;
         Ok(Self {
             file,
             path: path.to_path_buf(),
@@ -241,10 +245,11 @@ impl BlockJournal {
     /// Open an existing journal for appending — or create one if the path
     /// is absent. A torn tail (see [`scan_journal`]) is truncated away so
     /// appends land after the last whole frame. Returns the journal plus
-    /// the scan of what survived, so the caller can replay it.
-    pub fn open_or_create(path: &Path, sync_every: u64) -> std::io::Result<(Self, JournalScan)> {
+    /// the scan of what survived, so the caller can replay it. Every
+    /// append fsyncs.
+    pub fn open_or_create(path: &Path) -> std::io::Result<(Self, JournalScan)> {
         if !path.exists() {
-            let journal = Self::create(path, sync_every)?;
+            let journal = Self::create(path, 1)?;
             return Ok((
                 journal,
                 JournalScan {
@@ -265,7 +270,7 @@ impl BlockJournal {
             Self {
                 file,
                 path: path.to_path_buf(),
-                sync_every,
+                sync_every: 1,
                 appended_since_sync: 0,
             },
             scan,
@@ -393,7 +398,7 @@ mod tests {
                 assert!(scan.valid_len <= cut as u64);
             }
             // Reopening truncates to the valid prefix and appends cleanly.
-            let (mut journal, reopened) = BlockJournal::open_or_create(&path, 1).unwrap();
+            let (mut journal, reopened) = BlockJournal::open_or_create(&path).unwrap();
             let survived = reopened.blocks.len();
             assert_eq!(reopened.blocks.as_slice(), &blocks[..survived]);
             for b in &blocks[survived..] {
@@ -476,7 +481,7 @@ mod tests {
         let heights: Vec<u64> = scan.blocks.iter().map(|b| b.height).collect();
         assert_eq!(heights, vec![5, 6, 7, 8]);
         // Compacting below 0 is a no-op.
-        let (mut journal, _) = BlockJournal::open_or_create(&path, 1).unwrap();
+        let (mut journal, _) = BlockJournal::open_or_create(&path).unwrap();
         assert_eq!(journal.compact_below(0).unwrap(), 0);
         std::fs::remove_file(&path).ok();
     }

@@ -17,8 +17,8 @@
 //!
 //! 1. **Byte-identity.** Per-address graphs are maintained by
 //!    `IncrementalGraphs::apply_tx`, asserted bit-identical to the batch
-//!    construction pipeline; histories are accumulated with the exact dedup
-//!    rule of the chain's address index. A follower's label at the tip is
+//!    construction pipeline; histories are accumulated by
+//!    `Transaction::participants`, the rule of the chain's address index. A follower's label at the tip is
 //!    the label the batch pipeline would compute from the same chain.
 //! 2. **Bounded lag.** The feed's channel is bounded, so a slow follower
 //!    applies backpressure to the producer instead of buffering the chain;
@@ -57,5 +57,5 @@ pub use feed::{BlockFeed, FeedSender, FeedStalled, Watermark};
 pub use follower::{Follower, FollowerConfig};
 pub use journal::{scan_journal, BlockJournal, JournalScan, TornFrame};
 pub use metrics::StreamMetrics;
-pub use recovery::{generation_path, quarantine_path, Recovery};
+pub use recovery::{generation_path, quarantine_path, Recovery, SNAPSHOT_GENERATIONS};
 pub use snapshot::{read_snapshot, snapshot_height, write_snapshot, Snapshot, SnapshotError};

@@ -5,10 +5,13 @@
 //! ```text
 //! base            newest snapshot (generation 0)
 //! base.g1         previous snapshot (generation 1)
-//! base.g2 …       older generations, up to `snapshot_generations`
 //! journal         write-ahead block journal (frames ≥ the oldest
 //!                 generation's height survive compaction)
 //! ```
+//!
+//! [`SNAPSHOT_GENERATIONS`] is the one retention policy: snapshot writes
+//! rotate, recovery reads and the driver's journal compaction count that
+//! many generations.
 //!
 //! [`Follower::recover`] walks the generations newest-first. A snapshot
 //! that fails its checksum (or any parse) is renamed to `*.quarantine` —
@@ -53,16 +56,19 @@ pub fn quarantine_path(snapshot: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
+/// Snapshot files kept per base path: the newest and one fallback for
+/// when the newest is corrupt.
+pub const SNAPSHOT_GENERATIONS: usize = 2;
+
 /// Shift existing generations one slot older ahead of a new snapshot
 /// write: the oldest retained generation is dropped, `base` becomes
-/// `base.g1`, and so on. With `generations <= 1` nothing is kept beyond
-/// the base file and this is a no-op.
-pub(crate) fn rotate_generations(base: &Path, generations: usize) -> std::io::Result<()> {
-    if generations <= 1 || !base.exists() {
+/// `base.g1`, and so on.
+pub(crate) fn rotate_generations(base: &Path) -> std::io::Result<()> {
+    if !base.exists() {
         return Ok(());
     }
-    std::fs::remove_file(generation_path(base, generations - 1)).ok();
-    for k in (0..generations - 1).rev() {
+    std::fs::remove_file(generation_path(base, SNAPSHOT_GENERATIONS - 1)).ok();
+    for k in (0..SNAPSHOT_GENERATIONS - 1).rev() {
         let from = generation_path(base, k);
         if from.exists() {
             std::fs::rename(&from, generation_path(base, k + 1))?;
@@ -94,11 +100,10 @@ impl Follower {
         artifact: &ModelArtifact,
         cfg: FollowerConfig,
     ) -> Result<Recovery, SnapshotError> {
-        let generations = cfg.snapshot_generations.max(1);
         let mut quarantined: Vec<(PathBuf, String)> = Vec::new();
         let mut restored: Option<(Follower, usize)> = None;
         if let Some(base) = cfg.snapshot_path.clone() {
-            for k in 0..generations {
+            for k in 0..SNAPSHOT_GENERATIONS {
                 let path = generation_path(&base, k);
                 if !path.exists() {
                     continue;
@@ -194,7 +199,6 @@ mod tests {
         FollowerConfig {
             snapshot_path: Some(base.to_path_buf()),
             journal_path: Some(PathBuf::from(journal)),
-            snapshot_generations: 2,
             ..FollowerConfig::default()
         }
     }
@@ -257,7 +261,6 @@ mod tests {
         let blocks: Vec<Block> = BlockCursor::new(test_sim(73, 12)).collect();
         let cfg = FollowerConfig {
             snapshot_path: Some(base.clone()),
-            snapshot_generations: 3,
             ..FollowerConfig::default()
         };
         let mut follower = Follower::new(&artifact, cfg).unwrap();
@@ -269,9 +272,10 @@ mod tests {
                 snapshot_heights.push(follower.next_height());
             }
         }
-        // Newest in base, the two prior checkpoints in .g1/.g2.
+        // Newest in base, the prior checkpoint in .g1, nothing older.
         let n = snapshot_heights.len();
-        for (k, want) in (0..3).zip(snapshot_heights.iter().rev().take(3)) {
+        let newest_first = snapshot_heights.iter().rev();
+        for (k, want) in (0..SNAPSHOT_GENERATIONS).zip(newest_first) {
             let path = generation_path(&base, k);
             assert!(path.exists(), "generation {k} missing");
             assert_eq!(
@@ -280,8 +284,9 @@ mod tests {
                 "generation {k} height"
             );
         }
-        assert!(n >= 3);
-        assert!(!generation_path(&base, 3).exists(), "over-retention");
+        assert!(n > SNAPSHOT_GENERATIONS);
+        let oldest = generation_path(&base, SNAPSHOT_GENERATIONS);
+        assert!(!oldest.exists(), "over-retention");
         cleanup(&base);
     }
 
@@ -372,7 +377,7 @@ mod tests {
         // Compact the journal past the snapshot, then delete the snapshot:
         // the journal now starts at height 7 with no state below it.
         let jpath = cfg.journal_path.clone().unwrap();
-        let (mut j, _) = BlockJournal::open_or_create(&jpath, 1).unwrap();
+        let (mut j, _) = BlockJournal::open_or_create(&jpath).unwrap();
         j.compact_below(7).unwrap();
         drop(j);
         for k in 0..2 {
@@ -400,7 +405,7 @@ mod tests {
         std::fs::write(&jpath, &bytes[..bytes.len() - 3]).unwrap();
         // The driver opens the journal before any follower reads it: that
         // is where the torn tail is cut off and reported.
-        let (_, scan) = BlockJournal::open_or_create(&jpath, 1).unwrap();
+        let (_, scan) = BlockJournal::open_or_create(&jpath).unwrap();
         assert!(scan.torn.is_some());
         let recovery = Follower::recover(&artifact, cfg).unwrap();
         assert_eq!(recovery.replayed_blocks, blocks.len() as u64 - 1);

@@ -290,7 +290,7 @@ impl Follower {
             .states
             .iter()
             .map(|(addr, state)| encode_address(*addr, self.labels.get(addr).copied(), state));
-        crate::recovery::rotate_generations(path, self.cfg.snapshot_generations)?;
+        crate::recovery::rotate_generations(path)?;
         write_snapshot(path, self.next_height, self.cfg.shard, records)?;
         self.metrics.snapshots_written += 1;
         Ok(())

@@ -11,7 +11,8 @@
 use baclassifier::durable::{next_frame, put_frame, Frame};
 use baclassifier::{BacConfig, ModelArtifact};
 use bstream::{
-    quarantine_path, scan_journal, BlockJournal, Follower, FollowerConfig, SnapshotError,
+    generation_path, quarantine_path, scan_journal, BlockJournal, Follower, FollowerConfig,
+    SnapshotError,
 };
 use btcsim::{Block, BlockCursor, SimConfig};
 use proptest::prelude::*;
@@ -34,10 +35,7 @@ fn pristine() -> &'static Pristine {
         let dir = std::env::temp_dir();
         let snap = dir.join(format!("corruption_pristine_{}.bsnap", std::process::id()));
         let journal = dir.join(format!("corruption_pristine_{}.bjrnl", std::process::id()));
-        let cfg = FollowerConfig {
-            snapshot_generations: 1,
-            ..FollowerConfig::default()
-        };
+        let cfg = FollowerConfig::default();
         // Driven the way the driver drives a follower: each block appended
         // to the journal before it is applied, one snapshot after 9 blocks
         // with the journal compacted behind it, then a crash.
@@ -57,6 +55,8 @@ fn pristine() -> &'static Pristine {
             }
         }
         drop((follower, writer));
+        // One snapshot: generation 0 alone, nothing rotated aside.
+        assert!(!generation_path(&snap, 1).exists());
         let snapshot_bytes = std::fs::read(&snap).unwrap();
         let journal_bytes = std::fs::read(&journal).unwrap();
         std::fs::remove_file(&snap).ok();
@@ -109,7 +109,6 @@ fn recovery_survives(snapshot: Vec<u8>, journal: Vec<u8>) {
     let cfg = FollowerConfig {
         snapshot_path: Some(snap_path),
         journal_path: Some(journal_path),
-        snapshot_generations: 1,
         ..FollowerConfig::default()
     };
     match Follower::recover(&pristine().artifact, cfg) {
@@ -171,7 +170,6 @@ fn degenerate_snapshots_are_typed_errors_not_panics() {
         }
         let cfg = FollowerConfig {
             snapshot_path: Some(path.clone()),
-            snapshot_generations: 1,
             ..FollowerConfig::default()
         };
         let recovery = Follower::recover(&p.artifact, cfg).unwrap();

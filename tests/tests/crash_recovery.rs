@@ -362,7 +362,7 @@ fn periodic_snapshots_compact_the_journal_to_the_oldest_retained_generation() {
         let s = scratch(&format!("compact{shards}"));
         s.cleanup(shards);
         let cfg = s.cfg(5);
-        assert_eq!(cfg.snapshot_generations, 2);
+        assert_eq!(bstream::SNAPSHOT_GENERATIONS, 2);
         {
             let mut fleet =
                 ShardedFollower::recover(Arc::clone(&artifact), cfg.clone(), shards).unwrap();

@@ -142,7 +142,6 @@ fn batched_reclassification_matches_serial_at_any_thread_count() {
         &artifact,
         FollowerConfig {
             reclass_threads: 4,
-            reclass_batch: 5, // force several micro-batches per tick
             ..FollowerConfig::default()
         },
     )
@@ -157,7 +156,7 @@ fn batched_reclassification_matches_serial_at_any_thread_count() {
     assert_eq!(
         serial.labels(),
         batched.labels(),
-        "labels must not depend on reclass_threads or batch size"
+        "labels must not depend on reclass_threads"
     );
     let a = serial.export_embeddings();
     let b = batched.export_embeddings();
