@@ -3,7 +3,7 @@
 
 use crate::common::{Classifier, NUM_CLASSES};
 use numnet::layers::{Activation, Mlp};
-use numnet::optim::{Adam, Optimizer};
+use numnet::optim::Adam;
 use numnet::{Matrix, Tape};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

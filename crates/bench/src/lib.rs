@@ -78,7 +78,6 @@ impl ExpScale {
                 ..Default::default()
             },
             miners_per_pool: 400,
-            ..Default::default()
         }
     }
 }

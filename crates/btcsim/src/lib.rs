@@ -27,7 +27,6 @@ pub mod block;
 pub mod cursor;
 pub mod dataset;
 pub mod dist;
-pub mod mempool;
 pub mod sim;
 pub mod tx;
 pub mod utxo;
@@ -38,7 +37,6 @@ pub use amount::Amount;
 pub use block::{Block, Chain};
 pub use cursor::BlockCursor;
 pub use dataset::{AddressRecord, Dataset, TxView};
-pub use mempool::Mempool;
 pub use sim::{SimConfig, Simulator};
 pub use tx::{OutPoint, Transaction, TxIn, TxOut, Txid};
 pub use utxo::{UndoLog, UtxoEntry, UtxoError, UtxoSet};

@@ -13,14 +13,24 @@ use crate::address::{Address, Label};
 use crate::amount::Amount;
 use crate::block::{Block, Chain, BLOCK_INTERVAL_SECS};
 use crate::dist;
-use crate::mempool::Mempool;
 use crate::tx::{Transaction, TxOut};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
-/// Simulation parameters. The defaults produce a small but fully-featured
-/// economy; scale `blocks` and the actor counts up for larger datasets.
+/// Retail users' premine each (BTC).
+const USER_INITIAL_BTC: f64 = 8.0;
+/// Gamblers' premine each (BTC).
+const GAMBLER_INITIAL_BTC: f64 = 3.0;
+/// Each gambling house's premined float (BTC).
+const HOUSE_FLOAT_BTC: f64 = 200.0;
+/// Block subsidy (BTC), the same at every height.
+const BLOCK_REWARD_BTC: f64 = 6.25;
+
+/// Who is in the economy, and for how many blocks. The premine and subsidy
+/// amounts are fixed, and so is every actor's behaviour except retail's
+/// (`RetailConfig`). The defaults produce a small but fully-featured
+/// economy; scale `blocks` and the populations up for larger datasets.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     pub seed: u64,
@@ -31,22 +41,8 @@ pub struct SimConfig {
     pub num_gambling: usize,
     pub num_mixers: usize,
     pub retail: RetailConfig,
-    /// Initial funds premined to each retail user (BTC).
-    pub user_initial_btc: f64,
-    /// Initial funds premined to each gambler (BTC).
-    pub gambler_initial_btc: f64,
-    /// Float premined to each gambling house (BTC).
-    pub house_float_btc: f64,
-    /// Block subsidy (BTC).
-    pub block_reward_btc: f64,
     /// Miner reward addresses per pool (paper Table I: the Mining class).
     pub miners_per_pool: usize,
-    /// Blocks between reward halvings (0 disables halving). Bitcoin uses
-    /// 210,000; simulations can compress the schedule to see the effect.
-    pub halving_interval: u64,
-    /// Max transactions per block (0 = unbounded). A bound creates fee-rate
-    /// congestion: cheap transactions wait in the mempool.
-    pub max_txs_per_block: usize,
 }
 
 impl Default for SimConfig {
@@ -59,13 +55,7 @@ impl Default for SimConfig {
             num_gambling: 2,
             num_mixers: 2,
             retail: RetailConfig::default(),
-            user_initial_btc: 8.0,
-            gambler_initial_btc: 3.0,
-            house_float_btc: 200.0,
-            block_reward_btc: 6.25,
             miners_per_pool: 120,
-            halving_interval: 0,
-            max_txs_per_block: 0,
         }
     }
 }
@@ -116,13 +106,16 @@ pub struct Simulator {
     nonce: u64,
     activity: Vec<ActivityPoint>,
     pool_weights: dist::ZipfSampler,
-    mempool: Mempool,
 }
 
 impl Simulator {
     /// Build actors and mine the genesis premine block.
     pub fn new(cfg: SimConfig) -> Self {
         assert!(cfg.num_pools > 0, "at least one mining pool required");
+        assert!(
+            cfg.retail.num_users > 0,
+            "retail.num_users must be positive"
+        );
         let rng = StdRng::seed_from_u64(cfg.seed);
         let mut shared = Shared::default();
         let exchanges: Vec<ExchangeActor> = (0..cfg.num_exchanges)
@@ -183,7 +176,6 @@ impl Simulator {
             nonce: 0,
             activity: Vec::new(),
             pool_weights,
-            mempool: Mempool::new(),
         };
         sim.mine_genesis();
         sim
@@ -196,19 +188,19 @@ impl Simulator {
         for addr in self.retail.funding_addresses(&self.shared.wallets) {
             outputs.push(TxOut {
                 address: addr,
-                value: Amount::from_btc(self.cfg.user_initial_btc),
+                value: Amount::from_btc(USER_INITIAL_BTC),
             });
         }
         for g in &self.gambling {
             for addr in g.gambler_addresses(&self.shared.wallets) {
                 outputs.push(TxOut {
                     address: addr,
-                    value: Amount::from_btc(self.cfg.gambler_initial_btc),
+                    value: Amount::from_btc(GAMBLER_INITIAL_BTC),
                 });
             }
             outputs.push(TxOut {
                 address: g.house_address(),
-                value: Amount::from_btc(self.cfg.house_float_btc),
+                value: Amount::from_btc(HOUSE_FLOAT_BTC),
             });
         }
         let premine = Transaction::new(vec![], outputs, 0, self.next_nonce());
@@ -252,13 +244,13 @@ impl Simulator {
         let timestamp = self.chain.tip_timestamp() + BLOCK_INTERVAL_SECS + jitter;
 
         let mut txs = Vec::new();
-        // Coinbase: block reward (after halvings) to the winning pool.
+        // Coinbase: block reward to the winning pool.
         let winner = self.pool_weights.sample(&mut self.rng);
         let coinbase = Transaction::new(
             vec![],
             vec![TxOut {
                 address: self.pools[winner].reward_address(),
-                value: self.block_reward_at(height),
+                value: Amount::from_btc(BLOCK_REWARD_BTC),
             }],
             timestamp,
             self.next_nonce(),
@@ -287,17 +279,8 @@ impl Simulator {
             self.nonce = nonce;
         }
 
-        // Route through the mempool: bounded blocks leave low-fee
-        // transactions pending for later blocks.
-        for tx in txs {
-            self.mempool.submit(tx);
-        }
-        let limit = if self.cfg.max_txs_per_block == 0 {
-            usize::MAX
-        } else {
-            self.cfg.max_txs_per_block
-        };
-        let txs = self.mempool.take_block(limit);
+        // Every transaction confirms in the block that built it, in the
+        // order it was built.
         for tx in &txs {
             self.shared.confirm(tx);
         }
@@ -313,15 +296,6 @@ impl Simulator {
         if let Some(last) = self.activity.last_mut() {
             last.cumulative_addresses = self.chain.num_addresses();
         }
-    }
-
-    /// Block subsidy at a given height, applying the halving schedule.
-    pub fn block_reward_at(&self, height: u64) -> Amount {
-        let halvings = height
-            .checked_div(self.cfg.halving_interval)
-            .unwrap_or(0)
-            .min(63);
-        Amount::from_sats(Amount::from_btc(self.cfg.block_reward_btc).sats() >> halvings)
     }
 
     /// Run the configured number of blocks.
@@ -351,11 +325,6 @@ impl Simulator {
         &self.activity
     }
 
-    /// Transactions still waiting in the mempool.
-    pub fn mempool_depth(&self) -> usize {
-        self.mempool.len()
-    }
-
     /// Ground-truth labels for every actor-controlled address.
     pub fn labels(&self) -> BTreeMap<Address, Label> {
         self.shared.labels()
@@ -371,8 +340,7 @@ mod tests {
 
     /// `w`'s UTXOs as a wallet that saw every confirmed transaction would
     /// hold them: each spent input dropped, each nonzero output to one of
-    /// `w`'s addresses picked up, and the inputs of the transactions still
-    /// pending dropped, since their creator spent those optimistically.
+    /// `w`'s addresses picked up.
     fn broadcast_view(sim: &Simulator, w: &Wallet) -> BTreeMap<OutPoint, TxOut> {
         let mut utxos = BTreeMap::new();
         for tx in sim.chain().blocks().iter().flat_map(|b| &b.txs) {
@@ -389,9 +357,6 @@ mod tests {
                 }
             }
         }
-        for input in sim.mempool.iter().flat_map(|tx| &tx.inputs) {
-            utxos.remove(&input.prevout);
-        }
         utxos
     }
 
@@ -401,17 +366,8 @@ mod tests {
         // Handing each confirmation only to the owners of its addresses
         // leaves every wallet where seeing every confirmation would.
         #[test]
-        fn routed_wallets_match_a_broadcast_replay(seed in 0u64..1_000, shape in 0u8..3) {
-            let mut cfg = SimConfig::tiny(seed);
-            match shape {
-                1 => cfg.max_txs_per_block = 5,
-                2 => cfg.halving_interval = 20,
-                _ => {}
-            }
-            let sim = Simulator::run_to_completion(cfg);
-            if shape == 1 {
-                prop_assert!(sim.mempool_depth() > 0, "no backlog to replay");
-            }
+        fn routed_wallets_match_a_broadcast_replay(seed in 0u64..1_000) {
+            let sim = Simulator::run_to_completion(SimConfig::tiny(seed));
             for w in sim.shared.wallets.iter() {
                 let want = broadcast_view(&sim, w);
                 prop_assert_eq!(w.utxos().collect::<BTreeMap<_, _>>(), want.clone());
@@ -507,10 +463,10 @@ mod tests {
         // in this model, so UTXO total <= premine + rewards and close to it.
         let sim = Simulator::run_to_completion(SimConfig::tiny(7));
         let cfg = sim.config();
-        let premine_users = cfg.retail.num_users as f64 * cfg.user_initial_btc;
+        let premine_users = cfg.retail.num_users as f64 * USER_INITIAL_BTC;
         let premine_gamblers =
-            cfg.num_gambling as f64 * (40.0 * cfg.gambler_initial_btc + cfg.house_float_btc);
-        let rewards = cfg.blocks as f64 * cfg.block_reward_btc;
+            cfg.num_gambling as f64 * (40.0 * GAMBLER_INITIAL_BTC + HOUSE_FLOAT_BTC);
+        let rewards = cfg.blocks as f64 * BLOCK_REWARD_BTC;
         let ceiling = Amount::from_btc(premine_users + premine_gamblers + rewards);
         let total = sim.chain().utxo().total_value();
         assert!(total <= ceiling, "{total} > {ceiling}");
@@ -519,44 +475,6 @@ mod tests {
             total >= ceiling.mul_f64(0.99),
             "{total} too far below {ceiling}"
         );
-    }
-
-    #[test]
-    fn bounded_blocks_create_backlog_but_stay_valid() {
-        let mut cfg = SimConfig::tiny(7);
-        cfg.max_txs_per_block = 5;
-        let bounded = Simulator::run_to_completion(cfg);
-        let unbounded = Simulator::run_to_completion(SimConfig::tiny(7));
-        // Congestion: fewer confirmed transactions, pending backlog exists.
-        assert!(bounded.chain().num_transactions() < unbounded.chain().num_transactions());
-        assert!(
-            bounded.mempool_depth() > 0,
-            "expected a backlog under congestion"
-        );
-        // Every confirmed block respected the bound.
-        assert!(bounded.chain().blocks().iter().all(|b| b.txs.len() <= 5));
-    }
-
-    #[test]
-    fn halving_schedule_halves_rewards() {
-        let mut cfg = SimConfig::tiny(7);
-        cfg.halving_interval = 20;
-        let sim = Simulator::new(cfg);
-        assert_eq!(sim.block_reward_at(0), Amount::from_btc(6.25));
-        assert_eq!(sim.block_reward_at(19), Amount::from_btc(6.25));
-        assert_eq!(sim.block_reward_at(20), Amount::from_btc(3.125));
-        assert_eq!(sim.block_reward_at(40), Amount::from_btc(1.5625));
-        // Deep halvings floor at zero rather than wrapping.
-        assert_eq!(sim.block_reward_at(20 * 64).sats(), 0);
-    }
-
-    #[test]
-    fn halved_economy_issues_less_than_constant_reward() {
-        let mut halved_cfg = SimConfig::tiny(7);
-        halved_cfg.halving_interval = 15;
-        let halved = Simulator::run_to_completion(halved_cfg);
-        let flat = Simulator::run_to_completion(SimConfig::tiny(7));
-        assert!(halved.chain().utxo().total_value() < flat.chain().utxo().total_value());
     }
 
     #[test]

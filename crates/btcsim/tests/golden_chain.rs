@@ -24,7 +24,6 @@ fn paper_chain(blocks: u64) -> SimConfig {
             ..Default::default()
         },
         miners_per_pool: 400,
-        ..Default::default()
     }
 }
 
@@ -117,21 +116,4 @@ fn paper_chain_700_blocks() {
         0xf0f7_ebd3_bd7e_175d,
         0xaf56_227b_0f63_afb3,
     );
-}
-
-/// Five transactions a block leave a mempool backlog, so wallets hold
-/// optimistically spent outputs across blocks.
-#[test]
-fn tiny_chain_with_bounded_blocks() {
-    let mut cfg = SimConfig::tiny(7);
-    cfg.max_txs_per_block = 5;
-    check(cfg, 0x5fbf_c899_bfd7_d63c, 0xaad7_be24_973a_6d50);
-}
-
-/// The block reward halves at heights 20 and 40.
-#[test]
-fn tiny_chain_with_halvings() {
-    let mut cfg = SimConfig::tiny(7);
-    cfg.halving_interval = 20;
-    check(cfg, 0xfd36_1544_15bd_ef61, 0xd800_6489_83fc_8c81);
 }

@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn heads_are_trainable() {
-        use numnet::optim::{Adam, Optimizer};
+        use numnet::optim::Adam;
         // Each head should be able to fit two distinguishable sequences.
         let class0 = seq(3, 4);
         let class1: Vec<Matrix> = seq(3, 4).iter().map(|m| m.scale(-2.0)).collect();

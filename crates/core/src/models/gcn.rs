@@ -107,7 +107,7 @@ mod tests {
 
     #[test]
     fn training_step_reduces_loss() {
-        use numnet::optim::{Adam, Optimizer};
+        use numnet::optim::Adam;
         let gcn = Gcn::new(NODE_FEAT_DIM, 16, 8, 1);
         let prep = gcn.prepare(&tensors());
         let params = gcn.params();

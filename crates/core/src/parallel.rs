@@ -193,7 +193,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numnet::optim::{Optimizer, Sgd};
     use numnet::Tape;
 
     /// `loss(w) = idx * w` for a scalar parameter: grad is `idx`.
@@ -220,18 +219,17 @@ mod tests {
         assert_eq!(s.grad_sum[0][(0, 0)], 14.0);
     }
 
-    /// The broadcast is now the shared model itself: a step taken between
+    /// The broadcast is now the shared model itself: an update made between
     /// two batches is seen by every worker in the second.
     #[test]
     fn broadcast_is_applied_before_later_batches() {
         let w = Param::new(Matrix::from_vec(1, 1, vec![1.0]));
-        let mut opt = Sgd::new(vec![w.clone()], 1.0);
         let out = with_grad_pool(
             2,
             |i| scalar_grad(&w, i),
             |pool| {
                 let before = pool.batch_grads(&[2, 2]);
-                opt.step(&[Matrix::from_vec(1, 1, vec![-9.0])]); // w: 1 → 10
+                w.update(|v| v[(0, 0)] += 9.0); // w: 1 → 10
                 let after = pool.batch_grads(&[2, 2]);
                 (before.losses, after.losses)
             },

@@ -14,7 +14,7 @@ use crate::classify::SequenceHead;
 use crate::metrics::{ClassificationReport, ConfusionMatrix};
 use crate::models::{GraphModel, PreparedGraph, NUM_CLASSES};
 use crate::parallel::with_grad_pool;
-use numnet::optim::{Adam, Optimizer};
+use numnet::optim::Adam;
 use numnet::{Matrix, Param, Tape, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -204,17 +204,6 @@ impl Lstm {
         self.cell.eval_last_batch(seqs)
     }
 
-    /// Run over the sequence returning every hidden state.
-    pub fn forward_all<'t>(&self, tape: &'t Tape, seq: &[Var<'t>]) -> Vec<Var<'t>> {
-        let mut state = self.cell.zero_state(tape, 1);
-        let mut out = Vec::with_capacity(seq.len());
-        for &x in seq {
-            state = self.cell.step(tape, x, &state);
-            out.push(state.h);
-        }
-        out
-    }
-
     pub fn params(&self) -> Vec<Param> {
         self.cell.params()
     }
@@ -263,7 +252,7 @@ impl BiLstm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::SeedableRng;
 
     #[test]
@@ -276,15 +265,6 @@ mod tests {
         let next = cell.step(&tape, x, &st);
         assert_eq!(next.h.shape(), (2, 6));
         assert_eq!(next.c.shape(), (2, 6));
-    }
-
-    #[test]
-    fn forward_all_length_matches() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let lstm = Lstm::new(3, 4, &mut rng);
-        let tape = Tape::new();
-        let seq: Vec<_> = (0..5).map(|_| tape.constant(Matrix::zeros(1, 3))).collect();
-        assert_eq!(lstm.forward_all(&tape, &seq).len(), 5);
     }
 
     #[test]

@@ -58,10 +58,6 @@ impl Mlp {
         self.layers.last().expect("non-empty").out_dim()
     }
 
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Forward over a batch `x: n x in`.
     pub fn forward<'t>(&self, tape: &'t Tape, x: Var<'t>) -> Var<'t> {
         let mut h = x;
@@ -98,14 +94,15 @@ impl Mlp {
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::SeedableRng;
 
     #[test]
     fn shapes_through_hidden_layers() {
         let mut rng = StdRng::seed_from_u64(2);
         let mlp = Mlp::new(&[5, 8, 8, 3], Activation::Relu, &mut rng);
-        assert_eq!(mlp.num_layers(), 3);
+        // Three layers, a weight and a bias each.
+        assert_eq!(mlp.params().len(), 6);
         assert_eq!((mlp.in_dim(), mlp.out_dim()), (5, 3));
         let tape = Tape::new();
         let x = tape.constant(Matrix::zeros(7, 5));

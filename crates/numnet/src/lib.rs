@@ -14,14 +14,14 @@
 //!   `LstmCell` also have a forward evaluator (`eval*`): no tape, results
 //!   written into reused matrices, the tape's bits (training is the tape's
 //!   only job);
-//! * optimisers — [`optim::Sgd`], [`optim::Adam`];
+//! * optimiser — [`optim::Adam`];
 //! * initialisers — [`init`].
 //!
 //! Everything is deterministic given a seeded `StdRng`.
 //!
 //! ## Example
 //! ```
-//! use numnet::{Matrix, Tape, layers::{Mlp, Activation}, optim::{Adam, Optimizer}};
+//! use numnet::{Matrix, Tape, layers::{Mlp, Activation}, optim::Adam};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);

@@ -101,7 +101,7 @@ impl SparseAdj {
 
 /// A trainable parameter: a value matrix shared by every holder of a clone,
 /// `Send + Sync`. It has no gradient slot — [`Var::backward`] returns the
-/// gradients and [`crate::optim::Optimizer::step`] takes them.
+/// gradients and [`crate::optim::Adam::step`] takes them.
 ///
 /// A poisoned lock is **not** recovered: only a writer can poison it, a
 /// writer is an optimiser step (or a weight load), and one that panicked

@@ -49,8 +49,9 @@
 //! shared write-ahead journal, fsynced every block, so killing the process
 //! at any point loses no blocks; what the driver does while it runs is
 //! `bashard::stream`'s module doc. `--snapshot-every` without `--snapshot`
-//! is a bad invocation (exit 2). SIGINT, a drained feed, a producer silent
-//! for `--stall-timeout-ms` (exit 3) and a failed journal write (exit 1)
+//! is a bad invocation (exit 2), as are `--shards 0` and `--users 0`.
+//! SIGINT, a drained feed, a producer silent for `--stall-timeout-ms`
+//! (exit 3), a producer that died and a failed journal write (exit 1)
 //! all end the same way: final reclassification and snapshot on every
 //! shard, journal flushed, one line of metrics JSON on stdout.
 
@@ -121,13 +122,17 @@ fn follow(args: &[String], shards: u32) -> i32 {
     if cfg.snapshot_every > 0 && cfg.snapshot_path.is_none() {
         die(2, "--snapshot-every", "requires --snapshot PATH");
     }
+    let users = flag_parsed(args, "--users", 40usize);
+    if users == 0 {
+        die(2, "--users", "must be at least 1");
+    }
     let artifact = baserve::cli::load_artifact(NAME, USAGE, args);
     let blocks = flag_parsed(args, "--blocks", 200u64);
     let mut sim = SimConfig {
         blocks,
         ..SimConfig::tiny(flag_parsed(args, "--seed", 42u64))
     };
-    sim.retail.num_users = flag_parsed(args, "--users", 40usize);
+    sim.retail.num_users = users;
     // Recovery covers every startup shape: nothing on disk, snapshots only,
     // a journal tail after a crash, a corrupt generation to fall back from.
     let fleet = ShardedFollower::recover(artifact, cfg, shards)
@@ -151,6 +156,7 @@ fn follow(args: &[String], shards: u32) -> i32 {
         FeedEnd::Interrupted => eprintln!("[{NAME}] SIGINT: journal flushed, fleet snapshotted"),
         FeedEnd::Stalled(stall) => eprintln!("error: {stall}"),
         FeedEnd::Failed(e) => eprintln!("error: {e}"),
+        FeedEnd::ProducerDied(why) => eprintln!("error: block producer died: {why}"),
     }
     let code = followed.end.exit_code();
     let merged = ShardReport::merge(followed.reports);
@@ -174,7 +180,10 @@ fn follow(args: &[String], shards: u32) -> i32 {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let shards = flag_parsed(&args, "--shards", 2u32).max(1);
+    let shards = flag_parsed(&args, "--shards", 2u32);
+    if shards == 0 {
+        die(2, "--shards", "must be at least 1");
+    }
     if has_flag(&args, "--follow") {
         std::process::exit(follow(&args, shards));
     }

@@ -60,7 +60,9 @@
 
 use baclassifier::{ModelArtifact, ShardAssignment, ShardMap};
 use baserve::{FaultAction, FaultPlan, NoFaults};
-use bstream::{BlockFeed, BlockJournal, FeedStalled, Follower, FollowerConfig, StreamMetrics};
+use bstream::{
+    BlockFeed, BlockJournal, FeedError, FeedStalled, Follower, FollowerConfig, StreamMetrics,
+};
 use btcsim::{Address, Block, Label};
 use numnet::Matrix;
 use std::collections::BTreeMap;
@@ -183,18 +185,21 @@ pub enum FeedEnd {
     Interrupted,
     /// The producer went silent for the stall timeout with the feed open.
     Stalled(FeedStalled),
+    /// The producer thread panicked (its message): the feed closed without
+    /// reaching the end of the chain.
+    ProducerDied(String),
     /// The journal or a shard failed; ingestion stopped before the failing
     /// block reached any follower.
     Failed(ShardStreamError),
 }
 
 impl FeedEnd {
-    /// The daemon's exit code: 0 drained or interrupted, 1 journal or
-    /// worker error, 3 stalled (2 is a bad invocation).
+    /// The daemon's exit code: 0 drained or interrupted, 1 journal, worker
+    /// or producer error, 3 stalled (2 is a bad invocation).
     pub fn exit_code(&self) -> i32 {
         match self {
             FeedEnd::Drained | FeedEnd::Interrupted => 0,
-            FeedEnd::Failed(_) => 1,
+            FeedEnd::Failed(_) | FeedEnd::ProducerDied(_) => 1,
             FeedEnd::Stalled(_) => 3,
         }
     }
@@ -470,8 +475,11 @@ impl ShardedFollower {
                     }
                 }
                 Ok(None) => break FeedEnd::Drained,
-                Err(stall) if stall.stalled_for >= stall_timeout => break FeedEnd::Stalled(stall),
-                Err(_) => {}
+                Err(FeedError::ProducerDied(why)) => break FeedEnd::ProducerDied(why),
+                Err(FeedError::Stalled(stall)) if stall.stalled_for >= stall_timeout => {
+                    break FeedEnd::Stalled(stall)
+                }
+                Err(FeedError::Stalled(_)) => {}
             }
         };
         let reports = self.finish_shards()?;

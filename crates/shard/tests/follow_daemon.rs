@@ -333,6 +333,48 @@ fn snapshot_every_without_a_snapshot_path_is_usage_exit_2() {
     assert!(!scratch.journal().exists(), "nothing ran");
 }
 
+/// (d) A follow fleet of no users has no economy to follow: refused before
+/// the artifact loads, not handed to a block producer that dies on it.
+#[test]
+fn zero_users_is_usage_exit_2() {
+    let mut scratch = Scratch::new("nousers");
+    let mut args = scratch.follow_args(1);
+    args.extend(["--users".to_string(), "0".to_string()]);
+    let output = scratch.run(Command::new(env!("CARGO_BIN_EXE_basharded")).args(&args));
+    let stderr = stderr_of(&output);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--users: must be at least 1"), "{stderr}");
+    assert!(output.stdout.is_empty());
+    assert!(!scratch.journal().exists(), "nothing ran");
+}
+
+/// (d) Zero shards is a bad invocation in both modes, not a silent one.
+#[test]
+fn zero_shards_is_usage_exit_2_when_following_and_serving() {
+    let mut scratch = Scratch::new("noshards");
+    let artifact = scratch
+        .dir
+        .join("model.bart")
+        .to_string_lossy()
+        .into_owned();
+    let serve_args = vec!["--artifact".into(), artifact, "--shards".into(), "0".into()];
+    for (mode, args) in [("follow", scratch.follow_args(0)), ("serve", serve_args)] {
+        let output = scratch.run(
+            Command::new(env!("CARGO_BIN_EXE_basharded"))
+                .args(&args)
+                .stdin(Stdio::null()),
+        );
+        let stderr = stderr_of(&output);
+        assert_eq!(output.status.code(), Some(2), "{mode}: {stderr}");
+        assert!(
+            stderr.contains("--shards: must be at least 1"),
+            "{mode}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{mode}");
+    }
+    assert!(!scratch.journal().exists(), "nothing ran");
+}
+
 /// (e) One code path for every count: `--shards 1` is the unsharded
 /// follower and ends in the same merged label table as `--shards 4`.
 #[test]

@@ -7,6 +7,7 @@
 //! mining ahead — the feed can never buffer more than `capacity` blocks.
 
 use btcsim::{Block, BlockCursor, SimConfig};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
@@ -35,6 +36,26 @@ impl std::fmt::Display for FeedStalled {
 }
 
 impl std::error::Error for FeedStalled {}
+
+/// Why [`BlockFeed::recv_stalled`] has no block to hand out.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FeedError {
+    /// Nothing arrived for the wait while the channel stayed open.
+    Stalled(FeedStalled),
+    /// The producer thread panicked; carries its panic message.
+    ProducerDied(String),
+}
+
+impl std::fmt::Display for FeedError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FeedError::Stalled(stall) => stall.fmt(f),
+            FeedError::ProducerDied(why) => write!(f, "block producer died: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for FeedError {}
 
 /// Producer handle of a [`BlockFeed::manual`] feed: sends record the
 /// produced watermark exactly like the internal simulation producer.
@@ -126,7 +147,7 @@ impl Default for Watermark {
 pub struct BlockFeed {
     rx: Option<Receiver<Block>>,
     watermark: Arc<Watermark>,
-    producer: Option<JoinHandle<()>>,
+    producer: Cell<Option<JoinHandle<()>>>,
 }
 
 impl BlockFeed {
@@ -153,7 +174,7 @@ impl BlockFeed {
         Self {
             rx: Some(rx),
             watermark,
-            producer: Some(producer),
+            producer: Cell::new(Some(producer)),
         }
     }
 
@@ -168,7 +189,7 @@ impl BlockFeed {
         Self {
             rx: Some(rx),
             watermark,
-            producer: None,
+            producer: Cell::new(None),
         }
     }
 
@@ -187,7 +208,7 @@ impl BlockFeed {
             Self {
                 rx: Some(rx),
                 watermark,
-                producer: None,
+                producer: Cell::new(None),
             },
         )
     }
@@ -202,21 +223,26 @@ impl BlockFeed {
     }
 
     /// Next block, waiting at most `wait`: `Ok(Some(_))` on a block,
-    /// `Ok(None)` when the producer finished cleanly (channel closed), and
-    /// [`FeedStalled`] when the channel is still open but nothing arrived
-    /// — a dead or wedged upstream surfaces as an error instead of
+    /// `Ok(None)` when the producer finished cleanly (channel closed),
+    /// [`FeedError::ProducerDied`] when the channel closed because the
+    /// producer thread panicked (joined here, so reported once), and
+    /// [`FeedError::Stalled`] when the channel is still open but nothing
+    /// arrived — a dead or wedged upstream surfaces as an error instead of
     /// blocking `recv` forever. A consumer that has other things to poll
     /// waits in short slices and gives up once `stalled_for` (how long the
     /// producer watermark has been silent) passes its own limit.
-    pub fn recv_stalled(&self, wait: Duration) -> Result<Option<Block>, FeedStalled> {
+    pub fn recv_stalled(&self, wait: Duration) -> Result<Option<Block>, FeedError> {
         let Some(rx) = &self.rx else { return Ok(None) };
         match rx.recv_timeout(wait) {
             Ok(block) => Ok(Some(block)),
-            Err(RecvTimeoutError::Disconnected) => Ok(None),
-            Err(RecvTimeoutError::Timeout) => Err(FeedStalled {
+            Err(RecvTimeoutError::Disconnected) => match self.producer.take().map(|h| h.join()) {
+                Some(Err(panic)) => Err(FeedError::ProducerDied(panic_message(&*panic))),
+                _ => Ok(None),
+            },
+            Err(RecvTimeoutError::Timeout) => Err(FeedError::Stalled(FeedStalled {
                 produced: self.watermark.produced(),
                 stalled_for: self.watermark.produced_age().max(wait),
-            }),
+            })),
         }
     }
 }
@@ -229,6 +255,16 @@ impl Drop for BlockFeed {
             h.join().ok();
         }
     }
+}
+
+/// The text a panic was raised with, or a placeholder for a non-string
+/// payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
 }
 
 #[cfg(test)]
@@ -313,9 +349,9 @@ mod tests {
         // The producer is now wedged (alive — the sender is not dropped —
         // but silent): recv_stalled must return the stall error, with the
         // watermark evidence, instead of blocking.
-        let err = feed
-            .recv_stalled(Duration::from_millis(30))
-            .expect_err("silent producer must stall out");
+        let Err(FeedError::Stalled(err)) = feed.recv_stalled(Duration::from_millis(30)) else {
+            panic!("silent producer must stall out");
+        };
         assert_eq!(err.produced, 1);
         assert!(err.stalled_for >= Duration::from_millis(30));
         assert!(err.to_string().contains("stalled"));
@@ -327,6 +363,21 @@ mod tests {
             .unwrap()
             .is_some());
         assert_eq!(feed.recv_stalled(Duration::from_millis(30)).unwrap(), None);
+    }
+
+    #[test]
+    fn panicking_producer_is_an_error_not_a_drained_feed() {
+        let mut cfg = tiny(17, 5);
+        cfg.retail.num_users = 0; // the simulator refuses this on the producer thread
+        let feed = BlockFeed::follow_sim(cfg, 0, 4);
+        let err = feed
+            .recv_stalled(Duration::from_secs(10))
+            .expect_err("a dead producer is not a drained feed");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("block producer died") && msg.contains("retail.num_users"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod metrics;
 pub mod recovery;
 pub mod snapshot;
 
-pub use feed::{BlockFeed, FeedSender, FeedStalled, Watermark};
+pub use feed::{BlockFeed, FeedError, FeedSender, FeedStalled, Watermark};
 pub use follower::{Follower, FollowerConfig};
 pub use journal::{scan_journal, BlockJournal, JournalScan, TornFrame};
 pub use metrics::StreamMetrics;

@@ -487,3 +487,20 @@ fn silent_producer_ends_the_loop_as_a_stall_after_the_final_flush() {
         1
     );
 }
+
+#[test]
+fn panicking_producer_ends_the_loop_as_an_error_after_the_final_flush() {
+    let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
+    let fleet =
+        ShardedFollower::recover(Arc::clone(&artifact), FollowerConfig::default(), 2).unwrap();
+    let mut cfg = SimConfig::tiny(359);
+    cfg.retail.num_users = 0; // the simulator refuses this on the producer thread
+    let feed = BlockFeed::follow_sim(cfg, 0, 4);
+    let followed = fleet.follow(&feed, STALL, 0).unwrap();
+    match &followed.end {
+        FeedEnd::ProducerDied(why) => assert!(why.contains("retail.num_users"), "{why}"),
+        other => panic!("expected a dead producer, got {other:?}"),
+    }
+    assert_eq!(followed.end.exit_code(), 1);
+    assert_eq!(ShardReport::merge(followed.reports).next_height, 0);
+}
