@@ -17,7 +17,8 @@
 //! workspace's one on-disk model format; there is no bare weights file
 //! beside it. Every frame is CRC-checked and the file must hold exactly the
 //! frames its header declares, so a flipped bit, a cut or an appended frame
-//! is a typed error before any model is constructed. A file of another
+//! is a typed error before any model is constructed; so is a NaN or an
+//! infinite weight, which a CRC cannot catch. A file of another
 //! version (v1: one FNV-checked payload) is refused, not migrated.
 
 use crate::config::{BacConfig, ConstructionConfig, ModelConfig};
@@ -47,6 +48,9 @@ pub enum ArtifactError {
     BadManifest,
     /// Weight frame `i` holds other than its `rows × cols` floats.
     BadMatrix(usize),
+    /// Weight matrix `i` holds a NaN or an infinity: a diverged fit or a
+    /// damaged writer, refused before it can label every address alike.
+    NonFinite(usize),
     /// Weights inconsistent with the manifest architecture.
     Weights(LoadError),
     /// `to_artifact`/`save_artifact` on a classifier that was never fitted.
@@ -65,6 +69,9 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::BadManifest => write!(f, "artifact manifest is malformed"),
             ArtifactError::BadMatrix(i) => {
                 write!(f, "artifact weight {i}: size is not rows × cols")
+            }
+            ArtifactError::NonFinite(i) => {
+                write!(f, "artifact weight {i}: holds a NaN or an infinity")
             }
             ArtifactError::Weights(e) => write!(f, "artifact weights: {e}"),
             ArtifactError::NotFitted => {
@@ -221,7 +228,19 @@ impl ModelArtifact {
             weights.push(decode_matrix(reader.record()?).ok_or(ArtifactError::BadMatrix(i))?);
         }
         reader.finish()?;
+        check_finite(&weights)?;
         Ok(Self { config, weights })
+    }
+}
+
+/// `NonFinite(i)` for the first weight matrix `i` holding a NaN or an
+/// infinity. A NaN logit never wins `row_argmax`, so such a model would
+/// answer the first class for every address; it is refused at every
+/// artifact boundary instead.
+fn check_finite(weights: &[Matrix]) -> Result<(), ArtifactError> {
+    match weights.iter().position(|m| !m.all_finite()) {
+        Some(i) => Err(ArtifactError::NonFinite(i)),
+        None => Ok(()),
     }
 }
 
@@ -252,16 +271,20 @@ impl BaClassifier {
         if !self.is_fitted() {
             return Err(ArtifactError::NotFitted);
         }
+        let weights = self.weights();
+        check_finite(&weights)?;
         Ok(ModelArtifact {
             config: self.config().clone(),
-            weights: self.weights(),
+            weights,
         })
     }
 
     /// Instantiate a fitted classifier from an artifact. The architecture is
     /// rebuilt from the embedded config, the weights installed positionally
     /// (shape-checked, all-or-nothing), and the result marked fitted.
+    /// Non-finite weights are refused.
     pub fn from_artifact(artifact: &ModelArtifact) -> Result<Self, ArtifactError> {
+        check_finite(&artifact.weights)?;
         let mut clf = BaClassifier::new(artifact.config.clone());
         numnet::assign_params(&clf.all_params(), artifact.weights.clone())?;
         clf.mark_fitted();
@@ -650,5 +673,38 @@ mod tests {
                 numnet::LoadError::ParamCountMismatch { .. }
             ))
         ));
+    }
+
+    /// A CRC-valid file with one NaN in its last weight matrix used to load
+    /// and label every address Exchange with margin NaN; it is refused at
+    /// load, at `from_artifact` and at `to_artifact`, for NaN and infinity.
+    #[test]
+    fn non_finite_weights_are_refused_at_every_boundary() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut artifact = ModelArtifact::untrained(BacConfig::fast());
+            let last = artifact.weights.len() - 1;
+            let clean = BaClassifier::from_artifact(&artifact).unwrap();
+            artifact.weights[last].as_mut_slice()[0] = bad;
+
+            let path = tmp("non_finite");
+            artifact.save(&path).unwrap();
+            let loaded = BaClassifier::load_artifact(&path);
+            std::fs::remove_file(path).ok();
+            assert!(
+                matches!(loaded, Err(ArtifactError::NonFinite(i)) if i == last),
+                "load of {bad}: {:?}",
+                loaded.err()
+            );
+            assert!(matches!(
+                BaClassifier::from_artifact(&artifact),
+                Err(ArtifactError::NonFinite(i)) if i == last
+            ));
+
+            clean.all_params()[last].update(|m| m.as_mut_slice()[0] = bad);
+            assert!(matches!(
+                clean.to_artifact(),
+                Err(ArtifactError::NonFinite(i)) if i == last
+            ));
+        }
     }
 }

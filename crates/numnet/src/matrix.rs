@@ -4,11 +4,11 @@
 //! its three products (`a·b`, `aᵀ·b`, `a·bᵀ`) run on borrowed stride-aware
 //! views ([`MatrixView`]), so a row block or a column block of a larger
 //! buffer multiplies without being copied out first. One cache-blocked loop
-//! nest computes all three, written so the autovectorizer can keep the inner
-//! loop branch-free, and it preserves the naive kernels' ascending-k
-//! summation order *per output element*, so results are bitwise identical to
-//! the textbook loops regardless of product, shape, stride, or the
-//! small-shape fast paths (see DESIGN.md §10 and §15 for the derivation).
+//! nest computes all three at every shape, written so the autovectorizer can
+//! keep the inner loop branch-free, and it preserves the naive kernels'
+//! ascending-k summation order *per output element*, so results are bitwise
+//! identical to the textbook loops regardless of product, shape or stride
+//! (see DESIGN.md §10 and §15 for the derivation).
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -20,7 +20,7 @@ use std::ops::{Index, IndexMut};
 /// the whole time: 32 floats fit in the SIMD register file once the compiler
 /// unrolls the strip, so the accumulator is written to memory exactly once —
 /// after the last k-term — instead of being loaded and stored on every pass.
-/// The rhs tile a strip reads (`k × J_TILE` floats, 128 bytes per rhs row)
+/// The rhs tile a strip reads (`k × J_TILE` floats, 256 bytes per rhs row)
 /// stays cache-resident across all lhs rows of the tile.
 ///
 /// Per output element the k-terms are still added one at a time in ascending
@@ -36,54 +36,40 @@ const J_TILE: usize = 64;
 /// order, so per-element summation order is unchanged.
 const K_CHUNK: usize = 128;
 
-/// Output-element count at or below which `a·b` skips rhs tile packing.
-///
-/// Packing copies a `k x J_TILE` tile per output strip; for a batch of a few
-/// lhs rows that copy dominates the folds it enables (the fused single-step
-/// LSTM gate product is `(B×(d+h))·((d+h)×4h)`, so a B ≤ 4 micro-batch at
-/// h = 64 lands at or under this threshold while B ≥ 8 amortizes the pack
-/// and goes tiled — measured crossover on the bench host). Below the
-/// threshold a plain i-k-j loop wins. The running sum round-trips through
-/// the output row once per k instead of living in a register across a chunk,
-/// but per element the k-terms are still separate rounded additions in
-/// ascending k-order, so the fast path is bitwise identical to the tiled one.
-const SMALL_MM_OUT: usize = 1024;
+/// Scratch for one packed `K_CHUNK x J_TILE` rhs tile.
+type Tile = [f32; K_CHUNK * J_TILE];
 
 /// Copy a `(ke - kb) x w` tile of `b` (column offset `jt`) into a contiguous
-/// scratch buffer with row stride `w`. Packing defeats the L1 set-aliasing
-/// that power-of-two row strides cause (e.g. at stride 256 the tile's rows
-/// alias onto a quarter of the cache sets) and lets the fold loop stream the
-/// tile sequentially; copying values changes nothing about the arithmetic.
+/// scratch buffer with row stride `w`, for `aᵀ·b`. Its output has many rows
+/// (a weight gradient has one per input feature), each folding the whole
+/// tile, so the copy is repaid: it defeats the L1 set-aliasing that
+/// power-of-two row strides cause and streams the tile sequentially.
+/// Copying values changes nothing about the arithmetic.
 #[inline(always)]
-fn pack_tile(
-    bpack: &mut [f32; K_CHUNK * J_TILE],
-    b: &MatrixView<'_>,
-    jt: usize,
-    w: usize,
-    kb: usize,
-    ke: usize,
-) {
+fn pack_tile(bpack: &mut Tile, b: &MatrixView<'_>, jt: usize, w: usize, kb: usize, ke: usize) {
     for k in kb..ke {
         let kc = k - kb;
         bpack[kc * w..kc * w + w].copy_from_slice(&b.row(k)[jt..jt + w]);
     }
 }
 
-/// Fold one packed `a_chunk.len() x w` tile into a `w`-wide output strip.
+/// Fold one `a_chunk.len() x w` rhs tile into a `w`-wide output strip. Row
+/// `kc` of the tile is `rhs[kc * stride..kc * stride + w]`: a packed tile
+/// (stride `w`) or `b`'s own rows read in place (stride `b`'s row stride).
 /// The strip is loaded into a stack accumulator once, receives its k-terms
 /// one at a time in ascending-k order as separate rounded additions —
 /// exactly the naive i-k-j schedule — and is stored back once.
 #[inline(always)]
-fn fold_chunk(out_row: &mut [f32], a_chunk: &[f32], bpack: &[f32; K_CHUNK * J_TILE], w: usize) {
+fn fold_chunk(out_row: &mut [f32], a_chunk: &[f32], rhs: &[f32], stride: usize, w: usize) {
     let mut acc = [0.0f32; J_TILE];
     acc[..w].copy_from_slice(out_row);
     if w == J_TILE {
-        fold_fixed::<J_TILE>(&mut acc, a_chunk, bpack);
+        fold_fixed::<J_TILE>(&mut acc, a_chunk, rhs, stride);
     } else if w == J_TILE / 2 {
-        fold_fixed::<{ J_TILE / 2 }>(&mut acc, a_chunk, bpack);
+        fold_fixed::<{ J_TILE / 2 }>(&mut acc, a_chunk, rhs, stride);
     } else {
         for (kc, &av) in a_chunk.iter().enumerate() {
-            let b = &bpack[kc * w..kc * w + w];
+            let b = &rhs[kc * stride..kc * stride + w];
             for (a, &bv) in acc[..w].iter_mut().zip(b) {
                 *a += av * bv;
             }
@@ -93,14 +79,45 @@ fn fold_chunk(out_row: &mut [f32], a_chunk: &[f32], bpack: &[f32; K_CHUNK * J_TI
 }
 
 /// [`fold_chunk`]'s loop at a strip width known to the compiler, which then
-/// keeps the accumulator in registers.
+/// keeps the accumulator in registers. Each tile row is indexed from the
+/// one base slice with the stride: one bounds check per k.
 #[inline(always)]
-fn fold_fixed<const W: usize>(acc: &mut [f32; J_TILE], a_chunk: &[f32], bpack: &[f32]) {
+fn fold_fixed<const W: usize>(
+    acc: &mut [f32; J_TILE],
+    a_chunk: &[f32],
+    rhs: &[f32],
+    stride: usize,
+) {
     for (kc, &av) in a_chunk.iter().enumerate() {
-        let b: &[f32; W] = bpack[kc * W..(kc + 1) * W].try_into().unwrap();
+        let b: &[f32; W] = rhs[kc * stride..kc * stride + W].try_into().unwrap();
         for u in 0..W {
             acc[u] += av * b[u];
         }
+    }
+}
+
+/// Fold two lhs k-runs into two output strips at once, 32 columns at a
+/// time: each rhs row is loaded once for both lhs rows, which halves the
+/// rhs traffic per term, and the two 32-float running sums still fit the
+/// SIMD register file. Each sum receives its k-terms exactly as
+/// [`fold_chunk`] gives them — one at a time, in ascending k.
+#[inline(always)]
+fn fold_pair(o0: &mut [f32], o1: &mut [f32], a0: &[f32], a1: &[f32], rhs: &[f32], stride: usize) {
+    const W: usize = J_TILE / 2;
+    let halves = o0.chunks_exact_mut(W).zip(o1.chunks_exact_mut(W));
+    for (h, (o0, o1)) in halves.enumerate() {
+        let mut c0: [f32; W] = (*o0).try_into().unwrap();
+        let mut c1: [f32; W] = (*o1).try_into().unwrap();
+        for (kc, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
+            let at = kc * stride + h * W;
+            let b: &[f32; W] = rhs[at..at + W].try_into().unwrap();
+            for u in 0..W {
+                c0[u] += x0 * b[u];
+                c1[u] += x1 * b[u];
+            }
+        }
+        o0.copy_from_slice(&c0);
+        o1.copy_from_slice(&c1);
     }
 }
 
@@ -110,11 +127,11 @@ fn fold_fixed<const W: usize>(acc: &mut [f32; J_TILE], a_chunk: &[f32], bpack: &
 /// `row_stride > cols` the view is a column block of a wider buffer and the
 /// rows are non-contiguous. The products ([`matmul_into`],
 /// [`matmul_a_bt_views`]) take views, so a row or column block multiplies
-/// without being copied out first. The blocked nest reads the lhs of `aᵀ·b`
-/// with the row stride and every other operand only as whole rows through
-/// [`MatrixView::row`], which is what makes it stride-oblivious: results are
-/// bitwise identical to copying the view into a fresh `Matrix` and
-/// multiplying that.
+/// without being copied out first. The blocked nest reads the rhs of `a·b`
+/// and the lhs of `aᵀ·b` with the row stride and every other operand only
+/// as whole rows through [`MatrixView::row`], so it is stride-oblivious:
+/// results are bitwise identical to copying the view into a fresh `Matrix`
+/// and multiplying that.
 #[derive(Clone, Copy)]
 pub struct MatrixView<'a> {
     data: &'a [f32],
@@ -286,70 +303,90 @@ unsafe fn product_avx2(p: Product, a: &MatrixView<'_>, b: &MatrixView<'_>, out: 
 }
 
 /// Select the body for `p` at this shape and run it into zeroed `out`:
-/// small `a·b` (at most `SMALL_MM_OUT` outputs) skips packing, thin `a·bᵀ`
-/// (fewer than `ABT_TILED_MIN_ROWS` rows) keeps dot products, and every
-/// other product runs the blocked nest. Every body sums each output
-/// element's k-terms one at a time in ascending order, so the choice
+/// thin `a·bᵀ` (fewer than `ABT_TILED_MIN_ROWS` rows) keeps dot products,
+/// and every other product runs the blocked nest. Every body sums each
+/// output element's k-terms one at a time in ascending order, so the choice
 /// changes no bit.
 #[inline(always)]
 fn product_body(p: Product, a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
     match p {
-        Product::Ab if a.rows * b.cols <= SMALL_MM_OUT => small_ab(a, b, out),
         Product::AbT if a.rows < ABT_TILED_MIN_ROWS => thin_abt(a, b, out),
         _ => blocked(p, a, b, out),
     }
 }
 
-/// Pack-free i-k-j `a·b` for small outputs into zeroed `out`: the output
-/// row is re-loaded and re-stored per k-term instead of being held across a
-/// chunk, which changes nothing about f32 rounding (same ascending-k
-/// separate additions).
-#[inline(always)]
-fn small_ab(a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
-    let n = b.cols;
-    for i in 0..a.rows {
-        let a_row = a.row(i);
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (k, &av) in a_row.iter().enumerate() {
-            for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
 /// The blocked product into zeroed `out`: for each `J_TILE`-wide output
-/// strip and each `K_CHUNK` of k, pack the rhs tile once — transposed for
-/// `a·bᵀ` — and fold every lhs k-run against it. The lhs k-run is a row
+/// strip and each `K_CHUNK` of k, fold every lhs k-run against the rhs
+/// tile. `a·b` reads the tile straight from `b`'s rows with `b`'s row
+/// stride; `aᵀ·b` packs it once per chunk and `a·bᵀ` packs it transposed,
+/// into a tile that only those two products initialise. Lhs rows are folded
+/// in pairs ([`fold_pair`]) where the strip width allows, the last odd row
+/// and ragged strips one at a time ([`fold_chunk`]). The lhs k-run is a row
 /// slice of `a`, or for `aᵀ·b` column `i` of `a` gathered with the view's
 /// row stride into a contiguous chunk; either way each output element
 /// receives its k-terms in the naive loop's ascending order.
 #[inline(always)]
 fn blocked(p: Product, a: &MatrixView<'_>, b: &MatrixView<'_>, out: &mut [f32]) {
     let (m, kk, n) = p.dims(a, b);
-    let mut bpack = [0.0f32; K_CHUNK * J_TILE];
-    let mut acol = [0.0f32; K_CHUNK];
+    let mut bpack: Option<Tile> = None;
+    let mut acol = [[0.0f32; K_CHUNK]; 2];
     for jt in (0..n).step_by(J_TILE) {
         let w = J_TILE.min(n - jt);
         for kb in (0..kk).step_by(K_CHUNK) {
             let ke = (kb + K_CHUNK).min(kk);
-            if p == Product::AbT {
-                pack_tile_t(&mut bpack, b, jt, w, kb, ke);
-            } else {
-                pack_tile(&mut bpack, b, jt, w, kb, ke);
-            }
-            for i in 0..m {
-                let a_run = if p == Product::AtB {
-                    for k in kb..ke {
-                        acol[k - kb] = a.data[k * a.row_stride + i];
+            let (rhs, stride): (&[f32], usize) = match p {
+                Product::Ab => (&b.data[kb * b.row_stride + jt..], b.row_stride),
+                _ => {
+                    // Zeroed once per product, on first use: `a·b` never
+                    // pays for the 32 KiB it does not read.
+                    let tile = match &mut bpack {
+                        Some(tile) => tile,
+                        none => none.insert([0.0; K_CHUNK * J_TILE]),
+                    };
+                    if p == Product::AtB {
+                        pack_tile(tile, b, jt, w, kb, ke);
+                    } else {
+                        pack_tile_t(tile, b, jt, w, kb, ke);
                     }
-                    &acol[..ke - kb]
+                    (tile, w)
+                }
+            };
+            let [col0, col1] = &mut acol;
+            let mut i = 0;
+            while i < m {
+                let r0 = lhs_run(p, a, i, kb, ke, col0);
+                if i + 1 < m && w % (J_TILE / 2) == 0 {
+                    let r1 = lhs_run(p, a, i + 1, kb, ke, col1);
+                    let (o0, o1) = out[i * n + jt..(i + 1) * n + jt + w].split_at_mut(n);
+                    fold_pair(&mut o0[..w], o1, r0, r1, rhs, stride);
+                    i += 2;
                 } else {
-                    &a.row(i)[kb..ke]
-                };
-                fold_chunk(&mut out[i * n + jt..i * n + jt + w], a_run, &bpack, w);
+                    fold_chunk(&mut out[i * n + jt..i * n + jt + w], r0, rhs, stride, w);
+                    i += 1;
+                }
             }
         }
+    }
+}
+
+/// Lhs row `i`'s k-run `kb..ke` for [`blocked`]: a slice of row `i` of
+/// `a`, or for `aᵀ·b` column `i` of `a` gathered into `col`.
+#[inline(always)]
+fn lhs_run<'x>(
+    p: Product,
+    a: &'x MatrixView<'_>,
+    i: usize,
+    kb: usize,
+    ke: usize,
+    col: &'x mut [f32; K_CHUNK],
+) -> &'x [f32] {
+    if p == Product::AtB {
+        for k in kb..ke {
+            col[k - kb] = a.data[k * a.row_stride + i];
+        }
+        &col[..ke - kb]
+    } else {
+        &a.row(i)[kb..ke]
     }
 }
 
@@ -373,14 +410,7 @@ pub fn matmul_a_bt_views(a: &MatrixView<'_>, b: &MatrixView<'_>) -> Matrix {
 /// row; the scatter into the scratch is what pays for the transpose, once
 /// per tile instead of once per lhs row.
 #[inline(always)]
-fn pack_tile_t(
-    bpack: &mut [f32; K_CHUNK * J_TILE],
-    b: &MatrixView<'_>,
-    jt: usize,
-    w: usize,
-    kb: usize,
-    ke: usize,
-) {
+fn pack_tile_t(bpack: &mut Tile, b: &MatrixView<'_>, jt: usize, w: usize, kb: usize, ke: usize) {
     for u in 0..w {
         let b_row = &b.row(jt + u)[kb..ke];
         for (kc, &v) in b_row.iter().enumerate() {
@@ -1145,9 +1175,10 @@ mod tests {
 
     #[test]
     fn blocked_kernels_cross_panel_boundaries_bitwise() {
-        // Shapes straddling the J_TILE boundary, with ragged tails. The last
-        // two produce more than SMALL_MM_OUT output elements, so `matmul`
-        // takes the tiled kernel rather than the small-shape fast path.
+        // Shapes straddling the J_TILE boundary, with ragged tails, k past
+        // K_CHUNK, single lhs rows, 32-wide strips, and the products the
+        // forward pass runs: the GFN node MLP (73→64→32) over a thin slice
+        // and the head's fused 1×96·96×256 gate product.
         let pool: Vec<f32> = (0..97).map(|i| (i as f32 - 48.0) * 0.37).collect();
         for &(m, k, n) in &[
             (3, 130, 130),
@@ -1158,6 +1189,12 @@ mod tests {
             (40, 130, 130),
             (33, 260, 129),
             (40, 73, 96),
+            (6, 73, 64),
+            (6, 64, 32),
+            (1, 96, 256),
+            (1, 300, 32),
+            (2, 140, 96),
+            (9, 385, 85),
         ] {
             let a = pooled(m, k, &pool);
             let b = pooled(k, n, &pool);
@@ -1169,22 +1206,31 @@ mod tests {
         }
     }
 
+    /// Columns `[3, 3 + cols)` of a parent five columns wider when
+    /// `strided`, so the view's rows are non-contiguous; else the whole of
+    /// a `rows x cols` parent.
+    fn operand(rows: usize, cols: usize, strided: bool, pool: &[f32]) -> Matrix {
+        pooled(rows, cols + 5 * strided as usize, pool)
+    }
+
+    fn view(p: &Matrix, cols: usize, strided: bool) -> MatrixView<'_> {
+        if strided {
+            p.cols_view(3, 3 + cols)
+        } else {
+            p.view()
+        }
+    }
+
     /// Every portable body, called directly whatever the shape selection
     /// would pick, equals the public dispatched product bit for bit — on an
     /// AVX2 host the dispatch runs only the AVX2 copies, so this is the test
-    /// that runs the portable ones. Shapes straddle `J_TILE`, `K_CHUNK`,
-    /// `SMALL_MM_OUT` and `ABT_TILED_MIN_ROWS`; each operand is also taken
-    /// as a strided `cols_view` of a wider parent.
+    /// that runs the portable ones — and the `a·b` body equals the naive
+    /// loop. Shapes straddle `J_TILE`, `K_CHUNK` and `ABT_TILED_MIN_ROWS`,
+    /// with single lhs rows, 32-wide strips and ragged tails; each operand
+    /// is also taken as a strided `cols_view` of a wider parent.
     #[test]
-    fn small_fast_path_matches_tiled_kernel_bitwise() {
+    fn portable_bodies_match_dispatched_product_bitwise() {
         type Body = fn(&MatrixView<'_>, &MatrixView<'_>, &mut [f32]);
-        fn view(p: &Matrix, c: usize, strided: bool) -> MatrixView<'_> {
-            if strided {
-                p.cols_view(3, 3 + c)
-            } else {
-                p.view()
-            }
-        }
         let pool: Vec<f32> = (0..61).map(|i| (i as f32 - 30.0) * 0.61).collect();
         let blocked_ab: Body = |a, b, out| blocked(Product::Ab, a, b, out);
         let blocked_atb: Body = |a, b, out| blocked(Product::AtB, a, b, out);
@@ -1200,17 +1246,20 @@ mod tests {
             (17, 64, 64),
             (2, 257, 32),
             (33, 130, 31),
+            (1, 96, 256),
+            (6, 73, 64),
+            (6, 64, 32),
+            (1, 200, 32),
+            (1, 7, 9),
+            (5, 140, 96),
         ];
         for &(m, k, n) in &shapes {
             for (strided_a, strided_b) in [(false, false), (true, false), (false, true)] {
-                // Columns [3, 3 + c) of a parent five columns wider.
-                let parent =
-                    |r: usize, c: usize, strided| pooled(r, c + 5 * strided as usize, &pool);
                 let (a, at, b, bt) = (
-                    parent(m, k, strided_a),
-                    parent(k, m, strided_a),
-                    parent(k, n, strided_b),
-                    parent(n, k, strided_b),
+                    operand(m, k, strided_a, &pool),
+                    operand(k, m, strided_a, &pool),
+                    operand(k, n, strided_b, &pool),
+                    operand(n, k, strided_b, &pool),
                 );
                 let (a, at, b, bt) = (
                     view(&a, k, strided_a),
@@ -1220,10 +1269,13 @@ mod tests {
                 );
                 let mut ab = Matrix::default();
                 matmul_into(&a, &b, &mut ab);
+                assert!(
+                    bitwise_eq(&ab, &naive_matmul(&a.to_matrix(), &b.to_matrix())),
+                    "dispatched a·b vs naive {m}x{k}x{n} strided ({strided_a}, {strided_b})"
+                );
                 let atb = at.to_matrix().matmul_at_b(&b.to_matrix());
                 let abt = matmul_a_bt_views(&a, &bt);
                 for (name, body, lhs, rhs, dispatched) in [
-                    ("small a·b", small_ab as Body, &a, &b, &ab),
                     ("blocked a·b", blocked_ab, &a, &b, &ab),
                     ("blocked aᵀ·b", blocked_atb, &at, &b, &atb),
                     ("blocked a·bᵀ", blocked_abt, &a, &bt, &abt),
@@ -1387,6 +1439,34 @@ mod tests {
                 &matmul_a_bt_views(&a3.view(), &cv),
                 &a3.matmul_a_bt(&cv.to_matrix())
             ));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // `a·b` at random shapes over the whole range the nest tiles —
+        // single rows, every strip width, k past K_CHUNK — with either
+        // operand a strided view: the dispatched product and the portable
+        // blocked body both equal the naive loop bit for bit.
+        #[test]
+        fn prop_ab_any_shape_bitwise_matches_naive(
+            m in 1usize..41,
+            k in 1usize..301,
+            n in 1usize..301,
+            strided_a in any::<bool>(),
+            strided_b in any::<bool>(),
+            pool in proptest::collection::vec(-3.0f32..3.0, 31),
+        ) {
+            let (pa, pb) = (operand(m, k, strided_a, &pool), operand(k, n, strided_b, &pool));
+            let (a, b) = (view(&pa, k, strided_a), view(&pb, n, strided_b));
+            let naive = naive_matmul(&a.to_matrix(), &b.to_matrix());
+            let mut ab = Matrix::default();
+            matmul_into(&a, &b, &mut ab);
+            prop_assert!(bitwise_eq(&ab, &naive), "dispatched {}x{}x{}", m, k, n);
+            let mut portable = Matrix::zeros(m, n);
+            blocked(Product::Ab, &a, &b, &mut portable.data);
+            prop_assert!(bitwise_eq(&portable, &naive), "portable {}x{}x{}", m, k, n);
         }
     }
 }
