@@ -65,6 +65,10 @@ fn bench_stages(c: &mut Criterion) {
     group.bench_function("stage1_extract/payout_cohort", |b| {
         b.iter(|| extract_original_graphs(black_box(&payouts), 100))
     });
+    // The four stages as `predict` runs them: one rebuild, one seed pass.
+    group.bench_function("derive/payout_cohort", |b| {
+        b.iter(|| construct_address_graphs(black_box(&payouts), &ConstructionConfig::default()))
+    });
     let cohort = extract_original_graphs(&payouts, 100);
     group.bench_function("stage2_single_compress/payout_cohort", |b| {
         b.iter(|| {

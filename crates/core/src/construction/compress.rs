@@ -21,8 +21,6 @@ struct Incidence {
     first_is_input: bool,
     /// Whether a later edge reaches a different transaction.
     multi_tx: bool,
-    /// The node's edges, counted so the rebuild sizes `collapsed` exactly.
-    degree: u32,
 }
 
 struct TxSets {
@@ -40,32 +38,24 @@ fn tx_sets(g: &AddressGraph) -> TxSets {
         g.nodes.len() < NONE as usize,
         "slice graph too large for u32 node indices"
     );
-    let mut num_txs = 0;
-    let ordinal: Vec<u32> = g
-        .nodes
-        .iter()
-        .map(|n| {
-            if n.kind == NodeKind::Transaction {
-                num_txs += 1;
-                num_txs as u32 - 1
-            } else {
-                NONE
-            }
-        })
-        .collect();
+    let (mut num_txs, mut ordinal) = (0, vec![NONE; g.nodes.len()]);
+    for (ordinal, n) in ordinal.iter_mut().zip(&g.nodes) {
+        if n.kind == NodeKind::Transaction {
+            *ordinal = num_txs as u32;
+            num_txs += 1;
+        }
+    }
     let mut incidence = vec![
         Incidence {
             first_tx: NONE,
             first_is_input: false,
             multi_tx: false,
-            degree: 0,
         };
         g.nodes.len()
     ];
     for e in &g.edges {
         let tx = ordinal[e.tx_node];
         let inc = &mut incidence[e.addr_node];
-        inc.degree += 1;
         if inc.first_tx == NONE {
             inc.first_tx = tx;
             inc.first_is_input = e.side == Side::Input;
@@ -148,16 +138,16 @@ impl<'g> Merges<'g> {
     /// The slice these merges make, and where each of its nodes went. Kept
     /// nodes keep their order and are followed by one hyper node per group,
     /// represented by its lowest-indexed member's address; kept edges keep
-    /// theirs and are followed by each group's parallel edges collapsed into
+    /// theirs and are followed by each group's parallel edges summed into
     /// one per (transaction, side). Seeds nothing: kept nodes carry their
     /// features over and hyper nodes have none.
     pub(crate) fn rebuild(self) -> (AddressGraph, Vec<u32>) {
-        let (g, mut to, groups) = (self.g, self.group_of, self.groups);
+        let (g, mut to, groups, single) = (self.g, self.group_of, self.groups, self.single);
         let kept = to.iter().filter(|&&group| group == NONE).count();
-        // Every slot is written below: a kept node's by its copy, a hyper
-        // node's (merged_count 0 until then) by its first member.
+        // Every node is written below: a kept one by its copy, a hyper node
+        // (merged_count 0 until then) by its first member.
         let mut nodes = vec![Node::new(NodeKind::Transaction, None); kept + groups];
-        let (mut next, mut merged_edges) = (0, 0);
+        let mut next = 0;
         for (i, (n, to)) in g.nodes.iter().zip(&mut to).enumerate() {
             let at = if *to == NONE {
                 nodes[next] = *n;
@@ -165,15 +155,11 @@ impl<'g> Merges<'g> {
                 next - 1
             } else {
                 debug_assert!(n.is_address_like() && i != 0, "cannot merge focus/tx nodes");
-                merged_edges += self.sets.incidence[i].degree as usize;
                 let gi = *to as usize;
                 let hyper = &mut nodes[kept + gi];
                 if hyper.merged_count == 0 {
-                    let kind = if gi < self.single {
-                        NodeKind::SingleHyper
-                    } else {
-                        NodeKind::MultiHyper
-                    };
+                    let kind =
+                        [NodeKind::MultiHyper, NodeKind::SingleHyper][usize::from(gi < single)];
                     *hyper = Node::new(kind, n.address);
                     hyper.merged_count = 0;
                 }
@@ -183,12 +169,17 @@ impl<'g> Merges<'g> {
             *to = at as u32;
         }
 
-        // A merged node's edge goes to `collapsed` under the key (hyper node,
-        // tx, side) packed so that integer order is the order collapsed edges
-        // are emitted in: hyper node, then transaction, then output before
-        // input.
+        // A merged edge adds its value, in edge order from +0.0, to the slot
+        // of its (group, transaction, side): (its transaction node, `NONE`
+        // until an edge reaches it; the sum). A Stage 2 group meets one
+        // transaction and has two slots, output then input; a Stage 3 group
+        // has that pair for every transaction ordinal. So the slots, read in
+        // order, are the hyper edges by hyper node, then transaction, then
+        // output before input — a zero sum included.
+        let num_txs = self.sets.num_txs;
+        let row = |gi: usize| 2 * gi.min(single) + 2 * num_txs * gi.saturating_sub(single);
+        let mut slots = vec![(NONE, 0.0); row(groups)];
         let mut edges: Vec<Edge> = Vec::with_capacity(g.edges.len());
-        let mut collapsed: Vec<(u64, f64)> = Vec::with_capacity(merged_edges);
         for e in &g.edges {
             let (addr_node, tx_node) = (to[e.addr_node] as usize, to[e.tx_node] as usize);
             debug_assert!(tx_node < kept, "tx nodes are never merged");
@@ -199,26 +190,24 @@ impl<'g> Merges<'g> {
                     ..*e
                 });
             } else {
-                let is_input = u64::from(e.side == Side::Input);
-                let key = (addr_node as u64) << 33 | (tx_node as u64) << 1 | is_input;
-                collapsed.push((key, e.value));
+                let gi = addr_node - kept;
+                let tx = usize::from(gi >= single) * self.sets.ordinal[e.tx_node] as usize;
+                let slot = &mut slots[row(gi) + 2 * tx + usize::from(e.side == Side::Input)];
+                debug_assert!(slot.0 == NONE || slot.0 == tx_node as u32);
+                *slot = (tx_node as u32, slot.1 + e.value);
             }
         }
-        // The sort is stable, so each key's values are summed in edge order and
-        // every sum is the f64 that order produces.
-        collapsed.sort_by_key(|&(key, _)| key);
-        for parallel in collapsed.chunk_by(|a, b| a.0 == b.0) {
-            let key = parallel[0].0;
-            edges.push(Edge {
-                addr_node: (key >> 33) as usize,
-                tx_node: (key >> 1) as u32 as usize,
-                value: parallel.iter().fold(0.0, |sum, &(_, v)| sum + v),
-                side: if key & 1 == 1 {
-                    Side::Input
-                } else {
-                    Side::Output
-                },
-            });
+        for gi in 0..groups {
+            for (k, &(tx_node, value)) in slots[row(gi)..row(gi + 1)].iter().enumerate() {
+                if tx_node != NONE {
+                    edges.push(Edge {
+                        addr_node: kept + gi,
+                        tx_node: tx_node as usize,
+                        value,
+                        side: [Side::Output, Side::Input][k % 2],
+                    });
+                }
+            }
         }
 
         let out = AddressGraph {
@@ -244,9 +233,8 @@ impl<'g> Merges<'g> {
         }
         let (mut out, to) = self.rebuild();
         let first_hyper = out.nodes.len() - groups;
-        let hyper = |e: &Edge| (to[e.addr_node] as usize).checked_sub(first_hyper);
-        let merged = g.edges.iter().filter_map(|e| Some((hyper(e)?, e.value)));
-        seed_sfe(&mut out.nodes[first_hyper..], merged);
+        let at = |e: &Edge| [(to[e.addr_node] as usize).checked_sub(first_hyper), None];
+        seed_sfe(&mut out.nodes[first_hyper..], &g.edges, at);
         out
     }
 }
@@ -592,7 +580,7 @@ mod tests {
         assert_eq!(hyper.merged_count, 6);
         // 6 addresses x 3 txs = 18 original edges summarised.
         assert_eq!(hyper.sfe.count(), 18.0);
-        // Hyper has one collapsed edge per transaction.
+        // Hyper has one summed edge per transaction.
         let hyper_idx = c
             .nodes
             .iter()

@@ -19,13 +19,16 @@ pub fn extract_original_graphs(record: &AddressRecord, slice_size: usize) -> Vec
 }
 
 /// Stage 1 with the transfer values on the edges only: the fold of
-/// [`push_tx`] over the history, nothing seeded — what the derivation of
-/// Stages 2–4 starts from, as it seeds the nodes that survive it.
+/// [`push_tx`] over the history, each slice's edges sized once at its entry
+/// count, nothing seeded — what the derivation of Stages 2–4 starts from.
 pub(crate) fn raw_slices(record: &AddressRecord, slice_size: usize) -> Vec<AddressGraph> {
     assert!(slice_size > 0, "slice_size must be positive");
-    let (mut slices, mut addr_node) = (Vec::new(), HashMap::new());
-    for tx in &record.txs {
-        push_tx(&mut slices, &mut addr_node, record.address, slice_size, tx);
+    let (mut slices, mut addr_node, focus) = (Vec::new(), HashMap::new(), record.address);
+    for txs in record.txs.chunks(slice_size) {
+        let entries = txs.iter().map(|t| t.inputs.len() + t.outputs.len()).sum();
+        for tx in txs {
+            push_tx(&mut slices, &mut addr_node, focus, slice_size, tx, entries);
+        }
     }
     slices
 }
@@ -33,16 +36,17 @@ pub(crate) fn raw_slices(record: &AddressRecord, slice_size: usize) -> Vec<Addre
 /// Stage 1's one step, batch or incremental. Opens a slice when there is
 /// none or the last holds `slice_size` transactions (`addr_node` restarts as
 /// its address → node map; it is numbered after the last, so `slices` may be
-/// a suffix of the history's), then appends the transaction's node, a node for
-/// every address the slice sees for the first time (inputs before outputs)
-/// and an edge per entry. Features wait for [`seed_slice`] or
-/// [`seed_through`].
+/// a suffix of the history's, and has room for `entries` edges), then
+/// appends the transaction's node, a node for every address the slice sees
+/// for the first time (inputs before outputs) and an edge per entry.
+/// Features wait for [`seed_slice`] or a derivation's seed pass.
 pub(crate) fn push_tx(
     slices: &mut Vec<AddressGraph>,
     addr_node: &mut HashMap<Address, usize>,
     focus: Address,
     slice_size: usize,
     tx: &TxView,
+    entries: usize,
 ) {
     if slices.last().is_none_or(|g| g.num_txs == slice_size) {
         addr_node.clear();
@@ -53,7 +57,7 @@ pub(crate) fn push_tx(
             start_timestamp: tx.timestamp,
             num_txs: 0,
             nodes: vec![Node::new(NodeKind::Focus, Some(focus))],
-            edges: Vec::new(),
+            edges: Vec::with_capacity(entries),
         });
     }
     let g = slices.last_mut().expect("opened above");
@@ -80,14 +84,8 @@ pub(crate) fn push_tx(
 /// Seed every node's SFE from the slice's edge list, an edge's value counting
 /// at both its endpoints, so the uncompressed graph has node features too.
 pub(crate) fn seed_slice(g: &mut AddressGraph) {
-    seed_through(&mut g.nodes, &g.edges, |i| i);
-}
-
-/// Seed every one of `nodes` from the edges of a slice they were rebuilt
-/// from: an edge's value counts at the nodes `to` takes its two endpoints to.
-pub(crate) fn seed_through(nodes: &mut [Node], edges: &[Edge], to: impl Fn(usize) -> usize + Copy) {
-    let ends = move |e: &Edge| [(to(e.addr_node), e.value), (to(e.tx_node), e.value)];
-    seed_sfe(nodes, edges.iter().flat_map(ends));
+    let at = |e: &Edge| [Some(e.addr_node), Some(e.tx_node)];
+    seed_sfe(&mut g.nodes, &g.edges, at);
 }
 
 #[cfg(test)]

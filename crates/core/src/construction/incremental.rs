@@ -90,7 +90,7 @@ impl IncrementalGraphs {
     /// once seeded.
     pub fn apply_tx(&mut self, tx: &TxView) {
         let (focus, slice_size) = (self.focus, self.cfg.slice_size);
-        push_tx(&mut self.raw, &mut self.addr_node, focus, slice_size, tx);
+        push_tx(&mut self.raw, &mut self.addr_node, focus, slice_size, tx, 0);
         self.num_txs += 1;
     }
 

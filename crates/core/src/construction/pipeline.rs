@@ -2,10 +2,11 @@
 //! (paper §IV-E1, Table V).
 
 use crate::config::ConstructionConfig;
-use crate::construction::address_graph::AddressGraph;
+use crate::construction::address_graph::{AddressGraph, Edge};
 use crate::construction::augment::augment_with_centralities;
 use crate::construction::compress::{Merges, MultiCompressParams};
-use crate::construction::extract::{raw_slices, seed_slice, seed_through};
+use crate::construction::extract::{raw_slices, seed_slice};
+use crate::construction::sfe::seed_sfe;
 use crate::parallel::parallel_map;
 use btcsim::AddressRecord;
 use std::time::{Duration, Instant};
@@ -87,7 +88,8 @@ pub(crate) fn derive_slice(
         });
         let (mut g, to) = merges.rebuild();
         let rebuilt = Instant::now();
-        seed_through(&mut g.nodes, &raw.edges, |i| to[i] as usize);
+        let at = |e: &Edge| [Some(to[e.addr_node] as usize), Some(to[e.tx_node] as usize)];
+        seed_sfe(&mut g.nodes, &raw.edges, at);
         t.single_compress += between - start;
         t.multi_compress += rebuilt - between;
         t.extract += rebuilt.elapsed();

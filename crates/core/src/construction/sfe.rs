@@ -2,7 +2,7 @@
 //! 15-statistic summary of the transferred amounts of the addresses merged
 //! into a hyper node.
 
-use crate::construction::address_graph::Node;
+use crate::construction::address_graph::{Edge, Node};
 
 /// Number of statistics SFE produces.
 pub const SFE_DIM: usize = 15;
@@ -144,23 +144,29 @@ fn stats_of_sorted(sorted: &[f64]) -> SfeFeatures {
     ])
 }
 
-/// Seed the SFE of every node in `nodes` from the transfer values incident
-/// to it, one `(index into nodes, value)` per edge endpoint — the one place
-/// features come from: every edge at both endpoints for a raw slice and for
-/// the nodes a derivation keeps, the edges a group merges for the hyper nodes
-/// of the public Stages 2–3. A counting pass
-/// groups the values by node into one buffer and each range is sorted where
-/// it lies; a node nothing is incident to gets the zeros of `sfe(&[])`.
+/// Seed the SFE of every node in `nodes` from `edges`, an edge's value
+/// counting at the nodes `at` names — the one place features come from: every
+/// edge at both endpoints for a raw slice and for the nodes a derivation
+/// keeps, the edges a group merges for the hyper nodes of the public Stages
+/// 2–3. A counting pass over the edges and a filling one group the values by
+/// node into one buffer, and each range is sorted where it lies; a node
+/// nothing is incident to gets the zeros of `sfe(&[])`.
 ///
 /// Transfer values are finite and non-negative (`check_invariants`) and
 /// never `-0.0` — whole satoshis, or sums of them from `0.0` — and on those
 /// `to_bits` orders every pair as `partial_cmp` does. So the integer-keyed
 /// sort makes the moves [`sfe`]'s comparator sort makes, and every statistic
 /// is [`sfe`]'s to the bit.
-pub(crate) fn seed_sfe(nodes: &mut [Node], incident: impl Iterator<Item = (usize, f64)> + Clone) {
+pub(crate) fn seed_sfe(
+    nodes: &mut [Node],
+    edges: &[Edge],
+    at: impl Fn(&Edge) -> [Option<usize>; 2],
+) {
     let mut ends = vec![0usize; nodes.len() + 1];
-    for (node, _) in incident.clone() {
-        ends[node + 1] += 1;
+    for e in edges {
+        for node in at(e).into_iter().flatten() {
+            ends[node + 1] += 1;
+        }
     }
     for i in 0..nodes.len() {
         ends[i + 1] += ends[i];
@@ -168,9 +174,11 @@ pub(crate) fn seed_sfe(nodes: &mut [Node], incident: impl Iterator<Item = (usize
     // `ends[i]` is where node i's range starts; filling advances it to where
     // the range ends, which is where node i + 1's starts.
     let mut values = vec![0.0; ends[nodes.len()]];
-    for (node, value) in incident {
-        values[ends[node]] = value;
-        ends[node] += 1;
+    for e in edges {
+        for node in at(e).into_iter().flatten() {
+            values[ends[node]] = e.value;
+            ends[node] += 1;
+        }
     }
     debug_assert!(values.iter().all(|v| v.is_finite() && v.is_sign_positive()));
     let mut start = 0;
@@ -185,7 +193,7 @@ pub(crate) fn seed_sfe(nodes: &mut [Node], incident: impl Iterator<Item = (usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::construction::address_graph::NodeKind;
+    use crate::construction::address_graph::{NodeKind, Side};
     use proptest::prelude::*;
 
     /// SFE as it was before the passes were fused and `seed_sfe` sorted by
@@ -359,7 +367,14 @@ mod tests {
                 .into_iter()
                 .map(|(node, v)| (node % nodes, v))
                 .collect();
-            seed_sfe(&mut seeded, incident.iter().copied());
+            let edge = |&(addr_node, value): &(usize, f64)| Edge {
+                addr_node,
+                tx_node: 0,
+                value,
+                side: Side::Output,
+            };
+            let edges: Vec<Edge> = incident.iter().map(edge).collect();
+            seed_sfe(&mut seeded, &edges, |e| [Some(e.addr_node), None]);
             for (i, node) in seeded.iter().enumerate() {
                 let at_i = incident.iter().filter(|&&(n, _)| n == i).map(|&(_, v)| v);
                 let want = five_pass_sfe(&at_i.collect::<Vec<_>>());
