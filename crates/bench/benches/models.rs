@@ -22,7 +22,7 @@ fn sample_tensors() -> baclassifier::features::GraphTensors {
         .max_by_key(|r| r.num_txs())
         .expect("non-empty")
         .clone();
-    let (graphs, _) = construct_address_graphs(&record, &ConstructionConfig::default());
+    let graphs = construct_address_graphs(&record, &ConstructionConfig::default());
     graph_tensors(&graphs[0])
 }
 

@@ -1,12 +1,16 @@
 //! Table V — runtime overhead of the four address-graph construction
-//! stages: single-core per-address CPU time and the per-stage share.
+//! stages: single-core per-address CPU time and the per-stage share, timed
+//! around the four public stage calls (`bac_bench::timed_stage_chain`), plus
+//! the fused derivation `predict` runs (`construct_address_graphs`).
 //!
 //! Ablation flags: `--psi F`, `--sigma N`, `--slice-size N`.
 
-use bac_bench::{build_split, print_rows, ExpScale};
+use bac_bench::{build_split, print_rows, timed_stage_chain, ExpScale};
 use baclassifier::config::ConstructionConfig;
-use baclassifier::construction::construct_dataset_graphs;
+use baclassifier::construction::construct_address_graphs;
 use baserve::cli::flag_value;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn main() {
     let scale = ExpScale::from_args();
@@ -34,50 +38,43 @@ fn main() {
         records.len()
     );
 
-    // Single-threaded, as the paper reports single-core CPU time.
-    let (graphs, timings) = construct_dataset_graphs(&records, &cfg, 1);
+    // Single-threaded, as the paper reports single-core CPU time. Each
+    // record runs the timed chain, then the fused derivation, so host drift
+    // reaches both alike.
+    let mut stages = [Duration::ZERO; 4];
+    let mut fused = Duration::ZERO;
+    let mut slices = 0;
+    for r in &records {
+        slices += timed_stage_chain(r, &cfg, &mut stages).len();
+        let start = Instant::now();
+        black_box(construct_address_graphs(black_box(r), &cfg));
+        fused += start.elapsed();
+    }
+    let total: Duration = stages.iter().sum();
     let n = records.len().max(1) as f64;
-    let per_addr = |d: std::time::Duration| d.as_secs_f64() / n;
-    let ratios = timings.ratios();
-
-    let stages = [
-        ("Stage 1 (extract)", per_addr(timings.extract), ratios[0]),
-        (
-            "Stage 2 (single-compress)",
-            per_addr(timings.single_compress),
-            ratios[1],
-        ),
-        (
-            "Stage 3 (multi-compress)",
-            per_addr(timings.multi_compress),
-            ratios[2],
-        ),
-        ("Stage 4 (augment)", per_addr(timings.augment), ratios[3]),
+    let row = |name: &str, d: Duration| {
+        vec![
+            name.to_string(),
+            format!("{:.2} µs", d.as_secs_f64() * 1e6 / n),
+            format!("{:.2}%", 100.0 * d.as_secs_f64() / total.as_secs_f64()),
+        ]
+    };
+    let names = [
+        "Stage 1 (extract)",
+        "Stage 2 (single-compress)",
+        "Stage 3 (multi-compress)",
+        "Stage 4 (augment)",
     ];
-    let mut rows: Vec<Vec<String>> = stages
-        .iter()
-        .map(|(name, secs, ratio)| {
-            vec![
-                name.to_string(),
-                format!("{:.6}s", secs),
-                format!("{:.2}%", ratio * 100.0),
-            ]
-        })
-        .collect();
-    rows.push(vec![
-        "Total".into(),
-        format!("{:.6}s", per_addr(timings.total())),
-        "100.00%".into(),
-    ]);
+    let mut rows: Vec<Vec<String>> = names.iter().zip(stages).map(|(s, d)| row(s, d)).collect();
+    rows.push(row("Total (four stage calls)", total));
+    rows.push(row("Fused derivation (predict)", fused));
     print_rows(
         "Table V: per-address single-core CPU time per stage",
         &["Stage", "CPU time/addr", "Share"],
         &rows,
     );
-
-    let total_graphs: usize = graphs.iter().map(Vec::len).sum();
     println!(
-        "\n{total_graphs} slice graphs; Stage 3 share — paper: 62.44%, ours: {:.2}%",
-        ratios[2] * 100.0
+        "\n{slices} slice graphs; Stage 3 share — paper: 62.44%, ours: {:.2}%",
+        100.0 * stages[2].as_secs_f64() / total.as_secs_f64()
     );
 }

@@ -5,12 +5,17 @@
 //! scale recorded in EXPERIMENTS.md.
 
 use baclassifier::config::ConstructionConfig;
-use baclassifier::construction::construct_dataset_graphs;
+use baclassifier::construction::{
+    augment_with_centralities, compress_multi_tx, compress_single_tx, construct_address_graphs,
+    extract_original_graphs, AddressGraph, MultiCompressParams,
+};
 use baclassifier::features::graph_tensors;
 use baclassifier::models::{GraphModel, PreparedGraph};
+use baclassifier::parallel::parallel_map;
 use baserve::cli::flag_value;
 use btcsim::actors::retail::RetailConfig;
 use btcsim::{AddressRecord, Dataset, SimConfig, Simulator};
+use std::time::{Duration, Instant};
 
 /// Experiment scale knobs.
 #[derive(Clone, Debug)]
@@ -118,7 +123,7 @@ pub fn prepared_graph_set(
     max_slices: usize,
 ) -> Vec<(PreparedGraph, usize)> {
     let threads = baclassifier::config::resolve_threads(0);
-    let (graphs, _) = construct_dataset_graphs(records, cfg, threads);
+    let graphs = parallel_map(threads, records, |r| construct_address_graphs(r, cfg));
     let mut out = Vec::new();
     for (record, gs) in records.iter().zip(&graphs) {
         for g in gs.iter().take(max_slices.max(1)) {
@@ -126,6 +131,41 @@ pub fn prepared_graph_set(
         }
     }
     out
+}
+
+/// One record's graphs through the four public stage calls —
+/// `extract_original_graphs → compress_single_tx → compress_multi_tx →
+/// augment_with_centralities`, the calls `bacbench` times — adding each
+/// stage's wall clock over all of the record's slices to `spent`, in Table V
+/// order. The graphs are `construct_address_graphs`'s, bit for bit.
+pub fn timed_stage_chain(
+    record: &AddressRecord,
+    cfg: &ConstructionConfig,
+    spent: &mut [Duration; 4],
+) -> Vec<AddressGraph> {
+    assert!(cfg.compress && cfg.augment, "Table V times all four stages");
+    let multi = MultiCompressParams {
+        psi: cfg.psi,
+        sigma: cfg.sigma,
+    };
+    let start = Instant::now();
+    let raw = extract_original_graphs(record, cfg.slice_size);
+    let extracted = Instant::now();
+    let single: Vec<_> = raw.iter().map(compress_single_tx).collect();
+    let single_done = Instant::now();
+    let mut graphs: Vec<_> = single.iter().map(|g| compress_multi_tx(g, multi)).collect();
+    let multi_done = Instant::now();
+    graphs.iter_mut().for_each(augment_with_centralities);
+    let laps = [
+        extracted - start,
+        single_done - extracted,
+        multi_done - single_done,
+        multi_done.elapsed(),
+    ];
+    for (spent, lap) in spent.iter_mut().zip(laps) {
+        *spent += lap;
+    }
+    graphs
 }
 
 /// Embedding sequences for the address-classification experiments
@@ -166,7 +206,7 @@ pub fn embedded_split(
 
     let embed = |records: &[AddressRecord]| -> Vec<(Vec<numnet::Matrix>, usize)> {
         let threads = baclassifier::config::resolve_threads(0);
-        let (graphs, _) = construct_dataset_graphs(records, cfg, threads);
+        let graphs = parallel_map(threads, records, |r| construct_address_graphs(r, cfg));
         records
             .iter()
             .zip(&graphs)
@@ -231,5 +271,38 @@ mod tests {
         assert!(train.len() > 50, "train {}", train.len());
         assert!(test.len() > 10, "test {}", test.len());
         assert!(train.class_counts().iter().all(|&c| c > 0));
+    }
+
+    /// Table V times what the classifier computes: the timed chain's graphs
+    /// are the fused derivation's, at the defaults and at other thresholds
+    /// and slice sizes `table5` accepts.
+    #[test]
+    fn timed_stage_chain_is_the_derivation() {
+        use baclassifier::construction::graphs_identical;
+        let (_, ds) = build_full_dataset(&ExpScale::small());
+        let configs = [(100, 0.5, 1), (4, 0.3, 0), (16, 0.95, 5)];
+        let mut spent = [Duration::ZERO; 4];
+        let mut slices = 0;
+        for (slice_size, psi, sigma) in configs {
+            let cfg = ConstructionConfig {
+                slice_size,
+                psi,
+                sigma,
+                ..Default::default()
+            };
+            for r in ds.records.iter().step_by(7) {
+                let timed = timed_stage_chain(r, &cfg, &mut spent);
+                let derived = construct_address_graphs(r, &cfg);
+                assert_eq!(
+                    graphs_identical(&timed, &derived),
+                    Ok(()),
+                    "{:?}",
+                    r.address
+                );
+                slices += timed.len();
+            }
+        }
+        assert!(slices > 1_000, "{slices} slices");
+        assert!(spent.iter().all(|&d| d > Duration::ZERO), "{spent:?}");
     }
 }

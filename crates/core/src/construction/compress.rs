@@ -175,28 +175,36 @@ impl<'g> Merges<'g> {
         // transaction and has two slots, output then input; a Stage 3 group
         // has that pair for every transaction ordinal. So the slots, read in
         // order, are the hyper edges by hyper node, then transaction, then
-        // output before input — a zero sum included.
+        // output before input — a zero sum included. The pass also counts
+        // the kept edges and the slots it touches, so the edge list is
+        // allocated once at its final length.
         let num_txs = self.sets.num_txs;
         let row = |gi: usize| 2 * gi.min(single) + 2 * num_txs * gi.saturating_sub(single);
         let mut slots = vec![(NONE, 0.0); row(groups)];
-        let mut edges: Vec<Edge> = Vec::with_capacity(g.edges.len());
+        let (mut kept_edges, mut hyper_edges) = (0, 0);
         for e in &g.edges {
-            let (addr_node, tx_node) = (to[e.addr_node] as usize, to[e.tx_node] as usize);
-            debug_assert!(tx_node < kept, "tx nodes are never merged");
+            let (addr_node, tx_node) = (to[e.addr_node] as usize, to[e.tx_node]);
+            debug_assert!((tx_node as usize) < kept, "tx nodes are never merged");
             if addr_node < kept {
-                edges.push(Edge {
-                    addr_node,
-                    tx_node,
-                    ..*e
-                });
+                kept_edges += 1;
             } else {
                 let gi = addr_node - kept;
                 let tx = usize::from(gi >= single) * self.sets.ordinal[e.tx_node] as usize;
                 let slot = &mut slots[row(gi) + 2 * tx + usize::from(e.side == Side::Input)];
-                debug_assert!(slot.0 == NONE || slot.0 == tx_node as u32);
-                *slot = (tx_node as u32, slot.1 + e.value);
+                debug_assert!(slot.0 == NONE || slot.0 == tx_node);
+                hyper_edges += usize::from(slot.0 == NONE);
+                *slot = (tx_node, slot.1 + e.value);
             }
         }
+        let mut edges: Vec<Edge> = Vec::with_capacity(kept_edges + hyper_edges);
+        edges.extend(g.edges.iter().filter_map(|e| {
+            let addr_node = to[e.addr_node] as usize;
+            (addr_node < kept).then(|| Edge {
+                addr_node,
+                tx_node: to[e.tx_node] as usize,
+                ..*e
+            })
+        }));
         for gi in 0..groups {
             for (k, &(tx_node, value)) in slots[row(gi)..row(gi + 1)].iter().enumerate() {
                 if tx_node != NONE {

@@ -24,7 +24,7 @@
 use crate::config::ConstructionConfig;
 use crate::construction::address_graph::AddressGraph;
 use crate::construction::extract::{push_tx, seed_slice};
-use crate::construction::pipeline::{derive_slice, StageTimings};
+use crate::construction::pipeline::derive_slice;
 use btcsim::{Address, TxView};
 use std::collections::HashMap;
 
@@ -102,12 +102,12 @@ impl IncrementalGraphs {
     }
 
     /// The derived (compressed + augmented, per config) graphs of the
-    /// retained slices — equal to `construct_address_graphs(record, cfg).0`
+    /// retained slices — equal to `construct_address_graphs(record, cfg)`
     /// over the applied history, from the first retained `slice_index` on.
     /// Derived on every call: a slice is wanted again exactly when a
     /// transaction landed in it, which would have invalidated a kept copy.
     pub fn graphs(&self) -> Vec<AddressGraph> {
-        let derive = |raw| derive_slice(&self.cfg, raw, &mut StageTimings::default());
+        let derive = |raw| derive_slice(&self.cfg, raw);
         self.raw.iter().map(derive).collect()
     }
 
@@ -292,7 +292,7 @@ mod tests {
 
     fn check_equivalence(txs: &[TxView], cfg: ConstructionConfig) {
         let rec = record(0, txs.to_vec());
-        let (batch, _) = construct_address_graphs(&rec, &cfg);
+        let batch = construct_address_graphs(&rec, &cfg);
         let mut inc = IncrementalGraphs::new(Address(0), cfg.clone());
         for tx in txs {
             inc.apply_tx(tx);
@@ -341,7 +341,7 @@ mod tests {
             ..Default::default()
         };
         for rec in ds.records.iter().take(25) {
-            let (batch, _) = construct_address_graphs(rec, &cfg);
+            let batch = construct_address_graphs(rec, &cfg);
             let mut inc = IncrementalGraphs::new(rec.address, cfg.clone());
             for tx in &rec.txs {
                 inc.apply_tx(tx);
@@ -371,7 +371,7 @@ mod tests {
             let raw_batch = crate::construction::extract::extract_original_graphs(&rec, 4);
             graphs_identical(inc.raw_graphs(), &raw_batch)
                 .unwrap_or_else(|e| panic!("raw prefix {}: {e}", i + 1));
-            let (batch, _) = construct_address_graphs(&rec, &cfg);
+            let batch = construct_address_graphs(&rec, &cfg);
             graphs_identical(&inc.graphs(), &batch)
                 .unwrap_or_else(|e| panic!("prefix {}: {e}", i + 1));
             graphs_identical(&unobserved.graphs(), &batch)

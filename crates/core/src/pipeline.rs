@@ -3,7 +3,7 @@
 
 use crate::classify::{LstmMlp, SequenceHead};
 use crate::config::BacConfig;
-use crate::construction::{construct_address_graphs, construct_dataset_graphs, StageTimings};
+use crate::construction::construct_address_graphs;
 use crate::features::{graph_tensors, NODE_FEAT_DIM};
 use crate::metrics::{ClassificationReport, ConfusionMatrix};
 use crate::models::{Gfn, GraphModel, NUM_CLASSES};
@@ -12,11 +12,9 @@ use crate::train::{train_graph_model, train_sequence_head, TrainLog, TrainParams
 use btcsim::{AddressRecord, Dataset, Label};
 use numnet::Matrix;
 
-/// What `fit` did: construction cost and both training curves.
+/// What `fit` did: both training curves and how many slice graphs it built.
 #[derive(Debug)]
 pub struct FitReport {
-    /// Stage timings over the whole training set (Table V input).
-    pub construction: StageTimings,
     /// GFN training curve (Fig. 5 series).
     pub gnn_log: TrainLog,
     /// LSTM+MLP training curve (Fig. 6 series).
@@ -108,8 +106,9 @@ impl BaClassifier {
         let model_cfg = &self.cfg.model;
 
         // Stage A: construct graphs for every address.
-        let (per_address, construction) =
-            construct_dataset_graphs(&train.records, &self.cfg.construction, threads);
+        let per_address = parallel_map(threads, &train.records, |r| {
+            construct_address_graphs(r, &self.cfg.construction)
+        });
         let num_graphs = per_address.iter().map(Vec::len).sum();
 
         // Stage B: graph-level GFN training on every slice graph, prepared
@@ -163,7 +162,6 @@ impl BaClassifier {
 
         self.fitted = true;
         FitReport {
-            construction,
             gnn_log,
             head_log,
             num_graphs,
@@ -189,7 +187,7 @@ impl BaClassifier {
     /// oversubscribe cores and hurt tail latency. Batch callers fan out
     /// across records instead.
     pub fn embed_record(&self, record: &AddressRecord) -> Vec<Matrix> {
-        let (graphs, _) = construct_address_graphs(record, &self.cfg.construction);
+        let graphs = construct_address_graphs(record, &self.cfg.construction);
         self.embedding_sequence_from_graphs(&graphs, 1)
     }
 
@@ -471,7 +469,7 @@ mod tests {
         let (train, _) = small_split();
         let clf = BaClassifier::new(BacConfig::fast());
         let r = &train.records[0];
-        let (graphs, _) = construct_address_graphs(r, &clf.config().construction);
+        let graphs = construct_address_graphs(r, &clf.config().construction);
         let seq = clf.embed_record(r);
         let start = graphs
             .len()
@@ -507,7 +505,7 @@ mod tests {
         let mut clf = BaClassifier::new(BacConfig::fast());
         clf.fit(&train);
         for r in train.records.iter().take(5) {
-            let (graphs, _) = construct_address_graphs(r, &clf.config().construction);
+            let graphs = construct_address_graphs(r, &clf.config().construction);
             let serial = clf.embedding_sequence_from_graphs(&graphs, 1);
             let pooled = clf.embedding_sequence_from_graphs(&graphs, 4);
             assert_eq!(serial.len(), pooled.len());
@@ -536,7 +534,7 @@ mod tests {
         let (train, _) = small_split();
         let mut clf = BaClassifier::new(BacConfig::fast());
         clf.fit(&train);
-        let (graphs, _) = construct_address_graphs(&train.records[0], &clf.config().construction);
+        let graphs = construct_address_graphs(&train.records[0], &clf.config().construction);
         let serial: Vec<Matrix> = graphs.iter().map(|g| clf.embed_graph(g)).collect();
         for threads in [1, 4] {
             let batched = clf.embed_graphs(&graphs, threads);

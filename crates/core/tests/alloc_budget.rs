@@ -184,10 +184,28 @@ fn one_derivation_allocates_less_than_the_public_chain() {
     {
         let (stages, _) = stage_calls(record);
         let (derived, graphs) = calls_during(|| construct_address_graphs(record, &cfg));
-        assert_eq!(graphs.0.len(), 1);
+        assert_eq!(graphs.len(), 1);
         let chain: u64 = stages.iter().sum();
         assert!(derived < chain, "{derived} calls, public chain {chain}");
         assert!(derived <= cap, "{derived} calls, cap {cap}");
+    }
+}
+
+#[test]
+fn derived_slices_hold_no_spare_edge_capacity() {
+    // The raw slices carry every payout edge; the derived ones keep the
+    // focus's edges and one hyper edge per group, transaction and side.
+    for record in [payout_record(1, 448), payout_record(8, 451)] {
+        let raw: usize = extract_original_graphs(&record, 100)
+            .iter()
+            .map(|g| g.edges.len())
+            .sum();
+        let derived = construct_address_graphs(&record, &ConstructionConfig::default());
+        let kept: usize = derived.iter().map(|g| g.edges.len()).sum();
+        assert!(kept * 10 < raw, "{kept} of {raw} edges kept");
+        for g in &derived {
+            assert_eq!(g.edges.capacity(), g.edges.len(), "slice {}", g.slice_index);
+        }
     }
 }
 
@@ -212,25 +230,26 @@ fn summing_hyper_edges_in_slots_requests_no_more_bytes_than_sorting_them() {
         augment: false,
         ..Default::default()
     };
-    let (bytes, (graphs, _)) = bytes_during(|| construct_address_graphs(&record, &cfg));
+    let (bytes, graphs) = bytes_during(|| construct_address_graphs(&record, &cfg));
     let count = |kind| graphs[0].count_kind(kind);
     assert_eq!(graphs.len(), 1);
     assert_eq!(
         (count(NodeKind::SingleHyper), count(NodeKind::MultiHyper)),
         (100, 1)
     );
-    // Requested while the merged edges were sorted under a packed key: 370,457
-    // bytes in a release build, 386,409 in a debug one (the invariant
-    // checks' scratch); summed in slots, 313,425 and 329,377. Two slots per
-    // transaction for every group, Stage 2's included, would add ~320 KB.
-    let sorted: u64 = if cfg!(debug_assertions) {
-        386_409
+    // The cap is the measured count, with the rebuild's edge list sized to
+    // the edges it keeps: 297,425 bytes in a release build, 313,377 in a
+    // debug one (the invariant checks' scratch). Sorting merged edges under a
+    // packed key requested 370,457 and 386,409; two slots per transaction for
+    // every group, Stage 2's included, would add ~320 KB.
+    let (sorted, cap): (u64, u64) = if cfg!(debug_assertions) {
+        (386_409, 313_377)
     } else {
-        370_457
+        (370_457, 297_425)
     };
     assert!(
-        bytes <= sorted + sorted / 10,
-        "{bytes} bytes, sorted rebuild {sorted}"
+        bytes <= cap,
+        "{bytes} bytes, cap {cap}, sorted rebuild {sorted}"
     );
 }
 

@@ -885,7 +885,7 @@ fn derivation_is_the_public_stage_chain() {
                 ..Default::default()
             };
             for record in &records {
-                let (derived, _) = construct_address_graphs(record, &cfg);
+                let derived = construct_address_graphs(record, &cfg);
                 assert_eq!(
                     graphs_identical(&derived, &public_chain(record, &cfg)),
                     Ok(()),

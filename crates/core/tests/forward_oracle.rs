@@ -37,7 +37,7 @@ fn chain_slices(seed: u64) -> Vec<AddressGraph> {
     let records = Dataset::from_simulator(&sim, 2).records;
     let graphs = records.iter().take(40);
     graphs
-        .flat_map(|r| construct_address_graphs(r, &construction).0)
+        .flat_map(|r| construct_address_graphs(r, &construction))
         .collect()
 }
 
@@ -163,7 +163,7 @@ fn fitted_classifier_infers_the_tapes_bits_and_the_recorded_digest() {
     let graphs: Vec<AddressGraph> = test
         .records
         .iter()
-        .flat_map(|r| construct_address_graphs(r, &clf.config().construction).0)
+        .flat_map(|r| construct_address_graphs(r, &clf.config().construction))
         .collect();
     let want = taped(&gfn, &graphs);
     for threads in [1, 2, 4] {

@@ -112,7 +112,7 @@ proptest! {
         for tx in &record.txs {
             inc.apply_tx(tx);
         }
-        let (batch, _) = construct_address_graphs(&record, &cfg);
+        let batch = construct_address_graphs(&record, &cfg);
         prop_assert_eq!(graphs_identical(&inc.graphs(), &batch), Ok(()));
     }
 
@@ -134,11 +134,11 @@ proptest! {
                     label: record.label,
                     txs: record.txs[..=i].to_vec(),
                 };
-                let (batch, _) = construct_address_graphs(&prefix, &cfg);
+                let batch = construct_address_graphs(&prefix, &cfg);
                 prop_assert_eq!(graphs_identical(&inc.graphs(), &batch), Ok(()));
             }
         }
-        let (full, _) = construct_address_graphs(&record, &cfg);
+        let full = construct_address_graphs(&record, &cfg);
         prop_assert_eq!(graphs_identical(&inc.graphs(), &full), Ok(()));
     }
 
@@ -175,7 +175,7 @@ proptest! {
             let raw_batch = extract_original_graphs(&prefix, slice);
             prop_assert_eq!(inc.raw_graphs()[0].slice_index, first);
             prop_assert_eq!(graphs_identical(inc.raw_graphs(), &raw_batch[first..]), Ok(()));
-            let (batch, _) = construct_address_graphs(&prefix, &cfg);
+            let batch = construct_address_graphs(&prefix, &cfg);
             prop_assert_eq!(graphs_identical(&inc.graphs(), &batch[first..]), Ok(()));
         }
     }

@@ -77,14 +77,6 @@ impl SparseAdj {
         &self.fwd
     }
 
-    /// The transposed operand (swaps forward/backward roles; cheap).
-    pub fn t(&self) -> SparseAdj {
-        SparseAdj {
-            fwd: self.bwd.clone(),
-            bwd: self.fwd.clone(),
-        }
-    }
-
     /// Materialise the forward operand as a dense matrix, for consumers
     /// that still need the O(n²) form.
     pub fn to_dense(&self) -> Matrix {
@@ -276,18 +268,6 @@ impl<'t> Var<'t> {
     /// `(rows, cols)` of the stored value.
     pub fn shape(&self) -> (usize, usize) {
         self.tape.nodes.borrow()[self.idx].value.shape()
-    }
-
-    /// Gradient currently stored on the node; zeros if absent. The
-    /// zero-clone `backward()` consumes interior gradients as it walks the
-    /// tape, so after a backward pass this reads zeros for most nodes —
-    /// parameter gradients are what [`Var::backward`] returns.
-    pub fn grad(&self) -> Matrix {
-        let nodes = self.tape.nodes.borrow();
-        let node = &nodes[self.idx];
-        node.grad
-            .clone()
-            .unwrap_or_else(|| Matrix::zeros(node.value.rows(), node.value.cols()))
     }
 
     fn binary(self, rhs: Var<'t>, value: Matrix, op: Op) -> Var<'t> {
@@ -517,9 +497,8 @@ impl<'t> Var<'t> {
     /// Gradients are moved, not cloned: a node's gradient is taken out of
     /// the node, reused in place where the op's derivative allows it, and
     /// moved into the last gradient-requiring input of each fan-out.
-    /// Subtrees that contain no parameter are skipped entirely, so interior
-    /// gradients are consumed — afterwards [`Var::grad`] reads zeros for
-    /// non-leaf nodes.
+    /// Subtrees that contain no parameter are skipped entirely, and interior
+    /// gradients are consumed: the returned matrices are all that is left.
     pub fn backward(self, params: &[Param]) -> Vec<Matrix> {
         let mut out: Vec<Matrix> = params
             .iter()

@@ -56,14 +56,9 @@ fn main() {
         );
     }
 
-    // Full pipeline with timing, as in the paper's Table V.
-    let (graphs, timings) = construct_address_graphs(pool, &ConstructionConfig::default());
-    println!(
-        "\nfull pipeline: {} slice graphs in {:?} (stage3 share: {:.1}%)",
-        graphs.len(),
-        timings.total(),
-        timings.ratios()[2] * 100.0
-    );
+    // The full four-stage pipeline, as `predict` runs it.
+    let graphs = construct_address_graphs(pool, &ConstructionConfig::default());
+    println!("\nfull pipeline: {} slice graphs", graphs.len());
 
     // The miner cohort should have been merged into multi-transaction hyper
     // nodes; show the biggest one.

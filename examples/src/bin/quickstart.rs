@@ -35,11 +35,7 @@ fn main() {
     println!("\ntraining BAClassifier on {} addresses…", train.len());
     let mut clf = BaClassifier::new(BacConfig::fast());
     let fit = clf.fit(&train);
-    println!(
-        "  constructed {} slice graphs (stage timings: {:?} total)",
-        fit.num_graphs,
-        fit.construction.total()
-    );
+    println!("  constructed {} slice graphs", fit.num_graphs);
     println!(
         "  GFN:      {} epochs, final train loss {:.4}",
         fit.gnn_log.points.len(),

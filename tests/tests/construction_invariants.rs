@@ -20,7 +20,7 @@ fn invariants_hold_across_slice_sizes() {
             ..Default::default()
         };
         for r in ds.records.iter().take(25) {
-            let (graphs, _) = construct_address_graphs(r, &cfg);
+            let graphs = construct_address_graphs(r, &cfg);
             assert_eq!(graphs.len(), r.num_txs().div_ceil(slice_size));
             for g in &graphs {
                 assert_eq!(g.check_invariants(), Ok(()), "slice_size {slice_size}");
@@ -43,8 +43,8 @@ fn merged_counts_account_for_every_original_address() {
         ..Default::default()
     };
     for r in ds.records.iter().take(25) {
-        let (compressed, _) = construct_address_graphs(r, &on);
-        let (original, _) = construct_address_graphs(r, &off);
+        let compressed = construct_address_graphs(r, &on);
+        let original = construct_address_graphs(r, &off);
         for (c, o) in compressed.iter().zip(&original) {
             let compressed_mass: usize = c
                 .nodes
@@ -67,8 +67,8 @@ fn total_edge_value_is_preserved_by_compression() {
         ..Default::default()
     };
     for r in ds.records.iter().take(25) {
-        let (compressed, _) = construct_address_graphs(r, &on);
-        let (original, _) = construct_address_graphs(r, &off);
+        let compressed = construct_address_graphs(r, &on);
+        let original = construct_address_graphs(r, &off);
         for (c, o) in compressed.iter().zip(&original) {
             let cv: f64 = c.edges.iter().map(|e| e.value).sum();
             let ov: f64 = o.edges.iter().map(|e| e.value).sum();
@@ -82,7 +82,7 @@ fn tensors_are_finite_for_every_constructed_graph() {
     let ds = dataset();
     let cfg = ConstructionConfig::default();
     for r in ds.records.iter().take(40) {
-        let (graphs, _) = construct_address_graphs(r, &cfg);
+        let graphs = construct_address_graphs(r, &cfg);
         for g in &graphs {
             let t = graph_tensors(g);
             assert_eq!(t.x.cols(), NODE_FEAT_DIM);
@@ -112,8 +112,8 @@ fn stricter_psi_merges_less() {
         sigma: 5,
         ..Default::default()
     };
-    let (lg, _) = construct_address_graphs(r, &loose);
-    let (sg, _) = construct_address_graphs(r, &strict);
+    let lg = construct_address_graphs(r, &loose);
+    let sg = construct_address_graphs(r, &strict);
     let nodes = |gs: &[baclassifier::construction::AddressGraph]| -> usize {
         gs.iter().map(|g| g.num_nodes()).sum()
     };

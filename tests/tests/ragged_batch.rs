@@ -46,7 +46,7 @@ fn embed_graphs_matches_per_graph_at_all_thread_counts() {
         .records
         .iter()
         .take(6)
-        .flat_map(|r| construct_address_graphs(r, &clf.config().construction).0)
+        .flat_map(|r| construct_address_graphs(r, &clf.config().construction))
         .collect();
     assert!(graphs.len() >= 6, "want a real batch, got {}", graphs.len());
 
@@ -127,7 +127,7 @@ fn one_classifier_shared_by_four_threads_matches_the_single_threaded_run() {
     let graphs: Vec<_> = records
         .iter()
         .take(8)
-        .flat_map(|r| construct_address_graphs(r, &clf.config().construction).0)
+        .flat_map(|r| construct_address_graphs(r, &clf.config().construction))
         .collect();
     let seqs: Vec<Vec<Matrix>> = records.iter().map(|r| clf.embed_record(r)).collect();
 

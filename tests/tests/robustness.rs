@@ -74,7 +74,7 @@ fn degenerate_records() -> Vec<AddressRecord> {
 fn construction_survives_degenerate_histories() {
     let cfg = ConstructionConfig::default();
     for record in degenerate_records() {
-        let (graphs, _) = construct_address_graphs(&record, &cfg);
+        let graphs = construct_address_graphs(&record, &cfg);
         assert!(!graphs.is_empty(), "address {:?}", record.address);
         for g in &graphs {
             assert_eq!(g.check_invariants(), Ok(()), "address {:?}", record.address);
@@ -115,7 +115,7 @@ fn huge_fanout_is_compressed_not_exploded() {
             .map(|i| tx(i * 600, 500 + i, vec![(0, 11_000_000)], cohort.clone()))
             .collect(),
     };
-    let (graphs, _) = construct_address_graphs(&record, &ConstructionConfig::default());
+    let graphs = construct_address_graphs(&record, &ConstructionConfig::default());
     assert_eq!(graphs.len(), 1);
     assert!(
         graphs[0].num_nodes() < 20,
