@@ -3,7 +3,7 @@
 use crate::tx::{Transaction, Txid};
 use crate::utxo::{UndoLog, UtxoError, UtxoSet};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Average spacing between blocks (the Bitcoin 10-minute target).
 pub const BLOCK_INTERVAL_SECS: u64 = 600;
@@ -48,10 +48,11 @@ impl std::error::Error for ChainError {}
 pub struct Chain {
     blocks: Vec<Block>,
     utxo: UtxoSet,
-    tx_index: HashMap<Txid, (u64, usize)>,
-    /// Chronological list of transactions each address participates in.
-    /// BTreeMap so iteration order is deterministic across runs.
-    addr_index: BTreeMap<crate::address::Address, Vec<Txid>>,
+    num_transactions: usize,
+    /// Chronological `(height, index in block)` positions of the
+    /// transactions each address participates in. BTreeMap so iteration
+    /// order is deterministic across runs.
+    addr_index: BTreeMap<crate::address::Address, Vec<(u32, u32)>>,
 }
 
 impl Chain {
@@ -72,7 +73,7 @@ impl Chain {
     }
 
     pub fn num_transactions(&self) -> usize {
-        self.tx_index.len()
+        self.num_transactions
     }
 
     pub fn num_addresses(&self) -> usize {
@@ -107,26 +108,21 @@ impl Chain {
                 return Err(ChainError::Tx(tx.txid, e));
             }
         }
-        let h = block.height;
+        let h = block.height as u32;
         let mut seen = std::collections::HashSet::new();
         for (i, tx) in block.txs.iter().enumerate() {
-            self.tx_index.insert(tx.txid, (h, i));
             for addr in tx.participants(&mut seen) {
-                self.addr_index.entry(addr).or_default().push(tx.txid);
+                self.addr_index.entry(addr).or_default().push((h, i as u32));
             }
         }
+        self.num_transactions += block.txs.len();
         self.blocks.push(block);
         Ok(())
     }
 
-    /// Look up a transaction by id.
-    pub fn transaction(&self, txid: Txid) -> Option<&Transaction> {
-        let &(h, i) = self.tx_index.get(&txid)?;
-        Some(&self.blocks[h as usize].txs[i])
-    }
-
-    /// Chronological transactions an address participates in.
-    pub fn address_history(&self, addr: crate::address::Address) -> &[Txid] {
+    /// Chronological `(height, index in block)` positions of the
+    /// transactions an address participates in.
+    pub fn address_history(&self, addr: crate::address::Address) -> &[(u32, u32)] {
         self.addr_index.get(&addr).map_or(&[], |v| v.as_slice())
     }
 }
@@ -164,8 +160,9 @@ mod tests {
             })
             .unwrap();
         assert_eq!(chain.height(), 1);
-        assert!(chain.transaction(txid).is_some());
-        assert_eq!(chain.address_history(Address(1)), &[txid]);
+        assert_eq!(chain.num_transactions(), 1);
+        assert_eq!(chain.address_history(Address(1)), &[(0, 0)]);
+        assert_eq!(chain.blocks()[0].txs[0].txid, txid);
     }
 
     #[test]
@@ -330,7 +327,6 @@ mod tests {
             600,
             1,
         );
-        let self_txid = self_pay.txid;
         chain
             .append(Block {
                 height: 1,
@@ -338,7 +334,7 @@ mod tests {
                 txs: vec![self_pay],
             })
             .unwrap();
-        assert_eq!(chain.address_history(Address(1)), &[cb_txid, self_txid]);
+        assert_eq!(chain.address_history(Address(1)), &[(0, 0), (1, 0)]);
     }
 
     #[test]

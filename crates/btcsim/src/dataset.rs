@@ -63,6 +63,7 @@ impl Dataset {
 
     /// Extract from a chain with an explicit label map.
     pub fn from_chain(chain: &Chain, labels: &BTreeMap<Address, Label>, min_txs: usize) -> Self {
+        let blocks = chain.blocks();
         let mut records = Vec::new();
         for (&address, &label) in labels {
             let history = chain.address_history(address);
@@ -71,8 +72,7 @@ impl Dataset {
             }
             let txs: Vec<TxView> = history
                 .iter()
-                .filter_map(|&txid| chain.transaction(txid))
-                .map(TxView::from)
+                .map(|&(h, i)| TxView::from(&blocks[h as usize].txs[i as usize]))
                 .collect();
             records.push(AddressRecord {
                 address,

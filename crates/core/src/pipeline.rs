@@ -232,9 +232,9 @@ impl BaClassifier {
 
     /// As [`BaClassifier::classify_embeddings`], but also return the label
     /// margin: the winning logit minus the runner-up logit, ≥ 0. A small
-    /// margin means the address sat near a label boundary — streaming
-    /// reclassification uses it to re-embed boundary-adjacent addresses
-    /// first. A batch of one through
+    /// margin means the address sat near a label boundary; the streaming
+    /// follower stores it beside each label (its snapshots carry it), but
+    /// reclassifies the dirty set in address order. A batch of one through
     /// [`BaClassifier::classify_embeddings_batch`].
     pub fn classify_embeddings_scored(&self, seq: &[Matrix]) -> Result<(Label, f32), PredictError> {
         Ok(self.classify_embeddings_batch(&[seq], 1)?.remove(0))

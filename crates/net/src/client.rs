@@ -37,21 +37,22 @@
 //! frontend misconfigured onto the wrong worker refuses to pair up rather
 //! than silently misroute addresses.
 
-use crate::frame::{write_magic, write_message, FrameReader, Hello, Message, ReplyOutcome, Role};
+use crate::frame::{
+    handshake, write_message, FrameError, FrameReader, Hello, Message, ReplyOutcome, Role,
+};
 use baclassifier::{PredictError, ShardAssignment, SHARD_HASH_VERSION};
 use baserve::fallback::degrade;
 use baserve::metrics::{Metrics, MetricsSnapshot};
 use baserve::{Fallback, Response, ServeError, ShardLane, Ticket};
 use btcsim::{AddressRecord, Label};
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Dial timeout; also the handshake's read deadline.
+/// Dial timeout; also the handshake's deadline.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 /// Per-request deadline, enforced on this side of the wire.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
@@ -106,7 +107,7 @@ struct Shared {
 pub struct RemoteShard {
     max_in_flight: usize,
     /// Answers while the lane is disconnected; `None` fails instead.
-    fallback: Option<Arc<dyn Fallback>>,
+    fallback: Option<Arc<Fallback>>,
     metrics: Arc<Metrics>,
     shared: Arc<Mutex<Shared>>,
     stop: Arc<AtomicBool>,
@@ -172,7 +173,7 @@ impl RemoteShard {
     pub fn connect(
         addr: &str,
         config: RemoteShardConfig,
-        fallback: Option<Arc<dyn Fallback>>,
+        fallback: Option<Arc<Fallback>>,
     ) -> RemoteShard {
         let metrics = Arc::new(Metrics::default());
         let shared = Arc::new(Mutex::new(Shared {
@@ -275,7 +276,7 @@ impl Lane {
     /// Dial once. On success publish the write half and keep the read
     /// half; on failure double the backoff.
     fn dial(&mut self) {
-        let Ok((write, reader)) = dial(&self.addr, self.expect) else {
+        let Ok((write, reader)) = dial(&self.addr, self.expect, &self.stop) else {
             self.next_dial = Instant::now() + self.backoff;
             self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
             return;
@@ -358,76 +359,45 @@ impl Lane {
     }
 }
 
-/// Dial, exchange magics and hellos, validate the peer's layout. Returns
-/// the write half and a frame reader already past the handshake (any
-/// frames the server pipelined behind its hello stay buffered in it).
+/// Dial, run the handshake, validate the peer's layout. Returns the write
+/// half and a frame reader already past the handshake (any frames the
+/// server pipelined behind its hello stay buffered in it).
 fn dial(
     addr: &str,
     expect: Option<ShardAssignment>,
-) -> Result<(TcpStream, FrameReader<TcpStream>), String> {
-    let sockaddr = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("resolve {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("resolve {addr}: no addresses"))?;
-    let stream = TcpStream::connect_timeout(&sockaddr, CONNECT_TIMEOUT)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_nodelay(true).map_err(|e| e.to_string())?;
-    stream
-        .set_write_timeout(Some(WRITE_TIMEOUT))
-        .map_err(|e| e.to_string())?;
-    // Generous read deadline for the handshake; tightened to the read tick
-    // once the lane thread owns the stream.
-    stream
-        .set_read_timeout(Some(CONNECT_TIMEOUT))
-        .map_err(|e| e.to_string())?;
+    stop: &AtomicBool,
+) -> Result<(TcpStream, FrameReader<TcpStream>), FrameError> {
+    let sockaddr = addr.to_socket_addrs()?.next().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "resolves to no address")
+    })?;
+    let stream = TcpStream::connect_timeout(&sockaddr, CONNECT_TIMEOUT)?;
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    stream.set_read_timeout(Some(READ_TICK))?;
 
     let (shard_index, shard_count) = match &expect {
         Some(a) => (a.index, a.count),
         None => (0, 1),
     };
-    let mut w = &stream;
-    write_magic(&mut w).map_err(|e| e.to_string())?;
-    write_message(
-        &mut w,
-        &Message::Hello(Hello {
-            role: Role::Frontend,
-            shard_index,
-            shard_count,
-            hash_version: SHARD_HASH_VERSION,
-        }),
-    )
-    .map_err(|e| e.to_string())?;
-    w.flush().map_err(|e| e.to_string())?;
-
-    let read_half = stream.try_clone().map_err(|e| e.to_string())?;
-    let mut reader = FrameReader::new(read_half);
-    let hello = match reader.read_message() {
-        Ok(Some(Message::Hello(h))) => h,
-        Ok(Some(_)) => return Err("first frame was not hello".to_string()),
-        Ok(None) => return Err("peer closed during handshake".to_string()),
-        Err(e) => return Err(format!("handshake: {e}")),
+    let ours = Hello {
+        role: Role::Frontend,
+        shard_index,
+        shard_count,
+        hash_version: SHARD_HASH_VERSION,
     };
-    if hello.hash_version != SHARD_HASH_VERSION {
-        return Err(format!(
-            "peer speaks shard hash v{}, this build is v{SHARD_HASH_VERSION}",
-            hello.hash_version
-        ));
-    }
+    let mut reader = FrameReader::new(stream.try_clone()?);
+    let deadline = Instant::now() + CONNECT_TIMEOUT;
+    let hello = handshake(&mut &stream, &mut reader, ours, deadline, || {
+        stop.load(Relaxed)
+    })?;
     if let Some(expect) = &expect {
         if hello.role != Role::Worker
             || hello.shard_index != expect.index
             || hello.shard_count != expect.count
         {
-            return Err(format!(
-                "peer layout {:?} shard {}/{} does not match expected worker {}/{}",
-                hello.role, hello.shard_index, hello.shard_count, expect.index, expect.count
-            ));
+            return Err(FrameError::Malformed("peer is not the expected worker"));
         }
     }
-    stream
-        .set_read_timeout(Some(READ_TICK))
-        .map_err(|e| e.to_string())?;
     Ok((stream, reader))
 }
 

@@ -46,7 +46,7 @@ pub(crate) const STALL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The longest one [`FrameReader::read_message`] call keeps reading a frame
 /// whose bytes are still arriving before it returns a timeout to its
-/// caller (the server's 50 ms read tick).
+/// caller (the server's 50 ms read tick); [`handshake`] waits these out.
 const READ_SLICE: Duration = Duration::from_millis(50);
 
 /// Upper bound on a frame payload. Every message is a few dozen bytes but
@@ -413,6 +413,36 @@ pub fn write_magic<W: Write>(w: &mut W) -> std::io::Result<()> {
 /// Write one framed message.
 pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> std::io::Result<()> {
     w.write_all(&encode_frame(msg))
+}
+
+/// The BANET handshake, the same at both ends: write our magic and `ours`,
+/// then read the peer's `Hello` through `reader`, waiting out its
+/// `READ_SLICE` poll ticks until `deadline` passes or `stop` returns true.
+/// The peer's first frame must be a `Hello` carrying our `hash_version`: a
+/// peer that places addresses differently must not pair up with us.
+pub fn handshake<W: Write, R: Read>(
+    w: &mut W,
+    reader: &mut FrameReader<R>,
+    ours: Hello,
+    deadline: Instant,
+    stop: impl Fn() -> bool,
+) -> Result<Hello, FrameError> {
+    write_magic(w)?;
+    write_message(w, &Message::Hello(ours))?;
+    w.flush()?;
+    let theirs = loop {
+        match reader.read_message() {
+            Ok(Some(Message::Hello(h))) => break h,
+            Ok(Some(_)) => return Err(FrameError::Malformed("first frame must be hello")),
+            Ok(None) => return Err(FrameError::Truncated),
+            Err(e) if e.is_timeout() && Instant::now() < deadline && !stop() => {}
+            Err(e) => return Err(e),
+        }
+    };
+    if theirs.hash_version != ours.hash_version {
+        return Err(FrameError::Malformed("shard hash version mismatch"));
+    }
+    Ok(theirs)
 }
 
 /// Incremental frame reader over a byte stream.

@@ -29,10 +29,10 @@
 //!   workers with the exact same placement and merge order as in-process
 //!   engines — responses stay byte-identical.
 //!
-//! The layout handshake (each side's first frame is a [`frame::Hello`])
-//! refuses to pair endpoints whose `SHARD_HASH_VERSION` or shard
-//! assignment disagree: a misconfigured fleet fails loudly at connect
-//! time, not silently at routing time.
+//! The layout handshake ([`frame::handshake`], the same at both ends: each
+//! side's first frame is a [`frame::Hello`]) refuses to pair endpoints
+//! whose `SHARD_HASH_VERSION` or shard assignment disagree: a misconfigured
+//! fleet fails loudly at connect time, not silently at routing time.
 
 pub mod client;
 pub mod frame;
@@ -40,4 +40,4 @@ pub mod server;
 
 pub use client::{RemoteShard, RemoteShardConfig};
 pub use frame::{FrameError, FrameReader, Hello, Message, ReplyOutcome, Role, MAX_FRAME_LEN};
-pub use server::{listen_reuse, NetBackend, NetServer, NetServerConfig, WireError};
+pub use server::{NetBackend, NetServer, NetServerConfig, WireError};

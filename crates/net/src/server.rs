@@ -29,7 +29,7 @@
 //! own connection.
 
 use crate::frame::{
-    write_magic, write_message, FrameError, FrameReader, Hello, Message, ReplyOutcome, Role,
+    handshake, write_message, FrameError, FrameReader, Hello, Message, ReplyOutcome, Role,
     STALL_TIMEOUT,
 };
 use baclassifier::PredictError;
@@ -44,80 +44,6 @@ use std::time::{Duration, Instant};
 /// The backend trait lives in `baserve` (the stdin line session serves it
 /// too); this is its path for TCP-side callers.
 pub use baserve::lane::{NetBackend, WireError};
-
-/// Bind a listener with `SO_REUSEADDR`, so a respawned worker can reclaim
-/// a port whose previous generation's connections are still in TIME_WAIT
-/// (a plain [`TcpListener::bind`] gets `AddrInUse` for up to a minute
-/// after a server that actively closed its connections exits).
-///
-/// IPv4 only on unix — the fleet binds loopback/interface v4 addresses;
-/// anything else falls back to a plain bind.
-pub fn listen_reuse(addr: std::net::SocketAddr) -> std::io::Result<TcpListener> {
-    #[cfg(unix)]
-    {
-        if let std::net::SocketAddr::V4(v4) = addr {
-            return listen_reuse_v4(v4);
-        }
-    }
-    TcpListener::bind(addr)
-}
-
-#[cfg(unix)]
-fn listen_reuse_v4(addr: std::net::SocketAddrV4) -> std::io::Result<TcpListener> {
-    use std::os::unix::io::FromRawFd;
-
-    const AF_INET: i32 = 2;
-    const SOCK_STREAM: i32 = 1;
-    const SOCK_CLOEXEC: i32 = 0o2000000;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-    const BACKLOG: i32 = 128;
-
-    #[repr(C)]
-    struct SockaddrIn {
-        family: u16,
-        port_be: u16,
-        addr_be: u32,
-        zero: [u8; 8],
-    }
-
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    unsafe {
-        let fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if fd < 0 {
-            return Err(std::io::Error::last_os_error());
-        }
-        let fail = |fd: i32| {
-            let e = std::io::Error::last_os_error();
-            close(fd);
-            Err(e)
-        };
-        let one: i32 = 1;
-        if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4) != 0 {
-            return fail(fd);
-        }
-        let sin = SockaddrIn {
-            family: AF_INET as u16,
-            port_be: addr.port().to_be(),
-            addr_be: u32::from(*addr.ip()).to_be(),
-            zero: [0; 8],
-        };
-        if bind(fd, &sin, std::mem::size_of::<SockaddrIn>() as u32) != 0 {
-            return fail(fd);
-        }
-        if listen(fd, BACKLOG) != 0 {
-            return fail(fd);
-        }
-        Ok(TcpListener::from_raw_fd(fd))
-    }
-}
 
 /// At most this many concurrent connections; excess accepts are shed.
 const MAX_CONNECTIONS: usize = 64;
@@ -293,46 +219,27 @@ fn serve_connection(
     config: &NetServerConfig,
     stop: &AtomicBool,
 ) -> Result<(), FrameError> {
-    let accepted = Instant::now();
+    let deadline = Instant::now() + STALL_TIMEOUT;
     stream.set_read_timeout(Some(READ_TICK))?;
     stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     stream.set_nodelay(true)?;
     let write_half = stream.try_clone()?;
+
+    // The peer's magic + Hello must be the first thing we read, within
+    // `STALL_TIMEOUT` of accept — a peer that never handshakes must not
+    // hold a connection slot.
+    let mut reader = FrameReader::new(stream);
+    let stopped = || stop.load(Relaxed) || shutdown::shutdown_requested();
+    handshake(
+        &mut &write_half,
+        &mut reader,
+        config.hello,
+        deadline,
+        stopped,
+    )?;
     let shared = Arc::new(ConnShared {
         write: Mutex::new(write_half),
     });
-
-    // Our half of the handshake goes out first; the peer's magic + Hello
-    // must be the first thing we read, within `STALL_TIMEOUT` of accept —
-    // a peer that never handshakes must not hold a connection slot.
-    {
-        let mut w = shared.write.lock().unwrap_or_else(|p| p.into_inner());
-        write_magic(&mut *w)?;
-        write_message(&mut *w, &Message::Hello(config.hello))?;
-        w.flush()?;
-    }
-    let mut reader = FrameReader::new(stream);
-    let peer_hello = loop {
-        match reader.read_message() {
-            Ok(Some(Message::Hello(h))) => break h,
-            Ok(Some(_)) => return Err(FrameError::Malformed("first frame must be hello")),
-            Ok(None) => return Err(FrameError::Truncated),
-            Err(e) if e.is_timeout() => {
-                if stop.load(Relaxed) || shutdown::shutdown_requested() {
-                    return Ok(());
-                }
-                if accepted.elapsed() > STALL_TIMEOUT {
-                    return Err(FrameError::Truncated);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    };
-    if peer_hello.hash_version != config.hello.hash_version {
-        // A peer that places addresses differently must not pair up with
-        // us; closing before serving anything is the rejection.
-        return Err(FrameError::Malformed("shard hash version mismatch"));
-    }
 
     // Writer thread: waits on each classify ticket in submission order,
     // then replies for its `req_id`.
@@ -350,7 +257,7 @@ fn serve_connection(
     };
 
     let result = loop {
-        if stop.load(Relaxed) || shutdown::shutdown_requested() {
+        if stopped() {
             break Ok(());
         }
         // Idle is fine; the reader itself cuts a frame that stalls.

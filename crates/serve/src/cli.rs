@@ -2,7 +2,7 @@
 //! preamble they all run ([`ServingInputs`]). Flags are `--name value` pairs
 //! plus bare `--name` booleans; no external crates.
 
-use crate::{EngineHooks, Fallback, FeatureFallback};
+use crate::{EngineHooks, Fallback};
 use baclassifier::ModelArtifact;
 use btcsim::AddressRecord;
 use std::collections::HashMap;
@@ -111,7 +111,7 @@ impl ServingInputs {
         if has_flag(args, "--no-fallback") || self.records.is_empty() {
             return EngineHooks::default();
         }
-        let fallback = FeatureFallback::fit(&self.records);
+        let fallback = Fallback::fit(&self.records);
         eprintln!(
             "[{name}] degraded-mode fallback ready ({})",
             fallback.name()

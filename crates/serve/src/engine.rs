@@ -155,7 +155,7 @@ pub struct EngineHooks {
     pub fault_plan: Arc<dyn FaultPlan>,
     /// Degraded-mode classifier used while the breaker is open or after all
     /// workers retired. `None` means such requests fail instead.
-    pub fallback: Option<Arc<dyn Fallback>>,
+    pub fallback: Option<Arc<Fallback>>,
 }
 
 impl Default for EngineHooks {
@@ -804,7 +804,6 @@ fn send(slot: &mut Option<Job>, result: Result<Response, ServeError>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fallback::FeatureFallback;
     use crate::fault::ScriptedFaultPlan;
     use baclassifier::BacConfig;
     use btcsim::{Dataset, SimConfig, Simulator};
@@ -1414,7 +1413,7 @@ mod tests {
     #[test]
     fn breaker_degrades_then_recovers() {
         let records = test_records(6);
-        let fb = Arc::new(FeatureFallback::fit(&records));
+        let fb = Arc::new(Fallback::fit(&records));
         let plan = ScriptedFaultPlan::new(vec![crate::fault::FaultSpec {
             worker: 0,
             batch: 1,
@@ -1429,7 +1428,7 @@ mod tests {
             },
             EngineHooks {
                 fault_plan: Arc::new(plan),
-                fallback: Some(Arc::clone(&fb) as Arc<dyn Fallback>),
+                fallback: Some(Arc::clone(&fb)),
             },
         )
         .unwrap();
@@ -1472,7 +1471,7 @@ mod tests {
     #[test]
     fn retired_pool_degrades_instead_of_hanging() {
         let records = test_records(4);
-        let fb = Arc::new(FeatureFallback::fit(&records));
+        let fb = Arc::new(Fallback::fit(&records));
         // Every restart panics again until the restart budget is spent.
         let batches: Vec<u64> = (1..=u64::from(MAX_WORKER_RESTARTS) + 1).collect();
         let plan = Arc::new(ScriptedFaultPlan::panics(0, &batches));
@@ -1484,7 +1483,7 @@ mod tests {
             },
             EngineHooks {
                 fault_plan: plan,
-                fallback: Some(Arc::clone(&fb) as Arc<dyn Fallback>),
+                fallback: Some(Arc::clone(&fb)),
             },
         )
         .unwrap();

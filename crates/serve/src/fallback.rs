@@ -8,11 +8,9 @@
 //! `degraded: true`, so callers can distinguish "the GNN said Exchange"
 //! from "the centroid heuristic said Exchange while the model path heals".
 //!
-//! [`FeatureFallback`] is the stock implementation: z-scored
-//! [`baselines::flat_features`] into any [`baselines::Classifier`]
-//! (a [`NearestCentroid`] by default) — microseconds per query, no locks,
-//! no shared state, so the degraded path cannot itself become a failure
-//! domain.
+//! The fallback is z-scored [`baselines::flat_features`] into a
+//! [`NearestCentroid`] — microseconds per query, no locks, no shared
+//! state, so the degraded path cannot itself become a failure domain.
 
 use crate::engine::{Response, ServeError, Ticket};
 use crate::metrics::Metrics;
@@ -21,13 +19,32 @@ use btcsim::{AddressRecord, Label};
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
-/// A degraded-mode classifier: must answer every record, cheaply, from any
-/// thread, without panicking.
-pub trait Fallback: Send + Sync {
-    fn classify(&self, record: &AddressRecord) -> Label;
+/// The degraded-mode classifier: a scaler and a nearest-centroid model over
+/// flat features. Answers every record, cheaply, from any thread, without
+/// panicking.
+pub struct Fallback {
+    clf: NearestCentroid,
+    scaler: Scaler,
+}
 
-    fn name(&self) -> &'static str {
-        "fallback"
+impl Fallback {
+    /// Fit on labeled records (e.g. the dataset the daemon rebuilds at
+    /// startup). Panics on empty input, same as every baseline `fit`.
+    pub fn fit(records: &[AddressRecord]) -> Self {
+        let (x, y) = flat_dataset(records);
+        let scaler = Scaler::fit(&x);
+        let mut clf = NearestCentroid::new();
+        clf.fit(&scaler.transform(&x), &y);
+        Fallback { clf, scaler }
+    }
+
+    pub fn classify(&self, record: &AddressRecord) -> Label {
+        let row = self.scaler.transform_row(&flat_features(record));
+        Label::from_index(self.clf.predict(&row)).unwrap_or(Label::Service)
+    }
+
+    pub fn name(&self) -> &'static str {
+        self.clf.name()
     }
 }
 
@@ -36,7 +53,7 @@ pub trait Fallback: Send + Sync {
 /// `err` when there is no fallback, counted as `failed` (`WorkerFailed`) or
 /// `rejected` (anything else).
 pub fn degrade(
-    fallback: Option<&dyn Fallback>,
+    fallback: Option<&Fallback>,
     record: &AddressRecord,
     err: ServeError,
     metrics: &Metrics,
@@ -59,43 +76,6 @@ pub fn degrade(
     })))
 }
 
-/// Flat-feature fallback: scaler + any classical baseline classifier.
-pub struct FeatureFallback<C: Classifier + Send + Sync> {
-    clf: C,
-    scaler: Scaler,
-}
-
-impl FeatureFallback<NearestCentroid> {
-    /// Fit the stock nearest-centroid fallback on labeled records (e.g. the
-    /// dataset the daemon rebuilds at startup). Panics on empty input, same
-    /// as every baseline `fit`.
-    pub fn fit(records: &[AddressRecord]) -> Self {
-        let (x, y) = flat_dataset(records);
-        let scaler = Scaler::fit(&x);
-        let mut clf = NearestCentroid::new();
-        clf.fit(&scaler.transform(&x), &y);
-        Self { clf, scaler }
-    }
-}
-
-impl<C: Classifier + Send + Sync> FeatureFallback<C> {
-    /// Wrap an already-fitted classifier with the scaler its features used.
-    pub fn from_parts(clf: C, scaler: Scaler) -> Self {
-        Self { clf, scaler }
-    }
-}
-
-impl<C: Classifier + Send + Sync> Fallback for FeatureFallback<C> {
-    fn classify(&self, record: &AddressRecord) -> Label {
-        let row = self.scaler.transform_row(&flat_features(record));
-        Label::from_index(self.clf.predict(&row)).unwrap_or(Label::Service)
-    }
-
-    fn name(&self) -> &'static str {
-        self.clf.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +89,7 @@ mod tests {
     #[test]
     fn fallback_answers_every_record_deterministically() {
         let records = records();
-        let fb = FeatureFallback::fit(&records);
+        let fb = Fallback::fit(&records);
         assert_eq!(fb.name(), "NearestCentroid");
         for r in &records {
             let a = fb.classify(r);
@@ -121,7 +101,7 @@ mod tests {
     #[test]
     fn fallback_beats_chance_on_its_own_training_set() {
         let records = records();
-        let fb = FeatureFallback::fit(&records);
+        let fb = Fallback::fit(&records);
         let correct = records.iter().filter(|r| fb.classify(r) == r.label).count();
         // Not a accuracy claim — just "the wiring is not nonsense": a
         // centroid model must beat the 1-in-4 prior on its training data.

@@ -66,7 +66,7 @@ pub mod shutdown;
 pub use breaker::{Admission, BreakerState, CircuitBreaker};
 pub use cache::LruCache;
 pub use engine::{Engine, EngineConfig, EngineHooks, Response, ServeError, Ticket};
-pub use fallback::{Fallback, FeatureFallback};
+pub use fallback::Fallback;
 pub use fault::{
     corrupt_bytes, garble_line, splitmix64, truncate_line, FaultAction, FaultPlan, FaultSpec,
     NoFaults, ScriptedFaultPlan,

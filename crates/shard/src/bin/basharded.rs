@@ -74,20 +74,13 @@ const USAGE: &str = "basharded --artifact model.bart [--shards N] [--input FILE]
 /// Blocks the simulated chain's producer may run ahead of the fleet.
 const FEED_CAPACITY: usize = 16;
 
-/// Bind `addr` with `SO_REUSEADDR` (so a respawned worker reclaims a port
-/// still in TIME_WAIT), retrying `AddrInUse` for ~2 s in case the previous
-/// process is still listening while it drains.
+/// Bind `addr`, retrying `AddrInUse` for ~2 s in case the previous process
+/// is still listening while it drains. std sets `SO_REUSEADDR` on unix
+/// listeners, so a respawned worker reclaims a port still in TIME_WAIT.
 fn bind_with_retry(addr: &str) -> std::io::Result<TcpListener> {
-    use std::net::ToSocketAddrs;
     let start = Instant::now();
     loop {
-        let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("{addr} resolves to no address"),
-            )
-        })?;
-        match banet::listen_reuse(resolved) {
+        match TcpListener::bind(addr) {
             Ok(l) => return Ok(l),
             Err(e) if e.kind() == std::io::ErrorKind::AddrInUse => {
                 if start.elapsed() > Duration::from_secs(2) {

@@ -128,7 +128,7 @@ impl NetBackend for RouterBackend {
 pub fn remote_router(
     addrs: &[String],
     base: RemoteShardConfig,
-    fallback: Option<Arc<dyn Fallback>>,
+    fallback: Option<Arc<Fallback>>,
 ) -> (ShardRouter, Vec<Arc<Metrics>>) {
     assert!(
         !addrs.is_empty(),

@@ -3,13 +3,13 @@
 //! `tests/tests/net.rs` proves the same contract against `NetServer`s on
 //! threads of the test process; here the workers are the production binary
 //! started the way an operator starts it, so the `listening <addr>` banner,
-//! the artifact + seed preamble, `SO_REUSEADDR` rebinding after a process
-//! death and a connection torn down by the kernel (not by `stop()`) are all
-//! on the path.
+//! the artifact + seed preamble, rebinding the same port after a process
+//! death (std's listener sets `SO_REUSEADDR` on unix) and a connection torn
+//! down by the kernel (not by `stop()`) are all on the path.
 
 use baclassifier::{BaClassifier, BacConfig, ModelArtifact, ShardMap};
 use banet::RemoteShardConfig;
-use baserve::{Fallback, FeatureFallback, Response, ServeError};
+use baserve::{Fallback, Response, ServeError};
 use bashard::{remote_router, wait_fleet_up, ShardRouter};
 use btcsim::AddressRecord;
 use std::io::{BufRead, BufReader};
@@ -104,7 +104,7 @@ fn killed_worker_process_degrades_then_recovers_on_the_same_port() {
 
     // The workers rebuilt this dataset from the same seed.
     let records = baserve::cli::rebuild_records(SEED, MIN_TXS);
-    let fallback: Arc<dyn Fallback> = Arc::new(FeatureFallback::fit(&records));
+    let fallback = Arc::new(Fallback::fit(&records));
     let config = RemoteShardConfig {
         max_in_flight: 4096,
         ..RemoteShardConfig::default()

@@ -20,8 +20,7 @@ use baclassifier::durable::MAGIC_LEN;
 use baclassifier::{ArtifactError, BacConfig, ModelArtifact};
 use baserve::{
     corrupt_bytes, format_response, garble_line, parse_request_bytes, truncate_line, Engine,
-    EngineConfig, EngineHooks, Fallback, FaultAction, FaultSpec, FeatureFallback,
-    ScriptedFaultPlan, ServeError,
+    EngineConfig, EngineHooks, Fallback, FaultAction, FaultSpec, ScriptedFaultPlan, ServeError,
 };
 use btcsim::{AddressRecord, Dataset, SimConfig, Simulator};
 use std::sync::Arc;
@@ -121,7 +120,7 @@ fn scripted_fault_storm_leaves_no_request_unaccounted() {
 #[test]
 fn degraded_answers_match_the_fallback_byte_for_byte() {
     let records = test_records(6);
-    let fallback = Arc::new(FeatureFallback::fit(&records));
+    let fallback = Arc::new(Fallback::fit(&records));
     // The engine's restart budget is four: the fifth panic retires the
     // only worker, which forces the breaker open.
     let plan = Arc::new(ScriptedFaultPlan::panics(0, &[1, 2, 3, 4, 5]));
@@ -133,7 +132,7 @@ fn degraded_answers_match_the_fallback_byte_for_byte() {
         },
         EngineHooks {
             fault_plan: plan as Arc<dyn baserve::FaultPlan>,
-            fallback: Some(Arc::clone(&fallback) as Arc<dyn Fallback>),
+            fallback: Some(Arc::clone(&fallback)),
         },
     )
     .unwrap();

@@ -28,9 +28,9 @@
 //! 6. **The lane's own guarantees** — against a hand-rolled fake worker, a
 //!    request the worker never answers settles `DeadlineExceeded` on the
 //!    client's clock while pings keep the lane up; a worker that goes
-//!    silent is declared stale and its pending request fails; and
-//!    `shutdown` returns only after the lane's thread has let go of its
-//!    counters.
+//!    silent is declared stale and its pending request fails; a worker
+//!    slow to greet is still connected on the first dial; and `shutdown`
+//!    returns only after the lane's thread has let go of its counters.
 //! 7. **Whole-frame deadline** — a peer trickling a frame one byte at a
 //!    time is cut once it has been arriving for the stall timeout, and
 //!    cannot keep `NetServer::stop` from returning.
@@ -44,12 +44,10 @@ use baclassifier::{BacConfig, ModelArtifact, ShardAssignment, ShardMap, SHARD_HA
 use banet::frame::{encode_frame, write_magic, write_message, MAGIC};
 use banet::server::NetBackend;
 use banet::{
-    listen_reuse, FrameError, FrameReader, Hello, Message, NetServer, NetServerConfig, RemoteShard,
+    FrameError, FrameReader, Hello, Message, NetServer, NetServerConfig, RemoteShard,
     RemoteShardConfig, ReplyOutcome, Role, MAX_FRAME_LEN,
 };
-use baserve::{
-    Engine, EngineConfig, EngineHooks, Fallback, FeatureFallback, ScriptedFaultPlan, ServeError,
-};
+use baserve::{Engine, EngineConfig, EngineHooks, Fallback, ScriptedFaultPlan, ServeError};
 use bashard::{
     rebalance_snapshots, remote_router, shard_snapshot_path, wait_fleet_up, ShardRouter,
     ShardedFollower, WorkerBackend,
@@ -92,7 +90,8 @@ fn spawn_worker(
         by_id.clone(),
         ShardAssignment { index, count },
     ));
-    let listener = listen_reuse(addr.unwrap_or_else(|| "127.0.0.1:0".parse().unwrap())).unwrap();
+    let listener =
+        TcpListener::bind(addr.unwrap_or_else(|| "127.0.0.1:0".parse().unwrap())).unwrap();
     let bound = listener.local_addr().unwrap();
     let server = NetServer::spawn(listener, backend, NetServerConfig::for_shard(index, count))
         .expect("worker server spawns");
@@ -177,7 +176,7 @@ fn killed_worker_degrades_then_recovers_on_the_same_port() {
         .expect("some address lands on shard 1")
         .clone();
 
-    let fallback: Arc<dyn Fallback> = Arc::new(FeatureFallback::fit(&records));
+    let fallback = Arc::new(Fallback::fit(&records));
     let fleet: Vec<_> = (0..shards)
         .map(|i| spawn_worker(&artifact, &by_id, i, shards, None))
         .collect();
@@ -468,7 +467,7 @@ fn retired_message_types_cut_the_connection_and_nothing_else() {
         by_id,
         ShardAssignment { index: 0, count: 1 },
     ));
-    let listener = listen_reuse("127.0.0.1:0".parse().unwrap()).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = NetServer::spawn(
         listener,
@@ -655,7 +654,7 @@ fn a_trickling_peer_is_cut_and_cannot_block_stop() {
 #[test]
 fn a_disconnected_lane_answers_for_itself() {
     let (records, _) = dataset(253);
-    let fallback: Arc<dyn Fallback> = Arc::new(FeatureFallback::fit(&records));
+    let fallback = Arc::new(Fallback::fit(&records));
     let records = &records[..10];
     // A port nothing listens on.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -691,7 +690,7 @@ fn a_disconnected_lane_answers_for_itself() {
 fn degraded_worker_replies_are_counted_once() {
     let artifact = Arc::new(ModelArtifact::untrained(BacConfig::fast()));
     let (records, by_id) = dataset(257);
-    let fallback: Arc<dyn Fallback> = Arc::new(FeatureFallback::fit(&records));
+    let fallback = Arc::new(Fallback::fit(&records));
     let engine = Engine::with_hooks(
         Arc::clone(&artifact),
         EngineConfig {
@@ -718,7 +717,7 @@ fn degraded_worker_replies_are_counted_once() {
         by_id,
         ShardAssignment { index: 0, count: 1 },
     ));
-    let listener = listen_reuse("127.0.0.1:0".parse().unwrap()).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let server = NetServer::spawn(listener, backend, NetServerConfig::unsharded()).unwrap();
     let (router, lanes) = remote_router(&[addr], fast_config(), None);
@@ -746,18 +745,23 @@ enum Fake {
 }
 
 /// A one-connection BANET worker built from the frame helpers: it accepts
-/// one client, completes the handshake as worker 0 of 1, then behaves as
+/// one client, completes the handshake as worker 0 of 1 — its magic
+/// `greet_after` accept, its `Hello` in a second write — then behaves as
 /// `mode` says until the client goes away. The listener closes after that
 /// one accept, so a lane that tears the connection down cannot dial back.
-fn fake_worker(mode: Fake) -> SocketAddr {
+fn fake_worker(mode: Fake, greet_after: Duration) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
+        let accepted = Instant::now();
         drop(listener);
+        stream.set_nodelay(true).unwrap();
         let mut reader = FrameReader::new(stream.try_clone().unwrap());
         assert!(matches!(reader.read_message(), Ok(Some(Message::Hello(_)))));
+        std::thread::sleep(greet_after.saturating_sub(accepted.elapsed()));
         write_magic(&mut stream).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
         let hello = Message::Hello(Hello {
             role: Role::Worker,
             shard_index: 0,
@@ -786,9 +790,30 @@ fn any_record() -> AddressRecord {
 
 /// A connected lane to a fake worker, and the time it was connected.
 fn lane_to(mode: Fake) -> (RemoteShard, Instant) {
-    let lane = RemoteShard::connect(&fake_worker(mode).to_string(), fast_config(), None);
+    let worker = fake_worker(mode, Duration::ZERO);
+    let lane = RemoteShard::connect(&worker.to_string(), fast_config(), None);
     assert!(lane.wait_connected(Duration::from_secs(5)));
     (lane, Instant::now())
+}
+
+/// `banet`'s client dial timeout, which also bounds its handshake.
+const CLIENT_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// A worker whose greeting reaches the lane later than one read tick after
+/// accept, magic and `Hello` in separate writes, is still connected on the
+/// first dial, within the client's connect timeout.
+#[test]
+fn a_worker_slow_to_greet_is_connected() {
+    let worker = fake_worker(Fake::PongOnly, Duration::from_millis(80));
+    let start = Instant::now();
+    let lane = RemoteShard::connect(&worker.to_string(), fast_config(), None);
+    let connected = lane.wait_connected(CLIENT_CONNECT_TIMEOUT.saturating_sub(start.elapsed()));
+    assert!(
+        connected,
+        "lane to a worker greeting 80 ms after accept not connected after {:?}",
+        start.elapsed()
+    );
+    lane.shutdown();
 }
 
 #[test]
