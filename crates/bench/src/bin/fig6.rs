@@ -73,5 +73,5 @@ fn main() {
             log.total_time().as_secs_f64()
         );
     }
-    println!("\npaper shape check: LSTM+MLP consistently best across epochs; pooling heads trail");
+    println!("\nthe paper's shape, not checked here: LSTM+MLP consistently best across epochs; pooling heads trail");
 }

@@ -144,5 +144,5 @@ fn main() {
             &class_rows,
         );
     }
-    println!("\npaper shape check: GFN best (0.9769), GCN > DiffPool, GBDT best ML (0.9585), LR/NB weakest");
+    println!("\nthe paper's shape, not checked here: GFN best (0.9769), GCN > DiffPool, GBDT best ML (0.9585), LR/NB weakest");
 }

@@ -70,5 +70,5 @@ fn main() {
         &["Model", "Type", "Precision", "Recall", "F1-score"],
         &rows,
     );
-    println!("\npaper shape check: LSTM+MLP best weighted F1 (0.9497); Service hardest class for every head");
+    println!("\nthe paper's shape, not checked here: LSTM+MLP best weighted F1 (0.9497); Service hardest class for every head");
 }

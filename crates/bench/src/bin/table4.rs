@@ -92,5 +92,5 @@ fn main() {
         &["Classifier", "Type", "Precision", "Recall", "F1-score"],
         &rows,
     );
-    println!("\npaper shape check: BAClassifier ≫ BitScope ≳ Lee-RF ≫ Lee-ANN; Service the hardest class");
+    println!("\nthe paper's shape, not checked here: BAClassifier ≫ BitScope ≳ Lee-RF ≫ Lee-ANN; Service the hardest class");
 }

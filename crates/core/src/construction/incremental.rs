@@ -16,8 +16,6 @@
 //!   slices, seeding only the nodes that survive, and hands them over. A
 //!   caller that keeps what it read from a frozen slice (the follower: its
 //!   embedding) drops the raw graph with [`IncrementalGraphs::forget_frozen`].
-//! * [`FocusAggregates`] keeps O(1)-updatable scalar feature aggregates
-//!   (flows, event counts, activity span) for cheap gating and telemetry.
 //!
 //! [`construct_address_graphs`]: crate::construction::construct_address_graphs
 
@@ -181,68 +179,6 @@ pub fn graphs_identical(a: &[AddressGraph], b: &[AddressGraph]) -> Result<(), St
         }
     }
     Ok(())
-}
-
-/// O(1)-updatable scalar aggregates of a focus address's history — the
-/// feature-delta counterpart to the graph deltas above. Applying txs one by
-/// one gives bit-identical results to [`FocusAggregates::from_history`]
-/// because both fold in the same chronological order.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FocusAggregates {
-    /// Transactions in the history.
-    pub num_txs: u64,
-    /// BTC received by the focus (sum of outputs paying it).
-    pub received_btc: f64,
-    /// BTC spent by the focus (sum of inputs funded by it).
-    pub spent_btc: f64,
-    /// Output entries paying the focus.
-    pub in_events: u64,
-    /// Input entries funded by the focus.
-    pub out_events: u64,
-    /// Timestamp of the first transaction (0 when empty).
-    pub first_timestamp: u64,
-    /// Timestamp of the latest transaction (0 when empty).
-    pub last_timestamp: u64,
-}
-
-impl FocusAggregates {
-    pub fn apply_tx(&mut self, focus: Address, tx: &TxView) {
-        if self.num_txs == 0 {
-            self.first_timestamp = tx.timestamp;
-        }
-        self.last_timestamp = tx.timestamp;
-        self.num_txs += 1;
-        for &(addr, amount) in &tx.inputs {
-            if addr == focus {
-                self.spent_btc += amount.btc();
-                self.out_events += 1;
-            }
-        }
-        for &(addr, amount) in &tx.outputs {
-            if addr == focus {
-                self.received_btc += amount.btc();
-                self.in_events += 1;
-            }
-        }
-    }
-
-    pub fn from_history<'a>(focus: Address, txs: impl IntoIterator<Item = &'a TxView>) -> Self {
-        let mut agg = Self::default();
-        for tx in txs {
-            agg.apply_tx(focus, tx);
-        }
-        agg
-    }
-
-    /// Net flow through the focus in BTC (received − spent).
-    pub fn net_btc(&self) -> f64 {
-        self.received_btc - self.spent_btc
-    }
-
-    /// Active span in seconds (0 for empty or single-tx histories).
-    pub fn active_secs(&self) -> u64 {
-        self.last_timestamp.saturating_sub(self.first_timestamp)
-    }
 }
 
 #[cfg(test)]
@@ -416,35 +352,5 @@ mod tests {
         let ga = a.graphs();
         let gc = c.graphs();
         assert_eq!(graphs_identical(&ga, &gc), Ok(()));
-    }
-
-    #[test]
-    fn focus_aggregates_delta_equals_batch() {
-        let txs = synthetic_history(20);
-        let mut live = FocusAggregates::default();
-        for (i, tx) in txs.iter().enumerate() {
-            live.apply_tx(Address(0), tx);
-            assert_eq!(live, FocusAggregates::from_history(Address(0), &txs[..=i]));
-        }
-        assert_eq!(live.num_txs, 20);
-        assert!(live.in_events > 0 && live.out_events > 0);
-        assert!(live.active_secs() > 0);
-        assert!(live.net_btc().is_finite());
-    }
-
-    #[test]
-    fn focus_aggregates_track_flows() {
-        let txs = vec![
-            view(10, &[(9, 5.0)], &[(0, 4.5), (9, 0.4)]),
-            view(20, &[(0, 4.5)], &[(7, 4.4)]),
-        ];
-        let agg = FocusAggregates::from_history(Address(0), &txs);
-        assert_eq!(agg.num_txs, 2);
-        assert!((agg.received_btc - 4.5).abs() < 1e-9);
-        assert!((agg.spent_btc - 4.5).abs() < 1e-9);
-        assert_eq!(agg.in_events, 1);
-        assert_eq!(agg.out_events, 1);
-        assert_eq!(agg.first_timestamp, 10);
-        assert_eq!(agg.last_timestamp, 20);
     }
 }

@@ -13,6 +13,6 @@ pub use address_graph::{AddressGraph, Edge, Node, NodeKind, Side};
 pub use augment::augment_with_centralities;
 pub use compress::{compress_multi_tx, compress_single_tx, MultiCompressParams};
 pub use extract::extract_original_graphs;
-pub use incremental::{graphs_identical, FocusAggregates, IncrementalGraphs};
+pub use incremental::{graphs_identical, IncrementalGraphs};
 pub use pipeline::construct_address_graphs;
 pub use sfe::{sfe, SfeFeatures, SFE_DIM};

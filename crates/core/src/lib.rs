@@ -39,7 +39,6 @@ pub mod metrics;
 pub mod models;
 pub mod parallel;
 pub mod pipeline;
-pub mod refine;
 pub mod shard;
 pub mod train;
 

@@ -7,7 +7,7 @@
 use baclassifier::construction::pipeline::construct_address_graphs;
 use baclassifier::construction::{
     augment_with_centralities, compress_multi_tx, compress_single_tx, extract_original_graphs,
-    graphs_identical, AddressGraph, FocusAggregates, IncrementalGraphs, MultiCompressParams,
+    graphs_identical, AddressGraph, IncrementalGraphs, MultiCompressParams,
 };
 use baclassifier::ConstructionConfig;
 use btcsim::{Address, AddressRecord, Amount, Label, TxView, Txid};
@@ -204,18 +204,5 @@ proptest! {
             };
             prop_assert_eq!(graphs_identical(&inc.graphs(), &public_chain(&prefix, &cfg)), Ok(()));
         }
-    }
-
-    #[test]
-    fn feature_aggregates_delta_equals_batch(record in history_strategy()) {
-        let mut live = FocusAggregates::default();
-        for tx in &record.txs {
-            live.apply_tx(record.address, tx);
-        }
-        let batch = FocusAggregates::from_history(record.address, &record.txs);
-        prop_assert_eq!(live, batch);
-        prop_assert_eq!(live.num_txs as usize, record.txs.len());
-        // Every tx involves the focus on exactly one side by construction.
-        prop_assert_eq!(live.in_events + live.out_events, live.num_txs);
     }
 }

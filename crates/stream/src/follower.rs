@@ -2,9 +2,9 @@
 //! reclassification.
 //!
 //! The follower consumes blocks in height order and keeps each fact about a
-//! tracked address once (`AddressState`): its append-only history, running
-//! feature aggregates, one GFN embedding per slice and — once classified —
-//! the raw graph of its open slice, maintained by
+//! tracked address once (`AddressState`): its append-only history, one GFN
+//! embedding per slice, the label margin of its last classification and —
+//! once classified — the raw graph of its open slice, maintained by
 //! [`baclassifier::construction::incremental`]. Applying a block only touches
 //! the addresses that transacted in it. Dirty addresses are pushed through
 //! the classifier head on a configurable cadence, producing a continuously
@@ -19,7 +19,7 @@
 
 use crate::metrics::StreamMetrics;
 use baclassifier::config::resolve_threads;
-use baclassifier::construction::{AddressGraph, FocusAggregates, IncrementalGraphs};
+use baclassifier::construction::{AddressGraph, IncrementalGraphs};
 use baclassifier::{ArtifactError, BaClassifier, ModelArtifact, ShardAssignment};
 use btcsim::{Address, Block, Label, TxView};
 use numnet::Matrix;
@@ -115,8 +115,6 @@ pub(crate) struct AddressState {
     /// the address is first reclassified (then built from `history`), so an
     /// address under `min_txs` or just restored has none.
     pub(crate) inc: Option<IncrementalGraphs>,
-    /// Running scalar aggregates (cheap monitoring signal).
-    pub(crate) agg: FocusAggregates,
     /// Per-slice embeddings; entries `< embeds_clean` match the history,
     /// the rest are stale or missing and re-embedded on demand.
     pub(crate) embeds: Vec<Matrix>,
@@ -130,12 +128,11 @@ pub(crate) struct AddressState {
 }
 
 impl AddressState {
-    pub(crate) fn apply(&mut self, focus: Address, view: &Arc<TxView>, slice_size: usize) {
+    pub(crate) fn apply(&mut self, view: &Arc<TxView>, slice_size: usize) {
         self.history.push(Arc::clone(view));
         if let Some(inc) = &mut self.inc {
             inc.apply_tx(view);
         }
-        self.agg.apply_tx(focus, view);
         // The newest slice mutated; any embedding cached for it is stale.
         let open = (self.history.len() - 1) / slice_size;
         self.embeds_clean = self.embeds_clean.min(open);
@@ -206,11 +203,6 @@ impl Follower {
         self.states.get(&addr).map_or(0, |s| s.history.len())
     }
 
-    /// Running feature aggregates of one tracked address.
-    pub fn aggregates(&self, addr: Address) -> Option<FocusAggregates> {
-        self.states.get(&addr).map(|s| s.agg)
-    }
-
     /// Cached per-slice embeddings of one tracked address. Entries are
     /// current as of the last reclassification (stale tails are re-embedded
     /// there, not here); call [`Follower::reclassify_dirty`] first when the
@@ -268,7 +260,7 @@ impl Follower {
                     self.metrics.coalesced_flips += 1;
                 }
                 let view = view.get_or_insert_with(|| Arc::new(TxView::from(tx)));
-                state.apply(addr, view, slice_size);
+                state.apply(view, slice_size);
                 self.metrics.tx_applications += 1;
             }
             self.metrics.txs_ingested += 1;
@@ -473,10 +465,6 @@ pub(crate) mod tests {
                 state.history.iter().map(Arc::as_ref).eq(&record.txs),
                 "history for {:?}",
                 record.address
-            );
-            assert_eq!(
-                state.agg,
-                FocusAggregates::from_history(record.address, &record.txs)
             );
         }
     }

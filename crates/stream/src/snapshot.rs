@@ -14,10 +14,10 @@
 //! ```
 //!
 //! Address records follow in `BTreeMap` order, each leading with its
-//! address so the offline rebalancer routes them verbatim. Aggregates,
-//! graphs and embeddings are functions of the history and are not stored;
-//! a transaction is interned back into one `Arc` on restore. Files are
-//! written atomically (`durable::write_records`).
+//! address so the offline rebalancer routes them verbatim. Graphs and
+//! embeddings are functions of the history and are not stored; a
+//! transaction is interned back into one `Arc` on restore. Files are written
+//! atomically (`durable::write_records`).
 //!
 //! Unlike the journal, a snapshot fails closed: a journal's valid prefix is
 //! a shorter chain that replay extends, a snapshot's is a follower missing
@@ -28,7 +28,6 @@
 //! refuses another one or an unknown partition-hash version.
 
 use crate::follower::{AddressState, Follower, FollowerConfig};
-use baclassifier::construction::FocusAggregates;
 use baclassifier::durable::{
     put_u32, put_u64, write_records, Cursor, RecordFault, RecordReader, FRAME_HEADER,
 };
@@ -296,8 +295,8 @@ impl Follower {
         Ok(())
     }
 
-    /// Rebuild a follower from a snapshot: histories, aggregates, labels
-    /// and margins; no graph is built. The restored follower resumes at the
+    /// Rebuild a follower from a snapshot: histories, labels and margins;
+    /// no graph is built. The restored follower resumes at the
     /// snapshot's height: feed it the chain from there (or an overlapping
     /// prefix — already-seen blocks are skipped).
     pub fn restore(
@@ -327,7 +326,6 @@ impl Follower {
             // Snapshots are taken at fully-classified points, so an address
             // without a label was deferred under `min_txs`: it stays dirty.
             let state = AddressState {
-                agg: FocusAggregates::from_history(addr, history.iter().map(Arc::as_ref)),
                 history,
                 dirty: label.is_none(),
                 margin,
@@ -422,9 +420,7 @@ mod tests {
         for (addr, state) in &follower.states {
             let r = restored.states.get(addr).expect("address restored");
             assert_eq!(r.history, state.history);
-            assert_eq!(r.agg, state.agg);
-            // The margin comes back bit for bit, so a restarted follower
-            // queues dirty addresses in the uninterrupted run's order.
+            // The margin comes back bit for bit.
             assert_eq!(r.margin.map(f32::to_bits), state.margin.map(f32::to_bits));
             // Labelled addresses come back clean; one deferred under
             // `min_txs` keeps the dirty bit the uninterrupted run holds.

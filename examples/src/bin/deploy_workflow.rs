@@ -1,7 +1,5 @@
 //! Production-deployment workflow: train once, persist the model artifact,
-//! load it in a fresh process, classify a batch, then apply neighborhood label
-//! refinement (the paper's §V future-work idea: "nodes of the same type
-//! often cluster together").
+//! load it in a fresh process and classify a held-out batch.
 //!
 //! ```sh
 //! cargo run --release -p bac-examples --bin deploy_workflow
@@ -9,7 +7,6 @@
 
 use baclassifier::metrics::ConfusionMatrix;
 use baclassifier::models::NUM_CLASSES;
-use baclassifier::refine::{one_hot, refine_predictions, RefineParams};
 use baclassifier::{BaClassifier, BacConfig};
 use btcsim::{Dataset, SimConfig, Simulator};
 
@@ -35,38 +32,14 @@ fn main() {
     );
 
     let y_true: Vec<usize> = test.records.iter().map(|r| r.label.index()).collect();
-    let raw: Vec<usize> = test
+    let y_pred: Vec<usize> = test
         .records
         .iter()
         .map(|r| server.predict(r).expect("fitted model").index())
         .collect();
-    let raw_f1 = ConfusionMatrix::from_predictions(NUM_CLASSES, &y_true, &raw)
+    let f1 = ConfusionMatrix::from_predictions(NUM_CLASSES, &y_true, &y_pred)
         .report()
         .weighted_f1;
-
-    // --- Post-processing: neighborhood label refinement ---
-    let refined = refine_predictions(
-        &test.records,
-        &one_hot(&raw),
-        RefineParams {
-            alpha: 0.7,
-            iterations: 3,
-        },
-    );
-    let refined_f1 = ConfusionMatrix::from_predictions(NUM_CLASSES, &y_true, &refined)
-        .report()
-        .weighted_f1;
-
-    let changed = raw.iter().zip(&refined).filter(|(a, b)| a != b).count();
-    println!("model-only weighted F1:  {raw_f1:.4}");
-    println!("with refinement:         {refined_f1:.4}  ({changed} predictions revised)");
-    println!(
-        "refinement {} the model on this batch",
-        if refined_f1 >= raw_f1 {
-            "matched or improved"
-        } else {
-            "slightly hurt"
-        }
-    );
+    println!("weighted F1: {f1:.4}");
     std::fs::remove_file(artifact).ok();
 }
