@@ -59,7 +59,7 @@ use baclassifier::ShardAssignment;
 use banet::{NetServer, NetServerConfig, RemoteShardConfig, Role};
 use baserve::cli::{engine_config_from_args, flag_parsed, flag_value, has_flag, ServingInputs};
 use baserve::{run_line_session, Engine, NetBackend};
-use bashard::{FeedEnd, RouterBackend, ShardReport, ShardRouter, ShardedFollower, WorkerBackend};
+use bashard::{FeedEnd, RouterBackend, ShardRouter, ShardedFollower, WorkerBackend};
 use bstream::{BlockFeed, FollowerConfig};
 use btcsim::{Label, SimConfig};
 use std::io::{BufRead, Write};
@@ -151,15 +151,14 @@ fn follow(args: &[String], shards: u32) -> i32 {
         FeedEnd::Failed(e) => eprintln!("error: {e}"),
         FeedEnd::ProducerDied(why) => eprintln!("error: block producer died: {why}"),
     }
-    let code = followed.end.exit_code();
-    let merged = ShardReport::merge(followed.reports);
     let mut histogram = [0usize; 4];
-    for label in merged.labels.values() {
+    for label in followed.followers.iter().flat_map(|f| f.labels().values()) {
         histogram[label.index()] += 1;
     }
+    let height = followed.followers.iter().map(|f| f.next_height()).max();
     eprintln!(
         "[{NAME}] done at height {} in {:.1}s: {}",
-        merged.next_height,
+        height.unwrap_or_default(),
         t.elapsed().as_secs_f64(),
         Label::ALL
             .iter()
@@ -168,7 +167,7 @@ fn follow(args: &[String], shards: u32) -> i32 {
             .join(", ")
     );
     println!("{}", followed.metrics.to_json());
-    code
+    followed.end.exit_code()
 }
 
 fn main() {

@@ -14,9 +14,9 @@
 //!                     │ owns: addr → shard
 //!        ┌────────────┼────────────────────────┐
 //!   serve▼            ▼stream                  ▼snapshots
-//!  ShardRouter    ShardedFollower         shard <i> <n> <ver>
-//!  Engine ×N      Follower thread ×N      one BSTREAM file per
-//!  fan-out +      block broadcast +       shard; restart and
+//!  ShardRouter    ShardedFollower         one BSTREAM file per
+//!  Engine ×N      Follower thread ×N      shard, its layout in
+//!  fan-out +      block broadcast +       the header; restart,
 //!  in-order merge per-shard filter        rebalance per shard
 //! ```
 //!
@@ -49,7 +49,4 @@ pub use baclassifier::{ShardAssignment, ShardMap, SHARD_HASH_VERSION};
 pub use rebalance::{rebalance_snapshots, RebalanceError, RebalanceReport};
 pub use remote::{remote_router, wait_fleet_up, RouterBackend, WorkerBackend};
 pub use router::ShardRouter;
-pub use stream::{
-    shard_snapshot_path, FeedEnd, Followed, MergedReport, ShardReport, ShardStreamError,
-    ShardedFollower,
-};
+pub use stream::{shard_snapshot_path, FeedEnd, Followed, ShardStreamError, ShardedFollower};

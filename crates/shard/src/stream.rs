@@ -9,7 +9,9 @@
 //! every shard over a bounded channel (backpressure, never unbounded
 //! buffering); each follower's [`FollowerConfig::shard`] filter makes it
 //! apply only the addresses it owns, so the union of the shards' state is
-//! exactly the unsharded follower's state, byte for byte.
+//! exactly the unsharded follower's state, byte for byte. Finishing the
+//! fleet hands back each shard's [`Follower`] itself, in shard order:
+//! nothing is copied out of it.
 //!
 //! Each shard checkpoints to its **own** BSTREAM snapshot (the base path
 //! suffixed `.{i}of{n}`), stamped with its [`ShardAssignment`], so shards
@@ -63,9 +65,7 @@ use baserve::{FaultAction, FaultPlan, NoFaults};
 use bstream::{
     BlockFeed, BlockJournal, FeedError, FeedStalled, Follower, FollowerConfig, StreamMetrics,
 };
-use btcsim::{Address, Block, Label};
-use numnet::Matrix;
-use std::collections::BTreeMap;
+use btcsim::Block;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
@@ -110,72 +110,6 @@ pub fn shard_snapshot_path(base: &Path, index: u32, count: u32) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Everything a shard hands back when it finishes: its slice of the label
-/// table, embedding cache, and histories, plus its own metrics. Plain
-/// `Send` data — this is how per-shard state crosses back over the thread
-/// boundary for merged reporting and identity checks.
-pub struct ShardReport {
-    pub shard: ShardAssignment,
-    pub labels: BTreeMap<Address, Label>,
-    pub embeddings: BTreeMap<Address, Vec<Matrix>>,
-    pub history_lens: BTreeMap<Address, usize>,
-    pub num_tracked: usize,
-    pub next_height: u64,
-    pub metrics: StreamMetrics,
-}
-
-impl ShardReport {
-    /// Merge per-shard reports into one fleet-wide view: label tables and
-    /// embedding maps union disjointly (each address has exactly one
-    /// owner). Panics if two reports claim the same address — that would
-    /// mean the shards disagree about the partition.
-    pub fn merge(reports: Vec<ShardReport>) -> MergedReport {
-        let mut labels = BTreeMap::new();
-        let mut embeddings = BTreeMap::new();
-        let mut history_lens = BTreeMap::new();
-        let mut num_tracked = 0;
-        let mut next_height = 0;
-        for report in reports {
-            for (addr, label) in report.labels {
-                assert!(
-                    labels.insert(addr, label).is_none(),
-                    "address {addr:?} labeled by two shards"
-                );
-            }
-            for (addr, embeds) in report.embeddings {
-                assert!(
-                    embeddings.insert(addr, embeds).is_none(),
-                    "address {addr:?} embedded by two shards"
-                );
-            }
-            for (addr, len) in report.history_lens {
-                assert!(
-                    history_lens.insert(addr, len).is_none(),
-                    "address {addr:?} tracked by two shards"
-                );
-            }
-            num_tracked += report.num_tracked;
-            next_height = next_height.max(report.next_height);
-        }
-        MergedReport {
-            labels,
-            embeddings,
-            history_lens,
-            num_tracked,
-            next_height,
-        }
-    }
-}
-
-/// The disjoint union of every shard's [`ShardReport`].
-pub struct MergedReport {
-    pub labels: BTreeMap<Address, Label>,
-    pub embeddings: BTreeMap<Address, Vec<Matrix>>,
-    pub history_lens: BTreeMap<Address, usize>,
-    pub num_tracked: usize,
-    pub next_height: u64,
-}
-
 /// Why [`ShardedFollower::follow`] stopped taking blocks.
 #[derive(Debug)]
 pub enum FeedEnd {
@@ -208,8 +142,8 @@ impl FeedEnd {
 /// What [`ShardedFollower::follow`] hands back after its final flush.
 pub struct Followed {
     pub end: FeedEnd,
-    /// One report per shard, in shard order.
-    pub reports: Vec<ShardReport>,
+    /// Every shard's follower, in shard order.
+    pub followers: Vec<Follower>,
     /// Every shard's metrics merged with the driver's journal counters and
     /// lag — the blob the daemon prints.
     pub metrics: StreamMetrics,
@@ -234,9 +168,9 @@ enum Cmd {
     Reclassify(Sender<usize>),
     /// Checkpoint to the shard's snapshot path; reply with the outcome.
     Snapshot(Sender<Result<(), String>>),
-    /// Final reclassification (+ snapshot if configured), then report and
-    /// exit.
-    Finish(Sender<ShardReport>),
+    /// Final reclassification (+ snapshot if configured), then hand the
+    /// follower back and exit.
+    Finish(Sender<Follower>),
 }
 
 struct ShardWorker {
@@ -482,14 +416,14 @@ impl ShardedFollower {
                 Err(FeedError::Stalled(_)) => {}
             }
         };
-        let reports = self.finish_shards()?;
+        let followers = self.finish_shards()?;
         let mut metrics = self.metrics;
-        for report in &reports {
-            metrics.merge(&report.metrics);
+        for follower in &followers {
+            metrics.merge(follower.metrics());
         }
         Ok(Followed {
             end,
-            reports,
+            followers,
             metrics,
         })
     }
@@ -536,20 +470,20 @@ impl ShardedFollower {
     }
 
     /// Finish every shard: final reclassification (and snapshot, when
-    /// configured), then collect the per-shard reports, flush and compact
-    /// the journal and join the threads. Reports come back in shard order.
-    /// A shard that dies while finishing is respawned from snapshot +
-    /// journal and finished again — the report it returns covers every
-    /// journaled block.
-    pub fn finish(mut self) -> Result<Vec<ShardReport>, ShardStreamError> {
+    /// configured), then take back each shard's [`Follower`], flush and
+    /// compact the journal and join the threads. Followers come back in
+    /// shard order. A shard that dies while finishing is respawned from
+    /// snapshot + journal and finished again — the follower it hands back
+    /// covers every journaled block.
+    pub fn finish(mut self) -> Result<Vec<Follower>, ShardStreamError> {
         self.finish_shards()
     }
 
-    fn finish_shards(&mut self) -> Result<Vec<ShardReport>, ShardStreamError> {
+    fn finish_shards(&mut self) -> Result<Vec<Follower>, ShardStreamError> {
         let replies = self.broadcast(Cmd::Finish)?;
-        let mut reports = Vec::with_capacity(replies.len());
+        let mut followers = Vec::with_capacity(replies.len());
         for (i, rx) in replies.into_iter().enumerate() {
-            reports.push(self.collect_or_retry(i, rx, Cmd::Finish)?);
+            followers.push(self.collect_or_retry(i, rx, Cmd::Finish)?);
         }
         for worker in self.workers.drain(..) {
             drop(worker.tx);
@@ -562,7 +496,7 @@ impl ShardedFollower {
             self.metrics.journal_fsyncs += 1;
         }
         self.compact_journal();
-        Ok(reports)
+        Ok(followers)
     }
 
     /// Dispatch a reply-carrying command to every live shard (respawning
@@ -771,7 +705,7 @@ fn spawn_worker(
     let handle = std::thread::Builder::new()
         .name(format!("bashard-{index}of{count}"))
         .spawn(move || {
-            let mut follower = match Follower::recover(&artifact, shard_cfg) {
+            let follower = match Follower::recover(&artifact, shard_cfg) {
                 Ok(recovery) => recovery.follower,
                 Err(e) => {
                     init_tx.send(Err(e.to_string())).ok();
@@ -781,7 +715,7 @@ fn spawn_worker(
             thread_heartbeat.beat();
             init_tx.send(Ok(follower.next_height())).ok();
             worker_loop(
-                &mut follower,
+                follower,
                 &rx,
                 index,
                 &thread_fence,
@@ -800,7 +734,7 @@ fn spawn_worker(
 }
 
 fn worker_loop(
-    follower: &mut Follower,
+    mut follower: Follower,
     rx: &Receiver<Cmd>,
     index: u32,
     fence: &AtomicBool,
@@ -859,19 +793,7 @@ fn worker_loop(
                         eprintln!("bashard: final snapshot to {} failed: {e}", path.display());
                     }
                 }
-                let report = ShardReport {
-                    shard: follower
-                        .config()
-                        .shard
-                        .expect("shard workers always carry an assignment"),
-                    labels: follower.labels().clone(),
-                    embeddings: follower.export_embeddings(),
-                    history_lens: follower.history_lens(),
-                    num_tracked: follower.num_tracked(),
-                    next_height: follower.next_height(),
-                    metrics: follower.metrics().clone(),
-                };
-                reply.send(report).ok();
+                reply.send(follower).ok();
                 return;
             }
         }

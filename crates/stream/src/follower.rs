@@ -220,16 +220,6 @@ impl Follower {
             .collect()
     }
 
-    /// Clone out the full per-address embedding table (current as of the
-    /// last reclassification). Used by shard workers to ship their slice of
-    /// the state across a thread boundary for merged reporting.
-    pub fn export_embeddings(&self) -> BTreeMap<Address, Vec<Matrix>> {
-        self.states
-            .iter()
-            .map(|(a, s)| (*a, s.embeds.clone()))
-            .collect()
-    }
-
     /// Apply one block to per-address state. Blocks must arrive in height
     /// order; blocks below `next_height` are skipped silently so a resumed
     /// follower can overlap with an already-ingested prefix.
@@ -793,7 +783,6 @@ pub(crate) mod tests {
             follower
         };
         let whole = run(usize::MAX, 1);
-        let want = whole.export_embeddings();
         assert!(!whole.labels().is_empty());
         for threads in [1, 4] {
             for cap in [1, 3, usize::MAX] {
@@ -803,12 +792,12 @@ pub(crate) mod tests {
                     whole.labels(),
                     "cap {cap}, threads {threads}"
                 );
-                let got = split.export_embeddings();
-                assert_eq!(got.len(), want.len());
-                for (addr, embeds) in &got {
-                    let other = &want[addr];
-                    assert_eq!(embeds.len(), other.len());
-                    for (x, y) in embeds.iter().zip(other) {
+                assert_eq!(split.num_tracked(), whole.num_tracked());
+                for addr in whole.states.keys() {
+                    let got = split.embeddings(*addr).expect("tracked by both");
+                    let want = whole.embeddings(*addr).expect("tracked");
+                    assert_eq!(got.len(), want.len());
+                    for (x, y) in got.iter().zip(want) {
                         assert_eq!(x.as_slice(), y.as_slice(), "embeddings for {addr:?}");
                     }
                 }

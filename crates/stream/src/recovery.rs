@@ -241,13 +241,11 @@ mod tests {
         assert_eq!(recovered.next_height(), reference.next_height());
         assert_eq!(recovered.labels(), reference.labels());
         assert_eq!(recovered.history_lens(), reference.history_lens());
-        let want = reference.export_embeddings();
-        let got = recovered.export_embeddings();
-        assert_eq!(got.len(), want.len());
-        for (addr, embeds) in &got {
-            let expect = &want[addr];
-            assert_eq!(embeds.len(), expect.len(), "slice count for {addr:?}");
-            for (g, w) in embeds.iter().zip(expect) {
+        for addr in reference.states.keys() {
+            let got = recovered.embeddings(*addr).expect("tracked by both");
+            let expect = reference.embeddings(*addr).expect("tracked");
+            assert_eq!(got.len(), expect.len(), "slice count for {addr:?}");
+            for (g, w) in got.iter().zip(expect) {
                 assert_eq!(g.as_slice(), w.as_slice(), "embedding bytes for {addr:?}");
             }
         }

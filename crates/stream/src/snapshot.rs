@@ -445,7 +445,10 @@ mod tests {
         restored.mark_all_dirty();
         restored.reclassify_dirty();
         assert_eq!(restored.labels(), follower.labels());
-        assert_eq!(restored.export_embeddings(), follower.export_embeddings());
+        assert_eq!(restored.num_tracked(), follower.num_tracked());
+        for addr in follower.states.keys() {
+            assert_eq!(restored.embeddings(*addr), follower.embeddings(*addr));
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! 1. **Worker kill** — a scripted panic takes a shard down mid-ingest at
 //!    shard counts 1 and 4; the supervisor respawns it from snapshot +
-//!    journal and the merged tip equals the unsharded reference. A shard
+//!    journal and the shards' tip equals the unsharded reference. A shard
 //!    that dies six times in a row is respawned five times, then reported
 //!    gone; one that makes progress between deaths keeps being respawned.
 //! 2. **Fleet crash** — the whole `ShardedFollower` is dropped without
@@ -26,9 +26,10 @@
 
 use baclassifier::{BacConfig, ModelArtifact};
 use baserve::{FaultAction, FaultSpec, ScriptedFaultPlan};
-use bashard::{shard_snapshot_path, FeedEnd, ShardReport, ShardStreamError, ShardedFollower};
+use bashard::{shard_snapshot_path, FeedEnd, ShardStreamError, ShardedFollower};
 use bstream::{quarantine_path, scan_journal, BlockFeed, Follower, FollowerConfig};
 use btcsim::{Block, BlockCursor, SimConfig};
+use integration_tests::assert_shards_match;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,46 +55,6 @@ fn unsharded_tip(artifact: &ModelArtifact, blocks: &[Block]) -> Follower {
     }
     follower.reclassify_dirty();
     follower
-}
-
-/// Byte-identity between the merged shard reports and the reference:
-/// labels, history lengths, tracked set, heights, and every embedding
-/// sequence that was materialized (recovered workers rebuild embeddings
-/// lazily, so an untouched address may legitimately carry an empty cache).
-fn assert_recovered_matches(reports: Vec<ShardReport>, reference: &Follower, tag: &str) {
-    let merged = ShardReport::merge(reports);
-    assert_eq!(
-        merged.next_height,
-        reference.next_height(),
-        "{tag}: blocks were lost"
-    );
-    assert_eq!(
-        merged.num_tracked,
-        reference.num_tracked(),
-        "{tag}: tracked set diverged"
-    );
-    assert_eq!(&merged.labels, reference.labels(), "{tag}: labels diverged");
-    assert_eq!(
-        merged.history_lens,
-        reference.history_lens(),
-        "{tag}: histories diverged"
-    );
-    for (addr, embeds) in &merged.embeddings {
-        if embeds.is_empty() {
-            continue;
-        }
-        let want = reference
-            .embeddings(*addr)
-            .unwrap_or_else(|| panic!("{tag}: {addr:?} missing from reference"));
-        assert_eq!(embeds.len(), want.len(), "{tag}: slice count for {addr:?}");
-        for (got, want) in embeds.iter().zip(want) {
-            assert_eq!(
-                got.as_slice(),
-                want.as_slice(),
-                "{tag}: embedding bytes diverged for {addr:?}"
-            );
-        }
-    }
 }
 
 struct Scratch {
@@ -155,9 +116,10 @@ fn killed_shard_worker_respawns_and_loses_nothing() {
             .unwrap();
         assert_eq!(plan.injected(), 1, "the scripted panic must have fired");
         assert_eq!(followed.metrics.respawns, 1, "exactly one respawn expected");
-        assert_recovered_matches(
-            followed.reports,
+        assert_shards_match(
+            &followed.followers,
             &reference,
+            false,
             &format!("{shards}-shard kill"),
         );
         s.cleanup(shards);
@@ -196,7 +158,7 @@ fn wedged_shard_worker_is_fenced_and_replaced() {
         followed.metrics.respawns, 1,
         "the wedged shard must be replaced"
     );
-    assert_recovered_matches(followed.reports, &reference, "wedged shard");
+    assert_shards_match(&followed.followers, &reference, false, "wedged shard");
     s.cleanup(shards);
 }
 
@@ -266,8 +228,8 @@ fn isolated_faults_do_not_exhaust_the_restart_budget() {
     }
     assert_eq!(plan.injected(), 6, "every scripted panic fired");
     assert_eq!(fleet.metrics().respawns, 6);
-    let reports = fleet.finish().unwrap();
-    assert_recovered_matches(reports, &reference, "isolated faults");
+    let followers = fleet.finish().unwrap();
+    assert_shards_match(&followers, &reference, false, "isolated faults");
     s.cleanup(shards);
 }
 
@@ -300,8 +262,13 @@ fn dropped_fleet_recovers_byte_identically_at_counts_1_and_4() {
         for b in &blocks {
             recovered.step(b.clone()).unwrap();
         }
-        let reports = recovered.finish().unwrap();
-        assert_recovered_matches(reports, &reference, &format!("{shards}-shard crash"));
+        let followers = recovered.finish().unwrap();
+        assert_shards_match(
+            &followers,
+            &reference,
+            false,
+            &format!("{shards}-shard crash"),
+        );
         s.cleanup(shards);
     }
 }
@@ -347,8 +314,8 @@ fn corrupt_latest_snapshot_falls_back_a_generation_and_replays() {
     for b in &blocks {
         recovered.step(b.clone()).unwrap();
     }
-    let reports = recovered.finish().unwrap();
-    assert_recovered_matches(reports, &reference, "generation fallback");
+    let followers = recovered.finish().unwrap();
+    assert_shards_match(&followers, &reference, false, "generation fallback");
     s.cleanup(shards);
 }
 
@@ -403,16 +370,18 @@ fn periodic_snapshots_compact_the_journal_to_the_oldest_retained_generation() {
         for i in 0..shards {
             assert!(quarantine_path(&shard_snapshot_path(&s.base, i, shards)).exists());
         }
-        let reports = recovered.finish().unwrap();
-        for report in &reports {
+        let followers = recovered.finish().unwrap();
+        for follower in &followers {
             assert_eq!(
-                report.metrics.journal_replayed, 5,
+                follower.metrics().journal_replayed,
+                5,
                 "replay from 25 to the tip"
             );
         }
-        assert_recovered_matches(
-            reports,
+        assert_shards_match(
+            &followers,
             &reference,
+            false,
             &format!("{shards}-shard oldest generation"),
         );
         s.cleanup(shards);
@@ -452,7 +421,7 @@ fn failed_compaction_is_counted_and_never_fatal() {
     assert_eq!(followed.metrics.journal_frames, 20);
     // Four periodic checkpoints and the final flush each tried to compact.
     assert_eq!(followed.metrics.journal_errors, 5);
-    assert_recovered_matches(followed.reports, &reference, "failed compaction");
+    assert_shards_match(&followed.followers, &reference, false, "failed compaction");
     s.cleanup(shards);
 }
 
@@ -476,8 +445,13 @@ fn silent_producer_ends_the_loop_as_a_stall_after_the_final_flush() {
         other => panic!("expected a stall, got {other:?}"),
     }
     assert_eq!(followed.end.exit_code(), 3);
-    let merged = ShardReport::merge(followed.reports);
-    assert_eq!(merged.next_height, 2, "both delivered blocks were applied");
+    for follower in &followed.followers {
+        assert_eq!(
+            follower.next_height(),
+            2,
+            "both delivered blocks were applied"
+        );
+    }
     drop(sender);
 
     assert_eq!(FeedEnd::Drained.exit_code(), 0);
@@ -502,5 +476,7 @@ fn panicking_producer_ends_the_loop_as_an_error_after_the_final_flush() {
         other => panic!("expected a dead producer, got {other:?}"),
     }
     assert_eq!(followed.end.exit_code(), 1);
-    assert_eq!(ShardReport::merge(followed.reports).next_height, 0);
+    for follower in &followed.followers {
+        assert_eq!(follower.next_height(), 0);
+    }
 }

@@ -5,22 +5,23 @@
 //! Three properties:
 //!
 //! 1. **Stream identity** — a `ShardedFollower` at counts 1, 2, and 4
-//!    drains the same chain as an unsharded `Follower`; the disjoint union
-//!    of the shards' label tables, histories, and embedding bytes equals
-//!    the unsharded state exactly.
+//!    drains the same chain as an unsharded `Follower`; the followers it
+//!    hands back own disjoint addresses, and their label tables, histories
+//!    and embedding bytes union to the unsharded state exactly.
 //! 2. **Durable restart** — snapshot every shard mid-stream, restore all
 //!    of them in fresh workers, resume over the remaining blocks (with an
-//!    overlapping prefix): the merged tip state is byte-identical to a
+//!    overlapping prefix): the shards' tip state is byte-identical to a
 //!    follower that never stopped, at every shard count.
 //! 3. **Serve identity** — a `ShardRouter` answers every classification
 //!    with the same label as a single engine over the same artifact, with
 //!    responses merged back in request order.
 
-use baclassifier::{BacConfig, ModelArtifact, ShardMap};
+use baclassifier::{BacConfig, ModelArtifact};
 use baserve::{Engine, EngineConfig};
-use bashard::{shard_snapshot_path, ShardReport, ShardRouter, ShardedFollower};
+use bashard::{shard_snapshot_path, ShardRouter, ShardedFollower};
 use bstream::{BlockFeed, Follower, FollowerConfig};
 use btcsim::{Block, BlockCursor, Dataset, SimConfig, Simulator};
+use integration_tests::assert_shards_match;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -46,52 +47,6 @@ fn unsharded_tip(artifact: &ModelArtifact, blocks: &[Block]) -> Follower {
     follower
 }
 
-/// Assert the merged shard reports equal the reference follower, byte for
-/// byte: labels, history lengths, tracked count, and every embedding
-/// matrix.
-///
-/// With `full_embeddings`, every tracked address must carry its complete
-/// embedding sequence (fresh runs embed everything). Without it (resume
-/// runs), embeddings are rebuilt on demand, so an address untouched after
-/// restore legitimately has an empty cache — but any sequence that *was*
-/// rebuilt must still be byte-identical.
-fn assert_merged_matches(
-    reports: Vec<ShardReport>,
-    reference: &Follower,
-    shards: u32,
-    full_embeddings: bool,
-) {
-    let merged = ShardReport::merge(reports);
-    assert_eq!(
-        merged.num_tracked,
-        reference.num_tracked(),
-        "{shards}-shard union tracks a different address set"
-    );
-    assert_eq!(merged.next_height, reference.next_height());
-    assert_eq!(
-        &merged.labels,
-        reference.labels(),
-        "{shards}-shard label table diverged"
-    );
-    assert_eq!(merged.history_lens, reference.history_lens());
-    for (addr, embeds) in &merged.embeddings {
-        let want = reference
-            .embeddings(*addr)
-            .unwrap_or_else(|| panic!("{addr:?} missing from reference"));
-        if !full_embeddings && embeds.is_empty() {
-            continue;
-        }
-        assert_eq!(embeds.len(), want.len(), "slice count for {addr:?}");
-        for (got, want) in embeds.iter().zip(want) {
-            assert_eq!(
-                got.as_slice(),
-                want.as_slice(),
-                "{shards}-shard embedding bytes diverged for {addr:?}"
-            );
-        }
-    }
-}
-
 #[test]
 fn sharded_followers_union_to_the_unsharded_state() {
     let cfg = sim_cfg(211, 40);
@@ -105,16 +60,9 @@ fn sharded_followers_union_to_the_unsharded_state() {
             ShardedFollower::recover(Arc::clone(&artifact), FollowerConfig::default(), shards)
                 .unwrap();
         let feed = BlockFeed::from_blocks(blocks.clone());
-        let reports = sharded.follow(&feed, STALL, 0).unwrap().reports;
-        assert_eq!(reports.len(), shards as usize);
-        // Every shard tracks only addresses it owns.
-        let map = ShardMap::new(shards);
-        for report in &reports {
-            for addr in report.history_lens.keys() {
-                assert_eq!(map.shard_of(*addr), report.shard.index);
-            }
-        }
-        assert_merged_matches(reports, &reference, shards, true);
+        let followers = sharded.follow(&feed, STALL, 0).unwrap().followers;
+        assert_eq!(followers.len(), shards as usize);
+        assert_shards_match(&followers, &reference, true, &format!("{shards} shards"));
     }
 }
 
@@ -158,8 +106,14 @@ fn sharded_snapshot_restart_resume_is_byte_identical() {
         for b in &blocks {
             resumed.step(b.clone()).unwrap();
         }
-        let reports = resumed.finish().unwrap();
-        assert_merged_matches(reports, &reference, shards, false);
+        let followers = resumed.finish().unwrap();
+        assert_eq!(followers.len(), shards as usize);
+        assert_shards_match(
+            &followers,
+            &reference,
+            false,
+            &format!("{shards}-shard resume"),
+        );
         for i in 0..shards {
             std::fs::remove_file(shard_snapshot_path(&base, i, shards)).ok();
         }

@@ -154,11 +154,10 @@ fn batched_reclassification_matches_serial_at_any_thread_count() {
         batched.labels(),
         "labels must not depend on reclass_threads"
     );
-    let a = serial.export_embeddings();
-    let b = batched.export_embeddings();
-    assert_eq!(a.len(), b.len());
-    for (addr, embeds) in &a {
-        let other = &b[addr];
+    assert_eq!(serial.history_lens(), batched.history_lens());
+    for addr in serial.history_lens().into_keys() {
+        let embeds = serial.embeddings(addr).expect("tracked");
+        let other = batched.embeddings(addr).expect("tracked by both");
         assert_eq!(embeds.len(), other.len(), "embedding count for {addr:?}");
         for (x, y) in embeds.iter().zip(other) {
             assert_eq!(
