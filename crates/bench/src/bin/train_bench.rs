@@ -57,10 +57,6 @@ fn main() {
     let out = flag_value(&args, "--out").unwrap_or_else(|| "results/train_bench.json".into());
     assert!(threads >= 2, "--threads must be >= 2 to compare against 1");
 
-    // The bench pins thread counts explicitly; a stray BAC_THREADS override
-    // would silently make both runs identical.
-    std::env::remove_var("BAC_THREADS");
-
     let (train, test) = if smoke {
         let sim = Simulator::run_to_completion(SimConfig::tiny(seed));
         Dataset::from_simulator(&sim, 3).stratified_split(0.25, seed ^ 0x7e57)

@@ -77,23 +77,13 @@ pub struct BacConfig {
     pub model: ModelConfig,
     /// Worker threads for graph construction, training, and embedding.
     /// `0` means auto (all available cores). Runtime knob only — not
-    /// persisted in model artifacts. Overridable via `BAC_THREADS`.
+    /// persisted in model artifacts.
     pub threads: usize,
 }
 
-/// Resolve a thread-count setting to a concrete worker count.
-///
-/// Precedence: the `BAC_THREADS` environment variable (when it parses to a
-/// positive integer), then `setting` when positive, then all available
-/// cores. Always returns ≥ 1.
+/// Resolve a thread-count setting to a concrete worker count: `setting`
+/// when positive, otherwise all available cores. Always returns ≥ 1.
 pub fn resolve_threads(setting: usize) -> usize {
-    if let Ok(v) = std::env::var("BAC_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
     if setting > 0 {
         return setting;
     }
@@ -139,13 +129,8 @@ mod tests {
 
     #[test]
     fn explicit_thread_setting_wins_over_auto() {
-        // Env-var precedence is exercised in the integration suite; here we
-        // only check the pure setting logic (tests share one process, so
-        // mutating BAC_THREADS would race other tests).
-        if std::env::var_os("BAC_THREADS").is_none() {
-            assert_eq!(resolve_threads(3), 3);
-            assert!(resolve_threads(0) >= 1);
-        }
+        assert_eq!(resolve_threads(3), 3);
+        assert!(resolve_threads(0) >= 1);
         assert!(BacConfig::default().effective_threads() >= 1);
     }
 

@@ -455,9 +455,8 @@ pub fn handshake<W: Write, R: Read>(
 /// there is no trustworthy frame boundary after corruption.
 pub struct FrameReader<R> {
     inner: R,
+    /// Stream bytes read but not yet consumed.
     buf: Vec<u8>,
-    /// Bytes of `buf` holding not-yet-consumed stream data.
-    filled: usize,
     /// When the first still-buffered byte arrived: the stall clock of the
     /// frame (or magic) in progress. `None` while the buffer is empty.
     since: Option<Instant>,
@@ -470,7 +469,6 @@ impl<R: Read> FrameReader<R> {
         FrameReader {
             inner,
             buf: Vec::new(),
-            filled: 0,
             since: None,
             magic_seen: false,
             poisoned: false,
@@ -481,20 +479,17 @@ impl<R: Read> FrameReader<R> {
     fn fill(&mut self) -> std::io::Result<usize> {
         let mut chunk = [0u8; 4096];
         let n = self.inner.read(&mut chunk)?;
-        if self.filled == 0 && n > 0 {
+        if self.buf.is_empty() && n > 0 {
             self.since = Some(Instant::now());
         }
-        self.buf.truncate(self.filled);
         self.buf.extend_from_slice(&chunk[..n]);
-        self.filled += n;
         Ok(n)
     }
 
     fn consume(&mut self, n: usize) {
         self.buf.drain(..n);
-        self.filled -= n;
         // Bytes left over belong to the next frame, whose clock starts now.
-        self.since = (self.filled > 0).then(Instant::now);
+        self.since = (!self.buf.is_empty()).then(Instant::now);
     }
 
     /// Read the next message. `Ok(None)` is a clean EOF at a frame
@@ -510,7 +505,7 @@ impl<R: Read> FrameReader<R> {
         let called = Instant::now();
         loop {
             if !self.magic_seen {
-                if self.filled >= MAGIC.len() {
+                if self.buf.len() >= MAGIC.len() {
                     if &self.buf[..MAGIC.len()] != MAGIC {
                         self.poisoned = true;
                         return Err(FrameError::BadMagic);
@@ -520,7 +515,7 @@ impl<R: Read> FrameReader<R> {
                     continue;
                 }
             } else {
-                match decode_frame(&self.buf[..self.filled]) {
+                match decode_frame(&self.buf) {
                     Ok(Some((msg, consumed))) => {
                         self.consume(consumed);
                         return Ok(Some(msg));
@@ -541,7 +536,7 @@ impl<R: Read> FrameReader<R> {
             }
             match self.fill() {
                 Ok(0) => {
-                    return if self.filled == 0 && self.magic_seen {
+                    return if self.buf.is_empty() && self.magic_seen {
                         Ok(None)
                     } else {
                         self.poisoned = true;

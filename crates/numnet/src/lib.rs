@@ -59,4 +59,4 @@ pub mod layers {
 
 pub use io::{assign_params, LoadError};
 pub use matrix::{matmul_a_bt_views, matmul_into, Matrix, MatrixView};
-pub use tape::{backward_alloc_count, reset_backward_alloc_count, Param, SparseAdj, Tape, Var};
+pub use tape::{Param, SparseAdj, Tape, Var};

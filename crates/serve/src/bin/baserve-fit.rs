@@ -7,10 +7,10 @@
 //!
 //! `--full` trains with `BacConfig::default()` (paper-scale epochs) instead
 //! of the quick `BacConfig::fast()` preset. `--threads N` pins the training
-//! worker count (0 = auto, also overridable via `BAC_THREADS`); any count
-//! produces byte-identical weights. The simulation seed doubles as
-//! the dataset identity: serving binaries rebuild the same dataset from the
-//! same `--seed`, so address ids line up across processes.
+//! worker count (0 = auto); any count produces byte-identical weights. The
+//! simulation seed doubles as the dataset identity: serving binaries rebuild
+//! the same dataset from the same `--seed`, so address ids line up across
+//! processes.
 
 use baclassifier::{BaClassifier, BacConfig};
 use baserve::cli::{flag_parsed, flag_value, has_flag};

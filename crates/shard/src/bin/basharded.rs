@@ -136,7 +136,7 @@ fn follow(args: &[String], shards: u32) -> i32 {
     eprintln!(
         "[{NAME}] following {} blocks from height {start} on {shards} shards \
          (capacity {FEED_CAPACITY})",
-        blocks + 1
+        (blocks + 1).saturating_sub(start)
     );
     let t = Instant::now();
     let stall_timeout = Duration::from_millis(flag_parsed(args, "--stall-timeout-ms", 10_000u64));

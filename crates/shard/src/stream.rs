@@ -25,7 +25,8 @@
 //! disk on a schedule, or decides when to stop, lives once, here in the
 //! **driver**, for every shard count (`--shards 1` is the unsharded
 //! follower): the write-ahead [`BlockJournal`] (append and fsync before
-//! broadcast), the snapshot cadence
+//! broadcast, and the one scan that hands each starting worker its
+//! recovery tail), the snapshot cadence
 //! ([`FollowerConfig::snapshot_every`]) and the compaction that follows
 //! each snapshot, the `journal_*` counters and lag, supervision, and the
 //! one loop ([`ShardedFollower::follow`]) that owns SIGINT, the stall
@@ -43,13 +44,14 @@
 //! full *and* its heartbeat is older than `WEDGE_TIMEOUT`, 2 s) is fenced
 //! off and respawned via [`Follower::recover`], the one way any worker
 //! starts: newest valid per-shard snapshot generation, plus replay of the
-//! shared journal tail. Blocks that were sitting in the dead worker's queue
-//! (up to the queue depth) are in the journal, so the replacement catches
-//! up to the exact same state and redelivered blocks are skipped by height
-//! — blocks lost: zero. Respawns are bounded by `MAX_RESTARTS` (5)
-//! consecutive deaths per shard, with exponential backoff; a worker that
-//! applies one block the journal did not replay to it resets its shard's
-//! count. Past the bound the fleet reports [`ShardStreamError`] instead of
+//! journal tail the driver scanned for it (once for the whole fleet at
+//! startup, once per respawn after an fsync). Blocks that were sitting in
+//! the dead worker's queue (up to the queue depth) are in the journal, so
+//! the replacement catches up to the exact same state and redelivered
+//! blocks are skipped by height — blocks lost: zero. Respawns are bounded
+//! by `MAX_RESTARTS` (5) consecutive deaths per shard, with exponential
+//! backoff; a worker that applies one block the journal did not replay to
+//! it resets its shard's count. Past the bound the fleet reports [`ShardStreamError`] instead of
 //! flapping forever. Each worker owns its heartbeat stamp, and the driver
 //! counts each respawn once, in its [`StreamMetrics`] `respawns` counter.
 //!
@@ -63,7 +65,8 @@
 use baclassifier::{ModelArtifact, ShardAssignment, ShardMap};
 use baserve::{FaultAction, FaultPlan, NoFaults};
 use bstream::{
-    BlockFeed, BlockJournal, FeedError, FeedStalled, Follower, FollowerConfig, StreamMetrics,
+    scan_journal, BlockFeed, BlockJournal, FeedError, FeedStalled, Follower, FollowerConfig,
+    StreamMetrics,
 };
 use btcsim::Block;
 use std::path::{Path, PathBuf};
@@ -268,9 +271,10 @@ impl ShardedFollower {
     ) -> Result<Self, ShardStreamError> {
         let map = ShardMap::new(count);
 
-        // The driver opens (and heals) the journal before any worker scans
-        // it, so workers never see a torn tail.
-        let (journal, next_journal_height) = match &cfg.journal_path {
+        // The driver opens (and heals) the journal, and the blocks that scan
+        // decoded are every worker's recovery tail, freed once all of them
+        // have recovered.
+        let (journal, tail) = match &cfg.journal_path {
             Some(path) => {
                 let (journal, scan) = BlockJournal::open_or_create(path)
                     .map_err(|e| ShardStreamError::Journal(e.to_string()))?;
@@ -282,17 +286,23 @@ impl ShardedFollower {
                         torn.reason
                     );
                 }
-                let next = scan.blocks.last().map_or(0, |b| b.height + 1);
-                (Some(journal), next)
+                (Some(journal), scan.blocks)
             }
-            None => (None, 0),
+            None => (None, Vec::new()),
         };
+        let next_journal_height = tail.last().map_or(0, |b| b.height + 1);
+        let tail: Arc<[Block]> = tail.into();
 
         let mut workers = Vec::with_capacity(count as usize);
         let mut ready: Vec<Receiver<Result<u64, String>>> = Vec::with_capacity(count as usize);
         for assignment in map.assignments() {
-            let (worker, init_rx) =
-                spawn_worker(Arc::clone(&artifact), &cfg, assignment, Arc::clone(&plan));
+            let (worker, init_rx) = spawn_worker(
+                Arc::clone(&artifact),
+                &cfg,
+                assignment,
+                Arc::clone(&plan),
+                Arc::clone(&tail),
+            );
             workers.push(worker);
             ready.push(init_rx);
         }
@@ -564,17 +574,18 @@ impl ShardedFollower {
     }
 
     /// Replace shard `i`'s worker with one recovered from its snapshot
-    /// generations plus the shared journal. Requires a journal (otherwise
+    /// generations plus the journal tail. Requires a journal (otherwise
     /// queued blocks would be lost and heights would gap); bounded by
     /// `MAX_RESTARTS` consecutive deaths with exponential backoff.
     fn respawn(&mut self, i: usize, reason: &str) -> Result<(), ShardStreamError> {
         let shard = i as u32;
-        if self.template.journal_path.is_none() {
+        let (Some(journal), Some(path)) = (self.journal.as_mut(), &self.template.journal_path)
+        else {
             return Err(ShardStreamError::Worker {
                 shard,
                 reason: format!("{reason}; no journal configured, cannot respawn losslessly"),
             });
-        }
+        };
         if self.workers[i].heartbeat.progressed.load(Ordering::Acquire) {
             self.restarts[i] = 0;
         }
@@ -583,14 +594,16 @@ impl ShardedFollower {
             return Err(ShardStreamError::WorkerGone(shard));
         }
         self.metrics.respawns += 1;
-        // Everything broadcast so far must be durable before the
-        // replacement reads the journal.
-        if let Some(journal) = self.journal.as_mut() {
-            journal
-                .sync()
-                .map_err(|e| ShardStreamError::Journal(e.to_string()))?;
-            self.metrics.journal_fsyncs += 1;
-        }
+        // Everything broadcast so far is made durable, then read back once
+        // as the replacement's recovery tail.
+        journal
+            .sync()
+            .map_err(|e| ShardStreamError::Journal(e.to_string()))?;
+        self.metrics.journal_fsyncs += 1;
+        let tail: Arc<[Block]> = scan_journal(path)
+            .map_err(|e| ShardStreamError::Journal(e.to_string()))?
+            .blocks
+            .into();
         std::thread::sleep(RESTART_BACKOFF * (1u32 << (self.restarts[i] - 1).min(6)));
         eprintln!(
             "bashard: shard {shard} {reason}; respawning (restart {})",
@@ -605,6 +618,7 @@ impl ShardedFollower {
             &self.template,
             assignment,
             Arc::clone(&self.plan),
+            tail,
         );
         await_start(init_rx, shard)?;
         // The old worker's thread is detached: a dead one has already
@@ -615,38 +629,23 @@ impl ShardedFollower {
     }
 
     /// Drop journal frames every shard has durably snapshotted: the floor
-    /// is the minimum height over all shards' retained generation files,
+    /// is the minimum over all shards of [`bstream::oldest_retained_height`],
     /// because a shard falling back to its oldest generation replays from
-    /// there. Skipped entirely if any shard has no snapshot yet or a
-    /// generation header is unreadable. A compaction that fails is counted
-    /// and reported, never fatal: the journal only stays longer.
+    /// there. Skipped entirely if any shard has no such height. A
+    /// compaction that fails is counted and reported, never fatal: the
+    /// journal only stays longer.
     fn compact_journal(&mut self) {
         let (Some(base), Some(journal)) = (&self.template.snapshot_path, self.journal.as_mut())
         else {
             return;
         };
         let count = self.map.count();
-        let mut floor = u64::MAX;
-        for index in 0..count {
-            let shard_base = shard_snapshot_path(base, index, count);
-            let mut shard_floor = None;
-            for k in 0..bstream::SNAPSHOT_GENERATIONS {
-                let path = bstream::generation_path(&shard_base, k);
-                if !path.exists() {
-                    continue;
-                }
-                match bstream::snapshot_height(&path) {
-                    Ok(height) => {
-                        shard_floor = Some(shard_floor.map_or(height, |f: u64| f.min(height)))
-                    }
-                    Err(_) => return,
-                }
-            }
-            match shard_floor {
-                Some(h) => floor = floor.min(h),
-                None => return,
-            }
-        }
+        let Some(floor) = (0..count).try_fold(u64::MAX, |floor, index| {
+            let height = bstream::oldest_retained_height(&shard_snapshot_path(base, index, count))?;
+            Some(floor.min(height))
+        }) else {
+            return;
+        };
         if let Err(e) = journal.compact_below(floor) {
             self.metrics.journal_errors += 1;
             eprintln!("bashard: journal compaction below height {floor} failed: {e}");
@@ -663,21 +662,21 @@ fn await_start(rx: Receiver<Result<u64, String>>, shard: u32) -> Result<u64, Sha
     }
 }
 
-/// Spawn one shard worker thread. The follower is built *on* the worker
-/// thread (a restore replays every stored history, so N shards restore in
-/// parallel) and the build outcome — the height it resumes at — is reported
-/// over the returned init channel. A panic (organic or injected) unwinds
-/// the thread and drops the command queue, which the driver observes as
-/// `Disconnected` and answers with a respawn.
+/// Spawn one shard worker thread. The follower is recovered *on* the worker
+/// thread from its snapshot generations and the journal `tail` the driver
+/// scanned (a restore replays every stored history, so N shards restore in
+/// parallel), and the build outcome — the height it resumes at — is
+/// reported over the returned init channel. A panic (organic or injected)
+/// unwinds the thread and drops the command queue, which the driver
+/// observes as `Disconnected` and answers with a respawn.
 fn spawn_worker(
     artifact: Arc<ModelArtifact>,
     template: &FollowerConfig,
     assignment: ShardAssignment,
     plan: Arc<dyn FaultPlan>,
+    tail: Arc<[Block]>,
 ) -> (ShardWorker, Receiver<Result<u64, String>>) {
     let ShardAssignment { index, count } = assignment;
-    // The worker's copy keeps `journal_path`: recovery reads the driver's
-    // journal, and nothing on the worker ever writes it.
     let mut shard_cfg = template.clone();
     shard_cfg.shard = Some(assignment);
     shard_cfg.snapshot_path = template
@@ -705,8 +704,12 @@ fn spawn_worker(
     let handle = std::thread::Builder::new()
         .name(format!("bashard-{index}of{count}"))
         .spawn(move || {
-            let follower = match Follower::recover(&artifact, shard_cfg) {
-                Ok(recovery) => recovery.follower,
+            let recovered = Follower::recover(&artifact, shard_cfg, &tail);
+            // The closure would otherwise hold its share of the tail for the
+            // worker's whole life.
+            drop(tail);
+            let follower = match recovered {
+                Ok(follower) => follower,
                 Err(e) => {
                     init_tx.send(Err(e.to_string())).ok();
                     return;

@@ -259,6 +259,19 @@ fn killed_daemon_resumes_to_the_uninterrupted_state() {
 
     let output = follow(&mut killed, 2);
     assert_eq!(output.status.code(), Some(0), "{}", stderr_of(&output));
+    // The resumed run announces only the blocks it has left to ingest.
+    let stderr = stderr_of(&output);
+    let (count, start) = stderr
+        .lines()
+        .find_map(|line| {
+            let rest = line.split_once("following ")?.1;
+            let (count, rest) = rest.split_once(" blocks from height ")?;
+            let start = rest.split_whitespace().next()?;
+            Some((count.parse::<u64>().ok()?, start.parse::<u64>().ok()?))
+        })
+        .unwrap_or_else(|| panic!("no progress line in: {stderr}"));
+    assert!(start > 0, "the rerun must resume, not start over: {stderr}");
+    assert_eq!(count + start, BLOCKS + 1, "{stderr}");
     let json = final_json(&output);
     assert!(json["journal_replayed"] > 0.0, "nothing replayed: {json:?}");
     assert_eq!(

@@ -60,17 +60,17 @@ pub struct FollowerConfig {
     /// filters. The assignment is persisted in snapshots so a restored
     /// follower can never silently adopt state from a different layout.
     pub shard: Option<ShardAssignment>,
-    /// Where the write-ahead block journal lives (`None` disables
+    /// Where the driver's write-ahead block journal lives (`None` disables
     /// journaling). With a journal, the driver appends and fsyncs every
-    /// block — checksummed — before any follower applies it, so
-    /// [`Follower::recover`] can replay everything since the last snapshot
-    /// after a crash.
+    /// block — checksummed — before any follower applies it, and after a
+    /// crash hands [`Follower::recover`] everything since the last snapshot.
+    /// A follower never opens it.
     pub journal_path: Option<PathBuf>,
     /// Worker threads for the batched reclassification stage (0 = auto,
-    /// all cores; overridable via `BAC_THREADS`). Labels and embeddings
-    /// are byte-identical at any thread count — the stage is an
-    /// order-preserving `baclassifier::parallel::parallel_map` over the
-    /// follower's one classifier.
+    /// all cores). Labels and embeddings are byte-identical at any thread
+    /// count — the stage is an order-preserving
+    /// `baclassifier::parallel::parallel_map` over the follower's one
+    /// classifier.
     pub reclass_threads: usize,
 }
 

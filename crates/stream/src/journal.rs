@@ -279,9 +279,8 @@ impl BlockJournal {
 
     /// Append one block as a checksummed frame. Returns the frame size in
     /// bytes and whether this append fsynced (per the cadence). Writes are
-    /// unbuffered: once `append` returns, the frame is visible to any
-    /// other handle on the file (needed by shard workers recovering from
-    /// the driver's journal), even if not yet durable. A block over the
+    /// unbuffered: once `append` returns, a [`scan_journal`] of the path
+    /// sees the frame, even if not yet durable. A block over the
     /// scan's frame limit is refused (`InvalidInput`) before any byte is
     /// written: appended, it would read back as a torn tail, and the next
     /// open would truncate it and every block after it.

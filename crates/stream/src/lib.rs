@@ -29,10 +29,11 @@
 //!    height; the next reclassification rebuilds what derives from them.
 //! 4. **Crash safety.** A [`Follower`] is pure state; the driver
 //!    (`bashard::ShardedFollower`) appends every block to a checksummed
-//!    write-ahead [`BlockJournal`] *before* any follower applies it, and
-//!    [`Follower::recover`] restores the newest valid snapshot generation
-//!    (quarantining corrupt ones) and replays the journal tail, yielding
-//!    state byte-identical to an uninterrupted run.
+//!    write-ahead [`BlockJournal`] *before* any follower applies it, and is
+//!    the journal's one reader: [`Follower::recover`] restores the newest
+//!    valid snapshot generation (quarantining corrupt ones) and replays the
+//!    tail the driver scanned, yielding state byte-identical to an
+//!    uninterrupted run. Only [`recovery`] knows the generation files.
 //! 5. **Timely labels.** Reclassification is micro-batched: each cadence
 //!    tick coalesces every flip of an address into one unit of work, takes
 //!    the dirty addresses in address order, and fans the batch's stale
@@ -57,5 +58,7 @@ pub use feed::{BlockFeed, FeedError, FeedSender, FeedStalled, Watermark};
 pub use follower::{Follower, FollowerConfig};
 pub use journal::{scan_journal, BlockJournal, JournalScan, TornFrame};
 pub use metrics::StreamMetrics;
-pub use recovery::{generation_path, quarantine_path, Recovery, SNAPSHOT_GENERATIONS};
+pub use recovery::{
+    generation_path, oldest_retained_height, quarantine_path, SNAPSHOT_GENERATIONS,
+};
 pub use snapshot::{read_snapshot, snapshot_height, write_snapshot, Snapshot, SnapshotError};

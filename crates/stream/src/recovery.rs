@@ -9,9 +9,11 @@
 //!                 generation's height survive compaction)
 //! ```
 //!
-//! [`SNAPSHOT_GENERATIONS`] is the one retention policy: snapshot writes
-//! rotate, recovery reads and the driver's journal compaction count that
-//! many generations.
+//! This module is the one place that knows the generations:
+//! [`SNAPSHOT_GENERATIONS`] is the retention policy, snapshot writes rotate
+//! through it, [`Follower::recover`] reads it, and
+//! [`oldest_retained_height`] tells the driver how far its journal may be
+//! compacted.
 //!
 //! [`Follower::recover`] walks the generations newest-first. A snapshot
 //! that fails its checksum (or any parse) is renamed to `*.quarantine` —
@@ -20,22 +22,21 @@
 //! follows, but the recovered tip state is identical. Only when *no*
 //! generation restores does recovery start from genesis, which is still
 //! correct as long as the journal reaches back that far (a gap between
-//! the restored height and the journal's first frame is a hard error, not
-//! a silent hole in the state).
+//! the restored height and the tail's first block is a hard error, not a
+//! silent hole in the state).
 //!
-//! Recovery only *reads* the journal, up to its last whole frame — opening
-//! it for appends (and truncating and reporting a torn tail) is the
-//! driver's job, done before any follower scans it. Replay never consults fault-injection hooks: blocks come
-//! *from* the journal and are applied with the same `ingest_block` path as
-//! live ingestion, then one reclassification pass brings the label table
-//! current. Recovery is therefore byte-identical
-//! to an uninterrupted run — the property `tests/crash_recovery.rs` and
-//! this module's tests assert.
+//! Recovery reads no journal file. The driver opens (and heals) the journal,
+//! scans it once, and hands every follower the blocks it decoded as the
+//! `tail`. Replay never consults fault-injection hooks: tail blocks are
+//! applied with the same `ingest_block` path as live ingestion, then one
+//! reclassification pass brings the label table current. Recovery is
+//! therefore byte-identical to an uninterrupted run — the property
+//! `tests/crash_recovery.rs` and this module's tests assert.
 
 use crate::follower::{Follower, FollowerConfig};
-use crate::journal::scan_journal;
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{snapshot_height, SnapshotError};
 use baclassifier::ModelArtifact;
+use btcsim::Block;
 use std::path::{Path, PathBuf};
 
 /// Path of snapshot generation `k` for base path `base`: the base itself
@@ -77,40 +78,44 @@ pub(crate) fn rotate_generations(base: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// What [`Follower::recover`] rebuilt and from where.
-pub struct Recovery {
-    pub follower: Follower,
-    /// Which snapshot generation restored (0 = newest); `None` when no
-    /// usable snapshot existed and state was rebuilt from the journal
-    /// alone.
-    pub restored_generation: Option<usize>,
-    /// Snapshots that failed restore, with where they were moved and why.
-    pub quarantined: Vec<(PathBuf, String)>,
-    /// Blocks replayed from the journal tail (heights the restored
-    /// snapshot did not already cover).
-    pub replayed_blocks: u64,
+/// The lowest height any retained snapshot generation of `base` resumes
+/// at: journal frames below it are needed by no fallback. `None` when
+/// `base` has no generation yet or a generation's header is unreadable —
+/// then nothing may be compacted.
+pub fn oldest_retained_height(base: &Path) -> Option<u64> {
+    let mut floor: Option<u64> = None;
+    for k in 0..SNAPSHOT_GENERATIONS {
+        let path = generation_path(base, k);
+        if path.exists() {
+            let height = snapshot_height(&path).ok()?;
+            floor = Some(floor.map_or(height, |f| f.min(height)));
+        }
+    }
+    floor
 }
 
 impl Follower {
-    /// Recover follower state from disk: restore the newest valid
-    /// snapshot generation (quarantining corrupt ones), replay the tail of
-    /// the journal at `cfg.journal_path` — read, never written — and
-    /// reclassify.
+    /// Recover follower state: restore the newest valid snapshot
+    /// generation (quarantining corrupt ones), apply the blocks of `tail`
+    /// at or above its height, and reclassify once. `tail` is the driver's
+    /// journal as it scanned it; blocks below the restored height are
+    /// skipped, and one above it is a gap (`Malformed`).
     pub fn recover(
         artifact: &ModelArtifact,
         cfg: FollowerConfig,
-    ) -> Result<Recovery, SnapshotError> {
-        let mut quarantined: Vec<(PathBuf, String)> = Vec::new();
-        let mut restored: Option<(Follower, usize)> = None;
-        if let Some(base) = cfg.snapshot_path.clone() {
+        tail: &[Block],
+    ) -> Result<Follower, SnapshotError> {
+        let mut quarantined = 0;
+        let mut restored = None;
+        if let Some(base) = &cfg.snapshot_path {
             for k in 0..SNAPSHOT_GENERATIONS {
-                let path = generation_path(&base, k);
+                let path = generation_path(base, k);
                 if !path.exists() {
                     continue;
                 }
                 match Follower::restore(artifact, cfg.clone(), &path) {
                     Ok(f) => {
-                        restored = Some((f, k));
+                        restored = Some(f);
                         break;
                     }
                     Err(e) => {
@@ -120,49 +125,33 @@ impl Follower {
                             Err(mv) => format!("{e} (quarantine rename failed: {mv})"),
                         };
                         eprintln!("bstream: snapshot {} unusable: {reason}", path.display());
-                        quarantined.push((dest, reason));
+                        quarantined += 1;
                     }
                 }
             }
         }
-        let (mut follower, restored_generation) = match restored {
-            Some((f, k)) => (f, Some(k)),
-            None => (
-                Follower::new(artifact, cfg.clone()).map_err(SnapshotError::Artifact)?,
-                None,
-            ),
+        let mut follower = match restored {
+            Some(f) => f,
+            None => Follower::new(artifact, cfg).map_err(SnapshotError::Artifact)?,
         };
-        follower.metrics.snapshots_quarantined += quarantined.len() as u64;
-
-        // Replay the journal tail over the restored state.
-        let mut replayed_blocks = 0u64;
-        if let Some(jpath) = cfg.journal_path.as_deref().filter(|p| p.exists()) {
-            let scan = scan_journal(jpath)?;
-            for block in &scan.blocks {
-                if block.height < follower.next_height() {
-                    continue;
-                }
-                if block.height > follower.next_height() {
-                    return Err(SnapshotError::Malformed(format!(
-                        "{}: journal gap: restored state resumes at height {} but the \
-                         journal's next frame is height {} — blocks are missing",
-                        jpath.display(),
-                        follower.next_height(),
-                        block.height
-                    )));
-                }
-                follower.ingest_block(block);
-                replayed_blocks += 1;
+        follower.metrics.snapshots_quarantined += quarantined;
+        for block in tail {
+            if block.height < follower.next_height() {
+                continue;
             }
-            follower.metrics.journal_replayed += replayed_blocks;
+            if block.height > follower.next_height() {
+                return Err(SnapshotError::Malformed(format!(
+                    "journal gap: restored state resumes at height {} but the \
+                     journal's next frame is height {} — blocks are missing",
+                    follower.next_height(),
+                    block.height
+                )));
+            }
+            follower.ingest_block(block);
+            follower.metrics.journal_replayed += 1;
         }
         follower.reclassify_dirty();
-        Ok(Recovery {
-            follower,
-            restored_generation,
-            quarantined,
-            replayed_blocks,
-        })
+        Ok(follower)
     }
 }
 
@@ -172,7 +161,7 @@ mod tests {
     use crate::follower::tests::test_sim;
     use crate::journal::BlockJournal;
     use baclassifier::BacConfig;
-    use btcsim::{Block, BlockCursor};
+    use btcsim::BlockCursor;
 
     fn temp_base(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -182,25 +171,35 @@ mod tests {
         ))
     }
 
+    fn journal_of(base: &Path) -> PathBuf {
+        let mut journal = base.as_os_str().to_os_string();
+        journal.push(".journal");
+        PathBuf::from(journal)
+    }
+
     fn cleanup(base: &Path) {
         for k in 0..4 {
             let p = generation_path(base, k);
             std::fs::remove_file(quarantine_path(&p)).ok();
             std::fs::remove_file(&p).ok();
         }
-        let mut journal = base.as_os_str().to_os_string();
-        journal.push(".journal");
-        std::fs::remove_file(PathBuf::from(journal)).ok();
+        std::fs::remove_file(journal_of(base)).ok();
     }
 
     fn recovery_cfg(base: &Path) -> FollowerConfig {
-        let mut journal = base.as_os_str().to_os_string();
-        journal.push(".journal");
         FollowerConfig {
             snapshot_path: Some(base.to_path_buf()),
-            journal_path: Some(PathBuf::from(journal)),
             ..FollowerConfig::default()
         }
+    }
+
+    /// The tail a driver hands its followers: the journal opened (and its
+    /// torn tail cut off) by `BlockJournal::open_or_create`.
+    fn driver_tail(base: &Path) -> Vec<Block> {
+        BlockJournal::open_or_create(&journal_of(base))
+            .unwrap()
+            .1
+            .blocks
     }
 
     /// The run that is about to crash, driven the way the driver drives a
@@ -212,15 +211,14 @@ mod tests {
         blocks: &[Block],
         snapshot_after: &[u64],
     ) {
-        let mut journal = BlockJournal::create(cfg.journal_path.as_ref().unwrap(), 1).unwrap();
+        let base = cfg.snapshot_path.as_ref().unwrap();
+        let mut journal = BlockJournal::create(&journal_of(base), 1).unwrap();
         let mut follower = Follower::new(artifact, cfg.clone()).unwrap();
         for b in blocks {
             journal.append(b).unwrap();
             follower.step(b);
             if snapshot_after.contains(&b.height) {
-                follower
-                    .snapshot_to(cfg.snapshot_path.as_ref().unwrap())
-                    .unwrap();
+                follower.snapshot_to(base).unwrap();
             }
         }
     }
@@ -285,6 +283,35 @@ mod tests {
         assert!(n > SNAPSHOT_GENERATIONS);
         let oldest = generation_path(&base, SNAPSHOT_GENERATIONS);
         assert!(!oldest.exists(), "over-retention");
+        // The compaction floor is the older of the two retained heights.
+        assert_eq!(
+            oldest_retained_height(&base),
+            Some(snapshot_heights[n - SNAPSHOT_GENERATIONS])
+        );
+        cleanup(&base);
+    }
+
+    #[test]
+    fn the_compaction_floor_needs_every_retained_generation() {
+        let base = temp_base("floor");
+        cleanup(&base);
+        assert_eq!(oldest_retained_height(&base), None, "no generation yet");
+        let artifact = ModelArtifact::untrained(BacConfig::fast());
+        let blocks: Vec<Block> = BlockCursor::new(test_sim(71, 6)).collect();
+        let mut follower = Follower::new(&artifact, recovery_cfg(&base)).unwrap();
+        for b in &blocks {
+            follower.step(b);
+            if b.height == 2 || b.height == 5 {
+                follower.snapshot_to(&base).unwrap();
+            }
+        }
+        assert_eq!(oldest_retained_height(&base), Some(3));
+        // Generation 1 alone still bounds the floor.
+        std::fs::remove_file(&base).unwrap();
+        assert_eq!(oldest_retained_height(&base), Some(3));
+        // An unreadable header forbids compaction.
+        std::fs::write(generation_path(&base, 1), b"BSTR").unwrap();
+        assert_eq!(oldest_retained_height(&base), None);
         cleanup(&base);
     }
 
@@ -300,15 +327,17 @@ mod tests {
         // Run half the chain with a snapshot early on, then "crash" (drop
         // without a final snapshot — the journal holds the tail).
         crashed_run(&artifact, &cfg, &blocks[..16], &[7]);
-        let journaled = scan_journal(cfg.journal_path.as_ref().unwrap()).unwrap();
-        assert_eq!(journaled.blocks.len(), 16);
+        let tail = driver_tail(&base);
+        assert_eq!(tail.len(), 16);
 
         // Recover: snapshot at height 8, journal replay for the rest.
-        let recovery = Follower::recover(&artifact, cfg).unwrap();
-        assert_eq!(recovery.restored_generation, Some(0));
-        assert!(recovery.quarantined.is_empty());
-        assert_eq!(recovery.replayed_blocks, 8, "journal tail after height 8");
-        let mut recovered = recovery.follower;
+        let mut recovered = Follower::recover(&artifact, cfg, &tail).unwrap();
+        assert_eq!(recovered.metrics().snapshots_quarantined, 0);
+        assert_eq!(
+            recovered.metrics().journal_replayed,
+            8,
+            "journal tail after height 8"
+        );
         assert_eq!(recovered.next_height(), 16);
         // Finish the chain and compare against the uninterrupted run.
         for b in &blocks[16..] {
@@ -335,14 +364,16 @@ mod tests {
         bytes[mid] ^= 0x04;
         std::fs::write(&base, &bytes).unwrap();
 
-        let recovery = Follower::recover(&artifact, cfg).unwrap();
-        assert_eq!(recovery.restored_generation, Some(1), "fell back to .g1");
-        assert_eq!(recovery.quarantined.len(), 1);
+        let mut recovered = Follower::recover(&artifact, cfg, &driver_tail(&base)).unwrap();
+        assert_eq!(recovered.metrics().snapshots_quarantined, 1);
         assert!(quarantine_path(&base).exists(), "corrupt file preserved");
         assert!(!base.exists(), "corrupt file moved out of the way");
-        // Longer replay: everything after the .g1 checkpoint at height 6.
-        assert_eq!(recovery.replayed_blocks, blocks.len() as u64 - 6);
-        let mut recovered = recovery.follower;
+        // Fell back to .g1: a longer replay, everything after its
+        // checkpoint at height 6.
+        assert_eq!(
+            recovered.metrics().journal_replayed,
+            blocks.len() as u64 - 6
+        );
         assert_identical(&mut recovered, &reference);
         cleanup(&base);
     }
@@ -356,10 +387,9 @@ mod tests {
         let reference = reference_tip(&artifact, &blocks);
         let cfg = recovery_cfg(&base);
         crashed_run(&artifact, &cfg, &blocks, &[]); // no snapshot ever written
-        let recovery = Follower::recover(&artifact, cfg).unwrap();
-        assert_eq!(recovery.restored_generation, None);
-        assert_eq!(recovery.replayed_blocks, blocks.len() as u64);
-        let mut recovered = recovery.follower;
+        let mut recovered = Follower::recover(&artifact, cfg, &driver_tail(&base)).unwrap();
+        // Nothing restored: every block came from the tail.
+        assert_eq!(recovered.metrics().journal_replayed, blocks.len() as u64);
         assert_identical(&mut recovered, &reference);
         cleanup(&base);
     }
@@ -374,14 +404,13 @@ mod tests {
         crashed_run(&artifact, &cfg, &blocks, &[6]);
         // Compact the journal past the snapshot, then delete the snapshot:
         // the journal now starts at height 7 with no state below it.
-        let jpath = cfg.journal_path.clone().unwrap();
-        let (mut j, _) = BlockJournal::open_or_create(&jpath).unwrap();
+        let (mut j, _) = BlockJournal::open_or_create(&journal_of(&base)).unwrap();
         j.compact_below(7).unwrap();
         drop(j);
         for k in 0..2 {
             std::fs::remove_file(generation_path(&base, k)).ok();
         }
-        match Follower::recover(&artifact, cfg).err() {
+        match Follower::recover(&artifact, cfg, &driver_tail(&base)).err() {
             Some(SnapshotError::Malformed(m)) => {
                 assert!(m.contains("journal gap"), "message: {m}")
             }
@@ -398,16 +427,19 @@ mod tests {
         let blocks: Vec<Block> = BlockCursor::new(test_sim(101, 10)).collect();
         let cfg = recovery_cfg(&base);
         crashed_run(&artifact, &cfg, &blocks, &[]);
-        let jpath = cfg.journal_path.clone().unwrap();
+        let jpath = journal_of(&base);
         let bytes = std::fs::read(&jpath).unwrap();
         std::fs::write(&jpath, &bytes[..bytes.len() - 3]).unwrap();
-        // The driver opens the journal before any follower reads it: that
+        // The driver opens the journal before any follower recovers: that
         // is where the torn tail is cut off and reported.
         let (_, scan) = BlockJournal::open_or_create(&jpath).unwrap();
         assert!(scan.torn.is_some());
-        let recovery = Follower::recover(&artifact, cfg).unwrap();
-        assert_eq!(recovery.replayed_blocks, blocks.len() as u64 - 1);
-        assert_eq!(recovery.follower.next_height(), blocks.len() as u64 - 1);
+        let recovered = Follower::recover(&artifact, cfg, &scan.blocks).unwrap();
+        assert_eq!(
+            recovered.metrics().journal_replayed,
+            blocks.len() as u64 - 1
+        );
+        assert_eq!(recovered.next_height(), blocks.len() as u64 - 1);
         cleanup(&base);
     }
 }

@@ -106,15 +106,25 @@ fn recovery_survives(snapshot: Vec<u8>, journal: Vec<u8>) {
     std::fs::write(&journal_path, journal).unwrap();
 
     let _ = scan_journal(&journal_path);
+    // The tail comes from the journal as the driver opens (and heals) it. A
+    // journal it cannot open is a descriptive error, and the snapshot side
+    // is still recovered, with no tail.
+    let opened = BlockJournal::open_or_create(&journal_path).map(|(_, scan)| scan.blocks);
+    if let Err(e) = &opened {
+        assert!(!e.to_string().is_empty());
+    }
     let cfg = FollowerConfig {
         snapshot_path: Some(snap_path),
-        journal_path: Some(journal_path),
         ..FollowerConfig::default()
     };
-    match Follower::recover(&pristine().artifact, cfg) {
-        Ok(recovery) => {
+    match Follower::recover(
+        &pristine().artifact,
+        cfg,
+        opened.as_deref().unwrap_or_default(),
+    ) {
+        Ok(follower) => {
             // Whatever survived must be a follower in a usable state.
-            assert!(recovery.follower.next_height() > 0 || recovery.follower.num_tracked() == 0);
+            assert!(follower.next_height() > 0 || follower.num_tracked() == 0);
         }
         Err(e) => {
             // Errors must be descriptive, never silent.
@@ -172,10 +182,12 @@ fn degenerate_snapshots_are_typed_errors_not_panics() {
             snapshot_path: Some(path.clone()),
             ..FollowerConfig::default()
         };
-        let recovery = Follower::recover(&p.artifact, cfg).unwrap();
-        assert_eq!(recovery.quarantined.len(), 1, "{what}");
+        let recovered = Follower::recover(&p.artifact, cfg, &[]).unwrap();
+        assert_eq!(recovered.metrics().snapshots_quarantined, 1, "{what}");
         assert!(quarantine_path(&path).exists() && !path.exists(), "{what}");
-        assert_eq!(recovery.restored_generation, None, "{what}");
+        // Nothing restored: with no tail, nothing replayed either.
+        assert_eq!(recovered.metrics().journal_replayed, 0, "{what}");
+        assert_eq!(recovered.next_height(), 0, "{what}");
         std::fs::remove_dir_all(&dir).ok();
         recovery_survives(bytes, p.journal.clone());
     }

@@ -64,10 +64,6 @@ fn nnio_stream(weights: &[Matrix]) -> Vec<u8> {
 
 #[test]
 fn fit_is_byte_identical_across_thread_counts() {
-    if std::env::var_os("BAC_THREADS").is_some() {
-        eprintln!("BAC_THREADS set: it would override both fits; skipping");
-        return;
-    }
     let sim = Simulator::run_to_completion(SimConfig::tiny(31));
     let (train, test) = Dataset::from_simulator(&sim, 3).stratified_split(0.25, 99);
 
