@@ -6,6 +6,47 @@ use crate::construction::address_graph::{AddressGraph, Edge, Node, NodeKind, Sid
 use crate::construction::sfe::seed_sfe;
 use btcsim::{Address, AddressRecord, TxView};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher, RandomState};
+
+/// Stage 1's address → node map. Nodes are numbered in first-seen order,
+/// so no bit of a slice depends on the hash.
+pub(crate) type AddrNodes = HashMap<Address, usize, AddrKey>;
+
+/// [`AddrNodes`]' hasher, in place of SipHash-1-3: one 64×64 → 128-bit
+/// multiply folded to 64 bits (foldhash's core), from a key drawn per map
+/// from std's `RandomState`.
+#[derive(Clone, Debug)]
+pub(crate) struct AddrKey(u64);
+
+impl Default for AddrKey {
+    fn default() -> Self {
+        Self(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for AddrKey {
+    type Hasher = AddrKey;
+
+    fn build_hasher(&self) -> AddrKey {
+        self.clone()
+    }
+}
+
+impl Hasher for AddrKey {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        // π's first fractional digits: odd, with bits spread over all 64.
+        let full = u128::from(self.0 ^ x) * 0x243f_6a88_85a3_08d3;
+        self.0 = full as u64 ^ (full >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Build the original (uncompressed) graph list for one address record.
 ///
@@ -13,17 +54,22 @@ use std::collections::HashMap;
 /// partial slice is retained (paper: "the final graph with less than 100
 /// transactions will be retained"). Node 0 is always the focus address.
 pub fn extract_original_graphs(record: &AddressRecord, slice_size: usize) -> Vec<AddressGraph> {
-    let mut slices = raw_slices(record, slice_size);
+    let mut slices = raw_slices(AddrNodes::default(), record, slice_size);
     slices.iter_mut().for_each(seed_slice);
     slices
 }
 
 /// Stage 1 with the transfer values on the edges only: the fold of
-/// [`push_tx`] over the history, each slice's edges sized once at its entry
-/// count, nothing seeded — what the derivation of Stages 2–4 starts from.
-pub(crate) fn raw_slices(record: &AddressRecord, slice_size: usize) -> Vec<AddressGraph> {
+/// [`push_tx`] over the history through `addr_node`, each slice's edges
+/// sized once at its entry count, nothing seeded — what the derivation of
+/// Stages 2–4 starts from.
+pub(crate) fn raw_slices<S: BuildHasher>(
+    mut addr_node: HashMap<Address, usize, S>,
+    record: &AddressRecord,
+    slice_size: usize,
+) -> Vec<AddressGraph> {
     assert!(slice_size > 0, "slice_size must be positive");
-    let (mut slices, mut addr_node, focus) = (Vec::new(), HashMap::new(), record.address);
+    let (mut slices, focus) = (Vec::new(), record.address);
     for txs in record.txs.chunks(slice_size) {
         let entries = txs.iter().map(|t| t.inputs.len() + t.outputs.len()).sum();
         for tx in txs {
@@ -40,9 +86,9 @@ pub(crate) fn raw_slices(record: &AddressRecord, slice_size: usize) -> Vec<Addre
 /// appends the transaction's node, a node for every address the slice sees
 /// for the first time (inputs before outputs) and an edge per entry.
 /// Features wait for [`seed_slice`] or a derivation's seed pass.
-pub(crate) fn push_tx(
+pub(crate) fn push_tx<S: BuildHasher>(
     slices: &mut Vec<AddressGraph>,
-    addr_node: &mut HashMap<Address, usize>,
+    addr_node: &mut HashMap<Address, usize, S>,
     focus: Address,
     slice_size: usize,
     tx: &TxView,
@@ -91,6 +137,7 @@ pub(crate) fn seed_slice(g: &mut AddressGraph) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construction::incremental::graphs_identical;
     use crate::construction::sfe::{sfe, SfeFeatures};
     use btcsim::{Amount, Label, Txid};
     use proptest::{collection, prelude::*};
@@ -197,6 +244,28 @@ mod tests {
         assert_eq!(graphs[0].start_timestamp, 10);
         assert_eq!(graphs[1].start_timestamp, 12);
         assert_eq!(graphs[2].start_timestamp, 14);
+    }
+
+    #[test]
+    fn slices_do_not_depend_on_the_map_or_its_key() {
+        // Inputs from addresses that differ only in their top 16 bits,
+        // outputs from ones that differ only in their low bits; both pools
+        // repeat, and 250 transactions make three slices and two restarts.
+        let txs: Vec<TxView> = (0..250u64)
+            .map(|t| {
+                let high: Vec<(u64, f64)> =
+                    (0..3).map(|k| (((t * 7 + k) % 61) << 48, 0.5)).collect();
+                let low: Vec<(u64, f64)> = (0..4).map(|k| ((t * 5 + k * 3) % 97, 0.25)).collect();
+                view(t, &high, &low)
+            })
+            .collect();
+        let rec = record(1 << 48, txs);
+        let std_map = raw_slices(HashMap::with_hasher(RandomState::new()), &rec, 100);
+        for key in [AddrKey(0), AddrKey::default()] {
+            let keyed = raw_slices(HashMap::with_hasher(key), &rec, 100);
+            assert_eq!(graphs_identical(&keyed, &std_map), Ok(()));
+        }
+        assert_eq!(std_map.len(), 3);
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //! [`construct_address_graphs`]: crate::construction::construct_address_graphs
 
 use crate::config::ConstructionConfig;
-use crate::construction::address_graph::AddressGraph;
-use crate::construction::extract::{push_tx, seed_slice};
+use crate::construction::address_graph::{AddressGraph, Edge, Node};
+use crate::construction::extract::{push_tx, seed_slice, AddrNodes};
 use crate::construction::pipeline::derive_slice;
 use btcsim::{Address, TxView};
-use std::collections::HashMap;
 
 /// Incrementally maintained slice graphs for one focus address.
 ///
@@ -44,7 +43,7 @@ pub struct IncrementalGraphs {
     /// from them.
     raw: Vec<AddressGraph>,
     /// Address → node index for the *current* (last) slice.
-    addr_node: HashMap<Address, usize>,
+    addr_node: AddrNodes,
 }
 
 impl IncrementalGraphs {
@@ -55,7 +54,7 @@ impl IncrementalGraphs {
             cfg,
             num_txs: 0,
             raw: Vec::new(),
-            addr_node: HashMap::new(),
+            addr_node: AddrNodes::default(),
         }
     }
 
@@ -124,58 +123,27 @@ pub fn graphs_identical(a: &[AddressGraph], b: &[AddressGraph]) -> Result<(), St
     if a.len() != b.len() {
         return Err(format!("graph count {} vs {}", a.len(), b.len()));
     }
-    let differ = |x: &[f64], y: &[f64]| x.iter().zip(y).any(|(x, y)| x.to_bits() != y.to_bits());
+    // (focus, slice_index, start_timestamp, (num_txs, nodes, edges))
+    let slice = |g: &AddressGraph| {
+        let sizes = (g.num_txs, g.nodes.len(), g.edges.len());
+        (g.focus, g.slice_index, g.start_timestamp, sizes)
+    };
+    let node = |n: &Node| {
+        let bits = (n.sfe.0.map(f64::to_bits), n.centrality.map(f64::to_bits));
+        (n.kind, n.address, n.merged_count, bits)
+    };
+    let edge = |e: &Edge| (e.addr_node, e.tx_node, e.side, e.value.to_bits());
     for (gi, (ga, gb)) in a.iter().zip(b).enumerate() {
-        let ctx = |what: &str| format!("graph {gi}: {what}");
-        if ga.focus != gb.focus {
-            return Err(ctx(&format!("focus {:?} vs {:?}", ga.focus, gb.focus)));
+        if slice(ga) != slice(gb) {
+            return Err(format!("graph {gi}: {:?} vs {:?}", slice(ga), slice(gb)));
         }
-        if ga.slice_index != gb.slice_index {
-            return Err(ctx("slice_index differs"));
+        let nodes = ga.nodes.iter().zip(&gb.nodes);
+        if let Some((i, (x, y))) = nodes.enumerate().find(|(_, (x, y))| node(x) != node(y)) {
+            return Err(format!("graph {gi}: node {i} {x:?} vs {y:?}"));
         }
-        if ga.start_timestamp != gb.start_timestamp {
-            return Err(ctx(&format!(
-                "start_timestamp {} vs {}",
-                ga.start_timestamp, gb.start_timestamp
-            )));
-        }
-        if ga.num_txs != gb.num_txs {
-            return Err(ctx(&format!("num_txs {} vs {}", ga.num_txs, gb.num_txs)));
-        }
-        if ga.nodes.len() != gb.nodes.len() {
-            return Err(ctx(&format!(
-                "node count {} vs {}",
-                ga.nodes.len(),
-                gb.nodes.len()
-            )));
-        }
-        if ga.edges.len() != gb.edges.len() {
-            return Err(ctx(&format!(
-                "edge count {} vs {}",
-                ga.edges.len(),
-                gb.edges.len()
-            )));
-        }
-        for (ni, (na, nb)) in ga.nodes.iter().zip(&gb.nodes).enumerate() {
-            if na.kind != nb.kind || na.address != nb.address || na.merged_count != nb.merged_count
-            {
-                return Err(ctx(&format!("node {ni} identity differs")));
-            }
-            if differ(&na.sfe.0, &nb.sfe.0) {
-                return Err(ctx(&format!("node {ni} sfe differs")));
-            }
-            if differ(&na.centrality, &nb.centrality) {
-                return Err(ctx(&format!("node {ni} centrality differs")));
-            }
-        }
-        for (ei, (ea, eb)) in ga.edges.iter().zip(&gb.edges).enumerate() {
-            if ea.addr_node != eb.addr_node
-                || ea.tx_node != eb.tx_node
-                || ea.side != eb.side
-                || ea.value.to_bits() != eb.value.to_bits()
-            {
-                return Err(ctx(&format!("edge {ei} differs")));
-            }
+        let edges = ga.edges.iter().zip(&gb.edges);
+        if let Some((i, (x, y))) = edges.enumerate().find(|(_, (x, y))| edge(x) != edge(y)) {
+            return Err(format!("graph {gi}: edge {i} {x:?} vs {y:?}"));
         }
     }
     Ok(())
@@ -352,5 +320,17 @@ mod tests {
         let ga = a.graphs();
         let gc = c.graphs();
         assert_eq!(graphs_identical(&ga, &gc), Ok(()));
+        // One bit of one float, in each place a float lives.
+        let flip = |x: &mut f64| *x = f64::from_bits(x.to_bits() ^ 1);
+        let mut sfe = gc.clone();
+        flip(&mut sfe[1].nodes[2].sfe.0[4]);
+        let mut centrality = gc.clone();
+        flip(&mut centrality[0].nodes[1].centrality[2]);
+        let mut value = gc.clone();
+        flip(&mut value[1].edges[0].value);
+        let mismatch = |changed: &[AddressGraph]| graphs_identical(&ga, changed).unwrap_err();
+        assert!(mismatch(&sfe).starts_with("graph 1: node 2"));
+        assert!(mismatch(&centrality).starts_with("graph 0: node 1"));
+        assert!(mismatch(&value).starts_with("graph 1: edge 0"));
     }
 }

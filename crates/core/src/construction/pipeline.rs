@@ -4,7 +4,7 @@ use crate::config::ConstructionConfig;
 use crate::construction::address_graph::{AddressGraph, Edge};
 use crate::construction::augment::augment_with_centralities;
 use crate::construction::compress::{Merges, MultiCompressParams};
-use crate::construction::extract::{raw_slices, seed_slice};
+use crate::construction::extract::{raw_slices, seed_slice, AddrNodes};
 use crate::construction::sfe::seed_sfe;
 use btcsim::AddressRecord;
 
@@ -14,7 +14,7 @@ pub fn construct_address_graphs(
     record: &AddressRecord,
     cfg: &ConstructionConfig,
 ) -> Vec<AddressGraph> {
-    let raw = raw_slices(record, cfg.slice_size);
+    let raw = raw_slices(AddrNodes::default(), record, cfg.slice_size);
     raw.iter().map(|g| derive_slice(cfg, g)).collect()
 }
 

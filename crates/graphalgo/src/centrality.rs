@@ -27,7 +27,7 @@ const CLEAR: Visit = Visit {
 impl Topology {
     /// Closeness (Eq. 9) and betweenness (Eq. 10) of every node, written to
     /// the two `num_nodes`-long outputs, from one breadth-first sweep per
-    /// source.
+    /// source at most.
     ///
     /// Closeness is `(|V|-1) / Σ_t d(v,t)` over the nodes reachable from `v`
     /// (Wasserman–Faust corrected for disconnected graphs: scaled by the
@@ -35,6 +35,12 @@ impl Topology {
     /// algorithm, unweighted, each pair counted once (the result is halved).
     /// The distances Brandes' forward pass computes are exactly closeness's
     /// input, so the two share it.
+    ///
+    /// A leaf (a node whose one neighbour is another node, its hub) replays
+    /// its hub's sweep instead of running its own: seen from the leaf, the
+    /// hub's BFS order has the leaf moved to the front, so every σ and every
+    /// dependency but the hub's gets the same terms in the same order. One
+    /// sweep at a time is kept for the turns that replay it.
     pub fn closeness_betweenness(&self, closeness: &mut [f64], betweenness: &mut [f64]) {
         let n = self.num_nodes();
         assert!(
@@ -43,61 +49,124 @@ impl Topology {
         );
         closeness.fill(0.0);
         betweenness.fill(0.0);
-        // One workspace for all n sources. `order` is the BFS queue on the
-        // way out and the stack on the way back.
-        let mut order = vec![0u32; n];
-        let mut visit = vec![CLEAR; n];
-
+        // One workspace for all n sources, each buffer in two halves. In the
+        // first, `queue` is the BFS queue on the way out and the stack on the
+        // way back, and `state` is by node. The second keeps one sweep: the
+        // node it reached i-th and its final state at i.
+        let (mut order, mut visit) = (vec![0u32; 2 * n], vec![CLEAR; 2 * n]);
+        let (queue, kept_order) = order.split_at_mut(n);
+        let (state, kept_state) = visit.split_at_mut(n);
+        // The kept sweep's source, its reached count and its distance sum.
+        let mut kept: Option<(usize, usize, usize)> = None;
+        // Whether `s`'s turn can replay the sweep from `h`: its own, or its
+        // hub's (which adds the hub's dependency on the leaf too: 0, so the
+        // leaf's betweenness keeps its bits).
+        let replays = |h: usize, s: usize| h == s || self.hub_of(s) == Some(h);
         for s in 0..n {
-            visit[s].dist = 0;
-            visit[s].sigma = 1.0;
-            order[0] = s as u32;
-            let (mut head, mut reached, mut total) = (0, 1, 0usize);
-            while head < reached {
-                let v = order[head] as usize;
-                head += 1;
-                let next_dist = visit[v].dist + 1;
-                let sigma_v = visit[v].sigma;
-                for &w in self.neighbors(v) {
-                    let state = &mut visit[w as usize];
-                    if state.dist == UNSEEN {
-                        state.dist = next_dist;
-                        total += next_dist as usize;
-                        order[reached] = w;
-                        reached += 1;
-                    }
-                    if state.dist == next_dist {
-                        state.sigma += sigma_v;
-                    }
+            let (h, reached, total) = match kept {
+                Some(k @ (h, reached, _)) if replays(h, s) => {
+                    let sweep = kept_order[1..reached].iter().zip(&kept_state[1..]);
+                    sweep.for_each(|(&w, v)| betweenness[w as usize] += v.delta);
+                    k
                 }
-            }
+                _ => {
+                    // The hub's sweep is run, and kept, only when the next
+                    // turn replays it too; otherwise `s` sweeps for itself.
+                    let hub = self.hub_of(s).unwrap_or(s);
+                    let keep = s + 1 < n && replays(hub, s + 1);
+                    let h = if keep { hub } else { s };
+                    state[h].dist = 0;
+                    state[h].sigma = 1.0;
+                    queue[0] = h as u32;
+                    let (mut head, mut reached, mut total) = (0, 1, 0usize);
+                    while head < reached {
+                        let v = queue[head] as usize;
+                        head += 1;
+                        let next_dist = state[v].dist + 1;
+                        let sigma_v = state[v].sigma;
+                        for &w in self.neighbors(v) {
+                            let visit = &mut state[w as usize];
+                            if visit.dist == UNSEEN {
+                                visit.dist = next_dist;
+                                total += next_dist as usize;
+                                queue[reached] = w;
+                                reached += 1;
+                            }
+                            if visit.dist == next_dist {
+                                visit.sigma += sigma_v;
+                            }
+                        }
+                    }
+                    // Farthest first; `queue[0]` is the source, which has no
+                    // predecessors and takes no share of its own paths. A
+                    // node's predecessors are its neighbours one hop nearer
+                    // the source: no list of them is kept, since each `delta`
+                    // still receives its terms in the order the nodes behind
+                    // it come off the stack.
+                    for i in (1..reached).rev() {
+                        let w = queue[i] as usize;
+                        let Visit { dist, sigma, delta } = state[w];
+                        for &v in self.neighbors(w) {
+                            let v = &mut state[v as usize];
+                            if v.dist == dist - 1 {
+                                v.delta += v.sigma / sigma * (1.0 + delta);
+                            }
+                        }
+                        betweenness[w] += delta;
+                    }
+                    // Kept by position, then cleared for the next source (a
+                    // pass of its own: in the loop above it cost the sweeps
+                    // no turn replays ~5 %).
+                    if keep {
+                        kept_order[..reached].copy_from_slice(&queue[..reached]);
+                        for i in 1..reached {
+                            kept_state[i] = state[queue[i] as usize];
+                        }
+                        kept = Some((h, reached, total));
+                    }
+                    for &w in &queue[..reached] {
+                        state[w as usize] = CLEAR;
+                    }
+                    (h, reached, total)
+                }
+            };
+            // A leaf's distances are its hub's plus one, its own dropped.
+            let total = if h == s { total } else { total + reached - 2 };
             if total > 0 {
                 // (reachable / (n-1)) * (reachable / total): the standard
                 // correction so components of different sizes are comparable.
                 let reachable = (reached - 1) as f64;
                 closeness[s] = (reachable / (n - 1) as f64) * (reachable / total as f64);
             }
-            // Farthest first; `order[0]` is the source, which has no
-            // predecessors and takes no share of its own paths. A node's
-            // predecessors are its neighbours one hop nearer the source: no
-            // list of them is kept, since each `delta` still receives its
-            // terms in the order the nodes behind it come off the stack.
-            for &w in order[1..reached].iter().rev() {
-                let w = w as usize;
-                let Visit { dist, sigma, delta } = visit[w];
-                for &v in self.neighbors(w) {
-                    let v = &mut visit[v as usize];
-                    if v.dist == dist - 1 {
-                        v.delta += v.sigma / sigma * (1.0 + delta);
-                    }
-                }
-                betweenness[w] += delta;
-                visit[w] = CLEAR;
+            if h != s {
+                // The hub's dependency on the leaf's paths: the terms of its
+                // level-1 nodes but the leaf's, in stack order, one per
+                // parallel edge (a level-1 node's σ counts them).
+                let level1 = kept_state[1..reached]
+                    .iter()
+                    .take_while(|v| v.dist == 1)
+                    .count();
+                let nodes = kept_order[1..=level1].iter().zip(&kept_state[1..=level1]);
+                let terms = nodes
+                    .rev()
+                    .filter(|(&w, _)| w as usize != s)
+                    .flat_map(|(_, v)| {
+                        std::iter::repeat_n(1.0 / v.sigma * (1.0 + v.delta), v.sigma as usize)
+                    });
+                betweenness[h] += terms.fold(0.0, |delta_h, term| delta_h + term);
             }
-            visit[s] = CLEAR;
         }
         // Undirected: every pair (s, t) was counted twice.
         betweenness.iter_mut().for_each(|x| *x /= 2.0);
+    }
+
+    /// The hub of a leaf: `Some(h)` when `v`'s neighbour list is `[h]`,
+    /// `h != v`.
+    fn hub_of(&self, v: usize) -> Option<usize> {
+        match *self.neighbors(v) {
+            [h] if h as usize != v => Some(h as usize),
+            _ => None,
+        }
     }
 
     /// PageRank (Eq. 11) of every node, written to the `num_nodes`-long

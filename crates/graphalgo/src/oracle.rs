@@ -224,8 +224,49 @@ fn general_strategy() -> impl Strategy<Value = Graph> {
         })
 }
 
+/// Hubs with pendant leaves, the shape whose leaves replay their hub's
+/// sweep. Each pendant draws a hub, so unshuffled its leaves alternate
+/// between hubs; shuffled, leaves come before their hub too. Some pendants
+/// are no leaf (a doubled edge), some make a two-node component with a
+/// spare node, some put a self-loop on their hub.
+fn leafy_strategy() -> impl Strategy<Value = Graph> {
+    (
+        1usize..5,
+        proptest::collection::vec((any::<u32>(), 0u8..8), 0..24),
+        proptest::collection::vec((any::<u32>(), any::<u32>()), 0..8),
+        proptest::collection::vec(any::<u32>(), 64),
+    )
+        .prop_map(|(hubs, pendants, core, keys)| {
+            let n = hubs + 2 * pendants.len();
+            let hub = |x: u32| x as usize % hubs;
+            let mut edges: Vec<_> = core.iter().map(|&(u, v)| (hub(u), hub(v))).collect();
+            for (i, &(h, kind)) in pendants.iter().enumerate() {
+                let (leaf, h) = (hubs + 2 * i, hub(h));
+                match kind {
+                    0 => edges.push((leaf, leaf + 1)),
+                    1 => edges.extend([(leaf, h), (h, leaf)]),
+                    2 => edges.extend([(leaf, h), (h, h)]),
+                    _ => edges.push((leaf, h)),
+                }
+            }
+            let mut position: Vec<usize> = (0..n).collect();
+            if keys[63] % 2 == 0 {
+                position.sort_by_key(|&v| keys[v]);
+            }
+            graph_of(
+                n,
+                edges.into_iter().map(|(u, v)| (position[u], position[v])),
+            )
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn kernels_match_oracle_on_hubs_with_leaves(g in leafy_strategy()) {
+        assert_kernels_match_oracle(&g)?;
+    }
 
     #[test]
     fn kernels_match_oracle_on_bipartite_multigraphs(g in bipartite_strategy()) {

@@ -31,7 +31,8 @@ use baclassifier::durable::{
 };
 use btcsim::{Address, Amount, Block, OutPoint, Transaction, TxIn, TxOut, Txid};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// 8-byte file magic; the version is part of the magic so a future v2 is a
@@ -161,6 +162,8 @@ pub struct JournalScan {
     pub blocks: Vec<Block>,
     /// Length in bytes of the valid prefix (magic + whole good frames).
     pub valid_len: u64,
+    /// Byte range of each block's frame in the file, parallel to `blocks`.
+    pub frames: Vec<Range<usize>>,
     /// First invalid frame, if the file does not end cleanly.
     pub torn: Option<TornFrame>,
 }
@@ -170,8 +173,11 @@ pub struct JournalScan {
 /// arbitrary bytes — corruption is reported via `torn`, and only an
 /// unreadable file or bad magic is an `Err`.
 pub fn scan_journal(path: &Path) -> std::io::Result<JournalScan> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
+    scan_bytes(path, &std::fs::read(path)?)
+}
+
+/// [`scan_journal`] over the file's bytes, already read.
+fn scan_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<JournalScan> {
     if bytes.len() < JOURNAL_MAGIC.len() || &bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -184,6 +190,7 @@ pub fn scan_journal(path: &Path) -> std::io::Result<JournalScan> {
     let mut scan = JournalScan {
         blocks: Vec::new(),
         valid_len: JOURNAL_MAGIC.len() as u64,
+        frames: Vec::new(),
         torn: None,
     };
     let mut pos = JOURNAL_MAGIC.len();
@@ -192,6 +199,7 @@ pub fn scan_journal(path: &Path) -> std::io::Result<JournalScan> {
             Frame::Whole { payload, end } => match decode_block(payload) {
                 Ok(block) => {
                     scan.blocks.push(block);
+                    scan.frames.push(pos..pos + end);
                     pos += end;
                     scan.valid_len = pos as u64;
                     continue;
@@ -255,6 +263,7 @@ impl BlockJournal {
                 JournalScan {
                     blocks: Vec::new(),
                     valid_len: JOURNAL_MAGIC.len() as u64,
+                    frames: Vec::new(),
                     torn: None,
                 },
             ));
@@ -308,20 +317,22 @@ impl BlockJournal {
     /// handle. Called after a snapshot: frames at or above the snapshot
     /// height must survive so a fallback to an *older* snapshot generation
     /// still finds its replay tail — pass the minimum height across all
-    /// retained generations, not the newest.
+    /// retained generations, not the newest. A kept frame is copied as read.
     pub fn compact_below(&mut self, height: u64) -> std::io::Result<u64> {
         self.sync()?;
-        let scan = scan_journal(&self.path)?;
-        let kept: Vec<&Block> = scan.blocks.iter().filter(|b| b.height >= height).collect();
-        let dropped = (scan.blocks.len() - kept.len()) as u64;
+        let bytes = std::fs::read(&self.path)?;
+        let scan = scan_bytes(&self.path, &bytes)?;
+        let dropped = scan.blocks.iter().filter(|b| b.height < height).count() as u64;
         if dropped == 0 && scan.torn.is_none() {
             return Ok(0);
         }
-        let mut bytes = JOURNAL_MAGIC.to_vec();
-        for block in &kept {
-            put_frame(&mut bytes, &encode_block(block), MAX_FRAME_LEN)?;
+        let mut kept = JOURNAL_MAGIC.to_vec();
+        for (block, frame) in scan.blocks.iter().zip(&scan.frames) {
+            if block.height >= height {
+                kept.extend_from_slice(&bytes[frame.clone()]);
+            }
         }
-        baclassifier::write_atomic(&self.path, &bytes)?;
+        baclassifier::write_atomic(&self.path, &kept)?;
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         file.seek(SeekFrom::End(0))?;
         self.file = file;
@@ -483,5 +494,32 @@ mod tests {
         let (mut journal, _) = BlockJournal::open_or_create(&path).unwrap();
         assert_eq!(journal.compact_below(0).unwrap(), 0);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn compaction_keeps_frames_byte_for_byte() {
+        let blocks = sim_blocks(73, 7); // 8 blocks: heights 0..=7
+        let mut want = JOURNAL_MAGIC.to_vec();
+        for b in &blocks[3..] {
+            put_frame(&mut want, &encode_block(b), MAX_FRAME_LEN).unwrap();
+        }
+        for torn in [false, true] {
+            let path = temp_path(if torn {
+                "compact_torn"
+            } else {
+                "compact_whole"
+            });
+            let mut journal = BlockJournal::create(&path, 1).unwrap();
+            for b in &blocks {
+                journal.append(b).unwrap();
+            }
+            if torn {
+                let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+                file.write_all(&want[8..20]).unwrap();
+            }
+            assert_eq!(journal.compact_below(3).unwrap(), 3);
+            assert_eq!(std::fs::read(&path).unwrap(), want, "torn tail: {torn}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 }
