@@ -2,7 +2,7 @@
 //! ANN back-end of Lee et al. in Table IV), wrapping the `numnet` stack.
 
 use crate::common::{Classifier, NUM_CLASSES};
-use numnet::layers::{Activation, Mlp};
+use numnet::layers::Mlp;
 use numnet::optim::Adam;
 use numnet::{Matrix, Tape};
 use rand::rngs::StdRng;
@@ -55,7 +55,7 @@ impl Classifier for AnnClassifier {
         let mut dims = vec![x[0].len()];
         dims.extend(&self.hidden);
         dims.push(NUM_CLASSES);
-        let mlp = Mlp::new(&dims, Activation::Relu, &mut rng);
+        let mlp = Mlp::new(&dims, &mut rng);
         let params = mlp.params();
         let mut opt = Adam::new(params.clone(), self.learning_rate);
         let mut order: Vec<usize> = (0..x.len()).collect();

@@ -12,13 +12,17 @@ use std::hint::black_box;
 /// node 0 (the focus) funds every transaction, one node in five is a
 /// transaction, every other node is paid by one transaction and every
 /// seventh of them by the next one as well — so most nodes have degree 1.
+/// A transaction's payees are numbered together, as Stage 1's first-seen
+/// order numbers them, so consecutive leaves share a hub.
 fn star_of_stars(n: usize) -> Vec<(usize, usize)> {
     let txs = n / 5;
+    let payees = n - 1 - txs;
     let mut edges: Vec<(usize, usize)> = (1..=txs).map(|tx| (0, tx)).collect();
     for (i, addr) in (txs + 1..n).enumerate() {
-        edges.push((addr, 1 + i % txs));
+        let tx = i * txs / payees;
+        edges.push((addr, 1 + tx));
         if i % 7 == 0 {
-            edges.push((addr, 1 + (i + 1) % txs));
+            edges.push((addr, 1 + (tx + 1) % txs));
         }
     }
     edges

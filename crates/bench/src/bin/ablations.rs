@@ -48,7 +48,6 @@ fn run_config(
         TrainParams {
             epochs,
             learning_rate: 0.01,
-            batch_size: 8,
             seed: scale.seed,
         },
         1,

@@ -44,7 +44,6 @@ fn main() {
             TrainParams {
                 epochs,
                 learning_rate: 0.01,
-                batch_size: 8,
                 seed: scale.seed,
             },
             1,

@@ -36,7 +36,6 @@ fn main() {
             TrainParams {
                 epochs,
                 learning_rate: 0.01,
-                batch_size: 8,
                 seed: scale.seed,
             },
             1,

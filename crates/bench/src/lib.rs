@@ -198,7 +198,6 @@ pub fn embedded_split(
         TrainParams {
             epochs: gnn_epochs,
             learning_rate: 0.01,
-            batch_size: 8,
             seed: scale.seed,
         },
         1,

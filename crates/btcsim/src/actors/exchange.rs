@@ -4,49 +4,30 @@
 
 use super::{Actor, Shared, StepCtx, DEFAULT_FEE};
 use crate::address::{Address, Label};
-use crate::amount::Amount;
+use crate::amount::{Amount, SATS_PER_BTC};
 use crate::tx::TxOut;
 use crate::wallet::{ChangePolicy, WalletId};
 use rand::Rng;
 
-/// Tunables for one exchange.
-#[derive(Clone, Debug)]
-pub struct ExchangeConfig {
-    /// This exchange's index in `Directory::exchange_deposits` /
-    /// `Mailbox::withdrawals`.
-    pub id: usize,
-    /// Deposit addresses kept available in the directory.
-    pub deposit_pool_target: usize,
-    /// Sweep deposit funds into the hot wallet every this many blocks.
-    pub sweep_interval: u64,
-    /// Max deposit UTXOs consolidated per sweep transaction.
-    pub sweep_batch: usize,
-    /// Move funds to cold storage when the hot wallet exceeds this.
-    pub hot_ceiling: Amount,
-    /// Refill hot from cold when the hot wallet drops below this.
-    pub hot_floor: Amount,
-    /// Max withdrawal payouts batched into one transaction.
-    pub withdrawal_batch: usize,
-}
-
-impl Default for ExchangeConfig {
-    fn default() -> Self {
-        Self {
-            id: 0,
-            deposit_pool_target: 24,
-            sweep_interval: 6,
-            sweep_batch: 32,
-            hot_ceiling: Amount::from_btc(500.0),
-            hot_floor: Amount::from_btc(10.0),
-            withdrawal_batch: 16,
-        }
-    }
-}
+/// Deposit addresses kept available in the directory.
+const DEPOSIT_POOL_TARGET: usize = 24;
+/// Sweep deposit funds into the hot wallet every this many blocks.
+const SWEEP_INTERVAL: u64 = 6;
+/// Max deposit UTXOs consolidated per sweep transaction.
+const SWEEP_BATCH: usize = 32;
+/// Move funds to cold storage when the hot wallet exceeds this.
+const HOT_CEILING: Amount = Amount::from_sats(500 * SATS_PER_BTC);
+/// Refill hot from cold when the hot wallet drops below this.
+const HOT_FLOOR: Amount = Amount::from_sats(10 * SATS_PER_BTC);
+/// Max withdrawal payouts batched into one transaction.
+const WITHDRAWAL_BATCH: usize = 16;
 
 /// An exchange: deposit wallet (single-use intake addresses), hot wallet
 /// (operational), cold wallet (reserve).
 pub struct ExchangeActor {
-    cfg: ExchangeConfig,
+    /// This exchange's index in `Directory::exchange_deposits` /
+    /// `Mailbox::withdrawals`.
+    id: usize,
     deposit_wallet: WalletId,
     hot: WalletId,
     cold: WalletId,
@@ -55,18 +36,18 @@ pub struct ExchangeActor {
 }
 
 impl ExchangeActor {
-    pub fn new(cfg: ExchangeConfig, shared: &mut Shared) -> Self {
+    pub fn new(id: usize, shared: &mut Shared) -> Self {
         let label = Some(Label::Exchange);
         let hot = shared.wallets.create(ChangePolicy::FreshAddress, label);
         let cold = shared.wallets.create(ChangePolicy::ReuseInput, label);
         let deposit_wallet = shared.wallets.create(ChangePolicy::FreshAddress, label);
         let hot_main = shared.wallets[hot].new_address(&mut shared.alloc);
         let cold_main = shared.wallets[cold].new_address(&mut shared.alloc);
-        if shared.dir.exchange_deposits.len() <= cfg.id {
-            shared.dir.exchange_deposits.resize(cfg.id + 1, Vec::new());
+        if shared.dir.exchange_deposits.len() <= id {
+            shared.dir.exchange_deposits.resize(id + 1, Vec::new());
         }
         Self {
-            cfg,
+            id,
             deposit_wallet,
             hot,
             cold,
@@ -76,8 +57,8 @@ impl ExchangeActor {
     }
 
     fn refill_deposit_pool(&mut self, shared: &mut Shared) {
-        let pool = &mut shared.dir.exchange_deposits[self.cfg.id];
-        while pool.len() < self.cfg.deposit_pool_target {
+        let pool = &mut shared.dir.exchange_deposits[self.id];
+        while pool.len() < DEPOSIT_POOL_TARGET {
             pool.push(shared.wallets[self.deposit_wallet].new_address(&mut shared.alloc));
         }
     }
@@ -90,7 +71,7 @@ impl ExchangeActor {
             let nonce = ctx.next_nonce();
             let Some(tx) = deposits.consolidate(
                 self.hot_main,
-                self.cfg.sweep_batch,
+                SWEEP_BATCH,
                 DEFAULT_FEE,
                 ctx.timestamp,
                 nonce,
@@ -105,11 +86,11 @@ impl ExchangeActor {
         let mine: Vec<(Address, Amount)> = {
             let (mine, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut shared.mail.withdrawals)
                 .into_iter()
-                .partition(|&(id, _, _)| id == self.cfg.id);
+                .partition(|&(id, _, _)| id == self.id);
             shared.mail.withdrawals = rest;
             mine.into_iter().map(|(_, a, v)| (a, v)).collect()
         };
-        for batch in mine.chunks(self.cfg.withdrawal_batch) {
+        for batch in mine.chunks(WITHDRAWAL_BATCH) {
             let outs: Vec<TxOut> = batch
                 .iter()
                 .map(|&(address, value)| TxOut { address, value })
@@ -129,7 +110,7 @@ impl ExchangeActor {
                     shared
                         .mail
                         .withdrawals
-                        .extend(batch.iter().map(|&(a, v)| (self.cfg.id, a, v)));
+                        .extend(batch.iter().map(|&(a, v)| (self.id, a, v)));
                 }
             }
         }
@@ -138,8 +119,8 @@ impl ExchangeActor {
     fn rebalance(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         let hot = shared.wallets[self.hot].balance();
         let cold = shared.wallets[self.cold].balance();
-        if hot > self.cfg.hot_ceiling {
-            let excess = hot - self.cfg.hot_floor.mul_f64(4.0).min(hot);
+        if hot > HOT_CEILING {
+            let excess = hot - HOT_FLOOR.mul_f64(4.0).min(hot);
             if excess > DEFAULT_FEE {
                 let nonce = ctx.next_nonce();
                 if let Some(tx) = shared.wallets[self.hot].create_payment(
@@ -155,7 +136,7 @@ impl ExchangeActor {
                     ctx.submit(tx);
                 }
             }
-        } else if hot < self.cfg.hot_floor && cold > self.cfg.hot_floor.mul_f64(2.0) {
+        } else if hot < HOT_FLOOR && cold > HOT_FLOOR.mul_f64(2.0) {
             let refill = cold.div_n(4);
             let nonce = ctx.next_nonce();
             if let Some(tx) = shared.wallets[self.cold].create_payment(
@@ -178,7 +159,7 @@ impl Actor for ExchangeActor {
     fn step(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         self.refill_deposit_pool(shared);
         self.process_withdrawals(ctx, shared);
-        if ctx.height % self.cfg.sweep_interval == self.cfg.id as u64 % self.cfg.sweep_interval {
+        if ctx.height % SWEEP_INTERVAL == self.id as u64 % SWEEP_INTERVAL {
             self.sweep_deposits(ctx, shared);
         }
         // Occasional rebalance check with jitter so exchanges don't sync up.
@@ -207,7 +188,7 @@ mod tests {
     #[test]
     fn deposit_pool_is_refilled() {
         let mut shared = Shared::default();
-        let mut ex = ExchangeActor::new(ExchangeConfig::default(), &mut shared);
+        let mut ex = ExchangeActor::new(0, &mut shared);
         run_step(&mut ex, &mut shared, 0);
         assert_eq!(shared.dir.exchange_deposits[0].len(), 24);
     }
@@ -215,7 +196,7 @@ mod tests {
     #[test]
     fn deposits_get_swept_to_hot() {
         let mut shared = Shared::default();
-        let mut ex = ExchangeActor::new(ExchangeConfig::default(), &mut shared);
+        let mut ex = ExchangeActor::new(0, &mut shared);
         run_step(&mut ex, &mut shared, 0);
         // Simulate three user deposits into published addresses.
         for i in 0..3 {
@@ -246,7 +227,7 @@ mod tests {
     #[test]
     fn withdrawals_are_batched() {
         let mut shared = Shared::default();
-        let mut ex = ExchangeActor::new(ExchangeConfig::default(), &mut shared);
+        let mut ex = ExchangeActor::new(0, &mut shared);
         // Fund hot wallet directly.
         let fund = Transaction::new(
             vec![],
@@ -285,7 +266,7 @@ mod tests {
     #[test]
     fn labels_cover_all_owned_addresses() {
         let mut shared = Shared::default();
-        let mut ex = ExchangeActor::new(ExchangeConfig::default(), &mut shared);
+        let mut ex = ExchangeActor::new(0, &mut shared);
         run_step(&mut ex, &mut shared, 0);
         let labels = shared.labels();
         assert!(labels.len() >= 26); // 24 deposits + hot + cold
@@ -295,7 +276,7 @@ mod tests {
     #[test]
     fn foreign_withdrawals_left_in_mailbox() {
         let mut shared = Shared::default();
-        let mut ex = ExchangeActor::new(ExchangeConfig::default(), &mut shared);
+        let mut ex = ExchangeActor::new(0, &mut shared);
         shared
             .mail
             .withdrawals

@@ -10,36 +10,17 @@ use crate::tx::TxOut;
 use crate::wallet::{ChangePolicy, WalletId, Wallets};
 use rand::Rng;
 
-/// Tunables for one gambling site.
-#[derive(Clone, Debug)]
-pub struct GamblingConfig {
-    /// This house's index in `Directory::house_addresses`.
-    pub id: usize,
-    /// Number of gambler wallets playing at this house.
-    pub num_gamblers: usize,
-    /// Expected bets placed per block across all gamblers.
-    pub bets_per_block: f64,
-    /// House edge: win probability for a 2x payout.
-    pub win_prob: f64,
-    /// Typical bet size (log-normal median), in BTC.
-    pub median_bet_btc: f64,
-}
-
-impl Default for GamblingConfig {
-    fn default() -> Self {
-        Self {
-            id: 0,
-            num_gamblers: 40,
-            bets_per_block: 4.0,
-            win_prob: 0.474,
-            median_bet_btc: 0.02,
-        }
-    }
-}
+/// Gambler wallets playing at each house.
+pub(crate) const NUM_GAMBLERS: usize = 40;
+/// Expected bets placed per block across all gamblers.
+const BETS_PER_BLOCK: f64 = 4.0;
+/// House edge: win probability for a 2x payout.
+const WIN_PROB: f64 = 0.474;
+/// Typical bet size (log-normal median), in BTC.
+const MEDIAN_BET_BTC: f64 = 0.02;
 
 /// A gambling site (house wallet) and its gamblers.
 pub struct GamblingActor {
-    cfg: GamblingConfig,
     house: WalletId,
     house_addr: Address,
     gamblers: Vec<WalletId>,
@@ -48,18 +29,16 @@ pub struct GamblingActor {
 }
 
 impl GamblingActor {
-    pub fn new(cfg: GamblingConfig, shared: &mut Shared) -> Self {
+    /// House `id`: its bet address is `Directory::house_addresses[id]`.
+    pub fn new(id: usize, shared: &mut Shared) -> Self {
         let label = Some(Label::Gambling);
         let house = shared.wallets.create(ChangePolicy::ReuseInput, label);
         let house_addr = shared.wallets[house].new_address(&mut shared.alloc);
-        if shared.dir.house_addresses.len() <= cfg.id {
-            shared
-                .dir
-                .house_addresses
-                .resize(cfg.id + 1, Address(u64::MAX));
+        if shared.dir.house_addresses.len() <= id {
+            shared.dir.house_addresses.resize(id + 1, Address(u64::MAX));
         }
-        shared.dir.house_addresses[cfg.id] = house_addr;
-        let gamblers = (0..cfg.num_gamblers)
+        shared.dir.house_addresses[id] = house_addr;
+        let gamblers = (0..NUM_GAMBLERS)
             .map(|_| {
                 let w = shared.wallets.create(ChangePolicy::FreshAddress, label);
                 shared.wallets[w].new_address(&mut shared.alloc);
@@ -67,7 +46,6 @@ impl GamblingActor {
             })
             .collect();
         Self {
-            cfg,
             house,
             house_addr,
             gamblers,
@@ -110,8 +88,8 @@ impl GamblingActor {
     }
 
     fn place_bets(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
-        let n_bets = dist::poisson(ctx.rng, self.cfg.bets_per_block) as usize;
-        let mu = self.cfg.median_bet_btc.ln();
+        let n_bets = dist::poisson(ctx.rng, BETS_PER_BLOCK) as usize;
+        let mu = MEDIAN_BET_BTC.ln();
         for _ in 0..n_bets {
             let gi = ctx.rng.gen_range(0..self.gamblers.len());
             let bet = Amount::from_btc(dist::log_normal(ctx.rng, mu, 0.8).min(5.0));
@@ -133,7 +111,7 @@ impl GamblingActor {
                 continue; // broke gambler
             };
             ctx.submit(tx);
-            if ctx.rng.gen_bool(self.cfg.win_prob) {
+            if ctx.rng.gen_bool(WIN_PROB) {
                 self.pending_payouts.push((gi, bet.mul_f64(2.0)));
             }
         }
@@ -185,7 +163,7 @@ mod tests {
     #[test]
     fn funded_gamblers_place_bets() {
         let mut shared = Shared::default();
-        let mut g = GamblingActor::new(GamblingConfig::default(), &mut shared);
+        let mut g = GamblingActor::new(0, &mut shared);
         fund_gamblers(&g, &mut shared, 2.0);
         let mut total_bets = 0;
         for h in 1..10 {
@@ -204,7 +182,7 @@ mod tests {
     #[test]
     fn broke_gamblers_cannot_bet() {
         let mut shared = Shared::default();
-        let mut g = GamblingActor::new(GamblingConfig::default(), &mut shared);
+        let mut g = GamblingActor::new(0, &mut shared);
         let txs = step_at(&mut g, &mut shared, 1);
         assert!(txs.is_empty());
     }
@@ -212,12 +190,7 @@ mod tests {
     #[test]
     fn wins_are_paid_next_step() {
         let mut shared = Shared::default();
-        let cfg = GamblingConfig {
-            win_prob: 1.0,
-            bets_per_block: 10.0,
-            ..Default::default()
-        };
-        let mut g = GamblingActor::new(cfg, &mut shared);
+        let mut g = GamblingActor::new(0, &mut shared);
         fund_gamblers(&g, &mut shared, 2.0);
         // House needs float to pay winners.
         let float = Transaction::new(
@@ -230,12 +203,16 @@ mod tests {
             999_999,
         );
         shared.confirm(&float);
-        let bets = step_at(&mut g, &mut shared, 1);
-        for tx in &bets {
-            shared.confirm(tx);
+        // At the house's odds some bet wins within a few blocks.
+        let mut height = 1;
+        while g.pending_payouts.is_empty() {
+            assert!(height < 20, "no bet won in {height} blocks");
+            for tx in &step_at(&mut g, &mut shared, height) {
+                shared.confirm(tx);
+            }
+            height += 1;
         }
-        assert!(!g.pending_payouts.is_empty());
-        let payouts = step_at(&mut g, &mut shared, 2);
+        let payouts = step_at(&mut g, &mut shared, height);
         let from_house: Vec<_> = payouts
             .iter()
             .filter(|t| t.inputs.iter().any(|i| i.address == g.house_address()))
@@ -246,14 +223,14 @@ mod tests {
     #[test]
     fn house_registered_in_directory() {
         let mut shared = Shared::default();
-        let g = GamblingActor::new(GamblingConfig::default(), &mut shared);
+        let g = GamblingActor::new(0, &mut shared);
         assert_eq!(shared.dir.house_addresses[0], g.house_address());
     }
 
     #[test]
     fn labels_cover_house_and_gamblers() {
         let mut shared = Shared::default();
-        GamblingActor::new(GamblingConfig::default(), &mut shared);
+        GamblingActor::new(0, &mut shared);
         let labels = shared.labels();
         assert_eq!(labels.len(), 41);
         assert!(labels.values().all(|&l| l == Label::Gambling));

@@ -10,34 +10,16 @@ use crate::tx::TxOut;
 use crate::wallet::{ChangePolicy, WalletId};
 use rand::Rng;
 
-/// Tunables for one mining pool.
-#[derive(Clone, Debug)]
-pub struct MiningConfig {
-    /// Number of miner addresses paid by this pool.
-    pub num_miners: usize,
-    /// Blocks between payout rounds.
-    pub payout_interval: u64,
-    /// Fraction of miners paid each round (the rest are below the payout
-    /// threshold that round).
-    pub payout_fraction: f64,
-    /// Miners forward earnings to an exchange with this per-round chance.
-    pub miner_deposit_prob: f64,
-}
-
-impl Default for MiningConfig {
-    fn default() -> Self {
-        Self {
-            num_miners: 120,
-            payout_interval: 12,
-            payout_fraction: 0.7,
-            miner_deposit_prob: 0.05,
-        }
-    }
-}
+/// Blocks between payout rounds.
+const PAYOUT_INTERVAL: u64 = 12;
+/// Fraction of miners paid each round (the rest are below the payout
+/// threshold that round).
+const PAYOUT_FRACTION: f64 = 0.7;
+/// Miners forward earnings to an exchange with this per-round chance.
+const MINER_DEPOSIT_PROB: f64 = 0.05;
 
 /// A mining pool plus the miners it pays.
 pub struct MiningPoolActor {
-    cfg: MiningConfig,
     pool: WalletId,
     pool_reward_addr: Address,
     miners: WalletId,
@@ -45,7 +27,8 @@ pub struct MiningPoolActor {
 }
 
 impl MiningPoolActor {
-    pub fn new(cfg: MiningConfig, shared: &mut Shared) -> Self {
+    /// A pool paying `num_miners` miner addresses.
+    pub fn new(num_miners: usize, shared: &mut Shared) -> Self {
         let pool = shared
             .wallets
             .create(ChangePolicy::ReuseInput, Some(Label::Mining));
@@ -53,11 +36,10 @@ impl MiningPoolActor {
         let miners = shared
             .wallets
             .create(ChangePolicy::ReuseInput, Some(Label::Mining));
-        let miner_addrs: Vec<Address> = (0..cfg.num_miners)
+        let miner_addrs: Vec<Address> = (0..num_miners)
             .map(|_| shared.wallets[miners].new_address(&mut shared.alloc))
             .collect();
         Self {
-            cfg,
             pool,
             pool_reward_addr,
             miners,
@@ -80,7 +62,7 @@ impl MiningPoolActor {
             .miner_addrs
             .iter()
             .copied()
-            .filter(|_| ctx.rng.gen_bool(self.cfg.payout_fraction))
+            .filter(|_| ctx.rng.gen_bool(PAYOUT_FRACTION))
             .collect();
         if paid.is_empty() {
             return;
@@ -121,7 +103,7 @@ impl MiningPoolActor {
         if shared.wallets[self.miners].balance() < Amount::from_btc(0.5) {
             return;
         }
-        let rounds = (self.cfg.num_miners as f64 * self.cfg.miner_deposit_prob).ceil() as usize;
+        let rounds = (self.miner_addrs.len() as f64 * MINER_DEPOSIT_PROB).ceil() as usize;
         for _ in 0..rounds {
             if !ctx.rng.gen_bool(0.8) {
                 continue;
@@ -154,7 +136,7 @@ impl MiningPoolActor {
 
 impl Actor for MiningPoolActor {
     fn step(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
-        if ctx.height > 0 && ctx.height.is_multiple_of(self.cfg.payout_interval) {
+        if ctx.height > 0 && ctx.height.is_multiple_of(PAYOUT_INTERVAL) {
             self.payout_round(ctx, shared);
         }
         self.miner_deposits(ctx, shared);
@@ -193,7 +175,7 @@ mod tests {
     #[test]
     fn payout_fans_out_to_many_miners() {
         let mut shared = Shared::default();
-        let mut pool = MiningPoolActor::new(MiningConfig::default(), &mut shared);
+        let mut pool = MiningPoolActor::new(120, &mut shared);
         fund_pool(&pool, &mut shared, 50.0, 1);
         let txs = step_at(&mut pool, &mut shared, 12);
         assert_eq!(txs.len(), 1);
@@ -208,7 +190,7 @@ mod tests {
     #[test]
     fn no_payout_off_schedule() {
         let mut shared = Shared::default();
-        let mut pool = MiningPoolActor::new(MiningConfig::default(), &mut shared);
+        let mut pool = MiningPoolActor::new(120, &mut shared);
         fund_pool(&pool, &mut shared, 50.0, 1);
         let txs = step_at(&mut pool, &mut shared, 13);
         assert!(
@@ -220,7 +202,7 @@ mod tests {
     #[test]
     fn no_payout_when_poor() {
         let mut shared = Shared::default();
-        let mut pool = MiningPoolActor::new(MiningConfig::default(), &mut shared);
+        let mut pool = MiningPoolActor::new(120, &mut shared);
         fund_pool(&pool, &mut shared, 0.1, 1);
         assert!(step_at(&mut pool, &mut shared, 12).is_empty());
     }
@@ -229,7 +211,7 @@ mod tests {
     fn miners_deposit_to_exchanges_when_available() {
         let mut shared = Shared::default();
         shared.dir.exchange_deposits = vec![(0..50).map(|i| Address(10_000 + i)).collect()];
-        let mut pool = MiningPoolActor::new(MiningConfig::default(), &mut shared);
+        let mut pool = MiningPoolActor::new(120, &mut shared);
         fund_pool(&pool, &mut shared, 50.0, 1);
         // Run a payout so miners have funds, confirm it, then another step.
         let txs = step_at(&mut pool, &mut shared, 12);
@@ -251,7 +233,7 @@ mod tests {
     #[test]
     fn labels_are_mining() {
         let mut shared = Shared::default();
-        MiningPoolActor::new(MiningConfig::default(), &mut shared);
+        MiningPoolActor::new(120, &mut shared);
         let labels = shared.labels();
         assert_eq!(labels.len(), 121); // pool reward + 120 miners
         assert!(labels.values().all(|&l| l == Label::Mining));

@@ -10,21 +10,22 @@ use crate::tx::TxOut;
 use crate::wallet::{ChangePolicy, WalletId, Wallets};
 use rand::Rng;
 
-/// Tunables for the retail population.
+/// Expected p2p payments per block.
+const P2P_PER_BLOCK: f64 = 8.0;
+/// Expected exchange deposits per block.
+const DEPOSITS_PER_BLOCK: f64 = 3.0;
+/// Chance a deposit is followed by a queued withdrawal request.
+const WITHDRAWAL_PROB: f64 = 0.8;
+/// Expected mixer jobs initiated per block.
+const MIXES_PER_BLOCK: f64 = 2.0;
+/// Median p2p payment (BTC).
+const MEDIAN_PAYMENT_BTC: f64 = 0.1;
+
+/// The retail population: its size and its growth.
 #[derive(Clone, Debug)]
 pub struct RetailConfig {
     /// Number of user wallets.
     pub num_users: usize,
-    /// Expected p2p payments per block.
-    pub p2p_per_block: f64,
-    /// Expected exchange deposits per block.
-    pub deposits_per_block: f64,
-    /// Chance a deposit is followed by a queued withdrawal request.
-    pub withdrawal_prob: f64,
-    /// Expected mixer jobs initiated per block.
-    pub mixes_per_block: f64,
-    /// Median p2p payment (BTC).
-    pub median_payment_btc: f64,
     /// Expected new users joining per block (drives the Fig. 1 growth
     /// curve). New users are funded by existing users.
     pub growth_per_block: f64,
@@ -34,11 +35,6 @@ impl Default for RetailConfig {
     fn default() -> Self {
         Self {
             num_users: 150,
-            p2p_per_block: 8.0,
-            deposits_per_block: 3.0,
-            withdrawal_prob: 0.8,
-            mixes_per_block: 2.0,
-            median_payment_btc: 0.1,
             growth_per_block: 0.0,
         }
     }
@@ -46,7 +42,7 @@ impl Default for RetailConfig {
 
 /// The anonymous user crowd.
 pub struct RetailActor {
-    cfg: RetailConfig,
+    growth_per_block: f64,
     users: Vec<WalletId>,
     /// Size of the founding population (rate baseline).
     initial_users: usize,
@@ -60,7 +56,7 @@ impl RetailActor {
         let popularity = dist::ZipfSampler::new(cfg.num_users, 0.8);
         let initial_users = cfg.num_users;
         Self {
-            cfg,
+            growth_per_block: cfg.growth_per_block,
             users,
             initial_users,
             popularity,
@@ -112,18 +108,18 @@ impl RetailActor {
     }
 
     fn sample_amount(&self, ctx: &mut StepCtx<'_>) -> Amount {
-        Amount::from_btc(dist::log_normal(ctx.rng, self.cfg.median_payment_btc.ln(), 1.2).min(50.0))
+        Amount::from_btc(dist::log_normal(ctx.rng, MEDIAN_PAYMENT_BTC.ln(), 1.2).min(50.0))
     }
 
     /// Onboard new users: each is funded by an existing user, modelling the
     /// adoption growth behind the paper's Fig. 1.
     fn growth_round(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
-        let n = dist::poisson(ctx.rng, self.cfg.growth_per_block) as usize;
+        let n = dist::poisson(ctx.rng, self.growth_per_block) as usize;
         for _ in 0..n {
             let (w, addr) = new_user(shared);
             self.users.push(w);
             let sponsor = self.popularity.sample(ctx.rng);
-            let amount = Amount::from_btc(self.cfg.median_payment_btc * 5.0);
+            let amount = Amount::from_btc(MEDIAN_PAYMENT_BTC * 5.0);
             self.pay(sponsor, addr, amount, ctx, shared);
         }
     }
@@ -139,7 +135,7 @@ impl RetailActor {
     }
 
     fn p2p_round(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
-        let n = dist::poisson(ctx.rng, self.rate(self.cfg.p2p_per_block)) as usize;
+        let n = dist::poisson(ctx.rng, self.rate(P2P_PER_BLOCK)) as usize;
         for _ in 0..n {
             let from = self.pick_sender(ctx);
             let to = ctx.rng.gen_range(0..self.users.len());
@@ -153,16 +149,14 @@ impl RetailActor {
     }
 
     fn exchange_round(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
-        let n = dist::poisson(ctx.rng, self.rate(self.cfg.deposits_per_block)) as usize;
+        let n = dist::poisson(ctx.rng, self.rate(DEPOSITS_PER_BLOCK)) as usize;
         for _ in 0..n {
             let user = self.pick_sender(ctx);
             let Some((ex, dep)) = shared.dir.take_exchange_deposit(ctx.rng) else {
                 break;
             };
             let amount = self.sample_amount(ctx);
-            if self.pay(user, dep, amount, ctx, shared)
-                && ctx.rng.gen_bool(self.cfg.withdrawal_prob)
-            {
+            if self.pay(user, dep, amount, ctx, shared) && ctx.rng.gen_bool(WITHDRAWAL_PROB) {
                 // Later withdraw roughly what was deposited to a fresh address.
                 let back = shared.wallets[self.users[user]].new_address(&mut shared.alloc);
                 let w_amount = amount.mul_f64(0.6 + 0.35 * ctx.rng.gen::<f64>());
@@ -175,7 +169,7 @@ impl RetailActor {
         if shared.dir.mixer_intakes.is_empty() {
             return;
         }
-        let n = dist::poisson(ctx.rng, self.rate(self.cfg.mixes_per_block)) as usize;
+        let n = dist::poisson(ctx.rng, self.rate(MIXES_PER_BLOCK)) as usize;
         for _ in 0..n {
             let user = self.pick_sender(ctx);
             let mixer = ctx.rng.gen_range(0..shared.dir.mixer_intakes.len());
@@ -279,13 +273,7 @@ mod tests {
     fn mixer_jobs_are_enqueued_with_payment() {
         let mut shared = Shared::default();
         shared.dir.mixer_intakes = vec![Address(5_000_000)];
-        let mut retail = RetailActor::new(
-            RetailConfig {
-                mixes_per_block: 5.0,
-                ..Default::default()
-            },
-            &mut shared,
-        );
+        let mut retail = RetailActor::new(RetailConfig::default(), &mut shared);
         fund_all(&retail, &mut shared, 20.0);
         let mut mix_payments = 0;
         for h in 1..6 {

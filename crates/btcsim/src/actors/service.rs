@@ -11,29 +11,12 @@ use crate::tx::TxOut;
 use crate::wallet::{ChangePolicy, WalletId};
 use rand::Rng;
 
-/// Tunables for one mixing service.
-#[derive(Clone, Debug)]
-pub struct ServiceConfig {
-    /// This mixer's index in `Directory::mixer_intakes` / `Mailbox::mix_jobs`.
-    pub id: usize,
-    /// Number of peel hops per mixing job.
-    pub peel_hops: usize,
-    /// Fee the service keeps, as a fraction of the mixed amount.
-    pub service_fee: f64,
-    /// Max jobs processed per block.
-    pub jobs_per_block: usize,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        Self {
-            id: 0,
-            peel_hops: 5,
-            service_fee: 0.03,
-            jobs_per_block: 4,
-        }
-    }
-}
+/// Number of peel hops per mixing job.
+const PEEL_HOPS: usize = 5;
+/// Fee the service keeps, as a fraction of the mixed amount.
+const SERVICE_FEE: f64 = 0.03;
+/// Max jobs processed per block.
+const JOBS_PER_BLOCK: usize = 4;
 
 /// In-flight peel chain.
 #[derive(Debug)]
@@ -50,7 +33,8 @@ struct PeelJob {
 
 /// A coin-mixing service.
 pub struct ServiceActor {
-    cfg: ServiceConfig,
+    /// This mixer's index in `Directory::mixer_intakes` / `Mailbox::mix_jobs`.
+    id: usize,
     wallet: WalletId,
     intake: Address,
     profit_addr: Address,
@@ -58,21 +42,18 @@ pub struct ServiceActor {
 }
 
 impl ServiceActor {
-    pub fn new(cfg: ServiceConfig, shared: &mut Shared) -> Self {
+    pub fn new(id: usize, shared: &mut Shared) -> Self {
         let wallet = shared
             .wallets
             .create(ChangePolicy::FreshAddress, Some(Label::Service));
         let intake = shared.wallets[wallet].new_address(&mut shared.alloc);
         let profit_addr = shared.wallets[wallet].new_address(&mut shared.alloc);
-        if shared.dir.mixer_intakes.len() <= cfg.id {
-            shared
-                .dir
-                .mixer_intakes
-                .resize(cfg.id + 1, Address(u64::MAX));
+        if shared.dir.mixer_intakes.len() <= id {
+            shared.dir.mixer_intakes.resize(id + 1, Address(u64::MAX));
         }
-        shared.dir.mixer_intakes[cfg.id] = intake;
+        shared.dir.mixer_intakes[id] = intake;
         Self {
-            cfg,
+            id,
             wallet,
             intake,
             profit_addr,
@@ -91,18 +72,18 @@ impl ServiceActor {
     fn accept_jobs(&mut self, shared: &mut Shared) {
         let (mine, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut shared.mail.mix_jobs)
             .into_iter()
-            .partition(|&(id, _, _)| id == self.cfg.id);
+            .partition(|&(id, _, _)| id == self.id);
         shared.mail.mix_jobs = rest;
         for (_, dest, amount) in mine {
-            let after_fee = amount.mul_f64(1.0 - self.cfg.service_fee);
-            if after_fee.is_zero() || self.cfg.peel_hops == 0 {
+            let after_fee = amount.mul_f64(1.0 - SERVICE_FEE);
+            if after_fee.is_zero() {
                 continue;
             }
             self.jobs.push(PeelJob {
                 remaining: after_fee,
                 dest,
-                hops_left: self.cfg.peel_hops,
-                slice: after_fee.div_n(self.cfg.peel_hops as u64),
+                hops_left: PEEL_HOPS,
+                slice: after_fee.div_n(PEEL_HOPS as u64),
             });
         }
     }
@@ -110,7 +91,7 @@ impl ServiceActor {
     fn run_peel_hops(&mut self, ctx: &mut StepCtx<'_>, shared: &mut Shared) {
         let mut processed = 0;
         let mut i = 0;
-        while i < self.jobs.len() && processed < self.cfg.jobs_per_block {
+        while i < self.jobs.len() && processed < JOBS_PER_BLOCK {
             let job = &mut self.jobs[i];
             if shared.wallets[self.wallet].balance() < job.slice + DEFAULT_FEE {
                 i += 1;
@@ -214,7 +195,7 @@ mod tests {
     #[test]
     fn mix_job_runs_full_peel_chain() {
         let mut shared = Shared::default();
-        let mut mixer = ServiceActor::new(ServiceConfig::default(), &mut shared);
+        let mut mixer = ServiceActor::new(0, &mut shared);
         fund_intake(&mixer, &mut shared, 10.0, 1);
         let dest = Address(777_777);
         shared.mail.mix_jobs.push((0, dest, Amount::from_btc(10.0)));
@@ -245,7 +226,7 @@ mod tests {
     #[test]
     fn peel_chain_creates_fresh_service_addresses() {
         let mut shared = Shared::default();
-        let mut mixer = ServiceActor::new(ServiceConfig::default(), &mut shared);
+        let mut mixer = ServiceActor::new(0, &mut shared);
         fund_intake(&mixer, &mut shared, 10.0, 1);
         shared
             .mail
@@ -265,7 +246,7 @@ mod tests {
     #[test]
     fn foreign_jobs_left_in_mailbox() {
         let mut shared = Shared::default();
-        let mut mixer = ServiceActor::new(ServiceConfig::default(), &mut shared);
+        let mut mixer = ServiceActor::new(0, &mut shared);
         shared
             .mail
             .mix_jobs
@@ -277,7 +258,7 @@ mod tests {
     #[test]
     fn unfunded_job_waits() {
         let mut shared = Shared::default();
-        let mut mixer = ServiceActor::new(ServiceConfig::default(), &mut shared);
+        let mut mixer = ServiceActor::new(0, &mut shared);
         shared
             .mail
             .mix_jobs
@@ -294,7 +275,7 @@ mod tests {
     #[test]
     fn labels_are_service() {
         let mut shared = Shared::default();
-        ServiceActor::new(ServiceConfig::default(), &mut shared);
+        ServiceActor::new(0, &mut shared);
         let labels = shared.labels();
         assert!(labels.values().all(|&l| l == Label::Service));
         assert!(labels.len() >= 2);

@@ -43,12 +43,6 @@ impl BlockCursor {
         self.next
     }
 
-    /// Blocks mined so far (mining runs lazily, ahead of reads only when
-    /// seeking backward).
-    pub fn mined_blocks(&self) -> u64 {
-        self.sim.chain().height()
-    }
-
     /// Move the cursor so the next read yields `height` (clamped to the end
     /// of the chain). Seeking backward re-reads retained blocks; seeking
     /// forward mines the gap on the next read. Returns the new position.
@@ -152,7 +146,7 @@ mod tests {
         let again: Vec<Block> = (0..10).filter_map(|_| c.next_block()).collect();
         assert_eq!(first, again);
         // Backward seeking never re-mines: the chain still holds 10 blocks.
-        assert_eq!(c.mined_blocks(), 10);
+        assert_eq!(c.sim.chain().height(), 10);
     }
 
     #[test]

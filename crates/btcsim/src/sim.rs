@@ -1,10 +1,6 @@
 //! The block-stepped simulator: wires actors, mines blocks, tracks activity.
 
-use crate::actors::exchange::ExchangeConfig;
-use crate::actors::gambling::GamblingConfig;
-use crate::actors::mining::MiningConfig;
 use crate::actors::retail::RetailConfig;
-use crate::actors::service::ServiceConfig;
 use crate::actors::{
     Actor, ExchangeActor, GamblingActor, MiningPoolActor, RetailActor, ServiceActor, Shared,
     StepCtx,
@@ -28,9 +24,11 @@ const HOUSE_FLOAT_BTC: f64 = 200.0;
 const BLOCK_REWARD_BTC: f64 = 6.25;
 
 /// Who is in the economy, and for how many blocks. The premine and subsidy
-/// amounts are fixed, and so is every actor's behaviour except retail's
-/// (`RetailConfig`). The defaults produce a small but fully-featured
-/// economy; scale `blocks` and the populations up for larger datasets.
+/// amounts are fixed, and so is every actor's behaviour: its rates and sizes
+/// are constants in its module, and only populations (with retail's growth,
+/// `RetailConfig`) are set here. The defaults produce a small but
+/// fully-featured economy; scale `blocks` and the populations up for larger
+/// datasets.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     pub seed: u64,
@@ -119,46 +117,16 @@ impl Simulator {
         let rng = StdRng::seed_from_u64(cfg.seed);
         let mut shared = Shared::default();
         let exchanges: Vec<ExchangeActor> = (0..cfg.num_exchanges)
-            .map(|id| {
-                ExchangeActor::new(
-                    ExchangeConfig {
-                        id,
-                        ..Default::default()
-                    },
-                    &mut shared,
-                )
-            })
+            .map(|id| ExchangeActor::new(id, &mut shared))
             .collect();
         let pools: Vec<MiningPoolActor> = (0..cfg.num_pools)
-            .map(|_| {
-                let mc = MiningConfig {
-                    num_miners: cfg.miners_per_pool,
-                    ..Default::default()
-                };
-                MiningPoolActor::new(mc, &mut shared)
-            })
+            .map(|_| MiningPoolActor::new(cfg.miners_per_pool, &mut shared))
             .collect();
         let gambling: Vec<GamblingActor> = (0..cfg.num_gambling)
-            .map(|id| {
-                GamblingActor::new(
-                    GamblingConfig {
-                        id,
-                        ..Default::default()
-                    },
-                    &mut shared,
-                )
-            })
+            .map(|id| GamblingActor::new(id, &mut shared))
             .collect();
         let mixers: Vec<ServiceActor> = (0..cfg.num_mixers)
-            .map(|id| {
-                ServiceActor::new(
-                    ServiceConfig {
-                        id,
-                        ..Default::default()
-                    },
-                    &mut shared,
-                )
-            })
+            .map(|id| ServiceActor::new(id, &mut shared))
             .collect();
         let retail = RetailActor::new(cfg.retail.clone(), &mut shared);
 
@@ -334,6 +302,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actors::gambling::NUM_GAMBLERS;
     use crate::tx::OutPoint;
     use crate::wallet::Wallet;
     use proptest::prelude::*;
@@ -465,7 +434,7 @@ mod tests {
         let cfg = sim.config();
         let premine_users = cfg.retail.num_users as f64 * USER_INITIAL_BTC;
         let premine_gamblers =
-            cfg.num_gambling as f64 * (40.0 * GAMBLER_INITIAL_BTC + HOUSE_FLOAT_BTC);
+            cfg.num_gambling as f64 * (NUM_GAMBLERS as f64 * GAMBLER_INITIAL_BTC + HOUSE_FLOAT_BTC);
         let rewards = cfg.blocks as f64 * BLOCK_REWARD_BTC;
         let ceiling = Amount::from_btc(premine_users + premine_gamblers + rewards);
         let total = sim.chain().utxo().total_value();

@@ -117,13 +117,6 @@ impl Transaction {
             .chain(self.output_addresses())
             .filter(move |&a| seen.insert(a))
     }
-
-    /// Whether `addr` participates in this transaction on either side.
-    pub fn involves(&self, addr: Address) -> bool {
-        self.input_addresses()
-            .chain(self.output_addresses())
-            .any(|a| a == addr)
-    }
 }
 
 fn txid_hash(inputs: &[TxIn], outputs: &[TxOut], timestamp: u64, nonce: u64) -> u64 {
@@ -221,14 +214,6 @@ mod tests {
         let a = Transaction::new(vec![], vec![out(7, 123)], 55, 9);
         let b = Transaction::new(vec![], vec![out(7, 123)], 55, 9);
         assert_eq!(a.txid, b.txid);
-    }
-
-    #[test]
-    fn involves_checks_both_sides() {
-        let tx = Transaction::new(vec![input(9, 0, 2, 100)], vec![out(1, 90)], 0, 1);
-        assert!(tx.involves(Address(2)));
-        assert!(tx.involves(Address(1)));
-        assert!(!tx.involves(Address(3)));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! BiLSTM+MLP and the four pooling heads are the Table III comparators.
 
 use crate::models::NUM_CLASSES;
-use numnet::layers::{Activation, AttentionPool, BiLstm, Lstm, Mlp};
+use numnet::layers::{AttentionPool, BiLstm, Lstm, Mlp};
 use numnet::{Matrix, Param, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,7 +51,7 @@ impl LstmMlp {
         let mut rng = StdRng::seed_from_u64(seed);
         Self {
             lstm: Lstm::new(embed_dim, hidden, &mut rng),
-            mlp: Mlp::new(&[hidden, hidden, NUM_CLASSES], Activation::Relu, &mut rng),
+            mlp: Mlp::new(&[hidden, hidden, NUM_CLASSES], &mut rng),
         }
     }
 
@@ -94,11 +94,7 @@ impl BiLstmMlp {
         let mut rng = StdRng::seed_from_u64(seed);
         Self {
             lstm: BiLstm::new(embed_dim, hidden, &mut rng),
-            mlp: Mlp::new(
-                &[2 * hidden, hidden, NUM_CLASSES],
-                Activation::Relu,
-                &mut rng,
-            ),
+            mlp: Mlp::new(&[2 * hidden, hidden, NUM_CLASSES], &mut rng),
         }
     }
 }
@@ -132,11 +128,7 @@ impl AttentionMlp {
         let mut rng = StdRng::seed_from_u64(seed);
         Self {
             pool: AttentionPool::new(embed_dim, hidden, &mut rng),
-            mlp: Mlp::new(
-                &[embed_dim, hidden, NUM_CLASSES],
-                Activation::Relu,
-                &mut rng,
-            ),
+            mlp: Mlp::new(&[embed_dim, hidden, NUM_CLASSES], &mut rng),
         }
     }
 }
@@ -188,11 +180,7 @@ impl PoolMlp {
         let mut rng = StdRng::seed_from_u64(seed);
         Self {
             pooling,
-            mlp: Mlp::new(
-                &[embed_dim, hidden, NUM_CLASSES],
-                Activation::Relu,
-                &mut rng,
-            ),
+            mlp: Mlp::new(&[embed_dim, hidden, NUM_CLASSES], &mut rng),
         }
     }
 }

@@ -13,7 +13,7 @@ use crate::features::{write_node_features, GraphTensors};
 use crate::models::{GraphModel, PreparedGraph, NUM_CLASSES};
 use crate::parallel::parallel_map;
 use graphalgo::{propagate_in_place, CsrMatrix};
-use numnet::layers::{Activation, Linear, Mlp};
+use numnet::layers::{Linear, Mlp};
 use numnet::{Matrix, Param, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,7 +39,7 @@ impl Gfn {
         let mut rng = StdRng::seed_from_u64(seed);
         let in_dim = 1 + feat_dim * (k + 1);
         Self {
-            node_mlp: Mlp::new(&[in_dim, hidden, embed_dim], Activation::Relu, &mut rng),
+            node_mlp: Mlp::new(&[in_dim, hidden, embed_dim], &mut rng),
             classifier: Linear::new(embed_dim, NUM_CLASSES, &mut rng),
             k,
             in_dim,

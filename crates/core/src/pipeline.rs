@@ -128,7 +128,6 @@ impl BaClassifier {
             TrainParams {
                 epochs: model_cfg.gnn_epochs,
                 learning_rate: model_cfg.learning_rate,
-                batch_size: 8,
                 seed: model_cfg.seed,
             },
             threads,
@@ -154,7 +153,6 @@ impl BaClassifier {
             TrainParams {
                 epochs: model_cfg.head_epochs,
                 learning_rate: model_cfg.learning_rate,
-                batch_size: 8,
                 seed: model_cfg.seed ^ 0xbeef,
             },
             threads,

@@ -51,12 +51,14 @@ impl TrainLog {
     }
 }
 
+/// Examples per Adam step, in both training loops.
+const BATCH_SIZE: usize = 8;
+
 /// Hyper-parameters shared by both training loops.
 #[derive(Clone, Copy, Debug)]
 pub struct TrainParams {
     pub epochs: usize,
     pub learning_rate: f32,
-    pub batch_size: usize,
     pub seed: u64,
 }
 
@@ -65,7 +67,6 @@ impl Default for TrainParams {
         Self {
             epochs: 20,
             learning_rate: 0.01,
-            batch_size: 8,
             seed: 0,
         }
     }
@@ -104,7 +105,7 @@ fn run_training(
             let start = Instant::now();
             order.shuffle(&mut rng);
             let mut loss_sum = 0.0f32;
-            for batch in order.chunks(params.batch_size.max(1)) {
+            for batch in order.chunks(BATCH_SIZE) {
                 let mut bg = pool.batch_grads(batch);
                 loss_sum += bg.losses.iter().sum::<f32>();
                 let inv = 1.0 / batch.len() as f32;
@@ -321,7 +322,7 @@ mod tests {
     fn training_is_deterministic_per_seed() {
         let run = || {
             let gfn = Gfn::new(4, 0, 8, 4, 11);
-            let data = synthetic_graph_set(3, &gfn);
+            let data: Vec<_> = synthetic_graph_set(3, &gfn).into_iter().take(11).collect();
             let log = train_graph_model(
                 &gfn,
                 &data,
@@ -330,7 +331,6 @@ mod tests {
                     epochs: 5,
                     learning_rate: 0.02,
                     seed: 2,
-                    batch_size: 4,
                 },
                 1,
             );
@@ -339,17 +339,17 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// Regression for the ragged-batch accounting bug: 5 examples at
-    /// batch_size 2 used to report `(mean(b1) + mean(b2) + mean(b3)) / 3`,
-    /// over-weighting the final 1-example batch. The reported loss must be
+    /// Regression for the ragged-batch accounting bug: 11 examples in
+    /// batches of 8 used to report `(mean(b1) + mean(b2)) / 2`,
+    /// over-weighting the final 3-example batch. The reported loss must be
     /// the per-sample mean. With `learning_rate = 0` weights never move, so
     /// epoch 0's reported loss must equal the mean of the per-example
     /// losses at initialisation (shuffling cannot matter).
     #[test]
     fn reported_loss_is_per_sample_mean_on_ragged_batches() {
         let gfn = Gfn::new(4, 0, 8, 4, 7);
-        let data: Vec<_> = synthetic_graph_set(2, &gfn).into_iter().take(5).collect();
-        assert_eq!(data.len() % 2, 1, "want a ragged final batch");
+        let data: Vec<_> = synthetic_graph_set(3, &gfn).into_iter().take(11).collect();
+        assert_eq!(data.len() % BATCH_SIZE, 3, "want a ragged final batch");
         let expected: f32 = data
             .iter()
             .map(|(prep, label)| {
@@ -367,7 +367,6 @@ mod tests {
             TrainParams {
                 epochs: 1,
                 learning_rate: 0.0,
-                batch_size: 2,
                 seed: 9,
             },
             1,
@@ -382,8 +381,8 @@ mod tests {
     #[test]
     fn ragged_batch_loss_is_per_sample_mean_for_sequence_head() {
         let head = LstmMlp::new(4, 6, 5);
-        let data: Vec<_> = synthetic_seq_set(2).into_iter().take(7).collect();
-        assert_eq!(data.len() % 4, 3, "want a ragged final batch");
+        let data: Vec<_> = synthetic_seq_set(3).into_iter().take(11).collect();
+        assert_eq!(data.len() % BATCH_SIZE, 3, "want a ragged final batch");
         let expected: f32 = data
             .iter()
             .map(|(seq, label)| {
@@ -401,7 +400,6 @@ mod tests {
             TrainParams {
                 epochs: 1,
                 learning_rate: 0.0,
-                batch_size: 4,
                 seed: 3,
             },
             1,
@@ -421,11 +419,13 @@ mod tests {
         let params = TrainParams {
             epochs: 4,
             learning_rate: 0.02,
-            batch_size: 4,
             seed: 13,
         };
         let serial = Gfn::new(4, 0, 8, 4, 21);
-        let data = synthetic_graph_set(3, &serial);
+        let data: Vec<_> = synthetic_graph_set(3, &serial)
+            .into_iter()
+            .take(11)
+            .collect();
         let serial_log = train_graph_model(&serial, &data, &[], params, 1);
 
         let pooled = Gfn::new(4, 0, 8, 4, 21);
@@ -444,10 +444,9 @@ mod tests {
         let params = TrainParams {
             epochs: 3,
             learning_rate: 0.02,
-            batch_size: 3,
             seed: 8,
         };
-        let data = synthetic_seq_set(3);
+        let data: Vec<_> = synthetic_seq_set(3).into_iter().take(11).collect();
         let serial = LstmMlp::new(4, 6, 17);
         let serial_log = train_sequence_head(&serial, &data, &[], params, 1);
 

@@ -76,7 +76,7 @@ pub fn assign_params(params: &[Param], values: Vec<Matrix>) -> Result<(), LoadEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Activation, Mlp};
+    use crate::layers::Mlp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -88,11 +88,11 @@ mod tests {
     #[test]
     fn roundtrip_preserves_all_weights() {
         let mut rng = StdRng::seed_from_u64(1);
-        let a = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
+        let a = Mlp::new(&[4, 8, 3], &mut rng);
         let saved = save_params(&a.params());
 
         let mut rng2 = StdRng::seed_from_u64(999);
-        let b = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng2);
+        let b = Mlp::new(&[4, 8, 3], &mut rng2);
         assign_params(&b.params(), saved).unwrap();
         for (pa, pb) in a.params().iter().zip(b.params().iter()) {
             assert_eq!(*pa.value(), *pb.value());
@@ -102,10 +102,10 @@ mod tests {
     #[test]
     fn shape_mismatch_is_detected_and_nondestructive() {
         let mut rng = StdRng::seed_from_u64(1);
-        let a = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
+        let a = Mlp::new(&[4, 8, 3], &mut rng);
         let saved = save_params(&a.params());
 
-        let b = Mlp::new(&[4, 6, 3], Activation::Relu, &mut rng);
+        let b = Mlp::new(&[4, 6, 3], &mut rng);
         let before: Vec<_> = b.params().iter().map(|p| p.value().clone()).collect();
         let err = assign_params(&b.params(), saved).unwrap_err();
         assert!(matches!(err, LoadError::ShapeMismatch { .. }), "{err}");
@@ -118,9 +118,9 @@ mod tests {
     #[test]
     fn param_count_mismatch_is_detected() {
         let mut rng = StdRng::seed_from_u64(1);
-        let a = Mlp::new(&[4, 3], Activation::Relu, &mut rng);
+        let a = Mlp::new(&[4, 3], &mut rng);
         let saved = save_params(&a.params());
-        let b = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
+        let b = Mlp::new(&[4, 8, 3], &mut rng);
         let err = assign_params(&b.params(), saved).unwrap_err();
         assert!(matches!(err, LoadError::ParamCountMismatch { .. }));
     }
@@ -132,8 +132,8 @@ mod tests {
         // makes positional persistence valid.
         let mut rng_a = StdRng::seed_from_u64(1);
         let mut rng_b = StdRng::seed_from_u64(12345);
-        let a = Mlp::new(&[5, 7, 3], Activation::Relu, &mut rng_a);
-        let b = Mlp::new(&[5, 7, 3], Activation::Relu, &mut rng_b);
+        let a = Mlp::new(&[5, 7, 3], &mut rng_a);
+        let b = Mlp::new(&[5, 7, 3], &mut rng_b);
         let (pa, pb) = (a.params(), b.params());
         assert_eq!(pa.len(), pb.len());
         for (x, y) in pa.iter().zip(&pb) {

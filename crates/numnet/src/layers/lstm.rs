@@ -420,8 +420,7 @@ mod tests {
         // for an LSTM. Checks that gradients flow through the unrolled cell.
         let mut rng = StdRng::seed_from_u64(9);
         let lstm = Lstm::new(1, 8, &mut rng);
-        let head =
-            crate::layers::mlp::Mlp::new(&[8, 2], crate::layers::mlp::Activation::Relu, &mut rng);
+        let head = crate::layers::mlp::Mlp::new(&[8, 2], &mut rng);
         let mut params = lstm.params();
         params.extend(head.params());
         let mut opt = Adam::new(params.clone(), 0.02);

@@ -1,53 +1,25 @@
-//! Multi-layer perceptron with configurable hidden activation.
+//! Multi-layer perceptron with ReLU hidden activations.
 
 use crate::layers::linear::Linear;
 use crate::matrix::{Matrix, MatrixView};
 use crate::tape::{Param, Tape, Var};
 use rand::rngs::StdRng;
 
-/// Hidden-layer activation function.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Activation {
-    Relu,
-    Tanh,
-    Sigmoid,
-}
-
-impl Activation {
-    fn apply<'t>(self, x: Var<'t>) -> Var<'t> {
-        match self {
-            Activation::Relu => x.relu(),
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => x.sigmoid(),
-        }
-    }
-
-    /// In place, element by element, the expression the tape op evaluates.
-    fn apply_in_place(self, m: &mut Matrix) {
-        match self {
-            Activation::Relu => m.map_assign(|x| x.max(0.0)),
-            Activation::Tanh => m.map_assign(f32::tanh),
-            Activation::Sigmoid => m.map_assign(|x| 1.0 / (1.0 + (-x).exp())),
-        }
-    }
-}
-
-/// An MLP: a chain of [`Linear`] layers with an activation between them.
+/// An MLP: a chain of [`Linear`] layers with a ReLU between them.
 /// The final layer has no activation (emit raw logits / embeddings).
 pub struct Mlp {
     layers: Vec<Linear>,
-    activation: Activation,
 }
 
 impl Mlp {
     /// Build from a dims list `[in, h1, ..., out]` (at least two entries).
-    pub fn new(dims: &[usize], activation: Activation, rng: &mut StdRng) -> Self {
+    pub fn new(dims: &[usize], rng: &mut StdRng) -> Self {
         assert!(dims.len() >= 2, "Mlp::new requires at least [in, out]");
         let layers = dims
             .windows(2)
             .map(|w| Linear::new(w[0], w[1], rng))
             .collect();
-        Self { layers, activation }
+        Self { layers }
     }
 
     pub fn in_dim(&self) -> usize {
@@ -64,7 +36,7 @@ impl Mlp {
         for (i, layer) in self.layers.iter().enumerate() {
             h = layer.forward(tape, h);
             if i + 1 < self.layers.len() {
-                h = self.activation.apply(h);
+                h = h.relu();
             }
         }
         h
@@ -78,7 +50,7 @@ impl Mlp {
         let [mut out, mut spare] = bufs.each_mut();
         self.layers[0].eval(x, out);
         for layer in &self.layers[1..] {
-            self.activation.apply_in_place(out);
+            out.map_assign(|x| x.max(0.0));
             layer.eval(&out.view(), spare);
             std::mem::swap(&mut out, &mut spare);
         }
@@ -100,7 +72,7 @@ mod tests {
     #[test]
     fn shapes_through_hidden_layers() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mlp = Mlp::new(&[5, 8, 8, 3], Activation::Relu, &mut rng);
+        let mlp = Mlp::new(&[5, 8, 8, 3], &mut rng);
         // Three layers, a weight and a bias each.
         assert_eq!(mlp.params().len(), 6);
         assert_eq!((mlp.in_dim(), mlp.out_dim()), (5, 3));
@@ -110,23 +82,21 @@ mod tests {
     }
 
     #[test]
-    fn eval_matches_the_tape_bitwise_for_every_activation() {
+    fn eval_matches_the_tape_bitwise() {
         let mut rng = StdRng::seed_from_u64(3);
-        for act in [Activation::Relu, Activation::Tanh, Activation::Sigmoid] {
-            let mlp = Mlp::new(&[5, 8, 7, 3], act, &mut rng);
-            let mut bufs = Default::default();
-            for rows in [1, 4, 40] {
-                let x = Matrix::from_fn(rows, 5, |r, c| ((r * 5 + c) as f32 * 0.7).sin());
-                let tape = Tape::new();
-                let taped = mlp.forward(&tape, tape.constant(x.clone())).value();
-                let eval = mlp.eval(&x.view(), &mut bufs);
-                assert_eq!(eval.shape(), taped.shape());
-                assert!(eval
-                    .as_slice()
-                    .iter()
-                    .zip(taped.as_slice())
-                    .all(|(a, b)| a.to_bits() == b.to_bits()));
-            }
+        let mlp = Mlp::new(&[5, 8, 7, 3], &mut rng);
+        let mut bufs = Default::default();
+        for rows in [1, 4, 40] {
+            let x = Matrix::from_fn(rows, 5, |r, c| ((r * 5 + c) as f32 * 0.7).sin());
+            let tape = Tape::new();
+            let taped = mlp.forward(&tape, tape.constant(x.clone())).value();
+            let eval = mlp.eval(&x.view(), &mut bufs);
+            assert_eq!(eval.shape(), taped.shape());
+            assert!(eval
+                .as_slice()
+                .iter()
+                .zip(taped.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 
@@ -134,14 +104,14 @@ mod tests {
     #[should_panic(expected = "at least")]
     fn single_dim_panics() {
         let mut rng = StdRng::seed_from_u64(2);
-        let _ = Mlp::new(&[5], Activation::Relu, &mut rng);
+        let _ = Mlp::new(&[5], &mut rng);
     }
 
     #[test]
     fn learns_xor() {
         // Classic nonlinear separability check: a 2-layer MLP must fit XOR.
         let mut rng = StdRng::seed_from_u64(42);
-        let mlp = Mlp::new(&[2, 8, 2], Activation::Tanh, &mut rng);
+        let mlp = Mlp::new(&[2, 8, 2], &mut rng);
         let params = mlp.params();
         let mut opt = Adam::new(params.clone(), 0.05);
         let x = Matrix::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);

@@ -21,11 +21,11 @@
 //!
 //! ## Example
 //! ```
-//! use numnet::{Matrix, Tape, layers::{Mlp, Activation}, optim::Adam};
+//! use numnet::{Matrix, Tape, layers::Mlp, optim::Adam};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
-//! let mlp = Mlp::new(&[2, 8, 2], Activation::Relu, &mut rng);
+//! let mlp = Mlp::new(&[2, 8, 2], &mut rng);
 //! let params = mlp.params();
 //! let mut opt = Adam::new(params.clone(), 0.01);
 //! let x = Matrix::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
@@ -54,7 +54,7 @@ pub mod layers {
     pub use attention::AttentionPool;
     pub use linear::Linear;
     pub use lstm::{BiLstm, Lstm, LstmCell, LstmState};
-    pub use mlp::{Activation, Mlp};
+    pub use mlp::Mlp;
 }
 
 pub use io::{assign_params, LoadError};

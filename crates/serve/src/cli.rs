@@ -131,17 +131,23 @@ impl ServingInputs {
 /// The engine knobs shared by `basharded` and `baserve-loadgen`:
 /// `--workers`, `--max-batch`, `--queue-depth`, `--cache` and
 /// `--deadline-ms` (0 = none). The breaker and restart policy are the
-/// engine's constants.
+/// engine's constants. `--workers 0` is a bad invocation (exit 2): no worker
+/// would ever drain the queue, so every request would wait forever.
 pub fn engine_config_from_args(args: &[String]) -> crate::EngineConfig {
     use std::time::Duration;
     let default = crate::EngineConfig::default();
+    let workers = flag_parsed(args, "--workers", default.workers);
+    if workers == 0 {
+        eprintln!("error: --workers: must be at least 1");
+        std::process::exit(2);
+    }
     let deadline_ms = flag_parsed(
         args,
         "--deadline-ms",
         default.default_deadline.map_or(0, |d| d.as_millis() as u64),
     );
     crate::EngineConfig {
-        workers: flag_parsed(args, "--workers", default.workers),
+        workers,
         max_batch: flag_parsed(args, "--max-batch", default.max_batch),
         queue_depth: flag_parsed(args, "--queue-depth", default.queue_depth),
         cache_capacity: flag_parsed(args, "--cache", default.cache_capacity),

@@ -85,8 +85,9 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 /// Tuning knobs for the serving engine.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Worker threads, all reading one model. `0` is allowed and leaves the queue
-    /// permanently un-drained — useful only for testing backpressure.
+    /// Worker threads, all reading one model. `0` leaves the queue
+    /// permanently un-drained: only tests build such an engine, to exercise
+    /// backpressure (`--workers 0` is refused on the command line).
     pub workers: usize,
     /// Most queued requests a worker takes into one batch.
     pub max_batch: usize,

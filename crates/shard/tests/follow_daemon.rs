@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Child, ChildStderr, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 /// Heights 0..=60.
 const BLOCKS: u64 = 60;
@@ -386,6 +387,46 @@ fn zero_shards_is_usage_exit_2_when_following_and_serving() {
         assert!(output.stdout.is_empty(), "{mode}");
     }
     assert!(!scratch.journal().exists(), "nothing ran");
+}
+
+/// (d) An engine with no workers never drains its queue, so a serving
+/// daemon given `--workers 0` is refused at startup rather than left
+/// waiting forever on its first request.
+#[test]
+fn zero_workers_is_usage_exit_2() {
+    let mut scratch = Scratch::new("noworkers");
+    let path = |p: PathBuf| p.to_string_lossy().into_owned();
+    let requests = scratch.dir.join("requests.txt");
+    std::fs::write(&requests, "classify 17\nclassify 5\n").expect("write requests");
+    let args = [
+        "--artifact".to_string(),
+        path(scratch.dir.join("model.bart")),
+        "--shards".to_string(),
+        "1".to_string(),
+        "--workers".to_string(),
+        "0".to_string(),
+        "--input".to_string(),
+        path(requests),
+    ];
+    let child = Command::new(env!("CARGO_BIN_EXE_basharded"))
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn basharded");
+    // Owned by the guard, which kills a daemon that never exits.
+    let child = scratch.child.insert(child);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("poll basharded").is_none() {
+        assert!(Instant::now() < deadline, "still running after 10 s");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let output = wait_output(child);
+    let stderr = stderr_of(&output);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--workers: must be at least 1"), "{stderr}");
+    assert!(output.stdout.is_empty());
 }
 
 /// (e) One code path for every count: `--shards 1` is the unsharded

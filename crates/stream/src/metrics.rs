@@ -115,12 +115,6 @@ impl StreamMetrics {
         self.reclass_us.quantile(q)
     }
 
-    /// Mean batch size (addresses) of the batched reclassification stage;
-    /// 0.0 before the first batch.
-    pub fn mean_batch_addrs(&self) -> f64 {
-        ratio(self.reclass_batch_addrs as f64, self.reclass_batches as f64)
-    }
-
     /// Mean lag (blocks behind tip) over the retained window; 0.0 when no
     /// lag was ever recorded (a follower never records lag itself, and the
     /// JSON must stay parseable — never NaN).
@@ -227,8 +221,7 @@ mod tests {
         assert_eq!(m.reclass_us.count(), 6);
         assert_eq!(m.reclass_percentile_us(0.50), 50);
         assert_eq!(m.reclass_percentile_us(0.10), 10);
-        assert!((m.mean_batch_addrs() - 3.0).abs() < 1e-9);
-        assert_eq!(StreamMetrics::default().mean_batch_addrs(), 0.0);
+        assert_eq!((m.reclass_batches, m.reclass_batch_addrs), (2, 6));
     }
 
     /// Parse one flat JSON object (no nesting, no strings in values),
