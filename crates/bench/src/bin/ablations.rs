@@ -9,9 +9,11 @@ use baclassifier::construction::construct_address_graphs;
 use baclassifier::features::NODE_FEAT_DIM;
 use baclassifier::models::Gfn;
 use baclassifier::train::{evaluate_graph_model, train_graph_model, TrainParams};
-use baserve::cli::flag_parsed;
 use btcsim::Dataset;
 use std::time::Instant;
+
+/// GFN training epochs per configuration.
+const EPOCHS: usize = 12;
 
 struct Outcome {
     f1: f64,
@@ -25,7 +27,6 @@ fn run_config(
     test: &Dataset,
     cfg: &ConstructionConfig,
     gfn_k: usize,
-    epochs: usize,
 ) -> Outcome {
     // Construction cost (the serial loop's wall time) + graph size.
     let start = Instant::now();
@@ -46,7 +47,7 @@ fn run_config(
         &train_set,
         &[],
         TrainParams {
-            epochs,
+            epochs: EPOCHS,
             learning_rate: 0.01,
             seed: scale.seed,
         },
@@ -62,9 +63,7 @@ fn run_config(
 
 fn main() {
     let scale = ExpScale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let epochs: usize = flag_parsed(&args, "--epochs", 12);
-    println!("# Ablations (GFN, {epochs} epochs per configuration)");
+    println!("# Ablations (GFN, {EPOCHS} epochs per configuration)");
     let (train, test) = build_split(&scale);
     println!("train {} / test {}", train.len(), test.len());
 
@@ -87,7 +86,7 @@ fn main() {
             ..base.clone()
         };
         eprintln!("[ablations] slice_size={slice}…");
-        let o = run_config(&scale, &train, &test, &cfg, 2, epochs);
+        let o = run_config(&scale, &train, &test, &cfg, 2);
         rows.push(row(&format!("slice_size={slice}"), &o));
     }
     print_rows("Ablation: slice size (paper fixes 100)", &header, &rows);
@@ -101,7 +100,7 @@ fn main() {
             ..base.clone()
         };
         eprintln!("[ablations] psi={psi} sigma={sigma}…");
-        let o = run_config(&scale, &train, &test, &cfg, 2, epochs);
+        let o = run_config(&scale, &train, &test, &cfg, 2);
         rows.push(row(&format!("psi={psi} sigma={sigma}"), &o));
     }
     print_rows(
@@ -124,7 +123,7 @@ fn main() {
             ..base.clone()
         };
         eprintln!("[ablations] {name}…");
-        let o = run_config(&scale, &train, &test, &cfg, 2, epochs);
+        let o = run_config(&scale, &train, &test, &cfg, 2);
         rows.push(row(name, &o));
     }
     print_rows("Ablation: pipeline stages", &header, &rows);
@@ -133,7 +132,7 @@ fn main() {
     let mut rows = Vec::new();
     for k in [0usize, 1, 2, 4] {
         eprintln!("[ablations] gfn_k={k}…");
-        let o = run_config(&scale, &train, &test, &base, k, epochs);
+        let o = run_config(&scale, &train, &test, &base, k);
         rows.push(row(&format!("gfn_k={k}"), &o));
     }
     print_rows("Ablation: GFN propagation depth k", &header, &rows);

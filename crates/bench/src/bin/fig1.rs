@@ -3,18 +3,18 @@
 //! chain plus cumulative distinct addresses, as an ASCII sparkline table.
 
 use bac_bench::{build_full_dataset, print_rows, ExpScale};
-use baserve::cli::flag_parsed;
+
+/// Blocks per point of the series.
+const WINDOW: usize = 25;
 
 fn main() {
     let scale = ExpScale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let window: usize = flag_parsed(&args, "--window", 25);
-    println!("# Fig. 1 — active addresses over time (window = {window} blocks)");
+    println!("# Fig. 1 — active addresses over time (window = {WINDOW} blocks)");
     let (sim, _) = build_full_dataset(&scale);
 
     let mut rows = Vec::new();
     let mut series = Vec::new();
-    for chunk in sim.activity().chunks(window).filter(|c| c.len() == window) {
+    for chunk in sim.activity().chunks(WINDOW).filter(|c| c.len() == WINDOW) {
         let active: usize = chunk.iter().map(|p| p.active_addresses).sum();
         let txs: usize = chunk.iter().map(|p| p.transactions).sum();
         let height = chunk.last().expect("non-empty chunk").height;

@@ -7,13 +7,13 @@ use baclassifier::config::ConstructionConfig;
 use baclassifier::features::NODE_FEAT_DIM;
 use baclassifier::models::{DiffPool, Gcn, Gfn, GraphModel};
 use baclassifier::train::{train_graph_model, TrainLog, TrainParams};
-use baserve::cli::flag_parsed;
+
+/// Training epochs of each GNN.
+const EPOCHS: usize = 20;
 
 fn main() {
     let scale = ExpScale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let epochs: usize = flag_parsed(&args, "--epochs", 20);
-    println!("# Fig. 5 — GNN training curves over {epochs} epochs");
+    println!("# Fig. 5 — GNN training curves over {EPOCHS} epochs");
 
     let cfg = ConstructionConfig::default();
     let (train, test) = build_split(&scale);
@@ -42,7 +42,7 @@ fn main() {
             &train_set,
             &test_set,
             TrainParams {
-                epochs,
+                epochs: EPOCHS,
                 learning_rate: 0.01,
                 seed: scale.seed,
             },
@@ -52,7 +52,7 @@ fn main() {
 
     // Left panel: F1 per epoch.
     let mut rows = Vec::new();
-    for e in 0..epochs {
+    for e in 0..EPOCHS {
         let mut row = vec![e.to_string()];
         for log in &logs {
             row.push(f4(log.points[e].test_f1));

@@ -5,19 +5,19 @@ use bac_bench::{build_split, embedded_split, f4, print_rows, ExpScale};
 use baclassifier::classify::all_heads;
 use baclassifier::config::ConstructionConfig;
 use baclassifier::train::{train_sequence_head, TrainLog, TrainParams};
-use baserve::cli::flag_parsed;
+
+// Training epochs of each classification head, and of the GFN embedding.
+const EPOCHS: usize = 25;
+const GNN_EPOCHS: usize = 12;
 
 fn main() {
     let scale = ExpScale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let epochs: usize = flag_parsed(&args, "--epochs", 25);
-    let gnn_epochs: usize = flag_parsed(&args, "--gnn-epochs", 12);
-    println!("# Fig. 6 — classification-head training curves over {epochs} epochs");
+    println!("# Fig. 6 — classification-head training curves over {EPOCHS} epochs");
 
     let cfg = ConstructionConfig::default();
     let (train, test) = build_split(&scale);
     eprintln!("[fig6] training GFN + embedding…");
-    let split = embedded_split(&scale, &train, &test, &cfg, gnn_epochs);
+    let split = embedded_split(&scale, &train, &test, &cfg, GNN_EPOCHS);
 
     let mut logs: Vec<TrainLog> = Vec::new();
     for head in all_heads(32, 32, scale.seed) {
@@ -27,7 +27,7 @@ fn main() {
             &split.train,
             &split.test,
             TrainParams {
-                epochs,
+                epochs: EPOCHS,
                 learning_rate: 0.01,
                 seed: scale.seed,
             },
@@ -39,7 +39,7 @@ fn main() {
     let mut header = vec!["Epoch"];
     header.extend(&names);
     let mut rows = Vec::new();
-    for e in 0..epochs {
+    for e in 0..EPOCHS {
         let mut row = vec![e.to_string()];
         for log in &logs {
             row.push(f4(log.points[e].test_f1));

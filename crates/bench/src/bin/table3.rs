@@ -7,15 +7,15 @@ use bac_bench::{build_split, embedded_split, f4, print_rows, ExpScale};
 use baclassifier::classify::all_heads;
 use baclassifier::config::ConstructionConfig;
 use baclassifier::train::{evaluate_sequence_head, train_sequence_head, TrainParams};
-use baserve::cli::flag_parsed;
 use btcsim::Label;
+
+// Training epochs of each classification head, and of the GFN embedding.
+const EPOCHS: usize = 25;
+const GNN_EPOCHS: usize = 12;
 
 fn main() {
     let scale = ExpScale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let epochs: usize = flag_parsed(&args, "--epochs", 25);
-    let gnn_epochs: usize = flag_parsed(&args, "--gnn-epochs", 12);
-    println!("# Table III — address classification heads (head epochs={epochs}, gnn epochs={gnn_epochs})");
+    println!("# Table III — address classification heads (head epochs={EPOCHS}, gnn epochs={GNN_EPOCHS})");
 
     let cfg = ConstructionConfig::default();
     let (train, test) = build_split(&scale);
@@ -24,7 +24,7 @@ fn main() {
         train.len(),
         test.len()
     );
-    let split = embedded_split(&scale, &train, &test, &cfg, gnn_epochs);
+    let split = embedded_split(&scale, &train, &test, &cfg, GNN_EPOCHS);
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     for head in all_heads(32, 32, scale.seed) {
@@ -34,7 +34,7 @@ fn main() {
             &split.train,
             &[],
             TrainParams {
-                epochs,
+                epochs: EPOCHS,
                 learning_rate: 0.01,
                 seed: scale.seed,
             },

@@ -7,7 +7,6 @@ use baclassifier::metrics::ConfusionMatrix;
 use baclassifier::models::NUM_CLASSES;
 use baclassifier::{BaClassifier, BacConfig};
 use baselines::{BitScope, LeeClassifier};
-use baserve::cli::flag_parsed;
 use btcsim::{AddressRecord, Label};
 
 fn report_rows(rows: &mut Vec<Vec<String>>, name: &str, y_true: &[usize], y_pred: &[usize]) {
@@ -31,9 +30,12 @@ fn report_rows(rows: &mut Vec<Vec<String>>, name: &str, y_true: &[usize], y_pred
     ]);
 }
 
+// BAClassifier's training epochs: Table III's, not `BacConfig`'s.
+const GNN_EPOCHS: usize = 12;
+const HEAD_EPOCHS: usize = 25;
+
 fn main() {
     let scale = ExpScale::from_args();
-    let args: Vec<String> = std::env::args().collect();
     let (train, test) = build_split(&scale);
     println!(
         "# Table IV — classifier comparison (train {} / test {})",
@@ -45,8 +47,8 @@ fn main() {
 
     // BAClassifier (full pipeline).
     let mut cfg = BacConfig::default();
-    cfg.model.gnn_epochs = flag_parsed(&args, "--gnn-epochs", 12);
-    cfg.model.head_epochs = flag_parsed(&args, "--head-epochs", 25);
+    cfg.model.gnn_epochs = GNN_EPOCHS;
+    cfg.model.head_epochs = HEAD_EPOCHS;
     cfg.model.max_slices = scale.max_slices_per_address;
     eprintln!("[table4] fitting BAClassifier…");
     let mut bac = BaClassifier::new(cfg);

@@ -1,30 +1,19 @@
 //! Table V — runtime overhead of the four address-graph construction
 //! stages: single-core per-address CPU time and the per-stage share, timed
 //! around the four public stage calls (`bac_bench::timed_stage_chain`), plus
-//! the fused derivation `predict` runs (`construct_address_graphs`).
-//!
-//! Ablation flags: `--psi F`, `--sigma N`, `--slice-size N`.
+//! the fused derivation `predict` runs (`construct_address_graphs`), at the
+//! default construction configuration. `ablations` varies Ψ, σ and the
+//! slice size.
 
 use bac_bench::{build_split, print_rows, timed_stage_chain, ExpScale};
 use baclassifier::config::ConstructionConfig;
 use baclassifier::construction::construct_address_graphs;
-use baserve::cli::flag_value;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 fn main() {
     let scale = ExpScale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let mut cfg = ConstructionConfig::default();
-    if let Some(psi) = flag_value(&args, "--psi").and_then(|v| v.parse().ok()) {
-        cfg.psi = psi;
-    }
-    if let Some(sigma) = flag_value(&args, "--sigma").and_then(|v| v.parse().ok()) {
-        cfg.sigma = sigma;
-    }
-    if let Some(s) = flag_value(&args, "--slice-size").and_then(|v| v.parse().ok()) {
-        cfg.slice_size = s;
-    }
+    let cfg = ConstructionConfig::default();
     println!(
         "# Table V — construction stage runtime (slice={}, psi={}, sigma={})",
         cfg.slice_size, cfg.psi, cfg.sigma

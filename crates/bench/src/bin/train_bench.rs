@@ -24,7 +24,7 @@
 
 use bac_bench::ExpScale;
 use baclassifier::{BaClassifier, BacConfig};
-use baserve::cli::{flag_parsed, flag_value, has_flag};
+use baserve::cli::Args;
 use btcsim::{Dataset, SimConfig, Simulator};
 use std::time::Instant;
 
@@ -49,12 +49,15 @@ fn artifact_bytes(clf: &BaClassifier, tag: &str) -> Vec<u8> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = has_flag(&args, "--smoke");
-    let seed: u64 = flag_parsed(&args, "--seed", 42);
-    let threads: usize = flag_parsed(&args, "--threads", 4);
-    let min_speedup: f64 = flag_parsed(&args, "--min-speedup", 2.0);
-    let out = flag_value(&args, "--out").unwrap_or_else(|| "results/train_bench.json".into());
+    let mut args = Args::from_env();
+    let smoke = args.flag("--smoke");
+    let seed: u64 = args.get("--seed").unwrap_or(42);
+    let threads: usize = args.get("--threads").unwrap_or(4);
+    let min_speedup: f64 = args.get("--min-speedup").unwrap_or(2.0);
+    let out: String = args
+        .get("--out")
+        .unwrap_or_else(|| "results/train_bench.json".into());
+    args.finish();
     assert!(threads >= 2, "--threads must be >= 2 to compare against 1");
 
     let (train, test) = if smoke {

@@ -1,8 +1,8 @@
 //! Shared experiment harness for the table/figure reproduction binaries.
 //!
-//! Every binary accepts `--scale small|paper` (default `paper`): `small`
-//! finishes in seconds for smoke-testing; `paper` matches the evaluation
-//! scale recorded in EXPERIMENTS.md.
+//! Every table/figure binary accepts `--scale small|paper` (default `paper`)
+//! and `--seed N`, nothing else: `small` finishes in seconds for smoke-testing;
+//! `paper` matches the evaluation scale recorded in EXPERIMENTS.md.
 
 use baclassifier::config::ConstructionConfig;
 use baclassifier::construction::{
@@ -12,7 +12,7 @@ use baclassifier::construction::{
 use baclassifier::features::graph_tensors;
 use baclassifier::models::{GraphModel, PreparedGraph};
 use baclassifier::parallel::parallel_map;
-use baserve::cli::flag_value;
+use baserve::cli::{usage_error, Args};
 use btcsim::actors::retail::RetailConfig;
 use btcsim::{AddressRecord, Dataset, SimConfig, Simulator};
 use std::time::{Duration, Instant};
@@ -55,17 +55,17 @@ impl ExpScale {
         }
     }
 
-    /// Parse from argv: `--scale small|paper`, `--seed N`.
+    /// Parse from argv: `--scale small|paper`, `--seed N`. Any other token,
+    /// or another scale, exits 2 before anything is simulated.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let mut scale = if flag_value(&args, "--scale").as_deref() == Some("small") {
-            Self::small()
-        } else {
-            Self::paper()
+        let mut args = Args::from_env();
+        let mut scale = match args.get::<String>("--scale").as_deref() {
+            None | Some("paper") => Self::paper(),
+            Some("small") => Self::small(),
+            Some(other) => usage_error(format_args!("bad value {other:?} for --scale")),
         };
-        if let Some(seed) = flag_value(&args, "--seed").and_then(|s| s.parse().ok()) {
-            scale.seed = seed;
-        }
+        scale.seed = args.get("--seed").unwrap_or(scale.seed);
+        args.finish();
         scale
     }
 

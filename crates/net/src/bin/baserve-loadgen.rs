@@ -3,13 +3,14 @@
 //!
 //! ```text
 //! baserve-loadgen --artifact model.bart [--seed 42] [--min-txs 3]
-//!                 [--requests 2000] [--qps 0] [--zipf 1.1] [--traffic-seed 1]
-//!                 [--check] [--window N] [--retry N] [--connect HOST:PORT]
-//!                 [engine knobs]
+//!                 [--requests 2000] [--qps 0] [--check] [--retry N]
+//!                 [--connect HOST:PORT] [engine knobs]
 //! ```
 //!
-//! Queries pick addresses from the rebuilt dataset with a zipf(s) popularity
-//! distribution — the skew that makes an embedding LRU worthwhile. `--qps 0`
+//! Queries pick addresses from the rebuilt dataset with a zipf(1.1)
+//! popularity distribution drawn from traffic seed 1 — the skew that makes
+//! an answer LRU worthwhile. Up to 64 requests (no more than
+//! `--queue-depth`) ride in flight, settled FIFO. `--qps 0`
 //! (the default) runs unthrottled; a positive value paces submissions to
 //! that target rate. With `--check`, every served label is compared against
 //! a direct in-process replica of the same artifact and any mismatch makes
@@ -28,7 +29,7 @@
 
 use baclassifier::BaClassifier;
 use banet::{RemoteShard, RemoteShardConfig};
-use baserve::cli::{engine_config_from_args, flag_parsed, flag_value, has_flag, ServingInputs};
+use baserve::cli::{engine_config_from_args, Args, ServingInputs};
 use baserve::metrics::Histogram;
 use baserve::{splitmix64, Engine, ServeError, ShardLane, Ticket};
 use btcsim::dist::ZipfSampler;
@@ -38,26 +39,31 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+/// The zipf exponent of address popularity.
+const ZIPF_S: f64 = 1.1;
+/// Seeds which addresses are asked for, and the retry jitter.
+const TRAFFIC_SEED: u64 = 1;
+/// Requests in flight (fewer if `--queue-depth` is smaller).
+const MAX_WINDOW: usize = 64;
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let requests = flag_parsed(&args, "--requests", 2000usize);
-    let qps = flag_parsed(&args, "--qps", 0.0f64);
-    let zipf_s = flag_parsed(&args, "--zipf", 1.1f64);
-    let traffic_seed = flag_parsed(&args, "--traffic-seed", 1u64);
-    let check = has_flag(&args, "--check");
-    let retry_max = flag_parsed(&args, "--retry", 0u32);
-    let connect = flag_value(&args, "--connect");
-    let config = engine_config_from_args(&args);
-    let window = flag_parsed(&args, "--window", config.queue_depth.min(64)).max(1);
+    let mut args = Args::from_env();
+    let requests = args.get("--requests").unwrap_or(2000usize);
+    let qps = args.get("--qps").unwrap_or(0.0f64);
+    let check = args.flag("--check");
+    let retry_max = args.get("--retry").unwrap_or(0u32);
+    let connect: Option<String> = args.get("--connect");
+    let config = engine_config_from_args(&mut args);
+    let window = config.queue_depth.min(MAX_WINDOW);
 
     let ServingInputs { artifact, records } = ServingInputs::load(
         "loadgen",
         "baserve-loadgen --artifact model.bart [--requests N] [--qps N] …",
-        &args,
+        args,
     );
     assert!(!records.is_empty(), "rebuilt dataset is empty");
     eprintln!(
-        "[loadgen] {} addresses, {} requests, zipf s={zipf_s}, target qps={}",
+        "[loadgen] {} addresses, {} requests, zipf s={ZIPF_S}, target qps={}",
         records.len(),
         requests,
         if qps > 0.0 {
@@ -78,7 +84,7 @@ fn main() {
             let remote = RemoteShard::connect(
                 addr,
                 RemoteShardConfig {
-                    max_in_flight: config.queue_depth.max(window),
+                    max_in_flight: config.queue_depth,
                     ..RemoteShardConfig::default()
                 },
                 None,
@@ -94,8 +100,8 @@ fn main() {
             Box::new(Engine::new(artifact, config).expect("engine starts from a valid artifact"))
         }
     };
-    let sampler = ZipfSampler::new(records.len(), zipf_s);
-    let mut rng = StdRng::seed_from_u64(traffic_seed);
+    let sampler = ZipfSampler::new(records.len(), ZIPF_S);
+    let mut rng = StdRng::seed_from_u64(TRAFFIC_SEED);
 
     // Direct-replica labels, memoized per address (computed lazily so
     // `--check` only pays for addresses the traffic actually touches).
@@ -106,22 +112,20 @@ fn main() {
     let mut mismatches = 0usize;
     let mut failed = 0usize;
     let mut retries = 0usize;
-    let mut jitter_state = traffic_seed ^ 0x9e37_79b9_7f4a_7c15;
+    let mut jitter_state = TRAFFIC_SEED ^ 0x9e37_79b9_7f4a_7c15;
 
     // Client-observed latency (submit → response), in µs. This includes
     // queue wait, ticket settling, and (with `--connect`) the network
     // round-trip, so it upper-bounds the engine's own histogram and is
     // what a remote caller actually sees.
-    let settle = |batch: Vec<(usize, Ticket, Instant)>,
-                  expected: &mut HashMap<usize, Label>,
-                  mismatches: &mut usize,
-                  served: &mut usize,
-                  failed: &mut usize,
-                  latencies_us: &mut Histogram| {
+    let mut latencies_us = Histogram::default();
+    // Wait for each ticket in `batch`, oldest first; returns the failures.
+    let mut settle = |batch: Vec<(usize, Ticket, Instant)>| {
+        let mut failed = 0;
         for (idx, ticket, submitted_at) in batch {
             match ticket.wait() {
                 Ok(response) => {
-                    *served += 1;
+                    served += 1;
                     latencies_us.record(submitted_at.elapsed().as_micros() as u64);
                     if let Some(direct) = &direct {
                         let want = *expected.entry(idx).or_insert_with(|| {
@@ -130,7 +134,7 @@ fn main() {
                                 .expect("records have transactions")
                         });
                         if response.label != want {
-                            *mismatches += 1;
+                            mismatches += 1;
                             eprintln!(
                                 "[loadgen] MISMATCH address {}: served {} direct {}",
                                 records[idx].address.0,
@@ -141,14 +145,14 @@ fn main() {
                     }
                 }
                 Err(e) => {
-                    *failed += 1;
+                    failed += 1;
                     eprintln!("[loadgen] request failed: {e}");
                 }
             }
         }
+        failed
     };
 
-    let mut latencies_us = Histogram::default();
     let start = Instant::now();
     for i in 0..requests {
         if qps > 0.0 {
@@ -165,15 +169,12 @@ fn main() {
         let mut attempt = 0u32;
         let outcome = loop {
             match lane.submit(records[idx].clone()) {
-                Err(e @ (ServeError::QueueFull | ServeError::BreakerOpen))
-                    if attempt < retry_max =>
-                {
+                Err(ServeError::QueueFull | ServeError::BreakerOpen) if attempt < retry_max => {
                     attempt += 1;
                     retries += 1;
                     let base_us = 200u64 << (attempt - 1).min(6);
                     let jitter_us = splitmix64(&mut jitter_state) % (base_us / 2 + 1);
                     std::thread::sleep(Duration::from_micros(base_us + jitter_us));
-                    let _ = e;
                 }
                 other => break other,
             }
@@ -187,25 +188,10 @@ fn main() {
             }
         }
         if in_flight.len() >= window {
-            let batch = std::mem::take(&mut in_flight);
-            settle(
-                batch,
-                &mut expected,
-                &mut mismatches,
-                &mut served,
-                &mut failed,
-                &mut latencies_us,
-            );
+            failed += settle(std::mem::take(&mut in_flight));
         }
     }
-    settle(
-        in_flight,
-        &mut expected,
-        &mut mismatches,
-        &mut served,
-        &mut failed,
-        &mut latencies_us,
-    );
+    failed += settle(in_flight);
     let elapsed = start.elapsed();
 
     let snapshot = lane.metrics();

@@ -2,38 +2,35 @@
 //! model artifact for `basharded` / `baserve-loadgen` to serve.
 //!
 //! ```text
-//! baserve-fit --out model.bart [--seed 42] [--min-txs 3] [--full] [--threads N]
+//! baserve-fit --out model.bart [--seed 42] [--min-txs 3] [--threads N]
 //! ```
 //!
-//! `--full` trains with `BacConfig::default()` (paper-scale epochs) instead
-//! of the quick `BacConfig::fast()` preset. `--threads N` pins the training
-//! worker count (0 = auto); any count produces byte-identical weights. The
-//! simulation seed doubles as the dataset identity: serving binaries rebuild
-//! the same dataset from the same `--seed`, so address ids line up across
-//! processes.
+//! Trains with the quick `BacConfig::fast()` preset. `--threads N` pins the
+//! training worker count (0 = auto); any count produces byte-identical
+//! weights. The simulation seed doubles as the dataset identity: serving
+//! binaries rebuild the same dataset from the same `--seed`, so address ids
+//! line up across processes.
 
 use baclassifier::{BaClassifier, BacConfig};
-use baserve::cli::{flag_parsed, flag_value, has_flag};
+use baserve::cli::Args;
 use btcsim::{Dataset, SimConfig, Simulator};
 use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out = flag_value(&args, "--out").unwrap_or_else(|| "model.bart".into());
-    let seed = flag_parsed(&args, "--seed", 42u64);
-    let min_txs = flag_parsed(&args, "--min-txs", 3usize);
+    let mut args = Args::from_env();
+    let out: String = args.get("--out").unwrap_or_else(|| "model.bart".into());
+    let seed = args.get("--seed").unwrap_or(42u64);
+    let min_txs = args.get("--min-txs").unwrap_or(3usize);
+    let threads = args.get("--threads").unwrap_or(0usize);
+    args.finish();
 
     eprintln!("[baserve-fit] simulating chain (seed {seed})…");
     let sim = Simulator::run_to_completion(SimConfig::tiny(seed));
     let dataset = Dataset::from_simulator(&sim, min_txs);
     eprintln!("[baserve-fit] dataset: {} labeled addresses", dataset.len());
 
-    let mut cfg = if has_flag(&args, "--full") {
-        BacConfig::default()
-    } else {
-        BacConfig::fast()
-    };
-    cfg.threads = flag_parsed(&args, "--threads", 0usize);
+    let mut cfg = BacConfig::fast();
+    cfg.threads = threads;
     eprintln!(
         "[baserve-fit] training on {} thread(s)",
         cfg.effective_threads()

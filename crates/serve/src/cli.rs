@@ -1,56 +1,88 @@
-//! Minimal flag parsing shared by the serving binaries, and the startup
-//! preamble they all run ([`ServingInputs`]). Flags are `--name value` pairs
-//! plus bare `--name` booleans; no external crates.
+//! The one argv reader every binary parses its flags with ([`Args`]), and
+//! the startup preamble the serving binaries run ([`ServingInputs`]). Flags
+//! are `--name value` pairs plus bare `--name` booleans; no external crates.
 
 use crate::{EngineHooks, Fallback};
 use baclassifier::ModelArtifact;
 use btcsim::AddressRecord;
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::str::FromStr;
 use std::sync::Arc;
 
-/// The value following `--name`: `Ok(None)` when the flag is absent, `Err`
-/// (the message [`flag_value`] exits with) when it is the last token or the
-/// next token is another `--flag`.
-fn try_flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Ok(Some(v)),
-        _ => Err(format!("{name} needs a value")),
-    }
+/// Print `error: {msg}` and exit 2, the code of a bad invocation.
+pub fn usage_error(msg: impl Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
-/// The value following `--name`, if the flag is present. A flag given
-/// without its value is a hard error (exit 2), like an unparsable one in
-/// [`flag_parsed`]: `--worker` as the last token must not run worker 0.
-pub fn flag_value(args: &[String], name: &str) -> Option<String> {
-    match try_flag_value(args, name) {
-        Ok(v) => v.map(String::from),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
+/// A binary's arguments, read flag by flag. A read takes the first `--name`
+/// (and its value); [`Args::finish`] refuses every token no read took — an
+/// unknown or misspelled flag, a stray positional, a flag given twice — so
+/// what a binary reads is exactly what it accepts. A binary reads every
+/// flag its mode uses, then finishes, before it loads or runs anything.
+pub struct Args(Vec<(String, bool)>);
+
+impl Args {
+    /// This process's arguments, program name dropped.
+    pub fn from_env() -> Self {
+        Args(std::env::args().skip(1).map(|t| (t, false)).collect())
+    }
+
+    /// Whether bare `--name` is given.
+    pub fn flag(&mut self, name: &str) -> bool {
+        self.take(name).is_some()
+    }
+
+    /// `--name`'s value as a `T`; `None` when the flag is absent. A flag
+    /// without its value (the last token, or followed by another `--flag`)
+    /// or with one that does not parse exits 2 — never the default:
+    /// `--worker` as the last token must not run worker 0.
+    pub fn get<T: FromStr>(&mut self, name: &str) -> Option<T> {
+        self.try_get(name).unwrap_or_else(|e| usage_error(e))
+    }
+
+    /// Exit 2, naming the first token no read took, if there is one.
+    pub fn finish(self) {
+        if let Err(e) = self.leftover() {
+            usage_error(e)
         }
     }
-}
 
-/// Parse the value following `--name`, falling back to `default` when the
-/// flag is absent. A present-but-unparsable value is a hard error — silently
-/// ignoring a typo'd knob is worse than exiting.
-pub fn flag_parsed<T: FromStr>(args: &[String], name: &str, default: T) -> T {
-    match flag_value(args, name) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: bad value {v:?} for {name}");
-            std::process::exit(2);
-        }),
+    fn take(&mut self, name: &str) -> Option<usize> {
+        let i = self.0.iter().position(|(t, _)| t == name)?;
+        self.0[i].1 = true;
+        Some(i)
     }
-}
 
-/// Whether bare `--name` appears.
-pub fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+    fn try_get<T: FromStr>(&mut self, name: &str) -> Result<Option<T>, String> {
+        let Some(i) = self.take(name) else {
+            return Ok(None);
+        };
+        // One dash is a value (a negative number), two are the next flag.
+        let Some((v, taken)) = self.0.get_mut(i + 1).filter(|(v, _)| !v.starts_with("--")) else {
+            return Err(format!("{name} needs a value"));
+        };
+        *taken = true;
+        v.parse()
+            .map(Some)
+            .map_err(|_| format!("bad value {v:?} for {name}"))
+    }
+
+    fn leftover(&self) -> Result<(), String> {
+        let Some(i) = self.0.iter().position(|(_, taken)| !taken) else {
+            return Ok(());
+        };
+        let token = &self.0[i].0;
+        let twice = self.0[..i].iter().any(|(t, taken)| *taken && t == token);
+        Err(if twice {
+            format!("{token} given twice")
+        } else if token.starts_with("--") {
+            format!("unexpected flag {token}")
+        } else {
+            format!("unexpected argument {token:?}")
+        })
+    }
 }
 
 /// The standard serving dataset: the simulated address universe rebuilt
@@ -68,11 +100,14 @@ pub struct ServingInputs {
     pub records: Vec<AddressRecord>,
 }
 
-/// The first step of every daemon mode: load the `--artifact` model,
-/// logging as `[name] …`. Exits 2 (printing `usage`) without `--artifact`,
-/// 1 when it does not load.
-pub fn load_artifact(name: &str, usage: &str, args: &[String]) -> Arc<ModelArtifact> {
-    let Some(path) = flag_value(args, "--artifact") else {
+/// The first step of every daemon mode, once it has read its own flags:
+/// take `--artifact`, refuse whatever no read took ([`Args::finish`]), then
+/// load the model, logging as `[name] …`. Exits 2 (printing `usage`)
+/// without `--artifact`, 1 when it does not load.
+pub fn load_artifact(name: &str, usage: &str, mut args: Args) -> Arc<ModelArtifact> {
+    let path: Option<String> = args.get("--artifact");
+    args.finish();
+    let Some(path) = path else {
         eprintln!("usage: {usage}");
         std::process::exit(2);
     };
@@ -93,10 +128,11 @@ pub fn load_artifact(name: &str, usage: &str, args: &[String]) -> Arc<ModelArtif
 impl ServingInputs {
     /// [`load_artifact`], then the dataset rebuilt from `--seed` /
     /// `--min-txs`.
-    pub fn load(name: &str, usage: &str, args: &[String]) -> ServingInputs {
+    pub fn load(name: &str, usage: &str, mut args: Args) -> ServingInputs {
+        let seed = args.get("--seed").unwrap_or(42u64);
+        let min_txs = args.get("--min-txs").unwrap_or(3usize);
         let artifact = load_artifact(name, usage, args);
-        let seed = flag_parsed(args, "--seed", 42u64);
-        let records = rebuild_records(seed, flag_parsed(args, "--min-txs", 3usize));
+        let records = rebuild_records(seed, min_txs);
         eprintln!(
             "[{name}] dataset rebuilt from seed {seed}: {} addresses",
             records.len()
@@ -105,10 +141,10 @@ impl ServingInputs {
     }
 
     /// Engine hooks carrying the degraded-mode fallback fitted on the
-    /// rebuilt dataset; the defaults under `--no-fallback` or when there is
-    /// nothing to fit on.
-    pub fn hooks(&self, name: &str, args: &[String]) -> EngineHooks {
-        if has_flag(args, "--no-fallback") || self.records.is_empty() {
+    /// rebuilt dataset; the defaults without `fallback` (`--no-fallback`)
+    /// or when there is nothing to fit on.
+    pub fn hooks(&self, name: &str, fallback: bool) -> EngineHooks {
+        if !fallback || self.records.is_empty() {
             return EngineHooks::default();
         }
         let fallback = Fallback::fit(&self.records);
@@ -131,26 +167,25 @@ impl ServingInputs {
 /// The engine knobs shared by `basharded` and `baserve-loadgen`:
 /// `--workers`, `--max-batch`, `--queue-depth`, `--cache` and
 /// `--deadline-ms` (0 = none). The breaker and restart policy are the
-/// engine's constants. `--workers 0` is a bad invocation (exit 2): no worker
-/// would ever drain the queue, so every request would wait forever.
-pub fn engine_config_from_args(args: &[String]) -> crate::EngineConfig {
+/// engine's constants. `--workers 0` and `--queue-depth 0` are bad
+/// invocations (exit 2): no worker would ever drain the queue, or every
+/// request would be refused as `QueueFull` until the breaker trips.
+pub fn engine_config_from_args(args: &mut Args) -> crate::EngineConfig {
     use std::time::Duration;
     let default = crate::EngineConfig::default();
-    let workers = flag_parsed(args, "--workers", default.workers);
-    if workers == 0 {
-        eprintln!("error: --workers: must be at least 1");
-        std::process::exit(2);
+    let workers = args.get("--workers").unwrap_or(default.workers);
+    let queue_depth = args.get("--queue-depth").unwrap_or(default.queue_depth);
+    for (name, v) in [("--workers", workers), ("--queue-depth", queue_depth)] {
+        if v == 0 {
+            usage_error(format_args!("{name}: must be at least 1"));
+        }
     }
-    let deadline_ms = flag_parsed(
-        args,
-        "--deadline-ms",
-        default.default_deadline.map_or(0, |d| d.as_millis() as u64),
-    );
+    let deadline_ms: u64 = args.get("--deadline-ms").unwrap_or(0);
     crate::EngineConfig {
         workers,
-        max_batch: flag_parsed(args, "--max-batch", default.max_batch),
-        queue_depth: flag_parsed(args, "--queue-depth", default.queue_depth),
-        cache_capacity: flag_parsed(args, "--cache", default.cache_capacity),
+        max_batch: args.get("--max-batch").unwrap_or(default.max_batch),
+        queue_depth,
+        cache_capacity: args.get("--cache").unwrap_or(default.cache_capacity),
         default_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
     }
 }
@@ -159,45 +194,93 @@ pub fn engine_config_from_args(args: &[String]) -> crate::EngineConfig {
 mod tests {
     use super::*;
 
-    fn argv(s: &str) -> Vec<String> {
-        s.split_whitespace().map(String::from).collect()
+    fn argv(s: &str) -> Args {
+        Args(
+            s.split_whitespace()
+                .map(|t| (t.to_string(), false))
+                .collect(),
+        )
     }
 
     #[test]
     fn values_and_defaults() {
-        let args = argv("prog --seed 7 --check");
-        assert_eq!(flag_value(&args, "--seed").as_deref(), Some("7"));
-        assert_eq!(flag_parsed(&args, "--seed", 42u64), 7);
-        assert_eq!(flag_parsed(&args, "--requests", 1000usize), 1000);
-        assert!(has_flag(&args, "--check"));
-        assert!(!has_flag(&args, "--json"));
+        let mut args = argv("--seed 7 --check");
+        assert_eq!(args.get::<String>("--seed").as_deref(), Some("7"));
+        assert_eq!(args.get("--seed"), Some(7u64));
+        assert_eq!(args.get::<usize>("--requests"), None);
+        assert!(args.flag("--check"));
+        assert!(!args.flag("--json"));
+        assert_eq!(args.leftover(), Ok(()));
     }
 
     #[test]
     fn a_flag_without_its_value_is_an_error_not_the_default() {
         let needs = |name: &str| Err(format!("{name} needs a value"));
-        let last = argv("prog --shards 2 --worker");
-        assert_eq!(try_flag_value(&last, "--worker"), needs("--worker"));
-        let followed = argv("prog --seed --shards 2");
-        assert_eq!(try_flag_value(&followed, "--seed"), needs("--seed"));
-        assert_eq!(try_flag_value(&followed, "--shards"), Ok(Some("2")));
-        assert_eq!(try_flag_value(&followed, "--listen"), Ok(None));
+        let mut last = argv("--shards 2 --worker");
+        assert_eq!(last.try_get::<u32>("--worker"), needs("--worker"));
+        let mut followed = argv("--seed --shards 2");
+        assert_eq!(followed.try_get::<u32>("--seed"), needs("--seed"));
+        assert_eq!(followed.try_get("--shards"), Ok(Some(2u32)));
+        assert_eq!(followed.try_get::<String>("--listen"), Ok(None));
         // One dash is a value (a negative number), two are the next flag.
+        assert_eq!(argv("--qps -0.5").try_get("--qps"), Ok(Some(-0.5f64)));
+    }
+
+    #[test]
+    fn a_value_that_does_not_parse_is_an_error_not_the_default() {
+        let mut args = argv("--requests x --scale smal");
         assert_eq!(
-            try_flag_value(&argv("prog --psi -0.5"), "--psi"),
-            Ok(Some("-0.5"))
+            args.try_get::<usize>("--requests"),
+            Err("bad value \"x\" for --requests".into())
+        );
+        assert_eq!(
+            args.try_get::<f64>("--scale"),
+            Err("bad value \"smal\" for --scale".into())
         );
     }
 
     #[test]
+    fn finish_names_the_first_token_no_read_took() {
+        // A misspelled flag, and the value after it.
+        let mut args = argv("--workers 3 --wokers 3");
+        assert_eq!(args.get("--workers"), Some(3usize));
+        assert_eq!(args.leftover(), Err("unexpected flag --wokers".into()));
+        // A stray positional.
+        let mut args = argv("--check oops");
+        assert!(args.flag("--check"));
+        assert_eq!(args.leftover(), Err("unexpected argument \"oops\"".into()));
+        // A flag given twice: the read takes the first, never the second.
+        let mut args = argv("--seed 7 --check --seed 8");
+        assert_eq!(args.get("--seed"), Some(7u64));
+        assert!(args.flag("--check"));
+        assert_eq!(args.leftover(), Err("--seed given twice".into()));
+        let mut args = argv("--check --check");
+        assert!(args.flag("--check"));
+        assert_eq!(args.leftover(), Err("--check given twice".into()));
+        // A flag no read asked for at all.
+        assert_eq!(
+            argv("--no-such-flag").leftover(),
+            Err("unexpected flag --no-such-flag".into())
+        );
+    }
+
+    #[test]
+    fn reading_a_flag_twice_takes_the_same_token() {
+        let mut args = argv("--worker 1");
+        assert!(args.flag("--worker"));
+        assert_eq!(args.get("--worker"), Some(1u32));
+        assert_eq!(args.leftover(), Ok(()));
+    }
+
+    #[test]
     fn resilience_knobs_parse() {
-        let cfg = engine_config_from_args(&argv("prog --deadline-ms 25"));
+        let cfg = engine_config_from_args(&mut argv("--deadline-ms 25"));
         assert_eq!(
             cfg.default_deadline,
             Some(std::time::Duration::from_millis(25))
         );
         // Deadline 0 (and the default) mean "no deadline".
-        let none = engine_config_from_args(&argv("prog --deadline-ms 0"));
+        let none = engine_config_from_args(&mut argv("--deadline-ms 0"));
         assert_eq!(none.default_deadline, None);
     }
 }

@@ -19,26 +19,26 @@
 //! single output byte is written; outputs land atomically (tmp + fsync +
 //! rename), so a crash mid-rebalance never leaves a torn snapshot.
 
-use baserve::cli::{flag_parsed, flag_value};
+use baserve::cli::Args;
 use bashard::rebalance_snapshots;
 use std::path::PathBuf;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let (Some(input), Some(output)) = (flag_value(&args, "--input"), flag_value(&args, "--output"))
-    else {
+    let mut args = Args::from_env();
+    let input: Option<PathBuf> = args.get("--input");
+    let output: Option<PathBuf> = args.get("--output");
+    let from = args.get("--from").unwrap_or(0u32);
+    let to = args.get("--to").unwrap_or(0u32);
+    args.finish();
+    let (Some(input), Some(output)) = (input, output) else {
         eprintln!("usage: bashard-rebalance --input BASE --from N --output BASE --to M");
         std::process::exit(2);
     };
-    let from = flag_parsed(&args, "--from", 0u32);
-    let to = flag_parsed(&args, "--to", 0u32);
     if from == 0 || to == 0 {
         eprintln!("error: --from and --to must both be at least 1");
         std::process::exit(2);
     }
 
-    let input = PathBuf::from(input);
-    let output = PathBuf::from(output);
     match rebalance_snapshots(&input, from, &output, to) {
         Ok(report) => {
             eprintln!(

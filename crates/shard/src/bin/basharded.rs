@@ -7,7 +7,7 @@
 //! # N in-process shard engines, line protocol on stdin (or --input FILE);
 //! # --shards 1 is the unsharded daemon
 //! basharded --artifact model.bart [--shards N] [--seed 42] [--min-txs 3]
-//!           [--input FILE] [--window N] [--per-shard-metrics]
+//!           [--input FILE] [--per-shard-metrics]
 //!           [--no-fallback] [engine knobs]
 //! # shard worker process: serve shard I of N over TCP
 //! basharded --artifact model.bart --worker I --shards N --listen HOST:PORT
@@ -21,22 +21,25 @@
 //!           [--blocks 200] [--users 40] [--min-txs 3]
 //!           [--reclass-every 1] [--reclass-threads 0]
 //!           [--snapshot base.bsnap [--snapshot-every 50]]
-//!           [--journal follower.bjrnl]
-//!           [--stall-timeout-ms 10000] [--progress-every 25]
+//!           [--journal follower.bjrnl] [--progress-every 25]
 //! ```
+//!
+//! Each mode refuses (exit 2) any token it does not read, before it loads
+//! the artifact; so are `--worker` with `--connect`, and a `--shards` unlike
+//! the `--connect` list's length.
 //!
 //! The engine knobs (`baserve::cli::engine_config_from_args`) are the
 //! **total** budget; each of the `--shards N` engines gets its
 //! `EngineConfig::for_shard` slice. Requests fan out to the shard owning
 //! the address; line-protocol responses print **in request order** (up to
-//! `--window` requests ride in flight, drained FIFO; when no request line is
-//! waiting, each owed reply is written and flushed as soon as it settles, so
-//! an interactive client sees its answer without sending more), a bad
-//! request line gets `err <reason>` and the session keeps serving, and a
-//! final `metrics <json>` line is printed at EOF, `quit`, or SIGINT. Unless
-//! `--no-fallback` is given, a nearest-centroid fallback fitted on the
-//! rebuilt dataset answers (tagged `degraded`) while a circuit breaker is
-//! open or a remote worker is down.
+//! 64 requests, and no more than `--queue-depth`, ride in flight, drained
+//! FIFO; when no request line is waiting, each owed reply is written and
+//! flushed as soon as it settles, so an interactive client sees its answer
+//! without sending more), a bad request line gets `err <reason>` and the
+//! session keeps serving, and a final `metrics <json>` line is printed at
+//! EOF, `quit`, or SIGINT. Unless `--no-fallback` is given, a
+//! nearest-centroid fallback fitted on the rebuilt dataset answers (tagged
+//! `degraded`) while a circuit breaker is open or a remote worker is down.
 //!
 //! A `--listen` front prints `listening <addr>` on stdout once bound (a
 //! parent spawning a fleet parses that line), retries a busy port for ~2 s
@@ -50,21 +53,19 @@
 //! at any point loses no blocks; what the driver does while it runs is
 //! `bashard::stream`'s module doc. `--snapshot-every` without `--snapshot`
 //! is a bad invocation (exit 2), as are `--shards 0` and `--users 0`.
-//! SIGINT, a drained feed, a producer silent for `--stall-timeout-ms`
-//! (exit 3), a producer that died and a failed journal write (exit 1)
-//! all end the same way: final reclassification and snapshot on every
-//! shard, journal flushed, one line of metrics JSON on stdout.
+//! SIGINT, a drained feed, a producer silent for 10 s (exit 3), a
+//! producer that died and a failed journal write (exit 1) all end the same
+//! way: final reclassification and snapshot on every shard, journal flushed, one line of metrics JSON on stdout.
 
 use baclassifier::ShardAssignment;
 use banet::{NetServer, NetServerConfig, RemoteShardConfig, Role};
-use baserve::cli::{engine_config_from_args, flag_parsed, flag_value, has_flag, ServingInputs};
+use baserve::cli::{engine_config_from_args, Args, ServingInputs};
 use baserve::{run_line_session, Engine, NetBackend};
 use bashard::{FeedEnd, RouterBackend, ShardRouter, ShardedFollower, WorkerBackend};
 use bstream::{BlockFeed, FollowerConfig};
 use btcsim::{Label, SimConfig};
 use std::io::{BufRead, Write};
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -73,6 +74,10 @@ const USAGE: &str = "basharded --artifact model.bart [--shards N] [--input FILE]
                      [--worker I --listen ADDR] [--connect ADDRS] [--follow] …";
 /// Blocks the simulated chain's producer may run ahead of the fleet.
 const FEED_CAPACITY: usize = 16;
+/// Line-session requests in flight (fewer if `--queue-depth` is smaller).
+const MAX_WINDOW: usize = 64;
+/// How long the follow fleet waits on a silent block producer (exit 3).
+const STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Bind `addr`, retrying `AddrInUse` for ~2 s in case the previous process
 /// is still listening while it drains. std sets `SO_REUSEADDR` on unix
@@ -101,29 +106,31 @@ fn die(code: i32, what: &str, e: impl std::fmt::Display) -> ! {
 
 /// `--follow`: drive `shards` supervised followers over the simulated chain
 /// until it drains, stalls, fails or SIGINT arrives; returns the exit code.
-fn follow(args: &[String], shards: u32) -> i32 {
-    let default = FollowerConfig::default();
+fn follow(mut args: Args, shards: u32) -> i32 {
+    let d = FollowerConfig::default();
     let cfg = FollowerConfig {
-        min_txs: flag_parsed(args, "--min-txs", default.min_txs),
-        reclass_every: flag_parsed(args, "--reclass-every", default.reclass_every),
-        reclass_threads: flag_parsed(args, "--reclass-threads", default.reclass_threads),
-        snapshot_path: flag_value(args, "--snapshot").map(PathBuf::from),
-        snapshot_every: flag_parsed(args, "--snapshot-every", default.snapshot_every),
-        journal_path: flag_value(args, "--journal").map(PathBuf::from),
-        ..default
+        min_txs: args.get("--min-txs").unwrap_or(d.min_txs),
+        reclass_every: args.get("--reclass-every").unwrap_or(d.reclass_every),
+        reclass_threads: args.get("--reclass-threads").unwrap_or(d.reclass_threads),
+        snapshot_path: args.get("--snapshot"),
+        snapshot_every: args.get("--snapshot-every").unwrap_or(d.snapshot_every),
+        journal_path: args.get("--journal"),
+        ..d
     };
     if cfg.snapshot_every > 0 && cfg.snapshot_path.is_none() {
         die(2, "--snapshot-every", "requires --snapshot PATH");
     }
-    let users = flag_parsed(args, "--users", 40usize);
+    let users = args.get("--users").unwrap_or(40usize);
     if users == 0 {
         die(2, "--users", "must be at least 1");
     }
+    let blocks = args.get("--blocks").unwrap_or(200u64);
+    let seed = args.get("--seed").unwrap_or(42u64);
+    let progress_every = args.get("--progress-every").unwrap_or(25u64);
     let artifact = baserve::cli::load_artifact(NAME, USAGE, args);
-    let blocks = flag_parsed(args, "--blocks", 200u64);
     let mut sim = SimConfig {
         blocks,
-        ..SimConfig::tiny(flag_parsed(args, "--seed", 42u64))
+        ..SimConfig::tiny(seed)
     };
     sim.retail.num_users = users;
     // Recovery covers every startup shape: nothing on disk, snapshots only,
@@ -139,10 +146,8 @@ fn follow(args: &[String], shards: u32) -> i32 {
         (blocks + 1).saturating_sub(start)
     );
     let t = Instant::now();
-    let stall_timeout = Duration::from_millis(flag_parsed(args, "--stall-timeout-ms", 10_000u64));
-    let progress_every = flag_parsed(args, "--progress-every", 25u64);
     let followed = fleet
-        .follow(&feed, stall_timeout, progress_every)
+        .follow(&feed, STALL_TIMEOUT, progress_every)
         .unwrap_or_else(|e| die(1, "final flush failed", e));
     match &followed.end {
         FeedEnd::Drained => {}
@@ -171,27 +176,49 @@ fn follow(args: &[String], shards: u32) -> i32 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let shards = flag_parsed(&args, "--shards", 2u32);
+    let mut args = Args::from_env();
+    let explicit_shards: Option<u32> = args.get("--shards");
+    let shards = explicit_shards.unwrap_or(2);
     if shards == 0 {
         die(2, "--shards", "must be at least 1");
     }
-    if has_flag(&args, "--follow") {
-        std::process::exit(follow(&args, shards));
+    if args.flag("--follow") {
+        std::process::exit(follow(args, shards));
     }
-    let config = engine_config_from_args(&args);
-    let window = flag_parsed(&args, "--window", config.queue_depth.min(64)).max(1);
-    let worker = has_flag(&args, "--worker").then(|| flag_parsed(&args, "--worker", 0u32));
-    let listen = flag_value(&args, "--listen");
-    let connect = flag_value(&args, "--connect");
+    let config = engine_config_from_args(&mut args);
+    let window = config.queue_depth.min(MAX_WINDOW);
+    let worker: Option<u32> = args.get("--worker");
+    let listen: Option<String> = args.get("--listen");
+    let connect: Option<Vec<String>> = args.get::<String>("--connect").map(|list| {
+        if worker.is_some() {
+            die(2, "--worker", "cannot be combined with --connect");
+        }
+        let addrs: Vec<String> = list
+            .split(',')
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .collect();
+        if addrs.is_empty() {
+            die(2, "--connect", "needs at least one HOST:PORT");
+        }
+        if explicit_shards.is_some_and(|n| n as usize != addrs.len()) {
+            die(2, "--shards", "differs from the --connect list's length");
+        }
+        addrs
+    });
     match worker {
         Some(_) if listen.is_none() => die(2, "--worker", "requires --listen HOST:PORT"),
         Some(w) if w >= shards => die(2, "--worker", "must be below --shards"),
         _ => {}
     }
+    let fallback = !args.flag("--no-fallback");
+    // The stdin front's flags, read only when it is the front.
+    let stdin_front = listen.is_none();
+    let input: Option<String> = stdin_front.then(|| args.get("--input")).flatten();
+    let per_shard = stdin_front && args.flag("--per-shard-metrics");
 
-    let inputs = ServingInputs::load(NAME, USAGE, &args);
-    let hooks = inputs.hooks(NAME, &args);
+    let inputs = ServingInputs::load(NAME, USAGE, args);
+    let hooks = inputs.hooks(NAME, fallback);
     let artifact = Arc::clone(&inputs.artifact);
     let by_id = inputs.into_by_id();
 
@@ -206,18 +233,10 @@ fn main() {
         };
         Arc::new(WorkerBackend::new(engine, by_id, assignment))
     } else {
-        let router = if let Some(connect) = connect {
-            let addrs: Vec<String> = connect
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            if addrs.is_empty() {
-                die(2, "--connect", "needs at least one HOST:PORT");
-            }
+        let router = if let Some(addrs) = connect {
             eprintln!("[{NAME}] routing over remote workers {}", addrs.join(", "));
             let lane_config = RemoteShardConfig {
-                max_in_flight: config.queue_depth.max(window),
+                max_in_flight: config.queue_depth,
                 ..RemoteShardConfig::default()
             };
             bashard::remote_router(&addrs, lane_config, hooks.fallback).0
@@ -255,14 +274,13 @@ fn main() {
         eprintln!("[{NAME}] serving BANET on {}", server.local_addr());
         server.run_to_stop();
     } else {
-        let input: Box<dyn BufRead + Send> = match flag_value(&args, "--input") {
+        let input: Box<dyn BufRead + Send> = match input {
             Some(path) => match std::fs::File::open(&path) {
                 Ok(f) => Box::new(std::io::BufReader::new(f)),
                 Err(e) => die(1, &format!("could not open {path}"), e),
             },
             None => Box::new(std::io::BufReader::new(std::io::stdin())),
         };
-        let per_shard = has_flag(&args, "--per-shard-metrics");
         let stdout = std::io::stdout().lock();
         if let Err(e) = run_line_session(NAME, &*backend, input, stdout, window, per_shard) {
             die(1, "writing responses", e);

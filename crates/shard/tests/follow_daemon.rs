@@ -389,27 +389,18 @@ fn zero_shards_is_usage_exit_2_when_following_and_serving() {
     assert!(!scratch.journal().exists(), "nothing ran");
 }
 
-/// (d) An engine with no workers never drains its queue, so a serving
-/// daemon given `--workers 0` is refused at startup rather than left
-/// waiting forever on its first request.
-#[test]
-fn zero_workers_is_usage_exit_2() {
-    let mut scratch = Scratch::new("noworkers");
-    let path = |p: PathBuf| p.to_string_lossy().into_owned();
+/// Run the serving daemon over two `classify` lines with `extra` flags and
+/// return its output once it exits. A daemon still running after 10 s
+/// fails the test (the guard kills it).
+fn serve(scratch: &mut Scratch, extra: &[&str]) -> Output {
     let requests = scratch.dir.join("requests.txt");
     std::fs::write(&requests, "classify 17\nclassify 5\n").expect("write requests");
-    let args = [
-        "--artifact".to_string(),
-        path(scratch.dir.join("model.bart")),
-        "--shards".to_string(),
-        "1".to_string(),
-        "--workers".to_string(),
-        "0".to_string(),
-        "--input".to_string(),
-        path(requests),
-    ];
     let child = Command::new(env!("CARGO_BIN_EXE_basharded"))
-        .args(args)
+        .arg("--artifact")
+        .arg(scratch.dir.join("model.bart"))
+        .arg("--input")
+        .arg(&requests)
+        .args(extra)
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -422,11 +413,76 @@ fn zero_workers_is_usage_exit_2() {
         assert!(Instant::now() < deadline, "still running after 10 s");
         std::thread::sleep(Duration::from_millis(20));
     }
-    let output = wait_output(child);
-    let stderr = stderr_of(&output);
+    wait_output(child)
+}
+
+/// A bad invocation: exit 2, `error` on stderr, nothing served.
+fn assert_refused(output: &Output, error: &str) {
+    let stderr = stderr_of(output);
     assert_eq!(output.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("--workers: must be at least 1"), "{stderr}");
+    assert!(stderr.contains(error), "{stderr}");
     assert!(output.stdout.is_empty());
+}
+
+/// (d) An engine with no workers never drains its queue, so a serving
+/// daemon given `--workers 0` is refused at startup rather than left
+/// waiting forever on its first request.
+#[test]
+fn zero_workers_is_usage_exit_2() {
+    let mut scratch = Scratch::new("noworkers");
+    let output = serve(&mut scratch, &["--shards", "1", "--workers", "0"]);
+    assert_refused(&output, "--workers: must be at least 1");
+}
+
+/// (d) A queue of depth 0 admits nothing: every request would be
+/// `QueueFull` until the breaker trips into fallback answers.
+#[test]
+fn zero_queue_depth_is_usage_exit_2() {
+    let mut scratch = Scratch::new("noqueue");
+    let output = serve(&mut scratch, &["--shards", "1", "--queue-depth", "0"]);
+    assert_refused(&output, "--queue-depth: must be at least 1");
+}
+
+/// (d) A flag no mode reads is refused by name, not served past with
+/// the default it was meant to replace.
+#[test]
+fn misspelled_flag_is_usage_exit_2() {
+    let mut scratch = Scratch::new("misspelled");
+    let output = serve(&mut scratch, &["--shards", "1", "--wokers", "3"]);
+    assert_refused(&output, "--wokers");
+}
+
+/// (d) A worker serves its own shard and a frontend routes over remote
+/// ones; asking for both is a bad invocation, not a worker.
+#[test]
+fn worker_with_connect_is_usage_exit_2() {
+    let mut scratch = Scratch::new("workerconnect");
+    let output = serve(
+        &mut scratch,
+        &[
+            "--worker",
+            "0",
+            "--shards",
+            "2",
+            "--listen",
+            "127.0.0.1:0",
+            "--connect",
+            "127.0.0.1:9",
+        ],
+    );
+    assert_refused(&output, "--worker: cannot be combined with --connect");
+}
+
+/// (d) The `--connect` list is the shard layout; a `--shards` that says
+/// otherwise is refused rather than silently overruled.
+#[test]
+fn shards_unlike_the_connect_list_is_usage_exit_2() {
+    let mut scratch = Scratch::new("connectshards");
+    let output = serve(
+        &mut scratch,
+        &["--connect", "127.0.0.1:9,127.0.0.1:10", "--shards", "3"],
+    );
+    assert_refused(&output, "--shards: differs from the --connect list");
 }
 
 /// (e) One code path for every count: `--shards 1` is the unsharded
